@@ -19,8 +19,9 @@
 //!    pair's goodput while delivering 100 % of its control messages with
 //!    a drained ARQ backlog.
 //!
-//! Writes `BENCH_pr6.json` to the current directory and exits non-zero on
-//! any determinism or duel failure. `--smoke` runs a reduced fleet and
+//! Prints its JSON report on full runs (written to `BENCH_pr6.json` in
+//! the current directory only with `--record`) and exits non-zero on any
+//! determinism or duel failure. `--smoke` runs a reduced fleet and
 //! the quick duel config in well under 30 s; `--sessions N` /
 //! `--rounds N` override the storm scale.
 //!
@@ -350,8 +351,7 @@ fn main() {
             adaptive.control_delivery,
             adaptive.backlog,
         );
-        std::fs::write("BENCH_pr6.json", &json).expect("write BENCH_pr6.json");
-        print!("{json}");
+        cos_bench::emit_report("BENCH_pr6.json", &json);
     }
 
     let mut failed = false;

@@ -9,9 +9,9 @@
 //! (`send_packet_resilient` vs the `_summary` variant), and the transmit
 //! control path (`build_frame` + `PowerController::embed` +
 //! `to_time_samples` vs `build_frame_into` + `embed_into` + `render`,
-//! which must also be allocation-free at steady state). Writes the
-//! comparison to `BENCH_pr4.json` in the current directory and, with
-//! `--check`, exits non-zero unless the workspace path allocates at most
+//! which must also be allocation-free at steady state). Prints the
+//! comparison as JSON (written to `BENCH_pr4.json` in the current
+//! directory only with `--record`) and, with `--check`, exits non-zero unless the workspace path allocates at most
 //! a tenth of what the owned path does per frame (the PR 4 acceptance
 //! floor), the streaming workspace rx and the embedding workspace tx
 //! paths allocate nothing per frame, and the resilient summary path
@@ -474,8 +474,7 @@ fn main() {
         channel_speedup,
         owned.crc_ok,
     );
-    std::fs::write("BENCH_pr4.json", &json).expect("write BENCH_pr4.json");
-    print!("{json}");
+    cos_bench::emit_report("BENCH_pr4.json", &json);
 
     if check {
         let mut failures = Vec::new();

@@ -18,8 +18,9 @@
 //!    CSMA baseline on aggregate goodput while delivering ≥99 % of their
 //!    control plane (scheduling commands + uplink control messages).
 //!
-//! Writes `BENCH_pr8.json` to the current directory and exits non-zero on
-//! any determinism or duel failure. `--smoke` runs a reduced fleet (still
+//! Prints its JSON report on full runs (written to `BENCH_pr8.json` in
+//! the current directory only with `--record`) and exits non-zero on any
+//! determinism or duel failure. `--smoke` runs a reduced fleet (still
 //! ≥1024 stations) and the quick duel config; `--cells N` / `--rounds N`
 //! override the storm scale.
 
@@ -197,8 +198,7 @@ fn main() {
             storms[1].ticks_per_sec,
             storms[2].ticks_per_sec,
         );
-        std::fs::write("BENCH_pr8.json", &json).expect("write BENCH_pr8.json");
-        print!("{json}");
+        cos_bench::emit_report("BENCH_pr8.json", &json);
     }
 
     let mut failed = false;

@@ -24,8 +24,8 @@
 //!    1/4/8 threads.
 //! 4. **Throughput** — jobs/sec of the phase-1 storms per thread count.
 //!
-//! Writes `BENCH_pr7.json` on full runs and exits non-zero on any gate
-//! failure. `--smoke` runs a reduced schedule (well under 30 s) and
+//! Prints its JSON report on full runs (written to `BENCH_pr7.json` only
+//! with `--record`) and exits non-zero on any gate failure. `--smoke` runs a reduced schedule (well under 30 s) and
 //! gates everything except the JSON artifact; `--sessions N` /
 //! `--rounds N` override the scale.
 
@@ -507,8 +507,7 @@ fn main() {
             live.stats.admitted,
             live.stats.completed,
         );
-        std::fs::write("BENCH_pr7.json", &json).expect("write BENCH_pr7.json");
-        print!("{json}");
+        cos_bench::emit_report("BENCH_pr7.json", &json);
     }
 
     if failed {

@@ -25,8 +25,9 @@
 //! airs full rounds through `Link::transmit_batch_into`, and the digests
 //! must still agree across kernels and thread counts.
 //!
-//! Writes `BENCH_pr10.json` to the current directory and exits non-zero
-//! on any determinism or (full run) allocation failure. `--smoke` runs a
+//! Prints its JSON report on full runs (written to `BENCH_pr10.json` in
+//! the current directory only with `--record`) and exits non-zero on any
+//! determinism or (full run) allocation failure. `--smoke` runs a
 //! reduced schedule in well under 30 s and gates only determinism;
 //! `--sessions N` / `--rounds N` override the scale.
 
@@ -427,8 +428,7 @@ fn main() {
             sessions.max(1000),
             reference,
         );
-        std::fs::write("BENCH_pr10.json", &json).expect("write BENCH_pr10.json");
-        print!("{json}");
+        cos_bench::emit_report("BENCH_pr10.json", &json);
     }
 
     let mut failed = false;

@@ -1,4 +1,5 @@
-//! Shared fixtures for the Criterion benchmarks.
+//! Shared fixtures for the Criterion benchmarks, and the report helper
+//! of the gate/storm binaries.
 
 use cos_channel::{ChannelConfig, Link};
 use cos_phy::rates::DataRate;
@@ -19,6 +20,23 @@ pub fn bench_frame() -> TxFrame {
 pub fn bench_rx_samples() -> Vec<Complex> {
     let mut link = Link::new(ChannelConfig::default(), 20.0, 42);
     link.transmit(&bench_frame().to_time_samples())
+}
+
+/// Prints a bench binary's JSON report to stdout and, only when the
+/// command line carries `--record`, also writes it to `file` in the
+/// current directory — the committed `BENCH_prN.json` archive. Gate runs
+/// (`scripts/check.sh`) pass no `--record`, so they never touch a tracked
+/// file.
+///
+/// # Panics
+///
+/// Panics if `--record` is given and the file cannot be written.
+pub fn emit_report(file: &str, json: &str) {
+    print!("{json}");
+    if std::env::args().any(|a| a == "--record") {
+        std::fs::write(file, json).unwrap_or_else(|e| panic!("write {file}: {e}"));
+        eprintln!("[json] recorded {file}");
+    }
 }
 
 #[cfg(test)]

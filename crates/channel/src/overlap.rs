@@ -105,7 +105,7 @@ impl OverlapComposer {
     /// bit-identical to scalar.
     pub fn impair_waveform_with(
         &mut self,
-        samples: &mut Vec<Complex>,
+        samples: &mut [Complex],
         ctx: &ImpairmentCtx,
         mode: KernelMode,
     ) {

@@ -1,5 +1,6 @@
 //! Gray-mapped constellations of IEEE 802.11a (Clause 17.3.5.8) and their
-//! max-log soft demappers.
+//! demap kernel ([`Modulation::demap_row_into`]: max-log soft LLRs plus
+//! hard decisions in one pass).
 //!
 //! All constellations are normalised to unit average energy by the
 //! standard's `K_MOD` factors, so the minimum constellation distance `D_m`
@@ -7,6 +8,7 @@
 //! selector compares per-subcarrier EVM against (`EVM > D_m / 2` ⇒ the
 //! subcarrier is error-prone; paper §III-D).
 
+use cos_dsp::lanes::{F64xL, LANES};
 use cos_dsp::Complex;
 
 /// A subcarrier modulation scheme.
@@ -166,14 +168,16 @@ impl Modulation {
     /// Hard-decides the nearest constellation point, appending its bits
     /// to `out` in transmit order.
     pub fn hard_demap_into(self, y: Complex, out: &mut Vec<u8>) {
-        let ba = self.bits_per_axis();
         let start = out.len();
         out.resize(start + self.bits_per_symbol(), 0);
-        let bits = &mut out[start..];
-        self.axis_hard(y.re, &mut bits[..ba]);
-        if self != Modulation::Bpsk {
-            self.axis_hard(y.im, &mut bits[ba..]);
-        }
+        let mut llrs = [0.0; 6];
+        self.demap_row_into(
+            &[y],
+            &[0.0],
+            None,
+            &mut llrs[..self.bits_per_symbol()],
+            &mut out[start..],
+        );
     }
 
     /// Hard-decides the nearest constellation point, returning its bits.
@@ -185,33 +189,11 @@ impl Modulation {
 
     /// Hard-decides the nearest constellation point, returning the point.
     pub fn nearest_point(self, y: Complex) -> Complex {
+        let n = self.bits_per_symbol();
+        let mut llrs = [0.0; 6];
         let mut bits = [0u8; 6];
-        let bits = &mut bits[..self.bits_per_symbol()];
-        let ba = self.bits_per_axis();
-        self.axis_hard(y.re, &mut bits[..ba]);
-        if self != Modulation::Bpsk {
-            self.axis_hard(y.im, &mut bits[ba..]);
-        }
-        self.map(bits)
-    }
-
-    fn axis_hard(self, value: f64, out: &mut [u8]) {
-        let levels = self.axis_levels();
-        let scaled = value / self.kmod();
-        let best = levels
-            .iter()
-            .enumerate()
-            .min_by(|a, b| {
-                let da = (a.1 - scaled).abs();
-                let db = (b.1 - scaled).abs();
-                da.partial_cmp(&db).expect("levels are finite")
-            })
-            .map(|(g, _)| g)
-            .expect("level table is non-empty");
-        let width = out.len();
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = ((best >> (width - 1 - i)) & 1) as u8;
-        }
+        self.demap_row_into(&[y], &[0.0], None, &mut llrs[..n], &mut bits[..n]);
+        self.map(&bits[..n])
     }
 
     /// Max-log per-bit LLRs for an equalised symbol `y_eq` with channel
@@ -220,6 +202,11 @@ impl Modulation {
     /// Positive LLR ⇒ bit more likely **0** (the convention of
     /// [`cos_fec::viterbi`]). LLRs are appended to `out` in transmit order
     /// `b0..b_{n-1}`.
+    ///
+    /// A non-finite `y_eq` (NaN or ±∞ on a demapped axis) carries no
+    /// information and is treated as an erasure: every LLR is `0.0` and
+    /// the hard decision is bit group 0. See
+    /// [`Modulation::demap_row_into`].
     pub fn soft_demap(self, y_eq: Complex, weight: f64, out: &mut Vec<f64>) {
         let start = out.len();
         out.resize(start + self.bits_per_symbol(), 0.0);
@@ -234,35 +221,200 @@ impl Modulation {
     /// Panics if `out.len() != self.bits_per_symbol()`.
     pub fn soft_demap_to_slice(self, y_eq: Complex, weight: f64, out: &mut [f64]) {
         assert_eq!(out.len(), self.bits_per_symbol(), "one LLR slot per coded bit");
-        let ba = self.bits_per_axis();
-        self.axis_soft(y_eq.re, weight, &mut out[..ba]);
-        if self != Modulation::Bpsk {
-            self.axis_soft(y_eq.im, weight, &mut out[ba..]);
-        }
+        let mut hard = [0u8; 6];
+        self.demap_row_into(&[y_eq], &[weight], None, out, &mut hard[..out.len()]);
     }
 
-    /// Per-axis max-log bit metrics: for each bit position the difference
-    /// of squared distances to the nearest level with that bit 1 vs 0.
-    fn axis_soft(self, value: f64, weight: f64, out: &mut [f64]) {
-        let levels = self.axis_levels();
+    /// The demap kernel: soft LLRs (paper Eq. 8, max-log) and hard
+    /// decisions for a row of equalised points, written in transmit order
+    /// — point `p` owns `llrs[p·n..(p+1)·n]` and `hard[p·n..(p+1)·n]`
+    /// with `n = bits_per_symbol()`. Every other demap entry point is a
+    /// view of this one.
+    ///
+    /// * **Soft:** per bit, `weight · (d₁ − d₀)` where `d_b` is the
+    ///   smallest `(value − level·k)²` over the levels whose bit is `b`.
+    ///   Each level's distance is evaluated once per axis and shared by
+    ///   every bit; a minimum over NaN-free values is exact in any order,
+    ///   so this is bit-identical to a per-bit search over every level
+    ///   (`docs/KERNELS.md`, "Soft demap").
+    /// * **Hard:** the level minimising `|level − value/k|`, ties going
+    ///   to the first entry in Gray-group order — a different metric from
+    ///   the soft one, so hard bits are never read off LLR signs (with
+    ///   `weight = 0` every LLR is zero).
+    /// * **Erasures:** a point whose `erased` flag is set, or whose
+    ///   demapped axes are not finite, gets `0.0` LLRs and hard bit
+    ///   group 0.
+    ///
+    /// Every output slot is overwritten, so dirty buffers are fine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` or `erased` differ in length from `row`, or
+    /// `llrs`/`hard` are not `row.len() · bits_per_symbol()` long.
+    pub fn demap_row_into(
+        self,
+        row: &[Complex],
+        weights: &[f64],
+        erased: Option<&[bool]>,
+        llrs: &mut [f64],
+        hard: &mut [u8],
+    ) {
+        let n = self.bits_per_symbol();
+        assert_eq!(weights.len(), row.len(), "one weight per point");
+        assert!(erased.is_none_or(|m| m.len() == row.len()), "one erasure flag per point");
+        assert_eq!(llrs.len(), row.len() * n, "one LLR slot per coded bit");
+        assert_eq!(hard.len(), row.len() * n, "one hard slot per coded bit");
         let k = self.kmod();
-        let bits = out.len();
-        for (i, slot) in out.iter_mut().enumerate() {
-            let shift = bits - 1 - i;
-            let mut d0 = f64::INFINITY;
-            let mut d1 = f64::INFINITY;
-            for (g, &level) in levels.iter().enumerate() {
-                let d = value - level * k;
-                let d2 = d * d;
-                if (g >> shift) & 1 == 0 {
-                    d0 = d0.min(d2);
-                } else {
-                    d1 = d1.min(d2);
-                }
+        match self {
+            Modulation::Bpsk => {
+                demap_row::<2, 1, false>(&BPSK_LEVELS, k, row, weights, erased, llrs, hard)
             }
-            *slot = weight * (d1 - d0);
+            Modulation::Qpsk => {
+                demap_row::<2, 1, true>(&BPSK_LEVELS, k, row, weights, erased, llrs, hard)
+            }
+            Modulation::Qam16 => {
+                demap_row::<4, 2, true>(&QAM16_LEVELS, k, row, weights, erased, llrs, hard)
+            }
+            Modulation::Qam64 => {
+                demap_row::<8, 3, true>(&QAM64_LEVELS, k, row, weights, erased, llrs, hard)
+            }
         }
     }
+}
+
+/// [`Modulation::demap_row_into`] monomorphised per axis shape: `N`
+/// levels (in table order) carrying `B` bits per axis; `IQ` is false only
+/// for BPSK, whose Q axis carries no bits. Points go through in blocks of
+/// [`LANES`], one lane per point: every lane op is the scalar expression
+/// applied lane by lane, so the lanes only regroup independent per-point
+/// computations (`docs/KERNELS.md`, leg 1).
+// Not inlined: each modulation stays its own function, which LLVM
+// vectorises reliably (inlined into one `match`, parts of one path came
+// out scalar).
+#[inline(never)]
+fn demap_row<const N: usize, const B: usize, const IQ: bool>(
+    levels: &[f64; N],
+    k: f64,
+    row: &[Complex],
+    weights: &[f64],
+    erased: Option<&[bool]>,
+    llrs: &mut [f64],
+    hard: &mut [u8],
+) {
+    // `level·k`, the soft metric's per-level products, once per row.
+    let at = levels.map(|level| level * k);
+    let width = if IQ { 2 * B } else { B };
+    let blocks = row
+        .chunks(LANES)
+        .zip(weights.chunks(LANES))
+        .zip(llrs.chunks_mut(LANES * width).zip(hard.chunks_mut(LANES * width)));
+    for (block, ((points, weights), (llrs, hard))) in blocks.enumerate() {
+        let mut re = F64xL::default();
+        let mut im = F64xL::default();
+        let mut weight = F64xL::default();
+        let mut skip = [false; LANES];
+        for (l, (y, &w)) in points.iter().zip(weights).enumerate() {
+            re.0[l] = y.re;
+            im.0[l] = y.im;
+            weight.0[l] = w;
+            skip[l] = !(y.re.is_finite() && (!IQ || y.im.is_finite()));
+        }
+        if let Some(mask) = erased {
+            for (skip, &erased) in skip.iter_mut().zip(&mask[block * LANES..]) {
+                *skip |= erased;
+            }
+        }
+
+        let mut soft = [[F64xL::default(); B]; 2];
+        let mut group = [F64xL::default(); 2];
+        (soft[0], group[0]) = demap_axis(levels, &at, k, re, weight);
+        if IQ {
+            (soft[1], group[1]) = demap_axis(levels, &at, k, im, weight);
+        }
+
+        let points = llrs.chunks_exact_mut(width).zip(hard.chunks_exact_mut(width));
+        for ((l, (llrs, hard)), &skip) in points.enumerate().zip(&skip) {
+            if skip {
+                llrs.fill(0.0);
+                hard.fill(0);
+                continue;
+            }
+            for (i, (llr, bit)) in llrs.iter_mut().zip(hard).enumerate() {
+                *llr = soft[i / B][i % B].0[l];
+                *bit = ((group[i / B].0[l] as usize >> (B - 1 - i % B)) & 1) as u8;
+            }
+        }
+    }
+}
+
+/// Demaps one axis value per lane into `B` max-log LLR lanes and the
+/// hard decision's Gray group (a small integer held exactly in an `f64`
+/// lane, so its select stays a lane op). Lanes holding non-finite values
+/// produce garbage, never a panic, and the caller overwrites them.
+#[inline(always)]
+fn demap_axis<const N: usize, const B: usize>(
+    levels: &[f64; N],
+    at: &[f64; N],
+    k: f64,
+    value: F64xL,
+    weight: F64xL,
+) -> ([F64xL; B], F64xL) {
+    // Soft: each level's squared distance once, then per bit the minimum
+    // over the constant set of levels with that bit 0 resp. 1, in table
+    // order — the retired per-bit search without re-evaluating the
+    // distances for every bit.
+    let dist = at.map(|at| {
+        let d = value - F64xL::splat(at);
+        d * d
+    });
+    let mut soft = [F64xL::default(); B];
+    for (i, soft) in soft.iter_mut().enumerate() {
+        let mut d0 = F64xL::splat(f64::INFINITY);
+        let mut d1 = F64xL::splat(f64::INFINITY);
+        for (g, &dist) in dist.iter().enumerate() {
+            if (g >> (B - 1 - i)) & 1 == 0 {
+                d0 = lane_min(d0, dist);
+            } else {
+                d1 = lane_min(d1, dist);
+            }
+        }
+        *soft = weight * (d1 - d0);
+    }
+
+    // Hard: the first level in table order minimising |level − value/k|
+    // (a strict `<`, so ties keep the earlier group).
+    let mut scaled = value;
+    for s in &mut scaled.0 {
+        *s /= k;
+    }
+    let dist = |level: f64| {
+        let mut d = F64xL::splat(level) - scaled;
+        for d in &mut d.0 {
+            *d = d.abs();
+        }
+        d
+    };
+    let mut best = dist(levels[0]);
+    let mut group = F64xL::default();
+    for (g, &level) in levels.iter().enumerate().skip(1) {
+        let d = dist(level);
+        for l in 0..LANES {
+            group.0[l] = if d.0[l] < best.0[l] { g as f64 } else { group.0[l] };
+        }
+        best = lane_min(best, d);
+    }
+    (soft, group)
+}
+
+/// Lane-wise `a.min(b)` for values that are never NaN in a kept lane
+/// (squared and absolute distances), without `f64::min`'s NaN handling.
+#[inline(always)]
+fn lane_min(a: F64xL, b: F64xL) -> F64xL {
+    let mut out = a;
+    for (o, &b) in out.0.iter_mut().zip(&b.0) {
+        *o = if b < *o { b } else { *o };
+    }
+    out
 }
 
 impl std::fmt::Display for Modulation {
@@ -433,6 +585,43 @@ mod tests {
         let y = Complex::new(0.11, -0.73);
         let p = m.nearest_point(y);
         assert!(pts.iter().any(|&q| (q - p).norm() < 1e-12));
+    }
+
+    #[test]
+    fn hard_ties_go_to_the_first_table_entry() {
+        // |level − 0| ties between −1 (group 2) and 1 (group 6): group 2.
+        assert_eq!(Modulation::Qam64.hard_demap(Complex::ZERO), vec![0, 1, 0, 0, 1, 0]);
+        // Midway between −3 (group 3) and −1 (group 2) on the I axis.
+        let k = Modulation::Qam64.kmod();
+        let y = Complex::new(-2.0 * k, -2.0 * k);
+        assert_eq!(Modulation::Qam64.hard_demap(y), vec![0, 1, 0, 0, 1, 0]);
+    }
+
+    #[test]
+    fn non_finite_points_demap_as_erasures() {
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for m in Modulation::ALL {
+            let n = m.bits_per_symbol();
+            for &v in &bad {
+                let axes: &[Complex] = if m == Modulation::Bpsk {
+                    &[Complex::new(v, 0.0)]
+                } else {
+                    &[Complex::new(v, 0.3), Complex::new(-0.3, v), Complex::new(v, v)]
+                };
+                for &y in axes {
+                    let mut llrs = Vec::new();
+                    m.soft_demap(y, 7.5, &mut llrs);
+                    assert!(llrs.iter().all(|l| l.to_bits() == 0), "{m} {y:?}: {llrs:?}");
+                    assert_eq!(m.hard_demap(y), vec![0; n], "{m} {y:?}");
+                    assert_eq!(m.nearest_point(y), m.map(&vec![0; n]), "{m} {y:?}");
+                }
+            }
+        }
+        // BPSK demaps only the I axis, so a non-finite Q is ignored.
+        let mut llrs = Vec::new();
+        Modulation::Bpsk.soft_demap(Complex::new(0.5, f64::NAN), 1.0, &mut llrs);
+        assert!(llrs[0] < 0.0);
+        assert_eq!(Modulation::Bpsk.hard_demap(Complex::new(0.5, f64::NAN)), vec![1]);
     }
 
     #[test]

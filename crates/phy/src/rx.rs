@@ -459,8 +459,10 @@ impl Receiver {
     }
 
     /// The demapping stage of [`Receiver::decode_into`]: soft-demaps every
-    /// equalised subcarrier (zero LLRs on erased ones) into `scratch.llrs`
-    /// and the hard decisions into `out.hard_coded_bits`.
+    /// equalised subcarrier (zero LLRs on erased and non-finite ones) into
+    /// `scratch.llrs` and the hard decisions into `out.hard_coded_bits`,
+    /// one [`crate::constellation::Modulation::demap_row_into`] call per
+    /// DATA symbol.
     ///
     /// # Panics
     ///
@@ -480,26 +482,19 @@ impl Receiver {
             );
         }
         let modulation = fe.rate.modulation();
-        let nbpsc = fe.rate.nbpsc();
+        let ncbps = fe.rate.ncbps();
         let weights = fe.llr_weights();
-
-        let llrs = &mut scratch.llrs;
-        let hard = &mut out.hard_coded_bits;
-        llrs.clear();
-        hard.clear();
-        llrs.reserve(fe.equalized.len() * fe.rate.ncbps());
-        hard.reserve(fe.equalized.len() * fe.rate.ncbps());
-        for (n, row) in fe.equalized.iter().enumerate() {
-            for (sc, &y) in row.iter().enumerate() {
-                let erased = erasures.is_some_and(|m| m[n][sc]);
-                if erased {
-                    llrs.extend(std::iter::repeat_n(0.0, nbpsc));
-                    hard.extend(std::iter::repeat_n(0, nbpsc));
-                } else {
-                    modulation.soft_demap(y, weights[sc], llrs);
-                    modulation.hard_demap_into(y, hard);
-                }
-            }
+        let len = fe.equalized.len() * ncbps;
+        scratch.llrs.resize(len, 0.0);
+        out.hard_coded_bits.resize(len, 0);
+        let rows = fe
+            .equalized
+            .iter()
+            .zip(scratch.llrs.chunks_exact_mut(ncbps))
+            .zip(out.hard_coded_bits.chunks_exact_mut(ncbps));
+        for (n, ((row, llrs), hard)) in rows.enumerate() {
+            let erased = erasures.map(|mask| &mask[n][..]);
+            modulation.demap_row_into(row, &weights, erased, llrs, hard);
         }
     }
 

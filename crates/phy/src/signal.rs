@@ -106,9 +106,9 @@ pub fn encode_signal_symbol(rate: DataRate, length_bytes: usize) -> Vec<Complex>
 /// Propagates the parity/rate errors of [`parse_signal_bits`].
 pub fn decode_signal_symbol(points: &[Complex; 48], weight: f64) -> Result<(DataRate, usize), PhyError> {
     let mut llrs = [0f64; SIGNAL_CODED_BITS];
-    for (p, slot) in points.iter().zip(llrs.chunks_exact_mut(1)) {
-        Modulation::Bpsk.soft_demap_to_slice(*p, weight, slot);
-    }
+    let mut hard = [0u8; SIGNAL_CODED_BITS];
+    let weights = [weight; SIGNAL_CODED_BITS];
+    Modulation::Bpsk.demap_row_into(points, &weights, None, &mut llrs, &mut hard);
     let mut deinterleaved = [0f64; SIGNAL_CODED_BITS];
     signal_interleaver().deinterleave_soft_to_slice(&llrs, &mut deinterleaved);
     let mut traceback = [0u64; SIGNAL_BITS];

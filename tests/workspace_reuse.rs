@@ -13,7 +13,7 @@ use cos::fec::bits::bits_to_bytes;
 use cos::phy::aggregation::{aggregate, deaggregate};
 use cos::phy::frame::SERVICE_BITS;
 use cos::phy::rates::DataRate;
-use cos::phy::rx::{Receiver, RxConfig, RxFrame};
+use cos::phy::rx::{FrontEnd, Receiver, RxConfig, RxDecodeOut, RxFrame, RxScratch};
 use cos::phy::subcarriers::NUM_DATA;
 use cos::phy::tx::Transmitter;
 use cos::phy::{PhyWorkspace, RxPipeline, TxPipeline};
@@ -79,6 +79,64 @@ proptest! {
             }
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
             (a, b) => prop_assert!(false, "paths diverged: workspace {:?} vs owned {:?}", a, b.map(|f| f.crc_ok())),
+        }
+    }
+
+    #[test]
+    fn demap_into_dirty_scratch_matches_fresh_across_modulations(
+        channel_seed in 0u64..300,
+        mask_seed in any::<u64>(),
+        snr_db in 20.0f64..32.0,
+    ) {
+        // A long 64QAM frame leaves 6-bit groups in every buffer; a short
+        // BPSK frame with erasures then demaps into the same buffers,
+        // which must shrink and be overwritten exactly — in both orders.
+        let front_end = |payload: &[u8], rate: DataRate| -> FrontEnd {
+            let samples = Transmitter::new().build_frame(payload, rate, 0x47).to_time_samples();
+            let mut link = Link::new(ChannelConfig::default(), snr_db, channel_seed);
+            let rx_samples = link.transmit(&samples);
+            Receiver::new().front_end(&rx_samples).expect("high-SNR acquisition")
+        };
+        let long = front_end(&[0x3C; 1500], DataRate::Mbps54);
+        let short = front_end(&[0xC3; 20], DataRate::Mbps6);
+        let mut x = mask_seed;
+        let mask: Vec<[bool; NUM_DATA]> = short.equalized.iter().map(|_| {
+            std::array::from_fn(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                x >> 61 == 0
+            })
+        }).collect();
+
+        let rx = Receiver::new();
+        type Mask<'a> = Option<&'a [[bool; NUM_DATA]]>;
+        let demap =
+            |fe: &FrontEnd, erasures: Mask<'_>, scratch: &mut RxScratch, out: &mut RxDecodeOut| {
+                rx.demap_into(fe, erasures, scratch, out);
+                let llr_bits: Vec<u64> = scratch.llrs.iter().map(|l| l.to_bits()).collect();
+                (llr_bits, out.hard_coded_bits.clone())
+            };
+        let (mut scratch, mut out) = (RxScratch::default(), RxDecodeOut::default());
+        let fresh = |fe: &FrontEnd, erasures: Mask<'_>| {
+            demap(fe, erasures, &mut RxScratch::default(), &mut RxDecodeOut::default())
+        };
+        let fresh_short = fresh(&short, Some(&mask));
+        let fresh_long = fresh(&long, None);
+        prop_assert_eq!(fresh_short.0.len(), short.equalized.len() * short.rate.ncbps());
+        prop_assert_eq!(fresh_long.1.len(), long.equalized.len() * long.rate.ncbps());
+
+        demap(&long, None, &mut scratch, &mut out);
+        prop_assert_eq!(&demap(&short, Some(&mask), &mut scratch, &mut out), &fresh_short);
+        prop_assert_eq!(&demap(&long, None, &mut scratch, &mut out), &fresh_long);
+
+        // Erased points carry zero LLRs and hard group 0.
+        for (n, row) in mask.iter().enumerate() {
+            for (sc, &erased) in row.iter().enumerate() {
+                let i = n * NUM_DATA + sc;
+                if erased {
+                    prop_assert_eq!(fresh_short.0[i], 0);
+                    prop_assert_eq!(fresh_short.1[i], 0);
+                }
+            }
         }
     }
 
