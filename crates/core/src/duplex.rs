@@ -172,7 +172,7 @@ pub fn decode_ack(
     // CRC passed: soft-combined coherent decision per field bit — sum
     // the silence/normal residuals across repetitions, then decide.
     let reference = reconstruct_points(payload, fe.rate, seed);
-    let bins = cos_phy::subcarriers::data_bins();
+    let bins = cos_phy::subcarriers::DATA_BINS;
     let combined = |sc: usize, first_sym: usize, reps: usize| -> bool {
         let mut silence_residual = 0.0;
         let mut normal_residual = 0.0;

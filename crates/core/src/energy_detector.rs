@@ -21,7 +21,7 @@ use crate::interval::IntervalCodec;
 use cos_dsp::db_to_linear;
 use cos_phy::constellation::Modulation;
 use cos_phy::rx::FrontEnd;
-use cos_phy::subcarriers::{data_bins, NUM_DATA};
+use cos_phy::subcarriers::{DATA_BINS, NUM_DATA};
 
 /// Outcome of scanning a frame for silence symbols.
 ///
@@ -109,7 +109,7 @@ impl EnergyDetector {
         let eta = fe.noise_var_pilot.max(1e-15);
         let bias = db_to_linear(self.bias_db);
         let e_min = modulation.min_point_energy();
-        let bins = data_bins();
+        let bins = DATA_BINS;
         out.clear();
         out.reserve(selected.len());
         out.extend(selected.iter().map(|&sc| {
@@ -203,7 +203,7 @@ impl EnergyDetector {
         }
         assert!(*selected.last().expect("non-empty") < NUM_DATA, "subcarrier out of range");
 
-        let bins = data_bins();
+        let bins = DATA_BINS;
         let n_sel = selected.len();
         det.positions.clear();
         // Reserve the frame-geometry bound (every scanned slot flagged) so

@@ -494,6 +494,17 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// An `f64` that must be finite (NaN or ±∞ would only panic deep in
+    /// the channel on replay).
+    fn finite(&mut self, what: &'static str) -> Result<f64, JournalError> {
+        let v = self.f64()?;
+        if v.is_finite() {
+            Ok(v)
+        } else {
+            Err(JournalError::BadValue(what))
+        }
+    }
+
     fn bytes_(&mut self) -> Result<Box<[u8]>, JournalError> {
         let n = self.u64()? as usize;
         if n > self.bytes.len() {
@@ -627,11 +638,11 @@ fn write_session_config(w: &mut Vec<u8>, c: &SessionConfig) {
 fn read_session_config(r: &mut Reader<'_>) -> Result<SessionConfig, JournalError> {
     let channel = ChannelConfig {
         n_taps: r.usize_()?,
-        tap_decay: r.f64()?,
-        k_factor: r.f64()?,
-        doppler_hz: r.f64()?,
+        tap_decay: r.finite("tap_decay")?,
+        k_factor: r.finite("k_factor")?,
+        doppler_hz: r.finite("doppler_hz")?,
     };
-    let snr_db = r.f64()?;
+    let snr_db = r.finite("snr_db")?;
     let rate = match r.u8()? {
         u8::MAX => None,
         i if (i as usize) < DataRate::ALL.len() => Some(DataRate::ALL[i as usize]),
@@ -641,10 +652,10 @@ fn read_session_config(r: &mut Reader<'_>) -> Result<SessionConfig, JournalError
         channel,
         snr_db,
         rate,
-        detector_bias_db: r.f64()?,
+        detector_bias_db: r.finite("detector_bias_db")?,
         bits_per_interval: r.usize_()?,
         min_control_subcarriers: r.usize_()?,
-        packet_interval: r.f64()?,
+        packet_interval: r.finite("packet_interval")?,
         resilience: match r.u8()? {
             0 => None,
             1 => Some(read_resilience_config(r)?),
@@ -847,5 +858,31 @@ mod tests {
         );
 
         assert!(ReplayJournal::deserialize(b"").is_err());
+    }
+
+    #[test]
+    fn deserialize_rejects_non_finite_session_config() {
+        // A distinctive SNR whose bit pattern occurs once in the journal.
+        let snr_db = 17.375f64;
+        let mut core = ServiceCore::with_journal(ServiceConfig::default());
+        let s = core.create_session(SessionConfig { snr_db, ..SessionConfig::default() }, 5);
+        let p = core.add_payload(&[0x5A; 60]);
+        core.try_submit(s, p, ServiceJobKind::Resilient).unwrap();
+        core.run_to_drained();
+        let bytes = core.seal_journal().expect("journaling was on").serialize();
+        assert!(ReplayJournal::deserialize(&bytes).is_ok());
+
+        let pattern = snr_db.to_bits().to_le_bytes();
+        let at: Vec<usize> = (0..=bytes.len() - 8).filter(|&i| bytes[i..i + 8] == pattern).collect();
+        assert_eq!(at.len(), 1, "the SNR must be locatable");
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut patched = bytes.clone();
+            patched[at[0]..at[0] + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+            assert_eq!(
+                ReplayJournal::deserialize(&patched).unwrap_err(),
+                JournalError::BadValue("snr_db"),
+                "snr_db = {bad}"
+            );
+        }
     }
 }

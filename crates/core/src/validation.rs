@@ -19,7 +19,7 @@
 
 use cos_dsp::Complex;
 use cos_phy::rx::FrontEnd;
-use cos_phy::subcarriers::{data_bins, NUM_DATA};
+use cos_phy::subcarriers::{DATA_BINS, NUM_DATA};
 
 /// First subcarrier of the fallback selection block (the session's
 /// bootstrap layout, Fig. 10(a)).
@@ -86,7 +86,7 @@ pub fn validate_silences_into(
         "reference grid smaller than the received frame"
     );
 
-    let bins = data_bins();
+    let bins = DATA_BINS;
     let n_sel = selected.len();
     positions.clear();
     // Frame-geometry bound (every slot validated as silence): saturates the

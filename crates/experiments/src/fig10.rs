@@ -16,7 +16,7 @@ use cos_core::interval::IntervalCodec;
 use cos_core::power_controller::PowerController;
 use cos_phy::rates::DataRate;
 use cos_phy::rx::Receiver;
-use cos_phy::subcarriers::{used_bins, SYMBOL_LEN};
+use cos_phy::subcarriers::{USED_BINS, SYMBOL_LEN};
 use cos_phy::tx::Transmitter;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -121,7 +121,7 @@ pub fn run_snapshot(cfg: &Config) -> Table {
     let samples = link.transmit(&frame.to_time_samples());
     let fe = Receiver::new().front_end(&samples).expect("front end");
     let sym = &fe.raw_symbols[0];
-    let mags: Vec<f64> = used_bins().iter().map(|&b| sym.0[b].norm()).collect();
+    let mags: Vec<f64> = USED_BINS.iter().map(|&b| sym.0[b].norm()).collect();
     let peak = mags.iter().cloned().fold(0.0f64, f64::max).max(1e-12);
 
     let mut table = Table::new(

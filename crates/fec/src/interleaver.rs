@@ -62,6 +62,12 @@ impl Interleaver {
         self.ncbps
     }
 
+    /// The permutation itself: entry `k` is the position within a symbol
+    /// block that coded bit `k` moves to.
+    pub fn permutation(&self) -> &[usize] {
+        &self.perm
+    }
+
     /// Interleaves a whole frame symbol-block by symbol-block.
     ///
     /// # Panics

@@ -67,8 +67,8 @@ impl SymbolBatch {
     }
 }
 
-/// Scratch for a full DATA-field encode or decode pass
-/// (deinterleave → depuncture → Viterbi, or encode → puncture).
+/// Scratch for a full DATA-field decode pass
+/// (deinterleave → depuncture → Viterbi).
 ///
 /// The fields are public so higher layers (`cos-phy`) can thread
 /// individual buffers through a staged pipeline without borrowing the
@@ -79,8 +79,6 @@ pub struct FecWorkspace {
     pub deinterleaved: Vec<f64>,
     /// Soft bits after de-puncturing (mother-code order).
     pub mother_llrs: Vec<f64>,
-    /// Mother-code hard bits on the encode side.
-    pub mother_bits: Vec<u8>,
     /// Viterbi output (scrambled data bits).
     pub decoded: Vec<u8>,
     /// Traceback scratch for the Viterbi decoder.

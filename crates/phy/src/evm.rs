@@ -8,10 +8,10 @@
 //! quantifies temporal selectivity (Fig. 7).
 
 use crate::constellation::Modulation;
+use crate::frame::{encode_data_field, payload_to_psdu_into};
 use crate::pipeline::TxWorkspace;
 use crate::rates::DataRate;
 use crate::subcarriers::NUM_DATA;
-use crate::tx::Transmitter;
 use cos_dsp::Complex;
 
 /// Per-subcarrier EVM (paper Eq. 1): for each of the 48 data subcarriers,
@@ -88,21 +88,30 @@ pub fn reconstruct_points(
     rate: DataRate,
     seed: u8,
 ) -> Vec<[Complex; NUM_DATA]> {
-    Transmitter::new().build_frame(payload, rate, seed).mapped_points
+    let mut ws = TxWorkspace::new();
+    reconstruct_points_into(payload, rate, seed, &mut ws);
+    std::mem::take(&mut ws.frame.mapped_points)
 }
 
-/// [`reconstruct_points`] building the reference frame inside a
+/// [`reconstruct_points`] running the transmit bit chain inside a
 /// caller-owned [`TxWorkspace`] and returning a borrow of its mapped
 /// points — the per-frame reconstruction of the feedback loop without the
 /// per-frame allocation.
+///
+/// Reconstruction stops at the points: it overwrites `ws.psdu`,
+/// `ws.frame.data_field` and `ws.frame.mapped_points` only, and leaves the
+/// frame's symbols, SIGNAL and silence mask as the last build left them.
+/// Keep a separate workspace for reconstruction, as the sessions do.
 pub fn reconstruct_points_into<'a>(
     payload: &[u8],
     rate: DataRate,
     seed: u8,
     ws: &'a mut TxWorkspace,
 ) -> &'a [[Complex; NUM_DATA]] {
-    Transmitter::new().build_frame_into(payload, rate, seed, ws);
-    &ws.frame.mapped_points
+    let TxWorkspace { frame, psdu, bits, .. } = ws;
+    payload_to_psdu_into(payload, psdu);
+    encode_data_field(psdu, rate, seed, bits, &mut frame.data_field, Some(&mut frame.mapped_points));
+    &frame.mapped_points
 }
 
 /// Counts symbol errors: positions where the hard decision on the
@@ -209,6 +218,7 @@ mod tests {
 
     #[test]
     fn reconstruction_matches_transmitter() {
+        use crate::tx::Transmitter;
         let payload = b"reconstruct me".to_vec();
         let rate = DataRate::Mbps24;
         let frame = Transmitter::new().build_frame(&payload, rate, 0x47);

@@ -1,15 +1,24 @@
 //! DATA-field bit processing (Clause 17.3.5): SERVICE + PSDU + tail + pad,
 //! scrambling, convolutional encoding, puncturing and interleaving.
 //!
+//! The transmit side is one packed, table-driven kernel
+//! ([`build_data_field_into`] and the frame builders share it; see
+//! `docs/KERNELS.md`, "TX bit chain"). The receive side deinterleaves,
+//! depunctures and Viterbi-decodes soft bits in [`FecWorkspace`] scratch.
+//!
 //! The PSDU carried here is `payload ‖ CRC-32`, so a decoded frame can be
 //! integrity-checked exactly as the paper's receiver does before computing
 //! EVM feedback.
 
+use crate::constellation::Modulation;
 use crate::error::PhyError;
 use crate::rates::DataRate;
-use cos_fec::bits::{append_bits_from_bytes, bits_to_bytes_into};
+use crate::subcarriers::NUM_DATA;
+use cos_dsp::{Complex, Prbs127};
+use cos_fec::bits::bits_to_bytes_into;
+use cos_fec::conv::{CONSTRAINT, GEN_A, GEN_B};
 use cos_fec::viterbi::LaneFrame;
-use cos_fec::{ConvEncoder, Crc32, FecWorkspace, Interleaver, Scrambler, ViterbiDecoder};
+use cos_fec::{Crc32, FecWorkspace, Interleaver, Scrambler, ViterbiDecoder};
 use std::sync::OnceLock;
 
 /// Bits in the SERVICE field (7 scrambler-init zeros + 9 reserved zeros).
@@ -19,21 +28,14 @@ pub const TAIL_BITS: usize = 6;
 /// SERVICE prefix bits needed to recover the scrambler seed.
 const SEED_BITS: usize = 7;
 
-/// The fully processed DATA field of one frame, with every intermediate
-/// stage retained for instrumentation (decoder-input BER, symbol-error
-/// maps, EVM reconstruction).
+/// The fully processed DATA field of one frame: the interleaved coded
+/// bits actually mapped to subcarriers.
 #[derive(Debug, Clone)]
 pub struct DataField {
     /// The rate everything below was built for.
     pub rate: DataRate,
-    /// Unscrambled bits: SERVICE + PSDU + tail + pad.
-    pub raw_bits: Vec<u8>,
-    /// After scrambling (tail bits re-zeroed, Clause 17.3.5.3).
-    pub scrambled: Vec<u8>,
-    /// After convolutional encoding and puncturing.
-    pub coded: Vec<u8>,
-    /// After per-symbol interleaving — the bits actually mapped to
-    /// subcarriers, in transmit order.
+    /// The coded bits after puncturing and per-symbol interleaving, one
+    /// per `u8`, in transmit order (`n_symbols × Ncbps` of them).
     pub interleaved: Vec<u8>,
     /// Number of DATA OFDM symbols.
     pub n_symbols: usize,
@@ -43,14 +45,26 @@ impl DataField {
     /// An empty placeholder for workspace initialisation; every field is
     /// fully overwritten by [`build_data_field_into`].
     pub fn empty(rate: DataRate) -> Self {
-        DataField {
-            rate,
-            raw_bits: Vec::new(),
-            scrambled: Vec::new(),
-            coded: Vec::new(),
-            interleaved: Vec::new(),
-            n_symbols: 0,
-        }
+        DataField { rate, interleaved: Vec::new(), n_symbols: 0 }
+    }
+}
+
+/// Packed scratch of the transmit bit chain: the scrambled DATA field and
+/// its rate-1/2 mother code, eight bits per byte, LSB-first (the bit order
+/// of [`cos_fec::bits`]). The buffers grow to the longest frame built and
+/// are then reused.
+#[derive(Debug, Clone, Default)]
+pub struct TxBits {
+    /// SERVICE + PSDU + tail + pad, scrambled, in whole 64-bit words.
+    data: Vec<u8>,
+    /// The mother code `A₀ B₀ A₁ B₁ …` of `data`.
+    mother: Vec<u8>,
+}
+
+impl TxBits {
+    /// Creates empty scratch; the buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -81,6 +95,100 @@ fn crc32() -> &'static Crc32 {
     CRC.get_or_init(Crc32::new)
 }
 
+/// Bytes after which the scrambler keystream repeats: the LFSR period is
+/// 127 bits, so 127 bytes hold exactly 8 periods.
+const KEYSTREAM_BYTES: usize = Prbs127::PERIOD;
+
+/// The scrambler keystream of `seed` as bytes (bit `i` of byte `j` is
+/// keystream bit `8j + i`), one process-wide table for all 127 seeds.
+///
+/// # Panics
+///
+/// Panics if the seed is zero or wider than 7 bits.
+fn keystream(seed: u8) -> &'static [u8; KEYSTREAM_BYTES] {
+    static TABLES: OnceLock<Vec<[u8; KEYSTREAM_BYTES]>> = OnceLock::new();
+    // Rejects an invalid seed with the scrambler's own message.
+    Prbs127::new(seed);
+    let tables = TABLES.get_or_init(|| {
+        (1..=Prbs127::PERIOD as u8)
+            .map(|s| {
+                let mut lfsr = Prbs127::new(s);
+                std::array::from_fn(|_| (0..8).fold(0, |byte, i| byte | lfsr.next_bit() << i))
+            })
+            .collect()
+    });
+    &tables[usize::from(seed) - 1]
+}
+
+/// One 64-bit word of a rate-1/2 output stream: bit `t` is the parity of
+/// the generator's taps over inputs `x_t … x_{t−6}`, where `prev` is the
+/// previous input word (its high bits are the inputs before `x`). The
+/// current input is the generator's MSB (see [`cos_fec::conv`]), so
+/// generator bit `6 − k` selects `x_{t−k}`, which in an LSB-first word is
+/// `x ≪ k`.
+#[inline(always)]
+fn conv_word(generator: u8, x: u64, prev: u64) -> u64 {
+    (0..CONSTRAINT)
+        .filter(|k| (generator >> (CONSTRAINT - 1 - k)) & 1 == 1)
+        .fold(0, |acc, k| acc ^ if k == 0 { x } else { x << k | prev >> (64 - k) })
+}
+
+/// Spreads the 32 bits of `x` to the even bit positions of a word.
+#[inline(always)]
+fn spread_even(x: u32) -> u64 {
+    let mut x = u64::from(x);
+    x = (x | x << 16) & 0x0000_FFFF_0000_FFFF;
+    x = (x | x << 8) & 0x00FF_00FF_00FF_00FF;
+    x = (x | x << 4) & 0x0F0F_0F0F_0F0F_0F0F;
+    x = (x | x << 2) & 0x3333_3333_3333_3333;
+    (x | x << 1) & 0x5555_5555_5555_5555
+}
+
+/// Largest mother-code block of one OFDM symbol (`2 × Ndbps` at 54 Mbps),
+/// rounded up to a power of two so a masked index needs no bounds check.
+const SYMBOL_MOTHER_CAP: usize = 512;
+
+/// The puncture-then-interleave map of one OFDM symbol at one rate:
+/// entry `j` is the symbol-local mother-code index that interleaved
+/// position `j` carries. Every rate's `2 × Ndbps` is a multiple of its
+/// puncturing period, so each symbol starts a fresh period and one table
+/// serves every symbol of a frame. One process-wide plan per rate.
+fn symbol_plan(rate: DataRate) -> &'static [u16] {
+    static PLANS: OnceLock<[Vec<u16>; 8]> = OnceLock::new();
+    &PLANS.get_or_init(|| {
+        DataRate::ALL.map(|rate| {
+            let keep = rate.code_rate().keep_mask();
+            let per_symbol = 2 * rate.ndbps();
+            assert!(
+                per_symbol.is_multiple_of(keep.len()) && per_symbol <= SYMBOL_MOTHER_CAP,
+                "{rate}: a symbol must span whole puncturing periods"
+            );
+            let kept: Vec<usize> = (0..per_symbol).filter(|&m| keep[m % keep.len()]).collect();
+            assert_eq!(kept.len(), rate.ncbps(), "{rate}: a punctured symbol is Ncbps bits");
+            let mut plan = vec![0u16; rate.ncbps()];
+            for (&m, &j) in kept.iter().zip(interleaver_for(rate).permutation()) {
+                plan[j] = m as u16;
+            }
+            plan
+        })
+    })[rate.band_index()]
+}
+
+/// The constellation of `modulation` indexed by its bit group
+/// `b₀ … b_{n−1}` read MSB-first — exactly [`Modulation::map`]'s outputs, in
+/// [`Modulation::points`] order (entries past `M` are unused).
+fn point_table(modulation: Modulation) -> &'static [Complex; 64] {
+    static TABLES: OnceLock<[[Complex; 64]; 4]> = OnceLock::new();
+    let index = Modulation::ALL.iter().position(|&m| m == modulation).expect("listed");
+    &TABLES.get_or_init(|| {
+        Modulation::ALL.map(|m| {
+            let mut table = [Complex::ZERO; 64];
+            table[..m.points_count()].copy_from_slice(&m.points());
+            table
+        })
+    })[index]
+}
+
 /// Builds the DATA field for a PSDU.
 ///
 /// # Panics
@@ -88,12 +196,12 @@ fn crc32() -> &'static Crc32 {
 /// Panics if the scrambler seed is invalid (zero or wider than 7 bits).
 pub fn build_data_field(psdu: &[u8], rate: DataRate, scrambler_seed: u8) -> DataField {
     let mut df = DataField::empty(rate);
-    build_data_field_into(psdu, rate, scrambler_seed, &mut df, &mut FecWorkspace::new());
+    build_data_field_into(psdu, rate, scrambler_seed, &mut df, &mut TxBits::new());
     df
 }
 
 /// [`build_data_field`] writing into a caller-owned [`DataField`] and
-/// encode scratch, both of which are fully overwritten.
+/// packed scratch; `df` is fully overwritten.
 ///
 /// # Panics
 ///
@@ -103,35 +211,133 @@ pub fn build_data_field_into(
     rate: DataRate,
     scrambler_seed: u8,
     df: &mut DataField,
-    fec: &mut FecWorkspace,
+    bits: &mut TxBits,
 ) {
+    encode_data_field(psdu, rate, scrambler_seed, bits, df, None);
+}
+
+/// The transmit bit chain (Clause 17.3.5.2–17.3.5.8), packed: every frame
+/// build and every §III-D point reconstruction runs through here.
+///
+/// SERVICE + PSDU + tail + pad are packed LSB-first into whole 64-bit
+/// words, XOR-ed bytewise with the seed's keystream (tail re-zeroed),
+/// encoded a word at a time, then punctured, interleaved and — when
+/// `points` is given — mapped one symbol at a time through
+/// [`symbol_plan`] and [`point_table`]. `df` is fully overwritten, and
+/// `points` is overwritten with one row per DATA symbol. Bit-identical to
+/// the per-bit `cos-fec` stages composed with [`Modulation::map`]
+/// (`crates/phy/tests/tx_differential.rs`).
+///
+/// # Panics
+///
+/// Panics if the scrambler seed is invalid (zero or wider than 7 bits).
+pub(crate) fn encode_data_field(
+    psdu: &[u8],
+    rate: DataRate,
+    scrambler_seed: u8,
+    bits: &mut TxBits,
+    df: &mut DataField,
+    points: Option<&mut Vec<[Complex; NUM_DATA]>>,
+) {
+    let keystream = keystream(scrambler_seed);
     let n_symbols = rate.data_symbol_count(psdu.len());
-    let total_bits = n_symbols * rate.ndbps();
+    let words = (n_symbols * rate.ndbps()).div_ceil(64);
     df.rate = rate;
     df.n_symbols = n_symbols;
 
-    // SERVICE (all zeros) + PSDU + tail + pad.
-    df.raw_bits.clear();
-    df.raw_bits.resize(SERVICE_BITS, 0);
-    append_bits_from_bytes(psdu, &mut df.raw_bits);
-    let tail_start = df.raw_bits.len();
-    df.raw_bits.extend_from_slice(&[0; TAIL_BITS]);
-    df.raw_bits.resize(total_bits, 0);
+    // SERVICE (all zeros) + PSDU + tail + pad, scrambled. Bits past the
+    // last symbol only reach mother-code bits past it, which no plan
+    // reads.
+    let TxBits { data, mother } = bits;
+    data.clear();
+    data.extend_from_slice(&[0; SERVICE_BITS / 8]);
+    data.extend_from_slice(psdu);
+    data.resize(words * 8, 0);
+    for block in data.chunks_mut(KEYSTREAM_BYTES) {
+        for (byte, k) in block.iter_mut().zip(keystream) {
+            *byte ^= k;
+        }
+    }
+    // The tail starts on a byte boundary; re-zero it so the encoder
+    // terminates (Clause 17.3.5.3).
+    data[SERVICE_BITS / 8 + psdu.len()] &= !((1 << TAIL_BITS) - 1);
 
-    // Scramble everything, then restore the tail bits to zero so the
-    // encoder terminates.
-    df.scrambled.clear();
-    df.scrambled.extend_from_slice(&df.raw_bits);
-    Scrambler::new(scrambler_seed).scramble_in_place(&mut df.scrambled);
-    for b in &mut df.scrambled[tail_start..tail_start + TAIL_BITS] {
-        *b = 0;
+    // Rate-1/2 encoding, 64 inputs per step: A and B spread to the even
+    // and odd bits of two mother-code words.
+    mother.clear();
+    let mut prev = 0;
+    for chunk in data.chunks_exact(8) {
+        let x = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        let a = conv_word(GEN_A, x, prev);
+        let b = conv_word(GEN_B, x, prev);
+        prev = x;
+        for half in [0, 32] {
+            let pair = spread_even((a >> half) as u32) | spread_even((b >> half) as u32) << 1;
+            mother.extend_from_slice(&pair.to_le_bytes());
+        }
     }
 
-    ConvEncoder::new().encode_into(&df.scrambled, &mut fec.mother_bits);
-    rate.code_rate().puncture_into(&fec.mother_bits, &mut df.coded);
-    debug_assert_eq!(df.coded.len(), n_symbols * rate.ncbps());
+    // Every symbol overwrites its whole slice of both outputs, so they
+    // are only resized, never cleared.
+    df.interleaved.resize(n_symbols * rate.ncbps(), 0);
+    let rows: &mut [[Complex; NUM_DATA]] = match points {
+        Some(points) => {
+            points.resize(n_symbols, [Complex::ZERO; NUM_DATA]);
+            points
+        }
+        None => &mut [],
+    };
+    let modulation = rate.modulation();
+    let gather = match modulation.bits_per_symbol() {
+        1 => gather_symbols::<1>,
+        2 => gather_symbols::<2>,
+        4 => gather_symbols::<4>,
+        _ => gather_symbols::<6>,
+    };
+    let symbol_bytes = 2 * rate.ndbps() / 8;
+    gather(
+        symbol_plan(rate),
+        &mother[..n_symbols * symbol_bytes],
+        symbol_bytes,
+        &mut df.interleaved,
+        rows,
+        point_table(modulation),
+    );
+}
 
-    interleaver_for(rate).interleave_into(&df.coded, &mut df.interleaved);
+/// Punctures, interleaves and maps every symbol of a packed mother code.
+/// Per symbol: unpack its `symbol_bytes`-byte mother-code block (every
+/// rate's `2 × Ndbps` is a whole number of bytes) to one bit per `u32`,
+/// gather the interleaved bits through `plan`, then map each `NBPSC`-bit
+/// group into the symbol's row of `rows` (empty when no points are
+/// wanted). The `u32` bits and the separate passes let LLVM turn the
+/// gather into vector gathers where the target has them.
+fn gather_symbols<const NBPSC: usize>(
+    plan: &[u16],
+    mother: &[u8],
+    symbol_bytes: usize,
+    interleaved: &mut [u8],
+    rows: &mut [[Complex; NUM_DATA]],
+    table: &[Complex; 64],
+) {
+    let blocks = mother.chunks_exact(symbol_bytes).zip(interleaved.chunks_exact_mut(plan.len()));
+    let mut local = [0u32; SYMBOL_MOTHER_CAP];
+    for (n, (block, out)) in blocks.enumerate() {
+        for (dst, &byte) in local.chunks_exact_mut(8).zip(block) {
+            for (i, bit) in dst.iter_mut().enumerate() {
+                *bit = u32::from(byte >> i) & 1;
+            }
+        }
+        for (bit, &m) in out.iter_mut().zip(plan) {
+            *bit = local[usize::from(m) & (SYMBOL_MOTHER_CAP - 1)] as u8;
+        }
+        if let Some(row) = rows.get_mut(n) {
+            for (slot, group) in row.iter_mut().zip(out.chunks_exact(NBPSC)) {
+                let g = group.iter().fold(0, |g, &b| g << 1 | usize::from(b));
+                *slot = table[g & 63];
+            }
+        }
+    }
 }
 
 /// The output of [`decode_data_field`].
@@ -360,24 +566,47 @@ mod tests {
         for rate in DataRate::ALL {
             let psdu = payload_to_psdu(&[0xAB; 100]);
             let df = build_data_field(&psdu, rate, 0x5D);
-            assert_eq!(df.raw_bits.len() % rate.ndbps(), 0, "{rate}");
-            assert_eq!(df.coded.len(), df.n_symbols * rate.ncbps(), "{rate}");
-            assert_eq!(df.interleaved.len(), df.coded.len(), "{rate}");
+            assert_eq!(df.n_symbols, rate.data_symbol_count(psdu.len()), "{rate}");
+            assert_eq!(df.interleaved.len(), df.n_symbols * rate.ncbps(), "{rate}");
         }
     }
 
     #[test]
-    fn service_bits_are_zero_before_scrambling() {
-        let df = build_data_field(&[1, 2, 3], DataRate::Mbps12, 0x31);
-        assert!(df.raw_bits[..SERVICE_BITS].iter().all(|&b| b == 0));
+    fn keystream_bytes_match_the_scrambler_past_one_table_period() {
+        for seed in [0x01, 0x5D, 0x7F] {
+            let mut want = vec![0u8; 8 * 3 * KEYSTREAM_BYTES];
+            Scrambler::new(seed).scramble_in_place(&mut want);
+            let table = keystream(seed);
+            for (j, byte) in want.chunks_exact(8).enumerate() {
+                let got: Vec<u8> = (0..8).map(|i| (table[j % KEYSTREAM_BYTES] >> i) & 1).collect();
+                assert_eq!(got, byte, "seed {seed:#x}, byte {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_encoder_matches_the_per_bit_encoder_across_words() {
+        let input: Vec<u8> = (0..192).map(|i| ((i * 37 + i / 5) % 3 == 0) as u8).collect();
+        let want = cos_fec::ConvEncoder::new().encode(&input);
+        let mut prev = 0;
+        for (w, chunk) in input.chunks_exact(64).enumerate() {
+            let x = chunk.iter().rev().fold(0u64, |acc, &b| acc << 1 | u64::from(b));
+            let (a, b) = (conv_word(GEN_A, x, prev), conv_word(GEN_B, x, prev));
+            prev = x;
+            for t in 0..64 {
+                let i = 2 * (64 * w + t);
+                assert_eq!(((a >> t) & 1) as u8, want[i], "A at bit {}", 64 * w + t);
+                assert_eq!(((b >> t) & 1) as u8, want[i + 1], "B at bit {}", 64 * w + t);
+            }
+        }
     }
 
     #[test]
     fn tail_bits_are_zero_after_scrambling() {
         let psdu = vec![0xFF; 50];
-        let df = build_data_field(&psdu, DataRate::Mbps18, 0x7F);
-        let tail_start = SERVICE_BITS + psdu.len() * 8;
-        assert!(df.scrambled[tail_start..tail_start + TAIL_BITS].iter().all(|&b| b == 0));
+        let mut bits = TxBits::new();
+        build_data_field_into(&psdu, DataRate::Mbps18, 0x7F, &mut DataField::empty(DataRate::Mbps18), &mut bits);
+        assert_eq!(bits.data[SERVICE_BITS / 8 + psdu.len()] & 0x3F, 0);
     }
 
     #[test]
@@ -391,8 +620,9 @@ mod tests {
             assert_eq!(decoded.scrambler_seed, 0x2B, "{rate}");
             // The 6 tail bits are re-zeroed *after* scrambling, so they
             // descramble to keystream — compare only SERVICE + PSDU.
-            let body = SERVICE_BITS + psdu.len() * 8;
-            assert_eq!(&decoded.bits[..body], &df.raw_bits[..body], "{rate}");
+            let mut sent = vec![0u8; SERVICE_BITS];
+            sent.extend(cos_fec::bits::bytes_to_bits(&psdu));
+            assert_eq!(&decoded.bits[..sent.len()], &sent[..], "{rate}");
             let got = extract_payload(&decoded.bits, psdu.len()).expect("CRC passes");
             assert_eq!(got, payload, "{rate}");
         }
@@ -459,7 +689,7 @@ mod tests {
         let psdu = payload_to_psdu(&payload);
         let a = build_data_field(&psdu, DataRate::Mbps12, 0x01);
         let b = build_data_field(&psdu, DataRate::Mbps12, 0x7F);
-        assert_ne!(a.scrambled, b.scrambled);
+        assert_ne!(a.interleaved, b.interleaved);
         for df in [a, b] {
             let decoded = decode_data_field(&ideal_llrs(&df.interleaved), DataRate::Mbps12, psdu.len())
                 .expect("decodes");

@@ -6,7 +6,7 @@
 //! feeding 0 instead of a modulated point into the IFFT for that
 //! subcarrier, which is exactly how [`crate::tx::TxFrame::silence`] works.
 
-use crate::subcarriers::{bin_of, data_bins, FFT_SIZE, CP_LEN, PILOT_INDICES, PILOT_VALUES, SYMBOL_LEN};
+use crate::subcarriers::{DATA_BINS, FFT_SIZE, CP_LEN, PILOT_BINS, PILOT_VALUES, SYMBOL_LEN};
 use cos_dsp::fft::{plan, Fft};
 use cos_dsp::lanes::LANES;
 use cos_dsp::Complex;
@@ -37,11 +37,11 @@ impl FreqSymbol {
         assert_eq!(points.len(), 48, "need 48 data points, got {}", points.len());
         assert!(polarity == 1 || polarity == -1, "pilot polarity must be ±1");
         let mut bins = [Complex::ZERO; FFT_SIZE];
-        for (&p, &bin) in points.iter().zip(data_bins().iter()) {
+        for (&p, &bin) in points.iter().zip(DATA_BINS.iter()) {
             bins[bin] = p;
         }
-        for (idx, base) in PILOT_INDICES.iter().zip(PILOT_VALUES.iter()) {
-            bins[bin_of(*idx)] = Complex::new(base * polarity as f64, 0.0);
+        for (&bin, base) in PILOT_BINS.iter().zip(PILOT_VALUES.iter()) {
+            bins[bin] = Complex::new(base * polarity as f64, 0.0);
         }
         FreqSymbol(bins)
     }
@@ -49,19 +49,15 @@ impl FreqSymbol {
     /// The 48 data-subcarrier values in logical order.
     pub fn data_points(&self) -> [Complex; 48] {
         let mut out = [Complex::ZERO; 48];
-        for (slot, &bin) in out.iter_mut().zip(data_bins().iter()) {
+        for (slot, &bin) in out.iter_mut().zip(DATA_BINS.iter()) {
             *slot = self.0[bin];
         }
         out
     }
 
-    /// The 4 pilot values in [`PILOT_INDICES`] order.
+    /// The 4 pilot values in [`crate::subcarriers::PILOT_INDICES`] order.
     pub fn pilot_points(&self) -> [Complex; 4] {
-        let mut out = [Complex::ZERO; 4];
-        for (slot, idx) in out.iter_mut().zip(PILOT_INDICES) {
-            *slot = self.0[bin_of(idx)];
-        }
-        out
+        PILOT_BINS.map(|bin| self.0[bin])
     }
 }
 
@@ -220,12 +216,12 @@ mod tests {
         // Silence insertion = feeding 0 into the IFFT (paper Eq. 3).
         let engine = OfdmEngine::new();
         let mut sym = FreqSymbol::assemble(&test_points(), 1);
-        let bin = crate::subcarriers::data_bins()[10];
+        let bin = crate::subcarriers::DATA_BINS[10];
         sym.0[bin] = Complex::ZERO;
         let rx = engine.demodulate(&engine.modulate(&sym));
         assert!(rx.0[bin].norm() < 1e-12, "silenced bin must carry no energy");
         // Other bins are untouched.
-        let other = crate::subcarriers::data_bins()[11];
+        let other = crate::subcarriers::DATA_BINS[11];
         assert!(rx.0[other].norm() > 0.5);
     }
 
@@ -260,7 +256,7 @@ mod tests {
         let times: Vec<[Complex; SYMBOL_LEN]> = (0..LANES)
             .map(|k| {
                 let mut sym = FreqSymbol::assemble(&test_points(), if k % 2 == 0 { 1 } else { -1 });
-                sym.0[data_bins()[k * 3]] = Complex::ZERO;
+                sym.0[DATA_BINS[k * 3]] = Complex::ZERO;
                 engine.modulate(&sym)
             })
             .collect();

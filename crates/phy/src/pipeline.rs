@@ -13,7 +13,7 @@
 //! A workspace belongs to exactly one session or one worker thread; the
 //! structs here are plain bags of buffers with no interior mutability.
 
-use crate::frame::{run_staged_viterbi, staged_lane_frame, PreparedDataField};
+use crate::frame::{run_staged_viterbi, staged_lane_frame, PreparedDataField, TxBits};
 use crate::ofdm::FreqSymbol;
 use crate::rates::DataRate;
 use crate::rx::{FrontEnd, Receiver, RxConfig, RxDecodeOut, RxFrame, RxScratch};
@@ -23,10 +23,10 @@ use crate::tx::{Transmitter, TxFrame};
 use crate::error::PhyError;
 use cos_dsp::lanes::LANES;
 use cos_dsp::Complex;
-use cos_fec::{FecWorkspace, SymbolBatch, ViterbiDecoder};
+use cos_fec::{SymbolBatch, ViterbiDecoder};
 
 /// Transmit-side workspace: the frame under construction and its rendered
-/// waveform, plus the PSDU/FEC scratch behind them.
+/// waveform, plus the PSDU and packed-bit scratch behind them.
 #[derive(Debug, Clone)]
 pub struct TxWorkspace {
     /// The frame most recently built by [`Transmitter::build_frame_into`].
@@ -35,8 +35,8 @@ pub struct TxWorkspace {
     pub samples: Vec<Complex>,
     /// PSDU assembly scratch (payload ‖ FCS).
     pub psdu: Vec<u8>,
-    /// Encode-side FEC scratch.
-    pub fec: FecWorkspace,
+    /// Packed scratch of the transmit bit chain.
+    pub bits: TxBits,
 }
 
 impl Default for TxWorkspace {
@@ -45,7 +45,7 @@ impl Default for TxWorkspace {
             frame: TxFrame::empty(),
             samples: Vec::new(),
             psdu: Vec::new(),
-            fec: FecWorkspace::new(),
+            bits: TxBits::new(),
         }
     }
 }

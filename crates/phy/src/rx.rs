@@ -17,7 +17,7 @@ use crate::preamble::{self, ltf_value, PREAMBLE_LEN};
 use crate::rates::DataRate;
 use crate::signal::decode_signal_symbol;
 use crate::sync::Acquisition;
-use crate::subcarriers::{bin_of, data_bins, NUM_DATA, PILOT_INDICES, PILOT_VALUES, SYMBOL_LEN};
+use crate::subcarriers::{bin_of, DATA_BINS, NUM_DATA, PILOT_BINS, PILOT_VALUES, SYMBOL_LEN};
 use cos_dsp::lanes::LANES;
 use cos_dsp::{kernel_mode, linear_to_db, Complex, KernelMode, Prbs127};
 use cos_fec::FecWorkspace;
@@ -94,7 +94,7 @@ impl FrontEnd {
     pub fn per_subcarrier_snr(&self) -> [f64; NUM_DATA] {
         let sigma2 = self.noise_var_ltf.max(NOISE_FLOOR_EPS);
         let mut out = [0.0; NUM_DATA];
-        for (slot, &bin) in out.iter_mut().zip(data_bins().iter()) {
+        for (slot, &bin) in out.iter_mut().zip(DATA_BINS.iter()) {
             *slot = self.h_est[bin].norm_sqr() / sigma2;
         }
         out
@@ -122,7 +122,7 @@ impl FrontEnd {
     pub fn llr_weights(&self) -> [f64; NUM_DATA] {
         let sigma2 = self.noise_var_pilot.max(NOISE_FLOOR_EPS);
         let mut out = [0.0; NUM_DATA];
-        for (slot, &bin) in out.iter_mut().zip(data_bins().iter()) {
+        for (slot, &bin) in out.iter_mut().zip(DATA_BINS.iter()) {
             *slot = self.h_est[bin].norm_sqr() / sigma2;
         }
         out
@@ -322,7 +322,7 @@ impl Receiver {
             None => {
                 let sig = self.engine.demodulate(&samples[sig_start..sig_start + SYMBOL_LEN]);
                 let mut sig_eq = [Complex::ZERO; NUM_DATA];
-                for (slot, &bin) in sig_eq.iter_mut().zip(data_bins().iter()) {
+                for (slot, &bin) in sig_eq.iter_mut().zip(DATA_BINS.iter()) {
                     *slot = sig.0[bin] / nonzero(h_est[bin]);
                 }
                 decode_signal_symbol(&sig_eq, 1.0)?
@@ -376,8 +376,7 @@ impl Receiver {
             // from the four known pilots and derotate.
             let p = polarity[(n + 1) % Prbs127::PERIOD] as f64;
             let mut phase_acc = Complex::ZERO;
-            for (idx, base) in PILOT_INDICES.iter().zip(PILOT_VALUES.iter()) {
-                let bin = bin_of(*idx);
+            for (&bin, base) in PILOT_BINS.iter().zip(PILOT_VALUES.iter()) {
                 let expected = h_est[bin].scale(base * p);
                 phase_acc += sym.0[bin] * expected.conj();
             }
@@ -393,15 +392,14 @@ impl Receiver {
 
             let mut y_row = [Complex::ZERO; NUM_DATA];
             let mut eq_row = [Complex::ZERO; NUM_DATA];
-            for (sc, &bin) in data_bins().iter().enumerate() {
+            for (sc, &bin) in DATA_BINS.iter().enumerate() {
                 y_row[sc] = sym.0[bin];
                 eq_row[sc] = sym.0[bin] / nonzero(h_est[bin]);
             }
 
             // Pilot-aided noise estimation (paper Eq. 5–6), after phase
             // tracking: n_i = y_i − H_i · x_i with known pilot x_i.
-            for (idx, base) in PILOT_INDICES.iter().zip(PILOT_VALUES.iter()) {
-                let bin = bin_of(*idx);
+            for (&bin, base) in PILOT_BINS.iter().zip(PILOT_VALUES.iter()) {
                 let x = Complex::new(base * p, 0.0);
                 let n_i = sym.0[bin] - h_est[bin] * x;
                 pilot_noise_acc += n_i.norm_sqr();
@@ -413,7 +411,7 @@ impl Receiver {
         let noise_var_pilot = if n_symbols == 0 {
             noise_var_ltf
         } else {
-            pilot_noise_acc / (n_symbols * PILOT_INDICES.len()) as f64
+            pilot_noise_acc / (n_symbols * PILOT_BINS.len()) as f64
         };
 
         fe.h_est = h_est;
@@ -622,7 +620,7 @@ mod tests {
     #[test]
     fn ideal_channel_estimate_is_unity() {
         let rx = loopback(b"channel", DataRate::Mbps12);
-        for &bin in data_bins().iter() {
+        for &bin in DATA_BINS.iter() {
             let h = rx.front_end.h_est[bin];
             assert!((h - Complex::ONE).norm() < 1e-9, "bin {bin}: {h}");
         }

@@ -43,53 +43,65 @@ pub fn bin_of(idx: i32) -> usize {
     idx.rem_euclid(FFT_SIZE as i32) as usize
 }
 
-/// The 48 data-subcarrier indices in ascending frequency order.
-pub fn data_indices() -> [i32; NUM_DATA] {
-    let mut out = [0i32; NUM_DATA];
-    let mut n = 0;
-    for idx in -26..=26 {
-        if idx == 0 || PILOT_INDICES.contains(&idx) {
-            continue;
-        }
-        out[n] = idx;
-        n += 1;
-    }
-    debug_assert_eq!(n, NUM_DATA);
-    out
+/// A subcarrier index's FFT bin, without [`bin_of`]'s range check (the
+/// const tables below only pass in-range indices).
+const fn bin(idx: i32) -> usize {
+    idx.rem_euclid(FFT_SIZE as i32) as usize
 }
+
+/// The 48 data-subcarrier indices in ascending frequency order.
+pub const DATA_INDICES: [i32; NUM_DATA] = {
+    let mut out = [0i32; NUM_DATA];
+    let (mut n, mut idx) = (0, -26);
+    while idx <= 26 {
+        let pilot = idx == PILOT_INDICES[0]
+            || idx == PILOT_INDICES[1]
+            || idx == PILOT_INDICES[2]
+            || idx == PILOT_INDICES[3];
+        if idx != 0 && !pilot {
+            out[n] = idx;
+            n += 1;
+        }
+        idx += 1;
+    }
+    assert!(n == NUM_DATA);
+    out
+};
 
 /// The FFT bins of the 48 data subcarriers, in logical order `0..48`.
-pub fn data_bins() -> [usize; NUM_DATA] {
+pub const DATA_BINS: [usize; NUM_DATA] = {
     let mut out = [0usize; NUM_DATA];
-    for (slot, idx) in out.iter_mut().zip(data_indices()) {
-        *slot = bin_of(idx);
+    let mut n = 0;
+    while n < NUM_DATA {
+        out[n] = bin(DATA_INDICES[n]);
+        n += 1;
     }
     out
-}
+};
 
-/// The FFT bins of the pilot subcarriers.
-pub fn pilot_bins() -> [usize; NUM_PILOTS] {
-    let mut out = [0usize; NUM_PILOTS];
-    for (slot, idx) in out.iter_mut().zip(PILOT_INDICES) {
-        *slot = bin_of(idx);
-    }
-    out
-}
+/// The FFT bins of the pilot subcarriers, in [`PILOT_INDICES`] order.
+pub const PILOT_BINS: [usize; NUM_PILOTS] = [
+    bin(PILOT_INDICES[0]),
+    bin(PILOT_INDICES[1]),
+    bin(PILOT_INDICES[2]),
+    bin(PILOT_INDICES[3]),
+];
 
 /// The FFT bins of all 52 used subcarriers in ascending frequency order
 /// (-26..26, skipping DC) — the x-axis of the paper's Fig. 10(a).
-pub fn used_bins() -> [usize; NUM_USED] {
+pub const USED_BINS: [usize; NUM_USED] = {
     let mut out = [0usize; NUM_USED];
-    let mut n = 0;
-    for idx in -26..=26 {
-        if idx == 0 {
-            continue;
+    let (mut n, mut idx) = (0, -26);
+    while idx <= 26 {
+        if idx != 0 {
+            out[n] = bin(idx);
+            n += 1;
         }
-        out[n] = bin_of(idx);
-        n += 1;
+        idx += 1;
     }
+    assert!(n == NUM_USED);
     out
-}
+};
 
 /// Maps a logical data index (`0..48`) to its subcarrier index.
 ///
@@ -98,7 +110,7 @@ pub fn used_bins() -> [usize; NUM_USED] {
 /// Panics if `logical >= 48`.
 pub fn logical_to_index(logical: usize) -> i32 {
     assert!(logical < NUM_DATA, "logical data index {logical} out of range");
-    data_indices()[logical]
+    DATA_INDICES[logical]
 }
 
 #[cfg(test)]
@@ -107,8 +119,8 @@ mod tests {
 
     #[test]
     fn counts_add_up() {
-        assert_eq!(data_indices().len(), 48);
-        assert_eq!(used_bins().len(), 52);
+        assert_eq!(DATA_INDICES.len(), 48);
+        assert_eq!(USED_BINS.len(), 52);
         // 64 bins = 48 data + 4 pilots + 12 null (DC + 11 guards).
         assert_eq!(FFT_SIZE - NUM_USED, 12);
     }
@@ -123,7 +135,7 @@ mod tests {
 
     #[test]
     fn pilots_are_not_data() {
-        let data = data_indices();
+        let data = DATA_INDICES;
         for p in PILOT_INDICES {
             assert!(!data.contains(&p));
         }
@@ -132,7 +144,7 @@ mod tests {
 
     #[test]
     fn data_indices_are_sorted_and_unique() {
-        let d = data_indices();
+        let d = DATA_INDICES;
         for w in d.windows(2) {
             assert!(w[0] < w[1]);
         }
@@ -142,26 +154,26 @@ mod tests {
 
     #[test]
     fn data_and_pilot_bins_are_disjoint() {
-        let data = data_bins();
-        for pb in pilot_bins() {
+        let data = DATA_BINS;
+        for pb in PILOT_BINS {
             assert!(!data.contains(&pb));
         }
     }
 
     #[test]
     fn used_bins_cover_data_and_pilots() {
-        let used = used_bins();
-        for b in data_bins() {
+        let used = USED_BINS;
+        for b in DATA_BINS {
             assert!(used.contains(&b));
         }
-        for b in pilot_bins() {
+        for b in PILOT_BINS {
             assert!(used.contains(&b));
         }
     }
 
     #[test]
     fn logical_round_trip() {
-        for (logical, &idx) in data_indices().iter().enumerate() {
+        for (logical, &idx) in DATA_INDICES.iter().enumerate() {
             assert_eq!(logical_to_index(logical), idx);
         }
     }

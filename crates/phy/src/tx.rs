@@ -6,15 +6,14 @@
 //! corresponding IFFT input, exactly the mechanism of paper Eq. (3) — and
 //! only then renders the waveform with [`TxFrame::to_time_samples`].
 
-use crate::frame::{build_data_field_into, payload_to_psdu_into, DataField};
+use crate::frame::{encode_data_field, payload_to_psdu_into, DataField, TxBits};
 use crate::ofdm::{FreqSymbol, OfdmEngine};
 use crate::pipeline::TxWorkspace;
 use crate::preamble;
 use crate::rates::DataRate;
 use crate::signal::encode_signal_points;
-use crate::subcarriers::{data_bins, NUM_DATA, SYMBOL_LEN};
+use crate::subcarriers::{DATA_BINS, NUM_DATA, SYMBOL_LEN};
 use cos_dsp::{Complex, Prbs127};
-use cos_fec::FecWorkspace;
 
 /// A fully assembled frame, frequency-domain, ready for silence insertion
 /// and waveform rendering.
@@ -35,7 +34,8 @@ pub struct TxFrame {
     pub mapped_points: Vec<[Complex; NUM_DATA]>,
     /// Which (symbol, logical subcarrier) positions have been silenced.
     pub silence_mask: Vec<[bool; NUM_DATA]>,
-    /// Every intermediate bit stage, for instrumentation.
+    /// The interleaved coded bits behind `mapped_points`, for
+    /// instrumentation (decoder-input BER).
     pub data_field: DataField,
 }
 
@@ -69,7 +69,7 @@ impl TxFrame {
     pub fn silence(&mut self, symbol: usize, logical_sc: usize) {
         assert!(symbol < self.data_symbols.len(), "symbol {symbol} out of range");
         assert!(logical_sc < NUM_DATA, "subcarrier {logical_sc} out of range");
-        let bin = data_bins()[logical_sc];
+        let bin = DATA_BINS[logical_sc];
         self.data_symbols[symbol].0[bin] = Complex::ZERO;
         self.silence_mask[symbol][logical_sc] = true;
     }
@@ -139,12 +139,12 @@ impl Transmitter {
     /// Builds a frame from an already-framed PSDU (payload + FCS).
     pub fn build_frame_from_psdu(&self, psdu: &[u8], rate: DataRate, scrambler_seed: u8) -> TxFrame {
         let mut frame = TxFrame::empty();
-        build_frame_from_psdu_core(psdu, rate, scrambler_seed, &mut frame, &mut FecWorkspace::new());
+        build_frame_from_psdu_core(psdu, rate, scrambler_seed, &mut frame, &mut TxBits::new());
         frame
     }
 
     /// [`Transmitter::build_frame`] writing into a caller-owned
-    /// [`TxWorkspace`]: `ws.frame` (and the PSDU/FEC scratch behind it) is
+    /// [`TxWorkspace`]: `ws.frame` (and the PSDU/bit scratch behind it) is
     /// fully overwritten; `ws.samples` is untouched until
     /// [`TxWorkspace::render`].
     ///
@@ -159,9 +159,9 @@ impl Transmitter {
         scrambler_seed: u8,
         ws: &mut TxWorkspace,
     ) {
-        let TxWorkspace { frame, psdu, fec, .. } = ws;
+        let TxWorkspace { frame, psdu, bits, .. } = ws;
         payload_to_psdu_into(payload, psdu);
-        build_frame_from_psdu_core(psdu, rate, scrambler_seed, frame, fec);
+        build_frame_from_psdu_core(psdu, rate, scrambler_seed, frame, bits);
     }
 
     /// [`Transmitter::build_frame_from_psdu`] writing into a caller-owned
@@ -173,53 +173,37 @@ impl Transmitter {
         scrambler_seed: u8,
         ws: &mut TxWorkspace,
     ) {
-        let TxWorkspace { frame, fec, .. } = ws;
-        build_frame_from_psdu_core(psdu, rate, scrambler_seed, frame, fec);
+        let TxWorkspace { frame, bits, .. } = ws;
+        build_frame_from_psdu_core(psdu, rate, scrambler_seed, frame, bits);
     }
 }
 
 /// The single frame-assembly implementation both the owned and workspace
-/// APIs call: fills `frame` from `psdu`, reusing `fec` scratch.
+/// APIs call: fills `frame` from `psdu`, reusing `bits` scratch.
 fn build_frame_from_psdu_core(
     psdu: &[u8],
     rate: DataRate,
     scrambler_seed: u8,
     frame: &mut TxFrame,
-    fec: &mut FecWorkspace,
+    bits: &mut TxBits,
 ) {
-    build_data_field_into(psdu, rate, scrambler_seed, &mut frame.data_field, fec);
+    let TxFrame { data_field, data_symbols, mapped_points, silence_mask, .. } = frame;
+    encode_data_field(psdu, rate, scrambler_seed, bits, data_field, Some(mapped_points));
     let polarity = Prbs127::pilot_polarity();
+
+    // SIGNAL symbol with pilot polarity p_0, DATA symbol n with p_{n+1}.
+    let signal_points = encode_signal_points(rate, psdu.len());
+    frame.signal_symbol = FreqSymbol::assemble(&signal_points, polarity[0]);
+    data_symbols.resize_with(mapped_points.len(), FreqSymbol::empty);
+    for (n, (symbol, points)) in data_symbols.iter_mut().zip(mapped_points.iter()).enumerate() {
+        *symbol = FreqSymbol::assemble(points, polarity[(n + 1) % Prbs127::PERIOD]);
+    }
+    silence_mask.clear();
+    silence_mask.resize(mapped_points.len(), [false; NUM_DATA]);
 
     frame.rate = rate;
     frame.psdu_len = psdu.len();
     frame.scrambler_seed = scrambler_seed;
-
-    // SIGNAL symbol with pilot polarity p_0.
-    let signal_points = encode_signal_points(rate, psdu.len());
-    frame.signal_symbol = FreqSymbol::assemble(&signal_points, polarity[0]);
-
-    // DATA symbols: map Ncbps interleaved bits per symbol. Destructure so
-    // the interleaved bits can be read while the symbol vectors are
-    // rebuilt.
-    let TxFrame { data_field, data_symbols, mapped_points, silence_mask, .. } = frame;
-    let modulation = rate.modulation();
-    let nbpsc = rate.nbpsc();
-    data_symbols.clear();
-    mapped_points.clear();
-    data_symbols.reserve(data_field.n_symbols);
-    mapped_points.reserve(data_field.n_symbols);
-    for (n, chunk) in data_field.interleaved.chunks_exact(rate.ncbps()).enumerate() {
-        let mut points = [Complex::ZERO; NUM_DATA];
-        for (sc, bits) in chunk.chunks_exact(nbpsc).enumerate() {
-            points[sc] = modulation.map(bits);
-        }
-        let p = polarity[(n + 1) % Prbs127::PERIOD];
-        data_symbols.push(FreqSymbol::assemble(&points, p));
-        mapped_points.push(points);
-    }
-
-    silence_mask.clear();
-    silence_mask.resize(data_field.n_symbols, [false; NUM_DATA]);
 }
 
 #[cfg(test)]
@@ -244,7 +228,7 @@ mod tests {
         let before = frame.data_symbols[0].clone();
         frame.silence(0, 10);
         let after = &frame.data_symbols[0];
-        let bin = data_bins()[10];
+        let bin = DATA_BINS[10];
         assert_eq!(after.0[bin], Complex::ZERO);
         assert_ne!(before.0[bin], Complex::ZERO);
         for (i, (a, b)) in before.0.iter().zip(after.0.iter()).enumerate() {

@@ -11,12 +11,13 @@ use cos::channel::{BurstInterference, ChannelConfig, FaultEngine, Link};
 use cos::core::power_controller::PowerController;
 use cos::fec::bits::bits_to_bytes;
 use cos::phy::aggregation::{aggregate, deaggregate};
+use cos::phy::evm::reconstruct_points_into;
 use cos::phy::frame::SERVICE_BITS;
 use cos::phy::rates::DataRate;
 use cos::phy::rx::{FrontEnd, Receiver, RxConfig, RxDecodeOut, RxFrame, RxScratch};
 use cos::phy::subcarriers::NUM_DATA;
-use cos::phy::tx::Transmitter;
-use cos::phy::{PhyWorkspace, RxPipeline, TxPipeline};
+use cos::phy::tx::{Transmitter, TxFrame};
+use cos::phy::{PhyWorkspace, RxPipeline, TxPipeline, TxWorkspace};
 use proptest::prelude::*;
 
 fn arb_rate() -> impl Strategy<Value = DataRate> {
@@ -39,6 +40,50 @@ fn assert_same_decode(ws_frame: &RxFrame, owned: &RxFrame) {
     prop_assert_eq!(ws_frame.scrambler_seed, owned.scrambler_seed);
     prop_assert_eq!(&ws_frame.hard_coded_bits, &owned.hard_coded_bits);
     prop_assert_eq!(ws_frame.decode_error, owned.decode_error);
+}
+
+fn point_bits(rows: &[[cos::dsp::Complex; NUM_DATA]]) -> Vec<(u64, u64)> {
+    rows.iter().flatten().map(|p| (p.re.to_bits(), p.im.to_bits())).collect()
+}
+
+fn assert_same_frame(got: &TxFrame, fresh: &TxFrame, what: &str) {
+    assert_eq!(got.data_field.interleaved, fresh.data_field.interleaved, "{what}: interleaved");
+    assert_eq!(got.data_field.n_symbols, fresh.data_field.n_symbols, "{what}: symbols");
+    assert_eq!(point_bits(&got.mapped_points), point_bits(&fresh.mapped_points), "{what}: points");
+    assert_eq!(got.data_symbols, fresh.data_symbols, "{what}: DATA symbols");
+    assert_eq!(got.signal_symbol, fresh.signal_symbol, "{what}: SIGNAL");
+    assert_eq!(got.silence_mask, fresh.silence_mask, "{what}: silence mask");
+    assert_eq!((got.rate, got.psdu_len, got.scrambler_seed), (fresh.rate, fresh.psdu_len, fresh.scrambler_seed));
+}
+
+/// A long frame leaves packed words, tail bits and rows behind in the
+/// packed TX scratch; shorter frames built or reconstructed into the same
+/// workspace afterwards must not see any of it.
+#[test]
+fn packed_tx_scratch_shrinks_cleanly_across_rates_and_lengths() {
+    let tx = Transmitter::new();
+    let long: Vec<u8> = (0..1500u32).map(|i| (i * 151 + 7) as u8).collect();
+    let frames: [(&[u8], DataRate, u8); 3] = [
+        (&long, DataRate::Mbps54, 0x5D),
+        (&[0xA7], DataRate::Mbps6, 0x01),
+        (&long[..333], DataRate::Mbps9, 0x7F),
+    ];
+    let mut ws = TxWorkspace::new();
+    let mut reference = TxWorkspace::new();
+    for (payload, rate, seed) in frames {
+        let what = format!("{} B at {rate}", payload.len());
+        let fresh = tx.build_frame(payload, rate, seed);
+        tx.build_frame_into(payload, rate, seed, &mut ws);
+        assert_same_frame(&ws.frame, &fresh, &what);
+        let bits = |xs: &[cos::dsp::Complex]| -> Vec<(u64, u64)> {
+            xs.iter().map(|x| (x.re.to_bits(), x.im.to_bits())).collect()
+        };
+        assert_eq!(bits(ws.render()), bits(&fresh.to_time_samples()), "{what}: samples");
+
+        let got = reconstruct_points_into(payload, rate, seed, &mut reference);
+        assert_eq!(point_bits(got), point_bits(&fresh.mapped_points), "{what}: reconstruction");
+        assert_eq!(reference.frame.data_field.interleaved, fresh.data_field.interleaved, "{what}");
+    }
 }
 
 proptest! {
