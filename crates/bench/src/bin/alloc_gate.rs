@@ -17,16 +17,11 @@
 //! paths allocate nothing per frame, and the resilient summary path
 //! allocates strictly less than the report-building one.
 //!
-//! PR 9 adds a batched-decode phase: `RxPipeline::decode_batch_into`
-//! over a full lane group with a reused [`SymbolBatch`] must also be
-//! allocation-free at steady state (and decode the same frames as the
-//! per-frame `decode_into` loop it replaces).
-//!
-//! PR 10 adds a channel-batch phase: `Link::transmit_batch_into` over a
-//! full lane group of same-length waveforms with a reused
-//! [`ChannelBatch`] (the engine's lockstep impair path) must be
-//! allocation-free at steady state, gated against the per-frame
-//! `transmit_into` loop it batches.
+//! A batched-decode phase stages a full lane group, runs
+//! `ViterbiDecoder::decode_lockstep` over it with a reused
+//! [`SymbolBatch`] and finishes each frame — the engine's lockstep
+//! Viterbi step. It must also be allocation-free at steady state (and
+//! decode the same frames as the per-frame `decode_into` loop).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -34,16 +29,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use cos_bench::bench_payload;
-use cos_channel::{BatchFrame, ChannelBatch, ChannelConfig, Link};
+use cos_channel::{ChannelConfig, Link};
 use cos_core::session::{CosSession, SessionConfig};
 use cos_core::PowerController;
 use cos_dsp::lanes::LANES;
-use cos_dsp::{Complex, KernelMode};
-use cos_fec::SymbolBatch;
+use cos_dsp::Complex;
+use cos_fec::{LaneFrame, SymbolBatch, ViterbiDecoder};
+use cos_phy::frame::staged_lane_frame;
 use cos_phy::rates::DataRate;
 use cos_phy::rx::{Receiver, RxConfig};
 use cos_phy::tx::Transmitter;
-use cos_phy::{PhyWorkspace, RxBatchFrame, RxPipeline, TxPipeline};
+use cos_phy::{PhyWorkspace, RxPipeline, TxPipeline};
 
 /// Forwards to the system allocator while counting every allocation
 /// (alloc + realloc) and the bytes requested.
@@ -274,70 +270,33 @@ fn run_batch_decode_per_frame() -> Measurement {
     })
 }
 
-/// Batched path: one `decode_batch_into` call per step, lane frames built
-/// on the stack and the `SymbolBatch` staging buffer reused throughout.
+/// Batched path: stage every frame, run one `decode_lockstep` call over
+/// the lane group (lane frames built on the stack, the `SymbolBatch`
+/// staging reused throughout), then finish every frame.
 fn run_batch_decode_lockstep() -> Measurement {
-    let rx = RxPipeline::new();
+    let rx = Receiver::new();
+    let decoder = ViterbiDecoder::new();
     let mut wss = batch_workspaces();
     let mut batch = SymbolBatch::new();
     measure(move || {
-        let mut it = wss.iter_mut().map(|ws| {
+        let mut preps = [None; LANES];
+        for (ws, prep) in wss.iter_mut().zip(preps.iter_mut()) {
             let cos_phy::RxWorkspace { fe, scratch, out, .. } = &mut ws.rx;
-            RxBatchFrame::new(&*fe, None, scratch, out)
-        });
-        let mut frames: [RxBatchFrame<'_>; LANES] =
-            std::array::from_fn(|_| it.next().expect("LANES workspaces"));
-        rx.decode_batch_into(&mut frames, &mut batch);
-        frames.iter().all(|f| f.out.crc_ok)
-    })
-}
-
-/// Shared setup for the channel-batch scenarios: a full lane group of
-/// links with distinct seeds carrying the same rendered waveform shape —
-/// the exact situation the engine's batched-air stage hands to
-/// `Link::transmit_batch_into`.
-fn channel_batch_setup() -> (Vec<Link>, Vec<Vec<Complex>>, Vec<Vec<Complex>>) {
-    let payload = bench_payload();
-    let tx = TxPipeline::new();
-    let mut ws = PhyWorkspace::new();
-    let links: Vec<Link> = (0..LANES)
-        .map(|k| Link::new(ChannelConfig::default(), SNR_DB, 42 + k as u64))
-        .collect();
-    let txs: Vec<Vec<Complex>> = (0..LANES)
-        .map(|_| {
-            tx.build_and_render(&payload, DataRate::Mbps24, 0x5D, &mut ws.tx);
-            ws.tx.samples.clone()
-        })
-        .collect();
-    let rxs = vec![Vec::new(); LANES];
-    (links, txs, rxs)
-}
-
-/// Per-frame reference: a plain `transmit_into` loop over the lane group.
-fn run_channel_per_frame() -> Measurement {
-    let (mut links, txs, mut rxs) = channel_batch_setup();
-    measure(move || {
-        for ((link, tx), rx) in links.iter_mut().zip(&txs).zip(rxs.iter_mut()) {
-            link.transmit_into(tx, rx);
+            *prep = Some(rx.decode_prepare_into(fe, None, scratch, out).expect("clean frame"));
         }
-        rxs.iter().all(|rx| !rx.is_empty())
-    })
-}
-
-/// Lockstep path: one `transmit_batch_into` call per step with the
-/// `ChannelBatch` SoA staging reused throughout.
-fn run_channel_lockstep() -> Measurement {
-    let (mut links, txs, mut rxs) = channel_batch_setup();
-    let mut scratch = ChannelBatch::default();
-    measure(move || {
-        let mut it = links
-            .iter_mut()
-            .zip(txs.iter())
-            .zip(rxs.iter_mut())
-            .map(|((link, tx), rx)| (link, tx.as_slice(), rx));
-        let mut frames: [Option<BatchFrame<'_>>; LANES] = std::array::from_fn(|_| it.next());
-        Link::transmit_batch_into_with(&mut frames, KernelMode::Lanes, &mut scratch);
-        rxs.iter().all(|rx| !rx.is_empty())
+        let mut it = wss.iter_mut().zip(preps).map(|(ws, prep)| {
+            staged_lane_frame(prep.expect("staged above"), &mut ws.rx.scratch.fec)
+        });
+        let mut frames: [LaneFrame<'_>; LANES] =
+            std::array::from_fn(|_| it.next().expect("LANES workspaces"));
+        decoder.decode_lockstep(&mut frames, true, &mut batch);
+        let mut ok = true;
+        for (ws, prep) in wss.iter_mut().zip(preps) {
+            let cos_phy::RxWorkspace { fe, scratch, out, .. } = &mut ws.rx;
+            rx.decode_finish_into(fe, Ok(prep.expect("staged above")), scratch, out);
+            ok &= out.crc_ok;
+        }
+        ok
     })
 }
 
@@ -409,8 +368,6 @@ fn main() {
     let embed_workspace = run_embed_workspace();
     let batch_per_frame = run_batch_decode_per_frame();
     let batch_lockstep = run_batch_decode_lockstep();
-    let channel_per_frame = run_channel_per_frame();
-    let channel_lockstep = run_channel_lockstep();
 
     assert_eq!(
         owned.crc_ok, workspace.crc_ok,
@@ -432,10 +389,6 @@ fn main() {
         batch_per_frame.crc_ok, batch_lockstep.crc_ok,
         "per-frame and lockstep batched decodes disagree on CRC outcomes"
     );
-    assert_eq!(
-        channel_per_frame.crc_ok, channel_lockstep.crc_ok,
-        "per-frame and lockstep channel paths disagree on impaired outputs"
-    );
 
     // With a fully allocation-free workspace path the ratio is reported
     // against a 1-alloc floor, i.e. "at least N× fewer".
@@ -451,9 +404,8 @@ fn main() {
         )
     };
     let batch_speedup = batch_lockstep.frames_per_sec / batch_per_frame.frames_per_sec;
-    let channel_speedup = channel_lockstep.frames_per_sec / channel_per_frame.frames_per_sec;
     let json = format!(
-        "{{\n  \"bench\": \"alloc_gate\",\n  \"frames\": {MEASURED_FRAMES},\n  \"payload_bytes\": 1020,\n  \"rate\": \"Mbps24\",\n  \"snr_db\": {SNR_DB},\n  \"owned\": {},\n  \"workspace\": {},\n  \"stream_owned\": {},\n  \"stream_workspace\": {},\n  \"resilient_report\": {},\n  \"resilient_summary\": {},\n  \"embed_owned\": {},\n  \"embed_workspace\": {},\n  \"batch_decode_per_frame\": {},\n  \"batch_decode_lockstep\": {},\n  \"channel_per_frame\": {},\n  \"channel_lockstep\": {},\n  \"alloc_reduction\": {:.1},\n  \"rx_chain_speedup\": {:.3},\n  \"stream_alloc_reduction\": {:.1},\n  \"embed_alloc_reduction\": {:.1},\n  \"batch_decode_speedup\": {:.3},\n  \"channel_batch_speedup\": {:.3},\n  \"crc_ok_frames\": {}\n}}\n",
+        "{{\n  \"bench\": \"alloc_gate\",\n  \"frames\": {MEASURED_FRAMES},\n  \"payload_bytes\": 1020,\n  \"rate\": \"Mbps24\",\n  \"snr_db\": {SNR_DB},\n  \"owned\": {},\n  \"workspace\": {},\n  \"stream_owned\": {},\n  \"stream_workspace\": {},\n  \"resilient_report\": {},\n  \"resilient_summary\": {},\n  \"embed_owned\": {},\n  \"embed_workspace\": {},\n  \"batch_decode_per_frame\": {},\n  \"batch_decode_lockstep\": {},\n  \"alloc_reduction\": {:.1},\n  \"rx_chain_speedup\": {:.3},\n  \"stream_alloc_reduction\": {:.1},\n  \"embed_alloc_reduction\": {:.1},\n  \"batch_decode_speedup\": {:.3},\n  \"crc_ok_frames\": {}\n}}\n",
         section(&owned),
         section(&workspace),
         section(&stream_owned),
@@ -464,14 +416,11 @@ fn main() {
         section(&embed_workspace),
         section(&batch_per_frame),
         section(&batch_lockstep),
-        section(&channel_per_frame),
-        section(&channel_lockstep),
         alloc_ratio,
         speedup,
         stream_ratio,
         embed_ratio,
         batch_speedup,
-        channel_speedup,
         owned.crc_ok,
     );
     cos_bench::emit_report("BENCH_pr4.json", &json);
@@ -501,12 +450,6 @@ fn main() {
                 batch_lockstep.allocs_per_frame
             ));
         }
-        if channel_lockstep.allocs_per_frame > 0.0 {
-            failures.push(format!(
-                "lockstep channel impair path allocates {:.2}/batch (want 0)",
-                channel_lockstep.allocs_per_frame
-            ));
-        }
         if resilient_summary.allocs_per_frame >= resilient_report.allocs_per_frame {
             failures.push(format!(
                 "resilient summary path allocates {:.2}/frame, not below the report path's {:.2}",
@@ -521,7 +464,6 @@ fn main() {
             "alloc gate passed: {alloc_ratio:.1}x fewer allocs, {speedup:.3}x rx speedup, \
              streaming rx 0 allocs/frame, tx+embed 0 allocs/frame ({embed_ratio:.1}x fewer), \
              batched decode 0 allocs/batch ({batch_speedup:.3}x vs per-frame), \
-             channel batch 0 allocs/batch ({channel_speedup:.3}x vs per-frame), \
              resilient summary {:.2} vs report {:.2} allocs/frame",
             resilient_summary.allocs_per_frame, resilient_report.allocs_per_frame
         );

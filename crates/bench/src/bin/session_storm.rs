@@ -20,10 +20,10 @@
 //! bit-identical to the scalar reference the outcome digests must agree
 //! across kernels as well as thread counts.
 //!
-//! PR 10 extends the lockstep rounds to the channel stage and to
-//! resilient jobs: the engine bundles every job kind by payload length,
-//! airs full rounds through `Link::transmit_batch_into`, and the digests
-//! must still agree across kernels and thread counts.
+//! The engine bundles every job kind by payload length and runs each
+//! round through the sessions' one frame path (stage → lockstep
+//! Viterbi → finish); the digests must agree across kernels and thread
+//! counts.
 //!
 //! Prints its JSON report on full runs (written to `BENCH_pr10.json` in
 //! the current directory only with `--record`) and exits non-zero on any

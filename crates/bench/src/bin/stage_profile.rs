@@ -1,6 +1,6 @@
 //! Quick wall-clock profile of the workspace rx chain, stage by stage —
 //! plus per-kernel micro-benches for the two lane-structured stages: the
-//! Viterbi ACS (scalar / lanes / lockstep, ns per trellis step) and the
+//! Viterbi ACS (per-frame / lockstep, ns per trellis step) and the
 //! channel impair path (scalar / lanes, ns per sample through
 //! `Link::transmit_into`). `--json` prints the same numbers as a JSON
 //! object on stdout for machine consumption; the human-readable table
@@ -99,15 +99,13 @@ fn main() {
     let mut prev = vec![0u64; steps];
     let mut out = vec![0u8; steps];
     let mut vit_ns: Vec<(&str, f64)> = Vec::new();
-    for (name, mode) in [("scalar", KernelMode::Scalar), ("lanes", KernelMode::Lanes)] {
-        let t0 = Instant::now();
-        for _ in 0..20 {
-            dec.decode_to_slices_with(&llrs, true, mode, &mut prev, &mut out);
-        }
-        let ns = t0.elapsed().as_secs_f64() * 1e9 / (20 * steps) as f64;
-        eprintln!("viterbi {name:>7}: {ns:6.1} ns/step");
-        vit_ns.push((name, ns));
+    let t0 = Instant::now();
+    for _ in 0..20 {
+        dec.decode_to_slices(&llrs, true, &mut prev, &mut out);
     }
+    let per_frame_ns = t0.elapsed().as_secs_f64() * 1e9 / (20 * steps) as f64;
+    eprintln!("viterbi per-frame: {per_frame_ns:6.1} ns/step");
+    vit_ns.push(("per_frame", per_frame_ns));
     let mut prevs: Vec<Vec<u64>> = (0..cos_dsp::lanes::LANES).map(|_| vec![0u64; steps]).collect();
     let mut outs: Vec<Vec<u8>> = (0..cos_dsp::lanes::LANES).map(|_| vec![0u8; steps]).collect();
     let mut batch = SymbolBatch::new();

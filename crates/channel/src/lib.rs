@@ -46,7 +46,7 @@ pub use impairment::{
     FeedbackFate, FeedbackLoss, FeedbackStaleness, Impairment, ImpairmentCtx, MidFrameTruncation,
 };
 pub use interference::PulseInterferer;
-pub use link::{BatchFrame, ChannelBatch, Link};
+pub use link::Link;
 pub use overlap::{Overlap, OverlapComposer};
 pub use multipath::{ChannelConfig, ConvScratch, IndoorChannel};
 pub use sounder::ChannelSounder;

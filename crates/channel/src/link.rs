@@ -14,8 +14,9 @@ use crate::impairment::{FaultEngine, FeedbackFate, ImpairmentCtx};
 use crate::interference::PulseInterferer;
 use crate::multipath::{ChannelConfig, ConvScratch, IndoorChannel};
 use crate::sounder::ChannelSounder;
-use cos_dsp::lanes::{kernel_mode, C64xL, KernelMode, LANES};
+use cos_dsp::lanes::kernel_mode;
 use cos_dsp::{db_to_linear, Complex};
+use std::cell::RefCell;
 
 /// The nominal per-sample transmit power of an 802.11a waveform: 52
 /// unit-energy bins through a `1/N`-normalised 64-point IFFT put
@@ -40,27 +41,14 @@ pub struct Link {
     packet_index: u64,
     /// Accumulated airtime in seconds (at 20 Msps) — drives drift faults.
     airtime_s: f64,
-    /// Grow-only scratch for the lane convolution kernel.
-    conv: ConvScratch,
 }
 
-/// One frame of a lockstep transmission batch: the link, its transmit
-/// waveform, and the receive buffer the impaired samples land in.
-pub type BatchFrame<'a> = (&'a mut Link, &'a [Complex], &'a mut Vec<Complex>);
-
-/// Grow-only SoA scratch for [`Link::transmit_batch_into`]: the eight
-/// frames' samples, composite taps and convolution outputs transposed so
-/// lane `k` is frame `k`. One per batch driver (the engine's lockstep
-/// loop owns one per worker), so steady-state batched transmission stays
-/// allocation-free.
-#[derive(Debug, Clone, Default)]
-pub struct ChannelBatch {
-    xre: Vec<f64>,
-    xim: Vec<f64>,
-    tre: Vec<f64>,
-    tim: Vec<f64>,
-    ore: Vec<f64>,
-    oim: Vec<f64>,
+thread_local! {
+    /// Grow-only scratch for the lane convolution kernel, one per thread
+    /// rather than one per link: a pool of many links transmits one
+    /// frame at a time per thread, so per-link copies would only add
+    /// resident memory.
+    static CONV: RefCell<ConvScratch> = RefCell::new(ConvScratch::default());
 }
 
 impl Link {
@@ -80,7 +68,6 @@ impl Link {
             faults: None,
             packet_index: 0,
             airtime_s: 0.0,
-            conv: ConvScratch::default(),
         }
     }
 
@@ -156,9 +143,7 @@ impl Link {
         self.awgn.set_noise_var(NOMINAL_TX_POWER / db_to_linear(snr_db));
     }
 
-    /// The silent lead-in prepended to every received waveform — part of
-    /// the shape [`Link::transmit_batch_into`] requires lockstep frames
-    /// to share, so batch drivers can pre-check eligibility cheaply.
+    /// The silent lead-in prepended to every received waveform.
     pub fn lead_in(&self) -> usize {
         self.lead_in
     }
@@ -214,16 +199,9 @@ impl Link {
     pub fn transmit_into(&mut self, tx: &[Complex], rx: &mut Vec<Complex>) {
         rx.clear();
         rx.resize(self.lead_in, Complex::ZERO);
-        self.channel.apply_append_with(tx, rx, kernel_mode(), &mut self.conv);
-        self.finish_transmit(rx);
-    }
-
-    /// Every per-frame stage after the channel convolution: CFO rotation,
-    /// interference, injected faults, AWGN and the packet/airtime
-    /// counters — in exactly the order [`Link::transmit_into`] always
-    /// applied them. Shared by the per-frame and batched paths so the
-    /// split is bit-identical by construction.
-    fn finish_transmit(&mut self, rx: &mut Vec<Complex>) {
+        CONV.with_borrow_mut(|conv| {
+            self.channel.apply_append_with(tx, rx, kernel_mode(), conv);
+        });
         if self.cfo_hz != 0.0 {
             // The oscillator offset rotates everything the receiver sees.
             let step = 2.0 * std::f64::consts::PI * self.cfo_hz / 20e6;
@@ -248,116 +226,6 @@ impl Link {
         self.awgn.add_noise_in_place(rx);
         self.packet_index += 1;
         self.airtime_s += rx.len() as f64 / 20e6;
-    }
-
-    /// Propagates up to [`LANES`] frames in lockstep: when all slots are
-    /// occupied, the frames are the same length, and the links share a
-    /// tap count and lead-in, the channel convolutions run as **one**
-    /// cross-frame lane kernel (lane `k` = frame `k`); every stage after
-    /// the convolution — CFO, interference, faults (which may truncate a
-    /// frame), AWGN, counters — stays strictly per-frame, in the exact
-    /// [`Link::transmit_into`] order. Ineligible batches (holes, mixed
-    /// lengths, scalar kernel mode) fall back to per-frame transmission,
-    /// so the result is bit-identical either way — gated by the channel
-    /// kernel differential suite.
-    pub fn transmit_batch_into(frames: &mut [Option<BatchFrame<'_>>], scratch: &mut ChannelBatch) {
-        Link::transmit_batch_into_with(frames, kernel_mode(), scratch);
-    }
-
-    /// [`Link::transmit_batch_into`] on an explicit kernel, so tests can
-    /// pin a path.
-    pub fn transmit_batch_into_with(
-        frames: &mut [Option<BatchFrame<'_>>],
-        mode: KernelMode,
-        scratch: &mut ChannelBatch,
-    ) {
-        let eligible = mode == KernelMode::Lanes
-            && frames.len() == LANES
-            && frames.iter().all(|f| f.is_some())
-            && {
-                let head = frames[0].as_ref().expect("checked above");
-                let (n, taps, lead_in) =
-                    (head.1.len(), head.0.channel.tap_count(), head.0.lead_in);
-                n > 0
-                    && frames.iter().flatten().all(|(link, tx, _)| {
-                        tx.len() == n
-                            && link.channel.tap_count() == taps
-                            && link.lead_in == lead_in
-                    })
-            };
-        if !eligible {
-            for (link, tx, rx) in frames.iter_mut().flatten() {
-                link.transmit_into(tx, rx);
-            }
-            return;
-        }
-
-        let (n, n_taps, lead_in) = {
-            let head = frames[0].as_ref().expect("eligibility checked");
-            (head.1.len(), head.0.channel.tap_count(), head.0.lead_in)
-        };
-        let total = n + n_taps - 1;
-
-        // Stage the eight frames and their composite taps SoA, lane =
-        // frame. Linear destination sweeps; every staged element is
-        // overwritten, so the scratch grows without refilling.
-        grow(&mut scratch.xre, n * LANES);
-        grow(&mut scratch.xim, n * LANES);
-        grow(&mut scratch.tre, n_taps * LANES);
-        grow(&mut scratch.tim, n_taps * LANES);
-        grow(&mut scratch.ore, total * LANES);
-        grow(&mut scratch.oim, total * LANES);
-        for (k, (link, tx, _)) in frames.iter().flatten().enumerate() {
-            for (i, x) in tx.iter().enumerate() {
-                scratch.xre[i * LANES + k] = x.re;
-                scratch.xim[i * LANES + k] = x.im;
-            }
-            for l in 0..n_taps {
-                let t = link.channel.tap(l);
-                scratch.tre[l * LANES + k] = t.re;
-                scratch.tim[l * LANES + k] = t.im;
-            }
-        }
-
-        // The cross-frame convolution: every output index j has the same
-        // clipped tap range in all lanes (equal n and tap count), walked
-        // in descending-l order — each lane accumulates exactly the
-        // scalar order for its frame, from zero.
-        for j in 0..total {
-            let l_hi = (n_taps - 1).min(j);
-            let l_lo = if j >= n { j + 1 - n } else { 0 };
-            let mut acc = C64xL::default();
-            for l in (l_lo..=l_hi).rev() {
-                let i = j - l;
-                let x = C64xL::load_split(&scratch.xre[i * LANES..], &scratch.xim[i * LANES..]);
-                let t = C64xL::load_split(&scratch.tre[l * LANES..], &scratch.tim[l * LANES..]);
-                acc = acc + x * t;
-            }
-            acc.re.store(&mut scratch.ore[j * LANES..]);
-            acc.im.store(&mut scratch.oim[j * LANES..]);
-        }
-
-        // Scatter each frame's convolution output behind its lead-in,
-        // then run the per-frame impairment chain: faults may truncate
-        // or extend an individual frame, feedback fates are per-link —
-        // none of that locks step, by design.
-        for (k, (link, _, rx)) in frames.iter_mut().flatten().enumerate() {
-            rx.clear();
-            rx.resize(lead_in, Complex::ZERO);
-            rx.extend(
-                (0..total)
-                    .map(|j| Complex::new(scratch.ore[j * LANES + k], scratch.oim[j * LANES + k])),
-            );
-            link.finish_transmit(rx);
-        }
-    }
-}
-
-/// Grows a staging buffer to at least `len` without refilling the prefix
-/// (the kernels overwrite every element they later read).
-fn grow(buf: &mut Vec<f64>, len: usize) {
-    if buf.len() < len {
-        buf.resize(len, 0.0);
     }
 }
 

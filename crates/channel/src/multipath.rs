@@ -17,8 +17,8 @@ use cos_dsp::{Complex, GaussianSource};
 /// inner loop does contiguous lane loads instead of strided gathers.
 ///
 /// Owned by whoever drives [`IndoorChannel::apply_append_with`] on the
-/// hot path (a [`crate::Link`] owns one), so steady-state transmission
-/// stays allocation-free.
+/// hot path ([`crate::Link`] keeps one per thread), so steady-state
+/// transmission stays allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct ConvScratch {
     taps: Vec<Complex>,
@@ -198,14 +198,6 @@ impl IndoorChannel {
                 out[i + l] += x * (*s + *d);
             }
         }
-    }
-
-    /// The current composite tap `l` (`specular[l] + diffuse[l]`) without
-    /// allocating — the same expression [`IndoorChannel::apply_append`]
-    /// sums inline, so the bits match the scalar convolution exactly.
-    #[inline]
-    pub(crate) fn tap(&self, l: usize) -> Complex {
-        self.specular[l] + self.diffuse[l]
     }
 
     /// [`IndoorChannel::apply_append`] on an explicit kernel.

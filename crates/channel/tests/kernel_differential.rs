@@ -1,8 +1,8 @@
 //! Channel-plane kernel differential property tests: the lane kernels
 //! for the per-sample AWGN apply, the multipath tap convolution and the
-//! `Overlap` power-mix — plus the batched `Link::transmit_batch_into`
-//! seam — must be **bit-identical** to their scalar references over
-//! arbitrary SNRs, tap sets, overlap offsets/powers and frame lengths.
+//! `Overlap` power-mix must be **bit-identical** to their scalar
+//! references over arbitrary SNRs, tap sets, overlap offsets/powers and
+//! frame lengths.
 //!
 //! This mirrors the fec/dsp differentials from PR 9: every kernel is
 //! compared by `f64::to_bits`, never by approximate equality, because
@@ -10,10 +10,8 @@
 //! assume the channel is a pure function of (seed, draw count).
 
 use cos_channel::{
-    Awgn, ChannelBatch, ChannelConfig, ConvScratch, ImpairmentCtx, IndoorChannel, Link, Overlap,
-    OverlapComposer,
+    Awgn, ChannelConfig, ConvScratch, ImpairmentCtx, IndoorChannel, Overlap, OverlapComposer,
 };
-use cos_dsp::lanes::LANES;
 use cos_dsp::{Complex, KernelMode};
 use proptest::prelude::*;
 
@@ -114,118 +112,5 @@ proptest! {
         composer.impair_waveform_with(&mut scalar, &ctx, KernelMode::Scalar);
         composer.impair_waveform_with(&mut lanes, &ctx, KernelMode::Lanes);
         assert_bits_eq(&scalar, &lanes);
-    }
-
-    /// The lockstep seam: eight same-length frames through
-    /// `transmit_batch_into` match eight sequential `transmit_into`
-    /// calls bit-for-bit — same-seed link pairs guarantee identical
-    /// channel realisations and noise streams on both sides.
-    #[test]
-    fn batched_transmit_is_bit_identical_to_sequential(
-        frame_len in 1usize..240,
-        n_taps in 1usize..=16,
-        snrs in proptest::collection::vec(0.0f64..40.0, LANES..=LANES),
-        lead_in in 0usize..32,
-        seed in 0u64..1_000_000,
-        rounds in 1usize..3,
-    ) {
-        let cfg = ChannelConfig { n_taps, ..ChannelConfig::default() };
-        let make_links = || -> Vec<Link> {
-            snrs.iter()
-                .enumerate()
-                .map(|(k, &snr)| {
-                    Link::new(cfg, snr, seed.wrapping_add(k as u64)).with_lead_in(lead_in)
-                })
-                .collect()
-        };
-        let txs: Vec<Vec<Complex>> = (0..LANES)
-            .map(|k| {
-                (0..frame_len)
-                    .map(|i| {
-                        let p = (i * LANES + k) as f64;
-                        Complex::new((p * 0.37).sin() * 0.1, (p * 0.73).cos() * 0.1)
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Sequential reference: per-frame transmissions.
-        let mut seq_links = make_links();
-        let mut want: Vec<Vec<Complex>> = vec![Vec::new(); LANES];
-        for _ in 0..rounds {
-            for (k, link) in seq_links.iter_mut().enumerate() {
-                link.transmit_into(&txs[k], &mut want[k]);
-            }
-        }
-
-        // Lockstep batch over the same links/waveforms.
-        let mut batch_links = make_links();
-        let mut got: Vec<Vec<Complex>> = vec![Vec::new(); LANES];
-        let mut scratch = ChannelBatch::default();
-        for _ in 0..rounds {
-            let mut frames: [Option<cos_channel::BatchFrame<'_>>; LANES] =
-                std::array::from_fn(|_| None);
-            for (f, (link, (tx, rx))) in frames
-                .iter_mut()
-                .zip(batch_links.iter_mut().zip(txs.iter().zip(got.iter_mut())))
-            {
-                *f = Some((link, tx.as_slice(), rx));
-            }
-            Link::transmit_batch_into_with(&mut frames, KernelMode::Lanes, &mut scratch);
-        }
-        for (w, g) in want.iter().zip(&got) {
-            assert_bits_eq(w, g);
-        }
-    }
-
-    /// Ineligible batches — holes or mixed lengths — fall back to the
-    /// per-frame path and stay bit-identical too.
-    #[test]
-    fn partial_batches_fall_back_bit_identically(
-        frame_len in 1usize..120,
-        present in proptest::collection::vec(any::<bool>(), LANES..=LANES),
-        seed in 0u64..1_000_000,
-    ) {
-        let cfg = ChannelConfig::default();
-        let make_links = || -> Vec<Link> {
-            (0..LANES).map(|k| Link::new(cfg, 20.0, seed.wrapping_add(k as u64))).collect()
-        };
-        let txs: Vec<Vec<Complex>> = (0..LANES)
-            .map(|k| {
-                // Mixed lengths: frame k is k samples longer.
-                (0..frame_len + k)
-                    .map(|i| Complex::new(i as f64 * 1e-3, -(i as f64) * 2e-3))
-                    .collect()
-            })
-            .collect();
-
-        let mut seq_links = make_links();
-        let mut want: Vec<Vec<Complex>> = vec![Vec::new(); LANES];
-        for (k, link) in seq_links.iter_mut().enumerate() {
-            if present[k] {
-                link.transmit_into(&txs[k], &mut want[k]);
-            }
-        }
-
-        let mut batch_links = make_links();
-        let mut got: Vec<Vec<Complex>> = vec![Vec::new(); LANES];
-        let mut scratch = ChannelBatch::default();
-        {
-            let mut frames: [Option<cos_channel::BatchFrame<'_>>; LANES] =
-                std::array::from_fn(|_| None);
-            for (k, (f, (link, (tx, rx)))) in frames
-                .iter_mut()
-                .zip(batch_links.iter_mut().zip(txs.iter().zip(got.iter_mut())))
-                .enumerate()
-            {
-                if present[k] {
-                    *f = Some((link, tx.as_slice(), rx));
-                }
-            }
-            Link::transmit_batch_into_with(&mut frames, KernelMode::Lanes, &mut scratch);
-        }
-        for (w, g) in want.iter().zip(&got) {
-            assert_bits_eq(w, g);
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! The batched multi-session engine: a [`SessionPool`] slab of
 //! [`CosSession`]s plus a [`BatchEngine`] that shards frame jobs across
-//! worker threads on the `PipelineStage` seam.
+//! worker threads.
 //!
 //! PR 4 made every per-frame buffer session-owned (`CosSession` carries
 //! its `PhyWorkspace`, detection scratch and selection buffers), which
@@ -27,18 +27,17 @@
 //! [`BatchEngine::drain_into`] reuses its job/order/group buffers and the
 //! caller's outcome buffer; jobs reference payload/control bytes by ID
 //! into tables registered up front ([`BatchEngine::add_payload`] /
-//! [`BatchEngine::add_control`]); and each frame runs through
-//! [`CosSession::send_packet_summary`], whose hot path performs no heap
+//! [`BatchEngine::add_control`]); and each frame runs the session's one
+//! frame path (stage → Viterbi → finish), whose hot path performs no heap
 //! allocation. A warmed-up single-threaded drain of plain jobs is
 //! allocation-free per frame (`session_storm` measures and `scripts/
 //! check.sh` gates this); multi-threaded drains add a small per-drain —
 //! not per-frame — orchestration cost (thread spawns and one unit list).
 
 use crate::session::{
-    AdaptiveSummary, AdaptiveTx, CosSession, PacketSummary, PlainPrep, ResilientSummary,
-    ResilientTx, SessionConfig, TxPrep,
+    AdaptiveSummary, ControlSource, CosSession, PacketSummary, ResilientSummary, SessionConfig,
+    Staged,
 };
-use cos_channel::{BatchFrame, ChannelBatch, Link};
 use cos_dsp::lanes::LANES;
 use cos_fec::{SymbolBatch, ViterbiDecoder};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -360,9 +359,6 @@ pub struct BatchEngine {
     /// SoA staging for the single-threaded lockstep Viterbi — engine-owned
     /// so the zero-allocation drain path keeps its guarantee.
     batch: SymbolBatch,
-    /// SoA staging for the single-threaded batched channel
-    /// ([`Link::transmit_batch_into`]) — engine-owned for the same reason.
-    air: ChannelBatch,
 }
 
 impl BatchEngine {
@@ -471,22 +467,16 @@ impl BatchEngine {
             i = j;
         }
 
-        let BatchEngine { payloads, controls, jobs, order, groups, cfg, batch, air } = self;
+        let BatchEngine { payloads, controls, jobs, order, groups, cfg, batch } = self;
         let workers = configured_threads(cfg.threads).min(groups.len());
 
         if workers <= 1 {
             // Bundle groups whose current frames will lockstep: sorting
-            // by (head payload length, planned rate) hands
-            // `decode_lockstep` bundles of equal-length trellises AND the
-            // batched air stage rounds of equal-length waveforms, instead
-            // of whatever LANES slots happened to be adjacent. Outcomes
-            // are position-addressed, so processing order never shows in
-            // `out`.
-            groups.sort_unstable_by_key(|&g| {
-                let sess =
-                    pool.slots.get(g.slot as usize).and_then(|s| s.session.as_ref());
-                bundle_key(payloads, jobs, order, g, sess)
-            });
+            // by head payload length hands `decode_lockstep` bundles of
+            // equal-length trellises instead of whatever LANES slots
+            // happened to be adjacent. Outcomes are position-addressed,
+            // so processing order never shows in `out`.
+            groups.sort_unstable_by_key(|&g| bundle_key(payloads, jobs, order, g));
             let mut gi = 0usize;
             while gi < groups.len() {
                 // Gather up to LANES live-slot groups for one lockstep
@@ -502,9 +492,7 @@ impl BatchEngine {
                         idxs[n] = g.slot as usize;
                         n += 1;
                     } else {
-                        run_group(payloads, controls, jobs, order, g, 0, None, |i, o| {
-                            out[i] = o
-                        });
+                        stale_group(jobs, order, g, |i, o| out[i] = o);
                     }
                 }
                 if n == LANES {
@@ -520,7 +508,7 @@ impl BatchEngine {
                         let sess = slot.session.as_mut().expect("liveness checked above");
                         *u = Some((g, slot.generation, sess));
                     }
-                    run_units_lockstep(payloads, controls, jobs, order, &mut units, batch, air, |i, o| {
+                    run_units_lockstep(payloads, controls, jobs, order, &mut units, batch, |i, o| {
                         out[i] = o
                     });
                 } else {
@@ -530,7 +518,7 @@ impl BatchEngine {
                         let slot = &mut pool.slots[si];
                         let sess = slot.session.as_mut().expect("liveness checked above");
                         let mut unit = [Some((g, slot.generation, sess))];
-                        run_units_lockstep(payloads, controls, jobs, order, &mut unit, batch, air, |i, o| {
+                        run_units_lockstep(payloads, controls, jobs, order, &mut unit, batch, |i, o| {
                             out[i] = o
                         });
                     }
@@ -551,21 +539,19 @@ impl BatchEngine {
                     let g = groups[gi];
                     match slot.session.as_mut() {
                         Some(sess) => raw.push((g, slot.generation, sess)),
-                        None => run_group(payloads, controls, jobs, order, g, 0, None, |i, o| {
-                            out[i] = o
-                        }),
+                        None => stale_group(jobs, order, g, |i, o| out[i] = o),
                     }
                     gi += 1;
                 }
             }
             for &g in &groups[gi..] {
                 // Slots beyond the slab (handles from another pool).
-                run_group(payloads, controls, jobs, order, g, 0, None, |i, o| out[i] = o);
+                stale_group(jobs, order, g, |i, o| out[i] = o);
             }
             // Same equal-trellis-length clustering as the single-threaded
             // walk: workers claim contiguous runs, so sorting here is what
             // makes a claimed bundle's frames lockstep-compatible.
-            raw.sort_unstable_by_key(|u| bundle_key(payloads, jobs, order, u.0, Some(&*u.2)));
+            raw.sort_unstable_by_key(|u| bundle_key(payloads, jobs, order, u.0));
             let units: Vec<Unit<'_>> = raw.into_iter().map(|u| Mutex::new(Some(u))).collect();
 
             let next = AtomicUsize::new(0);
@@ -576,7 +562,6 @@ impl BatchEngine {
                         scope.spawn(|| {
                             let mut local = Vec::new();
                             let mut batch = SymbolBatch::new();
-                            let mut air = ChannelBatch::default();
                             loop {
                                 // Claim a lockstep bundle of up to LANES
                                 // units so this worker can decode its
@@ -605,7 +590,6 @@ impl BatchEngine {
                                     order,
                                     &mut claimed[..filled],
                                     &mut batch,
-                                    &mut air,
                                     |i, o| local.push((i, o)),
                                 );
                             }
@@ -624,78 +608,37 @@ impl BatchEngine {
     }
 }
 
-/// Runs up to [`LANES`] per-slot job groups in lockstep: each round takes
-/// the next job of every group and drives it through five stages —
-/// per-kind tx prepare (build/embed/render, plus the ARQ poll or probe
-/// composition for resilient/adaptive jobs), the air stage (batched
-/// across the round via [`Link::transmit_batch_into`] when every lane
-/// rendered a same-length waveform, per-frame otherwise), per-frame rx
-/// prepare, the Viterbi stage ([`ViterbiDecoder::decode_lockstep`],
-/// [`LANES`] frames per instruction, when a full lane group staged), and
-/// the per-kind finish (feedback loop, ARQ confirmation, controller
+/// Bundle-formation key: groups sort by their head job's payload length.
+/// The staged trellis length is `2 × (SERVICE + 8 × psdu + TAIL)`
+/// mother-code bits, a function of payload length alone (depuncturing
+/// restores the mother code, so the rate never shows) — so equal payload
+/// lengths mean Viterbi-lockstep-compatible frames for **every** job
+/// kind. Resilient and adaptive frames stage the same trellis as a plain
+/// frame of the same payload; only their sender-side tails differ. The
+/// slot tie-break only pins a reproducible walk order; outcomes are
+/// position-addressed either way.
+fn bundle_key(payloads: &[Box<[u8]>], jobs: &[Job], order: &[u32], g: Group) -> (usize, u32) {
+    let head = jobs[order[g.start as usize] as usize];
+    (payloads[head.payload.0 as usize].len(), g.slot)
+}
+
+/// Runs up to [`LANES`] per-slot job groups in lockstep rounds. Each round
+/// takes the next job of every group through the session's one frame
+/// path: [`CosSession::stage`] (tx → air → rx, fused per session while
+/// the waveform is cache-hot), the Viterbi
+/// ([`ViterbiDecoder::decode_lockstep`], [`LANES`] frames per
+/// instruction, when a full lane group staged), then
+/// [`CosSession::finish`] (feedback loop, ARQ confirmation, controller
 /// observation).
 ///
 /// Per-session order stays submit order (a round advances each group by
-/// exactly one job) and each stage is bit-identical to its monolithic
-/// counterpart — `send_packet_summary` and the resilient/adaptive cores
-/// are themselves composed from these same stage functions — so outcomes
-/// are byte-identical to running the groups one at a time. The ARQ and
-/// adaptation state machines stay per-session: only the
-/// tx → channel → rx symbol work locks step.
-///
-/// Rounds with fewer than [`LANES`] prepared frames (uneven group
-/// lengths, stale handles) fall back to the per-frame air and Viterbi
-/// paths — still SIMD across trellis states, just not across sessions.
-/// Bundle-formation key: groups sort by their head job's payload length
-/// and the session's planned rate. The staged trellis length is
-/// `2 × (SERVICE + 8 × psdu + TAIL)` mother-code bits, a function of
-/// payload length alone (depuncturing restores the mother code, so the
-/// rate never shows) — so equal payload lengths already mean
-/// Viterbi-lockstep-compatible frames for **every** job kind. The
-/// *rendered waveform* length additionally depends on the rate, so
-/// sorting on it too is what hands the batched air stage rounds of
-/// same-length waveforms instead of same-trellis/mixed-rate ones.
-/// Resilient and adaptive frames stage the same trellis as a plain frame
-/// of the same payload; only their sender-side state machines differ,
-/// and those run per-session in the tx/finish stages. The slot tie-break
-/// only pins a reproducible walk order; outcomes are position-addressed
-/// either way.
-fn bundle_key(
-    payloads: &[Box<[u8]>],
-    jobs: &[Job],
-    order: &[u32],
-    g: Group,
-    sess: Option<&CosSession>,
-) -> (usize, u8, u32) {
-    let head = jobs[order[g.start as usize] as usize];
-    let rate = sess
-        .and_then(|s| s.planned_rate(matches!(head.kind, JobKind::Adaptive)))
-        .map_or(u8::MAX, |r| r as u8);
-    (payloads[head.payload.0 as usize].len(), rate, g.slot)
-}
-
-/// One unit's tx-prepared frame awaiting its air / rx / Viterbi / finish
-/// stages — the per-kind token Stage A leaves for the later stages of a
-/// lockstep round.
-#[derive(Debug, Clone, Copy)]
-enum PendTx {
-    Plain(TxPrep, ControlId),
-    Resilient(ResilientTx),
-    Adaptive(AdaptiveTx),
-}
-
-impl PendTx {
-    /// The inner tx token the receive-prepare stage consumes.
-    fn tx(&self) -> TxPrep {
-        match *self {
-            PendTx::Plain(t, _) => t,
-            PendTx::Resilient(r) => r.tx,
-            PendTx::Adaptive(a) => a.tx,
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
+/// exactly one job) and the per-frame path
+/// ([`CosSession::send_packet_summary`] and its siblings) runs the same
+/// three steps, so outcomes are byte-identical to running the groups one
+/// at a time. Rounds with fewer than [`LANES`] staged frames (uneven
+/// group lengths, stale handles, front-end failures) fall back to the
+/// per-frame Viterbi — still SIMD across trellis states, just not across
+/// sessions.
 fn run_units_lockstep(
     payloads: &[Box<[u8]>],
     controls: &[Box<[u8]>],
@@ -703,7 +646,6 @@ fn run_units_lockstep(
     order: &[u32],
     units: &mut [Option<(Group, u32, &mut CosSession)>],
     batch: &mut SymbolBatch,
-    air: &mut ChannelBatch,
     mut emit: impl FnMut(usize, JobOutcome),
 ) {
     debug_assert!(units.len() <= LANES);
@@ -714,20 +656,12 @@ fn run_units_lockstep(
         }
     }
     loop {
-        // Round scan: resolve stale handles and collect this round's job
-        // of every group, then decide the air path *before* any frame is
-        // rendered. The batched air stage only fires when all LANES
-        // frames will render the same waveform length — a function of
-        // (payload length, rate) plus the link shape, all readable here
-        // without advancing any state. Heterogeneous rounds instead run
-        // tx → air → rx fused per session, so each waveform is impaired
-        // and front-ended while still cache-hot (splitting those stages
-        // across LANES sessions costs more in evictions than the batched
-        // channel kernel wins back).
-        let mut round: [Option<Job>; LANES] = [None; LANES];
+        // Stage this round's job of every group; stale handles resolve
+        // without touching the session.
+        let mut staged: [Option<Staged>; LANES] = [None; LANES];
         let mut progressed = false;
         for (k, u) in units.iter_mut().enumerate() {
-            let Some((g, generation, _)) = u else { continue };
+            let Some((g, generation, sess)) = u else { continue };
             if cursors[k] >= g.end as usize {
                 continue;
             }
@@ -739,172 +673,51 @@ fn run_units_lockstep(
                 cursors[k] += 1;
                 continue;
             }
-            round[k] = Some(job);
+            let src = match job.kind {
+                JobKind::Plain(c) => ControlSource::Fixed(&controls[c.0 as usize]),
+                JobKind::Resilient => ControlSource::Resilient,
+                JobKind::Adaptive => ControlSource::Adaptive,
+            };
+            staged[k] = Some(sess.stage(&payloads[job.payload.0 as usize], src));
         }
         if !progressed {
             break;
         }
 
-        let homogeneous = round.iter().all(|j| j.is_some())
-            && units.len() == LANES
-            && {
-                let key = |k: usize| {
-                    let job = round[k].expect("checked above");
-                    let (_, _, sess) = units[k].as_ref().expect("round job has a live unit");
-                    let rate = sess.planned_rate(matches!(job.kind, JobKind::Adaptive));
-                    rate.map(|r| {
-                        (payloads[job.payload.0 as usize].len(), r as u8, sess.air_shape())
-                    })
-                };
-                let head = key(0);
-                head.is_some() && (1..LANES).all(|k| key(k) == head)
-            };
-
-        let mut pend: [Option<PendTx>; LANES] = [None; LANES];
-        let mut preps: [Option<PlainPrep>; LANES] = [None; LANES];
-        let prepare_tx = |sess: &mut CosSession, job: Job| match job.kind {
-            JobKind::Plain(c) => PendTx::Plain(
-                sess.plain_prepare_tx(&payloads[job.payload.0 as usize], &controls[c.0 as usize]),
-                c,
-            ),
-            JobKind::Resilient => {
-                PendTx::Resilient(sess.resilient_prepare_tx(&payloads[job.payload.0 as usize]))
-            }
-            JobKind::Adaptive => {
-                PendTx::Adaptive(sess.adaptive_prepare_tx(&payloads[job.payload.0 as usize]))
-            }
-        };
-
-        if homogeneous {
-            // Staged path: tx-prepare all LANES frames (build/embed/
-            // render plus the per-session ARQ poll or probe composition),
-            // air them as one cross-frame channel batch, then front-end
-            // each. `transmit_batch_into` re-checks actual lengths and
-            // falls back per-frame if the prediction missed — rare, and
-            // bit-identical either way.
-            for (k, u) in units.iter_mut().enumerate() {
-                let (_, _, sess) = u.as_mut().expect("homogeneous round has every unit live");
-                pend[k] = Some(prepare_tx(sess, round[k].expect("checked above")));
-            }
-            let mut frames: [Option<BatchFrame<'_>>; LANES] = std::array::from_fn(|_| None);
-            for (f, u) in frames.iter_mut().zip(units.iter_mut()) {
-                let (_, _, sess) = u.as_mut().expect("homogeneous round has every unit live");
-                *f = Some(sess.air_parts());
-            }
-            Link::transmit_batch_into(&mut frames, air);
-            for (k, u) in units.iter_mut().enumerate() {
-                let (_, _, sess) = u.as_mut().expect("homogeneous round has every unit live");
-                let p = pend[k].as_ref().expect("staged path prepared every lane");
-                preps[k] = Some(sess.plain_prepare_rx(p.tx()));
-            }
-        } else {
-            // Fused path: each session's tx → air → rx runs back to back
-            // while its waveform is cache-hot. The Viterbi stage below
-            // still locks step across the round — the trellis length
-            // depends on payload length alone, so mixed-rate rounds with
-            // equal payloads decode LANES frames per instruction anyway.
-            for (k, u) in units.iter_mut().enumerate() {
-                let Some((_, _, sess)) = u.as_mut() else { continue };
-                let Some(job) = round[k] else { continue };
-                let p = prepare_tx(sess, job);
-                sess.air();
-                preps[k] = Some(sess.plain_prepare_rx(p.tx()));
-                pend[k] = Some(p);
-            }
-        }
-
-        // Stage 4: Viterbi — lockstep when a full lane group staged.
-        let staged = units
-            .iter()
-            .zip(preps.iter())
-            .filter(|(u, p)| u.is_some() && p.as_ref().is_some_and(|pr| pr.staged_ok().is_some()))
-            .count();
-        if staged == LANES {
-            let mut it = units.iter_mut().zip(preps.iter()).filter_map(|(u, p)| {
+        // Viterbi — lockstep when a full lane group staged.
+        let ready = staged.iter().flatten().filter(|s| s.staged_ok().is_some()).count();
+        if ready == LANES {
+            let mut it = units.iter_mut().zip(&staged).filter_map(|(u, s)| {
                 let (_, _, sess) = u.as_mut()?;
-                let sp = p.as_ref()?.staged_ok()?;
-                Some(sess.staged_viterbi_frame(sp))
+                Some(sess.staged_viterbi_frame(s.as_ref()?.staged_ok()?))
             });
             let mut lanes: [_; LANES] =
                 std::array::from_fn(|_| it.next().expect("LANES staged frames"));
             ViterbiDecoder::new().decode_lockstep(&mut lanes, true, batch);
         } else {
-            for (u, p) in units.iter_mut().zip(preps.iter()) {
-                if let (Some((_, _, sess)), Some(prep)) = (u.as_mut(), p) {
-                    sess.plain_run_viterbi(prep);
+            for (u, s) in units.iter_mut().zip(&staged) {
+                if let (Some((_, _, sess)), Some(s)) = (u.as_mut(), s) {
+                    sess.viterbi(s);
                 }
             }
         }
 
-        // Stage 5: per-kind finish of every prepared frame.
+        // Finish every staged frame.
         for (k, u) in units.iter_mut().enumerate() {
-            let Some((_, _, sess)) = u.as_mut() else { continue };
-            let Some(p) = pend[k].take() else { continue };
-            let prep = preps[k].take().expect("stage 3 prepared every pending frame");
+            let (Some((_, _, sess)), Some(s)) = (u.as_mut(), staged[k]) else { continue };
             let idx = order[cursors[k]] as usize;
-            let job = jobs[idx];
-            let result = match p {
-                PendTx::Plain(_, c) => {
-                    JobResult::Plain(sess.plain_finish(&controls[c.0 as usize], prep))
-                }
-                PendTx::Resilient(meta) => {
-                    let core = sess.resilient_finish(meta, prep);
-                    JobResult::Resilient(sess.resilient_summarize(&core))
-                }
-                PendTx::Adaptive(meta) => {
-                    let core = sess.adaptive_finish(meta, prep);
-                    JobResult::Adaptive(sess.adaptive_summarize(&core))
-                }
-            };
-            emit(idx, JobOutcome { session: job.session, result });
+            emit(idx, JobOutcome { session: jobs[idx].session, result: sess.finish(s) });
             cursors[k] += 1;
         }
     }
 }
 
-/// Runs one per-slot job group in submit order on its (possibly absent)
-/// session, emitting `(submit index, outcome)` pairs.
-#[allow(clippy::too_many_arguments)]
-fn run_group(
-    payloads: &[Box<[u8]>],
-    controls: &[Box<[u8]>],
-    jobs: &[Job],
-    order: &[u32],
-    g: Group,
-    slot_generation: u32,
-    session: Option<&mut CosSession>,
-    mut emit: impl FnMut(usize, JobOutcome),
-) {
-    let range = &order[g.start as usize..g.end as usize];
-    match session {
-        None => {
-            for &idx in range {
-                let job = jobs[idx as usize];
-                emit(idx as usize, JobOutcome { session: job.session, result: JobResult::StaleSession });
-            }
-        }
-        Some(sess) => {
-            for &idx in range {
-                let job = jobs[idx as usize];
-                let result = if job.session.generation != slot_generation {
-                    JobResult::StaleSession
-                } else {
-                    let payload = &payloads[job.payload.0 as usize];
-                    match job.kind {
-                        JobKind::Plain(c) => JobResult::Plain(
-                            sess.send_packet_summary(payload, &controls[c.0 as usize]),
-                        ),
-                        JobKind::Resilient => {
-                            JobResult::Resilient(sess.send_packet_resilient_summary(payload))
-                        }
-                        JobKind::Adaptive => {
-                            JobResult::Adaptive(sess.send_packet_adaptive_summary(payload))
-                        }
-                    }
-                };
-                emit(idx as usize, JobOutcome { session: job.session, result });
-            }
-        }
+/// Resolves every job of a group whose slot holds no live session (or
+/// lies beyond the slab) as [`JobResult::StaleSession`].
+fn stale_group(jobs: &[Job], order: &[u32], g: Group, mut emit: impl FnMut(usize, JobOutcome)) {
+    for &idx in &order[g.start as usize..g.end as usize] {
+        let job = jobs[idx as usize];
+        emit(idx as usize, JobOutcome { session: job.session, result: JobResult::StaleSession });
     }
 }
 

@@ -3,10 +3,11 @@
 //! selection and rate adaptation in the loop — the whole Fig. 8
 //! architecture in one object.
 //!
-//! Two send paths share one transmit/receive core:
+//! Three send paths share one frame path and differ only in where the
+//! control message comes from and what the sender does with the outcome:
 //!
 //! * [`CosSession::send_packet`] — the paper's loop verbatim: embed the
-//!   given control bits, trust every feedback report,
+//!   given control bits, trust every feedback report.
 //! * [`CosSession::send_packet_resilient`] — the same loop wrapped in the
 //!   [`crate::resilience`] layer: control messages come from an ARQ
 //!   queue, feedback passes through the link's fault engine (loss,
@@ -17,13 +18,19 @@
 //!   [`crate::adaptation`]: the rate staircase picks the rate from the
 //!   EWMA of measured SNR and the silence-budget probe search sizes the
 //!   control payload, with ARQ-confirmed probes (paper §II-B, Fig. 2).
+//!
+//! The frame path is `stage` (build, embed, channel, front end, energy
+//! detection, FEC staging) → Viterbi → `finish` (CRC, control
+//! extraction, silence validation, EVM feedback, then the per-kind
+//! sender tail). The batch engine runs the same three steps, with the
+//! Viterbi locked across sessions.
 
 use crate::adaptation::{
-    AdaptationConfig, AdaptationEvents, LinkAdaptationController, ProbeEvent, ProbeState,
-    StaircaseEvent,
+    AdaptationConfig, LinkAdaptationController, ProbeEvent, ProbeState, StaircaseEvent,
 };
 use crate::control_rate::{ControlRateAdapter, ControlRateTable};
 use crate::energy_detector::{Detection, DetectionAccuracy, EnergyDetector};
+use crate::engine::JobResult;
 use crate::interval::IntervalCodec;
 use crate::power_controller::{EmbedError, PowerController};
 use crate::resilience::{
@@ -33,7 +40,6 @@ use crate::resilience::{
 use crate::subcarrier_select::{select_control_subcarriers_into, SelectionPolicy};
 use crate::validation::{sanitize_selection, validate_silences_into};
 use cos_channel::{ChannelConfig, FaultEngine, FeedbackFate, Link};
-use cos_dsp::Complex;
 use cos_fec::LaneFrame;
 use cos_phy::error::PhyError;
 use cos_phy::evm::{per_subcarrier_evm, reconstruct_points_into};
@@ -45,75 +51,62 @@ use cos_phy::tx::Transmitter;
 use cos_phy::{PhyWorkspace, TxWorkspace};
 use std::collections::VecDeque;
 
-/// What [`CosSession::transceive_prepare`] staged: either the front end
-/// failed outright, or the DATA field staged with the inner result.
+/// Where one frame's control message comes from — the only per-kind
+/// input of the frame path.
 #[derive(Debug, Clone, Copy)]
-enum PlainStage {
+pub(crate) enum ControlSource<'a> {
+    /// Embed these bits and trust every feedback report (the paper's
+    /// loop).
+    Fixed(&'a [u8]),
+    /// The ARQ head, embedded only in modes where the degraded-mode
+    /// controller allows it, with fault-gated feedback.
+    Resilient,
+    /// The ARQ head padded to the adaptive controller's probe budget, at
+    /// the controller's rate.
+    Adaptive,
+}
+
+/// What the control source decided at staging time that the sender-side
+/// tail of [`CosSession::finish`] needs back.
+#[derive(Debug, Clone, Copy)]
+enum Tail {
+    Plain,
+    Resilient { mode: LinkMode, from_queue: bool },
+    Adaptive { target: usize, from_queue: bool },
+}
+
+/// The receive side of a staged frame: either the front end failed
+/// outright, or the DATA field staged with the inner result.
+#[derive(Debug, Clone, Copy)]
+enum RxStage {
     /// The front end failed; there is nothing to decode.
     FrontEndFailed(PhyError),
     /// The front end ran; the DATA field staged with this result.
     Staged(Result<PreparedDataField, PhyError>),
 }
 
-/// `Copy` token carrying everything `transceive_finish` needs from
-/// `transceive_prepare` — the seam the engine's lockstep Viterbi slots
-/// into: prepare several sessions' frames, run their trellises `LANES`
-/// per instruction, then finish each.
+/// `Copy` token from [`CosSession::stage`] to [`CosSession::finish`] —
+/// the seam the engine's lockstep Viterbi slots into: stage several
+/// sessions' frames, run their trellises `LANES` per instruction, then
+/// finish each. The control message itself stays in the session's
+/// scratch, where the finish reads it back.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PlainPrep {
+pub(crate) struct Staged {
     silences_sent: usize,
     rate: DataRate,
     embed_control: bool,
-    stage: PlainStage,
+    tail: Tail,
+    rx: RxStage,
 }
 
-impl PlainPrep {
+impl Staged {
     /// The staged Viterbi run, when the frame staged cleanly.
     pub(crate) fn staged_ok(&self) -> Option<PreparedDataField> {
-        match self.stage {
-            PlainStage::Staged(Ok(p)) => Some(p),
+        match self.rx {
+            RxStage::Staged(Ok(p)) => Some(p),
             _ => None,
         }
     }
-}
-
-/// `Copy` token carrying the tx-side facts of one built frame, from
-/// [`CosSession::transceive_prepare_tx`] to
-/// [`CosSession::transceive_prepare_rx`] — the air seam the engine's
-/// batched channel ([`Link::transmit_batch_into`]) slots between: build
-/// and render several sessions' frames, impair all their waveforms in
-/// lockstep, then run each receive chain.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TxPrep {
-    silences_sent: usize,
-    rate: DataRate,
-    embed_control: bool,
-}
-
-/// `Copy` token of one resilient-path frame between
-/// [`CosSession::resilient_prepare_tx`] and
-/// [`CosSession::resilient_finish`]. The control bits themselves stay in
-/// the session's `ResilienceState::msg`, where the finish half reads
-/// them back.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ResilientTx {
-    /// The inner tx token, consumed by the receive-prepare stage.
-    pub(crate) tx: TxPrep,
-    mode: LinkMode,
-    attempted: bool,
-    from_queue: bool,
-}
-
-/// `Copy` token of one adaptive-path frame between
-/// [`CosSession::adaptive_prepare_tx`] and
-/// [`CosSession::adaptive_finish`]; the composed probe message stays in
-/// the session's `AdaptationState::msg`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct AdaptiveTx {
-    /// The inner tx token, consumed by the receive-prepare stage.
-    pub(crate) tx: TxPrep,
-    target: usize,
-    from_queue: bool,
 }
 
 /// Configuration of a CoS session.
@@ -240,6 +233,10 @@ struct FeedbackMeta {
 /// gated off by a `Transceived` flag) each packet.
 #[derive(Debug, Clone, Default)]
 struct SessionScratch {
+    /// The control message of the frame in flight, written by the
+    /// control source at staging time and verified against the decode
+    /// at finish time.
+    msg: Vec<u8>,
     /// Silence positions actually embedded (ground truth).
     truth: Vec<usize>,
     /// Coherently validated silence positions (CRC-pass refinement).
@@ -259,7 +256,7 @@ struct SessionScratch {
 /// session reports like a fresh one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionMetrics {
-    /// Frames transmitted (every transceive, all send paths).
+    /// Frames transmitted (every frame, all send paths).
     pub frames_tx: u64,
     /// Frames whose data CRC passed at the receiver.
     pub frames_rx_ok: u64,
@@ -343,17 +340,6 @@ pub struct ResilientSummary {
     pub phy_error: Option<&'static str>,
 }
 
-/// The resilient path's outcome before report/summary packaging.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ResilientCore {
-    t: Transceived,
-    mode: LinkMode,
-    mode_after: LinkMode,
-    attempted: bool,
-    acked: bool,
-    delivered: bool,
-}
-
 /// Per-packet outcome of the adaptive path, wrapping [`PacketReport`].
 #[derive(Debug, Clone)]
 pub struct AdaptiveReport {
@@ -407,31 +393,13 @@ pub struct AdaptiveSummary {
     pub feedback_delivered: bool,
 }
 
-/// The adaptive path's outcome before report/summary packaging.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct AdaptiveCore {
-    t: Transceived,
-    budget: usize,
-    rate_after: DataRate,
-    budget_after: usize,
-    search_state: ProbeState,
-    events: AdaptationEvents,
-    acked: bool,
-    delivered: bool,
-    /// EWMA after `observe`, `NEG_INFINITY` when still unset.
-    ewma_snr_db: f64,
-}
-
 /// Live state of the adaptation layer: the controller plus its own ARQ
 /// queue (probe confirmations ride the same feedback reports as the
-/// resilient path's ACKs) and the composed-message scratch buffer.
+/// resilient path's ACKs).
 #[derive(Debug, Clone)]
 struct AdaptationState {
     ctrl: LinkAdaptationController,
     arq: ControlArq,
-    /// The control message actually embedded: the ARQ head (if any)
-    /// padded with deterministic filler bits to the probe budget.
-    msg: Vec<u8>,
 }
 
 impl AdaptationState {
@@ -441,7 +409,6 @@ impl AdaptationState {
         AdaptationState {
             ctrl: LinkAdaptationController::new(cfg),
             arq: ControlArq::new(&arq_cfg),
-            msg: Vec::new(),
         }
     }
 }
@@ -463,14 +430,32 @@ struct ResilienceState {
     /// Recent receiver reports, newest first — consulted for
     /// [`FeedbackFate::Stale`] deliveries.
     history: VecDeque<HistoryEntry>,
-    /// The control message actually embedded this packet (the ARQ head,
-    /// or empty for the channel-probe marker) — kept in the state so the
-    /// finish half of the split path can verify it against the decode.
-    msg: Vec<u8>,
+}
+
+impl ResilienceState {
+    fn new(config: &SessionConfig) -> Self {
+        let cfg = config.resilience.clone().unwrap_or_default();
+        ResilienceState {
+            arq: ControlArq::new(&cfg),
+            recal: ThresholdRecalibrator::new(config.detector_bias_db, &cfg),
+            ctrl: DegradedModeController::new(cfg),
+            tally: PhyErrorTally::new(),
+            history: VecDeque::new(),
+        }
+    }
 }
 
 /// How many past feedback reports are kept for stale delivery.
 const FEEDBACK_HISTORY: usize = 16;
+
+/// Control-message bits reserved when a session is created. Reserving
+/// here, on the creating thread, keeps the first frame's small message
+/// allocation from landing between the large workspace buffers that
+/// the first frames grow on an engine worker thread; without it,
+/// allocator fragmentation raised the peak RSS of a 512-session
+/// 54 Mbps engine run by about 8 MiB. Longer messages still grow the
+/// buffer on demand.
+const MSG_RESERVE: usize = 64;
 
 /// An end-to-end CoS session between one sender and one receiver.
 #[derive(Debug, Clone)]
@@ -518,14 +503,7 @@ impl CosSession {
         // contiguous block (the Fig. 10(a) layout).
         let selected = (9..9 + config.min_control_subcarriers.max(1)).collect();
         let rate = config.rate.unwrap_or(DataRate::Mbps12);
-        let resilience = config.resilience.clone().map(|cfg| ResilienceState {
-            arq: ControlArq::new(&cfg),
-            recal: ThresholdRecalibrator::new(config.detector_bias_db, &cfg),
-            ctrl: DegradedModeController::new(cfg),
-            tally: PhyErrorTally::new(),
-            history: VecDeque::new(),
-            msg: Vec::new(),
-        });
+        let resilience = config.resilience.is_some().then(|| ResilienceState::new(&config));
         let adaptation = config.adaptation.is_some().then(|| AdaptationState::new(&config));
         CosSession {
             detector: EnergyDetector::new(config.detector_bias_db),
@@ -544,7 +522,7 @@ impl CosSession {
             det: Detection::default(),
             thresholds: Vec::new(),
             sel_scratch: Vec::new(),
-            xs: SessionScratch::default(),
+            xs: SessionScratch { msg: Vec::with_capacity(MSG_RESERVE), ..Default::default() },
             m: SessionMetrics::default(),
             config,
         }
@@ -561,14 +539,7 @@ impl CosSession {
         self.selected.clear();
         self.selected.extend(9..9 + config.min_control_subcarriers.max(1));
         self.rate = config.rate.unwrap_or(DataRate::Mbps12);
-        self.resilience = config.resilience.clone().map(|cfg| ResilienceState {
-            arq: ControlArq::new(&cfg),
-            recal: ThresholdRecalibrator::new(config.detector_bias_db, &cfg),
-            ctrl: DegradedModeController::new(cfg),
-            tally: PhyErrorTally::new(),
-            history: VecDeque::new(),
-            msg: Vec::new(),
-        });
+        self.resilience = config.resilience.is_some().then(|| ResilienceState::new(&config));
         self.detector = EnergyDetector::new(config.detector_bias_db);
         self.controller = PowerController::new(codec);
         self.adapter = ControlRateAdapter::new(ControlRateTable::default());
@@ -649,13 +620,8 @@ impl CosSession {
     /// Queues a control message for reliable (ARQ) delivery over the
     /// resilient path.
     pub fn queue_control(&mut self, bits: Vec<u8>) {
-        self.ensure_resilience();
         let now = self.seq;
-        self.resilience
-            .as_mut()
-            .expect("just ensured")
-            .arq
-            .enqueue(bits, now);
+        self.resilience_state().arq.enqueue(bits, now);
     }
 
     /// Queues a control message for reliable (ARQ) delivery over the
@@ -663,13 +629,8 @@ impl CosSession {
     /// bits, the length must be a multiple of the codec's `k` (default
     /// 4) so the padded probe message stays decodable.
     pub fn queue_adaptive_control(&mut self, bits: Vec<u8>) {
-        self.ensure_adaptation();
         let now = self.seq;
-        self.adaptation
-            .as_mut()
-            .expect("just ensured")
-            .arq
-            .enqueue(bits, now);
+        self.adaptation_state().arq.enqueue(bits, now);
     }
 
     /// Adaptive-path control-message ARQ statistics.
@@ -700,8 +661,7 @@ impl CosSession {
     /// [`budget grants`](LinkAdaptationController::set_budget_ceiling)
     /// on a running station.
     pub fn adaptation_controller_mut(&mut self) -> &mut LinkAdaptationController {
-        self.ensure_adaptation();
-        &mut self.adaptation.as_mut().expect("just ensured").ctrl
+        &mut self.adaptation_state().ctrl
     }
 
     /// A snapshot of the session's observability counters. The two
@@ -728,65 +688,33 @@ impl CosSession {
         self.link.set_snr_db(snr_db);
     }
 
-    fn ensure_adaptation(&mut self) {
-        if self.adaptation.is_none() {
-            self.adaptation = Some(AdaptationState::new(&self.config));
-        }
+    /// The adaptation state, created on first use.
+    fn adaptation_state(&mut self) -> &mut AdaptationState {
+        self.adaptation.get_or_insert_with(|| AdaptationState::new(&self.config))
     }
 
-    fn ensure_resilience(&mut self) {
-        if self.resilience.is_none() {
-            let cfg = self.config.resilience.clone().unwrap_or_default();
-            self.resilience = Some(ResilienceState {
-                arq: ControlArq::new(&cfg),
-                recal: ThresholdRecalibrator::new(self.config.detector_bias_db, &cfg),
-                ctrl: DegradedModeController::new(cfg),
-                tally: PhyErrorTally::new(),
-                history: VecDeque::new(),
-                msg: Vec::new(),
-            });
-        }
+    /// The resilience state, created on first use.
+    fn resilience_state(&mut self) -> &mut ResilienceState {
+        self.resilience.get_or_insert_with(|| ResilienceState::new(&self.config))
     }
 
-    /// The transmit/receive core shared by both send paths: build, embed
-    /// (optionally), propagate, detect, decode, validate, and compute the
-    /// feedback report. Does **not** apply feedback to the sender state.
-    ///
-    /// Implemented as prepare → Viterbi → finish so the batch engine can
-    /// interleave the Viterbi stage across sessions; this monolithic form
-    /// and the staged form are bit-identical by construction (one
-    /// implementation of each half).
-    fn transceive(&mut self, payload: &[u8], control_bits: &[u8], embed_control: bool) -> Transceived {
-        let prep = self.transceive_prepare(payload, control_bits, embed_control);
-        self.transceive_viterbi(&prep);
-        self.transceive_finish(control_bits, prep)
+    /// One frame through the whole path, per-frame form: stage, Viterbi,
+    /// finish. The engine runs the same three steps with the Viterbi
+    /// locked across sessions; both forms share one implementation of
+    /// every step, so they are bit-identical by construction.
+    fn send(&mut self, payload: &[u8], src: ControlSource<'_>) -> JobResult {
+        let staged = self.stage(payload, src);
+        self.viterbi(&staged);
+        self.finish(staged)
     }
 
-    /// The front half of [`transceive`](Self::transceive): build, embed,
-    /// propagate, front end, detect, and stage the DATA-field decode up
-    /// to (but not including) the Viterbi run. Composed from the tx /
-    /// air / rx thirds so the monolithic and engine-batched forms share
-    /// one implementation of every stage — bit-identical by construction.
-    fn transceive_prepare(
-        &mut self,
-        payload: &[u8],
-        control_bits: &[u8],
-        embed_control: bool,
-    ) -> PlainPrep {
-        let tok = self.transceive_prepare_tx(payload, control_bits, embed_control);
-        self.air();
-        self.transceive_prepare_rx(tok)
-    }
-
-    /// The tx third of [`transceive_prepare`](Self::transceive_prepare):
-    /// build the frame, embed the control silences, and render the
-    /// waveform into `ws.tx.samples`, ready for the air stage.
-    fn transceive_prepare_tx(
-        &mut self,
-        payload: &[u8],
-        control_bits: &[u8],
-        embed_control: bool,
-    ) -> TxPrep {
+    /// The front of the frame path: the control source writes the message
+    /// into `xs.msg`, then the frame is built, embedded, rendered, sent
+    /// over the link, front-ended, energy-detected and staged for the
+    /// erasure Viterbi — all into session-owned scratch. The Viterbi
+    /// itself is the next step.
+    pub(crate) fn stage(&mut self, payload: &[u8], src: ControlSource<'_>) -> Staged {
+        let (embed_control, tail) = self.choose_control(payload, src);
         self.seq += 1;
         let scrambler_seed = (self.seq % 127 + 1) as u8;
         let rate = self.rate;
@@ -806,7 +734,7 @@ impl CosSession {
                 match self.controller.embed_into(
                     &mut self.ws.tx.frame,
                     &self.sel_scratch,
-                    control_bits,
+                    &self.xs.msg,
                     &mut self.xs.truth,
                 ) {
                     Ok(()) => break,
@@ -829,112 +757,150 @@ impl CosSession {
         }
         let silences_sent = self.xs.truth.len();
         self.ws.tx.render();
-        TxPrep { silences_sent, rate, embed_control }
-    }
 
-    /// The air third: land the channel output of the rendered waveform
-    /// straight in the receive workspace — the per-frame twin of the
-    /// engine's batched [`Link::transmit_batch_into`] round.
-    pub(crate) fn air(&mut self) {
-        let CosSession { link, ws, .. } = self;
-        let PhyWorkspace { tx, rx } = ws;
-        link.transmit_into(&tx.samples, &mut rx.samples);
-    }
-
-    /// The rate the next frame will render at, predicted from the state
-    /// the tx-prepare stage reads without advancing anything: the pinned
-    /// config rate, the session's standing rate, or (for an adaptive job)
-    /// the staircase's current rate. `None` only for an adaptive job on a
-    /// session whose controller state hasn't been created yet — callers
-    /// using this to pre-check lockstep compatibility should treat that
-    /// as "unknown", never guess. The engine's bundle key and its
-    /// batched-air pre-check both ride on this: the rendered waveform
-    /// length is a function of (payload length, rate) alone, so equal
-    /// predictions mean air-lockstep-compatible frames.
-    pub(crate) fn planned_rate(&self, adaptive: bool) -> Option<DataRate> {
-        if adaptive {
-            match self.config.rate {
-                Some(r) => Some(r),
-                None => self.adaptation.as_ref().map(|s| s.ctrl.rate()),
-            }
-        } else {
-            Some(self.rate)
-        }
-    }
-
-    /// The link shape [`Link::transmit_batch_into`] requires lockstep
-    /// frames to share: (tap count, lead-in).
-    pub(crate) fn air_shape(&self) -> (usize, usize) {
-        (self.link.channel().tap_count(), self.link.lead_in())
-    }
-
-    /// Splits out the borrows [`air`](Self::air) uses — the link, the
-    /// rendered tx waveform and the rx landing buffer — so the engine can
-    /// hand several sessions' frames to [`Link::transmit_batch_into`] as
-    /// one lockstep batch. Only valid between
-    /// [`transceive_prepare_tx`](Self::transceive_prepare_tx) and
-    /// [`transceive_prepare_rx`](Self::transceive_prepare_rx).
-    pub(crate) fn air_parts(&mut self) -> (&mut Link, &[Complex], &mut Vec<Complex>) {
-        let CosSession { link, ws, .. } = self;
-        let PhyWorkspace { tx, rx } = ws;
-        (link, &tx.samples, &mut rx.samples)
-    }
-
-    /// The rx third of [`transceive_prepare`](Self::transceive_prepare):
-    /// front end, energy detection, and the demap/FEC staging of the
-    /// erasure decode — all into session-owned scratch. The Viterbi
-    /// itself belongs to the next stage.
-    fn transceive_prepare_rx(&mut self, tok: TxPrep) -> PlainPrep {
-        let TxPrep { silences_sent, rate, embed_control } = tok;
-        let stage = match self.phy_rx.front_end_into(&self.ws.rx.samples, &mut self.ws.rx.fe) {
+        // Split-borrow the session so the link, detector, PHY workspace
+        // and per-packet scratch can be used side by side without
+        // intermediate allocations. The channel output lands straight in
+        // the receive workspace.
+        let CosSession { link, ws, detector, phy_rx, det, thresholds, sel_scratch, .. } = self;
+        link.transmit_into(&ws.tx.samples, &mut ws.rx.samples);
+        let rx = match phy_rx.front_end_into(&ws.rx.samples, &mut ws.rx.fe) {
             Ok(()) => {
-                // Split-borrow the session so the detector, PHY workspace
-                // and per-packet scratch can be used side by side without
-                // intermediate allocations.
-                let CosSession { detector, phy_rx, ws, det, thresholds, sel_scratch, .. } =
-                    &mut *self;
                 if embed_control {
                     detector.detect_into(&ws.rx.fe, sel_scratch, thresholds, det);
                 }
                 let erasures = embed_control.then_some(det.erasures.as_slice());
-                PlainStage::Staged(phy_rx.decode_prepare_into(
+                RxStage::Staged(phy_rx.decode_prepare_into(
                     &ws.rx.fe,
                     erasures,
                     &mut ws.rx.scratch,
                     &mut ws.rx.out,
                 ))
             }
-            Err(e) => PlainStage::FrontEndFailed(e),
+            Err(e) => RxStage::FrontEndFailed(e),
         };
-        PlainPrep { silences_sent, rate, embed_control, stage }
+        Staged { silences_sent, rate, embed_control, tail, rx }
     }
 
-    /// The Viterbi stage of [`transceive`](Self::transceive), per-frame
-    /// form: decodes the staged trellis (if any) into this session's
-    /// scratch.
-    fn transceive_viterbi(&mut self, prep: &PlainPrep) {
-        if let Some(p) = prep.staged_ok() {
+    /// The per-kind half of staging: writes this frame's control message
+    /// into `xs.msg`, decides whether it is embedded, and (adaptive only)
+    /// sets the frame's rate.
+    fn choose_control(&mut self, payload: &[u8], src: ControlSource<'_>) -> (bool, Tail) {
+        let CosSession { config, controller, rate, seq, resilience, adaptation, xs, .. } = self;
+        let msg = &mut xs.msg;
+        msg.clear();
+        match src {
+            ControlSource::Fixed(bits) => {
+                msg.extend_from_slice(bits);
+                (true, Tail::Plain)
+            }
+            ControlSource::Resilient => {
+                // Mode decides whether the control channel is exercised;
+                // the ARQ head (or the empty marker, as a channel probe)
+                // supplies the bits.
+                let state = resilience.get_or_insert_with(|| ResilienceState::new(config));
+                let mode = state.ctrl.mode();
+                let (attempted, from_queue) = match mode {
+                    LinkMode::Cos | LinkMode::Probing => match state.arq.poll() {
+                        Some(b) => {
+                            msg.extend_from_slice(&b);
+                            (true, true)
+                        }
+                        None => (true, false),
+                    },
+                    LinkMode::DataOnly => (false, false),
+                };
+                (attempted, Tail::Resilient { mode, from_queue })
+            }
+            ControlSource::Adaptive => {
+                let state = adaptation.get_or_insert_with(|| AdaptationState::new(config));
+                // The staircase owns the rate unless the config pins one.
+                *rate = config.rate.unwrap_or_else(|| state.ctrl.rate());
+                let target = state.ctrl.target_budget();
+
+                // Clamp the probe to what this frame can physically
+                // carry: the interval code spends at most 2^k + 1 control
+                // positions per interval, and the embedder can expand the
+                // selection up to all NUM_DATA subcarriers, so a frame of
+                // `n` symbols always fits `(n·NUM_DATA − 1) / (2^k + 1)`
+                // intervals. Short frames at fast rates would otherwise
+                // overflow the frame's control capacity.
+                let k = controller.codec().bits_per_interval();
+                let total_positions = rate.data_symbol_count(payload.len() + 4) * NUM_DATA;
+                let max_intervals = total_positions.saturating_sub(1) / ((1usize << k) + 1);
+                let sent_budget = target.min(max_intervals + 1);
+                let capacity_bits = sent_budget.saturating_sub(1) * k;
+
+                // Compose the probe message: the ARQ head (if any) padded
+                // with filler bits to the full budget, so every adaptive
+                // packet exercises exactly the budget it claims to probe.
+                // The filler is a pure function of the packet sequence
+                // number — determinism by construction.
+                let from_queue = match state.arq.poll() {
+                    Some(bits) => {
+                        msg.extend_from_slice(&bits);
+                        true
+                    }
+                    None => false,
+                };
+                let next_seq = *seq + 1;
+                while msg.len() < capacity_bits {
+                    let i = msg.len() as u64;
+                    let x = next_seq
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        .wrapping_add(i.wrapping_mul(0xA24B_AED4_963E_E407));
+                    msg.push(((x >> 32) & 1) as u8);
+                }
+                (true, Tail::Adaptive { target, from_queue })
+            }
+        }
+    }
+
+    /// The Viterbi step, per-frame form: decodes the staged trellis (if
+    /// any) into this session's scratch.
+    pub(crate) fn viterbi(&mut self, staged: &Staged) {
+        if let Some(p) = staged.staged_ok() {
             run_staged_viterbi(p, &mut self.ws.rx.scratch.fec);
         }
     }
 
-    /// The Viterbi stage in lockstep form: borrows this session's staged
+    /// The Viterbi step in lockstep form: borrows this session's staged
     /// trellis as one lane frame for
     /// [`cos_fec::ViterbiDecoder::decode_lockstep`]. Running the lane
-    /// frame leaves exactly the state
-    /// [`transceive_viterbi`](Self::transceive_viterbi) would.
+    /// frame leaves exactly the state [`viterbi`](Self::viterbi) would.
     pub(crate) fn staged_viterbi_frame(&mut self, prep: PreparedDataField) -> LaneFrame<'_> {
         staged_lane_frame(prep, &mut self.ws.rx.scratch.fec)
     }
 
-    /// The back half of [`transceive`](Self::transceive): descramble/CRC
-    /// finish, control-bit extraction, silence validation, EVM feedback,
-    /// channel advance and metrics. Requires the Viterbi stage to have
-    /// run when `prep` staged cleanly.
-    fn transceive_finish(&mut self, control_bits: &[u8], prep: PlainPrep) -> Transceived {
-        let PlainPrep { silences_sent, rate, embed_control, stage } = prep;
-        let result = match stage {
-            PlainStage::Staged(staged) => {
+    /// The back of the frame path: the shared receive finish, then the
+    /// sender-side tail of the frame's control source (feedback fate, ARQ
+    /// confirmation, controller observation). Requires the Viterbi step
+    /// to have run when the frame staged cleanly.
+    pub(crate) fn finish(&mut self, staged: Staged) -> JobResult {
+        let t = self.finish_rx(&staged);
+        match staged.tail {
+            Tail::Plain => {
+                self.plain_tail(&t);
+                JobResult::Plain(self.summarize(&t))
+            }
+            Tail::Resilient { mode, from_queue } => {
+                let attempted = staged.embed_control;
+                JobResult::Resilient(self.resilient_tail(t, mode, attempted, from_queue))
+            }
+            Tail::Adaptive { target, from_queue } => {
+                JobResult::Adaptive(self.adaptive_tail(t, target, from_queue))
+            }
+        }
+    }
+
+    /// The receive finish shared by every control source: descramble/CRC,
+    /// control-bit extraction, silence validation, EVM feedback, channel
+    /// advance and metrics. Does **not** apply feedback to the sender
+    /// state.
+    fn finish_rx(&mut self, staged: &Staged) -> Transceived {
+        let Staged { silences_sent, rate, embed_control, rx, .. } = *staged;
+        let result = match rx {
+            RxStage::Staged(prep) => {
                 let CosSession {
                     phy_rx, controller, config, ws, ref_tx, det, sel_scratch, xs, ..
                 } = &mut *self;
@@ -951,7 +917,7 @@ impl CosSession {
                     DetectionAccuracy::default()
                 };
                 let erasures = embed_control.then_some(det.erasures.as_slice());
-                phy_rx.decode_finish_into(&ws.rx.fe, staged, &mut ws.rx.scratch, &mut ws.rx.out);
+                phy_rx.decode_finish_into(&ws.rx.fe, prep, &mut ws.rx.scratch, &mut ws.rx.out);
                 let mut control_present =
                     embed_control && det.control_bits_into(&codec, &mut xs.control);
                 let measured = ws.rx.fe.measured_snr_db();
@@ -1003,8 +969,7 @@ impl CosSession {
                     });
                 }
 
-                let control_ok =
-                    embed_control && control_present && xs.control.as_slice() == control_bits;
+                let control_ok = embed_control && control_present && xs.control == xs.msg;
                 Transceived {
                     data_ok: ws.rx.out.crc_ok,
                     front_end_ok: true,
@@ -1018,7 +983,7 @@ impl CosSession {
                     feedback,
                 }
             }
-            PlainStage::FrontEndFailed(e) => Transceived {
+            RxStage::FrontEndFailed(e) => Transceived {
                 data_ok: false,
                 front_end_ok: false,
                 control_present: false,
@@ -1051,17 +1016,16 @@ impl CosSession {
     /// Applies the feedback report sitting in `xs.fb_selection` by
     /// swapping it into `selected` — the allocation-free twin of
     /// [`apply_feedback`](Self::apply_feedback). Only valid right after a
-    /// transceive that produced `feedback: Some(_)`.
+    /// frame whose receive finish produced `feedback: Some(_)`.
     fn apply_feedback_from_scratch(&mut self, measured_snr_db: f64) {
         std::mem::swap(&mut self.selected, &mut self.xs.fb_selection);
         self.adapter.feedback(measured_snr_db);
         self.rate = self.config.rate.unwrap_or_else(|| DataRate::select(measured_snr_db));
     }
 
-    /// The sender-side feedback application of the paper's plain loop,
-    /// shared by [`send_packet`](Self::send_packet) and
-    /// [`send_packet_summary`](Self::send_packet_summary).
-    fn finish_plain(&mut self, t: &Transceived) {
+    /// The sender tail of the paper's plain loop: trust every feedback
+    /// report.
+    fn plain_tail(&mut self, t: &Transceived) {
         if t.front_end_ok {
             if let Some(fb) = t.feedback {
                 std::mem::swap(&mut self.selected, &mut self.xs.fb_selection);
@@ -1076,200 +1040,16 @@ impl CosSession {
         }
     }
 
-    /// Builds the fixed-size summary of the packet just transceived.
-    fn summarize(&self, t: &Transceived) -> PacketSummary {
-        PacketSummary {
-            data_ok: t.data_ok,
-            control_present: t.control_present,
-            control_ok: t.control_ok,
-            silences_sent: t.silences_sent,
-            detection: t.accuracy,
-            measured_snr_db: t.measured,
-            rate: t.rate,
-            selected_len: self.selected.len(),
-            selected_hash: fnv1a(
-                self.selected.iter().flat_map(|&sc| (sc as u64).to_le_bytes()),
-            ),
-            control_hash: if t.control_present {
-                fnv1a(self.xs.control.iter().copied())
-            } else {
-                0
-            },
-        }
-    }
-
-    /// Sends one data packet with `control_bits` embedded as silence
-    /// symbols; runs the complete receive pipeline and feedback loop,
-    /// trusting every feedback report (the paper's loop).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `control_bits` length is not a multiple of the codec's
-    /// `k` or the message exceeds the frame capacity.
-    pub fn send_packet(&mut self, payload: &[u8], control_bits: &[u8]) -> PacketReport {
-        let t = self.transceive(payload, control_bits, true);
-        self.finish_plain(&t);
-        PacketReport {
-            data_ok: t.data_ok,
-            control_bits: t.control_present.then(|| self.xs.control.clone()),
-            control_ok: t.control_ok,
-            silences_sent: t.silences_sent,
-            detection: t.accuracy,
-            measured_snr_db: t.measured,
-            rate: t.rate,
-            selected: self.selected.clone(),
-        }
-    }
-
-    /// [`send_packet`](Self::send_packet) returning the fixed-size
-    /// [`PacketSummary`] instead of an owned report: identical sender
-    /// state evolution, zero heap allocations at steady state — the batch
-    /// engine's per-job entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `control_bits` length is not a multiple of the codec's
-    /// `k` or the message exceeds the frame capacity.
-    pub fn send_packet_summary(&mut self, payload: &[u8], control_bits: &[u8]) -> PacketSummary {
-        let t = self.transceive(payload, control_bits, true);
-        self.finish_plain(&t);
-        self.summarize(&t)
-    }
-
-    /// The tx third of [`send_packet_summary`](Self::send_packet_summary),
-    /// for the engine's batched-air rounds: build/embed/render, leaving
-    /// the waveform in [`air_parts`](Self::air_parts). Must be paired
-    /// with an air stage, [`plain_prepare_rx`](Self::plain_prepare_rx), a
-    /// Viterbi stage ([`plain_run_viterbi`](Self::plain_run_viterbi) or a
-    /// lockstep run over
-    /// [`staged_viterbi_frame`](Self::staged_viterbi_frame)) and then
-    /// [`plain_finish`](Self::plain_finish).
-    pub(crate) fn plain_prepare_tx(&mut self, payload: &[u8], control_bits: &[u8]) -> TxPrep {
-        self.transceive_prepare_tx(payload, control_bits, true)
-    }
-
-    /// The rx third matching [`plain_prepare_tx`](Self::plain_prepare_tx),
-    /// after the air stage ran (batched or per-frame).
-    pub(crate) fn plain_prepare_rx(&mut self, tok: TxPrep) -> PlainPrep {
-        self.transceive_prepare_rx(tok)
-    }
-
-    /// Per-frame Viterbi stage matching
-    /// [`plain_prepare_rx`](Self::plain_prepare_rx) — the remainder path
-    /// when a full lane group isn't available.
-    pub(crate) fn plain_run_viterbi(&mut self, prep: &PlainPrep) {
-        self.transceive_viterbi(prep);
-    }
-
-    /// The finish stage of [`send_packet_summary`](Self::send_packet_summary):
-    /// identical sender-state evolution and summary as the monolithic
-    /// call.
-    pub(crate) fn plain_finish(&mut self, control_bits: &[u8], prep: PlainPrep) -> PacketSummary {
-        let t = self.transceive_finish(control_bits, prep);
-        self.finish_plain(&t);
-        self.summarize(&t)
-    }
-
-    /// Sends one data packet through the resilience layer: control bits
-    /// come from the ARQ queue (see [`CosSession::queue_control`]), the
-    /// feedback report passes through the link's fault engine, and the
-    /// degraded-mode state machine decides whether silences are embedded
-    /// at all.
-    pub fn send_packet_resilient(&mut self, payload: &[u8]) -> ResilientReport {
-        let c = self.send_resilient_core(payload);
-        ResilientReport {
-            packet: PacketReport {
-                data_ok: c.t.data_ok,
-                control_bits: c.t.control_present.then(|| self.xs.control.clone()),
-                control_ok: c.t.control_ok,
-                silences_sent: c.t.silences_sent,
-                detection: c.t.accuracy,
-                measured_snr_db: c.t.measured,
-                rate: c.t.rate,
-                selected: self.selected.clone(),
-            },
-            mode: c.mode,
-            mode_after: c.mode_after,
-            control_attempted: c.attempted,
-            control_acked: c.acked,
-            feedback_delivered: c.delivered,
-            phy_error: c.t.phy_error.map(|e| e.kind()),
-        }
-    }
-
-    /// [`send_packet_resilient`](Self::send_packet_resilient) returning
-    /// the fixed-size [`ResilientSummary`]: identical state evolution,
-    /// no owned report. (The resilient path itself is not allocation-free
-    /// — the ARQ queue clones its head message — but the summary adds
-    /// nothing on top.)
-    pub fn send_packet_resilient_summary(&mut self, payload: &[u8]) -> ResilientSummary {
-        let c = self.send_resilient_core(payload);
-        self.resilient_summarize(&c)
-    }
-
-    /// Packages a [`ResilientCore`] into the fixed-size summary — shared
-    /// by the monolithic path and the engine's staged finish.
-    pub(crate) fn resilient_summarize(&self, c: &ResilientCore) -> ResilientSummary {
-        ResilientSummary {
-            packet: self.summarize(&c.t),
-            mode: c.mode,
-            mode_after: c.mode_after,
-            control_attempted: c.attempted,
-            control_acked: c.acked,
-            feedback_delivered: c.delivered,
-            phy_error: c.t.phy_error.map(|e| e.kind()),
-        }
-    }
-
-    /// The shared resilient-path core: ARQ poll, transceive, fault-gated
-    /// feedback application, recalibration and mode bookkeeping.
-    /// Composed from the tx / air / rx / Viterbi / finish stages so this
-    /// monolithic form and the engine's batched form share one
-    /// implementation of every stage.
-    fn send_resilient_core(&mut self, payload: &[u8]) -> ResilientCore {
-        let meta = self.resilient_prepare_tx(payload);
-        self.air();
-        let prep = self.transceive_prepare_rx(meta.tx);
-        self.transceive_viterbi(&prep);
-        self.resilient_finish(meta, prep)
-    }
-
-    /// The tx half of the resilient path: mode decides whether the
-    /// control channel is exercised, the ARQ head (or the empty marker as
-    /// a channel probe) supplies the bits — stored in the state's `msg`
-    /// for the finish half — and the frame is built and rendered.
-    pub(crate) fn resilient_prepare_tx(&mut self, payload: &[u8]) -> ResilientTx {
-        self.ensure_resilience();
-        let mut state = self.resilience.take().expect("just ensured");
-
-        let mode = state.ctrl.mode();
-        state.msg.clear();
-        let (attempted, from_queue) = match mode {
-            LinkMode::Cos | LinkMode::Probing => match state.arq.poll() {
-                Some(b) => {
-                    state.msg.extend_from_slice(&b);
-                    (true, true)
-                }
-                None => (true, false),
-            },
-            LinkMode::DataOnly => (false, false),
-        };
-
-        let tx = self.transceive_prepare_tx(payload, &state.msg, attempted);
-        self.resilience = Some(state);
-        ResilientTx { tx, mode, attempted, from_queue }
-    }
-
-    /// The finish half of the resilient path: descramble/CRC finish via
-    /// [`transceive_finish`](Self::transceive_finish), then the
-    /// fault-gated feedback application, recalibration and mode
-    /// bookkeeping. Requires the rx-prepare and Viterbi stages to have
-    /// run.
-    pub(crate) fn resilient_finish(&mut self, meta: ResilientTx, prep: PlainPrep) -> ResilientCore {
-        let ResilientTx { tx: _, mode, attempted, from_queue } = meta;
-        let mut state = self.resilience.take().expect("prepared by resilient_prepare_tx");
-
-        let t = self.transceive_finish(&state.msg, prep);
+    /// The sender tail of the resilient path: fault-gated feedback
+    /// application, recalibration, ARQ confirmation and mode bookkeeping.
+    fn resilient_tail(
+        &mut self,
+        t: Transceived,
+        mode: LinkMode,
+        attempted: bool,
+        from_queue: bool,
+    ) -> ResilientSummary {
+        let mut state = self.resilience.take().expect("staged by the resilient control source");
         let fate = self.link.feedback_fate();
 
         if let Some(e) = &t.phy_error {
@@ -1350,7 +1130,167 @@ impl CosSession {
         let mode_after = state.ctrl.mode();
         self.resilience = Some(state);
 
-        ResilientCore { t, mode, mode_after, attempted, acked, delivered }
+        ResilientSummary {
+            packet: self.summarize(&t),
+            mode,
+            mode_after,
+            control_attempted: attempted,
+            control_acked: acked,
+            feedback_delivered: delivered,
+            phy_error: t.phy_error.map(|e| e.kind()),
+        }
+    }
+
+    /// The sender tail of the adaptive path: the feedback gate, probe
+    /// confirmation and controller observation.
+    fn adaptive_tail(&mut self, t: Transceived, target: usize, from_queue: bool) -> AdaptiveSummary {
+        let mut state = self.adaptation.take().expect("staged by the adaptive control source");
+        let fate = self.link.feedback_fate();
+
+        // Adaptation trusts only fresh feedback: stale, corrupt or
+        // dropped reports all count as misses (the resilient layer is
+        // the place that salvages degraded reports). The fresh report
+        // swaps in the selection but leaves the rate alone — the
+        // staircase owns it.
+        let mut delivered = false;
+        match t.feedback {
+            Some(fb) if matches!(fate, FeedbackFate::Deliver) => {
+                std::mem::swap(&mut self.selected, &mut self.xs.fb_selection);
+                self.adapter.feedback(fb.measured_snr_db);
+                delivered = true;
+            }
+            _ => self.adapter.transmission_failed(),
+        }
+
+        // Probe confirmation rides the feedback report, exactly like the
+        // resilient path's ACKs: no report, no ACK.
+        let acked = t.control_ok && delivered;
+        if from_queue {
+            if acked {
+                state.arq.confirm(self.seq);
+            } else {
+                state.arq.reject();
+            }
+        }
+
+        // A clamped packet carried fewer silences than the probe target,
+        // so its outcome says nothing about the probed budget.
+        let carried_full = t.silences_sent >= target;
+        let events = state.ctrl.observe(delivered.then_some(t.measured), acked, carried_full);
+        self.m.feedback_delivered += delivered as u64;
+        self.m.adaptation_events += (events.staircase != StaircaseEvent::Hold) as u64
+            + (events.probe != ProbeEvent::Hold) as u64;
+
+        let summary = AdaptiveSummary {
+            packet: self.summarize(&t),
+            ewma_snr_db: state.ctrl.ewma_snr_db().unwrap_or(f64::NEG_INFINITY),
+            budget: target,
+            rate_after: self.config.rate.unwrap_or_else(|| state.ctrl.rate()),
+            budget_after: state.ctrl.target_budget(),
+            search_state: state.ctrl.search_state(),
+            staircase_event: events.staircase,
+            probe_event: events.probe,
+            control_acked: acked,
+            feedback_delivered: delivered,
+        };
+        self.adaptation = Some(state);
+        summary
+    }
+
+    /// Builds the fixed-size summary of the frame just finished.
+    fn summarize(&self, t: &Transceived) -> PacketSummary {
+        PacketSummary {
+            data_ok: t.data_ok,
+            control_present: t.control_present,
+            control_ok: t.control_ok,
+            silences_sent: t.silences_sent,
+            detection: t.accuracy,
+            measured_snr_db: t.measured,
+            rate: t.rate,
+            selected_len: self.selected.len(),
+            selected_hash: fnv1a(
+                self.selected.iter().flat_map(|&sc| (sc as u64).to_le_bytes()),
+            ),
+            control_hash: if t.control_present {
+                fnv1a(self.xs.control.iter().copied())
+            } else {
+                0
+            },
+        }
+    }
+
+    /// Builds the owned [`PacketReport`] of the frame just finished from
+    /// its summary and the session state the frame left behind — the one
+    /// report builder behind all three owned-report entry points.
+    fn packet_report(&self, s: &PacketSummary) -> PacketReport {
+        PacketReport {
+            data_ok: s.data_ok,
+            control_bits: s.control_present.then(|| self.xs.control.clone()),
+            control_ok: s.control_ok,
+            silences_sent: s.silences_sent,
+            detection: s.detection,
+            measured_snr_db: s.measured_snr_db,
+            rate: s.rate,
+            selected: self.selected.clone(),
+        }
+    }
+
+    /// Sends one data packet with `control_bits` embedded as silence
+    /// symbols; runs the complete receive pipeline and feedback loop,
+    /// trusting every feedback report (the paper's loop).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `control_bits` length is not a multiple of the codec's
+    /// `k` or the message exceeds the frame capacity.
+    pub fn send_packet(&mut self, payload: &[u8], control_bits: &[u8]) -> PacketReport {
+        let s = self.send_packet_summary(payload, control_bits);
+        self.packet_report(&s)
+    }
+
+    /// [`send_packet`](Self::send_packet) returning the fixed-size
+    /// [`PacketSummary`] instead of an owned report: identical sender
+    /// state evolution, zero heap allocations at steady state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `control_bits` length is not a multiple of the codec's
+    /// `k` or the message exceeds the frame capacity.
+    pub fn send_packet_summary(&mut self, payload: &[u8], control_bits: &[u8]) -> PacketSummary {
+        let JobResult::Plain(s) = self.send(payload, ControlSource::Fixed(control_bits)) else {
+            unreachable!("a fixed-bits frame finishes as a plain frame")
+        };
+        s
+    }
+
+    /// Sends one data packet through the resilience layer: control bits
+    /// come from the ARQ queue (see [`CosSession::queue_control`]), the
+    /// feedback report passes through the link's fault engine, and the
+    /// degraded-mode state machine decides whether silences are embedded
+    /// at all.
+    pub fn send_packet_resilient(&mut self, payload: &[u8]) -> ResilientReport {
+        let s = self.send_packet_resilient_summary(payload);
+        ResilientReport {
+            packet: self.packet_report(&s.packet),
+            mode: s.mode,
+            mode_after: s.mode_after,
+            control_attempted: s.control_attempted,
+            control_acked: s.control_acked,
+            feedback_delivered: s.feedback_delivered,
+            phy_error: s.phy_error,
+        }
+    }
+
+    /// [`send_packet_resilient`](Self::send_packet_resilient) returning
+    /// the fixed-size [`ResilientSummary`]: identical state evolution,
+    /// no owned report. (The resilient path itself is not allocation-free
+    /// — the ARQ queue clones its head message — but the summary adds
+    /// nothing on top.)
+    pub fn send_packet_resilient_summary(&mut self, payload: &[u8]) -> ResilientSummary {
+        let JobResult::Resilient(s) = self.send(payload, ControlSource::Resilient) else {
+            unreachable!("a resilient frame finishes as a resilient frame")
+        };
+        s
     }
 
     /// Sends one data packet through the closed adaptation loop: the
@@ -1381,27 +1321,18 @@ impl CosSession {
     /// assert_eq!(s.adaptive_arq_stats().delivered, 1);
     /// ```
     pub fn send_packet_adaptive(&mut self, payload: &[u8]) -> AdaptiveReport {
-        let c = self.send_adaptive_core(payload);
+        let s = self.send_packet_adaptive_summary(payload);
         AdaptiveReport {
-            packet: PacketReport {
-                data_ok: c.t.data_ok,
-                control_bits: c.t.control_present.then(|| self.xs.control.clone()),
-                control_ok: c.t.control_ok,
-                silences_sent: c.t.silences_sent,
-                detection: c.t.accuracy,
-                measured_snr_db: c.t.measured,
-                rate: c.t.rate,
-                selected: self.selected.clone(),
-            },
-            ewma_snr_db: (c.ewma_snr_db != f64::NEG_INFINITY).then_some(c.ewma_snr_db),
-            budget: c.budget,
-            rate_after: c.rate_after,
-            budget_after: c.budget_after,
-            search_state: c.search_state,
-            staircase_event: c.events.staircase,
-            probe_event: c.events.probe,
-            control_acked: c.acked,
-            feedback_delivered: c.delivered,
+            packet: self.packet_report(&s.packet),
+            ewma_snr_db: (s.ewma_snr_db != f64::NEG_INFINITY).then_some(s.ewma_snr_db),
+            budget: s.budget,
+            rate_after: s.rate_after,
+            budget_after: s.budget_after,
+            search_state: s.search_state,
+            staircase_event: s.staircase_event,
+            probe_event: s.probe_event,
+            control_acked: s.control_acked,
+            feedback_delivered: s.feedback_delivered,
         }
     }
 
@@ -1411,153 +1342,10 @@ impl CosSession {
     /// the resilient path, the ARQ queue clones its head message; the
     /// summary itself adds nothing on top.)
     pub fn send_packet_adaptive_summary(&mut self, payload: &[u8]) -> AdaptiveSummary {
-        let c = self.send_adaptive_core(payload);
-        self.adaptive_summarize(&c)
-    }
-
-    /// Packages an [`AdaptiveCore`] into the fixed-size summary — shared
-    /// by the monolithic path and the engine's staged finish.
-    pub(crate) fn adaptive_summarize(&self, c: &AdaptiveCore) -> AdaptiveSummary {
-        AdaptiveSummary {
-            packet: self.summarize(&c.t),
-            ewma_snr_db: c.ewma_snr_db,
-            budget: c.budget,
-            rate_after: c.rate_after,
-            budget_after: c.budget_after,
-            search_state: c.search_state,
-            staircase_event: c.events.staircase,
-            probe_event: c.events.probe,
-            control_acked: c.acked,
-            feedback_delivered: c.delivered,
-        }
-    }
-
-    /// The shared adaptive-path core: read the controller's rate and
-    /// budget, compose the probe message, transceive, and feed the
-    /// outcome back into the controller. Composed from the tx / air / rx
-    /// / Viterbi / finish stages like the resilient core.
-    fn send_adaptive_core(&mut self, payload: &[u8]) -> AdaptiveCore {
-        let meta = self.adaptive_prepare_tx(payload);
-        self.air();
-        let prep = self.transceive_prepare_rx(meta.tx);
-        self.transceive_viterbi(&prep);
-        self.adaptive_finish(meta, prep)
-    }
-
-    /// The tx half of the adaptive path: the staircase picks the rate,
-    /// the probe search sizes the budget, the probe message is composed
-    /// into the state's `msg`, and the frame is built and rendered.
-    pub(crate) fn adaptive_prepare_tx(&mut self, payload: &[u8]) -> AdaptiveTx {
-        self.ensure_adaptation();
-        let mut state = self.adaptation.take().expect("just ensured");
-
-        // The staircase owns the rate unless the config pins one.
-        let rate = self.config.rate.unwrap_or_else(|| state.ctrl.rate());
-        self.rate = rate;
-        let target = state.ctrl.target_budget();
-
-        // Clamp the probe to what this frame can physically carry: the
-        // interval code spends at most 2^k + 1 control positions per
-        // interval, and the embedder can expand the selection up to all
-        // NUM_DATA subcarriers, so a frame of `n` symbols always fits
-        // `(n·NUM_DATA − 1) / (2^k + 1)` intervals. Short frames at fast
-        // rates would otherwise overflow the frame's control capacity.
-        let k = self.controller.codec().bits_per_interval();
-        let total_positions = rate.data_symbol_count(payload.len() + 4) * NUM_DATA;
-        let max_intervals = total_positions.saturating_sub(1) / ((1usize << k) + 1);
-        let sent_budget = target.min(max_intervals + 1);
-        let capacity_bits = sent_budget.saturating_sub(1) * k;
-
-        // Compose the probe message: the ARQ head (if any) padded with
-        // filler bits to the full budget, so every adaptive packet
-        // exercises exactly the budget it claims to probe. The filler is
-        // a pure function of the packet sequence number — determinism by
-        // construction.
-        state.msg.clear();
-        let from_queue = match state.arq.poll() {
-            Some(bits) => {
-                state.msg.extend_from_slice(&bits);
-                true
-            }
-            None => false,
+        let JobResult::Adaptive(s) = self.send(payload, ControlSource::Adaptive) else {
+            unreachable!("an adaptive frame finishes as an adaptive frame")
         };
-        let next_seq = self.seq + 1;
-        while state.msg.len() < capacity_bits {
-            let i = state.msg.len() as u64;
-            let x = next_seq
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(i.wrapping_mul(0xA24B_AED4_963E_E407));
-            state.msg.push(((x >> 32) & 1) as u8);
-        }
-
-        let tx = self.transceive_prepare_tx(payload, &state.msg, true);
-        self.adaptation = Some(state);
-        AdaptiveTx { tx, target, from_queue }
-    }
-
-    /// The finish half of the adaptive path: descramble/CRC finish via
-    /// [`transceive_finish`](Self::transceive_finish), then the feedback
-    /// gate, probe confirmation and controller observation. Requires the
-    /// rx-prepare and Viterbi stages to have run.
-    pub(crate) fn adaptive_finish(&mut self, meta: AdaptiveTx, prep: PlainPrep) -> AdaptiveCore {
-        let AdaptiveTx { tx: _, target, from_queue } = meta;
-        let mut state = self.adaptation.take().expect("prepared by adaptive_prepare_tx");
-
-        let t = self.transceive_finish(&state.msg, prep);
-        let fate = self.link.feedback_fate();
-
-        // Adaptation trusts only fresh feedback: stale, corrupt or
-        // dropped reports all count as misses (the resilient layer is
-        // the place that salvages degraded reports).
-        let mut delivered = false;
-        match t.feedback {
-            Some(fb) if matches!(fate, FeedbackFate::Deliver) => {
-                self.apply_adaptive_feedback(fb.measured_snr_db);
-                delivered = true;
-            }
-            _ => self.adapter.transmission_failed(),
-        }
-
-        // Probe confirmation rides the feedback report, exactly like the
-        // resilient path's ACKs: no report, no ACK.
-        let acked = t.control_ok && delivered;
-        if from_queue {
-            if acked {
-                state.arq.confirm(self.seq);
-            } else {
-                state.arq.reject();
-            }
-        }
-
-        // A clamped packet carried fewer silences than the probe target,
-        // so its outcome says nothing about the probed budget.
-        let carried_full = t.silences_sent >= target;
-        let events = state.ctrl.observe(delivered.then_some(t.measured), acked, carried_full);
-        self.m.feedback_delivered += delivered as u64;
-        self.m.adaptation_events += (events.staircase != StaircaseEvent::Hold) as u64
-            + (events.probe != ProbeEvent::Hold) as u64;
-
-        let core = AdaptiveCore {
-            t,
-            budget: target,
-            rate_after: self.config.rate.unwrap_or_else(|| state.ctrl.rate()),
-            budget_after: state.ctrl.target_budget(),
-            search_state: state.ctrl.search_state(),
-            events,
-            acked,
-            delivered,
-            ewma_snr_db: state.ctrl.ewma_snr_db().unwrap_or(f64::NEG_INFINITY),
-        };
-        self.adaptation = Some(state);
-        core
-    }
-
-    /// Applies a fresh feedback report on the adaptive path: selection
-    /// swap + control-rate bookkeeping, but **not** the plain loop's
-    /// instantaneous `DataRate::select` — the staircase owns the rate.
-    fn apply_adaptive_feedback(&mut self, measured_snr_db: f64) {
-        std::mem::swap(&mut self.selected, &mut self.xs.fb_selection);
-        self.adapter.feedback(measured_snr_db);
+        s
     }
 
     /// Bounds the session's control-subcarrier selection to the 48 data
@@ -1761,25 +1549,81 @@ mod tests {
         }
     }
 
+    /// Twin sessions, one driven through an owned-report entry point and
+    /// one through its summary twin, must agree on every summary field
+    /// (`control_hash` and `selected_hash` against the FNV of the
+    /// report's owned vectors), on the per-kind tail, and on the final
+    /// selection — for all three control sources.
     #[test]
-    fn adaptive_summary_matches_report_state_evolution() {
-        let mut by_report = CosSession::new(SessionConfig { snr_db: 21.0, ..Default::default() }, 77);
-        let mut by_summary = CosSession::new(SessionConfig { snr_db: 21.0, ..Default::default() }, 77);
-        by_report.queue_adaptive_control(bits(8));
-        by_summary.queue_adaptive_control(bits(8));
-        for _ in 0..10 {
-            let r = by_report.send_packet_adaptive(&[0x3C; 500]);
-            let m = by_summary.send_packet_adaptive_summary(&[0x3C; 500]);
-            assert_eq!(r.packet.data_ok, m.packet.data_ok);
-            assert_eq!(r.packet.control_ok, m.packet.control_ok);
-            assert_eq!(r.packet.silences_sent, m.packet.silences_sent);
-            assert_eq!(r.packet.measured_snr_db.to_bits(), m.packet.measured_snr_db.to_bits());
-            assert_eq!(r.budget, m.budget);
-            assert_eq!(r.budget_after, m.budget_after);
-            assert_eq!(r.rate_after, m.rate_after);
-            assert_eq!(r.control_acked, m.control_acked);
+    fn report_and_summary_agree_for_every_send_path() {
+        fn summary_of(r: &PacketReport) -> PacketSummary {
+            PacketSummary {
+                data_ok: r.data_ok,
+                control_present: r.control_bits.is_some(),
+                control_ok: r.control_ok,
+                silences_sent: r.silences_sent,
+                detection: r.detection,
+                measured_snr_db: r.measured_snr_db,
+                rate: r.rate,
+                selected_len: r.selected.len(),
+                selected_hash: fnv1a(r.selected.iter().flat_map(|&sc| (sc as u64).to_le_bytes())),
+                control_hash: r.control_bits.as_ref().map_or(0, |b| fnv1a(b.iter().copied())),
+            }
         }
-        assert_eq!(by_report.selected_subcarriers(), by_summary.selected_subcarriers());
+        type Step = fn(&mut CosSession, &mut CosSession, &[u8]);
+        let plain: Step = |by_report, by_summary, payload| {
+            let r = by_report.send_packet(payload, &bits(8));
+            assert_eq!(summary_of(&r), by_summary.send_packet_summary(payload, &bits(8)));
+        };
+        let resilient: Step = |by_report, by_summary, payload| {
+            let r = by_report.send_packet_resilient(payload);
+            let want = ResilientSummary {
+                packet: summary_of(&r.packet),
+                mode: r.mode,
+                mode_after: r.mode_after,
+                control_attempted: r.control_attempted,
+                control_acked: r.control_acked,
+                feedback_delivered: r.feedback_delivered,
+                phy_error: r.phy_error,
+            };
+            assert_eq!(want, by_summary.send_packet_resilient_summary(payload));
+        };
+        let adaptive: Step = |by_report, by_summary, payload| {
+            let r = by_report.send_packet_adaptive(payload);
+            let want = AdaptiveSummary {
+                packet: summary_of(&r.packet),
+                ewma_snr_db: r.ewma_snr_db.unwrap_or(f64::NEG_INFINITY),
+                budget: r.budget,
+                rate_after: r.rate_after,
+                budget_after: r.budget_after,
+                search_state: r.search_state,
+                staircase_event: r.staircase_event,
+                probe_event: r.probe_event,
+                control_acked: r.control_acked,
+                feedback_delivered: r.feedback_delivered,
+            };
+            assert_eq!(want, by_summary.send_packet_adaptive_summary(payload));
+        };
+        let lossy = FaultEngine::new()
+            .with(FeedbackLoss::new(0.3, 5))
+            .with(FeedbackCorruption::new(0.3, 48, 9));
+        let cases = [("plain", None, plain), ("resilient", Some(lossy), resilient), ("adaptive", None, adaptive)];
+        for (name, faults, step) in cases {
+            let cfg = SessionConfig { snr_db: 21.0, ..Default::default() };
+            let mut by_report = CosSession::new(cfg.clone(), 77);
+            let mut by_summary = CosSession::new(cfg, 77);
+            for s in [&mut by_report, &mut by_summary] {
+                if let Some(f) = &faults {
+                    s.set_faults(f.clone());
+                }
+                s.queue_control(bits(8));
+                s.queue_adaptive_control(bits(8));
+            }
+            for _ in 0..12 {
+                step(&mut by_report, &mut by_summary, &[0x3C; 500]);
+            }
+            assert_eq!(by_report.selected_subcarriers(), by_summary.selected_subcarriers(), "{name}");
+        }
     }
 
     #[test]

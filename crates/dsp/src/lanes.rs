@@ -120,54 +120,6 @@ impl F64xL {
         }
     }
 
-    /// Splits two adjacent lane rows into their even- and odd-indexed
-    /// elements: `(even, odd)` where
-    /// `even = [a0, a2, a4, a6, b0, b2, b4, b6]` and
-    /// `odd  = [a1, a3, a5, a7, b1, b3, b5, b7]`.
-    ///
-    /// This is the shuffle the Viterbi trellis needs each step — state
-    /// `s` is reached from predecessors `2s` and `2s+1`, so the metric
-    /// rows must be split into even/odd halves before the
-    /// add-compare-select. It is a pure data movement (no arithmetic),
-    /// so both paths below are trivially bit-identical.
-    #[inline(always)]
-    pub fn deinterleave(a: F64xL, b: F64xL) -> (F64xL, F64xL) {
-        // LLVM lowers the portable `from_fn` formulation to gathers and
-        // element inserts; `vpermt2pd` does each half in one instruction.
-        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-        {
-            const { assert!(LANES == 8, "the AVX-512 path permutes exactly 8 f64 lanes") };
-            use std::arch::x86_64::{
-                _mm512_loadu_pd, _mm512_permutex2var_pd, _mm512_set_epi64, _mm512_storeu_pd,
-            };
-            // SAFETY: `avx512f` is statically enabled for this target, and
-            // all loads/stores touch `LANES == 8` in-bounds f64 values.
-            unsafe {
-                let va = _mm512_loadu_pd(a.0.as_ptr());
-                let vb = _mm512_loadu_pd(b.0.as_ptr());
-                // `_mm512_set_epi64` lists lanes high-to-low; indices 0..7
-                // select from `va`, 8..15 from `vb`.
-                let even_idx = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
-                let odd_idx = _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1);
-                let mut even = [0.0; LANES];
-                let mut odd = [0.0; LANES];
-                _mm512_storeu_pd(even.as_mut_ptr(), _mm512_permutex2var_pd(va, even_idx, vb));
-                _mm512_storeu_pd(odd.as_mut_ptr(), _mm512_permutex2var_pd(va, odd_idx, vb));
-                return (F64xL(even), F64xL(odd));
-            }
-        }
-        #[allow(unreachable_code)]
-        {
-            let even = F64xL(std::array::from_fn(|l| {
-                if l < LANES / 2 { a.0[2 * l] } else { b.0[2 * l - LANES] }
-            }));
-            let odd = F64xL(std::array::from_fn(|l| {
-                if l < LANES / 2 { a.0[2 * l + 1] } else { b.0[2 * l + 1 - LANES] }
-            }));
-            (even, odd)
-        }
-    }
-
     /// Multiplies lanewise by a scalar (`lane * s` per lane, the same
     /// expression as [`crate::Complex::scale`]).
     #[inline(always)]

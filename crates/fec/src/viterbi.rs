@@ -19,19 +19,18 @@
 //!
 //! # Kernels
 //!
-//! The add-compare-select recursion has three implementations that emit
+//! The add-compare-select recursion has two implementations that emit
 //! the same bits (see `docs/KERNELS.md` for the ordering contract):
 //!
-//! * a scalar reference ([`KernelMode::Scalar`]),
-//! * a lane kernel processing [`LANES`] states per op
-//!   ([`KernelMode::Lanes`], the default), and
+//! * the per-frame kernel, one frame at a time (LLVM autovectorizes it
+//!   across states), and
 //! * a lockstep batch kernel ([`ViterbiDecoder::decode_lockstep`])
 //!   processing the same trellis step of [`LANES`] *frames* per op, with
 //!   per-frame fallback for remainder frames.
 //!
 //! Every owned or workspace entry point funnels into the single
-//! [`ViterbiDecoder::decode_to_slices_with`] core, so there is exactly one
-//! implementation per kernel and no owned/scalar drift.
+//! [`ViterbiDecoder::decode_to_slices`] core, so there is exactly one
+//! per-frame implementation and no owned/workspace drift.
 //!
 //! # Hard decisions
 //!
@@ -83,8 +82,8 @@ pub struct LaneFrame<'a> {
 
 /// Butterfly ACS lookup, built once per process: per source state, the
 /// ±1 signs (`+1` ⇔ coded 0) of the two coded bits emitted for input 0,
-/// as parallel arrays (scalar order plus lane-gathered even/odd groups)
-/// so every ACS kernel is pure vectorisable arithmetic.
+/// as parallel arrays so the per-frame ACS is pure vectorisable
+/// arithmetic.
 ///
 /// Two structural facts of the 133/171 trellis make this one table enough
 /// for the whole add-compare-select step:
@@ -99,15 +98,6 @@ struct SignTables {
     sa: [f64; STATES],
     /// Sign of coded bit B for input 0, per source state.
     sb: [f64; STATES],
-    /// `sa` gathered over even sources `2j` for destination lanes
-    /// `j = LANES·g .. LANES·(g+1)`.
-    sa_even: [F64xL; STATES / 2 / LANES],
-    /// `sb` gathered over even sources.
-    sb_even: [F64xL; STATES / 2 / LANES],
-    /// `sa` gathered over odd sources `2j + 1`.
-    sa_odd: [F64xL; STATES / 2 / LANES],
-    /// `sb` gathered over odd sources.
-    sb_odd: [F64xL; STATES / 2 / LANES],
 }
 
 /// Per source state, the palette index of its input-0 branch metric
@@ -150,23 +140,7 @@ fn sign_tables() -> &'static SignTables {
             debug_assert_eq!(next_state(src as u8, 0) as usize, src >> 1);
             debug_assert_eq!(next_state(src as u8, 1) as usize, (src >> 1) | 32);
         }
-        let gather = |table: &[f64; STATES], offset: usize| {
-            let mut out = [F64xL::splat(0.0); STATES / 2 / LANES];
-            for (g, lane) in out.iter_mut().enumerate() {
-                for l in 0..LANES {
-                    lane.0[l] = table[2 * (LANES * g + l) + offset];
-                }
-            }
-            out
-        };
-        SignTables {
-            sa_even: gather(&sa, 0),
-            sb_even: gather(&sb, 0),
-            sa_odd: gather(&sa, 1),
-            sb_odd: gather(&sb, 1),
-            sa,
-            sb,
-        }
+        SignTables { sa, sb }
     })
 }
 
@@ -258,8 +232,8 @@ impl ViterbiDecoder {
     }
 
     /// [`ViterbiDecoder::decode`] writing into caller-owned slices — the
-    /// allocation-free core for fixed-size fields like SIGNAL. Runs on
-    /// the process-wide [`kernel_mode`].
+    /// allocation-free per-frame core every other per-frame entry point
+    /// funnels into.
     ///
     /// `prev_lsbs` is the traceback scratch and `out` receives the
     /// decoded bits; both must hold exactly `llrs.len() / 2` elements
@@ -276,30 +250,8 @@ impl ViterbiDecoder {
         prev_lsbs: &mut [u64],
         out: &mut [u8],
     ) {
-        self.decode_to_slices_with(llrs, terminated, kernel_mode(), prev_lsbs, out);
-    }
-
-    /// [`ViterbiDecoder::decode_to_slices`] with an explicit
-    /// [`KernelMode`] — the single ACS core every other entry point
-    /// funnels into. Scalar and lane kernels are bit-identical; the
-    /// explicit mode exists for differential tests and benchmarks.
-    ///
-    /// # Panics
-    ///
-    /// As [`ViterbiDecoder::decode_to_slices`].
-    pub fn decode_to_slices_with(
-        &self,
-        llrs: &[f64],
-        terminated: bool,
-        mode: KernelMode,
-        prev_lsbs: &mut [u64],
-        out: &mut [u8],
-    ) {
         validate(llrs, prev_lsbs, out);
-        let metric = match mode {
-            KernelMode::Scalar => acs_scalar(llrs, prev_lsbs),
-            KernelMode::Lanes => acs_lanes(llrs, prev_lsbs),
-        };
+        let metric = acs_scalar(llrs, prev_lsbs);
         traceback(prev_lsbs, start_state(&metric, terminated), out);
     }
 
@@ -331,8 +283,8 @@ impl ViterbiDecoder {
     }
 
     /// [`ViterbiDecoder::decode_lockstep`] with an explicit
-    /// [`KernelMode`]. In scalar mode every frame runs the scalar
-    /// reference kernel — bit-identical, just not batched.
+    /// [`KernelMode`]. In scalar mode every frame runs the per-frame
+    /// kernel — bit-identical, just not batched.
     ///
     /// # Panics
     ///
@@ -349,7 +301,7 @@ impl ViterbiDecoder {
         }
         if mode == KernelMode::Scalar {
             for f in frames.iter_mut() {
-                self.decode_to_slices_with(f.llrs, terminated, mode, f.prev_lsbs, f.out);
+                self.decode_to_slices(f.llrs, terminated, f.prev_lsbs, f.out);
             }
             return;
         }
@@ -370,7 +322,7 @@ impl ViterbiDecoder {
                 acs_lockstep(group, terminated, batch);
             }
             for f in chunks.into_remainder() {
-                self.decode_to_slices_with(f.llrs, terminated, mode, f.prev_lsbs, f.out);
+                self.decode_to_slices(f.llrs, terminated, f.prev_lsbs, f.out);
             }
             i = j;
         }
@@ -422,7 +374,8 @@ impl ViterbiDecoder {
 
 const NEG: f64 = f64::NEG_INFINITY;
 
-/// The scalar reference ACS: one state per op. Returns the final metrics.
+/// The per-frame ACS: one state per source-ordered butterfly, written as
+/// plain scalar code that LLVM autovectorizes. Returns the final metrics.
 fn acs_scalar(llrs: &[f64], prev_lsbs: &mut [u64]) -> [f64; STATES] {
     let steps = llrs.len() / 2;
     let tables = sign_tables();
@@ -462,65 +415,6 @@ fn acs_scalar(llrs: &[f64], prev_lsbs: &mut [u64]) -> [f64; STATES] {
         std::mem::swap(&mut metric, &mut next);
     }
     metric
-}
-
-/// The lane ACS: [`LANES`] destination states per op. Each lane evaluates
-/// the scalar kernel's expressions for one state in the same order
-/// (`s·la + s·lb`, add/sub, strict `>` select), so the output is
-/// bit-identical to [`acs_scalar`]. Returns the final metrics.
-fn acs_lanes(llrs: &[f64], prev_lsbs: &mut [u64]) -> [f64; STATES] {
-    let steps = llrs.len() / 2;
-    let tables = sign_tables();
-    // The whole metric array as STATES/LANES lane rows passed by value:
-    // with the group loop unrolled (constant trip count, constant
-    // indices) LLVM keeps every row in a vector register across trellis
-    // steps, so the recursion touches memory only for `llrs` reads and
-    // survivor-bitset writes.
-    let mut m = [F64xL::splat(NEG); STATES / LANES];
-    m[0].0[0] = 0.0; // encoder starts from the zero state
-    for t in 0..steps {
-        let (next, lsb_bits) = lanes_step(tables, llrs[2 * t], llrs[2 * t + 1], &m);
-        m = next;
-        prev_lsbs[t] = lsb_bits;
-    }
-    let mut metric = [0.0; STATES];
-    for (g, row) in m.iter().enumerate() {
-        metric[g * LANES..(g + 1) * LANES].copy_from_slice(&row.0);
-    }
-    metric
-}
-
-/// One trellis step of [`acs_lanes`]: advances the register-resident
-/// metric rows (row `g` holds states `LANES·g .. LANES·(g+1)`) and
-/// returns the new rows plus the survivor bitset.
-#[inline(always)]
-fn lanes_step(
-    tables: &SignTables,
-    la: f64,
-    lb: f64,
-    m: &[F64xL; STATES / LANES],
-) -> ([F64xL; STATES / LANES], u64) {
-    const GROUPS: usize = STATES / 2 / LANES;
-    let la = F64xL::splat(la);
-    let lb = F64xL::splat(lb);
-    let mut next = [F64xL::splat(0.0); STATES / LANES];
-    let mut lsb_bits = 0u64;
-    for g in 0..GROUPS {
-        // Destinations j = LANES·g .. LANES·(g+1) read sources 2j and
-        // 2j+1, i.e. the deinterleave of metric rows 2g and 2g+1.
-        let a = m[2 * g];
-        let b = m[2 * g + 1];
-        let (m0, m1) = F64xL::deinterleave(a, b);
-        let t0 = tables.sa_even[g] * la + tables.sb_even[g] * lb;
-        let t1 = tables.sa_odd[g] * la + tables.sb_odd[g] * lb;
-        let (lo, lo_mask) = F64xL::max_select(m0 + t0, m1 + t1);
-        next[g] = lo;
-        lsb_bits |= (lo_mask as u64) << (LANES * g);
-        let (hi, hi_mask) = F64xL::max_select(m0 - t0, m1 - t1);
-        next[g + GROUPS] = hi;
-        lsb_bits |= (hi_mask as u64) << (LANES * g + STATES / 2);
-    }
-    (next, lsb_bits)
 }
 
 /// The lockstep ACS: the same trellis step of [`LANES`] equal-length
@@ -565,8 +459,8 @@ fn acs_lockstep(group: &mut [LaneFrame<'_>], terminated: bool, batch: &mut Symbo
     let mut buf_a = [F64xL::splat(NEG); STATES];
     buf_a[0] = F64xL::splat(0.0);
     let mut buf_b = [F64xL::splat(NEG); STATES];
-    // The same straight-line ping-pong as [`acs_lanes`]: these buffers
-    // are LANES× bigger, so a by-value swap would copy 8 KiB per step.
+    // Straight-line ping-pong: a by-value swap of these buffers would
+    // copy 8 KiB per step.
     let mut t = 0;
     while t + 2 <= steps {
         lockstep_step(soa, masks, t, &buf_a, &mut buf_b);
@@ -796,26 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_kernel_is_bit_identical_to_scalar() {
-        let dec = ViterbiDecoder::new();
-        for (len, seed) in [(24usize, 1u64), (100, 2), (333, 3), (1000, 4)] {
-            let data = frame(len, seed);
-            let coded = ConvEncoder::new().encode(&data);
-            for terminated in [true, false] {
-                for llrs in [ideal_llrs(&coded), noisy_llrs(&coded, seed ^ 0xABCD)] {
-                    let steps = llrs.len() / 2;
-                    let (mut ps, mut pl) = (vec![0u64; steps], vec![0u64; steps]);
-                    let (mut os, mut ol) = (vec![0u8; steps], vec![0u8; steps]);
-                    dec.decode_to_slices_with(&llrs, terminated, KernelMode::Scalar, &mut ps, &mut os);
-                    dec.decode_to_slices_with(&llrs, terminated, KernelMode::Lanes, &mut pl, &mut ol);
-                    assert_eq!(ps, pl, "survivor bitsets differ len={len} term={terminated}");
-                    assert_eq!(os, ol, "decoded bits differ len={len} term={terminated}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn lockstep_matches_per_frame_including_remainders() {
         let dec = ViterbiDecoder::new();
         let mut batch = SymbolBatch::new();
@@ -847,7 +721,7 @@ mod tests {
             for (k, (llrs, steps)) in frames_data.iter().enumerate() {
                 let mut p = vec![0u64; *steps];
                 let mut o = vec![0u8; *steps];
-                dec.decode_to_slices_with(llrs, true, KernelMode::Scalar, &mut p, &mut o);
+                dec.decode_to_slices(llrs, true, &mut p, &mut o);
                 assert_eq!(outs[k], o, "batch={batch_size} frame={k} bits");
             }
         }

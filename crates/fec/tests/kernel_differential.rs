@@ -1,10 +1,10 @@
-//! Kernel differential property tests: the scalar, lane and lockstep
-//! Viterbi ACS kernels must be **byte-equal** over arbitrary LLR streams
-//! (erasures included), frame lengths, termination flags and batch sizes,
-//! covering the remainder and odd-batch paths of the lockstep driver.
-//! The per-frame kernels are compared on decoded bits *and* survivor
-//! bitsets; lockstep batches on decoded bits (the lockstep kernel keeps
-//! its survivors lane-major in the `SymbolBatch`, not in `prev_lsbs`).
+//! Kernel differential property tests: the lockstep Viterbi ACS kernel
+//! must be **byte-equal** to the per-frame kernel over arbitrary LLR
+//! streams (erasures included), frame lengths, termination flags and
+//! batch sizes, covering the remainder and odd-batch paths of the
+//! lockstep driver. Batches are compared on decoded bits (the lockstep
+//! kernel keeps its survivors lane-major in the `SymbolBatch`, not in
+//! `prev_lsbs`).
 
 use cos_dsp::KernelMode;
 use cos_fec::{LaneFrame, SymbolBatch, ViterbiDecoder};
@@ -23,30 +23,16 @@ fn arb_llrs(pairs: usize) -> impl Strategy<Value = Vec<f64>> {
     })
 }
 
-/// Decodes with an explicit kernel, returning `(bits, survivor bitsets)`.
-fn decode_with(llrs: &[f64], terminated: bool, mode: KernelMode) -> (Vec<u8>, Vec<u64>) {
+/// Decodes one frame with the per-frame kernel.
+fn decode_frame(llrs: &[f64], terminated: bool) -> Vec<u8> {
     let steps = llrs.len() / 2;
     let mut prev = vec![0u64; steps];
     let mut out = vec![0u8; steps];
-    ViterbiDecoder::new().decode_to_slices_with(llrs, terminated, mode, &mut prev, &mut out);
-    (out, prev)
+    ViterbiDecoder::new().decode_to_slices(llrs, terminated, &mut prev, &mut out);
+    out
 }
 
 proptest! {
-    #[test]
-    fn lane_kernel_is_byte_equal_to_scalar(
-        steps in 1usize..180,
-        llrs in arb_llrs(180),
-        t in 0usize..2,
-    ) {
-        let llrs = &llrs[..steps * 2];
-        let terminated = t == 1;
-        let (scalar_bits, scalar_prev) = decode_with(llrs, terminated, KernelMode::Scalar);
-        let (lane_bits, lane_prev) = decode_with(llrs, terminated, KernelMode::Lanes);
-        prop_assert_eq!(scalar_bits, lane_bits);
-        prop_assert_eq!(scalar_prev, lane_prev);
-    }
-
     #[test]
     fn lockstep_batches_are_byte_equal_to_scalar(
         lens in proptest::collection::vec(1usize..60, 1..9),
@@ -64,10 +50,8 @@ proptest! {
             })
             .collect();
 
-        let reference: Vec<(Vec<u8>, Vec<u64>)> = frames_llrs
-            .iter()
-            .map(|llrs| decode_with(llrs, terminated, KernelMode::Scalar))
-            .collect();
+        let reference: Vec<Vec<u8>> =
+            frames_llrs.iter().map(|llrs| decode_frame(llrs, terminated)).collect();
 
         let mut prevs: Vec<Vec<u64>> = lens.iter().map(|&s| vec![0u64; s]).collect();
         let mut outs: Vec<Vec<u8>> = lens.iter().map(|&s| vec![0u8; s]).collect();
@@ -85,7 +69,7 @@ proptest! {
         );
         drop(lane_frames);
 
-        for (k, ((bits, _prev), got_bits)) in reference.iter().zip(outs.iter()).enumerate() {
+        for (k, (bits, got_bits)) in reference.iter().zip(outs.iter()).enumerate() {
             prop_assert_eq!(bits, got_bits, "frame {}", k);
         }
     }

@@ -60,7 +60,5 @@ pub mod sync;
 pub mod tx;
 
 pub use error::PhyError;
-pub use pipeline::{
-    PhyWorkspace, PipelineStage, RxBatchFrame, RxPipeline, RxWorkspace, TxPipeline, TxWorkspace,
-};
+pub use pipeline::{PhyWorkspace, RxPipeline, RxWorkspace, TxPipeline, TxWorkspace};
 pub use rates::DataRate;

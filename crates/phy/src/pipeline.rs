@@ -13,17 +13,13 @@
 //! A workspace belongs to exactly one session or one worker thread; the
 //! structs here are plain bags of buffers with no interior mutability.
 
-use crate::frame::{run_staged_viterbi, staged_lane_frame, PreparedDataField, TxBits};
-use crate::ofdm::FreqSymbol;
+use crate::error::PhyError;
+use crate::frame::TxBits;
 use crate::rates::DataRate;
 use crate::rx::{FrontEnd, Receiver, RxConfig, RxDecodeOut, RxFrame, RxScratch};
-use crate::subcarriers::NUM_DATA;
 use crate::sync::{correct_cfo, Acquisition, Synchronizer};
 use crate::tx::{Transmitter, TxFrame};
-use crate::error::PhyError;
-use cos_dsp::lanes::LANES;
 use cos_dsp::Complex;
-use cos_fec::{SymbolBatch, ViterbiDecoder};
 
 /// Transmit-side workspace: the frame under construction and its rendered
 /// waveform, plus the PSDU and packed-bit scratch behind them.
@@ -170,22 +166,6 @@ impl Receiver {
     }
 }
 
-/// A named stage of the zero-copy pipeline. The trait is the seam later
-/// work hangs batching, sharding and per-stage instrumentation off: a
-/// stage owns no buffers, declares its workspace type, and can restore
-/// any workspace to a like-new state.
-pub trait PipelineStage {
-    /// The scratch this stage borrows per invocation.
-    type Workspace;
-
-    /// Stable, human-readable stage name (for instrumentation).
-    fn name(&self) -> &'static str;
-
-    /// Clears a workspace back to its just-constructed state (buffer
-    /// capacity may be retained).
-    fn reset(&self, ws: &mut Self::Workspace);
-}
-
 /// The transmit stage: payload in, frequency-domain frame + waveform out.
 #[derive(Debug, Clone, Default)]
 pub struct TxPipeline {
@@ -219,23 +199,6 @@ impl TxPipeline {
     }
 }
 
-impl PipelineStage for TxPipeline {
-    type Workspace = TxWorkspace;
-
-    fn name(&self) -> &'static str {
-        "tx"
-    }
-
-    fn reset(&self, ws: &mut Self::Workspace) {
-        ws.frame.data_symbols.clear();
-        ws.frame.mapped_points.clear();
-        ws.frame.silence_mask.clear();
-        ws.frame.signal_symbol = FreqSymbol::empty();
-        ws.samples.clear();
-        ws.psdu.clear();
-    }
-}
-
 /// The receive stage: waveform in, front-end measurements + decoded bits
 /// out.
 #[derive(Debug, Clone, Default)]
@@ -266,102 +229,6 @@ impl RxPipeline {
         ws: &mut RxWorkspace,
     ) -> Result<(), PhyError> {
         self.rx.receive_into(samples, config, ws)
-    }
-
-    /// Decodes a batch of independent frames, running their Viterbi
-    /// trellises in lockstep ([`LANES`] frames per instruction) wherever a group
-    /// of [`LANES`] frames staged cleanly — bit-identical to calling
-    /// [`Receiver::decode_into`] on each frame in order.
-    ///
-    /// Frames whose preparation fails (e.g. too short), and the trailing
-    /// `frames.len() % LANES` remainder, fall back to the per-frame kernel
-    /// transparently. Each frame's `prep` slot is filled as a side effect;
-    /// callers never need to initialise it beyond `None`.
-    ///
-    /// Allocation-free at steady state: the staging buffer in `batch`
-    /// grows to the largest lane group and is then reused.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an erasure mask's length differs from its frame's symbol
-    /// count.
-    pub fn decode_batch_into(&self, frames: &mut [RxBatchFrame<'_>], batch: &mut SymbolBatch) {
-        // Stage 1: demap + FEC staging per frame.
-        for f in frames.iter_mut() {
-            f.prep = Some(self.rx.decode_prepare_into(f.fe, f.erasures, f.scratch, f.out));
-        }
-        // Stage 2: Viterbi — lockstep over whole lane groups where every
-        // frame staged, per-frame otherwise.
-        let decoder = ViterbiDecoder::new();
-        for chunk in frames.chunks_mut(LANES) {
-            if chunk.len() == LANES && chunk.iter().all(|f| matches!(f.prep, Some(Ok(_)))) {
-                let mut staged = chunk.iter_mut().map(|f| {
-                    let prep = f.prep.expect("just checked").expect("just checked");
-                    staged_lane_frame(prep, &mut f.scratch.fec)
-                });
-                let mut lanes: [_; LANES] = std::array::from_fn(|_| staged.next().expect("LANES frames"));
-                decoder.decode_lockstep(&mut lanes, true, batch);
-            } else {
-                for f in chunk.iter_mut() {
-                    if let Some(Ok(prep)) = f.prep {
-                        run_staged_viterbi(prep, &mut f.scratch.fec);
-                    }
-                }
-            }
-        }
-        // Stage 3: descramble + CRC per frame.
-        for f in frames.iter_mut() {
-            let prep = f.prep.take().expect("staged above");
-            self.rx.decode_finish_into(f.fe, prep, f.scratch, f.out);
-        }
-    }
-}
-
-/// One frame's slot in a [`RxPipeline::decode_batch_into`] call: the
-/// front end it was measured with, its erasure mask, and the caller-owned
-/// buffers the decode writes into. The batch seam is how `BatchEngine`
-/// workers decode several sessions' symbols per instruction.
-#[derive(Debug)]
-pub struct RxBatchFrame<'a> {
-    /// Front-end measurements of this frame.
-    pub fe: &'a FrontEnd,
-    /// Erasure mask (one row per DATA symbol), as in [`RxConfig`].
-    pub erasures: Option<&'a [[bool; NUM_DATA]]>,
-    /// This frame's decoder scratch (owned by its session/worker).
-    pub scratch: &'a mut RxScratch,
-    /// This frame's decoder output.
-    pub out: &'a mut RxDecodeOut,
-    /// Staging slot filled by [`RxPipeline::decode_batch_into`];
-    /// initialise to `None`.
-    pub prep: Option<Result<PreparedDataField, PhyError>>,
-}
-
-impl<'a> RxBatchFrame<'a> {
-    /// Wraps one frame's borrows as a batch slot.
-    pub fn new(
-        fe: &'a FrontEnd,
-        erasures: Option<&'a [[bool; NUM_DATA]]>,
-        scratch: &'a mut RxScratch,
-        out: &'a mut RxDecodeOut,
-    ) -> Self {
-        RxBatchFrame { fe, erasures, scratch, out, prep: None }
-    }
-}
-
-impl PipelineStage for RxPipeline {
-    type Workspace = RxWorkspace;
-
-    fn name(&self) -> &'static str {
-        "rx"
-    }
-
-    fn reset(&self, ws: &mut Self::Workspace) {
-        ws.samples.clear();
-        ws.aligned.clear();
-        ws.fe.raw_symbols.clear();
-        ws.fe.data_y.clear();
-        ws.fe.equalized.clear();
-        ws.out = RxDecodeOut::default();
     }
 }
 
@@ -438,99 +305,5 @@ mod tests {
         assert_eq!(Some(&ws.out.payload), frame_owned.payload.as_ref());
         assert_eq!(ws.out.data_bits, frame_owned.data_bits);
         assert_eq!(ws.out.hard_coded_bits, frame_owned.hard_coded_bits);
-    }
-
-    #[test]
-    fn batch_decode_matches_per_frame_including_remainder() {
-        // 6 frames (one full lane group + 2 remainder) of mixed rates and
-        // lengths, one with an erasure mask: batch decode must be
-        // bit-identical to per-frame decode_into.
-        let rates = [
-            DataRate::Mbps6,
-            DataRate::Mbps24,
-            DataRate::Mbps24,
-            DataRate::Mbps54,
-            DataRate::Mbps12,
-            DataRate::Mbps48,
-        ];
-        let tx = Transmitter::new();
-        let rx = RxPipeline::new();
-        let mut fes = Vec::new();
-        let mut masks: Vec<Option<Vec<[bool; NUM_DATA]>>> = Vec::new();
-        for (k, &rate) in rates.iter().enumerate() {
-            let payload: Vec<u8> = (0..60 + k * 37).map(|i| (i * 31 + k) as u8).collect();
-            let mut frame = tx.build_frame(&payload, rate, 0x5D);
-            let mask = if k == 2 {
-                let mut m = vec![[false; NUM_DATA]; frame.n_data_symbols()];
-                for (n, row) in m.iter_mut().enumerate() {
-                    let sc = (n * 5) % NUM_DATA;
-                    frame.silence(n, sc);
-                    row[sc] = true;
-                }
-                Some(m)
-            } else {
-                None
-            };
-            let fe = rx.receiver().front_end(&frame.to_time_samples()).expect("front end");
-            fes.push(fe);
-            masks.push(mask);
-        }
-
-        // Per-frame reference.
-        let mut reference = Vec::new();
-        for (fe, mask) in fes.iter().zip(masks.iter()) {
-            let mut scratch = RxScratch::default();
-            let mut out = RxDecodeOut::default();
-            rx.receiver().decode_into(fe, mask.as_deref(), &mut scratch, &mut out);
-            reference.push(out);
-        }
-
-        // Batched decode into dirty workspaces.
-        let mut scratches: Vec<RxScratch> = Vec::new();
-        let mut outs: Vec<RxDecodeOut> = Vec::new();
-        for fe in fes.iter() {
-            let mut scratch = RxScratch::default();
-            let mut out = RxDecodeOut::default();
-            rx.receiver().decode_into(&fes[0], None, &mut scratch, &mut out); // dirty
-            let _ = fe;
-            scratches.push(scratch);
-            outs.push(out);
-        }
-        let mut frames: Vec<RxBatchFrame<'_>> = fes
-            .iter()
-            .zip(masks.iter())
-            .zip(scratches.iter_mut().zip(outs.iter_mut()))
-            .map(|((fe, mask), (scratch, out))| RxBatchFrame::new(fe, mask.as_deref(), scratch, out))
-            .collect();
-        let mut batch = SymbolBatch::new();
-        rx.decode_batch_into(&mut frames, &mut batch);
-        drop(frames);
-
-        for (k, (got, want)) in outs.iter().zip(reference.iter()).enumerate() {
-            assert_eq!(got.crc_ok, want.crc_ok, "frame {k}");
-            assert_eq!(got.payload, want.payload, "frame {k}");
-            assert_eq!(got.data_bits, want.data_bits, "frame {k}");
-            assert_eq!(got.hard_coded_bits, want.hard_coded_bits, "frame {k}");
-            assert_eq!(got.scrambler_seed, want.scrambler_seed, "frame {k}");
-            assert!(got.crc_ok, "frame {k} should decode cleanly");
-        }
-    }
-
-    #[test]
-    fn stage_reset_clears_workspaces() {
-        let tx = TxPipeline::new();
-        let rx = RxPipeline::new();
-        let mut ws = PhyWorkspace::new();
-        tx.build_and_render(b"reset me", DataRate::Mbps6, 0x11, &mut ws.tx);
-        rx.receive_into(&ws.tx.samples.clone(), &RxConfig::ideal(), &mut ws.rx)
-            .expect("decodes");
-        assert_eq!(tx.name(), "tx");
-        assert_eq!(rx.name(), "rx");
-        tx.reset(&mut ws.tx);
-        rx.reset(&mut ws.rx);
-        assert!(ws.tx.samples.is_empty());
-        assert!(ws.tx.frame.data_symbols.is_empty());
-        assert!(ws.rx.samples.is_empty());
-        assert!(!ws.rx.out.crc_ok);
     }
 }

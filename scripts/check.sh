@@ -37,7 +37,7 @@ COS_KERNELS=scalar cargo test -q --release --test golden_vectors
 echo "== golden vectors on baseline x86-64 codegen (no host CPU features: bit identity must not rest on -C target-cpu=native; own target dir keeps the main cache)"
 RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64 cargo test -q --release --test golden_vectors
 
-echo "== channel kernel differential under both COS_KERNELS (lane AWGN/conv/overlap + batched transmit bit-identical to scalar)"
+echo "== channel kernel differential under both COS_KERNELS (lane AWGN/conv/overlap bit-identical to scalar)"
 COS_KERNELS=scalar cargo test -q --release -p cos-channel --test kernel_differential
 COS_KERNELS=lanes cargo test -q --release -p cos-channel --test kernel_differential
 
