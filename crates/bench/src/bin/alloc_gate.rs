@@ -1,34 +1,34 @@
-//! Allocation and throughput gate for the zero-copy workspace pipeline.
+//! Allocation gate for the zero-copy workspace pipeline.
 //!
 //! Runs the same end-to-end chain (build frame → indoor channel →
 //! front end → decode) twice: once through the owned, allocating APIs
-//! and once through the `*_into` workspace pipeline, under a counting
+//! and once through the `*_into` workspace pipeline, under the counting
 //! global allocator. Also profiles the streaming receive path
-//! (`receive_stream` vs `receive_stream_into`, which must be
-//! allocation-free at steady state), the resilient session path
-//! (`send_packet_resilient` vs the `_summary` variant), and the transmit
-//! control path (`build_frame` + `PowerController::embed` +
-//! `to_time_samples` vs `build_frame_into` + `embed_into` + `render`,
-//! which must also be allocation-free at steady state). Prints the
-//! comparison as JSON (written to `BENCH_pr4.json` in the current
-//! directory only with `--record`) and, with `--check`, exits non-zero unless the workspace path allocates at most
-//! a tenth of what the owned path does per frame (the PR 4 acceptance
-//! floor), the streaming workspace rx and the embedding workspace tx
-//! paths allocate nothing per frame, and the resilient summary path
-//! allocates strictly less than the report-building one.
+//! (`receive_stream` vs `receive_stream_into`), the resilient session
+//! path (`send_packet_resilient` vs the `_summary` variant), and the
+//! transmit control path (`build_frame` + `PowerController::embed` +
+//! `to_time_samples` vs `build_frame_into` + `embed_into` + `render`).
 //!
 //! A batched-decode phase stages a full lane group, runs
 //! `ViterbiDecoder::decode_lockstep` over it with a reused
 //! [`SymbolBatch`] and finishes each frame — the engine's lockstep
-//! Viterbi step. It must also be allocation-free at steady state (and
-//! decode the same frames as the per-frame `decode_into` loop).
+//! Viterbi step — and must decode the same frames as the per-frame
+//! `decode_into` loop.
+//!
+//! Exits non-zero unless all five gates hold:
+//!
+//! * the workspace path allocates at most a tenth of what the owned path
+//!   does per frame, **or** runs the rx chain at least 1.5× faster;
+//! * the streaming workspace rx allocates nothing per frame;
+//! * the embedding workspace tx allocates nothing per frame;
+//! * the batched lockstep decode allocates nothing per batch;
+//! * the resilient summary path allocates strictly less than the
+//!   report-building one.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use cos_bench::bench_payload;
+use cos_bench::gate::{counters, payload_bytes, Flags};
 use cos_channel::{ChannelConfig, Link};
 use cos_core::session::{CosSession, SessionConfig};
 use cos_core::PowerController;
@@ -41,76 +41,29 @@ use cos_phy::rx::{Receiver, RxConfig};
 use cos_phy::tx::Transmitter;
 use cos_phy::{PhyWorkspace, RxPipeline, TxPipeline};
 
-/// Forwards to the system allocator while counting every allocation
-/// (alloc + realloc) and the bytes requested.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-static TRACE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-thread_local! {
-    static IN_TRACE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn trace_alloc(size: usize) {
-    if !TRACE.load(Ordering::Relaxed) {
-        return;
-    }
-    IN_TRACE.with(|c| {
-        if !c.get() {
-            c.set(true);
-            let bt = std::backtrace::Backtrace::force_capture();
-            eprintln!("ALLOC {size} bytes at:\n{bt}");
-            c.set(false);
-        }
-    });
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        trace_alloc(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn counters() -> (u64, u64) {
-    (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed))
-}
-
 const WARMUP_FRAMES: usize = 4;
 const MEASURED_FRAMES: usize = 40;
 const SNR_DB: f64 = 20.0;
 
+/// A deterministic 1020-byte payload (1024-byte PSDU).
+fn bench_payload() -> Vec<u8> {
+    payload_bytes(1020)
+}
+
 struct Measurement {
     allocs_per_frame: f64,
-    bytes_per_frame: f64,
+    /// Only the owned-vs-workspace rx gate reads the throughput.
     frames_per_sec: f64,
     crc_ok: usize,
 }
 
 /// Runs `frames` iterations of `step` after a warmup, returning the
-/// per-frame allocation profile and throughput.
+/// per-frame allocation count and throughput.
 fn measure(mut step: impl FnMut() -> bool) -> Measurement {
     for _ in 0..WARMUP_FRAMES {
         black_box(step());
     }
-    let (a0, b0) = counters();
+    let a0 = counters().0;
     let start = Instant::now();
     let mut crc_ok = 0usize;
     for _ in 0..MEASURED_FRAMES {
@@ -119,10 +72,9 @@ fn measure(mut step: impl FnMut() -> bool) -> Measurement {
         }
     }
     let elapsed = start.elapsed().as_secs_f64();
-    let (a1, b1) = counters();
+    let a1 = counters().0;
     Measurement {
         allocs_per_frame: (a1 - a0) as f64 / MEASURED_FRAMES as f64,
-        bytes_per_frame: (b1 - b0) as f64 / MEASURED_FRAMES as f64,
         frames_per_sec: MEASURED_FRAMES as f64 / elapsed,
         crc_ok,
     }
@@ -316,47 +268,8 @@ fn run_resilient_summary() -> Measurement {
     measure(move || session.send_packet_resilient_summary(&payload).packet.data_ok)
 }
 
-/// Prints per-stage allocation counts for one frame on a warmed-up
-/// workspace — a debugging aid for chasing stray per-frame allocations.
-fn profile_stages() {
-    let payload = bench_payload();
-    let mut link = Link::new(ChannelConfig::default(), SNR_DB, 42);
-    let tx = TxPipeline::new();
-    let rx = RxPipeline::new();
-    let mut ws = PhyWorkspace::new();
-    let mut stage = |name: &str, f: &mut dyn FnMut(&mut PhyWorkspace, &mut Link)| {
-        let (a0, b0) = counters();
-        f(&mut ws, &mut link);
-        let (a1, b1) = counters();
-        eprintln!("{name:>12}: {} allocs, {} bytes", a1 - a0, b1 - b0);
-    };
-    IN_TRACE.with(|c| c.set(c.get()));
-    for round in 0..2 {
-        TRACE.store(round == 1 && std::env::var_os("ALLOC_GATE_TRACE").is_some(), Ordering::Relaxed);
-        eprintln!("--- frame {round} ---");
-        stage("build", &mut |ws, _| {
-            tx.build_and_render(&payload, DataRate::Mbps24, 0x5D, &mut ws.tx)
-        });
-        stage("channel", &mut |ws, link| {
-            link.transmit_into(&ws.tx.samples, &mut ws.rx.samples)
-        });
-        stage("front_end", &mut |ws, _| {
-            let cos_phy::RxWorkspace { samples, fe, .. } = &mut ws.rx;
-            rx.receiver().front_end_into(samples, fe).expect("clean");
-        });
-        stage("decode", &mut |ws, _| {
-            let cos_phy::RxWorkspace { fe, scratch, out, .. } = &mut ws.rx;
-            rx.receiver().decode_into(fe, None, scratch, out);
-        });
-    }
-}
-
 fn main() {
-    let check = std::env::args().any(|a| a == "--check");
-    if std::env::args().any(|a| a == "--profile") {
-        profile_stages();
-        return;
-    }
+    Flags::parse(&[]);
 
     let owned = run_owned();
     let workspace = run_workspace();
@@ -394,78 +307,47 @@ fn main() {
     // against a 1-alloc floor, i.e. "at least N× fewer".
     let alloc_ratio = owned.allocs_per_frame / workspace.allocs_per_frame.max(1.0);
     let speedup = workspace.frames_per_sec / owned.frames_per_sec;
-    let stream_ratio = stream_owned.allocs_per_frame / stream_workspace.allocs_per_frame.max(1.0);
     let embed_ratio = embed_owned.allocs_per_frame / embed_workspace.allocs_per_frame.max(1.0);
 
-    let section = |m: &Measurement| {
-        format!(
-            "{{\n    \"allocs_per_frame\": {:.2},\n    \"bytes_per_frame\": {:.0},\n    \"frames_per_sec\": {:.2}\n  }}",
-            m.allocs_per_frame, m.bytes_per_frame, m.frames_per_sec,
-        )
-    };
-    let batch_speedup = batch_lockstep.frames_per_sec / batch_per_frame.frames_per_sec;
-    let json = format!(
-        "{{\n  \"bench\": \"alloc_gate\",\n  \"frames\": {MEASURED_FRAMES},\n  \"payload_bytes\": 1020,\n  \"rate\": \"Mbps24\",\n  \"snr_db\": {SNR_DB},\n  \"owned\": {},\n  \"workspace\": {},\n  \"stream_owned\": {},\n  \"stream_workspace\": {},\n  \"resilient_report\": {},\n  \"resilient_summary\": {},\n  \"embed_owned\": {},\n  \"embed_workspace\": {},\n  \"batch_decode_per_frame\": {},\n  \"batch_decode_lockstep\": {},\n  \"alloc_reduction\": {:.1},\n  \"rx_chain_speedup\": {:.3},\n  \"stream_alloc_reduction\": {:.1},\n  \"embed_alloc_reduction\": {:.1},\n  \"batch_decode_speedup\": {:.3},\n  \"crc_ok_frames\": {}\n}}\n",
-        section(&owned),
-        section(&workspace),
-        section(&stream_owned),
-        section(&stream_workspace),
-        section(&resilient_report),
-        section(&resilient_summary),
-        section(&embed_owned),
-        section(&embed_workspace),
-        section(&batch_per_frame),
-        section(&batch_lockstep),
-        alloc_ratio,
-        speedup,
-        stream_ratio,
-        embed_ratio,
-        batch_speedup,
-        owned.crc_ok,
-    );
-    cos_bench::emit_report("BENCH_pr4.json", &json);
-
-    if check {
-        let mut failures = Vec::new();
-        if alloc_ratio < 10.0 && speedup < 1.5 {
-            failures.push(format!(
-                "alloc reduction {alloc_ratio:.1}x (< 10x) and rx speedup {speedup:.3}x (< 1.5x)"
-            ));
-        }
-        if stream_workspace.allocs_per_frame > 0.0 {
-            failures.push(format!(
-                "streaming workspace rx allocates {:.2}/frame (want 0)",
-                stream_workspace.allocs_per_frame
-            ));
-        }
-        if embed_workspace.allocs_per_frame > 0.0 {
-            failures.push(format!(
-                "tx+embed workspace path allocates {:.2}/frame (want 0)",
-                embed_workspace.allocs_per_frame
-            ));
-        }
-        if batch_lockstep.allocs_per_frame > 0.0 {
-            failures.push(format!(
-                "batched lockstep decode allocates {:.2}/batch (want 0)",
-                batch_lockstep.allocs_per_frame
-            ));
-        }
-        if resilient_summary.allocs_per_frame >= resilient_report.allocs_per_frame {
-            failures.push(format!(
-                "resilient summary path allocates {:.2}/frame, not below the report path's {:.2}",
-                resilient_summary.allocs_per_frame, resilient_report.allocs_per_frame
-            ));
-        }
-        if !failures.is_empty() {
-            eprintln!("alloc gate FAILED: {}", failures.join("; "));
-            std::process::exit(1);
-        }
-        eprintln!(
-            "alloc gate passed: {alloc_ratio:.1}x fewer allocs, {speedup:.3}x rx speedup, \
-             streaming rx 0 allocs/frame, tx+embed 0 allocs/frame ({embed_ratio:.1}x fewer), \
-             batched decode 0 allocs/batch ({batch_speedup:.3}x vs per-frame), \
-             resilient summary {:.2} vs report {:.2} allocs/frame",
-            resilient_summary.allocs_per_frame, resilient_report.allocs_per_frame
-        );
+    let mut failures = Vec::new();
+    if alloc_ratio < 10.0 && speedup < 1.5 {
+        failures.push(format!(
+            "alloc reduction {alloc_ratio:.1}x (< 10x) and rx speedup {speedup:.3}x (< 1.5x)"
+        ));
     }
+    if stream_workspace.allocs_per_frame > 0.0 {
+        failures.push(format!(
+            "streaming workspace rx allocates {:.2}/frame (want 0)",
+            stream_workspace.allocs_per_frame
+        ));
+    }
+    if embed_workspace.allocs_per_frame > 0.0 {
+        failures.push(format!(
+            "tx+embed workspace path allocates {:.2}/frame (want 0)",
+            embed_workspace.allocs_per_frame
+        ));
+    }
+    if batch_lockstep.allocs_per_frame > 0.0 {
+        failures.push(format!(
+            "batched lockstep decode allocates {:.2}/batch (want 0)",
+            batch_lockstep.allocs_per_frame
+        ));
+    }
+    if resilient_summary.allocs_per_frame >= resilient_report.allocs_per_frame {
+        failures.push(format!(
+            "resilient summary path allocates {:.2}/frame, not below the report path's {:.2}",
+            resilient_summary.allocs_per_frame, resilient_report.allocs_per_frame
+        ));
+    }
+    if !failures.is_empty() {
+        eprintln!("alloc gate FAILED: {}", failures.join("; "));
+        std::process::exit(1);
+    }
+    eprintln!(
+        "alloc gate passed: {alloc_ratio:.1}x fewer allocs, {speedup:.3}x rx speedup, \
+         streaming rx 0 allocs/frame, tx+embed 0 allocs/frame ({embed_ratio:.1}x fewer), \
+         batched decode 0 allocs/batch, \
+         resilient summary {:.2} vs report {:.2} allocs/frame",
+        resilient_summary.allocs_per_frame, resilient_report.allocs_per_frame
+    );
 }

@@ -18,14 +18,11 @@
 //!    CSMA baseline on aggregate goodput while delivering ≥99 % of their
 //!    control plane (scheduling commands + uplink control messages).
 //!
-//! Prints its JSON report on full runs (written to `BENCH_pr8.json` in
-//! the current directory only with `--record`) and exits non-zero on any
-//! determinism or duel failure. `--smoke` runs a reduced fleet (still
-//! ≥1024 stations) and the quick duel config; `--cells N` / `--rounds N`
-//! override the storm scale.
+//! Exits non-zero on any determinism or duel failure. `--smoke` runs a
+//! reduced fleet (still ≥1024 stations) and the quick duel config with
+//! the same gates.
 
-use std::time::Instant;
-
+use cos_bench::gate::{Flags, THREAD_COUNTS};
 use cos_core::engine::EngineConfig;
 use cos_core::mesh::{MeshConfig, MeshNet, MeshTopology};
 use cos_experiments::mesh as mesh_exp;
@@ -58,7 +55,6 @@ struct StormResult {
     digest: u64,
     frames: u64,
     churns: u64,
-    ticks_per_sec: f64,
 }
 
 /// One full storm at a fixed worker-thread count: identical fleet,
@@ -68,7 +64,6 @@ fn run_storm(cells: usize, rounds: usize, ticks_per_round: u64, threads: usize) 
     for ci in 0..cells {
         net.add_cell(storm_topology(ci), storm_config(ci));
     }
-    let start = Instant::now();
     for r in 0..rounds {
         net.run(ticks_per_round);
         // Churn a stripe of the fleet: every 7th cell (phase-shifted per
@@ -80,8 +75,6 @@ fn run_storm(cells: usize, rounds: usize, ticks_per_round: u64, threads: usize) 
         }
     }
     net.run(ticks_per_round);
-    let elapsed = start.elapsed().as_secs_f64();
-    let total_ticks = (rounds as u64 + 1) * ticks_per_round;
     let mut frames = 0u64;
     let mut churns = 0u64;
     for ci in 0..cells {
@@ -89,36 +82,13 @@ fn run_storm(cells: usize, rounds: usize, ticks_per_round: u64, threads: usize) 
         frames += r.frames + r.beacons;
         churns += r.churns;
     }
-    StormResult {
-        digest: net.digest(),
-        frames,
-        churns,
-        ticks_per_sec: total_ticks as f64 / elapsed,
-    }
+    StormResult { digest: net.digest(), frames, churns }
 }
-
-fn arg_value(name: &str) -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, arg) in args.iter().enumerate() {
-        if let Some(v) = arg.strip_prefix(&format!("--{name}=")) {
-            return Some(v.parse().unwrap_or_else(|_| panic!("--{name} takes an integer")));
-        }
-        if arg == &format!("--{name}") {
-            let v = args.get(i + 1).unwrap_or_else(|| panic!("--{name} requires a value"));
-            return Some(v.parse().unwrap_or_else(|_| panic!("--{name} takes an integer")));
-        }
-    }
-    None
-}
-
-const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = Flags::parse(&["--smoke"]).smoke;
     // ≥1024 stations in both modes: the bar the mesh subsystem is held to.
-    let cells = arg_value("cells").unwrap_or(if smoke { 64 } else { 96 });
-    let rounds = arg_value("rounds").unwrap_or(if smoke { 2 } else { 4 });
-    let ticks_per_round: u64 = if smoke { 4 } else { 8 };
+    let (cells, rounds, ticks_per_round) = if smoke { (64, 2, 4) } else { (96, 4, 8) };
     let stations = cells * STATIONS_PER_CELL;
     assert!(stations >= 1024, "mesh_storm must cover at least 1024 stations, got {stations}");
 
@@ -132,8 +102,8 @@ fn main() {
     let deterministic = storms.iter().all(|s| s.digest == storms[0].digest);
     for (t, s) in THREAD_COUNTS.iter().zip(&storms) {
         eprintln!(
-            "  threads={t}: digest {:016x}, {} frames, {} churns, {:.1} ticks/sec",
-            s.digest, s.frames, s.churns, s.ticks_per_sec
+            "  threads={t}: digest {:016x}, {} frames, {} churns",
+            s.digest, s.frames, s.churns
         );
     }
     assert!(storms[0].churns > 0, "the storm must actually churn stations");
@@ -155,51 +125,6 @@ fn main() {
         "  duel: coordinated {coordinated:.4} Mbps vs csma {csma:.4} Mbps, \
          min control delivery {min_delivery:.4}"
     );
-
-    if !smoke {
-        let mut rows = String::new();
-        for (i, p) in points.iter().enumerate() {
-            rows.push_str(&format!(
-                "    {{ \"stations\": {}, \"scheme\": \"{}\", \"goodput_mbps\": {:.4}, \
-                 \"data_prr\": {:.4}, \"collision_rate\": {:.4}, \"control_delivery\": {:.4}, \
-                 \"cmd_delivered\": {} }}{}\n",
-                p.n,
-                if p.coordinated { "coordinated" } else { "csma" },
-                p.goodput_mbps,
-                p.data_prr,
-                p.collision_rate,
-                p.control_delivery,
-                p.cmd_delivered,
-                if i + 1 == points.len() { "" } else { "," }
-            ));
-        }
-        let json = format!(
-            "{{\n  \"bench\": \"mesh_storm\",\n  \"methodology\": \"Phase 1: {cells} cells x \
-             {STATIONS_PER_CELL} stations ({stations} stations, two sessions each) run the \
-             identical tick schedule through MeshNet at 1/4/8 engine threads, with a station \
-             churned in every 7th cell per round; the net's FNV digest over every frame outcome, \
-             command and churn event must match across thread counts. Phase 2: the fig08_mesh \
-             duel — hidden-cluster cells, CoS-coordinated vs CSMA on paired seeds over {} ticks x \
-             {} trials; coordinated must beat CSMA on aggregate goodput with >=99% control-plane \
-             delivery.\",\n  \"storm\": {{\n    \"cells\": {cells},\n    \"stations\": {stations},\n    \
-             \"rounds\": {rounds},\n    \"ticks_per_round\": {ticks_per_round},\n    \
-             \"frames\": {},\n    \"churns\": {},\n    \"thread_counts\": [1, 4, 8],\n    \
-             \"outcome_digest\": \"{:016x}\",\n    \"deterministic_across_threads\": {deterministic},\n    \
-             \"ticks_per_sec\": {{\n      \"threads_1\": {:.2},\n      \"threads_4\": {:.2},\n      \
-             \"threads_8\": {:.2}\n    }}\n  }},\n  \"duel\": [\n{rows}  ],\n  \
-             \"coordinated_goodput_mbps\": {coordinated:.4},\n  \"csma_goodput_mbps\": {csma:.4},\n  \
-             \"coordinated_beats_csma\": {beats},\n  \"min_control_delivery\": {min_delivery:.4}\n}}\n",
-            duel_cfg.ticks,
-            duel_cfg.trials,
-            storms[0].frames,
-            storms[0].churns,
-            storms[0].digest,
-            storms[0].ticks_per_sec,
-            storms[1].ticks_per_sec,
-            storms[2].ticks_per_sec,
-        );
-        cos_bench::emit_report("BENCH_pr8.json", &json);
-    }
 
     let mut failed = false;
     if !deterministic {

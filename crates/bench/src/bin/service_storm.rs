@@ -1,7 +1,7 @@
 //! Service-layer chaos storm: the injected-fault proof for
 //! `cos_core::service`.
 //!
-//! Four phases:
+//! Three phases:
 //!
 //! 1. **Deterministic chaos** — an identical scripted schedule of
 //!    submissions, cancellations, queue-overflow bursts, poison jobs,
@@ -22,17 +22,16 @@
 //!    Gates: every accepted ticket resolves exactly once, graceful drain
 //!    completes, and the journal replays the live run bit-exactly at
 //!    1/4/8 threads.
-//! 4. **Throughput** — jobs/sec of the phase-1 storms per thread count.
 //!
-//! Prints its JSON report on full runs (written to `BENCH_pr7.json` only
-//! with `--record`) and exits non-zero on any gate failure. `--smoke` runs a reduced schedule (well under 30 s) and
-//! gates everything except the JSON artifact; `--sessions N` /
-//! `--rounds N` override the scale.
+//! Exits non-zero on any gate failure. `--smoke` runs a reduced schedule
+//! with the same gates.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Instant;
 
+use cos_bench::gate::{
+    control_bits, payload_bytes, Flags, CONTROL_LENS, PAYLOAD_LENS, THREAD_COUNTS,
+};
 use cos_core::engine::EngineConfig;
 use cos_core::service::journal::ReplayJournal;
 use cos_core::service::{
@@ -41,17 +40,6 @@ use cos_core::service::{
 use cos_core::session::SessionConfig;
 use cos_core::{AdaptationConfig, ResilienceConfig};
 use cos_phy::rates::DataRate;
-
-const PAYLOAD_LENS: [usize; 4] = [96, 240, 504, 1020];
-const CONTROL_LENS: [usize; 4] = [8, 12, 16, 24];
-
-fn payload_bytes(len: usize) -> Vec<u8> {
-    (0..len as u32).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect()
-}
-
-fn control_bits(len: usize) -> Vec<u8> {
-    (0..len).map(|i| (i * 5 + len).is_multiple_of(3) as u8).collect()
-}
 
 fn storm_session_config(i: usize) -> SessionConfig {
     SessionConfig {
@@ -85,7 +73,6 @@ struct StormOutput {
     resolved: Vec<Ticket>,
     stats: ServiceStats,
     dead_letters: usize,
-    jobs_per_sec: f64,
     journal: Option<ReplayJournal>,
 }
 
@@ -112,7 +99,6 @@ fn run_scripted_storm(
         CONTROL_LENS.iter().map(|&l| core.add_control(&control_bits(l))).collect();
 
     let mut admitted: Vec<Ticket> = Vec::new();
-    let start = Instant::now();
 
     for r in 0..rounds {
         for k in 0..sessions {
@@ -175,7 +161,6 @@ fn run_scripted_storm(
     let refused = core.try_submit(ids[0], payloads[0], ServiceJobKind::Resilient);
     assert_eq!(refused, Err(Rejected::Draining));
     core.run_to_drained();
-    let elapsed = start.elapsed().as_secs_f64();
 
     let stats = core.stats();
     let resolved = core.outcomes().iter().map(|o| o.ticket).collect();
@@ -184,7 +169,6 @@ fn run_scripted_storm(
         resolved,
         stats,
         dead_letters: core.dead_letters().count(),
-        jobs_per_sec: stats.completed as f64 / elapsed,
         journal: core.seal_journal(),
         admitted,
     }
@@ -361,26 +345,9 @@ fn run_live_storm(producers: usize, per_producer: usize, threads: usize) -> Live
     }
 }
 
-fn arg_value(name: &str) -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, arg) in args.iter().enumerate() {
-        if let Some(v) = arg.strip_prefix(&format!("--{name}=")) {
-            return Some(v.parse().unwrap_or_else(|_| panic!("--{name} takes an integer")));
-        }
-        if arg == &format!("--{name}") {
-            let v = args.get(i + 1).unwrap_or_else(|| panic!("--{name} requires a value"));
-            return Some(v.parse().unwrap_or_else(|_| panic!("--{name} takes an integer")));
-        }
-    }
-    None
-}
-
-const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let sessions = arg_value("sessions").unwrap_or(if smoke { 96 } else { 192 });
-    let rounds = arg_value("rounds").unwrap_or(if smoke { 3 } else { 5 });
+    let smoke = Flags::parse(&["--smoke"]).smoke;
+    let (sessions, rounds) = if smoke { (96, 3) } else { (192, 5) };
     let (producers, per_producer) = if smoke { (3, 40) } else { (4, 150) };
     let mut failed = false;
 
@@ -394,15 +361,14 @@ fn main() {
     for (t, s) in THREAD_COUNTS.iter().zip(&storms) {
         eprintln!(
             "  threads={t}: digest {:016x}, {} admitted, {} completed, {} expired, {} cancelled, \
-             {} poison-quarantined, {} watchdog-quarantined, {:.0} jobs/sec",
+             {} poison-quarantined, {} watchdog-quarantined",
             s.digest,
             s.stats.admitted,
             s.stats.completed,
             s.stats.expired,
             s.stats.cancelled,
             s.stats.quarantined_poison,
-            s.stats.quarantined_stall,
-            s.jobs_per_sec
+            s.stats.quarantined_stall
         );
         if !check_storm(s, &format!("threads={t}")) {
             failed = true;
@@ -423,7 +389,6 @@ fn main() {
         eprintln!("service_storm FAILED: journal serialize→deserialize not byte-exact");
         failed = true;
     }
-    let mut scripted_replays = Vec::new();
     for &t in &THREAD_COUNTS {
         let report = decoded.replay(t);
         eprintln!(
@@ -436,7 +401,6 @@ fn main() {
             eprintln!("service_storm FAILED: scripted replay diverged at {t} threads");
             failed = true;
         }
-        scripted_replays.push(report.matches());
     }
     if journaled.digest != storms[1].digest {
         // threads=2 journaled run vs threads=4 plain run: same script, so
@@ -474,40 +438,6 @@ fn main() {
     {
         eprintln!("service_storm FAILED: live stats ledger does not balance");
         failed = true;
-    }
-
-    if !smoke {
-        let s = &storms[0].stats;
-        let json = format!(
-            "{{\n  \"bench\": \"service_storm\",\n  \"sessions\": {sessions},\n  \"rounds\": {rounds},\n  \"thread_counts\": [1, 4, 8],\n  \"outcome_digest\": \"{:016x}\",\n  \"deterministic_across_threads\": {deterministic},\n  \"scripted\": {{\n    \"admitted\": {},\n    \"completed\": {},\n    \"expired\": {},\n    \"cancelled\": {},\n    \"quarantined_poison\": {},\n    \"quarantined_stall\": {},\n    \"retries\": {},\n    \"stall_recoveries\": {},\n    \"watchdog_trips\": {},\n    \"rejected_queue_full\": {},\n    \"rejected_session_quota\": {},\n    \"rejected_draining\": {},\n    \"max_queue_depth\": {},\n    \"max_inflight\": {}\n  }},\n  \"jobs_per_sec\": {{\n    \"threads_1\": {:.2},\n    \"threads_4\": {:.2},\n    \"threads_8\": {:.2}\n  }},\n  \"journal\": {{\n    \"events\": {},\n    \"bytes\": {},\n    \"roundtrip_byte_exact\": true,\n    \"scripted_replay_matches\": {:?},\n    \"live_replay_matches\": {:?}\n  }},\n  \"live\": {{\n    \"producers\": {producers},\n    \"jobs_per_producer\": {per_producer},\n    \"accepted\": {},\n    \"rejected_after_retries\": {},\n    \"admitted\": {},\n    \"completed\": {}\n  }}\n}}\n",
-            storms[0].digest,
-            s.admitted,
-            s.completed,
-            s.expired,
-            s.cancelled,
-            s.quarantined_poison,
-            s.quarantined_stall,
-            s.retries,
-            s.stall_recoveries,
-            s.watchdog_trips,
-            s.rejected_queue_full,
-            s.rejected_session_quota,
-            s.rejected_draining,
-            s.max_queue_depth,
-            s.max_inflight,
-            storms[0].jobs_per_sec,
-            storms[1].jobs_per_sec,
-            storms[2].jobs_per_sec,
-            decoded.len(),
-            bytes.len(),
-            scripted_replays,
-            live_replays,
-            live.accepted,
-            live.rejected_after_retries,
-            live.stats.admitted,
-            live.stats.completed,
-        );
-        cos_bench::emit_report("BENCH_pr7.json", &json);
     }
 
     if failed {

@@ -490,6 +490,21 @@ impl<'a> Reader<'a> {
         usize::try_from(self.u64()?).map_err(|_| JournalError::BadValue("usize"))
     }
 
+    /// A `usize` that must lie in `range` (one outside it would only
+    /// panic deep in the channel or the interval codec on replay).
+    fn usize_in(
+        &mut self,
+        what: &'static str,
+        range: std::ops::RangeInclusive<usize>,
+    ) -> Result<usize, JournalError> {
+        let v = self.usize_()?;
+        if range.contains(&v) {
+            Ok(v)
+        } else {
+            Err(JournalError::BadValue(what))
+        }
+    }
+
     fn f64(&mut self) -> Result<f64, JournalError> {
         Ok(f64::from_bits(self.u64()?))
     }
@@ -637,7 +652,7 @@ fn write_session_config(w: &mut Vec<u8>, c: &SessionConfig) {
 
 fn read_session_config(r: &mut Reader<'_>) -> Result<SessionConfig, JournalError> {
     let channel = ChannelConfig {
-        n_taps: r.usize_()?,
+        n_taps: r.usize_in("n_taps", 1..=16)?,
         tap_decay: r.finite("tap_decay")?,
         k_factor: r.finite("k_factor")?,
         doppler_hz: r.finite("doppler_hz")?,
@@ -653,9 +668,12 @@ fn read_session_config(r: &mut Reader<'_>) -> Result<SessionConfig, JournalError
         snr_db,
         rate,
         detector_bias_db: r.finite("detector_bias_db")?,
-        bits_per_interval: r.usize_()?,
+        bits_per_interval: r.usize_in("bits_per_interval", 1..=16)?,
         min_control_subcarriers: r.usize_()?,
-        packet_interval: r.finite("packet_interval")?,
+        packet_interval: match r.finite("packet_interval")? {
+            t if t < 0.0 => return Err(JournalError::BadValue("packet_interval")),
+            t => t,
+        },
         resilience: match r.u8()? {
             0 => None,
             1 => Some(read_resilience_config(r)?),
@@ -860,29 +878,94 @@ mod tests {
         assert!(ReplayJournal::deserialize(b"").is_err());
     }
 
-    #[test]
-    fn deserialize_rejects_non_finite_session_config() {
-        // A distinctive SNR whose bit pattern occurs once in the journal.
-        let snr_db = 17.375f64;
+    // Session-config values whose bit patterns occur once in the journal.
+    const SNR_DB: f64 = 17.375;
+    const TAP_DECAY: f64 = 0.3125;
+    const DETECTOR_BIAS_DB: f64 = 0.8125;
+    const PACKET_INTERVAL: f64 = 1.0625e-3;
+
+    /// Journal bytes of one resilient job on a session whose config
+    /// carries the distinctive values above, so each field under test can
+    /// be found by its bit pattern (or by its distinctive neighbour's).
+    fn distinctive_journal() -> Vec<u8> {
+        let config = SessionConfig {
+            channel: ChannelConfig { tap_decay: TAP_DECAY, ..ChannelConfig::default() },
+            snr_db: SNR_DB,
+            detector_bias_db: DETECTOR_BIAS_DB,
+            packet_interval: PACKET_INTERVAL,
+            ..SessionConfig::default()
+        };
         let mut core = ServiceCore::with_journal(ServiceConfig::default());
-        let s = core.create_session(SessionConfig { snr_db, ..SessionConfig::default() }, 5);
+        let s = core.create_session(config, 5);
         let p = core.add_payload(&[0x5A; 60]);
         core.try_submit(s, p, ServiceJobKind::Resilient).unwrap();
         core.run_to_drained();
         let bytes = core.seal_journal().expect("journaling was on").serialize();
         assert!(ReplayJournal::deserialize(&bytes).is_ok());
+        bytes
+    }
 
-        let pattern = snr_db.to_bits().to_le_bytes();
-        let at: Vec<usize> = (0..=bytes.len() - 8).filter(|&i| bytes[i..i + 8] == pattern).collect();
-        assert_eq!(at.len(), 1, "the SNR must be locatable");
+    /// Offset of the one occurrence of `v`'s bit pattern in `bytes`.
+    fn locate(bytes: &[u8], v: f64) -> usize {
+        let pattern = v.to_bits().to_le_bytes();
+        let at: Vec<usize> =
+            (0..=bytes.len() - 8).filter(|&i| bytes[i..i + 8] == pattern).collect();
+        assert_eq!(at.len(), 1, "{v} must be locatable");
+        at[0]
+    }
+
+    fn patched(bytes: &[u8], at: usize, word: u64) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn deserialize_rejects_non_finite_session_config() {
+        let bytes = distinctive_journal();
+        let at = locate(&bytes, SNR_DB);
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let mut patched = bytes.clone();
-            patched[at[0]..at[0] + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
             assert_eq!(
-                ReplayJournal::deserialize(&patched).unwrap_err(),
+                ReplayJournal::deserialize(&patched(&bytes, at, bad.to_bits())).unwrap_err(),
                 JournalError::BadValue("snr_db"),
                 "snr_db = {bad}"
             );
+        }
+    }
+
+    #[test]
+    fn deserialize_rejects_out_of_range_session_config() {
+        let bytes = distinctive_journal();
+        // n_taps is written just before tap_decay, bits_per_interval just
+        // after detector_bias_db.
+        let n_taps = locate(&bytes, TAP_DECAY) - 8;
+        let bits = locate(&bytes, DETECTOR_BIAS_DB) + 8;
+        let interval = locate(&bytes, PACKET_INTERVAL);
+        let cases: [(&str, usize, [u64; 2], [u64; 2]); 3] = [
+            ("n_taps", n_taps, [0, 17], [1, 16]),
+            ("bits_per_interval", bits, [0, 17], [1, 16]),
+            (
+                "packet_interval",
+                interval,
+                [(-1.0f64).to_bits(), (-f64::MIN_POSITIVE).to_bits()],
+                [0.0f64.to_bits(), (-0.0f64).to_bits()],
+            ),
+        ];
+        for (field, at, rejected, accepted) in cases {
+            for word in rejected {
+                assert_eq!(
+                    ReplayJournal::deserialize(&patched(&bytes, at, word)).unwrap_err(),
+                    JournalError::BadValue(field),
+                    "{field} = {word:#x}"
+                );
+            }
+            // The edges of the domain still decode and replay without a
+            // panic (the digest differs: the live run used other values).
+            for word in accepted {
+                let journal = ReplayJournal::deserialize(&patched(&bytes, at, word))
+                    .unwrap_or_else(|e| panic!("{field} = {word:#x}: {e}"));
+                assert_eq!(journal.replay(1).outcomes, 1, "{field} = {word:#x}");
+            }
         }
     }
 }

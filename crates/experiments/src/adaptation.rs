@@ -62,7 +62,7 @@ pub struct Config {
     /// Probe-search ceiling on the silence budget. The raw controller
     /// default (46) maximises control capacity; for a goodput duel a
     /// lower cap keeps the erasure load — and the all-bits-exact ACK
-    /// criterion — from eroding data PRR at the crests.
+    /// rule — from eroding data PRR at the crests.
     pub max_budget: usize,
     /// ARQ retries per control message on the adaptive path. Generous,
     /// because the trough intentionally starves feedback for stretches.

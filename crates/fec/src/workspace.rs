@@ -50,7 +50,7 @@ impl ViterbiWorkspace {
 /// bench loop — not to any single session's [`FecWorkspace`], because the
 /// batch spans sessions by design. The buffers grow to the largest lane
 /// group ever staged and are then reused allocation-free (gated by
-/// `alloc_gate --check`).
+/// `alloc_gate`).
 #[derive(Debug, Clone, Default)]
 pub struct SymbolBatch {
     /// Lane-transposed soft bits of the current lane group.

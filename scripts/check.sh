@@ -25,8 +25,8 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 echo "== robustness_soak --quick (fault-matrix smoke: every impairment and mode transition, fixed seeds)"
 cargo run -q --release -p cos-experiments --bin robustness_soak -- --quick
 
-echo "== alloc gate (workspace pipeline must stay ≥10x leaner than the owned path, or ≥1.5x faster)"
-cargo run -q --release -p cos-bench --bin alloc_gate -- --check
+echo "== alloc gate (workspace rx ≥10x leaner than the owned path or ≥1.5x faster; streaming rx, tx+embed and lockstep decode 0 allocs; resilient summary leaner than report)"
+cargo run -q --release -p cos-bench --bin alloc_gate
 
 echo "== golden vectors (frozen waveforms + decodes for all 8 rates; any bit/sample drift fails)"
 cargo test -q --release --test golden_vectors
@@ -41,16 +41,16 @@ echo "== channel kernel differential under both COS_KERNELS (lane AWGN/conv/over
 COS_KERNELS=scalar cargo test -q --release -p cos-channel --test kernel_differential
 COS_KERNELS=lanes cargo test -q --release -p cos-channel --test kernel_differential
 
-echo "== session_storm --smoke --kernels both (1000+ pooled sessions: engine outcomes byte-identical at 1/4/8 threads AND across scalar/lane kernels)"
+echo "== session_storm --smoke --kernels both (1000+ pooled sessions: engine outcome digests identical at 1/4/8 threads AND across scalar/lane kernels; 0 allocs/frame at pool steady state per kernel)"
 cargo run -q --release -p cos-bench --bin session_storm -- --smoke --kernels both
 
-echo "== adaptation_storm --smoke --kernels both (closed-loop controller: adaptive outcomes byte-identical at 1/4/8 threads AND across kernels + drift-duel gate)"
+echo "== adaptation_storm --smoke --kernels both (drifting adaptive sessions: outcome digests identical at 1/4/8 threads AND across kernels; drift duel: adaptive ≥ best fixed goodput with 100% control delivery and no backlog)"
 cargo run -q --release -p cos-bench --bin adaptation_storm -- --smoke --kernels both
 
-echo "== service_storm --smoke (async service chaos: zero lost jobs under stalls/poison/overflow, digests identical at 1/4/8 threads, journal replays byte-exactly)"
+echo "== service_storm --smoke (async service chaos: zero lost or duplicated tickets, balanced ledger, every fault/rejection path exercised, bounded queues, digests identical at 1/4/8 threads, scripted and live journals replay byte-exactly)"
 cargo run -q --release -p cos-bench --bin service_storm -- --smoke
 
-echo "== mesh_storm --smoke (1024+ churning mesh stations: digests identical at 1/4/8 threads + coordination duel gate)"
+echo "== mesh_storm --smoke (1024+ churning mesh stations: digests identical at 1/4/8 threads; coordination duel: coordinated goodput > CSMA with ≥99% control delivery)"
 cargo run -q --release -p cos-bench --bin mesh_storm -- --smoke
 
 echo "== docs link check (relative links and backticked *.md references must resolve)"
