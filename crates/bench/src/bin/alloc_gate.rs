@@ -15,7 +15,12 @@
 //! Viterbi step — and must decode the same frames as the per-frame
 //! `decode_into` loop.
 //!
-//! Exits non-zero unless all five gates hold:
+//! A footprint phase adds sessions to a warmed single-thread
+//! [`BatchEngine`] and counts the bytes each new session (and its first
+//! drained frame) allocates: the frame-sized planes belong to the
+//! engine's worker lanes, so a session holds only its persistent state.
+//!
+//! Exits non-zero unless all six gates hold:
 //!
 //! * the workspace path allocates at most a tenth of what the owned path
 //!   does per frame, **or** runs the rx chain at least 1.5× faster;
@@ -23,13 +28,16 @@
 //! * the embedding workspace tx allocates nothing per frame;
 //! * the batched lockstep decode allocates nothing per batch;
 //! * the resilient summary path allocates strictly less than the
-//!   report-building one.
+//!   report-building one;
+//! * each session added to a warmed engine allocates at most
+//!   [`FOOTPRINT_KIB`] KiB, at 54 and at 6 Mbps.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use cos_bench::gate::{counters, payload_bytes, Flags};
 use cos_channel::{ChannelConfig, Link};
+use cos_core::engine::{BatchEngine, EngineConfig, SessionPool};
 use cos_core::session::{CosSession, SessionConfig};
 use cos_core::PowerController;
 use cos_dsp::lanes::LANES;
@@ -268,6 +276,38 @@ fn run_resilient_summary() -> Measurement {
     measure(move || session.send_packet_resilient_summary(&payload).packet.data_ok)
 }
 
+/// Sessions the footprint phase warms the engine with, then adds.
+const FOOTPRINT_SESSIONS: u64 = 64;
+/// Most KiB one session added to a warmed engine may allocate.
+const FOOTPRINT_KIB: f64 = 128.0;
+
+/// KiB allocated per session added to a warmed single-thread engine at
+/// `rate`: one drain of one 1020-byte frame for each of
+/// [`FOOTPRINT_SESSIONS`] sessions warms the worker lanes and the job
+/// buffers, then as many new sessions are created and drained once,
+/// one frame each. Counts everything those sessions cost: creation,
+/// the pool slab's growth, and their first frame.
+fn footprint_kib_per_session(rate: DataRate) -> f64 {
+    let config = SessionConfig { snr_db: SNR_DB, rate: Some(rate), ..Default::default() };
+    let mut pool = SessionPool::new();
+    let mut engine = BatchEngine::new(EngineConfig { threads: 1 });
+    let payload = engine.add_payload(&bench_payload());
+    let control = engine.add_control(&EMBED_BITS);
+    let mut out = Vec::new();
+    let mut add_and_drain = |seeds: std::ops::Range<u64>| {
+        for seed in seeds {
+            let id = pool.create(config.clone(), seed);
+            engine.submit(id, payload, control);
+        }
+        engine.drain_into(&mut pool, &mut out);
+    };
+    add_and_drain(0..FOOTPRINT_SESSIONS);
+    let b0 = counters().1;
+    add_and_drain(FOOTPRINT_SESSIONS..2 * FOOTPRINT_SESSIONS);
+    let b1 = counters().1;
+    (b1 - b0) as f64 / 1024.0 / FOOTPRINT_SESSIONS as f64
+}
+
 fn main() {
     Flags::parse(&[]);
 
@@ -281,6 +321,10 @@ fn main() {
     let embed_workspace = run_embed_workspace();
     let batch_per_frame = run_batch_decode_per_frame();
     let batch_lockstep = run_batch_decode_lockstep();
+    let footprint: Vec<(DataRate, f64)> = [DataRate::Mbps54, DataRate::Mbps6]
+        .into_iter()
+        .map(|rate| (rate, footprint_kib_per_session(rate)))
+        .collect();
 
     assert_eq!(
         owned.crc_ok, workspace.crc_ok,
@@ -339,6 +383,14 @@ fn main() {
             resilient_summary.allocs_per_frame, resilient_report.allocs_per_frame
         ));
     }
+    for &(rate, kib) in &footprint {
+        if kib > FOOTPRINT_KIB {
+            failures.push(format!(
+                "a session added to a warmed engine at {rate} allocates {kib:.1} KiB \
+                 (want ≤ {FOOTPRINT_KIB})"
+            ));
+        }
+    }
     if !failures.is_empty() {
         eprintln!("alloc gate FAILED: {}", failures.join("; "));
         std::process::exit(1);
@@ -347,7 +399,14 @@ fn main() {
         "alloc gate passed: {alloc_ratio:.1}x fewer allocs, {speedup:.3}x rx speedup, \
          streaming rx 0 allocs/frame, tx+embed 0 allocs/frame ({embed_ratio:.1}x fewer), \
          batched decode 0 allocs/batch, \
-         resilient summary {:.2} vs report {:.2} allocs/frame",
-        resilient_summary.allocs_per_frame, resilient_report.allocs_per_frame
+         resilient summary {:.2} vs report {:.2} allocs/frame, \
+         {} KiB per added engine session",
+        resilient_summary.allocs_per_frame,
+        resilient_report.allocs_per_frame,
+        footprint
+            .iter()
+            .map(|(rate, kib)| format!("{rate} {kib:.1}"))
+            .collect::<Vec<_>>()
+            .join(" / ")
     );
 }

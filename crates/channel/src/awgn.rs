@@ -12,50 +12,56 @@
 
 use cos_dsp::lanes::{kernel_mode, F64xL, KernelMode, LANES};
 use cos_dsp::{Complex, GaussianSource};
+use std::cell::RefCell;
+
+thread_local! {
+    /// Grow-only SoA scratch for the lane kernel's pre-drawn normals
+    /// (real parts, imaginary parts), one per thread like the link's
+    /// convolution scratch: a thread applies noise to one waveform at a
+    /// time, so per-link copies would only add resident memory.
+    static NORMALS: RefCell<(Vec<f64>, Vec<f64>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
 
 /// Lane apply of seeded complex Gaussian noise, shared by [`Awgn`] and
 /// [`crate::overlap::OverlapComposer`].
 ///
 /// Draws `2 · samples.len()` standard normals from `rng` in exactly the
 /// order the scalar `complex_normal` loop would (re, im, re, im, …),
-/// storing them de-interleaved in the caller's grow-only scratch, then
+/// storing them de-interleaved in the thread's grow-only scratch, then
 /// adds `Complex::new(n_re · s, n_im · s)` to each sample where
 /// `s = (variance / 2).sqrt()` — the same expression, in the same order,
 /// as `complex_normal`, so the result is bit-identical to the scalar
 /// path.
-pub(crate) fn add_gaussian_lanes(
-    samples: &mut [Complex],
-    rng: &mut GaussianSource,
-    variance: f64,
-    nre: &mut Vec<f64>,
-    nim: &mut Vec<f64>,
-) {
-    let s = (variance / 2.0).sqrt();
-    let n = samples.len();
-    nre.clear();
-    nim.clear();
-    for _ in 0..n {
-        // Draw order is the scalar order: one (re, im) pair per sample.
-        nre.push(rng.standard_normal());
-        nim.push(rng.standard_normal());
-    }
-    let scale = F64xL::splat(s);
-    let mut i = 0;
-    while i + LANES <= n {
-        let xre = F64xL(std::array::from_fn(|l| samples[i + l].re));
-        let xim = F64xL(std::array::from_fn(|l| samples[i + l].im));
-        // `x + n·s` per lane: the scalar loop's `*x += Complex::new(
-        // standard_normal() * s, standard_normal() * s)` verbatim.
-        let yre = xre + F64xL::load(&nre[i..]) * scale;
-        let yim = xim + F64xL::load(&nim[i..]) * scale;
-        for l in 0..LANES {
-            samples[i + l] = Complex::new(yre.0[l], yim.0[l]);
+pub(crate) fn add_gaussian_lanes(samples: &mut [Complex], rng: &mut GaussianSource, variance: f64) {
+    NORMALS.with_borrow_mut(|(nre, nim)| {
+        let s = (variance / 2.0).sqrt();
+        let n = samples.len();
+        nre.clear();
+        nim.clear();
+        for _ in 0..n {
+            // Draw order is the scalar order: one (re, im) pair per sample.
+            nre.push(rng.standard_normal());
+            nim.push(rng.standard_normal());
         }
-        i += LANES;
-    }
-    for j in i..n {
-        samples[j] += Complex::new(nre[j] * s, nim[j] * s);
-    }
+        let scale = F64xL::splat(s);
+        let mut i = 0;
+        while i + LANES <= n {
+            let xre = F64xL(std::array::from_fn(|l| samples[i + l].re));
+            let xim = F64xL(std::array::from_fn(|l| samples[i + l].im));
+            // `x + n·s` per lane: the scalar loop's `*x += Complex::new(
+            // standard_normal() * s, standard_normal() * s)` verbatim.
+            let yre = xre + F64xL::load(&nre[i..]) * scale;
+            let yim = xim + F64xL::load(&nim[i..]) * scale;
+            for l in 0..LANES {
+                samples[i + l] = Complex::new(yre.0[l], yim.0[l]);
+            }
+            i += LANES;
+        }
+        for j in i..n {
+            samples[j] += Complex::new(nre[j] * s, nim[j] * s);
+        }
+    });
 }
 
 /// A seeded AWGN source with a fixed per-sample (time-domain) noise
@@ -75,10 +81,6 @@ pub(crate) fn add_gaussian_lanes(
 pub struct Awgn {
     noise_var: f64,
     rng: GaussianSource,
-    /// Grow-only SoA scratch for the lane kernel's pre-drawn normals
-    /// (real parts / imaginary parts).
-    nre: Vec<f64>,
-    nim: Vec<f64>,
 }
 
 impl Awgn {
@@ -90,7 +92,7 @@ impl Awgn {
     /// Panics if `noise_var` is negative or not finite.
     pub fn new(noise_var: f64, seed: u64) -> Self {
         assert!(noise_var >= 0.0 && noise_var.is_finite(), "invalid noise variance {noise_var}");
-        Awgn { noise_var, rng: GaussianSource::new(seed), nre: Vec::new(), nim: Vec::new() }
+        Awgn { noise_var, rng: GaussianSource::new(seed) }
     }
 
     /// The configured per-sample noise variance.
@@ -135,15 +137,7 @@ impl Awgn {
                     *x += self.rng.complex_normal(self.noise_var);
                 }
             }
-            KernelMode::Lanes => {
-                add_gaussian_lanes(
-                    samples,
-                    &mut self.rng,
-                    self.noise_var,
-                    &mut self.nre,
-                    &mut self.nim,
-                );
-            }
+            KernelMode::Lanes => add_gaussian_lanes(samples, &mut self.rng, self.noise_var),
         }
     }
 }

@@ -66,9 +66,6 @@ impl Overlap {
 #[derive(Debug, Clone, Default)]
 pub struct OverlapComposer {
     overlaps: Vec<Overlap>,
-    /// Grow-only SoA scratch for the lane kernel's pre-drawn normals.
-    nre: Vec<f64>,
-    nim: Vec<f64>,
 }
 
 impl OverlapComposer {
@@ -113,8 +110,7 @@ impl OverlapComposer {
             return;
         }
         let len = samples.len();
-        let OverlapComposer { overlaps, nre, nim } = self;
-        for overlap in overlaps.iter() {
+        for overlap in &self.overlaps {
             let power = ctx.noise_var * db_to_linear(overlap.power_db_over_noise);
             let start = ((overlap.start_frac.clamp(0.0, 1.0) * len as f64) as usize).min(len);
             // Re-seeded per application: the draw depends only on the spec
@@ -127,7 +123,7 @@ impl OverlapComposer {
                     }
                 }
                 KernelMode::Lanes => {
-                    add_gaussian_lanes(&mut samples[start..], &mut rng, power, nre, nim);
+                    add_gaussian_lanes(&mut samples[start..], &mut rng, power);
                 }
             }
         }

@@ -2,12 +2,19 @@
 //! [`CosSession`]s plus a [`BatchEngine`] that shards frame jobs across
 //! worker threads.
 //!
-//! PR 4 made every per-frame buffer session-owned (`CosSession` carries
-//! its `PhyWorkspace`, detection scratch and selection buffers), which
-//! turns "run N frames for M sessions" into a pure orchestration
-//! problem: each worker thread claims whole per-session job groups, so a
-//! session's scratch is only ever touched by one thread at a time and no
-//! transform needs to know it is being batched.
+//! A session holds only the state that persists between frames (link,
+//! controller, detector, selection, ARQ/adaptation, metrics). The
+//! frame-sized planes a frame runs through — waveforms, front end,
+//! decoder scratch — belong to the engine: each worker owns one
+//! [`FrameScratch`] per lane of a lockstep bundle, persistent across
+//! drains, and lends lane `k` to the `k`-th session of the bundle for one
+//! frame at a time. Workspaces carry no semantic state between frames,
+//! so which lane a frame lands in never shows in its outcome, and a
+//! drain over many sessions touches a few warm lanes instead of one cold
+//! set of buffers per session. That turns "run N frames for M sessions"
+//! into a pure orchestration problem: each worker thread claims whole
+//! per-session job groups, so a session is only ever touched by one
+//! thread at a time and no transform needs to know it is being batched.
 //!
 //! # Determinism
 //!
@@ -35,8 +42,8 @@
 //! not per-frame — orchestration cost (thread spawns and one unit list).
 
 use crate::session::{
-    AdaptiveSummary, ControlSource, CosSession, PacketSummary, ResilientSummary, SessionConfig,
-    Staged,
+    AdaptiveSummary, ControlSource, CosSession, FrameScratch, PacketSummary, ResilientSummary,
+    SessionConfig, Staged,
 };
 use cos_dsp::lanes::LANES;
 use cos_fec::{SymbolBatch, ViterbiDecoder};
@@ -356,9 +363,18 @@ pub struct BatchEngine {
     order: Vec<u32>,
     /// Contiguous per-slot ranges of `order` — rebuilt per drain.
     groups: Vec<Group>,
-    /// SoA staging for the single-threaded lockstep Viterbi — engine-owned
-    /// so the zero-allocation drain path keeps its guarantee.
+    /// One scratch per worker thread, borrowed by index; grows to the
+    /// largest worker count drained with and persists across drains.
+    workers: Vec<WorkerScratch>,
+}
+
+/// One worker's frame planes: the lockstep Viterbi staging, and one
+/// [`FrameScratch`] per lane of a bundle — lane `k` is lent to the
+/// bundle's `k`-th session for each of its frames.
+#[derive(Debug, Default)]
+struct WorkerScratch {
     batch: SymbolBatch,
+    lanes: [FrameScratch; LANES],
 }
 
 impl BatchEngine {
@@ -467,10 +483,14 @@ impl BatchEngine {
             i = j;
         }
 
-        let BatchEngine { payloads, controls, jobs, order, groups, cfg, batch } = self;
+        let BatchEngine { payloads, controls, jobs, order, groups, cfg, workers: scratch } = self;
         let workers = configured_threads(cfg.threads).min(groups.len());
+        if scratch.len() < workers {
+            scratch.resize_with(workers, WorkerScratch::default);
+        }
 
         if workers <= 1 {
+            let ws = &mut scratch[0];
             // Bundle groups whose current frames will lockstep: sorting
             // by head payload length hands `decode_lockstep` bundles of
             // equal-length trellises instead of whatever LANES slots
@@ -508,7 +528,7 @@ impl BatchEngine {
                         let sess = slot.session.as_mut().expect("liveness checked above");
                         *u = Some((g, slot.generation, sess));
                     }
-                    run_units_lockstep(payloads, controls, jobs, order, &mut units, batch, |i, o| {
+                    run_units_lockstep(payloads, controls, jobs, order, &mut units, ws, |i, o| {
                         out[i] = o
                     });
                 } else {
@@ -518,7 +538,7 @@ impl BatchEngine {
                         let slot = &mut pool.slots[si];
                         let sess = slot.session.as_mut().expect("liveness checked above");
                         let mut unit = [Some((g, slot.generation, sess))];
-                        run_units_lockstep(payloads, controls, jobs, order, &mut unit, batch, |i, o| {
+                        run_units_lockstep(payloads, controls, jobs, order, &mut unit, ws, |i, o| {
                             out[i] = o
                         });
                     }
@@ -555,13 +575,14 @@ impl BatchEngine {
             let units: Vec<Unit<'_>> = raw.into_iter().map(|u| Mutex::new(Some(u))).collect();
 
             let next = AtomicUsize::new(0);
+            let (payloads, controls, jobs, order) = (&*payloads, &*controls, &*jobs, &*order);
             let results: Vec<Vec<(usize, JobOutcome)>> = std::thread::scope(|scope| {
-                let units = &units;
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
+                let (units, next) = (&units, &next);
+                let handles: Vec<_> = scratch[..workers]
+                    .iter_mut()
+                    .map(|ws| {
+                        scope.spawn(move || {
                             let mut local = Vec::new();
-                            let mut batch = SymbolBatch::new();
                             loop {
                                 // Claim a lockstep bundle of up to LANES
                                 // units so this worker can decode its
@@ -589,7 +610,7 @@ impl BatchEngine {
                                     jobs,
                                     order,
                                     &mut claimed[..filled],
-                                    &mut batch,
+                                    ws,
                                     |i, o| local.push((i, o)),
                                 );
                             }
@@ -624,8 +645,9 @@ fn bundle_key(payloads: &[Box<[u8]>], jobs: &[Job], order: &[u32], g: Group) -> 
 
 /// Runs up to [`LANES`] per-slot job groups in lockstep rounds. Each round
 /// takes the next job of every group through the session's one frame
-/// path: [`CosSession::stage`] (tx → air → rx, fused per session while
-/// the waveform is cache-hot), the Viterbi
+/// path, unit `k`'s frame in lane `k` of `ws`: [`CosSession::stage`]
+/// (tx → air → rx, fused per session while the waveform is cache-hot),
+/// the Viterbi
 /// ([`ViterbiDecoder::decode_lockstep`], [`LANES`] frames per
 /// instruction, when a full lane group staged), then
 /// [`CosSession::finish`] (feedback loop, ARQ confirmation, controller
@@ -645,10 +667,11 @@ fn run_units_lockstep(
     jobs: &[Job],
     order: &[u32],
     units: &mut [Option<(Group, u32, &mut CosSession)>],
-    batch: &mut SymbolBatch,
+    ws: &mut WorkerScratch,
     mut emit: impl FnMut(usize, JobOutcome),
 ) {
     debug_assert!(units.len() <= LANES);
+    let WorkerScratch { batch, lanes } = ws;
     let mut cursors = [0usize; LANES];
     for (k, u) in units.iter().enumerate() {
         if let Some((g, _, _)) = u {
@@ -678,7 +701,7 @@ fn run_units_lockstep(
                 JobKind::Resilient => ControlSource::Resilient,
                 JobKind::Adaptive => ControlSource::Adaptive,
             };
-            staged[k] = Some(sess.stage(&payloads[job.payload.0 as usize], src));
+            staged[k] = Some(sess.stage(&mut lanes[k], &payloads[job.payload.0 as usize], src));
         }
         if !progressed {
             break;
@@ -687,17 +710,17 @@ fn run_units_lockstep(
         // Viterbi — lockstep when a full lane group staged.
         let ready = staged.iter().flatten().filter(|s| s.staged_ok().is_some()).count();
         if ready == LANES {
-            let mut it = units.iter_mut().zip(&staged).filter_map(|(u, s)| {
-                let (_, _, sess) = u.as_mut()?;
-                Some(sess.staged_viterbi_frame(s.as_ref()?.staged_ok()?))
-            });
-            let mut lanes: [_; LANES] =
+            let mut it = lanes
+                .iter_mut()
+                .zip(&staged)
+                .filter_map(|(fs, s)| Some(fs.lane_frame(s.as_ref()?.staged_ok()?)));
+            let mut frames: [_; LANES] =
                 std::array::from_fn(|_| it.next().expect("LANES staged frames"));
-            ViterbiDecoder::new().decode_lockstep(&mut lanes, true, batch);
+            ViterbiDecoder::new().decode_lockstep(&mut frames, true, batch);
         } else {
-            for (u, s) in units.iter_mut().zip(&staged) {
-                if let (Some((_, _, sess)), Some(s)) = (u.as_mut(), s) {
-                    sess.viterbi(s);
+            for (fs, s) in lanes.iter_mut().zip(&staged) {
+                if let Some(s) = s {
+                    fs.viterbi(s);
                 }
             }
         }
@@ -706,7 +729,8 @@ fn run_units_lockstep(
         for (k, u) in units.iter_mut().enumerate() {
             let (Some((_, _, sess)), Some(s)) = (u.as_mut(), staged[k]) else { continue };
             let idx = order[cursors[k]] as usize;
-            emit(idx, JobOutcome { session: jobs[idx].session, result: sess.finish(s) });
+            let result = sess.finish(&mut lanes[k], s);
+            emit(idx, JobOutcome { session: jobs[idx].session, result });
             cursors[k] += 1;
         }
     }

@@ -23,7 +23,9 @@
 //! detection, FEC staging) → Viterbi → `finish` (CRC, control
 //! extraction, silence validation, EVM feedback, then the per-kind
 //! sender tail). The batch engine runs the same three steps, with the
-//! Viterbi locked across sessions.
+//! Viterbi locked across sessions. Each step runs on a `FrameScratch`
+//! lent by the caller: the session's own on the per-frame path, an
+//! engine worker lane's in a batch.
 
 use crate::adaptation::{
     AdaptationConfig, LinkAdaptationController, ProbeEvent, ProbeState, StaircaseEvent,
@@ -88,8 +90,11 @@ enum RxStage {
 /// `Copy` token from [`CosSession::stage`] to [`CosSession::finish`] —
 /// the seam the engine's lockstep Viterbi slots into: stage several
 /// sessions' frames, run their trellises `LANES` per instruction, then
-/// finish each. The control message itself stays in the session's
-/// scratch, where the finish reads it back.
+/// finish each. The token describes the frame in flight; the frame's
+/// planes (waveforms, front end, staged trellis) stay in the
+/// [`FrameScratch`] it was staged into, which must be the one passed to
+/// the Viterbi and the finish. The control message itself stays in the
+/// session's scratch, where the finish reads it back.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Staged {
     silences_sent: usize,
@@ -106,6 +111,65 @@ impl Staged {
             RxStage::Staged(Ok(p)) => Some(p),
             _ => None,
         }
+    }
+}
+
+/// The frame-sized planes of one frame in flight: the tx frame and
+/// waveform, the rx landing zone, front end and decoder scratch, and the
+/// reference-frame reconstruction for the EVM feedback loop (kept apart
+/// from `phy.tx`, which still holds the sent frame).
+///
+/// Workspaces carry no semantic state between frames (every stage fully
+/// overwrites what it writes), so a `FrameScratch` is lent to a frame by
+/// whoever runs it, never owned by the session the frame belongs to: the
+/// per-frame `send_*` path lends the session's own, an engine worker lane
+/// lends its own. A session driven only by the engine never grows its
+/// own.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FrameScratch {
+    phy: PhyWorkspace,
+    ref_tx: TxWorkspace,
+}
+
+impl FrameScratch {
+    /// The Viterbi step, per-frame form: decodes the staged trellis (if
+    /// any) into this scratch.
+    pub(crate) fn viterbi(&mut self, staged: &Staged) {
+        if let Some(p) = staged.staged_ok() {
+            run_staged_viterbi(p, &mut self.phy.rx.scratch.fec);
+        }
+    }
+
+    /// The Viterbi step in lockstep form: borrows the staged trellis as
+    /// one lane frame for [`cos_fec::ViterbiDecoder::decode_lockstep`].
+    /// Running the lane frame leaves exactly the state
+    /// [`viterbi`](Self::viterbi) would.
+    pub(crate) fn lane_frame(&mut self, prep: PreparedDataField) -> LaneFrame<'_> {
+        staged_lane_frame(prep, &mut self.phy.rx.scratch.fec)
+    }
+
+    /// Heap capacity of the frame-sized buffers, in elements — zero until
+    /// a frame has run through this scratch.
+    #[cfg(test)]
+    fn planes_capacity(&self) -> usize {
+        let PhyWorkspace { tx, rx } = &self.phy;
+        let fec = &rx.scratch.fec;
+        [tx, &self.ref_tx]
+            .iter()
+            .map(|t| {
+                t.samples.capacity()
+                    + t.frame.data_symbols.capacity()
+                    + t.frame.mapped_points.capacity()
+            })
+            .sum::<usize>()
+            + rx.samples.capacity()
+            + rx.fe.raw_symbols.capacity()
+            + rx.fe.equalized.capacity()
+            + rx.scratch.llrs.capacity()
+            + fec.mother_llrs.capacity()
+            + fec.decoded.capacity()
+            + rx.out.data_bits.capacity()
+            + rx.out.hard_coded_bits.capacity()
     }
 }
 
@@ -474,13 +538,10 @@ pub struct CosSession {
     seq: u64,
     resilience: Option<ResilienceState>,
     adaptation: Option<AdaptationState>,
-    /// Per-session zero-copy PHY scratch: the tx frame and waveform, the
-    /// rx landing zone, and the decoder workspace. Every packet reuses
-    /// these buffers; every stage fully overwrites what it writes.
-    ws: PhyWorkspace,
-    /// Reference-frame reconstruction scratch for the EVM feedback loop
-    /// (kept separate from `ws.tx`, which still holds the sent frame).
-    ref_tx: TxWorkspace,
+    /// The frame planes the per-frame `send_*` path lends its frames.
+    /// Engine-driven frames use the worker lane's instead, so this stays
+    /// empty for a session the engine drives.
+    fs: FrameScratch,
     /// Energy-detection scratch.
     det: Detection,
     /// Adaptive-threshold scratch.
@@ -517,8 +578,7 @@ impl CosSession {
             seq: 0,
             resilience,
             adaptation,
-            ws: PhyWorkspace::new(),
-            ref_tx: TxWorkspace::new(),
+            fs: FrameScratch::default(),
             det: Detection::default(),
             thresholds: Vec::new(),
             sel_scratch: Vec::new(),
@@ -703,22 +763,33 @@ impl CosSession {
     /// locked across sessions; both forms share one implementation of
     /// every step, so they are bit-identical by construction.
     fn send(&mut self, payload: &[u8], src: ControlSource<'_>) -> JobResult {
-        let staged = self.stage(payload, src);
-        self.viterbi(&staged);
-        self.finish(staged)
+        // Lend the session's own planes to the frame; moving the struct
+        // out and back copies a few KiB of headers, never the buffers.
+        let mut fs = std::mem::take(&mut self.fs);
+        let staged = self.stage(&mut fs, payload, src);
+        fs.viterbi(&staged);
+        let result = self.finish(&mut fs, staged);
+        self.fs = fs;
+        result
     }
 
     /// The front of the frame path: the control source writes the message
     /// into `xs.msg`, then the frame is built, embedded, rendered, sent
     /// over the link, front-ended, energy-detected and staged for the
-    /// erasure Viterbi — all into session-owned scratch. The Viterbi
-    /// itself is the next step.
-    pub(crate) fn stage(&mut self, payload: &[u8], src: ControlSource<'_>) -> Staged {
+    /// erasure Viterbi — the frame planes into `fs`, the per-packet
+    /// results into session scratch. The Viterbi itself is the next step.
+    pub(crate) fn stage(
+        &mut self,
+        fs: &mut FrameScratch,
+        payload: &[u8],
+        src: ControlSource<'_>,
+    ) -> Staged {
         let (embed_control, tail) = self.choose_control(payload, src);
         self.seq += 1;
         let scrambler_seed = (self.seq % 127 + 1) as u8;
         let rate = self.rate;
-        self.phy_tx.build_frame_into(payload, rate, scrambler_seed, &mut self.ws.tx);
+        let ws = &mut fs.phy;
+        self.phy_tx.build_frame_into(payload, rate, scrambler_seed, &mut ws.tx);
 
         // Embed; if the message outgrows the current selection (short
         // frame or long message), expand the control-subcarrier set for
@@ -732,7 +803,7 @@ impl CosSession {
         if embed_control {
             loop {
                 match self.controller.embed_into(
-                    &mut self.ws.tx.frame,
+                    &mut ws.tx.frame,
                     &self.sel_scratch,
                     &self.xs.msg,
                     &mut self.xs.truth,
@@ -756,13 +827,13 @@ impl CosSession {
             }
         }
         let silences_sent = self.xs.truth.len();
-        self.ws.tx.render();
+        ws.tx.render();
 
-        // Split-borrow the session so the link, detector, PHY workspace
-        // and per-packet scratch can be used side by side without
-        // intermediate allocations. The channel output lands straight in
-        // the receive workspace.
-        let CosSession { link, ws, detector, phy_rx, det, thresholds, sel_scratch, .. } = self;
+        // Split-borrow the session so the link, detector and per-packet
+        // scratch can be used side by side without intermediate
+        // allocations. The channel output lands straight in the receive
+        // workspace.
+        let CosSession { link, detector, phy_rx, det, thresholds, sel_scratch, .. } = self;
         link.transmit_into(&ws.tx.samples, &mut ws.rx.samples);
         let rx = match phy_rx.front_end_into(&ws.rx.samples, &mut ws.rx.fe) {
             Ok(()) => {
@@ -856,28 +927,13 @@ impl CosSession {
         }
     }
 
-    /// The Viterbi step, per-frame form: decodes the staged trellis (if
-    /// any) into this session's scratch.
-    pub(crate) fn viterbi(&mut self, staged: &Staged) {
-        if let Some(p) = staged.staged_ok() {
-            run_staged_viterbi(p, &mut self.ws.rx.scratch.fec);
-        }
-    }
-
-    /// The Viterbi step in lockstep form: borrows this session's staged
-    /// trellis as one lane frame for
-    /// [`cos_fec::ViterbiDecoder::decode_lockstep`]. Running the lane
-    /// frame leaves exactly the state [`viterbi`](Self::viterbi) would.
-    pub(crate) fn staged_viterbi_frame(&mut self, prep: PreparedDataField) -> LaneFrame<'_> {
-        staged_lane_frame(prep, &mut self.ws.rx.scratch.fec)
-    }
-
     /// The back of the frame path: the shared receive finish, then the
     /// sender-side tail of the frame's control source (feedback fate, ARQ
     /// confirmation, controller observation). Requires the Viterbi step
-    /// to have run when the frame staged cleanly.
-    pub(crate) fn finish(&mut self, staged: Staged) -> JobResult {
-        let t = self.finish_rx(&staged);
+    /// to have run when the frame staged cleanly, on the `fs` the frame
+    /// was staged into.
+    pub(crate) fn finish(&mut self, fs: &mut FrameScratch, staged: Staged) -> JobResult {
+        let t = self.finish_rx(fs, &staged);
         match staged.tail {
             Tail::Plain => {
                 self.plain_tail(&t);
@@ -897,13 +953,13 @@ impl CosSession {
     /// control-bit extraction, silence validation, EVM feedback, channel
     /// advance and metrics. Does **not** apply feedback to the sender
     /// state.
-    fn finish_rx(&mut self, staged: &Staged) -> Transceived {
+    fn finish_rx(&mut self, fs: &mut FrameScratch, staged: &Staged) -> Transceived {
         let Staged { silences_sent, rate, embed_control, rx, .. } = *staged;
         let result = match rx {
             RxStage::Staged(prep) => {
-                let CosSession {
-                    phy_rx, controller, config, ws, ref_tx, det, sel_scratch, xs, ..
-                } = &mut *self;
+                let CosSession { phy_rx, controller, config, det, sel_scratch, xs, .. } =
+                    &mut *self;
+                let FrameScratch { phy: ws, ref_tx } = fs;
                 let codec = *controller.codec();
                 let total = ws.rx.fe.raw_symbols.len() * sel_scratch.len();
                 // Decoded control bits are bounded by one interval per
@@ -1727,6 +1783,37 @@ mod tests {
         }
         let m = s.metrics();
         assert!(m.arq_retries >= 1, "blackout forced no retries: {m:?}");
+    }
+
+    #[test]
+    fn engine_driven_session_keeps_empty_frame_planes() {
+        use crate::engine::{BatchEngine, EngineConfig, JobResult, SessionPool};
+        let mut pool = SessionPool::new();
+        let ids: Vec<_> = (0..9)
+            .map(|i| {
+                let rate = Some(if i % 2 == 0 { DataRate::Mbps54 } else { DataRate::Mbps6 });
+                pool.create(SessionConfig { snr_db: 22.0, rate, ..Default::default() }, i)
+            })
+            .collect();
+        for threads in [1, 2] {
+            let mut engine = BatchEngine::new(EngineConfig { threads });
+            let p = engine.add_payload(&[0x3C; 200]);
+            let c = engine.add_control(&[1, 0, 1, 1]);
+            for &id in &ids {
+                engine.submit(id, p, c);
+                engine.submit_resilient(id, p);
+                engine.submit_adaptive(id, p);
+            }
+            let out = engine.drain(&mut pool);
+            assert!(out.iter().all(|o| o.result != JobResult::StaleSession));
+        }
+        for &id in &ids {
+            assert_eq!(pool.get(id).unwrap().fs.planes_capacity(), 0, "{id:?}");
+        }
+        // The per-frame path lends the session its own planes.
+        let s = pool.get_mut(ids[0]).unwrap();
+        s.send_packet_summary(&[0x3C; 200], &[1, 0, 1, 1]);
+        assert!(s.fs.planes_capacity() > 0);
     }
 
     #[test]

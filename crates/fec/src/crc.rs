@@ -6,7 +6,8 @@
 //! check (paper §III-D), because only then are the transmitted
 //! constellation points known.
 
-/// A table-driven CRC-32 engine.
+/// A table-driven CRC-32 engine, slicing-by-8: eight bytes per step
+/// through eight 256-entry tables, the tail bytewise through the first.
 ///
 /// # Examples
 ///
@@ -18,7 +19,9 @@
 /// ```
 #[derive(Debug, Clone)]
 pub struct Crc32 {
-    table: [u32; 256],
+    /// `tables[0]` is the bytewise table; `tables[k][i]` is the CRC
+    /// register after byte `i` is followed by `k` zero bytes.
+    tables: [[u32; 256]; 8],
 }
 
 impl Default for Crc32 {
@@ -31,10 +34,10 @@ impl Crc32 {
     /// Reflected polynomial of `0x04C11DB7`.
     pub const POLY_REFLECTED: u32 = 0xEDB8_8320;
 
-    /// Builds the 256-entry lookup table.
+    /// Builds the eight 256-entry lookup tables.
     pub fn new() -> Self {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
+        let mut tables = [[0u32; 256]; 8];
+        for (i, entry) in tables[0].iter_mut().enumerate() {
             let mut crc = i as u32;
             for _ in 0..8 {
                 crc = if crc & 1 != 0 {
@@ -45,14 +48,29 @@ impl Crc32 {
             }
             *entry = crc;
         }
-        Crc32 { table }
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = tables[k - 1][i];
+                tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            }
+        }
+        Crc32 { tables }
     }
 
     /// Computes the CRC-32 of `data`.
     pub fn checksum(&self, data: &[u8]) -> u32 {
+        let t = &self.tables;
+        let at = |k: usize, x: u32| t[k][(x & 0xFF) as usize];
         let mut crc = 0xFFFF_FFFFu32;
-        for &byte in data {
-            crc = (crc >> 8) ^ self.table[((crc ^ byte as u32) & 0xFF) as usize];
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = at(7, lo) ^ at(6, lo >> 8) ^ at(5, lo >> 16) ^ at(4, lo >> 24)
+                ^ at(3, hi) ^ at(2, hi >> 8) ^ at(1, hi >> 16) ^ at(0, hi >> 24);
+        }
+        for &byte in words.remainder() {
+            crc = (crc >> 8) ^ at(0, crc ^ u32::from(byte));
         }
         !crc
     }
@@ -91,6 +109,33 @@ mod tests {
     #[test]
     fn check_value() {
         assert_eq!(Crc32::new().checksum(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn slicing_matches_the_bytewise_table() {
+        let crc = Crc32::new();
+        let bytewise = |data: &[u8]| {
+            !data.iter().fold(0xFFFF_FFFFu32, |c, &b| {
+                (c >> 8) ^ crc.tables[0][((c ^ u32::from(b)) & 0xFF) as usize]
+            })
+        };
+        // xorshift64: random lengths in 0..2048 and random contents.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let data: Vec<u8> = (0..2048).map(|_| next() as u8).collect();
+        let lens: Vec<usize> =
+            (0..40).chain((0..200).map(|_| (next() % 2048) as usize)).collect();
+        for len in lens {
+            let start = (next() % 8) as usize;
+            let end = (start + len).min(data.len());
+            let slice = &data[start..end];
+            assert_eq!(crc.checksum(slice), bytewise(slice), "len {len}");
+        }
     }
 
     #[test]

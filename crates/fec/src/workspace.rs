@@ -30,8 +30,10 @@ impl ViterbiWorkspace {
     /// Sizes the traceback scratch for a `steps`-step trellis and returns
     /// it, so staged pipelines can hand the decoder a bare slice (e.g. via
     /// [`crate::LaneFrame`]) without reaching into the workspace.
+    /// Only the length is set: the decoder stores every step's word before
+    /// traceback reads it, so stale words from a longer frame are never
+    /// seen and refilling them with zeros would be a dead memset.
     pub fn prepared(&mut self, steps: usize) -> &mut [u64] {
-        self.prev_lsbs.clear();
         self.prev_lsbs.resize(steps, 0);
         &mut self.prev_lsbs
     }
@@ -67,17 +69,17 @@ impl SymbolBatch {
     }
 }
 
-/// Scratch for a full DATA-field decode pass
-/// (deinterleave → depuncture → Viterbi).
+/// Scratch for a full DATA-field decode pass: the Viterbi input in
+/// mother-code order (staged in one pass by the PHY's RX bit plan), the
+/// traceback and the decoded bits.
 ///
 /// The fields are public so higher layers (`cos-phy`) can thread
 /// individual buffers through a staged pipeline without borrowing the
 /// whole struct at once.
 #[derive(Debug, Clone, Default)]
 pub struct FecWorkspace {
-    /// Soft bits after de-interleaving.
-    pub deinterleaved: Vec<f64>,
-    /// Soft bits after de-puncturing (mother-code order).
+    /// Viterbi input: soft bits in mother-code order, `+0.0` at
+    /// punctured positions.
     pub mother_llrs: Vec<f64>,
     /// Viterbi output (scrambled data bits).
     pub decoded: Vec<u8>,

@@ -3,8 +3,10 @@
 //!
 //! The transmit side is one packed, table-driven kernel
 //! ([`build_data_field_into`] and the frame builders share it; see
-//! `docs/KERNELS.md`, "TX bit chain"). The receive side deinterleaves,
-//! depunctures and Viterbi-decodes soft bits in [`FecWorkspace`] scratch.
+//! `docs/KERNELS.md`, "TX bit chain"). The receive side stages soft bits
+//! through the inverse of the same per-symbol plan into mother-code order
+//! (deinterleave and depuncture in one pass), then Viterbi-decodes them
+//! in [`FecWorkspace`] scratch.
 //!
 //! The PSDU carried here is `payload ‖ CRC-32`, so a decoded frame can be
 //! integrity-checked exactly as the paper's receiver does before computing
@@ -170,6 +172,27 @@ fn symbol_plan(rate: DataRate) -> &'static [u16] {
                 plan[j] = m as u16;
             }
             plan
+        })
+    })[rate.band_index()]
+}
+
+/// The slot of a symbol-local soft-bit window that no interleaved
+/// position reaches (`Ncbps ≤ 288`), held at `+0.0`.
+const PUNCTURED: u16 = (SYMBOL_MOTHER_CAP - 1) as u16;
+
+/// The inverse of [`symbol_plan`], for the receiver: entry `m` is the
+/// interleaved position that carries symbol-local mother-code index `m`,
+/// or [`PUNCTURED`] where the rate punctures `m`. One process-wide plan
+/// per rate.
+fn rx_symbol_plan(rate: DataRate) -> &'static [u16] {
+    static PLANS: OnceLock<[Vec<u16>; 8]> = OnceLock::new();
+    &PLANS.get_or_init(|| {
+        DataRate::ALL.map(|rate| {
+            let mut inverse = vec![PUNCTURED; 2 * rate.ndbps()];
+            for (j, &m) in symbol_plan(rate).iter().enumerate() {
+                inverse[usize::from(m)] = j as u16;
+            }
+            inverse
         })
     })[rate.band_index()]
 }
@@ -422,6 +445,14 @@ impl PreparedDataField {
 /// depuncture and truncate at the tail, staging the Viterbi input in
 /// `fec.mother_llrs` without running the decoder.
 ///
+/// One pass (the RX bit plan, `docs/KERNELS.md`): each symbol's
+/// `2 × Ndbps` mother-code block is gathered straight from the symbol's
+/// soft bits through [`rx_symbol_plan`], the inverse of the plan the
+/// transmitter builds through, with `+0.0` at punctured slots.
+/// Bit-identical to [`Interleaver::deinterleave_soft_into`] followed by
+/// [`cos_fec::CodeRate::depuncture_into`]
+/// (`crates/phy/tests/rx_staging_differential.rs`).
+///
 /// # Errors
 ///
 /// [`PhyError::DataFieldTooShort`] when the soft-bit stream cannot even
@@ -432,15 +463,27 @@ pub fn prepare_data_field_into(
     psdu_len: usize,
     fec: &mut FecWorkspace,
 ) -> Result<PreparedDataField, PhyError> {
+    let plan = rx_symbol_plan(rate);
+    let ncbps = rate.ncbps();
+    let mother = &mut fec.mother_llrs;
     // A truncated stream may end mid-symbol; only whole OFDM symbols can
-    // be deinterleaved, so drop the ragged tail instead of asserting.
-    let whole = llrs.len() - llrs.len() % rate.ncbps();
-    interleaver_for(rate).deinterleave_soft_into(&llrs[..whole], &mut fec.deinterleaved);
-    rate.code_rate().depuncture_into(&fec.deinterleaved, &mut fec.mother_llrs);
+    // be deinterleaved, so the ragged tail is dropped instead of asserted
+    // on. Every slot is written below, so the buffer is only resized.
+    mother.resize(llrs.len() / ncbps * plan.len(), 0.0);
+    // One symbol's soft bits, with `+0.0` left at PUNCTURED. A gather
+    // through masked indices into this fixed window needs no bounds
+    // checks and measured faster than scattering through `symbol_plan`.
+    let mut window = [0.0f64; SYMBOL_MOTHER_CAP];
+    for (block, symbol) in mother.chunks_exact_mut(plan.len()).zip(llrs.chunks_exact(ncbps)) {
+        window[..ncbps].copy_from_slice(symbol);
+        for (llr, &j) in block.iter_mut().zip(plan) {
+            *llr = window[usize::from(j) & (SYMBOL_MOTHER_CAP - 1)];
+        }
+    }
     let data_bits_to_tail = SERVICE_BITS + psdu_len * 8 + TAIL_BITS;
     // The Viterbi decoder consumes coded-bit pairs; an odd trailing bit
     // from a truncated stream is dropped rather than asserted on.
-    let coded_to_tail = ((data_bits_to_tail * 2).min(fec.mother_llrs.len())) & !1;
+    let coded_to_tail = ((data_bits_to_tail * 2).min(mother.len())) & !1;
     // Recovering the scrambler seed needs at least the 7 SERVICE prefix
     // bits, i.e. 14 mother-code bits.
     if coded_to_tail < SEED_BITS * 2 {
@@ -457,9 +500,9 @@ pub fn prepare_data_field_into(
 /// [`prepare_data_field_into`] and [`finish_data_field_into`].
 pub fn run_staged_viterbi(prep: PreparedDataField, fec: &mut FecWorkspace) {
     let steps = prep.steps();
-    fec.decoded.clear();
+    // The traceback writes every decoded bit; resizing alone suffices.
     fec.decoded.resize(steps, 0);
-    let FecWorkspace { mother_llrs, viterbi, decoded, .. } = fec;
+    let FecWorkspace { mother_llrs, viterbi, decoded } = fec;
     ViterbiDecoder::new().decode_to_slices(
         &mother_llrs[..prep.coded_to_tail],
         true,
@@ -474,9 +517,8 @@ pub fn run_staged_viterbi(prep: PreparedDataField, fec: &mut FecWorkspace) {
 /// `fec.decoded`, exactly where [`run_staged_viterbi`] leaves them.
 pub fn staged_lane_frame(prep: PreparedDataField, fec: &mut FecWorkspace) -> LaneFrame<'_> {
     let steps = prep.steps();
-    fec.decoded.clear();
     fec.decoded.resize(steps, 0);
-    let FecWorkspace { mother_llrs, viterbi, decoded, .. } = fec;
+    let FecWorkspace { mother_llrs, viterbi, decoded } = fec;
     LaneFrame {
         llrs: &mother_llrs[..prep.coded_to_tail],
         prev_lsbs: viterbi.prepared(steps),

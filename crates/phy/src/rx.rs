@@ -158,12 +158,16 @@ impl RxFrame {
 }
 
 /// Decoder scratch: buffers the decode stage consumes but whose contents
-/// nobody reads afterwards.
+/// nobody reads after the frame. Frame-sized (one soft bit per coded
+/// bit, plus the mother-code plane), so it belongs to whoever runs the
+/// frame — a session's per-frame path or an engine worker lane — and
+/// never to a session the engine drives (`docs/ARCHITECTURE.md`).
 #[derive(Debug, Clone, Default)]
 pub struct RxScratch {
     /// Soft bits in transmit (interleaved) order.
     pub llrs: Vec<f64>,
-    /// FEC-chain scratch (deinterleave / depuncture / Viterbi).
+    /// FEC-chain scratch: the Viterbi input in mother-code order (staged
+    /// in one pass from `llrs`), the traceback and the decoded bits.
     pub fec: FecWorkspace,
     /// Re-packed PSDU bytes for CRC verification.
     pub psdu: Vec<u8>,

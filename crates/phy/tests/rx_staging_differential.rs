@@ -1,0 +1,90 @@
+//! Differential test for the one-pass RX staging: `prepare_data_field_into`
+//! scatters each symbol's soft bits through the per-symbol plan straight
+//! into mother-code order. The two-pass chain it replaced —
+//! `Interleaver::deinterleave_soft_into` then `CodeRate::depuncture_into`
+//! — is the oracle, and every staged LLR must match it **by `to_bits`**:
+//! `+0.0` and `-0.0` erasures keep their sign, punctured slots are `+0.0`.
+//!
+//! Coverage: all 8 rates, streams truncated mid-symbol (the ragged tail
+//! is dropped), PSDU lengths that put the tail inside, at the end of and
+//! beyond the staged stream (including too short to stage at all), and a
+//! workspace left dirty by a longer frame at another rate.
+
+use cos_fec::FecWorkspace;
+use cos_phy::error::PhyError;
+use cos_phy::frame::{
+    interleaver_for, prepare_data_field_into, PreparedDataField, SERVICE_BITS, TAIL_BITS,
+};
+use cos_phy::rates::DataRate;
+use proptest::prelude::*;
+
+/// The retired two-pass staging: deinterleave whole symbols, depuncture,
+/// truncate at the tail.
+fn oracle(
+    llrs: &[f64],
+    rate: DataRate,
+    psdu_len: usize,
+) -> (Vec<f64>, Result<PreparedDataField, PhyError>) {
+    let whole = llrs.len() - llrs.len() % rate.ncbps();
+    let mut deinterleaved = Vec::new();
+    interleaver_for(rate).deinterleave_soft_into(&llrs[..whole], &mut deinterleaved);
+    let mut mother = Vec::new();
+    rate.code_rate().depuncture_into(&deinterleaved, &mut mother);
+    let coded_to_tail = ((SERVICE_BITS + psdu_len * 8 + TAIL_BITS) * 2).min(mother.len()) & !1;
+    let prep = if coded_to_tail < 14 {
+        Err(PhyError::DataFieldTooShort { got: coded_to_tail / 2, need: 7 })
+    } else {
+        Ok(PreparedDataField { coded_to_tail })
+    };
+    (mother, prep)
+}
+
+/// Soft bits with a sprinkling of `+0.0` and `-0.0` erasures.
+fn soft_bits(n: usize, seed: u64) -> Vec<f64> {
+    let mut x = seed | 1;
+    (0..n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            match x % 7 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => ((x >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 16.0,
+            }
+        })
+        .collect()
+}
+
+fn arb_rate() -> impl Strategy<Value = DataRate> {
+    proptest::sample::select(DataRate::ALL.to_vec())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn one_pass_staging_matches_the_two_pass_oracle(
+        rate in arb_rate(),
+        symbols in 0usize..14,
+        ragged in 0usize..288,
+        psdu_len in 0usize..360,
+        seed in any::<u64>(),
+    ) {
+        let llrs = soft_bits(symbols * rate.ncbps() + ragged % rate.ncbps(), seed);
+        let (want, want_prep) = oracle(&llrs, rate, psdu_len);
+
+        // Dirty the workspace with a longer frame at another rate first.
+        let mut fec = FecWorkspace::new();
+        let other = DataRate::ALL[(rate.band_index() + 3) % 8];
+        let dirt: Vec<f64> = soft_bits(20 * other.ncbps(), !seed).iter().map(|l| l - 100.0).collect();
+        prepare_data_field_into(&dirt, other, 4000, &mut fec).expect("20 symbols stage");
+
+        let got_prep = prepare_data_field_into(&llrs, rate, psdu_len, &mut fec);
+        prop_assert_eq!(got_prep, want_prep);
+        prop_assert_eq!(fec.mother_llrs.len(), want.len());
+        for (i, (g, w)) in fec.mother_llrs.iter().zip(&want).enumerate() {
+            prop_assert_eq!(g.to_bits(), w.to_bits(), "{} mother bit {}", rate, i);
+        }
+    }
+}

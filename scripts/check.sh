@@ -25,7 +25,7 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 echo "== robustness_soak --quick (fault-matrix smoke: every impairment and mode transition, fixed seeds)"
 cargo run -q --release -p cos-experiments --bin robustness_soak -- --quick
 
-echo "== alloc gate (workspace rx ≥10x leaner than the owned path or ≥1.5x faster; streaming rx, tx+embed and lockstep decode 0 allocs; resilient summary leaner than report)"
+echo "== alloc gate (workspace rx ≥10x leaner than the owned path or ≥1.5x faster; streaming rx, tx+embed and lockstep decode 0 allocs; resilient summary leaner than report; a session added to a warmed engine allocates ≤128 KiB at 54 and 6 Mbps)"
 cargo run -q --release -p cos-bench --bin alloc_gate
 
 echo "== golden vectors (frozen waveforms + decodes for all 8 rates; any bit/sample drift fails)"

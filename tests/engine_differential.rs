@@ -204,6 +204,7 @@ fn assert_results_eq(got: &[JobResult], want: &[JobResult], label: &str) {
             (JobResult::Plain(a), JobResult::Plain(b)) => assert_packet_eq(a, b, &ctx),
             (JobResult::Resilient(a), JobResult::Resilient(b)) => assert_resilient_eq(a, b, &ctx),
             (JobResult::Adaptive(a), JobResult::Adaptive(b)) => assert_adaptive_eq(a, b, &ctx),
+            (JobResult::StaleSession, JobResult::StaleSession) => {}
             _ => panic!("{ctx}: result kind mismatch"),
         }
     }
@@ -226,4 +227,136 @@ fn batch_engine_matches_sequential_sessions_at_any_thread_count_and_kernel() {
         per_mode.push(reference);
     }
     assert_results_eq(&per_mode[1], &per_mode[0], "lanes vs scalar reference");
+}
+
+/// Sessions of the dirty-lane run: 6 and 54 Mbps alternate, so every
+/// worker lane is reused across rates and buffer sizes.
+fn lane_config(i: usize) -> SessionConfig {
+    SessionConfig {
+        snr_db: 16.0 + (i % 4) as f64 * 4.0,
+        rate: Some(if i.is_multiple_of(2) { DataRate::Mbps54 } else { DataRate::Mbps6 }),
+        ..Default::default()
+    }
+}
+
+const LANE_SESSIONS: usize = 12;
+const LANE_ROUNDS: usize = 3;
+const LANE_PAYLOADS: [usize; 2] = [96, 1020];
+/// The session released (and a new one created in its slot) after the
+/// first round.
+const RECYCLED: usize = 5;
+
+/// Round `round`'s jobs as `(session, kind)`: two per session, all three
+/// kinds; most sessions share a payload length per job so full lockstep
+/// bundles form, the rest make tail bundles.
+fn lane_round(round: usize) -> Vec<(usize, Kind)> {
+    let mut jobs = Vec::new();
+    for j in 0..2 {
+        for i in 0..LANE_SESSIONS {
+            let payload = (round + j + usize::from(i % 5 == 4)) % 2;
+            let kind = match (i + round + j) % 3 {
+                0 => Kind::Plain { payload, control: (i + j) % 2 },
+                1 => Kind::Resilient { payload },
+                _ => Kind::Adaptive { payload },
+            };
+            jobs.push((i, kind));
+        }
+    }
+    jobs
+}
+
+fn lane_payloads() -> Vec<Vec<u8>> {
+    LANE_PAYLOADS.iter().map(|&n| (0..n).map(|i| (i * 29 + n) as u8).collect()).collect()
+}
+
+fn queue_lane_controls(s: &mut CosSession) {
+    s.queue_control(vec![1, 0, 0, 1, 1, 0, 1, 0]);
+    s.queue_adaptive_control(vec![0, 1, 1, 1]);
+}
+
+/// The per-session reference of the dirty-lane run: plain sessions in
+/// submit order; the recycled session restarts fresh after round 0, and
+/// the stale handle's job (submitted first in every later round) never
+/// runs.
+fn lane_reference() -> Vec<JobResult> {
+    let (payloads, controls) = (lane_payloads(), controls());
+    let mut sessions: Vec<CosSession> = (0..LANE_SESSIONS)
+        .map(|i| CosSession::new(lane_config(i), seed(i)))
+        .collect();
+    sessions.iter_mut().for_each(queue_lane_controls);
+    let mut results = Vec::new();
+    for round in 0..LANE_ROUNDS {
+        if round == 1 {
+            sessions[RECYCLED] = CosSession::new(lane_config(LANE_SESSIONS), seed(LANE_SESSIONS));
+            queue_lane_controls(&mut sessions[RECYCLED]);
+        }
+        if round > 0 {
+            results.push(JobResult::StaleSession);
+        }
+        for (i, kind) in lane_round(round) {
+            let s = &mut sessions[i];
+            results.push(match kind {
+                Kind::Plain { payload, control } => {
+                    JobResult::Plain(s.send_packet_summary(&payloads[payload], &controls[control]))
+                }
+                Kind::Resilient { payload } => {
+                    JobResult::Resilient(s.send_packet_resilient_summary(&payloads[payload]))
+                }
+                Kind::Adaptive { payload } => {
+                    JobResult::Adaptive(s.send_packet_adaptive_summary(&payloads[payload]))
+                }
+            });
+        }
+    }
+    results
+}
+
+fn lane_engine_run(threads: usize) -> Vec<JobResult> {
+    let (payloads, controls) = (lane_payloads(), controls());
+    let mut pool = SessionPool::new();
+    let mut ids: Vec<_> =
+        (0..LANE_SESSIONS).map(|i| pool.create(lane_config(i), seed(i))).collect();
+    for &id in &ids {
+        queue_lane_controls(pool.get_mut(id).expect("live session"));
+    }
+    let mut engine = BatchEngine::new(EngineConfig { threads });
+    let pids: Vec<_> = payloads.iter().map(|p| engine.add_payload(p)).collect();
+    let cids: Vec<_> = controls.iter().map(|c| engine.add_control(c)).collect();
+    let stale = ids[RECYCLED];
+    let mut results = Vec::new();
+    for round in 0..LANE_ROUNDS {
+        if round == 1 {
+            assert!(pool.release(stale));
+            ids[RECYCLED] = pool.create(lane_config(LANE_SESSIONS), seed(LANE_SESSIONS));
+            assert_eq!(pool.spares(), 0, "the released session is recycled");
+            queue_lane_controls(pool.get_mut(ids[RECYCLED]).expect("live session"));
+        }
+        if round > 0 {
+            engine.submit(stale, pids[0], cids[0]);
+        }
+        for (i, kind) in lane_round(round) {
+            match kind {
+                Kind::Plain { payload, control } => {
+                    engine.submit(ids[i], pids[payload], cids[control])
+                }
+                Kind::Resilient { payload } => engine.submit_resilient(ids[i], pids[payload]),
+                Kind::Adaptive { payload } => engine.submit_adaptive(ids[i], pids[payload]),
+            }
+        }
+        results.extend(engine.drain(&mut pool).iter().map(|o| o.result));
+    }
+    results
+}
+
+#[test]
+fn dirty_worker_lanes_match_sequential_sessions() {
+    // Worker lanes persist across drains and pass from session to session
+    // (6 and 54 Mbps, 96- and 1020-byte payloads, every job kind, a
+    // recycled session): no frame may see what an earlier one left there.
+    let reference = lane_reference();
+    assert!(reference.iter().any(|r| matches!(r, JobResult::Plain(p) if p.data_ok)));
+    for threads in [1, 2] {
+        let label = format!("dirty lanes, threads={threads}");
+        assert_results_eq(&lane_engine_run(threads), &reference, &label);
+    }
 }
