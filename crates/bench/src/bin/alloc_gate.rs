@@ -4,10 +4,10 @@
 //! front end → decode) twice: once through the owned, allocating APIs
 //! and once through the `*_into` workspace pipeline, under the counting
 //! global allocator. Also profiles the streaming receive path
-//! (`receive_stream` vs `receive_stream_into`), the resilient session
-//! path (`send_packet_resilient` vs the `_summary` variant), and the
-//! transmit control path (`build_frame` + `PowerController::embed` +
-//! `to_time_samples` vs `build_frame_into` + `embed_into` + `render`).
+//! (`receive_stream` vs `receive_stream_into`), the transmit control
+//! path (`build_frame` + `PowerController::embed` + `to_time_samples` vs
+//! `build_frame_into` + `embed_into` + `render`), and the resilient and
+//! adaptive session paths with their ARQ queues loaded.
 //!
 //! A batched-decode phase stages a full lane group, runs
 //! `ViterbiDecoder::decode_lockstep` over it with a reused
@@ -20,22 +20,23 @@
 //! drained frame) allocates: the frame-sized planes belong to the
 //! engine's worker lanes, so a session holds only its persistent state.
 //!
-//! Exits non-zero unless all six gates hold:
+//! Exits non-zero unless all seven gates hold:
 //!
 //! * the workspace path allocates at most a tenth of what the owned path
 //!   does per frame, **or** runs the rx chain at least 1.5× faster;
 //! * the streaming workspace rx allocates nothing per frame;
 //! * the embedding workspace tx allocates nothing per frame;
 //! * the batched lockstep decode allocates nothing per batch;
-//! * the resilient summary path allocates strictly less than the
-//!   report-building one;
+//! * the resilient and the adaptive session paths each allocate fewer
+//!   than [`SESSION_ALLOCS_MAX`] times per frame, with one queued
+//!   control message per frame sent;
 //! * each session added to a warmed engine allocates at most
 //!   [`FOOTPRINT_KIB`] KiB, at 54 and at 6 Mbps.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use cos_bench::gate::{counters, payload_bytes, Flags};
+use cos_bench::gate::{control_bits, counters, payload_bytes, Flags, CONTROL_LENS};
 use cos_channel::{ChannelConfig, Link};
 use cos_core::engine::{BatchEngine, EngineConfig, SessionPool};
 use cos_core::session::{CosSession, SessionConfig};
@@ -47,10 +48,13 @@ use cos_phy::frame::staged_lane_frame;
 use cos_phy::rates::DataRate;
 use cos_phy::rx::{Receiver, RxConfig};
 use cos_phy::tx::Transmitter;
-use cos_phy::{PhyWorkspace, RxPipeline, TxPipeline};
+use cos_phy::PhyWorkspace;
 
-const WARMUP_FRAMES: usize = 4;
-const MEASURED_FRAMES: usize = 40;
+/// Warm-up frames of every per-frame gate: enough for the feedback
+/// history, the probe search and the message buffers of the session
+/// paths to settle.
+const WARMUP_FRAMES: usize = 20;
+const MEASURED_FRAMES: usize = 200;
 const SNR_DB: f64 = 20.0;
 
 /// A deterministic 1020-byte payload (1024-byte PSDU).
@@ -106,16 +110,17 @@ fn run_owned() -> Measurement {
 fn run_workspace() -> Measurement {
     let payload = bench_payload();
     let mut link = Link::new(ChannelConfig::default(), SNR_DB, 42);
-    let tx = TxPipeline::new();
-    let rx = RxPipeline::new();
+    let tx = Transmitter::new();
+    let rx = Receiver::new();
     let mut ws = PhyWorkspace::new();
     measure(move || {
-        tx.build_and_render(&payload, DataRate::Mbps24, 0x5D, &mut ws.tx);
+        tx.build_frame_into(&payload, DataRate::Mbps24, 0x5D, &mut ws.tx);
+        ws.tx.render();
         link.transmit_into(&ws.tx.samples, &mut ws.rx.samples);
         let cos_phy::RxWorkspace { samples, fe, scratch, out, .. } = &mut ws.rx;
-        match rx.receiver().front_end_into(samples, fe) {
+        match rx.front_end_into(samples, fe) {
             Ok(()) => {
-                rx.receiver().decode_into(fe, None, scratch, out);
+                rx.decode_into(fe, None, scratch, out);
                 out.crc_ok
             }
             Err(_) => false,
@@ -147,17 +152,18 @@ fn run_stream_owned() -> Measurement {
 fn run_stream_workspace() -> Measurement {
     let payload = bench_payload();
     let mut link = Link::new(ChannelConfig::default(), SNR_DB, 42);
-    let tx = TxPipeline::new();
-    let rx = RxPipeline::new();
+    let tx = Transmitter::new();
+    let rx = Receiver::new();
     let mut ws = PhyWorkspace::new();
     let mut stream: Vec<Complex> = Vec::new();
     measure(move || {
-        tx.build_and_render(&payload, DataRate::Mbps24, 0x5D, &mut ws.tx);
+        tx.build_frame_into(&payload, DataRate::Mbps24, 0x5D, &mut ws.tx);
+        ws.tx.render();
         link.transmit_into(&ws.tx.samples, &mut ws.rx.samples);
         stream.clear();
         stream.resize(STREAM_PAD, Complex::ZERO);
         stream.extend_from_slice(&ws.rx.samples);
-        match rx.receiver().receive_stream_into(&stream, &RxConfig::ideal(), &mut ws.rx) {
+        match rx.receive_stream_into(&stream, &RxConfig::ideal(), &mut ws.rx) {
             Ok(_) => ws.rx.out.crc_ok,
             Err(_) => false,
         }
@@ -183,12 +189,12 @@ fn run_embed_owned() -> Measurement {
 
 fn run_embed_workspace() -> Measurement {
     let payload = bench_payload();
-    let txp = TxPipeline::new();
+    let tx = Transmitter::new();
     let pc = PowerController::default();
     let mut ws = PhyWorkspace::new();
     let mut positions: Vec<usize> = Vec::new();
     measure(move || {
-        txp.transmitter().build_frame_into(&payload, DataRate::Mbps24, 0x5D, &mut ws.tx);
+        tx.build_frame_into(&payload, DataRate::Mbps24, 0x5D, &mut ws.tx);
         pc.embed_into(&mut ws.tx.frame, &EMBED_SELECTED, &EMBED_BITS, &mut positions)
             .expect("fits");
         let n = ws.tx.render().len();
@@ -203,27 +209,28 @@ fn run_embed_workspace() -> Measurement {
 fn batch_workspaces() -> Vec<PhyWorkspace> {
     let payload = bench_payload();
     let mut link = Link::new(ChannelConfig::default(), SNR_DB, 42);
-    let tx = TxPipeline::new();
-    let rx = RxPipeline::new();
+    let tx = Transmitter::new();
+    let rx = Receiver::new();
     let mut wss: Vec<PhyWorkspace> = (0..LANES).map(|_| PhyWorkspace::new()).collect();
     for ws in wss.iter_mut() {
-        tx.build_and_render(&payload, DataRate::Mbps24, 0x5D, &mut ws.tx);
+        tx.build_frame_into(&payload, DataRate::Mbps24, 0x5D, &mut ws.tx);
+        ws.tx.render();
         link.transmit_into(&ws.tx.samples, &mut ws.rx.samples);
         let cos_phy::RxWorkspace { samples, fe, .. } = &mut ws.rx;
-        rx.receiver().front_end_into(samples, fe).expect("clean front end");
+        rx.front_end_into(samples, fe).expect("clean front end");
     }
     wss
 }
 
 /// Per-frame reference: a plain `decode_into` loop over the lane group.
 fn run_batch_decode_per_frame() -> Measurement {
-    let rx = RxPipeline::new();
+    let rx = Receiver::new();
     let mut wss = batch_workspaces();
     measure(move || {
         let mut ok = true;
         for ws in wss.iter_mut() {
             let cos_phy::RxWorkspace { fe, scratch, out, .. } = &mut ws.rx;
-            rx.receiver().decode_into(fe, None, scratch, out);
+            rx.decode_into(fe, None, scratch, out);
             ok &= out.crc_ok;
         }
         ok
@@ -260,20 +267,24 @@ fn run_batch_decode_lockstep() -> Measurement {
     })
 }
 
-fn resilient_session() -> CosSession {
-    CosSession::new(SessionConfig { snr_db: SNR_DB, ..Default::default() }, 42)
-}
+/// Allocations per frame the resilient and adaptive paths must stay
+/// below.
+const SESSION_ALLOCS_MAX: f64 = 0.1;
 
-fn run_resilient_report() -> Measurement {
+/// One session path (`send`, returning the data CRC) with its ARQ queue
+/// (`queue`) loaded before the window with one control message per
+/// frame the gate sends: a frame polls at most one message, so the
+/// queue is never empty when polled.
+fn run_session(
+    queue: fn(&mut CosSession, Vec<u8>),
+    send: fn(&mut CosSession, &[u8]) -> bool,
+) -> Measurement {
     let payload = bench_payload();
-    let mut session = resilient_session();
-    measure(move || session.send_packet_resilient(&payload).packet.data_ok)
-}
-
-fn run_resilient_summary() -> Measurement {
-    let payload = bench_payload();
-    let mut session = resilient_session();
-    measure(move || session.send_packet_resilient_summary(&payload).packet.data_ok)
+    let mut session = CosSession::new(SessionConfig { snr_db: SNR_DB, ..Default::default() }, 42);
+    for i in 0..WARMUP_FRAMES + MEASURED_FRAMES {
+        queue(&mut session, control_bits(CONTROL_LENS[i % CONTROL_LENS.len()]));
+    }
+    measure(move || send(&mut session, &payload))
 }
 
 /// Sessions the footprint phase warms the engine with, then adds.
@@ -315,8 +326,12 @@ fn main() {
     let workspace = run_workspace();
     let stream_owned = run_stream_owned();
     let stream_workspace = run_stream_workspace();
-    let resilient_report = run_resilient_report();
-    let resilient_summary = run_resilient_summary();
+    let resilient = run_session(CosSession::queue_control, |s, p| {
+        s.send_packet_resilient_summary(p).packet.data_ok
+    });
+    let adaptive = run_session(CosSession::queue_adaptive_control, |s, p| {
+        s.send_packet_adaptive_summary(p).packet.data_ok
+    });
     let embed_owned = run_embed_owned();
     let embed_workspace = run_embed_workspace();
     let batch_per_frame = run_batch_decode_per_frame();
@@ -333,10 +348,6 @@ fn main() {
     assert_eq!(
         stream_owned.crc_ok, stream_workspace.crc_ok,
         "owned and workspace streaming paths decoded different frame counts"
-    );
-    assert_eq!(
-        resilient_report.crc_ok, resilient_summary.crc_ok,
-        "resilient report and summary paths decoded different frame counts"
     );
     assert_eq!(
         embed_owned.crc_ok, embed_workspace.crc_ok,
@@ -377,11 +388,13 @@ fn main() {
             batch_lockstep.allocs_per_frame
         ));
     }
-    if resilient_summary.allocs_per_frame >= resilient_report.allocs_per_frame {
-        failures.push(format!(
-            "resilient summary path allocates {:.2}/frame, not below the report path's {:.2}",
-            resilient_summary.allocs_per_frame, resilient_report.allocs_per_frame
-        ));
+    for (path, m) in [("resilient", &resilient), ("adaptive", &adaptive)] {
+        if m.allocs_per_frame >= SESSION_ALLOCS_MAX {
+            failures.push(format!(
+                "{path} session path allocates {:.3}/frame (want < {SESSION_ALLOCS_MAX})",
+                m.allocs_per_frame
+            ));
+        }
     }
     for &(rate, kib) in &footprint {
         if kib > FOOTPRINT_KIB {
@@ -399,10 +412,10 @@ fn main() {
         "alloc gate passed: {alloc_ratio:.1}x fewer allocs, {speedup:.3}x rx speedup, \
          streaming rx 0 allocs/frame, tx+embed 0 allocs/frame ({embed_ratio:.1}x fewer), \
          batched decode 0 allocs/batch, \
-         resilient summary {:.2} vs report {:.2} allocs/frame, \
+         resilient {:.3} / adaptive {:.3} allocs/frame, \
          {} KiB per added engine session",
-        resilient_summary.allocs_per_frame,
-        resilient_report.allocs_per_frame,
+        resilient.allocs_per_frame,
+        adaptive.allocs_per_frame,
         footprint
             .iter()
             .map(|(rate, kib)| format!("{rate} {kib:.1}"))

@@ -25,9 +25,10 @@
 use std::io::Write as _;
 
 use cos_bench::gate::Fnv;
-use cos_phy::pipeline::{TxPipeline, TxWorkspace};
+use cos_phy::pipeline::TxWorkspace;
 use cos_phy::rates::DataRate;
 use cos_phy::rx::{Receiver, RxConfig};
+use cos_phy::tx::Transmitter;
 
 const SCRAMBLER_SEED: u8 = 0x5D;
 const PAYLOAD_LEN: usize = 64;
@@ -46,12 +47,12 @@ fn main() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/vectors");
     std::fs::create_dir_all(dir).expect("create tests/vectors");
 
-    let tx = TxPipeline::new();
+    let tx = Transmitter::new();
     let mut ws = TxWorkspace::new();
     for (ridx, &rate) in DataRate::ALL.iter().enumerate() {
         let payload = vector_payload(ridx);
-        tx.build_and_render(&payload, rate, SCRAMBLER_SEED, &mut ws);
-        let samples = &ws.samples;
+        tx.build_frame_into(&payload, rate, SCRAMBLER_SEED, &mut ws);
+        let samples = ws.render();
 
         let rx = Receiver::new()
             .receive(samples, &RxConfig::ideal())

@@ -128,8 +128,9 @@ fn run_alloc_phase(sessions: usize, measured: usize) -> AllocResult {
 
     let mut round = |pool: &mut SessionPool, digest: &mut Fnv| {
         for (k, &id) in ids.iter().enumerate() {
-            // Plain path only: resilient ARQ history snapshots allocate
-            // by design (they outlive the frame).
+            // Plain path only: the resilient path's mode-transition log
+            // still grows now and then (amortised), so its bound — and
+            // the adaptive path's — lives in `alloc_gate`.
             engine.submit(id, payloads[k % payloads.len()], controls[k % controls.len()]);
         }
         engine.drain_into(pool, &mut out);

@@ -557,8 +557,9 @@ impl LinkAdaptationController {
     /// * `carried_full_budget` — whether the packet actually embedded
     ///   the full [`target_budget`](Self::target_budget) silences. When
     ///   a short frame clamps the budget (see
-    ///   `CosSession::send_packet_adaptive`), the outcome says nothing
-    ///   about the probed budget, so the search ignores it.
+    ///   [`CosSession::send_packet_adaptive_summary`](crate::session::CosSession::send_packet_adaptive_summary)),
+    ///   the outcome says nothing about the probed budget, so the search
+    ///   ignores it.
     pub fn observe(
         &mut self,
         measured_snr_db: Option<f64>,

@@ -69,9 +69,9 @@
 //! use cos_core::session::{CosSession, SessionConfig};
 //!
 //! let mut session = CosSession::new(SessionConfig { snr_db: 18.0, ..Default::default() }, 7);
-//! let report = session.send_packet(b"data payload", &[1, 0, 1, 1, 0, 0, 1, 0]);
+//! let report = session.send_packet_summary(b"data payload", &[1, 0, 1, 1, 0, 0, 1, 0]);
 //! assert!(report.data_ok);
-//! assert_eq!(report.control_bits.as_deref(), Some(&[1, 0, 1, 1, 0, 0, 1, 0][..]));
+//! assert!(report.control_ok, "the control bits arrive exactly as sent");
 //! ```
 
 #![warn(missing_docs)]
@@ -119,8 +119,7 @@ pub use service::{
     ServiceJobKind, ServiceOutcome, ServiceResult, ServiceStats, Ticket,
 };
 pub use session::{
-    AdaptiveReport, AdaptiveSummary, CosSession, PacketSummary, ResilientReport, ResilientSummary,
-    SessionConfig, SessionMetrics,
+    AdaptiveSummary, CosSession, PacketSummary, ResilientSummary, SessionConfig, SessionMetrics,
 };
 pub use subcarrier_select::{select_control_subcarriers, SelectionPolicy};
 pub use validation::sanitize_selection;

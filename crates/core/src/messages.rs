@@ -250,11 +250,12 @@ mod tests {
         use crate::session::{CosSession, SessionConfig};
         let mut session =
             CosSession::new(SessionConfig { snr_db: 20.0, ..Default::default() }, 77);
-        session.send_packet(&[0u8; 600], &[]); // warm-up
+        session.send_packet_summary(&[0u8; 600], &[]); // warm-up
         let msg = ControlMessage::CongestionReport { level: 9, backlog: 42 };
-        let report = session.send_packet(&[0u8; 600], &msg.to_bits());
+        let report = session.send_packet_summary(&[0u8; 600], &msg.to_bits());
         assert!(report.data_ok);
-        let got = ControlMessage::from_bits(&report.control_bits.expect("bits"));
-        assert_eq!(got, Ok(msg));
+        // `control_ok`: the decoded bits are exactly `msg.to_bits()`.
+        assert!(report.control_ok);
+        assert_eq!(ControlMessage::from_bits(&msg.to_bits()), Ok(msg));
     }
 }

@@ -2,7 +2,7 @@
 //! assumptions break.
 //!
 //! Three cooperating mechanisms, all driven per packet by
-//! [`crate::session::CosSession::send_packet_resilient`]:
+//! [`crate::session::CosSession::send_packet_resilient_summary`]:
 //!
 //! * [`ControlArq`] — control messages are queued and retransmitted with
 //!   bounded retries and exponential backoff until the reverse path
@@ -421,8 +421,9 @@ impl ControlArq {
 
     /// Returns the bits to transmit this packet, if the head message's
     /// backoff has elapsed; otherwise counts the packet against the
-    /// backoff and returns `None`.
-    pub fn poll(&mut self) -> Option<Vec<u8>> {
+    /// backoff and returns `None`. The bits are borrowed from the queue
+    /// head, so polling never allocates.
+    pub fn poll(&mut self) -> Option<&[u8]> {
         let head = self.queue.front_mut()?;
         if head.wait > 0 {
             head.wait -= 1;
@@ -430,7 +431,7 @@ impl ControlArq {
         }
         head.attempts += 1;
         self.stats.attempts += 1;
-        Some(head.bits.clone())
+        Some(&head.bits)
     }
 
     /// The head message (last polled) was confirmed delivered.
@@ -553,17 +554,19 @@ impl PhyErrorTally {
     }
 }
 
-/// XORs a 48-bit corruption mask onto a subcarrier selection and returns
-/// the corrupted (still unsanitised) indices.
-pub fn corrupt_selection(selection: &[usize], xor_mask: u64) -> Vec<usize> {
+/// XORs a 48-bit corruption mask onto a subcarrier selection, in place:
+/// `selection` becomes the corrupted (still unsanitised) indices, in
+/// ascending order.
+pub fn corrupt_selection(selection: &mut Vec<usize>, xor_mask: u64) {
     let mut bitset = 0u64;
-    for &sc in selection {
+    for &sc in selection.iter() {
         if sc < NUM_DATA {
             bitset |= 1u64 << sc;
         }
     }
     bitset ^= xor_mask & ((1u64 << NUM_DATA) - 1);
-    (0..NUM_DATA).filter(|&sc| (bitset >> sc) & 1 == 1).collect()
+    selection.clear();
+    selection.extend((0..NUM_DATA).filter(|&sc| (bitset >> sc) & 1 == 1));
 }
 
 #[cfg(test)]
@@ -678,7 +681,7 @@ mod tests {
         let cfg = ResilienceConfig::default();
         let mut arq = ControlArq::new(&cfg);
         arq.enqueue(vec![1, 1, 0, 0], 10);
-        assert_eq!(arq.poll(), Some(vec![1, 1, 0, 0]));
+        assert_eq!(arq.poll(), Some(&[1, 1, 0, 0][..]));
         arq.confirm(13);
         let s = arq.stats();
         assert_eq!((s.delivered, s.total_delivery_latency), (1, 3));
@@ -790,13 +793,13 @@ mod tests {
 
     #[test]
     fn corrupt_selection_flips_bits() {
-        let sel = vec![1, 5, 9];
-        let mask = (1u64 << 5) | (1u64 << 20);
-        let got = corrupt_selection(&sel, mask);
-        assert_eq!(got, vec![1, 9, 20]);
+        let mut sel = vec![1, 5, 9];
+        corrupt_selection(&mut sel, (1u64 << 5) | (1u64 << 20));
+        assert_eq!(sel, vec![1, 9, 20]);
         // Corrupting everything away is possible — sanitisation is the
         // session's job.
-        let wiped = corrupt_selection(&[3], 1u64 << 3);
+        let mut wiped = vec![3];
+        corrupt_selection(&mut wiped, 1u64 << 3);
         assert!(wiped.is_empty());
     }
 }

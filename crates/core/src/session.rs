@@ -3,18 +3,19 @@
 //! selection and rate adaptation in the loop — the whole Fig. 8
 //! architecture in one object.
 //!
-//! Three send paths share one frame path and differ only in where the
-//! control message comes from and what the sender does with the outcome:
+//! Three send entry points share one frame path and differ only in where
+//! the control message comes from and what the sender does with the
+//! outcome; each returns one `Copy` summary of its frame:
 //!
-//! * [`CosSession::send_packet`] — the paper's loop verbatim: embed the
-//!   given control bits, trust every feedback report.
-//! * [`CosSession::send_packet_resilient`] — the same loop wrapped in the
-//!   [`crate::resilience`] layer: control messages come from an ARQ
-//!   queue, feedback passes through the link's fault engine (loss,
-//!   staleness, corruption), the detector bias recalibrates on
-//!   false-alarm spikes, and a degraded-mode state machine drops to plain
-//!   data transmission when the control channel stops working.
-//! * [`CosSession::send_packet_adaptive`] — the closed loop of
+//! * [`CosSession::send_packet_summary`] — the paper's loop verbatim:
+//!   embed the given control bits, trust every feedback report.
+//! * [`CosSession::send_packet_resilient_summary`] — the same loop
+//!   wrapped in the [`crate::resilience`] layer: control messages come
+//!   from an ARQ queue, feedback passes through the link's fault engine
+//!   (loss, staleness, corruption), the detector bias recalibrates on
+//!   false-alarm spikes, and a degraded-mode state machine drops to
+//!   plain data transmission when the control channel stops working.
+//! * [`CosSession::send_packet_adaptive_summary`] — the closed loop of
 //!   [`crate::adaptation`]: the rate staircase picks the rate from the
 //!   EWMA of measured SNR and the silence-budget probe search sizes the
 //!   control payload, with ARQ-confirmed probes (paper §II-B, Fig. 2).
@@ -192,12 +193,14 @@ pub struct SessionConfig {
     /// Wall-clock gap between packets in seconds (drives channel
     /// evolution).
     pub packet_interval: f64,
-    /// Resilience thresholds for [`CosSession::send_packet_resilient`];
-    /// `None` uses [`ResilienceConfig::default`] when that path is first
-    /// taken and leaves [`CosSession::send_packet`] untouched.
+    /// Resilience thresholds for
+    /// [`CosSession::send_packet_resilient_summary`]; `None` uses
+    /// [`ResilienceConfig::default`] when that path is first taken and
+    /// leaves [`CosSession::send_packet_summary`] untouched.
     pub resilience: Option<ResilienceConfig>,
-    /// Link-adaptation knobs for [`CosSession::send_packet_adaptive`];
-    /// `None` uses [`AdaptationConfig::default`] when that path is first
+    /// Link-adaptation knobs for
+    /// [`CosSession::send_packet_adaptive_summary`]; `None` uses
+    /// [`AdaptationConfig::default`] when that path is first
     /// taken and leaves the other send paths untouched.
     pub adaptation: Option<AdaptationConfig>,
 }
@@ -216,47 +219,6 @@ impl Default for SessionConfig {
             adaptation: None,
         }
     }
-}
-
-/// Per-packet outcome.
-#[derive(Debug, Clone)]
-pub struct PacketReport {
-    /// Did the data packet pass its CRC?
-    pub data_ok: bool,
-    /// The control bits recovered from detected silences (`None` when the
-    /// silence pattern did not decode).
-    pub control_bits: Option<Vec<u8>>,
-    /// Did the control message arrive exactly as sent?
-    pub control_ok: bool,
-    /// Silence symbols inserted.
-    pub silences_sent: usize,
-    /// Detection accuracy against the transmitted silence pattern.
-    pub detection: DetectionAccuracy,
-    /// The receiver's measured SNR for this packet (dB).
-    pub measured_snr_db: f64,
-    /// Rate the packet was sent at.
-    pub rate: DataRate,
-    /// Control subcarriers used for this packet.
-    pub selected: Vec<usize>,
-}
-
-/// Per-packet outcome of the resilient path, wrapping [`PacketReport`].
-#[derive(Debug, Clone)]
-pub struct ResilientReport {
-    /// The underlying packet outcome.
-    pub packet: PacketReport,
-    /// Mode this packet was sent in.
-    pub mode: LinkMode,
-    /// Mode the next packet will be sent in.
-    pub mode_after: LinkMode,
-    /// Whether control silences were embedded (Cos/Probing modes).
-    pub control_attempted: bool,
-    /// Whether the sender received confirmation of the control message.
-    pub control_acked: bool,
-    /// Whether a feedback report reached the sender this packet.
-    pub feedback_delivered: bool,
-    /// Kind label of the receive-chain error, if one occurred.
-    pub phy_error: Option<&'static str>,
 }
 
 /// What the receiver computed for one packet, before the sender-side
@@ -355,11 +317,12 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     h
 }
 
-/// Fixed-size (`Copy`) outcome of one packet, for batch processing where
-/// per-packet heap results would defeat the zero-allocation engine. The
-/// variable-length fields of [`PacketReport`] are represented by FNV-1a
-/// digests: equal summaries ⇔ byte-identical reports (up to hash
-/// collisions, which determinism tests treat as impossible in practice).
+/// Fixed-size (`Copy`) outcome of one packet: per-packet heap results
+/// would defeat the zero-allocation engine. The variable-length results
+/// (decoded control bits, the selection left in force) are represented
+/// by FNV-1a digests: equal summaries ⇔ byte-identical results (up to
+/// hash collisions, which determinism tests treat as impossible in
+/// practice).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacketSummary {
     /// Did the data packet pass its CRC?
@@ -384,8 +347,8 @@ pub struct PacketSummary {
     pub control_hash: u64,
 }
 
-/// Fixed-size (`Copy`) outcome of one resilient-path packet, mirroring
-/// [`ResilientReport`] the way [`PacketSummary`] mirrors [`PacketReport`].
+/// Fixed-size (`Copy`) outcome of one resilient-path packet: the
+/// [`PacketSummary`] plus the resilience layer's view of it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilientSummary {
     /// The underlying packet outcome.
@@ -404,34 +367,8 @@ pub struct ResilientSummary {
     pub phy_error: Option<&'static str>,
 }
 
-/// Per-packet outcome of the adaptive path, wrapping [`PacketReport`].
-#[derive(Debug, Clone)]
-pub struct AdaptiveReport {
-    /// The underlying packet outcome.
-    pub packet: PacketReport,
-    /// The EWMA SNR estimate after this packet (`None` before any
-    /// feedback arrived).
-    pub ewma_snr_db: Option<f64>,
-    /// The silence budget the controller targeted for this packet.
-    pub budget: usize,
-    /// The rate the next packet will use.
-    pub rate_after: DataRate,
-    /// The silence budget the next packet will target.
-    pub budget_after: usize,
-    /// The probe search's state after this packet.
-    pub search_state: ProbeState,
-    /// The staircase transition this packet triggered.
-    pub staircase_event: StaircaseEvent,
-    /// The probe-search transition this packet triggered.
-    pub probe_event: ProbeEvent,
-    /// Whether the sender received confirmation of the control message.
-    pub control_acked: bool,
-    /// Whether a feedback report reached the sender this packet.
-    pub feedback_delivered: bool,
-}
-
-/// Fixed-size (`Copy`) outcome of one adaptive-path packet, mirroring
-/// [`AdaptiveReport`] the way [`PacketSummary`] mirrors [`PacketReport`].
+/// Fixed-size (`Copy`) outcome of one adaptive-path packet: the
+/// [`PacketSummary`] plus the adaptation loop's view of it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveSummary {
     /// The underlying packet outcome.
@@ -504,7 +441,7 @@ impl ResilienceState {
             recal: ThresholdRecalibrator::new(config.detector_bias_db, &cfg),
             ctrl: DegradedModeController::new(cfg),
             tally: PhyErrorTally::new(),
-            history: VecDeque::new(),
+            history: VecDeque::with_capacity(FEEDBACK_HISTORY),
         }
     }
 }
@@ -520,6 +457,24 @@ const FEEDBACK_HISTORY: usize = 16;
 /// 54 Mbps engine run by about 8 MiB. Longer messages still grow the
 /// buffer on demand.
 const MSG_RESERVE: usize = 64;
+
+/// Adds up to six unselected subcarriers to `sel`, spread across the
+/// band, and sorts it: the first unselected ones in the fixed order
+/// 0, 47, 46, …, 1 — ascending `(sc · 7919) % 48`, as 7919 ≡ −1
+/// (mod 48). Walking the order in place keeps embed retries
+/// allocation-free.
+fn expand_selection(sel: &mut Vec<usize>) {
+    let base = sel.len();
+    for sc in std::iter::once(0).chain((1..NUM_DATA).rev()) {
+        if sel.len() == base + 6 {
+            break;
+        }
+        if !sel[..base].contains(&sc) {
+            sel.push(sc);
+        }
+    }
+    sel.sort_unstable();
+}
 
 /// An end-to-end CoS session between one sender and one receiver.
 #[derive(Debug, Clone)]
@@ -679,18 +634,38 @@ impl CosSession {
 
     /// Queues a control message for reliable (ARQ) delivery over the
     /// resilient path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits.len()` is not a multiple of the codec's `k`
+    /// (default 4) — here, not in whichever later send carries it.
     pub fn queue_control(&mut self, bits: Vec<u8>) {
+        self.check_control_len(&bits);
         let now = self.seq;
         self.resilience_state().arq.enqueue(bits, now);
     }
 
     /// Queues a control message for reliable (ARQ) delivery over the
-    /// adaptive path. Like [`send_packet`](Self::send_packet)'s control
-    /// bits, the length must be a multiple of the codec's `k` (default
-    /// 4) so the padded probe message stays decodable.
+    /// adaptive path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits.len()` is not a multiple of the codec's `k`
+    /// (default 4), which keeps the padded probe message decodable.
     pub fn queue_adaptive_control(&mut self, bits: Vec<u8>) {
+        self.check_control_len(&bits);
         let now = self.seq;
         self.adaptation_state().arq.enqueue(bits, now);
+    }
+
+    /// The interval codec's length contract, checked at enqueue time.
+    fn check_control_len(&self, bits: &[u8]) {
+        let k = self.controller.codec().bits_per_interval();
+        assert!(
+            bits.len().is_multiple_of(k),
+            "control message length {} is not a multiple of k = {k}",
+            bits.len()
+        );
     }
 
     /// Adaptive-path control-message ARQ statistics.
@@ -816,12 +791,7 @@ impl CosSession {
                         if self.sel_scratch.len() >= NUM_DATA {
                             panic!("{e}: message exceeds the frame's total control capacity");
                         }
-                        let mut extra: Vec<usize> =
-                            (0..NUM_DATA).filter(|sc| !self.sel_scratch.contains(sc)).collect();
-                        // Spread the extras across the band.
-                        extra.sort_by_key(|&sc| (sc * 7919) % NUM_DATA);
-                        self.sel_scratch.extend(extra.into_iter().take(6));
-                        self.sel_scratch.sort_unstable();
+                        expand_selection(&mut self.sel_scratch);
                     }
                 }
             }
@@ -874,7 +844,7 @@ impl CosSession {
                 let (attempted, from_queue) = match mode {
                     LinkMode::Cos | LinkMode::Probing => match state.arq.poll() {
                         Some(b) => {
-                            msg.extend_from_slice(&b);
+                            msg.extend_from_slice(b);
                             (true, true)
                         }
                         None => (true, false),
@@ -909,7 +879,7 @@ impl CosSession {
                 // number — determinism by construction.
                 let from_queue = match state.arq.poll() {
                     Some(bits) => {
-                        msg.extend_from_slice(&bits);
+                        msg.extend_from_slice(bits);
                         true
                     }
                     None => false,
@@ -1062,18 +1032,11 @@ impl CosSession {
         result
     }
 
-    /// Applies a delivered feedback report to the sender state.
-    fn apply_feedback(&mut self, selection: Vec<usize>, measured_snr_db: f64) {
-        self.selected = selection;
-        self.adapter.feedback(measured_snr_db);
-        self.rate = self.config.rate.unwrap_or_else(|| DataRate::select(measured_snr_db));
-    }
-
-    /// Applies the feedback report sitting in `xs.fb_selection` by
-    /// swapping it into `selected` — the allocation-free twin of
-    /// [`apply_feedback`](Self::apply_feedback). Only valid right after a
-    /// frame whose receive finish produced `feedback: Some(_)`.
-    fn apply_feedback_from_scratch(&mut self, measured_snr_db: f64) {
+    /// Applies the feedback report in `xs.fb_selection` by swapping it
+    /// into `selected`. That scratch is dead after the frame (the next
+    /// finish overwrites it), so a stale or corrupted report may be
+    /// written there first.
+    fn apply_feedback(&mut self, measured_snr_db: f64) {
         std::mem::swap(&mut self.selected, &mut self.xs.fb_selection);
         self.adapter.feedback(measured_snr_db);
         self.rate = self.config.rate.unwrap_or_else(|| DataRate::select(measured_snr_db));
@@ -1082,17 +1045,14 @@ impl CosSession {
     /// The sender tail of the paper's plain loop: trust every feedback
     /// report.
     fn plain_tail(&mut self, t: &Transceived) {
+        if let Some(fb) = t.feedback {
+            self.apply_feedback(fb.measured_snr_db);
+            self.m.feedback_delivered += 1;
+            return;
+        }
+        self.adapter.transmission_failed();
         if t.front_end_ok {
-            if let Some(fb) = t.feedback {
-                std::mem::swap(&mut self.selected, &mut self.xs.fb_selection);
-                self.adapter.feedback(fb.measured_snr_db);
-                self.m.feedback_delivered += 1;
-            } else {
-                self.adapter.transmission_failed();
-            }
             self.rate = self.config.rate.unwrap_or_else(|| DataRate::select(t.measured));
-        } else {
-            self.adapter.transmission_failed();
         }
     }
 
@@ -1117,11 +1077,14 @@ impl CosSession {
             Some(fb) => {
                 // The receiver generated a report; remember the truth for
                 // later stale deliveries regardless of this packet's fate.
-                state.history.push_front(HistoryEntry {
-                    selection: self.xs.fb_selection.clone(),
-                    measured_snr_db: fb.measured_snr_db,
-                });
-                state.history.truncate(FEEDBACK_HISTORY);
+                let mut entry = if state.history.len() == FEEDBACK_HISTORY {
+                    state.history.pop_back().expect("full history")
+                } else {
+                    HistoryEntry { selection: Vec::new(), measured_snr_db: 0.0 }
+                };
+                entry.selection.clone_from(&self.xs.fb_selection);
+                entry.measured_snr_db = fb.measured_snr_db;
+                state.history.push_front(entry);
 
                 // Recalibration is receiver-side: it needs no reverse path.
                 if attempted {
@@ -1132,7 +1095,7 @@ impl CosSession {
 
                 match fate {
                     FeedbackFate::Deliver => {
-                        self.apply_feedback_from_scratch(fb.measured_snr_db);
+                        self.apply_feedback(fb.measured_snr_db);
                         delivered = true;
                     }
                     FeedbackFate::Drop => {
@@ -1141,17 +1104,21 @@ impl CosSession {
                     FeedbackFate::Stale(d) => {
                         // Index 0 is the report just pushed; `d` packets
                         // ago is index d (when that far back exists).
-                        if let Some(old) = state.history.get(d).cloned() {
-                            self.apply_feedback(old.selection, old.measured_snr_db);
+                        if let Some(old) = state.history.get(d) {
+                            self.xs.fb_selection.clone_from(&old.selection);
+                            self.apply_feedback(old.measured_snr_db);
                             delivered = true;
                         } else {
                             self.adapter.transmission_failed();
                         }
                     }
                     FeedbackFate::Corrupt { xor_mask } => {
-                        let mut sel = corrupt_selection(&self.xs.fb_selection, xor_mask);
-                        sanitize_selection(&mut sel, self.config.min_control_subcarriers);
-                        self.apply_feedback(sel, fb.measured_snr_db);
+                        // Corrupted where it sits: the history already
+                        // holds the true report.
+                        let sel = &mut self.xs.fb_selection;
+                        corrupt_selection(sel, xor_mask);
+                        sanitize_selection(sel, self.config.min_control_subcarriers);
+                        self.apply_feedback(fb.measured_snr_db);
                         delivered = true;
                     }
                 }
@@ -1275,38 +1242,10 @@ impl CosSession {
         }
     }
 
-    /// Builds the owned [`PacketReport`] of the frame just finished from
-    /// its summary and the session state the frame left behind — the one
-    /// report builder behind all three owned-report entry points.
-    fn packet_report(&self, s: &PacketSummary) -> PacketReport {
-        PacketReport {
-            data_ok: s.data_ok,
-            control_bits: s.control_present.then(|| self.xs.control.clone()),
-            control_ok: s.control_ok,
-            silences_sent: s.silences_sent,
-            detection: s.detection,
-            measured_snr_db: s.measured_snr_db,
-            rate: s.rate,
-            selected: self.selected.clone(),
-        }
-    }
-
     /// Sends one data packet with `control_bits` embedded as silence
     /// symbols; runs the complete receive pipeline and feedback loop,
-    /// trusting every feedback report (the paper's loop).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `control_bits` length is not a multiple of the codec's
-    /// `k` or the message exceeds the frame capacity.
-    pub fn send_packet(&mut self, payload: &[u8], control_bits: &[u8]) -> PacketReport {
-        let s = self.send_packet_summary(payload, control_bits);
-        self.packet_report(&s)
-    }
-
-    /// [`send_packet`](Self::send_packet) returning the fixed-size
-    /// [`PacketSummary`] instead of an owned report: identical sender
-    /// state evolution, zero heap allocations at steady state.
+    /// trusting every feedback report (the paper's loop). Zero heap
+    /// allocations at steady state.
     ///
     /// # Panics
     ///
@@ -1324,24 +1263,6 @@ impl CosSession {
     /// feedback report passes through the link's fault engine, and the
     /// degraded-mode state machine decides whether silences are embedded
     /// at all.
-    pub fn send_packet_resilient(&mut self, payload: &[u8]) -> ResilientReport {
-        let s = self.send_packet_resilient_summary(payload);
-        ResilientReport {
-            packet: self.packet_report(&s.packet),
-            mode: s.mode,
-            mode_after: s.mode_after,
-            control_attempted: s.control_attempted,
-            control_acked: s.control_acked,
-            feedback_delivered: s.feedback_delivered,
-            phy_error: s.phy_error,
-        }
-    }
-
-    /// [`send_packet_resilient`](Self::send_packet_resilient) returning
-    /// the fixed-size [`ResilientSummary`]: identical state evolution,
-    /// no owned report. (The resilient path itself is not allocation-free
-    /// — the ARQ queue clones its head message — but the summary adds
-    /// nothing on top.)
     pub fn send_packet_resilient_summary(&mut self, payload: &[u8]) -> ResilientSummary {
         let JobResult::Resilient(s) = self.send(payload, ControlSource::Resilient) else {
             unreachable!("a resilient frame finishes as a resilient frame")
@@ -1354,7 +1275,8 @@ impl CosSession {
     /// silence-budget probe search sizes the control payload (ARQ head
     /// plus deterministic filler bits up to the probe budget), and the
     /// packet's outcome — measured SNR, feedback fate, control ACK —
-    /// feeds both state machines for the next packet.
+    /// feeds both state machines for the next packet. The batch engine's
+    /// adaptive jobs run the same path.
     ///
     /// # Examples
     ///
@@ -1370,33 +1292,12 @@ impl CosSession {
     /// s.queue_adaptive_control(vec![1, 0, 1, 1, 0, 0, 1, 0]);
     /// let mut delivered = false;
     /// for _ in 0..8 {
-    ///     let r = s.send_packet_adaptive(&[0xAB; 600]);
+    ///     let r = s.send_packet_adaptive_summary(&[0xAB; 600]);
     ///     delivered |= r.control_acked;
     /// }
     /// assert!(delivered, "ARQ delivers over a clean 24 dB link");
     /// assert_eq!(s.adaptive_arq_stats().delivered, 1);
     /// ```
-    pub fn send_packet_adaptive(&mut self, payload: &[u8]) -> AdaptiveReport {
-        let s = self.send_packet_adaptive_summary(payload);
-        AdaptiveReport {
-            packet: self.packet_report(&s.packet),
-            ewma_snr_db: (s.ewma_snr_db != f64::NEG_INFINITY).then_some(s.ewma_snr_db),
-            budget: s.budget,
-            rate_after: s.rate_after,
-            budget_after: s.budget_after,
-            search_state: s.search_state,
-            staircase_event: s.staircase_event,
-            probe_event: s.probe_event,
-            control_acked: s.control_acked,
-            feedback_delivered: s.feedback_delivered,
-        }
-    }
-
-    /// [`send_packet_adaptive`](Self::send_packet_adaptive) returning
-    /// the fixed-size [`AdaptiveSummary`]: identical state evolution, no
-    /// owned report — the batch engine's adaptive-job entry point. (Like
-    /// the resilient path, the ARQ queue clones its head message; the
-    /// summary itself adds nothing on top.)
     pub fn send_packet_adaptive_summary(&mut self, payload: &[u8]) -> AdaptiveSummary {
         let JobResult::Adaptive(s) = self.send(payload, ControlSource::Adaptive) else {
             unreachable!("an adaptive frame finishes as an adaptive frame")
@@ -1429,11 +1330,11 @@ mod tests {
     fn high_snr_session_delivers_data_and_control() {
         let mut s = CosSession::new(SessionConfig { snr_db: 24.0, ..Default::default() }, 42);
         let msg = bits(16);
-        s.send_packet(&[0xAB; 600], &msg); // warm-up: establish feedback
+        s.send_packet_summary(&[0xAB; 600], &msg); // warm-up: establish feedback
         let mut control_hits = 0;
         let mut data_hits = 0;
         for _ in 0..20 {
-            let r = s.send_packet(&[0xAB; 600], &msg);
+            let r = s.send_packet_summary(&[0xAB; 600], &msg);
             control_hits += r.control_ok as u32;
             data_hits += r.data_ok as u32;
         }
@@ -1444,14 +1345,12 @@ mod tests {
     #[test]
     fn selection_adapts_after_first_packet() {
         let mut s = CosSession::new(SessionConfig { snr_db: 20.0, ..Default::default() }, 3);
-        let bootstrap = s.selected_subcarriers().to_vec();
-        let r = s.send_packet(&[1; 400], &bits(8));
+        let r = s.send_packet_summary(&[1; 400], &bits(8));
         assert!(r.data_ok);
         // After EVM feedback the selection is recomputed (it may or may
         // not equal the bootstrap, but it must be valid and big enough).
         assert!(s.selected_subcarriers().len() >= 6);
         assert!(s.selected_subcarriers().iter().all(|&sc| sc < NUM_DATA));
-        let _ = bootstrap;
     }
 
     #[test]
@@ -1459,8 +1358,8 @@ mod tests {
         let mut high = CosSession::new(SessionConfig { snr_db: 26.0, ..Default::default() }, 11);
         let mut low = CosSession::new(SessionConfig { snr_db: 8.0, ..Default::default() }, 11);
         for _ in 0..3 {
-            high.send_packet(&[0; 200], &bits(4));
-            low.send_packet(&[0; 200], &bits(4));
+            high.send_packet_summary(&[0; 200], &bits(4));
+            low.send_packet_summary(&[0; 200], &bits(4));
         }
         assert!(high.current_rate() > low.current_rate());
     }
@@ -1470,7 +1369,7 @@ mod tests {
         let cfg = SessionConfig { rate: Some(DataRate::Mbps18), snr_db: 25.0, ..Default::default() };
         let mut s = CosSession::new(cfg, 5);
         for _ in 0..3 {
-            let r = s.send_packet(&[0; 200], &bits(4));
+            let r = s.send_packet_summary(&[0; 200], &bits(4));
             assert_eq!(r.rate, DataRate::Mbps18);
         }
     }
@@ -1479,7 +1378,7 @@ mod tests {
     fn report_counts_silences() {
         let mut s = CosSession::new(SessionConfig { snr_db: 22.0, ..Default::default() }, 9);
         let msg = bits(12); // 3 groups → 4 silences
-        let r = s.send_packet(&[0; 300], &msg);
+        let r = s.send_packet_summary(&[0; 300], &msg);
         assert_eq!(r.silences_sent, 4);
     }
 
@@ -1490,11 +1389,30 @@ mod tests {
         // the first packet only establishes EVM/SNR feedback. Use a
         // realistically sized packet — EVM feedback from a 4-symbol frame
         // is too noisy to select subcarriers from.
-        s.send_packet(&[0; 600], &[]);
-        let r = s.send_packet(&[0; 600], &[]);
+        s.send_packet_summary(&[0; 600], &[]);
+        let r = s.send_packet_summary(&[0; 600], &[]);
         assert_eq!(r.silences_sent, 1);
         assert!(r.data_ok);
-        assert_eq!(r.control_bits, Some(vec![]));
+        assert!(r.control_ok, "the empty message decodes exactly");
+    }
+
+    /// The in-place expansion against the sort it replaced, for
+    /// selections of every size (strides coprime to 48 keep them
+    /// distinct).
+    #[test]
+    fn expand_selection_matches_the_sorted_extras() {
+        for len in 0..NUM_DATA {
+            for (stride, offset) in [(1, 0), (5, 9), (7, 40), (11, 3), (13, 27)] {
+                let mut sel: Vec<usize> = (0..len).map(|i| (i * stride + offset) % NUM_DATA).collect();
+                let mut extra: Vec<usize> = (0..NUM_DATA).filter(|sc| !sel.contains(sc)).collect();
+                extra.sort_by_key(|&sc| (sc * 7919) % NUM_DATA);
+                let mut want = sel.clone();
+                want.extend(extra.into_iter().take(6));
+                want.sort_unstable();
+                expand_selection(&mut sel);
+                assert_eq!(sel, want, "len {len}, stride {stride}");
+            }
+        }
     }
 
     #[test]
@@ -1526,12 +1444,12 @@ mod tests {
     #[test]
     fn resilient_path_delivers_queued_messages_on_clean_link() {
         let mut s = CosSession::new(SessionConfig { snr_db: 24.0, ..Default::default() }, 21);
-        s.send_packet_resilient(&[0xAB; 600]); // warm-up feedback
+        s.send_packet_resilient_summary(&[0xAB; 600]); // warm-up feedback
         for _ in 0..4 {
             s.queue_control(bits(8));
         }
         for _ in 0..12 {
-            s.send_packet_resilient(&[0xAB; 600]);
+            s.send_packet_resilient_summary(&[0xAB; 600]);
         }
         let stats = s.arq_stats();
         assert_eq!(stats.delivered, 4, "stats: {stats:?}");
@@ -1551,7 +1469,7 @@ mod tests {
         );
         let mut saw_data_only = false;
         for _ in 0..40 {
-            let r = s.send_packet_resilient(&[0x55; 600]);
+            let r = s.send_packet_resilient_summary(&[0x55; 600]);
             saw_data_only |= r.mode == LinkMode::DataOnly;
             // Data keeps flowing whatever the mode.
             assert!(r.packet.data_ok || r.phy_error.is_some());
@@ -1567,7 +1485,7 @@ mod tests {
             cos_channel::FaultEngine::new().with(FeedbackCorruption::new(1.0, 48, 13)),
         );
         for _ in 0..15 {
-            s.send_packet_resilient(&[0x0F; 500]);
+            s.send_packet_resilient_summary(&[0x0F; 500]);
             assert!(!s.selected_subcarriers().is_empty());
             assert!(s.selected_subcarriers().iter().all(|&sc| sc < NUM_DATA));
             let sel = s.selected_subcarriers();
@@ -1578,11 +1496,11 @@ mod tests {
     #[test]
     fn adaptive_path_climbs_rate_and_budget_on_clean_link() {
         let mut s = CosSession::new(SessionConfig { snr_db: 24.0, ..Default::default() }, 51);
-        let mut r = s.send_packet_adaptive(&[0xAB; 600]);
+        let mut r = s.send_packet_adaptive_summary(&[0xAB; 600]);
         // First packet goes out at the unacquired staircase state.
         assert_eq!(r.packet.rate, DataRate::Mbps6);
         for _ in 0..40 {
-            r = s.send_packet_adaptive(&[0xAB; 600]);
+            r = s.send_packet_adaptive_summary(&[0xAB; 600]);
         }
         let ctrl = s.adaptation_controller().expect("adaptive path ran");
         assert!(ctrl.rate() >= DataRate::Mbps36, "staircase stuck at {:?}", ctrl.rate());
@@ -1591,7 +1509,7 @@ mod tests {
             "probe search never confirmed a budget above base: {}",
             ctrl.target_budget()
         );
-        assert!(r.ewma_snr_db.is_some());
+        assert_ne!(r.ewma_snr_db, f64::NEG_INFINITY, "no feedback ever arrived");
     }
 
     #[test]
@@ -1599,86 +1517,9 @@ mod tests {
         let cfg = SessionConfig { rate: Some(DataRate::Mbps18), snr_db: 25.0, ..Default::default() };
         let mut s = CosSession::new(cfg, 5);
         for _ in 0..6 {
-            let r = s.send_packet_adaptive(&[0; 400]);
+            let r = s.send_packet_adaptive_summary(&[0; 400]);
             assert_eq!(r.packet.rate, DataRate::Mbps18);
             assert_eq!(r.rate_after, DataRate::Mbps18);
-        }
-    }
-
-    /// Twin sessions, one driven through an owned-report entry point and
-    /// one through its summary twin, must agree on every summary field
-    /// (`control_hash` and `selected_hash` against the FNV of the
-    /// report's owned vectors), on the per-kind tail, and on the final
-    /// selection — for all three control sources.
-    #[test]
-    fn report_and_summary_agree_for_every_send_path() {
-        fn summary_of(r: &PacketReport) -> PacketSummary {
-            PacketSummary {
-                data_ok: r.data_ok,
-                control_present: r.control_bits.is_some(),
-                control_ok: r.control_ok,
-                silences_sent: r.silences_sent,
-                detection: r.detection,
-                measured_snr_db: r.measured_snr_db,
-                rate: r.rate,
-                selected_len: r.selected.len(),
-                selected_hash: fnv1a(r.selected.iter().flat_map(|&sc| (sc as u64).to_le_bytes())),
-                control_hash: r.control_bits.as_ref().map_or(0, |b| fnv1a(b.iter().copied())),
-            }
-        }
-        type Step = fn(&mut CosSession, &mut CosSession, &[u8]);
-        let plain: Step = |by_report, by_summary, payload| {
-            let r = by_report.send_packet(payload, &bits(8));
-            assert_eq!(summary_of(&r), by_summary.send_packet_summary(payload, &bits(8)));
-        };
-        let resilient: Step = |by_report, by_summary, payload| {
-            let r = by_report.send_packet_resilient(payload);
-            let want = ResilientSummary {
-                packet: summary_of(&r.packet),
-                mode: r.mode,
-                mode_after: r.mode_after,
-                control_attempted: r.control_attempted,
-                control_acked: r.control_acked,
-                feedback_delivered: r.feedback_delivered,
-                phy_error: r.phy_error,
-            };
-            assert_eq!(want, by_summary.send_packet_resilient_summary(payload));
-        };
-        let adaptive: Step = |by_report, by_summary, payload| {
-            let r = by_report.send_packet_adaptive(payload);
-            let want = AdaptiveSummary {
-                packet: summary_of(&r.packet),
-                ewma_snr_db: r.ewma_snr_db.unwrap_or(f64::NEG_INFINITY),
-                budget: r.budget,
-                rate_after: r.rate_after,
-                budget_after: r.budget_after,
-                search_state: r.search_state,
-                staircase_event: r.staircase_event,
-                probe_event: r.probe_event,
-                control_acked: r.control_acked,
-                feedback_delivered: r.feedback_delivered,
-            };
-            assert_eq!(want, by_summary.send_packet_adaptive_summary(payload));
-        };
-        let lossy = FaultEngine::new()
-            .with(FeedbackLoss::new(0.3, 5))
-            .with(FeedbackCorruption::new(0.3, 48, 9));
-        let cases = [("plain", None, plain), ("resilient", Some(lossy), resilient), ("adaptive", None, adaptive)];
-        for (name, faults, step) in cases {
-            let cfg = SessionConfig { snr_db: 21.0, ..Default::default() };
-            let mut by_report = CosSession::new(cfg.clone(), 77);
-            let mut by_summary = CosSession::new(cfg, 77);
-            for s in [&mut by_report, &mut by_summary] {
-                if let Some(f) = &faults {
-                    s.set_faults(f.clone());
-                }
-                s.queue_control(bits(8));
-                s.queue_adaptive_control(bits(8));
-            }
-            for _ in 0..12 {
-                step(&mut by_report, &mut by_summary, &[0x3C; 500]);
-            }
-            assert_eq!(by_report.selected_subcarriers(), by_summary.selected_subcarriers(), "{name}");
         }
     }
 
@@ -1700,7 +1541,7 @@ mod tests {
         };
         let mut s = CosSession::new(cfg, 91);
         for _ in 0..10 {
-            let r = s.send_packet_adaptive(&[0x77; 30]);
+            let r = s.send_packet_adaptive_summary(&[0x77; 30]);
             assert!(r.packet.silences_sent <= r.budget);
         }
     }
@@ -1714,7 +1555,7 @@ mod tests {
         );
         recycled.queue_adaptive_control(bits(8));
         for _ in 0..5 {
-            recycled.send_packet_adaptive(&[0x11; 300]);
+            recycled.send_packet_adaptive_summary(&[0x11; 300]);
         }
         recycled.reinit(cfg.clone(), 4242);
         let mut fresh = CosSession::new(cfg, 4242);
@@ -1729,13 +1570,13 @@ mod tests {
     fn set_snr_db_drift_downgrades_rate() {
         let mut s = CosSession::new(SessionConfig { snr_db: 26.0, ..Default::default() }, 61);
         for _ in 0..12 {
-            s.send_packet_adaptive(&[0xAB; 600]);
+            s.send_packet_adaptive_summary(&[0xAB; 600]);
         }
         let high_rate = s.adaptation_controller().expect("ran").rate();
         assert!(high_rate >= DataRate::Mbps36);
         s.set_snr_db(8.0);
         for _ in 0..12 {
-            s.send_packet_adaptive(&[0xAB; 600]);
+            s.send_packet_adaptive_summary(&[0xAB; 600]);
         }
         let low_rate = s.adaptation_controller().expect("ran").rate();
         assert!(low_rate < high_rate, "rate never tracked the SNR collapse");
@@ -1747,12 +1588,12 @@ mod tests {
         let mut s = CosSession::new(cfg.clone(), 42);
         assert_eq!(s.metrics(), SessionMetrics::default());
 
-        s.send_packet(&[0xAB; 600], &bits(8));
+        s.send_packet_summary(&[0xAB; 600], &bits(8));
         s.queue_control(bits(8));
-        s.send_packet_resilient(&[0xAB; 600]);
+        s.send_packet_resilient_summary(&[0xAB; 600]);
         s.queue_adaptive_control(bits(8));
         for _ in 0..6 {
-            s.send_packet_adaptive(&[0xAB; 600]);
+            s.send_packet_adaptive_summary(&[0xAB; 600]);
         }
         let m = s.metrics();
         assert_eq!(m.frames_tx, 8);
@@ -1773,13 +1614,13 @@ mod tests {
         // Reverse-path blackout for a stretch: the queued message must be
         // retried, and every attempt beyond the first counts.
         let mut s = CosSession::new(SessionConfig { snr_db: 24.0, ..Default::default() }, 33);
-        s.send_packet_resilient(&[0x55; 600]); // warm-up feedback
+        s.send_packet_resilient_summary(&[0x55; 600]); // warm-up feedback
         s.set_faults(
             cos_channel::FaultEngine::new().with(FeedbackLoss::new(1.0, 7)).with_window(0, 4),
         );
         s.queue_control(bits(8));
         for _ in 0..8 {
-            s.send_packet_resilient(&[0x55; 600]);
+            s.send_packet_resilient_summary(&[0x55; 600]);
         }
         let m = s.metrics();
         assert!(m.arq_retries >= 1, "blackout forced no retries: {m:?}");
@@ -1817,13 +1658,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "control message length 3 is not a multiple of k = 4")]
+    fn queue_control_rejects_a_partial_interval() {
+        CosSession::new(SessionConfig::default(), 1).queue_control(vec![1, 0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "control message length 6 is not a multiple of k = 4")]
+    fn queue_adaptive_control_rejects_a_partial_interval() {
+        CosSession::new(SessionConfig::default(), 1).queue_adaptive_control(bits(6));
+    }
+
+    #[test]
     fn burst_interference_is_tallied_not_panicking() {
         let mut s = CosSession::new(SessionConfig { snr_db: 20.0, ..Default::default() }, 29);
         s.set_faults(
             cos_channel::FaultEngine::new().with(BurstInterference::new(30.0, 400, 0.8, 3)),
         );
         for _ in 0..15 {
-            s.send_packet_resilient(&[0xA5; 400]);
+            s.send_packet_resilient_summary(&[0xA5; 400]);
         }
         // No assertion on delivery — the point is surviving the bursts and
         // classifying failures instead of panicking.

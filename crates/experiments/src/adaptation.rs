@@ -241,7 +241,7 @@ pub fn run_adaptive_trial(cfg: &Config, trial: usize) -> TrialOutcome {
         if p < stop && p % cfg.enqueue_every == 0 && s.adaptive_backlog() == 0 {
             s.queue_adaptive_control(message_bits(trial, p, cfg.message_bits));
         }
-        let r = s.send_packet_adaptive(&payload);
+        let r = s.send_packet_adaptive_summary(&payload);
         out.packets += 1;
         out.airtime_us += r.packet.rate.frame_airtime_us(payload.len() + 4);
         out.rate_mbps_sum += r.packet.rate.mbps() as u64;
@@ -270,7 +270,7 @@ pub fn run_fixed_trial(cfg: &Config, rate: DataRate, budget: usize, trial: usize
     for p in 0..cfg.packets {
         s.set_snr_db(drift_snr_db(cfg, p));
         let bits = message_bits(trial, p, bits_per_msg);
-        let r = s.send_packet(&payload, &bits);
+        let r = s.send_packet_summary(&payload, &bits);
         out.packets += 1;
         out.airtime_us += rate.frame_airtime_us(payload.len() + 4);
         out.rate_mbps_sum += rate.mbps() as u64;
@@ -391,11 +391,11 @@ pub fn run_trace(cfg: &Config) -> Table {
         if p < stop && p % cfg.enqueue_every == 0 && s.adaptive_backlog() == 0 {
             s.queue_adaptive_control(message_bits(0, p, cfg.message_bits));
         }
-        let r = s.send_packet_adaptive(&payload);
+        let r = s.send_packet_adaptive_summary(&payload);
         table.push_row(vec![
             p.to_string(),
             fmt(drift_snr_db(cfg, p), 2),
-            r.ewma_snr_db.map_or_else(|| "-".to_string(), |v| fmt(v, 2)),
+            if r.ewma_snr_db == f64::NEG_INFINITY { "-".into() } else { fmt(r.ewma_snr_db, 2) },
             r.packet.rate.mbps().to_string(),
             r.budget.to_string(),
             r.budget_after.to_string(),

@@ -243,7 +243,7 @@ pub fn run_trial(scenario: &Scenario, cfg: &Config, trial: usize) -> TrialResult
             {
                 s.queue_control(message_bits(trial, p));
             }
-            let r = s.send_packet_resilient(&payload);
+            let r = s.send_packet_resilient_summary(&payload);
             data_ok += r.packet.data_ok as u64;
         }
         // Recovery latency: pair each Cos→DataOnly degradation with the

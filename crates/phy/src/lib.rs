@@ -60,5 +60,5 @@ pub mod sync;
 pub mod tx;
 
 pub use error::PhyError;
-pub use pipeline::{PhyWorkspace, RxPipeline, RxWorkspace, TxPipeline, TxWorkspace};
+pub use pipeline::{PhyWorkspace, RxWorkspace, TxWorkspace};
 pub use rates::DataRate;

@@ -15,17 +15,17 @@
 
 use crate::error::PhyError;
 use crate::frame::TxBits;
-use crate::rates::DataRate;
 use crate::rx::{FrontEnd, Receiver, RxConfig, RxDecodeOut, RxFrame, RxScratch};
 use crate::sync::{correct_cfo, Acquisition, Synchronizer};
-use crate::tx::{Transmitter, TxFrame};
+use crate::tx::TxFrame;
 use cos_dsp::Complex;
 
 /// Transmit-side workspace: the frame under construction and its rendered
 /// waveform, plus the PSDU and packed-bit scratch behind them.
 #[derive(Debug, Clone)]
 pub struct TxWorkspace {
-    /// The frame most recently built by [`Transmitter::build_frame_into`].
+    /// The frame most recently built by
+    /// [`Transmitter::build_frame_into`](crate::tx::Transmitter::build_frame_into).
     pub frame: TxFrame,
     /// The waveform most recently rendered by [`TxWorkspace::render`].
     pub samples: Vec<Complex>,
@@ -166,84 +166,21 @@ impl Receiver {
     }
 }
 
-/// The transmit stage: payload in, frequency-domain frame + waveform out.
-#[derive(Debug, Clone, Default)]
-pub struct TxPipeline {
-    tx: Transmitter,
-}
-
-impl TxPipeline {
-    /// Creates the stage.
-    pub fn new() -> Self {
-        TxPipeline::default()
-    }
-
-    /// The wrapped transmitter.
-    pub fn transmitter(&self) -> &Transmitter {
-        &self.tx
-    }
-
-    /// Builds a frame into `ws.frame` and renders `ws.samples` in one
-    /// step. Insert silences between [`Transmitter::build_frame_into`] and
-    /// [`TxWorkspace::render`] instead when CoS control embedding is
-    /// needed.
-    pub fn build_and_render(
-        &self,
-        payload: &[u8],
-        rate: DataRate,
-        scrambler_seed: u8,
-        ws: &mut TxWorkspace,
-    ) {
-        self.tx.build_frame_into(payload, rate, scrambler_seed, ws);
-        ws.render();
-    }
-}
-
-/// The receive stage: waveform in, front-end measurements + decoded bits
-/// out.
-#[derive(Debug, Clone, Default)]
-pub struct RxPipeline {
-    rx: Receiver,
-}
-
-impl RxPipeline {
-    /// Creates the stage.
-    pub fn new() -> Self {
-        RxPipeline::default()
-    }
-
-    /// The wrapped receiver.
-    pub fn receiver(&self) -> &Receiver {
-        &self.rx
-    }
-
-    /// Runs front end + decode into `ws`.
-    ///
-    /// # Errors
-    ///
-    /// Any [`PhyError`] from the front end.
-    pub fn receive_into(
-        &self,
-        samples: &[Complex],
-        config: &RxConfig<'_>,
-        ws: &mut RxWorkspace,
-    ) -> Result<(), PhyError> {
-        self.rx.receive_into(samples, config, ws)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rates::DataRate;
+    use crate::tx::Transmitter;
 
     #[test]
     fn workspace_roundtrip_matches_owned_path() {
         let payload: Vec<u8> = (0..180).map(|i| (i * 11) as u8).collect();
-        let tx = TxPipeline::new();
-        let rx = RxPipeline::new();
+        let tx = Transmitter::new();
+        let rx = Receiver::new();
         let mut ws = PhyWorkspace::new();
         for rate in DataRate::ALL {
-            tx.build_and_render(&payload, rate, 0x2B, &mut ws.tx);
+            tx.build_frame_into(&payload, rate, 0x2B, &mut ws.tx);
+            ws.tx.render();
             let owned_frame = Transmitter::new().build_frame(&payload, rate, 0x2B);
             assert_eq!(ws.tx.samples, owned_frame.to_time_samples(), "{rate}");
 
@@ -261,10 +198,8 @@ mod tests {
 
     #[test]
     fn silence_then_render_flows_through_workspace() {
-        let tx = TxPipeline::new();
         let mut ws = TxWorkspace::new();
-        tx.transmitter()
-            .build_frame_into(&[0xA5; 120], DataRate::Mbps24, 0x5D, &mut ws);
+        Transmitter::new().build_frame_into(&[0xA5; 120], DataRate::Mbps24, 0x5D, &mut ws);
         let clean_energy: f64 = ws.render().iter().map(|x| x.norm_sqr()).sum();
         ws.frame.silence(0, 3);
         ws.frame.silence(1, 17);

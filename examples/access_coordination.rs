@@ -33,15 +33,6 @@ impl Announcement {
         }
         bits
     }
-
-    fn from_bits(bits: &[u8]) -> Option<Self> {
-        if bits.len() != 12 {
-            return None;
-        }
-        let next_station = bits[..8].iter().fold(0u8, |v, &b| (v << 1) | b);
-        let congestion = bits[8..12].iter().fold(0u8, |v, &b| (v << 1) | b);
-        Some(Announcement { next_station, congestion })
-    }
 }
 
 fn main() {
@@ -56,7 +47,7 @@ fn main() {
     let mut airtime_saved_us = 0.0f64;
 
     // Warm-up: establish channel feedback.
-    session.send_packet(&[0u8; 800], &[]);
+    session.send_packet_summary(&[0u8; 800], &[]);
 
     println!("slot  station  congestion  data  control  note");
     for slot in 0..16 {
@@ -67,13 +58,9 @@ fn main() {
         // The AP's ordinary downlink traffic for this slot.
         let data: Vec<u8> = (0..800).map(|i| ((i + slot * 13) % 251) as u8).collect();
 
-        let report = session.send_packet(&data, &announcement.to_bits());
-        let received = report
-            .control_bits
-            .as_deref()
-            .and_then(Announcement::from_bits);
-
-        let got_it = received == Some(announcement);
+        let report = session.send_packet_summary(&data, &announcement.to_bits());
+        // `control_ok`: the station decoded exactly the announced bits.
+        let got_it = report.control_ok;
         delivered += got_it as u32;
         // An explicit control frame for 2 bytes at 6 Mbps costs ≥ 28 µs of
         // preamble + SIGNAL + 1 symbol, plus a DIFS+backoff (~50 µs).

@@ -26,14 +26,14 @@ fn main() {
     );
 
     let control = vec![0, 1, 1, 0, 1, 0, 0, 1];
-    session.send_packet(&[0u8; 900], &control); // warm-up
+    session.send_packet_summary(&[0u8; 900], &control); // warm-up
 
     let mut data_ok = 0u32;
     let mut control_ok = 0u32;
     let total = 40;
     println!("pkt  t(ms)  measured(dB)  rate        budget  subcarriers");
     for p in 0..total {
-        let report = session.send_packet(&[0u8; 900], &control);
+        let report = session.send_packet_summary(&[0u8; 900], &control);
         data_ok += report.data_ok as u32;
         control_ok += report.control_ok as u32;
         if p % 5 == 0 {
@@ -43,7 +43,7 @@ fn main() {
                 report.measured_snr_db,
                 format!("{}Mbps", report.rate.mbps()),
                 session.silence_budget(1024),
-                report.selected,
+                session.selected_subcarriers(),
             );
         }
     }

@@ -20,14 +20,14 @@ fn main() {
     let control_message = vec![1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1];
 
     // First packet bootstraps the receiver's channel feedback.
-    session.send_packet(&payload, &control_message);
+    session.send_packet_summary(&payload, &control_message);
 
-    let report = session.send_packet(&payload, &control_message);
+    let report = session.send_packet_summary(&payload, &control_message);
     println!("data rate          : {}", report.rate);
     println!("measured SNR       : {:.1} dB", report.measured_snr_db);
     println!("data CRC           : {}", if report.data_ok { "PASS" } else { "FAIL" });
     println!("silence symbols    : {}", report.silences_sent);
-    println!("control subcarriers: {:?}", report.selected);
+    println!("control subcarriers: {:?}", session.selected_subcarriers());
     println!(
         "control message    : {} ({} bits)",
         if report.control_ok { "delivered exactly" } else { "corrupted" },

@@ -25,7 +25,7 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 echo "== robustness_soak --quick (fault-matrix smoke: every impairment and mode transition, fixed seeds)"
 cargo run -q --release -p cos-experiments --bin robustness_soak -- --quick
 
-echo "== alloc gate (workspace rx ≥10x leaner than the owned path or ≥1.5x faster; streaming rx, tx+embed and lockstep decode 0 allocs; resilient summary leaner than report; a session added to a warmed engine allocates ≤128 KiB at 54 and 6 Mbps)"
+echo "== alloc gate (workspace rx ≥10x leaner than the owned path or ≥1.5x faster; streaming rx, tx+embed and lockstep decode 0 allocs; resilient and adaptive session paths < 0.1 allocs/frame with the ARQ queue loaded; a session added to a warmed engine allocates ≤128 KiB at 54 and 6 Mbps)"
 cargo run -q --release -p cos-bench --bin alloc_gate
 
 echo "== golden vectors (frozen waveforms + decodes for all 8 rates; any bit/sample drift fails)"
@@ -59,6 +59,11 @@ scripts/linkcheck.sh
 echo "== CSV determinism (buffer reuse must not change a single byte of the committed results)"
 cargo run -q --release -p cos-experiments --bin fig02_snr_gap > /dev/null
 cargo run -q --release -p cos-experiments --bin fig05_evm_positions > /dev/null
+git diff --exit-code -- results/
+
+echo "== fig07_adaptation + robustness_soak CSV byte-identity (the adaptive and resilient send paths, end to end)"
+cargo run -q --release -p cos-experiments --bin fig07_adaptation > /dev/null
+cargo run -q --release -p cos-experiments --bin robustness_soak > /dev/null
 git diff --exit-code -- results/
 
 echo "== fig08_mesh CSV byte-identity at COS_THREADS=1/4/8 (the mesh determinism contract, end to end)"

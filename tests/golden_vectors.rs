@@ -19,9 +19,10 @@
 //! Regenerate the corpus (and commit the diff) only when a waveform
 //! change is intended.
 
-use cos_phy::pipeline::{TxPipeline, TxWorkspace};
+use cos_phy::pipeline::TxWorkspace;
 use cos_phy::rates::DataRate;
 use cos_phy::rx::{Receiver, RxConfig};
+use cos_phy::tx::Transmitter;
 
 fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -96,10 +97,11 @@ fn vectors() -> Vec<Vector> {
 
 #[test]
 fn transmit_waveforms_match_golden_samples() {
-    let tx = TxPipeline::new();
+    let tx = Transmitter::new();
     let mut ws = TxWorkspace::new();
     for v in vectors() {
-        tx.build_and_render(&v.payload, v.rate, v.seed, &mut ws);
+        tx.build_frame_into(&v.payload, v.rate, v.seed, &mut ws);
+        ws.render();
         assert_eq!(
             ws.samples.len(),
             v.samples.len(),

@@ -25,11 +25,11 @@ fn sustained_session_delivers_control_messages() {
         4711,
     );
     let msg = message(24);
-    session.send_packet(&[0x42; 800], &msg); // warm-up establishes feedback
+    session.send_packet_summary(&[0x42; 800], &msg); // warm-up establishes feedback
     let mut delivered = 0;
     let total = 30;
     for _ in 0..total {
-        let r = session.send_packet(&[0x42; 800], &msg);
+        let r = session.send_packet_summary(&[0x42; 800], &msg);
         delivered += r.control_ok as u32;
     }
     assert!(delivered * 100 >= total * 95, "control delivery {delivered}/{total}");
@@ -39,9 +39,9 @@ fn sustained_session_delivers_control_messages() {
 fn session_control_capacity_scales_with_message_size() {
     let mut session =
         CosSession::new(SessionConfig { snr_db: 18.0, rate: Some(DataRate::Mbps12), ..Default::default() }, 7);
-    session.send_packet(&[1; 1000], &[]);
+    session.send_packet_summary(&[1; 1000], &[]);
     for bits in [8usize, 32, 64] {
-        let r = session.send_packet(&[1; 1000], &message(bits));
+        let r = session.send_packet_summary(&[1; 1000], &message(bits));
         assert_eq!(r.silences_sent, 1 + bits / 4);
         assert!(r.data_ok, "data must survive {bits} control bits");
     }
@@ -54,8 +54,8 @@ fn rate_adapts_down_when_channel_degrades() {
     let mut fast = CosSession::new(SessionConfig { snr_db: 26.0, ..Default::default() }, 55);
     let mut slow = CosSession::new(SessionConfig { snr_db: 10.0, ..Default::default() }, 55);
     for _ in 0..4 {
-        fast.send_packet(&[0; 500], &message(8));
-        slow.send_packet(&[0; 500], &message(8));
+        fast.send_packet_summary(&[0; 500], &message(8));
+        slow.send_packet_summary(&[0; 500], &message(8));
     }
     assert!(fast.current_rate().mbps() > slow.current_rate().mbps());
 }
@@ -130,7 +130,7 @@ fn feedback_failure_falls_back_to_lowest_control_rate() {
     // fall back; the budget equals the fallback rate's allocation.
     let mut session =
         CosSession::new(SessionConfig { snr_db: -5.0, rate: Some(DataRate::Mbps12), ..Default::default() }, 3);
-    let r = session.send_packet(&[0; 600], &[]);
+    let r = session.send_packet_summary(&[0; 600], &[]);
     assert!(!r.data_ok);
     let budget_after_failure = session.silence_budget(1024);
     let fresh = CosSession::new(SessionConfig { snr_db: 26.0, rate: Some(DataRate::Mbps12), ..Default::default() }, 3);

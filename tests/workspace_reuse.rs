@@ -17,7 +17,7 @@ use cos::phy::rates::DataRate;
 use cos::phy::rx::{FrontEnd, Receiver, RxConfig, RxDecodeOut, RxFrame, RxScratch};
 use cos::phy::subcarriers::NUM_DATA;
 use cos::phy::tx::{Transmitter, TxFrame};
-use cos::phy::{PhyWorkspace, RxPipeline, TxPipeline, TxWorkspace};
+use cos::phy::{PhyWorkspace, TxWorkspace};
 use proptest::prelude::*;
 
 fn arb_rate() -> impl Strategy<Value = DataRate> {
@@ -26,8 +26,9 @@ fn arb_rate() -> impl Strategy<Value = DataRate> {
 
 /// Leaves unrelated garbage in every buffer of the workspace so reuse
 /// bugs (stale lengths, leftover tails) have something to leak.
-fn dirty(tx: &TxPipeline, rx: &RxPipeline, ws: &mut PhyWorkspace) {
-    tx.build_and_render(&[0x5A; 333], DataRate::Mbps54, 0x31, &mut ws.tx);
+fn dirty(tx: &Transmitter, rx: &Receiver, ws: &mut PhyWorkspace) {
+    tx.build_frame_into(&[0x5A; 333], DataRate::Mbps54, 0x31, &mut ws.tx);
+    ws.tx.render();
     let samples = ws.tx.samples.clone();
     rx.receive_into(&samples, &RxConfig::ideal(), &mut ws.rx).expect("clean loopback");
 }
@@ -97,14 +98,15 @@ proptest! {
         channel_seed in 0u64..500,
         snr_db in 8.0f64..30.0,
     ) {
-        let tx = TxPipeline::new();
-        let rx = RxPipeline::new();
+        let tx = Transmitter::new();
+        let rx = Receiver::new();
         let mut ws = PhyWorkspace::new();
         dirty(&tx, &rx, &mut ws);
 
         // Workspace path: build, render, propagate, receive — all into
         // reused buffers.
-        tx.build_and_render(&payload, rate, seed, &mut ws.tx);
+        tx.build_frame_into(&payload, rate, seed, &mut ws.tx);
+        ws.tx.render();
         let owned_samples = Transmitter::new().build_frame(&payload, rate, seed).to_time_samples();
         prop_assert_eq!(&ws.tx.samples, &owned_samples);
 
@@ -201,12 +203,12 @@ proptest! {
         }).collect();
         let selected = vec![3usize, 12, 20, 29, 37, 45];
 
-        let tx = TxPipeline::new();
-        let rx = RxPipeline::new();
+        let tx = Transmitter::new();
+        let rx = Receiver::new();
         let mut ws = PhyWorkspace::new();
         dirty(&tx, &rx, &mut ws);
 
-        tx.transmitter().build_frame_into(&[0xAA; 700], DataRate::Mbps24, 0x5D, &mut ws.tx);
+        tx.build_frame_into(&[0xAA; 700], DataRate::Mbps24, 0x5D, &mut ws.tx);
         let mut owned_frame = Transmitter::new().build_frame(&[0xAA; 700], DataRate::Mbps24, 0x5D);
         let controller = PowerController::default();
         controller.embed(&mut ws.tx.frame, &selected, &bits).expect("fits");
@@ -243,12 +245,13 @@ proptest! {
                 FaultEngine::new().with(BurstInterference::new(25.0, 300, 0.5, fault_seed)),
             )
         };
-        let tx = TxPipeline::new();
-        let rx = RxPipeline::new();
+        let tx = Transmitter::new();
+        let rx = Receiver::new();
         let mut ws = PhyWorkspace::new();
         dirty(&tx, &rx, &mut ws);
 
-        tx.build_and_render(&payload, DataRate::Mbps12, 0x47, &mut ws.tx);
+        tx.build_frame_into(&payload, DataRate::Mbps12, 0x47, &mut ws.tx);
+        ws.tx.render();
         let mut link_ws = mk_link(channel_seed);
         let mut link_owned = mk_link(channel_seed);
         link_ws.transmit_into(&ws.tx.samples, &mut ws.rx.samples);
@@ -275,12 +278,12 @@ proptest! {
         // A-MPDU aggregation rides the PSDU path: aggregate, transmit
         // through a dirty workspace, receive into it, deaggregate.
         let psdu = aggregate(&subframes).expect("aggregates");
-        let tx = TxPipeline::new();
-        let rx = RxPipeline::new();
+        let tx = Transmitter::new();
+        let rx = Receiver::new();
         let mut ws = PhyWorkspace::new();
         dirty(&tx, &rx, &mut ws);
 
-        tx.transmitter().build_frame_from_psdu_into(&psdu, rate, 0x2B, &mut ws.tx);
+        tx.build_frame_from_psdu_into(&psdu, rate, 0x2B, &mut ws.tx);
         ws.tx.render();
         let owned_samples =
             Transmitter::new().build_frame_from_psdu(&psdu, rate, 0x2B).to_time_samples();
