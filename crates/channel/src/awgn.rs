@@ -2,66 +2,39 @@
 //!
 //! The per-sample apply has a scalar reference and a lane kernel selected
 //! by [`cos_dsp::lanes::kernel_mode`]. Both produce the same bits: the
-//! lane path first draws the standard normals **in the exact scalar
-//! order** (Box–Muller draws are value-independent, so pre-drawing them
-//! into SoA scratch changes nothing), then applies
-//! `x + n·s` lanewise with the same per-element expression the scalar
-//! loop uses. The Box–Muller transcendentals themselves stay serial —
-//! the channel stage's SIMD win lives in the multipath convolution
-//! ([`crate::multipath`]), not here; see `docs/KERNELS.md`.
+//! lane path takes a waveform's standard normals from
+//! [`GaussianSource::fill_standard_normal`], which runs the Box–Muller
+//! transform eight pairs per lane step yet returns **exactly the scalar
+//! draw sequence**, then applies `x + n·s` with the same per-element
+//! expression the scalar loop uses; see `docs/KERNELS.md`.
 
-use cos_dsp::lanes::{kernel_mode, F64xL, KernelMode, LANES};
+use cos_dsp::lanes::{kernel_mode, KernelMode};
 use cos_dsp::{Complex, GaussianSource};
-use std::cell::RefCell;
 
-thread_local! {
-    /// Grow-only SoA scratch for the lane kernel's pre-drawn normals
-    /// (real parts, imaginary parts), one per thread like the link's
-    /// convolution scratch: a thread applies noise to one waveform at a
-    /// time, so per-link copies would only add resident memory.
-    static NORMALS: RefCell<(Vec<f64>, Vec<f64>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
-}
+/// Samples noised per batch draw: the interleaved normals fit a 2 KiB
+/// stack row that stays in L1 between the draw and the apply.
+const BLOCK: usize = 128;
 
 /// Lane apply of seeded complex Gaussian noise, shared by [`Awgn`] and
 /// [`crate::overlap::OverlapComposer`].
 ///
 /// Draws `2 · samples.len()` standard normals from `rng` in exactly the
-/// order the scalar `complex_normal` loop would (re, im, re, im, …),
-/// storing them de-interleaved in the thread's grow-only scratch, then
-/// adds `Complex::new(n_re · s, n_im · s)` to each sample where
-/// `s = (variance / 2).sqrt()` — the same expression, in the same order,
+/// order the scalar `complex_normal` loop would (re, im, re, im, …) —
+/// batch draws split anywhere continue one stream — then adds
+/// `Complex::new(n_re · s, n_im · s)` to each sample where
+/// `s = (variance / 2).sqrt()`: the same expression, in the same order,
 /// as `complex_normal`, so the result is bit-identical to the scalar
 /// path.
 pub(crate) fn add_gaussian_lanes(samples: &mut [Complex], rng: &mut GaussianSource, variance: f64) {
-    NORMALS.with_borrow_mut(|(nre, nim)| {
-        let s = (variance / 2.0).sqrt();
-        let n = samples.len();
-        nre.clear();
-        nim.clear();
-        for _ in 0..n {
-            // Draw order is the scalar order: one (re, im) pair per sample.
-            nre.push(rng.standard_normal());
-            nim.push(rng.standard_normal());
+    let s = (variance / 2.0).sqrt();
+    let mut row = [0.0; 2 * BLOCK];
+    for block in samples.chunks_mut(BLOCK) {
+        let normals = &mut row[..2 * block.len()];
+        rng.fill_standard_normal(normals);
+        for (x, n) in block.iter_mut().zip(normals.chunks_exact(2)) {
+            *x += Complex::new(n[0] * s, n[1] * s);
         }
-        let scale = F64xL::splat(s);
-        let mut i = 0;
-        while i + LANES <= n {
-            let xre = F64xL(std::array::from_fn(|l| samples[i + l].re));
-            let xim = F64xL(std::array::from_fn(|l| samples[i + l].im));
-            // `x + n·s` per lane: the scalar loop's `*x += Complex::new(
-            // standard_normal() * s, standard_normal() * s)` verbatim.
-            let yre = xre + F64xL::load(&nre[i..]) * scale;
-            let yim = xim + F64xL::load(&nim[i..]) * scale;
-            for l in 0..LANES {
-                samples[i + l] = Complex::new(yre.0[l], yim.0[l]);
-            }
-            i += LANES;
-        }
-        for j in i..n {
-            samples[j] += Complex::new(nre[j] * s, nim[j] * s);
-        }
-    });
+    }
 }
 
 /// A seeded AWGN source with a fixed per-sample (time-domain) noise

@@ -12,7 +12,8 @@
 //!   that selects scalar vs lane kernels across the symbol plane,
 //! * [`db`] — dB/linear and dBm/milliwatt conversions,
 //! * [`rng`] — seeded Gaussian and circularly-symmetric complex Gaussian
-//!   sources (Box–Muller over [`rand`]) for AWGN and Rayleigh fading,
+//!   sources (Box–Muller over [`rand`], on crate-owned `ln`/`sincos`
+//!   polynomials, with a laned batch draw) for AWGN and Rayleigh fading,
 //! * [`prbs`] — the 127-bit `x^7 + x^4 + 1` pseudo-random binary sequence of
 //!   IEEE 802.11a (scrambler sequence and pilot-polarity sequence),
 //! * [`stats`] — summary statistics and empirical CDFs used by the

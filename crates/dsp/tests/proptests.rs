@@ -1,7 +1,7 @@
 //! Property-based tests for the DSP primitives.
 
 use cos_dsp::fft::{dft_reference, Fft};
-use cos_dsp::{db_to_linear, linear_to_db, Complex, Prbs127};
+use cos_dsp::{db_to_linear, linear_to_db, Complex, GaussianSource, Prbs127};
 use proptest::prelude::*;
 
 fn arb_complex() -> impl Strategy<Value = Complex> {
@@ -80,4 +80,31 @@ proptest! {
         let want: Vec<u8> = (0..127).map(|i| seq[(i + offset) % 127]).collect();
         prop_assert_eq!(got, want);
     }
+
+    #[test]
+    fn batch_normals_equal_repeated_scalar_draws(
+        seed in 0u64..1_000_000,
+        spare in 0u8..2,
+        splits in proptest::collection::vec(0usize..70, 0..8),
+    ) {
+        // `spare` single draws first leave a pending Box–Muller spare (or
+        // not); then a run of batch fills of random lengths, each checked
+        // by `to_bits` against the one-at-a-time stream.
+        let mut batch = GaussianSource::new(seed);
+        let mut scalar = batch.clone();
+        for _ in 0..spare {
+            prop_assert_eq!(batch.standard_normal().to_bits(), scalar.standard_normal().to_bits());
+        }
+        for len in splits {
+            let mut row = vec![0.0; len];
+            batch.fill_standard_normal(&mut row);
+            for x in row {
+                prop_assert_eq!(x.to_bits(), scalar.standard_normal().to_bits());
+            }
+        }
+        // The spare state left behind matches too.
+        prop_assert_eq!(batch.standard_normal().to_bits(), scalar.standard_normal().to_bits());
+        prop_assert_eq!(batch.uniform().to_bits(), scalar.uniform().to_bits());
+    }
 }
+

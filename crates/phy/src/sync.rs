@@ -21,9 +21,14 @@ use crate::preamble::{self, PREAMBLE_LEN, STF_LEN};
 use crate::subcarriers::FFT_SIZE;
 use cos_dsp::fft::plan;
 use cos_dsp::Complex;
+use std::sync::OnceLock;
 
 /// The 20 MHz sample period in seconds.
 pub const SAMPLE_PERIOD: f64 = 1.0 / 20e6;
+
+/// Fine-timing search half-width around the coarse STF estimate, in
+/// samples.
+const SEARCH: usize = 24;
 
 /// Result of a successful acquisition.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,22 +85,30 @@ impl Synchronizer {
         // Search a window around the coarse estimate for the first LTF
         // body (which starts at frame_start + 192).
         let reference = ltf_reference();
-        let lo = coarse.saturating_sub(24);
-        let hi = (coarse + 24).min(samples.len().saturating_sub(PREAMBLE_LEN));
+        let lo = coarse.saturating_sub(SEARCH);
+        let hi = (coarse + SEARCH).min(samples.len().saturating_sub(PREAMBLE_LEN));
+        // Correlate with CFO pre-compensation so a large offset does not
+        // destroy the peak. The rotation depends only on the absolute
+        // sample index, and the candidates share all but one of theirs:
+        // each of the ≤ 2·SEARCH + FFT_SIZE angles is evaluated once.
+        let first = lo + STF_LEN + 32;
+        let mut rot = [Complex::ZERO; 2 * SEARCH + FFT_SIZE];
+        let used = ((hi + 1).saturating_sub(lo) + FFT_SIZE - 1).min(rot.len());
+        for (k, w) in rot[..used].iter_mut().enumerate() {
+            *w = Complex::from_angle(
+                -2.0 * std::f64::consts::PI * coarse_cfo * (first + k) as f64 * SAMPLE_PERIOD,
+            );
+        }
         let mut best = (0.0f64, coarse);
         for cand in lo..=hi {
             let ltf1 = cand + STF_LEN + 32;
             if ltf1 + FFT_SIZE > samples.len() {
                 break;
             }
-            // Correlate with CFO pre-compensation so a large offset does
-            // not destroy the peak.
+            let rot = &rot[cand - lo..cand - lo + FFT_SIZE];
             let mut acc = Complex::ZERO;
-            for (i, &r) in reference.iter().enumerate() {
-                let rot = Complex::from_angle(
-                    -2.0 * std::f64::consts::PI * coarse_cfo * (ltf1 + i) as f64 * SAMPLE_PERIOD,
-                );
-                acc += samples[ltf1 + i] * rot * r.conj();
+            for ((&x, &w), r) in samples[ltf1..].iter().zip(rot).zip(reference) {
+                acc += x * w * r.conj();
             }
             let metric = acc.norm();
             if metric > best.0 {
@@ -201,11 +214,14 @@ fn normalized_autocorrelation(samples: &[Complex], start: usize, len: usize, del
     }
 }
 
-/// The time-domain LTF body (64 samples), cached per call site.
-fn ltf_reference() -> [Complex; FFT_SIZE] {
-    let mut body = preamble::ltf_freq_symbol().0;
-    plan(FFT_SIZE).inverse(&mut body);
-    body
+/// The time-domain LTF body (64 samples), computed once per process.
+fn ltf_reference() -> &'static [Complex; FFT_SIZE] {
+    static BODY: OnceLock<[Complex; FFT_SIZE]> = OnceLock::new();
+    BODY.get_or_init(|| {
+        let mut body = preamble::ltf_freq_symbol().0;
+        plan(FFT_SIZE).inverse(&mut body);
+        body
+    })
 }
 
 #[cfg(test)]

@@ -31,11 +31,11 @@ cargo run -q --release -p cos-bench --bin alloc_gate
 echo "== golden vectors (frozen waveforms + decodes for all 8 rates; any bit/sample drift fails)"
 cargo test -q --release --test golden_vectors
 
-echo "== golden vectors under COS_KERNELS=scalar (the lane/scalar bit-identity contract, end to end)"
-COS_KERNELS=scalar cargo test -q --release --test golden_vectors
+echo "== golden vectors + channel digest under COS_KERNELS=scalar (the lane/scalar bit-identity contract, end to end; the noise stream pinned)"
+COS_KERNELS=scalar cargo test -q --release --test golden_vectors --test channel_digest
 
-echo "== golden vectors on baseline x86-64 codegen (no host CPU features: bit identity must not rest on -C target-cpu=native; own target dir keeps the main cache)"
-RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64 cargo test -q --release --test golden_vectors
+echo "== golden vectors + channel digest on baseline x86-64 codegen (no host CPU features: bit identity, noise included, must not rest on -C target-cpu=native; own target dir keeps the main cache)"
+RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64 cargo test -q --release --test golden_vectors --test channel_digest
 
 echo "== channel kernel differential under both COS_KERNELS (lane AWGN/conv/overlap bit-identical to scalar)"
 COS_KERNELS=scalar cargo test -q --release -p cos-channel --test kernel_differential
@@ -56,15 +56,11 @@ cargo run -q --release -p cos-bench --bin mesh_storm -- --smoke
 echo "== docs link check (relative links and backticked *.md references must resolve)"
 scripts/linkcheck.sh
 
-echo "== CSV determinism (buffer reuse must not change a single byte of the committed results)"
-cargo run -q --release -p cos-experiments --bin fig02_snr_gap > /dev/null
-cargo run -q --release -p cos-experiments --bin fig05_evm_positions > /dev/null
-git diff --exit-code -- results/
-
-echo "== fig07_adaptation + robustness_soak CSV byte-identity (the adaptive and resilient send paths, end to end)"
-cargo run -q --release -p cos-experiments --bin fig07_adaptation > /dev/null
+echo "== committed results byte-identity (run_all: fig02-fig10, adaptation, the EVD and placement ablations; ablation_baseline; robustness_soak and the BENCH_pr2.json it rewrites)"
+cargo run -q --release -p cos-experiments --bin run_all > /dev/null
+cargo run -q --release -p cos-experiments --bin ablation_baseline > /dev/null
 cargo run -q --release -p cos-experiments --bin robustness_soak > /dev/null
-git diff --exit-code -- results/
+git diff --exit-code -- results/ BENCH_pr2.json
 
 echo "== fig08_mesh CSV byte-identity at COS_THREADS=1/4/8 (the mesh determinism contract, end to end)"
 for t in 1 4 8; do
