@@ -178,7 +178,7 @@ pub fn decode_ack(
         let mut normal_residual = 0.0;
         for rep in 0..reps {
             let sym = first_sym + rep;
-            let y = fe.data_y[sym][sc];
+            let y = fe.raw_symbols[sym].0[bins[sc]];
             let hx = fe.h_est[bins[sc]] * reference[sym][sc];
             silence_residual += y.norm_sqr();
             normal_residual += (y - hx).norm_sqr();
@@ -210,7 +210,7 @@ pub fn decode_ack(
         for rep in 0..cfg.snr_repeats {
             let sym = snr_start + rep;
             for &k in &[sc, mirror] {
-                let y = fe.data_y[sym][k];
+                let y = fe.raw_symbols[sym].0[bins[k]];
                 let hx = fe.h_est[bins[k]] * reference[sym][k];
                 silence_residual += y.norm_sqr();
                 normal_residual += (y - hx).norm_sqr();

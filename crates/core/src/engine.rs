@@ -370,11 +370,46 @@ pub struct BatchEngine {
 
 /// One worker's frame planes: the lockstep Viterbi staging, and one
 /// [`FrameScratch`] per lane of a bundle — lane `k` is lent to the
-/// bundle's `k`-th session for each of its frames.
+/// bundle's `k`-th session for each of its frames — plus the worker's
+/// share of the engine's [`LockstepStats`].
 #[derive(Debug, Default)]
 struct WorkerScratch {
     batch: SymbolBatch,
     lanes: [FrameScratch; LANES],
+    stats: LockstepStats,
+}
+
+/// How a [`BatchEngine`] has decoded its frames' trellises since it was
+/// built: in lockstep, [`LANES`] frames per instruction, or one frame at
+/// a time, and why. Counts are cumulative across drains, deterministic
+/// (no timing) and the same at any worker count, because bundles are
+/// formed from the sorted unit list before any worker claims one.
+/// Frames that never reach the Viterbi (stale handles, front-end or
+/// staging failures) are not counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LockstepStats {
+    /// Frames decoded by the lockstep Viterbi.
+    pub lockstep: u64,
+    /// Frames decoded per frame because their bundle held fewer than
+    /// [`LANES`] live sessions — the tail of a drain.
+    pub tail_bundle: u64,
+    /// Frames decoded per frame in a full bundle whose round staged
+    /// fewer than [`LANES`] frames cleanly — uneven group lengths, stale
+    /// handles, front-end or staging failures in the other lanes.
+    pub short_round: u64,
+    /// Frames of a fully staged round that the lockstep kernel still ran
+    /// per frame: their trellis lengths differ (a bundle straddling two
+    /// payload lengths), or `COS_KERNELS=scalar`.
+    pub ragged: u64,
+}
+
+impl std::ops::AddAssign for LockstepStats {
+    fn add_assign(&mut self, rhs: LockstepStats) {
+        self.lockstep += rhs.lockstep;
+        self.tail_bundle += rhs.tail_bundle;
+        self.short_round += rhs.short_round;
+        self.ragged += rhs.ragged;
+    }
 }
 
 impl BatchEngine {
@@ -439,6 +474,15 @@ impl BatchEngine {
     /// Jobs queued and not yet drained.
     pub fn pending(&self) -> usize {
         self.jobs.len()
+    }
+
+    /// How every frame this engine has drained was Viterbi-decoded.
+    pub fn lockstep_stats(&self) -> LockstepStats {
+        let mut total = LockstepStats::default();
+        for ws in &self.workers {
+            total += ws.stats;
+        }
+        total
     }
 
     /// Drains every queued job and returns the outcomes **in submit
@@ -671,7 +715,8 @@ fn run_units_lockstep(
     mut emit: impl FnMut(usize, JobOutcome),
 ) {
     debug_assert!(units.len() <= LANES);
-    let WorkerScratch { batch, lanes } = ws;
+    let tail_bundle = units.len() < LANES;
+    let WorkerScratch { batch, lanes, stats } = ws;
     let mut cursors = [0usize; LANES];
     for (k, u) in units.iter().enumerate() {
         if let Some((g, _, _)) = u {
@@ -716,12 +761,20 @@ fn run_units_lockstep(
                 .filter_map(|(fs, s)| Some(fs.lane_frame(s.as_ref()?.staged_ok()?)));
             let mut frames: [_; LANES] =
                 std::array::from_fn(|_| it.next().expect("LANES staged frames"));
-            ViterbiDecoder::new().decode_lockstep(&mut frames, true, batch);
+            let locked = ViterbiDecoder::new().decode_lockstep(&mut frames, true, batch);
+            stats.lockstep += locked as u64;
+            stats.ragged += (LANES - locked) as u64;
         } else {
             for (fs, s) in lanes.iter_mut().zip(&staged) {
                 if let Some(s) = s {
                     fs.viterbi(s);
                 }
+            }
+            let ready = ready as u64;
+            if tail_bundle {
+                stats.tail_bundle += ready;
+            } else {
+                stats.short_round += ready;
             }
         }
 
@@ -903,6 +956,78 @@ mod tests {
         assert!(matches!(out[1].result, JobResult::Plain(_)));
         // The released slot's next occupant is untouched by the stale job.
         assert_eq!(pool.len(), 1);
+    }
+
+    #[test]
+    fn lockstep_stats_count_bundles_and_tails() {
+        let run = |sessions: usize, threads: usize| {
+            let mut pool = SessionPool::new();
+            let mut engine = BatchEngine::new(EngineConfig { threads });
+            let p = engine.add_payload(&[0x3C; 240]);
+            let c = engine.add_control(&[1, 0, 1, 1]);
+            for i in 0..sessions {
+                let id = pool.create(cfg(30.0), 900 + i as u64);
+                engine.submit(id, p, c);
+            }
+            engine.drain(&mut pool);
+            engine.lockstep_stats()
+        };
+        // A full bundle of equal-length frames decodes in lockstep (and
+        // per frame, as ragged, under `COS_KERNELS=scalar`).
+        let full = match cos_dsp::kernel_mode() {
+            cos_dsp::KernelMode::Lanes => LockstepStats { lockstep: 8, ..Default::default() },
+            cos_dsp::KernelMode::Scalar => LockstepStats { ragged: 8, ..Default::default() },
+        };
+        assert_eq!(run(LANES, 1), full);
+        assert_eq!(run(LANES, 2), full);
+        // Five sessions never fill a bundle: every frame is a tail frame.
+        let tail = LockstepStats { tail_bundle: 5, ..Default::default() };
+        assert_eq!(run(5, 1), tail);
+        assert_eq!(run(5, 2), tail);
+    }
+
+    #[test]
+    fn lockstep_stats_flag_ragged_bundles() {
+        // One bundle of two payload lengths stages 8 frames, but the
+        // lockstep kernel needs equal trellis lengths: all 8 run alone.
+        let mut pool = SessionPool::new();
+        let mut engine = BatchEngine::new(EngineConfig { threads: 1 });
+        let (short, long) = (engine.add_payload(&[0x11; 120]), engine.add_payload(&[0x22; 360]));
+        let c = engine.add_control(&[1, 1, 0, 1]);
+        for i in 0..LANES {
+            let id = pool.create(cfg(30.0), 70 + i as u64);
+            engine.submit(id, if i % 2 == 0 { short } else { long }, c);
+        }
+        engine.drain(&mut pool);
+        assert_eq!(engine.lockstep_stats(), LockstepStats { ragged: 8, ..Default::default() });
+    }
+
+    #[test]
+    fn lockstep_stats_accumulate_and_flag_short_rounds() {
+        let mut pool = SessionPool::new();
+        let mut engine = BatchEngine::new(EngineConfig { threads: 1 });
+        let p = engine.add_payload(&[0x96; 200]);
+        let c = engine.add_control(&[0, 1, 1, 0]);
+        let ids: Vec<SessionId> =
+            (0..LANES).map(|i| pool.create(cfg(30.0), 40 + i as u64)).collect();
+        // Session 0 gets a second job: its bundle's second round stages
+        // one frame, which decodes alone.
+        for &id in &ids {
+            engine.submit(id, p, c);
+        }
+        engine.submit(ids[0], p, c);
+        engine.drain(&mut pool);
+        let first = engine.lockstep_stats();
+        assert_eq!(first.short_round, 1);
+        assert_eq!(first.lockstep + first.ragged, 8);
+        // Counts are cumulative across drains.
+        for &id in &ids {
+            engine.submit(id, p, c);
+        }
+        engine.drain(&mut pool);
+        let second = engine.lockstep_stats();
+        assert_eq!(second.short_round, 1);
+        assert_eq!(second.lockstep + second.ragged, 16);
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub use control_rate::ControlRateTable;
 pub use energy_detector::EnergyDetector;
 pub use engine::{
     configured_threads, run_indexed, BatchEngine, ControlId, EngineConfig, JobOutcome, JobResult,
-    PayloadId, SessionId, SessionPool,
+    LockstepStats, PayloadId, SessionId, SessionPool,
 };
 pub use interval::IntervalCodec;
 pub use mesh::{

@@ -82,7 +82,7 @@ pub fn validate_silences_into(
     }
     assert!(*selected.last().expect("non-empty") < NUM_DATA, "subcarrier out of range");
     assert!(
-        reference.len() >= fe.data_y.len(),
+        reference.len() >= fe.raw_symbols.len(),
         "reference grid smaller than the received frame"
     );
 
@@ -91,10 +91,10 @@ pub fn validate_silences_into(
     positions.clear();
     // Frame-geometry bound (every slot validated as silence): saturates the
     // buffer on the first frame so later frames can never reallocate.
-    positions.reserve(fe.data_y.len() * n_sel);
-    for (sym_idx, y_row) in fe.data_y.iter().enumerate() {
+    positions.reserve(fe.raw_symbols.len() * n_sel);
+    for (sym_idx, sym) in fe.raw_symbols.iter().enumerate() {
         for (j, &sc) in selected.iter().enumerate() {
-            let y = y_row[sc];
+            let y = sym.0[bins[sc]];
             let hx = fe.h_est[bins[sc]] * reference[sym_idx][sc];
             let silence_residual = y.norm_sqr();
             let normal_residual = (y - hx).norm_sqr();

@@ -19,7 +19,11 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// assert_eq!(a.norm(), 5.0);
 /// assert_eq!(a * a.conj(), Complex::new(25.0, 0.0));
 /// ```
+///
+/// The layout is `repr(C)` `{ re, im }`, so a `[Complex; N]` is `2N`
+/// interleaved `f64` values; the lane kernels load it as such.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

@@ -9,6 +9,13 @@
 //! `'static` cached plans so the hot 64-point case never rebuilds its
 //! tables. The free functions [`fft`]/[`ifft`] use that cache.
 //!
+//! The 64-point transform — every OFDM symbol, preamble and LTF — runs
+//! one in-register lane kernel in [`KernelMode::Lanes`]: the same radix-2
+//! butterflies regrouped into two passes over 8 rows of [`LANES`]
+//! complex values, bit-identical to the scalar recursion (see
+//! `docs/KERNELS.md`). Every other length, and `COS_KERNELS=scalar`, runs
+//! the scalar recursion.
+//!
 //! # Conventions
 //!
 //! The forward transform computes `X[k] = Σ_n x[n]·e^{-i2πkn/N}` (no
@@ -17,38 +24,128 @@
 //! the `1/N` factor.
 
 use crate::complex::Complex;
-use crate::lanes::{kernel_mode, C64xL, F64xL, KernelMode, LANES};
+use crate::lanes::{kernel_mode, transpose, C64xL, F64xL, KernelMode, LANES};
 use std::sync::OnceLock;
 
-/// Per-stage twiddle factors stored SoA (split real/imaginary arrays) so
-/// the lane butterfly loads them with plain contiguous reads.
-///
-/// The values are **copied** from the scalar twiddle table, never
-/// recomputed from angles, so the lane and scalar paths consume the same
-/// bits.
+/// The transform length the in-register lane kernel covers: the OFDM
+/// symbol. Every other length runs the scalar recursion.
+const KERNEL_LEN: usize = LANES * LANES;
+
+/// `rev3(i)`: the 3-bit reversal of `i`.
+const REV3: [usize; LANES] = [0, 4, 2, 6, 1, 5, 3, 7];
+
+/// Twiddles of the in-register 64-point kernel for one direction, **copied**
+/// from the scalar twiddle table `w` (never recomputed from angles), so
+/// both paths multiply by the same bits.
 #[derive(Debug, Clone)]
-struct LaneStage {
-    /// Butterflies per chunk at this stage (`len / 2`).
-    half: usize,
-    /// Real parts of the `half` twiddles.
-    w_re: Vec<f64>,
-    /// Imaginary parts of the `half` twiddles.
-    w_im: Vec<f64>,
+struct Kernel64 {
+    /// The length-8 stage's `w[0], w[8], w[16], w[24]`, splat across lanes.
+    w8: [C64xL; 4],
+    /// The length-16 stage: lane `j` holds `w[4j]`.
+    w16: C64xL,
+    /// The length-32 stage: lane `j` of row `m` holds `w[2(8m + j)]`.
+    w32: [C64xL; 2],
+    /// The length-64 stage: lane `j` of row `m` holds `w[8m + j]`.
+    w64: [C64xL; 4],
 }
 
-impl LaneStage {
-    /// Builds the stage table for chunk length `len` by striding the
-    /// scalar twiddle table exactly as the scalar butterfly loop does.
-    fn build(twiddles: &[Complex], n: usize, len: usize) -> Self {
-        let half = len / 2;
-        let step = n / len;
-        let ws: Vec<Complex> = twiddles.iter().step_by(step).take(half).copied().collect();
-        LaneStage {
-            half,
-            w_re: ws.iter().map(|w| w.re).collect(),
-            w_im: ws.iter().map(|w| w.im).collect(),
+impl Kernel64 {
+    fn new(w: &[Complex]) -> Self {
+        let row = |f: &dyn Fn(usize) -> usize| C64xL {
+            re: F64xL(std::array::from_fn(|j| w[f(j)].re)),
+            im: F64xL(std::array::from_fn(|j| w[f(j)].im)),
+        };
+        Kernel64 {
+            w8: std::array::from_fn(|k| C64xL::splat(w[8 * k].re, w[8 * k].im)),
+            w16: row(&|j| 4 * j),
+            w32: std::array::from_fn(|m| row(&|j| 2 * (8 * m + j))),
+            w64: std::array::from_fn(|m| row(&|j| 8 * m + j)),
         }
     }
+
+    /// The scalar radix-2 DIT (bit reversal, then stages of length 2 to
+    /// 64, then the inverse's `1/64`), regrouped into two register passes
+    /// over 8 complex rows. Every butterfly is the scalar expression —
+    /// `b·w` with the full complex multiply (also at `w = w[0]`, whose
+    /// signed zero matters), then `a + bw` and `a − bw` — and the ∓i stage
+    /// is written as the scalar code writes it, so the output is the
+    /// scalar path's bit for bit.
+    ///
+    /// Pass 1 puts the 8 blocks of 8 in the lanes: row `j` holds element
+    /// `j` of every block, so the stages of length 2, 4 and 8 pair rows.
+    /// The bit reversal is folded into the load: element `j` of block `b`
+    /// after reversal is input `8·rev3(j) + rev3(b)`, so row `j` loads
+    /// input block `rev3(j)` with lane permutation `rev3`. One transpose
+    /// later row `b` holds block `b`, and the stages of length 16, 32 and
+    /// 64 pair rows again, with a per-lane twiddle row.
+    #[inline(always)]
+    fn transform<const INVERSE: bool>(&self, buf: &mut [Complex; KERNEL_LEN]) {
+        let (blocks, _) = buf.as_chunks_mut::<LANES>();
+        let mut v: [C64xL; LANES] =
+            std::array::from_fn(|j| C64xL::load_permuted(&blocks[REV3[j]], REV3));
+        // Length 2: the only twiddle is 1.
+        for p in (0..LANES).step_by(2) {
+            let (a, b) = (v[p], v[p + 1]);
+            v[p] = a + b;
+            v[p + 1] = a - b;
+        }
+        // Length 4: twiddles 1 and ∓i — a swap and a sign flip.
+        for q in (0..LANES).step_by(4) {
+            let (a, b) = (v[q], v[q + 2]);
+            v[q] = a + b;
+            v[q + 2] = a - b;
+            let (c, x3) = (v[q + 1], v[q + 3]);
+            let d = if INVERSE {
+                C64xL { re: -x3.im, im: x3.re }
+            } else {
+                C64xL { re: x3.im, im: -x3.re }
+            };
+            v[q + 1] = c + d;
+            v[q + 3] = c - d;
+        }
+        // Length 8: one twiddle per row pair, the same in every lane.
+        for (k, &w) in self.w8.iter().enumerate() {
+            butterfly(&mut v, k, k + 4, w);
+        }
+
+        let mut re = v.map(|c| c.re);
+        let mut im = v.map(|c| c.im);
+        transpose(&mut re);
+        transpose(&mut im);
+        let mut v: [C64xL; LANES] = std::array::from_fn(|b| C64xL { re: re[b], im: im[b] });
+
+        // Lengths 16, 32 and 64: row pairs 1, 2 and 4 apart.
+        for c in 0..4 {
+            butterfly(&mut v, 2 * c, 2 * c + 1, self.w16);
+        }
+        for c in 0..2 {
+            for (m, &w) in self.w32.iter().enumerate() {
+                butterfly(&mut v, 4 * c + m, 4 * c + m + 2, w);
+            }
+        }
+        for (m, &w) in self.w64.iter().enumerate() {
+            butterfly(&mut v, m, m + 4, w);
+        }
+        if INVERSE {
+            let scale = F64xL::splat(1.0 / KERNEL_LEN as f64);
+            for x in v.iter_mut() {
+                *x = C64xL { re: x.re * scale, im: x.im * scale };
+            }
+        }
+        for (x, block) in v.into_iter().zip(blocks.iter_mut()) {
+            x.store_interleaved(block);
+        }
+    }
+}
+
+/// One radix-2 butterfly over rows `lo` and `hi`: `b = x[hi]·w`, then
+/// `x[lo] = a + b`, `x[hi] = a − b`, as the scalar loop computes it.
+#[inline(always)]
+fn butterfly(v: &mut [C64xL; LANES], lo: usize, hi: usize, w: C64xL) {
+    let a = v[lo];
+    let b = v[hi] * w;
+    v[lo] = a + b;
+    v[hi] = a - b;
 }
 
 /// A reusable FFT plan for a fixed power-of-two length.
@@ -75,10 +172,9 @@ pub struct Fft {
     inv_twiddles: Vec<Complex>,
     /// Bit-reversal permutation indices.
     rev: Vec<u32>,
-    /// SoA twiddle tables per `len ≥ 8` stage, forward direction.
-    lane_stages: Vec<LaneStage>,
-    /// SoA twiddle tables per `len ≥ 8` stage, inverse direction.
-    inv_lane_stages: Vec<LaneStage>,
+    /// The in-register lane kernel's twiddles, forward then inverse
+    /// (64-point plans only).
+    kernel64: Option<[Kernel64; 2]>,
 }
 
 impl Fft {
@@ -97,13 +193,9 @@ impl Fft {
         let rev = (0..n as u32)
             .map(|i| i.reverse_bits() >> (32 - bits))
             .collect();
-        let stage_lens = || {
-            std::iter::successors(Some(8usize), |l| l.checked_mul(2)).take_while(move |&l| l <= n)
-        };
-        let lane_stages = stage_lens().map(|len| LaneStage::build(&twiddles, n, len)).collect();
-        let inv_lane_stages =
-            stage_lens().map(|len| LaneStage::build(&inv_twiddles, n, len)).collect();
-        Fft { n, twiddles, inv_twiddles, rev, lane_stages, inv_lane_stages }
+        let kernel64 = (n == KERNEL_LEN)
+            .then(|| [Kernel64::new(&twiddles), Kernel64::new(&inv_twiddles)]);
+        Fft { n, twiddles, inv_twiddles, rev, kernel64 }
     }
 
     /// The transform length this plan was built for.
@@ -126,15 +218,19 @@ impl Fft {
         self.forward_with(buf, kernel_mode());
     }
 
-    /// [`Fft::forward`] with an explicit [`KernelMode`] — scalar and lane
-    /// paths are bit-identical, so this exists for differential tests and
-    /// benchmarks only.
+    /// [`Fft::forward`] with an explicit [`KernelMode`]. The lane kernel
+    /// (64-point plans) is bit-identical to the scalar recursion, so this
+    /// exists for differential tests and benchmarks only.
     ///
     /// # Panics
     ///
     /// Panics if `buf.len()` differs from the plan length.
     pub fn forward_with(&self, buf: &mut [Complex], mode: KernelMode) {
-        self.transform(buf, &self.twiddles, &self.lane_stages, false, mode);
+        self.check_len(buf);
+        match (&self.kernel64, mode) {
+            (Some([fwd, _]), KernelMode::Lanes) => fwd.transform::<false>(as_kernel_block(buf)),
+            _ => self.transform(buf, &self.twiddles, false),
+        }
     }
 
     /// In-place inverse DFT including the `1/N` normalisation, on the
@@ -147,30 +243,34 @@ impl Fft {
         self.inverse_with(buf, kernel_mode());
     }
 
-    /// [`Fft::inverse`] with an explicit [`KernelMode`] — scalar and lane
-    /// paths are bit-identical, so this exists for differential tests and
-    /// benchmarks only.
+    /// [`Fft::inverse`] with an explicit [`KernelMode`]. The lane kernel
+    /// (64-point plans) is bit-identical to the scalar recursion, so this
+    /// exists for differential tests and benchmarks only.
     ///
     /// # Panics
     ///
     /// Panics if `buf.len()` differs from the plan length.
     pub fn inverse_with(&self, buf: &mut [Complex], mode: KernelMode) {
-        self.transform(buf, &self.inv_twiddles, &self.inv_lane_stages, true, mode);
-        let scale = 1.0 / self.n as f64;
-        for x in buf.iter_mut() {
-            *x = x.scale(scale);
+        self.check_len(buf);
+        match (&self.kernel64, mode) {
+            (Some([_, inv]), KernelMode::Lanes) => inv.transform::<true>(as_kernel_block(buf)),
+            _ => {
+                self.transform(buf, &self.inv_twiddles, true);
+                let scale = 1.0 / self.n as f64;
+                for x in buf.iter_mut() {
+                    *x = x.scale(scale);
+                }
+            }
         }
     }
 
-    fn transform(
-        &self,
-        buf: &mut [Complex],
-        twiddles: &[Complex],
-        lane_stages: &[LaneStage],
-        inverse: bool,
-        mode: KernelMode,
-    ) {
+    fn check_len(&self, buf: &[Complex]) {
         assert_eq!(buf.len(), self.n, "buffer length {} != plan length {}", buf.len(), self.n);
+    }
+
+    /// The scalar radix-2 recursion: the reference the lane kernel
+    /// reproduces bit for bit, and the path for every other length.
+    fn transform(&self, buf: &mut [Complex], twiddles: &[Complex], inverse: bool) {
         let n = self.n;
         // Bit-reversal permutation.
         for (i, &j) in self.rev.iter().enumerate() {
@@ -203,44 +303,7 @@ impl Fft {
                 quad[3] = c - d;
             }
         }
-        // Remaining Cooley–Tukey stages with precomputed twiddles. The
-        // lane path walks the same stages with [`LANES`] butterflies per
-        // op; each lane computes the exact per-element expressions of the
-        // scalar loop (`b·w`, then `a+bw` / `a−bw`), so both paths emit
-        // the same bits. Stages narrower than a lane (`half < LANES`) run
-        // the same expressions scalar-wise on the copied twiddle table.
-        if mode == KernelMode::Lanes {
-            for stage in lane_stages {
-                let half = stage.half;
-                for chunk in buf.chunks_exact_mut(half * 2) {
-                    let (lo, hi) = chunk.split_at_mut(half);
-                    if half < LANES {
-                        for k in 0..half {
-                            let w = Complex::new(stage.w_re[k], stage.w_im[k]);
-                            let a = lo[k];
-                            let b = hi[k] * w;
-                            lo[k] = a + b;
-                            hi[k] = a - b;
-                        }
-                        continue;
-                    }
-                    let mut k = 0;
-                    while k < half {
-                        let a = load_lanes(&lo[k..]);
-                        let b = load_lanes(&hi[k..]);
-                        let w = C64xL {
-                            re: F64xL::load(&stage.w_re[k..]),
-                            im: F64xL::load(&stage.w_im[k..]),
-                        };
-                        let bw = b * w;
-                        store_lanes(a + bw, &mut lo[k..]);
-                        store_lanes(a - bw, &mut hi[k..]);
-                        k += LANES;
-                    }
-                }
-            }
-            return;
-        }
+        // Remaining Cooley–Tukey stages with precomputed twiddles.
         let mut len = 8;
         while len <= n {
             let half = len / 2;
@@ -259,138 +322,11 @@ impl Fft {
             len <<= 1;
         }
     }
-
-    /// In-place forward DFT over a **batch of [`LANES`] frames in SoA
-    /// layout**: element `i` of frame `l` lives at `re[i * LANES + l]` /
-    /// `im[i * LANES + l]`. Every butterfly processes the same element of
-    /// all [`LANES`] frames in one lane op; per frame the operation sequence is
-    /// exactly [`Fft::forward`]'s, so each frame's result is bit-identical
-    /// to a scalar per-frame transform.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `re` / `im` are not both exactly `LANES ×` the plan
-    /// length.
-    pub fn forward_soa(&self, re: &mut [f64], im: &mut [f64]) {
-        self.transform_soa(re, im, &self.lane_stages, false);
-    }
-
-    /// In-place inverse DFT (with `1/N` normalisation) over a batch of
-    /// [`LANES`] frames in the SoA layout of [`Fft::forward_soa`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `re` / `im` are not both exactly `LANES ×` the plan
-    /// length.
-    pub fn inverse_soa(&self, re: &mut [f64], im: &mut [f64]) {
-        self.transform_soa(re, im, &self.inv_lane_stages, true);
-        let scale = F64xL::splat(1.0 / self.n as f64);
-        for i in 0..self.n {
-            (row(re, i) * scale).store(&mut re[i * LANES..]);
-            (row(im, i) * scale).store(&mut im[i * LANES..]);
-        }
-    }
-
-    fn transform_soa(&self, re: &mut [f64], im: &mut [f64], lane_stages: &[LaneStage], inverse: bool) {
-        let n = self.n;
-        assert_eq!(re.len(), n * LANES, "SoA re length {} != {} lanes × plan length {}", re.len(), LANES, n);
-        assert_eq!(im.len(), n * LANES, "SoA im length {} != {} lanes × plan length {}", im.len(), LANES, n);
-        // Bit-reversal permutation: swap whole lane rows.
-        for (i, &j) in self.rev.iter().enumerate() {
-            let j = j as usize;
-            if i < j {
-                swap_rows(re, i, j);
-                swap_rows(im, i, j);
-            }
-        }
-        // Stage len=2: pure add/subtract, as in the scalar path.
-        for p in 0..n / 2 {
-            let (a, b) = (load_row2(re, im, 2 * p), load_row2(re, im, 2 * p + 1));
-            store_row2(a + b, re, im, 2 * p);
-            store_row2(a - b, re, im, 2 * p + 1);
-        }
-        // Stage len=4: twiddles 1 and ∓i — swap and sign flip, matching
-        // the scalar specialisation expression for expression.
-        if n >= 4 {
-            for q in 0..n / 4 {
-                let base = 4 * q;
-                let (a, b) = (load_row2(re, im, base), load_row2(re, im, base + 2));
-                store_row2(a + b, re, im, base);
-                store_row2(a - b, re, im, base + 2);
-                let c = load_row2(re, im, base + 1);
-                let x3 = load_row2(re, im, base + 3);
-                // d·(−i) forward, d·(+i) inverse.
-                let d = if inverse {
-                    C64xL { re: -x3.im, im: x3.re }
-                } else {
-                    C64xL { re: x3.im, im: -x3.re }
-                };
-                store_row2(c + d, re, im, base + 1);
-                store_row2(c - d, re, im, base + 3);
-            }
-        }
-        // Remaining stages: the twiddle is a per-butterfly scalar splat
-        // across the batch of frames.
-        for stage in lane_stages {
-            let half = stage.half;
-            let len = half * 2;
-            for chunk_base in (0..n).step_by(len) {
-                for k in 0..half {
-                    let (lo, hi) = (chunk_base + k, chunk_base + k + half);
-                    let a = load_row2(re, im, lo);
-                    let b = load_row2(re, im, hi);
-                    let w = C64xL::splat(stage.w_re[k], stage.w_im[k]);
-                    let bw = b * w;
-                    store_row2(a + bw, re, im, lo);
-                    store_row2(a - bw, re, im, hi);
-                }
-            }
-        }
-    }
 }
 
-/// Loads lane `i` of an SoA array as an [`F64xL`] row.
-#[inline(always)]
-fn row(soa: &[f64], i: usize) -> F64xL {
-    F64xL::load(&soa[i * LANES..])
-}
-
-/// Loads SoA row `i` of a split complex batch.
-#[inline(always)]
-fn load_row2(re: &[f64], im: &[f64], i: usize) -> C64xL {
-    C64xL { re: row(re, i), im: row(im, i) }
-}
-
-/// Stores a complex lane row back to SoA row `i`.
-#[inline(always)]
-fn store_row2(v: C64xL, re: &mut [f64], im: &mut [f64], i: usize) {
-    v.re.store(&mut re[i * LANES..]);
-    v.im.store(&mut im[i * LANES..]);
-}
-
-/// Swaps SoA rows `i` and `j`.
-#[inline(always)]
-fn swap_rows(soa: &mut [f64], i: usize, j: usize) {
-    for l in 0..LANES {
-        soa.swap(i * LANES + l, j * LANES + l);
-    }
-}
-
-/// Loads [`LANES`] consecutive AoS complex values into lane SoA form.
-#[inline(always)]
-fn load_lanes(src: &[Complex]) -> C64xL {
-    C64xL {
-        re: F64xL(std::array::from_fn(|l| src[l].re)),
-        im: F64xL(std::array::from_fn(|l| src[l].im)),
-    }
-}
-
-/// Stores a lane SoA value back to [`LANES`] consecutive AoS complex slots.
-#[inline(always)]
-fn store_lanes(v: C64xL, dst: &mut [Complex]) {
-    for (l, d) in dst[..LANES].iter_mut().enumerate() {
-        *d = Complex::new(v.re.0[l], v.im.0[l]);
-    }
+/// Views a checked 64-point buffer as the kernel's fixed-size block.
+fn as_kernel_block(buf: &mut [Complex]) -> &mut [Complex; KERNEL_LEN] {
+    buf.try_into().expect("plan length checked")
 }
 
 /// The number of power-of-two lengths the [`plan`] cache covers
@@ -601,66 +537,6 @@ mod tests {
                 assert_eq!(a.im.to_bits(), b.im.to_bits(), "inverse n={n}");
             }
         }
-    }
-
-    #[test]
-    fn soa_batch_matches_per_frame_transform() {
-        use crate::lanes::{KernelMode, LANES};
-        for &n in &[4usize, 8, 64, 128] {
-            let plan = Fft::new(n);
-            let frames: Vec<Vec<Complex>> = (0..LANES)
-                .map(|l| {
-                    (0..n)
-                        .map(|i| {
-                            Complex::new(
-                                ((i * (l + 1)) as f64 * 0.53).sin(),
-                                ((i + 3 * l) as f64 * 0.71).cos(),
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
-            // Interleave to SoA, transform, and compare each lane to the
-            // scalar per-frame reference — down to the bit.
-            let mut re = vec![0.0; n * LANES];
-            let mut im = vec![0.0; n * LANES];
-            for (l, frame) in frames.iter().enumerate() {
-                for (i, x) in frame.iter().enumerate() {
-                    re[i * LANES + l] = x.re;
-                    im[i * LANES + l] = x.im;
-                }
-            }
-            plan.forward_soa(&mut re, &mut im);
-            let mut expected: Vec<Vec<Complex>> = frames.clone();
-            for frame in expected.iter_mut() {
-                plan.forward_with(frame, KernelMode::Scalar);
-            }
-            for (l, frame) in expected.iter().enumerate() {
-                for (i, x) in frame.iter().enumerate() {
-                    assert_eq!(re[i * LANES + l].to_bits(), x.re.to_bits(), "fwd n={n} lane={l} bin={i}");
-                    assert_eq!(im[i * LANES + l].to_bits(), x.im.to_bits(), "fwd n={n} lane={l} bin={i}");
-                }
-            }
-            plan.inverse_soa(&mut re, &mut im);
-            for frame in expected.iter_mut() {
-                plan.inverse_with(frame, KernelMode::Scalar);
-            }
-            for (l, frame) in expected.iter().enumerate() {
-                for (i, x) in frame.iter().enumerate() {
-                    assert_eq!(re[i * LANES + l].to_bits(), x.re.to_bits(), "inv n={n} lane={l} bin={i}");
-                    assert_eq!(im[i * LANES + l].to_bits(), x.im.to_bits(), "inv n={n} lane={l} bin={i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "SoA re length")]
-    fn soa_wrong_length_panics() {
-        let plan = Fft::new(8);
-        let mut re = vec![0.0; 8];
-        let mut im = vec![0.0; 32];
-        plan.forward_soa(&mut re, &mut im);
     }
 
     #[test]

@@ -268,7 +268,8 @@ impl ViterbiDecoder {
     /// Every frame's `out` is bit-identical to
     /// [`ViterbiDecoder::decode_to_slices`] on that frame alone; the
     /// `prev_lsbs` scratch is only written on the per-frame fallback path
-    /// (lane groups keep survivors in `batch`).
+    /// (lane groups keep survivors in `batch`). Returns how many frames
+    /// the lane groups decoded; the rest ran the per-frame kernel.
     ///
     /// # Panics
     ///
@@ -278,13 +279,13 @@ impl ViterbiDecoder {
         frames: &mut [LaneFrame<'_>],
         terminated: bool,
         batch: &mut SymbolBatch,
-    ) {
-        self.decode_lockstep_with(frames, terminated, kernel_mode(), batch);
+    ) -> usize {
+        self.decode_lockstep_with(frames, terminated, kernel_mode(), batch)
     }
 
     /// [`ViterbiDecoder::decode_lockstep`] with an explicit
     /// [`KernelMode`]. In scalar mode every frame runs the per-frame
-    /// kernel — bit-identical, just not batched.
+    /// kernel — bit-identical, just not batched — and the count is 0.
     ///
     /// # Panics
     ///
@@ -295,7 +296,7 @@ impl ViterbiDecoder {
         terminated: bool,
         mode: KernelMode,
         batch: &mut SymbolBatch,
-    ) {
+    ) -> usize {
         for f in frames.iter() {
             validate(f.llrs, f.prev_lsbs, f.out);
         }
@@ -303,12 +304,13 @@ impl ViterbiDecoder {
             for f in frames.iter_mut() {
                 self.decode_to_slices(f.llrs, terminated, f.prev_lsbs, f.out);
             }
-            return;
+            return 0;
         }
         // Lane groups need equal step counts; sort by length so equal
         // frames are adjacent (frames are independent, so order does not
         // affect any frame's result).
         frames.sort_by_key(|f| f.llrs.len());
+        let mut locked = 0;
         let mut i = 0;
         while i < frames.len() {
             let len = frames[i].llrs.len();
@@ -320,12 +322,14 @@ impl ViterbiDecoder {
             let mut chunks = run.chunks_exact_mut(LANES);
             for group in chunks.by_ref() {
                 acs_lockstep(group, terminated, batch);
+                locked += LANES;
             }
             for f in chunks.into_remainder() {
                 self.decode_to_slices(f.llrs, terminated, f.prev_lsbs, f.out);
             }
             i = j;
         }
+        locked
     }
 
     /// Decodes hard bits (0/1) by mapping them to ±1 LLRs — the classical
@@ -723,6 +727,34 @@ mod tests {
                 let mut o = vec![0u8; *steps];
                 dec.decode_to_slices(llrs, true, &mut p, &mut o);
                 assert_eq!(outs[k], o, "batch={batch_size} frame={k} bits");
+            }
+        }
+    }
+
+    #[test]
+    fn lockstep_reports_the_frames_its_lane_groups_decoded() {
+        // Eight equal-length frames form one lane group; the ninth, longer
+        // one runs per frame. Scalar mode groups nothing.
+        let dec = ViterbiDecoder::new();
+        let llrs: Vec<Vec<f64>> = (0..9u64)
+            .map(|k| {
+                let data = frame(if k == 8 { 60 } else { 40 }, k + 5);
+                noisy_llrs(&ConvEncoder::new().encode(&data), k + 3)
+            })
+            .collect();
+        for (mode, want) in [(KernelMode::Lanes, LANES), (KernelMode::Scalar, 0)] {
+            let mut prevs: Vec<Vec<u64>> = llrs.iter().map(|l| vec![0; l.len() / 2]).collect();
+            let mut outs: Vec<Vec<u8>> = llrs.iter().map(|l| vec![0; l.len() / 2]).collect();
+            let mut frames: Vec<LaneFrame<'_>> = llrs
+                .iter()
+                .zip(prevs.iter_mut().zip(outs.iter_mut()))
+                .map(|(l, (p, o))| LaneFrame { llrs: l, prev_lsbs: p, out: o })
+                .collect();
+            let locked = dec.decode_lockstep_with(&mut frames, true, mode, &mut SymbolBatch::new());
+            assert_eq!(locked, want, "{mode}");
+            drop(frames);
+            for (l, o) in llrs.iter().zip(&outs) {
+                assert_eq!(*o, dec.decode(l, true), "{mode}");
             }
         }
     }

@@ -8,7 +8,6 @@
 
 use crate::subcarriers::{DATA_BINS, FFT_SIZE, CP_LEN, PILOT_BINS, PILOT_VALUES, SYMBOL_LEN};
 use cos_dsp::fft::{plan, Fft};
-use cos_dsp::lanes::LANES;
 use cos_dsp::Complex;
 
 /// A frequency-domain OFDM symbol: 64 FFT bins.
@@ -61,7 +60,16 @@ impl FreqSymbol {
     }
 }
 
-/// A reusable OFDM modulator/demodulator (wraps a 64-point FFT plan).
+/// A reusable OFDM modulator/demodulator over the cached 64-point FFT
+/// plan.
+///
+/// Every symbol goes through [`Fft::forward`]/[`Fft::inverse`] in place:
+/// [`OfdmEngine::modulate_into`] writes the IFFT body straight into a
+/// caller-owned 80-sample slot and [`OfdmEngine::demodulate_into`] the
+/// FFT bins straight into a caller-owned [`FreqSymbol`], so the TX render
+/// and the RX front end move no symbol-sized arrays by value. In
+/// [`cos_dsp::KernelMode::Lanes`] the transform is the in-register lane
+/// kernel, bit-identical to the scalar recursion.
 #[derive(Debug, Clone)]
 pub struct OfdmEngine {
     fft: &'static Fft,
@@ -82,12 +90,19 @@ impl OfdmEngine {
     /// Modulates a frequency-domain symbol to 80 time samples
     /// (16-sample cyclic prefix + 64-sample IFFT body).
     pub fn modulate(&self, sym: &FreqSymbol) -> [Complex; SYMBOL_LEN] {
-        let mut body = sym.0;
-        self.fft.inverse(&mut body);
         let mut out = [Complex::ZERO; SYMBOL_LEN];
-        out[..CP_LEN].copy_from_slice(&body[FFT_SIZE - CP_LEN..]);
-        out[CP_LEN..].copy_from_slice(&body);
+        self.modulate_into(sym, &mut out);
         out
+    }
+
+    /// [`OfdmEngine::modulate`] into a caller-owned slot, fully
+    /// overwritten: the IFFT runs in place on the body, then the cyclic
+    /// prefix copies its tail.
+    pub fn modulate_into(&self, sym: &FreqSymbol, out: &mut [Complex; SYMBOL_LEN]) {
+        let body = &mut out[CP_LEN..];
+        body.copy_from_slice(&sym.0);
+        self.fft.inverse(body);
+        out.copy_within(FFT_SIZE.., 0);
     }
 
     /// Demodulates 80 received samples back to frequency-domain bins,
@@ -97,50 +112,21 @@ impl OfdmEngine {
     ///
     /// Panics if `samples.len() != 80`.
     pub fn demodulate(&self, samples: &[Complex]) -> FreqSymbol {
+        let mut sym = FreqSymbol::empty();
+        self.demodulate_into(samples, &mut sym);
+        sym
+    }
+
+    /// [`OfdmEngine::demodulate`] into a caller-owned symbol, fully
+    /// overwritten: the body is copied in and transformed in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples.len() != 80`.
+    pub fn demodulate_into(&self, samples: &[Complex], sym: &mut FreqSymbol) {
         assert_eq!(samples.len(), SYMBOL_LEN, "an OFDM symbol is {SYMBOL_LEN} samples");
-        let mut body = [Complex::ZERO; FFT_SIZE];
-        body.copy_from_slice(&samples[CP_LEN..]);
-        self.fft.forward(&mut body);
-        FreqSymbol(body)
-    }
-
-    /// Demodulates [`LANES`] 80-sample OFDM symbols in lockstep through
-    /// the SoA batch FFT, writing into `out[..LANES]` — bit-identical to
-    /// [`LANES`] separate [`OfdmEngine::demodulate`] calls, several times
-    /// cheaper because the butterflies run one lane op per twiddle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input is not 80 samples or `out` holds fewer than
-    /// [`LANES`] symbols.
-    pub fn demodulate_batch_into(&self, symbols: [&[Complex]; LANES], out: &mut [FreqSymbol]) {
-        assert!(out.len() >= LANES, "need {LANES} output symbols, got {}", out.len());
-        let mut re = [0.0; FFT_SIZE * LANES];
-        let mut im = [0.0; FFT_SIZE * LANES];
-        for (lane, samples) in symbols.iter().enumerate() {
-            assert_eq!(samples.len(), SYMBOL_LEN, "an OFDM symbol is {SYMBOL_LEN} samples");
-            for (i, s) in samples[CP_LEN..].iter().enumerate() {
-                re[i * LANES + lane] = s.re;
-                im[i * LANES + lane] = s.im;
-            }
-        }
-        self.fft.forward_soa(&mut re, &mut im);
-        for (lane, sym) in out.iter_mut().take(LANES).enumerate() {
-            for (i, bin) in sym.0.iter_mut().enumerate() {
-                *bin = Complex::new(re[i * LANES + lane], im[i * LANES + lane]);
-            }
-        }
-    }
-
-    /// [`OfdmEngine::demodulate_batch_into`] returning the symbols.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input is not 80 samples.
-    pub fn demodulate_batch(&self, symbols: [&[Complex]; LANES]) -> [FreqSymbol; LANES] {
-        let mut out: [FreqSymbol; LANES] = std::array::from_fn(|_| FreqSymbol::empty());
-        self.demodulate_batch_into(symbols, &mut out);
-        out
+        sym.0.copy_from_slice(&samples[CP_LEN..]);
+        self.fft.forward(&mut sym.0);
     }
 
     /// Demodulates a bare 64-sample body (no cyclic prefix) — used for the
@@ -244,30 +230,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "80 samples")]
-    fn wrong_sample_count_panics() {
-        OfdmEngine::new().demodulate(&[Complex::ZERO; 79]);
+    fn into_variants_overwrite_dirty_buffers() {
+        let engine = OfdmEngine::new();
+        let sym = FreqSymbol::assemble(&test_points(), -1);
+        let mut slot = [Complex::new(f64::NAN, 7.0); SYMBOL_LEN];
+        engine.modulate_into(&sym, &mut slot);
+        assert_eq!(slot, engine.modulate(&sym));
+        let mut bins = FreqSymbol([Complex::new(3.0, f64::NAN); FFT_SIZE]);
+        engine.demodulate_into(&slot, &mut bins);
+        assert_eq!(bins, engine.demodulate(&slot));
     }
 
     #[test]
-    fn batch_demodulate_is_bit_identical_to_scalar() {
-        let engine = OfdmEngine::new();
-        // Four distinct symbols, including one with a silenced bin.
-        let times: Vec<[Complex; SYMBOL_LEN]> = (0..LANES)
-            .map(|k| {
-                let mut sym = FreqSymbol::assemble(&test_points(), if k % 2 == 0 { 1 } else { -1 });
-                sym.0[DATA_BINS[k * 3]] = Complex::ZERO;
-                engine.modulate(&sym)
-            })
-            .collect();
-        let refs: [&[Complex]; LANES] = std::array::from_fn(|k| times[k].as_slice());
-        let batch = engine.demodulate_batch(refs);
-        for (k, t) in times.iter().enumerate() {
-            let scalar = engine.demodulate(t);
-            for (a, b) in scalar.0.iter().zip(batch[k].0.iter()) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits());
-                assert_eq!(a.im.to_bits(), b.im.to_bits());
-            }
-        }
+    #[should_panic(expected = "80 samples")]
+    fn wrong_sample_count_panics() {
+        OfdmEngine::new().demodulate(&[Complex::ZERO; 79]);
     }
 }

@@ -18,8 +18,7 @@ use crate::rates::DataRate;
 use crate::signal::decode_signal_symbol;
 use crate::sync::Acquisition;
 use crate::subcarriers::{bin_of, DATA_BINS, NUM_DATA, PILOT_BINS, PILOT_VALUES, SYMBOL_LEN};
-use cos_dsp::lanes::LANES;
-use cos_dsp::{kernel_mode, linear_to_db, Complex, KernelMode, Prbs127};
+use cos_dsp::{linear_to_db, Complex, Prbs127};
 use cos_fec::FecWorkspace;
 
 /// Floor applied to noise-variance estimates so ideal (noise-free)
@@ -50,6 +49,11 @@ impl<'a> RxConfig<'a> {
 }
 
 /// Front-end output: everything measured before bit decisions.
+///
+/// Two per-symbol planes: `raw_symbols` (all 64 derotated FFT bins) and
+/// `equalized` (the 48 data values divided by the channel estimate).
+/// [`Receiver::front_end_into`] only resizes them, so a workspace reused
+/// across frames stops allocating once it has seen its longest frame.
 #[derive(Debug, Clone)]
 pub struct FrontEnd {
     /// Per-bin channel estimate from the long training field (zero on
@@ -65,12 +69,12 @@ pub struct FrontEnd {
     pub rate: DataRate,
     /// The decoded SIGNAL field length (PSDU bytes).
     pub psdu_len: usize,
-    /// Raw FFT output of every DATA symbol (all 64 bins) — the energy
-    /// detector's input.
+    /// The FFT output of every DATA symbol (all 64 bins), derotated by
+    /// the symbol's pilot phase estimate — the energy detector's input,
+    /// and the received values `y` the silence validator and the duplex
+    /// feedback residuals read at `raw_symbols[n].0[DATA_BINS[sc]]`.
     pub raw_symbols: Vec<FreqSymbol>,
-    /// Raw data-subcarrier values per symbol, logical order.
-    pub data_y: Vec<[Complex; NUM_DATA]>,
-    /// Equalised data-subcarrier values (`Y/H`) per symbol.
+    /// Equalised data-subcarrier values (`Y/H`) per symbol, logical order.
     pub equalized: Vec<[Complex; NUM_DATA]>,
 }
 
@@ -85,7 +89,6 @@ impl FrontEnd {
             rate: DataRate::Mbps6,
             psdu_len: 0,
             raw_symbols: Vec::new(),
-            data_y: Vec::new(),
             equalized: Vec::new(),
         }
     }
@@ -319,16 +322,19 @@ impl Receiver {
         }
         let noise_var_ltf = noise_acc / used as f64;
 
+        // Equalisation multiplies by a per-frame inverse: `y / h` is
+        // defined as `y * h.inv()`, so this is the division, bit for bit.
+        let h_inv: [Complex; NUM_DATA] =
+            std::array::from_fn(|sc| nonzero(h_est[DATA_BINS[sc]]).inv());
+
         // --- SIGNAL symbol. ---
         let sig_start = PREAMBLE_LEN;
         let (rate, psdu_len) = match known {
             Some(pair) => pair,
             None => {
                 let sig = self.engine.demodulate(&samples[sig_start..sig_start + SYMBOL_LEN]);
-                let mut sig_eq = [Complex::ZERO; NUM_DATA];
-                for (slot, &bin) in sig_eq.iter_mut().zip(DATA_BINS.iter()) {
-                    *slot = sig.0[bin] / nonzero(h_est[bin]);
-                }
+                let sig_eq: [Complex; NUM_DATA] =
+                    std::array::from_fn(|sc| sig.0[DATA_BINS[sc]] * h_inv[sc]);
                 decode_signal_symbol(&sig_eq, 1.0)?
             }
         };
@@ -340,41 +346,21 @@ impl Receiver {
             return Err(PhyError::LengthMismatch { need: n_symbols, got: have });
         }
         let polarity = Prbs127::pilot_polarity();
-        let raw_symbols = &mut fe.raw_symbols;
-        let data_y = &mut fe.data_y;
-        let equalized = &mut fe.equalized;
-        raw_symbols.clear();
-        data_y.clear();
-        equalized.clear();
+        // Every symbol and row is overwritten below, so the planes are
+        // only resized.
+        let FrontEnd { raw_symbols, equalized, .. } = fe;
         raw_symbols.resize(n_symbols, FreqSymbol::empty());
-        data_y.reserve(n_symbols);
-        equalized.reserve(n_symbols);
+        equalized.resize(n_symbols, [Complex::ZERO; NUM_DATA]);
 
-        // FFT pass: lockstep groups of LANES symbols through the SoA
-        // batch kernel, per-symbol for the remainder (and in scalar mode).
-        // The batch kernel is bit-identical to per-symbol demodulation, so
-        // the split point never shows in the output.
-        let mut n = 0;
-        if kernel_mode() == KernelMode::Lanes {
-            while n + LANES <= n_symbols {
-                let base = sig_start + SYMBOL_LEN * (n + 1);
-                let group: [&[Complex]; LANES] = std::array::from_fn(|l| {
-                    let start = base + SYMBOL_LEN * l;
-                    &samples[start..start + SYMBOL_LEN]
-                });
-                self.engine.demodulate_batch_into(group, &mut raw_symbols[n..]);
-                n += LANES;
-            }
-        }
-        for (m, sym) in raw_symbols.iter_mut().enumerate().skip(n) {
-            let start = sig_start + SYMBOL_LEN * (m + 1);
-            *sym = self.engine.demodulate(&samples[start..start + SYMBOL_LEN]);
-        }
-
-        // Tracking pass: pilot phase tracking, equalisation and noise
-        // estimation, symbol by symbol.
+        // Per symbol: FFT in place into its `raw_symbols` slot, pilot
+        // phase tracking, equalisation and noise estimation.
+        let times = samples[sig_start + SYMBOL_LEN..].chunks_exact(SYMBOL_LEN);
         let mut pilot_noise_acc = 0.0;
-        for (n, sym) in raw_symbols.iter_mut().enumerate() {
+        for (n, ((sym, eq_row), time)) in
+            raw_symbols.iter_mut().zip(equalized.iter_mut()).zip(times).enumerate()
+        {
+            self.engine.demodulate_into(time, sym);
+
             // Pilot phase tracking: residual CFO and phase noise rotate
             // every subcarrier of a symbol by a common phase; estimate it
             // from the four known pilots and derotate.
@@ -394,11 +380,8 @@ impl Receiver {
                 *bin_value *= derotate;
             }
 
-            let mut y_row = [Complex::ZERO; NUM_DATA];
-            let mut eq_row = [Complex::ZERO; NUM_DATA];
-            for (sc, &bin) in DATA_BINS.iter().enumerate() {
-                y_row[sc] = sym.0[bin];
-                eq_row[sc] = sym.0[bin] / nonzero(h_est[bin]);
+            for ((eq, &bin), &inv) in eq_row.iter_mut().zip(DATA_BINS.iter()).zip(&h_inv) {
+                *eq = sym.0[bin] * inv;
             }
 
             // Pilot-aided noise estimation (paper Eq. 5–6), after phase
@@ -408,9 +391,6 @@ impl Receiver {
                 let n_i = sym.0[bin] - h_est[bin] * x;
                 pilot_noise_acc += n_i.norm_sqr();
             }
-
-            data_y.push(y_row);
-            equalized.push(eq_row);
         }
         let noise_var_pilot = if n_symbols == 0 {
             noise_var_ltf

@@ -95,13 +95,17 @@ impl TxFrame {
     }
 
     /// [`TxFrame::to_time_samples`] writing into a caller-owned buffer,
-    /// which is fully overwritten.
+    /// which is fully overwritten. The buffer is sized once and every
+    /// symbol is modulated in place into its own 80-sample slot.
     pub fn to_time_samples_into(&self, samples: &mut Vec<Complex>) {
         let engine = OfdmEngine::new();
         preamble::generate_into(samples);
-        samples.extend_from_slice(&engine.modulate(&self.signal_symbol));
-        for sym in &self.data_symbols {
-            samples.extend_from_slice(&engine.modulate(sym));
+        let symbols = std::iter::once(&self.signal_symbol).chain(&self.data_symbols);
+        let len = preamble::PREAMBLE_LEN + (1 + self.n_data_symbols()) * SYMBOL_LEN;
+        samples.resize(len, Complex::ZERO);
+        let (slots, _) = samples[preamble::PREAMBLE_LEN..].as_chunks_mut::<SYMBOL_LEN>();
+        for (sym, slot) in symbols.zip(slots) {
+            engine.modulate_into(sym, slot);
         }
     }
 

@@ -31,11 +31,13 @@ cargo run -q --release -p cos-bench --bin alloc_gate
 echo "== golden vectors (frozen waveforms + decodes for all 8 rates; any bit/sample drift fails)"
 cargo test -q --release --test golden_vectors
 
-echo "== golden vectors + channel digest under COS_KERNELS=scalar (the lane/scalar bit-identity contract, end to end; the noise stream pinned)"
+echo "== golden vectors + channel digest + FFT kernel differential under COS_KERNELS=scalar (the lane/scalar bit-identity contract, end to end; the noise stream pinned; the 64-point lane FFT against the scalar radix-2 by to_bits)"
 COS_KERNELS=scalar cargo test -q --release --test golden_vectors --test channel_digest
+COS_KERNELS=scalar cargo test -q --release -p cos-dsp --test kernel_differential
 
-echo "== golden vectors + channel digest on baseline x86-64 codegen (no host CPU features: bit identity, noise included, must not rest on -C target-cpu=native; own target dir keeps the main cache)"
+echo "== golden vectors + channel digest + FFT kernel differential on baseline x86-64 codegen (no host CPU features: bit identity, noise included, must not rest on -C target-cpu=native; the lane FFT on its portable bodies; own target dir keeps the main cache)"
 RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64 cargo test -q --release --test golden_vectors --test channel_digest
+RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64 cargo test -q --release -p cos-dsp --test kernel_differential
 
 echo "== channel kernel differential under both COS_KERNELS (lane AWGN/conv/overlap bit-identical to scalar)"
 COS_KERNELS=scalar cargo test -q --release -p cos-channel --test kernel_differential
