@@ -48,5 +48,5 @@ pub use impairment::{
 pub use interference::PulseInterferer;
 pub use link::Link;
 pub use overlap::{Overlap, OverlapComposer};
-pub use multipath::{ChannelConfig, ConvScratch, IndoorChannel};
+pub use multipath::{ChannelConfig, IndoorChannel};
 pub use sounder::ChannelSounder;

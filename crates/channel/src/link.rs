@@ -12,11 +12,10 @@ use crate::awgn::Awgn;
 use crate::calibration::Calibration;
 use crate::impairment::{FaultEngine, FeedbackFate, ImpairmentCtx};
 use crate::interference::PulseInterferer;
-use crate::multipath::{ChannelConfig, ConvScratch, IndoorChannel};
+use crate::multipath::{ChannelConfig, IndoorChannel};
 use crate::sounder::ChannelSounder;
 use cos_dsp::lanes::kernel_mode;
 use cos_dsp::{db_to_linear, Complex};
-use std::cell::RefCell;
 
 /// The nominal per-sample transmit power of an 802.11a waveform: 52
 /// unit-energy bins through a `1/N`-normalised 64-point IFFT put
@@ -41,14 +40,6 @@ pub struct Link {
     packet_index: u64,
     /// Accumulated airtime in seconds (at 20 Msps) — drives drift faults.
     airtime_s: f64,
-}
-
-thread_local! {
-    /// Grow-only scratch for the lane convolution kernel, one per thread
-    /// rather than one per link: a pool of many links transmits one
-    /// frame at a time per thread, so per-link copies would only add
-    /// resident memory.
-    static CONV: RefCell<ConvScratch> = RefCell::new(ConvScratch::default());
 }
 
 impl Link {
@@ -199,9 +190,7 @@ impl Link {
     pub fn transmit_into(&mut self, tx: &[Complex], rx: &mut Vec<Complex>) {
         rx.clear();
         rx.resize(self.lead_in, Complex::ZERO);
-        CONV.with_borrow_mut(|conv| {
-            self.channel.apply_append_with(tx, rx, kernel_mode(), conv);
-        });
+        self.channel.apply_append_with(tx, rx, kernel_mode());
         if self.cfo_hz != 0.0 {
             // The oscillator offset rotates everything the receiver sees.
             let step = 2.0 * std::f64::consts::PI * self.cfo_hz / 20e6;

@@ -12,7 +12,8 @@
 //! so which lane a frame lands in never shows in its outcome, and a
 //! drain over many sessions touches a few warm lanes instead of one cold
 //! set of buffers per session. That turns "run N frames for M sessions"
-//! into a pure orchestration problem: each worker thread claims whole
+//! into a pure orchestration problem: a drain checks each session with
+//! work out of the pool and each worker claims bundles of whole
 //! per-session job groups, so a session is only ever touched by one
 //! thread at a time and no transform needs to know it is being batched.
 //!
@@ -31,15 +32,16 @@
 //!
 //! # Zero allocation at steady state
 //!
-//! [`BatchEngine::drain_into`] reuses its job/order/group buffers and the
-//! caller's outcome buffer; jobs reference payload/control bytes by ID
-//! into tables registered up front ([`BatchEngine::add_payload`] /
-//! [`BatchEngine::add_control`]); and each frame runs the session's one
-//! frame path (stage → Viterbi → finish), whose hot path performs no heap
-//! allocation. A warmed-up single-threaded drain of plain jobs is
-//! allocation-free per frame (`session_storm` measures and `scripts/
-//! check.sh` gates this); multi-threaded drains add a small per-drain —
-//! not per-frame — orchestration cost (thread spawns and one unit list).
+//! [`BatchEngine::drain_into`] reuses its job/order/group/unit buffers,
+//! its workers' outcome staging and the caller's outcome buffer; jobs
+//! reference payload/control bytes by ID into tables registered up front
+//! ([`BatchEngine::add_payload`] / [`BatchEngine::add_control`]); and each
+//! frame runs the session's one frame path (stage → Viterbi → finish),
+//! whose hot path performs no heap allocation. A warmed-up drain of plain
+//! jobs is allocation-free per frame on one thread; with more, the only
+//! per-drain cost is spawning the extra scoped worker threads (the
+//! calling thread is worker 0), which does not grow with the job count.
+//! `session_storm` measures both and `scripts/check.sh` gates them.
 
 use crate::session::{
     AdaptiveSummary, ControlSource, CosSession, FrameScratch, PacketSummary, ResilientSummary,
@@ -67,7 +69,7 @@ pub fn configured_threads(override_threads: usize) -> usize {
 }
 
 /// Runs `n` independent jobs, `job(0) .. job(n-1)`, across `workers`
-/// scoped threads and returns the results **in index order** — the
+/// threads and returns the results **in index order** — the
 /// deterministic fan-out primitive shared by the engine and the
 /// experiment harness (`run_trials` delegates here with its resolved
 /// thread count). Work is claimed from a shared atomic counter so threads
@@ -83,35 +85,44 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 {
-        return (0..n).map(job).collect();
-    }
     let next = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, job(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("indexed worker panicked"))
-            .collect()
+    let mut locals: Vec<Vec<(usize, T)>> =
+        (0..workers.clamp(1, n.max(1))).map(|_| Vec::new()).collect();
+    fan_out(&mut locals, |local| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        local.push((i, job(i)));
     });
+    let mut tagged: Vec<(usize, T)> = locals.into_iter().flatten().collect();
     tagged.sort_by_key(|&(i, _)| i);
     debug_assert!(tagged.iter().enumerate().all(|(k, &(i, _))| k == i));
     tagged.into_iter().map(|(_, t)| t).collect()
+}
+
+/// Runs `work` once per worker state, all at once: `states[0]` on the
+/// calling thread and each other state on a scoped thread spawned for
+/// this call, so one state runs inline and spawns nothing (and allocates
+/// nothing — even an empty `std::thread::scope` allocates). The one
+/// scope/spawn/join of the crate, shared by [`run_indexed`] and
+/// [`BatchEngine::drain_into`].
+///
+/// # Panics
+///
+/// Propagates a panic from any `work` call once every thread has ended.
+fn fan_out<S: Send>(states: &mut [S], work: impl Fn(&mut S) + Sync) {
+    let Some((first, rest)) = states.split_first_mut() else { return };
+    if rest.is_empty() {
+        return work(first);
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        for s in rest {
+            scope.spawn(move || work(s));
+        }
+        work(first);
+    });
 }
 
 /// Stable handle to a pooled session: a slab index plus a generation
@@ -137,6 +148,14 @@ impl SessionId {
     }
 }
 
+/// A slab slot. A live slot's `session` is `None` only while a drain has
+/// it checked out.
+///
+/// Sessions sit inline rather than boxed: a drain's check-out then moves
+/// each session (~6 KB) out and back, but a pool stays one slab
+/// allocation. Boxed sessions were measured to pin freed pools' memory in
+/// the allocator's heap (a benchmark building 31 pools of 512 sessions
+/// and dropping 30 kept ~105 MB resident, against ~16 MB with one slab).
 #[derive(Debug)]
 struct Slot {
     generation: u32,
@@ -363,19 +382,35 @@ pub struct BatchEngine {
     order: Vec<u32>,
     /// Contiguous per-slot ranges of `order` — rebuilt per drain.
     groups: Vec<Group>,
-    /// One scratch per worker thread, borrowed by index; grows to the
-    /// largest worker count drained with and persists across drains.
+    /// The live groups of one drain with their sessions checked out of
+    /// the pool, in bundle order — refilled per drain, empty between
+    /// drains.
+    units: Vec<Unit>,
+    /// One scratch per worker, borrowed by index; grows to the largest
+    /// worker count drained with and persists across drains.
     workers: Vec<WorkerScratch>,
+}
+
+/// One live per-slot job group checked out of the pool for a drain: the
+/// group, its slot's generation and the slot's session, which one worker
+/// owns until the drain checks it back in.
+#[derive(Debug)]
+struct Unit {
+    group: Group,
+    generation: u32,
+    session: CosSession,
 }
 
 /// One worker's frame planes: the lockstep Viterbi staging, and one
 /// [`FrameScratch`] per lane of a bundle — lane `k` is lent to the
 /// bundle's `k`-th session for each of its frames — plus the worker's
-/// share of the engine's [`LockstepStats`].
+/// outcomes of the current drain, tagged by submit index, and its share
+/// of the engine's [`LockstepStats`].
 #[derive(Debug, Default)]
 struct WorkerScratch {
     batch: SymbolBatch,
     lanes: [FrameScratch; LANES],
+    outcomes: Vec<(usize, JobOutcome)>,
     stats: LockstepStats,
 }
 
@@ -383,7 +418,7 @@ struct WorkerScratch {
 /// built: in lockstep, [`LANES`] frames per instruction, or one frame at
 /// a time, and why. Counts are cumulative across drains, deterministic
 /// (no timing) and the same at any worker count, because bundles are
-/// formed from the sorted unit list before any worker claims one.
+/// cut from the drain's sorted units before any worker claims one.
 /// Frames that never reach the Viterbi (stale handles, front-end or
 /// staging failures) are not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -498,15 +533,27 @@ impl BatchEngine {
     /// job in submit order), sharding per-session job groups across the
     /// configured worker threads. Outcomes are byte-identical at any
     /// worker count; see the module docs.
+    ///
+    /// One walk serves every worker count: the per-slot groups are sorted
+    /// into bundle order, each live group's session is checked out of its
+    /// slot into the engine's units, the workers (the calling thread
+    /// first) claim bundles of [`LANES`] units one at a time and stage
+    /// their outcomes, and the outcomes are scattered into `out` by submit
+    /// index before every session is checked back in.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a panic from any job. The sessions checked out for the
+    /// drain are then not returned: their slots stay empty, so their
+    /// handles resolve to no session.
     pub fn drain_into(&mut self, pool: &mut SessionPool, out: &mut Vec<JobOutcome>) {
         let n = self.jobs.len();
         out.clear();
-        if n == 0 {
-            return;
-        }
-        // Placeholder — every index is overwritten below, because each
-        // job index appears in exactly one group range or stale fill.
-        out.resize(n, JobOutcome { session: self.jobs[0].session, result: JobResult::StaleSession });
+        // Every job starts out stale; the frames that run overwrite
+        // theirs, so a group with no live session (released, or beyond
+        // the slab) and a stale handle into a live slot need no pass.
+        let stale = |j: &Job| JobOutcome { session: j.session, result: JobResult::StaleSession };
+        out.extend(self.jobs.iter().map(stale));
 
         // Per-session program order is submit order; cross-session order
         // is irrelevant (sessions are independent).
@@ -527,148 +574,47 @@ impl BatchEngine {
             i = j;
         }
 
-        let BatchEngine { payloads, controls, jobs, order, groups, cfg, workers: scratch } = self;
-        let workers = configured_threads(cfg.threads).min(groups.len());
+        let BatchEngine { payloads, controls, jobs, order, groups, units, cfg, workers: scratch } =
+            self;
+        // Bundle groups whose current frames will lockstep: sorting by
+        // head payload length hands `decode_lockstep` bundles of
+        // equal-length trellises instead of whatever LANES slots happened
+        // to be adjacent. Outcomes are position-addressed, so the order
+        // bundles run in never shows in `out`.
+        groups.sort_unstable_by_key(|&g| bundle_key(payloads, jobs, order, g));
+        units.clear();
+        units.extend(groups.iter().filter_map(|&group| {
+            let slot = pool.slots.get_mut(group.slot as usize)?;
+            Some(Unit { group, generation: slot.generation, session: slot.session.take()? })
+        }));
+
+        let workers = configured_threads(cfg.threads).min(units.len().div_ceil(LANES));
         if scratch.len() < workers {
             scratch.resize_with(workers, WorkerScratch::default);
         }
+        for ws in &mut scratch[..workers] {
+            // Room for every job, so however the claims fall no worker's
+            // staging grows mid-drain.
+            ws.outcomes.reserve(n);
+        }
+        let claim = Mutex::new(units.chunks_mut(LANES));
+        let (payloads, controls, jobs, order) = (&*payloads, &*controls, &*jobs, &*order);
+        fan_out(&mut scratch[..workers], |ws| loop {
+            // The guard drops at the end of this statement, so the lock
+            // is held per claim, not per bundle run.
+            let bundle = claim.lock().expect("engine claim lock").next();
+            let Some(bundle) = bundle else { break };
+            run_units_lockstep(payloads, controls, jobs, order, bundle, ws);
+        });
 
-        if workers <= 1 {
-            let ws = &mut scratch[0];
-            // Bundle groups whose current frames will lockstep: sorting
-            // by head payload length hands `decode_lockstep` bundles of
-            // equal-length trellises instead of whatever LANES slots
-            // happened to be adjacent. Outcomes are position-addressed,
-            // so processing order never shows in `out`.
-            groups.sort_unstable_by_key(|&g| bundle_key(payloads, jobs, order, g));
-            let mut gi = 0usize;
-            while gi < groups.len() {
-                // Gather up to LANES live-slot groups for one lockstep
-                // bundle; dead or out-of-range slots resolve inline.
-                let mut bundle = [Group { slot: 0, start: 0, end: 0 }; LANES];
-                let mut idxs = [0usize; LANES];
-                let mut n = 0usize;
-                while gi < groups.len() && n < LANES {
-                    let g = groups[gi];
-                    gi += 1;
-                    if pool.slots.get(g.slot as usize).is_some_and(|s| s.session.is_some()) {
-                        bundle[n] = g;
-                        idxs[n] = g.slot as usize;
-                        n += 1;
-                    } else {
-                        stale_group(jobs, order, g, |i, o| out[i] = o);
-                    }
-                }
-                if n == LANES {
-                    // Groups are unique per slot, so the indices are
-                    // distinct and the disjoint borrow always succeeds.
-                    let slots = pool
-                        .slots
-                        .get_disjoint_mut(idxs)
-                        .expect("bundle slots are distinct and in range");
-                    let mut units: [Option<(Group, u32, &mut CosSession)>; LANES] =
-                        std::array::from_fn(|_| None);
-                    for ((u, slot), g) in units.iter_mut().zip(slots).zip(bundle) {
-                        let sess = slot.session.as_mut().expect("liveness checked above");
-                        *u = Some((g, slot.generation, sess));
-                    }
-                    run_units_lockstep(payloads, controls, jobs, order, &mut units, ws, |i, o| {
-                        out[i] = o
-                    });
-                } else {
-                    // Tail bundle: fewer live groups than a lane group
-                    // holds, so lockstep could not fire — run each alone.
-                    for (&g, &si) in bundle[..n].iter().zip(&idxs[..n]) {
-                        let slot = &mut pool.slots[si];
-                        let sess = slot.session.as_mut().expect("liveness checked above");
-                        let mut unit = [Some((g, slot.generation, sess))];
-                        run_units_lockstep(payloads, controls, jobs, order, &mut unit, ws, |i, o| {
-                            out[i] = o
-                        });
-                    }
-                }
-            }
-        } else {
-            // One claimable unit per live per-slot group; dead or
-            // out-of-range slots resolve inline. Groups are sorted by
-            // slot and unique per slot, so co-walking the slab hands each
-            // unit a disjoint `&mut CosSession`.
-            // One group, the owning slot's generation, and the slot's
-            // session — claimed exactly once by whichever worker takes it.
-            type Unit<'s> = Mutex<Option<(Group, u32, &'s mut CosSession)>>;
-            let mut raw: Vec<(Group, u32, &mut CosSession)> = Vec::with_capacity(groups.len());
-            let mut gi = 0usize;
-            for (slot_idx, slot) in pool.slots.iter_mut().enumerate() {
-                if gi < groups.len() && groups[gi].slot as usize == slot_idx {
-                    let g = groups[gi];
-                    match slot.session.as_mut() {
-                        Some(sess) => raw.push((g, slot.generation, sess)),
-                        None => stale_group(jobs, order, g, |i, o| out[i] = o),
-                    }
-                    gi += 1;
-                }
-            }
-            for &g in &groups[gi..] {
-                // Slots beyond the slab (handles from another pool).
-                stale_group(jobs, order, g, |i, o| out[i] = o);
-            }
-            // Same equal-trellis-length clustering as the single-threaded
-            // walk: workers claim contiguous runs, so sorting here is what
-            // makes a claimed bundle's frames lockstep-compatible.
-            raw.sort_unstable_by_key(|u| bundle_key(payloads, jobs, order, u.0));
-            let units: Vec<Unit<'_>> = raw.into_iter().map(|u| Mutex::new(Some(u))).collect();
-
-            let next = AtomicUsize::new(0);
-            let (payloads, controls, jobs, order) = (&*payloads, &*controls, &*jobs, &*order);
-            let results: Vec<Vec<(usize, JobOutcome)>> = std::thread::scope(|scope| {
-                let (units, next) = (&units, &next);
-                let handles: Vec<_> = scratch[..workers]
-                    .iter_mut()
-                    .map(|ws| {
-                        scope.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                // Claim a lockstep bundle of up to LANES
-                                // units so this worker can decode its
-                                // sessions' trellises LANES per instruction.
-                                let base = next.fetch_add(LANES, Ordering::Relaxed);
-                                if base >= units.len() {
-                                    break;
-                                }
-                                let hi = (base + LANES).min(units.len());
-                                let mut claimed: [Option<(Group, u32, &mut CosSession)>; LANES] =
-                                    std::array::from_fn(|_| None);
-                                let mut filled = 0usize;
-                                for unit in &units[base..hi] {
-                                    claimed[filled] = Some(
-                                        unit.lock()
-                                            .expect("engine unit lock")
-                                            .take()
-                                            .expect("each unit is claimed exactly once"),
-                                    );
-                                    filled += 1;
-                                }
-                                run_units_lockstep(
-                                    payloads,
-                                    controls,
-                                    jobs,
-                                    order,
-                                    &mut claimed[..filled],
-                                    ws,
-                                    |i, o| local.push((i, o)),
-                                );
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("engine worker panicked")).collect()
-            });
-            for (i, o) in results.into_iter().flatten() {
+        for ws in &mut scratch[..workers] {
+            for (i, o) in ws.outcomes.drain(..) {
                 out[i] = o;
             }
         }
-
+        for u in units.drain(..) {
+            pool.slots[u.group.slot as usize].session = Some(u.session);
+        }
         self.jobs.clear();
     }
 }
@@ -687,11 +633,11 @@ fn bundle_key(payloads: &[Box<[u8]>], jobs: &[Job], order: &[u32], g: Group) -> 
     (payloads[head.payload.0 as usize].len(), g.slot)
 }
 
-/// Runs up to [`LANES`] per-slot job groups in lockstep rounds. Each round
-/// takes the next job of every group through the session's one frame
-/// path, unit `k`'s frame in lane `k` of `ws`: [`CosSession::stage`]
-/// (tx → air → rx, fused per session while the waveform is cache-hot),
-/// the Viterbi
+/// Runs a bundle of up to [`LANES`] units in lockstep rounds, staging
+/// each outcome in `ws.outcomes`. Each round takes the next job of every
+/// group through the session's one frame path, unit `k`'s frame in lane
+/// `k` of `ws`: [`CosSession::stage`] (tx → air → rx, fused per session
+/// while the waveform is cache-hot), the Viterbi
 /// ([`ViterbiDecoder::decode_lockstep`], [`LANES`] frames per
 /// instruction, when a full lane group staged), then
 /// [`CosSession::finish`] (feedback loop, ARQ confirmation, controller
@@ -701,43 +647,37 @@ fn bundle_key(payloads: &[Box<[u8]>], jobs: &[Job], order: &[u32], g: Group) -> 
 /// exactly one job) and the per-frame path
 /// ([`CosSession::send_packet_summary`] and its siblings) runs the same
 /// three steps, so outcomes are byte-identical to running the groups one
-/// at a time. Rounds with fewer than [`LANES`] staged frames (uneven
-/// group lengths, stale handles, front-end failures) fall back to the
-/// per-frame Viterbi — still SIMD across trellis states, just not across
-/// sessions.
+/// at a time. Rounds with fewer than [`LANES`] staged frames (a tail
+/// bundle, uneven group lengths, stale handles, front-end failures) fall
+/// back to the per-frame Viterbi — still SIMD across trellis states, just
+/// not across sessions.
 fn run_units_lockstep(
     payloads: &[Box<[u8]>],
     controls: &[Box<[u8]>],
     jobs: &[Job],
     order: &[u32],
-    units: &mut [Option<(Group, u32, &mut CosSession)>],
+    units: &mut [Unit],
     ws: &mut WorkerScratch,
-    mut emit: impl FnMut(usize, JobOutcome),
 ) {
     debug_assert!(units.len() <= LANES);
     let tail_bundle = units.len() < LANES;
-    let WorkerScratch { batch, lanes, stats } = ws;
+    let WorkerScratch { batch, lanes, outcomes, stats } = ws;
     let mut cursors = [0usize; LANES];
-    for (k, u) in units.iter().enumerate() {
-        if let Some((g, _, _)) = u {
-            cursors[k] = g.start as usize;
-        }
+    for (c, u) in cursors.iter_mut().zip(units.iter()) {
+        *c = u.group.start as usize;
     }
     loop {
-        // Stage this round's job of every group; stale handles resolve
-        // without touching the session.
+        // Stage this round's job of every group; a stale handle into a
+        // live slot keeps its stale outcome without touching the session.
         let mut staged: [Option<Staged>; LANES] = [None; LANES];
         let mut progressed = false;
         for (k, u) in units.iter_mut().enumerate() {
-            let Some((g, generation, sess)) = u else { continue };
-            if cursors[k] >= g.end as usize {
+            if cursors[k] >= u.group.end as usize {
                 continue;
             }
             progressed = true;
-            let idx = order[cursors[k]] as usize;
-            let job = jobs[idx];
-            if job.session.generation != *generation {
-                emit(idx, JobOutcome { session: job.session, result: JobResult::StaleSession });
+            let job = jobs[order[cursors[k]] as usize];
+            if job.session.generation != u.generation {
                 cursors[k] += 1;
                 continue;
             }
@@ -746,7 +686,7 @@ fn run_units_lockstep(
                 JobKind::Resilient => ControlSource::Resilient,
                 JobKind::Adaptive => ControlSource::Adaptive,
             };
-            staged[k] = Some(sess.stage(&mut lanes[k], &payloads[job.payload.0 as usize], src));
+            staged[k] = Some(u.session.stage(&mut lanes[k], &payloads[job.payload.0 as usize], src));
         }
         if !progressed {
             break;
@@ -780,21 +720,12 @@ fn run_units_lockstep(
 
         // Finish every staged frame.
         for (k, u) in units.iter_mut().enumerate() {
-            let (Some((_, _, sess)), Some(s)) = (u.as_mut(), staged[k]) else { continue };
+            let Some(s) = staged[k] else { continue };
             let idx = order[cursors[k]] as usize;
-            let result = sess.finish(&mut lanes[k], s);
-            emit(idx, JobOutcome { session: jobs[idx].session, result });
+            let result = u.session.finish(&mut lanes[k], s);
+            outcomes.push((idx, JobOutcome { session: jobs[idx].session, result }));
             cursors[k] += 1;
         }
-    }
-}
-
-/// Resolves every job of a group whose slot holds no live session (or
-/// lies beyond the slab) as [`JobResult::StaleSession`].
-fn stale_group(jobs: &[Job], order: &[u32], g: Group, mut emit: impl FnMut(usize, JobOutcome)) {
-    for &idx in &order[g.start as usize..g.end as usize] {
-        let job = jobs[idx as usize];
-        emit(idx as usize, JobOutcome { session: job.session, result: JobResult::StaleSession });
     }
 }
 
@@ -990,44 +921,151 @@ mod tests {
     fn lockstep_stats_flag_ragged_bundles() {
         // One bundle of two payload lengths stages 8 frames, but the
         // lockstep kernel needs equal trellis lengths: all 8 run alone.
-        let mut pool = SessionPool::new();
-        let mut engine = BatchEngine::new(EngineConfig { threads: 1 });
-        let (short, long) = (engine.add_payload(&[0x11; 120]), engine.add_payload(&[0x22; 360]));
-        let c = engine.add_control(&[1, 1, 0, 1]);
-        for i in 0..LANES {
-            let id = pool.create(cfg(30.0), 70 + i as u64);
-            engine.submit(id, if i % 2 == 0 { short } else { long }, c);
+        for threads in [1, 2] {
+            let mut pool = SessionPool::new();
+            let mut engine = BatchEngine::new(EngineConfig { threads });
+            let (short, long) =
+                (engine.add_payload(&[0x11; 120]), engine.add_payload(&[0x22; 360]));
+            let c = engine.add_control(&[1, 1, 0, 1]);
+            for i in 0..LANES {
+                let id = pool.create(cfg(30.0), 70 + i as u64);
+                engine.submit(id, if i % 2 == 0 { short } else { long }, c);
+            }
+            engine.drain(&mut pool);
+            let want = LockstepStats { ragged: 8, ..Default::default() };
+            assert_eq!(engine.lockstep_stats(), want, "{threads} threads");
         }
-        engine.drain(&mut pool);
-        assert_eq!(engine.lockstep_stats(), LockstepStats { ragged: 8, ..Default::default() });
     }
 
     #[test]
     fn lockstep_stats_accumulate_and_flag_short_rounds() {
+        for threads in [1, 2] {
+            let mut pool = SessionPool::new();
+            let mut engine = BatchEngine::new(EngineConfig { threads });
+            let p = engine.add_payload(&[0x96; 200]);
+            let c = engine.add_control(&[0, 1, 1, 0]);
+            let ids: Vec<SessionId> =
+                (0..LANES).map(|i| pool.create(cfg(30.0), 40 + i as u64)).collect();
+            // Session 0 gets a second job: its bundle's second round
+            // stages one frame, which decodes alone.
+            for &id in &ids {
+                engine.submit(id, p, c);
+            }
+            engine.submit(ids[0], p, c);
+            engine.drain(&mut pool);
+            let first = engine.lockstep_stats();
+            assert_eq!(first.short_round, 1, "{threads} threads");
+            assert_eq!(first.lockstep + first.ragged, 8, "{threads} threads");
+            // Counts are cumulative across drains.
+            for &id in &ids {
+                engine.submit(id, p, c);
+            }
+            engine.drain(&mut pool);
+            let second = engine.lockstep_stats();
+            assert_eq!(second.short_round, 1, "{threads} threads");
+            assert_eq!(second.lockstep + second.ragged, 16, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn pool_is_whole_after_drains_at_any_thread_count() {
+        // Eleven slots: slot 4 released and left empty, slot 7 released
+        // and re-occupied, so ten live sessions. Slots 0–6 send a short
+        // payload and 7–10 a long one, so the sorted units form one full
+        // bundle of two lengths and a tail bundle of two. Stale jobs: the
+        // empty slot's handle, slot 7's old handle (a live slot) and a
+        // handle from a larger pool (beyond this pool's slab).
+        const SHORT: [u8; 100] = [0x5A; 100];
+        const LONG: [u8; 300] = [0xA5; 300];
+        const CONTROL: [u8; 4] = [1, 0, 1, 1];
+        let config = |i: usize| cfg(16.0 + i as f64);
         let mut pool = SessionPool::new();
-        let mut engine = BatchEngine::new(EngineConfig { threads: 1 });
-        let p = engine.add_payload(&[0x96; 200]);
-        let c = engine.add_control(&[0, 1, 1, 0]);
-        let ids: Vec<SessionId> =
-            (0..LANES).map(|i| pool.create(cfg(30.0), 40 + i as u64)).collect();
-        // Session 0 gets a second job: its bundle's second round stages
-        // one frame, which decodes alone.
-        for &id in &ids {
-            engine.submit(id, p, c);
+        let mut ids: Vec<SessionId> =
+            (0..11).map(|i| pool.create(config(i), 300 + i as u64)).collect();
+        let released = ids.remove(4);
+        assert!(pool.release(released));
+        let replaced = ids[6];
+        assert!(pool.release(replaced));
+        ids[6] = pool.create(config(7), 999);
+        let foreign = {
+            let mut larger = SessionPool::new();
+            (0..16).map(|i| larger.create(cfg(20.0), i)).last().expect("16 sessions")
+        };
+        let (live, spares) = (pool.len(), pool.spares());
+        assert_eq!((live, spares), (10, 1));
+
+        // One schedule per drain: two rounds of every live session (plain
+        // or resilient), plus the three stale handles.
+        let schedule = |drain: usize| {
+            let mut jobs = Vec::new();
+            for round in 0..2 {
+                for (k, &id) in ids.iter().enumerate() {
+                    jobs.push((id, id.index() < 7, (k + round + drain).is_multiple_of(3)));
+                }
+            }
+            jobs.extend([(released, true, false), (replaced, false, false), (foreign, true, true)]);
+            jobs
+        };
+        let mut shadows: Vec<(SessionId, CosSession)> = ids
+            .iter()
+            .map(|&id| {
+                let i = id.index();
+                (id, CosSession::new(config(i), if i == 7 { 999 } else { 300 + i as u64 }))
+            })
+            .collect();
+        let mut engines: Vec<(SessionPool, BatchEngine)> = [1, 2, 3, 4, 8]
+            .iter()
+            .map(|&threads| {
+                let mut pool = SessionPool::new();
+                let mut ids: Vec<SessionId> =
+                    (0..11).map(|i| pool.create(config(i), 300 + i as u64)).collect();
+                pool.release(ids.remove(4));
+                pool.release(ids[6]);
+                pool.create(config(7), 999);
+                let mut engine = BatchEngine::new(EngineConfig { threads });
+                engine.add_payload(&SHORT);
+                engine.add_payload(&LONG);
+                engine.add_control(&CONTROL);
+                (pool, engine)
+            })
+            .collect();
+
+        for drain in 0..3 {
+            let jobs = schedule(drain);
+            let want: Vec<JobResult> = jobs
+                .iter()
+                .map(|&(id, short, resilient)| {
+                    let Some((_, s)) = shadows.iter_mut().find(|(sid, _)| *sid == id) else {
+                        return JobResult::StaleSession;
+                    };
+                    let payload: &[u8] = if short { &SHORT } else { &LONG };
+                    if resilient {
+                        JobResult::Resilient(s.send_packet_resilient_summary(payload))
+                    } else {
+                        JobResult::Plain(s.send_packet_summary(payload, &CONTROL))
+                    }
+                })
+                .collect();
+            let mut stats = Vec::new();
+            for (pool, engine) in &mut engines {
+                for &(id, short, resilient) in &jobs {
+                    let payload = PayloadId(if short { 0 } else { 1 });
+                    if resilient {
+                        engine.submit_resilient(id, payload);
+                    } else {
+                        engine.submit(id, payload, ControlId(0));
+                    }
+                }
+                let out = engine.drain(pool);
+                let got: Vec<JobResult> = out.iter().map(|o| o.result).collect();
+                assert_eq!(got, want, "drain {drain}, {} threads", engine.cfg.threads);
+                assert_eq!((pool.len(), pool.spares()), (live, spares));
+                assert!(ids.iter().all(|&id| pool.get(id).is_some()), "a live handle went dead");
+                stats.push(engine.lockstep_stats());
+            }
+            assert!(stats.iter().all(|&s| s == stats[0]), "drain {drain}: {stats:?}");
+            assert!(stats[0].ragged > 0 && stats[0].tail_bundle > 0, "{stats:?}");
         }
-        engine.submit(ids[0], p, c);
-        engine.drain(&mut pool);
-        let first = engine.lockstep_stats();
-        assert_eq!(first.short_round, 1);
-        assert_eq!(first.lockstep + first.ragged, 8);
-        // Counts are cumulative across drains.
-        for &id in &ids {
-            engine.submit(id, p, c);
-        }
-        engine.drain(&mut pool);
-        let second = engine.lockstep_stats();
-        assert_eq!(second.short_round, 1);
-        assert_eq!(second.lockstep + second.ragged, 16);
     }
 
     #[test]

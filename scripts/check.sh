@@ -4,6 +4,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Storm logs, kept so the baseline-codegen leg can diff its digests
+# against the native build's.
+logs=$(mktemp -d)
+trap 'rm -rf "$logs"' EXIT
+# The behavioural digest lines of a storm log: every `digest` line except
+# service_storm's `live:` one, which depends on pump timing.
+storm_digests() { grep digest "$1" | grep -v '^  live:'; }
+
 echo "== cargo build --release"
 cargo build --release
 
@@ -35,25 +43,34 @@ echo "== golden vectors + channel digest + FFT kernel differential under COS_KER
 COS_KERNELS=scalar cargo test -q --release --test golden_vectors --test channel_digest
 COS_KERNELS=scalar cargo test -q --release -p cos-dsp --test kernel_differential
 
-echo "== golden vectors + channel digest + FFT kernel differential on baseline x86-64 codegen (no host CPU features: bit identity, noise included, must not rest on -C target-cpu=native; the lane FFT on its portable bodies; own target dir keeps the main cache)"
-RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64 cargo test -q --release --test golden_vectors --test channel_digest
-RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64 cargo test -q --release -p cos-dsp --test kernel_differential
-
 echo "== channel kernel differential under both COS_KERNELS (lane AWGN/conv/overlap bit-identical to scalar)"
 COS_KERNELS=scalar cargo test -q --release -p cos-channel --test kernel_differential
 COS_KERNELS=lanes cargo test -q --release -p cos-channel --test kernel_differential
 
-echo "== session_storm --smoke --kernels both (1000+ pooled sessions: engine outcome digests identical at 1/4/8 threads AND across scalar/lane kernels; 0 allocs/frame at pool steady state per kernel)"
-cargo run -q --release -p cos-bench --bin session_storm -- --smoke --kernels both
+echo "== session_storm --smoke --kernels both (1000+ pooled sessions: engine outcome digests identical at 1/4/8 threads AND across scalar/lane kernels; at pool steady state per kernel a drain allocates nothing on 1 thread and at most one scoped thread spawn's 4 allocations on 2)"
+cargo run -q --release -p cos-bench --bin session_storm -- --smoke --kernels both 2>&1 | tee "$logs/session_storm"
 
 echo "== adaptation_storm --smoke --kernels both (drifting adaptive sessions: outcome digests identical at 1/4/8 threads AND across kernels; drift duel: adaptive ≥ best fixed goodput with 100% control delivery and no backlog)"
-cargo run -q --release -p cos-bench --bin adaptation_storm -- --smoke --kernels both
+cargo run -q --release -p cos-bench --bin adaptation_storm -- --smoke --kernels both 2>&1 | tee "$logs/adaptation_storm"
 
 echo "== service_storm --smoke (async service chaos: zero lost or duplicated tickets, balanced ledger, every fault/rejection path exercised, bounded queues, digests identical at 1/4/8 threads, scripted and live journals replay byte-exactly)"
-cargo run -q --release -p cos-bench --bin service_storm -- --smoke
+cargo run -q --release -p cos-bench --bin service_storm -- --smoke 2>&1 | tee "$logs/service_storm"
 
 echo "== mesh_storm --smoke (1024+ churning mesh stations: digests identical at 1/4/8 threads; coordination duel: coordinated goodput > CSMA with ≥99% control delivery)"
-cargo run -q --release -p cos-bench --bin mesh_storm -- --smoke
+cargo run -q --release -p cos-bench --bin mesh_storm -- --smoke 2>&1 | tee "$logs/mesh_storm"
+
+echo "== golden vectors + channel digest + FFT kernel differential + storm digests on baseline x86-64 codegen (no host CPU features: bit identity, noise included, must not rest on -C target-cpu=native; the lane FFT on its portable bodies; every storm smoke digest, service_storm's scripted one, equal to the native build's; own target dir keeps the main cache)"
+baseline() { RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64 "$@"; }
+baseline cargo test -q --release --test golden_vectors --test channel_digest
+baseline cargo test -q --release -p cos-dsp --test kernel_differential
+for storm in "session_storm --smoke --kernels both" "adaptation_storm --smoke --kernels both" \
+    "service_storm --smoke" "mesh_storm --smoke"; do
+    set -- $storm
+    baseline cargo run -q --release -p cos-bench --bin "$1" -- "${@:2}" 2>&1 | tee "$logs/$1.x86-64"
+    diff <(storm_digests "$logs/$1") <(storm_digests "$logs/$1.x86-64")
+    lines=$(storm_digests "$logs/$1.x86-64" | wc -l)
+    echo "$1: $lines digest lines equal to the native build's"
+done
 
 echo "== docs link check (relative links and backticked *.md references must resolve)"
 scripts/linkcheck.sh
