@@ -9,16 +9,15 @@
 //! `build_frame_into` + `embed_into` + `render`), and the resilient and
 //! adaptive session paths with their ARQ queues loaded.
 //!
-//! A batched-decode phase stages a full lane group, runs
-//! `ViterbiDecoder::decode_lockstep` over it with a reused
-//! [`SymbolBatch`] and finishes each frame — the engine's lockstep
-//! Viterbi step — and must decode the same frames as the per-frame
-//! `decode_into` loop.
+//! A staged-decode phase runs a group of frames through the engine's
+//! split receive path — stage (demap to quantised soft bits, FEC
+//! staging), the `i16` Viterbi, finish — one frame at a time, and must
+//! decode the same frames as the per-frame `decode_into` loop.
 //!
 //! A footprint phase adds sessions to a warmed single-thread
 //! [`BatchEngine`] and counts the bytes each new session (and its first
 //! drained frame) allocates: the frame-sized planes belong to the
-//! engine's worker lanes, so a session holds only its persistent state.
+//! engine's workers, so a session holds only its persistent state.
 //!
 //! Exits non-zero unless all seven gates hold:
 //!
@@ -26,7 +25,7 @@
 //!   does per frame, **or** runs the rx chain at least 1.5× faster;
 //! * the streaming workspace rx allocates nothing per frame;
 //! * the embedding workspace tx allocates nothing per frame;
-//! * the batched lockstep decode allocates nothing per batch;
+//! * the staged decode allocates nothing per frame;
 //! * the resilient and the adaptive session paths each allocate fewer
 //!   than [`SESSION_ALLOCS_MAX`] times per frame, with one queued
 //!   control message per frame sent;
@@ -41,10 +40,8 @@ use cos_channel::{ChannelConfig, Link};
 use cos_core::engine::{BatchEngine, EngineConfig, SessionPool};
 use cos_core::session::{CosSession, SessionConfig};
 use cos_core::PowerController;
-use cos_dsp::lanes::LANES;
 use cos_dsp::Complex;
-use cos_fec::{LaneFrame, SymbolBatch, ViterbiDecoder};
-use cos_phy::frame::staged_lane_frame;
+use cos_phy::frame::run_staged_viterbi;
 use cos_phy::rates::DataRate;
 use cos_phy::rx::{Receiver, RxConfig};
 use cos_phy::tx::Transmitter;
@@ -202,16 +199,19 @@ fn run_embed_workspace() -> Measurement {
     })
 }
 
-/// Shared setup for the batched-decode scenarios: `LANES` frames carried
-/// through distinct channel realisations and front-ended once into their
-/// own workspaces. The decode stage then re-runs repeatedly over the
-/// frozen front ends, which is exactly the shape of an engine drain.
+/// Frames of the staged-decode scenarios.
+const DECODE_FRAMES: usize = 8;
+
+/// Shared setup for the staged-decode scenarios: [`DECODE_FRAMES`]
+/// frames carried through distinct channel realisations and front-ended
+/// once into their own workspaces. The decode stage then re-runs
+/// repeatedly over the frozen front ends.
 fn batch_workspaces() -> Vec<PhyWorkspace> {
     let payload = bench_payload();
     let mut link = Link::new(ChannelConfig::default(), SNR_DB, 42);
     let tx = Transmitter::new();
     let rx = Receiver::new();
-    let mut wss: Vec<PhyWorkspace> = (0..LANES).map(|_| PhyWorkspace::new()).collect();
+    let mut wss: Vec<PhyWorkspace> = (0..DECODE_FRAMES).map(|_| PhyWorkspace::new()).collect();
     for ws in wss.iter_mut() {
         tx.build_frame_into(&payload, DataRate::Mbps24, 0x5D, &mut ws.tx);
         ws.tx.render();
@@ -222,7 +222,7 @@ fn batch_workspaces() -> Vec<PhyWorkspace> {
     wss
 }
 
-/// Per-frame reference: a plain `decode_into` loop over the lane group.
+/// Per-frame reference: a plain `decode_into` loop over the frames.
 fn run_batch_decode_per_frame() -> Measurement {
     let rx = Receiver::new();
     let mut wss = batch_workspaces();
@@ -237,30 +237,19 @@ fn run_batch_decode_per_frame() -> Measurement {
     })
 }
 
-/// Batched path: stage every frame, run one `decode_lockstep` call over
-/// the lane group (lane frames built on the stack, the `SymbolBatch`
-/// staging reused throughout), then finish every frame.
-fn run_batch_decode_lockstep() -> Measurement {
+/// Staged path: each frame staged, decoded by the per-frame `i16`
+/// Viterbi and finished on its own workspace — the steps an engine worker
+/// runs per frame.
+fn run_staged_decode() -> Measurement {
     let rx = Receiver::new();
-    let decoder = ViterbiDecoder::new();
     let mut wss = batch_workspaces();
-    let mut batch = SymbolBatch::new();
     measure(move || {
-        let mut preps = [None; LANES];
-        for (ws, prep) in wss.iter_mut().zip(preps.iter_mut()) {
-            let cos_phy::RxWorkspace { fe, scratch, out, .. } = &mut ws.rx;
-            *prep = Some(rx.decode_prepare_into(fe, None, scratch, out).expect("clean frame"));
-        }
-        let mut it = wss.iter_mut().zip(preps).map(|(ws, prep)| {
-            staged_lane_frame(prep.expect("staged above"), &mut ws.rx.scratch.fec)
-        });
-        let mut frames: [LaneFrame<'_>; LANES] =
-            std::array::from_fn(|_| it.next().expect("LANES workspaces"));
-        decoder.decode_lockstep(&mut frames, true, &mut batch);
         let mut ok = true;
-        for (ws, prep) in wss.iter_mut().zip(preps) {
+        for ws in wss.iter_mut() {
             let cos_phy::RxWorkspace { fe, scratch, out, .. } = &mut ws.rx;
-            rx.decode_finish_into(fe, Ok(prep.expect("staged above")), scratch, out);
+            let prep = rx.decode_prepare_into(fe, None, scratch, out).expect("clean frame");
+            run_staged_viterbi(prep, &mut scratch.fec);
+            rx.decode_finish_into(fe, Ok(prep), scratch, out);
             ok &= out.crc_ok;
         }
         ok
@@ -335,7 +324,7 @@ fn main() {
     let embed_owned = run_embed_owned();
     let embed_workspace = run_embed_workspace();
     let batch_per_frame = run_batch_decode_per_frame();
-    let batch_lockstep = run_batch_decode_lockstep();
+    let staged = run_staged_decode();
     let footprint: Vec<(DataRate, f64)> = [DataRate::Mbps54, DataRate::Mbps6]
         .into_iter()
         .map(|rate| (rate, footprint_kib_per_session(rate)))
@@ -354,8 +343,8 @@ fn main() {
         "owned and workspace tx+embed paths built different frame counts"
     );
     assert_eq!(
-        batch_per_frame.crc_ok, batch_lockstep.crc_ok,
-        "per-frame and lockstep batched decodes disagree on CRC outcomes"
+        batch_per_frame.crc_ok, staged.crc_ok,
+        "per-frame and staged decodes disagree on CRC outcomes"
     );
 
     // With a fully allocation-free workspace path the ratio is reported
@@ -382,10 +371,10 @@ fn main() {
             embed_workspace.allocs_per_frame
         ));
     }
-    if batch_lockstep.allocs_per_frame > 0.0 {
+    if staged.allocs_per_frame > 0.0 {
         failures.push(format!(
-            "batched lockstep decode allocates {:.2}/batch (want 0)",
-            batch_lockstep.allocs_per_frame
+            "staged decode allocates {:.2}/frame (want 0)",
+            staged.allocs_per_frame
         ));
     }
     for (path, m) in [("resilient", &resilient), ("adaptive", &adaptive)] {
@@ -411,7 +400,7 @@ fn main() {
     eprintln!(
         "alloc gate passed: {alloc_ratio:.1}x fewer allocs, {speedup:.3}x rx speedup, \
          streaming rx 0 allocs/frame, tx+embed 0 allocs/frame ({embed_ratio:.1}x fewer), \
-         batched decode 0 allocs/batch, \
+         staged decode 0 allocs/frame, \
          resilient {:.3} / adaptive {:.3} allocs/frame, \
          {} KiB per added engine session",
         resilient.allocs_per_frame,

@@ -8,18 +8,17 @@
 //!    sessions three times, runs the identical mixed plain/resilient job
 //!    schedule (with create/release churn between rounds) through
 //!    [`BatchEngine`] at 1, 4 and 8 worker threads, and FNV-digests every
-//!    outcome field (`f64`s via `to_bits`). The engine bundles every job
-//!    kind by payload length and runs each round through the sessions'
-//!    one frame path (stage → lockstep Viterbi → finish); because the lane
-//!    kernels are bit-identical to the scalar reference, the digests must
-//!    agree across kernels as well as thread counts.
-//! 2. **Steady-state allocation** — a fixed-rate pool drained at 1 and
-//!    at 2 worker threads under the counting global allocator; after
-//!    warm-up drains every buffer has reached capacity. At 1 thread the
-//!    measured drains must allocate **zero** times per frame. At 2 they
-//!    may allocate at most [`SPAWN_ALLOCS`] times per drain — what
-//!    spawning the one extra scoped worker costs — however many jobs the
-//!    drain holds.
+//!    outcome field (`f64`s via `to_bits`). The engine runs every job
+//!    through its session's one frame path (stage → Viterbi → finish);
+//!    because the lane kernels are bit-identical to the scalar reference,
+//!    the digests must agree across kernels as well as thread counts.
+//! 2. **Steady-state allocation** — a fixed-rate pool of plain,
+//!    resilient and adaptive jobs drained at 1 and at 2 worker threads
+//!    under the counting global allocator; after warm-up drains every
+//!    buffer has reached capacity. At 1 thread the measured drains must
+//!    allocate **zero** times. At 2 they may allocate at most
+//!    [`SPAWN_ALLOCS`] times per drain — what spawning the one extra
+//!    scoped worker costs — however many jobs the drain holds.
 //!
 //! Exits non-zero on any determinism or allocation failure. `--smoke`
 //! runs a reduced schedule with the same gates.
@@ -116,8 +115,8 @@ fn drain_alloc_budget(threads: usize) -> u64 {
 }
 
 /// Steady-state allocation profile: fixed-rate sessions (frame geometry
-/// never changes, so buffers stop growing), plain jobs only, drained at
-/// `threads` worker threads.
+/// never changes, so buffers stop growing) sending plain, resilient and
+/// adaptive jobs in turn, drained at `threads` worker threads.
 ///
 /// Scratch buffers grow only on per-session records (a frame detecting
 /// more silences than any before on that session, say), so the tail of
@@ -149,10 +148,12 @@ fn run_alloc_phase(sessions: usize, measured: usize, threads: usize) -> AllocRes
 
     let mut round = |pool: &mut SessionPool, digest: &mut Fnv| {
         for (k, &id) in ids.iter().enumerate() {
-            // Plain path only: the resilient path's mode-transition log
-            // still grows now and then (amortised), so its bound — and
-            // the adaptive path's — lives in `alloc_gate`.
-            engine.submit(id, payloads[k % payloads.len()], controls[k % controls.len()]);
+            let payload = payloads[k % payloads.len()];
+            match k % 3 {
+                0 => engine.submit(id, payload, controls[k % controls.len()]),
+                1 => engine.submit_resilient(id, payload),
+                _ => engine.submit_adaptive(id, payload),
+            }
         }
         engine.drain_into(pool, &mut out);
         for o in &out {

@@ -6,16 +6,15 @@
 //! controller, detector, selection, ARQ/adaptation, metrics). The
 //! frame-sized planes a frame runs through — waveforms, front end,
 //! decoder scratch — belong to the engine: each worker owns one
-//! [`FrameScratch`] per lane of a lockstep bundle, persistent across
-//! drains, and lends lane `k` to the `k`-th session of the bundle for one
-//! frame at a time. Workspaces carry no semantic state between frames,
-//! so which lane a frame lands in never shows in its outcome, and a
-//! drain over many sessions touches a few warm lanes instead of one cold
+//! [`FrameScratch`], persistent across drains, and lends it to every
+//! frame it runs. Workspaces carry no semantic state between frames, so
+//! which worker runs a frame never shows in its outcome, and a drain over
+//! many sessions touches one warm plane per worker instead of one cold
 //! set of buffers per session. That turns "run N frames for M sessions"
 //! into a pure orchestration problem: a drain checks each session with
-//! work out of the pool and each worker claims bundles of whole
-//! per-session job groups, so a session is only ever touched by one
-//! thread at a time and no transform needs to know it is being batched.
+//! work out of the pool and each worker claims whole per-session job
+//! groups, so a session is only ever touched by one thread at a time and
+//! no transform needs to know it is being batched.
 //!
 //! # Determinism
 //!
@@ -32,23 +31,22 @@
 //!
 //! # Zero allocation at steady state
 //!
-//! [`BatchEngine::drain_into`] reuses its job/order/group/unit buffers,
+//! [`BatchEngine::drain_into`] reuses its job/order/unit buffers,
 //! its workers' outcome staging and the caller's outcome buffer; jobs
 //! reference payload/control bytes by ID into tables registered up front
 //! ([`BatchEngine::add_payload`] / [`BatchEngine::add_control`]); and each
 //! frame runs the session's one frame path (stage → Viterbi → finish),
-//! whose hot path performs no heap allocation. A warmed-up drain of plain
-//! jobs is allocation-free per frame on one thread; with more, the only
-//! per-drain cost is spawning the extra scoped worker threads (the
-//! calling thread is worker 0), which does not grow with the job count.
-//! `session_storm` measures both and `scripts/check.sh` gates them.
+//! whose hot path performs no heap allocation. A warmed-up drain of
+//! plain, resilient and adaptive jobs is allocation-free on one thread;
+//! with more, the only per-drain cost is spawning the extra scoped worker
+//! threads (the calling thread is worker 0), which does not grow with the
+//! job count. `session_storm` measures both and `scripts/check.sh` gates
+//! them.
 
 use crate::session::{
     AdaptiveSummary, ControlSource, CosSession, FrameScratch, PacketSummary, ResilientSummary,
-    SessionConfig, Staged,
+    SessionConfig,
 };
-use cos_dsp::lanes::LANES;
-use cos_fec::{SymbolBatch, ViterbiDecoder};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -309,13 +307,6 @@ struct Job {
     kind: JobKind,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Group {
-    slot: u32,
-    start: u32,
-    end: u32,
-}
-
 /// Per-job outcome of a [`BatchEngine::drain`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JobResult {
@@ -380,10 +371,8 @@ pub struct BatchEngine {
     jobs: Vec<Job>,
     /// Job indices ordered by (slot, submit index) — rebuilt per drain.
     order: Vec<u32>,
-    /// Contiguous per-slot ranges of `order` — rebuilt per drain.
-    groups: Vec<Group>,
     /// The live groups of one drain with their sessions checked out of
-    /// the pool, in bundle order — refilled per drain, empty between
+    /// the pool, in slot order — refilled per drain, empty between
     /// drains.
     units: Vec<Unit>,
     /// One scratch per worker, borrowed by index; grows to the largest
@@ -392,59 +381,23 @@ pub struct BatchEngine {
 }
 
 /// One live per-slot job group checked out of the pool for a drain: the
-/// group, its slot's generation and the slot's session, which one worker
-/// owns until the drain checks it back in.
+/// slot, its jobs (a range of the drain's `order`), the slot's
+/// generation and its session, which one worker owns until the drain
+/// checks it back in.
 #[derive(Debug)]
 struct Unit {
-    group: Group,
+    slot: u32,
+    jobs: std::ops::Range<usize>,
     generation: u32,
     session: CosSession,
 }
 
-/// One worker's frame planes: the lockstep Viterbi staging, and one
-/// [`FrameScratch`] per lane of a bundle — lane `k` is lent to the
-/// bundle's `k`-th session for each of its frames — plus the worker's
-/// outcomes of the current drain, tagged by submit index, and its share
-/// of the engine's [`LockstepStats`].
+/// One worker's frame plane, lent to every frame the worker runs, plus
+/// the worker's outcomes of the current drain, tagged by submit index.
 #[derive(Debug, Default)]
 struct WorkerScratch {
-    batch: SymbolBatch,
-    lanes: [FrameScratch; LANES],
+    frame: FrameScratch,
     outcomes: Vec<(usize, JobOutcome)>,
-    stats: LockstepStats,
-}
-
-/// How a [`BatchEngine`] has decoded its frames' trellises since it was
-/// built: in lockstep, [`LANES`] frames per instruction, or one frame at
-/// a time, and why. Counts are cumulative across drains, deterministic
-/// (no timing) and the same at any worker count, because bundles are
-/// cut from the drain's sorted units before any worker claims one.
-/// Frames that never reach the Viterbi (stale handles, front-end or
-/// staging failures) are not counted.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LockstepStats {
-    /// Frames decoded by the lockstep Viterbi.
-    pub lockstep: u64,
-    /// Frames decoded per frame because their bundle held fewer than
-    /// [`LANES`] live sessions — the tail of a drain.
-    pub tail_bundle: u64,
-    /// Frames decoded per frame in a full bundle whose round staged
-    /// fewer than [`LANES`] frames cleanly — uneven group lengths, stale
-    /// handles, front-end or staging failures in the other lanes.
-    pub short_round: u64,
-    /// Frames of a fully staged round that the lockstep kernel still ran
-    /// per frame: their trellis lengths differ (a bundle straddling two
-    /// payload lengths), or `COS_KERNELS=scalar`.
-    pub ragged: u64,
-}
-
-impl std::ops::AddAssign for LockstepStats {
-    fn add_assign(&mut self, rhs: LockstepStats) {
-        self.lockstep += rhs.lockstep;
-        self.tail_bundle += rhs.tail_bundle;
-        self.short_round += rhs.short_round;
-        self.ragged += rhs.ragged;
-    }
 }
 
 impl BatchEngine {
@@ -511,15 +464,6 @@ impl BatchEngine {
         self.jobs.len()
     }
 
-    /// How every frame this engine has drained was Viterbi-decoded.
-    pub fn lockstep_stats(&self) -> LockstepStats {
-        let mut total = LockstepStats::default();
-        for ws in &self.workers {
-            total += ws.stats;
-        }
-        total
-    }
-
     /// Drains every queued job and returns the outcomes **in submit
     /// order** (allocating convenience wrapper around
     /// [`drain_into`](Self::drain_into)).
@@ -534,12 +478,13 @@ impl BatchEngine {
     /// configured worker threads. Outcomes are byte-identical at any
     /// worker count; see the module docs.
     ///
-    /// One walk serves every worker count: the per-slot groups are sorted
-    /// into bundle order, each live group's session is checked out of its
-    /// slot into the engine's units, the workers (the calling thread
-    /// first) claim bundles of [`LANES`] units one at a time and stage
-    /// their outcomes, and the outcomes are scattered into `out` by submit
-    /// index before every session is checked back in.
+    /// One walk serves every worker count: each live per-slot group's
+    /// session is checked out of its slot into the engine's units, the
+    /// workers (the calling thread first) claim units one at a time, run
+    /// each job of the group through the session's frame path on their
+    /// frame plane and stage the outcomes, and the outcomes are scattered
+    /// into `out` by submit index before every session is checked back
+    /// in.
     ///
     /// # Panics
     ///
@@ -557,38 +502,29 @@ impl BatchEngine {
 
         // Per-session program order is submit order; cross-session order
         // is irrelevant (sessions are independent).
-        self.order.clear();
-        self.order.extend(0..n as u32);
-        let jobs = &self.jobs;
-        self.order.sort_unstable_by_key(|&i| (jobs[i as usize].session.index, i));
+        let BatchEngine { payloads, controls, jobs, order, units, cfg, workers: scratch } = self;
+        order.clear();
+        order.extend(0..n as u32);
+        order.sort_unstable_by_key(|&i| (jobs[i as usize].session.index, i));
 
-        self.groups.clear();
-        let mut i = 0usize;
-        while i < n {
-            let slot = jobs[self.order[i] as usize].session.index;
-            let mut j = i + 1;
-            while j < n && jobs[self.order[j] as usize].session.index == slot {
-                j += 1;
+        // One unit per contiguous per-slot run of `order` whose slot holds
+        // a live session, checked out of the pool for the drain.
+        units.clear();
+        let mut start = 0;
+        while start < n {
+            let slot = jobs[order[start] as usize].session.index;
+            let same_slot = |&&k: &&u32| jobs[k as usize].session.index == slot;
+            let end = start + order[start..].iter().take_while(same_slot).count();
+            if let Some(entry) = pool.slots.get_mut(slot as usize) {
+                if let Some(session) = entry.session.take() {
+                    let generation = entry.generation;
+                    units.push(Unit { slot, jobs: start..end, generation, session });
+                }
             }
-            self.groups.push(Group { slot, start: i as u32, end: j as u32 });
-            i = j;
+            start = end;
         }
 
-        let BatchEngine { payloads, controls, jobs, order, groups, units, cfg, workers: scratch } =
-            self;
-        // Bundle groups whose current frames will lockstep: sorting by
-        // head payload length hands `decode_lockstep` bundles of
-        // equal-length trellises instead of whatever LANES slots happened
-        // to be adjacent. Outcomes are position-addressed, so the order
-        // bundles run in never shows in `out`.
-        groups.sort_unstable_by_key(|&g| bundle_key(payloads, jobs, order, g));
-        units.clear();
-        units.extend(groups.iter().filter_map(|&group| {
-            let slot = pool.slots.get_mut(group.slot as usize)?;
-            Some(Unit { group, generation: slot.generation, session: slot.session.take()? })
-        }));
-
-        let workers = configured_threads(cfg.threads).min(units.len().div_ceil(LANES));
+        let workers = configured_threads(cfg.threads).min(units.len());
         if scratch.len() < workers {
             scratch.resize_with(workers, WorkerScratch::default);
         }
@@ -597,14 +533,14 @@ impl BatchEngine {
             // staging grows mid-drain.
             ws.outcomes.reserve(n);
         }
-        let claim = Mutex::new(units.chunks_mut(LANES));
+        let claim = Mutex::new(units.iter_mut());
         let (payloads, controls, jobs, order) = (&*payloads, &*controls, &*jobs, &*order);
         fan_out(&mut scratch[..workers], |ws| loop {
             // The guard drops at the end of this statement, so the lock
-            // is held per claim, not per bundle run.
-            let bundle = claim.lock().expect("engine claim lock").next();
-            let Some(bundle) = bundle else { break };
-            run_units_lockstep(payloads, controls, jobs, order, bundle, ws);
+            // is held per claim, not per unit run.
+            let unit = claim.lock().expect("engine claim lock").next();
+            let Some(unit) = unit else { break };
+            run_unit(payloads, controls, jobs, order, unit, ws);
         });
 
         for ws in &mut scratch[..workers] {
@@ -613,119 +549,41 @@ impl BatchEngine {
             }
         }
         for u in units.drain(..) {
-            pool.slots[u.group.slot as usize].session = Some(u.session);
+            pool.slots[u.slot as usize].session = Some(u.session);
         }
         self.jobs.clear();
     }
 }
 
-/// Bundle-formation key: groups sort by their head job's payload length.
-/// The staged trellis length is `2 × (SERVICE + 8 × psdu + TAIL)`
-/// mother-code bits, a function of payload length alone (depuncturing
-/// restores the mother code, so the rate never shows) — so equal payload
-/// lengths mean Viterbi-lockstep-compatible frames for **every** job
-/// kind. Resilient and adaptive frames stage the same trellis as a plain
-/// frame of the same payload; only their sender-side tails differ. The
-/// slot tie-break only pins a reproducible walk order; outcomes are
-/// position-addressed either way.
-fn bundle_key(payloads: &[Box<[u8]>], jobs: &[Job], order: &[u32], g: Group) -> (usize, u32) {
-    let head = jobs[order[g.start as usize] as usize];
-    (payloads[head.payload.0 as usize].len(), g.slot)
-}
-
-/// Runs a bundle of up to [`LANES`] units in lockstep rounds, staging
-/// each outcome in `ws.outcomes`. Each round takes the next job of every
-/// group through the session's one frame path, unit `k`'s frame in lane
-/// `k` of `ws`: [`CosSession::stage`] (tx → air → rx, fused per session
-/// while the waveform is cache-hot), the Viterbi
-/// ([`ViterbiDecoder::decode_lockstep`], [`LANES`] frames per
-/// instruction, when a full lane group staged), then
-/// [`CosSession::finish`] (feedback loop, ARQ confirmation, controller
-/// observation).
-///
-/// Per-session order stays submit order (a round advances each group by
-/// exactly one job) and the per-frame path
-/// ([`CosSession::send_packet_summary`] and its siblings) runs the same
-/// three steps, so outcomes are byte-identical to running the groups one
-/// at a time. Rounds with fewer than [`LANES`] staged frames (a tail
-/// bundle, uneven group lengths, stale handles, front-end failures) fall
-/// back to the per-frame Viterbi — still SIMD across trellis states, just
-/// not across sessions.
-fn run_units_lockstep(
+/// Runs one unit's jobs in submit order through the session's frame path
+/// ([`CosSession::run_frame`]: tx → air → rx staging, the Viterbi, then
+/// the feedback loop, ARQ confirmation and controller observation) on the
+/// worker's frame plane, staging each outcome in `ws.outcomes`. A stale
+/// handle into a live slot keeps its stale outcome without touching the
+/// session. The per-frame path ([`CosSession::send_packet_summary`] and
+/// its siblings) runs the same function, so outcomes are byte-identical
+/// to running the sessions one at a time.
+fn run_unit(
     payloads: &[Box<[u8]>],
     controls: &[Box<[u8]>],
     jobs: &[Job],
     order: &[u32],
-    units: &mut [Unit],
+    unit: &mut Unit,
     ws: &mut WorkerScratch,
 ) {
-    debug_assert!(units.len() <= LANES);
-    let tail_bundle = units.len() < LANES;
-    let WorkerScratch { batch, lanes, outcomes, stats } = ws;
-    let mut cursors = [0usize; LANES];
-    for (c, u) in cursors.iter_mut().zip(units.iter()) {
-        *c = u.group.start as usize;
-    }
-    loop {
-        // Stage this round's job of every group; a stale handle into a
-        // live slot keeps its stale outcome without touching the session.
-        let mut staged: [Option<Staged>; LANES] = [None; LANES];
-        let mut progressed = false;
-        for (k, u) in units.iter_mut().enumerate() {
-            if cursors[k] >= u.group.end as usize {
-                continue;
-            }
-            progressed = true;
-            let job = jobs[order[cursors[k]] as usize];
-            if job.session.generation != u.generation {
-                cursors[k] += 1;
-                continue;
-            }
-            let src = match job.kind {
-                JobKind::Plain(c) => ControlSource::Fixed(&controls[c.0 as usize]),
-                JobKind::Resilient => ControlSource::Resilient,
-                JobKind::Adaptive => ControlSource::Adaptive,
-            };
-            staged[k] = Some(u.session.stage(&mut lanes[k], &payloads[job.payload.0 as usize], src));
+    for &idx in &order[unit.jobs.clone()] {
+        let job = jobs[idx as usize];
+        if job.session.generation != unit.generation {
+            continue;
         }
-        if !progressed {
-            break;
-        }
-
-        // Viterbi — lockstep when a full lane group staged.
-        let ready = staged.iter().flatten().filter(|s| s.staged_ok().is_some()).count();
-        if ready == LANES {
-            let mut it = lanes
-                .iter_mut()
-                .zip(&staged)
-                .filter_map(|(fs, s)| Some(fs.lane_frame(s.as_ref()?.staged_ok()?)));
-            let mut frames: [_; LANES] =
-                std::array::from_fn(|_| it.next().expect("LANES staged frames"));
-            let locked = ViterbiDecoder::new().decode_lockstep(&mut frames, true, batch);
-            stats.lockstep += locked as u64;
-            stats.ragged += (LANES - locked) as u64;
-        } else {
-            for (fs, s) in lanes.iter_mut().zip(&staged) {
-                if let Some(s) = s {
-                    fs.viterbi(s);
-                }
-            }
-            let ready = ready as u64;
-            if tail_bundle {
-                stats.tail_bundle += ready;
-            } else {
-                stats.short_round += ready;
-            }
-        }
-
-        // Finish every staged frame.
-        for (k, u) in units.iter_mut().enumerate() {
-            let Some(s) = staged[k] else { continue };
-            let idx = order[cursors[k]] as usize;
-            let result = u.session.finish(&mut lanes[k], s);
-            outcomes.push((idx, JobOutcome { session: jobs[idx].session, result }));
-            cursors[k] += 1;
-        }
+        let src = match job.kind {
+            JobKind::Plain(c) => ControlSource::Fixed(&controls[c.0 as usize]),
+            JobKind::Resilient => ControlSource::Resilient,
+            JobKind::Adaptive => ControlSource::Adaptive,
+        };
+        let payload = &payloads[job.payload.0 as usize];
+        let result = unit.session.run_frame(&mut ws.frame, payload, src);
+        ws.outcomes.push((idx as usize, JobOutcome { session: job.session, result }));
     }
 }
 
@@ -890,91 +748,13 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_stats_count_bundles_and_tails() {
-        let run = |sessions: usize, threads: usize| {
-            let mut pool = SessionPool::new();
-            let mut engine = BatchEngine::new(EngineConfig { threads });
-            let p = engine.add_payload(&[0x3C; 240]);
-            let c = engine.add_control(&[1, 0, 1, 1]);
-            for i in 0..sessions {
-                let id = pool.create(cfg(30.0), 900 + i as u64);
-                engine.submit(id, p, c);
-            }
-            engine.drain(&mut pool);
-            engine.lockstep_stats()
-        };
-        // A full bundle of equal-length frames decodes in lockstep (and
-        // per frame, as ragged, under `COS_KERNELS=scalar`).
-        let full = match cos_dsp::kernel_mode() {
-            cos_dsp::KernelMode::Lanes => LockstepStats { lockstep: 8, ..Default::default() },
-            cos_dsp::KernelMode::Scalar => LockstepStats { ragged: 8, ..Default::default() },
-        };
-        assert_eq!(run(LANES, 1), full);
-        assert_eq!(run(LANES, 2), full);
-        // Five sessions never fill a bundle: every frame is a tail frame.
-        let tail = LockstepStats { tail_bundle: 5, ..Default::default() };
-        assert_eq!(run(5, 1), tail);
-        assert_eq!(run(5, 2), tail);
-    }
-
-    #[test]
-    fn lockstep_stats_flag_ragged_bundles() {
-        // One bundle of two payload lengths stages 8 frames, but the
-        // lockstep kernel needs equal trellis lengths: all 8 run alone.
-        for threads in [1, 2] {
-            let mut pool = SessionPool::new();
-            let mut engine = BatchEngine::new(EngineConfig { threads });
-            let (short, long) =
-                (engine.add_payload(&[0x11; 120]), engine.add_payload(&[0x22; 360]));
-            let c = engine.add_control(&[1, 1, 0, 1]);
-            for i in 0..LANES {
-                let id = pool.create(cfg(30.0), 70 + i as u64);
-                engine.submit(id, if i % 2 == 0 { short } else { long }, c);
-            }
-            engine.drain(&mut pool);
-            let want = LockstepStats { ragged: 8, ..Default::default() };
-            assert_eq!(engine.lockstep_stats(), want, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn lockstep_stats_accumulate_and_flag_short_rounds() {
-        for threads in [1, 2] {
-            let mut pool = SessionPool::new();
-            let mut engine = BatchEngine::new(EngineConfig { threads });
-            let p = engine.add_payload(&[0x96; 200]);
-            let c = engine.add_control(&[0, 1, 1, 0]);
-            let ids: Vec<SessionId> =
-                (0..LANES).map(|i| pool.create(cfg(30.0), 40 + i as u64)).collect();
-            // Session 0 gets a second job: its bundle's second round
-            // stages one frame, which decodes alone.
-            for &id in &ids {
-                engine.submit(id, p, c);
-            }
-            engine.submit(ids[0], p, c);
-            engine.drain(&mut pool);
-            let first = engine.lockstep_stats();
-            assert_eq!(first.short_round, 1, "{threads} threads");
-            assert_eq!(first.lockstep + first.ragged, 8, "{threads} threads");
-            // Counts are cumulative across drains.
-            for &id in &ids {
-                engine.submit(id, p, c);
-            }
-            engine.drain(&mut pool);
-            let second = engine.lockstep_stats();
-            assert_eq!(second.short_round, 1, "{threads} threads");
-            assert_eq!(second.lockstep + second.ragged, 16, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn pool_is_whole_after_drains_at_any_thread_count() {
         // Eleven slots: slot 4 released and left empty, slot 7 released
         // and re-occupied, so ten live sessions. Slots 0–6 send a short
-        // payload and 7–10 a long one, so the sorted units form one full
-        // bundle of two lengths and a tail bundle of two. Stale jobs: the
-        // empty slot's handle, slot 7's old handle (a live slot) and a
-        // handle from a larger pool (beyond this pool's slab).
+        // payload and 7–10 a long one, so one drain mixes two trellis
+        // lengths. Stale jobs: the empty slot's handle, slot 7's old
+        // handle (a live slot) and a handle from a larger pool (beyond
+        // this pool's slab).
         const SHORT: [u8; 100] = [0x5A; 100];
         const LONG: [u8; 300] = [0xA5; 300];
         const CONTROL: [u8; 4] = [1, 0, 1, 1];
@@ -1046,7 +826,6 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut stats = Vec::new();
             for (pool, engine) in &mut engines {
                 for &(id, short, resilient) in &jobs {
                     let payload = PayloadId(if short { 0 } else { 1 });
@@ -1061,10 +840,7 @@ mod tests {
                 assert_eq!(got, want, "drain {drain}, {} threads", engine.cfg.threads);
                 assert_eq!((pool.len(), pool.spares()), (live, spares));
                 assert!(ids.iter().all(|&id| pool.get(id).is_some()), "a live handle went dead");
-                stats.push(engine.lockstep_stats());
             }
-            assert!(stats.iter().all(|&s| s == stats[0]), "drain {drain}: {stats:?}");
-            assert!(stats[0].ragged > 0 && stats[0].tail_bundle > 0, "{stats:?}");
         }
     }
 

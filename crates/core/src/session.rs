@@ -23,10 +23,9 @@
 //! The frame path is `stage` (build, embed, channel, front end, energy
 //! detection, FEC staging) → Viterbi → `finish` (CRC, control
 //! extraction, silence validation, EVM feedback, then the per-kind
-//! sender tail). The batch engine runs the same three steps, with the
-//! Viterbi locked across sessions. Each step runs on a `FrameScratch`
-//! lent by the caller: the session's own on the per-frame path, an
-//! engine worker lane's in a batch.
+//! sender tail), one frame at a time. Each frame runs on a
+//! `FrameScratch` lent by the caller: the session's own on the per-frame
+//! path, an engine worker's in a batch.
 
 use crate::adaptation::{
     AdaptationConfig, LinkAdaptationController, ProbeEvent, ProbeState, StaircaseEvent,
@@ -43,10 +42,9 @@ use crate::resilience::{
 use crate::subcarrier_select::{select_control_subcarriers_into, SelectionPolicy};
 use crate::validation::{sanitize_selection, validate_silences_into};
 use cos_channel::{ChannelConfig, FaultEngine, FeedbackFate, Link};
-use cos_fec::LaneFrame;
 use cos_phy::error::PhyError;
 use cos_phy::evm::{per_subcarrier_evm, reconstruct_points_into};
-use cos_phy::frame::{run_staged_viterbi, staged_lane_frame, PreparedDataField};
+use cos_phy::frame::{run_staged_viterbi, PreparedDataField};
 use cos_phy::rates::DataRate;
 use cos_phy::rx::Receiver;
 use cos_phy::subcarriers::NUM_DATA;
@@ -88,16 +86,14 @@ enum RxStage {
     Staged(Result<PreparedDataField, PhyError>),
 }
 
-/// `Copy` token from [`CosSession::stage`] to [`CosSession::finish`] —
-/// the seam the engine's lockstep Viterbi slots into: stage several
-/// sessions' frames, run their trellises `LANES` per instruction, then
-/// finish each. The token describes the frame in flight; the frame's
-/// planes (waveforms, front end, staged trellis) stay in the
-/// [`FrameScratch`] it was staged into, which must be the one passed to
-/// the Viterbi and the finish. The control message itself stays in the
-/// session's scratch, where the finish reads it back.
+/// `Copy` token from [`CosSession::stage`] to [`CosSession::finish`]:
+/// what the frame in flight needs beyond its planes. The planes
+/// (waveforms, front end, staged trellis) stay in the [`FrameScratch`]
+/// it was staged into, which must be the one passed to the Viterbi and
+/// the finish. The control message itself stays in the session's
+/// scratch, where the finish reads it back.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Staged {
+struct Staged {
     silences_sent: usize,
     rate: DataRate,
     embed_control: bool,
@@ -105,50 +101,27 @@ pub(crate) struct Staged {
     rx: RxStage,
 }
 
-impl Staged {
-    /// The staged Viterbi run, when the frame staged cleanly.
-    pub(crate) fn staged_ok(&self) -> Option<PreparedDataField> {
-        match self.rx {
-            RxStage::Staged(Ok(p)) => Some(p),
-            _ => None,
-        }
-    }
-}
-
 /// The frame-sized planes of one frame in flight: the tx frame and
-/// waveform, the rx landing zone, front end and decoder scratch, and the
+/// waveform, the rx landing zone, front end and decoder scratch, the
 /// reference-frame reconstruction for the EVM feedback loop (kept apart
-/// from `phy.tx`, which still holds the sent frame).
+/// from `phy.tx`, which still holds the sent frame), and the decoded
+/// control bits, whose worst-case size grows with the frame's control
+/// slots.
 ///
 /// Workspaces carry no semantic state between frames (every stage fully
 /// overwrites what it writes), so a `FrameScratch` is lent to a frame by
 /// whoever runs it, never owned by the session the frame belongs to: the
-/// per-frame `send_*` path lends the session's own, an engine worker lane
+/// per-frame `send_*` path lends the session's own, an engine worker
 /// lends its own. A session driven only by the engine never grows its
 /// own.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FrameScratch {
     phy: PhyWorkspace,
     ref_tx: TxWorkspace,
+    control: Vec<u8>,
 }
 
 impl FrameScratch {
-    /// The Viterbi step, per-frame form: decodes the staged trellis (if
-    /// any) into this scratch.
-    pub(crate) fn viterbi(&mut self, staged: &Staged) {
-        if let Some(p) = staged.staged_ok() {
-            run_staged_viterbi(p, &mut self.phy.rx.scratch.fec);
-        }
-    }
-
-    /// The Viterbi step in lockstep form: borrows the staged trellis as
-    /// one lane frame for [`cos_fec::ViterbiDecoder::decode_lockstep`].
-    /// Running the lane frame leaves exactly the state
-    /// [`viterbi`](Self::viterbi) would.
-    pub(crate) fn lane_frame(&mut self, prep: PreparedDataField) -> LaneFrame<'_> {
-        staged_lane_frame(prep, &mut self.phy.rx.scratch.fec)
-    }
-
     /// Heap capacity of the frame-sized buffers, in elements — zero until
     /// a frame has run through this scratch.
     #[cfg(test)]
@@ -171,6 +144,7 @@ impl FrameScratch {
             + fec.decoded.capacity()
             + rx.out.data_bits.capacity()
             + rx.out.hard_coded_bits.capacity()
+            + self.control.capacity()
     }
 }
 
@@ -230,9 +204,10 @@ impl Default for SessionConfig {
 struct Transceived {
     data_ok: bool,
     front_end_ok: bool,
-    /// The detected silence pattern decoded to a valid control message,
-    /// now in `SessionScratch::control`.
+    /// The detected silence pattern decoded to a valid control message.
     control_present: bool,
+    /// FNV-1a hash of the decoded control bits, 0 when none decoded.
+    control_hash: u64,
     control_ok: bool,
     silences_sent: usize,
     accuracy: DetectionAccuracy,
@@ -267,8 +242,6 @@ struct SessionScratch {
     truth: Vec<usize>,
     /// Coherently validated silence positions (CRC-pass refinement).
     refined: Vec<usize>,
-    /// Decoded control bits (valid when `Transceived::control_present`).
-    control: Vec<u8>,
     /// The receiver's next-packet subcarrier selection (valid when
     /// `Transceived::feedback` is `Some`).
     fb_selection: Vec<usize>,
@@ -733,17 +706,28 @@ impl CosSession {
         self.resilience.get_or_insert_with(|| ResilienceState::new(&self.config))
     }
 
-    /// One frame through the whole path, per-frame form: stage, Viterbi,
-    /// finish. The engine runs the same three steps with the Viterbi
-    /// locked across sessions; both forms share one implementation of
-    /// every step, so they are bit-identical by construction.
+    /// One frame through the whole path on the planes `fs`: stage,
+    /// Viterbi, finish. The per-frame `send_*` methods lend the session's
+    /// own planes, the engine a worker's; both run this one path.
+    pub(crate) fn run_frame(
+        &mut self,
+        fs: &mut FrameScratch,
+        payload: &[u8],
+        src: ControlSource<'_>,
+    ) -> JobResult {
+        let staged = self.stage(fs, payload, src);
+        if let RxStage::Staged(Ok(p)) = staged.rx {
+            run_staged_viterbi(p, &mut fs.phy.rx.scratch.fec);
+        }
+        self.finish(fs, staged)
+    }
+
+    /// [`run_frame`](Self::run_frame) on the session's own planes; moving
+    /// the struct out and back copies a few KiB of headers, never the
+    /// buffers.
     fn send(&mut self, payload: &[u8], src: ControlSource<'_>) -> JobResult {
-        // Lend the session's own planes to the frame; moving the struct
-        // out and back copies a few KiB of headers, never the buffers.
         let mut fs = std::mem::take(&mut self.fs);
-        let staged = self.stage(&mut fs, payload, src);
-        fs.viterbi(&staged);
-        let result = self.finish(&mut fs, staged);
+        let result = self.run_frame(&mut fs, payload, src);
         self.fs = fs;
         result
     }
@@ -753,7 +737,7 @@ impl CosSession {
     /// over the link, front-ended, energy-detected and staged for the
     /// erasure Viterbi — the frame planes into `fs`, the per-packet
     /// results into session scratch. The Viterbi itself is the next step.
-    pub(crate) fn stage(
+    fn stage(
         &mut self,
         fs: &mut FrameScratch,
         payload: &[u8],
@@ -902,7 +886,7 @@ impl CosSession {
     /// confirmation, controller observation). Requires the Viterbi step
     /// to have run when the frame staged cleanly, on the `fs` the frame
     /// was staged into.
-    pub(crate) fn finish(&mut self, fs: &mut FrameScratch, staged: Staged) -> JobResult {
+    fn finish(&mut self, fs: &mut FrameScratch, staged: Staged) -> JobResult {
         let t = self.finish_rx(fs, &staged);
         match staged.tail {
             Tail::Plain => {
@@ -929,14 +913,14 @@ impl CosSession {
             RxStage::Staged(prep) => {
                 let CosSession { phy_rx, controller, config, det, sel_scratch, xs, .. } =
                     &mut *self;
-                let FrameScratch { phy: ws, ref_tx } = fs;
+                let FrameScratch { phy: ws, ref_tx, control } = fs;
                 let codec = *controller.codec();
                 let total = ws.rx.fe.raw_symbols.len() * sel_scratch.len();
                 // Decoded control bits are bounded by one interval per
                 // control slot; reserving that bound here keeps the two
                 // `decode_into` calls below reallocation-free even on
                 // frames with record silence counts.
-                xs.control.reserve(total.saturating_sub(1) * codec.bits_per_interval());
+                control.reserve(total.saturating_sub(1) * codec.bits_per_interval());
                 let mut accuracy = if embed_control {
                     DetectionAccuracy::evaluate_sorted(&det.positions, &xs.truth, total)
                 } else {
@@ -945,7 +929,7 @@ impl CosSession {
                 let erasures = embed_control.then_some(det.erasures.as_slice());
                 phy_rx.decode_finish_into(&ws.rx.fe, prep, &mut ws.rx.scratch, &mut ws.rx.out);
                 let mut control_present =
-                    embed_control && det.control_bits_into(&codec, &mut xs.control);
+                    embed_control && det.control_bits_into(&codec, control);
                 let measured = ws.rx.fe.measured_snr_db();
 
                 // Feedback loop: EVM-based subcarrier selection for the
@@ -963,7 +947,7 @@ impl CosSession {
                     if embed_control {
                         validate_silences_into(&ws.rx.fe, sel_scratch, reference, &mut xs.refined);
                         accuracy = DetectionAccuracy::evaluate_sorted(&xs.refined, &xs.truth, total);
-                        control_present = codec.decode_into(&xs.refined, &mut xs.control);
+                        control_present = codec.decode_into(&xs.refined, control);
                         false_alarms =
                             det.positions.iter().filter(|p| !xs.refined.contains(p)).count();
                         normal_positions = total - xs.refined.len();
@@ -995,11 +979,12 @@ impl CosSession {
                     });
                 }
 
-                let control_ok = embed_control && control_present && xs.control == xs.msg;
+                let control_ok = embed_control && control_present && *control == xs.msg;
                 Transceived {
                     data_ok: ws.rx.out.crc_ok,
                     front_end_ok: true,
                     control_present,
+                    control_hash: if control_present { fnv1a(control.iter().copied()) } else { 0 },
                     control_ok,
                     silences_sent,
                     accuracy,
@@ -1013,6 +998,7 @@ impl CosSession {
                 data_ok: false,
                 front_end_ok: false,
                 control_present: false,
+                control_hash: 0,
                 control_ok: false,
                 silences_sent,
                 accuracy: DetectionAccuracy::default(),
@@ -1234,11 +1220,7 @@ impl CosSession {
             selected_hash: fnv1a(
                 self.selected.iter().flat_map(|&sc| (sc as u64).to_le_bytes()),
             ),
-            control_hash: if t.control_present {
-                fnv1a(self.xs.control.iter().copied())
-            } else {
-                0
-            },
+            control_hash: t.control_hash,
         }
     }
 

@@ -6,11 +6,12 @@
 //! written as a per-element loop in the *same order* a scalar kernel would
 //! use, so a lane kernel built on them is **bit-identical** to its scalar
 //! reference by construction (see `docs/KERNELS.md` for the ordering
-//! contract). The hot kernels — the Viterbi add-compare-select in
-//! `cos-fec` and the 64-point OFDM FFT in [`crate::fft`] — are written
-//! twice, once scalar and once on these lanes, and a process-wide
-//! [`KernelMode`] switch selects between them at runtime. Because the two
-//! paths produce the same bits, the switch exists purely so benchmarks and
+//! contract). The hot kernels — the 64-point OFDM FFT in [`crate::fft`],
+//! the channel's AWGN, convolution and overlap mix — are written twice,
+//! once scalar and once on these lanes, and a process-wide [`KernelMode`]
+//! switch selects between them at runtime (the `cos-fec` Viterbi uses it
+//! to pick its `avx512bw` or portable body). Because the two paths
+//! produce the same bits, the switch exists purely so benchmarks and
 //! differential tests can compare them; it never affects results.
 //!
 //! # Examples
@@ -21,9 +22,6 @@
 //! let a = F64xL([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
 //! let b = F64xL::splat(10.0);
 //! assert_eq!((a + b).0[0], 11.0);
-//! let (max, mask) = F64xL::max_select(a, b);
-//! assert_eq!(max.0, [10.0; 8]);
-//! assert_eq!(mask, 0b1111_1111); // b won every lane
 //! ```
 
 use crate::complex::Complex;
@@ -78,52 +76,6 @@ impl F64xL {
     #[inline(always)]
     pub fn store(self, dst: &mut [f64]) {
         dst[..LANES].copy_from_slice(&self.0);
-    }
-
-    /// Per-lane maximum with a winner mask: lane `l` of the result is
-    /// `if b > a { b } else { a }`, and bit `l` of the mask is set when
-    /// `b` won.
-    ///
-    /// The comparison is the strict `>` the Viterbi ACS uses, so ties
-    /// keep `a` — matching the scalar kernel's lower-predecessor tie
-    /// rule exactly.
-    #[inline(always)]
-    pub fn max_select(a: F64xL, b: F64xL) -> (F64xL, u8) {
-        // On AVX-512 targets the compare already produces the packed
-        // winner mask in a `k` register, but LLVM does not recognise the
-        // portable bit-packing loop below and re-extracts it one bit at a
-        // time (~26 instructions where `kmovd` needs one). `VMAXPD(b, a)`
-        // returns `b` iff `b > a` (ties and NaN take the second operand),
-        // which is exactly the portable select below, so this path is
-        // bit-identical — the differential kernel tests cover it.
-        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-        {
-            const { assert!(LANES == 8, "the AVX-512 path packs exactly 8 f64 lanes") };
-            use std::arch::x86_64::{
-                _mm512_cmp_pd_mask, _mm512_loadu_pd, _mm512_max_pd, _mm512_storeu_pd, _CMP_GT_OQ,
-            };
-            // SAFETY: `avx512f` is statically enabled for this target, and
-            // both loads/stores touch `LANES == 8` in-bounds f64 values.
-            unsafe {
-                let va = _mm512_loadu_pd(a.0.as_ptr());
-                let vb = _mm512_loadu_pd(b.0.as_ptr());
-                let mask = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(vb, va);
-                let mut out = [0.0; LANES];
-                _mm512_storeu_pd(out.as_mut_ptr(), _mm512_max_pd(vb, va));
-                return (F64xL(out), mask);
-            }
-        }
-        #[allow(unreachable_code)]
-        {
-            let mut out = [0.0; LANES];
-            let mut mask = 0u8;
-            for (l, o) in out.iter_mut().enumerate() {
-                let b_wins = b.0[l] > a.0[l];
-                *o = if b_wins { b.0[l] } else { a.0[l] };
-                mask |= (b_wins as u8) << l;
-            }
-            (F64xL(out), mask)
-        }
     }
 
     /// Multiplies lanewise by a scalar (`lane * s` per lane, the same
@@ -550,17 +502,6 @@ mod tests {
             assert_eq!((-a).0[l].to_bits(), (-a.0[l]).to_bits());
             assert_eq!(a.scale(3.7).0[l].to_bits(), (a.0[l] * 3.7).to_bits());
         }
-    }
-
-    #[test]
-    fn max_select_uses_strict_greater() {
-        // Equal lanes keep `a` (mask bit clear), matching the Viterbi
-        // lower-predecessor tie rule.
-        let a = F64xL([1.0, 2.0, 3.0, f64::NEG_INFINITY, 0.0, -1.0, 9.0, 2.5]);
-        let b = F64xL([1.0, 5.0, -3.0, f64::NEG_INFINITY, -0.0, 1.0, 9.0, 2.6]);
-        let (m, mask) = F64xL::max_select(a, b);
-        assert_eq!(m.0, [1.0, 5.0, 3.0, f64::NEG_INFINITY, 0.0, 1.0, 9.0, 2.6]);
-        assert_eq!(mask, 0b1010_0010);
     }
 
     #[test]

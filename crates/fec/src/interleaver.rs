@@ -112,7 +112,7 @@ impl Interleaver {
     /// # Panics
     ///
     /// Panics if `llrs.len()` is not a multiple of `Ncbps`.
-    pub fn deinterleave_soft(&self, llrs: &[f64]) -> Vec<f64> {
+    pub fn deinterleave_soft<T: Copy + Default>(&self, llrs: &[T]) -> Vec<T> {
         let mut out = Vec::new();
         self.deinterleave_soft_into(llrs, &mut out);
         out
@@ -124,9 +124,9 @@ impl Interleaver {
     /// # Panics
     ///
     /// Panics if `llrs.len()` is not a multiple of `Ncbps`.
-    pub fn deinterleave_soft_into(&self, llrs: &[f64], out: &mut Vec<f64>) {
+    pub fn deinterleave_soft_into<T: Copy + Default>(&self, llrs: &[T], out: &mut Vec<T>) {
         out.clear();
-        out.resize(llrs.len(), 0.0);
+        out.resize(llrs.len(), T::default());
         self.deinterleave_soft_to_slice(llrs, out);
     }
 
@@ -138,7 +138,7 @@ impl Interleaver {
     ///
     /// Panics if `llrs.len()` is not a multiple of `Ncbps` or `out` has
     /// a different length.
-    pub fn deinterleave_soft_to_slice(&self, llrs: &[f64], out: &mut [f64]) {
+    pub fn deinterleave_soft_to_slice<T: Copy>(&self, llrs: &[T], out: &mut [T]) {
         assert!(
             llrs.len().is_multiple_of(self.ncbps),
             "length {} is not a multiple of Ncbps {}",

@@ -17,8 +17,8 @@
 //!   for a bit marks it as an *erasure*: that bit contributes nothing to any
 //!   path metric, which is exactly the erasure Viterbi decoding (EVD) of the
 //!   CoS paper (§III-E, Eq. 7) — the decoder itself is unchanged. The
-//!   add-compare-select kernel has scalar, 4-states-per-op lane, and
-//!   4-frames-per-op lockstep implementations that emit identical bits
+//!   production kernel decodes quantised `i16` soft bits one frame at a
+//!   time, exactly as an `f64` reference decoder would on the same values
 //!   (see `docs/KERNELS.md`),
 //! * [`crc`] — CRC-32 (the 802.11 FCS).
 //!

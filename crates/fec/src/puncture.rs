@@ -89,13 +89,14 @@ impl CodeRate {
     }
 
     /// De-punctures received soft bits back to mother-code length by
-    /// inserting `0.0` LLRs (erasures) at punctured positions.
+    /// inserting zero soft bits (`T::default()`: erasures) at punctured
+    /// positions.
     ///
     /// # Panics
     ///
     /// Panics if `llrs.len()` is not a multiple of the per-period survivor
     /// count.
-    pub fn depuncture(self, llrs: &[f64]) -> Vec<f64> {
+    pub fn depuncture<T: Copy + Default>(self, llrs: &[T]) -> Vec<T> {
         let mut out = Vec::new();
         self.depuncture_into(llrs, &mut out);
         out
@@ -108,7 +109,7 @@ impl CodeRate {
     ///
     /// Panics if `llrs.len()` is not a multiple of the per-period survivor
     /// count.
-    pub fn depuncture_into(self, llrs: &[f64], out: &mut Vec<f64>) {
+    pub fn depuncture_into<T: Copy + Default>(self, llrs: &[T], out: &mut Vec<T>) {
         let mask = self.keep_mask();
         let survivors = mask.iter().filter(|&&k| k).count();
         assert!(
@@ -125,7 +126,7 @@ impl CodeRate {
                 if keep {
                     out.push(*it.next().expect("length checked above"));
                 } else {
-                    out.push(0.0);
+                    out.push(T::default());
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Soft-decision Viterbi decoding of the 802.11a convolutional code, with
 //! native erasure support (EVD).
 //!
-//! # LLR convention
+//! # Soft-bit convention
 //!
 //! A soft input `llr[i] > 0` means coded bit `i` is more likely **0**;
 //! `llr[i] < 0` means more likely **1**; `llr[i] == 0` is an **erasure** —
@@ -17,30 +17,74 @@
 //! calculation of bit metrics" — the add-compare-select kernel below is a
 //! textbook Viterbi.
 //!
+//! The receive chain hands the decoder **quantised** soft bits: `i16`
+//! values in `±`[`SOFT_MAX`], made by [`quantise`], which keeps zero (the
+//! erasure) exactly and never turns a nonzero LLR into one. The paper's
+//! Sora/SoftWiFi prototype decodes fixed-point soft bits the same way.
+//!
 //! # Kernels
 //!
-//! The add-compare-select recursion has two implementations that emit
-//! the same bits (see `docs/KERNELS.md` for the ordering contract):
+//! One production kernel, [`ViterbiDecoder::decode_i16`], decodes one
+//! frame at a time. Its add-compare-select holds all 64 path metrics as
+//! `i16` in two 512-bit registers; it has an `avx512bw` body and a
+//! portable body that performs the same wrapping operations
+//! (`COS_KERNELS=scalar` runs the portable body; builds without
+//! `avx512bw` have only it). Both are exact against an `f64` Viterbi on
+//! the same integers (`docs/KERNELS.md`, "The i16 Viterbi").
 //!
-//! * the per-frame kernel, one frame at a time (LLVM autovectorizes it
-//!   across states), and
-//! * a lockstep batch kernel ([`ViterbiDecoder::decode_lockstep`])
-//!   processing the same trellis step of [`LANES`] *frames* per op, with
-//!   per-frame fallback for remainder frames.
-//!
-//! Every owned or workspace entry point funnels into the single
-//! [`ViterbiDecoder::decode_to_slices`] core, so there is exactly one
-//! per-frame implementation and no owned/workspace drift.
-//!
-//! # Hard decisions
-//!
-//! [`ViterbiDecoder::decode_hard`] converts hard bits to ±1 LLRs, giving
-//! the classical error-only decoder used by the `ablation_evd` experiment.
+//! [`ViterbiDecoder::decode_to_slices`] keeps the `f64` add-compare-select
+//! as the reference the kernel is tested against; the owned
+//! [`ViterbiDecoder::decode`] and [`ViterbiDecoder::decode_into`] run it
+//! too. [`ViterbiDecoder::decode_lockstep`] survives only as a shim over
+//! the per-frame kernel (see its docs).
 
 use crate::conv::{branch_output, next_state, STATES};
 use crate::workspace::{SymbolBatch, ViterbiWorkspace};
-use cos_dsp::lanes::{kernel_mode, F64xL, KernelMode, LANES};
+use cos_dsp::lanes::{kernel_mode, KernelMode};
 use std::sync::OnceLock;
+
+/// The largest soft-bit magnitude: [`quantise`] saturates at `±SOFT_MAX`.
+///
+/// The bound is what makes the `i16` kernel exact: branch metrics stay
+/// within `±2·SOFT_MAX`, so every metric difference the add-compare-select
+/// takes fits in 15 bits (`docs/KERNELS.md`, "The i16 Viterbi").
+pub const SOFT_MAX: i16 = 511;
+
+/// Quantises a scaled LLR to a soft bit: rounded to the nearest integer
+/// (ties to even) and saturated at `±`[`SOFT_MAX`]. Zero (an erasure)
+/// stays zero, and a nonzero value keeps its sign: `|x| < 0.5` becomes
+/// `±1`, never an erasure. A NaN carries no information and becomes `0`.
+///
+/// Branch-free, so the demap kernel's lanes vectorise it: after the
+/// clamp, adding 1.5·2⁵² rounds to an integer (ties to even, the IEEE
+/// default) that then sits in the low mantissa bits.
+///
+/// # Examples
+///
+/// ```
+/// use cos_fec::viterbi::{quantise, SOFT_MAX};
+///
+/// assert_eq!(quantise(0.0), 0);
+/// assert_eq!(quantise(-0.2), -1);
+/// assert_eq!(quantise(37.6), 38);
+/// assert_eq!(quantise(1e9), SOFT_MAX);
+/// ```
+#[inline(always)]
+pub fn quantise(x: f64) -> i16 {
+    const ROUND: f64 = 6_755_399_441_055_744.0;
+    let max = f64::from(SOFT_MAX);
+    // Independent selects, not an `else if` chain, so LLVM keeps them
+    // branch-free; the clamp passes NaN through, then NaN becomes 0.
+    let c = x.clamp(-max, max);
+    let c = if c.is_nan() { 0.0 } else { c };
+    let q = (c + ROUND).to_bits() as u16 as i16;
+    let sign = if c > 0.0 { 1 } else { -1 };
+    if q == 0 && c != 0.0 {
+        sign
+    } else {
+        q
+    }
+}
 
 /// A soft-decision Viterbi decoder for the 133/171 rate-1/2 code.
 ///
@@ -54,10 +98,13 @@ use std::sync::OnceLock;
 /// let mut data = vec![1, 1, 0, 1, 0, 0, 1, 0];
 /// data.extend_from_slice(&[0; 6]); // tail
 /// let coded = ConvEncoder::new().encode(&data);
-/// let mut llrs: Vec<f64> = coded.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
-/// llrs[3] = 0.0; // erase one coded bit — EVD bridges it
+/// let mut llrs: Vec<i16> = coded.iter().map(|&b| if b == 0 { 100 } else { -100 }).collect();
+/// llrs[3] = 0; // erase one coded bit — EVD bridges it
 /// llrs[10] = -llrs[10]; // flip another — classical error correction
-/// assert_eq!(ViterbiDecoder::new().decode(&llrs, true), data);
+/// let steps = llrs.len() / 2;
+/// let (mut survivors, mut out) = (vec![0u64; steps], vec![0u8; steps]);
+/// ViterbiDecoder::new().decode_i16(&llrs, true, &mut survivors, &mut out);
+/// assert_eq!(out, data);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ViterbiDecoder {
@@ -69,21 +116,18 @@ pub struct ViterbiDecoder {
 /// sized `llrs.len() / 2`.
 #[derive(Debug)]
 pub struct LaneFrame<'a> {
-    /// Soft coded bits (pairs `A_t B_t`), even-length and non-empty.
-    pub llrs: &'a [f64],
+    /// Quantised soft coded bits (pairs `A_t B_t`), even-length and
+    /// non-empty.
+    pub llrs: &'a [i16],
     /// Traceback scratch: one 64-bit predecessor bitset per trellis step.
-    /// Only the per-frame fallback path writes it — the lockstep kernel
-    /// keeps its survivors lane-major in the [`SymbolBatch`] instead, so
-    /// after a batched decode this scratch holds no meaningful data.
     pub prev_lsbs: &'a mut [u64],
     /// Decoded data bits, one per trellis step.
     pub out: &'a mut [u8],
 }
 
-/// Butterfly ACS lookup, built once per process: per source state, the
-/// ±1 signs (`+1` ⇔ coded 0) of the two coded bits emitted for input 0,
-/// as parallel arrays so the per-frame ACS is pure vectorisable
-/// arithmetic.
+/// Per source state, the ±1 signs (`+1` ⇔ coded 0) of the two coded bits
+/// emitted for input 0, as parallel arrays so the reference ACS is pure
+/// vectorisable arithmetic.
 ///
 /// Two structural facts of the 133/171 trellis make this one table enough
 /// for the whole add-compare-select step:
@@ -100,31 +144,6 @@ struct SignTables {
     sb: [f64; STATES],
 }
 
-/// Per source state, the palette index of its input-0 branch metric
-/// among `[la+lb, la−lb, −(la−lb), −(la+lb)]`. Because the signs are
-/// ±1 (exact multiplies) and IEEE rounding commutes with negation,
-/// selecting from this palette is bit-identical to evaluating
-/// `sa·la + sb·lb` — and costs zero arithmetic in the lockstep loop.
-///
-/// A compile-time constant (the generator polynomials are `const`), so
-/// after LLVM unrolls the lockstep butterfly loop every palette pick
-/// folds into a register move instead of two dependent table loads.
-const TSEL: [u8; STATES] = {
-    let mut t = [0u8; STATES];
-    let mut src = 0;
-    while src < STATES {
-        let (a0, b0) = branch_output(src as u8, 0);
-        t[src] = match (a0 == 0, b0 == 0) {
-            (true, true) => 0,   //  la + lb
-            (true, false) => 1,  //  la - lb
-            (false, true) => 2,  // -(la - lb)
-            (false, false) => 3, // -(la + lb)
-        };
-        src += 1;
-    }
-    t
-};
-
 fn sign_tables() -> &'static SignTables {
     static TABLE: OnceLock<SignTables> = OnceLock::new();
     TABLE.get_or_init(|| {
@@ -134,7 +153,7 @@ fn sign_tables() -> &'static SignTables {
             let (a0, b0) = branch_output(src as u8, 0);
             sa[src] = if a0 == 0 { 1.0 } else { -1.0 };
             sb[src] = if b0 == 0 { 1.0 } else { -1.0 };
-            // The two invariants the ACS kernel relies on.
+            // The two invariants the ACS kernels rely on.
             let (a1, b1) = branch_output(src as u8, 1);
             debug_assert_eq!((a1, b1), (a0 ^ 1, b0 ^ 1));
             debug_assert_eq!(next_state(src as u8, 0) as usize, src >> 1);
@@ -146,7 +165,7 @@ fn sign_tables() -> &'static SignTables {
 
 /// Validates one frame's decode inputs, panicking with the documented
 /// messages on misuse.
-fn validate(llrs: &[f64], prev_lsbs: &[u64], out: &[u8]) -> usize {
+fn validate<T>(llrs: &[T], prev_lsbs: &[u64], out: &[u8]) -> usize {
     assert!(!llrs.is_empty(), "cannot decode an empty frame");
     assert!(llrs.len().is_multiple_of(2), "soft input length {} is not a whole number of (A,B) pairs", llrs.len());
     let steps = llrs.len() / 2;
@@ -155,9 +174,9 @@ fn validate(llrs: &[f64], prev_lsbs: &[u64], out: &[u8]) -> usize {
     steps
 }
 
-/// Picks the traceback start state from the final metrics: state 0 for a
-/// terminated trellis, otherwise the best final state (last max on ties,
-/// matching `Iterator::max_by`).
+/// Picks the reference decoder's traceback start state from the final
+/// metrics: state 0 for a terminated trellis, otherwise the best final
+/// state (last max on ties, matching `Iterator::max_by`).
 fn start_state(metric: &[f64; STATES], terminated: bool) -> usize {
     if terminated {
         0
@@ -189,7 +208,8 @@ impl ViterbiDecoder {
     }
 
     /// Decodes a frame of soft coded bits (pairs `A_t B_t`, so
-    /// `llrs.len()` must be even). Returns one data bit per pair.
+    /// `llrs.len()` must be even) on the reference `f64` kernel. Returns
+    /// one data bit per pair.
     ///
     /// If `terminated` is `true` the trellis is traced back from state 0
     /// (the frame ended in six tail zeros); otherwise from the best final
@@ -231,9 +251,9 @@ impl ViterbiDecoder {
         self.decode_to_slices(llrs, terminated, &mut ws.prev_lsbs, out);
     }
 
-    /// [`ViterbiDecoder::decode`] writing into caller-owned slices — the
-    /// allocation-free per-frame core every other per-frame entry point
-    /// funnels into.
+    /// The reference decoder: [`ViterbiDecoder::decode`] writing into
+    /// caller-owned slices, on the `f64` add-compare-select. The `i16`
+    /// kernel ([`ViterbiDecoder::decode_i16`]) is tested against it.
     ///
     /// `prev_lsbs` is the traceback scratch and `out` receives the
     /// decoded bits; both must hold exactly `llrs.len() / 2` elements
@@ -255,131 +275,94 @@ impl ViterbiDecoder {
         traceback(prev_lsbs, start_state(&metric, terminated), out);
     }
 
-    /// Decodes several independent frames in lockstep on the process-wide
-    /// [`kernel_mode`]: groups of [`LANES`] equal-length frames advance
-    /// through the trellis together, [`LANES`] frames' add-compare-select
-    /// per op; remainder frames (batch not a multiple of [`LANES`], or
-    /// unequal lengths) fall back to the per-frame kernel transparently.
+    /// Decodes one frame of quantised soft bits (pairs `A_t B_t`, each in
+    /// `±`[`SOFT_MAX`]) on the process-wide [`kernel_mode`] — the
+    /// production decoder, allocation-free.
     ///
-    /// `batch` is the reusable SoA staging and survivor-mask scratch; at
-    /// steady state the call performs no allocations. The slice is
-    /// reordered (sorted by frame length) to form lane groups; each
-    /// frame's decoded bits land in its own `out` borrow regardless.
-    /// Every frame's `out` is bit-identical to
-    /// [`ViterbiDecoder::decode_to_slices`] on that frame alone; the
-    /// `prev_lsbs` scratch is only written on the per-frame fallback path
-    /// (lane groups keep survivors in `batch`). Returns how many frames
-    /// the lane groups decoded; the rest ran the per-frame kernel.
+    /// `prev_lsbs` is the traceback scratch (one survivor word per step)
+    /// and `out` receives the decoded bits; both must hold exactly
+    /// `llrs.len() / 2` elements and are fully overwritten. For soft bits
+    /// within `±SOFT_MAX` the decoded bits equal
+    /// [`ViterbiDecoder::decode_to_slices`] on the same values as `f64`,
+    /// and so does every survivor word from step 6 on (before it the
+    /// oracle's unreachable states hold −∞, the kernel's a finite floor).
     ///
     /// # Panics
     ///
-    /// Per frame, as [`ViterbiDecoder::decode_to_slices`].
+    /// Panics if `llrs.len()` is odd or zero, or either slice has the
+    /// wrong length.
+    pub fn decode_i16(
+        &self,
+        llrs: &[i16],
+        terminated: bool,
+        prev_lsbs: &mut [u64],
+        out: &mut [u8],
+    ) {
+        self.decode_i16_with(llrs, terminated, kernel_mode(), prev_lsbs, out);
+    }
+
+    /// [`ViterbiDecoder::decode_i16`] with an explicit [`KernelMode`]:
+    /// `Lanes` runs the `avx512bw` body where the build has one, `Scalar`
+    /// the portable body. Both give the same bits on every input.
+    ///
+    /// # Panics
+    ///
+    /// As [`ViterbiDecoder::decode_i16`].
+    pub fn decode_i16_with(
+        &self,
+        llrs: &[i16],
+        terminated: bool,
+        mode: KernelMode,
+        prev_lsbs: &mut [u64],
+        out: &mut [u8],
+    ) {
+        validate(llrs, prev_lsbs, out);
+        let metric = acs_i16(llrs, prev_lsbs, mode);
+        let start = if terminated { 0 } else { best_state(&metric) };
+        traceback(prev_lsbs, start, out);
+    }
+
+    /// Decodes each frame with [`ViterbiDecoder::decode_i16`] — a shim
+    /// kept for the frame-pipeline benchmark, which still calls it; it
+    /// retires with the benchmark's next change. The decoded bits and
+    /// survivor words land in each frame's own borrows; `batch` holds
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Per frame, as [`ViterbiDecoder::decode_i16`].
     pub fn decode_lockstep(
         &self,
         frames: &mut [LaneFrame<'_>],
         terminated: bool,
         batch: &mut SymbolBatch,
-    ) -> usize {
-        self.decode_lockstep_with(frames, terminated, kernel_mode(), batch)
+    ) {
+        self.decode_lockstep_with(frames, terminated, kernel_mode(), batch);
     }
 
     /// [`ViterbiDecoder::decode_lockstep`] with an explicit
-    /// [`KernelMode`]. In scalar mode every frame runs the per-frame
-    /// kernel — bit-identical, just not batched — and the count is 0.
+    /// [`KernelMode`].
     ///
     /// # Panics
     ///
-    /// Per frame, as [`ViterbiDecoder::decode_to_slices`].
+    /// Per frame, as [`ViterbiDecoder::decode_i16`].
     pub fn decode_lockstep_with(
         &self,
         frames: &mut [LaneFrame<'_>],
         terminated: bool,
         mode: KernelMode,
-        batch: &mut SymbolBatch,
-    ) -> usize {
-        for f in frames.iter() {
-            validate(f.llrs, f.prev_lsbs, f.out);
-        }
-        if mode == KernelMode::Scalar {
-            for f in frames.iter_mut() {
-                self.decode_to_slices(f.llrs, terminated, f.prev_lsbs, f.out);
-            }
-            return 0;
-        }
-        // Lane groups need equal step counts; sort by length so equal
-        // frames are adjacent (frames are independent, so order does not
-        // affect any frame's result).
-        frames.sort_by_key(|f| f.llrs.len());
-        let mut locked = 0;
-        let mut i = 0;
-        while i < frames.len() {
-            let len = frames[i].llrs.len();
-            let mut j = i + 1;
-            while j < frames.len() && frames[j].llrs.len() == len {
-                j += 1;
-            }
-            let run = &mut frames[i..j];
-            let mut chunks = run.chunks_exact_mut(LANES);
-            for group in chunks.by_ref() {
-                acs_lockstep(group, terminated, batch);
-                locked += LANES;
-            }
-            for f in chunks.into_remainder() {
-                self.decode_to_slices(f.llrs, terminated, f.prev_lsbs, f.out);
-            }
-            i = j;
-        }
-        locked
-    }
-
-    /// Decodes hard bits (0/1) by mapping them to ±1 LLRs — the classical
-    /// error-only decoder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any bit is not 0/1, or on the length conditions of
-    /// [`ViterbiDecoder::decode`].
-    pub fn decode_hard(&self, bits: &[u8], terminated: bool) -> Vec<u8> {
-        let mut ws = ViterbiWorkspace::new();
-        let mut llrs = Vec::new();
-        let mut out = Vec::new();
-        self.decode_hard_into(bits, terminated, &mut llrs, &mut ws, &mut out);
-        out
-    }
-
-    /// [`ViterbiDecoder::decode_hard`] writing into caller-owned buffers:
-    /// `llrs` receives the ±1 mapping and the decode funnels through
-    /// [`ViterbiDecoder::decode_into`], so the hard path shares the soft
-    /// kernels rather than drifting.
-    ///
-    /// # Panics
-    ///
-    /// As [`ViterbiDecoder::decode_hard`].
-    pub fn decode_hard_into(
-        &self,
-        bits: &[u8],
-        terminated: bool,
-        llrs: &mut Vec<f64>,
-        ws: &mut ViterbiWorkspace,
-        out: &mut Vec<u8>,
+        _batch: &mut SymbolBatch,
     ) {
-        llrs.clear();
-        llrs.extend(bits.iter().map(|&b| {
-            assert!(b <= 1, "hard bits must be 0 or 1, got {b}");
-            if b == 0 {
-                1.0
-            } else {
-                -1.0
-            }
-        }));
-        self.decode_into(llrs, terminated, ws, out);
+        for f in frames {
+            self.decode_i16_with(f.llrs, terminated, mode, f.prev_lsbs, f.out);
+        }
     }
 }
 
 const NEG: f64 = f64::NEG_INFINITY;
 
-/// The per-frame ACS: one state per source-ordered butterfly, written as
-/// plain scalar code that LLVM autovectorizes. Returns the final metrics.
+/// The reference ACS: one state per source-ordered butterfly, in `f64`.
+/// Returns the final metrics.
 fn acs_scalar(llrs: &[f64], prev_lsbs: &mut [u64]) -> [f64; STATES] {
     let steps = llrs.len() / 2;
     let tables = sign_tables();
@@ -403,9 +386,7 @@ fn acs_scalar(llrs: &[f64], prev_lsbs: &mut [u64]) -> [f64; STATES] {
             let t1 = sa[2 * j + 1] * la + sb[2 * j + 1] * lb;
             // Destination j takes input 0; destination j+32 takes
             // input 1, whose branch metric is the negation. Strict `>`
-            // keeps the lower-numbered predecessor on ties, matching
-            // the src-ascending strict-improvement scan this butterfly
-            // kernel replaced.
+            // keeps the lower-numbered predecessor on ties.
             let (a0, a1) = (m0 + t0, m1 + t1);
             let odd_wins_lo = a1 > a0;
             next[j] = if odd_wins_lo { a1 } else { a0 };
@@ -421,123 +402,198 @@ fn acs_scalar(llrs: &[f64], prev_lsbs: &mut [u64]) -> [f64; STATES] {
     metric
 }
 
-/// The lockstep ACS: the same trellis step of [`LANES`] equal-length
-/// frames per op, metrics held state-major with one lane per frame (no
-/// gathers at all — `metric[2j]` is already a lane row). Stages the lane
-/// group's soft bits into `batch`'s SoA buffer so the per-step lane loads
-/// are contiguous, then traces every frame back in one fused sweep.
-///
-/// Two further tricks keep the inner loop lean without changing a bit:
-///
-/// * branch metrics come from a 4-entry palette `[la+lb, la−lb, −(la−lb),
-///   −(la+lb)]` indexed by the compile-time `TSEL` table — ±1 multiplies are exact
-///   and IEEE rounding commutes with negation, so each selected value is
-///   bitwise the scalar kernel's `sa·la + sb·lb`;
-/// * survivor masks are stored lane-major as raw bytes in
-///   `batch.mask_rows` (one store per destination state) instead of being
-///   bit-scattered into per-frame `u64` rows, and the fused traceback
-///   reads every lane's bit out of a step's row — one cache line — while
-///   it is resident, one backward sweep for the whole group.
-fn acs_lockstep(group: &mut [LaneFrame<'_>], terminated: bool, batch: &mut SymbolBatch) {
-    debug_assert_eq!(group.len(), LANES);
-    let steps = group[0].llrs.len() / 2;
-    let soa = &mut batch.soa_llrs;
-    if soa.len() < steps * 2 * LANES {
-        soa.resize(steps * 2 * LANES, 0.0);
+/// The `i16` kernel's initial metric for the states the encoder cannot be
+/// in yet: far enough below every reachable metric that a reachable
+/// predecessor always wins during the six warm-up steps, and close enough
+/// that every difference the kernel takes still fits in 15 bits.
+const UNREACHED: i16 = -16_384;
+
+/// Per butterfly `j`, the index of source `2j`'s input-0 branch metric in
+/// the step palette `[la+lb, la−lb, −(la+lb), −(la−lb)]`, the only values
+/// a branch metric takes. Source `2j + 1` emits the complementary pair —
+/// both generators tap the oldest bit, which is all the two sources
+/// differ in — so its branch metric is the negation.
+const PICK: [u8; STATES / 2] = {
+    let mut pick = [0u8; STATES / 2];
+    let mut j = 0;
+    while j < STATES / 2 {
+        let (a, b) = branch_output(2 * j as u8, 0);
+        let (a1, b1) = branch_output(2 * j as u8 + 1, 0);
+        assert!(a1 == a ^ 1 && b1 == b ^ 1, "sources 2j and 2j+1 emit complementary pairs");
+        // sa·la + sb·lb with sa = +1 ⇔ a = 0: a picks the sign, a ≠ b the
+        // difference.
+        pick[j] = (a << 1) | (a ^ b);
+        j += 1;
     }
-    // Transpose lane-major: one linear sweep of the SoA buffer (each
-    // cache line written once, all lanes while it is resident) instead of
-    // a per-frame scatter that walks the whole buffer once per lane.
-    let llrs: [&[f64]; LANES] = std::array::from_fn(|l| &group[l].llrs[..steps * 2]);
-    for (i, dst) in soa[..steps * 2 * LANES].chunks_exact_mut(LANES).enumerate() {
-        for (l, src) in llrs.iter().enumerate() {
-            dst[l] = src[i];
-        }
+    pick
+};
+
+/// The `i16` add-compare-select on the body `mode` selects. Writes one
+/// survivor word per step and returns the final metrics.
+fn acs_i16(llrs: &[i16], prev_lsbs: &mut [u64], mode: KernelMode) -> [i16; STATES] {
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512bw"))]
+    if mode == KernelMode::Lanes {
+        return acs_avx512(llrs, prev_lsbs);
     }
-    let masks = &mut batch.mask_rows;
-    // Grow-only, no refill: every byte of the first `steps` rows is
-    // stored by `lockstep_step` before traceback reads it.
-    if masks.len() < steps * STATES {
-        masks.resize(steps * STATES, 0);
-    }
-    let mut buf_a = [F64xL::splat(NEG); STATES];
-    buf_a[0] = F64xL::splat(0.0);
-    let mut buf_b = [F64xL::splat(NEG); STATES];
-    // Straight-line ping-pong: a by-value swap of these buffers would
-    // copy 8 KiB per step.
-    let mut t = 0;
-    while t + 2 <= steps {
-        lockstep_step(soa, masks, t, &buf_a, &mut buf_b);
-        lockstep_step(soa, masks, t + 1, &buf_b, &mut buf_a);
-        t += 2;
-    }
-    let metric = if t < steps {
-        lockstep_step(soa, masks, t, &buf_a, &mut buf_b);
-        &buf_b
-    } else {
-        &buf_a
-    };
-    // Traceback, all lanes fused into one backward sweep: each step's
-    // mask row is a single cache line, so reading every lane's bit while
-    // it is resident costs one sweep of the rows instead of eight.
-    let mut states = [0usize; LANES];
-    for (l, state) in states.iter_mut().enumerate() {
-        let mut col = [0.0; STATES];
-        for (s, slot) in col.iter_mut().enumerate() {
-            *slot = metric[s].0[l];
-        }
-        *state = start_state(&col, terminated);
-    }
-    for t in (0..steps).rev() {
-        let row: &[u8; STATES] = (&masks[t * STATES..(t + 1) * STATES]).try_into().unwrap();
-        for (l, (f, state)) in group.iter_mut().zip(states.iter_mut()).enumerate() {
-            f.out[t] = (*state >> 5) as u8;
-            let prev_lsb = ((row[*state] >> l) & 1) as usize;
-            *state = ((*state & 0x1F) << 1) | prev_lsb;
-        }
-    }
+    let _ = mode;
+    acs_portable(llrs, prev_lsbs)
 }
 
-/// One trellis step of [`acs_lockstep`]: reads step `t`'s lane rows from
-/// `soa`, advances `metric` into `next` and stores the step's winner-mask
-/// row into `masks`.
-#[inline(always)]
-fn lockstep_step(
-    soa: &[f64],
-    masks: &mut [u8],
-    t: usize,
-    metric: &[F64xL; STATES],
-    next: &mut [F64xL; STATES],
-) {
-    let la = F64xL::load(&soa[2 * t * LANES..]);
-    let lb = F64xL::load(&soa[(2 * t + 1) * LANES..]);
-    let sum = la + lb;
-    let diff = la - lb;
-    let palette = [sum, diff, -diff, -sum];
-    // Fixed-size row reference and `& 3` palette indices: both make every
-    // bound in the hot loop provable, so no per-state branch survives.
-    let row: &mut [u8; STATES] = (&mut masks[t * STATES..(t + 1) * STATES]).try_into().unwrap();
-    // Fully unrolled over the 32 butterflies with literal `j`: the
-    // `TSEL` lookups become compile-time constants, so each palette pick
-    // folds to one of four register values instead of two dependent
-    // loads per butterfly. LLVM does not unroll this far on its own.
-    macro_rules! butterfly {
-        ($($j:literal)+) => {$(
-            let m0 = metric[2 * $j];
-            let m1 = metric[2 * $j + 1];
-            let t0 = palette[(TSEL[2 * $j] & 3) as usize];
-            let t1 = palette[(TSEL[2 * $j + 1] & 3) as usize];
-            let (lo, lo_mask) = F64xL::max_select(m0 + t0, m1 + t1);
-            next[$j] = lo;
-            row[$j] = lo_mask;
-            let (hi, hi_mask) = F64xL::max_select(m0 - t0, m1 - t1);
-            next[$j + STATES / 2] = hi;
-            row[$j + STATES / 2] = hi_mask;
-        )+};
+/// Per butterfly `j`, the signs (±1, `+1` ⇔ coded 0) of source `2j`'s
+/// input-0 coded pair: `SIGNS[0][j]·la + SIGNS[1][j]·lb` is palette
+/// entry `PICK[j]`, also in wrapping arithmetic (negation commutes with
+/// it).
+const SIGNS: [[i16; STATES / 2]; 2] = {
+    let mut signs = [[0i16; STATES / 2]; 2];
+    let mut j = 0;
+    while j < STATES / 2 {
+        signs[0][j] = 1 - 2 * (PICK[j] >> 1) as i16;
+        signs[1][j] = signs[0][j] * (1 - 2 * (PICK[j] & 1) as i16);
+        j += 1;
     }
-    const { assert!(STATES / 2 == 32, "the butterfly unroll covers exactly STATES / 2 entries") };
-    butterfly!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
-    butterfly!(16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31);
+    signs
+};
+
+/// The portable body of [`acs_i16`]: per butterfly, the candidates of
+/// both destinations in wrapping arithmetic; the odd source wins when
+/// the sign of `even − odd` is set (strict `>`: a tie keeps the even,
+/// lower-numbered predecessor), and the survivor is `even − min(even −
+/// odd, 0)`. The same operations as the `avx512bw` body, lane for lane,
+/// written as whole-row loops over fixed-size arrays, which LLVM
+/// vectorises.
+fn acs_portable(llrs: &[i16], prev_lsbs: &mut [u64]) -> [i16; STATES] {
+    const HALF: usize = STATES / 2;
+    let [sign_a, sign_b] = SIGNS;
+    let mut lo = [UNREACHED; HALF];
+    let mut hi = [UNREACHED; HALF];
+    lo[0] = 0; // encoder starts from the zero state
+    for (pair, word) in llrs.chunks_exact(2).zip(prev_lsbs.iter_mut()) {
+        let (la, lb) = (pair[0], pair[1]);
+        let (mut e, mut o) = ([0i16; HALF], [0i16; HALF]);
+        for j in 0..HALF / 2 {
+            (e[j], o[j]) = (lo[2 * j], lo[2 * j + 1]);
+            (e[j + HALF / 2], o[j + HALF / 2]) = (hi[2 * j], hi[2 * j + 1]);
+        }
+        let (mut dl, mut dh) = ([0i16; HALF], [0i16; HALF]);
+        for j in 0..HALF {
+            let t = sign_a[j].wrapping_mul(la).wrapping_add(sign_b[j].wrapping_mul(lb));
+            let (a0, a1) = (e[j].wrapping_add(t), o[j].wrapping_sub(t));
+            let (b0, b1) = (e[j].wrapping_sub(t), o[j].wrapping_add(t));
+            (dl[j], dh[j]) = (a0.wrapping_sub(a1), b0.wrapping_sub(b1));
+            lo[j] = a0.wrapping_sub(dl[j].min(0));
+            hi[j] = b0.wrapping_sub(dh[j].min(0));
+        }
+        *word = (0..HALF).fold(0, |w, j| {
+            w | u64::from(dl[j] < 0) << j | u64::from(dh[j] < 0) << (j + HALF)
+        });
+    }
+    let mut metric = [0i16; STATES];
+    metric[..HALF].copy_from_slice(&lo);
+    metric[HALF..].copy_from_slice(&hi);
+    metric
+}
+
+/// The `avx512bw` body of [`acs_i16`]. The metrics of states `0..32` and
+/// `32..64` sit in two registers in natural order, so the survivor masks
+/// — the sign bits of `even − odd` (`vpmovw2m`) — are already the step's
+/// word. Per step one `vpshufb` spreads the step palette over the
+/// butterflies; to gather the next step's even and odd sources, one
+/// `vpshufb` per register groups each 128-bit block's even words before
+/// its odd ones, and one `vpermt2q` per output picks the even (odd)
+/// quarter-blocks of both registers in order — 4 cycles of latency where
+/// a word-granular `vpermt2w` takes 7. The palettes of a block of steps
+/// are computed ahead of the recursion so each step reads its own with
+/// one broadcast load.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512bw"))]
+fn acs_avx512(llrs: &[i16], prev_lsbs: &mut [u64]) -> [i16; STATES] {
+    use std::arch::x86_64::*;
+    const HALF: usize = STATES / 2;
+    const BLOCK: usize = 64;
+    // `vpshufb` controls, per 128-bit lane: `PALETTE` sends word `j` of
+    // the result palette entry `PICK[j]` (the 8-byte palette repeats
+    // through the lane); `EVEN_ODD` moves words 0, 2, 4, 6 to the low
+    // quadword and 1, 3, 5, 7 to the high one.
+    const PALETTE: [u8; 2 * HALF] = {
+        let mut ctl = [0u8; 2 * HALF];
+        let mut j = 0;
+        while j < HALF {
+            ctl[2 * j] = 2 * PICK[j];
+            ctl[2 * j + 1] = 2 * PICK[j] + 1;
+            j += 1;
+        }
+        ctl
+    };
+    const EVEN_ODD: [u8; 2 * HALF] = {
+        let mut ctl = [0u8; 2 * HALF];
+        let mut i = 0;
+        while i < 2 * HALF {
+            let w = (i % 16) / 2; // destination word within the lane
+            let src = if w < 4 { 2 * w } else { 2 * (w - 4) + 1 };
+            ctl[i] = (2 * src + i % 2) as u8;
+            i += 1;
+        }
+        ctl
+    };
+    // Quadword `q` of each `EVEN_ODD` output holds the even (q even) or
+    // odd (q odd) words of lane `q / 2`: the even sources are quadwords
+    // 0, 2, …, 14 of the pair, the odd ones 1, 3, …, 15.
+    const EVEN_Q: [i64; 8] = [0, 2, 4, 6, 8, 10, 12, 14];
+    const ODD_Q: [i64; 8] = [1, 3, 5, 7, 9, 11, 13, 15];
+    // One step's palette `[la+lb, la−lb, −(la+lb), −(la−lb)]`, wrapping.
+    fn palette(la: i16, lb: i16) -> [i16; 4] {
+        let (s, d) = (la.wrapping_add(lb), la.wrapping_sub(lb));
+        [s, d, s.wrapping_neg(), d.wrapping_neg()]
+    }
+    let mut palettes = [[0i16; 4]; BLOCK];
+    let mut metric = [UNREACHED; STATES];
+    metric[0] = 0;
+    // SAFETY: `avx512bw` (which implies `avx512f`) is enabled for the
+    // whole build, as this function's `cfg` requires. Every load and
+    // store stays inside memory this function borrows or owns: the
+    // controls and each half of `metric` are exactly 64 bytes, each
+    // palette is 8 bytes, read unaligned, and each survivor word is one
+    // `u64` of `prev_lsbs`, written as its two 4-byte halves.
+    unsafe {
+        let palette_ctl = _mm512_loadu_si512(PALETTE.as_ptr().cast());
+        let even_odd = _mm512_loadu_si512(EVEN_ODD.as_ptr().cast());
+        let even_q = _mm512_loadu_si512(EVEN_Q.as_ptr().cast());
+        let odd_q = _mm512_loadu_si512(ODD_Q.as_ptr().cast());
+        let zero = _mm512_setzero_si512();
+        let mut lo = _mm512_loadu_si512(metric.as_ptr().cast());
+        let mut hi = _mm512_loadu_si512(metric[HALF..].as_ptr().cast());
+        for (pairs, words) in llrs.chunks(2 * BLOCK).zip(prev_lsbs.chunks_mut(BLOCK)) {
+            for (p, pair) in palettes.iter_mut().zip(pairs.chunks_exact(2)) {
+                *p = palette(pair[0], pair[1]);
+            }
+            for (p, word) in palettes.iter().zip(words.iter_mut()) {
+                let lo_g = _mm512_shuffle_epi8(lo, even_odd);
+                let hi_g = _mm512_shuffle_epi8(hi, even_odd);
+                let e = _mm512_permutex2var_epi64(lo_g, even_q, hi_g);
+                let o = _mm512_permutex2var_epi64(lo_g, odd_q, hi_g);
+                let p = _mm512_set1_epi64(p.as_ptr().cast::<i64>().read_unaligned());
+                let t = _mm512_shuffle_epi8(p, palette_ctl);
+                let (a0, a1) = (_mm512_add_epi16(e, t), _mm512_sub_epi16(o, t));
+                let (b0, b1) = (_mm512_sub_epi16(e, t), _mm512_add_epi16(o, t));
+                let (dl, dh) = (_mm512_sub_epi16(a0, a1), _mm512_sub_epi16(b0, b1));
+                lo = _mm512_sub_epi16(a0, _mm512_min_epi16(dl, zero));
+                hi = _mm512_sub_epi16(b0, _mm512_min_epi16(dh, zero));
+                let halves: *mut u32 = (word as *mut u64).cast();
+                _store_mask32(halves, _mm512_movepi16_mask(dl));
+                _store_mask32(halves.add(1), _mm512_movepi16_mask(dh));
+            }
+        }
+        _mm512_storeu_si512(metric.as_mut_ptr().cast(), lo);
+        _mm512_storeu_si512(metric[HALF..].as_mut_ptr().cast(), hi);
+    }
+    metric
+}
+
+/// The best final state of the `i16` kernel, for an unterminated trellis:
+/// the last maximum on ties, like the reference's `Iterator::max_by`.
+/// The metrics wrap, so states are compared by their difference to state
+/// 0, which is exact: the metric spread stays below 2¹⁵.
+fn best_state(metric: &[i16; STATES]) -> usize {
+    (0..STATES).max_by_key(|&s| metric[s].wrapping_sub(metric[0])).expect("STATES > 0")
 }
 
 #[cfg(test)]
@@ -660,14 +716,6 @@ mod tests {
     }
 
     #[test]
-    fn hard_decode_matches_soft_on_clean_input() {
-        let data = frame(100, 13);
-        let coded = ConvEncoder::new().encode(&data);
-        let dec = ViterbiDecoder::new();
-        assert_eq!(dec.decode_hard(&coded, true), data);
-    }
-
-    #[test]
     fn all_erased_frame_decodes_to_some_valid_word() {
         // With zero information every path ties; the decoder must still
         // return a well-formed output (all-zeros wins ties from state 0).
@@ -694,85 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_matches_per_frame_including_remainders() {
-        let dec = ViterbiDecoder::new();
-        let mut batch = SymbolBatch::new();
-        // Mixed lengths, batch sizes 1..=9: full lanes, remainders and
-        // unequal-length groups all covered.
-        for batch_size in 1..=9usize {
-            let frames_data: Vec<(Vec<f64>, usize)> = (0..batch_size)
-                .map(|k| {
-                    let len = 40 + 20 * (k % 3);
-                    let data = frame(len, k as u64 + 99);
-                    let coded = ConvEncoder::new().encode(&data);
-                    let llrs = noisy_llrs(&coded, k as u64 * 7 + 1);
-                    let steps = llrs.len() / 2;
-                    (llrs, steps)
-                })
-                .collect();
-            let mut prevs: Vec<Vec<u64>> = frames_data.iter().map(|(_, s)| vec![0; *s]).collect();
-            let mut outs: Vec<Vec<u8>> = frames_data.iter().map(|(_, s)| vec![0; *s]).collect();
-            {
-                let mut lane_frames: Vec<LaneFrame<'_>> = frames_data
-                    .iter()
-                    .zip(prevs.iter_mut().zip(outs.iter_mut()))
-                    .map(|((llrs, _), (p, o))| LaneFrame { llrs, prev_lsbs: p, out: o })
-                    .collect();
-                dec.decode_lockstep(&mut lane_frames, true, &mut batch);
-            }
-            // Only the decoded bits are contracted to match — lane groups
-            // keep their survivors in the SymbolBatch, not in prev_lsbs.
-            for (k, (llrs, steps)) in frames_data.iter().enumerate() {
-                let mut p = vec![0u64; *steps];
-                let mut o = vec![0u8; *steps];
-                dec.decode_to_slices(llrs, true, &mut p, &mut o);
-                assert_eq!(outs[k], o, "batch={batch_size} frame={k} bits");
-            }
-        }
-    }
-
-    #[test]
-    fn lockstep_reports_the_frames_its_lane_groups_decoded() {
-        // Eight equal-length frames form one lane group; the ninth, longer
-        // one runs per frame. Scalar mode groups nothing.
-        let dec = ViterbiDecoder::new();
-        let llrs: Vec<Vec<f64>> = (0..9u64)
-            .map(|k| {
-                let data = frame(if k == 8 { 60 } else { 40 }, k + 5);
-                noisy_llrs(&ConvEncoder::new().encode(&data), k + 3)
-            })
-            .collect();
-        for (mode, want) in [(KernelMode::Lanes, LANES), (KernelMode::Scalar, 0)] {
-            let mut prevs: Vec<Vec<u64>> = llrs.iter().map(|l| vec![0; l.len() / 2]).collect();
-            let mut outs: Vec<Vec<u8>> = llrs.iter().map(|l| vec![0; l.len() / 2]).collect();
-            let mut frames: Vec<LaneFrame<'_>> = llrs
-                .iter()
-                .zip(prevs.iter_mut().zip(outs.iter_mut()))
-                .map(|(l, (p, o))| LaneFrame { llrs: l, prev_lsbs: p, out: o })
-                .collect();
-            let locked = dec.decode_lockstep_with(&mut frames, true, mode, &mut SymbolBatch::new());
-            assert_eq!(locked, want, "{mode}");
-            drop(frames);
-            for (l, o) in llrs.iter().zip(&outs) {
-                assert_eq!(*o, dec.decode(l, true), "{mode}");
-            }
-        }
-    }
-
-    #[test]
-    fn decode_hard_into_matches_owned() {
-        let dec = ViterbiDecoder::new();
-        let data = frame(150, 31);
-        let coded = ConvEncoder::new().encode(&data);
-        let mut ws = ViterbiWorkspace::new();
-        let mut llrs = Vec::new();
-        let mut out = Vec::new();
-        dec.decode_hard_into(&coded, true, &mut llrs, &mut ws, &mut out);
-        assert_eq!(out, dec.decode_hard(&coded, true));
-        assert_eq!(out, data);
-    }
-
-    #[test]
     #[should_panic(expected = "empty")]
     fn empty_input_panics() {
         ViterbiDecoder::new().decode(&[], true);
@@ -784,10 +753,63 @@ mod tests {
         ViterbiDecoder::new().decode(&[1.0; 7], true);
     }
 
+    /// Soft values in ±1 scaled to the full soft-bit range.
+    fn soft_bits(llrs: &[f64]) -> Vec<i16> {
+        llrs.iter().map(|&l| quantise(l * f64::from(SOFT_MAX))).collect()
+    }
+
+    /// The `i16` kernel's survivor words and decoded bits on one body.
+    fn run_i16(llrs: &[i16], terminated: bool, mode: KernelMode) -> (Vec<u64>, Vec<u8>) {
+        let steps = llrs.len() / 2;
+        let (mut prev, mut out) = (vec![0u64; steps], vec![0u8; steps]);
+        ViterbiDecoder::new().decode_i16_with(llrs, terminated, mode, &mut prev, &mut out);
+        (prev, out)
+    }
+
+    #[test]
+    fn quantiser_keeps_erasures_and_signs_and_saturates() {
+        assert_eq!(quantise(0.0), 0);
+        assert_eq!(quantise(-0.0), 0);
+        assert_eq!(quantise(f64::NAN), 0);
+        for x in [1e-300, 0.3, 0.5, 0.7, 1.5, 2.5, 200.4, 510.6, 511.0, 1e6, f64::INFINITY] {
+            let q = quantise(x);
+            assert!(q > 0 && q <= SOFT_MAX, "{x} -> {q}");
+            assert_eq!(quantise(-x), -q, "{x}");
+        }
+        assert_eq!((quantise(0.3), quantise(2.5), quantise(2.6)), (1, 2, 3));
+        assert_eq!((quantise(510.6), quantise(1e6)), (SOFT_MAX, SOFT_MAX));
+        assert_eq!(quantise(f64::NEG_INFINITY), -SOFT_MAX);
+        for v in -SOFT_MAX..=SOFT_MAX {
+            assert_eq!(quantise(f64::from(v)), v, "integers in range are fixed points");
+        }
+    }
+
+    #[test]
+    fn i16_kernel_matches_the_reference_on_noisy_frames() {
+        for (k, len) in [1usize, 40, 200, 1000].into_iter().enumerate() {
+            let data = frame(len, k as u64 + 99);
+            let coded = ConvEncoder::new().encode(&data);
+            let soft = soft_bits(&noisy_llrs(&coded, k as u64 * 7 + 1));
+            let wide: Vec<f64> = soft.iter().map(|&q| f64::from(q)).collect();
+            let steps = soft.len() / 2;
+            for terminated in [true, false] {
+                let (mut prev, mut out) = (vec![0u64; steps], vec![0u8; steps]);
+                ViterbiDecoder::new().decode_to_slices(&wide, terminated, &mut prev, &mut out);
+                for mode in [KernelMode::Lanes, KernelMode::Scalar] {
+                    let (got_prev, got_out) = run_i16(&soft, terminated, mode);
+                    assert_eq!(got_out, out, "len {len}, {mode}, terminated {terminated}");
+                    assert_eq!(got_prev[6..], prev[6..], "len {len}, {mode}");
+                }
+            }
+            let clean = soft_bits(&ideal_llrs(&coded));
+            assert_eq!(run_i16(&clean, true, KernelMode::Lanes).1, data, "len {len}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "pairs")]
     fn lockstep_rejects_odd_frames() {
-        let llrs = [1.0; 7];
+        let llrs = [1i16; 7];
         let mut p = [0u64; 3];
         let mut o = [0u8; 3];
         let mut frames = [LaneFrame { llrs: &llrs, prev_lsbs: &mut p, out: &mut o }];

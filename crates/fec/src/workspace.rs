@@ -28,8 +28,8 @@ impl ViterbiWorkspace {
     }
 
     /// Sizes the traceback scratch for a `steps`-step trellis and returns
-    /// it, so staged pipelines can hand the decoder a bare slice (e.g. via
-    /// [`crate::LaneFrame`]) without reaching into the workspace.
+    /// it, so staged pipelines can hand the decoder a bare slice without
+    /// reaching into the workspace.
     /// Only the length is set: the decoder stores every step's word before
     /// traceback reads it, so stale words from a longer frame are never
     /// seen and refilling them with zeros would be a dead memset.
@@ -39,31 +39,16 @@ impl ViterbiWorkspace {
     }
 }
 
-/// SoA staging for the batch-of-frames Viterbi kernel
-/// ([`crate::ViterbiDecoder::decode_lockstep`]): the soft bits of one
-/// lane group of frames transposed so position `i` of every frame is
-/// contiguous (`soa_llrs[i * LANES + lane]`), which turns the lockstep
-/// kernel's per-step loads into plain lane reads, plus the lane-major
-/// survivor masks the lockstep traceback walks (`mask_rows[t * STATES +
-/// state]`, bit `lane` = winning predecessor LSB).
-///
-/// One `SymbolBatch` belongs to whoever drives a batch of frames — an
-/// engine worker decoding several sessions' symbols per instruction, or a
-/// bench loop — not to any single session's [`FecWorkspace`], because the
-/// batch spans sessions by design. The buffers grow to the largest lane
-/// group ever staged and are then reused allocation-free (gated by
-/// `alloc_gate`).
+/// Retired lockstep staging: holds nothing. It stays only so the
+/// [`crate::ViterbiDecoder::decode_lockstep`] shim keeps the signature the
+/// frame-pipeline benchmark calls, and retires with that shim.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolBatch {
-    /// Lane-transposed soft bits of the current lane group.
-    pub(crate) soa_llrs: Vec<f64>,
-    /// Per-step, per-state winner masks of the current lane group: byte
-    /// `t * STATES + state` holds one survivor bit per lane.
-    pub(crate) mask_rows: Vec<u8>,
+    _private: (),
 }
 
 impl SymbolBatch {
-    /// Creates an empty batch; the staging buffer grows on first use.
+    /// Creates an empty batch.
     pub fn new() -> Self {
         Self::default()
     }
@@ -78,9 +63,9 @@ impl SymbolBatch {
 /// whole struct at once.
 #[derive(Debug, Clone, Default)]
 pub struct FecWorkspace {
-    /// Viterbi input: soft bits in mother-code order, `+0.0` at
-    /// punctured positions.
-    pub mother_llrs: Vec<f64>,
+    /// Viterbi input: quantised soft bits in mother-code order, `0` (an
+    /// erasure) at punctured positions.
+    pub mother_llrs: Vec<i16>,
     /// Viterbi output (scrambled data bits).
     pub decoded: Vec<u8>,
     /// Traceback scratch for the Viterbi decoder.

@@ -1,106 +1,138 @@
-//! Kernel differential property tests: the lockstep Viterbi ACS kernel
-//! must be **byte-equal** to the per-frame kernel over arbitrary LLR
-//! streams (erasures included), frame lengths, termination flags and
-//! batch sizes, covering the remainder and odd-batch paths of the
-//! lockstep driver. Batches are compared on decoded bits (the lockstep
-//! kernel keeps its survivors lane-major in the `SymbolBatch`, not in
-//! `prev_lsbs`).
+//! Kernel differential property tests: the `i16` Viterbi
+//! (`ViterbiDecoder::decode_i16_with`, on both bodies where the build has
+//! them — the `avx512bw` one under `KernelMode::Lanes` and the portable
+//! one under `KernelMode::Scalar`) must equal the `f64` reference decoder
+//! (`decode_to_slices`) on the same integer soft bits within `±SOFT_MAX`.
+//!
+//! Compared: the decoded bits, terminated and unterminated (the kernel's
+//! modular argmax against the reference's last-max-on-ties), and every
+//! survivor word from step K − 1 = 6 on — before it the reference holds
+//! −∞ in the states the encoder cannot reach yet, the kernel a finite
+//! floor, and their tie-breaks there may differ.
+//!
+//! Inputs: lengths from 1 to 2¹³ steps; random soft bits with a share
+//! saturated at `±SOFT_MAX` and erasure runs; all-zero frames; and
+//! adversarial full-magnitude streams (alternating `±SOFT_MAX` pairs and
+//! random full-magnitude signs), which drive the metric spread to its
+//! bound.
 
 use cos_dsp::KernelMode;
+use cos_fec::viterbi::SOFT_MAX;
 use cos_fec::{LaneFrame, SymbolBatch, ViterbiDecoder};
 use proptest::prelude::*;
 
-/// Soft bits in a plausible LLR range; values near zero act as erasures,
-/// so the streams exercise ties and the erasure-decoding path too.
-fn arb_llrs(pairs: usize) -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::vec(-4.0f64..4.0, pairs * 2).prop_map(|mut v| {
-        for x in v.iter_mut() {
-            if x.abs() < 0.4 {
-                *x = 0.0; // exact erasure
+/// The survivor words before this step may differ from the reference's.
+const WARM_UP: usize = 6;
+
+/// A soft-bit stream of `steps` trellis steps in the given `shape`.
+fn stream(steps: usize, shape: u8, seed: u64) -> Vec<i16> {
+    let mut x = seed | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let full = |r: u64| if r & 1 == 0 { SOFT_MAX } else { -SOFT_MAX };
+    let mut erase = 0usize;
+    (0..2 * steps)
+        .map(|i| match shape {
+            // Random soft bits, one in eight saturated, with erasure runs.
+            0 => {
+                let r = next();
+                if erase == 0 && r % 29 == 0 {
+                    erase = 1 + (r >> 8) as usize % 40;
+                }
+                if erase > 0 {
+                    erase -= 1;
+                    0
+                } else if (r >> 16) % 8 == 0 {
+                    full(r >> 20)
+                } else {
+                    ((r >> 24) % (2 * SOFT_MAX as u64 + 1)) as i16 - SOFT_MAX
+                }
             }
-        }
-        v
-    })
+            // Nothing known at all: every path ties.
+            1 => 0,
+            // Alternating full-magnitude pairs: (+, +), (−, −), …
+            2 => full((i / 2) as u64),
+            // Full magnitude, random signs.
+            _ => full(next()),
+        })
+        .collect()
 }
 
-/// Decodes one frame with the per-frame kernel.
-fn decode_frame(llrs: &[f64], terminated: bool) -> Vec<u8> {
+/// The reference decoder's survivor words and bits on the same values.
+fn reference(llrs: &[i16], terminated: bool) -> (Vec<u64>, Vec<u8>) {
+    let wide: Vec<f64> = llrs.iter().map(|&l| f64::from(l)).collect();
     let steps = llrs.len() / 2;
-    let mut prev = vec![0u64; steps];
-    let mut out = vec![0u8; steps];
-    ViterbiDecoder::new().decode_to_slices(llrs, terminated, &mut prev, &mut out);
-    out
+    let (mut prev, mut out) = (vec![0u64; steps], vec![0u8; steps]);
+    ViterbiDecoder::new().decode_to_slices(&wide, terminated, &mut prev, &mut out);
+    (prev, out)
+}
+
+/// The `i16` kernel's survivor words and bits on one body.
+fn kernel(llrs: &[i16], terminated: bool, mode: KernelMode) -> (Vec<u64>, Vec<u8>) {
+    let steps = llrs.len() / 2;
+    let (mut prev, mut out) = (vec![0u64; steps], vec![0u8; steps]);
+    ViterbiDecoder::new().decode_i16_with(llrs, terminated, mode, &mut prev, &mut out);
+    (prev, out)
+}
+
+fn check(llrs: &[i16], terminated: bool) {
+    let (want_prev, want_out) = reference(llrs, terminated);
+    for mode in [KernelMode::Lanes, KernelMode::Scalar] {
+        let (prev, out) = kernel(llrs, terminated, mode);
+        assert_eq!(out, want_out, "{mode}, terminated {terminated}, {} steps", out.len());
+        let from = WARM_UP.min(prev.len());
+        assert_eq!(prev[from..], want_prev[from..], "{mode}, {} steps", prev.len());
+    }
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
     #[test]
-    fn lockstep_batches_are_byte_equal_to_scalar(
-        lens in proptest::collection::vec(1usize..60, 1..9),
-        pool in arb_llrs(120),
+    fn i16_kernel_equals_the_f64_reference(
+        steps in prop_oneof![1usize..64, 64usize..1024, 1024usize..8193],
+        shape in 0u8..4,
+        seed in any::<u64>(),
         t in 0usize..2,
     ) {
-        let terminated = t == 1;
-        // Frame k reads its soft bits from the shared pool at offset k, so
-        // equal-length frames still carry different streams.
-        let frames_llrs: Vec<Vec<f64>> = lens
-            .iter()
-            .enumerate()
-            .map(|(k, &steps)| {
-                (0..steps * 2).map(|i| pool[(i + 7 * k) % pool.len()]).collect()
-            })
-            .collect();
+        check(&stream(steps, shape, seed), t == 1);
+    }
 
-        let reference: Vec<Vec<u8>> =
-            frames_llrs.iter().map(|llrs| decode_frame(llrs, terminated)).collect();
-
-        let mut prevs: Vec<Vec<u64>> = lens.iter().map(|&s| vec![0u64; s]).collect();
-        let mut outs: Vec<Vec<u8>> = lens.iter().map(|&s| vec![0u8; s]).collect();
-        let mut lane_frames: Vec<LaneFrame<'_>> = frames_llrs
+    #[test]
+    fn lockstep_shim_decodes_each_frame_like_the_kernel(
+        lens in proptest::collection::vec(1usize..300, 1..9),
+        seed in any::<u64>(),
+    ) {
+        let frames: Vec<Vec<i16>> =
+            lens.iter().enumerate().map(|(k, &s)| stream(s, 0, seed ^ k as u64)).collect();
+        let mut prevs: Vec<Vec<u64>> = lens.iter().map(|&s| vec![0; s]).collect();
+        let mut outs: Vec<Vec<u8>> = lens.iter().map(|&s| vec![0; s]).collect();
+        let mut lane_frames: Vec<LaneFrame<'_>> = frames
             .iter()
             .zip(prevs.iter_mut().zip(outs.iter_mut()))
             .map(|(llrs, (prev, out))| LaneFrame { llrs, prev_lsbs: prev, out })
             .collect();
-        let mut batch = SymbolBatch::new();
-        ViterbiDecoder::new().decode_lockstep_with(
-            &mut lane_frames,
-            terminated,
-            KernelMode::Lanes,
-            &mut batch,
-        );
+        ViterbiDecoder::new().decode_lockstep(&mut lane_frames, true, &mut SymbolBatch::new());
         drop(lane_frames);
-
-        for (k, (bits, got_bits)) in reference.iter().zip(outs.iter()).enumerate() {
-            prop_assert_eq!(bits, got_bits, "frame {}", k);
+        for (k, llrs) in frames.iter().enumerate() {
+            let (prev, out) = kernel(llrs, true, cos_dsp::kernel_mode());
+            prop_assert_eq!(&outs[k], &out, "frame {}", k);
+            prop_assert_eq!(&prevs[k], &prev, "frame {}", k);
         }
     }
+}
 
-    #[test]
-    fn lockstep_scalar_mode_is_byte_equal_too(
-        lens in proptest::collection::vec(1usize..40, 1..6),
-        pool in arb_llrs(80),
-    ) {
-        // The scalar lockstep path (per-frame scalar kernel) must decode
-        // the same bits as the lane lockstep path as well.
-        let frames_llrs: Vec<Vec<f64>> = lens
-            .iter()
-            .enumerate()
-            .map(|(k, &steps)| {
-                (0..steps * 2).map(|i| pool[(i + 11 * k) % pool.len()]).collect()
-            })
-            .collect();
-        let run = |mode: KernelMode| -> Vec<Vec<u8>> {
-            let mut prevs: Vec<Vec<u64>> = lens.iter().map(|&s| vec![0u64; s]).collect();
-            let mut outs: Vec<Vec<u8>> = lens.iter().map(|&s| vec![0u8; s]).collect();
-            let mut lane_frames: Vec<LaneFrame<'_>> = frames_llrs
-                .iter()
-                .zip(prevs.iter_mut().zip(outs.iter_mut()))
-                .map(|(llrs, (prev, out))| LaneFrame { llrs, prev_lsbs: prev, out })
-                .collect();
-            let mut batch = SymbolBatch::new();
-            ViterbiDecoder::new().decode_lockstep_with(&mut lane_frames, true, mode, &mut batch);
-            drop(lane_frames);
-            outs
-        };
-        prop_assert_eq!(run(KernelMode::Scalar), run(KernelMode::Lanes));
+#[test]
+fn every_shape_at_the_edge_lengths() {
+    for steps in [1, 2, 5, 6, 7, 63, 64, 65, 127, 128, 129] {
+        for shape in 0..4 {
+            for terminated in [true, false] {
+                check(&stream(steps, shape, 0x5EED ^ steps as u64), terminated);
+            }
+        }
     }
 }

@@ -10,6 +10,7 @@
 
 use cos_dsp::lanes::{F64xL, LANES};
 use cos_dsp::Complex;
+use cos_fec::viterbi::{quantise, SOFT_MAX};
 
 /// A subcarrier modulation scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -68,6 +69,35 @@ impl Modulation {
     /// normalisation); adjacent levels differ by 2·`K_MOD`.
     pub fn min_distance(self) -> f64 {
         2.0 * self.kmod()
+    }
+
+    /// The largest max-log LLR magnitude a constellation point demaps to
+    /// at unit weight: the outermost level's first bit, whose nearest
+    /// opposite level sits just across the origin, gives
+    /// `((max level + 1)·K_MOD)²` (BPSK 4, QPSK 2, 16QAM 1.6, 64QAM
+    /// 64/42).
+    fn max_llr_gap(self) -> f64 {
+        let top = self.axis_levels().iter().fold(0.0f64, |m, &l| m.max(l.abs()));
+        ((top + 1.0) * self.kmod()).powi(2)
+    }
+
+    /// Scales a frame's LLR weights (`|H|²/σ²` per subcarrier) to the
+    /// quantised soft-bit range: the median subcarrier's outermost point
+    /// demaps to `±SOFT_MAX`, so every point inside the constellation on
+    /// a subcarrier at most that strong stays within range, and stronger
+    /// subcarriers' outer points and noisy points saturate. Zero weights
+    /// stay zero. The scale comes from the weights alone, never from a
+    /// pass over the LLRs. Of the rules measured (`docs/KERNELS.md`,
+    /// "The i16 Viterbi"), the median moved the committed results least.
+    pub fn soft_weights<const N: usize>(self, weights: [f64; N]) -> [f64; N] {
+        let mut sorted = weights;
+        let (_, &mut reference, _) = sorted.select_nth_unstable_by((N - 1) / 2, f64::total_cmp);
+        let scale = if reference > 0.0 {
+            f64::from(SOFT_MAX) / (reference * self.max_llr_gap())
+        } else {
+            0.0
+        };
+        weights.map(|w| w * scale)
     }
 
     /// The energy of the lowest-energy constellation point. For QAM the
@@ -170,7 +200,7 @@ impl Modulation {
     pub fn hard_demap_into(self, y: Complex, out: &mut Vec<u8>) {
         let start = out.len();
         out.resize(start + self.bits_per_symbol(), 0);
-        let mut llrs = [0.0; 6];
+        let mut llrs = [0; 6];
         self.demap_row_into(
             &[y],
             &[0.0],
@@ -190,26 +220,27 @@ impl Modulation {
     /// Hard-decides the nearest constellation point, returning the point.
     pub fn nearest_point(self, y: Complex) -> Complex {
         let n = self.bits_per_symbol();
-        let mut llrs = [0.0; 6];
+        let mut llrs = [0; 6];
         let mut bits = [0u8; 6];
         self.demap_row_into(&[y], &[0.0], None, &mut llrs[..n], &mut bits[..n]);
         self.map(&bits[..n])
     }
 
-    /// Max-log per-bit LLRs for an equalised symbol `y_eq` with channel
-    /// reliability `weight = |H|² / σ²` (paper Eq. 8).
+    /// Quantised max-log per-bit LLRs for an equalised symbol `y_eq`
+    /// with reliability `weight` (paper Eq. 8: `|H|² / σ²`, times the
+    /// frame's soft-bit scale, see [`Modulation::soft_weights`]).
     ///
     /// Positive LLR ⇒ bit more likely **0** (the convention of
     /// [`cos_fec::viterbi`]). LLRs are appended to `out` in transmit order
     /// `b0..b_{n-1}`.
     ///
     /// A non-finite `y_eq` (NaN or ±∞ on a demapped axis) carries no
-    /// information and is treated as an erasure: every LLR is `0.0` and
+    /// information and is treated as an erasure: every LLR is `0` and
     /// the hard decision is bit group 0. See
     /// [`Modulation::demap_row_into`].
-    pub fn soft_demap(self, y_eq: Complex, weight: f64, out: &mut Vec<f64>) {
+    pub fn soft_demap(self, y_eq: Complex, weight: f64, out: &mut Vec<i16>) {
         let start = out.len();
-        out.resize(start + self.bits_per_symbol(), 0.0);
+        out.resize(start + self.bits_per_symbol(), 0);
         self.soft_demap_to_slice(y_eq, weight, &mut out[start..]);
     }
 
@@ -219,31 +250,31 @@ impl Modulation {
     /// # Panics
     ///
     /// Panics if `out.len() != self.bits_per_symbol()`.
-    pub fn soft_demap_to_slice(self, y_eq: Complex, weight: f64, out: &mut [f64]) {
+    pub fn soft_demap_to_slice(self, y_eq: Complex, weight: f64, out: &mut [i16]) {
         assert_eq!(out.len(), self.bits_per_symbol(), "one LLR slot per coded bit");
         let mut hard = [0u8; 6];
         self.demap_row_into(&[y_eq], &[weight], None, out, &mut hard[..out.len()]);
     }
 
-    /// The demap kernel: soft LLRs (paper Eq. 8, max-log) and hard
-    /// decisions for a row of equalised points, written in transmit order
-    /// — point `p` owns `llrs[p·n..(p+1)·n]` and `hard[p·n..(p+1)·n]`
-    /// with `n = bits_per_symbol()`. Every other demap entry point is a
-    /// view of this one.
+    /// The demap kernel: quantised soft LLRs (paper Eq. 8, max-log) and
+    /// hard decisions for a row of equalised points, written in transmit
+    /// order — point `p` owns `llrs[p·n..(p+1)·n]` and
+    /// `hard[p·n..(p+1)·n]` with `n = bits_per_symbol()`. Every other
+    /// demap entry point is a view of this one.
     ///
-    /// * **Soft:** per bit, `weight · (d₁ − d₀)` where `d_b` is the
-    ///   smallest `(value − level·k)²` over the levels whose bit is `b`.
-    ///   Each level's distance is evaluated once per axis and shared by
-    ///   every bit; a minimum over NaN-free values is exact in any order,
-    ///   so this is bit-identical to a per-bit search over every level
-    ///   (`docs/KERNELS.md`, "Soft demap").
+    /// * **Soft:** per bit, [`quantise`]`(weight · (d₁ − d₀))` where `d_b`
+    ///   is the smallest `(value − level·k)²` over the levels whose bit is
+    ///   `b`. Each level's distance is evaluated once per axis and shared
+    ///   by every bit; a minimum over NaN-free values is exact in any
+    ///   order, so the `f64` LLR is bit-identical to a per-bit search over
+    ///   every level (`docs/KERNELS.md`, "Soft demap"). The weights carry
+    ///   the frame's scale ([`Modulation::soft_weights`]).
     /// * **Hard:** the level minimising `|level − value/k|`, ties going
     ///   to the first entry in Gray-group order — a different metric from
     ///   the soft one, so hard bits are never read off LLR signs (with
     ///   `weight = 0` every LLR is zero).
     /// * **Erasures:** a point whose `erased` flag is set, or whose
-    ///   demapped axes are not finite, gets `0.0` LLRs and hard bit
-    ///   group 0.
+    ///   demapped axes are not finite, gets `0` LLRs and hard bit group 0.
     ///
     /// Every output slot is overwritten, so dirty buffers are fine.
     ///
@@ -256,7 +287,7 @@ impl Modulation {
         row: &[Complex],
         weights: &[f64],
         erased: Option<&[bool]>,
-        llrs: &mut [f64],
+        llrs: &mut [i16],
         hard: &mut [u8],
     ) {
         let n = self.bits_per_symbol();
@@ -298,7 +329,7 @@ fn demap_row<const N: usize, const B: usize, const IQ: bool>(
     row: &[Complex],
     weights: &[f64],
     erased: Option<&[bool]>,
-    llrs: &mut [f64],
+    llrs: &mut [i16],
     hard: &mut [u8],
 ) {
     // `level·k`, the soft metric's per-level products, once per row.
@@ -325,7 +356,7 @@ fn demap_row<const N: usize, const B: usize, const IQ: bool>(
             }
         }
 
-        let mut soft = [[F64xL::default(); B]; 2];
+        let mut soft = [[[0i16; LANES]; B]; 2];
         let mut group = [F64xL::default(); 2];
         (soft[0], group[0]) = demap_axis(levels, &at, k, re, weight);
         if IQ {
@@ -335,20 +366,20 @@ fn demap_row<const N: usize, const B: usize, const IQ: bool>(
         let points = llrs.chunks_exact_mut(width).zip(hard.chunks_exact_mut(width));
         for ((l, (llrs, hard)), &skip) in points.enumerate().zip(&skip) {
             if skip {
-                llrs.fill(0.0);
+                llrs.fill(0);
                 hard.fill(0);
                 continue;
             }
             for (i, (llr, bit)) in llrs.iter_mut().zip(hard).enumerate() {
-                *llr = soft[i / B][i % B].0[l];
+                *llr = soft[i / B][i % B][l];
                 *bit = ((group[i / B].0[l] as usize >> (B - 1 - i % B)) & 1) as u8;
             }
         }
     }
 }
 
-/// Demaps one axis value per lane into `B` max-log LLR lanes and the
-/// hard decision's Gray group (a small integer held exactly in an `f64`
+/// Demaps one axis value per lane into `B` quantised max-log LLR lanes
+/// and the hard decision's Gray group (a small integer held exactly in an `f64`
 /// lane, so its select stays a lane op). Lanes holding non-finite values
 /// produce garbage, never a panic, and the caller overwrites them.
 #[inline(always)]
@@ -358,7 +389,7 @@ fn demap_axis<const N: usize, const B: usize>(
     k: f64,
     value: F64xL,
     weight: F64xL,
-) -> ([F64xL; B], F64xL) {
+) -> ([[i16; LANES]; B], F64xL) {
     // Soft: each level's squared distance once, then per bit the minimum
     // over the constant set of levels with that bit 0 resp. 1, in table
     // order — the retired per-bit search without re-evaluating the
@@ -367,7 +398,7 @@ fn demap_axis<const N: usize, const B: usize>(
         let d = value - F64xL::splat(at);
         d * d
     });
-    let mut soft = [F64xL::default(); B];
+    let mut soft = [[0i16; LANES]; B];
     for (i, soft) in soft.iter_mut().enumerate() {
         let mut d0 = F64xL::splat(f64::INFINITY);
         let mut d1 = F64xL::splat(f64::INFINITY);
@@ -378,7 +409,7 @@ fn demap_axis<const N: usize, const B: usize>(
                 d1 = lane_min(d1, dist);
             }
         }
-        *soft = weight * (d1 - d0);
+        *soft = quantise_lanes(weight * (d1 - d0));
     }
 
     // Hard: the first level in table order minimising |level − value/k|
@@ -404,6 +435,17 @@ fn demap_axis<const N: usize, const B: usize>(
         best = lane_min(best, d);
     }
     (soft, group)
+}
+
+/// [`quantise`] per lane: a loop over the lanes, which LLVM vectorises
+/// where `array::map` stays scalar.
+#[inline(always)]
+fn quantise_lanes(v: F64xL) -> [i16; LANES] {
+    let mut out = [0; LANES];
+    for (q, &llr) in out.iter_mut().zip(&v.0) {
+        *q = quantise(llr);
+    }
+    out
 }
 
 /// Lane-wise `a.min(b)` for values that are never NaN in a kept lane
@@ -540,9 +582,9 @@ mod tests {
                 assert_eq!(llrs.len(), n);
                 for (i, &llr) in llrs.iter().enumerate() {
                     if bits[i] == 0 {
-                        assert!(llr > 0.0, "{m} idx {idx} bit {i}: llr {llr}");
+                        assert!(llr > 0, "{m} idx {idx} bit {i}: llr {llr}");
                     } else {
-                        assert!(llr < 0.0, "{m} idx {idx} bit {i}: llr {llr}");
+                        assert!(llr < 0, "{m} idx {idx} bit {i}: llr {llr}");
                     }
                 }
             }
@@ -555,11 +597,40 @@ mod tests {
         let y = Complex::new(0.2, -0.4);
         let mut a = Vec::new();
         let mut b = Vec::new();
-        m.soft_demap(y, 1.0, &mut a);
-        m.soft_demap(y, 4.0, &mut b);
+        m.soft_demap(y, 10.0, &mut a);
+        m.soft_demap(y, 40.0, &mut b);
         for (x, y) in a.iter().zip(&b) {
-            assert!((y - 4.0 * x).abs() < 1e-12);
+            assert!((y - 4 * x).abs() <= 2, "{x} {y}");
         }
+    }
+
+    #[test]
+    fn soft_weights_map_the_median_outer_point_to_full_scale() {
+        let mut weights = [0.0; 48];
+        for (i, w) in weights.iter_mut().enumerate() {
+            *w = 3.0 + i as f64;
+        }
+        weights[7] = 0.0;
+        for m in Modulation::ALL {
+            let scaled = m.soft_weights(weights);
+            assert_eq!(scaled[7], 0.0, "{m}");
+            // The lower median of the 48 weights (the 24th smallest: 0,
+            // then 3..=9, then 3 + i from i = 8) is subcarrier 23's; its
+            // outermost point reaches ±SOFT_MAX.
+            let median = scaled[23];
+            let n = m.bits_per_symbol();
+            let outer = m.map(&vec![0; n]);
+            let mut llrs = Vec::new();
+            m.soft_demap(outer, median, &mut llrs);
+            assert_eq!(llrs.iter().map(|l| l.abs()).max(), Some(SOFT_MAX), "{m}");
+            // Every constellation point demaps within range without clipping.
+            for p in m.points() {
+                llrs.clear();
+                m.soft_demap(p, median * 0.999, &mut llrs);
+                assert!(llrs.iter().all(|l| l.abs() < SOFT_MAX), "{m}");
+            }
+        }
+        assert_eq!(Modulation::Qam64.soft_weights([0.0; 48]), [0.0; 48]);
     }
 
     #[test]
@@ -611,7 +682,7 @@ mod tests {
                 for &y in axes {
                     let mut llrs = Vec::new();
                     m.soft_demap(y, 7.5, &mut llrs);
-                    assert!(llrs.iter().all(|l| l.to_bits() == 0), "{m} {y:?}: {llrs:?}");
+                    assert!(llrs.iter().all(|&l| l == 0), "{m} {y:?}: {llrs:?}");
                     assert_eq!(m.hard_demap(y), vec![0; n], "{m} {y:?}");
                     assert_eq!(m.nearest_point(y), m.map(&vec![0; n]), "{m} {y:?}");
                 }
@@ -620,7 +691,7 @@ mod tests {
         // BPSK demaps only the I axis, so a non-finite Q is ignored.
         let mut llrs = Vec::new();
         Modulation::Bpsk.soft_demap(Complex::new(0.5, f64::NAN), 1.0, &mut llrs);
-        assert!(llrs[0] < 0.0);
+        assert!(llrs[0] < 0);
         assert_eq!(Modulation::Bpsk.hard_demap(Complex::new(0.5, f64::NAN)), vec![1]);
     }
 

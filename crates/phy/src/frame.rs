@@ -19,7 +19,6 @@ use crate::subcarriers::NUM_DATA;
 use cos_dsp::{Complex, Prbs127};
 use cos_fec::bits::bits_to_bytes_into;
 use cos_fec::conv::{CONSTRAINT, GEN_A, GEN_B};
-use cos_fec::viterbi::LaneFrame;
 use cos_fec::{Crc32, FecWorkspace, Interleaver, Scrambler, ViterbiDecoder};
 use std::sync::OnceLock;
 
@@ -388,7 +387,7 @@ pub struct DecodedData {
 /// SERVICE prefix (possible only under catastrophic corruption). Malformed
 /// input never panics.
 pub fn decode_data_field(
-    llrs: &[f64],
+    llrs: &[i16],
     rate: DataRate,
     psdu_len: usize,
 ) -> Result<DecodedData, PhyError> {
@@ -406,7 +405,7 @@ pub fn decode_data_field(
 /// The same typed errors as [`decode_data_field`]; on error `bits` is left
 /// empty.
 pub fn decode_data_field_into(
-    llrs: &[f64],
+    llrs: &[i16],
     rate: DataRate,
     psdu_len: usize,
     fec: &mut FecWorkspace,
@@ -424,9 +423,7 @@ pub fn decode_data_field_into(
 /// the trellis decodes with proper termination.
 ///
 /// The token is what lets the Viterbi run be lifted out of the per-frame
-/// decode: stage several frames, decode their trellises together with
-/// [`cos_fec::ViterbiDecoder::decode_lockstep`] (via
-/// [`staged_lane_frame`]), then finish each with
+/// decode: stage, run [`run_staged_viterbi`], then finish with
 /// [`finish_data_field_into`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PreparedDataField {
@@ -448,8 +445,8 @@ impl PreparedDataField {
 /// One pass (the RX bit plan, `docs/KERNELS.md`): each symbol's
 /// `2 × Ndbps` mother-code block is gathered straight from the symbol's
 /// soft bits through [`rx_symbol_plan`], the inverse of the plan the
-/// transmitter builds through, with `+0.0` at punctured slots.
-/// Bit-identical to [`Interleaver::deinterleave_soft_into`] followed by
+/// transmitter builds through, with `0` (an erasure) at punctured slots.
+/// Identical to [`Interleaver::deinterleave_soft_into`] followed by
 /// [`cos_fec::CodeRate::depuncture_into`]
 /// (`crates/phy/tests/rx_staging_differential.rs`).
 ///
@@ -458,7 +455,7 @@ impl PreparedDataField {
 /// [`PhyError::DataFieldTooShort`] when the soft-bit stream cannot even
 /// hold the 7-bit SERVICE scrambler prefix.
 pub fn prepare_data_field_into(
-    llrs: &[f64],
+    llrs: &[i16],
     rate: DataRate,
     psdu_len: usize,
     fec: &mut FecWorkspace,
@@ -469,11 +466,11 @@ pub fn prepare_data_field_into(
     // A truncated stream may end mid-symbol; only whole OFDM symbols can
     // be deinterleaved, so the ragged tail is dropped instead of asserted
     // on. Every slot is written below, so the buffer is only resized.
-    mother.resize(llrs.len() / ncbps * plan.len(), 0.0);
-    // One symbol's soft bits, with `+0.0` left at PUNCTURED. A gather
+    mother.resize(llrs.len() / ncbps * plan.len(), 0);
+    // One symbol's soft bits, with `0` left at PUNCTURED. A gather
     // through masked indices into this fixed window needs no bounds
     // checks and measured faster than scattering through `symbol_plan`.
-    let mut window = [0.0f64; SYMBOL_MOTHER_CAP];
+    let mut window = [0i16; SYMBOL_MOTHER_CAP];
     for (block, symbol) in mother.chunks_exact_mut(plan.len()).zip(llrs.chunks_exact(ncbps)) {
         window[..ncbps].copy_from_slice(symbol);
         for (llr, &j) in block.iter_mut().zip(plan) {
@@ -503,27 +500,12 @@ pub fn run_staged_viterbi(prep: PreparedDataField, fec: &mut FecWorkspace) {
     // The traceback writes every decoded bit; resizing alone suffices.
     fec.decoded.resize(steps, 0);
     let FecWorkspace { mother_llrs, viterbi, decoded } = fec;
-    ViterbiDecoder::new().decode_to_slices(
+    ViterbiDecoder::new().decode_i16(
         &mother_llrs[..prep.coded_to_tail],
         true,
         viterbi.prepared(steps),
         decoded,
     );
-}
-
-/// Borrows a staged DATA field as one lockstep lane frame for
-/// [`cos_fec::ViterbiDecoder::decode_lockstep`], sizing the traceback
-/// scratch and `fec.decoded` in the process. The decoded bits land in
-/// `fec.decoded`, exactly where [`run_staged_viterbi`] leaves them.
-pub fn staged_lane_frame(prep: PreparedDataField, fec: &mut FecWorkspace) -> LaneFrame<'_> {
-    let steps = prep.steps();
-    fec.decoded.resize(steps, 0);
-    let FecWorkspace { mother_llrs, viterbi, decoded } = fec;
-    LaneFrame {
-        llrs: &mother_llrs[..prep.coded_to_tail],
-        prev_lsbs: viterbi.prepared(steps),
-        out: decoded,
-    }
 }
 
 /// The back half of [`decode_data_field_into`]: recovers the scrambler
@@ -599,9 +581,10 @@ pub fn payload_to_psdu_into(payload: &[u8], psdu: &mut Vec<u8>) {
 mod tests {
     use super::*;
 
-    fn ideal_llrs(bits: &[u8]) -> Vec<f64> {
-        bits.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect()
+    fn ideal_llrs(bits: &[u8]) -> Vec<i16> {
+        bits.iter().map(|&b| if b == 0 { 100 } else { -100 }).collect()
     }
+
 
     #[test]
     fn lengths_are_symbol_aligned() {
@@ -678,7 +661,7 @@ mod tests {
         let mut llrs = ideal_llrs(&df.interleaved);
         // Erase a sprinkling of transmitted bits (as silence symbols would).
         for i in (0..llrs.len()).step_by(29) {
-            llrs[i] = 0.0;
+            llrs[i] = 0;
         }
         let decoded = decode_data_field(&llrs, DataRate::Mbps24, psdu.len()).expect("decodes");
         assert_eq!(extract_payload(&decoded.bits, psdu.len()), Some(payload));
@@ -712,7 +695,7 @@ mod tests {
         // Shorter than one OFDM symbol: the ragged tail is dropped and
         // nothing decodable remains.
         assert!(matches!(
-            decode_data_field(&[1.0; 30], DataRate::Mbps6, 100),
+            decode_data_field(&[1; 30], DataRate::Mbps6, 100),
             Err(PhyError::DataFieldTooShort { .. })
         ));
         // Mid-symbol truncation of a real frame degrades to an error or a

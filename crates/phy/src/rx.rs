@@ -167,8 +167,8 @@ impl RxFrame {
 /// never to a session the engine drives (`docs/ARCHITECTURE.md`).
 #[derive(Debug, Clone, Default)]
 pub struct RxScratch {
-    /// Soft bits in transmit (interleaved) order.
-    pub llrs: Vec<f64>,
+    /// Quantised soft bits in transmit (interleaved) order.
+    pub llrs: Vec<i16>,
     /// FEC-chain scratch: the Viterbi input in mother-code order (staged
     /// in one pass from `llrs`), the traceback and the decoded bits.
     pub fec: FecWorkspace,
@@ -442,9 +442,12 @@ impl Receiver {
 
     /// The demapping stage of [`Receiver::decode_into`]: soft-demaps every
     /// equalised subcarrier (zero LLRs on erased and non-finite ones) into
-    /// `scratch.llrs` and the hard decisions into `out.hard_coded_bits`,
-    /// one [`crate::constellation::Modulation::demap_row_into`] call per
-    /// DATA symbol.
+    /// quantised soft bits in `scratch.llrs` and the hard decisions into
+    /// `out.hard_coded_bits`, one
+    /// [`crate::constellation::Modulation::demap_row_into`] call per DATA
+    /// symbol. The soft-bit scale is set once per frame from
+    /// [`FrontEnd::llr_weights`]
+    /// ([`crate::constellation::Modulation::soft_weights`]).
     ///
     /// # Panics
     ///
@@ -465,9 +468,9 @@ impl Receiver {
         }
         let modulation = fe.rate.modulation();
         let ncbps = fe.rate.ncbps();
-        let weights = fe.llr_weights();
+        let weights = modulation.soft_weights(fe.llr_weights());
         let len = fe.equalized.len() * ncbps;
-        scratch.llrs.resize(len, 0.0);
+        scratch.llrs.resize(len, 0);
         out.hard_coded_bits.resize(len, 0);
         let rows = fe
             .equalized
@@ -482,13 +485,11 @@ impl Receiver {
 
     /// The front half of [`Receiver::decode_into`]: demap plus FEC staging
     /// (deinterleave / depuncture / truncate), stopping right before the
-    /// Viterbi run so a batch driver can decode several frames' trellises
-    /// in lockstep.
+    /// Viterbi run.
     ///
     /// Pass the returned result — `Ok` or `Err` — to
     /// [`Receiver::decode_finish_into`] after running the Viterbi (via
-    /// [`run_staged_viterbi`] or
-    /// [`cos_fec::ViterbiDecoder::decode_lockstep`]).
+    /// [`run_staged_viterbi`]).
     ///
     /// # Errors
     ///

@@ -98,22 +98,23 @@ pub fn encode_signal_symbol(rate: DataRate, length_bytes: usize) -> Vec<Complex>
 
 /// Decodes 48 equalised SIGNAL points back to `(rate, length)`.
 ///
-/// `weight` is the LLR reliability scale (uniform across the symbol is
-/// fine for the SIGNAL field).
+/// `weight` is the LLR reliability (uniform across the symbol is fine
+/// for the SIGNAL field); the soft bits are scaled from it like a DATA
+/// row's ([`Modulation::soft_weights`]).
 ///
 /// # Errors
 ///
 /// Propagates the parity/rate errors of [`parse_signal_bits`].
 pub fn decode_signal_symbol(points: &[Complex; 48], weight: f64) -> Result<(DataRate, usize), PhyError> {
-    let mut llrs = [0f64; SIGNAL_CODED_BITS];
+    let mut llrs = [0i16; SIGNAL_CODED_BITS];
     let mut hard = [0u8; SIGNAL_CODED_BITS];
-    let weights = [weight; SIGNAL_CODED_BITS];
+    let weights = Modulation::Bpsk.soft_weights([weight; SIGNAL_CODED_BITS]);
     Modulation::Bpsk.demap_row_into(points, &weights, None, &mut llrs, &mut hard);
-    let mut deinterleaved = [0f64; SIGNAL_CODED_BITS];
+    let mut deinterleaved = [0i16; SIGNAL_CODED_BITS];
     signal_interleaver().deinterleave_soft_to_slice(&llrs, &mut deinterleaved);
     let mut traceback = [0u64; SIGNAL_BITS];
     let mut bits = [0u8; SIGNAL_BITS];
-    ViterbiDecoder::new().decode_to_slices(&deinterleaved, true, &mut traceback, &mut bits);
+    ViterbiDecoder::new().decode_i16(&deinterleaved, true, &mut traceback, &mut bits);
     parse_signal_bits(&bits)
 }
 

@@ -1,8 +1,9 @@
 //! Differential tests for the demap kernel: `Modulation::demap_row_into`
 //! (lane-blocked soft demap plus first-min hard decision) must reproduce
-//! the per-bit brute-force search it replaced **bit for bit** — LLRs
-//! compared by `f64::to_bits`, hard bits exactly — on random rows (whole
-//! and partial lane blocks) and on the inputs
+//! the per-bit brute-force search it replaced — the oracle's `f64` LLRs
+//! quantised by `cos_fec::viterbi::quantise` equal to the kernel's soft
+//! bits, hard bits exactly — on random rows (whole and partial lane
+//! blocks) and on the inputs
 //! where a shortcut could slip: exact levels, exact midpoints (in both
 //! the soft `level·k` space and the hard `value/k` space), ±1–2 ulp
 //! around them, ±0.0, subnormals, huge magnitudes (including ones whose
@@ -12,6 +13,7 @@
 //! the oracle applies the same rule, so every input is compared.
 
 use cos_dsp::Complex;
+use cos_fec::viterbi::quantise;
 use cos_phy::constellation::Modulation;
 use proptest::prelude::*;
 
@@ -98,10 +100,10 @@ fn oracle_point(
 }
 
 /// Runs the kernel (into dirty buffers) and the oracle over one row and
-/// asserts bit equality.
+/// asserts equality.
 fn assert_row_matches(m: Modulation, row: &[Complex], weights: &[f64], mask: Option<&[bool]>) {
     let n = m.bits_per_symbol();
-    let mut llrs = vec![f64::from_bits(0x7ff4_dead_beef_0001); row.len() * n];
+    let mut llrs = vec![0x5A5A_i16; row.len() * n];
     let mut hard = vec![0xA5u8; row.len() * n];
     m.demap_row_into(row, weights, mask, &mut llrs, &mut hard);
 
@@ -111,9 +113,8 @@ fn assert_row_matches(m: Modulation, row: &[Complex], weights: &[f64], mask: Opt
         let mut want_hard = [0u8; 6];
         oracle_point(m, y, w, erased, &mut want_llrs[..n], &mut want_hard[..n]);
         let span = p * n..(p + 1) * n;
-        let got: Vec<u64> = llrs[span.clone()].iter().map(|l| l.to_bits()).collect();
-        let want: Vec<u64> = want_llrs[..n].iter().map(|l| l.to_bits()).collect();
-        assert_eq!(got, want, "{m} point {p} y={y:?} w={w:e} erased={erased}: LLR bits");
+        let want: Vec<i16> = want_llrs[..n].iter().map(|&l| quantise(l)).collect();
+        assert_eq!(llrs[span.clone()], want, "{m} point {p} y={y:?} w={w:e} erased={erased}: LLRs");
         assert_eq!(&hard[span], &want_hard[..n], "{m} point {p} y={y:?}: hard bits");
     }
 }
@@ -280,13 +281,13 @@ proptest! {
         let mut want_hard = [0u8; 6];
         oracle_point(m, y, w, false, &mut want_llrs[..n], &mut want_hard[..n]);
 
-        let mut llrs = vec![5.0];
+        let want: Vec<i16> = want_llrs[..n].iter().map(|&l| quantise(l)).collect();
+        let mut llrs = vec![5];
         m.soft_demap(y, w, &mut llrs);
-        let bits = |l: &[f64]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(bits(&llrs[1..]), bits(&want_llrs[..n]));
-        let mut slice = [9.0; 6];
+        prop_assert_eq!(&llrs[1..], &want[..]);
+        let mut slice = [9; 6];
         m.soft_demap_to_slice(y, w, &mut slice[..n]);
-        prop_assert_eq!(bits(&slice[..n]), bits(&want_llrs[..n]));
+        prop_assert_eq!(&slice[..n], &want[..]);
         prop_assert_eq!(m.hard_demap(y), want_hard[..n].to_vec());
         prop_assert_eq!(m.nearest_point(y), m.map(&want_hard[..n]));
     }

@@ -45,8 +45,8 @@ proptest! {
         let mut llrs = Vec::new();
         m.soft_demap(y, 1.0, &mut llrs);
         for (i, (&b, &l)) in hard.iter().zip(&llrs).enumerate() {
-            if l != 0.0 {
-                prop_assert_eq!(b, (l < 0.0) as u8, "bit {} of {:?} at {}", i, m, y);
+            if l != 0 {
+                prop_assert_eq!(b, (l < 0) as u8, "bit {} of {:?} at {}", i, m, y);
             }
         }
     }
@@ -75,7 +75,8 @@ proptest! {
     ) {
         let psdu = payload_to_psdu(&payload);
         let df = build_data_field(&psdu, rate, seed);
-        let llrs: Vec<f64> = df.interleaved.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
+        let llrs: Vec<i16> =
+            df.interleaved.iter().map(|&b| if b == 0 { 100 } else { -100 }).collect();
         let decoded = decode_data_field(&llrs, rate, psdu.len()).expect("decodes");
         prop_assert_eq!(decoded.scrambler_seed, seed);
         prop_assert_eq!(extract_payload(&decoded.bits, psdu.len()), Some(payload));
@@ -89,9 +90,10 @@ proptest! {
         let rate = DataRate::Mbps24;
         let psdu = payload_to_psdu(&payload);
         let df = build_data_field(&psdu, rate, 0x5D);
-        let mut llrs: Vec<f64> = df.interleaved.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
+        let mut llrs: Vec<i16> =
+            df.interleaved.iter().map(|&b| if b == 0 { 100 } else { -100 }).collect();
         for i in (0..llrs.len()).step_by(stride) {
-            llrs[i] = 0.0;
+            llrs[i] = 0;
         }
         let decoded = decode_data_field(&llrs, rate, psdu.len()).expect("decodes");
         prop_assert_eq!(extract_payload(&decoded.bits, psdu.len()), Some(payload));
@@ -203,8 +205,8 @@ proptest! {
     ) {
         let psdu = payload_to_psdu(&payload);
         let df = build_data_field(&psdu, rate, 0x5D);
-        let llrs: Vec<f64> =
-            df.interleaved.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
+        let llrs: Vec<i16> =
+            df.interleaved.iter().map(|&b| if b == 0 { 100 } else { -100 }).collect();
         let keep = llrs.len() * keep_permille / 1000;
         // Any truncation: Ok with honest bits, or a typed error — no panic.
         if let Err(e) = decode_data_field(&llrs[..keep], rate, psdu.len()) {

@@ -2,8 +2,8 @@
 //! scatters each symbol's soft bits through the per-symbol plan straight
 //! into mother-code order. The two-pass chain it replaced —
 //! `Interleaver::deinterleave_soft_into` then `CodeRate::depuncture_into`
-//! — is the oracle, and every staged LLR must match it **by `to_bits`**:
-//! `+0.0` and `-0.0` erasures keep their sign, punctured slots are `+0.0`.
+//! — is the oracle, and every staged soft bit must match it exactly:
+//! erasures travel with their positions, punctured slots are `0`.
 //!
 //! Coverage: all 8 rates, streams truncated mid-symbol (the ragged tail
 //! is dropped), PSDU lengths that put the tail inside, at the end of and
@@ -21,10 +21,10 @@ use proptest::prelude::*;
 /// The retired two-pass staging: deinterleave whole symbols, depuncture,
 /// truncate at the tail.
 fn oracle(
-    llrs: &[f64],
+    llrs: &[i16],
     rate: DataRate,
     psdu_len: usize,
-) -> (Vec<f64>, Result<PreparedDataField, PhyError>) {
+) -> (Vec<i16>, Result<PreparedDataField, PhyError>) {
     let whole = llrs.len() - llrs.len() % rate.ncbps();
     let mut deinterleaved = Vec::new();
     interleaver_for(rate).deinterleave_soft_into(&llrs[..whole], &mut deinterleaved);
@@ -39,8 +39,8 @@ fn oracle(
     (mother, prep)
 }
 
-/// Soft bits with a sprinkling of `+0.0` and `-0.0` erasures.
-fn soft_bits(n: usize, seed: u64) -> Vec<f64> {
+/// Soft bits with a sprinkling of erasures.
+fn soft_bits(n: usize, seed: u64) -> Vec<i16> {
     let mut x = seed | 1;
     (0..n)
         .map(|_| {
@@ -48,9 +48,8 @@ fn soft_bits(n: usize, seed: u64) -> Vec<f64> {
             x ^= x >> 7;
             x ^= x << 17;
             match x % 7 {
-                0 => 0.0,
-                1 => -0.0,
-                _ => ((x >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 16.0,
+                0 | 1 => 0,
+                _ => ((x >> 11) % 1023) as i16 - 511,
             }
         })
         .collect()
@@ -77,14 +76,14 @@ proptest! {
         // Dirty the workspace with a longer frame at another rate first.
         let mut fec = FecWorkspace::new();
         let other = DataRate::ALL[(rate.band_index() + 3) % 8];
-        let dirt: Vec<f64> = soft_bits(20 * other.ncbps(), !seed).iter().map(|l| l - 100.0).collect();
+        let dirt: Vec<i16> = soft_bits(20 * other.ncbps(), !seed).iter().map(|l| l - 100).collect();
         prepare_data_field_into(&dirt, other, 4000, &mut fec).expect("20 symbols stage");
 
         let got_prep = prepare_data_field_into(&llrs, rate, psdu_len, &mut fec);
         prop_assert_eq!(got_prep, want_prep);
         prop_assert_eq!(fec.mother_llrs.len(), want.len());
         for (i, (g, w)) in fec.mother_llrs.iter().zip(&want).enumerate() {
-            prop_assert_eq!(g.to_bits(), w.to_bits(), "{} mother bit {}", rate, i);
+            prop_assert_eq!(g, w, "{} mother bit {}", rate, i);
         }
     }
 }

@@ -33,21 +33,22 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 echo "== robustness_soak --quick (fault-matrix smoke: every impairment and mode transition, fixed seeds)"
 cargo run -q --release -p cos-experiments --bin robustness_soak -- --quick
 
-echo "== alloc gate (workspace rx ≥10x leaner than the owned path or ≥1.5x faster; streaming rx, tx+embed and lockstep decode 0 allocs; resilient and adaptive session paths < 0.1 allocs/frame with the ARQ queue loaded; a session added to a warmed engine allocates ≤128 KiB at 54 and 6 Mbps)"
+echo "== alloc gate (workspace rx ≥10x leaner than the owned path or ≥1.5x faster; streaming rx, tx+embed and the staged i16 decode 0 allocs/frame; resilient and adaptive session paths < 0.1 allocs/frame with the ARQ queue loaded; a session added to a warmed engine allocates ≤128 KiB at 54 and 6 Mbps)"
 cargo run -q --release -p cos-bench --bin alloc_gate
 
 echo "== golden vectors (frozen waveforms + decodes for all 8 rates; any bit/sample drift fails)"
 cargo test -q --release --test golden_vectors
 
-echo "== golden vectors + channel digest + FFT kernel differential under COS_KERNELS=scalar (the lane/scalar bit-identity contract, end to end; the noise stream pinned; the 64-point lane FFT against the scalar radix-2 by to_bits)"
+echo "== golden vectors + channel digest + FFT and Viterbi kernel differentials under COS_KERNELS=scalar (the lane/scalar bit-identity contract, end to end; the noise stream pinned; the 64-point lane FFT against the scalar radix-2 by to_bits; the portable i16 Viterbi body against the f64 reference)"
 COS_KERNELS=scalar cargo test -q --release --test golden_vectors --test channel_digest
 COS_KERNELS=scalar cargo test -q --release -p cos-dsp --test kernel_differential
+COS_KERNELS=scalar cargo test -q --release -p cos-fec --test kernel_differential
 
 echo "== channel kernel differential under both COS_KERNELS (lane AWGN/conv/overlap bit-identical to scalar)"
 COS_KERNELS=scalar cargo test -q --release -p cos-channel --test kernel_differential
 COS_KERNELS=lanes cargo test -q --release -p cos-channel --test kernel_differential
 
-echo "== session_storm --smoke --kernels both (1000+ pooled sessions: engine outcome digests identical at 1/4/8 threads AND across scalar/lane kernels; at pool steady state per kernel a drain allocates nothing on 1 thread and at most one scoped thread spawn's 4 allocations on 2)"
+echo "== session_storm --smoke --kernels both (1000+ pooled sessions: engine outcome digests identical at 1/4/8 threads AND across scalar/lane kernels; at pool steady state per kernel a drain of plain, resilient and adaptive jobs allocates nothing on 1 thread and at most one scoped thread spawn's 4 allocations on 2)"
 cargo run -q --release -p cos-bench --bin session_storm -- --smoke --kernels both 2>&1 | tee "$logs/session_storm"
 
 echo "== adaptation_storm --smoke --kernels both (drifting adaptive sessions: outcome digests identical at 1/4/8 threads AND across kernels; drift duel: adaptive ≥ best fixed goodput with 100% control delivery and no backlog)"
@@ -59,10 +60,11 @@ cargo run -q --release -p cos-bench --bin service_storm -- --smoke 2>&1 | tee "$
 echo "== mesh_storm --smoke (1024+ churning mesh stations: digests identical at 1/4/8 threads; coordination duel: coordinated goodput > CSMA with ≥99% control delivery)"
 cargo run -q --release -p cos-bench --bin mesh_storm -- --smoke 2>&1 | tee "$logs/mesh_storm"
 
-echo "== golden vectors + channel digest + FFT kernel differential + storm digests on baseline x86-64 codegen (no host CPU features: bit identity, noise included, must not rest on -C target-cpu=native; the lane FFT on its portable bodies; every storm smoke digest, service_storm's scripted one, equal to the native build's; own target dir keeps the main cache)"
+echo "== golden vectors + channel digest + FFT and Viterbi kernel differentials + storm digests on baseline x86-64 codegen (no host CPU features: bit identity, noise included, must not rest on -C target-cpu=native; the lane FFT and the i16 Viterbi on their portable bodies; every storm smoke digest, service_storm's scripted one, equal to the native build's; own target dir keeps the main cache)"
 baseline() { RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64 "$@"; }
 baseline cargo test -q --release --test golden_vectors --test channel_digest
 baseline cargo test -q --release -p cos-dsp --test kernel_differential
+baseline cargo test -q --release -p cos-fec --test kernel_differential
 for storm in "session_storm --smoke --kernels both" "adaptation_storm --smoke --kernels both" \
     "service_storm --smoke" "mesh_storm --smoke"; do
     set -- $storm

@@ -159,8 +159,7 @@ proptest! {
         let demap =
             |fe: &FrontEnd, erasures: Mask<'_>, scratch: &mut RxScratch, out: &mut RxDecodeOut| {
                 rx.demap_into(fe, erasures, scratch, out);
-                let llr_bits: Vec<u64> = scratch.llrs.iter().map(|l| l.to_bits()).collect();
-                (llr_bits, out.hard_coded_bits.clone())
+                (scratch.llrs.clone(), out.hard_coded_bits.clone())
             };
         let (mut scratch, mut out) = (RxScratch::default(), RxDecodeOut::default());
         let fresh = |fe: &FrontEnd, erasures: Mask<'_>| {
