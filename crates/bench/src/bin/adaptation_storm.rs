@@ -22,15 +22,15 @@
 //! Exits non-zero on any determinism or duel failure. `--smoke` runs a
 //! reduced fleet and the quick duel config with the same gates.
 //!
-//! The engine bundles adaptive jobs into lockstep rounds, so `--kernels
-//! scalar|lanes|both` (default `both`) re-runs the determinism storm
-//! under each symbol-plane kernel and asserts the digests match across
+//! `--kernels scalar|lanes|both` (default `both`) re-runs the
+//! determinism storm under each symbol-plane kernel (the channel lanes
+//! and the `i16` Viterbi body) and asserts the digests match across
 //! kernels as well as across thread counts.
 
-use cos_bench::gate::{digest_outcome, payload_bytes, Flags, Fnv, PAYLOAD_LENS, THREAD_COUNTS};
+use cos_bench::gate::{digest_outcome, payload_bytes, Flags, PAYLOAD_LENS, THREAD_COUNTS};
 use cos_core::adaptation::AdaptationConfig;
 use cos_core::engine::{BatchEngine, EngineConfig, SessionId, SessionPool};
-use cos_core::session::SessionConfig;
+use cos_core::session::{Fnv, SessionConfig};
 use cos_dsp::set_kernel_mode;
 use cos_experiments::adaptation::{self, ContenderResult, Scheme};
 use cos_phy::rates::DataRate;
@@ -131,8 +131,8 @@ fn main() {
         flags.kernels.iter().map(|k| k.0).collect::<Vec<_>>()
     );
 
-    // One storm per (kernel, thread count); the adaptive lockstep bundles
-    // must produce one digest across the whole grid.
+    // One storm per (kernel, thread count); the adaptive jobs must
+    // produce one digest across the whole grid.
     let mut storms: Vec<StormResult> = Vec::new();
     for &(name, mode) in &flags.kernels {
         set_kernel_mode(mode);

@@ -9,23 +9,17 @@
 //! `build_frame_into` + `embed_into` + `render`), and the resilient and
 //! adaptive session paths with their ARQ queues loaded.
 //!
-//! A staged-decode phase runs a group of frames through the engine's
-//! split receive path — stage (demap to quantised soft bits, FEC
-//! staging), the `i16` Viterbi, finish — one frame at a time, and must
-//! decode the same frames as the per-frame `decode_into` loop.
-//!
 //! A footprint phase adds sessions to a warmed single-thread
 //! [`BatchEngine`] and counts the bytes each new session (and its first
 //! drained frame) allocates: the frame-sized planes belong to the
 //! engine's workers, so a session holds only its persistent state.
 //!
-//! Exits non-zero unless all seven gates hold:
+//! Exits non-zero unless all six gates hold:
 //!
 //! * the workspace path allocates at most a tenth of what the owned path
 //!   does per frame, **or** runs the rx chain at least 1.5× faster;
 //! * the streaming workspace rx allocates nothing per frame;
 //! * the embedding workspace tx allocates nothing per frame;
-//! * the staged decode allocates nothing per frame;
 //! * the resilient and the adaptive session paths each allocate fewer
 //!   than [`SESSION_ALLOCS_MAX`] times per frame, with one queued
 //!   control message per frame sent;
@@ -41,7 +35,6 @@ use cos_core::engine::{BatchEngine, EngineConfig, SessionPool};
 use cos_core::session::{CosSession, SessionConfig};
 use cos_core::PowerController;
 use cos_dsp::Complex;
-use cos_phy::frame::run_staged_viterbi;
 use cos_phy::rates::DataRate;
 use cos_phy::rx::{Receiver, RxConfig};
 use cos_phy::tx::Transmitter;
@@ -199,63 +192,6 @@ fn run_embed_workspace() -> Measurement {
     })
 }
 
-/// Frames of the staged-decode scenarios.
-const DECODE_FRAMES: usize = 8;
-
-/// Shared setup for the staged-decode scenarios: [`DECODE_FRAMES`]
-/// frames carried through distinct channel realisations and front-ended
-/// once into their own workspaces. The decode stage then re-runs
-/// repeatedly over the frozen front ends.
-fn batch_workspaces() -> Vec<PhyWorkspace> {
-    let payload = bench_payload();
-    let mut link = Link::new(ChannelConfig::default(), SNR_DB, 42);
-    let tx = Transmitter::new();
-    let rx = Receiver::new();
-    let mut wss: Vec<PhyWorkspace> = (0..DECODE_FRAMES).map(|_| PhyWorkspace::new()).collect();
-    for ws in wss.iter_mut() {
-        tx.build_frame_into(&payload, DataRate::Mbps24, 0x5D, &mut ws.tx);
-        ws.tx.render();
-        link.transmit_into(&ws.tx.samples, &mut ws.rx.samples);
-        let cos_phy::RxWorkspace { samples, fe, .. } = &mut ws.rx;
-        rx.front_end_into(samples, fe).expect("clean front end");
-    }
-    wss
-}
-
-/// Per-frame reference: a plain `decode_into` loop over the frames.
-fn run_batch_decode_per_frame() -> Measurement {
-    let rx = Receiver::new();
-    let mut wss = batch_workspaces();
-    measure(move || {
-        let mut ok = true;
-        for ws in wss.iter_mut() {
-            let cos_phy::RxWorkspace { fe, scratch, out, .. } = &mut ws.rx;
-            rx.decode_into(fe, None, scratch, out);
-            ok &= out.crc_ok;
-        }
-        ok
-    })
-}
-
-/// Staged path: each frame staged, decoded by the per-frame `i16`
-/// Viterbi and finished on its own workspace — the steps an engine worker
-/// runs per frame.
-fn run_staged_decode() -> Measurement {
-    let rx = Receiver::new();
-    let mut wss = batch_workspaces();
-    measure(move || {
-        let mut ok = true;
-        for ws in wss.iter_mut() {
-            let cos_phy::RxWorkspace { fe, scratch, out, .. } = &mut ws.rx;
-            let prep = rx.decode_prepare_into(fe, None, scratch, out).expect("clean frame");
-            run_staged_viterbi(prep, &mut scratch.fec);
-            rx.decode_finish_into(fe, Ok(prep), scratch, out);
-            ok &= out.crc_ok;
-        }
-        ok
-    })
-}
-
 /// Allocations per frame the resilient and adaptive paths must stay
 /// below.
 const SESSION_ALLOCS_MAX: f64 = 0.1;
@@ -323,8 +259,6 @@ fn main() {
     });
     let embed_owned = run_embed_owned();
     let embed_workspace = run_embed_workspace();
-    let batch_per_frame = run_batch_decode_per_frame();
-    let staged = run_staged_decode();
     let footprint: Vec<(DataRate, f64)> = [DataRate::Mbps54, DataRate::Mbps6]
         .into_iter()
         .map(|rate| (rate, footprint_kib_per_session(rate)))
@@ -341,10 +275,6 @@ fn main() {
     assert_eq!(
         embed_owned.crc_ok, embed_workspace.crc_ok,
         "owned and workspace tx+embed paths built different frame counts"
-    );
-    assert_eq!(
-        batch_per_frame.crc_ok, staged.crc_ok,
-        "per-frame and staged decodes disagree on CRC outcomes"
     );
 
     // With a fully allocation-free workspace path the ratio is reported
@@ -371,12 +301,6 @@ fn main() {
             embed_workspace.allocs_per_frame
         ));
     }
-    if staged.allocs_per_frame > 0.0 {
-        failures.push(format!(
-            "staged decode allocates {:.2}/frame (want 0)",
-            staged.allocs_per_frame
-        ));
-    }
     for (path, m) in [("resilient", &resilient), ("adaptive", &adaptive)] {
         if m.allocs_per_frame >= SESSION_ALLOCS_MAX {
             failures.push(format!(
@@ -400,7 +324,6 @@ fn main() {
     eprintln!(
         "alloc gate passed: {alloc_ratio:.1}x fewer allocs, {speedup:.3}x rx speedup, \
          streaming rx 0 allocs/frame, tx+embed 0 allocs/frame ({embed_ratio:.1}x fewer), \
-         staged decode 0 allocs/frame, \
          resilient {:.3} / adaptive {:.3} allocs/frame, \
          {} KiB per added engine session",
         resilient.allocs_per_frame,

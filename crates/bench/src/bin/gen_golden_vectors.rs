@@ -24,7 +24,7 @@
 
 use std::io::Write as _;
 
-use cos_bench::gate::Fnv;
+use cos_core::session::Fnv;
 use cos_phy::pipeline::TxWorkspace;
 use cos_phy::rates::DataRate;
 use cos_phy::rx::{Receiver, RxConfig};

@@ -9,7 +9,7 @@
 //!    schedule (with create/release churn between rounds) through
 //!    [`BatchEngine`] at 1, 4 and 8 worker threads, and FNV-digests every
 //!    outcome field (`f64`s via `to_bits`). The engine runs every job
-//!    through its session's one frame path (stage → Viterbi → finish);
+//!    through its session's one frame path (`CosSession::run_frame`);
 //!    because the lane kernels are bit-identical to the scalar reference,
 //!    the digests must agree across kernels as well as thread counts.
 //! 2. **Steady-state allocation** — a fixed-rate pool of plain,
@@ -24,11 +24,11 @@
 //! runs a reduced schedule with the same gates.
 
 use cos_bench::gate::{
-    control_bits, counters, digest_outcome, payload_bytes, Flags, Fnv, CONTROL_LENS, PAYLOAD_LENS,
+    control_bits, counters, digest_outcome, payload_bytes, Flags, CONTROL_LENS, PAYLOAD_LENS,
     THREAD_COUNTS,
 };
 use cos_core::engine::{BatchEngine, ControlId, EngineConfig, PayloadId, SessionId, SessionPool};
-use cos_core::session::SessionConfig;
+use cos_core::session::{Fnv, SessionConfig};
 use cos_dsp::set_kernel_mode;
 use cos_phy::rates::DataRate;
 

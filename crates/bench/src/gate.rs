@@ -1,5 +1,6 @@
 //! The shared harness of the gate binaries: the counting allocator, the
-//! FNV-1a outcome digest, the storm fixtures and the flag parser.
+//! engine-outcome digest over `cos_core`'s FNV-1a, the storm fixtures and
+//! the flag parser.
 //!
 //! The gates assert determinism and allocation contracts; they measure
 //! no throughput (`cosbench` is the perf ledger). The digest byte stream
@@ -9,9 +10,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cos_core::adaptation::{ProbeEvent, ProbeState, StaircaseEvent};
 use cos_core::engine::{JobOutcome, JobResult};
-use cos_core::session::{AdaptiveSummary, PacketSummary};
+use cos_core::session::Fnv;
 use cos_core::LinkMode;
 use cos_dsp::KernelMode;
 
@@ -50,105 +50,6 @@ pub fn counters() -> (u64, u64) {
     (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed))
 }
 
-/// FNV-1a over an outcome stream — an allocation-free byte-identity
-/// proxy (`f64`s enter via `to_bits`).
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv {
-    /// The FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// The digest so far.
-    pub fn value(&self) -> u64 {
-        self.0
-    }
-
-    /// Feeds one byte.
-    pub fn byte(&mut self, b: u8) {
-        self.0 = (self.0 ^ b as u64).wrapping_mul(0x1_0000_01b3);
-    }
-
-    /// Feeds each byte of `bs` in order.
-    pub fn bytes(&mut self, bs: &[u8]) {
-        for &b in bs {
-            self.byte(b);
-        }
-    }
-
-    /// Feeds `v` little-endian.
-    pub fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    /// Feeds `v` as a `u64`.
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Feeds `v`'s bit pattern.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Feeds `v` as one byte.
-    pub fn bool(&mut self, v: bool) {
-        self.byte(v as u8);
-    }
-}
-
-fn digest_packet(h: &mut Fnv, p: &PacketSummary) {
-    h.bool(p.data_ok);
-    h.bool(p.control_present);
-    h.bool(p.control_ok);
-    h.usize(p.silences_sent);
-    h.usize(p.detection.false_positives);
-    h.usize(p.detection.false_negatives);
-    h.usize(p.detection.actual_silences);
-    h.usize(p.detection.actual_normals);
-    h.f64(p.measured_snr_db);
-    h.byte(p.rate as u8);
-    h.usize(p.selected_len);
-    h.u64(p.selected_hash);
-    h.u64(p.control_hash);
-}
-
-fn digest_adaptive(h: &mut Fnv, a: &AdaptiveSummary) {
-    digest_packet(h, &a.packet);
-    h.f64(a.ewma_snr_db);
-    h.usize(a.budget);
-    h.byte(a.rate_after as u8);
-    h.usize(a.budget_after);
-    h.byte(match a.search_state {
-        ProbeState::Searching => 0,
-        ProbeState::SearchComplete => 1,
-    });
-    h.byte(match a.staircase_event {
-        StaircaseEvent::Hold => 0,
-        StaircaseEvent::Acquire => 1,
-        StaircaseEvent::Upgrade => 2,
-        StaircaseEvent::Downgrade => 3,
-        StaircaseEvent::Fallback => 4,
-    });
-    h.byte(match a.probe_event {
-        ProbeEvent::Hold => 0,
-        ProbeEvent::Confirmed => 1,
-        ProbeEvent::Failed => 2,
-        ProbeEvent::Completed => 3,
-        ProbeEvent::BackedOff => 4,
-        ProbeEvent::Restarted => 5,
-    });
-    h.bool(a.control_acked);
-    h.bool(a.feedback_delivered);
-}
-
 /// Digests every field of one engine outcome.
 ///
 /// The variant tags are historical: `Plain` and `Adaptive` share tag 1
@@ -165,11 +66,11 @@ pub fn digest_outcome(h: &mut Fnv, o: &JobOutcome) {
     match &o.result {
         JobResult::Plain(p) => {
             h.byte(1);
-            digest_packet(h, p);
+            h.packet(p);
         }
         JobResult::Resilient(r) => {
             h.byte(2);
-            digest_packet(h, &r.packet);
+            h.packet(&r.packet);
             h.byte(mode_code(r.mode));
             h.byte(mode_code(r.mode_after));
             h.bool(r.control_attempted);
@@ -185,7 +86,7 @@ pub fn digest_outcome(h: &mut Fnv, o: &JobOutcome) {
         }
         JobResult::Adaptive(a) => {
             h.byte(1);
-            digest_adaptive(h, a);
+            h.adaptive(a);
         }
         JobResult::StaleSession => h.byte(3),
     }
@@ -278,9 +179,10 @@ fn kernel_modes(spec: &str) -> Result<Vec<(&'static str, KernelMode)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cos_core::adaptation::{ProbeEvent, ProbeState, StaircaseEvent};
     use cos_core::energy_detector::DetectionAccuracy;
     use cos_core::engine::SessionPool;
-    use cos_core::session::{ResilientSummary, SessionConfig};
+    use cos_core::session::{AdaptiveSummary, PacketSummary, ResilientSummary, SessionConfig};
     use cos_phy::rates::DataRate;
 
     /// One outcome of each `JobResult` variant digests to the value the

@@ -89,23 +89,23 @@ impl Default for AdaptationConfig {
 }
 
 impl AdaptationConfig {
-    fn validate(&self) {
-        assert!(
-            self.snr_alpha > 0.0 && self.snr_alpha <= 1.0,
-            "snr_alpha must be in (0, 1], got {}",
-            self.snr_alpha
-        );
-        assert!(self.base_budget >= 2, "base_budget must be ≥ 2, got {}", self.base_budget);
-        assert!(self.probe_step >= 1, "probe_step must be ≥ 1, got {}", self.probe_step);
-        assert!(
-            self.max_budget >= self.base_budget,
-            "max_budget {} below base_budget {}",
-            self.max_budget,
-            self.base_budget
-        );
-        assert!(self.max_probes >= 1, "max_probes must be ≥ 1");
-        assert!(self.up_dwell >= 1, "up_dwell must be ≥ 1");
-        assert!(self.miss_fallback >= 1, "miss_fallback must be ≥ 1");
+    /// The one rule per field: `Err` names the first field outside its
+    /// domain. The controller panics on it; the journal reader rejects
+    /// it.
+    pub(crate) fn validate(&self) -> Result<(), &'static str> {
+        let checks = [
+            (self.snr_alpha > 0.0 && self.snr_alpha <= 1.0, "snr_alpha"),
+            (self.base_budget >= 2, "base_budget"),
+            (self.probe_step >= 1, "probe_step"),
+            (self.max_budget >= self.base_budget, "max_budget"),
+            (self.max_probes >= 1, "max_probes"),
+            (self.up_dwell >= 1, "up_dwell"),
+            (self.miss_fallback >= 1, "miss_fallback"),
+        ];
+        match checks.into_iter().find(|&(ok, _)| !ok) {
+            Some((_, field)) => Err(field),
+            None => Ok(()),
+        }
     }
 }
 
@@ -485,7 +485,9 @@ impl LinkAdaptationController {
     /// Panics if `cfg` is inconsistent (see [`AdaptationConfig`] field
     /// constraints).
     pub fn new(cfg: AdaptationConfig) -> Self {
-        cfg.validate();
+        if let Err(field) = cfg.validate() {
+            panic!("AdaptationConfig::{field} out of range in {cfg:?}");
+        }
         let snr = SnrEstimator::new(cfg.snr_alpha);
         let staircase = RateStaircase::new(&cfg);
         let search = SilenceProbeSearch::new(&cfg);

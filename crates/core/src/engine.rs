@@ -35,9 +35,9 @@
 //! its workers' outcome staging and the caller's outcome buffer; jobs
 //! reference payload/control bytes by ID into tables registered up front
 //! ([`BatchEngine::add_payload`] / [`BatchEngine::add_control`]); and each
-//! frame runs the session's one frame path (stage → Viterbi → finish),
-//! whose hot path performs no heap allocation. A warmed-up drain of
-//! plain, resilient and adaptive jobs is allocation-free on one thread;
+//! frame runs the session's one frame path in one pass, whose hot path
+//! performs no heap allocation. A warmed-up drain of plain, resilient
+//! and adaptive jobs is allocation-free on one thread;
 //! with more, the only per-drain cost is spawning the extra scoped worker
 //! threads (the calling thread is worker 0), which does not grow with the
 //! job count. `session_storm` measures both and `scripts/check.sh` gates
@@ -556,9 +556,9 @@ impl BatchEngine {
 }
 
 /// Runs one unit's jobs in submit order through the session's frame path
-/// ([`CosSession::run_frame`]: tx → air → rx staging, the Viterbi, then
-/// the feedback loop, ARQ confirmation and controller observation) on the
-/// worker's frame plane, staging each outcome in `ws.outcomes`. A stale
+/// ([`CosSession::run_frame`]: tx → air → rx decode, then the feedback
+/// loop, ARQ confirmation and controller observation) on the worker's
+/// frame plane, staging each outcome in `ws.outcomes`. A stale
 /// handle into a live slot keeps its stale outcome without touching the
 /// session. The per-frame path ([`CosSession::send_packet_summary`] and
 /// its siblings) runs the same function, so outcomes are byte-identical

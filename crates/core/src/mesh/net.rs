@@ -46,7 +46,7 @@ use crate::engine::{
 use crate::mesh::medium::MediumConfig;
 use crate::mesh::policy::CoordinationConfig;
 use crate::resilience::ResilienceConfig;
-use crate::session::{AdaptiveSummary, ResilientSummary, SessionConfig, SessionMetrics};
+use crate::session::{AdaptiveSummary, Fnv, ResilientSummary, SessionConfig, SessionMetrics};
 use cos_channel::{FaultEngine, Overlap, OverlapComposer};
 use cos_phy::rates::DataRate;
 use std::collections::VecDeque;
@@ -348,7 +348,7 @@ pub struct MeshNet {
     results: Vec<Vec<SlotResult>>,
     cmd_scratch: Vec<(usize, MeshCommand)>,
     tick: u64,
-    digest: u64,
+    digest: Fnv,
     tracing: bool,
 }
 
@@ -365,7 +365,7 @@ impl MeshNet {
             results: Vec::new(),
             cmd_scratch: Vec::new(),
             tick: 0,
-            digest: 0xcbf2_9ce4_8422_2325,
+            digest: Fnv::new(),
             tracing: false,
         }
     }
@@ -493,7 +493,7 @@ impl MeshNet {
     /// The running FNV-1a digest over every outcome, command and churn
     /// event — two runs agree iff their digests agree.
     pub fn digest(&self) -> u64 {
-        self.digest
+        self.digest.value()
     }
 
     /// The recorded trace for `(cell, station)`; `None` unless the net
@@ -897,43 +897,36 @@ fn uplink_bits(station: usize, counter: u64, len: usize) -> Vec<u8> {
     bits
 }
 
-fn fold_u64(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x1_0000_01b3);
-    }
+fn fold_event(h: &mut Fnv, kind: u64, tick: u64, ci: usize, si: usize, extra: u64) {
+    h.u64(kind);
+    h.u64(tick);
+    h.u64(ci as u64);
+    h.u64(si as u64);
+    h.u64(extra);
 }
 
-fn fold_event(h: &mut u64, kind: u64, tick: u64, ci: usize, si: usize, extra: u64) {
-    fold_u64(h, kind);
-    fold_u64(h, tick);
-    fold_u64(h, ci as u64);
-    fold_u64(h, si as u64);
-    fold_u64(h, extra);
-}
-
-fn fold_adaptive(h: &mut u64, tick: u64, ci: usize, si: usize, collided: bool, s: &AdaptiveSummary) {
+fn fold_adaptive(h: &mut Fnv, tick: u64, ci: usize, si: usize, collided: bool, s: &AdaptiveSummary) {
     fold_event(h, 1, tick, ci, si, collided as u64);
-    fold_u64(h, s.packet.data_ok as u64);
-    fold_u64(h, s.packet.control_ok as u64);
-    fold_u64(h, s.packet.silences_sent as u64);
-    fold_u64(h, s.packet.measured_snr_db.to_bits());
-    fold_u64(h, s.packet.rate.band_index() as u64);
-    fold_u64(h, s.packet.selected_hash);
-    fold_u64(h, s.packet.control_hash);
-    fold_u64(h, s.budget as u64);
-    fold_u64(h, s.budget_after as u64);
-    fold_u64(h, s.rate_after.band_index() as u64);
-    fold_u64(h, s.ewma_snr_db.to_bits());
+    h.u64(s.packet.data_ok as u64);
+    h.u64(s.packet.control_ok as u64);
+    h.u64(s.packet.silences_sent as u64);
+    h.u64(s.packet.measured_snr_db.to_bits());
+    h.u64(s.packet.rate.band_index() as u64);
+    h.u64(s.packet.selected_hash);
+    h.u64(s.packet.control_hash);
+    h.u64(s.budget as u64);
+    h.u64(s.budget_after as u64);
+    h.u64(s.rate_after.band_index() as u64);
+    h.u64(s.ewma_snr_db.to_bits());
 }
 
-fn fold_resilient(h: &mut u64, tick: u64, ci: usize, si: usize, s: &ResilientSummary) {
+fn fold_resilient(h: &mut Fnv, tick: u64, ci: usize, si: usize, s: &ResilientSummary) {
     fold_event(h, 2, tick, ci, si, s.control_acked as u64);
-    fold_u64(h, s.packet.data_ok as u64);
-    fold_u64(h, s.packet.control_ok as u64);
-    fold_u64(h, s.feedback_delivered as u64);
-    fold_u64(h, s.packet.selected_hash);
-    fold_u64(h, s.packet.control_hash);
+    h.u64(s.packet.data_ok as u64);
+    h.u64(s.packet.control_ok as u64);
+    h.u64(s.feedback_delivered as u64);
+    h.u64(s.packet.selected_hash);
+    h.u64(s.packet.control_hash);
 }
 
 #[cfg(test)]

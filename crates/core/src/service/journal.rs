@@ -34,19 +34,19 @@
 //! round-tripping is exact.
 
 use super::{ServiceConfig, ServiceCore, ServiceJobKind, ServiceOutcome, ServiceResult, Ticket};
-use crate::adaptation::{AdaptationConfig, ProbeEvent, StaircaseEvent};
+use crate::adaptation::AdaptationConfig;
 use crate::engine::{ControlId, JobResult, PayloadId, SessionId};
 use crate::resilience::{LinkMode, ResilienceConfig};
-use crate::session::SessionConfig;
+use crate::session::{Fnv, SessionConfig, MAX_MIN_CONTROL_SUBCARRIERS};
 use cos_channel::ChannelConfig;
 use cos_phy::rates::DataRate;
 
 const MAGIC: &[u8; 8] = b"COSJNL1\n";
 
-/// Running FNV-1a digest over service outcomes — the same construction
-/// as the storm benches, shared by live runs and replays.
+/// Running FNV-1a digest over service outcomes ([`Fnv::standard`]),
+/// shared by live runs and replays.
 #[derive(Debug, Clone)]
-pub struct OutcomeDigest(u64);
+pub struct OutcomeDigest(Fnv);
 
 impl Default for OutcomeDigest {
     fn default() -> Self {
@@ -57,103 +57,52 @@ impl Default for OutcomeDigest {
 impl OutcomeDigest {
     /// The FNV-1a offset basis.
     pub fn new() -> Self {
-        OutcomeDigest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    fn u64v(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    fn usizev(&mut self, v: usize) {
-        self.u64v(v as u64);
-    }
-
-    fn f64v(&mut self, v: f64) {
-        self.u64v(v.to_bits());
-    }
-
-    fn boolv(&mut self, v: bool) {
-        self.byte(v as u8);
+        OutcomeDigest(Fnv::standard())
     }
 
     /// Folds one resolved outcome into the digest.
     pub fn outcome(&mut self, o: &ServiceOutcome) {
-        self.u64v(o.ticket.value());
-        self.u64v(o.session.index() as u64);
-        self.u64v(o.session.generation() as u64);
+        let h = &mut self.0;
+        h.u64(o.ticket.value());
+        h.u64(o.session.index() as u64);
+        h.u64(o.session.generation() as u64);
         match &o.result {
             ServiceResult::Completed(r) => {
-                self.byte(0);
-                self.job_result(r);
+                h.byte(0);
+                match r {
+                    JobResult::Plain(p) => {
+                        h.byte(0);
+                        h.packet(p);
+                    }
+                    JobResult::Resilient(s) => {
+                        h.byte(1);
+                        h.packet(&s.packet);
+                        h.byte(link_mode_code(s.mode));
+                        h.byte(link_mode_code(s.mode_after));
+                        h.bool(s.control_attempted);
+                        h.bool(s.control_acked);
+                        h.bool(s.feedback_delivered);
+                        h.bool(s.phy_error.is_some());
+                    }
+                    JobResult::Adaptive(s) => {
+                        h.byte(2);
+                        h.adaptive(s);
+                    }
+                    JobResult::StaleSession => h.byte(3),
+                }
             }
-            ServiceResult::Expired => self.byte(1),
+            ServiceResult::Expired => h.byte(1),
             ServiceResult::Quarantined(reason) => {
-                self.byte(2);
-                self.byte(*reason as u8);
+                h.byte(2);
+                h.byte(*reason as u8);
             }
-            ServiceResult::Cancelled => self.byte(3),
+            ServiceResult::Cancelled => h.byte(3),
         }
-    }
-
-    fn job_result(&mut self, r: &JobResult) {
-        match r {
-            JobResult::Plain(p) => {
-                self.byte(0);
-                self.packet(p);
-            }
-            JobResult::Resilient(s) => {
-                self.byte(1);
-                self.packet(&s.packet);
-                self.byte(link_mode_code(s.mode));
-                self.byte(link_mode_code(s.mode_after));
-                self.boolv(s.control_attempted);
-                self.boolv(s.control_acked);
-                self.boolv(s.feedback_delivered);
-                self.byte(s.phy_error.is_some() as u8);
-            }
-            JobResult::Adaptive(s) => {
-                self.byte(2);
-                self.packet(&s.packet);
-                self.f64v(s.ewma_snr_db);
-                self.usizev(s.budget);
-                self.byte(rate_code(s.rate_after));
-                self.usizev(s.budget_after);
-                self.byte(s.search_state as u8);
-                self.byte(staircase_code(s.staircase_event));
-                self.byte(probe_code(s.probe_event));
-                self.boolv(s.control_acked);
-                self.boolv(s.feedback_delivered);
-            }
-            JobResult::StaleSession => self.byte(3),
-        }
-    }
-
-    fn packet(&mut self, p: &crate::session::PacketSummary) {
-        self.boolv(p.data_ok);
-        self.boolv(p.control_present);
-        self.boolv(p.control_ok);
-        self.usizev(p.silences_sent);
-        self.usizev(p.detection.false_positives);
-        self.usizev(p.detection.false_negatives);
-        self.usizev(p.detection.actual_silences);
-        self.usizev(p.detection.actual_normals);
-        self.f64v(p.measured_snr_db);
-        self.byte(rate_code(p.rate));
-        self.usizev(p.selected_len);
-        self.u64v(p.selected_hash);
-        self.u64v(p.control_hash);
     }
 
     /// The digest value so far.
     pub fn value(&self) -> u64 {
-        self.0
+        self.0.value()
     }
 }
 
@@ -162,31 +111,6 @@ fn link_mode_code(m: LinkMode) -> u8 {
         LinkMode::Cos => 0,
         LinkMode::DataOnly => 1,
         LinkMode::Probing => 2,
-    }
-}
-
-fn rate_code(r: DataRate) -> u8 {
-    DataRate::ALL.iter().position(|&x| x == r).unwrap_or(usize::from(u8::MAX)) as u8
-}
-
-fn staircase_code(e: StaircaseEvent) -> u8 {
-    match e {
-        StaircaseEvent::Hold => 0,
-        StaircaseEvent::Acquire => 1,
-        StaircaseEvent::Upgrade => 2,
-        StaircaseEvent::Downgrade => 3,
-        StaircaseEvent::Fallback => 4,
-    }
-}
-
-fn probe_code(e: ProbeEvent) -> u8 {
-    match e {
-        ProbeEvent::Hold => 0,
-        ProbeEvent::Confirmed => 1,
-        ProbeEvent::Failed => 2,
-        ProbeEvent::Completed => 3,
-        ProbeEvent::BackedOff => 4,
-        ProbeEvent::Restarted => 5,
     }
 }
 
@@ -629,7 +553,7 @@ fn write_session_config(w: &mut Vec<u8>, c: &SessionConfig) {
     w_f64(w, c.channel.k_factor);
     w_f64(w, c.channel.doppler_hz);
     w_f64(w, c.snr_db);
-    w_u8(w, c.rate.map_or(u8::MAX, rate_code));
+    w_u8(w, c.rate.map_or(u8::MAX, |r| r as u8));
     w_f64(w, c.detector_bias_db);
     w_usize(w, c.bits_per_interval);
     w_usize(w, c.min_control_subcarriers);
@@ -669,7 +593,10 @@ fn read_session_config(r: &mut Reader<'_>) -> Result<SessionConfig, JournalError
         rate,
         detector_bias_db: r.finite("detector_bias_db")?,
         bits_per_interval: r.usize_in("bits_per_interval", 1..=16)?,
-        min_control_subcarriers: r.usize_()?,
+        min_control_subcarriers: r.usize_in(
+            "min_control_subcarriers",
+            0..=MAX_MIN_CONTROL_SUBCARRIERS,
+        )?,
         packet_interval: match r.finite("packet_interval")? {
             t if t < 0.0 => return Err(JournalError::BadValue("packet_interval")),
             t => t,
@@ -681,7 +608,11 @@ fn read_session_config(r: &mut Reader<'_>) -> Result<SessionConfig, JournalError
         },
         adaptation: match r.u8()? {
             0 => None,
-            1 => Some(read_adaptation_config(r)?),
+            1 => {
+                let c = read_adaptation_config(r)?;
+                c.validate().map_err(JournalError::BadValue)?;
+                Some(c)
+            }
             _ => return Err(JournalError::BadValue("adaptation flag")),
         },
     })
@@ -883,22 +814,26 @@ mod tests {
     const TAP_DECAY: f64 = 0.3125;
     const DETECTOR_BIAS_DB: f64 = 0.8125;
     const PACKET_INTERVAL: f64 = 1.0625e-3;
+    const SNR_ALPHA: f64 = 0.296875;
 
-    /// Journal bytes of one resilient job on a session whose config
-    /// carries the distinctive values above, so each field under test can
-    /// be found by its bit pattern (or by its distinctive neighbour's).
+    /// Journal bytes of one resilient and one adaptive job on a session
+    /// whose config carries the distinctive values above, so each field
+    /// under test can be found by its bit pattern (or by its distinctive
+    /// neighbour's).
     fn distinctive_journal() -> Vec<u8> {
         let config = SessionConfig {
             channel: ChannelConfig { tap_decay: TAP_DECAY, ..ChannelConfig::default() },
             snr_db: SNR_DB,
             detector_bias_db: DETECTOR_BIAS_DB,
             packet_interval: PACKET_INTERVAL,
+            adaptation: Some(AdaptationConfig { snr_alpha: SNR_ALPHA, ..Default::default() }),
             ..SessionConfig::default()
         };
         let mut core = ServiceCore::with_journal(ServiceConfig::default());
         let s = core.create_session(config, 5);
         let p = core.add_payload(&[0x5A; 60]);
         core.try_submit(s, p, ServiceJobKind::Resilient).unwrap();
+        core.try_submit(s, p, ServiceJobKind::Adaptive).unwrap();
         core.run_to_drained();
         let bytes = core.seal_journal().expect("journaling was on").serialize();
         assert!(ReplayJournal::deserialize(&bytes).is_ok());
@@ -937,13 +872,24 @@ mod tests {
     fn deserialize_rejects_out_of_range_session_config() {
         let bytes = distinctive_journal();
         // n_taps is written just before tap_decay, bits_per_interval just
-        // after detector_bias_db.
+        // after detector_bias_db, min_control_subcarriers just before
+        // packet_interval.
         let n_taps = locate(&bytes, TAP_DECAY) - 8;
         let bits = locate(&bytes, DETECTOR_BIAS_DB) + 8;
         let interval = locate(&bytes, PACKET_INTERVAL);
-        let cases: [(&str, usize, [u64; 2], [u64; 2]); 3] = [
+        let alpha = locate(&bytes, SNR_ALPHA);
+        let cases: [(&str, usize, [u64; 2], [u64; 2]); 5] = [
             ("n_taps", n_taps, [0, 17], [1, 16]),
             ("bits_per_interval", bits, [0, 17], [1, 16]),
+            // The bootstrap block 9..9+min must fit the 48 data subcarriers.
+            ("min_control_subcarriers", interval - 8, [40, u64::MAX], [0, 39]),
+            // The adaptation block: the controller's EWMA factor is in (0, 1].
+            (
+                "snr_alpha",
+                alpha,
+                [2.0f64.to_bits(), 0.0f64.to_bits()],
+                [1.0f64.to_bits(), f64::MIN_POSITIVE.to_bits()],
+            ),
             (
                 "packet_interval",
                 interval,
@@ -964,7 +910,7 @@ mod tests {
             for word in accepted {
                 let journal = ReplayJournal::deserialize(&patched(&bytes, at, word))
                     .unwrap_or_else(|e| panic!("{field} = {word:#x}: {e}"));
-                assert_eq!(journal.replay(1).outcomes, 1, "{field} = {word:#x}");
+                assert_eq!(journal.replay(1).outcomes, 2, "{field} = {word:#x}");
             }
         }
     }

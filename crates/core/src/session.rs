@@ -20,12 +20,12 @@
 //!   EWMA of measured SNR and the silence-budget probe search sizes the
 //!   control payload, with ARQ-confirmed probes (paper §II-B, Fig. 2).
 //!
-//! The frame path is `stage` (build, embed, channel, front end, energy
-//! detection, FEC staging) → Viterbi → `finish` (CRC, control
-//! extraction, silence validation, EVM feedback, then the per-kind
-//! sender tail), one frame at a time. Each frame runs on a
-//! `FrameScratch` lent by the caller: the session's own on the per-frame
-//! path, an engine worker's in a batch.
+//! The frame path is one pass per frame, in the order of the paper's
+//! Fig. 8: build, embed, channel, front end, energy detection, the
+//! erasure decode (demap, Viterbi, CRC), control extraction, silence
+//! validation, EVM feedback, then the per-kind sender tail. Each frame
+//! runs on a `FrameScratch` lent by the caller: the session's own on the
+//! per-frame path, an engine worker's in a batch.
 
 use crate::adaptation::{
     AdaptationConfig, LinkAdaptationController, ProbeEvent, ProbeState, StaircaseEvent,
@@ -44,7 +44,6 @@ use crate::validation::{sanitize_selection, validate_silences_into};
 use cos_channel::{ChannelConfig, FaultEngine, FeedbackFate, Link};
 use cos_phy::error::PhyError;
 use cos_phy::evm::{per_subcarrier_evm, reconstruct_points_into};
-use cos_phy::frame::{run_staged_viterbi, PreparedDataField};
 use cos_phy::rates::DataRate;
 use cos_phy::rx::Receiver;
 use cos_phy::subcarriers::NUM_DATA;
@@ -67,38 +66,13 @@ pub(crate) enum ControlSource<'a> {
     Adaptive,
 }
 
-/// What the control source decided at staging time that the sender-side
-/// tail of [`CosSession::finish`] needs back.
+/// What the control source decided that the frame's sender-side tail
+/// needs back.
 #[derive(Debug, Clone, Copy)]
 enum Tail {
     Plain,
     Resilient { mode: LinkMode, from_queue: bool },
     Adaptive { target: usize, from_queue: bool },
-}
-
-/// The receive side of a staged frame: either the front end failed
-/// outright, or the DATA field staged with the inner result.
-#[derive(Debug, Clone, Copy)]
-enum RxStage {
-    /// The front end failed; there is nothing to decode.
-    FrontEndFailed(PhyError),
-    /// The front end ran; the DATA field staged with this result.
-    Staged(Result<PreparedDataField, PhyError>),
-}
-
-/// `Copy` token from [`CosSession::stage`] to [`CosSession::finish`]:
-/// what the frame in flight needs beyond its planes. The planes
-/// (waveforms, front end, staged trellis) stay in the [`FrameScratch`]
-/// it was staged into, which must be the one passed to the Viterbi and
-/// the finish. The control message itself stays in the session's
-/// scratch, where the finish reads it back.
-#[derive(Debug, Clone, Copy)]
-struct Staged {
-    silences_sent: usize,
-    rate: DataRate,
-    embed_control: bool,
-    tail: Tail,
-    rx: RxStage,
 }
 
 /// The frame-sized planes of one frame in flight: the tx frame and
@@ -108,7 +82,7 @@ struct Staged {
 /// control bits, whose worst-case size grows with the frame's control
 /// slots.
 ///
-/// Workspaces carry no semantic state between frames (every stage fully
+/// Workspaces carry no semantic state between frames (every step fully
 /// overwrites what it writes), so a `FrameScratch` is lent to a frame by
 /// whoever runs it, never owned by the session the frame belongs to: the
 /// per-frame `send_*` path lends the session's own, an engine worker
@@ -162,7 +136,9 @@ pub struct SessionConfig {
     pub detector_bias_db: f64,
     /// Control bits per interval (paper: 4).
     pub bits_per_interval: usize,
-    /// Minimum number of control subcarriers to keep selected.
+    /// Minimum number of control subcarriers to keep selected (0 keeps
+    /// one, like 1), at most 39: the bootstrap block, subcarriers 9..,
+    /// must fit the 48 data subcarriers.
     pub min_control_subcarriers: usize,
     /// Wall-clock gap between packets in seconds (drives channel
     /// evolution).
@@ -235,8 +211,7 @@ struct FeedbackMeta {
 #[derive(Debug, Clone, Default)]
 struct SessionScratch {
     /// The control message of the frame in flight, written by the
-    /// control source at staging time and verified against the decode
-    /// at finish time.
+    /// control source and verified against the decode.
     msg: Vec<u8>,
     /// Silence positions actually embedded (ground truth).
     truth: Vec<usize>,
@@ -280,14 +255,112 @@ pub struct SessionMetrics {
     pub silence_budget: usize,
 }
 
-/// FNV-1a over a byte stream — the summary types' byte-identity proxy.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
+/// FNV-1a over a byte stream — the summary types' byte-identity proxy and
+/// the one allocation-free digest behind every outcome digest (service
+/// journal, mesh, storm gates). `f64`s enter via `to_bits`, integers
+/// little-endian. The byte stream is frozen: every recorded digest
+/// depends on it.
+///
+/// Two multipliers are frozen in recorded digests: [`Fnv::new`]'s
+/// `0x1_0000_01b3` (the session hashes, the mesh and the storm gates) and
+/// [`Fnv::standard`]'s 64-bit FNV prime `0x100_0000_01b3` (the service
+/// journal). The two agree in the low 32 bits of every digest.
+#[derive(Debug, Clone)]
+pub struct Fnv {
+    h: u64,
+    prime: u64,
+}
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Self::new()
     }
-    h
+}
+
+impl Fnv {
+    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// The offset basis, with the multiplier of the session, mesh and
+    /// storm-gate digests.
+    pub fn new() -> Self {
+        Fnv { h: Self::OFFSET_BASIS, prime: 0x1_0000_01b3 }
+    }
+
+    /// The offset basis, with the 64-bit FNV prime of the service
+    /// journal's outcome digest.
+    pub fn standard() -> Self {
+        Fnv { h: Self::OFFSET_BASIS, prime: 0x100_0000_01b3 }
+    }
+
+    /// The digest so far.
+    pub fn value(&self) -> u64 {
+        self.h
+    }
+
+    /// Feeds one byte.
+    pub fn byte(&mut self, b: u8) {
+        self.h = (self.h ^ b as u64).wrapping_mul(self.prime);
+    }
+
+    /// Feeds each byte of `bs` in order.
+    pub fn bytes(&mut self, bs: &[u8]) {
+        for &b in bs {
+            self.byte(b);
+        }
+    }
+
+    /// Feeds `v` little-endian.
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Feeds `v` as a `u64`.
+    pub fn usize(&mut self, v: usize) {
+        self.u64(v as u64);
+    }
+
+    /// Feeds `v`'s bit pattern.
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// Feeds `v` as one byte.
+    pub fn bool(&mut self, v: bool) {
+        self.byte(v as u8);
+    }
+
+    /// Feeds every field of a packet summary in declaration order; the
+    /// rate enters as its [`DataRate::ALL`] index.
+    pub fn packet(&mut self, p: &PacketSummary) {
+        self.bool(p.data_ok);
+        self.bool(p.control_present);
+        self.bool(p.control_ok);
+        self.usize(p.silences_sent);
+        self.usize(p.detection.false_positives);
+        self.usize(p.detection.false_negatives);
+        self.usize(p.detection.actual_silences);
+        self.usize(p.detection.actual_normals);
+        self.f64(p.measured_snr_db);
+        self.byte(p.rate as u8);
+        self.usize(p.selected_len);
+        self.u64(p.selected_hash);
+        self.u64(p.control_hash);
+    }
+
+    /// Feeds every field of an adaptive summary in declaration order; the
+    /// enums enter as their variant index.
+    pub fn adaptive(&mut self, a: &AdaptiveSummary) {
+        self.packet(&a.packet);
+        self.f64(a.ewma_snr_db);
+        self.usize(a.budget);
+        self.byte(a.rate_after as u8);
+        self.usize(a.budget_after);
+        self.byte(a.search_state as u8);
+        self.byte(a.staircase_event as u8);
+        self.byte(a.probe_event as u8);
+        self.bool(a.control_acked);
+        self.bool(a.feedback_delivered);
+    }
 }
 
 /// Fixed-size (`Copy`) outcome of one packet: per-packet heap results
@@ -419,6 +492,21 @@ impl ResilienceState {
     }
 }
 
+/// First subcarrier of the bootstrap selection, the centred contiguous
+/// block (the Fig. 10(a) layout) a session starts from before any EVM
+/// feedback exists.
+const BOOTSTRAP_FIRST: usize = 9;
+
+/// The largest `min_control_subcarriers` whose bootstrap block still
+/// fits the data subcarriers.
+pub(crate) const MAX_MIN_CONTROL_SUBCARRIERS: usize = NUM_DATA - BOOTSTRAP_FIRST;
+
+/// The bootstrap selection of a session keeping at least `min` control
+/// subcarriers (one when `min` is 0).
+fn bootstrap_selection(min: usize) -> std::ops::Range<usize> {
+    BOOTSTRAP_FIRST..BOOTSTRAP_FIRST + min.max(1)
+}
+
 /// How many past feedback reports are kept for stale delivery.
 const FEEDBACK_HISTORY: usize = 16;
 
@@ -488,9 +576,7 @@ impl CosSession {
     pub fn new(config: SessionConfig, seed: u64) -> Self {
         let codec = IntervalCodec::new(config.bits_per_interval);
         let link = Link::new(config.channel, config.snr_db, seed);
-        // Bootstrap selection before any EVM feedback exists: a centred
-        // contiguous block (the Fig. 10(a) layout).
-        let selected = (9..9 + config.min_control_subcarriers.max(1)).collect();
+        let selected = bootstrap_selection(config.min_control_subcarriers).collect();
         let rate = config.rate.unwrap_or(DataRate::Mbps12);
         let resilience = config.resilience.is_some().then(|| ResilienceState::new(&config));
         let adaptation = config.adaptation.is_some().then(|| AdaptationState::new(&config));
@@ -525,7 +611,7 @@ impl CosSession {
         let codec = IntervalCodec::new(config.bits_per_interval);
         self.link = Link::new(config.channel, config.snr_db, seed);
         self.selected.clear();
-        self.selected.extend(9..9 + config.min_control_subcarriers.max(1));
+        self.selected.extend(bootstrap_selection(config.min_control_subcarriers));
         self.rate = config.rate.unwrap_or(DataRate::Mbps12);
         self.resilience = config.resilience.is_some().then(|| ResilienceState::new(&config));
         self.detector = EnergyDetector::new(config.detector_bias_db);
@@ -706,20 +792,202 @@ impl CosSession {
         self.resilience.get_or_insert_with(|| ResilienceState::new(&self.config))
     }
 
-    /// One frame through the whole path on the planes `fs`: stage,
-    /// Viterbi, finish. The per-frame `send_*` methods lend the session's
-    /// own planes, the engine a worker's; both run this one path.
+    /// One frame through the whole path on the planes `fs`, in one pass
+    /// (the paper's Fig. 8): the control source writes the message into
+    /// `xs.msg`; the frame is built, embedded, rendered and sent over the
+    /// link; the receiver runs its front end, energy detection, the
+    /// erasure decode (demap, Viterbi, CRC), control extraction, silence
+    /// validation and EVM feedback; then the channel advances, the
+    /// metrics count the frame and the control source's sender tail
+    /// (feedback fate, ARQ confirmation, controller observation) applies
+    /// the outcome. The per-frame `send_*` methods lend the session's own
+    /// planes, the engine a worker's; both run this one path.
     pub(crate) fn run_frame(
         &mut self,
         fs: &mut FrameScratch,
         payload: &[u8],
         src: ControlSource<'_>,
     ) -> JobResult {
-        let staged = self.stage(fs, payload, src);
-        if let RxStage::Staged(Ok(p)) = staged.rx {
-            run_staged_viterbi(p, &mut fs.phy.rx.scratch.fec);
+        let (embed_control, tail) = self.choose_control(payload, src);
+        self.seq += 1;
+        let scrambler_seed = (self.seq % 127 + 1) as u8;
+        let rate = self.rate;
+        // Split-borrow the session so the link, detector and per-packet
+        // scratch can be used side by side without intermediate
+        // allocations.
+        let CosSession {
+            config,
+            link,
+            phy_tx,
+            phy_rx,
+            controller,
+            detector,
+            selected,
+            det,
+            thresholds,
+            sel_scratch,
+            xs,
+            ..
+        } = &mut *self;
+        let FrameScratch { phy: ws, ref_tx, control } = fs;
+        phy_tx.build_frame_into(payload, rate, scrambler_seed, &mut ws.tx);
+
+        // Embed; if the message outgrows the current selection (short
+        // frame or long message), expand the control-subcarrier set for
+        // this packet with evenly spaced extras — best effort, exactly
+        // what a sender with a stale feedback vector would do. The
+        // working copy lives in session scratch so the session's own
+        // `selected` stays the receiver's last report.
+        sel_scratch.clear();
+        sel_scratch.extend_from_slice(selected);
+        xs.truth.clear();
+        if embed_control {
+            loop {
+                match controller.embed_into(&mut ws.tx.frame, sel_scratch, &xs.msg, &mut xs.truth) {
+                    Ok(()) => break,
+                    Err(EmbedError::NoControlSubcarriers) => {
+                        panic!("session always keeps a non-empty selection")
+                    }
+                    Err(e @ EmbedError::MessageTooLong { .. }) => {
+                        if sel_scratch.len() >= NUM_DATA {
+                            panic!("{e}: message exceeds the frame's total control capacity");
+                        }
+                        expand_selection(sel_scratch);
+                    }
+                }
+            }
         }
-        self.finish(fs, staged)
+        let silences_sent = xs.truth.len();
+        ws.tx.render();
+        // The channel output lands straight in the receive workspace.
+        link.transmit_into(&ws.tx.samples, &mut ws.rx.samples);
+
+        let t = match phy_rx.front_end_into(&ws.rx.samples, &mut ws.rx.fe) {
+            Ok(()) => {
+                if embed_control {
+                    detector.detect_into(&ws.rx.fe, sel_scratch, thresholds, det);
+                }
+                let erasures = embed_control.then_some(det.erasures.as_slice());
+                phy_rx.decode_into(&ws.rx.fe, erasures, &mut ws.rx.scratch, &mut ws.rx.out);
+
+                let codec = *controller.codec();
+                let total = ws.rx.fe.raw_symbols.len() * sel_scratch.len();
+                // Decoded control bits are bounded by one interval per
+                // control slot; reserving that bound here keeps the two
+                // `decode_into` calls below reallocation-free even on
+                // frames with record silence counts.
+                control.reserve(total.saturating_sub(1) * codec.bits_per_interval());
+                let mut accuracy = if embed_control {
+                    DetectionAccuracy::evaluate_sorted(&det.positions, &xs.truth, total)
+                } else {
+                    DetectionAccuracy::default()
+                };
+                let mut control_present =
+                    embed_control && det.control_bits_into(&codec, control);
+                let measured = ws.rx.fe.measured_snr_db();
+
+                // Feedback loop: EVM-based subcarrier selection for the
+                // next packet, valid only when the CRC passed. The same
+                // point reconstruction also refines the control message by
+                // coherent silence validation (inner QAM points stop
+                // masquerading as silences).
+                let next_rate = config.rate.unwrap_or_else(|| DataRate::select(measured));
+                let mut feedback = None;
+                if let (true, Some(seed)) = (ws.rx.out.crc_ok, ws.rx.out.scrambler_seed) {
+                    let reference =
+                        reconstruct_points_into(&ws.rx.out.payload, rate, seed, ref_tx);
+                    let mut false_alarms = 0;
+                    let mut normal_positions = 0;
+                    if embed_control {
+                        validate_silences_into(&ws.rx.fe, sel_scratch, reference, &mut xs.refined);
+                        accuracy = DetectionAccuracy::evaluate_sorted(&xs.refined, &xs.truth, total);
+                        control_present = codec.decode_into(&xs.refined, control);
+                        false_alarms =
+                            det.positions.iter().filter(|p| !xs.refined.contains(p)).count();
+                        normal_positions = total - xs.refined.len();
+                    }
+                    let evm = per_subcarrier_evm(
+                        &ws.rx.fe.equalized,
+                        reference,
+                        rate.modulation(),
+                        erasures,
+                    );
+                    let snrs = ws.rx.fe.per_subcarrier_snr();
+                    let mut snr_db = [0.0f64; NUM_DATA];
+                    for (slot, &s) in snr_db.iter_mut().zip(snrs.iter()) {
+                        *slot = cos_dsp::linear_to_db(s.max(1e-12));
+                    }
+                    // At least one subcarrier, whatever the config: the
+                    // next frame's start marker needs a slot.
+                    let min = config.min_control_subcarriers.max(1);
+                    select_control_subcarriers_into(
+                        &evm,
+                        &snr_db,
+                        SelectionPolicy::weak_by_evm(next_rate.modulation(), min),
+                        &mut xs.fb_selection,
+                    );
+                    feedback = Some(FeedbackMeta {
+                        measured_snr_db: measured,
+                        false_alarms,
+                        normal_positions,
+                    });
+                }
+
+                let control_ok = embed_control && control_present && *control == xs.msg;
+                let control_hash = if control_present {
+                    let mut h = Fnv::new();
+                    h.bytes(control);
+                    h.value()
+                } else {
+                    0
+                };
+                Transceived {
+                    data_ok: ws.rx.out.crc_ok,
+                    front_end_ok: true,
+                    control_present,
+                    control_hash,
+                    control_ok,
+                    silences_sent,
+                    accuracy,
+                    measured,
+                    rate,
+                    phy_error: ws.rx.out.decode_error,
+                    feedback,
+                }
+            }
+            Err(e) => Transceived {
+                data_ok: false,
+                front_end_ok: false,
+                control_present: false,
+                control_hash: 0,
+                control_ok: false,
+                silences_sent,
+                accuracy: DetectionAccuracy::default(),
+                measured: f64::NEG_INFINITY,
+                rate,
+                phy_error: Some(e),
+                feedback: None,
+            },
+        };
+
+        // The world moves on between packets.
+        link.channel_mut().advance(config.packet_interval);
+        self.m.frames_tx += 1;
+        self.m.control_embedded += embed_control as u64;
+        self.m.frames_rx_ok += t.data_ok as u64;
+        self.m.control_ok += t.control_ok as u64;
+        match tail {
+            Tail::Plain => {
+                self.plain_tail(&t);
+                JobResult::Plain(self.summarize(&t))
+            }
+            Tail::Resilient { mode, from_queue } => {
+                JobResult::Resilient(self.resilient_tail(t, mode, embed_control, from_queue))
+            }
+            Tail::Adaptive { target, from_queue } => {
+                JobResult::Adaptive(self.adaptive_tail(t, target, from_queue))
+            }
+        }
     }
 
     /// [`run_frame`](Self::run_frame) on the session's own planes; moving
@@ -732,84 +1000,9 @@ impl CosSession {
         result
     }
 
-    /// The front of the frame path: the control source writes the message
-    /// into `xs.msg`, then the frame is built, embedded, rendered, sent
-    /// over the link, front-ended, energy-detected and staged for the
-    /// erasure Viterbi — the frame planes into `fs`, the per-packet
-    /// results into session scratch. The Viterbi itself is the next step.
-    fn stage(
-        &mut self,
-        fs: &mut FrameScratch,
-        payload: &[u8],
-        src: ControlSource<'_>,
-    ) -> Staged {
-        let (embed_control, tail) = self.choose_control(payload, src);
-        self.seq += 1;
-        let scrambler_seed = (self.seq % 127 + 1) as u8;
-        let rate = self.rate;
-        let ws = &mut fs.phy;
-        self.phy_tx.build_frame_into(payload, rate, scrambler_seed, &mut ws.tx);
-
-        // Embed; if the message outgrows the current selection (short
-        // frame or long message), expand the control-subcarrier set for
-        // this packet with evenly spaced extras — best effort, exactly
-        // what a sender with a stale feedback vector would do. The
-        // working copy lives in session scratch so the session's own
-        // `selected` stays the receiver's last report.
-        self.sel_scratch.clear();
-        self.sel_scratch.extend_from_slice(&self.selected);
-        self.xs.truth.clear();
-        if embed_control {
-            loop {
-                match self.controller.embed_into(
-                    &mut ws.tx.frame,
-                    &self.sel_scratch,
-                    &self.xs.msg,
-                    &mut self.xs.truth,
-                ) {
-                    Ok(()) => break,
-                    Err(EmbedError::NoControlSubcarriers) => {
-                        panic!("session always keeps a non-empty selection")
-                    }
-                    Err(e @ EmbedError::MessageTooLong { .. }) => {
-                        if self.sel_scratch.len() >= NUM_DATA {
-                            panic!("{e}: message exceeds the frame's total control capacity");
-                        }
-                        expand_selection(&mut self.sel_scratch);
-                    }
-                }
-            }
-        }
-        let silences_sent = self.xs.truth.len();
-        ws.tx.render();
-
-        // Split-borrow the session so the link, detector and per-packet
-        // scratch can be used side by side without intermediate
-        // allocations. The channel output lands straight in the receive
-        // workspace.
-        let CosSession { link, detector, phy_rx, det, thresholds, sel_scratch, .. } = self;
-        link.transmit_into(&ws.tx.samples, &mut ws.rx.samples);
-        let rx = match phy_rx.front_end_into(&ws.rx.samples, &mut ws.rx.fe) {
-            Ok(()) => {
-                if embed_control {
-                    detector.detect_into(&ws.rx.fe, sel_scratch, thresholds, det);
-                }
-                let erasures = embed_control.then_some(det.erasures.as_slice());
-                RxStage::Staged(phy_rx.decode_prepare_into(
-                    &ws.rx.fe,
-                    erasures,
-                    &mut ws.rx.scratch,
-                    &mut ws.rx.out,
-                ))
-            }
-            Err(e) => RxStage::FrontEndFailed(e),
-        };
-        Staged { silences_sent, rate, embed_control, tail, rx }
-    }
-
-    /// The per-kind half of staging: writes this frame's control message
-    /// into `xs.msg`, decides whether it is embedded, and (adaptive only)
-    /// sets the frame's rate.
+    /// The control source of a frame: writes its control message into
+    /// `xs.msg`, decides whether it is embedded, and (adaptive only) sets
+    /// the frame's rate.
     fn choose_control(&mut self, payload: &[u8], src: ControlSource<'_>) -> (bool, Tail) {
         let CosSession { config, controller, rate, seq, resilience, adaptation, xs, .. } = self;
         let msg = &mut xs.msg;
@@ -881,146 +1074,9 @@ impl CosSession {
         }
     }
 
-    /// The back of the frame path: the shared receive finish, then the
-    /// sender-side tail of the frame's control source (feedback fate, ARQ
-    /// confirmation, controller observation). Requires the Viterbi step
-    /// to have run when the frame staged cleanly, on the `fs` the frame
-    /// was staged into.
-    fn finish(&mut self, fs: &mut FrameScratch, staged: Staged) -> JobResult {
-        let t = self.finish_rx(fs, &staged);
-        match staged.tail {
-            Tail::Plain => {
-                self.plain_tail(&t);
-                JobResult::Plain(self.summarize(&t))
-            }
-            Tail::Resilient { mode, from_queue } => {
-                let attempted = staged.embed_control;
-                JobResult::Resilient(self.resilient_tail(t, mode, attempted, from_queue))
-            }
-            Tail::Adaptive { target, from_queue } => {
-                JobResult::Adaptive(self.adaptive_tail(t, target, from_queue))
-            }
-        }
-    }
-
-    /// The receive finish shared by every control source: descramble/CRC,
-    /// control-bit extraction, silence validation, EVM feedback, channel
-    /// advance and metrics. Does **not** apply feedback to the sender
-    /// state.
-    fn finish_rx(&mut self, fs: &mut FrameScratch, staged: &Staged) -> Transceived {
-        let Staged { silences_sent, rate, embed_control, rx, .. } = *staged;
-        let result = match rx {
-            RxStage::Staged(prep) => {
-                let CosSession { phy_rx, controller, config, det, sel_scratch, xs, .. } =
-                    &mut *self;
-                let FrameScratch { phy: ws, ref_tx, control } = fs;
-                let codec = *controller.codec();
-                let total = ws.rx.fe.raw_symbols.len() * sel_scratch.len();
-                // Decoded control bits are bounded by one interval per
-                // control slot; reserving that bound here keeps the two
-                // `decode_into` calls below reallocation-free even on
-                // frames with record silence counts.
-                control.reserve(total.saturating_sub(1) * codec.bits_per_interval());
-                let mut accuracy = if embed_control {
-                    DetectionAccuracy::evaluate_sorted(&det.positions, &xs.truth, total)
-                } else {
-                    DetectionAccuracy::default()
-                };
-                let erasures = embed_control.then_some(det.erasures.as_slice());
-                phy_rx.decode_finish_into(&ws.rx.fe, prep, &mut ws.rx.scratch, &mut ws.rx.out);
-                let mut control_present =
-                    embed_control && det.control_bits_into(&codec, control);
-                let measured = ws.rx.fe.measured_snr_db();
-
-                // Feedback loop: EVM-based subcarrier selection for the
-                // next packet, valid only when the CRC passed. The same
-                // point reconstruction also refines the control message by
-                // coherent silence validation (inner QAM points stop
-                // masquerading as silences).
-                let next_rate = config.rate.unwrap_or_else(|| DataRate::select(measured));
-                let mut feedback = None;
-                if let (true, Some(seed)) = (ws.rx.out.crc_ok, ws.rx.out.scrambler_seed) {
-                    let reference =
-                        reconstruct_points_into(&ws.rx.out.payload, rate, seed, ref_tx);
-                    let mut false_alarms = 0;
-                    let mut normal_positions = 0;
-                    if embed_control {
-                        validate_silences_into(&ws.rx.fe, sel_scratch, reference, &mut xs.refined);
-                        accuracy = DetectionAccuracy::evaluate_sorted(&xs.refined, &xs.truth, total);
-                        control_present = codec.decode_into(&xs.refined, control);
-                        false_alarms =
-                            det.positions.iter().filter(|p| !xs.refined.contains(p)).count();
-                        normal_positions = total - xs.refined.len();
-                    }
-                    let evm = per_subcarrier_evm(
-                        &ws.rx.fe.equalized,
-                        reference,
-                        rate.modulation(),
-                        erasures,
-                    );
-                    let snrs = ws.rx.fe.per_subcarrier_snr();
-                    let mut snr_db = [0.0f64; NUM_DATA];
-                    for (slot, &s) in snr_db.iter_mut().zip(snrs.iter()) {
-                        *slot = cos_dsp::linear_to_db(s.max(1e-12));
-                    }
-                    select_control_subcarriers_into(
-                        &evm,
-                        &snr_db,
-                        SelectionPolicy::weak_by_evm(
-                            next_rate.modulation(),
-                            config.min_control_subcarriers,
-                        ),
-                        &mut xs.fb_selection,
-                    );
-                    feedback = Some(FeedbackMeta {
-                        measured_snr_db: measured,
-                        false_alarms,
-                        normal_positions,
-                    });
-                }
-
-                let control_ok = embed_control && control_present && *control == xs.msg;
-                Transceived {
-                    data_ok: ws.rx.out.crc_ok,
-                    front_end_ok: true,
-                    control_present,
-                    control_hash: if control_present { fnv1a(control.iter().copied()) } else { 0 },
-                    control_ok,
-                    silences_sent,
-                    accuracy,
-                    measured,
-                    rate,
-                    phy_error: ws.rx.out.decode_error,
-                    feedback,
-                }
-            }
-            RxStage::FrontEndFailed(e) => Transceived {
-                data_ok: false,
-                front_end_ok: false,
-                control_present: false,
-                control_hash: 0,
-                control_ok: false,
-                silences_sent,
-                accuracy: DetectionAccuracy::default(),
-                measured: f64::NEG_INFINITY,
-                rate,
-                phy_error: Some(e),
-                feedback: None,
-            },
-        };
-
-        // The world moves on between packets.
-        self.link.channel_mut().advance(self.config.packet_interval);
-        self.m.frames_tx += 1;
-        self.m.control_embedded += embed_control as u64;
-        self.m.frames_rx_ok += result.data_ok as u64;
-        self.m.control_ok += result.control_ok as u64;
-        result
-    }
-
     /// Applies the feedback report in `xs.fb_selection` by swapping it
     /// into `selected`. That scratch is dead after the frame (the next
-    /// finish overwrites it), so a stale or corrupted report may be
+    /// frame overwrites it), so a stale or corrupted report may be
     /// written there first.
     fn apply_feedback(&mut self, measured_snr_db: f64) {
         std::mem::swap(&mut self.selected, &mut self.xs.fb_selection);
@@ -1051,7 +1107,7 @@ impl CosSession {
         attempted: bool,
         from_queue: bool,
     ) -> ResilientSummary {
-        let mut state = self.resilience.take().expect("staged by the resilient control source");
+        let mut state = self.resilience.take().expect("created by the resilient control source");
         let fate = self.link.feedback_fate();
 
         if let Some(e) = &t.phy_error {
@@ -1153,7 +1209,7 @@ impl CosSession {
     /// The sender tail of the adaptive path: the feedback gate, probe
     /// confirmation and controller observation.
     fn adaptive_tail(&mut self, t: Transceived, target: usize, from_queue: bool) -> AdaptiveSummary {
-        let mut state = self.adaptation.take().expect("staged by the adaptive control source");
+        let mut state = self.adaptation.take().expect("created by the adaptive control source");
         let fate = self.link.feedback_fate();
 
         // Adaptation trusts only fresh feedback: stale, corrupt or
@@ -1208,6 +1264,10 @@ impl CosSession {
 
     /// Builds the fixed-size summary of the frame just finished.
     fn summarize(&self, t: &Transceived) -> PacketSummary {
+        let mut selected_hash = Fnv::new();
+        for &sc in &self.selected {
+            selected_hash.usize(sc);
+        }
         PacketSummary {
             data_ok: t.data_ok,
             control_present: t.control_present,
@@ -1217,9 +1277,7 @@ impl CosSession {
             measured_snr_db: t.measured,
             rate: t.rate,
             selected_len: self.selected.len(),
-            selected_hash: fnv1a(
-                self.selected.iter().flat_map(|&sc| (sc as u64).to_le_bytes()),
-            ),
+            selected_hash: selected_hash.value(),
             control_hash: t.control_hash,
         }
     }
@@ -1394,6 +1452,21 @@ mod tests {
                 expand_selection(&mut sel);
                 assert_eq!(sel, want, "len {len}, stride {stride}");
             }
+        }
+    }
+
+    /// [`Fnv::standard`] is the published 64-bit FNV-1a; [`Fnv::new`]'s
+    /// multiplier is pinned by the storm gates' `digest_outcome_is_pinned`.
+    #[test]
+    fn standard_fnv_matches_the_published_vectors() {
+        for (input, want) in [
+            (&b""[..], 0xcbf2_9ce4_8422_2325),
+            (b"a", 0xaf63_dc4c_8601_ec8c),
+            (b"foobar", 0x8594_4171_f739_67e8),
+        ] {
+            let mut h = Fnv::standard();
+            h.bytes(input);
+            assert_eq!(h.value(), want, "{input:?}");
         }
     }
 

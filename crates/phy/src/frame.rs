@@ -391,30 +391,12 @@ pub fn decode_data_field(
     rate: DataRate,
     psdu_len: usize,
 ) -> Result<DecodedData, PhyError> {
+    let mut fec = FecWorkspace::new();
+    let prep = prepare_data_field_into(llrs, rate, psdu_len, &mut fec)?;
+    run_staged_viterbi(prep, &mut fec);
     let mut bits = Vec::new();
-    let seed = decode_data_field_into(llrs, rate, psdu_len, &mut FecWorkspace::new(), &mut bits)?;
-    Ok(DecodedData { bits, scrambler_seed: seed })
-}
-
-/// [`decode_data_field`] writing the descrambled bits into a caller-owned
-/// buffer (fully overwritten on success) and running the FEC chain in
-/// caller-owned scratch. Returns the recovered scrambler seed.
-///
-/// # Errors
-///
-/// The same typed errors as [`decode_data_field`]; on error `bits` is left
-/// empty.
-pub fn decode_data_field_into(
-    llrs: &[i16],
-    rate: DataRate,
-    psdu_len: usize,
-    fec: &mut FecWorkspace,
-    bits: &mut Vec<u8>,
-) -> Result<u8, PhyError> {
-    bits.clear();
-    let prep = prepare_data_field_into(llrs, rate, psdu_len, fec)?;
-    run_staged_viterbi(prep, fec);
-    finish_data_field_into(fec, bits)
+    let scrambler_seed = finish_data_field_into(&fec, &mut bits)?;
+    Ok(DecodedData { bits, scrambler_seed })
 }
 
 /// A DATA field staged for Viterbi decoding by
@@ -422,9 +404,9 @@ pub fn decode_data_field_into(
 /// `fec.mother_llrs[..coded_to_tail]`, truncated at the tail position so
 /// the trellis decodes with proper termination.
 ///
-/// The token is what lets the Viterbi run be lifted out of the per-frame
-/// decode: stage, run [`run_staged_viterbi`], then finish with
-/// [`finish_data_field_into`].
+/// A decode is three calls: stage, run [`run_staged_viterbi`], then
+/// finish with [`finish_data_field_into`]; the split lets each be timed
+/// on its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PreparedDataField {
     /// Mother-code soft bits to feed the decoder (even, ≥ 14).
@@ -438,7 +420,7 @@ impl PreparedDataField {
     }
 }
 
-/// The front half of [`decode_data_field_into`]: deinterleave,
+/// The front of [`decode_data_field`]: deinterleave,
 /// depuncture and truncate at the tail, staging the Viterbi input in
 /// `fec.mother_llrs` without running the decoder.
 ///
@@ -508,7 +490,7 @@ pub fn run_staged_viterbi(prep: PreparedDataField, fec: &mut FecWorkspace) {
     );
 }
 
-/// The back half of [`decode_data_field_into`]: recovers the scrambler
+/// The back of [`decode_data_field`]: recovers the scrambler
 /// seed from the SERVICE prefix of `fec.decoded` and descrambles into
 /// `bits`.
 ///

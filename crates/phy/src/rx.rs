@@ -433,7 +433,8 @@ impl Receiver {
         scratch: &mut RxScratch,
         out: &mut RxDecodeOut,
     ) {
-        let prep = self.decode_prepare_into(fe, erasures, scratch, out);
+        self.demap_into(fe, erasures, scratch, out);
+        let prep = prepare_data_field_into(&scratch.llrs, fe.rate, fe.psdu_len, &mut scratch.fec);
         if let Ok(prep) = prep {
             run_staged_viterbi(prep, &mut scratch.fec);
         }
@@ -483,37 +484,11 @@ impl Receiver {
         }
     }
 
-    /// The front half of [`Receiver::decode_into`]: demap plus FEC staging
-    /// (deinterleave / depuncture / truncate), stopping right before the
-    /// Viterbi run.
-    ///
-    /// Pass the returned result — `Ok` or `Err` — to
-    /// [`Receiver::decode_finish_into`] after running the Viterbi (via
-    /// [`run_staged_viterbi`]).
-    ///
-    /// # Errors
-    ///
-    /// [`PhyError::DataFieldTooShort`] when the frame is too truncated to
-    /// stage; finish with the `Err` to record it in the output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the erasure mask's length differs from the symbol count.
-    pub fn decode_prepare_into(
-        &self,
-        fe: &FrontEnd,
-        erasures: Option<&[[bool; NUM_DATA]]>,
-        scratch: &mut RxScratch,
-        out: &mut RxDecodeOut,
-    ) -> Result<PreparedDataField, PhyError> {
-        self.demap_into(fe, erasures, scratch, out);
-        prepare_data_field_into(&scratch.llrs, fe.rate, fe.psdu_len, &mut scratch.fec)
-    }
-
     /// The back half of [`Receiver::decode_into`]: descrambles the decoded
     /// bits, verifies the CRC and fills the output fields. `prep` is the
-    /// result of [`Receiver::decode_prepare_into`]; on `Ok` the Viterbi
-    /// must already have run into `scratch.fec.decoded`.
+    /// result of [`prepare_data_field_into`] on the demapped soft bits; on
+    /// `Ok` the Viterbi ([`run_staged_viterbi`]) must already have run
+    /// into `scratch.fec.decoded`.
     pub fn decode_finish_into(
         &self,
         fe: &FrontEnd,

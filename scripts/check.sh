@@ -33,8 +33,11 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 echo "== robustness_soak --quick (fault-matrix smoke: every impairment and mode transition, fixed seeds)"
 cargo run -q --release -p cos-experiments --bin robustness_soak -- --quick
 
-echo "== alloc gate (workspace rx ≥10x leaner than the owned path or ≥1.5x faster; streaming rx, tx+embed and the staged i16 decode 0 allocs/frame; resilient and adaptive session paths < 0.1 allocs/frame with the ARQ queue loaded; a session added to a warmed engine allocates ≤128 KiB at 54 and 6 Mbps)"
+echo "== alloc gate (workspace rx ≥10x leaner than the owned path or ≥1.5x faster; streaming rx and tx+embed 0 allocs/frame; resilient and adaptive session paths < 0.1 allocs/frame with the ARQ queue loaded; a session added to a warmed engine allocates ≤128 KiB at 54 and 6 Mbps)"
 cargo run -q --release -p cos-bench --bin alloc_gate
+
+echo "== cosbench self-test (the benchmark's own package builds against the workspace's public API; every workload briefly, every metric present)"
+cargo test --release -q --manifest-path cosbench/Cargo.toml
 
 echo "== golden vectors (frozen waveforms + decodes for all 8 rates; any bit/sample drift fails)"
 cargo test -q --release --test golden_vectors

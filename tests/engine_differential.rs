@@ -8,11 +8,9 @@
 //!
 //! This is the engine's whole contract in one test: sharding on the
 //! session boundary, per-session program order = submit order, no
-//! cross-session state bleeding through the pool or the workers, and —
-//! since PR 10 bundles resilient/adaptive jobs into the lockstep rounds
-//! (batched channel + lockstep Viterbi) — the staged tx/air/rx/finish
-//! pipeline bit-identical to the monolithic send paths for every job
-//! kind.
+//! cross-session state bleeding through the pool or the workers, and the
+//! frames a worker runs on its own frame plane bit-identical to the
+//! per-frame send paths for every job kind.
 
 use cos_channel::{BurstInterference, FaultEngine, FeedbackLoss};
 use cos_core::session::{
@@ -247,8 +245,8 @@ const LANE_PAYLOADS: [usize; 2] = [96, 1020];
 const RECYCLED: usize = 5;
 
 /// Round `round`'s jobs as `(session, kind)`: two per session, all three
-/// kinds; most sessions share a payload length per job so full lockstep
-/// bundles form, the rest make tail bundles.
+/// kinds; most sessions share a payload length per job, the rest use the
+/// other one, so a worker's frame plane alternates between frame sizes.
 fn lane_round(round: usize) -> Vec<(usize, Kind)> {
     let mut jobs = Vec::new();
     for j in 0..2 {
