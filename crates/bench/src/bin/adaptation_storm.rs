@@ -27,7 +27,9 @@
 //! and the `i16` Viterbi body) and asserts the digests match across
 //! kernels as well as across thread counts.
 
-use cos_bench::gate::{digest_outcome, payload_bytes, Flags, PAYLOAD_LENS, THREAD_COUNTS};
+use cos_bench::gate::{
+    digest_outcome, payload_bytes, smoke_pin_holds, Flags, PAYLOAD_LENS, THREAD_COUNTS,
+};
 use cos_core::adaptation::AdaptationConfig;
 use cos_core::engine::{BatchEngine, EngineConfig, SessionId, SessionPool};
 use cos_core::session::{Fnv, SessionConfig};
@@ -121,6 +123,9 @@ fn contender_name(r: &ContenderResult) -> String {
     }
 }
 
+/// The `--smoke` outcome digest (since the decode epoch).
+const SMOKE_DIGEST: u64 = 0x87bc_bba7_8259_bc2b;
+
 fn main() {
     let flags = Flags::parse(&["--smoke", "--kernels"]);
     let (sessions, rounds) = if flags.smoke { (192, 3) } else { (512, 6) };
@@ -169,6 +174,11 @@ fn main() {
         eprintln!(
             "adaptation_storm FAILED: outcome digests differ across thread counts or kernels"
         );
+        failed = true;
+    }
+    if flags.smoke
+        && !smoke_pin_holds("adaptation_storm", "outcome", storms[0].digest, SMOKE_DIGEST)
+    {
         failed = true;
     }
     if !beats {

@@ -22,7 +22,7 @@
 //! reduced fleet (still ≥1024 stations) and the quick duel config with
 //! the same gates.
 
-use cos_bench::gate::{Flags, THREAD_COUNTS};
+use cos_bench::gate::{smoke_pin_holds, Flags, THREAD_COUNTS};
 use cos_core::engine::EngineConfig;
 use cos_core::mesh::{MeshConfig, MeshNet, MeshTopology};
 use cos_experiments::mesh as mesh_exp;
@@ -85,6 +85,9 @@ fn run_storm(cells: usize, rounds: usize, ticks_per_round: u64, threads: usize) 
     StormResult { digest: net.digest(), frames, churns }
 }
 
+/// The `--smoke` mesh digest (since the decode epoch).
+const SMOKE_DIGEST: u64 = 0x3438_a6ff_e08e_db1a;
+
 fn main() {
     let smoke = Flags::parse(&["--smoke"]).smoke;
     // ≥1024 stations in both modes: the bar the mesh subsystem is held to.
@@ -129,6 +132,9 @@ fn main() {
     let mut failed = false;
     if !deterministic {
         eprintln!("mesh_storm FAILED: mesh digests differ across thread counts");
+        failed = true;
+    }
+    if smoke && !smoke_pin_holds("mesh_storm", "mesh", storms[0].digest, SMOKE_DIGEST) {
         failed = true;
     }
     if !beats {

@@ -30,7 +30,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use cos_bench::gate::{
-    control_bits, payload_bytes, Flags, CONTROL_LENS, PAYLOAD_LENS, THREAD_COUNTS,
+    control_bits, payload_bytes, smoke_pin_holds, Flags, CONTROL_LENS, PAYLOAD_LENS, THREAD_COUNTS,
 };
 use cos_core::engine::EngineConfig;
 use cos_core::service::journal::ReplayJournal;
@@ -345,6 +345,10 @@ fn run_live_storm(producers: usize, per_producer: usize, threads: usize) -> Live
     }
 }
 
+/// The `--smoke` scripted-storm digest (since the decode epoch). The live
+/// storm's digest depends on pump timing and is not pinned.
+const SMOKE_DIGEST: u64 = 0x8f2d_a69e_6ff2_d246;
+
 fn main() {
     let smoke = Flags::parse(&["--smoke"]).smoke;
     let (sessions, rounds) = if smoke { (96, 3) } else { (192, 5) };
@@ -377,6 +381,9 @@ fn main() {
     let deterministic = storms.iter().all(|s| s.digest == storms[0].digest);
     if !deterministic {
         eprintln!("service_storm FAILED: outcome digests differ across thread counts");
+        failed = true;
+    }
+    if smoke && !smoke_pin_holds("service_storm", "scripted", storms[0].digest, SMOKE_DIGEST) {
         failed = true;
     }
 

@@ -21,11 +21,12 @@
 //!    scoped worker costs — however many jobs the drain holds.
 //!
 //! Exits non-zero on any determinism or allocation failure. `--smoke`
-//! runs a reduced schedule with the same gates.
+//! runs a reduced schedule with the same gates, and its digest must also
+//! equal the recorded [`SMOKE_DIGEST`].
 
 use cos_bench::gate::{
-    control_bits, counters, digest_outcome, payload_bytes, Flags, CONTROL_LENS, PAYLOAD_LENS,
-    THREAD_COUNTS,
+    control_bits, counters, digest_outcome, payload_bytes, smoke_pin_holds, Flags, CONTROL_LENS,
+    PAYLOAD_LENS, THREAD_COUNTS,
 };
 use cos_core::engine::{BatchEngine, ControlId, EngineConfig, PayloadId, SessionId, SessionPool};
 use cos_core::session::{Fnv, SessionConfig};
@@ -186,6 +187,9 @@ fn run_alloc_phase(sessions: usize, measured: usize, threads: usize) -> AllocRes
     }
 }
 
+/// The `--smoke` outcome digest (since the decode epoch).
+const SMOKE_DIGEST: u64 = 0xf9b5_e0fe_4f27_774c;
+
 /// Warm-up cap of the allocation phase, the same at smoke and full scale
 /// so a warm-up that has not gone quiet cannot fail a smoke run falsely.
 const MAX_WARM_ROUNDS: usize = 64;
@@ -238,6 +242,9 @@ fn main() {
     // well as thread counts.
     if digests.iter().any(|&d| d != digests[0]) {
         eprintln!("session_storm FAILED: outcome digests differ across thread counts or kernels");
+        failed = true;
+    }
+    if flags.smoke && !smoke_pin_holds("session_storm", "outcome", digests[0], SMOKE_DIGEST) {
         failed = true;
     }
     if failed {

@@ -92,6 +92,24 @@ pub fn digest_outcome(h: &mut Fnv, o: &JobOutcome) {
     }
 }
 
+/// Checks a storm's behavioural digest against the value pinned for its
+/// `--smoke` run, printing the verdict; `false` on a mismatch. The
+/// cross-thread, cross-kernel and cross-build comparisons cannot see a
+/// change that moves a digest everywhere alike; the pins can. They move
+/// only with a declared epoch, which updates them on purpose.
+pub fn smoke_pin_holds(storm: &str, what: &str, digest: u64, pinned: u64) -> bool {
+    if digest == pinned {
+        eprintln!("  pinned: {what} digest {digest:016x} equals the recorded smoke digest");
+        true
+    } else {
+        eprintln!(
+            "{storm} FAILED: {what} digest {digest:016x} differs from the recorded smoke \
+             digest {pinned:016x}"
+        );
+        false
+    }
+}
+
 /// Worker-thread counts every storm runs at; digests must agree across
 /// all of them.
 pub const THREAD_COUNTS: [usize; 3] = [1, 4, 8];

@@ -70,7 +70,7 @@ impl Link {
     }
 
     /// Prepends `samples` of noise-only lead-in to each transmission, so
-    /// the receiver must find the frame (exercises [`cos_phy::sync`]
+    /// the receiver must find the frame (exercises `cos_phy::sync`
     /// when the samples are consumed by `Receiver::receive_stream`).
     pub fn with_lead_in(mut self, samples: usize) -> Self {
         self.lead_in = samples;

@@ -6,7 +6,7 @@
 //! controller, detector, selection, ARQ/adaptation, metrics). The
 //! frame-sized planes a frame runs through — waveforms, front end,
 //! decoder scratch — belong to the engine: each worker owns one
-//! [`FrameScratch`], persistent across drains, and lends it to every
+//! `FrameScratch`, persistent across drains, and lends it to every
 //! frame it runs. Workspaces carry no semantic state between frames, so
 //! which worker runs a frame never shows in its outcome, and a drain over
 //! many sessions touches one warm plane per worker instead of one cold

@@ -43,8 +43,8 @@
 //!   machine that falls back to plain data transmission when the control
 //!   channel stops working (see `docs/ROBUSTNESS.md`),
 //! * [`engine`] — the batched multi-session engine: a generational
-//!   [`SessionPool`](engine::SessionPool) plus a
-//!   [`BatchEngine`](engine::BatchEngine) that shards frame jobs across
+//!   [`SessionPool`] plus a
+//!   [`BatchEngine`] that shards frame jobs across
 //!   worker threads with byte-identical outcomes at any thread count,
 //! * [`adaptation`] — the closed control loop over everything above: an
 //!   EWMA-SNR **rate staircase** with hysteresis bands and an RFC
@@ -55,7 +55,7 @@
 //!   an AP on a shared channel ([`mesh::MeshNet`]), with mini-slot DCF
 //!   contention, hidden-terminal collisions composed through
 //!   [`Overlap`](cos_channel::Overlap) impairments, and an AP
-//!   [`CoordinationPolicy`](mesh::CoordinationPolicy) whose scheduling
+//!   [`CoordinationPolicy`] whose scheduling
 //!   commands ride the CoS silence plane for free (see `docs/MESH.md`),
 //! * [`service`] — the overload-safe async front door on the engine:
 //!   admission control with typed rejection, bounded queues with

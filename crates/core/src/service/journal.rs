@@ -18,10 +18,10 @@
 //! * cancellations, pumps, and the drain transition.
 //!
 //! Replaying the log through a fresh tick-driven
-//! [`ServiceCore`](super::ServiceCore) applies the same events in the
+//! [`ServiceCore`] applies the same events in the
 //! same order, so every admitted ticket meets the same queue state, the
 //! same fault schedule and the same session state — and resolves to the
-//! same [`ServiceOutcome`](super::ServiceOutcome). Rejections replay
+//! same [`ServiceOutcome`]. Rejections replay
 //! identically too (admission is a pure function of journaled state), so
 //! rejected submissions simply do not appear in the log. The sealed
 //! journal embeds the live run's final outcome digest;

@@ -36,20 +36,20 @@ impl Prbs127 {
     ///
     /// Panics if `seed` is zero (the LFSR would lock up) or wider than
     /// 7 bits.
-    pub fn new(seed: u8) -> Self {
+    pub const fn new(seed: u8) -> Self {
         assert!(seed != 0, "scrambler seed must be non-zero");
         assert!(seed < 0x80, "scrambler seed must fit in 7 bits");
         Prbs127 { state: seed }
     }
 
     /// The current 7-bit register state.
-    pub fn state(&self) -> u8 {
+    pub const fn state(&self) -> u8 {
         self.state
     }
 
     /// Advances the register and returns the next output bit (0 or 1).
     #[inline]
-    pub fn next_bit(&mut self) -> u8 {
+    pub const fn next_bit(&mut self) -> u8 {
         let out = ((self.state >> 6) ^ (self.state >> 3)) & 1;
         self.state = ((self.state << 1) | out) & 0x7F;
         out
@@ -62,13 +62,19 @@ impl Prbs127 {
 
     /// The full 127-bit pilot-polarity sequence `p_n` (`0 → +1`, `1 → −1`)
     /// generated from the all-ones seed, as mandated by Clause 17.3.5.9.
-    pub fn pilot_polarity() -> [i8; Self::PERIOD] {
-        let mut lfsr = Prbs127::new(0x7F);
-        let mut p = [0i8; Self::PERIOD];
-        for slot in p.iter_mut() {
-            *slot = if lfsr.next_bit() == 0 { 1 } else { -1 };
-        }
-        p
+    /// One table, evaluated at compile time.
+    pub fn pilot_polarity() -> &'static [i8; Self::PERIOD] {
+        static POLARITY: [i8; Prbs127::PERIOD] = {
+            let mut lfsr = Prbs127::new(0x7F);
+            let mut p = [0i8; Prbs127::PERIOD];
+            let mut n = 0;
+            while n < Prbs127::PERIOD {
+                p[n] = if lfsr.next_bit() == 0 { 1 } else { -1 };
+                n += 1;
+            }
+            p
+        };
+        &POLARITY
     }
 }
 

@@ -9,10 +9,10 @@
 //! other and their frames collide at the AP. For each cell size the same
 //! seeded cell runs twice:
 //!
-//! * **uncoordinated** — pure CSMA/CA ([`MediumScheduler`] backoff with
+//! * **uncoordinated** — pure CSMA/CA ([`MediumScheduler`](cos_core::mesh::MediumScheduler) backoff with
 //!   binary exponential contention windows), collisions and all;
 //! * **coordinated** — the same cell plus the AP's
-//!   [`CoordinationPolicy`]: once the collision rate trips it, TDMA
+//!   [`CoordinationPolicy`](cos_core::mesh::CoordinationPolicy): once the collision rate trips it, TDMA
 //!   grants, silence-budget grants and rate caps go out through the CoS
 //!   control plane (12-bit commands as silence symbols, delivered by the
 //!   control ARQ over beacon frames).

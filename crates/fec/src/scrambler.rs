@@ -52,19 +52,42 @@ impl Scrambler {
     /// Recovers the transmitter's seed from the first 7 received scrambled
     /// bits, assuming the plaintext bits were zero (the SERVICE field's
     /// scrambler-init bits). Returns `None` if the implied seed is zero
-    /// (an all-zero prefix cannot come from a valid seed).
+    /// (an all-zero prefix cannot come from a valid seed) or a value is
+    /// not 0/1.
     ///
     /// The LFSR output over the first 7 steps, XOR-ed with zero plaintext,
-    /// *is* the keystream; running the register relation backwards yields the
-    /// initial state.
+    /// *is* the keystream, and the first 7 outputs of the maximal-length
+    /// register determine its state: a 128-entry table, built at compile
+    /// time from every seed's prefix, inverts the map.
     pub fn recover_seed(first7_scrambled: &[u8]) -> Option<u8> {
         assert!(first7_scrambled.len() >= 7, "need at least 7 bits to recover the seed");
-        // keystream k_t = s6(t) ^ s3(t); state shifts left absorbing k_t.
-        // Brute force over the 127 possible seeds is simplest and exact.
-        (1u8..0x80).find(|&seed| {
-            let mut lfsr = Prbs127::new(seed);
-            first7_scrambled[..7].iter().all(|&b| b == lfsr.next_bit())
-        })
+        // Entry `p` is the seed whose first 7 outputs, LSB-first, are `p`;
+        // `0` where no seed has that prefix.
+        static SEED_OF_PREFIX: [u8; 128] = {
+            let mut table = [0u8; 128];
+            let mut seed = 1;
+            while seed < 0x80 {
+                let mut lfsr = Prbs127::new(seed);
+                let mut prefix = 0;
+                let mut i = 0;
+                while i < 7 {
+                    prefix |= (lfsr.next_bit() as usize) << i;
+                    i += 1;
+                }
+                assert!(table[prefix] == 0, "distinct seeds give distinct prefixes");
+                table[prefix] = seed;
+                seed += 1;
+            }
+            table
+        };
+        let prefix = first7_scrambled[..7]
+            .iter()
+            .enumerate()
+            .try_fold(0, |prefix, (i, &b)| (b <= 1).then_some(prefix | usize::from(b) << i))?;
+        match SEED_OF_PREFIX[prefix] {
+            0 => None,
+            seed => Some(seed),
+        }
     }
 }
 

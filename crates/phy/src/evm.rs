@@ -12,7 +12,7 @@ use crate::frame::{encode_data_field, payload_to_psdu_into};
 use crate::pipeline::TxWorkspace;
 use crate::rates::DataRate;
 use crate::subcarriers::NUM_DATA;
-use cos_dsp::Complex;
+use cos_dsp::{kernel_mode, Complex};
 
 /// Per-subcarrier EVM (paper Eq. 1): for each of the 48 data subcarriers,
 /// `sqrt( mean_i |r_i − s_i|² / mean_m |s_m|² )`, where `r` are equalised
@@ -110,7 +110,7 @@ pub fn reconstruct_points_into<'a>(
 ) -> &'a [[Complex; NUM_DATA]] {
     let TxWorkspace { frame, psdu, bits, .. } = ws;
     payload_to_psdu_into(payload, psdu);
-    encode_data_field(psdu, rate, seed, bits, &mut frame.data_field, Some(&mut frame.mapped_points));
+    encode_data_field(psdu, rate, seed, kernel_mode(), bits, &mut frame.data_field, Some(&mut frame.mapped_points));
     &frame.mapped_points
 }
 

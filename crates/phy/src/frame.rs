@@ -16,7 +16,7 @@ use crate::constellation::Modulation;
 use crate::error::PhyError;
 use crate::rates::DataRate;
 use crate::subcarriers::NUM_DATA;
-use cos_dsp::{Complex, Prbs127};
+use cos_dsp::{kernel_mode, Complex, KernelMode, Prbs127};
 use cos_fec::bits::bits_to_bytes_into;
 use cos_fec::conv::{CONSTRAINT, GEN_A, GEN_B};
 use cos_fec::{Crc32, FecWorkspace, Interleaver, Scrambler, ViterbiDecoder};
@@ -196,6 +196,216 @@ fn rx_symbol_plan(rate: DataRate) -> &'static [u16] {
     })[rate.band_index()]
 }
 
+/// The in-register bodies of the two bit permutes, for builds with
+/// AVX-512 (`docs/KERNELS.md`, "TX bit chain" and "RX staging"). Each
+/// rate's puncture-and-interleave map is compiled once into a
+/// [`PermutePlan`] of two-source register permutes; the portable gathers
+/// through [`symbol_plan`] and [`rx_symbol_plan`] stay the body under
+/// [`KernelMode::Scalar`] and on builds without the features.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512bw"))]
+mod avx512 {
+    use super::{rx_symbol_plan, DataRate, PUNCTURED};
+    use std::arch::x86_64::*;
+    use std::sync::OnceLock;
+
+    /// One masked step of a [`PermutePlan`]: the output lanes set in
+    /// `mask` take lane `index[l]` of source registers `2·pair` and
+    /// `2·pair + 1` (lanes `0..2L` of the pair).
+    #[derive(Debug, Clone)]
+    struct PermuteStep<T, const L: usize> {
+        pair: usize,
+        mask: u64,
+        index: [T; L],
+    }
+
+    /// One symbol's permutation as `L`-lane register permutes: output
+    /// register `c` (slots `L·c ..`) merges its `counts[c]` steps, taken
+    /// in order from `steps`, over zeros. `len` is the symbol's output
+    /// length.
+    #[derive(Debug, Clone)]
+    struct PermutePlan<T, const L: usize> {
+        steps: Vec<PermuteStep<T, L>>,
+        counts: Vec<usize>,
+        len: usize,
+    }
+
+    impl<T: Copy + Default + From<u8>, const L: usize> PermutePlan<T, L> {
+        /// The plan that fills output slot `o` from source slot
+        /// `source[o]`, or leaves it zero where that is `None`.
+        fn new(source: &[Option<usize>]) -> Self {
+            let pairs = source.iter().flatten().max().map_or(0, |&s| s / (2 * L) + 1);
+            let mut steps = Vec::new();
+            let counts = source
+                .chunks(L)
+                .map(|chunk| {
+                    let before = steps.len();
+                    for pair in 0..pairs {
+                        let mut step = PermuteStep { pair, mask: 0, index: [T::default(); L] };
+                        for (l, &s) in chunk.iter().enumerate() {
+                            if let Some(s) = s.filter(|s| s / (2 * L) == pair) {
+                                step.mask |= 1 << l;
+                                step.index[l] = T::from((s % (2 * L)) as u8);
+                            }
+                        }
+                        if step.mask != 0 {
+                            steps.push(step);
+                        }
+                    }
+                    steps.len() - before
+                })
+                .collect();
+            PermutePlan { steps, counts, len: source.len() }
+        }
+    }
+
+    /// The mask of the first `n.min(lanes)` lanes (`n ≥ 1`).
+    fn first_lanes(n: usize, lanes: usize) -> u64 {
+        u64::MAX >> (64 - n.min(lanes))
+    }
+
+    /// Source registers of the RX plan: `Ncbps ≤ 288` soft bits, 32 per
+    /// register, rounded up to whole pairs.
+    const RX_REGISTERS: usize = 10;
+
+    /// The RX plan of `rate`: output slot `m` of a symbol's mother block
+    /// takes soft bit `rx_symbol_plan[m]`, punctured slots stay `0`. One
+    /// process-wide plan per rate.
+    fn rx_plan(rate: DataRate) -> &'static PermutePlan<u16, 32> {
+        static PLANS: OnceLock<[PermutePlan<u16, 32>; 8]> = OnceLock::new();
+        &PLANS.get_or_init(|| {
+            DataRate::ALL.map(|rate| {
+                let source: Vec<Option<usize>> = rx_symbol_plan(rate)
+                    .iter()
+                    .map(|&j| (j != PUNCTURED).then_some(usize::from(j)))
+                    .collect();
+                assert!(rate.ncbps() <= 32 * RX_REGISTERS, "{rate}: Ncbps fits the source registers");
+                PermutePlan::new(&source)
+            })
+        })[rate.band_index()]
+    }
+
+    /// The `avx512bw` body of the RX staging: per symbol, the `Ncbps`
+    /// soft bits load into registers (the last one masked), and each
+    /// 32-slot register of the mother block is one `vpermt2w` per source
+    /// pair it draws from, merged under the step's mask over zeros, then
+    /// stored under the mask of the block's remaining slots — nothing is
+    /// written past the block. `llrs` holds whole symbols and `mother`
+    /// exactly their mother blocks.
+    pub(super) fn stage(rate: DataRate, llrs: &[i16], mother: &mut [i16]) {
+        let plan = rx_plan(rate);
+        let ncbps = rate.ncbps();
+        let registers = ncbps.div_ceil(32);
+        let symbols = llrs.chunks_exact(ncbps).zip(mother.chunks_exact_mut(plan.len));
+        // SAFETY: `avx512bw` (which implies `avx512f`) is enabled for the
+        // whole build, as this module's `cfg` requires. Register `r` of a
+        // symbol loads lanes `32r .. min(32r + 32, Ncbps)` of its
+        // `Ncbps`-long slice, and register `c` of a block stores lanes
+        // `32c .. min(32c + 32, len)` of its `len`-long slice, so every
+        // enabled lane is in bounds and masked-off lanes are not
+        // accessed; each step's index is exactly 64 bytes; `pair` indexes
+        // the `RX_REGISTERS`-long source array (checked).
+        unsafe {
+            let zero = _mm512_setzero_si512();
+            let mut src = [zero; RX_REGISTERS];
+            for (symbol, block) in symbols {
+                for (r, reg) in src[..registers].iter_mut().enumerate() {
+                    let lanes = first_lanes(ncbps - 32 * r, 32) as u32;
+                    *reg = _mm512_maskz_loadu_epi16(lanes, symbol.as_ptr().add(32 * r));
+                }
+                let mut steps = plan.steps.iter();
+                for (c, &count) in plan.counts.iter().enumerate() {
+                    let mut acc = zero;
+                    for step in steps.by_ref().take(count) {
+                        let index = _mm512_loadu_si512(step.index.as_ptr().cast());
+                        let (a, b) = (src[2 * step.pair], src[2 * step.pair + 1]);
+                        let t = _mm512_permutex2var_epi16(a, index, b);
+                        acc = _mm512_mask_mov_epi16(acc, step.mask as u32, t);
+                    }
+                    let lanes = first_lanes(plan.len - 32 * c, 32) as u32;
+                    _mm512_mask_storeu_epi16(block.as_mut_ptr().add(32 * c), lanes, acc);
+                }
+            }
+        }
+    }
+
+    /// Source registers of the TX plan: a mother block of `2·Ndbps ≤ 432`
+    /// bits, 64 per register, rounded up to whole pairs.
+    #[cfg(target_feature = "avx512vbmi")]
+    const TX_REGISTERS: usize = 8;
+
+    /// The TX plan of `rate`: interleaved position `j` of a symbol takes
+    /// mother bit `symbol_plan[j]`. One process-wide plan per rate.
+    #[cfg(target_feature = "avx512vbmi")]
+    fn tx_plan(rate: DataRate) -> &'static PermutePlan<u8, 64> {
+        static PLANS: OnceLock<[PermutePlan<u8, 64>; 8]> = OnceLock::new();
+        &PLANS.get_or_init(|| {
+            DataRate::ALL.map(|rate| {
+                let source: Vec<Option<usize>> =
+                    super::symbol_plan(rate).iter().map(|&m| Some(usize::from(m))).collect();
+                assert!(2 * rate.ndbps() <= 64 * TX_REGISTERS, "{rate}: a mother block fits the source registers");
+                PermutePlan::new(&source)
+            })
+        })[rate.band_index()]
+    }
+
+    /// The `avx512vbmi` body of the TX puncture-and-interleave: per
+    /// symbol, the packed mother block (at most 54 bytes) loads masked
+    /// into one register, each of its 64-bit words expands to 64 bytes of
+    /// 0/1 with one masked move, and each 64-slot register of the
+    /// interleaved output is one `vpermt2b` per source pair it draws
+    /// from, merged under the step's mask, then stored under the mask of
+    /// the symbol's remaining slots. `map(n, bits)` then runs on symbol
+    /// `n`'s interleaved bits.
+    #[cfg(target_feature = "avx512vbmi")]
+    pub(super) fn interleave(
+        rate: DataRate,
+        mother: &[u8],
+        symbol_bytes: usize,
+        interleaved: &mut [u8],
+        mut map: impl FnMut(usize, &[u8]),
+    ) {
+        assert!(symbol_bytes <= 64, "a mother block fits one register");
+        let plan = tx_plan(rate);
+        let registers = symbol_bytes.div_ceil(8);
+        let blocks = mother.chunks_exact(symbol_bytes).zip(interleaved.chunks_exact_mut(plan.len));
+        // SAFETY: `avx512vbmi` (which implies `avx512bw` and `avx512f`) is
+        // enabled for the whole build, as this function's `cfg` requires.
+        // The block load enables only its `symbol_bytes ≤ 64` lanes, and
+        // register `c` of a symbol stores lanes `64c .. min(64c + 64,
+        // Ncbps)` of its `Ncbps`-long slice, so every enabled lane is in
+        // bounds and masked-off lanes are not accessed; `words` and each
+        // step's index are exactly 64 bytes; `pair` indexes the
+        // `TX_REGISTERS`-long source array (checked).
+        unsafe {
+            let zero = _mm512_setzero_si512();
+            let ones = _mm512_set1_epi8(1);
+            let block_lanes = first_lanes(symbol_bytes, 64);
+            let mut src = [zero; TX_REGISTERS];
+            let mut words = [0u64; 8];
+            for (n, (block, out)) in blocks.enumerate() {
+                let packed = _mm512_maskz_loadu_epi8(block_lanes, block.as_ptr().cast());
+                _mm512_storeu_si512(words.as_mut_ptr().cast(), packed);
+                for (reg, &word) in src[..registers].iter_mut().zip(&words) {
+                    *reg = _mm512_maskz_mov_epi8(word, ones);
+                }
+                let mut steps = plan.steps.iter();
+                for (c, &count) in plan.counts.iter().enumerate() {
+                    let mut acc = zero;
+                    for step in steps.by_ref().take(count) {
+                        let index = _mm512_loadu_si512(step.index.as_ptr().cast());
+                        let (a, b) = (src[2 * step.pair], src[2 * step.pair + 1]);
+                        let t = _mm512_permutex2var_epi8(a, index, b);
+                        acc = _mm512_mask_mov_epi8(acc, step.mask, t);
+                    }
+                    let lanes = first_lanes(plan.len - 64 * c, 64);
+                    _mm512_mask_storeu_epi8(out.as_mut_ptr().add(64 * c).cast(), lanes, acc);
+                }
+                map(n, out);
+            }
+        }
+    }
+}
+
 /// The constellation of `modulation` indexed by its bit group
 /// `b₀ … b_{n−1}` read MSB-first — exactly [`Modulation::map`]'s outputs, in
 /// [`Modulation::points`] order (entries past `M` are unused).
@@ -235,7 +445,25 @@ pub fn build_data_field_into(
     df: &mut DataField,
     bits: &mut TxBits,
 ) {
-    encode_data_field(psdu, rate, scrambler_seed, bits, df, None);
+    build_data_field_with(psdu, rate, scrambler_seed, kernel_mode(), df, bits);
+}
+
+/// [`build_data_field_into`] on the puncture-and-interleave body `mode`
+/// selects: `Lanes` runs the `avx512vbmi` byte permutes where the build
+/// has them, `Scalar` the portable gather. Both give the same bits.
+///
+/// # Panics
+///
+/// Panics if the scrambler seed is invalid (zero or wider than 7 bits).
+pub fn build_data_field_with(
+    psdu: &[u8],
+    rate: DataRate,
+    scrambler_seed: u8,
+    mode: KernelMode,
+    df: &mut DataField,
+    bits: &mut TxBits,
+) {
+    encode_data_field(psdu, rate, scrambler_seed, mode, bits, df, None);
 }
 
 /// The transmit bit chain (Clause 17.3.5.2–17.3.5.8), packed: every frame
@@ -245,10 +473,10 @@ pub fn build_data_field_into(
 /// words, XOR-ed bytewise with the seed's keystream (tail re-zeroed),
 /// encoded a word at a time, then punctured, interleaved and — when
 /// `points` is given — mapped one symbol at a time through
-/// [`symbol_plan`] and [`point_table`]. `df` is fully overwritten, and
-/// `points` is overwritten with one row per DATA symbol. Bit-identical to
-/// the per-bit `cos-fec` stages composed with [`Modulation::map`]
-/// (`crates/phy/tests/tx_differential.rs`).
+/// [`symbol_plan`] (on the body `mode` selects) and [`point_table`].
+/// `df` is fully overwritten, and `points` is overwritten with one row
+/// per DATA symbol. Bit-identical to the per-bit `cos-fec` stages
+/// composed with [`Modulation::map`] (`crates/phy/tests/tx_differential.rs`).
 ///
 /// # Panics
 ///
@@ -257,6 +485,7 @@ pub(crate) fn encode_data_field(
     psdu: &[u8],
     rate: DataRate,
     scrambler_seed: u8,
+    mode: KernelMode,
     bits: &mut TxBits,
     df: &mut DataField,
     points: Option<&mut Vec<[Complex; NUM_DATA]>>,
@@ -318,7 +547,8 @@ pub(crate) fn encode_data_field(
     };
     let symbol_bytes = 2 * rate.ndbps() / 8;
     gather(
-        symbol_plan(rate),
+        rate,
+        mode,
         &mother[..n_symbols * symbol_bytes],
         symbol_bytes,
         &mut df.interleaved,
@@ -327,20 +557,46 @@ pub(crate) fn encode_data_field(
     );
 }
 
-/// Punctures, interleaves and maps every symbol of a packed mother code.
-/// Per symbol: unpack its `symbol_bytes`-byte mother-code block (every
-/// rate's `2 × Ndbps` is a whole number of bytes) to one bit per `u32`,
-/// gather the interleaved bits through `plan`, then map each `NBPSC`-bit
-/// group into the symbol's row of `rows` (empty when no points are
-/// wanted). The `u32` bits and the separate passes let LLVM turn the
-/// gather into vector gathers where the target has them.
+/// Punctures, interleaves and maps every symbol of a packed mother code
+/// (every rate's `2 × Ndbps` is a whole number of bytes,
+/// `symbol_bytes`): the interleave runs on the body `mode` selects, then
+/// each `NBPSC`-bit group maps into the symbol's row of `rows` (empty
+/// when no points are wanted).
 fn gather_symbols<const NBPSC: usize>(
-    plan: &[u16],
+    rate: DataRate,
+    mode: KernelMode,
     mother: &[u8],
     symbol_bytes: usize,
     interleaved: &mut [u8],
     rows: &mut [[Complex; NUM_DATA]],
     table: &[Complex; 64],
+) {
+    let map = |n: usize, bits: &[u8]| {
+        if let Some(row) = rows.get_mut(n) {
+            for (slot, group) in row.iter_mut().zip(bits.chunks_exact(NBPSC)) {
+                let g = group.iter().fold(0, |g, &b| g << 1 | usize::from(b));
+                *slot = table[g & 63];
+            }
+        }
+    };
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512vbmi"))]
+    if mode == KernelMode::Lanes {
+        return avx512::interleave(rate, mother, symbol_bytes, interleaved, map);
+    }
+    let _ = mode;
+    interleave_portable(symbol_plan(rate), mother, symbol_bytes, interleaved, map);
+}
+
+/// The portable puncture-and-interleave: per symbol, unpack its mother
+/// block to one bit per `u32` and gather the interleaved bits through
+/// `plan`, then run `map(n, bits)` on them. The `u32` bits let LLVM turn
+/// the gather into vector gathers where the target has them.
+fn interleave_portable(
+    plan: &[u16],
+    mother: &[u8],
+    symbol_bytes: usize,
+    interleaved: &mut [u8],
+    mut map: impl FnMut(usize, &[u8]),
 ) {
     let blocks = mother.chunks_exact(symbol_bytes).zip(interleaved.chunks_exact_mut(plan.len()));
     let mut local = [0u32; SYMBOL_MOTHER_CAP];
@@ -353,12 +609,7 @@ fn gather_symbols<const NBPSC: usize>(
         for (bit, &m) in out.iter_mut().zip(plan) {
             *bit = local[usize::from(m) & (SYMBOL_MOTHER_CAP - 1)] as u8;
         }
-        if let Some(row) = rows.get_mut(n) {
-            for (slot, group) in row.iter_mut().zip(out.chunks_exact(NBPSC)) {
-                let g = group.iter().fold(0, |g, &b| g << 1 | usize::from(b));
-                *slot = table[g & 63];
-            }
-        }
+        map(n, out);
     }
 }
 
@@ -426,9 +677,9 @@ impl PreparedDataField {
 ///
 /// One pass (the RX bit plan, `docs/KERNELS.md`): each symbol's
 /// `2 × Ndbps` mother-code block is gathered straight from the symbol's
-/// soft bits through [`rx_symbol_plan`], the inverse of the plan the
-/// transmitter builds through, with `0` (an erasure) at punctured slots.
-/// Identical to [`Interleaver::deinterleave_soft_into`] followed by
+/// soft bits through the inverse of the plan the transmitter builds
+/// through, with `0` (an erasure) at punctured slots. Identical to
+/// [`Interleaver::deinterleave_soft_into`] followed by
 /// [`cos_fec::CodeRate::depuncture_into`]
 /// (`crates/phy/tests/rx_staging_differential.rs`).
 ///
@@ -442,23 +693,32 @@ pub fn prepare_data_field_into(
     psdu_len: usize,
     fec: &mut FecWorkspace,
 ) -> Result<PreparedDataField, PhyError> {
-    let plan = rx_symbol_plan(rate);
+    prepare_data_field_with(llrs, rate, psdu_len, kernel_mode(), fec)
+}
+
+/// [`prepare_data_field_into`] on the staging body `mode` selects:
+/// `Lanes` runs the `avx512bw` word permutes where the build has them,
+/// `Scalar` the portable gather. Both stage the same soft bits.
+///
+/// # Errors
+///
+/// As [`prepare_data_field_into`].
+pub fn prepare_data_field_with(
+    llrs: &[i16],
+    rate: DataRate,
+    psdu_len: usize,
+    mode: KernelMode,
+    fec: &mut FecWorkspace,
+) -> Result<PreparedDataField, PhyError> {
+    let block = 2 * rate.ndbps();
     let ncbps = rate.ncbps();
-    let mother = &mut fec.mother_llrs;
     // A truncated stream may end mid-symbol; only whole OFDM symbols can
     // be deinterleaved, so the ragged tail is dropped instead of asserted
     // on. Every slot is written below, so the buffer is only resized.
-    mother.resize(llrs.len() / ncbps * plan.len(), 0);
-    // One symbol's soft bits, with `0` left at PUNCTURED. A gather
-    // through masked indices into this fixed window needs no bounds
-    // checks and measured faster than scattering through `symbol_plan`.
-    let mut window = [0i16; SYMBOL_MOTHER_CAP];
-    for (block, symbol) in mother.chunks_exact_mut(plan.len()).zip(llrs.chunks_exact(ncbps)) {
-        window[..ncbps].copy_from_slice(symbol);
-        for (llr, &j) in block.iter_mut().zip(plan) {
-            *llr = window[usize::from(j) & (SYMBOL_MOTHER_CAP - 1)];
-        }
-    }
+    let symbols = llrs.len() / ncbps;
+    let mother = &mut fec.mother_llrs;
+    mother.resize(symbols * block, 0);
+    stage_symbols(rate, mode, &llrs[..symbols * ncbps], mother);
     let data_bits_to_tail = SERVICE_BITS + psdu_len * 8 + TAIL_BITS;
     // The Viterbi decoder consumes coded-bit pairs; an odd trailing bit
     // from a truncated stream is dropped rather than asserted on.
@@ -472,6 +732,28 @@ pub fn prepare_data_field_into(
         });
     }
     Ok(PreparedDataField { coded_to_tail })
+}
+
+/// Stages whole symbols of soft bits into their mother blocks on the body
+/// `mode` selects.
+fn stage_symbols(rate: DataRate, mode: KernelMode, llrs: &[i16], mother: &mut [i16]) {
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512bw"))]
+    if mode == KernelMode::Lanes {
+        return avx512::stage(rate, llrs, mother);
+    }
+    let _ = mode;
+    // One symbol's soft bits, with `0` left at PUNCTURED. A gather
+    // through masked indices into this fixed window needs no bounds
+    // checks and measured faster than scattering through `symbol_plan`.
+    let plan = rx_symbol_plan(rate);
+    let ncbps = rate.ncbps();
+    let mut window = [0i16; SYMBOL_MOTHER_CAP];
+    for (block, symbol) in mother.chunks_exact_mut(plan.len()).zip(llrs.chunks_exact(ncbps)) {
+        window[..ncbps].copy_from_slice(symbol);
+        for (llr, &j) in block.iter_mut().zip(plan) {
+            *llr = window[usize::from(j) & (SYMBOL_MOTHER_CAP - 1)];
+        }
+    }
 }
 
 /// Runs the per-frame Viterbi on a staged DATA field, leaving the
@@ -492,7 +774,7 @@ pub fn run_staged_viterbi(prep: PreparedDataField, fec: &mut FecWorkspace) {
 
 /// The back of [`decode_data_field`]: recovers the scrambler
 /// seed from the SERVICE prefix of `fec.decoded` and descrambles into
-/// `bits`.
+/// `bits`, eight bits per step against the seed's keystream table.
 ///
 /// # Errors
 ///
@@ -503,8 +785,41 @@ pub fn finish_data_field_into(fec: &FecWorkspace, bits: &mut Vec<u8>) -> Result<
     bits.clear();
     let seed = Scrambler::recover_seed(&fec.decoded[..SEED_BITS]).ok_or(PhyError::ScramblerSeed)?;
     bits.extend_from_slice(&fec.decoded);
-    Scrambler::new(seed).scramble_in_place(bits);
+    descramble(bits, keystream(seed));
     Ok(seed)
+}
+
+/// XORs one-bit-per-byte `bits` with `keystream` (bit `i` of byte `j` is
+/// keystream bit `8j + i`, repeating every 127 bytes), eight bits per
+/// step: keystream byte `j` spreads to one bit per byte of a word through
+/// a 256-entry table. Equal to [`Scrambler::scramble_in_place`] with the
+/// keystream's seed on 0/1 bits.
+fn descramble(bits: &mut [u8], keystream: &[u8; KEYSTREAM_BYTES]) {
+    /// Entry `k` holds bit `i` of `k` in byte `i`.
+    static SPREAD: [u64; 256] = {
+        let mut table = [0u64; 256];
+        let mut k = 0;
+        while k < 256 {
+            let mut i = 0;
+            while i < 8 {
+                table[k] |= ((k as u64 >> i) & 1) << (8 * i);
+                i += 1;
+            }
+            k += 1;
+        }
+        table
+    };
+    for period in bits.chunks_mut(8 * KEYSTREAM_BYTES) {
+        for (chunk, &k) in period.chunks_mut(8).zip(keystream) {
+            if let Ok(word) = <&mut [u8; 8]>::try_from(&mut *chunk) {
+                *word = (u64::from_le_bytes(*word) ^ SPREAD[usize::from(k)]).to_le_bytes();
+            } else {
+                for (i, bit) in chunk.iter_mut().enumerate() {
+                    *bit ^= (k >> i) & 1;
+                }
+            }
+        }
+    }
 }
 
 /// Extracts and CRC-verifies the payload from descrambled DATA-field bits.

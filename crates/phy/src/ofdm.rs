@@ -33,16 +33,29 @@ impl FreqSymbol {
     ///
     /// Panics if `points.len() != 48` or `polarity` is not ±1.
     pub fn assemble(points: &[Complex], polarity: i8) -> Self {
+        let mut symbol = FreqSymbol::empty();
+        symbol.assemble_into(points, polarity);
+        symbol
+    }
+
+    /// [`FreqSymbol::assemble`] in place: every bin is overwritten, so a
+    /// frame's symbols are assembled where they live instead of built
+    /// and copied.
+    ///
+    /// # Panics
+    ///
+    /// As [`FreqSymbol::assemble`].
+    pub(crate) fn assemble_into(&mut self, points: &[Complex], polarity: i8) {
         assert_eq!(points.len(), 48, "need 48 data points, got {}", points.len());
         assert!(polarity == 1 || polarity == -1, "pilot polarity must be ±1");
-        let mut bins = [Complex::ZERO; FFT_SIZE];
+        let bins = &mut self.0;
+        *bins = [Complex::ZERO; FFT_SIZE];
         for (&p, &bin) in points.iter().zip(DATA_BINS.iter()) {
             bins[bin] = p;
         }
         for (&bin, base) in PILOT_BINS.iter().zip(PILOT_VALUES.iter()) {
             bins[bin] = Complex::new(base * polarity as f64, 0.0);
         }
-        FreqSymbol(bins)
     }
 
     /// The 48 data-subcarrier values in logical order.

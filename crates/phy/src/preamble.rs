@@ -12,6 +12,7 @@ use crate::ofdm::FreqSymbol;
 use crate::subcarriers::{bin_of, FFT_SIZE};
 use cos_dsp::fft::plan;
 use cos_dsp::Complex;
+use std::sync::OnceLock;
 
 /// Samples in the short training field (10 × 16).
 pub const STF_LEN: usize = 160;
@@ -86,26 +87,38 @@ pub fn generate() -> Vec<Complex> {
 /// [`generate`] writing into a caller-owned buffer, which is fully
 /// overwritten.
 pub fn generate_into(samples: &mut Vec<Complex>) {
-    let fft = plan(FFT_SIZE);
-
-    // Short training field: IFFT of the STF symbol is periodic with period
-    // 16; transmit 160 samples of it.
-    let mut stf_time = stf_freq_symbol().0;
-    fft.inverse(&mut stf_time);
     samples.clear();
-    samples.reserve(PREAMBLE_LEN);
-    for i in 0..STF_LEN {
-        samples.push(stf_time[i % FFT_SIZE]);
-    }
+    samples.extend_from_slice(waveform());
+}
 
-    // Long training field: 32-sample guard (the tail of the LTF body) then
-    // two identical 64-sample bodies.
-    let mut ltf_time = ltf_freq_symbol().0;
-    fft.inverse(&mut ltf_time);
-    samples.extend_from_slice(&ltf_time[FFT_SIZE - 32..]);
-    samples.extend_from_slice(&ltf_time);
-    samples.extend_from_slice(&ltf_time);
-    debug_assert_eq!(samples.len(), PREAMBLE_LEN);
+/// The preamble waveform, computed once per process by the same two
+/// inverse FFTs and copied into every frame.
+pub(crate) fn waveform() -> &'static [Complex; PREAMBLE_LEN] {
+    static WAVEFORM: OnceLock<[Complex; PREAMBLE_LEN]> = OnceLock::new();
+    WAVEFORM.get_or_init(|| {
+        let fft = plan(FFT_SIZE);
+        let mut samples = [Complex::ZERO; PREAMBLE_LEN];
+        let (stf, ltf) = samples.split_at_mut(STF_LEN);
+
+        // Short training field: IFFT of the STF symbol is periodic with
+        // period 16; transmit 160 samples of it.
+        let mut stf_time = stf_freq_symbol().0;
+        fft.inverse(&mut stf_time);
+        for (i, sample) in stf.iter_mut().enumerate() {
+            *sample = stf_time[i % FFT_SIZE];
+        }
+
+        // Long training field: 32-sample guard (the tail of the LTF body)
+        // then two identical 64-sample bodies.
+        let mut ltf_time = ltf_freq_symbol().0;
+        fft.inverse(&mut ltf_time);
+        let (guard, bodies) = ltf.split_at_mut(32);
+        guard.copy_from_slice(&ltf_time[FFT_SIZE - 32..]);
+        for body in bodies.chunks_exact_mut(FFT_SIZE) {
+            body.copy_from_slice(&ltf_time);
+        }
+        samples
+    })
 }
 
 /// The sample ranges of the two LTF bodies within the preamble.

@@ -13,7 +13,7 @@ use crate::preamble;
 use crate::rates::DataRate;
 use crate::signal::encode_signal_points;
 use crate::subcarriers::{DATA_BINS, NUM_DATA, SYMBOL_LEN};
-use cos_dsp::{Complex, Prbs127};
+use cos_dsp::{kernel_mode, Complex, Prbs127};
 
 /// A fully assembled frame, frequency-domain, ready for silence insertion
 /// and waveform rendering.
@@ -95,15 +95,18 @@ impl TxFrame {
     }
 
     /// [`TxFrame::to_time_samples`] writing into a caller-owned buffer,
-    /// which is fully overwritten. The buffer is sized once and every
-    /// symbol is modulated in place into its own 80-sample slot.
+    /// which is fully overwritten. The buffer is only resized (every slot
+    /// is written below): the preamble is copied from its process-wide
+    /// table and every symbol is modulated in place into its own
+    /// 80-sample slot.
     pub fn to_time_samples_into(&self, samples: &mut Vec<Complex>) {
         let engine = OfdmEngine::new();
-        preamble::generate_into(samples);
         let symbols = std::iter::once(&self.signal_symbol).chain(&self.data_symbols);
         let len = preamble::PREAMBLE_LEN + (1 + self.n_data_symbols()) * SYMBOL_LEN;
         samples.resize(len, Complex::ZERO);
-        let (slots, _) = samples[preamble::PREAMBLE_LEN..].as_chunks_mut::<SYMBOL_LEN>();
+        let (head, body) = samples.split_at_mut(preamble::PREAMBLE_LEN);
+        head.copy_from_slice(preamble::waveform());
+        let (slots, _) = body.as_chunks_mut::<SYMBOL_LEN>();
         for (sym, slot) in symbols.zip(slots) {
             engine.modulate_into(sym, slot);
         }
@@ -192,7 +195,7 @@ fn build_frame_from_psdu_core(
     bits: &mut TxBits,
 ) {
     let TxFrame { data_field, data_symbols, mapped_points, silence_mask, .. } = frame;
-    encode_data_field(psdu, rate, scrambler_seed, bits, data_field, Some(mapped_points));
+    encode_data_field(psdu, rate, scrambler_seed, kernel_mode(), bits, data_field, Some(mapped_points));
     let polarity = Prbs127::pilot_polarity();
 
     // SIGNAL symbol with pilot polarity p_0, DATA symbol n with p_{n+1}.
@@ -200,7 +203,7 @@ fn build_frame_from_psdu_core(
     frame.signal_symbol = FreqSymbol::assemble(&signal_points, polarity[0]);
     data_symbols.resize_with(mapped_points.len(), FreqSymbol::empty);
     for (n, (symbol, points)) in data_symbols.iter_mut().zip(mapped_points.iter()).enumerate() {
-        *symbol = FreqSymbol::assemble(points, polarity[(n + 1) % Prbs127::PERIOD]);
+        symbol.assemble_into(points, polarity[(n + 1) % Prbs127::PERIOD]);
     }
     silence_mask.clear();
     silence_mask.resize(mapped_points.len(), [false; NUM_DATA]);

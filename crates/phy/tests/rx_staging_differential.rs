@@ -5,15 +5,23 @@
 //! — is the oracle, and every staged soft bit must match it exactly:
 //! erasures travel with their positions, punctured slots are `0`.
 //!
+//! Both staging bodies are checked: the `avx512bw` word permutes
+//! (`KernelMode::Lanes`, where the build has them) and the portable
+//! gather (`KernelMode::Scalar`, and every mode on builds without the
+//! feature).
+//!
 //! Coverage: all 8 rates, streams truncated mid-symbol (the ragged tail
 //! is dropped), PSDU lengths that put the tail inside, at the end of and
-//! beyond the staged stream (including too short to stage at all), and a
+//! beyond the staged stream (including too short to stage at all), soft
+//! bits at the quantiser's extremes (±511) and erasures (0), and a
 //! workspace left dirty by a longer frame at another rate.
 
+use cos_dsp::KernelMode;
 use cos_fec::FecWorkspace;
 use cos_phy::error::PhyError;
 use cos_phy::frame::{
-    interleaver_for, prepare_data_field_into, PreparedDataField, SERVICE_BITS, TAIL_BITS,
+    interleaver_for, prepare_data_field_into, prepare_data_field_with, PreparedDataField,
+    SERVICE_BITS, TAIL_BITS,
 };
 use cos_phy::rates::DataRate;
 use proptest::prelude::*;
@@ -55,6 +63,47 @@ fn soft_bits(n: usize, seed: u64) -> Vec<i16> {
         .collect()
 }
 
+/// Soft bits at the quantiser's extremes: `+511`, `−511` and erasures.
+fn extreme_bits(n: usize, seed: u64) -> Vec<i16> {
+    soft_bits(n, seed).iter().map(|&l| [511, -511, 0][(l.unsigned_abs() % 3) as usize]).collect()
+}
+
+/// A workspace dirtied by a longer frame at another rate.
+fn dirty_workspace(rate: DataRate, seed: u64) -> FecWorkspace {
+    let mut fec = FecWorkspace::new();
+    let other = DataRate::ALL[(rate.band_index() + 3) % 8];
+    let dirt: Vec<i16> = soft_bits(20 * other.ncbps(), !seed).iter().map(|l| l - 100).collect();
+    prepare_data_field_into(&dirt, other, 4000, &mut fec).expect("20 symbols stage");
+    fec
+}
+
+#[test]
+fn both_staging_bodies_match_the_oracle_at_every_rate() {
+    for rate in DataRate::ALL {
+        let ncbps = rate.ncbps();
+        for symbols in [0, 1, 2, 5, 13] {
+            for ragged in [0, 1, ncbps / 2, ncbps - 1] {
+                for (k, draw) in [soft_bits, extreme_bits].into_iter().enumerate() {
+                    let seed = (rate.band_index() * 1000 + symbols * 10 + k) as u64;
+                    let llrs = draw(symbols * ncbps + ragged, seed);
+                    // The tail inside, near the end of and beyond the
+                    // staged stream.
+                    for psdu_len in [0, symbols * rate.ndbps() / 16, 4000] {
+                        let (want, want_prep) = oracle(&llrs, rate, psdu_len);
+                        for mode in [KernelMode::Scalar, KernelMode::Lanes] {
+                            let ctx = format!("{rate}, {mode}, {} soft bits, PSDU {psdu_len}", llrs.len());
+                            let mut fec = dirty_workspace(rate, seed);
+                            let got = prepare_data_field_with(&llrs, rate, psdu_len, mode, &mut fec);
+                            assert_eq!(got, want_prep, "{ctx}");
+                            assert_eq!(fec.mother_llrs, want, "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 fn arb_rate() -> impl Strategy<Value = DataRate> {
     proptest::sample::select(DataRate::ALL.to_vec())
 }
@@ -69,17 +118,14 @@ proptest! {
         ragged in 0usize..288,
         psdu_len in 0usize..360,
         seed in any::<u64>(),
+        scalar in any::<bool>(),
     ) {
         let llrs = soft_bits(symbols * rate.ncbps() + ragged % rate.ncbps(), seed);
         let (want, want_prep) = oracle(&llrs, rate, psdu_len);
 
-        // Dirty the workspace with a longer frame at another rate first.
-        let mut fec = FecWorkspace::new();
-        let other = DataRate::ALL[(rate.band_index() + 3) % 8];
-        let dirt: Vec<i16> = soft_bits(20 * other.ncbps(), !seed).iter().map(|l| l - 100).collect();
-        prepare_data_field_into(&dirt, other, 4000, &mut fec).expect("20 symbols stage");
-
-        let got_prep = prepare_data_field_into(&llrs, rate, psdu_len, &mut fec);
+        let mut fec = dirty_workspace(rate, seed);
+        let mode = if scalar { KernelMode::Scalar } else { KernelMode::Lanes };
+        let got_prep = prepare_data_field_with(&llrs, rate, psdu_len, mode, &mut fec);
         prop_assert_eq!(got_prep, want_prep);
         prop_assert_eq!(fec.mother_llrs.len(), want.len());
         for (i, (g, w)) in fec.mother_llrs.iter().zip(&want).enumerate() {

@@ -6,17 +6,24 @@
 //! interleaved bits exactly; mapped points, DATA symbols and rendered
 //! samples by `f64::to_bits`.
 //!
+//! Both puncture-and-interleave bodies are checked: the `avx512vbmi`
+//! byte permutes (`KernelMode::Lanes`, where the build has them) and the
+//! portable gather (`KernelMode::Scalar`, and every mode on builds
+//! without the feature).
+//!
 //! Coverage: all 8 rates, all 127 scrambler seeds, PSDU lengths from 0 to
 //! the 4095-byte LENGTH limit, including every length residue modulo 8
 //! bytes (so the tail lands at every position of a 64-bit word) and 9
 //! Mbps, whose 36-bit symbols leave DATA fields that are not a whole
 //! number of bytes.
 
-use cos_dsp::{Complex, Prbs127};
+use cos_dsp::{Complex, KernelMode, Prbs127};
 use cos_fec::bits::bytes_to_bits;
 use cos_fec::{ConvEncoder, Interleaver, Scrambler};
 use cos_phy::evm::{reconstruct_points, reconstruct_points_into};
-use cos_phy::frame::{build_data_field, SERVICE_BITS, TAIL_BITS};
+use cos_phy::frame::{
+    build_data_field, build_data_field_with, DataField, TxBits, SERVICE_BITS, TAIL_BITS,
+};
 use cos_phy::ofdm::FreqSymbol;
 use cos_phy::rates::DataRate;
 use cos_phy::subcarriers::NUM_DATA;
@@ -197,6 +204,27 @@ fn every_scrambler_seed_matches_the_per_bit_chain() {
 fn length_limit_matches_the_per_bit_chain_at_every_rate() {
     for rate in DataRate::ALL {
         check(&psdu_of(MAX_PSDU, rate.mbps().into()), rate, 0x5D, true);
+    }
+}
+
+#[test]
+fn both_interleave_bodies_match_the_per_bit_chain_in_a_dirty_workspace() {
+    // One workspace for every build, first dirtied by the longest frame:
+    // each build must overwrite everything the previous one left.
+    let mut df = DataField::empty(DataRate::Mbps6);
+    let mut bits = TxBits::new();
+    build_data_field_with(&psdu_of(MAX_PSDU, 7), DataRate::Mbps6, 0x33, KernelMode::Scalar, &mut df, &mut bits);
+    for (r, rate) in DataRate::ALL.into_iter().enumerate() {
+        for len in [0, 1, 7, 9, 63, 100, 127, 1020, MAX_PSDU] {
+            let seed = ((r * 13 + len) % 127 + 1) as u8;
+            let psdu = psdu_of(len, (r * 7919 + len) as u64);
+            let (want, _) = oracle(&psdu, rate, seed);
+            for mode in [KernelMode::Lanes, KernelMode::Scalar] {
+                build_data_field_with(&psdu, rate, seed, mode, &mut df, &mut bits);
+                assert_eq!(df.interleaved, want, "{rate}, {mode}, {len} B, seed {seed:#04x}");
+                assert_eq!(df.n_symbols, rate.data_symbol_count(len), "{rate}, {mode}, {len} B");
+            }
+        }
     }
 }
 

@@ -24,8 +24,8 @@ cargo test -q --workspace
 echo "== cargo test --doc --workspace"
 cargo test -q --doc --workspace
 
-echo "== cargo doc --no-deps (warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps
+echo "== cargo doc --no-deps --workspace (warnings are errors, every member crate)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
 echo "== cargo clippy --workspace (warnings are errors)"
 cargo clippy -q --workspace --all-targets -- -D warnings
@@ -42,32 +42,34 @@ cargo test --release -q --manifest-path cosbench/Cargo.toml
 echo "== golden vectors (frozen waveforms + decodes for all 8 rates; any bit/sample drift fails)"
 cargo test -q --release --test golden_vectors
 
-echo "== golden vectors + channel digest + FFT and Viterbi kernel differentials under COS_KERNELS=scalar (the lane/scalar bit-identity contract, end to end; the noise stream pinned; the 64-point lane FFT against the scalar radix-2 by to_bits; the portable i16 Viterbi body against the f64 reference)"
+echo "== golden vectors + channel digest + FFT, Viterbi and bit-plumbing kernel differentials under COS_KERNELS=scalar (the lane/scalar bit-identity contract, end to end; the noise stream pinned; the 64-point lane FFT against the scalar radix-2 by to_bits; the portable i16 Viterbi body against the f64 reference; the permute and portable TX interleave and RX staging bodies and the word-speed receive tail against the per-bit chain)"
 COS_KERNELS=scalar cargo test -q --release --test golden_vectors --test channel_digest
 COS_KERNELS=scalar cargo test -q --release -p cos-dsp --test kernel_differential
 COS_KERNELS=scalar cargo test -q --release -p cos-fec --test kernel_differential
+COS_KERNELS=scalar cargo test -q --release -p cos-phy --test tx_differential --test rx_staging_differential --test rx_tail_differential
 
 echo "== channel kernel differential under both COS_KERNELS (lane AWGN/conv/overlap bit-identical to scalar)"
 COS_KERNELS=scalar cargo test -q --release -p cos-channel --test kernel_differential
 COS_KERNELS=lanes cargo test -q --release -p cos-channel --test kernel_differential
 
-echo "== session_storm --smoke --kernels both (1000+ pooled sessions: engine outcome digests identical at 1/4/8 threads AND across scalar/lane kernels; at pool steady state per kernel a drain of plain, resilient and adaptive jobs allocates nothing on 1 thread and at most one scoped thread spawn's 4 allocations on 2)"
+echo "== session_storm --smoke --kernels both (1000+ pooled sessions: engine outcome digests identical at 1/4/8 threads AND across scalar/lane kernels AND equal to the pinned smoke digest; at pool steady state per kernel a drain of plain, resilient and adaptive jobs allocates nothing on 1 thread and at most one scoped thread spawn's 4 allocations on 2)"
 cargo run -q --release -p cos-bench --bin session_storm -- --smoke --kernels both 2>&1 | tee "$logs/session_storm"
 
-echo "== adaptation_storm --smoke --kernels both (drifting adaptive sessions: outcome digests identical at 1/4/8 threads AND across kernels; drift duel: adaptive ≥ best fixed goodput with 100% control delivery and no backlog)"
+echo "== adaptation_storm --smoke --kernels both (drifting adaptive sessions: outcome digests identical at 1/4/8 threads AND across kernels AND equal to the pinned smoke digest; drift duel: adaptive ≥ best fixed goodput with 100% control delivery and no backlog)"
 cargo run -q --release -p cos-bench --bin adaptation_storm -- --smoke --kernels both 2>&1 | tee "$logs/adaptation_storm"
 
-echo "== service_storm --smoke (async service chaos: zero lost or duplicated tickets, balanced ledger, every fault/rejection path exercised, bounded queues, digests identical at 1/4/8 threads, scripted and live journals replay byte-exactly)"
+echo "== service_storm --smoke (async service chaos: zero lost or duplicated tickets, balanced ledger, every fault/rejection path exercised, bounded queues, digests identical at 1/4/8 threads and the scripted one equal to its pin, scripted and live journals replay byte-exactly)"
 cargo run -q --release -p cos-bench --bin service_storm -- --smoke 2>&1 | tee "$logs/service_storm"
 
-echo "== mesh_storm --smoke (1024+ churning mesh stations: digests identical at 1/4/8 threads; coordination duel: coordinated goodput > CSMA with ≥99% control delivery)"
+echo "== mesh_storm --smoke (1024+ churning mesh stations: digests identical at 1/4/8 threads and equal to the pinned smoke digest; coordination duel: coordinated goodput > CSMA with ≥99% control delivery)"
 cargo run -q --release -p cos-bench --bin mesh_storm -- --smoke 2>&1 | tee "$logs/mesh_storm"
 
-echo "== golden vectors + channel digest + FFT and Viterbi kernel differentials + storm digests on baseline x86-64 codegen (no host CPU features: bit identity, noise included, must not rest on -C target-cpu=native; the lane FFT and the i16 Viterbi on their portable bodies; every storm smoke digest, service_storm's scripted one, equal to the native build's; own target dir keeps the main cache)"
+echo "== golden vectors + channel digest + FFT, Viterbi and bit-plumbing kernel differentials + storm digests on baseline x86-64 codegen (no host CPU features: bit identity, noise included, must not rest on -C target-cpu=native; the lane FFT, the i16 Viterbi and the TX interleave and RX staging permutes on their portable bodies; every storm smoke digest, service_storm's scripted one, equal to the native build's and to its pin; own target dir keeps the main cache)"
 baseline() { RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64 "$@"; }
 baseline cargo test -q --release --test golden_vectors --test channel_digest
 baseline cargo test -q --release -p cos-dsp --test kernel_differential
 baseline cargo test -q --release -p cos-fec --test kernel_differential
+baseline cargo test -q --release -p cos-phy --test tx_differential --test rx_staging_differential --test rx_tail_differential
 for storm in "session_storm --smoke --kernels both" "adaptation_storm --smoke --kernels both" \
     "service_storm --smoke" "mesh_storm --smoke"; do
     set -- $storm
