@@ -21,11 +21,6 @@
 //!
 //! Exits non-zero on any determinism or duel failure. `--smoke` runs a
 //! reduced fleet and the quick duel config with the same gates.
-//!
-//! `--kernels scalar|lanes|both` (default `both`) re-runs the
-//! determinism storm under each symbol-plane kernel (the channel lanes
-//! and the `i16` Viterbi body) and asserts the digests match across
-//! kernels as well as across thread counts.
 
 use cos_bench::gate::{
     digest_outcome, payload_bytes, smoke_pin_holds, Flags, PAYLOAD_LENS, THREAD_COUNTS,
@@ -33,7 +28,6 @@ use cos_bench::gate::{
 use cos_core::adaptation::AdaptationConfig;
 use cos_core::engine::{BatchEngine, EngineConfig, SessionId, SessionPool};
 use cos_core::session::{Fnv, SessionConfig};
-use cos_dsp::set_kernel_mode;
 use cos_experiments::adaptation::{self, ContenderResult, Scheme};
 use cos_phy::rates::DataRate;
 
@@ -127,30 +121,24 @@ fn contender_name(r: &ContenderResult) -> String {
 const SMOKE_DIGEST: u64 = 0x87bc_bba7_8259_bc2b;
 
 fn main() {
-    let flags = Flags::parse(&["--smoke", "--kernels"]);
-    let (sessions, rounds) = if flags.smoke { (192, 3) } else { (512, 6) };
+    let smoke = Flags::parse(&["--smoke"]).smoke;
+    let (sessions, rounds) = if smoke { (192, 3) } else { (512, 6) };
 
-    eprintln!(
-        "adaptation_storm: {sessions} sessions, {rounds} rounds, threads {THREAD_COUNTS:?}, \
-         kernels {:?}",
-        flags.kernels.iter().map(|k| k.0).collect::<Vec<_>>()
-    );
+    eprintln!("adaptation_storm: {sessions} sessions, {rounds} rounds, threads {THREAD_COUNTS:?}");
 
-    // One storm per (kernel, thread count); the adaptive jobs must
-    // produce one digest across the whole grid.
-    let mut storms: Vec<StormResult> = Vec::new();
-    for &(name, mode) in &flags.kernels {
-        set_kernel_mode(mode);
-        for t in THREAD_COUNTS {
+    // One storm per thread count; the adaptive jobs must produce one
+    // digest across them.
+    let storms: Vec<StormResult> = THREAD_COUNTS
+        .into_iter()
+        .map(|t| {
             let s = run_storm(sessions, rounds, t);
-            eprintln!("  kernels={name} threads={t}: digest {:016x}, {} jobs", s.digest, s.jobs);
-            storms.push(s);
-        }
-    }
+            eprintln!("  threads={t}: digest {:016x}, {} jobs", s.digest, s.jobs);
+            s
+        })
+        .collect();
     let deterministic = storms.iter().all(|s| s.digest == storms[0].digest);
 
-    let duel_cfg =
-        if flags.smoke { adaptation::Config::quick() } else { adaptation::Config::default() };
+    let duel_cfg = if smoke { adaptation::Config::quick() } else { adaptation::Config::default() };
     let duel = adaptation::run_compare(&duel_cfg);
     let adaptive = &duel[0];
     assert!(adaptive.scheme == Scheme::Adaptive, "adaptive contender is row 0");
@@ -171,14 +159,10 @@ fn main() {
 
     let mut failed = false;
     if !deterministic {
-        eprintln!(
-            "adaptation_storm FAILED: outcome digests differ across thread counts or kernels"
-        );
+        eprintln!("adaptation_storm FAILED: outcome digests differ across thread counts");
         failed = true;
     }
-    if flags.smoke
-        && !smoke_pin_holds("adaptation_storm", "outcome", storms[0].digest, SMOKE_DIGEST)
-    {
+    if smoke && !smoke_pin_holds("adaptation_storm", "outcome", storms[0].digest, SMOKE_DIGEST) {
         failed = true;
     }
     if !beats {

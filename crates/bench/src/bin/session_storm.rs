@@ -1,17 +1,15 @@
 //! Thousand-session batch-engine storm: determinism and allocation gate
 //! for `cos_core::engine`.
 //!
-//! Two phases, run once per symbol-plane kernel (`--kernels
-//! scalar|lanes|both`, default `both`):
+//! Two phases:
 //!
 //! 1. **Cross-thread determinism** — builds the same pool of ≥1000
 //!    sessions three times, runs the identical mixed plain/resilient job
 //!    schedule (with create/release churn between rounds) through
 //!    [`BatchEngine`] at 1, 4 and 8 worker threads, and FNV-digests every
 //!    outcome field (`f64`s via `to_bits`). The engine runs every job
-//!    through its session's one frame path (`CosSession::run_frame`);
-//!    because the lane kernels are bit-identical to the scalar reference,
-//!    the digests must agree across kernels as well as thread counts.
+//!    through its session's one frame path (`CosSession::run_frame`),
+//!    so the digests must agree across thread counts.
 //! 2. **Steady-state allocation** — a fixed-rate pool of plain,
 //!    resilient and adaptive jobs drained at 1 and at 2 worker threads
 //!    under the counting global allocator; after warm-up drains every
@@ -30,7 +28,6 @@ use cos_bench::gate::{
 };
 use cos_core::engine::{BatchEngine, ControlId, EngineConfig, PayloadId, SessionId, SessionPool};
 use cos_core::session::{Fnv, SessionConfig};
-use cos_dsp::set_kernel_mode;
 use cos_phy::rates::DataRate;
 
 fn register_tables(engine: &mut BatchEngine) -> (Vec<PayloadId>, Vec<ControlId>) {
@@ -195,56 +192,44 @@ const SMOKE_DIGEST: u64 = 0xf9b5_e0fe_4f27_774c;
 const MAX_WARM_ROUNDS: usize = 64;
 
 fn main() {
-    let flags = Flags::parse(&["--smoke", "--kernels"]);
-    let (sessions, rounds, measured) = if flags.smoke { (1024, 2, 1) } else { (1536, 4, 3) };
+    let smoke = Flags::parse(&["--smoke"]).smoke;
+    let (sessions, rounds, measured) = if smoke { (1024, 2, 1) } else { (1536, 4, 3) };
 
-    eprintln!(
-        "session_storm: {sessions} sessions, {rounds} rounds, threads {THREAD_COUNTS:?}, \
-         kernels {:?}",
-        flags.kernels.iter().map(|k| k.0).collect::<Vec<_>>()
-    );
+    eprintln!("session_storm: {sessions} sessions, {rounds} rounds, threads {THREAD_COUNTS:?}");
 
     let mut digests = Vec::new();
     let mut failed = false;
-    for &(name, mode) in &flags.kernels {
-        // Pinned before any worker thread spawns, so every storm below
-        // observes one mode for its whole run.
-        set_kernel_mode(mode);
-        eprintln!("  [{name}]");
-        for t in THREAD_COUNTS {
-            let s = run_storm(sessions, rounds, t);
-            eprintln!("    threads={t}: digest {:016x}, {} jobs", s.digest, s.jobs);
-            digests.push(s.digest);
-        }
-        for threads in [1, 2] {
-            let alloc = run_alloc_phase(sessions, measured, threads);
-            let budget = drain_alloc_budget(threads);
+    for t in THREAD_COUNTS {
+        let s = run_storm(sessions, rounds, t);
+        eprintln!("  threads={t}: digest {:016x}, {} jobs", s.digest, s.jobs);
+        digests.push(s.digest);
+    }
+    for threads in [1, 2] {
+        let alloc = run_alloc_phase(sessions, measured, threads);
+        let budget = drain_alloc_budget(threads);
+        eprintln!(
+            "  steady state, threads={threads}: {:.1} allocs/drain (budget {budget}), \
+             {:.3} allocs/frame, {:.1} bytes/frame ({} warm rounds)",
+            alloc.allocs_per_drain,
+            alloc.allocs_per_frame,
+            alloc.bytes_per_frame,
+            alloc.warm_rounds
+        );
+        if alloc.allocs_per_drain > budget as f64 {
             eprintln!(
-                "    steady state, threads={threads}: {:.1} allocs/drain (budget {budget}), \
-                 {:.3} allocs/frame, {:.1} bytes/frame ({} warm rounds)",
-                alloc.allocs_per_drain,
-                alloc.allocs_per_frame,
-                alloc.bytes_per_frame,
-                alloc.warm_rounds
+                "session_storm FAILED: {:.1} allocs/drain at steady state on {threads} \
+                 thread(s) (want at most {budget})",
+                alloc.allocs_per_drain
             );
-            if alloc.allocs_per_drain > budget as f64 {
-                eprintln!(
-                    "session_storm FAILED: [{name}] {:.1} allocs/drain at steady state on \
-                     {threads} thread(s) (want at most {budget})",
-                    alloc.allocs_per_drain
-                );
-                failed = true;
-            }
+            failed = true;
         }
     }
 
-    // Bit-identity contract: the digest must agree across *kernels* as
-    // well as thread counts.
     if digests.iter().any(|&d| d != digests[0]) {
-        eprintln!("session_storm FAILED: outcome digests differ across thread counts or kernels");
+        eprintln!("session_storm FAILED: outcome digests differ across thread counts");
         failed = true;
     }
-    if flags.smoke && !smoke_pin_holds("session_storm", "outcome", digests[0], SMOKE_DIGEST) {
+    if smoke && !smoke_pin_holds("session_storm", "outcome", digests[0], SMOKE_DIGEST) {
         failed = true;
     }
     if failed {

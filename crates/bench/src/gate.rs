@@ -13,7 +13,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cos_core::engine::{JobOutcome, JobResult};
 use cos_core::session::Fnv;
 use cos_core::LinkMode;
-use cos_dsp::KernelMode;
 
 /// Forwards to the system allocator while counting every allocation
 /// (alloc + realloc) and the bytes requested. The counters are relaxed
@@ -130,19 +129,16 @@ pub fn control_bits(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 5 + len).is_multiple_of(3) as u8).collect()
 }
 
-/// The command line of a gate binary. The only flags are `--smoke`
-/// (reduced scale) and `--kernels scalar|lanes|both` (default `both`);
-/// each binary names the ones it takes.
+/// The command line of a gate binary. The only flag is `--smoke`
+/// (reduced scale); each binary names whether it takes it.
 pub struct Flags {
     /// `--smoke` was given.
     pub smoke: bool,
-    /// The symbol-plane kernel modes to run, in order.
-    pub kernels: Vec<(&'static str, KernelMode)>,
 }
 
 impl Flags {
     /// Parses the process arguments, exiting with status 2 on any
-    /// argument outside `allowed` (e.g. `&["--smoke", "--kernels"]`).
+    /// argument outside `allowed` (e.g. `&["--smoke"]`).
     pub fn parse(allowed: &[&str]) -> Flags {
         Self::parse_from(std::env::args().skip(1), allowed).unwrap_or_else(|e| {
             eprintln!("{e}");
@@ -154,43 +150,21 @@ impl Flags {
     ///
     /// # Errors
     ///
-    /// Returns the usage message for an argument outside `allowed`, a
-    /// `--kernels` without a value, or an unknown kernel spec.
+    /// Returns the usage message for an argument outside `allowed`.
     pub fn parse_from(
         args: impl IntoIterator<Item = String>,
         allowed: &[&str],
     ) -> Result<Flags, String> {
-        let usage =
-            || format!("usage: accepted flags are {allowed:?} (--kernels scalar|lanes|both)");
-        let mut flags = Flags { smoke: false, kernels: kernel_modes("both")? };
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            let (name, inline) = match arg.split_once('=') {
-                Some((n, v)) => (n.to_string(), Some(v.to_string())),
-                None => (arg.clone(), None),
-            };
-            if !allowed.contains(&name.as_str()) {
-                return Err(format!("unknown argument {arg:?}; {}", usage()));
-            }
-            match (name.as_str(), inline) {
-                ("--smoke", None) => flags.smoke = true,
-                ("--kernels", v) => {
-                    let spec = v.or_else(|| args.next()).ok_or_else(usage)?;
-                    flags.kernels = kernel_modes(&spec)?;
+        let mut flags = Flags { smoke: false };
+        for arg in args {
+            match arg.as_str() {
+                "--smoke" if allowed.contains(&"--smoke") => flags.smoke = true,
+                _ => {
+                    return Err(format!("unknown argument {arg:?}; accepted flags are {allowed:?}"))
                 }
-                _ => return Err(format!("malformed argument {arg:?}; {}", usage())),
             }
         }
         Ok(flags)
-    }
-}
-
-fn kernel_modes(spec: &str) -> Result<Vec<(&'static str, KernelMode)>, String> {
-    match spec {
-        "scalar" => Ok(vec![("scalar", KernelMode::Scalar)]),
-        "lanes" => Ok(vec![("lanes", KernelMode::Lanes)]),
-        "both" => Ok(vec![("scalar", KernelMode::Scalar), ("lanes", KernelMode::Lanes)]),
-        other => Err(format!("--kernels takes scalar|lanes|both, got {other:?}")),
     }
 }
 
@@ -272,21 +246,14 @@ mod tests {
     }
 
     #[test]
-    fn flags_take_only_smoke_and_kernels() {
-        let both = ["--smoke", "--kernels"];
-        let f = parse(&[], &both).unwrap();
-        assert!(!f.smoke);
-        assert_eq!(f.kernels.len(), 2);
-        let f = parse(&["--smoke", "--kernels", "lanes"], &both).unwrap();
-        assert!(f.smoke);
-        assert_eq!(f.kernels, vec![("lanes", KernelMode::Lanes)]);
-        assert_eq!(parse(&["--kernels=scalar"], &both).unwrap().kernels[0].0, "scalar");
-        let bad: [&[&str]; 4] =
-            [&["--kernels"], &["--kernels", "simd"], &["--smoke=1"], &["--sessions", "8"]];
+    fn flags_take_only_smoke() {
+        let smoke = ["--smoke"];
+        assert!(!parse(&[], &smoke).unwrap().smoke);
+        assert!(parse(&["--smoke"], &smoke).unwrap().smoke);
+        let bad: [&[&str]; 3] = [&["--smoke=1"], &["--sessions", "8"], &["--smoke", "lanes"]];
         for bad in bad {
-            assert!(parse(bad, &both).is_err(), "{bad:?}");
+            assert!(parse(bad, &smoke).is_err(), "{bad:?}");
         }
-        assert!(parse(&["--kernels", "both"], &["--smoke"]).is_err());
         assert!(parse(&["--smoke"], &[]).is_err());
     }
 }

@@ -1,14 +1,14 @@
 //! Additive white Gaussian noise.
 //!
-//! The per-sample apply has a scalar reference and a lane kernel selected
-//! by [`cos_dsp::lanes::kernel_mode`]. Both produce the same bits: the
-//! lane path takes a waveform's standard normals from
-//! [`GaussianSource::fill_standard_normal`], which runs the Box–Muller
-//! transform eight pairs per lane step yet returns **exactly the scalar
-//! draw sequence**, then applies `x + n·s` with the same per-element
-//! expression the scalar loop uses; see `docs/KERNELS.md`.
+//! The per-sample apply has a lane kernel and a scalar reference the
+//! differential tests pin through [`Awgn::add_noise_in_place_with`].
+//! Both produce the same bits: the lane path takes a waveform's standard
+//! normals from [`GaussianSource::fill_standard_normal`], which runs the
+//! Box–Muller transform eight pairs per lane step yet returns **exactly
+//! the scalar draw sequence**, then applies `x + n·s` with the same
+//! per-element expression the scalar loop uses; see `docs/KERNELS.md`.
 
-use cos_dsp::lanes::{kernel_mode, KernelMode};
+use cos_dsp::lanes::KernelMode;
 use cos_dsp::{Complex, GaussianSource};
 
 /// Samples noised per batch draw: the interleaved normals fit a 2 KiB
@@ -95,9 +95,9 @@ impl Awgn {
             .collect()
     }
 
-    /// Adds noise in place, on the process-wide kernel mode.
+    /// Adds noise in place, on the lane kernel.
     pub fn add_noise_in_place(&mut self, samples: &mut [Complex]) {
-        self.add_noise_in_place_with(samples, kernel_mode());
+        self.add_noise_in_place_with(samples, KernelMode::Lanes);
     }
 
     /// [`Awgn::add_noise_in_place`] on an explicit kernel, so the

@@ -14,8 +14,7 @@ use crate::impairment::{FaultEngine, FeedbackFate, ImpairmentCtx};
 use crate::interference::PulseInterferer;
 use crate::multipath::{ChannelConfig, IndoorChannel};
 use crate::sounder::ChannelSounder;
-use cos_dsp::lanes::kernel_mode;
-use cos_dsp::{db_to_linear, Complex};
+use cos_dsp::{db_to_linear, Complex, KernelMode};
 
 /// The nominal per-sample transmit power of an 802.11a waveform: 52
 /// unit-energy bins through a `1/N`-normalised 64-point IFFT put
@@ -97,11 +96,6 @@ impl Link {
     /// The attached fault engine, if any.
     pub fn faults(&self) -> Option<&FaultEngine> {
         self.faults.as_ref()
-    }
-
-    /// Number of packets transmitted over this link so far.
-    pub fn packets_sent(&self) -> u64 {
-        self.packet_index
     }
 
     /// The fate of the EVM feedback report for the packet most recently
@@ -190,7 +184,7 @@ impl Link {
     pub fn transmit_into(&mut self, tx: &[Complex], rx: &mut Vec<Complex>) {
         rx.clear();
         rx.resize(self.lead_in, Complex::ZERO);
-        self.channel.apply_append_with(tx, rx, kernel_mode());
+        self.channel.apply_append_with(tx, rx, KernelMode::Lanes);
         if self.cfo_hz != 0.0 {
             // The oscillator offset rotates everything the receiver sees.
             let step = 2.0 * std::f64::consts::PI * self.cfo_hz / 20e6;

@@ -25,7 +25,7 @@
 
 use crate::awgn::add_gaussian_lanes;
 use crate::impairment::{Impairment, ImpairmentCtx};
-use cos_dsp::lanes::{kernel_mode, KernelMode};
+use cos_dsp::lanes::KernelMode;
 use cos_dsp::{db_to_linear, Complex, GaussianSource};
 
 /// One concurrent transmission overlapping a victim frame, as seen by the
@@ -136,7 +136,7 @@ impl Impairment for OverlapComposer {
     }
 
     fn impair_waveform(&mut self, samples: &mut Vec<Complex>, ctx: &ImpairmentCtx) {
-        self.impair_waveform_with(samples, ctx, kernel_mode());
+        self.impair_waveform_with(samples, ctx, KernelMode::Lanes);
     }
 
     fn boxed_clone(&self) -> Box<dyn Impairment> {

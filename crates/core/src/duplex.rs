@@ -25,8 +25,6 @@
 
 use crate::energy_detector::EnergyDetector;
 use crate::feedback::FeedbackVector;
-use crate::interval::IntervalCodec;
-use crate::power_controller::PowerController;
 use crate::subcarrier_select::DEFAULT_DETECT_FLOOR_DB;
 use cos_phy::error::PhyError;
 use cos_phy::evm::reconstruct_points;
@@ -229,12 +227,6 @@ pub fn decode_ack(
             measured_snr_db,
         }),
     ))
-}
-
-/// Convenience used by sessions: the PowerController/IntervalCodec pair
-/// both sides agree on for ACK feedback.
-pub fn feedback_controller() -> PowerController {
-    PowerController::new(IntervalCodec::default())
 }
 
 #[cfg(test)]

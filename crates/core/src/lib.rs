@@ -115,8 +115,8 @@ pub use resilience::{
 };
 pub use service::journal::{JournalError, ReplayJournal, ReplayReport};
 pub use service::{
-    CosService, DeadLetter, FaultPlan, QuarantineReason, Rejected, ServiceConfig, ServiceCore,
-    ServiceJobKind, ServiceOutcome, ServiceResult, ServiceStats, Ticket,
+    CosService, DeadLetter, QuarantineReason, Rejected, ServiceConfig, ServiceCore, ServiceJobKind,
+    ServiceOutcome, ServiceResult, ServiceStats, Ticket,
 };
 pub use session::{
     AdaptiveSummary, CosSession, PacketSummary, ResilientSummary, SessionConfig, SessionMetrics,

@@ -498,11 +498,6 @@ impl ThresholdRecalibrator {
         self.bias_db
     }
 
-    /// The smoothed false-alarm rate.
-    pub fn false_alarm_ewma(&self) -> f64 {
-        self.ewma
-    }
-
     /// Feeds one frame's false-alarm evidence. Returns the new bias when
     /// it changed.
     pub fn observe(&mut self, false_alarms: usize, normal_positions: usize) -> Option<f64> {

@@ -189,32 +189,16 @@ pub enum ServiceFault {
     Stall(u32),
 }
 
-/// A deterministic fault schedule keyed by admission ticket. Poison
+/// The deterministic fault schedule [`ServiceCore::inject_poison`] and
+/// [`ServiceCore::inject_stall`] fill, keyed by admission ticket. Poison
 /// entries persist across retries; stall entries fire once.
 #[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
+struct FaultPlan {
     poison: BTreeSet<u64>,
     stalls: BTreeMap<u64, u32>,
 }
 
 impl FaultPlan {
-    /// An empty plan.
-    pub fn new() -> Self {
-        FaultPlan::default()
-    }
-
-    /// Marks the ticket as poison.
-    pub fn poison(mut self, ticket: u64) -> Self {
-        self.poison.insert(ticket);
-        self
-    }
-
-    /// Marks the ticket's first dispatch as a worker stall of `ticks`.
-    pub fn stall(mut self, ticket: u64, ticks: u32) -> Self {
-        self.stalls.insert(ticket, ticks);
-        self
-    }
-
     fn classify(&mut self, ticket: u64) -> Option<ServiceFault> {
         if self.poison.contains(&ticket) {
             return Some(ServiceFault::Poison);
@@ -408,7 +392,7 @@ impl ServiceCore {
             draining: false,
             dead_letters: VecDeque::new(),
             health,
-            faults: FaultPlan::new(),
+            faults: FaultPlan::default(),
             journal,
             session_ordinals: BTreeMap::new(),
             payloads: 0,
@@ -460,18 +444,6 @@ impl ServiceCore {
         self.record(JournalEvent::Control(bits.into()));
         self.controls += 1;
         self.engine.add_control(bits)
-    }
-
-    /// Installs a deterministic fault schedule (replaces any previous
-    /// one). Tickets already dispatched are unaffected.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        for &t in &plan.poison {
-            self.record(JournalEvent::Poison { ticket: t });
-        }
-        for (&t, &d) in &plan.stalls {
-            self.record(JournalEvent::Stall { ticket: t, ticks: d });
-        }
-        self.faults = plan;
     }
 
     /// Marks one future ticket as poison.
@@ -1111,6 +1083,21 @@ mod tests {
         }
         core.run_to_drained();
         (core.digest(), core.outcomes().len())
+    }
+
+    #[test]
+    #[should_panic(expected = "min_control_subcarriers = 40 exceeds MAX_MIN_CONTROL_SUBCARRIERS")]
+    fn create_session_rejects_an_oversized_bootstrap_block() {
+        let mut core = ServiceCore::new(ServiceConfig::default());
+        core.create_session(SessionConfig { min_control_subcarriers: 40, ..Default::default() }, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "min_control_subcarriers = 48 exceeds MAX_MIN_CONTROL_SUBCARRIERS")]
+    fn recycled_session_rejects_an_oversized_bootstrap_block() {
+        let (mut core, ids, _, _) = setup(ServiceConfig::default(), 1);
+        assert!(core.release_session(ids[0]));
+        core.create_session(SessionConfig { min_control_subcarriers: 48, ..Default::default() }, 2);
     }
 
     #[test]

@@ -503,7 +503,18 @@ pub(crate) const MAX_MIN_CONTROL_SUBCARRIERS: usize = NUM_DATA - BOOTSTRAP_FIRST
 
 /// The bootstrap selection of a session keeping at least `min` control
 /// subcarriers (one when `min` is 0).
+///
+/// # Panics
+///
+/// Panics if `min` exceeds [`MAX_MIN_CONTROL_SUBCARRIERS`], so a bad
+/// config fails where the session is made, not on its first frame.
 fn bootstrap_selection(min: usize) -> std::ops::Range<usize> {
+    assert!(
+        min <= MAX_MIN_CONTROL_SUBCARRIERS,
+        "min_control_subcarriers = {min} exceeds MAX_MIN_CONTROL_SUBCARRIERS = \
+         {MAX_MIN_CONTROL_SUBCARRIERS}: the bootstrap block {BOOTSTRAP_FIRST}.. must fit the \
+         {NUM_DATA} data subcarriers"
+    );
     BOOTSTRAP_FIRST..BOOTSTRAP_FIRST + min.max(1)
 }
 
@@ -573,10 +584,15 @@ pub struct CosSession {
 
 impl CosSession {
     /// Creates a session over a fresh channel realisation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.min_control_subcarriers` exceeds 39 (the bound
+    /// the journal reader also enforces).
     pub fn new(config: SessionConfig, seed: u64) -> Self {
+        let selected = bootstrap_selection(config.min_control_subcarriers).collect();
         let codec = IntervalCodec::new(config.bits_per_interval);
         let link = Link::new(config.channel, config.snr_db, seed);
-        let selected = bootstrap_selection(config.min_control_subcarriers).collect();
         let rate = config.rate.unwrap_or(DataRate::Mbps12);
         let resilience = config.resilience.is_some().then(|| ResilienceState::new(&config));
         let adaptation = config.adaptation.is_some().then(|| AdaptationState::new(&config));
@@ -607,11 +623,16 @@ impl CosSession {
     /// pool-recycling entry point. A recycled session is behaviourally
     /// indistinguishable from a fresh one because every `*_into` stage
     /// fully overwrites its outputs (see `docs/ARCHITECTURE.md`).
+    ///
+    /// # Panics
+    ///
+    /// As [`CosSession::new`], before touching any state.
     pub fn reinit(&mut self, config: SessionConfig, seed: u64) {
+        let bootstrap = bootstrap_selection(config.min_control_subcarriers);
         let codec = IntervalCodec::new(config.bits_per_interval);
         self.link = Link::new(config.channel, config.snr_db, seed);
         self.selected.clear();
-        self.selected.extend(bootstrap_selection(config.min_control_subcarriers));
+        self.selected.extend(bootstrap);
         self.rate = config.rate.unwrap_or(DataRate::Mbps12);
         self.resilience = config.resilience.is_some().then(|| ResilienceState::new(&config));
         self.detector = EnergyDetector::new(config.detector_bias_db);
@@ -735,11 +756,6 @@ impl CosSession {
     /// Control messages still queued on the adaptive path.
     pub fn adaptive_backlog(&self) -> usize {
         self.adaptation.as_ref().map_or(0, |s| s.arq.backlog())
-    }
-
-    /// Per-message attempt/latency histograms of the adaptive-path ARQ.
-    pub fn adaptive_arq_histograms(&self) -> ArqHistograms {
-        self.adaptation.as_ref().map_or_else(ArqHistograms::default, |s| *s.arq.histograms())
     }
 
     /// The link-adaptation controller, once the adaptive path has run

@@ -10,11 +10,11 @@
 //! tables. The free functions [`fft`]/[`ifft`] use that cache.
 //!
 //! The 64-point transform — every OFDM symbol, preamble and LTF — runs
-//! one in-register lane kernel in [`KernelMode::Lanes`]: the same radix-2
-//! butterflies regrouped into two passes over 8 rows of [`LANES`]
-//! complex values, bit-identical to the scalar recursion (see
-//! `docs/KERNELS.md`). Every other length, and `COS_KERNELS=scalar`, runs
-//! the scalar recursion.
+//! one in-register lane kernel: the same radix-2 butterflies regrouped
+//! into two passes over 8 rows of [`LANES`] complex values, bit-identical
+//! to the scalar recursion (see `docs/KERNELS.md`). Every other length
+//! runs the scalar recursion, and so does [`Fft::forward_with`] under
+//! [`KernelMode::Scalar`], the reference the differential tests use.
 //!
 //! # Conventions
 //!
@@ -24,7 +24,7 @@
 //! the `1/N` factor.
 
 use crate::complex::Complex;
-use crate::lanes::{kernel_mode, transpose, C64xL, F64xL, KernelMode, LANES};
+use crate::lanes::{transpose, C64xL, F64xL, KernelMode, LANES};
 use std::sync::OnceLock;
 
 /// The transform length the in-register lane kernel covers: the OFDM
@@ -208,19 +208,18 @@ impl Fft {
         self.n == 0
     }
 
-    /// In-place forward DFT (no normalisation), on the process-wide
-    /// [`kernel_mode`].
+    /// In-place forward DFT (no normalisation).
     ///
     /// # Panics
     ///
     /// Panics if `buf.len()` differs from the plan length.
     pub fn forward(&self, buf: &mut [Complex]) {
-        self.forward_with(buf, kernel_mode());
+        self.forward_with(buf, KernelMode::Lanes);
     }
 
     /// [`Fft::forward`] with an explicit [`KernelMode`]. The lane kernel
     /// (64-point plans) is bit-identical to the scalar recursion, so this
-    /// exists for differential tests and benchmarks only.
+    /// exists for the differential tests only.
     ///
     /// # Panics
     ///
@@ -233,19 +232,18 @@ impl Fft {
         }
     }
 
-    /// In-place inverse DFT including the `1/N` normalisation, on the
-    /// process-wide [`kernel_mode`].
+    /// In-place inverse DFT including the `1/N` normalisation.
     ///
     /// # Panics
     ///
     /// Panics if `buf.len()` differs from the plan length.
     pub fn inverse(&self, buf: &mut [Complex]) {
-        self.inverse_with(buf, kernel_mode());
+        self.inverse_with(buf, KernelMode::Lanes);
     }
 
     /// [`Fft::inverse`] with an explicit [`KernelMode`]. The lane kernel
     /// (64-point plans) is bit-identical to the scalar recursion, so this
-    /// exists for differential tests and benchmarks only.
+    /// exists for the differential tests only.
     ///
     /// # Panics
     ///

@@ -8,11 +8,14 @@
 //! reference by construction (see `docs/KERNELS.md` for the ordering
 //! contract). The hot kernels — the 64-point OFDM FFT in [`crate::fft`],
 //! the channel's AWGN, convolution and overlap mix — are written twice,
-//! once scalar and once on these lanes, and a process-wide [`KernelMode`]
-//! switch selects between them at runtime (the `cos-fec` Viterbi uses it
-//! to pick its `avx512bw` or portable body). Because the two paths
-//! produce the same bits, the switch exists purely so benchmarks and
-//! differential tests can compare them; it never affects results.
+//! once scalar and once on these lanes. Production runs the lane body;
+//! the scalar one is the reference the differential tests compare it
+//! against through each kernel's `_with` hook and a [`KernelMode`].
+//! Where a lane primitive here (arithmetic, permuted loads and stores,
+//! the transpose) or a kernel elsewhere (the `cos-fec` Viterbi, the
+//! `cos-phy` bit permutes) also has an AVX-512 body,
+//! `cfg(target_feature)` picks it at compile time. Every body produces
+//! the same bits.
 //!
 //! # Examples
 //!
@@ -26,7 +29,6 @@
 
 use crate::complex::Complex;
 use std::ops::{Add, Mul, Neg, Sub};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// The lane width every SIMD kernel in the workspace is built around.
 ///
@@ -409,82 +411,27 @@ mod avx512 {
     }
 }
 
-/// Which implementation the symbol-plane kernels run on.
+/// Which body a symbol-plane kernel runs: the lane (or intrinsic) body
+/// or the plain scalar reference.
 ///
 /// Both produce the same bits (gated by the kernel differential
-/// proptests), so the mode affects throughput only — it exists so
-/// `session_storm --kernels` can benchmark one against the other and so
-/// tests can pin a path explicitly.
+/// proptests). Production always runs [`KernelMode::Lanes`]; each
+/// kernel's `_with` hook takes a mode so the differential tests can run
+/// the scalar reference against it. Which lane body a build has —
+/// AVX-512 intrinsics or the portable lanes — is fixed at compile time
+/// by `cfg(target_feature)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
     /// The plain scalar reference kernels.
     Scalar,
-    /// The [`F64xL`]/[`C64xL`] lane kernels (the default).
+    /// The [`F64xL`]/[`C64xL`] lane kernels and the AVX-512 bodies.
     Lanes,
 }
 
-impl std::str::FromStr for KernelMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Ok(KernelMode::Scalar),
-            "lanes" | "lane" | "simd" => Ok(KernelMode::Lanes),
-            other => Err(format!("unknown kernel mode {other:?} (expected \"scalar\" or \"lanes\")")),
-        }
-    }
-}
-
-impl std::fmt::Display for KernelMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            KernelMode::Scalar => "scalar",
-            KernelMode::Lanes => "lanes",
-        })
-    }
-}
-
-const MODE_UNSET: u8 = 0;
-const MODE_SCALAR: u8 = 1;
-const MODE_LANES: u8 = 2;
-
-/// Process-wide kernel mode, resolved lazily from `COS_KERNELS` on first
-/// read and overridable via [`set_kernel_mode`].
-static KERNEL_MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
-
-/// The process-wide kernel mode.
-///
-/// Defaults to [`KernelMode::Lanes`]; the `COS_KERNELS` environment
-/// variable (`scalar` / `lanes`) overrides the default the first time any
-/// kernel asks, and [`set_kernel_mode`] overrides both. Because scalar and
-/// lane kernels are bit-identical, flipping the mode mid-run changes
-/// performance, never results.
-pub fn kernel_mode() -> KernelMode {
-    match KERNEL_MODE.load(Ordering::Relaxed) {
-        MODE_SCALAR => KernelMode::Scalar,
-        MODE_LANES => KernelMode::Lanes,
-        _ => {
-            let resolved = match std::env::var("COS_KERNELS") {
-                Ok(v) => v.parse().unwrap_or(KernelMode::Lanes),
-                Err(_) => KernelMode::Lanes,
-            };
-            set_kernel_mode(resolved);
-            resolved
-        }
-    }
-}
-
-/// Pins the process-wide kernel mode, overriding `COS_KERNELS`.
-///
-/// Intended for benchmarks (`session_storm --kernels`) and tests; call it
-/// before spawning worker threads so every worker observes the same mode
-/// for a whole run.
-pub fn set_kernel_mode(mode: KernelMode) {
-    let raw = match mode {
-        KernelMode::Scalar => MODE_SCALAR,
-        KernelMode::Lanes => MODE_LANES,
-    };
-    KERNEL_MODE.store(raw, Ordering::Relaxed);
+/// Records the body production runs: always [`KernelMode::Lanes`].
+/// Benchmark reports print it; no kernel reads it.
+pub const fn kernel_mode() -> KernelMode {
+    KernelMode::Lanes
 }
 
 #[cfg(test)]
@@ -622,24 +569,5 @@ mod tests {
     #[should_panic(expected = "lane permutation out of range")]
     fn load_permuted_rejects_out_of_range_lane() {
         C64xL::load_permuted(&[Complex::ZERO; LANES], [0, 1, 2, 3, 4, 5, 6, 8]);
-    }
-
-    #[test]
-    fn mode_parses_and_displays() {
-        assert_eq!("scalar".parse::<KernelMode>().unwrap(), KernelMode::Scalar);
-        assert_eq!("LANES".parse::<KernelMode>().unwrap(), KernelMode::Lanes);
-        assert!("vliw".parse::<KernelMode>().is_err());
-        assert_eq!(KernelMode::Scalar.to_string(), "scalar");
-        assert_eq!(KernelMode::Lanes.to_string(), "lanes");
-    }
-
-    #[test]
-    fn set_kernel_mode_round_trips() {
-        let before = kernel_mode();
-        set_kernel_mode(KernelMode::Scalar);
-        assert_eq!(kernel_mode(), KernelMode::Scalar);
-        set_kernel_mode(KernelMode::Lanes);
-        assert_eq!(kernel_mode(), KernelMode::Lanes);
-        set_kernel_mode(before);
     }
 }

@@ -8,8 +8,10 @@
 //! * [`fft`] — an in-place radix-2 decimation-in-time FFT/IFFT used for OFDM
 //!   modulation and symbol-level energy detection,
 //! * [`lanes`] — fixed-width `f64` lane structs (LLVM-autovectorized SIMD
-//!   on stable Rust) plus the process-wide [`lanes::KernelMode`] switch
-//!   that selects scalar vs lane kernels across the symbol plane,
+//!   on stable Rust, with AVX-512 bodies the build picks by
+//!   `cfg(target_feature)`) plus [`lanes::KernelMode`], which the
+//!   kernels' `_with` hooks take so differential tests can run the
+//!   scalar references,
 //! * [`db`] — dB/linear and dBm/milliwatt conversions,
 //! * [`rng`] — seeded Gaussian and circularly-symmetric complex Gaussian
 //!   sources (Box–Muller over [`rand`], on crate-owned `ln`/`sincos`
@@ -45,7 +47,7 @@ pub mod stats;
 pub mod workspace;
 
 pub use complex::Complex;
-pub use lanes::{kernel_mode, set_kernel_mode, KernelMode};
+pub use lanes::{kernel_mode, KernelMode};
 pub use db::{db_to_linear, dbm_to_mw, linear_to_db, mw_to_dbm};
 pub use prbs::Prbs127;
 pub use rng::GaussianSource;

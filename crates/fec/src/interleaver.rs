@@ -96,16 +96,6 @@ impl Interleaver {
         self.apply(bits, &self.inv)
     }
 
-    /// [`Interleaver::deinterleave`] writing into a caller-owned buffer,
-    /// which is fully overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len()` is not a multiple of `Ncbps`.
-    pub fn deinterleave_into(&self, bits: &[u8], out: &mut Vec<u8>) {
-        self.apply_into(bits, &self.inv, out);
-    }
-
     /// De-interleaves soft values (LLRs); zero-LLR erasures travel with
     /// their positions.
     ///

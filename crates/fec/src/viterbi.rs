@@ -27,10 +27,12 @@
 //! One production kernel, [`ViterbiDecoder::decode_i16`], decodes one
 //! frame at a time. Its add-compare-select holds all 64 path metrics as
 //! `i16` in two 512-bit registers; it has an `avx512bw` body and a
-//! portable body that performs the same wrapping operations
-//! (`COS_KERNELS=scalar` runs the portable body; builds without
-//! `avx512bw` have only it). Both are exact against an `f64` Viterbi on
-//! the same integers (`docs/KERNELS.md`, "The i16 Viterbi").
+//! portable body that performs the same wrapping operations. The build
+//! picks the body: `avx512bw` builds run the intrinsics, every other
+//! build the portable body, which [`ViterbiDecoder::decode_i16_with`]
+//! under [`KernelMode::Scalar`] also runs for the differential tests.
+//! Both are exact against an `f64` Viterbi on the same integers
+//! (`docs/KERNELS.md`, "The i16 Viterbi").
 //!
 //! [`ViterbiDecoder::decode_to_slices`] keeps the `f64` add-compare-select
 //! as the reference the kernel is tested against; the owned
@@ -40,7 +42,7 @@
 
 use crate::conv::{branch_output, next_state, STATES};
 use crate::workspace::{SymbolBatch, ViterbiWorkspace};
-use cos_dsp::lanes::{kernel_mode, KernelMode};
+use cos_dsp::lanes::KernelMode;
 use std::sync::OnceLock;
 
 /// The largest soft-bit magnitude: [`quantise`] saturates at `±SOFT_MAX`.
@@ -276,8 +278,7 @@ impl ViterbiDecoder {
     }
 
     /// Decodes one frame of quantised soft bits (pairs `A_t B_t`, each in
-    /// `±`[`SOFT_MAX`]) on the process-wide [`kernel_mode`] — the
-    /// production decoder, allocation-free.
+    /// `±`[`SOFT_MAX`]) — the production decoder, allocation-free.
     ///
     /// `prev_lsbs` is the traceback scratch (one survivor word per step)
     /// and `out` receives the decoded bits; both must hold exactly
@@ -298,7 +299,7 @@ impl ViterbiDecoder {
         prev_lsbs: &mut [u64],
         out: &mut [u8],
     ) {
-        self.decode_i16_with(llrs, terminated, kernel_mode(), prev_lsbs, out);
+        self.decode_i16_with(llrs, terminated, KernelMode::Lanes, prev_lsbs, out);
     }
 
     /// [`ViterbiDecoder::decode_i16`] with an explicit [`KernelMode`]:
@@ -335,26 +336,10 @@ impl ViterbiDecoder {
         &self,
         frames: &mut [LaneFrame<'_>],
         terminated: bool,
-        batch: &mut SymbolBatch,
-    ) {
-        self.decode_lockstep_with(frames, terminated, kernel_mode(), batch);
-    }
-
-    /// [`ViterbiDecoder::decode_lockstep`] with an explicit
-    /// [`KernelMode`].
-    ///
-    /// # Panics
-    ///
-    /// Per frame, as [`ViterbiDecoder::decode_i16`].
-    pub fn decode_lockstep_with(
-        &self,
-        frames: &mut [LaneFrame<'_>],
-        terminated: bool,
-        mode: KernelMode,
         _batch: &mut SymbolBatch,
     ) {
         for f in frames {
-            self.decode_i16_with(f.llrs, terminated, mode, f.prev_lsbs, f.out);
+            self.decode_i16(f.llrs, terminated, f.prev_lsbs, f.out);
         }
     }
 }
@@ -797,8 +782,8 @@ mod tests {
                 ViterbiDecoder::new().decode_to_slices(&wide, terminated, &mut prev, &mut out);
                 for mode in [KernelMode::Lanes, KernelMode::Scalar] {
                     let (got_prev, got_out) = run_i16(&soft, terminated, mode);
-                    assert_eq!(got_out, out, "len {len}, {mode}, terminated {terminated}");
-                    assert_eq!(got_prev[6..], prev[6..], "len {len}, {mode}");
+                    assert_eq!(got_out, out, "len {len}, {mode:?}, terminated {terminated}");
+                    assert_eq!(got_prev[6..], prev[6..], "len {len}, {mode:?}");
                 }
             }
             let clean = soft_bits(&ideal_llrs(&coded));

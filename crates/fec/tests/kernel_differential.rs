@@ -83,9 +83,9 @@ fn check(llrs: &[i16], terminated: bool) {
     let (want_prev, want_out) = reference(llrs, terminated);
     for mode in [KernelMode::Lanes, KernelMode::Scalar] {
         let (prev, out) = kernel(llrs, terminated, mode);
-        assert_eq!(out, want_out, "{mode}, terminated {terminated}, {} steps", out.len());
+        assert_eq!(out, want_out, "{mode:?}, terminated {terminated}, {} steps", out.len());
         let from = WARM_UP.min(prev.len());
-        assert_eq!(prev[from..], want_prev[from..], "{mode}, {} steps", prev.len());
+        assert_eq!(prev[from..], want_prev[from..], "{mode:?}, {} steps", prev.len());
     }
 }
 
@@ -119,7 +119,7 @@ proptest! {
         ViterbiDecoder::new().decode_lockstep(&mut lane_frames, true, &mut SymbolBatch::new());
         drop(lane_frames);
         for (k, llrs) in frames.iter().enumerate() {
-            let (prev, out) = kernel(llrs, true, cos_dsp::kernel_mode());
+            let (prev, out) = kernel(llrs, true, KernelMode::Lanes);
             prop_assert_eq!(&outs[k], &out, "frame {}", k);
             prop_assert_eq!(&prevs[k], &prev, "frame {}", k);
         }

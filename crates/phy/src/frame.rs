@@ -16,7 +16,7 @@ use crate::constellation::Modulation;
 use crate::error::PhyError;
 use crate::rates::DataRate;
 use crate::subcarriers::NUM_DATA;
-use cos_dsp::{kernel_mode, Complex, KernelMode, Prbs127};
+use cos_dsp::{Complex, KernelMode, Prbs127};
 use cos_fec::bits::bits_to_bytes_into;
 use cos_fec::conv::{CONSTRAINT, GEN_A, GEN_B};
 use cos_fec::{Crc32, FecWorkspace, Interleaver, Scrambler, ViterbiDecoder};
@@ -445,7 +445,7 @@ pub fn build_data_field_into(
     df: &mut DataField,
     bits: &mut TxBits,
 ) {
-    build_data_field_with(psdu, rate, scrambler_seed, kernel_mode(), df, bits);
+    build_data_field_with(psdu, rate, scrambler_seed, KernelMode::Lanes, df, bits);
 }
 
 /// [`build_data_field_into`] on the puncture-and-interleave body `mode`
@@ -693,7 +693,7 @@ pub fn prepare_data_field_into(
     psdu_len: usize,
     fec: &mut FecWorkspace,
 ) -> Result<PreparedDataField, PhyError> {
-    prepare_data_field_with(llrs, rate, psdu_len, kernel_mode(), fec)
+    prepare_data_field_with(llrs, rate, psdu_len, KernelMode::Lanes, fec)
 }
 
 /// [`prepare_data_field_into`] on the staging body `mode` selects:

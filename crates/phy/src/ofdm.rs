@@ -80,9 +80,9 @@ impl FreqSymbol {
 /// [`OfdmEngine::modulate_into`] writes the IFFT body straight into a
 /// caller-owned 80-sample slot and [`OfdmEngine::demodulate_into`] the
 /// FFT bins straight into a caller-owned [`FreqSymbol`], so the TX render
-/// and the RX front end move no symbol-sized arrays by value. In
-/// [`cos_dsp::KernelMode::Lanes`] the transform is the in-register lane
-/// kernel, bit-identical to the scalar recursion.
+/// and the RX front end move no symbol-sized arrays by value. The
+/// transform is the in-register lane kernel, bit-identical to the scalar
+/// recursion.
 #[derive(Debug, Clone)]
 pub struct OfdmEngine {
     fft: &'static Fft,

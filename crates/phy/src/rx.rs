@@ -112,14 +112,6 @@ impl FrontEnd {
         (sum_db / snrs.len() as f64).min(60.0)
     }
 
-    /// The wideband SNR in dB: linear mean of per-subcarrier SNRs (what a
-    /// channel sounder would report for this estimate).
-    pub fn wideband_snr_db(&self) -> f64 {
-        let snrs = self.per_subcarrier_snr();
-        let mean: f64 = snrs.iter().sum::<f64>() / snrs.len() as f64;
-        linear_to_db(mean.max(1e-12)).min(60.0)
-    }
-
     /// The LLR reliability weight `|H_k|²/σ²` per logical subcarrier,
     /// using the pilot-aided noise estimate.
     pub fn llr_weights(&self) -> [f64; NUM_DATA] {

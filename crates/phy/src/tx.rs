@@ -13,7 +13,7 @@ use crate::preamble;
 use crate::rates::DataRate;
 use crate::signal::encode_signal_points;
 use crate::subcarriers::{DATA_BINS, NUM_DATA, SYMBOL_LEN};
-use cos_dsp::{kernel_mode, Complex, Prbs127};
+use cos_dsp::{Complex, KernelMode, Prbs127};
 
 /// A fully assembled frame, frequency-domain, ready for silence insertion
 /// and waveform rendering.
@@ -195,7 +195,7 @@ fn build_frame_from_psdu_core(
     bits: &mut TxBits,
 ) {
     let TxFrame { data_field, data_symbols, mapped_points, silence_mask, .. } = frame;
-    encode_data_field(psdu, rate, scrambler_seed, kernel_mode(), bits, data_field, Some(mapped_points));
+    encode_data_field(psdu, rate, scrambler_seed, KernelMode::Lanes, bits, data_field, Some(mapped_points));
     let polarity = Prbs127::pilot_polarity();
 
     // SIGNAL symbol with pilot polarity p_0, DATA symbol n with p_{n+1}.

@@ -91,7 +91,7 @@ fn both_staging_bodies_match_the_oracle_at_every_rate() {
                     for psdu_len in [0, symbols * rate.ndbps() / 16, 4000] {
                         let (want, want_prep) = oracle(&llrs, rate, psdu_len);
                         for mode in [KernelMode::Scalar, KernelMode::Lanes] {
-                            let ctx = format!("{rate}, {mode}, {} soft bits, PSDU {psdu_len}", llrs.len());
+                            let ctx = format!("{rate}, {mode:?}, {} soft bits, PSDU {psdu_len}", llrs.len());
                             let mut fec = dirty_workspace(rate, seed);
                             let got = prepare_data_field_with(&llrs, rate, psdu_len, mode, &mut fec);
                             assert_eq!(got, want_prep, "{ctx}");

@@ -221,8 +221,8 @@ fn both_interleave_bodies_match_the_per_bit_chain_in_a_dirty_workspace() {
             let (want, _) = oracle(&psdu, rate, seed);
             for mode in [KernelMode::Lanes, KernelMode::Scalar] {
                 build_data_field_with(&psdu, rate, seed, mode, &mut df, &mut bits);
-                assert_eq!(df.interleaved, want, "{rate}, {mode}, {len} B, seed {seed:#04x}");
-                assert_eq!(df.n_symbols, rate.data_symbol_count(len), "{rate}, {mode}, {len} B");
+                assert_eq!(df.interleaved, want, "{rate}, {mode:?}, {len} B, seed {seed:#04x}");
+                assert_eq!(df.n_symbols, rate.data_symbol_count(len), "{rate}, {mode:?}, {len} B");
             }
         }
     }

@@ -10,10 +10,10 @@
 //! * one `Link::transmit` of a frame through a fading channel with AWGN
 //!   and a noise-only lead-in.
 //!
-//! The digests hold on every kernel mode and codegen target because the
-//! sampler uses no host libm; `scripts/check.sh` runs this file under
-//! `COS_KERNELS=scalar` and on baseline x86-64 codegen as well as the
-//! default build. Change the constants only with an intended change to
+//! The digests hold on every codegen target, whichever kernel bodies it
+//! compiles, because the sampler uses no host libm; `scripts/check.sh`
+//! runs this file on baseline x86-64 codegen as well as the default
+//! build. Change the constants only with an intended change to
 //! the noise stream, and record old → new in the change log.
 
 use cos_channel::{ChannelConfig, Link};

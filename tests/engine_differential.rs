@@ -2,9 +2,7 @@
 //! mixed-kind job list pushed through [`cos_core::BatchEngine`] at 1, 4
 //! and 8 worker threads must be **byte-identical** (every `f64` compared
 //! by bit pattern) to running the same per-session call sequence on plain
-//! [`cos_core::CosSession`]s with no engine at all — under **both**
-//! symbol-plane kernels (`COS_KERNELS=scalar` and `lanes`), and with the
-//! two kernels byte-identical to each other.
+//! [`cos_core::CosSession`]s with no engine at all.
 //!
 //! This is the engine's whole contract in one test: sharding on the
 //! session boundary, per-session program order = submit order, no
@@ -17,7 +15,6 @@ use cos_core::session::{
     AdaptiveSummary, CosSession, PacketSummary, ResilientSummary, SessionConfig,
 };
 use cos_core::{BatchEngine, EngineConfig, JobResult, SessionPool};
-use cos_dsp::{set_kernel_mode, KernelMode};
 use cos_phy::rates::DataRate;
 
 const N_SESSIONS: usize = 8;
@@ -209,22 +206,13 @@ fn assert_results_eq(got: &[JobResult], want: &[JobResult], label: &str) {
 }
 
 #[test]
-fn batch_engine_matches_sequential_sessions_at_any_thread_count_and_kernel() {
-    // Under each kernel the engine must match the no-engine reference at
-    // every thread count; across kernels the references must match each
-    // other (the channel/FEC lane kernels are bit-identical to scalar).
-    let mut per_mode: Vec<Vec<JobResult>> = Vec::new();
-    for (name, mode) in [("scalar", KernelMode::Scalar), ("lanes", KernelMode::Lanes)] {
-        set_kernel_mode(mode);
-        let reference = sequential_reference();
-        assert_eq!(reference.len(), N_JOBS);
-        for threads in [1, 4, 8] {
-            let got = engine_run(threads);
-            assert_results_eq(&got, &reference, &format!("kernels={name}, threads={threads}"));
-        }
-        per_mode.push(reference);
+fn batch_engine_matches_sequential_sessions_at_any_thread_count() {
+    let reference = sequential_reference();
+    assert_eq!(reference.len(), N_JOBS);
+    for threads in [1, 4, 8] {
+        let got = engine_run(threads);
+        assert_results_eq(&got, &reference, &format!("threads={threads}"));
     }
-    assert_results_eq(&per_mode[1], &per_mode[0], "lanes vs scalar reference");
 }
 
 /// Sessions of the dirty-lane run: 6 and 54 Mbps alternate, so every
