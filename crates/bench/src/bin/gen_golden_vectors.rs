@@ -54,10 +54,11 @@ fn main() {
         tx.build_frame_into(&payload, rate, SCRAMBLER_SEED, &mut ws);
         let samples = ws.render();
 
-        let rx = Receiver::new()
-            .receive(samples, &RxConfig::ideal())
-            .expect("golden frame must decode");
+        let receiver = Receiver::new();
+        let rx = receiver.receive(samples, &RxConfig::ideal()).expect("golden frame must decode");
         assert_eq!(rx.payload.as_deref(), Some(&payload[..]), "golden frame must pass CRC");
+        let mut hard = Vec::new();
+        receiver.hard_decisions_into(&rx.front_end, None, &mut hard);
 
         let mut buf = Vec::new();
         buf.extend_from_slice(b"COSV");
@@ -67,7 +68,7 @@ fn main() {
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         buf.extend_from_slice(&payload);
         buf.extend_from_slice(&fnv(&rx.data_bits).to_le_bytes());
-        buf.extend_from_slice(&fnv(&rx.hard_coded_bits).to_le_bytes());
+        buf.extend_from_slice(&fnv(&hard).to_le_bytes());
         buf.extend_from_slice(&(samples.len() as u32).to_le_bytes());
         for s in samples {
             buf.extend_from_slice(&s.re.to_le_bytes());

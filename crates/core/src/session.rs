@@ -117,7 +117,6 @@ impl FrameScratch {
             + fec.mother_llrs.capacity()
             + fec.decoded.capacity()
             + rx.out.data_bits.capacity()
-            + rx.out.hard_coded_bits.capacity()
             + self.control.capacity()
     }
 }

@@ -13,7 +13,7 @@
 //! against through each kernel's `_with` hook and a [`KernelMode`].
 //! Where a lane primitive here (arithmetic, permuted loads and stores,
 //! the transpose) or a kernel elsewhere (the `cos-fec` Viterbi, the
-//! `cos-phy` bit permutes) also has an AVX-512 body,
+//! `cos-phy` bit permutes and soft demap) also has an AVX-512 body,
 //! `cfg(target_feature)` picks it at compile time. Every body produces
 //! the same bits.
 //!

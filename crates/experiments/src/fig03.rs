@@ -45,6 +45,7 @@ fn link_ber(link: &mut Link, packets: usize) -> (f64, f64) {
     let payload = paper_payload();
     let tx = Transmitter::new();
     let rx = Receiver::new();
+    let mut hard = Vec::new();
     let mut errors = 0usize;
     let mut bits = 0usize;
     let mut measured_acc = 0.0;
@@ -53,10 +54,10 @@ fn link_ber(link: &mut Link, packets: usize) -> (f64, f64) {
         let frame = tx.build_frame(&payload, DataRate::Mbps24, seed);
         let samples = link.transmit(&frame.to_time_samples());
         if let Ok(fe) = rx.front_end_known(&samples, DataRate::Mbps24, frame.psdu_len) {
-            let rxf = rx.decode(&fe, None);
-            errors += hamming_distance(&rxf.hard_coded_bits, &frame.data_field.interleaved);
-            bits += rxf.hard_coded_bits.len();
-            measured_acc += rxf.front_end.measured_snr_db();
+            rx.hard_decisions_into(&fe, None, &mut hard);
+            errors += hamming_distance(&hard, &frame.data_field.interleaved);
+            bits += hard.len();
+            measured_acc += fe.measured_snr_db();
         }
         link.channel_mut().advance(1e-3);
     }

@@ -1,6 +1,7 @@
 //! Gray-mapped constellations of IEEE 802.11a (Clause 17.3.5.8) and their
-//! demap kernel ([`Modulation::demap_row_into`]: max-log soft LLRs plus
-//! hard decisions in one pass).
+//! two demap kernels: [`Modulation::demap_row_into`] (quantised max-log
+//! soft LLRs, the decoder's input) and [`Modulation::hard_demap_row_into`]
+//! (nearest-point hard decisions, a measurement).
 //!
 //! All constellations are normalised to unit average energy by the
 //! standard's `K_MOD` factors, so the minimum constellation distance `D_m`
@@ -8,7 +9,7 @@
 //! selector compares per-subcarrier EVM against (`EVM > D_m / 2` ⇒ the
 //! subcarrier is error-prone; paper §III-D).
 
-use cos_dsp::lanes::{F64xL, LANES};
+use cos_dsp::lanes::{F64xL, KernelMode, LANES};
 use cos_dsp::Complex;
 use cos_fec::viterbi::{quantise, SOFT_MAX};
 
@@ -200,14 +201,7 @@ impl Modulation {
     pub fn hard_demap_into(self, y: Complex, out: &mut Vec<u8>) {
         let start = out.len();
         out.resize(start + self.bits_per_symbol(), 0);
-        let mut llrs = [0; 6];
-        self.demap_row_into(
-            &[y],
-            &[0.0],
-            None,
-            &mut llrs[..self.bits_per_symbol()],
-            &mut out[start..],
-        );
+        self.hard_demap_row_into(&[y], None, &mut out[start..]);
     }
 
     /// Hard-decides the nearest constellation point, returning its bits.
@@ -220,9 +214,8 @@ impl Modulation {
     /// Hard-decides the nearest constellation point, returning the point.
     pub fn nearest_point(self, y: Complex) -> Complex {
         let n = self.bits_per_symbol();
-        let mut llrs = [0; 6];
         let mut bits = [0u8; 6];
-        self.demap_row_into(&[y], &[0.0], None, &mut llrs[..n], &mut bits[..n]);
+        self.hard_demap_row_into(&[y], None, &mut bits[..n]);
         self.map(&bits[..n])
     }
 
@@ -235,8 +228,7 @@ impl Modulation {
     /// `b0..b_{n-1}`.
     ///
     /// A non-finite `y_eq` (NaN or ±∞ on a demapped axis) carries no
-    /// information and is treated as an erasure: every LLR is `0` and
-    /// the hard decision is bit group 0. See
+    /// information and is treated as an erasure: every LLR is `0`. See
     /// [`Modulation::demap_row_into`].
     pub fn soft_demap(self, y_eq: Complex, weight: f64, out: &mut Vec<i16>) {
         let start = out.len();
@@ -252,148 +244,238 @@ impl Modulation {
     /// Panics if `out.len() != self.bits_per_symbol()`.
     pub fn soft_demap_to_slice(self, y_eq: Complex, weight: f64, out: &mut [i16]) {
         assert_eq!(out.len(), self.bits_per_symbol(), "one LLR slot per coded bit");
-        let mut hard = [0u8; 6];
-        self.demap_row_into(&[y_eq], &[weight], None, out, &mut hard[..out.len()]);
+        self.demap_row_into(&[y_eq], &[weight], None, out);
     }
 
-    /// The demap kernel: quantised soft LLRs (paper Eq. 8, max-log) and
-    /// hard decisions for a row of equalised points, written in transmit
-    /// order — point `p` owns `llrs[p·n..(p+1)·n]` and
-    /// `hard[p·n..(p+1)·n]` with `n = bits_per_symbol()`. Every other
+    /// The soft demap kernel: quantised max-log LLRs (paper Eq. 8) for a
+    /// row of equalised points, written in transmit order — point `p`
+    /// owns `llrs[p·n..(p+1)·n]` with `n = bits_per_symbol()`. Every soft
     /// demap entry point is a view of this one.
     ///
-    /// * **Soft:** per bit, [`quantise`]`(weight · (d₁ − d₀))` where `d_b`
-    ///   is the smallest `(value − level·k)²` over the levels whose bit is
-    ///   `b`. Each level's distance is evaluated once per axis and shared
-    ///   by every bit; a minimum over NaN-free values is exact in any
-    ///   order, so the `f64` LLR is bit-identical to a per-bit search over
-    ///   every level (`docs/KERNELS.md`, "Soft demap"). The weights carry
-    ///   the frame's scale ([`Modulation::soft_weights`]).
-    /// * **Hard:** the level minimising `|level − value/k|`, ties going
-    ///   to the first entry in Gray-group order — a different metric from
-    ///   the soft one, so hard bits are never read off LLR signs (with
-    ///   `weight = 0` every LLR is zero).
+    /// * **Soft bits:** per bit, [`quantise`]`(weight · (d₁ − d₀))` where
+    ///   `d_b` is the smallest `(value − level·k)²` over the levels whose
+    ///   bit is `b`. Each level's distance is evaluated once per axis and
+    ///   shared by every bit; a minimum over NaN-free values is exact in
+    ///   any order, so the `f64` LLR is bit-identical to a per-bit search
+    ///   over every level (`docs/KERNELS.md`, "Soft demap"). The weights
+    ///   carry the frame's scale ([`Modulation::soft_weights`]).
     /// * **Erasures:** a point whose `erased` flag is set, or whose
-    ///   demapped axes are not finite, gets `0` LLRs and hard bit group 0.
+    ///   demapped axes are not finite, gets `0` LLRs.
     ///
-    /// Every output slot is overwritten, so dirty buffers are fine.
+    /// Hard decisions are a separate kernel,
+    /// [`Modulation::hard_demap_row_into`]. Every output slot is
+    /// overwritten, so dirty buffers are fine. Builds with `avx512bw`
+    /// demap whole blocks of eight points in registers; see
+    /// [`Modulation::demap_row_with`].
     ///
     /// # Panics
     ///
     /// Panics if `weights` or `erased` differ in length from `row`, or
-    /// `llrs`/`hard` are not `row.len() · bits_per_symbol()` long.
+    /// `llrs` is not `row.len() · bits_per_symbol()` long.
     pub fn demap_row_into(
         self,
         row: &[Complex],
         weights: &[f64],
         erased: Option<&[bool]>,
         llrs: &mut [i16],
-        hard: &mut [u8],
     ) {
-        let n = self.bits_per_symbol();
+        self.demap_row_with(row, weights, erased, llrs, KernelMode::Lanes);
+    }
+
+    /// [`Modulation::demap_row_into`] on the body `mode` selects: `Lanes`
+    /// runs the `avx512bw` register body on whole 8-point blocks where the
+    /// build has it, and the portable lane body on the rest; `Scalar` runs
+    /// the portable lane body on every point. Both write the same soft
+    /// bits.
+    ///
+    /// # Panics
+    ///
+    /// As [`Modulation::demap_row_into`].
+    pub fn demap_row_with(
+        self,
+        row: &[Complex],
+        weights: &[f64],
+        erased: Option<&[bool]>,
+        llrs: &mut [i16],
+        mode: KernelMode,
+    ) {
         assert_eq!(weights.len(), row.len(), "one weight per point");
         assert!(erased.is_none_or(|m| m.len() == row.len()), "one erasure flag per point");
-        assert_eq!(llrs.len(), row.len() * n, "one LLR slot per coded bit");
-        assert_eq!(hard.len(), row.len() * n, "one hard slot per coded bit");
+        assert_eq!(llrs.len(), row.len() * self.bits_per_symbol(), "one LLR slot per coded bit");
         let k = self.kmod();
         match self {
-            Modulation::Bpsk => {
-                demap_row::<2, 1, false>(&BPSK_LEVELS, k, row, weights, erased, llrs, hard)
-            }
-            Modulation::Qpsk => {
-                demap_row::<2, 1, true>(&BPSK_LEVELS, k, row, weights, erased, llrs, hard)
-            }
-            Modulation::Qam16 => {
-                demap_row::<4, 2, true>(&QAM16_LEVELS, k, row, weights, erased, llrs, hard)
-            }
-            Modulation::Qam64 => {
-                demap_row::<8, 3, true>(&QAM64_LEVELS, k, row, weights, erased, llrs, hard)
-            }
+            Modulation::Bpsk => soft_row::<2, 1, false>(&BPSK_LEVELS, k, row, weights, erased, llrs, mode),
+            Modulation::Qpsk => soft_row::<2, 1, true>(&BPSK_LEVELS, k, row, weights, erased, llrs, mode),
+            Modulation::Qam16 => soft_row::<4, 2, true>(&QAM16_LEVELS, k, row, weights, erased, llrs, mode),
+            Modulation::Qam64 => soft_row::<8, 3, true>(&QAM64_LEVELS, k, row, weights, erased, llrs, mode),
+        }
+    }
+
+    /// The hard-decision kernel: the nearest constellation point's bits
+    /// for a row of equalised points, in transmit order — point `p` owns
+    /// `hard[p·n..(p+1)·n]` with `n = bits_per_symbol()`. Every hard
+    /// demap entry point is a view of this one. The receiver's decode
+    /// never runs it: hard decisions are a measurement (Fig. 3's
+    /// decoder-input BER, Fig. 6's symbol errors), not a decode input.
+    ///
+    /// * **Rule:** per axis, the level minimising `|level − value/k|` (a
+    ///   true division), ties going to the first entry in Gray-group
+    ///   order (a strict `<` in table order) — a different metric from
+    ///   the soft one, so hard bits are never read off LLR signs.
+    /// * **Erasures:** a point whose `erased` flag is set, or whose
+    ///   demapped axes are not finite, gets bit group 0.
+    ///
+    /// Every output slot is overwritten, so dirty buffers are fine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `erased` differs in length from `row`, or `hard` is not
+    /// `row.len() · bits_per_symbol()` long.
+    pub fn hard_demap_row_into(self, row: &[Complex], erased: Option<&[bool]>, hard: &mut [u8]) {
+        assert!(erased.is_none_or(|m| m.len() == row.len()), "one erasure flag per point");
+        assert_eq!(hard.len(), row.len() * self.bits_per_symbol(), "one hard slot per coded bit");
+        let k = self.kmod();
+        match self {
+            Modulation::Bpsk => hard_row::<2, 1, false>(&BPSK_LEVELS, k, row, erased, hard),
+            Modulation::Qpsk => hard_row::<2, 1, true>(&BPSK_LEVELS, k, row, erased, hard),
+            Modulation::Qam16 => hard_row::<4, 2, true>(&QAM16_LEVELS, k, row, erased, hard),
+            Modulation::Qam64 => hard_row::<8, 3, true>(&QAM64_LEVELS, k, row, erased, hard),
         }
     }
 }
 
-/// [`Modulation::demap_row_into`] monomorphised per axis shape: `N`
+/// [`Modulation::demap_row_with`] monomorphised per axis shape: `N`
 /// levels (in table order) carrying `B` bits per axis; `IQ` is false only
-/// for BPSK, whose Q axis carries no bits. Points go through in blocks of
-/// [`LANES`], one lane per point: every lane op is the scalar expression
-/// applied lane by lane, so the lanes only regroup independent per-point
-/// computations (`docs/KERNELS.md`, leg 1).
-// Not inlined: each modulation stays its own function, which LLVM
-// vectorises reliably (inlined into one `match`, parts of one path came
-// out scalar).
-#[inline(never)]
-fn demap_row<const N: usize, const B: usize, const IQ: bool>(
+/// for BPSK, whose Q axis carries no bits. Under [`KernelMode::Lanes`] an
+/// `avx512bw` build demaps the whole 8-point blocks in registers; the
+/// portable lane body takes every other point.
+#[inline(always)]
+fn soft_row<const N: usize, const B: usize, const IQ: bool>(
     levels: &[f64; N],
     k: f64,
     row: &[Complex],
     weights: &[f64],
     erased: Option<&[bool]>,
     llrs: &mut [i16],
-    hard: &mut [u8],
+    mode: KernelMode,
 ) {
     // `level·k`, the soft metric's per-level products, once per row.
     let at = levels.map(|level| level * k);
+    let done = match mode {
+        // SAFETY: the build enables `avx512bw`, as this arm's `cfg`
+        // requires.
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512bw"))]
+        KernelMode::Lanes => unsafe { avx512::soft_blocks::<N, B, IQ>(&at, row, weights, erased, llrs) },
+        _ => 0,
+    };
+    if done < row.len() {
+        let width = if IQ { 2 * B } else { B };
+        let erased = erased.map(|mask| &mask[done..]);
+        soft_lanes::<N, B, IQ>(&at, &row[done..], &weights[done..], erased, &mut llrs[done * width..]);
+    }
+}
+
+/// The portable soft body. Points go through in blocks of [`LANES`],
+/// one lane per point: every lane op is the scalar expression applied
+/// lane by lane, so the lanes only regroup independent per-point
+/// computations (`docs/KERNELS.md`, leg 1).
+// Not inlined: each modulation stays its own function, which LLVM
+// vectorises reliably (inlined into one `match`, parts of one path came
+// out scalar).
+#[inline(never)]
+fn soft_lanes<const N: usize, const B: usize, const IQ: bool>(
+    at: &[f64; N],
+    row: &[Complex],
+    weights: &[f64],
+    erased: Option<&[bool]>,
+    llrs: &mut [i16],
+) {
     let width = if IQ { 2 * B } else { B };
-    let blocks = row
-        .chunks(LANES)
-        .zip(weights.chunks(LANES))
-        .zip(llrs.chunks_mut(LANES * width).zip(hard.chunks_mut(LANES * width)));
-    for (block, ((points, weights), (llrs, hard))) in blocks.enumerate() {
-        let mut re = F64xL::default();
-        let mut im = F64xL::default();
+    let blocks = row.chunks(LANES).zip(weights.chunks(LANES)).zip(llrs.chunks_mut(LANES * width));
+    for (block, ((points, weights), llrs)) in blocks.enumerate() {
+        let (re, im, skip) = load_block::<IQ>(points, erased.map(|mask| &mask[block * LANES..]));
         let mut weight = F64xL::default();
-        let mut skip = [false; LANES];
-        for (l, (y, &w)) in points.iter().zip(weights).enumerate() {
-            re.0[l] = y.re;
-            im.0[l] = y.im;
-            weight.0[l] = w;
-            skip[l] = !(y.re.is_finite() && (!IQ || y.im.is_finite()));
-        }
-        if let Some(mask) = erased {
-            for (skip, &erased) in skip.iter_mut().zip(&mask[block * LANES..]) {
-                *skip |= erased;
-            }
-        }
+        weight.0[..weights.len()].copy_from_slice(weights);
 
         let mut soft = [[[0i16; LANES]; B]; 2];
-        let mut group = [F64xL::default(); 2];
-        (soft[0], group[0]) = demap_axis(levels, &at, k, re, weight);
+        soft[0] = soft_axis(at, re, weight);
         if IQ {
-            (soft[1], group[1]) = demap_axis(levels, &at, k, im, weight);
+            soft[1] = soft_axis(at, im, weight);
         }
 
-        let points = llrs.chunks_exact_mut(width).zip(hard.chunks_exact_mut(width));
-        for ((l, (llrs, hard)), &skip) in points.enumerate().zip(&skip) {
+        for ((l, llrs), &skip) in llrs.chunks_exact_mut(width).enumerate().zip(&skip) {
             if skip {
                 llrs.fill(0);
+                continue;
+            }
+            for (i, llr) in llrs.iter_mut().enumerate() {
+                *llr = soft[i / B][i % B][l];
+            }
+        }
+    }
+}
+
+/// [`Modulation::hard_demap_row_into`] monomorphised per axis shape (as
+/// [`soft_row`]), in blocks of [`LANES`] points like the portable soft
+/// body.
+#[inline(never)]
+fn hard_row<const N: usize, const B: usize, const IQ: bool>(
+    levels: &[f64; N],
+    k: f64,
+    row: &[Complex],
+    erased: Option<&[bool]>,
+    hard: &mut [u8],
+) {
+    let width = if IQ { 2 * B } else { B };
+    for (block, (points, hard)) in row.chunks(LANES).zip(hard.chunks_mut(LANES * width)).enumerate() {
+        let (re, im, skip) = load_block::<IQ>(points, erased.map(|mask| &mask[block * LANES..]));
+        let mut group = [F64xL::default(); 2];
+        group[0] = hard_axis(levels, k, re);
+        if IQ {
+            group[1] = hard_axis(levels, k, im);
+        }
+
+        for ((l, hard), &skip) in hard.chunks_exact_mut(width).enumerate().zip(&skip) {
+            if skip {
                 hard.fill(0);
                 continue;
             }
-            for (i, (llr, bit)) in llrs.iter_mut().zip(hard).enumerate() {
-                *llr = soft[i / B][i % B][l];
+            for (i, bit) in hard.iter_mut().enumerate() {
                 *bit = ((group[i / B].0[l] as usize >> (B - 1 - i % B)) & 1) as u8;
             }
         }
     }
 }
 
-/// Demaps one axis value per lane into `B` quantised max-log LLR lanes
-/// and the hard decision's Gray group (a small integer held exactly in an `f64`
-/// lane, so its select stays a lane op). Lanes holding non-finite values
-/// produce garbage, never a panic, and the caller overwrites them.
+/// Loads up to [`LANES`] points, one per lane, and flags the lanes to
+/// skip: erased points and points not finite on a demapped axis.
 #[inline(always)]
-fn demap_axis<const N: usize, const B: usize>(
-    levels: &[f64; N],
-    at: &[f64; N],
-    k: f64,
-    value: F64xL,
-    weight: F64xL,
-) -> ([[i16; LANES]; B], F64xL) {
-    // Soft: each level's squared distance once, then per bit the minimum
-    // over the constant set of levels with that bit 0 resp. 1, in table
-    // order — the retired per-bit search without re-evaluating the
-    // distances for every bit.
+fn load_block<const IQ: bool>(points: &[Complex], erased: Option<&[bool]>) -> (F64xL, F64xL, [bool; LANES]) {
+    let mut re = F64xL::default();
+    let mut im = F64xL::default();
+    let mut skip = [false; LANES];
+    for (l, y) in points.iter().enumerate() {
+        re.0[l] = y.re;
+        im.0[l] = y.im;
+        skip[l] = !(y.re.is_finite() && (!IQ || y.im.is_finite()));
+    }
+    if let Some(mask) = erased {
+        for (skip, &erased) in skip.iter_mut().zip(mask) {
+            *skip |= erased;
+        }
+    }
+    (re, im, skip)
+}
+
+/// Demaps one axis value per lane into `B` quantised max-log LLR lanes.
+/// Lanes holding non-finite values produce garbage, never a panic, and
+/// the caller overwrites them.
+#[inline(always)]
+fn soft_axis<const N: usize, const B: usize>(at: &[f64; N], value: F64xL, weight: F64xL) -> [[i16; LANES]; B] {
+    // Each level's squared distance once, then per bit the minimum over
+    // the constant set of levels with that bit 0 resp. 1, in table order
+    // — the retired per-bit search without re-evaluating the distances
+    // for every bit.
     let dist = at.map(|at| {
         let d = value - F64xL::splat(at);
         d * d
@@ -411,9 +493,16 @@ fn demap_axis<const N: usize, const B: usize>(
         }
         *soft = quantise_lanes(weight * (d1 - d0));
     }
+    soft
+}
 
-    // Hard: the first level in table order minimising |level − value/k|
-    // (a strict `<`, so ties keep the earlier group).
+/// The hard decision on one axis value per lane: the Gray group of the
+/// first level in table order minimising `|level − value/k|` (a strict
+/// `<`, so ties keep the earlier group), held exactly in an `f64` lane so
+/// its select stays a lane op. Lanes holding non-finite values produce
+/// garbage, never a panic, and the caller overwrites them.
+#[inline(always)]
+fn hard_axis<const N: usize>(levels: &[f64; N], k: f64, value: F64xL) -> F64xL {
     let mut scaled = value;
     for s in &mut scaled.0 {
         *s /= k;
@@ -434,7 +523,7 @@ fn demap_axis<const N: usize, const B: usize>(
         }
         best = lane_min(best, d);
     }
-    (soft, group)
+    group
 }
 
 /// [`quantise`] per lane: a loop over the lanes, which LLVM vectorises
@@ -457,6 +546,187 @@ fn lane_min(a: F64xL, b: F64xL) -> F64xL {
         *o = if b < *o { b } else { *o };
     }
     out
+}
+
+/// The `avx512bw` body of the soft demap (`docs/KERNELS.md`, "Soft
+/// demap"): eight points per block, one per `f64` lane, through the
+/// portable body's expressions in the same order, then one transpose of
+/// the quantised soft bits into transmit order.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512bw"))]
+mod avx512 {
+    use cos_dsp::Complex;
+    use cos_fec::viterbi::SOFT_MAX;
+    use std::arch::x86_64::*;
+
+    /// The `vpermt2w` indices of the transpose for `width` soft bits per
+    /// point: output slot `o = l·width + i` (bit `i` of point `l`) reads
+    /// word `4l + i` of the register of bits 0–3, or for `i ≥ 4` word
+    /// `4l + i − 4` of the register of bits 4–5 (index `32 +` that). Two
+    /// 32-slot output registers; slots past `8·width` read word 0 and are
+    /// never stored.
+    const fn transpose_index(width: usize) -> [[u16; 32]; 2] {
+        let mut index = [[0u16; 32]; 2];
+        let mut o = 0;
+        while o < 8 * width {
+            let (l, i) = (o / width, o % width);
+            let word = if i < 4 { 4 * l + i } else { 32 + 4 * l + i - 4 };
+            index[o / 32][o % 32] = word as u16;
+            o += 1;
+        }
+        index
+    }
+
+    /// Demaps the whole 8-point blocks of `row` (as the portable body
+    /// would) and returns how many points it did. Per block: two loads
+    /// and two `vpermt2pd` split the points' I and Q values; the keep-set
+    /// (finite on every demapped axis, not erased) is a `__mmask8`; per
+    /// axis every level's `(value − level·k)²`, the subset minima and
+    /// `weight·(d₁ − d₀)` are the portable expressions lane for lane; the
+    /// quantised bits (one 64-bit lane per point, the soft bit in its low
+    /// word) pack into two registers and leave in transmit order through
+    /// one `vpermt2w` per 32 output words and masked stores.
+    // Not inlined: one function per modulation, like the portable body.
+    #[inline(never)]
+    #[target_feature(enable = "avx512bw")]
+    pub(super) fn soft_blocks<const N: usize, const B: usize, const IQ: bool>(
+        at: &[f64; N],
+        row: &[Complex],
+        weights: &[f64],
+        erased: Option<&[bool]>,
+        llrs: &mut [i16],
+    ) -> usize {
+        let width = if IQ { 2 * B } else { B };
+        let index = const { transpose_index(if IQ { 2 * B } else { B }) };
+        let blocks = row.len() / 8;
+        assert!(weights.len() >= 8 * blocks && llrs.len() >= 8 * width * blocks);
+        assert!(erased.is_none_or(|mask| mask.len() >= 8 * blocks));
+        // SAFETY: `avx512bw` (which implies `avx512f`) is enabled for the
+        // whole build, as this module's `cfg` requires. Block `b` reads
+        // points `8b..8b + 8` of `row` (16 `f64`, `Complex` is `repr(C)`
+        // `{ re, im }`), weights and erasure flags `8b..8b + 8` (a `bool`
+        // is one byte), and writes soft bits `8·width·b ..
+        // 8·width·(b + 1)`, the last register masked to them; the
+        // asserts above keep all of it in bounds. Each index table is
+        // exactly 64 bytes.
+        unsafe {
+            let even = _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
+            let odd = _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
+            let at = at.map(|at| _mm512_set1_pd(at));
+            let index = index.map(|index| _mm512_loadu_si512(index.as_ptr().cast()));
+            let zero = _mm512_setzero_si512();
+            for b in 0..blocks {
+                let points = row.as_ptr().add(8 * b).cast::<f64>();
+                let (lo, hi) = (_mm512_loadu_pd(points), _mm512_loadu_pd(points.add(8)));
+                let re = _mm512_permutex2var_pd(lo, even, hi);
+                let im = _mm512_permutex2var_pd(lo, odd, hi);
+                let weight = _mm512_loadu_pd(weights.as_ptr().add(8 * b));
+                let mut keep = finite(re);
+                if IQ {
+                    keep &= finite(im);
+                }
+                if let Some(mask) = erased {
+                    let flags = _mm_loadl_epi64(mask.as_ptr().add(8 * b).cast());
+                    let flags = _mm512_cvtepu8_epi64(flags);
+                    keep &= _mm512_testn_epi64_mask(flags, flags);
+                }
+
+                let mut bits = [zero; 6];
+                soft_axis::<N, B>(&at, re, weight, keep, &mut bits[..B]);
+                if IQ {
+                    soft_axis::<N, B>(&at, im, weight, keep, &mut bits[B..2 * B]);
+                }
+                let low = pack(&bits[..width.min(4)]);
+                let high = pack(&bits[width.min(4)..width]);
+
+                let out = llrs.as_mut_ptr().add(8 * width * b);
+                for (c, &index) in index.iter().enumerate().take((8 * width).div_ceil(32)) {
+                    let words = _mm512_permutex2var_epi16(low, index, high);
+                    let lanes = u32::MAX >> (32 - (8 * width - 32 * c).min(32));
+                    _mm512_mask_storeu_epi16(out.add(32 * c), lanes, words);
+                }
+            }
+        }
+        8 * blocks
+    }
+
+    /// The lanes whose value is finite (`|v| < ∞` is false for NaN).
+    #[inline]
+    #[target_feature(enable = "avx512bw")]
+    fn finite(v: __m512d) -> __mmask8 {
+        _mm512_cmp_pd_mask::<_CMP_LT_OQ>(_mm512_abs_pd(v), _mm512_set1_pd(f64::INFINITY))
+    }
+
+    /// The portable `soft_axis` on one register of values: `bits[i]`
+    /// gets bit `i`'s quantised soft bit per lane (lanes outside `keep`
+    /// zero).
+    #[inline]
+    #[target_feature(enable = "avx512bw")]
+    fn soft_axis<const N: usize, const B: usize>(
+        at: &[__m512d; N],
+        value: __m512d,
+        weight: __m512d,
+        keep: __mmask8,
+        bits: &mut [__m512i],
+    ) {
+        let dist = at.map(|at| {
+            let d = _mm512_sub_pd(value, at);
+            _mm512_mul_pd(d, d)
+        });
+        let inf = _mm512_set1_pd(f64::INFINITY);
+        for (i, bit) in bits.iter_mut().enumerate() {
+            let (mut d0, mut d1) = (inf, inf);
+            for (g, &dist) in dist.iter().enumerate() {
+                // `min_pd(a, b)` is `if a < b { a } else { b }`, so
+                // `min_pd(dist, acc)` is the portable `lane_min(acc, dist)`.
+                if (g >> (B - 1 - i)) & 1 == 0 {
+                    d0 = _mm512_min_pd(dist, d0);
+                } else {
+                    d1 = _mm512_min_pd(dist, d1);
+                }
+            }
+            *bit = quantise(_mm512_mul_pd(weight, _mm512_sub_pd(d1, d0)), keep);
+        }
+    }
+
+    /// `cos_fec::viterbi::quantise` per lane, in each 64-bit lane's low
+    /// word (the upper words are left over), and `0` in the lanes outside
+    /// `keep`.
+    #[inline]
+    #[target_feature(enable = "avx512bw")]
+    fn quantise(x: __m512d, keep: __mmask8) -> __m512i {
+        // The rounding constant of `quantise`: `c + 1.5·2⁵²` rounds `c`
+        // to the nearest integer, ties to even, in the low mantissa bits.
+        const ROUND: f64 = 6_755_399_441_055_744.0;
+        let max = f64::from(SOFT_MAX);
+        // `x.clamp(-max, max)`: `max_pd`/`min_pd` return their second
+        // operand when either is NaN, so NaN passes through as in
+        // `clamp`; then NaN (and every lane outside `keep`) becomes +0.0,
+        // which quantises to 0.
+        let c = _mm512_max_pd(_mm512_set1_pd(-max), x);
+        let c = _mm512_min_pd(_mm512_set1_pd(max), c);
+        let c = _mm512_maskz_mov_pd(keep & _mm512_cmp_pd_mask::<_CMP_ORD_Q>(c, c), c);
+        let q = _mm512_castpd_si512(_mm512_add_pd(c, _mm512_set1_pd(ROUND)));
+        // A nonzero `c` that rounds to 0 keeps its sign as ±1.
+        let zero = _mm512_setzero_pd();
+        let fix = _mm512_testn_epi64_mask(q, _mm512_set1_epi64(0xFFFF))
+            & _mm512_cmp_pd_mask::<_CMP_NEQ_OQ>(c, zero);
+        let positive = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(c, zero);
+        let q = _mm512_mask_mov_epi64(q, fix & positive, _mm512_set1_epi64(1));
+        _mm512_mask_mov_epi64(q, fix & !positive, _mm512_set1_epi64(-1))
+    }
+
+    /// Gathers the low words of up to four soft-bit registers into one:
+    /// word `4l + i` is lane `l`'s soft bit from `bits[i]`.
+    #[inline]
+    #[target_feature(enable = "avx512bw")]
+    fn pack(bits: &[__m512i]) -> __m512i {
+        let mut packed = _mm512_setzero_si512();
+        for (i, &bit) in bits.iter().enumerate() {
+            let shifted = _mm512_sllv_epi64(bit, _mm512_set1_epi64(16 * i as i64));
+            packed = _mm512_mask_blend_epi16(0x1111_1111 << i, packed, shifted);
+        }
+        packed
+    }
 }
 
 impl std::fmt::Display for Modulation {

@@ -128,11 +128,11 @@ pub fn symbol_error_map(
 ) -> Vec<bool> {
     assert_eq!(received.len(), reference.len(), "shape mismatch");
     let n = modulation.bits_per_symbol();
-    let (mut llrs, mut hard) = ([0; NUM_DATA * 6], [0u8; NUM_DATA * 6]);
-    let (llrs, hard) = (&mut llrs[..NUM_DATA * n], &mut hard[..NUM_DATA * n]);
+    let mut hard = [0u8; NUM_DATA * 6];
+    let hard = &mut hard[..NUM_DATA * n];
     let mut map = Vec::with_capacity(received.len() * NUM_DATA);
     for (rx_row, tx_row) in received.iter().zip(reference) {
-        modulation.demap_row_into(rx_row, &[0.0; NUM_DATA], None, llrs, hard);
+        modulation.hard_demap_row_into(rx_row, None, hard);
         for (bits, &sent) in hard.chunks_exact(n).zip(tx_row) {
             map.push((modulation.map(bits) - sent).norm() > 1e-9);
         }

@@ -192,7 +192,6 @@ mod tests {
             assert_eq!(ws.rx.out.crc_ok, owned.crc_ok(), "{rate}");
             assert_eq!(ws.rx.out.payload, payload, "{rate}");
             assert_eq!(ws.rx.out.data_bits, owned.data_bits, "{rate}");
-            assert_eq!(ws.rx.out.hard_coded_bits, owned.hard_coded_bits, "{rate}");
         }
     }
 
@@ -239,6 +238,5 @@ mod tests {
         assert!(ws.out.crc_ok);
         assert_eq!(Some(&ws.out.payload), frame_owned.payload.as_ref());
         assert_eq!(ws.out.data_bits, frame_owned.data_bits);
-        assert_eq!(ws.out.hard_coded_bits, frame_owned.hard_coded_bits);
     }
 }

@@ -135,11 +135,6 @@ pub struct RxFrame {
     pub data_bits: Vec<u8>,
     /// The recovered scrambler seed.
     pub scrambler_seed: Option<u8>,
-    /// Hard decisions on every transmitted coded bit, in transmit
-    /// (interleaved) order — compare against
-    /// [`crate::frame::DataField::interleaved`] for the decoder-input BER
-    /// of the paper's Fig. 3.
-    pub hard_coded_bits: Vec<u8>,
     /// Why the DATA-field decode failed, when it did — lets the session
     /// layer classify receive failures without re-running the decoder.
     pub decode_error: Option<PhyError>,
@@ -182,8 +177,6 @@ pub struct RxDecodeOut {
     pub data_bits: Vec<u8>,
     /// The recovered scrambler seed.
     pub scrambler_seed: Option<u8>,
-    /// Hard decisions on every transmitted coded bit, transmit order.
-    pub hard_coded_bits: Vec<u8>,
     /// Why the DATA-field decode failed, when it did.
     pub decode_error: Option<PhyError>,
 }
@@ -197,7 +190,6 @@ impl RxDecodeOut {
             payload: self.crc_ok.then(|| self.payload.clone()),
             data_bits: self.data_bits.clone(),
             scrambler_seed: self.scrambler_seed,
-            hard_coded_bits: self.hard_coded_bits.clone(),
             decode_error: self.decode_error,
         }
     }
@@ -435,12 +427,14 @@ impl Receiver {
 
     /// The demapping stage of [`Receiver::decode_into`]: soft-demaps every
     /// equalised subcarrier (zero LLRs on erased and non-finite ones) into
-    /// quantised soft bits in `scratch.llrs` and the hard decisions into
-    /// `out.hard_coded_bits`, one
+    /// quantised soft bits in `scratch.llrs`, one
     /// [`crate::constellation::Modulation::demap_row_into`] call per DATA
     /// symbol. The soft-bit scale is set once per frame from
     /// [`FrontEnd::llr_weights`]
-    /// ([`crate::constellation::Modulation::soft_weights`]).
+    /// ([`crate::constellation::Modulation::soft_weights`]). Nothing is
+    /// written to `_out`: the decode takes no hard decisions (see
+    /// [`Receiver::hard_decisions_into`]), and the argument keeps the
+    /// stage's signature in line with [`Receiver::decode_finish_into`].
     ///
     /// # Panics
     ///
@@ -450,29 +444,44 @@ impl Receiver {
         fe: &FrontEnd,
         erasures: Option<&[[bool; NUM_DATA]]>,
         scratch: &mut RxScratch,
-        out: &mut RxDecodeOut,
+        _out: &mut RxDecodeOut,
     ) {
-        if let Some(mask) = erasures {
-            assert_eq!(
-                mask.len(),
-                fe.equalized.len(),
-                "erasure mask rows must match DATA symbol count"
-            );
-        }
+        check_erasures(fe, erasures);
         let modulation = fe.rate.modulation();
         let ncbps = fe.rate.ncbps();
         let weights = modulation.soft_weights(fe.llr_weights());
-        let len = fe.equalized.len() * ncbps;
-        scratch.llrs.resize(len, 0);
-        out.hard_coded_bits.resize(len, 0);
-        let rows = fe
-            .equalized
-            .iter()
-            .zip(scratch.llrs.chunks_exact_mut(ncbps))
-            .zip(out.hard_coded_bits.chunks_exact_mut(ncbps));
-        for (n, ((row, llrs), hard)) in rows.enumerate() {
+        scratch.llrs.resize(fe.equalized.len() * ncbps, 0);
+        let rows = fe.equalized.iter().zip(scratch.llrs.chunks_exact_mut(ncbps));
+        for (n, (row, llrs)) in rows.enumerate() {
             let erased = erasures.map(|mask| &mask[n][..]);
-            modulation.demap_row_into(row, &weights, erased, llrs, hard);
+            modulation.demap_row_into(row, &weights, erased, llrs);
+        }
+    }
+
+    /// Hard decisions on every transmitted coded bit, in transmit
+    /// (interleaved) order, into `out` (fully overwritten) — compare
+    /// against [`crate::frame::DataField::interleaved`] for the
+    /// decoder-input BER of the paper's Fig. 3. Erased and non-finite
+    /// subcarriers decide bit group 0. One
+    /// [`crate::constellation::Modulation::hard_demap_row_into`] call per
+    /// DATA symbol. A measurement, not a decode input:
+    /// [`Receiver::decode_into`] never runs it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the erasure mask's length differs from the symbol count.
+    pub fn hard_decisions_into(
+        &self,
+        fe: &FrontEnd,
+        erasures: Option<&[[bool; NUM_DATA]]>,
+        out: &mut Vec<u8>,
+    ) {
+        check_erasures(fe, erasures);
+        let modulation = fe.rate.modulation();
+        let ncbps = fe.rate.ncbps();
+        out.resize(fe.equalized.len() * ncbps, 0);
+        for (n, (row, hard)) in fe.equalized.iter().zip(out.chunks_exact_mut(ncbps)).enumerate() {
+            modulation.hard_demap_row_into(row, erasures.map(|mask| &mask[n][..]), hard);
         }
     }
 
@@ -538,6 +547,13 @@ impl Receiver {
     }
 }
 
+/// Asserts that an erasure mask has one row per DATA symbol.
+fn check_erasures(fe: &FrontEnd, erasures: Option<&[[bool; NUM_DATA]]>) {
+    if let Some(mask) = erasures {
+        assert_eq!(mask.len(), fe.equalized.len(), "erasure mask rows must match DATA symbol count");
+    }
+}
+
 /// Guards equalisation against a zero channel estimate on a dead bin.
 fn nonzero(h: Complex) -> Complex {
     if h.norm_sqr() < 1e-30 {
@@ -580,11 +596,14 @@ mod tests {
     }
 
     #[test]
-    fn hard_coded_bits_match_transmitted() {
+    fn hard_decisions_match_transmitted() {
         let frame = Transmitter::new().build_frame(b"bit exactness", DataRate::Mbps36, 0x21);
         let samples = frame.to_time_samples();
-        let rx = Receiver::new().receive(&samples, &RxConfig::ideal()).expect("decode");
-        assert_eq!(rx.hard_coded_bits, frame.data_field.interleaved);
+        let receiver = Receiver::new();
+        let fe = receiver.front_end(&samples).expect("front end");
+        let mut hard = vec![7; 3];
+        receiver.hard_decisions_into(&fe, None, &mut hard);
+        assert_eq!(hard, frame.data_field.interleaved);
     }
 
     #[test]

@@ -107,9 +107,8 @@ pub fn encode_signal_symbol(rate: DataRate, length_bytes: usize) -> Vec<Complex>
 /// Propagates the parity/rate errors of [`parse_signal_bits`].
 pub fn decode_signal_symbol(points: &[Complex; 48], weight: f64) -> Result<(DataRate, usize), PhyError> {
     let mut llrs = [0i16; SIGNAL_CODED_BITS];
-    let mut hard = [0u8; SIGNAL_CODED_BITS];
     let weights = Modulation::Bpsk.soft_weights([weight; SIGNAL_CODED_BITS]);
-    Modulation::Bpsk.demap_row_into(points, &weights, None, &mut llrs, &mut hard);
+    Modulation::Bpsk.demap_row_into(points, &weights, None, &mut llrs);
     let mut deinterleaved = [0i16; SIGNAL_CODED_BITS];
     signal_interleaver().deinterleave_soft_to_slice(&llrs, &mut deinterleaved);
     let mut traceback = [0u64; SIGNAL_BITS];

@@ -1,18 +1,22 @@
-//! Differential tests for the demap kernel: `Modulation::demap_row_into`
-//! (lane-blocked soft demap plus first-min hard decision) must reproduce
-//! the per-bit brute-force search it replaced — the oracle's `f64` LLRs
-//! quantised by `cos_fec::viterbi::quantise` equal to the kernel's soft
-//! bits, hard bits exactly — on random rows (whole and partial lane
-//! blocks) and on the inputs
-//! where a shortcut could slip: exact levels, exact midpoints (in both
-//! the soft `level·k` space and the hard `value/k` space), ±1–2 ulp
+//! Differential tests for the two demap kernels. Both bodies of the soft
+//! kernel — `Modulation::demap_row_with` under `KernelMode::Lanes` (the
+//! AVX-512 register body on whole 8-point blocks where the build has it)
+//! and `KernelMode::Scalar` (the portable lane body) — and the hard
+//! kernel `Modulation::hard_demap_row_into` must reproduce the per-bit
+//! brute-force search they replaced: the oracle's `f64` LLRs quantised
+//! by `cos_fec::viterbi::quantise` equal to the soft bits, hard bits
+//! exactly. Checked on random rows (whole and partial blocks) and on the
+//! inputs where a shortcut could slip — exact levels, exact midpoints (in
+//! both the soft `level·k` space and the hard `value/k` space), ±1–2 ulp
 //! around them, ±0.0, subnormals, huge magnitudes (including ones whose
-//! squared distance overflows), weight 0 and erasure masks.
+//! squared distance overflows), weight 0, erasure masks and non-finite
+//! values — both in short rows and in every lane of the 48-point rows
+//! the receiver demaps.
 //!
 //! Non-finite points follow the erasure rule (zero LLRs, hard group 0);
 //! the oracle applies the same rule, so every input is compared.
 
-use cos_dsp::Complex;
+use cos_dsp::{Complex, KernelMode};
 use cos_fec::viterbi::quantise;
 use cos_phy::constellation::Modulation;
 use proptest::prelude::*;
@@ -99,23 +103,39 @@ fn oracle_point(
     }
 }
 
-/// Runs the kernel (into dirty buffers) and the oracle over one row and
-/// asserts equality.
+/// Runs both soft bodies and the hard kernel (into dirty buffers) and the
+/// oracle over one row and asserts equality.
 fn assert_row_matches(m: Modulation, row: &[Complex], weights: &[f64], mask: Option<&[bool]>) {
     let n = m.bits_per_symbol();
-    let mut llrs = vec![0x5A5A_i16; row.len() * n];
-    let mut hard = vec![0xA5u8; row.len() * n];
-    m.demap_row_into(row, weights, mask, &mut llrs, &mut hard);
-
+    let mut want_llrs = vec![0; row.len() * n];
+    let mut want_hard = vec![0u8; row.len() * n];
     for (p, (&y, &w)) in row.iter().zip(weights).enumerate() {
         let erased = mask.is_some_and(|mask| mask[p]);
-        let mut want_llrs = [0.0; 6];
-        let mut want_hard = [0u8; 6];
-        oracle_point(m, y, w, erased, &mut want_llrs[..n], &mut want_hard[..n]);
-        let span = p * n..(p + 1) * n;
-        let want: Vec<i16> = want_llrs[..n].iter().map(|&l| quantise(l)).collect();
-        assert_eq!(llrs[span.clone()], want, "{m} point {p} y={y:?} w={w:e} erased={erased}: LLRs");
-        assert_eq!(&hard[span], &want_hard[..n], "{m} point {p} y={y:?}: hard bits");
+        let mut llrs = [0.0; 6];
+        oracle_point(m, y, w, erased, &mut llrs[..n], &mut want_hard[p * n..(p + 1) * n]);
+        for (q, &llr) in want_llrs[p * n..].iter_mut().zip(&llrs[..n]) {
+            *q = quantise(llr);
+        }
+    }
+    // The first point whose bits differ, for the failure message.
+    let first_miss = |got: &[i16], want: &[i16]| {
+        let p = got.chunks(n).zip(want.chunks(n)).position(|(a, b)| a != b).expect("a point differs");
+        let erased = mask.is_some_and(|mask| mask[p]);
+        format!("point {p} y={:?} w={:e} erased={erased}", row[p], weights[p])
+    };
+
+    for mode in [KernelMode::Scalar, KernelMode::Lanes] {
+        let mut llrs = vec![0x5A5A_i16; row.len() * n];
+        m.demap_row_with(row, weights, mask, &mut llrs, mode);
+        if llrs != want_llrs {
+            panic!("{m} {mode:?} LLRs differ at {}", first_miss(&llrs, &want_llrs));
+        }
+    }
+    let mut hard = vec![0xA5u8; row.len() * n];
+    m.hard_demap_row_into(row, mask, &mut hard);
+    if hard != want_hard {
+        let widen = |bits: &[u8]| bits.iter().map(|&b| i16::from(b)).collect::<Vec<_>>();
+        panic!("{m} hard bits differ at {}", first_miss(&widen(&hard), &widen(&want_hard)));
     }
 }
 
@@ -203,6 +223,52 @@ fn non_finite_points_match_the_erasure_rule() {
                 let row = [Complex::new(re, im), Complex::new(0.25, -0.5)];
                 assert_row_matches(m, &row, &[2.0, 2.0], None);
                 assert_row_matches(m, &row, &[2.0, 2.0], Some(&[false, true]));
+            }
+        }
+    }
+}
+
+/// The receiver's row length: one DATA symbol, six whole 8-point blocks.
+const ROW: usize = 48;
+
+#[test]
+fn edge_values_reach_every_lane_of_whole_blocks() {
+    // Row `start` carries edge values `start, start + 1, …` on the I axis
+    // (and a second walk through the set on Q), so across the starts
+    // every edge value sits in every slot of a 48-point row, hence in
+    // every lane of every whole block, next to different neighbours.
+    for m in Modulation::ALL {
+        let values = edge_values(m);
+        let len = values.len();
+        for &w in &[1.0, 0.0, 3.75, 1e300] {
+            for start in 0..len {
+                let row: [Complex; ROW] = std::array::from_fn(|p| {
+                    Complex::new(values[(start + p) % len], values[(start + 5 * p + 11) % len])
+                });
+                assert_row_matches(m, &row, &[w; ROW], None);
+                let diagonal = row.map(|y| Complex::new(y.re, y.re));
+                assert_row_matches(m, &diagonal, &[w; ROW], None);
+            }
+        }
+    }
+}
+
+#[test]
+fn non_finite_points_reach_every_lane_of_whole_blocks() {
+    // Point `p` takes special `(i + p) mod 8` on I and `(j + 3p) mod 8` on
+    // Q; over all `i, j` every (I, Q) pair of specials sits in every lane
+    // (`p mod 8`), under no mask, a sparse mask and a full one.
+    let specials = [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.4, -1e300, 0.0, -0.0];
+    let sparse: [bool; ROW] = std::array::from_fn(|p| p % 5 == 2);
+    for m in Modulation::ALL {
+        for i in 0..8 {
+            for j in 0..8 {
+                let row: [Complex; ROW] =
+                    std::array::from_fn(|p| Complex::new(specials[(i + p) % 8], specials[(j + 3 * p) % 8]));
+                let weights: [f64; ROW] = std::array::from_fn(|p| [2.0, 0.0, 1e300, 7.5][p % 4]);
+                assert_row_matches(m, &row, &weights, None);
+                assert_row_matches(m, &row, &weights, Some(&sparse));
+                assert_row_matches(m, &row, &weights, Some(&[true; ROW]));
             }
         }
     }

@@ -39,7 +39,6 @@ fn assert_same_decode(ws_frame: &RxFrame, owned: &RxFrame) {
     prop_assert_eq!(&ws_frame.payload, &owned.payload);
     prop_assert_eq!(&ws_frame.data_bits, &owned.data_bits);
     prop_assert_eq!(ws_frame.scrambler_seed, owned.scrambler_seed);
-    prop_assert_eq!(&ws_frame.hard_coded_bits, &owned.hard_coded_bits);
     prop_assert_eq!(ws_frame.decode_error, owned.decode_error);
 }
 
@@ -156,23 +155,22 @@ proptest! {
 
         let rx = Receiver::new();
         type Mask<'a> = Option<&'a [[bool; NUM_DATA]]>;
-        let demap =
-            |fe: &FrontEnd, erasures: Mask<'_>, scratch: &mut RxScratch, out: &mut RxDecodeOut| {
-                rx.demap_into(fe, erasures, scratch, out);
-                (scratch.llrs.clone(), out.hard_coded_bits.clone())
-            };
-        let (mut scratch, mut out) = (RxScratch::default(), RxDecodeOut::default());
-        let fresh = |fe: &FrontEnd, erasures: Mask<'_>| {
-            demap(fe, erasures, &mut RxScratch::default(), &mut RxDecodeOut::default())
+        type Buffers = (RxScratch, RxDecodeOut, Vec<u8>);
+        let demap = |fe: &FrontEnd, erasures: Mask<'_>, (scratch, out, hard): &mut Buffers| {
+            rx.demap_into(fe, erasures, scratch, out);
+            rx.hard_decisions_into(fe, erasures, hard);
+            (scratch.llrs.clone(), hard.clone())
         };
+        let mut buffers = Buffers::default();
+        let fresh = |fe: &FrontEnd, erasures: Mask<'_>| demap(fe, erasures, &mut Buffers::default());
         let fresh_short = fresh(&short, Some(&mask));
         let fresh_long = fresh(&long, None);
         prop_assert_eq!(fresh_short.0.len(), short.equalized.len() * short.rate.ncbps());
         prop_assert_eq!(fresh_long.1.len(), long.equalized.len() * long.rate.ncbps());
 
-        demap(&long, None, &mut scratch, &mut out);
-        prop_assert_eq!(&demap(&short, Some(&mask), &mut scratch, &mut out), &fresh_short);
-        prop_assert_eq!(&demap(&long, None, &mut scratch, &mut out), &fresh_long);
+        demap(&long, None, &mut buffers);
+        prop_assert_eq!(&demap(&short, Some(&mask), &mut buffers), &fresh_short);
+        prop_assert_eq!(&demap(&long, None, &mut buffers), &fresh_long);
 
         // Erased points carry zero LLRs and hard group 0.
         for (n, row) in mask.iter().enumerate() {
