@@ -6,7 +6,7 @@
 //! 1. **Cross-thread determinism under drift** — builds the same fleet of
 //!    adaptive sessions three times, retargets every session's SNR along
 //!    a triangle drift between rounds (the paper's coherence-time /
-//!    mobility scenario), queues control messages into the adaptive ARQ,
+//!    mobility scenario), queues control messages into the ARQ queue,
 //!    pushes the identical `submit_adaptive` schedule through
 //!    [`BatchEngine`] at 1, 4 and 8 worker threads with create/release
 //!    churn between rounds (recycled slots must reset adaptation state),
@@ -25,7 +25,6 @@
 use cos_bench::gate::{
     digest_outcome, payload_bytes, smoke_pin_holds, Flags, PAYLOAD_LENS, THREAD_COUNTS,
 };
-use cos_core::adaptation::AdaptationConfig;
 use cos_core::engine::{BatchEngine, EngineConfig, SessionId, SessionPool};
 use cos_core::session::{Fnv, SessionConfig};
 use cos_experiments::adaptation::{self, ContenderResult, Scheme};
@@ -37,7 +36,6 @@ fn storm_config(i: usize) -> SessionConfig {
     SessionConfig {
         snr_db: 16.0 + (i % 10) as f64,
         rate: if i.is_multiple_of(3) { Some(DataRate::ALL[(i / 3 + i) % 8]) } else { None },
-        adaptation: Some(AdaptationConfig::default()),
         ..Default::default()
     }
 }
@@ -86,8 +84,8 @@ fn run_storm(sessions: usize, rounds: usize, threads: usize) -> StormResult {
         for (k, &id) in ids.iter().enumerate() {
             let s = pool.get_mut(id).expect("live session");
             s.set_snr_db(16.0 + (k % 10) as f64 + drift_offset_db(k, r));
-            if (k + r) % 3 == 0 && s.adaptive_backlog() == 0 {
-                s.queue_adaptive_control(message_bits(k, r));
+            if (k + r) % 3 == 0 && s.arq_backlog() == 0 {
+                s.queue_control(message_bits(k, r));
             }
         }
         for (k, &id) in ids.iter().enumerate() {

@@ -197,17 +197,14 @@ fn run_embed_workspace() -> Measurement {
 const SESSION_ALLOCS_MAX: f64 = 0.1;
 
 /// One session path (`send`, returning the data CRC) with its ARQ queue
-/// (`queue`) loaded before the window with one control message per
-/// frame the gate sends: a frame polls at most one message, so the
-/// queue is never empty when polled.
-fn run_session(
-    queue: fn(&mut CosSession, Vec<u8>),
-    send: fn(&mut CosSession, &[u8]) -> bool,
-) -> Measurement {
+/// loaded before the window with one control message per frame the gate
+/// sends: a frame polls at most one message, so the queue is never empty
+/// when polled.
+fn run_session(send: fn(&mut CosSession, &[u8]) -> bool) -> Measurement {
     let payload = bench_payload();
     let mut session = CosSession::new(SessionConfig { snr_db: SNR_DB, ..Default::default() }, 42);
     for i in 0..WARMUP_FRAMES + MEASURED_FRAMES {
-        queue(&mut session, control_bits(CONTROL_LENS[i % CONTROL_LENS.len()]));
+        session.queue_control(control_bits(CONTROL_LENS[i % CONTROL_LENS.len()]));
     }
     measure(move || send(&mut session, &payload))
 }
@@ -251,12 +248,8 @@ fn main() {
     let workspace = run_workspace();
     let stream_owned = run_stream_owned();
     let stream_workspace = run_stream_workspace();
-    let resilient = run_session(CosSession::queue_control, |s, p| {
-        s.send_packet_resilient_summary(p).packet.data_ok
-    });
-    let adaptive = run_session(CosSession::queue_adaptive_control, |s, p| {
-        s.send_packet_adaptive_summary(p).packet.data_ok
-    });
+    let resilient = run_session(|s, p| s.send_packet_resilient_summary(p).packet.data_ok);
+    let adaptive = run_session(|s, p| s.send_packet_adaptive_summary(p).packet.data_ok);
     let embed_owned = run_embed_owned();
     let embed_workspace = run_embed_workspace();
     let footprint: Vec<(DataRate, f64)> = [DataRate::Mbps54, DataRate::Mbps6]

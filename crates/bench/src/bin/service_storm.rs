@@ -38,15 +38,12 @@ use cos_core::service::{
     CosService, Rejected, ServiceConfig, ServiceCore, ServiceJobKind, ServiceStats, Ticket,
 };
 use cos_core::session::SessionConfig;
-use cos_core::{AdaptationConfig, ResilienceConfig};
 use cos_phy::rates::DataRate;
 
 fn storm_session_config(i: usize) -> SessionConfig {
     SessionConfig {
         snr_db: 14.0 + (i % 12) as f64,
         rate: if i.is_multiple_of(4) { None } else { Some(DataRate::ALL[(i / 4 + i) % 8]) },
-        resilience: if i % 3 == 1 { Some(ResilienceConfig::default()) } else { None },
-        adaptation: if i % 3 == 2 { Some(AdaptationConfig::default()) } else { None },
         ..Default::default()
     }
 }

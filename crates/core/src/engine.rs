@@ -700,7 +700,7 @@ mod tests {
             let ids: Vec<SessionId> =
                 (0..4).map(|i| pool.create(cfg(14.0 + i as f64 * 3.0), 400 + i as u64)).collect();
             for &id in &ids {
-                pool.get_mut(id).unwrap().queue_adaptive_control(vec![1, 0, 0, 1]);
+                pool.get_mut(id).unwrap().queue_control(vec![1, 0, 0, 1]);
             }
             let mut engine = BatchEngine::new(EngineConfig { threads });
             let p = engine.add_payload(&[0x42; 360]);
@@ -717,7 +717,7 @@ mod tests {
         let mut sessions: Vec<CosSession> =
             (0..4).map(|i| CosSession::new(cfg(14.0 + i as f64 * 3.0), 400 + i as u64)).collect();
         for s in &mut sessions {
-            s.queue_adaptive_control(vec![1, 0, 0, 1]);
+            s.queue_control(vec![1, 0, 0, 1]);
         }
         let mut k = 0;
         for _ in 0..5 {

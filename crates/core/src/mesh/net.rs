@@ -6,7 +6,7 @@
 //!
 //! * a **data session** on the adaptive path (uplink traffic, rate
 //!   staircase + silence-budget probing, periodic uplink control
-//!   messages riding its own ARQ), and
+//!   messages riding its session's ARQ queue), and
 //! * a **control subsession** on the resilient path, pinned to a robust
 //!   base rate — the model of the AP's beacon downlink, whose CoS
 //!   silences carry the [`MeshCommand`]s and whose
@@ -39,7 +39,6 @@ use super::medium::{MediumScheduler, SlotPlan, MINISLOT_US};
 use super::policy::{CoordinationPolicy, MeshCommand, SlotResult};
 use super::splitmix64;
 use super::topology::MeshTopology;
-use crate::adaptation::AdaptationConfig;
 use crate::engine::{
     BatchEngine, EngineConfig, JobOutcome, JobResult, PayloadId, SessionPool,
 };
@@ -85,8 +84,9 @@ pub struct MeshConfig {
     /// A station queues an uplink control message every this many of its
     /// own transmissions (when its queue is drained).
     pub uplink_control_every: u64,
-    /// Session template. Per-station SNR, rate pinning and the
-    /// adaptation/resilience blocks are overridden per plane.
+    /// Session template. Per-station SNR and rate pinning are set per
+    /// plane, and the control subsession retries on the next beacon
+    /// (`arq_backoff` 1).
     pub session: SessionConfig,
 }
 
@@ -104,11 +104,7 @@ impl Default for MeshConfig {
             uplink_control_every: 4,
             session: SessionConfig {
                 // Generous ARQ so uplink control survives contention.
-                resilience: Some(ResilienceConfig {
-                    arq_max_retries: 32,
-                    ..ResilienceConfig::default()
-                }),
-                adaptation: Some(AdaptationConfig::default()),
+                resilience: ResilienceConfig { arq_max_retries: 32, ..ResilienceConfig::default() },
                 ..SessionConfig::default()
             },
         }
@@ -119,7 +115,7 @@ impl Default for MeshConfig {
 /// replay the session stand-alone, byte-identically.
 #[derive(Debug, Clone)]
 pub enum DataEvent {
-    /// `queue_adaptive_control(bits)` was called.
+    /// `queue_control(bits)` was called.
     QueueControl(
         /// The queued bits.
         Vec<u8>,
@@ -547,7 +543,7 @@ impl MeshNet {
             // Frame airtimes at each station's current adaptive rate.
             for si in 0..cell.stations.len() {
                 let s = self.pool.get(cell.stations[si].data).expect("live data session");
-                let rate = s.adaptation_controller().map_or(s.current_rate(), |c| c.rate());
+                let rate = s.adaptation_controller().rate();
                 let us = rate.frame_airtime_us(cell.cfg.payload_len + 4);
                 cell.frame_minislots[si] = (us / MINISLOT_US).ceil() as u64;
             }
@@ -595,13 +591,13 @@ impl MeshNet {
                     // traffic whose delivery the experiment scores.
                     if up_bits > 0
                         && st.uplink_sent.is_multiple_of(up_every)
-                        && session.adaptive_backlog() == 0
+                        && session.arq_backlog() == 0
                     {
                         let bits = uplink_bits(tx.station, st.uplink_sent, up_bits);
                         if let Some(t) = st.trace.as_mut() {
                             t.data_events.push(DataEvent::QueueControl(bits.clone()));
                         }
-                        session.queue_adaptive_control(bits);
+                        session.queue_control(bits);
                     }
                     st.uplink_sent += 1;
                     session.set_faults(FaultEngine::new().with(comp));
@@ -786,7 +782,7 @@ impl MeshNet {
         for (si, st) in cell.stations.iter().enumerate() {
             let s = self.pool.get(st.data).expect("live data session");
             let metrics = s.metrics();
-            let adp = s.adaptive_arq_stats();
+            let adp = s.arq_stats();
             up_del += adp.delivered;
             up_fail += adp.failed;
             let ctrl = s.adaptation_controller();
@@ -797,8 +793,8 @@ impl MeshNet {
                 attempts: cell.scheduler.attempts(si),
                 collisions: cell.scheduler.collisions(si),
                 defers: cell.scheduler.defers(si),
-                rate: ctrl.map_or(s.current_rate(), |c| c.rate()),
-                rate_cap: ctrl.and_then(|c| c.rate_cap()),
+                rate: ctrl.rate(),
+                rate_cap: ctrl.rate_cap(),
                 silence_budget: metrics.silence_budget,
                 tdma: cell.scheduler.tdma(si),
             });
@@ -846,29 +842,22 @@ impl MeshNet {
 }
 
 /// The data-plane session config for one station: adaptive rate, per-
-/// station SNR, adaptation + resilience blocks guaranteed present.
+/// station SNR.
 fn data_config(cfg: &MeshConfig, snr_db: f64) -> SessionConfig {
     let mut c = cfg.session.clone();
     c.snr_db = snr_db;
     c.rate = None;
-    if c.adaptation.is_none() {
-        c.adaptation = Some(AdaptationConfig::default());
-    }
-    if c.resilience.is_none() {
-        c.resilience = Some(ResilienceConfig::default());
-    }
     c
 }
 
-/// The control-subsession config: pinned robust rate, no adaptation,
-/// eager ARQ (beacons are rare, so retry on the very next one).
+/// The control-subsession config: pinned robust rate (it sends only
+/// resilient beacons), eager ARQ (beacons are rare, so retry on the very
+/// next one).
 fn ctl_config(cfg: &MeshConfig, snr_db: f64) -> SessionConfig {
     let mut c = cfg.session.clone();
     c.snr_db = snr_db;
     c.rate = Some(cfg.ctl_rate);
-    c.adaptation = None;
-    let base = c.resilience.unwrap_or_default();
-    c.resilience = Some(ResilienceConfig { arq_backoff: 1, ..base });
+    c.resilience.arq_backoff = 1;
     c
 }
 

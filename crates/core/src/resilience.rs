@@ -1,14 +1,20 @@
 //! The resilience layer: what keeps a CoS link useful when its
 //! assumptions break.
 //!
-//! Three cooperating mechanisms, all driven per packet by
-//! [`crate::session::CosSession::send_packet_resilient_summary`]:
+//! Three cooperating mechanisms, the parts of a session's one control
+//! plane that its resilient packets
+//! ([`crate::session::CosSession::send_packet_resilient_summary`])
+//! drive:
 //!
 //! * [`ControlArq`] — control messages are queued and retransmitted with
 //!   bounded retries and exponential backoff until the reverse path
 //!   confirms them (the confirmation is the control-echo on the next
 //!   delivered feedback report, so a lost ACK forces a — harmless —
-//!   duplicate rather than a silent loss),
+//!   duplicate rather than a silent loss). A session has one queue;
+//!   its adaptive packets
+//!   ([`crate::session::CosSession::send_packet_adaptive_summary`])
+//!   draw from it too, so the ARQ fields of [`ResilienceConfig`] govern
+//!   them as well,
 //! * [`ThresholdRecalibrator`] — the energy detector's false-alarm rate is
 //!   estimated online (energy detections that coherent validation rejects
 //!   after a CRC pass are false alarms by definition) and smoothed with an
@@ -28,7 +34,9 @@ use cos_phy::error::PhyError;
 use cos_phy::subcarriers::NUM_DATA;
 use std::collections::{BTreeMap, VecDeque};
 
-/// Tunable thresholds and budgets of the resilience layer.
+/// Tunable thresholds and budgets of the resilience layer. In a session
+/// the `arq_*` fields configure its one [`ControlArq`], which adaptive
+/// packets draw from as well as resilient ones.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
     /// Consecutive packets without a delivered feedback report before the

@@ -558,20 +558,13 @@ fn write_session_config(w: &mut Vec<u8>, c: &SessionConfig) {
     w_usize(w, c.bits_per_interval);
     w_usize(w, c.min_control_subcarriers);
     w_f64(w, c.packet_interval);
-    match &c.resilience {
-        Some(rc) => {
-            w_u8(w, 1);
-            write_resilience_config(w, rc);
-        }
-        None => w_u8(w, 0),
-    }
-    match &c.adaptation {
-        Some(ac) => {
-            w_u8(w, 1);
-            write_adaptation_config(w, ac);
-        }
-        None => w_u8(w, 0),
-    }
+    // Each block behind a presence tag: always 1 now; the reader still
+    // takes 0 (written before both blocks were always present) as the
+    // default block.
+    w_u8(w, 1);
+    write_resilience_config(w, &c.resilience);
+    w_u8(w, 1);
+    write_adaptation_config(w, &c.adaptation);
 }
 
 fn read_session_config(r: &mut Reader<'_>) -> Result<SessionConfig, JournalError> {
@@ -602,16 +595,16 @@ fn read_session_config(r: &mut Reader<'_>) -> Result<SessionConfig, JournalError
             t => t,
         },
         resilience: match r.u8()? {
-            0 => None,
-            1 => Some(read_resilience_config(r)?),
+            0 => ResilienceConfig::default(),
+            1 => read_resilience_config(r)?,
             _ => return Err(JournalError::BadValue("resilience flag")),
         },
         adaptation: match r.u8()? {
-            0 => None,
+            0 => AdaptationConfig::default(),
             1 => {
                 let c = read_adaptation_config(r)?;
                 c.validate().map_err(JournalError::BadValue)?;
-                Some(c)
+                c
             }
             _ => return Err(JournalError::BadValue("adaptation flag")),
         },
@@ -711,8 +704,6 @@ mod tests {
             SessionConfig {
                 snr_db: 21.0,
                 rate: Some(DataRate::Mbps12),
-                resilience: Some(ResilienceConfig::default()),
-                adaptation: Some(AdaptationConfig::default()),
                 ..SessionConfig::default()
             },
             12,
@@ -826,7 +817,7 @@ mod tests {
             snr_db: SNR_DB,
             detector_bias_db: DETECTOR_BIAS_DB,
             packet_interval: PACKET_INTERVAL,
-            adaptation: Some(AdaptationConfig { snr_alpha: SNR_ALPHA, ..Default::default() }),
+            adaptation: AdaptationConfig { snr_alpha: SNR_ALPHA, ..Default::default() },
             ..SessionConfig::default()
         };
         let mut core = ServiceCore::with_journal(ServiceConfig::default());
@@ -866,6 +857,26 @@ mod tests {
                 "snr_db = {bad}"
             );
         }
+    }
+
+    /// A session config written with absent-block tags (0) reads as the
+    /// default blocks; the writer always tags them present (1).
+    #[test]
+    fn absent_config_blocks_read_as_the_defaults() {
+        let config = SessionConfig { snr_db: SNR_DB, ..SessionConfig::default() };
+        let mut tagged = Vec::new();
+        write_session_config(&mut tagged, &config);
+        let mut blocks = Vec::new();
+        write_resilience_config(&mut blocks, &config.resilience);
+        write_adaptation_config(&mut blocks, &config.adaptation);
+        let mut untagged = tagged[..tagged.len() - blocks.len() - 2].to_vec();
+        untagged.extend([0, 0]);
+        let mut r = Reader { bytes: &untagged, at: 0 };
+        let read = read_session_config(&mut r).expect("absent blocks decode");
+        assert_eq!(r.at, untagged.len());
+        let mut rewritten = Vec::new();
+        write_session_config(&mut rewritten, &read);
+        assert_eq!(rewritten, tagged);
     }
 
     #[test]

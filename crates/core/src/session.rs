@@ -3,22 +3,38 @@
 //! selection and rate adaptation in the loop — the whole Fig. 8
 //! architecture in one object.
 //!
+//! A session has one control plane, as the paper's link has one control
+//! channel (§III-A, §III-D): one ARQ queue
+//! ([`CosSession::queue_control`]) whose messages ride the silences of
+//! data frames and are confirmed by the feedback report, the
+//! [`crate::resilience`] guard (degraded-mode controller, detector
+//! recalibration, PHY-error tally, feedback history) and the
+//! [`crate::adaptation`] policy. Both resilient and adaptive frames draw
+//! from that one queue; the guard and the policy are built with the
+//! session and each is consulted only by frames of its own kind.
+//!
 //! Three send entry points share one frame path and differ only in where
 //! the control message comes from and what the sender does with the
 //! outcome; each returns one `Copy` summary of its frame:
 //!
 //! * [`CosSession::send_packet_summary`] — the paper's loop verbatim:
 //!   embed the given control bits, trust every feedback report.
-//! * [`CosSession::send_packet_resilient_summary`] — the same loop
-//!   wrapped in the [`crate::resilience`] layer: control messages come
-//!   from an ARQ queue, feedback passes through the link's fault engine
-//!   (loss, staleness, corruption), the detector bias recalibrates on
-//!   false-alarm spikes, and a degraded-mode state machine drops to
-//!   plain data transmission when the control channel stops working.
+//! * [`CosSession::send_packet_resilient_summary`] — the same loop under
+//!   the resilience guard: the control message is the ARQ head, feedback
+//!   passes through the link's fault engine (loss, staleness,
+//!   corruption), the detector bias recalibrates on false-alarm spikes,
+//!   and a degraded-mode state machine drops to plain data transmission
+//!   when the control channel stops working.
 //! * [`CosSession::send_packet_adaptive_summary`] — the closed loop of
-//!   [`crate::adaptation`]: the rate staircase picks the rate from the
+//!   the adaptation policy: the rate staircase picks the rate from the
 //!   EWMA of measured SNR and the silence-budget probe search sizes the
-//!   control payload, with ARQ-confirmed probes (paper §II-B, Fig. 2).
+//!   control payload (the ARQ head plus filler), with ARQ-confirmed
+//!   probes (paper §II-B, Fig. 2).
+//!
+//! A control message that no frame can carry, even with all 48 data
+//! subcarriers selected, is not embedded: the frame goes out without
+//! silences, and a queued message is retried and finally dropped as
+//! failed by the ARQ.
 //!
 //! The frame path is one pass per frame, in the order of the paper's
 //! Fig. 8: build, embed, channel, front end, energy detection, the
@@ -61,8 +77,8 @@ pub(crate) enum ControlSource<'a> {
     /// The ARQ head, embedded only in modes where the degraded-mode
     /// controller allows it, with fault-gated feedback.
     Resilient,
-    /// The ARQ head padded to the adaptive controller's probe budget, at
-    /// the controller's rate.
+    /// The ARQ head padded to the adaptation policy's probe budget, at
+    /// the policy's rate.
     Adaptive,
 }
 
@@ -71,8 +87,8 @@ pub(crate) enum ControlSource<'a> {
 #[derive(Debug, Clone, Copy)]
 enum Tail {
     Plain,
-    Resilient { mode: LinkMode, from_queue: bool },
-    Adaptive { target: usize, from_queue: bool },
+    Resilient { mode: LinkMode },
+    Adaptive { target: usize },
 }
 
 /// The frame-sized planes of one frame in flight: the tx frame and
@@ -142,16 +158,16 @@ pub struct SessionConfig {
     /// Wall-clock gap between packets in seconds (drives channel
     /// evolution).
     pub packet_interval: f64,
-    /// Resilience thresholds for
-    /// [`CosSession::send_packet_resilient_summary`]; `None` uses
-    /// [`ResilienceConfig::default`] when that path is first taken and
-    /// leaves [`CosSession::send_packet_summary`] untouched.
-    pub resilience: Option<ResilienceConfig>,
-    /// Link-adaptation knobs for
-    /// [`CosSession::send_packet_adaptive_summary`]; `None` uses
-    /// [`AdaptationConfig::default`] when that path is first
-    /// taken and leaves the other send paths untouched.
-    pub adaptation: Option<AdaptationConfig>,
+    /// The control plane's ARQ and resilience-guard settings. The ARQ
+    /// fields (`arq_max_retries`, `arq_backoff`, `arq_backoff_max`)
+    /// govern the one queue that resilient and adaptive frames both draw
+    /// from; the rest tune the guard, which only
+    /// [`CosSession::send_packet_resilient_summary`] consults.
+    pub resilience: ResilienceConfig,
+    /// The link-adaptation policy, which only
+    /// [`CosSession::send_packet_adaptive_summary`] consults. Checked
+    /// when the session is made: an invalid one panics there.
+    pub adaptation: AdaptationConfig,
 }
 
 impl Default for SessionConfig {
@@ -164,8 +180,8 @@ impl Default for SessionConfig {
             bits_per_interval: 4,
             min_control_subcarriers: 6,
             packet_interval: 1e-3,
-            resilience: None,
-            adaptation: None,
+            resilience: ResilienceConfig::default(),
+            adaptation: AdaptationConfig::default(),
         }
     }
 }
@@ -241,16 +257,17 @@ pub struct SessionMetrics {
     /// the adaptive path; fresh, stale or corrupt on the resilient one —
     /// mirroring each path's own `feedback_delivered` flag).
     pub feedback_delivered: u64,
-    /// ARQ transmission attempts beyond each message's first, summed
-    /// over the resilient and adaptive queues (`attempts` minus offered
-    /// messages, saturating — messages still waiting for their first
-    /// attempt are not counted against it).
+    /// ARQ transmission attempts beyond each message's first, on the
+    /// session's one queue, whichever kind of frame carried them
+    /// (`attempts` minus offered messages, saturating — messages still
+    /// waiting for their first attempt are not counted against it).
     pub arq_retries: u64,
     /// Adaptation state-machine transitions: every non-`Hold` staircase
     /// or probe event counts one.
     pub adaptation_events: u64,
-    /// The silence budget currently in force on the adaptive path
-    /// (the controller's target; 0 when the adaptive path never ran).
+    /// The silence budget the adaptation policy currently targets for
+    /// the next adaptive frame (its first probe target on a session that
+    /// never sent one).
     pub silence_budget: usize,
 }
 
@@ -439,26 +456,6 @@ pub struct AdaptiveSummary {
     pub feedback_delivered: bool,
 }
 
-/// Live state of the adaptation layer: the controller plus its own ARQ
-/// queue (probe confirmations ride the same feedback reports as the
-/// resilient path's ACKs).
-#[derive(Debug, Clone)]
-struct AdaptationState {
-    ctrl: LinkAdaptationController,
-    arq: ControlArq,
-}
-
-impl AdaptationState {
-    fn new(config: &SessionConfig) -> Self {
-        let cfg = config.adaptation.clone().unwrap_or_default();
-        let arq_cfg = config.resilience.clone().unwrap_or_default();
-        AdaptationState {
-            ctrl: LinkAdaptationController::new(cfg),
-            arq: ControlArq::new(&arq_cfg),
-        }
-    }
-}
-
 /// A stored feedback report (for serving stale deliveries).
 #[derive(Debug, Clone)]
 struct HistoryEntry {
@@ -466,27 +463,34 @@ struct HistoryEntry {
     measured_snr_db: f64,
 }
 
-/// Live state of the resilience layer.
+/// The session's one control plane: the ARQ queue every send kind draws
+/// from, the resilience guard that resilient frames consult, and the
+/// adaptation policy that adaptive frames consult. Built whole with the
+/// session; building it allocates nothing, its queue and history grow
+/// on first use.
 #[derive(Debug, Clone)]
-struct ResilienceState {
-    ctrl: DegradedModeController,
+struct ControlPlane {
     arq: ControlArq,
+    /// The guard: degraded-mode controller, detector recalibration,
+    /// PHY-error tally and the recent receiver reports, newest first
+    /// (consulted for [`FeedbackFate::Stale`] deliveries).
+    guard: DegradedModeController,
     recal: ThresholdRecalibrator,
     tally: PhyErrorTally,
-    /// Recent receiver reports, newest first — consulted for
-    /// [`FeedbackFate::Stale`] deliveries.
     history: VecDeque<HistoryEntry>,
+    policy: LinkAdaptationController,
 }
 
-impl ResilienceState {
+impl ControlPlane {
     fn new(config: &SessionConfig) -> Self {
-        let cfg = config.resilience.clone().unwrap_or_default();
-        ResilienceState {
-            arq: ControlArq::new(&cfg),
-            recal: ThresholdRecalibrator::new(config.detector_bias_db, &cfg),
-            ctrl: DegradedModeController::new(cfg),
+        let cfg = &config.resilience;
+        ControlPlane {
+            arq: ControlArq::new(cfg),
+            guard: DegradedModeController::new(cfg.clone()),
+            recal: ThresholdRecalibrator::new(config.detector_bias_db, cfg),
             tally: PhyErrorTally::new(),
-            history: VecDeque::with_capacity(FEEDBACK_HISTORY),
+            history: VecDeque::new(),
+            policy: LinkAdaptationController::new(config.adaptation.clone()),
         }
     }
 }
@@ -562,8 +566,7 @@ pub struct CosSession {
     /// Rate for the next packet.
     rate: DataRate,
     seq: u64,
-    resilience: Option<ResilienceState>,
-    adaptation: Option<AdaptationState>,
+    plane: ControlPlane,
     /// The frame planes the per-frame `send_*` path lends its frames.
     /// Engine-driven frames use the worker lane's instead, so this stays
     /// empty for a session the engine drives.
@@ -587,14 +590,13 @@ impl CosSession {
     /// # Panics
     ///
     /// Panics if `config.min_control_subcarriers` exceeds 39 (the bound
-    /// the journal reader also enforces).
+    /// the journal reader also enforces) or `config.adaptation` is
+    /// inconsistent (see [`AdaptationConfig`]).
     pub fn new(config: SessionConfig, seed: u64) -> Self {
         let selected = bootstrap_selection(config.min_control_subcarriers).collect();
         let codec = IntervalCodec::new(config.bits_per_interval);
         let link = Link::new(config.channel, config.snr_db, seed);
         let rate = config.rate.unwrap_or(DataRate::Mbps12);
-        let resilience = config.resilience.is_some().then(|| ResilienceState::new(&config));
-        let adaptation = config.adaptation.is_some().then(|| AdaptationState::new(&config));
         CosSession {
             detector: EnergyDetector::new(config.detector_bias_db),
             controller: PowerController::new(codec),
@@ -605,8 +607,7 @@ impl CosSession {
             selected,
             rate,
             seq: 0,
-            resilience,
-            adaptation,
+            plane: ControlPlane::new(&config),
             fs: FrameScratch::default(),
             det: Detection::default(),
             thresholds: Vec::new(),
@@ -629,16 +630,15 @@ impl CosSession {
     pub fn reinit(&mut self, config: SessionConfig, seed: u64) {
         let bootstrap = bootstrap_selection(config.min_control_subcarriers);
         let codec = IntervalCodec::new(config.bits_per_interval);
+        self.plane = ControlPlane::new(&config);
         self.link = Link::new(config.channel, config.snr_db, seed);
         self.selected.clear();
         self.selected.extend(bootstrap);
         self.rate = config.rate.unwrap_or(DataRate::Mbps12);
-        self.resilience = config.resilience.is_some().then(|| ResilienceState::new(&config));
         self.detector = EnergyDetector::new(config.detector_bias_db);
         self.controller = PowerController::new(codec);
         self.adapter = ControlRateAdapter::new(ControlRateTable::default());
         self.seq = 0;
-        self.adaptation = config.adaptation.is_some().then(|| AdaptationState::new(&config));
         self.m = SessionMetrics::default();
         self.config = config;
     }
@@ -679,112 +679,96 @@ impl CosSession {
         self.detector.bias_db()
     }
 
-    /// The link mode the next packet will be sent in ([`LinkMode::Cos`]
-    /// when the resilient path has never run).
+    /// The link mode the next resilient packet will be sent in.
     pub fn mode(&self) -> LinkMode {
-        self.resilience.as_ref().map_or(LinkMode::Cos, |s| s.ctrl.mode())
+        self.plane.guard.mode()
     }
 
     /// Every degraded-mode transition recorded so far.
     pub fn transitions(&self) -> &[ModeTransition] {
-        self.resilience.as_ref().map_or(&[], |s| s.ctrl.transitions())
+        self.plane.guard.transitions()
     }
 
-    /// Control-message ARQ statistics.
+    /// Statistics of the session's one control-message ARQ queue.
     pub fn arq_stats(&self) -> ArqStats {
-        self.resilience.as_ref().map_or_else(ArqStats::default, |s| s.arq.stats())
+        self.plane.arq.stats()
     }
 
     /// Control messages still queued for delivery.
     pub fn arq_backlog(&self) -> usize {
-        self.resilience.as_ref().map_or(0, |s| s.arq.backlog())
+        self.plane.arq.backlog()
     }
 
-    /// Per-message attempt/latency histograms of the resilient-path ARQ
-    /// ([`ArqHistograms::default`] when that path has never run).
+    /// Per-message attempt/latency histograms of the ARQ queue.
     pub fn arq_histograms(&self) -> ArqHistograms {
-        self.resilience.as_ref().map_or_else(ArqHistograms::default, |s| *s.arq.histograms())
+        *self.plane.arq.histograms()
     }
 
-    /// Receive-chain failures tallied by kind (resilient path only).
-    pub fn phy_errors(&self) -> Option<&PhyErrorTally> {
-        self.resilience.as_ref().map(|s| &s.tally)
+    /// Receive-chain failures on resilient frames, tallied by kind.
+    pub fn phy_errors(&self) -> &PhyErrorTally {
+        &self.plane.tally
     }
 
-    /// Queues a control message for reliable (ARQ) delivery over the
-    /// resilient path.
+    /// Queues a control message for reliable (ARQ) delivery on the next
+    /// resilient or adaptive frames.
     ///
     /// # Panics
     ///
     /// Panics if `bits.len()` is not a multiple of the codec's `k`
-    /// (default 4) — here, not in whichever later send carries it.
+    /// (default 4) — here, not in whichever later send carries it. The
+    /// contract also keeps an adaptive frame's padded probe message
+    /// decodable.
     pub fn queue_control(&mut self, bits: Vec<u8>) {
-        self.check_control_len(&bits);
-        let now = self.seq;
-        self.resilience_state().arq.enqueue(bits, now);
-    }
-
-    /// Queues a control message for reliable (ARQ) delivery over the
-    /// adaptive path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len()` is not a multiple of the codec's `k`
-    /// (default 4), which keeps the padded probe message decodable.
-    pub fn queue_adaptive_control(&mut self, bits: Vec<u8>) {
-        self.check_control_len(&bits);
-        let now = self.seq;
-        self.adaptation_state().arq.enqueue(bits, now);
-    }
-
-    /// The interval codec's length contract, checked at enqueue time.
-    fn check_control_len(&self, bits: &[u8]) {
         let k = self.controller.codec().bits_per_interval();
         assert!(
             bits.len().is_multiple_of(k),
             "control message length {} is not a multiple of k = {k}",
             bits.len()
         );
+        self.plane.arq.enqueue(bits, self.seq);
     }
 
-    /// Adaptive-path control-message ARQ statistics.
-    pub fn adaptive_arq_stats(&self) -> ArqStats {
-        self.adaptation.as_ref().map_or_else(ArqStats::default, |s| s.arq.stats())
+    /// [`queue_control`](Self::queue_control), under the name the
+    /// frame-pipeline benchmark still calls.
+    #[doc(hidden)]
+    #[deprecated(note = "use queue_control; kept for cosbench")]
+    pub fn queue_adaptive_control(&mut self, bits: Vec<u8>) {
+        self.queue_control(bits)
     }
 
-    /// Control messages still queued on the adaptive path.
+    /// [`arq_backlog`](Self::arq_backlog), under the name the
+    /// frame-pipeline benchmark still calls.
+    #[doc(hidden)]
+    #[deprecated(note = "use arq_backlog; kept for cosbench")]
     pub fn adaptive_backlog(&self) -> usize {
-        self.adaptation.as_ref().map_or(0, |s| s.arq.backlog())
+        self.arq_backlog()
     }
 
-    /// The link-adaptation controller, once the adaptive path has run
-    /// (or the session was configured with `adaptation: Some(_)`).
-    pub fn adaptation_controller(&self) -> Option<&LinkAdaptationController> {
-        self.adaptation.as_ref().map(|s| &s.ctrl)
+    /// The link-adaptation policy that adaptive frames consult.
+    pub fn adaptation_controller(&self) -> &LinkAdaptationController {
+        &self.plane.policy
     }
 
-    /// Mutable access to the link-adaptation controller, creating the
-    /// adaptation state on first use — the hook coordination layers
-    /// (e.g. `cos_core::mesh`) use to impose
+    /// Mutable access to the link-adaptation policy — the hook
+    /// coordination layers (e.g. `cos_core::mesh`) use to impose
     /// [`rate caps`](LinkAdaptationController::set_rate_cap) and
     /// [`budget grants`](LinkAdaptationController::set_budget_ceiling)
     /// on a running station.
     pub fn adaptation_controller_mut(&mut self) -> &mut LinkAdaptationController {
-        &mut self.adaptation_state().ctrl
+        &mut self.plane.policy
     }
 
     /// A snapshot of the session's observability counters. The two
     /// derived fields are computed at snapshot time: `arq_retries` from
-    /// the resilient + adaptive [`ArqStats`], `silence_budget` from the
-    /// adaptation controller's current target.
+    /// the ARQ queue's [`ArqStats`], `silence_budget` from the adaptation
+    /// policy's current target.
     pub fn metrics(&self) -> SessionMetrics {
-        let mut m = self.m;
-        let res = self.arq_stats();
-        let adp = self.adaptive_arq_stats();
-        m.arq_retries = res.attempts.saturating_sub(res.enqueued)
-            + adp.attempts.saturating_sub(adp.enqueued);
-        m.silence_budget = self.adaptation.as_ref().map_or(0, |s| s.ctrl.target_budget());
-        m
+        let arq = self.arq_stats();
+        SessionMetrics {
+            arq_retries: arq.attempts.saturating_sub(arq.enqueued),
+            silence_budget: self.plane.policy.target_budget(),
+            ..self.m
+        }
     }
 
     /// Retargets the link's average SNR mid-session — the mobility /
@@ -797,33 +781,24 @@ impl CosSession {
         self.link.set_snr_db(snr_db);
     }
 
-    /// The adaptation state, created on first use.
-    fn adaptation_state(&mut self) -> &mut AdaptationState {
-        self.adaptation.get_or_insert_with(|| AdaptationState::new(&self.config))
-    }
-
-    /// The resilience state, created on first use.
-    fn resilience_state(&mut self) -> &mut ResilienceState {
-        self.resilience.get_or_insert_with(|| ResilienceState::new(&self.config))
-    }
-
     /// One frame through the whole path on the planes `fs`, in one pass
     /// (the paper's Fig. 8): the control source writes the message into
     /// `xs.msg`; the frame is built, embedded, rendered and sent over the
     /// link; the receiver runs its front end, energy detection, the
     /// erasure decode (demap, Viterbi, CRC), control extraction, silence
     /// validation and EVM feedback; then the channel advances, the
-    /// metrics count the frame and the control source's sender tail
-    /// (feedback fate, ARQ confirmation, controller observation) applies
-    /// the outcome. The per-frame `send_*` methods lend the session's own
-    /// planes, the engine a worker's; both run this one path.
+    /// metrics count the frame, the control source's sender tail
+    /// (feedback fate, controller observation) applies the outcome and
+    /// the ARQ settles the head the frame carried. The per-frame `send_*`
+    /// methods lend the session's own planes, the engine a worker's; both
+    /// run this one path.
     pub(crate) fn run_frame(
         &mut self,
         fs: &mut FrameScratch,
         payload: &[u8],
         src: ControlSource<'_>,
     ) -> JobResult {
-        let (embed_control, tail) = self.choose_control(payload, src);
+        let (mut embed_control, from_queue, tail) = self.choose_control(payload, src);
         self.seq += 1;
         let scrambler_seed = (self.seq % 127 + 1) as u8;
         let rate = self.rate;
@@ -850,26 +825,25 @@ impl CosSession {
         // Embed; if the message outgrows the current selection (short
         // frame or long message), expand the control-subcarrier set for
         // this packet with evenly spaced extras — best effort, exactly
-        // what a sender with a stale feedback vector would do. The
-        // working copy lives in session scratch so the session's own
-        // `selected` stays the receiver's last report.
+        // what a sender with a stale feedback vector would do. A message
+        // too long even for all NUM_DATA subcarriers is not embedded: the
+        // frame goes out without silences. The working copy lives in
+        // session scratch so the session's own `selected` stays the
+        // receiver's last report.
         sel_scratch.clear();
         sel_scratch.extend_from_slice(selected);
         xs.truth.clear();
-        if embed_control {
-            loop {
-                match controller.embed_into(&mut ws.tx.frame, sel_scratch, &xs.msg, &mut xs.truth) {
-                    Ok(()) => break,
-                    Err(EmbedError::NoControlSubcarriers) => {
-                        panic!("session always keeps a non-empty selection")
-                    }
-                    Err(e @ EmbedError::MessageTooLong { .. }) => {
-                        if sel_scratch.len() >= NUM_DATA {
-                            panic!("{e}: message exceeds the frame's total control capacity");
-                        }
-                        expand_selection(sel_scratch);
-                    }
+        while embed_control {
+            match controller.embed_into(&mut ws.tx.frame, sel_scratch, &xs.msg, &mut xs.truth) {
+                Ok(()) => break,
+                Err(EmbedError::NoControlSubcarriers) => {
+                    panic!("session always keeps a non-empty selection")
                 }
+                Err(EmbedError::MessageTooLong { .. }) if sel_scratch.len() >= NUM_DATA => {
+                    embed_control = false;
+                    xs.truth.clear();
+                }
+                Err(EmbedError::MessageTooLong { .. }) => expand_selection(sel_scratch),
             }
         }
         let silences_sent = xs.truth.len();
@@ -991,18 +965,31 @@ impl CosSession {
         self.m.control_embedded += embed_control as u64;
         self.m.frames_rx_ok += t.data_ok as u64;
         self.m.control_ok += t.control_ok as u64;
-        match tail {
+        let (result, acked) = match tail {
             Tail::Plain => {
                 self.plain_tail(&t);
-                JobResult::Plain(self.summarize(&t))
+                (JobResult::Plain(self.summarize(&t)), false)
             }
-            Tail::Resilient { mode, from_queue } => {
-                JobResult::Resilient(self.resilient_tail(t, mode, embed_control, from_queue))
+            Tail::Resilient { mode } => {
+                let s = self.resilient_tail(t, mode, embed_control);
+                (JobResult::Resilient(s), s.control_acked)
             }
-            Tail::Adaptive { target, from_queue } => {
-                JobResult::Adaptive(self.adaptive_tail(t, target, from_queue))
+            Tail::Adaptive { target } => {
+                let s = self.adaptive_tail(t, target);
+                (JobResult::Adaptive(s), s.control_acked)
+            }
+        };
+        // The confirmation rides the feedback report: no report
+        // delivered, no ACK — the ARQ retries (a lost ACK costs a
+        // duplicate, never a silent loss).
+        if from_queue {
+            if acked {
+                self.plane.arq.confirm(self.seq);
+            } else {
+                self.plane.arq.reject();
             }
         }
+        result
     }
 
     /// [`run_frame`](Self::run_frame) on the session's own planes; moving
@@ -1016,77 +1003,60 @@ impl CosSession {
     }
 
     /// The control source of a frame: writes its control message into
-    /// `xs.msg`, decides whether it is embedded, and (adaptive only) sets
-    /// the frame's rate.
-    fn choose_control(&mut self, payload: &[u8], src: ControlSource<'_>) -> (bool, Tail) {
-        let CosSession { config, controller, rate, seq, resilience, adaptation, xs, .. } = self;
+    /// `xs.msg` and decides whether it is embedded and whether it is the
+    /// ARQ head (the one poll site); adaptive only, sets the frame's rate.
+    fn choose_control(&mut self, payload: &[u8], src: ControlSource<'_>) -> (bool, bool, Tail) {
+        let CosSession { config, controller, rate, seq, plane, xs, .. } = self;
         let msg = &mut xs.msg;
         msg.clear();
-        match src {
+        let (embed, tail) = match src {
             ControlSource::Fixed(bits) => {
                 msg.extend_from_slice(bits);
-                (true, Tail::Plain)
+                return (true, false, Tail::Plain);
             }
+            // The guard's mode decides whether the control channel is
+            // exercised; with an empty queue the bare marker probes it.
             ControlSource::Resilient => {
-                // Mode decides whether the control channel is exercised;
-                // the ARQ head (or the empty marker, as a channel probe)
-                // supplies the bits.
-                let state = resilience.get_or_insert_with(|| ResilienceState::new(config));
-                let mode = state.ctrl.mode();
-                let (attempted, from_queue) = match mode {
-                    LinkMode::Cos | LinkMode::Probing => match state.arq.poll() {
-                        Some(b) => {
-                            msg.extend_from_slice(b);
-                            (true, true)
-                        }
-                        None => (true, false),
-                    },
-                    LinkMode::DataOnly => (false, false),
-                };
-                (attempted, Tail::Resilient { mode, from_queue })
+                let mode = plane.guard.mode();
+                (mode != LinkMode::DataOnly, Tail::Resilient { mode })
             }
+            // The staircase owns the rate unless the config pins one.
             ControlSource::Adaptive => {
-                let state = adaptation.get_or_insert_with(|| AdaptationState::new(config));
-                // The staircase owns the rate unless the config pins one.
-                *rate = config.rate.unwrap_or_else(|| state.ctrl.rate());
-                let target = state.ctrl.target_budget();
+                *rate = config.rate.unwrap_or_else(|| plane.policy.rate());
+                (true, Tail::Adaptive { target: plane.policy.target_budget() })
+            }
+        };
+        let from_queue =
+            embed && plane.arq.poll().map(|bits| msg.extend_from_slice(bits)).is_some();
 
-                // Clamp the probe to what this frame can physically
-                // carry: the interval code spends at most 2^k + 1 control
-                // positions per interval, and the embedder can expand the
-                // selection up to all NUM_DATA subcarriers, so a frame of
-                // `n` symbols always fits `(n·NUM_DATA − 1) / (2^k + 1)`
-                // intervals. Short frames at fast rates would otherwise
-                // overflow the frame's control capacity.
-                let k = controller.codec().bits_per_interval();
-                let total_positions = rate.data_symbol_count(payload.len() + 4) * NUM_DATA;
-                let max_intervals = total_positions.saturating_sub(1) / ((1usize << k) + 1);
-                let sent_budget = target.min(max_intervals + 1);
-                let capacity_bits = sent_budget.saturating_sub(1) * k;
+        if let Tail::Adaptive { target } = tail {
+            // Clamp the probe to what this frame can physically carry:
+            // the interval code spends at most 2^k + 1 control positions
+            // per interval, and the embedder can expand the selection up
+            // to all NUM_DATA subcarriers, so a frame of `n` symbols
+            // always fits `(n·NUM_DATA − 1) / (2^k + 1)` intervals. Short
+            // frames at fast rates would otherwise overflow the frame's
+            // control capacity.
+            let k = controller.codec().bits_per_interval();
+            let total_positions = rate.data_symbol_count(payload.len() + 4) * NUM_DATA;
+            let max_intervals = total_positions.saturating_sub(1) / ((1usize << k) + 1);
+            let capacity_bits = target.min(max_intervals + 1).saturating_sub(1) * k;
 
-                // Compose the probe message: the ARQ head (if any) padded
-                // with filler bits to the full budget, so every adaptive
-                // packet exercises exactly the budget it claims to probe.
-                // The filler is a pure function of the packet sequence
-                // number — determinism by construction.
-                let from_queue = match state.arq.poll() {
-                    Some(bits) => {
-                        msg.extend_from_slice(bits);
-                        true
-                    }
-                    None => false,
-                };
-                let next_seq = *seq + 1;
-                while msg.len() < capacity_bits {
-                    let i = msg.len() as u64;
-                    let x = next_seq
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(i.wrapping_mul(0xA24B_AED4_963E_E407));
-                    msg.push(((x >> 32) & 1) as u8);
-                }
-                (true, Tail::Adaptive { target, from_queue })
+            // Pad the message (the ARQ head, if any) with filler bits to
+            // the full budget, so every adaptive packet exercises exactly
+            // the budget it claims to probe. The filler is a pure
+            // function of the packet sequence number — determinism by
+            // construction.
+            let next_seq = *seq + 1;
+            while msg.len() < capacity_bits {
+                let i = msg.len() as u64;
+                let x = next_seq
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(i.wrapping_mul(0xA24B_AED4_963E_E407));
+                msg.push(((x >> 32) & 1) as u8);
             }
         }
+        (embed, from_queue, tail)
     }
 
     /// Applies the feedback report in `xs.fb_selection` by swapping it
@@ -1114,19 +1084,16 @@ impl CosSession {
     }
 
     /// The sender tail of the resilient path: fault-gated feedback
-    /// application, recalibration, ARQ confirmation and mode bookkeeping.
+    /// application, recalibration and mode bookkeeping.
     fn resilient_tail(
         &mut self,
         t: Transceived,
         mode: LinkMode,
         attempted: bool,
-        from_queue: bool,
     ) -> ResilientSummary {
-        let mut state = self.resilience.take().expect("created by the resilient control source");
         let fate = self.link.feedback_fate();
-
         if let Some(e) = &t.phy_error {
-            state.tally.record(e);
+            self.plane.tally.record(e);
         }
 
         let mut delivered = false;
@@ -1134,18 +1101,21 @@ impl CosSession {
             Some(fb) => {
                 // The receiver generated a report; remember the truth for
                 // later stale deliveries regardless of this packet's fate.
-                let mut entry = if state.history.len() == FEEDBACK_HISTORY {
-                    state.history.pop_back().expect("full history")
+                let history = &mut self.plane.history;
+                let mut entry = if history.len() == FEEDBACK_HISTORY {
+                    history.pop_back().expect("full history")
                 } else {
                     HistoryEntry { selection: Vec::new(), measured_snr_db: 0.0 }
                 };
                 entry.selection.clone_from(&self.xs.fb_selection);
                 entry.measured_snr_db = fb.measured_snr_db;
-                state.history.push_front(entry);
+                history.push_front(entry);
 
                 // Recalibration is receiver-side: it needs no reverse path.
                 if attempted {
-                    if let Some(bias) = state.recal.observe(fb.false_alarms, fb.normal_positions) {
+                    if let Some(bias) =
+                        self.plane.recal.observe(fb.false_alarms, fb.normal_positions)
+                    {
                         self.detector = EnergyDetector::new(bias);
                     }
                 }
@@ -1161,9 +1131,10 @@ impl CosSession {
                     FeedbackFate::Stale(d) => {
                         // Index 0 is the report just pushed; `d` packets
                         // ago is index d (when that far back exists).
-                        if let Some(old) = state.history.get(d) {
+                        if let Some(old) = self.plane.history.get(d) {
                             self.xs.fb_selection.clone_from(&old.selection);
-                            self.apply_feedback(old.measured_snr_db);
+                            let snr = old.measured_snr_db;
+                            self.apply_feedback(snr);
                             delivered = true;
                         } else {
                             self.adapter.transmission_failed();
@@ -1185,20 +1156,9 @@ impl CosSession {
             }
         }
 
-        // The control confirmation rides the feedback report: no report
-        // delivered, no ACK — the ARQ retries (a lost ACK costs a
-        // duplicate, never a silent loss).
         self.m.feedback_delivered += delivered as u64;
         let acked = attempted && t.control_ok && delivered;
-        if from_queue {
-            if acked {
-                state.arq.confirm(self.seq);
-            } else {
-                state.arq.reject();
-            }
-        }
-
-        state.ctrl.observe(
+        self.plane.guard.observe(
             self.seq,
             PacketObservation {
                 feedback_fresh: delivered,
@@ -1207,13 +1167,10 @@ impl CosSession {
                 crc_ok: t.data_ok,
             },
         );
-        let mode_after = state.ctrl.mode();
-        self.resilience = Some(state);
-
         ResilientSummary {
             packet: self.summarize(&t),
             mode,
-            mode_after,
+            mode_after: self.plane.guard.mode(),
             control_attempted: attempted,
             control_acked: acked,
             feedback_delivered: delivered,
@@ -1221,14 +1178,13 @@ impl CosSession {
         }
     }
 
-    /// The sender tail of the adaptive path: the feedback gate, probe
-    /// confirmation and controller observation.
-    fn adaptive_tail(&mut self, t: Transceived, target: usize, from_queue: bool) -> AdaptiveSummary {
-        let mut state = self.adaptation.take().expect("created by the adaptive control source");
+    /// The sender tail of the adaptive path: the feedback gate and the
+    /// policy's observation.
+    fn adaptive_tail(&mut self, t: Transceived, target: usize) -> AdaptiveSummary {
         let fate = self.link.feedback_fate();
 
         // Adaptation trusts only fresh feedback: stale, corrupt or
-        // dropped reports all count as misses (the resilient layer is
+        // dropped reports all count as misses (the resilience guard is
         // the place that salvages degraded reports). The fresh report
         // swaps in the selection but leaves the rate alone — the
         // staircase owns it.
@@ -1243,38 +1199,30 @@ impl CosSession {
         }
 
         // Probe confirmation rides the feedback report, exactly like the
-        // resilient path's ACKs: no report, no ACK.
+        // resilient path's ACKs: no report, no ACK. A clamped packet
+        // carried fewer silences than the probe target, so its outcome
+        // says nothing about the probed budget.
         let acked = t.control_ok && delivered;
-        if from_queue {
-            if acked {
-                state.arq.confirm(self.seq);
-            } else {
-                state.arq.reject();
-            }
-        }
-
-        // A clamped packet carried fewer silences than the probe target,
-        // so its outcome says nothing about the probed budget.
         let carried_full = t.silences_sent >= target;
-        let events = state.ctrl.observe(delivered.then_some(t.measured), acked, carried_full);
+        let snr = delivered.then_some(t.measured);
+        let events = self.plane.policy.observe(snr, acked, carried_full);
         self.m.feedback_delivered += delivered as u64;
         self.m.adaptation_events += (events.staircase != StaircaseEvent::Hold) as u64
             + (events.probe != ProbeEvent::Hold) as u64;
 
-        let summary = AdaptiveSummary {
+        let policy = &self.plane.policy;
+        AdaptiveSummary {
             packet: self.summarize(&t),
-            ewma_snr_db: state.ctrl.ewma_snr_db().unwrap_or(f64::NEG_INFINITY),
+            ewma_snr_db: policy.ewma_snr_db().unwrap_or(f64::NEG_INFINITY),
             budget: target,
-            rate_after: self.config.rate.unwrap_or_else(|| state.ctrl.rate()),
-            budget_after: state.ctrl.target_budget(),
-            search_state: state.ctrl.search_state(),
+            rate_after: self.config.rate.unwrap_or_else(|| policy.rate()),
+            budget_after: policy.target_budget(),
+            search_state: policy.search_state(),
             staircase_event: events.staircase,
             probe_event: events.probe,
             control_acked: acked,
             feedback_delivered: delivered,
-        };
-        self.adaptation = Some(state);
-        summary
+        }
     }
 
     /// Builds the fixed-size summary of the frame just finished.
@@ -1305,7 +1253,7 @@ impl CosSession {
     /// # Panics
     ///
     /// Panics if `control_bits` length is not a multiple of the codec's
-    /// `k` or the message exceeds the frame capacity.
+    /// `k`.
     pub fn send_packet_summary(&mut self, payload: &[u8], control_bits: &[u8]) -> PacketSummary {
         let JobResult::Plain(s) = self.send(payload, ControlSource::Fixed(control_bits)) else {
             unreachable!("a fixed-bits frame finishes as a plain frame")
@@ -1313,7 +1261,7 @@ impl CosSession {
         s
     }
 
-    /// Sends one data packet through the resilience layer: control bits
+    /// Sends one data packet under the resilience guard: control bits
     /// come from the ARQ queue (see [`CosSession::queue_control`]), the
     /// feedback report passes through the link's fault engine, and the
     /// degraded-mode state machine decides whether silences are embedded
@@ -1327,7 +1275,8 @@ impl CosSession {
 
     /// Sends one data packet through the closed adaptation loop: the
     /// [`crate::adaptation`] rate staircase picks the rate, the
-    /// silence-budget probe search sizes the control payload (ARQ head
+    /// silence-budget probe search sizes the control payload (the head
+    /// of the session's one ARQ queue, see [`CosSession::queue_control`],
     /// plus deterministic filler bits up to the probe budget), and the
     /// packet's outcome — measured SNR, feedback fate, control ACK —
     /// feeds both state machines for the next packet. The batch engine's
@@ -1344,14 +1293,14 @@ impl CosSession {
     /// use cos_core::session::{CosSession, SessionConfig};
     ///
     /// let mut s = CosSession::new(SessionConfig { snr_db: 24.0, ..Default::default() }, 7);
-    /// s.queue_adaptive_control(vec![1, 0, 1, 1, 0, 0, 1, 0]);
+    /// s.queue_control(vec![1, 0, 1, 1, 0, 0, 1, 0]);
     /// let mut delivered = false;
     /// for _ in 0..8 {
     ///     let r = s.send_packet_adaptive_summary(&[0xAB; 600]);
     ///     delivered |= r.control_acked;
     /// }
     /// assert!(delivered, "ARQ delivers over a clean 24 dB link");
-    /// assert_eq!(s.adaptive_arq_stats().delivered, 1);
+    /// assert_eq!(s.arq_stats().delivered, 1);
     /// ```
     pub fn send_packet_adaptive_summary(&mut self, payload: &[u8]) -> AdaptiveSummary {
         let JobResult::Adaptive(s) = self.send(payload, ControlSource::Adaptive) else {
@@ -1572,7 +1521,7 @@ mod tests {
         for _ in 0..40 {
             r = s.send_packet_adaptive_summary(&[0xAB; 600]);
         }
-        let ctrl = s.adaptation_controller().expect("adaptive path ran");
+        let ctrl = s.adaptation_controller();
         assert!(ctrl.rate() >= DataRate::Mbps36, "staircase stuck at {:?}", ctrl.rate());
         assert!(
             ctrl.target_budget() > 2,
@@ -1601,12 +1550,12 @@ mod tests {
         let cfg = SessionConfig {
             rate: Some(DataRate::Mbps54),
             snr_db: 26.0,
-            adaptation: Some(crate::adaptation::AdaptationConfig {
+            adaptation: AdaptationConfig {
                 base_budget: 2,
                 probe_step: 16,
                 max_budget: 64,
                 ..Default::default()
-            }),
+            },
             ..Default::default()
         };
         let mut s = CosSession::new(cfg, 91);
@@ -1623,7 +1572,7 @@ mod tests {
             SessionConfig { snr_db: 9.0, rate: Some(DataRate::Mbps6), ..Default::default() },
             999,
         );
-        recycled.queue_adaptive_control(bits(8));
+        recycled.queue_control(bits(8));
         for _ in 0..5 {
             recycled.send_packet_adaptive_summary(&[0x11; 300]);
         }
@@ -1642,13 +1591,13 @@ mod tests {
         for _ in 0..12 {
             s.send_packet_adaptive_summary(&[0xAB; 600]);
         }
-        let high_rate = s.adaptation_controller().expect("ran").rate();
+        let high_rate = s.adaptation_controller().rate();
         assert!(high_rate >= DataRate::Mbps36);
         s.set_snr_db(8.0);
         for _ in 0..12 {
             s.send_packet_adaptive_summary(&[0xAB; 600]);
         }
-        let low_rate = s.adaptation_controller().expect("ran").rate();
+        let low_rate = s.adaptation_controller().rate();
         assert!(low_rate < high_rate, "rate never tracked the SNR collapse");
     }
 
@@ -1656,12 +1605,17 @@ mod tests {
     fn metrics_count_across_paths_and_reset_on_reinit() {
         let cfg = SessionConfig { snr_db: 24.0, ..Default::default() };
         let mut s = CosSession::new(cfg.clone(), 42);
-        assert_eq!(s.metrics(), SessionMetrics::default());
+        let first_target = s.adaptation_controller().target_budget();
+        assert_eq!(
+            s.metrics(),
+            SessionMetrics { silence_budget: first_target, ..Default::default() },
+            "a fresh session reports the policy's first probe target"
+        );
 
         s.send_packet_summary(&[0xAB; 600], &bits(8));
         s.queue_control(bits(8));
         s.send_packet_resilient_summary(&[0xAB; 600]);
-        s.queue_adaptive_control(bits(8));
+        s.queue_control(bits(8));
         for _ in 0..6 {
             s.send_packet_adaptive_summary(&[0xAB; 600]);
         }
@@ -1675,8 +1629,8 @@ mod tests {
         assert!(m.silence_budget >= 2, "{m:?}");
 
         // A recycled session reports like a fresh one.
-        s.reinit(cfg, 43);
-        assert_eq!(s.metrics(), SessionMetrics::default());
+        s.reinit(cfg.clone(), 43);
+        assert_eq!(s.metrics(), CosSession::new(cfg, 43).metrics());
     }
 
     #[test]
@@ -1734,9 +1688,83 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "control message length 6 is not a multiple of k = 4")]
+    #[allow(deprecated)]
+    #[should_panic(expected = "control message length 3 is not a multiple of k = 4")]
     fn queue_adaptive_control_rejects_a_partial_interval() {
-        CosSession::new(SessionConfig::default(), 1).queue_adaptive_control(bits(6));
+        CosSession::new(SessionConfig::default(), 1).queue_adaptive_control(vec![1, 0, 1]);
+    }
+
+    /// Every send kind draws from the one queue: a message queued with
+    /// `queue_control` rides adaptive frames and is confirmed by them,
+    /// and its retries count once. The benchmark's alias names reach
+    /// the same queue.
+    #[test]
+    #[allow(deprecated)]
+    fn adaptive_frames_carry_and_confirm_the_one_queue() {
+        let mut s = CosSession::new(SessionConfig { snr_db: 24.0, ..Default::default() }, 21);
+        s.send_packet_adaptive_summary(&[0xAB; 600]); // warm-up feedback
+        s.set_faults(
+            cos_channel::FaultEngine::new().with(FeedbackLoss::new(1.0, 7)).with_window(0, 2),
+        );
+        s.queue_control(bits(8));
+        for _ in 0..12 {
+            assert_eq!(s.arq_backlog(), s.adaptive_backlog());
+            s.send_packet_adaptive_summary(&[0xAB; 600]);
+        }
+        let stats = s.arq_stats();
+        assert_eq!((stats.enqueued, stats.delivered, s.arq_backlog()), (1, 1, 0), "{stats:?}");
+        assert!(stats.attempts >= 2, "the feedback blackout forced no retry: {stats:?}");
+        assert_eq!(s.metrics().arq_retries, stats.attempts - 1);
+        s.queue_adaptive_control(bits(8));
+        assert_eq!((s.arq_backlog(), s.arq_stats().enqueued), (1, 2));
+    }
+
+    /// A queued message no frame can carry — 64 one-bits span 257
+    /// control positions, a 30-byte frame at 54 Mbps offers 96 — leaves
+    /// its frames without silences instead of panicking, and the ARQ
+    /// drops it as failed after `arq_max_retries`. Per frame and through
+    /// the engine, for both queue-fed kinds.
+    #[test]
+    fn uncarriable_message_goes_unembedded_and_fails() {
+        use crate::engine::{BatchEngine, EngineConfig, SessionPool};
+        let cfg = SessionConfig {
+            rate: Some(DataRate::Mbps54),
+            snr_db: 26.0,
+            resilience: ResilienceConfig { arq_max_retries: 2, ..Default::default() },
+            ..Default::default()
+        };
+        let payload = [0x77; 30];
+        let mut pool = SessionPool::new();
+        let mut engine = BatchEngine::new(EngineConfig { threads: 1 });
+        let p = engine.add_payload(&payload);
+        for src in [ControlSource::Resilient, ControlSource::Adaptive] {
+            let mut s = CosSession::new(cfg.clone(), 5);
+            let id = pool.create(cfg.clone(), 5);
+            s.queue_control(vec![1; 64]);
+            pool.get_mut(id).unwrap().queue_control(vec![1; 64]);
+            for _ in 0..10 {
+                match src {
+                    ControlSource::Adaptive => engine.submit_adaptive(id, p),
+                    _ => engine.submit_resilient(id, p),
+                }
+            }
+            let out = engine.drain(&mut pool);
+            for (k, o) in out.iter().enumerate() {
+                let want = s.send(&payload, src);
+                assert_eq!(o.result, want, "{src:?} frame {k}");
+                let silences = match want {
+                    JobResult::Resilient(r) => r.packet.silences_sent,
+                    JobResult::Adaptive(a) => a.packet.silences_sent,
+                    other => unreachable!("{other:?}"),
+                };
+                if k == 0 {
+                    assert_eq!(silences, 0, "{src:?}: the first attempt embeds nothing");
+                }
+            }
+            let stats = s.arq_stats();
+            assert_eq!((stats.failed, stats.delivered, s.arq_backlog()), (1, 0, 0), "{stats:?}");
+            assert_eq!(pool.get(id).unwrap().arq_stats(), stats);
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ fn replay_station(trace: &StationTrace, cell: usize, station: usize) {
     let mut data = CosSession::new(trace.data_config.clone(), trace.data_seed);
     for (k, ev) in trace.data_events.iter().enumerate() {
         match ev {
-            DataEvent::QueueControl(bits) => data.queue_adaptive_control(bits.clone()),
+            DataEvent::QueueControl(bits) => data.queue_control(bits.clone()),
             DataEvent::Send { overlaps, summary } => {
                 let mut comp = OverlapComposer::new();
                 for o in overlaps {

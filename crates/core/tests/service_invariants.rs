@@ -10,7 +10,7 @@ use cos_core::service::{
     Rejected, ServiceConfig, ServiceCore, ServiceJobKind, ServiceResult, Ticket,
 };
 use cos_core::session::{CosSession, SessionConfig};
-use cos_core::{AdaptationConfig, EngineConfig, JobResult, ResilienceConfig};
+use cos_core::{EngineConfig, JobResult};
 use proptest::prelude::*;
 
 const PAYLOAD: [u8; 150] = [0x6B; 150];
@@ -51,12 +51,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 fn session_configs() -> [SessionConfig; 2] {
     [
         SessionConfig { snr_db: 22.0, ..SessionConfig::default() },
-        SessionConfig {
-            snr_db: 17.0,
-            resilience: Some(ResilienceConfig::default()),
-            adaptation: Some(AdaptationConfig::default()),
-            ..SessionConfig::default()
-        },
+        SessionConfig { snr_db: 17.0, ..SessionConfig::default() },
     ]
 }
 

@@ -211,19 +211,12 @@ pub struct TrialOutcome {
 }
 
 /// The adaptive contender's session config: the tuned controller plus a
-/// patient ARQ (`cfg.arq_max_retries`) feeding the adaptive path's
-/// control queue.
+/// patient ARQ (`cfg.arq_max_retries`) on the session's control queue.
 fn adaptive_session_config(cfg: &Config) -> SessionConfig {
     SessionConfig {
         snr_db: cfg.snr_hi_db,
-        adaptation: Some(AdaptationConfig {
-            max_budget: cfg.max_budget,
-            ..Default::default()
-        }),
-        resilience: Some(ResilienceConfig {
-            arq_max_retries: cfg.arq_max_retries,
-            ..Default::default()
-        }),
+        adaptation: AdaptationConfig { max_budget: cfg.max_budget, ..Default::default() },
+        resilience: ResilienceConfig { arq_max_retries: cfg.arq_max_retries, ..Default::default() },
         ..Default::default()
     }
 }
@@ -238,8 +231,8 @@ pub fn run_adaptive_trial(cfg: &Config, trial: usize) -> TrialOutcome {
         s.set_snr_db(drift_snr_db(cfg, p));
         // One message in flight at a time: a fresh offer waits for the
         // ARQ to resolve the previous one.
-        if p < stop && p % cfg.enqueue_every == 0 && s.adaptive_backlog() == 0 {
-            s.queue_adaptive_control(message_bits(trial, p, cfg.message_bits));
+        if p < stop && p % cfg.enqueue_every == 0 && s.arq_backlog() == 0 {
+            s.queue_control(message_bits(trial, p, cfg.message_bits));
         }
         let r = s.send_packet_adaptive_summary(&payload);
         out.packets += 1;
@@ -251,11 +244,11 @@ pub fn run_adaptive_trial(cfg: &Config, trial: usize) -> TrialOutcome {
             out.ok_bits += payload.len() as u64 * 8;
         }
     }
-    let stats = s.adaptive_arq_stats();
+    let stats = s.arq_stats();
     out.enqueued = stats.enqueued;
     out.delivered = stats.delivered;
     out.failed = stats.failed;
-    out.backlog = s.adaptive_backlog() as u64;
+    out.backlog = s.arq_backlog() as u64;
     out
 }
 
@@ -388,8 +381,8 @@ pub fn run_trace(cfg: &Config) -> Table {
     );
     for p in 0..cfg.packets {
         s.set_snr_db(drift_snr_db(cfg, p));
-        if p < stop && p % cfg.enqueue_every == 0 && s.adaptive_backlog() == 0 {
-            s.queue_adaptive_control(message_bits(0, p, cfg.message_bits));
+        if p < stop && p % cfg.enqueue_every == 0 && s.arq_backlog() == 0 {
+            s.queue_control(message_bits(0, p, cfg.message_bits));
         }
         let r = s.send_packet_adaptive_summary(&payload);
         table.push_row(vec![

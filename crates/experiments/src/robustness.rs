@@ -31,7 +31,7 @@ use cos_channel::{
     AgcTransient, BurstInterference, CfoDrift, CollisionOverlap, FaultEngine, FeedbackCorruption,
     FeedbackLoss, FeedbackStaleness, MidFrameTruncation,
 };
-use cos_core::resilience::{ArqHistograms, DegradeReason, LinkMode, ResilienceConfig};
+use cos_core::resilience::{ArqHistograms, DegradeReason, LinkMode};
 use cos_core::session::{CosSession, SessionConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -230,11 +230,7 @@ fn message_bits(trial: usize, packet: usize) -> Vec<u8> {
 /// Runs one trial of one scenario; never propagates a panic.
 pub fn run_trial(scenario: &Scenario, cfg: &Config, trial: usize) -> TrialResult {
     let seed = 0xC0DE_0000 + trial as u64 * 131;
-    let session_cfg = SessionConfig {
-        snr_db: cfg.snr_db,
-        resilience: Some(ResilienceConfig::default()),
-        ..Default::default()
-    };
+    let session_cfg = SessionConfig { snr_db: cfg.snr_db, ..Default::default() };
     let packets = cfg.packets;
     let enqueue_until = cfg.enqueue_until;
     let window = cfg.window;
@@ -299,7 +295,7 @@ pub fn run_trial(scenario: &Scenario, cfg: &Config, trial: usize) -> TrialResult
             recovery_sum,
             final_mode: Some(s.mode()),
             cos_after_close,
-            phy_errors: s.phy_errors().map_or(0, |t| t.total()),
+            phy_errors: s.phy_errors().total(),
             residual_backlog: s.arq_backlog() as u64,
             histograms: s.arq_histograms(),
         }

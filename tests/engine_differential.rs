@@ -257,7 +257,7 @@ fn lane_payloads() -> Vec<Vec<u8>> {
 
 fn queue_lane_controls(s: &mut CosSession) {
     s.queue_control(vec![1, 0, 0, 1, 1, 0, 1, 0]);
-    s.queue_adaptive_control(vec![0, 1, 1, 1]);
+    s.queue_control(vec![0, 1, 1, 1]);
 }
 
 /// The per-session reference of the dirty-lane run: plain sessions in
