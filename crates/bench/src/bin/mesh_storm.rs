@@ -41,14 +41,11 @@ fn storm_topology(ci: usize) -> MeshTopology {
 /// Cell config for cell `ci`: three quarters coordinated, one quarter
 /// CSMA baseline (uncoordinated cells must stay deterministic too).
 fn storm_config(ci: usize) -> MeshConfig {
-    let mut cfg = MeshConfig {
+    MeshConfig {
         seed: 0x4D45_5348u64.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(ci as u64),
+        coordinated: ci % 4 != 3,
         ..MeshConfig::default()
-    };
-    if ci % 4 == 3 {
-        cfg.coordination = None;
     }
-    cfg
 }
 
 struct StormResult {

@@ -60,7 +60,6 @@ fn storm_service_config(threads: usize) -> ServiceConfig {
         dead_letter_capacity: 32,
         batch_limit: 24,
         engine: EngineConfig { threads },
-        ..Default::default()
     }
 }
 

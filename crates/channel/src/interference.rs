@@ -6,8 +6,10 @@
 //! detection threshold, producing false negatives. The interferer here is
 //! wideband (it hits all subcarriers of the symbols it covers) and bursty:
 //! each OFDM-symbol-length window is independently covered with a given
-//! probability.
+//! probability. It is an [`Impairment`]: attach it to a link through a
+//! [`FaultEngine`](crate::impairment::FaultEngine).
 
+use crate::impairment::{Impairment, ImpairmentCtx};
 use cos_dsp::{Complex, GaussianSource};
 
 /// A random wideband pulse interferer.
@@ -62,6 +64,20 @@ impl PulseInterferer {
         let mut out = samples.to_vec();
         self.apply_in_place(&mut out);
         out
+    }
+}
+
+impl Impairment for PulseInterferer {
+    fn name(&self) -> &'static str {
+        "pulse_interference"
+    }
+
+    fn impair_waveform(&mut self, samples: &mut Vec<Complex>, _ctx: &ImpairmentCtx) {
+        self.apply_in_place(samples);
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Impairment> {
+        Box::new(self.clone())
     }
 }
 

@@ -1,5 +1,5 @@
-//! An end-to-end link: multipath channel + AWGN (+ optional interference)
-//! at a calibrated SNR.
+//! An end-to-end link: multipath channel + AWGN (+ optional impairments,
+//! interference among them) at a calibrated SNR.
 //!
 //! The link defines its SNR against the **nominal** transmit power of an
 //! 802.11a waveform (52 used bins over a 64-sample body ⇒ 52/64 per
@@ -11,7 +11,6 @@
 use crate::awgn::Awgn;
 use crate::calibration::Calibration;
 use crate::impairment::{FaultEngine, FeedbackFate, ImpairmentCtx};
-use crate::interference::PulseInterferer;
 use crate::multipath::{ChannelConfig, IndoorChannel};
 use crate::sounder::ChannelSounder;
 use cos_dsp::{db_to_linear, Complex, KernelMode};
@@ -26,7 +25,6 @@ pub const NOMINAL_TX_POWER: f64 = 52.0 / (64.0 * 64.0);
 pub struct Link {
     channel: IndoorChannel,
     awgn: Awgn,
-    interferer: Option<PulseInterferer>,
     snr_db: f64,
     /// Carrier frequency offset between the two radios' oscillators (Hz).
     cfo_hz: f64,
@@ -51,7 +49,6 @@ impl Link {
         Link {
             channel: IndoorChannel::new(config, seed),
             awgn: Awgn::new(noise_var, seed.wrapping_add(0x9E37_79B9_7F4A_7C15)),
-            interferer: None,
             snr_db,
             cfo_hz: 0.0,
             lead_in: 0,
@@ -73,12 +70,6 @@ impl Link {
     /// when the samples are consumed by `Receiver::receive_stream`).
     pub fn with_lead_in(mut self, samples: usize) -> Self {
         self.lead_in = samples;
-        self
-    }
-
-    /// Attaches a pulse interferer.
-    pub fn with_interferer(mut self, interferer: PulseInterferer) -> Self {
-        self.interferer = Some(interferer);
         self
     }
 
@@ -169,9 +160,9 @@ impl Link {
         ChannelSounder::new().actual_snr_db(&self.channel, self.per_subcarrier_snr0())
     }
 
-    /// Propagates a transmit waveform: channel convolution, CFO, optional
-    /// interference, injected faults, AWGN, with any configured noise-only
-    /// lead-in.
+    /// Propagates a transmit waveform: channel convolution, CFO, injected
+    /// faults (interference included), AWGN, with any configured
+    /// noise-only lead-in.
     pub fn transmit(&mut self, tx: &[Complex]) -> Vec<Complex> {
         let mut rx = Vec::new();
         self.transmit_into(tx, &mut rx);
@@ -194,9 +185,6 @@ impl Link {
                 *s *= rot;
                 rot *= rot_step;
             }
-        }
-        if let Some(interferer) = &mut self.interferer {
-            interferer.apply_in_place(rx);
         }
         if let Some(engine) = &mut self.faults {
             let ctx = ImpairmentCtx {
@@ -285,8 +273,9 @@ mod tests {
     fn interferer_raises_received_power() {
         let tx = vec![Complex::ZERO; 80 * 200];
         let mut quiet = Link::new(ChannelConfig::flat(), 20.0, 4);
-        let mut loud = Link::new(ChannelConfig::flat(), 20.0, 4)
-            .with_interferer(PulseInterferer::new(10.0, 0.5, 80, 99));
+        let mut loud = Link::new(ChannelConfig::flat(), 20.0, 4).with_faults(
+            FaultEngine::new().with(crate::interference::PulseInterferer::new(10.0, 0.5, 80, 99)),
+        );
         let p_quiet: f64 = quiet.transmit(&tx).iter().map(|x| x.norm_sqr()).sum();
         let p_loud: f64 = loud.transmit(&tx).iter().map(|x| x.norm_sqr()).sum();
         assert!(p_loud > 10.0 * p_quiet);

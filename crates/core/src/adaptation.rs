@@ -34,103 +34,60 @@
 
 use cos_phy::rates::DataRate;
 
-/// Tuning knobs for [`LinkAdaptationController`]. The defaults are
-/// calibrated against the simulated indoor channel (see
-/// `docs/ADAPTATION.md` for the reasoning behind each value).
-#[derive(Debug, Clone)]
-pub struct AdaptationConfig {
-    /// EWMA smoothing factor in `(0, 1]` for the SNR estimate; higher
-    /// tracks faster, lower smooths harder.
-    pub snr_alpha: f64,
-    /// Extra dB the EWMA must clear *above the next faster rate's*
-    /// minimum SNR before an upgrade is considered.
-    pub up_margin_db: f64,
-    /// dB the EWMA must fall *below the current rate's* minimum SNR
-    /// before a downgrade fires.
-    pub down_margin_db: f64,
-    /// Consecutive packets the upgrade condition must hold before the
-    /// staircase steps up one band.
-    pub up_dwell: u32,
-    /// Consecutive feedback misses before the controller falls back to
-    /// the slowest rate and restarts the probe search.
-    pub miss_fallback: u32,
-    /// The smallest silence budget (silent symbols per packet) — the
-    /// probe search's floor and restart point. Must be ≥ 2: one silence
-    /// terminates the interval code, so budget `b` carries
-    /// `(b − 1) · k` control bits.
-    pub base_budget: usize,
-    /// Silent symbols added per upward probe step.
-    pub probe_step: usize,
-    /// The largest budget the search will probe.
-    pub max_budget: usize,
-    /// Consecutive unconfirmed probes (RFC 8899 `MAX_PROBES`) before
-    /// the search completes at the last confirmed budget.
-    pub max_probes: u32,
-    /// Consecutive delivery failures tolerated at a *confirmed* budget
-    /// (state `SEARCH_COMPLETE`) before backing the budget off one step.
-    pub complete_fail_budget: u32,
-}
+// The policy's constants, calibrated against the simulated indoor
+// channel (`docs/ADAPTATION.md` gives the reasoning behind each value).
+// The probe ceiling is per session: `SessionConfig::max_budget`.
 
-impl Default for AdaptationConfig {
-    fn default() -> Self {
-        AdaptationConfig {
-            snr_alpha: 0.25,
-            up_margin_db: 1.5,
-            down_margin_db: 0.5,
-            up_dwell: 2,
-            miss_fallback: 4,
-            base_budget: 2,
-            probe_step: 4,
-            max_budget: 46,
-            max_probes: 3,
-            complete_fail_budget: 2,
-        }
-    }
-}
-
-impl AdaptationConfig {
-    /// The one rule per field: `Err` names the first field outside its
-    /// domain. The controller panics on it; the journal reader rejects
-    /// it.
-    pub(crate) fn validate(&self) -> Result<(), &'static str> {
-        let checks = [
-            (self.snr_alpha > 0.0 && self.snr_alpha <= 1.0, "snr_alpha"),
-            (self.base_budget >= 2, "base_budget"),
-            (self.probe_step >= 1, "probe_step"),
-            (self.max_budget >= self.base_budget, "max_budget"),
-            (self.max_probes >= 1, "max_probes"),
-            (self.up_dwell >= 1, "up_dwell"),
-            (self.miss_fallback >= 1, "miss_fallback"),
-        ];
-        match checks.into_iter().find(|&(ok, _)| !ok) {
-            Some((_, field)) => Err(field),
-            None => Ok(()),
-        }
-    }
-}
+/// EWMA smoothing factor in `(0, 1]` for the SNR estimate; higher tracks
+/// faster, lower smooths harder.
+pub const SNR_ALPHA: f64 = 0.25;
+/// Extra dB the EWMA must clear *above the next faster rate's* minimum
+/// SNR before an upgrade is considered.
+pub const UP_MARGIN_DB: f64 = 1.5;
+/// dB the EWMA must fall *below the current rate's* minimum SNR before a
+/// downgrade fires.
+pub const DOWN_MARGIN_DB: f64 = 0.5;
+/// Consecutive packets the upgrade condition must hold before the
+/// staircase steps up one band.
+pub const UP_DWELL: u32 = 2;
+/// Consecutive feedback misses before the controller falls back to the
+/// slowest rate and restarts the probe search.
+pub const MISS_FALLBACK: u32 = 4;
+/// The smallest silence budget (silent symbols per packet) — the probe
+/// search's floor and restart point. At least 2: one silence terminates
+/// the interval code, so budget `b` carries `(b − 1) · k` control bits.
+pub const BASE_BUDGET: usize = 2;
+/// Silent symbols added per upward probe step.
+pub const PROBE_STEP: usize = 4;
+/// Consecutive unconfirmed probes (RFC 8899 `MAX_PROBES`) before the
+/// search completes at the last confirmed budget.
+pub const MAX_PROBES: u32 = 3;
+/// Consecutive delivery failures tolerated at a *confirmed* budget (state
+/// `SEARCH_COMPLETE`) before backing the budget off one step.
+pub const COMPLETE_FAIL_BUDGET: u32 = 2;
 
 /// Exponentially weighted moving average over measured per-frame SNR.
 ///
 /// The first observation initialises the average directly (no warm-up
 /// bias); [`reset`](SnrEstimator::reset) returns to the uninitialised
-/// state, which is how a fallback forgets a stale channel estimate.
-#[derive(Debug, Clone)]
+/// state, which is how a fallback forgets a stale channel estimate. The
+/// smoothing factor is [`SNR_ALPHA`].
+#[derive(Debug, Clone, Default)]
 pub struct SnrEstimator {
-    alpha: f64,
     ewma: Option<f64>,
 }
 
 impl SnrEstimator {
-    /// Creates an estimator with smoothing factor `alpha` in `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        SnrEstimator { alpha, ewma: None }
+    /// Creates an estimator with no observation yet.
+    pub fn new() -> Self {
+        SnrEstimator::default()
     }
 
     /// Folds one measured SNR into the average and returns the updated
     /// estimate.
     pub fn observe(&mut self, measured_snr_db: f64) -> f64 {
         let next = match self.ewma {
-            Some(prev) => prev + self.alpha * (measured_snr_db - prev),
+            Some(prev) => prev + SNR_ALPHA * (measured_snr_db - prev),
             None => measured_snr_db,
         };
         self.ewma = Some(next);
@@ -168,32 +125,28 @@ pub enum StaircaseEvent {
 ///
 /// States are the 8 bands of [`DataRate::ALL`] plus an *unacquired*
 /// flag; transitions are `Acquire` (first estimate → direct stair-case
-/// selection), `Upgrade` (one band up after `up_dwell` consecutive
-/// packets clear the next band's threshold + `up_margin_db`),
+/// selection), `Upgrade` (one band up after [`UP_DWELL`] consecutive
+/// packets clear the next band's threshold + [`UP_MARGIN_DB`]),
 /// `Downgrade` (straight to the stair-case selection once the estimate
-/// falls `down_margin_db` below the current band), and `Fallback`
+/// falls [`DOWN_MARGIN_DB`] below the current band), and `Fallback`
 /// (external: feedback starvation drops to 6 Mbps, unacquired).
 #[derive(Debug, Clone)]
 pub struct RateStaircase {
-    up_margin_db: f64,
-    down_margin_db: f64,
-    up_dwell: u32,
     rate: DataRate,
     streak: u32,
     acquired: bool,
 }
 
+impl Default for RateStaircase {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl RateStaircase {
     /// Starts at the slowest rate, unacquired (no SNR estimate yet).
-    pub fn new(cfg: &AdaptationConfig) -> Self {
-        RateStaircase {
-            up_margin_db: cfg.up_margin_db,
-            down_margin_db: cfg.down_margin_db,
-            up_dwell: cfg.up_dwell,
-            rate: DataRate::Mbps6,
-            streak: 0,
-            acquired: false,
-        }
+    pub fn new() -> Self {
+        RateStaircase { rate: DataRate::Mbps6, streak: 0, acquired: false }
     }
 
     /// The currently selected rate.
@@ -218,7 +171,7 @@ impl RateStaircase {
             self.rate = selected;
             return event;
         }
-        if ewma_snr_db < self.rate.min_snr_db() - self.down_margin_db {
+        if ewma_snr_db < self.rate.min_snr_db() - DOWN_MARGIN_DB {
             let target = DataRate::select(ewma_snr_db);
             if target < self.rate {
                 self.rate = target;
@@ -227,9 +180,9 @@ impl RateStaircase {
             }
         }
         if let Some(next) = self.rate.faster() {
-            if ewma_snr_db >= next.min_snr_db() + self.up_margin_db {
+            if ewma_snr_db >= next.min_snr_db() + UP_MARGIN_DB {
                 self.streak += 1;
-                if self.streak >= self.up_dwell {
+                if self.streak >= UP_DWELL {
                     self.rate = next;
                     self.streak = 0;
                     return StaircaseEvent::Upgrade;
@@ -296,14 +249,11 @@ pub enum ProbeEvent {
 }
 
 /// The silence-budget probe search (RFC 8899 PLPMTU loop, transplanted
-/// from bytes-per-datagram to silent-symbols-per-packet).
+/// from bytes-per-datagram to silent-symbols-per-packet): from
+/// [`BASE_BUDGET`] upward in [`PROBE_STEP`]s to a ceiling.
 #[derive(Debug, Clone)]
 pub struct SilenceProbeSearch {
-    base: usize,
-    step: usize,
     max: usize,
-    max_probes: u32,
-    complete_fail_budget: u32,
     state: ProbeState,
     confirmed: usize,
     probed: usize,
@@ -313,14 +263,11 @@ pub struct SilenceProbeSearch {
 
 impl SilenceProbeSearch {
     /// Starts searching with the base budget confirmed and the first
-    /// probe one step above it.
-    pub fn new(cfg: &AdaptationConfig) -> Self {
+    /// probe one step above it, below the ceiling `max_budget` (floored at
+    /// the base budget).
+    pub fn new(max_budget: usize) -> Self {
         let mut s = SilenceProbeSearch {
-            base: cfg.base_budget,
-            step: cfg.probe_step,
-            max: cfg.max_budget,
-            max_probes: cfg.max_probes,
-            complete_fail_budget: cfg.complete_fail_budget,
+            max: max_budget.max(BASE_BUDGET),
             state: ProbeState::Searching,
             confirmed: 0,
             probed: 0,
@@ -333,11 +280,11 @@ impl SilenceProbeSearch {
 
     fn reset(&mut self) {
         self.state = ProbeState::Searching;
-        self.confirmed = self.base;
-        self.probed = (self.base + self.step).min(self.max);
+        self.confirmed = BASE_BUDGET;
+        self.probed = (BASE_BUDGET + PROBE_STEP).min(self.max);
         self.probe_count = 0;
         self.complete_fails = 0;
-        if self.base == self.max {
+        if self.max == BASE_BUDGET {
             // Nothing to probe: the search space is a single budget.
             self.state = ProbeState::SearchComplete;
         }
@@ -375,12 +322,12 @@ impl SilenceProbeSearch {
                         self.state = ProbeState::SearchComplete;
                         ProbeEvent::Completed
                     } else {
-                        self.probed = (self.probed + self.step).min(self.max);
+                        self.probed = (self.probed + PROBE_STEP).min(self.max);
                         ProbeEvent::Confirmed
                     }
                 } else {
                     self.probe_count += 1;
-                    if self.probe_count >= self.max_probes {
+                    if self.probe_count >= MAX_PROBES {
                         self.state = ProbeState::SearchComplete;
                         self.probe_count = 0;
                         ProbeEvent::Completed
@@ -395,9 +342,9 @@ impl SilenceProbeSearch {
                     ProbeEvent::Hold
                 } else {
                     self.complete_fails += 1;
-                    if self.complete_fails > self.complete_fail_budget {
+                    if self.complete_fails > COMPLETE_FAIL_BUDGET {
                         self.complete_fails = 0;
-                        self.confirmed = self.confirmed.saturating_sub(self.step).max(self.base);
+                        self.confirmed = self.confirmed.saturating_sub(PROBE_STEP).max(BASE_BUDGET);
                         ProbeEvent::BackedOff
                     } else {
                         ProbeEvent::Hold
@@ -428,7 +375,7 @@ impl SilenceProbeSearch {
     /// from the confirmed budget. A no-op ceiling (same value) leaves the
     /// search entirely untouched, so callers may re-assert a grant freely.
     pub fn set_max(&mut self, ceiling: usize) {
-        let ceiling = ceiling.max(self.base);
+        let ceiling = ceiling.max(BASE_BUDGET);
         if ceiling == self.max {
             return;
         }
@@ -441,7 +388,7 @@ impl SilenceProbeSearch {
             self.state = ProbeState::SearchComplete;
         } else {
             self.state = ProbeState::Searching;
-            self.probed = (self.confirmed + self.step).min(self.max);
+            self.probed = (self.confirmed + PROBE_STEP).min(self.max);
         }
     }
 }
@@ -466,7 +413,6 @@ pub struct AdaptationEvents {
 /// observation sequence.
 #[derive(Debug, Clone)]
 pub struct LinkAdaptationController {
-    cfg: AdaptationConfig,
     snr: SnrEstimator,
     staircase: RateStaircase,
     search: SilenceProbeSearch,
@@ -478,20 +424,16 @@ pub struct LinkAdaptationController {
 
 impl LinkAdaptationController {
     /// Creates a controller in its reset state: slowest rate, base
-    /// silence budget, no SNR estimate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` is inconsistent (see [`AdaptationConfig`] field
-    /// constraints).
-    pub fn new(cfg: AdaptationConfig) -> Self {
-        if let Err(field) = cfg.validate() {
-            panic!("AdaptationConfig::{field} out of range in {cfg:?}");
+    /// silence budget, no SNR estimate; the probe search climbs to
+    /// `max_budget` (floored at [`BASE_BUDGET`]).
+    pub fn new(max_budget: usize) -> Self {
+        LinkAdaptationController {
+            snr: SnrEstimator::new(),
+            staircase: RateStaircase::new(),
+            search: SilenceProbeSearch::new(max_budget),
+            misses: 0,
+            rate_cap: None,
         }
-        let snr = SnrEstimator::new(cfg.snr_alpha);
-        let staircase = RateStaircase::new(&cfg);
-        let search = SilenceProbeSearch::new(&cfg);
-        LinkAdaptationController { cfg, snr, staircase, search, misses: 0, rate_cap: None }
     }
 
     /// The rate the next packet should use: the staircase's selection,
@@ -585,7 +527,7 @@ impl LinkAdaptationController {
             }
             None => {
                 self.misses += 1;
-                if self.misses >= self.cfg.miss_fallback {
+                if self.misses >= MISS_FALLBACK {
                     self.misses = 0;
                     if self.staircase.acquired() || self.staircase.rate() != DataRate::Mbps6 {
                         events.staircase = self.staircase.fallback();
@@ -607,13 +549,12 @@ impl LinkAdaptationController {
 mod tests {
     use super::*;
 
-    fn cfg() -> AdaptationConfig {
-        AdaptationConfig::default()
-    }
+    /// The default session's probe ceiling.
+    const MAX: usize = 46;
 
     #[test]
     fn estimator_first_observation_initialises_directly() {
-        let mut e = SnrEstimator::new(0.25);
+        let mut e = SnrEstimator::new();
         assert_eq!(e.value(), None);
         assert_eq!(e.observe(20.0), 20.0);
         // 20 + 0.25·(24 − 20) = 21.
@@ -624,11 +565,11 @@ mod tests {
 
     #[test]
     fn staircase_acquires_directly_then_steps() {
-        let mut s = RateStaircase::new(&cfg());
+        let mut s = RateStaircase::new();
         assert_eq!(s.rate(), DataRate::Mbps6);
         assert_eq!(s.observe(17.0), StaircaseEvent::Acquire);
         assert_eq!(s.rate(), DataRate::Mbps36); // select(17) = 36 Mbps (min 16.5)
-        // Upgrade to 48 Mbps (min 20.5) needs ≥ 22.0 for up_dwell = 2 packets.
+        // Upgrade to 48 Mbps (min 20.5) needs ≥ 22.0 for UP_DWELL = 2 packets.
         assert_eq!(s.observe(22.5), StaircaseEvent::Hold);
         assert_eq!(s.observe(22.5), StaircaseEvent::Upgrade);
         assert_eq!(s.rate(), DataRate::Mbps48);
@@ -636,7 +577,7 @@ mod tests {
 
     #[test]
     fn staircase_downgrade_is_immediate_and_multi_band() {
-        let mut s = RateStaircase::new(&cfg());
+        let mut s = RateStaircase::new();
         s.observe(23.0);
         assert_eq!(s.rate(), DataRate::Mbps54);
         // A collapse straight past several bands downgrades in one step.
@@ -652,7 +593,7 @@ mod tests {
         let eps = 0.3; // < both margins (up 1.5 dB, down 0.5 dB)
 
         // Sitting just below the edge at 24 Mbps: never upgrades.
-        let mut below = RateStaircase::new(&cfg());
+        let mut below = RateStaircase::new();
         below.observe(edge - eps);
         assert_eq!(below.rate(), DataRate::Mbps24);
         for i in 0..64 {
@@ -662,7 +603,7 @@ mod tests {
         }
 
         // Sitting just above the edge at 36 Mbps: never downgrades.
-        let mut above = RateStaircase::new(&cfg());
+        let mut above = RateStaircase::new();
         above.observe(edge + 2.0); // acquire at 36 Mbps
         assert_eq!(above.rate(), DataRate::Mbps36);
         for i in 0..64 {
@@ -674,8 +615,7 @@ mod tests {
 
     #[test]
     fn probe_search_climbs_to_max_and_completes() {
-        let c = cfg(); // base 2, step 4, max 46
-        let mut p = SilenceProbeSearch::new(&c);
+        let mut p = SilenceProbeSearch::new(MAX); // base 2, step 4, max 46
         assert_eq!(p.state(), ProbeState::Searching);
         assert_eq!(p.target_budget(), 6);
         let mut budgets = vec![];
@@ -696,8 +636,7 @@ mod tests {
 
     #[test]
     fn probe_search_max_probes_converges_at_confirmed() {
-        let c = cfg(); // max_probes 3
-        let mut p = SilenceProbeSearch::new(&c);
+        let mut p = SilenceProbeSearch::new(MAX); // MAX_PROBES 3
         assert_eq!(p.observe(true), ProbeEvent::Confirmed); // 6 confirmed
         assert_eq!(p.target_budget(), 10);
         assert_eq!(p.observe(false), ProbeEvent::Failed);
@@ -710,8 +649,7 @@ mod tests {
 
     #[test]
     fn probe_search_backs_off_after_confirmed_failures() {
-        let c = cfg(); // complete_fail_budget 2
-        let mut p = SilenceProbeSearch::new(&c);
+        let mut p = SilenceProbeSearch::new(MAX); // COMPLETE_FAIL_BUDGET 2
         for _ in 0..3 {
             p.observe(true); // confirm 6, 10, 14
         }
@@ -731,8 +669,7 @@ mod tests {
 
     #[test]
     fn probe_search_restart_returns_to_base() {
-        let c = cfg();
-        let mut p = SilenceProbeSearch::new(&c);
+        let mut p = SilenceProbeSearch::new(MAX);
         for _ in 0..4 {
             p.observe(true);
         }
@@ -744,7 +681,7 @@ mod tests {
 
     #[test]
     fn controller_band_change_restarts_search_and_ignores_ack() {
-        let mut c = LinkAdaptationController::new(cfg());
+        let mut c = LinkAdaptationController::new(MAX);
         c.observe(Some(17.0), true, true); // acquire 36 Mbps; ack ignored (band change)
         assert_eq!(c.rate(), DataRate::Mbps36);
         assert_eq!(c.target_budget(), 6); // still the first probe target
@@ -760,7 +697,7 @@ mod tests {
 
     #[test]
     fn controller_falls_back_after_feedback_starvation() {
-        let mut c = LinkAdaptationController::new(cfg());
+        let mut c = LinkAdaptationController::new(MAX);
         c.observe(Some(23.0), true, true);
         assert_eq!(c.rate(), DataRate::Mbps54);
         let mut fell = false;
@@ -768,7 +705,7 @@ mod tests {
             let ev = c.observe(None, false, true);
             fell |= ev.staircase == StaircaseEvent::Fallback;
         }
-        assert!(fell, "miss_fallback misses must trigger fallback");
+        assert!(fell, "MISS_FALLBACK misses must trigger fallback");
         assert_eq!(c.rate(), DataRate::Mbps6);
         assert_eq!(c.ewma_snr_db(), None);
         assert_eq!(c.target_budget(), 6); // search restarted
@@ -776,7 +713,7 @@ mod tests {
 
     #[test]
     fn controller_clamped_packets_do_not_advance_the_search() {
-        let mut c = LinkAdaptationController::new(cfg());
+        let mut c = LinkAdaptationController::new(MAX);
         c.observe(Some(17.0), true, true); // acquire
         let before = c.target_budget();
         // A clamped packet (carried_full_budget = false) says nothing
@@ -788,7 +725,7 @@ mod tests {
 
     #[test]
     fn rate_cap_clamps_without_disturbing_the_staircase() {
-        let mut c = LinkAdaptationController::new(cfg());
+        let mut c = LinkAdaptationController::new(MAX);
         c.observe(Some(23.0), true, true);
         assert_eq!(c.rate(), DataRate::Mbps54);
         c.set_rate_cap(Some(DataRate::Mbps12));
@@ -801,7 +738,7 @@ mod tests {
         c.set_rate_cap(None);
         assert_eq!(c.rate(), DataRate::Mbps54);
         // A cap above the selection is inert.
-        let mut low = LinkAdaptationController::new(cfg());
+        let mut low = LinkAdaptationController::new(MAX);
         low.observe(Some(9.0), true, true); // 12 Mbps
         low.set_rate_cap(Some(DataRate::Mbps54));
         assert_eq!(low.rate(), DataRate::Mbps12);
@@ -809,8 +746,7 @@ mod tests {
 
     #[test]
     fn budget_ceiling_lowers_and_resumes_search() {
-        let c = cfg(); // base 2, step 4, max 46
-        let mut p = SilenceProbeSearch::new(&c);
+        let mut p = SilenceProbeSearch::new(MAX); // base 2, step 4, max 46
         for _ in 0..3 {
             p.observe(true); // confirm 6, 10, 14; target 18
         }
@@ -837,7 +773,7 @@ mod tests {
 
     #[test]
     fn controller_budget_ceiling_routes_to_the_search() {
-        let mut c = LinkAdaptationController::new(cfg());
+        let mut c = LinkAdaptationController::new(MAX);
         c.observe(Some(17.0), true, true); // acquire
         c.observe(Some(17.0), true, true); // confirm 6
         c.set_budget_ceiling(8);
@@ -854,7 +790,7 @@ mod tests {
             })
             .collect();
         let run = || {
-            let mut c = LinkAdaptationController::new(cfg());
+            let mut c = LinkAdaptationController::new(MAX);
             for &(snr, ack) in &seq {
                 c.observe(snr, ack, true);
             }

@@ -94,7 +94,7 @@ pub mod subcarrier_select;
 pub mod validation;
 
 pub use adaptation::{
-    AdaptationConfig, AdaptationEvents, LinkAdaptationController, ProbeEvent, ProbeState,
+    AdaptationEvents, LinkAdaptationController, ProbeEvent, ProbeState,
     RateStaircase, SilenceProbeSearch, SnrEstimator, StaircaseEvent,
 };
 pub use control_rate::ControlRateTable;
@@ -105,13 +105,13 @@ pub use engine::{
 };
 pub use interval::IntervalCodec;
 pub use mesh::{
-    CoordinationConfig, CoordinationPolicy, MediumConfig, MediumScheduler, MeshCommand,
+    CoordinationPolicy, MediumScheduler, MeshCommand,
     MeshConfig, MeshNet, MeshReport, MeshTopology, StationReport,
 };
 pub use power_controller::PowerController;
 pub use resilience::{
     ArqHistograms, ArqStats, ControlArq, DegradedModeController, LinkMode, ModeTransition,
-    PhyErrorTally, ResilienceConfig, ThresholdRecalibrator,
+    PhyErrorTally, ThresholdRecalibrator,
 };
 pub use service::journal::{JournalError, ReplayJournal, ReplayReport};
 pub use service::{

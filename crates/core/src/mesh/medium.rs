@@ -36,23 +36,15 @@ use super::topology::MeshTopology;
 /// One DCF mini-slot (the 802.11a slot time), in microseconds.
 pub const MINISLOT_US: f64 = 9.0;
 
-/// Contention-window tuning for the DCF arbiter.
-#[derive(Debug, Clone, Copy)]
-pub struct MediumConfig {
-    /// Initial (and post-success) contention window, in mini-slots.
-    pub cw_min: u32,
-    /// Upper clamp of the binary exponential backoff.
-    pub cw_max: u32,
-}
+// The contention windows are deliberately smaller than 802.11a's
+// 15/1023: a simulated cell of tens of stations should exhibit contention
+// within hundreds of ticks, not tens of thousands.
 
-impl Default for MediumConfig {
-    fn default() -> Self {
-        // Deliberately smaller than 802.11a's 15/1023: a simulated cell
-        // of tens of stations should exhibit contention within hundreds
-        // of ticks, not tens of thousands.
-        MediumConfig { cw_min: 8, cw_max: 64 }
-    }
-}
+/// Initial (and post-success) contention window, in mini-slots.
+pub const CW_MIN: u32 = 8;
+
+/// Upper clamp of the binary exponential backoff, in mini-slots.
+pub const CW_MAX: u32 = 64;
 
 /// Per-station medium state.
 #[derive(Debug, Clone, Copy)]
@@ -110,7 +102,6 @@ impl SlotPlan {
 /// arbitration rules.
 #[derive(Debug, Clone)]
 pub struct MediumScheduler {
-    cfg: MediumConfig,
     seed: u64,
     stations: Vec<StationMedium>,
     /// Scratch: (residual, station) of non-winning contenders.
@@ -120,9 +111,8 @@ pub struct MediumScheduler {
 impl MediumScheduler {
     /// An arbiter for `n` stations, each with its own draw stream mixed
     /// from `seed`.
-    pub fn new(n: usize, cfg: MediumConfig, seed: u64) -> Self {
-        assert!(cfg.cw_min >= 1 && cfg.cw_max >= cfg.cw_min, "invalid contention windows");
-        let mut s = MediumScheduler { cfg, seed, stations: Vec::with_capacity(n), scratch: Vec::new() };
+    pub fn new(n: usize, seed: u64) -> Self {
+        let mut s = MediumScheduler { seed, stations: Vec::with_capacity(n), scratch: Vec::new() };
         for i in 0..n {
             s.stations.push(s.fresh_station(i, 0));
         }
@@ -131,10 +121,10 @@ impl MediumScheduler {
 
     fn fresh_station(&self, station: usize, generation: u64) -> StationMedium {
         let mut rng = splitmix64(self.seed ^ splitmix64(station as u64 ^ splitmix64(generation)));
-        let backoff = draw(&mut rng, self.cfg.cw_min);
+        let backoff = draw(&mut rng, CW_MIN);
         StationMedium {
             backoff,
-            cw: self.cfg.cw_min,
+            cw: CW_MIN,
             rng,
             muted_until: 0,
             tdma: None,
@@ -277,10 +267,9 @@ impl MediumScheduler {
     /// success resets the contention window, failure doubles it
     /// (binary exponential backoff); either way a fresh counter is drawn.
     pub fn record_tx(&mut self, i: usize, success: bool) {
-        let cfg = self.cfg;
         let st = &mut self.stations[i];
         st.attempts += 1;
-        st.cw = if success { cfg.cw_min } else { (st.cw.saturating_mul(2)).min(cfg.cw_max) };
+        st.cw = if success { CW_MIN } else { (st.cw.saturating_mul(2)).min(CW_MAX) };
         st.backoff = draw(&mut st.rng, st.cw);
     }
 
@@ -368,7 +357,7 @@ mod tests {
     #[test]
     fn single_station_always_wins_after_its_backoff() {
         let topo = MeshTopology::fully_connected(1, 20.0);
-        let mut s = MediumScheduler::new(1, MediumConfig::default(), 7);
+        let mut s = MediumScheduler::new(1, 7);
         let plan = s.arbitrate(0, &topo, &frames(1, 100));
         assert_eq!(plan.transmitters, vec![SlotTx { station: 0, start_minislot: 0 }]);
         assert!(plan.wait_minislots >= 1, "draws are never zero");
@@ -378,7 +367,7 @@ mod tests {
     #[test]
     fn mutual_hearers_defer_instead_of_colliding() {
         let topo = MeshTopology::fully_connected(2, 20.0);
-        let mut s = MediumScheduler::new(2, MediumConfig::default(), 3);
+        let mut s = MediumScheduler::new(2, 3);
         s.set_backoff(0, 2);
         s.set_backoff(1, 5);
         let plan = s.arbitrate(0, &topo, &frames(2, 100));
@@ -398,7 +387,7 @@ mod tests {
         // B's counter runs out 2 mini-slots into A's frame.
         let mut topo = MeshTopology::fully_connected(3, 20.0);
         topo.hide_pair(0, 1);
-        let mut s = MediumScheduler::new(3, MediumConfig::default(), 1);
+        let mut s = MediumScheduler::new(3, 1);
         s.set_backoff(0, 1);
         s.set_backoff(1, 3);
         s.set_backoff(2, 2);
@@ -419,7 +408,7 @@ mod tests {
     fn hidden_station_with_long_counter_counts_through() {
         let mut topo = MeshTopology::fully_connected(2, 20.0);
         topo.hide_pair(0, 1);
-        let mut s = MediumScheduler::new(2, MediumConfig::default(), 1);
+        let mut s = MediumScheduler::new(2, 1);
         s.set_backoff(0, 1);
         s.set_backoff(1, 500); // outlasts the 100-minislot frame
         let plan = s.arbitrate(0, &topo, &frames(2, 100));
@@ -434,7 +423,7 @@ mod tests {
     #[test]
     fn tdma_owner_seizes_its_phase_and_others_freeze() {
         let topo = MeshTopology::fully_connected(2, 20.0);
-        let mut s = MediumScheduler::new(2, MediumConfig::default(), 9);
+        let mut s = MediumScheduler::new(2, 9);
         s.set_tdma(0, Some((1, 4)));
         s.set_backoff(1, 7);
         // Tick 1 is station 0's phase: it owns the tick, station 1 hears
@@ -451,7 +440,7 @@ mod tests {
     #[test]
     fn muted_station_sits_out_until_expiry() {
         let topo = MeshTopology::fully_connected(1, 20.0);
-        let mut s = MediumScheduler::new(1, MediumConfig::default(), 5);
+        let mut s = MediumScheduler::new(1, 5);
         s.mute(0, 3);
         assert!(s.is_muted(0, 2));
         assert!(s.arbitrate(2, &topo, &frames(1, 10)).is_idle());
@@ -461,21 +450,23 @@ mod tests {
 
     #[test]
     fn backoff_doubles_on_failure_and_resets_on_success() {
-        let mut s = MediumScheduler::new(1, MediumConfig { cw_min: 4, cw_max: 16 }, 2);
+        let mut s = MediumScheduler::new(1, 2);
+        let mut cw = CW_MIN;
         for _ in 0..10 {
             s.record_tx(0, false);
-            assert!(s.stations[0].cw <= 16);
+            cw = (cw * 2).min(CW_MAX);
+            assert_eq!(s.stations[0].cw, cw, "doubles, clamped at CW_MAX");
         }
-        assert_eq!(s.stations[0].cw, 16, "clamped at cw_max");
+        assert_eq!(s.stations[0].cw, CW_MAX);
         s.record_tx(0, true);
-        assert_eq!(s.stations[0].cw, 4);
+        assert_eq!(s.stations[0].cw, CW_MIN);
         assert!(s.stations[0].backoff >= 1);
     }
 
     #[test]
     fn saturated_csma_cell_starves_nobody() {
         let topo = MeshTopology::fully_connected(5, 20.0);
-        let mut s = MediumScheduler::new(5, MediumConfig::default(), 11);
+        let mut s = MediumScheduler::new(5, 11);
         for tick in 0..200 {
             let plan = s.arbitrate(tick, &topo, &frames(5, 120));
             let collided = plan.transmitters.len() > 1;
@@ -490,7 +481,7 @@ mod tests {
 
     #[test]
     fn reset_station_clears_tdma_mute_and_counters() {
-        let mut s = MediumScheduler::new(2, MediumConfig::default(), 4);
+        let mut s = MediumScheduler::new(2, 4);
         s.set_tdma(1, Some((0, 2)));
         s.mute(1, 100);
         s.record_tx(1, false);
@@ -498,14 +489,14 @@ mod tests {
         assert_eq!(s.tdma(1), None);
         assert!(!s.is_muted(1, 0));
         assert_eq!(s.attempts(1), 0);
-        assert_eq!(s.stations[1].cw, MediumConfig::default().cw_min);
+        assert_eq!(s.stations[1].cw, CW_MIN);
     }
 
     #[test]
     fn arbitration_is_deterministic() {
         let topo = MeshTopology::hidden_clusters(6, 2, 20.0);
         let run = || {
-            let mut s = MediumScheduler::new(6, MediumConfig::default(), 21);
+            let mut s = MediumScheduler::new(6, 21);
             let mut log = Vec::new();
             for tick in 0..100 {
                 let plan = s.arbitrate(tick, &topo, &frames(6, 90));

@@ -34,11 +34,11 @@ pub mod net;
 pub mod policy;
 pub mod topology;
 
-pub use medium::{MediumConfig, MediumScheduler, SlotPlan, SlotTx, MINISLOT_US};
+pub use medium::{MediumScheduler, SlotPlan, SlotTx, MINISLOT_US};
 pub use net::{
     CtlEvent, DataEvent, MeshConfig, MeshNet, MeshReport, StationReport, StationTrace,
 };
-pub use policy::{CoordinationConfig, CoordinationPolicy, MeshCommand, PolicyPhase, SlotResult};
+pub use policy::{CoordinationPolicy, MeshCommand, PolicyPhase, SlotResult};
 pub use topology::MeshTopology;
 
 /// SplitMix64 — the crate-internal seed mixer: deterministic, stateless,

@@ -42,10 +42,9 @@ use super::topology::MeshTopology;
 use crate::engine::{
     BatchEngine, EngineConfig, JobOutcome, JobResult, PayloadId, SessionPool,
 };
-use crate::mesh::medium::MediumConfig;
-use crate::mesh::policy::CoordinationConfig;
-use crate::resilience::ResilienceConfig;
-use crate::session::{AdaptiveSummary, Fnv, ResilientSummary, SessionConfig, SessionMetrics};
+use crate::session::{
+    AdaptiveSummary, Fnv, ResilientSummary, SessionConfig, SessionMetrics, BITS_PER_INTERVAL,
+};
 use cos_channel::{FaultEngine, Overlap, OverlapComposer};
 use cos_phy::rates::DataRate;
 use std::collections::VecDeque;
@@ -59,55 +58,45 @@ const IDLE_TICK_US: f64 = 34.0;
 /// SIFS + ACK overhead charged per busy tick, in microseconds.
 const ACK_OVERHEAD_US: f64 = 50.0;
 
+/// Beacon (control downlink) payload, in bytes.
+pub const BEACON_PAYLOAD_LEN: usize = 64;
+
+/// Beacon cadence: command-carrying beacon ticks happen when
+/// `tick % BEACON_PERIOD == 0` and commands are pending.
+pub const BEACON_PERIOD: u64 = 8;
+
+/// Fixed rate of the control subsessions (beacons).
+pub const CTL_RATE: DataRate = DataRate::Mbps6;
+
+/// Length of the periodic uplink control message each station rides on
+/// its own frames, in bits (whole k = 4 intervals).
+pub const UPLINK_CONTROL_BITS: usize = 8;
+const _: () = assert!(UPLINK_CONTROL_BITS.is_multiple_of(BITS_PER_INTERVAL));
+
+/// A station queues an uplink control message every this many of its own
+/// transmissions (when its queue is drained).
+pub const UPLINK_CONTROL_EVERY: u64 = 4;
+
+/// The ARQ retry bound of both station sessions: generous, so uplink
+/// control survives contention. The control subsession retries on the
+/// next beacon (the ARQ backs off one packet first).
+pub const STATION_ARQ_MAX_RETRIES: u32 = 32;
+
 /// Configuration of one mesh cell.
 #[derive(Debug, Clone)]
 pub struct MeshConfig {
     /// Cell seed — every per-station seed is mixed from it.
     pub seed: u64,
-    /// DCF contention-window tuning.
-    pub medium: MediumConfig,
-    /// AP coordination policy; `None` runs the uncoordinated baseline
-    /// (pure CSMA, no commands ever).
-    pub coordination: Option<CoordinationConfig>,
+    /// Whether the AP runs the [`CoordinationPolicy`]; `false` runs the
+    /// uncoordinated baseline (pure CSMA, no commands ever).
+    pub coordinated: bool,
     /// Uplink data payload per frame, in bytes.
     pub payload_len: usize,
-    /// Beacon (control downlink) payload, in bytes.
-    pub beacon_payload_len: usize,
-    /// Beacon cadence: command-carrying beacon ticks happen when
-    /// `tick % beacon_period == 0` and commands are pending.
-    pub beacon_period: u64,
-    /// Fixed rate of the control subsessions (beacons).
-    pub ctl_rate: DataRate,
-    /// Length of the periodic uplink control message each station rides
-    /// on its own frames (bits; multiple of k = 4; 0 disables).
-    pub uplink_control_bits: usize,
-    /// A station queues an uplink control message every this many of its
-    /// own transmissions (when its queue is drained).
-    pub uplink_control_every: u64,
-    /// Session template. Per-station SNR and rate pinning are set per
-    /// plane, and the control subsession retries on the next beacon
-    /// (`arq_backoff` 1).
-    pub session: SessionConfig,
 }
 
 impl Default for MeshConfig {
     fn default() -> Self {
-        MeshConfig {
-            seed: 1,
-            medium: MediumConfig::default(),
-            coordination: Some(CoordinationConfig::default()),
-            payload_len: 256,
-            beacon_payload_len: 64,
-            beacon_period: 8,
-            ctl_rate: DataRate::Mbps6,
-            uplink_control_bits: 8,
-            uplink_control_every: 4,
-            session: SessionConfig {
-                // Generous ARQ so uplink control survives contention.
-                resilience: ResilienceConfig { arq_max_retries: 32, ..ResilienceConfig::default() },
-                ..SessionConfig::default()
-            },
-        }
+        MeshConfig { seed: 1, coordinated: true, payload_len: 256 }
     }
 }
 
@@ -380,30 +369,21 @@ impl MeshNet {
     ///
     /// # Panics
     ///
-    /// Panics after stepping has begun, on an empty topology, or on a
-    /// config whose uplink control length is not a whole number of k = 4
-    /// intervals.
+    /// Panics after stepping has begun or on an empty topology.
     pub fn add_cell(&mut self, topo: MeshTopology, cfg: MeshConfig) -> usize {
         assert_eq!(self.tick, 0, "add cells before stepping");
         let n = topo.n_stations();
         assert!(n > 0, "a cell needs at least one station");
-        assert!(cfg.beacon_period >= 1, "beacon period must be at least 1");
-        assert_eq!(
-            cfg.uplink_control_bits % cfg.session.bits_per_interval.max(1),
-            0,
-            "uplink control bits must fill whole intervals"
-        );
         let payload_bytes: Vec<u8> =
             (0..cfg.payload_len).map(|k| (splitmix64(cfg.seed ^ k as u64) & 0xFF) as u8).collect();
-        let beacon_bytes: Vec<u8> = (0..cfg.beacon_payload_len)
+        let beacon_bytes: Vec<u8> = (0..BEACON_PAYLOAD_LEN)
             .map(|k| (splitmix64(cfg.seed ^ 0xBEAC ^ (k as u64) << 8) & 0xFF) as u8)
             .collect();
         let payload = self.engine.add_payload(&payload_bytes);
         let beacon_payload = self.engine.add_payload(&beacon_bytes);
-        let beacon_airtime_us =
-            cfg.ctl_rate.frame_airtime_us(cfg.beacon_payload_len + 4) + ACK_OVERHEAD_US;
-        let scheduler = MediumScheduler::new(n, cfg.medium, splitmix64(cfg.seed ^ 0x5EED));
-        let policy = cfg.coordination.map(|c| CoordinationPolicy::new(n, c));
+        let beacon_airtime_us = CTL_RATE.frame_airtime_us(BEACON_PAYLOAD_LEN + 4) + ACK_OVERHEAD_US;
+        let scheduler = MediumScheduler::new(n, splitmix64(cfg.seed ^ 0x5EED));
+        let policy = cfg.coordinated.then(|| CoordinationPolicy::new(n));
         let mut cell = MeshCell {
             topo,
             scheduler,
@@ -448,8 +428,8 @@ impl MeshNet {
         generation: u64,
     ) -> MeshStation {
         let snr = cell.topo.snr_db(si);
-        let data_config = data_config(&cell.cfg, snr);
-        let ctl_config = ctl_config(&cell.cfg, snr);
+        let data_config = data_config(snr);
+        let ctl_config = ctl_config(snr);
         let data_seed = station_seed(cell.cfg.seed, si, generation, 0);
         let ctl_seed = station_seed(cell.cfg.seed, si, generation, 1);
         let data = pool.create(data_config.clone(), data_seed);
@@ -519,7 +499,7 @@ impl MeshNet {
         for ci in 0..self.cells.len() {
             let cell = &mut self.cells[ci];
             cell.ticks += 1;
-            let beacon_due = tick.is_multiple_of(cell.cfg.beacon_period)
+            let beacon_due = tick.is_multiple_of(BEACON_PERIOD)
                 && cell.stations.iter().any(|s| !s.pending_cmds.is_empty());
             if beacon_due {
                 // The AP owns the medium for this tick: one beacon per
@@ -558,8 +538,6 @@ impl MeshNet {
                         + ACK_OVERHEAD_US;
                 let payload = cell.payload;
                 let cell_seed = cell.cfg.seed;
-                let up_bits = cell.cfg.uplink_control_bits;
-                let up_every = cell.cfg.uplink_control_every.max(1);
                 for k in 0..plan.transmitters.len() {
                     let tx = plan.transmitters[k];
                     // Compose exactly this victim's interferers.
@@ -589,11 +567,10 @@ impl MeshNet {
                     let session = self.pool.get_mut(st.data).expect("live data session");
                     // Periodic uplink control message — the free-rider
                     // traffic whose delivery the experiment scores.
-                    if up_bits > 0
-                        && st.uplink_sent.is_multiple_of(up_every)
+                    if st.uplink_sent.is_multiple_of(UPLINK_CONTROL_EVERY)
                         && session.arq_backlog() == 0
                     {
-                        let bits = uplink_bits(tx.station, st.uplink_sent, up_bits);
+                        let bits = uplink_bits(tx.station, st.uplink_sent, UPLINK_CONTROL_BITS);
                         if let Some(t) = st.trace.as_mut() {
                             t.data_events.push(DataEvent::QueueControl(bits.clone()));
                         }
@@ -843,22 +820,14 @@ impl MeshNet {
 
 /// The data-plane session config for one station: adaptive rate, per-
 /// station SNR.
-fn data_config(cfg: &MeshConfig, snr_db: f64) -> SessionConfig {
-    let mut c = cfg.session.clone();
-    c.snr_db = snr_db;
-    c.rate = None;
-    c
+fn data_config(snr_db: f64) -> SessionConfig {
+    SessionConfig { snr_db, arq_max_retries: STATION_ARQ_MAX_RETRIES, ..SessionConfig::default() }
 }
 
 /// The control-subsession config: pinned robust rate (it sends only
-/// resilient beacons), eager ARQ (beacons are rare, so retry on the very
-/// next one).
-fn ctl_config(cfg: &MeshConfig, snr_db: f64) -> SessionConfig {
-    let mut c = cfg.session.clone();
-    c.snr_db = snr_db;
-    c.rate = Some(cfg.ctl_rate);
-    c.resilience.arq_backoff = 1;
-    c
+/// resilient beacons).
+fn ctl_config(snr_db: f64) -> SessionConfig {
+    SessionConfig { rate: Some(CTL_RATE), ..data_config(snr_db) }
 }
 
 fn station_seed(cell_seed: u64, station: usize, generation: u64, plane: u64) -> u64 {
@@ -921,14 +890,9 @@ fn fold_resilient(h: &mut Fnv, tick: u64, ci: usize, si: usize, s: &ResilientSum
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mesh::policy::CoordinationConfig;
 
     fn hidden_cell_cfg(seed: u64, coordinated: bool) -> MeshConfig {
-        MeshConfig {
-            seed,
-            coordination: coordinated.then(CoordinationConfig::default),
-            ..MeshConfig::default()
-        }
+        MeshConfig { seed, coordinated, ..MeshConfig::default() }
     }
 
     #[test]
@@ -938,7 +902,7 @@ mod tests {
         let mut topo = MeshTopology::fully_connected(3, 20.0);
         topo.hide_pair(0, 1);
         let mut net = MeshNet::new(EngineConfig { threads: 1 });
-        let cfg = MeshConfig { coordination: None, ..MeshConfig::default() };
+        let cfg = MeshConfig { coordinated: false, ..MeshConfig::default() };
         net.add_cell(topo, cfg);
         let s = net.scheduler_mut(0);
         s.set_backoff(0, 1);

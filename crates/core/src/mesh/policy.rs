@@ -150,43 +150,25 @@ pub struct SlotResult {
     pub data_ok: bool,
 }
 
-/// Tuning of the Monitor → Coordinating state machine.
-#[derive(Debug, Clone, Copy)]
-pub struct CoordinationConfig {
-    /// Tumbling observation window, in ticks.
-    pub collision_window: u64,
-    /// Collided transmissions within one window that trip coordination.
-    pub collision_threshold: u64,
-    /// Silence budget granted alongside each TDMA assignment.
-    pub grant_budget: u8,
-    /// Admission quiet time for stations that churn in, in ticks.
-    pub join_mute_ticks: u8,
-    /// Contention-era delivery ratio below which a station gets a rate
-    /// cap with its grant.
-    pub cap_prr: f64,
-    /// Minimum contention-era attempts before a station's delivery is
-    /// judged.
-    pub cap_min_attempts: u64,
-    /// The rate stations are capped at while the schedule settles.
-    pub cap_rate: DataRate,
-    /// Ticks of coordination after which the caps are lifted.
-    pub cap_release_ticks: u64,
-}
+// The Monitor → Coordinating state machine's constants.
 
-impl Default for CoordinationConfig {
-    fn default() -> Self {
-        CoordinationConfig {
-            collision_window: 16,
-            collision_threshold: 4,
-            grant_budget: 24,
-            join_mute_ticks: 16,
-            cap_prr: 0.5,
-            cap_min_attempts: 6,
-            cap_rate: DataRate::Mbps12,
-            cap_release_ticks: 64,
-        }
-    }
-}
+/// Tumbling observation window, in ticks.
+pub const COLLISION_WINDOW: u64 = 16;
+/// Collided transmissions within one window that trip coordination.
+pub const COLLISION_THRESHOLD: u64 = 4;
+/// Silence budget granted alongside each TDMA assignment.
+pub const GRANT_BUDGET: u8 = 24;
+/// Admission quiet time for stations that churn in, in ticks.
+pub const JOIN_MUTE_TICKS: u8 = 16;
+/// Contention-era delivery ratio below which a station gets a rate cap
+/// with its grant.
+pub const CAP_PRR: f64 = 0.5;
+/// Minimum contention-era attempts before a station's delivery is judged.
+pub const CAP_MIN_ATTEMPTS: u64 = 6;
+/// The rate stations are capped at while the schedule settles.
+pub const CAP_RATE: DataRate = DataRate::Mbps12;
+/// Ticks of coordination after which the caps are lifted.
+pub const CAP_RELEASE_TICKS: u64 = 64;
 
 /// The policy's phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,7 +185,6 @@ pub enum PolicyPhase {
 /// station's control-plane ARQ.
 #[derive(Debug, Clone)]
 pub struct CoordinationPolicy {
-    cfg: CoordinationConfig,
     n: usize,
     phase: PolicyPhase,
     window_start: u64,
@@ -219,9 +200,8 @@ pub struct CoordinationPolicy {
 
 impl CoordinationPolicy {
     /// A policy for a cell of `n` stations, starting in Monitor.
-    pub fn new(n: usize, cfg: CoordinationConfig) -> Self {
+    pub fn new(n: usize) -> Self {
         CoordinationPolicy {
-            cfg,
             n,
             phase: PolicyPhase::Monitor,
             window_start: 0,
@@ -269,22 +249,22 @@ impl CoordinationPolicy {
             self.oks[r.station] += r.data_ok as u64;
             self.window_collisions += r.collided as u64;
         }
-        if tick.saturating_sub(self.window_start) < self.cfg.collision_window {
+        if tick.saturating_sub(self.window_start) < COLLISION_WINDOW {
             return;
         }
         // Window boundary: act, then tumble.
         match self.phase {
             PolicyPhase::Monitor => {
-                if self.window_collisions >= self.cfg.collision_threshold {
+                if self.window_collisions >= COLLISION_THRESHOLD {
                     self.phase = PolicyPhase::Coordinating;
                     self.coordinating_since = tick;
                     for i in 0..self.n {
                         out.push((i, self.tdma_for(i)));
-                        out.push((i, MeshCommand::BudgetGrant(self.cfg.grant_budget)));
-                        if self.attempts[i] >= self.cfg.cap_min_attempts
-                            && (self.oks[i] as f64) < self.cfg.cap_prr * self.attempts[i] as f64
+                        out.push((i, MeshCommand::BudgetGrant(GRANT_BUDGET)));
+                        if self.attempts[i] >= CAP_MIN_ATTEMPTS
+                            && (self.oks[i] as f64) < CAP_PRR * self.attempts[i] as f64
                         {
-                            out.push((i, MeshCommand::RateCap(self.cfg.cap_rate)));
+                            out.push((i, MeshCommand::RateCap(CAP_RATE)));
                             self.capped[i] = true;
                         }
                     }
@@ -292,7 +272,7 @@ impl CoordinationPolicy {
             }
             PolicyPhase::Coordinating => {
                 if !self.caps_released
-                    && tick.saturating_sub(self.coordinating_since) >= self.cfg.cap_release_ticks
+                    && tick.saturating_sub(self.coordinating_since) >= CAP_RELEASE_TICKS
                 {
                     for i in 0..self.n {
                         if self.capped[i] {
@@ -319,10 +299,10 @@ impl CoordinationPolicy {
         self.attempts[station] = 0;
         self.oks[station] = 0;
         self.capped[station] = false;
-        out.push((station, MeshCommand::Mute { ticks: self.cfg.join_mute_ticks }));
+        out.push((station, MeshCommand::Mute { ticks: JOIN_MUTE_TICKS }));
         if self.is_coordinating() {
             out.push((station, self.tdma_for(station)));
-            out.push((station, MeshCommand::BudgetGrant(self.cfg.grant_budget)));
+            out.push((station, MeshCommand::BudgetGrant(GRANT_BUDGET)));
             out.push((station, MeshCommand::Unmute));
         }
     }
@@ -364,58 +344,74 @@ mod tests {
         assert_eq!(MeshCommand::decode(&bad), None);
     }
 
+    /// Feeds `COLLISION_THRESHOLD` collided transmissions of `station`,
+    /// then quiet ticks up to the first window boundary.
+    fn trip(p: &mut CoordinationPolicy, station: usize, out: &mut Vec<(usize, MeshCommand)>) {
+        let r = [SlotResult { station, collided: true, data_ok: false }];
+        for tick in 0..=COLLISION_WINDOW {
+            p.observe_slot(tick, if tick < COLLISION_THRESHOLD { &r } else { &[] }, out);
+        }
+    }
+
     #[test]
     fn monitor_trips_into_coordination_on_collisions() {
-        let cfg = CoordinationConfig { collision_window: 4, collision_threshold: 3, ..Default::default() };
-        let mut p = CoordinationPolicy::new(3, cfg);
+        let mut p = CoordinationPolicy::new(3);
         let mut out = Vec::new();
-        // Collided ticks throughout the first window (boundary at 4).
-        for tick in 0..5 {
-            let r = [
-                SlotResult { station: 0, collided: true, data_ok: false },
-                SlotResult { station: 1, collided: true, data_ok: false },
-            ];
-            p.observe_slot(tick, if tick < 2 { &r } else { &r[..1] }, &mut out);
+        // One collision short of the threshold in the first window: no
+        // trip at its boundary.
+        let r = [SlotResult { station: 0, collided: true, data_ok: false }];
+        for tick in 0..=COLLISION_WINDOW {
+            p.observe_slot(tick, if tick < COLLISION_THRESHOLD - 1 { &r } else { &[] }, &mut out);
         }
-        assert!(p.is_coordinating());
+        assert!(!p.is_coordinating());
+        assert!(out.is_empty());
+        // A full threshold's worth trips it.
+        let mut q = CoordinationPolicy::new(3);
+        trip(&mut q, 0, &mut out);
+        assert!(q.is_coordinating());
         // Every station got a TDMA grant and a budget grant.
         for i in 0..3 {
             assert!(out.contains(&(i, MeshCommand::Tdma { phase: i as u8, period: 3 })));
-            assert!(out
-                .contains(&(i, MeshCommand::BudgetGrant(cfg.grant_budget))));
+            assert!(out.contains(&(i, MeshCommand::BudgetGrant(GRANT_BUDGET))));
         }
     }
 
     #[test]
     fn poor_contention_delivery_earns_a_cap_then_release() {
-        let cfg = CoordinationConfig {
-            collision_window: 2,
-            collision_threshold: 1,
-            cap_min_attempts: 3,
-            cap_release_ticks: 4,
-            ..Default::default()
-        };
-        let mut p = CoordinationPolicy::new(2, cfg);
+        let mut p = CoordinationPolicy::new(2);
         let mut out = Vec::new();
-        // Station 0: 3 attempts, all collided and failed → capped.
-        for tick in 0..3 {
-            let r = [SlotResult { station: 0, collided: true, data_ok: false }];
+        // Station 0: CAP_MIN_ATTEMPTS attempts, all collided and failed;
+        // station 1: as many, all delivered.
+        for tick in 0..CAP_MIN_ATTEMPTS {
+            let r = [
+                SlotResult { station: 0, collided: true, data_ok: false },
+                SlotResult { station: 1, collided: false, data_ok: true },
+            ];
             p.observe_slot(tick, &r, &mut out);
         }
-        assert!(out.contains(&(0, MeshCommand::RateCap(cfg.cap_rate))));
-        assert!(!out.iter().any(|&(s, c)| s == 1 && c == MeshCommand::RateCap(cfg.cap_rate)));
-        // After the release window, the cap is lifted once.
-        out.clear();
-        for tick in 3..20 {
+        for tick in CAP_MIN_ATTEMPTS..=COLLISION_WINDOW {
             p.observe_slot(tick, &[], &mut out);
         }
-        assert_eq!(out.iter().filter(|&&(_, c)| c == MeshCommand::ClearRateCap).count(), 1);
-        assert_eq!(out[0], (0, MeshCommand::ClearRateCap));
+        assert!(p.is_coordinating());
+        assert!(out.contains(&(0, MeshCommand::RateCap(CAP_RATE))));
+        assert!(!out.iter().any(|&(s, c)| s == 1 && c == MeshCommand::RateCap(CAP_RATE)));
+        // The cap holds for CAP_RELEASE_TICKS, then is lifted once, at a
+        // window boundary.
+        out.clear();
+        let release = COLLISION_WINDOW + CAP_RELEASE_TICKS;
+        for tick in COLLISION_WINDOW + 1..release {
+            p.observe_slot(tick, &[], &mut out);
+        }
+        assert!(out.is_empty(), "cap lifted early: {out:?}");
+        for tick in release..release + 4 * COLLISION_WINDOW {
+            p.observe_slot(tick, &[], &mut out);
+        }
+        assert_eq!(out, vec![(0, MeshCommand::ClearRateCap)]);
     }
 
     #[test]
     fn monitor_stays_quiet_below_threshold() {
-        let mut p = CoordinationPolicy::new(4, CoordinationConfig::default());
+        let mut p = CoordinationPolicy::new(4);
         let mut out = Vec::new();
         for tick in 0..100 {
             let r = [SlotResult { station: tick as usize % 4, collided: false, data_ok: true }];
@@ -427,17 +423,14 @@ mod tests {
 
     #[test]
     fn joiner_gets_admission_sequence_once_coordinated() {
-        let cfg = CoordinationConfig { collision_window: 1, collision_threshold: 1, ..Default::default() };
-        let mut p = CoordinationPolicy::new(2, cfg);
+        let mut p = CoordinationPolicy::new(2);
         let mut out = Vec::new();
         // Before coordination: just the mute.
         p.on_station_joined(1, &mut out);
-        assert_eq!(out, vec![(1, MeshCommand::Mute { ticks: cfg.join_mute_ticks })]);
+        assert_eq!(out, vec![(1, MeshCommand::Mute { ticks: JOIN_MUTE_TICKS })]);
         // Trip coordination, then re-join.
         out.clear();
-        let r = [SlotResult { station: 0, collided: true, data_ok: false }];
-        p.observe_slot(0, &r, &mut out);
-        p.observe_slot(1, &r, &mut out);
+        trip(&mut p, 0, &mut out);
         assert!(p.is_coordinating());
         out.clear();
         p.on_station_joined(1, &mut out);
@@ -445,9 +438,9 @@ mod tests {
         assert_eq!(
             cmds,
             vec![
-                MeshCommand::Mute { ticks: cfg.join_mute_ticks },
+                MeshCommand::Mute { ticks: JOIN_MUTE_TICKS },
                 MeshCommand::Tdma { phase: 1, period: 2 },
-                MeshCommand::BudgetGrant(cfg.grant_budget),
+                MeshCommand::BudgetGrant(GRANT_BUDGET),
                 MeshCommand::Unmute,
             ]
         );

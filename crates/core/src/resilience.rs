@@ -13,8 +13,8 @@
 //!   duplicate rather than a silent loss). A session has one queue;
 //!   its adaptive packets
 //!   ([`crate::session::CosSession::send_packet_adaptive_summary`])
-//!   draw from it too, so the ARQ fields of [`ResilienceConfig`] govern
-//!   them as well,
+//!   draw from it too; its retry bound is the session's
+//!   `arq_max_retries`,
 //! * [`ThresholdRecalibrator`] — the energy detector's false-alarm rate is
 //!   estimated online (energy detections that coherent validation rejects
 //!   after a CRC pass are false alarms by definition) and smoothed with an
@@ -27,63 +27,36 @@
 //!   backed-off single-probe packets until the control channel proves
 //!   healthy again.
 //!
-//! Thresholds and budgets live in [`ResilienceConfig`]; the defaults are
-//! what `docs/ROBUSTNESS.md` documents and the robustness soak exercises.
+//! Thresholds and budgets are the constants below; they are what
+//! `docs/ROBUSTNESS.md` documents and the robustness soak exercises.
 
 use cos_phy::error::PhyError;
 use cos_phy::subcarriers::NUM_DATA;
 use std::collections::{BTreeMap, VecDeque};
 
-/// Tunable thresholds and budgets of the resilience layer. In a session
-/// the `arq_*` fields configure its one [`ControlArq`], which adaptive
-/// packets draw from as well as resilient ones.
-#[derive(Debug, Clone)]
-pub struct ResilienceConfig {
-    /// Consecutive packets without a delivered feedback report before the
-    /// link degrades to data-only mode.
-    pub stale_after: u32,
-    /// Length of the sliding window of control-attempt outcomes.
-    pub ctrl_window: usize,
-    /// Failures tolerated inside the window; one more degrades the link.
-    pub ctrl_fail_budget: usize,
-    /// EWMA false-alarm rate above which the detector bias is raised.
-    pub fa_spike: f64,
-    /// EWMA smoothing factor for the false-alarm estimate.
-    pub fa_alpha: f64,
-    /// Bias increment/decrement per recalibration step (dB).
-    pub recalib_step_db: f64,
-    /// Upper clamp on the recalibrated detector bias (dB).
-    pub max_bias_db: f64,
-    /// Packets to wait in data-only mode before the first re-probe.
-    pub reprobe_backoff: u32,
-    /// Upper clamp on the re-probe backoff (doubles per failed probe).
-    pub reprobe_backoff_max: u32,
-    /// Retransmissions allowed per control message before it is dropped.
-    pub arq_max_retries: u32,
-    /// Packets to wait before the first retransmission.
-    pub arq_backoff: u32,
-    /// Upper clamp on the ARQ backoff (doubles per retry).
-    pub arq_backoff_max: u32,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            stale_after: 4,
-            ctrl_window: 8,
-            ctrl_fail_budget: 2,
-            fa_spike: 0.05,
-            fa_alpha: 0.3,
-            recalib_step_db: 0.75,
-            max_bias_db: 6.0,
-            reprobe_backoff: 2,
-            reprobe_backoff_max: 16,
-            arq_max_retries: 8,
-            arq_backoff: 1,
-            arq_backoff_max: 8,
-        }
-    }
-}
+/// Consecutive packets without a delivered feedback report before the
+/// link degrades to data-only mode.
+pub const STALE_AFTER: u32 = 4;
+/// Length of the sliding window of control-attempt outcomes.
+pub const CTRL_WINDOW: usize = 8;
+/// Failures tolerated inside the window; one more degrades the link.
+pub const CTRL_FAIL_BUDGET: usize = 2;
+/// EWMA false-alarm rate above which the detector bias is raised.
+pub const FA_SPIKE: f64 = 0.05;
+/// EWMA smoothing factor for the false-alarm estimate.
+pub const FA_ALPHA: f64 = 0.3;
+/// Bias increment/decrement per recalibration step (dB).
+pub const RECALIB_STEP_DB: f64 = 0.75;
+/// Upper clamp on the recalibrated detector bias (dB).
+pub const MAX_BIAS_DB: f64 = 6.0;
+/// Packets to wait in data-only mode before the first re-probe.
+pub const REPROBE_BACKOFF: u32 = 2;
+/// Upper clamp on the re-probe backoff (doubles per failed probe).
+pub const REPROBE_BACKOFF_MAX: u32 = 16;
+/// Packets to wait before an ARQ message's first retransmission.
+pub const ARQ_BACKOFF: u32 = 1;
+/// Upper clamp on the ARQ backoff (doubles per retry).
+pub const ARQ_BACKOFF_MAX: u32 = 8;
 
 /// The link's operating mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,9 +84,9 @@ impl LinkMode {
 /// Why a mode transition happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeReason {
-    /// Feedback age crossed `stale_after`.
+    /// Feedback age crossed [`STALE_AFTER`].
     StaleFeedback,
-    /// Control failures exceeded `ctrl_fail_budget` within the window.
+    /// Control failures exceeded [`CTRL_FAIL_BUDGET`] within the window.
     ControlBerBudget,
     /// The data-only backoff elapsed; time to probe.
     ProbeDue,
@@ -152,7 +125,6 @@ pub struct PacketObservation {
 /// The degraded-mode state machine.
 #[derive(Debug, Clone)]
 pub struct DegradedModeController {
-    cfg: ResilienceConfig,
     mode: LinkMode,
     feedback_age: u32,
     window: VecDeque<bool>,
@@ -161,17 +133,21 @@ pub struct DegradedModeController {
     transitions: Vec<ModeTransition>,
 }
 
+impl Default for DegradedModeController {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl DegradedModeController {
     /// Starts in [`LinkMode::Cos`].
-    pub fn new(cfg: ResilienceConfig) -> Self {
-        let backoff = cfg.reprobe_backoff;
+    pub fn new() -> Self {
         DegradedModeController {
-            cfg,
             mode: LinkMode::Cos,
             feedback_age: 0,
             window: VecDeque::new(),
             probe_wait: 0,
-            backoff,
+            backoff: REPROBE_BACKOFF,
             transitions: Vec::new(),
         }
     }
@@ -203,13 +179,13 @@ impl DegradedModeController {
             LinkMode::Cos => {
                 if obs.control_attempted {
                     self.window.push_back(obs.control_ok);
-                    while self.window.len() > self.cfg.ctrl_window {
+                    while self.window.len() > CTRL_WINDOW {
                         self.window.pop_front();
                     }
                 }
                 let failures = self.window.iter().filter(|&&ok| !ok).count();
-                let stale = self.feedback_age >= self.cfg.stale_after;
-                if stale || failures > self.cfg.ctrl_fail_budget {
+                let stale = self.feedback_age >= STALE_AFTER;
+                if stale || failures > CTRL_FAIL_BUDGET {
                     let reason = if stale {
                         DegradeReason::StaleFeedback
                     } else {
@@ -229,10 +205,10 @@ impl DegradedModeController {
             }
             LinkMode::Probing => {
                 if obs.control_ok && obs.feedback_fresh {
-                    self.backoff = self.cfg.reprobe_backoff;
+                    self.backoff = REPROBE_BACKOFF;
                     self.transition(packet, LinkMode::Cos, DegradeReason::ProbeRecovered);
                 } else {
-                    self.backoff = (self.backoff.saturating_mul(2)).min(self.cfg.reprobe_backoff_max);
+                    self.backoff = (self.backoff.saturating_mul(2)).min(REPROBE_BACKOFF_MAX);
                     self.probe_wait = self.backoff;
                     self.transition(packet, LinkMode::DataOnly, DegradeReason::ProbeFailed);
                 }
@@ -380,20 +356,18 @@ struct ArqEntry {
 #[derive(Debug, Clone)]
 pub struct ControlArq {
     max_retries: u32,
-    backoff0: u32,
-    backoff_max: u32,
     queue: VecDeque<ArqEntry>,
     stats: ArqStats,
     hist: ArqHistograms,
 }
 
 impl ControlArq {
-    /// Creates the ARQ from the resilience configuration.
-    pub fn new(cfg: &ResilienceConfig) -> Self {
+    /// Creates an ARQ that drops a message after `max_retries`
+    /// retransmissions, backing off [`ARQ_BACKOFF`] packets before the
+    /// first and doubling up to [`ARQ_BACKOFF_MAX`].
+    pub fn new(max_retries: u32) -> Self {
         ControlArq {
-            max_retries: cfg.arq_max_retries,
-            backoff0: cfg.arq_backoff,
-            backoff_max: cfg.arq_backoff_max.max(cfg.arq_backoff),
+            max_retries,
             queue: VecDeque::new(),
             stats: ArqStats::default(),
             hist: ArqHistograms::default(),
@@ -407,7 +381,7 @@ impl ControlArq {
             bits,
             attempts: 0,
             wait: 0,
-            backoff: self.backoff0,
+            backoff: ARQ_BACKOFF,
             enqueued_at: now_packet,
         });
     }
@@ -463,7 +437,7 @@ impl ControlArq {
             self.hist.record_failed(attempts);
         } else {
             head.wait = head.backoff;
-            head.backoff = (head.backoff.saturating_mul(2)).min(self.backoff_max);
+            head.backoff = (head.backoff.saturating_mul(2)).min(ARQ_BACKOFF_MAX);
         }
     }
 }
@@ -472,30 +446,25 @@ impl ControlArq {
 ///
 /// After every CRC-pass packet the session knows which energy detections
 /// coherent validation rejected — those are false alarms. Their rate over
-/// the frame's normal (non-silence) positions is EWMA-smoothed; a spike
-/// above `fa_spike` raises the bias one step (capped), a rate sustained
+/// the frame's normal (non-silence) positions is EWMA-smoothed
+/// ([`FA_ALPHA`]); a spike above [`FA_SPIKE`] raises the bias one
+/// [`RECALIB_STEP_DB`] step (capped at [`MAX_BIAS_DB`]), a rate sustained
 /// below a quarter of the spike threshold decays it one step toward the
 /// base.
 #[derive(Debug, Clone)]
 pub struct ThresholdRecalibrator {
     base_bias_db: f64,
-    step_db: f64,
     max_bias_db: f64,
-    spike: f64,
-    alpha: f64,
     bias_db: f64,
     ewma: f64,
 }
 
 impl ThresholdRecalibrator {
     /// Creates a recalibrator anchored at the session's configured bias.
-    pub fn new(base_bias_db: f64, cfg: &ResilienceConfig) -> Self {
+    pub fn new(base_bias_db: f64) -> Self {
         ThresholdRecalibrator {
             base_bias_db,
-            step_db: cfg.recalib_step_db,
-            max_bias_db: cfg.max_bias_db.max(base_bias_db),
-            spike: cfg.fa_spike,
-            alpha: cfg.fa_alpha,
+            max_bias_db: MAX_BIAS_DB.max(base_bias_db),
             bias_db: base_bias_db,
             ewma: 0.0,
         }
@@ -513,15 +482,15 @@ impl ThresholdRecalibrator {
             return None;
         }
         let rate = false_alarms as f64 / normal_positions as f64;
-        self.ewma = self.alpha * rate + (1.0 - self.alpha) * self.ewma;
-        if self.ewma > self.spike && self.bias_db < self.max_bias_db {
-            self.bias_db = (self.bias_db + self.step_db).min(self.max_bias_db);
+        self.ewma = FA_ALPHA * rate + (1.0 - FA_ALPHA) * self.ewma;
+        if self.ewma > FA_SPIKE && self.bias_db < self.max_bias_db {
+            self.bias_db = (self.bias_db + RECALIB_STEP_DB).min(self.max_bias_db);
             // Partial reset so one spike does not trigger a staircase of
             // raises before new evidence arrives.
-            self.ewma = self.spike * 0.5;
+            self.ewma = FA_SPIKE * 0.5;
             Some(self.bias_db)
-        } else if self.ewma < self.spike * 0.25 && self.bias_db > self.base_bias_db {
-            self.bias_db = (self.bias_db - self.step_db).max(self.base_bias_db);
+        } else if self.ewma < FA_SPIKE * 0.25 && self.bias_db > self.base_bias_db {
+            self.bias_db = (self.bias_db - RECALIB_STEP_DB).max(self.base_bias_db);
             Some(self.bias_db)
         } else {
             None
@@ -587,10 +556,9 @@ mod tests {
 
     #[test]
     fn stale_feedback_degrades_then_probe_recovers() {
-        let cfg = ResilienceConfig::default();
-        let mut c = DegradedModeController::new(cfg.clone());
+        let mut c = DegradedModeController::new();
         let mut packet = 0u64;
-        // Feedback vanishes: after `stale_after` packets the link degrades.
+        // Feedback vanishes: after STALE_AFTER packets the link degrades.
         while c.mode() == LinkMode::Cos {
             c.observe(packet, obs(false, true, true));
             packet += 1;
@@ -611,9 +579,8 @@ mod tests {
 
     #[test]
     fn control_failures_exceeding_budget_degrade() {
-        let cfg = ResilienceConfig::default();
-        let budget = cfg.ctrl_fail_budget;
-        let mut c = DegradedModeController::new(cfg);
+        let budget = CTRL_FAIL_BUDGET;
+        let mut c = DegradedModeController::new();
         for p in 0..budget as u64 {
             c.observe(p, obs(true, true, false));
             assert_eq!(c.mode(), LinkMode::Cos, "degraded within budget");
@@ -628,8 +595,7 @@ mod tests {
 
     #[test]
     fn failed_probes_back_off_exponentially() {
-        let cfg = ResilienceConfig::default();
-        let mut c = DegradedModeController::new(cfg.clone());
+        let mut c = DegradedModeController::new();
         // Force a degrade.
         for p in 0..10 {
             c.observe(p, obs(false, true, true));
@@ -653,14 +619,13 @@ mod tests {
         for pair in dwells.windows(2).take(3) {
             assert!(pair[1] >= pair[0], "backoff shrank: {dwells:?}");
         }
-        let cap = cfg.reprobe_backoff_max + 1;
+        let cap = REPROBE_BACKOFF_MAX + 1;
         assert!(dwells.iter().all(|&d| d <= cap), "dwell exceeded cap: {dwells:?}");
     }
 
     #[test]
     fn arq_retries_then_fails_bounded() {
-        let cfg = ResilienceConfig { arq_max_retries: 2, arq_backoff: 1, ..Default::default() };
-        let mut arq = ControlArq::new(&cfg);
+        let mut arq = ControlArq::new(2);
         arq.enqueue(vec![1, 0, 1, 1], 0);
         let mut polls = 0u32;
         let mut ticks = 0u64;
@@ -681,8 +646,7 @@ mod tests {
 
     #[test]
     fn arq_confirm_records_latency() {
-        let cfg = ResilienceConfig::default();
-        let mut arq = ControlArq::new(&cfg);
+        let mut arq = ControlArq::new(8);
         arq.enqueue(vec![1, 1, 0, 0], 10);
         assert_eq!(arq.poll(), Some(&[1, 1, 0, 0][..]));
         arq.confirm(13);
@@ -694,8 +658,7 @@ mod tests {
 
     #[test]
     fn arq_backoff_doubles_between_retries() {
-        let cfg = ResilienceConfig { arq_max_retries: 8, arq_backoff: 1, arq_backoff_max: 8, ..Default::default() };
-        let mut arq = ControlArq::new(&cfg);
+        let mut arq = ControlArq::new(8);
         arq.enqueue(vec![1], 0);
         let mut gaps = Vec::new();
         let mut gap = 0u32;
@@ -712,14 +675,14 @@ mod tests {
                 break;
             }
         }
-        // First attempt immediate, then 1, 2, 4, 8, 8... packet gaps.
+        // First attempt immediate, then ARQ_BACKOFF (1) doubling to
+        // ARQ_BACKOFF_MAX (8): 1, 2, 4, 8, 8... packet gaps.
         assert_eq!(&gaps[..5], &[0, 1, 2, 4, 8]);
     }
 
     #[test]
     fn histograms_track_attempts_and_latency() {
-        let cfg = ResilienceConfig { arq_max_retries: 2, arq_backoff: 1, ..Default::default() };
-        let mut arq = ControlArq::new(&cfg);
+        let mut arq = ControlArq::new(2);
         // Message 1: delivered first try, latency 0.
         arq.enqueue(vec![1, 0], 0);
         assert!(arq.poll().is_some());
@@ -755,8 +718,7 @@ mod tests {
 
     #[test]
     fn recalibrator_raises_on_spike_and_decays_back() {
-        let cfg = ResilienceConfig::default();
-        let mut r = ThresholdRecalibrator::new(1.0, &cfg);
+        let mut r = ThresholdRecalibrator::new(1.0);
         // Sustained 20% false alarms: bias must rise above base.
         let mut raised = None;
         for _ in 0..10 {
@@ -766,7 +728,7 @@ mod tests {
         }
         let high = raised.expect("bias never raised");
         assert!(high > 1.0);
-        assert!(r.bias_db() <= cfg.max_bias_db);
+        assert!(r.bias_db() <= MAX_BIAS_DB);
         // A long quiet spell decays it back to base.
         for _ in 0..100 {
             r.observe(0, 100);
@@ -776,12 +738,17 @@ mod tests {
 
     #[test]
     fn recalibrator_caps_at_max_bias() {
-        let cfg = ResilienceConfig { max_bias_db: 2.0, recalib_step_db: 1.0, ..Default::default() };
-        let mut r = ThresholdRecalibrator::new(1.0, &cfg);
+        // 1.0 dB + 7 steps of 0.75 dB would overshoot the 6 dB cap.
+        let mut r = ThresholdRecalibrator::new(1.0);
         for _ in 0..50 {
             r.observe(50, 100);
         }
-        assert!(r.bias_db() <= 2.0);
+        assert_eq!(r.bias_db(), MAX_BIAS_DB);
+        // A base above the cap is its own cap: the bias never rises.
+        let mut high = ThresholdRecalibrator::new(MAX_BIAS_DB + 1.0);
+        for _ in 0..10 {
+            assert_eq!(high.observe(50, 100), None);
+        }
     }
 
     #[test]

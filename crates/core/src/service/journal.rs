@@ -30,18 +30,18 @@
 //! **any** `COS_THREADS` — the storm gates 1/4/8.
 //!
 //! The byte format is a versioned little-endian tag-length-value stream
-//! (`COSJNL1\n` magic); `f64`s are stored as IEEE 754 bit patterns so
-//! round-tripping is exact.
+//! (`COSJNL2\n` magic; version 1 carried the config fields that are now
+//! constants and is refused); `f64`s are stored as IEEE 754 bit patterns
+//! so round-tripping is exact.
 
 use super::{ServiceConfig, ServiceCore, ServiceJobKind, ServiceOutcome, ServiceResult, Ticket};
-use crate::adaptation::AdaptationConfig;
 use crate::engine::{ControlId, JobResult, PayloadId, SessionId};
-use crate::resilience::{LinkMode, ResilienceConfig};
-use crate::session::{Fnv, SessionConfig, MAX_MIN_CONTROL_SUBCARRIERS};
+use crate::resilience::LinkMode;
+use crate::session::{Fnv, SessionConfig};
 use cos_channel::ChannelConfig;
 use cos_phy::rates::DataRate;
 
-const MAGIC: &[u8; 8] = b"COSJNL1\n";
+const MAGIC: &[u8; 8] = b"COSJNL2\n";
 
 /// Running FNV-1a digest over service outcomes ([`Fnv::standard`]),
 /// shared by live runs and replays.
@@ -414,34 +414,8 @@ impl<'a> Reader<'a> {
         usize::try_from(self.u64()?).map_err(|_| JournalError::BadValue("usize"))
     }
 
-    /// A `usize` that must lie in `range` (one outside it would only
-    /// panic deep in the channel or the interval codec on replay).
-    fn usize_in(
-        &mut self,
-        what: &'static str,
-        range: std::ops::RangeInclusive<usize>,
-    ) -> Result<usize, JournalError> {
-        let v = self.usize_()?;
-        if range.contains(&v) {
-            Ok(v)
-        } else {
-            Err(JournalError::BadValue(what))
-        }
-    }
-
     fn f64(&mut self) -> Result<f64, JournalError> {
         Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// An `f64` that must be finite (NaN or ±∞ would only panic deep in
-    /// the channel on replay).
-    fn finite(&mut self, what: &'static str) -> Result<f64, JournalError> {
-        let v = self.f64()?;
-        if v.is_finite() {
-            Ok(v)
-        } else {
-            Err(JournalError::BadValue(what))
-        }
     }
 
     fn bytes_(&mut self) -> Result<Box<[u8]>, JournalError> {
@@ -463,10 +437,7 @@ fn write_service_config(w: &mut Vec<u8>, c: &ServiceConfig) {
     w_u64(w, c.stall_ticks);
     w_usize(w, c.dead_letter_capacity);
     w_usize(w, c.batch_limit);
-    w_usize(w, c.shed_divisor);
-    write_resilience_config(w, &c.health);
     w_usize(w, c.engine.threads);
-    w_u64(w, c.wall_patience_ms);
 }
 
 fn read_service_config(r: &mut Reader<'_>) -> Result<ServiceConfig, JournalError> {
@@ -480,70 +451,7 @@ fn read_service_config(r: &mut Reader<'_>) -> Result<ServiceConfig, JournalError
         stall_ticks: r.u64()?,
         dead_letter_capacity: r.usize_()?,
         batch_limit: r.usize_()?,
-        shed_divisor: r.usize_()?,
-        health: read_resilience_config(r)?,
         engine: crate::engine::EngineConfig { threads: r.usize_()? },
-        wall_patience_ms: r.u64()?,
-    })
-}
-
-fn write_resilience_config(w: &mut Vec<u8>, c: &ResilienceConfig) {
-    w_u32(w, c.stale_after);
-    w_usize(w, c.ctrl_window);
-    w_usize(w, c.ctrl_fail_budget);
-    w_f64(w, c.fa_spike);
-    w_f64(w, c.fa_alpha);
-    w_f64(w, c.recalib_step_db);
-    w_f64(w, c.max_bias_db);
-    w_u32(w, c.reprobe_backoff);
-    w_u32(w, c.reprobe_backoff_max);
-    w_u32(w, c.arq_max_retries);
-    w_u32(w, c.arq_backoff);
-    w_u32(w, c.arq_backoff_max);
-}
-
-fn read_resilience_config(r: &mut Reader<'_>) -> Result<ResilienceConfig, JournalError> {
-    Ok(ResilienceConfig {
-        stale_after: r.u32()?,
-        ctrl_window: r.usize_()?,
-        ctrl_fail_budget: r.usize_()?,
-        fa_spike: r.f64()?,
-        fa_alpha: r.f64()?,
-        recalib_step_db: r.f64()?,
-        max_bias_db: r.f64()?,
-        reprobe_backoff: r.u32()?,
-        reprobe_backoff_max: r.u32()?,
-        arq_max_retries: r.u32()?,
-        arq_backoff: r.u32()?,
-        arq_backoff_max: r.u32()?,
-    })
-}
-
-fn write_adaptation_config(w: &mut Vec<u8>, c: &AdaptationConfig) {
-    w_f64(w, c.snr_alpha);
-    w_f64(w, c.up_margin_db);
-    w_f64(w, c.down_margin_db);
-    w_u32(w, c.up_dwell);
-    w_u32(w, c.miss_fallback);
-    w_usize(w, c.base_budget);
-    w_usize(w, c.probe_step);
-    w_usize(w, c.max_budget);
-    w_u32(w, c.max_probes);
-    w_u32(w, c.complete_fail_budget);
-}
-
-fn read_adaptation_config(r: &mut Reader<'_>) -> Result<AdaptationConfig, JournalError> {
-    Ok(AdaptationConfig {
-        snr_alpha: r.f64()?,
-        up_margin_db: r.f64()?,
-        down_margin_db: r.f64()?,
-        up_dwell: r.u32()?,
-        miss_fallback: r.u32()?,
-        base_budget: r.usize_()?,
-        probe_step: r.usize_()?,
-        max_budget: r.usize_()?,
-        max_probes: r.u32()?,
-        complete_fail_budget: r.u32()?,
     })
 }
 
@@ -554,61 +462,38 @@ fn write_session_config(w: &mut Vec<u8>, c: &SessionConfig) {
     w_f64(w, c.channel.doppler_hz);
     w_f64(w, c.snr_db);
     w_u8(w, c.rate.map_or(u8::MAX, |r| r as u8));
-    w_f64(w, c.detector_bias_db);
-    w_usize(w, c.bits_per_interval);
     w_usize(w, c.min_control_subcarriers);
     w_f64(w, c.packet_interval);
-    // Each block behind a presence tag: always 1 now; the reader still
-    // takes 0 (written before both blocks were always present) as the
-    // default block.
-    w_u8(w, 1);
-    write_resilience_config(w, &c.resilience);
-    w_u8(w, 1);
-    write_adaptation_config(w, &c.adaptation);
+    w_u32(w, c.arq_max_retries);
+    w_usize(w, c.max_budget);
 }
 
+/// Reads a session config and holds it to [`SessionConfig::validate`], so
+/// a value that would panic on replay is refused here.
 fn read_session_config(r: &mut Reader<'_>) -> Result<SessionConfig, JournalError> {
     let channel = ChannelConfig {
-        n_taps: r.usize_in("n_taps", 1..=16)?,
-        tap_decay: r.finite("tap_decay")?,
-        k_factor: r.finite("k_factor")?,
-        doppler_hz: r.finite("doppler_hz")?,
+        n_taps: r.usize_()?,
+        tap_decay: r.f64()?,
+        k_factor: r.f64()?,
+        doppler_hz: r.f64()?,
     };
-    let snr_db = r.finite("snr_db")?;
+    let snr_db = r.f64()?;
     let rate = match r.u8()? {
         u8::MAX => None,
         i if (i as usize) < DataRate::ALL.len() => Some(DataRate::ALL[i as usize]),
         _ => return Err(JournalError::BadValue("rate index")),
     };
-    Ok(SessionConfig {
+    let config = SessionConfig {
         channel,
         snr_db,
         rate,
-        detector_bias_db: r.finite("detector_bias_db")?,
-        bits_per_interval: r.usize_in("bits_per_interval", 1..=16)?,
-        min_control_subcarriers: r.usize_in(
-            "min_control_subcarriers",
-            0..=MAX_MIN_CONTROL_SUBCARRIERS,
-        )?,
-        packet_interval: match r.finite("packet_interval")? {
-            t if t < 0.0 => return Err(JournalError::BadValue("packet_interval")),
-            t => t,
-        },
-        resilience: match r.u8()? {
-            0 => ResilienceConfig::default(),
-            1 => read_resilience_config(r)?,
-            _ => return Err(JournalError::BadValue("resilience flag")),
-        },
-        adaptation: match r.u8()? {
-            0 => AdaptationConfig::default(),
-            1 => {
-                let c = read_adaptation_config(r)?;
-                c.validate().map_err(JournalError::BadValue)?;
-                c
-            }
-            _ => return Err(JournalError::BadValue("adaptation flag")),
-        },
-    })
+        min_control_subcarriers: r.usize_()?,
+        packet_interval: r.f64()?,
+        arq_max_retries: r.u32()?,
+        max_budget: r.usize_()?,
+    };
+    config.validate().map_err(JournalError::BadValue)?;
+    Ok(config)
 }
 
 fn write_event(w: &mut Vec<u8>, ev: &JournalEvent) {
@@ -688,7 +573,6 @@ fn read_event(r: &mut Reader<'_>) -> Result<JournalEvent, JournalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptation::AdaptationConfig;
     use crate::service::ServiceCore;
 
     fn journaled_run() -> (ServiceCore, ReplayJournal) {
@@ -800,12 +684,20 @@ mod tests {
         assert!(ReplayJournal::deserialize(b"").is_err());
     }
 
+    /// A version-1 journal carried the config fields that are now
+    /// constants; its layout no longer decodes, so its magic is refused.
+    #[test]
+    fn deserialize_refuses_a_version_1_journal() {
+        let (_, journal) = journaled_run();
+        let mut v1 = journal.serialize();
+        v1[..8].copy_from_slice(b"COSJNL1\n");
+        assert_eq!(ReplayJournal::deserialize(&v1).unwrap_err(), JournalError::BadMagic);
+    }
+
     // Session-config values whose bit patterns occur once in the journal.
     const SNR_DB: f64 = 17.375;
     const TAP_DECAY: f64 = 0.3125;
-    const DETECTOR_BIAS_DB: f64 = 0.8125;
     const PACKET_INTERVAL: f64 = 1.0625e-3;
-    const SNR_ALPHA: f64 = 0.296875;
 
     /// Journal bytes of one resilient and one adaptive job on a session
     /// whose config carries the distinctive values above, so each field
@@ -815,9 +707,7 @@ mod tests {
         let config = SessionConfig {
             channel: ChannelConfig { tap_decay: TAP_DECAY, ..ChannelConfig::default() },
             snr_db: SNR_DB,
-            detector_bias_db: DETECTOR_BIAS_DB,
             packet_interval: PACKET_INTERVAL,
-            adaptation: AdaptationConfig { snr_alpha: SNR_ALPHA, ..Default::default() },
             ..SessionConfig::default()
         };
         let mut core = ServiceCore::with_journal(ServiceConfig::default());
@@ -859,54 +749,26 @@ mod tests {
         }
     }
 
-    /// A session config written with absent-block tags (0) reads as the
-    /// default blocks; the writer always tags them present (1).
-    #[test]
-    fn absent_config_blocks_read_as_the_defaults() {
-        let config = SessionConfig { snr_db: SNR_DB, ..SessionConfig::default() };
-        let mut tagged = Vec::new();
-        write_session_config(&mut tagged, &config);
-        let mut blocks = Vec::new();
-        write_resilience_config(&mut blocks, &config.resilience);
-        write_adaptation_config(&mut blocks, &config.adaptation);
-        let mut untagged = tagged[..tagged.len() - blocks.len() - 2].to_vec();
-        untagged.extend([0, 0]);
-        let mut r = Reader { bytes: &untagged, at: 0 };
-        let read = read_session_config(&mut r).expect("absent blocks decode");
-        assert_eq!(r.at, untagged.len());
-        let mut rewritten = Vec::new();
-        write_session_config(&mut rewritten, &read);
-        assert_eq!(rewritten, tagged);
-    }
-
     #[test]
     fn deserialize_rejects_out_of_range_session_config() {
         let bytes = distinctive_journal();
-        // n_taps is written just before tap_decay, bits_per_interval just
-        // after detector_bias_db, min_control_subcarriers just before
-        // packet_interval.
+        // n_taps is written just before tap_decay; min_control_subcarriers
+        // just before packet_interval, then arq_max_retries (4 bytes) and
+        // max_budget.
         let n_taps = locate(&bytes, TAP_DECAY) - 8;
-        let bits = locate(&bytes, DETECTOR_BIAS_DB) + 8;
         let interval = locate(&bytes, PACKET_INTERVAL);
-        let alpha = locate(&bytes, SNR_ALPHA);
-        let cases: [(&str, usize, [u64; 2], [u64; 2]); 5] = [
+        let cases: [(&str, usize, [u64; 2], [u64; 2]); 4] = [
             ("n_taps", n_taps, [0, 17], [1, 16]),
-            ("bits_per_interval", bits, [0, 17], [1, 16]),
             // The bootstrap block 9..9+min must fit the 48 data subcarriers.
             ("min_control_subcarriers", interval - 8, [40, u64::MAX], [0, 39]),
-            // The adaptation block: the controller's EWMA factor is in (0, 1].
-            (
-                "snr_alpha",
-                alpha,
-                [2.0f64.to_bits(), 0.0f64.to_bits()],
-                [1.0f64.to_bits(), f64::MIN_POSITIVE.to_bits()],
-            ),
             (
                 "packet_interval",
                 interval,
                 [(-1.0f64).to_bits(), (-f64::MIN_POSITIVE).to_bits()],
                 [0.0f64.to_bits(), (-0.0f64).to_bits()],
             ),
+            // The probe ceiling is at least the base budget (2).
+            ("max_budget", interval + 12, [0, 1], [2, 3]),
         ];
         for (field, at, rejected, accepted) in cases {
             for word in rejected {

@@ -26,7 +26,7 @@
 //!   jobs keep flowing (per-session order preserved, shard never
 //!   wedged). Sustained faults degrade the service through the PR 2
 //!   [`DegradedModeController`]: while degraded, admission capacity
-//!   shrinks (`shed_divisor`) so load is shed at the door, and a healthy
+//!   shrinks ([`SHED_DIVISOR`]) so load is shed at the door, and a healthy
 //!   probe tick restores full capacity.
 //! * **Deterministic replay** — with journaling enabled, every
 //!   state-changing call (session create/release, table registration,
@@ -54,7 +54,7 @@ pub mod journal;
 use crate::engine::{
     BatchEngine, ControlId, EngineConfig, JobResult, PayloadId, SessionId, SessionPool,
 };
-use crate::resilience::{DegradedModeController, LinkMode, PacketObservation, ResilienceConfig};
+use crate::resilience::{DegradedModeController, LinkMode, PacketObservation};
 use crate::session::SessionConfig;
 use journal::{JournalEvent, OutcomeDigest, ReplayJournal};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -207,8 +207,18 @@ impl FaultPlan {
     }
 }
 
+/// While the service's health controller is degraded, the effective
+/// queue capacity is `queue_capacity / SHED_DIVISOR` (load shedding).
+pub const SHED_DIVISOR: usize = 4;
+
+/// Wall-clock patience of the live watchdog thread ([`CosService`] only;
+/// no effect on determinism), in milliseconds.
+pub const WALL_PATIENCE_MS: u64 = 250;
+
 /// Service tuning. Defaults are the SLO table of
-/// `docs/ROBUSTNESS.md` ("Service-layer guarantees").
+/// `docs/ROBUSTNESS.md` ("Service-layer guarantees"). The service-level
+/// health controller is a [`DegradedModeController`] with the
+/// resilience layer's constants.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Bounded submit-queue capacity; the hard memory bound of the
@@ -235,16 +245,8 @@ pub struct ServiceConfig {
     /// Jobs dispatched to the engine per pump — the batching knob that
     /// turns queue depth into backpressure.
     pub batch_limit: usize,
-    /// While the health controller is degraded, the effective queue
-    /// capacity is `queue_capacity / shed_divisor` (load shedding).
-    pub shed_divisor: usize,
-    /// Thresholds of the service-level [`DegradedModeController`].
-    pub health: ResilienceConfig,
     /// Inner engine tuning (worker threads per drain).
     pub engine: EngineConfig,
-    /// Wall-clock patience of the live watchdog thread
-    /// ([`CosService`] only; no effect on determinism).
-    pub wall_patience_ms: u64,
 }
 
 impl Default for ServiceConfig {
@@ -259,10 +261,7 @@ impl Default for ServiceConfig {
             stall_ticks: 4,
             dead_letter_capacity: 64,
             batch_limit: 64,
-            shed_divisor: 4,
-            health: ResilienceConfig::default(),
             engine: EngineConfig { threads: 0 },
-            wall_patience_ms: 250,
         }
     }
 }
@@ -376,7 +375,7 @@ impl ServiceCore {
 
     fn build(cfg: ServiceConfig, journaled: bool) -> Self {
         let journal = journaled.then(|| ReplayJournal::new(cfg.clone()));
-        let health = DegradedModeController::new(cfg.health.clone());
+        let health = DegradedModeController::new();
         let engine = BatchEngine::new(cfg.engine);
         ServiceCore {
             cfg,
@@ -459,12 +458,12 @@ impl ServiceCore {
     }
 
     /// The queue capacity currently in force: the configured capacity,
-    /// shrunk by `shed_divisor` while the health controller is degraded.
+    /// shrunk by [`SHED_DIVISOR`] while the health controller is degraded.
     pub fn effective_capacity(&self) -> usize {
         if self.health.mode() == LinkMode::Cos {
             self.cfg.queue_capacity
         } else {
-            (self.cfg.queue_capacity / self.cfg.shed_divisor.max(1)).max(1)
+            (self.cfg.queue_capacity / SHED_DIVISOR).max(1)
         }
     }
 
@@ -886,7 +885,7 @@ impl CosService {
     }
 
     fn start_inner(core: ServiceCore) -> Self {
-        let patience = Duration::from_millis(core.cfg.wall_patience_ms.max(1));
+        let patience = Duration::from_millis(WALL_PATIENCE_MS);
         let core = Arc::new(Mutex::new(core));
         let stop = Arc::new(AtomicBool::new(false));
         let finished = Arc::new(AtomicBool::new(false));
@@ -1284,26 +1283,19 @@ mod tests {
 
     #[test]
     fn sustained_faults_shed_load_then_recover() {
-        let health = ResilienceConfig {
-            ctrl_window: 4,
-            ctrl_fail_budget: 0,
-            stale_after: 1000,
-            reprobe_backoff: 1,
-            ..ResilienceConfig::default()
-        };
-        let cfg = ServiceConfig {
-            queue_capacity: 8,
-            shed_divisor: 4,
-            retry_budget: 0,
-            health,
-            ..ServiceConfig::default()
-        };
+        use crate::resilience::{CTRL_FAIL_BUDGET, REPROBE_BACKOFF};
+        let cfg = ServiceConfig { queue_capacity: 8, retry_budget: 0, ..ServiceConfig::default() };
         let (mut core, ids, payload, control) = setup(cfg, 1);
-        core.inject_poison(0);
-        core.try_submit(ids[0], payload, ServiceJobKind::Plain(control)).unwrap();
-        core.pump(); // fault tick: one failure over a zero budget degrades
+        // One poisoned job per tick: each is a fault tick, and one more
+        // failure than the budget degrades.
+        for ticket in 0..=CTRL_FAIL_BUDGET as u64 {
+            assert_eq!(core.health_mode(), LinkMode::Cos, "degraded within budget");
+            core.inject_poison(ticket);
+            core.try_submit(ids[0], payload, ServiceJobKind::Plain(control)).unwrap();
+            core.pump();
+        }
         assert_ne!(core.health_mode(), LinkMode::Cos);
-        assert_eq!(core.effective_capacity(), 2);
+        assert_eq!(core.effective_capacity(), 8 / SHED_DIVISOR);
         // Shedding is enforced at admission: capacity reported in the
         // rejection is the degraded one.
         for _ in 0..2 {
@@ -1314,8 +1306,9 @@ mod tests {
             Err(Rejected::QueueFull { capacity: 2 })
         );
         core.run_to_drained();
-        // Clean pumps recover the controller and restore full capacity.
-        for _ in 0..4 {
+        // Clean pumps wait out the re-probe backoff, probe, and recover
+        // the controller, which restores full capacity.
+        for _ in 0..REPROBE_BACKOFF + 2 {
             core.pump();
         }
         assert_eq!(core.health_mode(), LinkMode::Cos);
@@ -1376,15 +1369,14 @@ mod tests {
 
     #[test]
     fn wall_watchdog_counts_worker_heartbeat_stalls() {
-        let cfg = ServiceConfig { wall_patience_ms: 30, ..ServiceConfig::default() };
-        let svc = CosService::start(cfg);
+        let svc = CosService::start(ServiceConfig::default());
         assert_eq!(svc.watchdog_wall_trips(), 0);
         {
             // Wedge the core lock: the worker cannot finish a loop
             // iteration, so its heartbeat flatlines and the wall watchdog
-            // must notice.
+            // must notice within its patience.
             let _guard = svc.core.lock().expect("test lock");
-            std::thread::sleep(Duration::from_millis(200));
+            std::thread::sleep(Duration::from_millis(2 * WALL_PATIENCE_MS));
         }
         assert!(svc.watchdog_wall_trips() >= 1, "watchdog missed a wedged worker");
         let heartbeats = svc.heartbeats();

@@ -44,7 +44,7 @@
 //! per-frame path, an engine worker's in a batch.
 
 use crate::adaptation::{
-    AdaptationConfig, LinkAdaptationController, ProbeEvent, ProbeState, StaircaseEvent,
+    LinkAdaptationController, ProbeEvent, ProbeState, StaircaseEvent, BASE_BUDGET,
 };
 use crate::control_rate::{ControlRateAdapter, ControlRateTable};
 use crate::energy_detector::{Detection, DetectionAccuracy, EnergyDetector};
@@ -53,7 +53,7 @@ use crate::interval::IntervalCodec;
 use crate::power_controller::{EmbedError, PowerController};
 use crate::resilience::{
     corrupt_selection, ArqHistograms, ArqStats, ControlArq, DegradedModeController, LinkMode,
-    ModeTransition, PacketObservation, PhyErrorTally, ResilienceConfig, ThresholdRecalibrator,
+    ModeTransition, PacketObservation, PhyErrorTally, ThresholdRecalibrator,
 };
 use crate::subcarrier_select::{select_control_subcarriers_into, SelectionPolicy};
 use crate::validation::{sanitize_selection, validate_silences_into};
@@ -137,7 +137,18 @@ impl FrameScratch {
     }
 }
 
-/// Configuration of a CoS session.
+/// Energy-detection adaptive-threshold bias every session starts from
+/// (dB above the geometric midpoint between noise floor and subcarrier
+/// signal energy); the resilience guard's recalibration moves it from
+/// there.
+pub const DETECTOR_BIAS_DB: f64 = 1.0;
+
+/// Control bits per interval of every session's interval code (the
+/// paper's k = 4).
+pub const BITS_PER_INTERVAL: usize = 4;
+
+/// Configuration of a CoS session. [`SessionConfig::validate`] holds the
+/// one rule set for its values.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// Channel model.
@@ -146,11 +157,6 @@ pub struct SessionConfig {
     pub snr_db: f64,
     /// Fixed data rate; `None` enables SNR-based rate adaptation.
     pub rate: Option<DataRate>,
-    /// Energy-detection adaptive-threshold bias (dB above the geometric
-    /// midpoint between noise floor and subcarrier signal energy).
-    pub detector_bias_db: f64,
-    /// Control bits per interval (paper: 4).
-    pub bits_per_interval: usize,
     /// Minimum number of control subcarriers to keep selected (0 keeps
     /// one, like 1), at most 39: the bootstrap block, subcarriers 9..,
     /// must fit the 48 data subcarriers.
@@ -158,16 +164,14 @@ pub struct SessionConfig {
     /// Wall-clock gap between packets in seconds (drives channel
     /// evolution).
     pub packet_interval: f64,
-    /// The control plane's ARQ and resilience-guard settings. The ARQ
-    /// fields (`arq_max_retries`, `arq_backoff`, `arq_backoff_max`)
-    /// govern the one queue that resilient and adaptive frames both draw
-    /// from; the rest tune the guard, which only
-    /// [`CosSession::send_packet_resilient_summary`] consults.
-    pub resilience: ResilienceConfig,
-    /// The link-adaptation policy, which only
-    /// [`CosSession::send_packet_adaptive_summary`] consults. Checked
-    /// when the session is made: an invalid one panics there.
-    pub adaptation: AdaptationConfig,
+    /// Retransmissions allowed per control message on the session's one
+    /// ARQ queue, which resilient and adaptive frames both draw from,
+    /// before the message is dropped as failed.
+    pub arq_max_retries: u32,
+    /// The largest silence budget the adaptation policy's probe search
+    /// climbs to (at least [`BASE_BUDGET`]); only
+    /// [`CosSession::send_packet_adaptive_summary`] consults the policy.
+    pub max_budget: usize,
 }
 
 impl Default for SessionConfig {
@@ -176,12 +180,49 @@ impl Default for SessionConfig {
             channel: ChannelConfig::default(),
             snr_db: 18.0,
             rate: None,
-            detector_bias_db: 1.0,
-            bits_per_interval: 4,
             min_control_subcarriers: 6,
             packet_interval: 1e-3,
-            resilience: ResilienceConfig::default(),
-            adaptation: AdaptationConfig::default(),
+            arq_max_retries: 8,
+            max_budget: 46,
+        }
+    }
+}
+
+impl SessionConfig {
+    /// The one rule per field: `Err` names the first field outside its
+    /// domain. [`CosSession::new`] and [`CosSession::reinit`] panic on
+    /// it; the service journal's reader rejects it. Each rule keeps a
+    /// value from panicking deep in the channel or the session later.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let c = &self.channel;
+        let checks = [
+            ((1..=16).contains(&c.n_taps), "n_taps"),
+            (c.tap_decay.is_finite(), "tap_decay"),
+            (c.k_factor.is_finite(), "k_factor"),
+            (c.doppler_hz.is_finite(), "doppler_hz"),
+            (self.snr_db.is_finite(), "snr_db"),
+            (self.min_control_subcarriers <= MAX_MIN_CONTROL_SUBCARRIERS, "min_control_subcarriers"),
+            (self.packet_interval.is_finite() && self.packet_interval >= 0.0, "packet_interval"),
+            (self.max_budget >= BASE_BUDGET, "max_budget"),
+        ];
+        match checks.into_iter().find(|&(ok, _)| !ok) {
+            Some((_, field)) => Err(field),
+            None => Ok(()),
+        }
+    }
+
+    /// Panics, naming the field, unless [`validate`](Self::validate)
+    /// passes.
+    fn assert_valid(&self) {
+        match self.validate() {
+            Ok(()) => {}
+            Err("min_control_subcarriers") => panic!(
+                "min_control_subcarriers = {} exceeds MAX_MIN_CONTROL_SUBCARRIERS = \
+                 {MAX_MIN_CONTROL_SUBCARRIERS}: the bootstrap block {BOOTSTRAP_FIRST}.. must fit \
+                 the {NUM_DATA} data subcarriers",
+                self.min_control_subcarriers
+            ),
+            Err(field) => panic!("SessionConfig::{field} out of range in {self:?}"),
         }
     }
 }
@@ -267,7 +308,8 @@ pub struct SessionMetrics {
     pub adaptation_events: u64,
     /// The silence budget the adaptation policy currently targets for
     /// the next adaptive frame (its first probe target on a session that
-    /// never sent one).
+    /// never sent one). Not the same number as
+    /// [`CosSession::silence_budget`], the §III-F rate table's budget.
     pub silence_budget: usize,
 }
 
@@ -483,14 +525,13 @@ struct ControlPlane {
 
 impl ControlPlane {
     fn new(config: &SessionConfig) -> Self {
-        let cfg = &config.resilience;
         ControlPlane {
-            arq: ControlArq::new(cfg),
-            guard: DegradedModeController::new(cfg.clone()),
-            recal: ThresholdRecalibrator::new(config.detector_bias_db, cfg),
+            arq: ControlArq::new(config.arq_max_retries),
+            guard: DegradedModeController::new(),
+            recal: ThresholdRecalibrator::new(DETECTOR_BIAS_DB),
             tally: PhyErrorTally::new(),
             history: VecDeque::new(),
-            policy: LinkAdaptationController::new(config.adaptation.clone()),
+            policy: LinkAdaptationController::new(config.max_budget),
         }
     }
 }
@@ -505,19 +546,9 @@ const BOOTSTRAP_FIRST: usize = 9;
 pub(crate) const MAX_MIN_CONTROL_SUBCARRIERS: usize = NUM_DATA - BOOTSTRAP_FIRST;
 
 /// The bootstrap selection of a session keeping at least `min` control
-/// subcarriers (one when `min` is 0).
-///
-/// # Panics
-///
-/// Panics if `min` exceeds [`MAX_MIN_CONTROL_SUBCARRIERS`], so a bad
-/// config fails where the session is made, not on its first frame.
+/// subcarriers (one when `min` is 0); `min` is at most
+/// [`MAX_MIN_CONTROL_SUBCARRIERS`] in a validated config.
 fn bootstrap_selection(min: usize) -> std::ops::Range<usize> {
-    assert!(
-        min <= MAX_MIN_CONTROL_SUBCARRIERS,
-        "min_control_subcarriers = {min} exceeds MAX_MIN_CONTROL_SUBCARRIERS = \
-         {MAX_MIN_CONTROL_SUBCARRIERS}: the bootstrap block {BOOTSTRAP_FIRST}.. must fit the \
-         {NUM_DATA} data subcarriers"
-    );
     BOOTSTRAP_FIRST..BOOTSTRAP_FIRST + min.max(1)
 }
 
@@ -589,16 +620,16 @@ impl CosSession {
     ///
     /// # Panics
     ///
-    /// Panics if `config.min_control_subcarriers` exceeds 39 (the bound
-    /// the journal reader also enforces) or `config.adaptation` is
-    /// inconsistent (see [`AdaptationConfig`]).
+    /// Panics, naming the field, if `config` fails
+    /// [`SessionConfig::validate`] — here, not deep in the channel.
     pub fn new(config: SessionConfig, seed: u64) -> Self {
+        config.assert_valid();
         let selected = bootstrap_selection(config.min_control_subcarriers).collect();
-        let codec = IntervalCodec::new(config.bits_per_interval);
+        let codec = IntervalCodec::new(BITS_PER_INTERVAL);
         let link = Link::new(config.channel, config.snr_db, seed);
         let rate = config.rate.unwrap_or(DataRate::Mbps12);
         CosSession {
-            detector: EnergyDetector::new(config.detector_bias_db),
+            detector: EnergyDetector::new(DETECTOR_BIAS_DB),
             controller: PowerController::new(codec),
             adapter: ControlRateAdapter::new(ControlRateTable::default()),
             phy_tx: Transmitter::new(),
@@ -628,14 +659,15 @@ impl CosSession {
     ///
     /// As [`CosSession::new`], before touching any state.
     pub fn reinit(&mut self, config: SessionConfig, seed: u64) {
+        config.assert_valid();
         let bootstrap = bootstrap_selection(config.min_control_subcarriers);
-        let codec = IntervalCodec::new(config.bits_per_interval);
+        let codec = IntervalCodec::new(BITS_PER_INTERVAL);
         self.plane = ControlPlane::new(&config);
         self.link = Link::new(config.channel, config.snr_db, seed);
         self.selected.clear();
         self.selected.extend(bootstrap);
         self.rate = config.rate.unwrap_or(DataRate::Mbps12);
-        self.detector = EnergyDetector::new(config.detector_bias_db);
+        self.detector = EnergyDetector::new(DETECTOR_BIAS_DB);
         self.controller = PowerController::new(codec);
         self.adapter = ControlRateAdapter::new(ControlRateTable::default());
         self.seq = 0;
@@ -658,7 +690,10 @@ impl CosSession {
         self.rate
     }
 
-    /// The silence budget (per packet) the rate adapter currently allows.
+    /// The silence budget (per packet) the §III-F control-rate table
+    /// currently allows for a `psdu_bytes` frame at the current rate. Not
+    /// the same number as [`SessionMetrics::silence_budget`], the
+    /// adaptation policy's probe target for the next adaptive frame.
     pub fn silence_budget(&self, psdu_bytes: usize) -> usize {
         self.adapter.silence_budget(self.rate, psdu_bytes)
     }
@@ -674,7 +709,7 @@ impl CosSession {
     }
 
     /// The detection bias currently in force (recalibration may have
-    /// moved it from the configured value).
+    /// moved it from [`DETECTOR_BIAS_DB`]).
     pub fn detector_bias_db(&self) -> f64 {
         self.detector.bias_db()
     }
@@ -714,8 +749,8 @@ impl CosSession {
     ///
     /// # Panics
     ///
-    /// Panics if `bits.len()` is not a multiple of the codec's `k`
-    /// (default 4) — here, not in whichever later send carries it. The
+    /// Panics if `bits.len()` is not a multiple of the codec's
+    /// [`BITS_PER_INTERVAL`] — here, not in whichever later send carries it. The
     /// contract also keeps an adaptive frame's padded probe message
     /// decodable.
     pub fn queue_control(&mut self, bits: Vec<u8>) {
@@ -1544,25 +1579,25 @@ mod tests {
 
     #[test]
     fn adaptive_short_frame_clamps_probe_without_panicking() {
-        // A 30-byte payload at a fast pinned rate has very few symbols;
-        // the probe must clamp to the frame instead of overflowing the
-        // embedder.
+        // A 30-byte payload at a fast pinned rate has very few symbols
+        // (two, 96 control positions: at most 5 intervals, 6 silences);
+        // once the search probes past that, the probe must clamp to the
+        // frame instead of overflowing the embedder.
         let cfg = SessionConfig {
             rate: Some(DataRate::Mbps54),
             snr_db: 26.0,
-            adaptation: AdaptationConfig {
-                base_budget: 2,
-                probe_step: 16,
-                max_budget: 64,
-                ..Default::default()
-            },
+            max_budget: 64,
             ..Default::default()
         };
         let mut s = CosSession::new(cfg, 91);
+        let mut clamped = 0;
         for _ in 0..10 {
             let r = s.send_packet_adaptive_summary(&[0x77; 30]);
             assert!(r.packet.silences_sent <= r.budget);
+            assert!(r.packet.silences_sent <= 6, "{r:?}");
+            clamped += (r.packet.silences_sent < r.budget) as usize;
         }
+        assert!(clamped > 0, "the probe never outgrew the frame");
     }
 
     #[test]
@@ -1681,6 +1716,53 @@ mod tests {
         assert!(s.fs.planes_capacity() > 0);
     }
 
+    /// A NaN SNR used to reach the AWGN's noise-variance assert on the
+    /// first frame; the config check names the field at construction.
+    #[test]
+    #[should_panic(expected = "SessionConfig::snr_db out of range")]
+    fn new_rejects_a_non_finite_snr() {
+        CosSession::new(SessionConfig { snr_db: f64::NAN, ..Default::default() }, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "SessionConfig::n_taps out of range")]
+    fn reinit_rejects_an_invalid_config() {
+        let mut s = CosSession::new(SessionConfig::default(), 1);
+        let mut bad = SessionConfig::default();
+        bad.channel.n_taps = 0;
+        s.reinit(bad, 2);
+    }
+
+    /// Each rule of `validate`, at the first value outside and the last
+    /// value inside its domain.
+    #[test]
+    fn validate_names_the_first_bad_field() {
+        assert_eq!(SessionConfig::default().validate(), Ok(()));
+        type Patch = fn(&mut SessionConfig, bool);
+        let cases: [(&str, Patch); 8] = [
+            ("n_taps", |c, bad| c.channel.n_taps = if bad { 17 } else { 16 }),
+            ("tap_decay", |c, bad| c.channel.tap_decay = if bad { f64::NAN } else { 0.0 }),
+            ("k_factor", |c, bad| c.channel.k_factor = if bad { f64::INFINITY } else { 0.0 }),
+            ("doppler_hz", |c, bad| c.channel.doppler_hz = if bad { -f64::INFINITY } else { 0.0 }),
+            ("snr_db", |c, bad| c.snr_db = if bad { f64::NAN } else { -30.0 }),
+            ("min_control_subcarriers", |c, bad| {
+                c.min_control_subcarriers = MAX_MIN_CONTROL_SUBCARRIERS + bad as usize
+            }),
+            ("packet_interval", |c, bad| c.packet_interval = if bad { -1e-9 } else { 0.0 }),
+            ("max_budget", |c, bad| c.max_budget = BASE_BUDGET - bad as usize),
+        ];
+        for (field, patch) in cases {
+            let mut c = SessionConfig::default();
+            patch(&mut c, true);
+            assert_eq!(c.validate(), Err(field));
+            patch(&mut c, false);
+            assert_eq!(c.validate(), Ok(()), "{field}");
+        }
+        let mut zero_taps = SessionConfig::default();
+        zero_taps.channel.n_taps = 0;
+        assert_eq!(zero_taps.validate(), Err("n_taps"));
+    }
+
     #[test]
     #[should_panic(expected = "control message length 3 is not a multiple of k = 4")]
     fn queue_control_rejects_a_partial_interval() {
@@ -1730,7 +1812,7 @@ mod tests {
         let cfg = SessionConfig {
             rate: Some(DataRate::Mbps54),
             snr_db: 26.0,
-            resilience: ResilienceConfig { arq_max_retries: 2, ..Default::default() },
+            arq_max_retries: 2,
             ..Default::default()
         };
         let payload = [0x77; 30];

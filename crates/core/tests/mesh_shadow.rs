@@ -80,11 +80,7 @@ proptest! {
         coordinated in any::<bool>(),
         churn in any::<bool>(),
     ) {
-        let cfg = MeshConfig {
-            seed,
-            coordination: coordinated.then(Default::default),
-            ..MeshConfig::default()
-        };
+        let cfg = MeshConfig { seed, coordinated, ..MeshConfig::default() };
         let topo = MeshTopology::hidden_clusters(n, clusters, 20.0);
         let mut net = MeshNet::with_trace(EngineConfig { threads: 4 });
         net.add_cell(topo, cfg);

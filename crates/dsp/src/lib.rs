@@ -44,7 +44,6 @@ pub mod lanes;
 pub mod prbs;
 pub mod rng;
 pub mod stats;
-pub mod workspace;
 
 pub use complex::Complex;
 pub use lanes::{kernel_mode, KernelMode};

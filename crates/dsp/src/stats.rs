@@ -109,65 +109,6 @@ impl Ecdf {
     }
 }
 
-/// A streaming counter for binary-outcome rates (packet reception, detection
-/// errors, bit errors...).
-///
-/// # Examples
-///
-/// ```
-/// use cos_dsp::stats::RateCounter;
-///
-/// let mut prr = RateCounter::new();
-/// prr.record(true);
-/// prr.record(true);
-/// prr.record(false);
-/// assert!((prr.rate() - 2.0 / 3.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RateCounter {
-    hits: u64,
-    total: u64,
-}
-
-impl RateCounter {
-    /// Creates an empty counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one trial; `hit` marks a success/positive.
-    pub fn record(&mut self, hit: bool) {
-        self.hits += u64::from(hit);
-        self.total += 1;
-    }
-
-    /// Records `hits` successes out of `total` trials in one call.
-    pub fn record_many(&mut self, hits: u64, total: u64) {
-        assert!(hits <= total, "hits cannot exceed total");
-        self.hits += hits;
-        self.total += total;
-    }
-
-    /// Successes so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Trials so far.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// The empirical rate; `0.0` before any trial.
-    pub fn rate(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,22 +172,5 @@ mod tests {
     fn ecdf_degenerate_sample_set() {
         let cdf = Ecdf::new(vec![2.0, 2.0, 2.0]);
         assert_eq!(cdf.curve(10), vec![(2.0, 1.0)]);
-    }
-
-    #[test]
-    fn rate_counter_accumulates() {
-        let mut c = RateCounter::new();
-        assert_eq!(c.rate(), 0.0);
-        c.record_many(993, 1000);
-        assert!((c.rate() - 0.993).abs() < 1e-12);
-        c.record(false);
-        assert_eq!(c.total(), 1001);
-        assert_eq!(c.hits(), 993);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed")]
-    fn rate_counter_rejects_invalid_batch() {
-        RateCounter::new().record_many(2, 1);
     }
 }

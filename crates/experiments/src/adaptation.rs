@@ -29,9 +29,8 @@
 
 use crate::harness::{paper_payload, run_trials};
 use crate::table::{fmt, Table};
-use cos_core::adaptation::AdaptationConfig;
 use cos_core::session::{CosSession, SessionConfig};
-use cos_core::{IntervalCodec, ResilienceConfig};
+use cos_core::IntervalCodec;
 use cos_phy::rates::DataRate;
 
 /// Experiment dimensions.
@@ -215,8 +214,8 @@ pub struct TrialOutcome {
 fn adaptive_session_config(cfg: &Config) -> SessionConfig {
     SessionConfig {
         snr_db: cfg.snr_hi_db,
-        adaptation: AdaptationConfig { max_budget: cfg.max_budget, ..Default::default() },
-        resilience: ResilienceConfig { arq_max_retries: cfg.arq_max_retries, ..Default::default() },
+        max_budget: cfg.max_budget,
+        arq_max_retries: cfg.arq_max_retries,
         ..Default::default()
     }
 }

@@ -2,15 +2,13 @@
 //! (a) per-subcarrier EVM snapshots under time gaps τ ∈ {0, 10, 20, 30,
 //! 40} ms, (b) the CDF of the normalised EVM change `∇EVM(τ)`.
 
-use crate::harness::{paper_channel, paper_payload, run_trials};
+use crate::fig05::position_evm_on;
+use crate::harness::{paper_channel, run_trials};
 use crate::table::{fmt, Table};
 use cos_channel::Link;
 use cos_dsp::stats::Ecdf;
-use cos_phy::evm::{evm_change, per_subcarrier_evm};
-use cos_phy::rates::DataRate;
-use cos_phy::rx::Receiver;
+use cos_phy::evm::evm_change;
 use cos_phy::subcarriers::NUM_DATA;
-use cos_phy::tx::Transmitter;
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
@@ -46,49 +44,18 @@ impl Config {
     }
 }
 
-/// Measures an EVM snapshot on the link's *current* channel state
-/// (averaging over packets without advancing time, so the snapshot is a
-/// point measurement like the paper's).
-fn snapshot(link: &mut Link, packets: usize) -> [f64; NUM_DATA] {
-    let payload = paper_payload();
-    let tx = Transmitter::new();
-    let rx = Receiver::new();
-    let mut acc = [0.0f64; NUM_DATA];
-    let mut n = 0usize;
-    for p in 0..packets {
-        let frame = tx.build_frame(&payload, DataRate::Mbps12, (p % 126 + 1) as u8);
-        let samples = link.transmit(&frame.to_time_samples());
-        if let Ok(fe) = rx.front_end_known(&samples, DataRate::Mbps12, frame.psdu_len) {
-            let evm = per_subcarrier_evm(
-                &fe.equalized,
-                &frame.mapped_points,
-                DataRate::Mbps12.modulation(),
-                None,
-            );
-            for (a, e) in acc.iter_mut().zip(evm.iter()) {
-                *a += e;
-            }
-            n += 1;
-        }
-    }
-    for a in &mut acc {
-        *a /= n.max(1) as f64;
-    }
-    acc
-}
-
 /// Runs the experiment; returns panel (a) — EVM snapshots — and panel
 /// (b) — the ∇EVM CDF per τ.
 pub fn run(cfg: &Config) -> Vec<Table> {
     // Panel (a): one trace, snapshots at cumulative gaps.
     let mut link = Link::new(paper_channel(), cfg.snr_db, cfg.seed);
-    let mut snapshots = vec![snapshot(&mut link, cfg.packets_per_snapshot)];
+    let mut snapshots = vec![position_evm_on(&mut link, cfg.packets_per_snapshot)];
     let mut elapsed = 0.0;
     for &tau in &cfg.taus_ms {
         let delta = tau - elapsed;
         link.channel_mut().advance(delta.max(0.0) * 1e-3);
         elapsed = tau;
-        snapshots.push(snapshot(&mut link, cfg.packets_per_snapshot));
+        snapshots.push(position_evm_on(&mut link, cfg.packets_per_snapshot));
     }
 
     let mut a = Table::new(
@@ -119,14 +86,14 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     // parallel runner, then regroup the per-τ samples in trial order.
     let per_trial: Vec<Vec<f64>> = run_trials(cfg.trials, |trial| {
         let mut link = Link::new(paper_channel(), cfg.snr_db, cfg.seed + 1 + trial as u64);
-        let d0 = snapshot(&mut link, cfg.packets_per_snapshot);
+        let d0 = position_evm_on(&mut link, cfg.packets_per_snapshot);
         let mut elapsed = 0.0;
         cfg.taus_ms
             .iter()
             .map(|&tau| {
                 link.channel_mut().advance((tau - elapsed).max(0.0) * 1e-3);
                 elapsed = tau;
-                let dt = snapshot(&mut link, cfg.packets_per_snapshot);
+                let dt = position_evm_on(&mut link, cfg.packets_per_snapshot);
                 evm_change(&d0, &dt)
             })
             .collect()
@@ -170,9 +137,9 @@ mod tests {
         // ∇EVM between τ = 0 and τ = 40 ms stays small — the paper's
         // premise that subcarrier prediction holds across packets.
         let mut link = Link::new(paper_channel(), 18.0, 404);
-        let d0 = snapshot(&mut link, 4);
+        let d0 = position_evm_on(&mut link, 4);
         link.channel_mut().advance(0.040);
-        let d40 = snapshot(&mut link, 4);
+        let d40 = position_evm_on(&mut link, 4);
         let g = evm_change(&d0, &d40);
         assert!(g < 0.5, "∇EVM(40 ms) = {g} too large for prediction");
     }

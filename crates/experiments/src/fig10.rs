@@ -10,7 +10,7 @@
 use crate::harness::{paper_channel, paper_payload, random_bits, run_trials};
 use crate::table::{fmt, Table};
 use cos_channel::link::NOMINAL_TX_POWER;
-use cos_channel::{Link, PulseInterferer};
+use cos_channel::{FaultEngine, Link, PulseInterferer};
 use cos_core::energy_detector::{DetectionAccuracy, EnergyDetector};
 use cos_core::interval::IntervalCodec;
 use cos_core::power_controller::PowerController;
@@ -233,7 +233,8 @@ pub fn run_interference(cfg: &Config) -> Table {
         // Strong interference: 15 dB above the signal, striking ~30 %
         // of OFDM-symbol windows.
         let interferer = PulseInterferer::new(NOMINAL_TX_POWER * 31.6, 0.3, SYMBOL_LEN, 555 + seed);
-        let mut l = Link::new(paper_channel(), snr, 9000 + seed * 17).with_interferer(interferer);
+        let mut l = Link::new(paper_channel(), snr, 9000 + seed * 17)
+            .with_faults(FaultEngine::new().with(interferer));
         let loud = detection_batch(&mut l, packets, Mode::Adaptive, 300 + seed);
         (quiet, loud)
     });

@@ -48,8 +48,6 @@ pub struct Config {
     pub trials: usize,
     /// Base seed; per-trial cell seeds derive from it, N and the trial.
     pub seed: u64,
-    /// Cell template (seed and coordination are overridden per trial).
-    pub mesh: MeshConfig,
 }
 
 impl Default for Config {
@@ -61,7 +59,6 @@ impl Default for Config {
             ticks: 160,
             trials: 2,
             seed: 0x0F08,
-            mesh: MeshConfig::default(),
         }
     }
 }
@@ -83,11 +80,7 @@ fn cell_seed(cfg: &Config, n: usize, trial: usize) -> u64 {
 
 /// Runs one seeded cell to completion and returns its report.
 pub fn run_trial(cfg: &Config, n: usize, trial: usize, coordinated: bool) -> MeshReport {
-    let mesh = MeshConfig {
-        seed: cell_seed(cfg, n, trial),
-        coordination: if coordinated { cfg.mesh.coordination } else { None },
-        ..cfg.mesh.clone()
-    };
+    let mesh = MeshConfig { seed: cell_seed(cfg, n, trial), coordinated, ..MeshConfig::default() };
     let topo = MeshTopology::hidden_clusters(n, cfg.clusters.min(n).max(1), cfg.snr_db);
     let mut net = MeshNet::new(EngineConfig { threads: threads() });
     net.add_cell(topo, mesh);

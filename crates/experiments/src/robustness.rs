@@ -68,7 +68,7 @@ impl Config {
 /// Packets after the fault window closes (`Config::window.1`) within
 /// which a [`Expectation::RecoverToCos`] trial must send a packet in CoS
 /// mode: twice the re-probe backoff's clamp
-/// (`ResilienceConfig::reprobe_backoff_max`, 16 packets by default). A
+/// (`resilience::REPROBE_BACKOFF_MAX`, 16 packets). A
 /// parked link probes at least once per clamp, and one probe may fail on
 /// a healthy link: the committed soak's slowest trial (`agc_transient`)
 /// is back 22 packets after the close.

@@ -30,6 +30,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 echo "== cargo clippy --workspace (warnings are errors)"
 cargo clippy -q --workspace --all-targets -- -D warnings
 
+echo "== examples (quickstart, mobile_walkthrough, access_coordination: each asserts its own claim, and cargo test only compiles examples)"
+for example in quickstart mobile_walkthrough access_coordination; do
+    cargo run -q --release --example "$example" > /dev/null
+done
+
 echo "== robustness_soak --quick (fault-matrix smoke: every impairment and mode transition, fixed seeds)"
 cargo run -q --release -p cos-experiments --bin robustness_soak -- --quick
 

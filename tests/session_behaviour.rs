@@ -2,7 +2,7 @@
 //! adaptation, control-message delivery and interference behaviour.
 
 use cos::channel::link::NOMINAL_TX_POWER;
-use cos::channel::{ChannelConfig, Link, PulseInterferer};
+use cos::channel::{ChannelConfig, FaultEngine, Link, PulseInterferer};
 use cos::core::session::{CosSession, SessionConfig};
 use cos::phy::rates::DataRate;
 use cos::phy::rx::Receiver;
@@ -100,7 +100,7 @@ fn run_with_interference(interferer: Option<PulseInterferer>, snr_db: f64, seed:
         sel
     };
     if let Some(i) = interferer {
-        link = link.with_interferer(i);
+        link = link.with_faults(FaultEngine::new().with(i));
     }
     let codec = IntervalCodec::default();
     let controller = PowerController::new(codec);
