@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use cos_core::engine::{JobOutcome, JobResult};
 use cos_core::session::Fnv;
-use cos_core::LinkMode;
 
 /// Forwards to the system allocator while counting every allocation
 /// (alloc + realloc) and the bytes requested. The counters are relaxed
@@ -57,11 +56,6 @@ pub fn counters() -> (u64, u64) {
 /// recorded storm digest.
 pub fn digest_outcome(h: &mut Fnv, o: &JobOutcome) {
     h.usize(o.session.index());
-    let mode_code = |m: LinkMode| match m {
-        LinkMode::Cos => 0u8,
-        LinkMode::DataOnly => 1,
-        LinkMode::Probing => 2,
-    };
     match &o.result {
         JobResult::Plain(p) => {
             h.byte(1);
@@ -69,18 +63,9 @@ pub fn digest_outcome(h: &mut Fnv, o: &JobOutcome) {
         }
         JobResult::Resilient(r) => {
             h.byte(2);
-            h.packet(&r.packet);
-            h.byte(mode_code(r.mode));
-            h.byte(mode_code(r.mode_after));
-            h.bool(r.control_attempted);
-            h.bool(r.control_acked);
-            h.bool(r.feedback_delivered);
-            match r.phy_error {
-                None => h.byte(0),
-                Some(kind) => {
-                    h.byte(1);
-                    h.bytes(kind.as_bytes());
-                }
+            h.resilient(r);
+            if let Some(kind) = r.phy_error {
+                h.bytes(kind.as_bytes());
             }
         }
         JobResult::Adaptive(a) => {
@@ -175,6 +160,7 @@ mod tests {
     use cos_core::energy_detector::DetectionAccuracy;
     use cos_core::engine::SessionPool;
     use cos_core::session::{AdaptiveSummary, PacketSummary, ResilientSummary, SessionConfig};
+    use cos_core::LinkMode;
     use cos_phy::rates::DataRate;
 
     /// One outcome of each `JobResult` variant digests to the value the

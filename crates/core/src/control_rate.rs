@@ -9,132 +9,68 @@
 
 use cos_phy::rates::DataRate;
 
-/// An SNR → maximum-silence-rate lookup table.
+/// The SNR → maximum-silence-rate lookup table: `(measured-SNR lower
+/// bound in dB, sustainable Rm in silence symbols per second)` at the
+/// 99.3 % packet-reception-rate target, ascending by SNR.
 ///
-/// Entries map a measured-SNR lower bound to the sustainable `Rm` in
-/// silence symbols per second at the 99.3 % packet-reception-rate target.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ControlRateTable {
-    /// `(snr_db_lower_bound, rm_silences_per_second)`, ascending by SNR.
-    entries: Vec<(f64, f64)>,
-}
+/// A conservative table shaped like the paper's Fig. 9: `Rm` rises just
+/// above each rate's minimum SNR and its envelope decreases with SNR
+/// (33 k–148 k silence symbols/second). Regenerate with `fig09_capacity`
+/// for the simulator-calibrated table.
+pub const RATE_TABLE: &[(f64, f64)] = &[
+    (5.0, 40_000.0),   // entering the 12 Mbps band
+    (7.1, 148_000.0),  // QPSK,1/2 saturation (paper's maximum)
+    (9.5, 60_000.0),   // QPSK,3/4 band start
+    (11.0, 120_000.0), // QPSK,3/4 saturation
+    (12.0, 55_000.0),  // 16QAM,1/2 band start
+    (14.0, 110_000.0), // 16QAM,1/2 saturation
+    (16.0, 45_000.0),  // 16QAM,3/4 band start
+    (18.0, 75_000.0),  // 16QAM,3/4 saturation
+    (19.0, 40_000.0),  // 64QAM,2/3 band start
+    (21.0, 60_000.0),  // 64QAM,2/3 saturation
+    (22.0, 33_000.0),  // 64QAM,3/4 band start (paper's minimum)
+    (24.0, 45_000.0),  // 64QAM,3/4 saturation
+];
 
-impl ControlRateTable {
-    /// Builds a table from `(measured_snr_db, rm)` calibration points;
-    /// they are sorted internally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points` is empty or contains non-finite values.
-    pub fn from_measurements(mut points: Vec<(f64, f64)>) -> Self {
-        assert!(!points.is_empty(), "a rate table needs at least one entry");
-        for &(snr, rm) in &points {
-            assert!(snr.is_finite() && rm.is_finite() && rm >= 0.0, "invalid entry ({snr}, {rm})");
+/// The conservative safety factor applied by [`rm_for`] and
+/// [`fallback_rm`] (transmit at 80 % of the measured maximum, as a
+/// deployed system would).
+pub const SAFETY: f64 = 0.8;
+
+/// The sustainable silence rate for a measured SNR: the [`RATE_TABLE`]
+/// entry with the largest lower bound not exceeding `snr_db`, scaled by
+/// [`SAFETY`]. Below the first entry, the first entry's rate is used.
+pub fn rm_for(snr_db: f64) -> f64 {
+    let mut rm = RATE_TABLE[0].1;
+    for &(bound, value) in RATE_TABLE {
+        if snr_db >= bound {
+            rm = value;
+        } else {
+            break;
         }
-        points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite by assertion"));
-        ControlRateTable { entries: points }
     }
-
-    /// The conservative safety factor applied by [`Self::rm_for`]
-    /// (transmit at 80 % of the measured maximum, as a deployed system
-    /// would).
-    pub const SAFETY: f64 = 0.8;
-
-    /// The sustainable silence rate for a measured SNR: the entry with the
-    /// largest lower bound not exceeding `snr_db`, scaled by
-    /// [`Self::SAFETY`]. Below the first entry, the lowest rate is used
-    /// (the paper's fallback).
-    pub fn rm_for(&self, snr_db: f64) -> f64 {
-        let mut rm = self.entries[0].1;
-        for &(bound, value) in &self.entries {
-            if snr_db >= bound {
-                rm = value;
-            } else {
-                break;
-            }
-        }
-        rm * Self::SAFETY
-    }
-
-    /// The fallback rate used when no feedback is available: the table's
-    /// minimum `Rm`, scaled by [`Self::SAFETY`].
-    pub fn fallback_rm(&self) -> f64 {
-        self.entries
-            .iter()
-            .map(|&(_, rm)| rm)
-            .fold(f64::INFINITY, f64::min)
-            * Self::SAFETY
-    }
-
-    /// Converts a silence rate (symbols/second) into a per-packet silence
-    /// budget for a given data rate and PSDU size.
-    pub fn silences_per_packet(rm: f64, rate: DataRate, psdu_bytes: usize) -> usize {
-        (rm * rate.frame_airtime_us(psdu_bytes) * 1e-6).floor() as usize
-    }
+    rm * SAFETY
 }
 
-impl Default for ControlRateTable {
-    /// A conservative default shaped like the paper's Fig. 9: `Rm` rises
-    /// just above each rate's minimum SNR and its envelope decreases with
-    /// SNR (33 k–148 k silence symbols/second). Regenerate with
-    /// `fig09_capacity` for the simulator-calibrated table.
-    fn default() -> Self {
-        ControlRateTable::from_measurements(vec![
-            (5.0, 40_000.0),   // entering the 12 Mbps band
-            (7.1, 148_000.0),  // QPSK,1/2 saturation (paper's maximum)
-            (9.5, 60_000.0),   // QPSK,3/4 band start
-            (11.0, 120_000.0), // QPSK,3/4 saturation
-            (12.0, 55_000.0),  // 16QAM,1/2 band start
-            (14.0, 110_000.0), // 16QAM,1/2 saturation
-            (16.0, 45_000.0),  // 16QAM,3/4 band start
-            (18.0, 75_000.0),  // 16QAM,3/4 saturation
-            (19.0, 40_000.0),  // 64QAM,2/3 band start
-            (21.0, 60_000.0),  // 64QAM,2/3 saturation
-            (22.0, 33_000.0),  // 64QAM,3/4 band start (paper's minimum)
-            (24.0, 45_000.0),  // 64QAM,3/4 saturation
-        ])
-    }
+/// The fallback rate used when no feedback is available: the table's
+/// minimum `Rm`, scaled by [`SAFETY`].
+pub fn fallback_rm() -> f64 {
+    RATE_TABLE.iter().map(|&(_, rm)| rm).fold(f64::INFINITY, f64::min) * SAFETY
 }
 
-/// The sender-side adapter: tracks feedback availability and picks the
-/// silence budget for the next packet.
-#[derive(Debug, Clone)]
-pub struct ControlRateAdapter {
-    table: ControlRateTable,
-    last_feedback_snr: Option<f64>,
+/// Converts a silence rate (symbols/second) into a per-packet silence
+/// budget for a given data rate and PSDU size.
+pub fn silences_per_packet(rm: f64, rate: DataRate, psdu_bytes: usize) -> usize {
+    (rm * rate.frame_airtime_us(psdu_bytes) * 1e-6).floor() as usize
 }
 
-impl ControlRateAdapter {
-    /// Creates an adapter over a rate table.
-    pub fn new(table: ControlRateTable) -> Self {
-        ControlRateAdapter { table, last_feedback_snr: None }
-    }
-
-    /// Records a successful feedback report of the receiver's measured
-    /// SNR.
-    pub fn feedback(&mut self, measured_snr_db: f64) {
-        self.last_feedback_snr = Some(measured_snr_db);
-    }
-
-    /// Records a failed transmission (no feedback): the next packet uses
-    /// the lowest rate, as §III-F specifies.
-    pub fn transmission_failed(&mut self) {
-        self.last_feedback_snr = None;
-    }
-
-    /// The silence budget for the next packet.
-    pub fn silence_budget(&self, rate: DataRate, psdu_bytes: usize) -> usize {
-        let rm = match self.last_feedback_snr {
-            Some(snr) => self.table.rm_for(snr),
-            None => self.table.fallback_rm(),
-        };
-        ControlRateTable::silences_per_packet(rm, rate, psdu_bytes)
-    }
-
-    /// The table in use.
-    pub fn table(&self) -> &ControlRateTable {
-        &self.table
-    }
+/// The silence budget of the next `psdu_bytes` packet at `rate`, given
+/// the measured SNR of the last feedback report that reached the sender
+/// (`None` after a transmission without feedback: the lowest rate, as
+/// §III-F specifies).
+pub fn silence_budget(fed_back_snr: Option<f64>, rate: DataRate, psdu_bytes: usize) -> usize {
+    let rm = fed_back_snr.map_or_else(fallback_rm, rm_for);
+    silences_per_packet(rm, rate, psdu_bytes)
 }
 
 #[cfg(test)]
@@ -143,53 +79,37 @@ mod tests {
 
     #[test]
     fn lookup_uses_highest_cleared_bound() {
-        let t = ControlRateTable::from_measurements(vec![(5.0, 100.0), (10.0, 200.0), (20.0, 50.0)]);
-        assert_eq!(t.rm_for(4.0), 100.0 * ControlRateTable::SAFETY);
-        assert_eq!(t.rm_for(5.0), 100.0 * ControlRateTable::SAFETY);
-        assert_eq!(t.rm_for(12.0), 200.0 * ControlRateTable::SAFETY);
-        assert_eq!(t.rm_for(25.0), 50.0 * ControlRateTable::SAFETY);
+        assert_eq!(rm_for(4.0), 40_000.0 * SAFETY);
+        assert_eq!(rm_for(5.0), 40_000.0 * SAFETY);
+        assert_eq!(rm_for(12.0), 55_000.0 * SAFETY);
+        assert_eq!(rm_for(25.0), 45_000.0 * SAFETY);
     }
 
     #[test]
-    fn unsorted_measurements_are_sorted() {
-        let t = ControlRateTable::from_measurements(vec![(20.0, 1.0), (5.0, 2.0)]);
-        assert_eq!(t.rm_for(6.0), 2.0 * ControlRateTable::SAFETY);
+    fn table_is_ascending_by_snr() {
+        assert!(RATE_TABLE.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]
     fn default_table_matches_paper_landmarks() {
-        let t = ControlRateTable::default();
         // The paper's max Rm (148k) in the 7.1–9.5 dB window...
-        assert_eq!(t.rm_for(8.0), 148_000.0 * ControlRateTable::SAFETY);
+        assert_eq!(rm_for(8.0), 148_000.0 * SAFETY);
         // ...and its min (33k) just above 22.4 dB.
-        assert_eq!(t.rm_for(22.4), 33_000.0 * ControlRateTable::SAFETY);
+        assert_eq!(rm_for(22.4), 33_000.0 * SAFETY);
     }
 
     #[test]
     fn silences_per_packet_uses_airtime() {
         // 1024-B PSDU at 24 Mbps = 364 µs airtime; 100k silences/s → 36.
-        let n = ControlRateTable::silences_per_packet(100_000.0, DataRate::Mbps24, 1024);
+        let n = silences_per_packet(100_000.0, DataRate::Mbps24, 1024);
         assert_eq!(n, 36);
     }
 
     #[test]
-    fn adapter_falls_back_on_failure() {
-        let mut a = ControlRateAdapter::new(ControlRateTable::default());
-        a.feedback(8.0);
-        let with_feedback = a.silence_budget(DataRate::Mbps12, 1024);
-        a.transmission_failed();
-        let fallback = a.silence_budget(DataRate::Mbps12, 1024);
+    fn budget_falls_back_without_feedback() {
+        let with_feedback = silence_budget(Some(8.0), DataRate::Mbps12, 1024);
+        let fallback = silence_budget(None, DataRate::Mbps12, 1024);
         assert!(fallback < with_feedback);
-        let min_rm = a.table().fallback_rm();
-        assert_eq!(
-            fallback,
-            ControlRateTable::silences_per_packet(min_rm, DataRate::Mbps12, 1024)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one entry")]
-    fn empty_table_panics() {
-        ControlRateTable::from_measurements(vec![]);
+        assert_eq!(fallback, silences_per_packet(fallback_rm(), DataRate::Mbps12, 1024));
     }
 }

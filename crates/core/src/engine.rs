@@ -293,10 +293,18 @@ impl ControlId {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum JobKind {
+/// Which path a job takes through its session, from admission (the
+/// service re-exports it as `ServiceJobKind`) to outcome: one per
+/// [`BatchEngine`] submit entry point and per [`JobResult`] variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobKind {
+    /// [`BatchEngine::submit`] with the given control message.
     Plain(ControlId),
+    /// [`BatchEngine::submit_resilient`] (control bits from the session's
+    /// ARQ queue).
     Resilient,
+    /// [`BatchEngine::submit_adaptive`] (rate/budget from the session's
+    /// adaptation policy, control bits from its ARQ queue).
     Adaptive,
 }
 
@@ -427,9 +435,7 @@ impl BatchEngine {
     /// Panics if `payload` or `control` was not registered with this
     /// engine.
     pub fn submit(&mut self, session: SessionId, payload: PayloadId, control: ControlId) {
-        assert!((payload.0 as usize) < self.payloads.len(), "unregistered payload id");
-        assert!((control.0 as usize) < self.controls.len(), "unregistered control id");
-        self.jobs.push(Job { session, payload, kind: JobKind::Plain(control) });
+        self.push(session, payload, JobKind::Plain(control));
     }
 
     /// Queues one resilient-path frame
@@ -440,8 +446,7 @@ impl BatchEngine {
     ///
     /// Panics if `payload` was not registered with this engine.
     pub fn submit_resilient(&mut self, session: SessionId, payload: PayloadId) {
-        assert!((payload.0 as usize) < self.payloads.len(), "unregistered payload id");
-        self.jobs.push(Job { session, payload, kind: JobKind::Resilient });
+        self.push(session, payload, JobKind::Resilient);
     }
 
     /// Queues one adaptive-path frame
@@ -455,8 +460,22 @@ impl BatchEngine {
     ///
     /// Panics if `payload` was not registered with this engine.
     pub fn submit_adaptive(&mut self, session: SessionId, payload: PayloadId) {
+        self.push(session, payload, JobKind::Adaptive);
+    }
+
+    /// Queues one job of any kind: the one body behind the three submit
+    /// entry points, and the service's dispatch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payload` (or a plain job's control) was not registered
+    /// with this engine.
+    pub(crate) fn push(&mut self, session: SessionId, payload: PayloadId, kind: JobKind) {
         assert!((payload.0 as usize) < self.payloads.len(), "unregistered payload id");
-        self.jobs.push(Job { session, payload, kind: JobKind::Adaptive });
+        if let JobKind::Plain(control) = kind {
+            assert!((control.0 as usize) < self.controls.len(), "unregistered control id");
+        }
+        self.jobs.push(Job { session, payload, kind });
     }
 
     /// Jobs queued and not yet drained.

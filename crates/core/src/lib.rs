@@ -97,7 +97,6 @@ pub use adaptation::{
     AdaptationEvents, LinkAdaptationController, ProbeEvent, ProbeState,
     RateStaircase, SilenceProbeSearch, SnrEstimator, StaircaseEvent,
 };
-pub use control_rate::ControlRateTable;
 pub use energy_detector::EnergyDetector;
 pub use engine::{
     configured_threads, run_indexed, BatchEngine, ControlId, EngineConfig, JobOutcome, JobResult,

@@ -34,9 +34,8 @@
 //! constants and is refused); `f64`s are stored as IEEE 754 bit patterns
 //! so round-tripping is exact.
 
-use super::{ServiceConfig, ServiceCore, ServiceJobKind, ServiceOutcome, ServiceResult, Ticket};
-use crate::engine::{ControlId, JobResult, PayloadId, SessionId};
-use crate::resilience::LinkMode;
+use super::{ServiceConfig, ServiceCore, ServiceOutcome, ServiceResult, Ticket};
+use crate::engine::{ControlId, JobKind, JobResult, PayloadId, SessionId};
 use crate::session::{Fnv, SessionConfig};
 use cos_channel::ChannelConfig;
 use cos_phy::rates::DataRate;
@@ -76,13 +75,7 @@ impl OutcomeDigest {
                     }
                     JobResult::Resilient(s) => {
                         h.byte(1);
-                        h.packet(&s.packet);
-                        h.byte(link_mode_code(s.mode));
-                        h.byte(link_mode_code(s.mode_after));
-                        h.bool(s.control_attempted);
-                        h.bool(s.control_acked);
-                        h.bool(s.feedback_delivered);
-                        h.bool(s.phy_error.is_some());
+                        h.resilient(s);
                     }
                     JobResult::Adaptive(s) => {
                         h.byte(2);
@@ -106,14 +99,6 @@ impl OutcomeDigest {
     }
 }
 
-fn link_mode_code(m: LinkMode) -> u8 {
-    match m {
-        LinkMode::Cos => 0,
-        LinkMode::DataOnly => 1,
-        LinkMode::Probing => 2,
-    }
-}
-
 /// One recorded state-changing call (crate-internal; the byte stream is
 /// the public contract).
 #[derive(Debug, Clone)]
@@ -132,9 +117,9 @@ pub(crate) enum JournalEvent {
     ReleaseSession {
         ordinal: u32,
     },
-    /// A successful `try_submit`. `kind`: 0 plain, 1 resilient,
-    /// 2 adaptive; `control` is the control ordinal (plain) or
-    /// `u32::MAX`.
+    /// A successful `try_submit` (built by [`JournalEvent::admit`]).
+    /// `kind`: 0 plain, 1 resilient, 2 adaptive; `control` is the
+    /// control ordinal (plain) or `u32::MAX`.
     Admit {
         ordinal: u32,
         payload: u32,
@@ -158,6 +143,19 @@ pub(crate) enum JournalEvent {
         ticket: u64,
         ticks: u32,
     },
+}
+
+impl JournalEvent {
+    /// The admission of a `kind` job for the session created
+    /// `ordinal`-th with the `payload`-th payload, in journal codes.
+    pub(crate) fn admit(ordinal: u32, payload: u32, kind: JobKind) -> Self {
+        let (kind, control) = match kind {
+            JobKind::Plain(c) => (0, c.ordinal()),
+            JobKind::Resilient => (1, u32::MAX),
+            JobKind::Adaptive => (2, u32::MAX),
+        };
+        JournalEvent::Admit { ordinal, payload, kind, control }
+    }
 }
 
 /// Why a journal byte stream failed to decode.
@@ -327,9 +325,9 @@ impl ReplayJournal {
                 }
                 JournalEvent::Admit { ordinal, payload, kind, control } => {
                     let k = match kind {
-                        0 => ServiceJobKind::Plain(controls[*control as usize]),
-                        1 => ServiceJobKind::Resilient,
-                        2 => ServiceJobKind::Adaptive,
+                        0 => JobKind::Plain(controls[*control as usize]),
+                        1 => JobKind::Resilient,
+                        2 => JobKind::Adaptive,
                         _ => unreachable!("kind validated at decode"),
                     };
                     let session = sessions[*ordinal as usize];
@@ -440,8 +438,10 @@ fn write_service_config(w: &mut Vec<u8>, c: &ServiceConfig) {
     w_usize(w, c.engine.threads);
 }
 
+/// Reads a service config and holds it to [`ServiceConfig::validate`],
+/// so a config that would panic on replay is refused here.
 fn read_service_config(r: &mut Reader<'_>) -> Result<ServiceConfig, JournalError> {
-    Ok(ServiceConfig {
+    let config = ServiceConfig {
         queue_capacity: r.usize_()?,
         session_quota: r.usize_()?,
         max_inflight: r.usize_()?,
@@ -452,7 +452,9 @@ fn read_service_config(r: &mut Reader<'_>) -> Result<ServiceConfig, JournalError
         dead_letter_capacity: r.usize_()?,
         batch_limit: r.usize_()?,
         engine: crate::engine::EngineConfig { threads: r.usize_()? },
-    })
+    };
+    config.validate().map_err(JournalError::BadValue)?;
+    Ok(config)
 }
 
 fn write_session_config(w: &mut Vec<u8>, c: &SessionConfig) {
@@ -599,10 +601,10 @@ mod tests {
         let mut cancel_me = None;
         for i in 0..8 {
             let (s, k) = match i % 4 {
-                0 => (plain, ServiceJobKind::Plain(control)),
-                1 => (fancy, ServiceJobKind::Resilient),
-                2 => (fancy, ServiceJobKind::Adaptive),
-                _ => (plain, ServiceJobKind::Resilient),
+                0 => (plain, JobKind::Plain(control)),
+                1 => (fancy, JobKind::Resilient),
+                2 => (fancy, JobKind::Adaptive),
+                _ => (plain, JobKind::Resilient),
             };
             let t = core.try_submit(s, payload, k).unwrap();
             if i == 6 {
@@ -647,7 +649,7 @@ mod tests {
         let mut core = ServiceCore::with_journal(ServiceConfig::default());
         let s = core.create_session(SessionConfig::default(), 3);
         let p = core.add_payload(&[0x11; 100]);
-        core.try_submit(s, p, ServiceJobKind::Resilient).unwrap();
+        core.try_submit(s, p, JobKind::Resilient).unwrap();
         core.run_to_drained();
         // Take the journal WITHOUT sealing: clone the events via
         // serialize-before-seal semantics.
@@ -694,6 +696,31 @@ mod tests {
         assert_eq!(ReplayJournal::deserialize(&v1).unwrap_err(), JournalError::BadMagic);
     }
 
+    /// The service config leads the journal, right after the magic; a
+    /// zero capacity, quota, in-flight cap or batch limit is refused, as
+    /// [`ServiceCore::new`] would panic on it.
+    #[test]
+    fn deserialize_rejects_out_of_range_service_config() {
+        let (_, journal) = journaled_run();
+        let bytes = journal.serialize();
+        let fields = [
+            ("queue_capacity", 8),
+            ("session_quota", 16),
+            ("max_inflight", 24),
+            // deadline_ticks (8 bytes), retry_budget (4), retry_backoff_cap,
+            // stall_ticks and dead_letter_capacity (8 each) come between.
+            ("batch_limit", 68),
+        ];
+        for (field, at) in fields {
+            assert_eq!(
+                ReplayJournal::deserialize(&patched(&bytes, at, 0)).unwrap_err(),
+                JournalError::BadValue(field),
+                "{field} = 0"
+            );
+            assert!(ReplayJournal::deserialize(&patched(&bytes, at, 1)).is_ok(), "{field} = 1");
+        }
+    }
+
     // Session-config values whose bit patterns occur once in the journal.
     const SNR_DB: f64 = 17.375;
     const TAP_DECAY: f64 = 0.3125;
@@ -713,8 +740,8 @@ mod tests {
         let mut core = ServiceCore::with_journal(ServiceConfig::default());
         let s = core.create_session(config, 5);
         let p = core.add_payload(&[0x5A; 60]);
-        core.try_submit(s, p, ServiceJobKind::Resilient).unwrap();
-        core.try_submit(s, p, ServiceJobKind::Adaptive).unwrap();
+        core.try_submit(s, p, JobKind::Resilient).unwrap();
+        core.try_submit(s, p, JobKind::Adaptive).unwrap();
         core.run_to_drained();
         let bytes = core.seal_journal().expect("journaling was on").serialize();
         assert!(ReplayJournal::deserialize(&bytes).is_ok());

@@ -98,19 +98,7 @@ pub enum Rejected {
     Draining,
 }
 
-/// Which path a job takes through the engine — mirrors the three
-/// [`BatchEngine`] submit entry points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServiceJobKind {
-    /// [`BatchEngine::submit`] with the given control message.
-    Plain(ControlId),
-    /// [`BatchEngine::submit_resilient`] (control bits from the session's
-    /// ARQ queue).
-    Resilient,
-    /// [`BatchEngine::submit_adaptive`] (rate/budget from the session's
-    /// controller).
-    Adaptive,
-}
+pub use crate::engine::JobKind as ServiceJobKind;
 
 /// Why a job was quarantined to the dead-letter queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,7 +206,8 @@ pub const WALL_PATIENCE_MS: u64 = 250;
 /// Service tuning. Defaults are the SLO table of
 /// `docs/ROBUSTNESS.md` ("Service-layer guarantees"). The service-level
 /// health controller is a [`DegradedModeController`] with the
-/// resilience layer's constants.
+/// resilience layer's constants. [`ServiceConfig::validate`] holds the
+/// one rule set for its values.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Bounded submit-queue capacity; the hard memory bound of the
@@ -262,6 +251,26 @@ impl Default for ServiceConfig {
             dead_letter_capacity: 64,
             batch_limit: 64,
             engine: EngineConfig { threads: 0 },
+        }
+    }
+}
+
+impl ServiceConfig {
+    /// The one rule per field: `Err` names the first field outside its
+    /// domain. [`ServiceCore::new`] and [`ServiceCore::with_journal`]
+    /// panic on it; the journal's reader rejects it. A zero capacity,
+    /// quota or in-flight cap would refuse every job; a zero
+    /// `batch_limit` would dispatch none, so a drain would never finish.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let checks = [
+            (self.queue_capacity >= 1, "queue_capacity"),
+            (self.session_quota >= 1, "session_quota"),
+            (self.max_inflight >= 1, "max_inflight"),
+            (self.batch_limit >= 1, "batch_limit"),
+        ];
+        match checks.into_iter().find(|&(ok, _)| !ok) {
+            Some((_, field)) => Err(field),
+            None => Ok(()),
         }
     }
 }
@@ -362,6 +371,11 @@ pub struct ServiceCore {
 
 impl ServiceCore {
     /// A fresh core without journaling.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if `cfg` fails
+    /// [`ServiceConfig::validate`].
     pub fn new(cfg: ServiceConfig) -> Self {
         Self::build(cfg, false)
     }
@@ -369,11 +383,18 @@ impl ServiceCore {
     /// A fresh core that records every state-changing call into a
     /// [`ReplayJournal`] (seal it with
     /// [`seal_journal`](Self::seal_journal)).
+    ///
+    /// # Panics
+    ///
+    /// As [`ServiceCore::new`].
     pub fn with_journal(cfg: ServiceConfig) -> Self {
         Self::build(cfg, true)
     }
 
     fn build(cfg: ServiceConfig, journaled: bool) -> Self {
+        if let Err(field) = cfg.validate() {
+            panic!("ServiceConfig::{field} out of range in {cfg:?}");
+        }
         let journal = journaled.then(|| ReplayJournal::new(cfg.clone()));
         let health = DegradedModeController::new();
         let engine = BatchEngine::new(cfg.engine);
@@ -510,19 +531,7 @@ impl ServiceCore {
 
         let ticket = self.next_ticket;
         self.next_ticket += 1;
-        self.record(JournalEvent::Admit {
-            ordinal,
-            payload: payload.ordinal(),
-            kind: match kind {
-                ServiceJobKind::Plain(_) => 0,
-                ServiceJobKind::Resilient => 1,
-                ServiceJobKind::Adaptive => 2,
-            },
-            control: match kind {
-                ServiceJobKind::Plain(c) => c.ordinal(),
-                _ => u32::MAX,
-            },
-        });
+        self.record(JournalEvent::admit(ordinal, payload.ordinal(), kind));
         self.queue.push_back(PendingJob {
             ticket,
             session,
@@ -691,15 +700,7 @@ impl ServiceCore {
         // tickets in dispatch order.
         if !batch.is_empty() {
             for job in &batch {
-                match job.kind {
-                    ServiceJobKind::Plain(c) => self.engine.submit(job.session, job.payload, c),
-                    ServiceJobKind::Resilient => {
-                        self.engine.submit_resilient(job.session, job.payload)
-                    }
-                    ServiceJobKind::Adaptive => {
-                        self.engine.submit_adaptive(job.session, job.payload)
-                    }
-                }
+                self.engine.push(job.session, job.payload, job.kind);
             }
             self.stats_mut().engine_jobs += batch.len() as u64;
             let mut out = std::mem::take(&mut self.drain_buf);
@@ -1082,6 +1083,29 @@ mod tests {
         }
         core.run_to_drained();
         (core.digest(), core.outcomes().len())
+    }
+
+    #[test]
+    fn validate_names_each_zero_bound() {
+        assert_eq!(ServiceConfig::default().validate(), Ok(()));
+        let d = ServiceConfig::default;
+        let zeroed = [
+            (ServiceConfig { queue_capacity: 0, ..d() }, "queue_capacity"),
+            (ServiceConfig { session_quota: 0, ..d() }, "session_quota"),
+            (ServiceConfig { max_inflight: 0, ..d() }, "max_inflight"),
+            (ServiceConfig { batch_limit: 0, ..d() }, "batch_limit"),
+        ];
+        for (cfg, field) in zeroed {
+            assert_eq!(cfg.validate(), Err(field));
+        }
+    }
+
+    /// Without the rule this config never dispatches a job, so a drain
+    /// never finishes.
+    #[test]
+    #[should_panic(expected = "ServiceConfig::batch_limit out of range")]
+    fn new_rejects_a_zero_batch_limit() {
+        ServiceCore::new(ServiceConfig { batch_limit: 0, deadline_ticks: 0, ..Default::default() });
     }
 
     #[test]

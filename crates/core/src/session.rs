@@ -39,14 +39,21 @@
 //! The frame path is one pass per frame, in the order of the paper's
 //! Fig. 8: build, embed, channel, front end, energy detection, the
 //! erasure decode (demap, Viterbi, CRC), control extraction, silence
-//! validation, EVM feedback, then the per-kind sender tail. Each frame
-//! runs on a `FrameScratch` lent by the caller: the session's own on the
-//! per-frame path, an engine worker's in a batch.
+//! validation, EVM feedback, then one sender tail for every kind, as
+//! the paper's link has one ACK feedback loop: the report's fate (plain
+//! frames trust every report, the others cross the link's reverse
+//! path), one gate that picks the report reaching the sender (only the
+//! resilience guard salvages stale and corrupt reports), its
+//! application, and the kind's observer (none for plain frames, the
+//! guard for resilient ones, the policy for adaptive ones), whose
+//! confirmation settles the ARQ head. Each frame runs on a
+//! `FrameScratch` lent by the caller: the session's own on the per-frame
+//! path, an engine worker's in a batch.
 
 use crate::adaptation::{
     LinkAdaptationController, ProbeEvent, ProbeState, StaircaseEvent, BASE_BUDGET,
 };
-use crate::control_rate::{ControlRateAdapter, ControlRateTable};
+use crate::control_rate;
 use crate::energy_detector::{Detection, DetectionAccuracy, EnergyDetector};
 use crate::engine::JobResult;
 use crate::interval::IntervalCodec;
@@ -82,8 +89,8 @@ pub(crate) enum ControlSource<'a> {
     Adaptive,
 }
 
-/// What the control source decided that the frame's sender-side tail
-/// needs back.
+/// The frame's kind as the sender tail ([`CosSession::settle`]) sees
+/// it, with what its control source decided that the tail needs back.
 #[derive(Debug, Clone, Copy)]
 enum Tail {
     Plain,
@@ -405,6 +412,19 @@ impl Fnv {
         self.u64(p.control_hash);
     }
 
+    /// Feeds a resilient summary in declaration order, the error kind
+    /// only as whether one occurred; the modes enter as their variant
+    /// index.
+    pub fn resilient(&mut self, r: &ResilientSummary) {
+        self.packet(&r.packet);
+        self.byte(r.mode as u8);
+        self.byte(r.mode_after as u8);
+        self.bool(r.control_attempted);
+        self.bool(r.control_acked);
+        self.bool(r.feedback_delivered);
+        self.bool(r.phy_error.is_some());
+    }
+
     /// Feeds every field of an adaptive summary in declaration order; the
     /// enums enter as their variant index.
     pub fn adaptive(&mut self, a: &AdaptiveSummary) {
@@ -591,7 +611,9 @@ pub struct CosSession {
     phy_rx: Receiver,
     controller: PowerController,
     detector: EnergyDetector,
-    adapter: ControlRateAdapter,
+    /// The receiver's measured SNR of the last report that reached the
+    /// sender; `None` after a miss (the §III-F budget falls back).
+    fed_back_snr: Option<f64>,
     /// Current control subcarriers (receiver feedback; bootstrap default).
     selected: Vec<usize>,
     /// Rate for the next packet.
@@ -631,7 +653,7 @@ impl CosSession {
         CosSession {
             detector: EnergyDetector::new(DETECTOR_BIAS_DB),
             controller: PowerController::new(codec),
-            adapter: ControlRateAdapter::new(ControlRateTable::default()),
+            fed_back_snr: None,
             phy_tx: Transmitter::new(),
             phy_rx: Receiver::new(),
             link,
@@ -669,7 +691,7 @@ impl CosSession {
         self.rate = config.rate.unwrap_or(DataRate::Mbps12);
         self.detector = EnergyDetector::new(DETECTOR_BIAS_DB);
         self.controller = PowerController::new(codec);
-        self.adapter = ControlRateAdapter::new(ControlRateTable::default());
+        self.fed_back_snr = None;
         self.seq = 0;
         self.m = SessionMetrics::default();
         self.config = config;
@@ -695,7 +717,7 @@ impl CosSession {
     /// the same number as [`SessionMetrics::silence_budget`], the
     /// adaptation policy's probe target for the next adaptive frame.
     pub fn silence_budget(&self, psdu_bytes: usize) -> usize {
-        self.adapter.silence_budget(self.rate, psdu_bytes)
+        control_rate::silence_budget(self.fed_back_snr, self.rate, psdu_bytes)
     }
 
     /// The underlying link (e.g. for sounding the true channel).
@@ -822,11 +844,11 @@ impl CosSession {
     /// link; the receiver runs its front end, energy detection, the
     /// erasure decode (demap, Viterbi, CRC), control extraction, silence
     /// validation and EVM feedback; then the channel advances, the
-    /// metrics count the frame, the control source's sender tail
-    /// (feedback fate, controller observation) applies the outcome and
-    /// the ARQ settles the head the frame carried. The per-frame `send_*`
-    /// methods lend the session's own planes, the engine a worker's; both
-    /// run this one path.
+    /// metrics count the frame, the one sender tail
+    /// ([`settle`](Self::settle)) applies the outcome and the ARQ settles
+    /// the head the frame carried. The per-frame `send_*` methods lend
+    /// the session's own planes, the engine a worker's; both run this one
+    /// path.
     pub(crate) fn run_frame(
         &mut self,
         fs: &mut FrameScratch,
@@ -1000,20 +1022,7 @@ impl CosSession {
         self.m.control_embedded += embed_control as u64;
         self.m.frames_rx_ok += t.data_ok as u64;
         self.m.control_ok += t.control_ok as u64;
-        let (result, acked) = match tail {
-            Tail::Plain => {
-                self.plain_tail(&t);
-                (JobResult::Plain(self.summarize(&t)), false)
-            }
-            Tail::Resilient { mode } => {
-                let s = self.resilient_tail(t, mode, embed_control);
-                (JobResult::Resilient(s), s.control_acked)
-            }
-            Tail::Adaptive { target } => {
-                let s = self.adaptive_tail(t, target);
-                (JobResult::Adaptive(s), s.control_acked)
-            }
-        };
+        let (result, acked) = self.settle(t, tail, embed_control);
         // The confirmation rides the feedback report: no report
         // delivered, no ACK — the ARQ retries (a lost ACK costs a
         // duplicate, never a silent loss).
@@ -1094,169 +1103,140 @@ impl CosSession {
         (embed, from_queue, tail)
     }
 
-    /// Applies the feedback report in `xs.fb_selection` by swapping it
-    /// into `selected`. That scratch is dead after the frame (the next
-    /// frame overwrites it), so a stale or corrupted report may be
-    /// written there first.
-    fn apply_feedback(&mut self, measured_snr_db: f64) {
-        std::mem::swap(&mut self.selected, &mut self.xs.fb_selection);
-        self.adapter.feedback(measured_snr_db);
-        self.rate = self.config.rate.unwrap_or_else(|| DataRate::select(measured_snr_db));
+    /// The one sender tail: settles the frame's feedback report through
+    /// one gate and runs the kind's observer, returning the frame's
+    /// summary and whether the control message it carried was
+    /// confirmed. `embedded` is whether the frame carried silences.
+    ///
+    /// The steps, the same for every kind: the fate of the report (the
+    /// paper's plain loop trusts every report; resilient and adaptive
+    /// reports cross the link's reverse path), the resilience guard's
+    /// receiver-side bookkeeping (resilient only), the gate that picks
+    /// the report reaching the sender (only the guard salvages stale and
+    /// corrupt reports; every other fate is a miss), its application,
+    /// and the kind's observer.
+    fn settle(&mut self, t: Transceived, tail: Tail, embedded: bool) -> (JobResult, bool) {
+        let fate = match tail {
+            Tail::Plain => FeedbackFate::Deliver,
+            Tail::Resilient { .. } | Tail::Adaptive { .. } => self.link.feedback_fate(),
+        };
+        let resilient = matches!(tail, Tail::Resilient { .. });
+        if resilient {
+            self.keep_report(&t, embedded);
+        }
+
+        let CosSession { config, plane, xs, selected, fed_back_snr, rate, .. } = &mut *self;
+        let report = match (t.feedback, fate) {
+            (Some(fb), FeedbackFate::Deliver) => Some(fb.measured_snr_db),
+            // Index 0 is the report just kept; `d` packets ago is index d
+            // (when that far back exists).
+            (Some(_), FeedbackFate::Stale(d)) if resilient => plane.history.get(d).map(|old| {
+                xs.fb_selection.clone_from(&old.selection);
+                old.measured_snr_db
+            }),
+            // Corrupted where it sits: the history already holds the true
+            // report.
+            (Some(fb), FeedbackFate::Corrupt { xor_mask }) if resilient => {
+                corrupt_selection(&mut xs.fb_selection, xor_mask);
+                sanitize_selection(&mut xs.fb_selection, config.min_control_subcarriers);
+                Some(fb.measured_snr_db)
+            }
+            _ => None,
+        };
+        // A report feeds the §III-F budget and swaps in its selection (the
+        // scratch is dead after the frame); the rate follows it except on
+        // adaptive frames, whose rate the staircase owns. A miss drops the
+        // budget to the fallback; the plain loop alone then re-picks the
+        // rate from what its front end measured.
+        let pick = |snr| config.rate.unwrap_or_else(|| DataRate::select(snr));
+        *fed_back_snr = report;
+        match report {
+            Some(snr) => {
+                std::mem::swap(selected, &mut xs.fb_selection);
+                if !matches!(tail, Tail::Adaptive { .. }) {
+                    *rate = pick(snr);
+                }
+            }
+            None if matches!(tail, Tail::Plain) && t.front_end_ok => *rate = pick(t.measured),
+            None => {}
+        }
+
+        let delivered = report.is_some();
+        self.m.feedback_delivered += delivered as u64;
+        let acked = embedded && t.control_ok && delivered;
+        let packet = self.summarize(&t);
+        let result = match tail {
+            Tail::Plain => JobResult::Plain(packet),
+            Tail::Resilient { mode } => {
+                let guard = &mut self.plane.guard;
+                guard.observe(
+                    self.seq,
+                    PacketObservation {
+                        feedback_fresh: delivered,
+                        control_attempted: embedded,
+                        control_ok: acked,
+                        crc_ok: t.data_ok,
+                    },
+                );
+                JobResult::Resilient(ResilientSummary {
+                    packet,
+                    mode,
+                    mode_after: guard.mode(),
+                    control_attempted: embedded,
+                    control_acked: acked,
+                    feedback_delivered: delivered,
+                    phy_error: t.phy_error.map(|e| e.kind()),
+                })
+            }
+            Tail::Adaptive { target } => {
+                // A clamped packet carried fewer silences than the probe
+                // target, so its outcome says nothing about the probed
+                // budget.
+                let carried_full = t.silences_sent >= target;
+                let policy = &mut self.plane.policy;
+                let events = policy.observe(delivered.then_some(t.measured), acked, carried_full);
+                self.m.adaptation_events += (events.staircase != StaircaseEvent::Hold) as u64
+                    + (events.probe != ProbeEvent::Hold) as u64;
+                JobResult::Adaptive(AdaptiveSummary {
+                    packet,
+                    ewma_snr_db: policy.ewma_snr_db().unwrap_or(f64::NEG_INFINITY),
+                    budget: target,
+                    rate_after: self.config.rate.unwrap_or_else(|| policy.rate()),
+                    budget_after: policy.target_budget(),
+                    search_state: policy.search_state(),
+                    staircase_event: events.staircase,
+                    probe_event: events.probe,
+                    control_acked: acked,
+                    feedback_delivered: delivered,
+                })
+            }
+        };
+        (result, acked)
     }
 
-    /// The sender tail of the paper's plain loop: trust every feedback
-    /// report.
-    fn plain_tail(&mut self, t: &Transceived) {
-        if let Some(fb) = t.feedback {
-            self.apply_feedback(fb.measured_snr_db);
-            self.m.feedback_delivered += 1;
-            return;
-        }
-        self.adapter.transmission_failed();
-        if t.front_end_ok {
-            self.rate = self.config.rate.unwrap_or_else(|| DataRate::select(t.measured));
-        }
-    }
-
-    /// The sender tail of the resilient path: fault-gated feedback
-    /// application, recalibration and mode bookkeeping.
-    fn resilient_tail(
-        &mut self,
-        t: Transceived,
-        mode: LinkMode,
-        attempted: bool,
-    ) -> ResilientSummary {
-        let fate = self.link.feedback_fate();
+    /// The resilience guard's receiver-side bookkeeping, before the gate:
+    /// tallies the frame's PHY error, keeps the receiver's report for
+    /// later stale deliveries whatever its fate, and recalibrates the
+    /// detector on the report's false alarms (receiver-side, so it needs
+    /// no reverse path).
+    fn keep_report(&mut self, t: &Transceived, embedded: bool) {
+        let plane = &mut self.plane;
         if let Some(e) = &t.phy_error {
-            self.plane.tally.record(e);
+            plane.tally.record(e);
         }
-
-        let mut delivered = false;
-        match t.feedback {
-            Some(fb) => {
-                // The receiver generated a report; remember the truth for
-                // later stale deliveries regardless of this packet's fate.
-                let history = &mut self.plane.history;
-                let mut entry = if history.len() == FEEDBACK_HISTORY {
-                    history.pop_back().expect("full history")
-                } else {
-                    HistoryEntry { selection: Vec::new(), measured_snr_db: 0.0 }
-                };
-                entry.selection.clone_from(&self.xs.fb_selection);
-                entry.measured_snr_db = fb.measured_snr_db;
-                history.push_front(entry);
-
-                // Recalibration is receiver-side: it needs no reverse path.
-                if attempted {
-                    if let Some(bias) =
-                        self.plane.recal.observe(fb.false_alarms, fb.normal_positions)
-                    {
-                        self.detector = EnergyDetector::new(bias);
-                    }
-                }
-
-                match fate {
-                    FeedbackFate::Deliver => {
-                        self.apply_feedback(fb.measured_snr_db);
-                        delivered = true;
-                    }
-                    FeedbackFate::Drop => {
-                        self.adapter.transmission_failed();
-                    }
-                    FeedbackFate::Stale(d) => {
-                        // Index 0 is the report just pushed; `d` packets
-                        // ago is index d (when that far back exists).
-                        if let Some(old) = self.plane.history.get(d) {
-                            self.xs.fb_selection.clone_from(&old.selection);
-                            let snr = old.measured_snr_db;
-                            self.apply_feedback(snr);
-                            delivered = true;
-                        } else {
-                            self.adapter.transmission_failed();
-                        }
-                    }
-                    FeedbackFate::Corrupt { xor_mask } => {
-                        // Corrupted where it sits: the history already
-                        // holds the true report.
-                        let sel = &mut self.xs.fb_selection;
-                        corrupt_selection(sel, xor_mask);
-                        sanitize_selection(sel, self.config.min_control_subcarriers);
-                        self.apply_feedback(fb.measured_snr_db);
-                        delivered = true;
-                    }
-                }
+        let Some(fb) = t.feedback else { return };
+        let mut entry = if plane.history.len() == FEEDBACK_HISTORY {
+            plane.history.pop_back().expect("full history")
+        } else {
+            HistoryEntry { selection: Vec::new(), measured_snr_db: 0.0 }
+        };
+        entry.selection.clone_from(&self.xs.fb_selection);
+        entry.measured_snr_db = fb.measured_snr_db;
+        plane.history.push_front(entry);
+        if embedded {
+            if let Some(bias) = plane.recal.observe(fb.false_alarms, fb.normal_positions) {
+                self.detector = EnergyDetector::new(bias);
             }
-            None => {
-                self.adapter.transmission_failed();
-            }
-        }
-
-        self.m.feedback_delivered += delivered as u64;
-        let acked = attempted && t.control_ok && delivered;
-        self.plane.guard.observe(
-            self.seq,
-            PacketObservation {
-                feedback_fresh: delivered,
-                control_attempted: attempted,
-                control_ok: acked,
-                crc_ok: t.data_ok,
-            },
-        );
-        ResilientSummary {
-            packet: self.summarize(&t),
-            mode,
-            mode_after: self.plane.guard.mode(),
-            control_attempted: attempted,
-            control_acked: acked,
-            feedback_delivered: delivered,
-            phy_error: t.phy_error.map(|e| e.kind()),
-        }
-    }
-
-    /// The sender tail of the adaptive path: the feedback gate and the
-    /// policy's observation.
-    fn adaptive_tail(&mut self, t: Transceived, target: usize) -> AdaptiveSummary {
-        let fate = self.link.feedback_fate();
-
-        // Adaptation trusts only fresh feedback: stale, corrupt or
-        // dropped reports all count as misses (the resilience guard is
-        // the place that salvages degraded reports). The fresh report
-        // swaps in the selection but leaves the rate alone — the
-        // staircase owns it.
-        let mut delivered = false;
-        match t.feedback {
-            Some(fb) if matches!(fate, FeedbackFate::Deliver) => {
-                std::mem::swap(&mut self.selected, &mut self.xs.fb_selection);
-                self.adapter.feedback(fb.measured_snr_db);
-                delivered = true;
-            }
-            _ => self.adapter.transmission_failed(),
-        }
-
-        // Probe confirmation rides the feedback report, exactly like the
-        // resilient path's ACKs: no report, no ACK. A clamped packet
-        // carried fewer silences than the probe target, so its outcome
-        // says nothing about the probed budget.
-        let acked = t.control_ok && delivered;
-        let carried_full = t.silences_sent >= target;
-        let snr = delivered.then_some(t.measured);
-        let events = self.plane.policy.observe(snr, acked, carried_full);
-        self.m.feedback_delivered += delivered as u64;
-        self.m.adaptation_events += (events.staircase != StaircaseEvent::Hold) as u64
-            + (events.probe != ProbeEvent::Hold) as u64;
-
-        let policy = &self.plane.policy;
-        AdaptiveSummary {
-            packet: self.summarize(&t),
-            ewma_snr_db: policy.ewma_snr_db().unwrap_or(f64::NEG_INFINITY),
-            budget: target,
-            rate_after: self.config.rate.unwrap_or_else(|| policy.rate()),
-            budget_after: policy.target_budget(),
-            search_state: policy.search_state(),
-            staircase_event: events.staircase,
-            probe_event: events.probe,
-            control_acked: acked,
-            feedback_delivered: delivered,
         }
     }
 

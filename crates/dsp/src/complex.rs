@@ -57,12 +57,6 @@ impl Complex {
         Complex::new(theta.cos(), theta.sin())
     }
 
-    /// Creates a complex number from polar coordinates `r·e^{i·theta}`.
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        Complex::new(r * theta.cos(), r * theta.sin())
-    }
-
     /// The complex conjugate.
     #[inline]
     pub fn conj(self) -> Self {
@@ -296,13 +290,6 @@ mod tests {
         assert!((Complex::new(0.0, 1.0).arg() - std::f64::consts::FRAC_PI_2).abs() < EPS);
         assert!((Complex::new(-1.0, 0.0).arg() - std::f64::consts::PI).abs() < EPS);
         assert!((Complex::new(0.0, -1.0).arg() + std::f64::consts::FRAC_PI_2).abs() < EPS);
-    }
-
-    #[test]
-    fn from_polar_matches_parts() {
-        let c = Complex::from_polar(2.0, std::f64::consts::FRAC_PI_4);
-        assert!((c.re - 2.0f64.sqrt()).abs() < EPS);
-        assert!((c.im - 2.0f64.sqrt()).abs() < EPS);
     }
 
     #[test]

@@ -21,11 +21,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
 }
 
-/// The population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// The `q`-quantile (0 ≤ q ≤ 1) by linear interpolation between order
 /// statistics.
 ///
@@ -118,7 +113,6 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs), 5.0);
         assert_eq!(variance(&xs), 4.0);
-        assert_eq!(std_dev(&xs), 2.0);
     }
 
     #[test]

@@ -59,9 +59,9 @@ cargo run -q --release -p cos-bench --bin service_storm -- --smoke 2>&1 | tee "$
 echo "== mesh_storm --smoke (1024+ churning mesh stations: digests identical at 1/4/8 threads and equal to the pinned smoke digest; coordination duel: coordinated goodput > CSMA with ≥99% control delivery)"
 cargo run -q --release -p cos-bench --bin mesh_storm -- --smoke 2>&1 | tee "$logs/mesh_storm"
 
-echo "== golden vectors + channel digest + every kernel differential + storm digests on baseline x86-64 codegen (no host CPU features: bit identity, noise included, must not rest on -C target-cpu=native; the build compiles no AVX-512 body, so the lane FFT, the i16 Viterbi, the TX interleave and RX staging permutes and the soft demap run their portable bodies, each against its scalar reference or oracle; every storm smoke digest, service_storm's scripted one, equal to the native build's and to its pin; own target dir keeps the main cache)"
+echo "== golden vectors + channel digest + the session send-kind x feedback-fault pin + every kernel differential + storm digests on baseline x86-64 codegen (no host CPU features: bit identity, noise included, must not rest on -C target-cpu=native; the build compiles no AVX-512 body, so the lane FFT, the i16 Viterbi, the TX interleave and RX staging permutes and the soft demap run their portable bodies, each against its scalar reference or oracle; every storm smoke digest, service_storm's scripted one, equal to the native build's and to its pin; own target dir keeps the main cache)"
 baseline() { RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64 "$@"; }
-baseline cargo test -q --release --test golden_vectors --test channel_digest
+baseline cargo test -q --release --test golden_vectors --test channel_digest --test session_behaviour
 baseline cargo test -q --release -p cos-dsp --test kernel_differential
 baseline cargo test -q --release -p cos-channel --test kernel_differential
 baseline cargo test -q --release -p cos-fec --test kernel_differential

@@ -2,8 +2,11 @@
 //! adaptation, control-message delivery and interference behaviour.
 
 use cos::channel::link::NOMINAL_TX_POWER;
-use cos::channel::{ChannelConfig, FaultEngine, Link, PulseInterferer};
-use cos::core::session::{CosSession, SessionConfig};
+use cos::channel::{
+    ChannelConfig, FaultEngine, FeedbackCorruption, FeedbackLoss, FeedbackStaleness, Link,
+    PulseInterferer,
+};
+use cos::core::session::{CosSession, Fnv, SessionConfig};
 use cos::phy::rates::DataRate;
 use cos::phy::rx::Receiver;
 use cos::phy::tx::Transmitter;
@@ -136,4 +139,103 @@ fn feedback_failure_falls_back_to_lowest_control_rate() {
     let fresh = CosSession::new(SessionConfig { snr_db: 26.0, rate: Some(DataRate::Mbps12), ..Default::default() }, 3);
     // A fresh session has no feedback either, so both sit at the fallback.
     assert_eq!(budget_after_failure, fresh.silence_budget(1024));
+}
+
+/// What a session sends: one send entry point throughout, or resilient
+/// and adaptive frames in turn on the one control plane.
+#[derive(Clone, Copy)]
+enum Kind {
+    Plain,
+    Resilient,
+    Adaptive,
+    Mixed,
+}
+
+/// Digest of every observable outcome of plain, resilient, adaptive and
+/// mixed resilient/adaptive sessions under each feedback fault (none, loss, staleness, corruption,
+/// loss plus corruption) at a weak and a strong SNR: per frame the
+/// summary plus the rate, §III-F budget and detector bias left in force,
+/// per session the metrics, ARQ statistics and PHY-error total.
+fn send_kind_fault_digest() -> u64 {
+    let faults: [fn() -> Option<FaultEngine>; 5] = [
+        || None,
+        || Some(FaultEngine::new().with(FeedbackLoss::new(0.4, 21))),
+        || Some(FaultEngine::new().with(FeedbackStaleness::new(3))),
+        || Some(FaultEngine::new().with(FeedbackCorruption::new(0.6, 8, 22))),
+        || {
+            Some(
+                FaultEngine::new()
+                    .with(FeedbackLoss::new(0.3, 23))
+                    .with(FeedbackCorruption::new(0.6, 8, 24)),
+            )
+        },
+    ];
+    let mut h = Fnv::new();
+    for snr_db in [2.0, 19.0] {
+        for fault in faults {
+            for kind in [Kind::Plain, Kind::Resilient, Kind::Adaptive, Kind::Mixed] {
+                let config = SessionConfig { snr_db, arq_max_retries: 3, ..Default::default() };
+                let mut s = CosSession::new(config, 31);
+                if let Some(engine) = fault() {
+                    s.set_faults(engine);
+                }
+                for frame in 0..24 {
+                    let payload = [frame as u8 ^ 0x5A; 300];
+                    if frame % 4 == 0 {
+                        s.queue_control(message(8 + 4 * (frame % 3)));
+                    }
+                    let kind = match kind {
+                        Kind::Mixed if frame % 2 == 0 => Kind::Resilient,
+                        Kind::Mixed => Kind::Adaptive,
+                        kind => kind,
+                    };
+                    match kind {
+                        Kind::Plain => h.packet(&s.send_packet_summary(&payload, &message(12))),
+                        Kind::Resilient | Kind::Mixed => {
+                            let r = s.send_packet_resilient_summary(&payload);
+                            h.packet(&r.packet);
+                            h.bytes(r.mode.label().as_bytes());
+                            h.bytes(r.mode_after.label().as_bytes());
+                            h.bool(r.control_attempted);
+                            h.bool(r.control_acked);
+                            h.bool(r.feedback_delivered);
+                            h.bytes(r.phy_error.unwrap_or("-").as_bytes());
+                        }
+                        Kind::Adaptive => h.adaptive(&s.send_packet_adaptive_summary(&payload)),
+                    }
+                    h.byte(s.current_rate() as u8);
+                    h.usize(s.silence_budget(1024));
+                    h.f64(s.detector_bias_db());
+                }
+                let m = s.metrics();
+                for v in [
+                    m.frames_tx,
+                    m.frames_rx_ok,
+                    m.control_embedded,
+                    m.control_ok,
+                    m.feedback_delivered,
+                    m.arq_retries,
+                    m.adaptation_events,
+                    m.silence_budget as u64,
+                ] {
+                    h.u64(v);
+                }
+                let a = s.arq_stats();
+                for v in [a.enqueued, a.delivered, a.failed, a.attempts, a.total_delivery_latency] {
+                    h.u64(v);
+                }
+                h.u64(s.phy_errors().total());
+            }
+        }
+    }
+    h.value()
+}
+
+#[test]
+fn every_send_kind_under_every_feedback_fault() {
+    // Recorded before the three sender tails became one: what each kind
+    // applies, salvages or misses under each feedback fate is pinned
+    // here, not only the resilient kind that robustness_soak covers.
+    let digest = send_kind_fault_digest();
+    assert_eq!(digest, 0x0b7b_4313_8cbb_d53d, "digest {digest:#018x}");
 }
