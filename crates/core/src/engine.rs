@@ -47,8 +47,16 @@ use crate::session::{
     AdaptiveSummary, ControlSource, CosSession, FrameScratch, PacketSummary, ResilientSummary,
     SessionConfig,
 };
+use cos_phy::frame::MAX_PAYLOAD_LEN;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// Panics unless a payload of `len` bytes fits one frame: the check every
+/// registration runs before anything is stored, so an oversize payload
+/// fails where it enters, not in the middle of a drain.
+pub(crate) fn check_payload_len(len: usize) {
+    assert!(len <= MAX_PAYLOAD_LEN, "payload of {len} B exceeds the {MAX_PAYLOAD_LEN}-B frame limit");
+}
 
 /// Resolves a worker-thread count: an explicit non-zero `override_threads`
 /// wins, then the `COS_THREADS` environment variable, then the machine's
@@ -416,7 +424,13 @@ impl BatchEngine {
 
     /// Registers payload bytes once; jobs reference them by ID so
     /// [`submit`](Self::submit) never allocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is longer than one frame carries
+    /// ([`MAX_PAYLOAD_LEN`]).
     pub fn add_payload(&mut self, bytes: &[u8]) -> PayloadId {
+        check_payload_len(bytes.len());
         self.payloads.push(bytes.into());
         PayloadId((self.payloads.len() - 1) as u32)
     }
@@ -612,6 +626,16 @@ mod tests {
 
     fn cfg(snr_db: f64) -> SessionConfig {
         SessionConfig { snr_db, ..Default::default() }
+    }
+
+    /// A payload one byte past the frame limit used to register and then
+    /// panic in the SIGNAL encoder in the middle of a drain.
+    #[test]
+    #[should_panic(expected = "payload of 4092 B exceeds the 4091-B frame limit")]
+    fn add_payload_rejects_a_payload_longer_than_a_frame() {
+        let mut engine = BatchEngine::new(EngineConfig { threads: 1 });
+        engine.add_payload(&[0x11; MAX_PAYLOAD_LEN]);
+        engine.add_payload(&[0x11; MAX_PAYLOAD_LEN + 1]);
     }
 
     #[test]

@@ -46,6 +46,7 @@ use crate::session::{
     AdaptiveSummary, Fnv, ResilientSummary, SessionConfig, SessionMetrics, BITS_PER_INTERVAL,
 };
 use cos_channel::{FaultEngine, Overlap, OverlapComposer};
+use cos_phy::frame::MAX_PAYLOAD_LEN;
 use cos_phy::rates::DataRate;
 use std::collections::VecDeque;
 
@@ -369,11 +370,18 @@ impl MeshNet {
     ///
     /// # Panics
     ///
-    /// Panics after stepping has begun or on an empty topology.
+    /// Panics after stepping has begun, on an empty topology, or if
+    /// `cfg.payload_len` is longer than one frame carries
+    /// ([`MAX_PAYLOAD_LEN`]).
     pub fn add_cell(&mut self, topo: MeshTopology, cfg: MeshConfig) -> usize {
         assert_eq!(self.tick, 0, "add cells before stepping");
         let n = topo.n_stations();
         assert!(n > 0, "a cell needs at least one station");
+        assert!(
+            cfg.payload_len <= MAX_PAYLOAD_LEN,
+            "MeshConfig::payload_len of {} B exceeds the {MAX_PAYLOAD_LEN}-B frame limit",
+            cfg.payload_len
+        );
         let payload_bytes: Vec<u8> =
             (0..cfg.payload_len).map(|k| (splitmix64(cfg.seed ^ k as u64) & 0xFF) as u8).collect();
         let beacon_bytes: Vec<u8> = (0..BEACON_PAYLOAD_LEN)
@@ -893,6 +901,15 @@ mod tests {
 
     fn hidden_cell_cfg(seed: u64, coordinated: bool) -> MeshConfig {
         MeshConfig { seed, coordinated, ..MeshConfig::default() }
+    }
+
+    #[test]
+    #[should_panic(expected = "MeshConfig::payload_len of 4092 B exceeds the 4091-B frame limit")]
+    fn add_cell_rejects_a_payload_longer_than_a_frame() {
+        let mut net = MeshNet::new(EngineConfig { threads: 1 });
+        let topo = || MeshTopology::fully_connected(2, 20.0);
+        net.add_cell(topo(), MeshConfig { payload_len: MAX_PAYLOAD_LEN, ..MeshConfig::default() });
+        net.add_cell(topo(), MeshConfig { payload_len: MAX_PAYLOAD_LEN + 1, ..MeshConfig::default() });
     }
 
     #[test]

@@ -38,6 +38,7 @@ use super::{ServiceConfig, ServiceCore, ServiceOutcome, ServiceResult, Ticket};
 use crate::engine::{ControlId, JobKind, JobResult, PayloadId, SessionId};
 use crate::session::{Fnv, SessionConfig};
 use cos_channel::ChannelConfig;
+use cos_phy::frame::MAX_PAYLOAD_LEN;
 use cos_phy::rates::DataRate;
 
 const MAGIC: &[u8; 8] = b"COSJNL2\n";
@@ -545,7 +546,13 @@ fn write_event(w: &mut Vec<u8>, ev: &JournalEvent) {
 fn read_event(r: &mut Reader<'_>) -> Result<JournalEvent, JournalError> {
     let tag = r.u8()?;
     Ok(match tag {
-        1 => JournalEvent::Payload(r.bytes_()?),
+        1 => {
+            let bytes = r.bytes_()?;
+            if bytes.len() > MAX_PAYLOAD_LEN {
+                return Err(JournalError::BadValue("payload"));
+            }
+            JournalEvent::Payload(bytes)
+        }
         2 => JournalEvent::Control(r.bytes_()?),
         3 => {
             let config = Box::new(read_session_config(r)?);
@@ -718,6 +725,22 @@ mod tests {
                 "{field} = 0"
             );
             assert!(ReplayJournal::deserialize(&patched(&bytes, at, 1)).is_ok(), "{field} = 1");
+        }
+    }
+
+    /// A payload longer than one frame carries is refused on read, as
+    /// [`ServiceCore::add_payload`] would panic on it.
+    #[test]
+    fn deserialize_rejects_an_oversize_payload() {
+        for (len, fits) in [(MAX_PAYLOAD_LEN, true), (MAX_PAYLOAD_LEN + 1, false)] {
+            let mut journal = ReplayJournal::new(ServiceConfig::default());
+            journal.push(JournalEvent::Payload(vec![0x33; len].into()));
+            let read = ReplayJournal::deserialize(&journal.serialize());
+            if fits {
+                assert_eq!(read.unwrap().len(), 1);
+            } else {
+                assert_eq!(read.unwrap_err(), JournalError::BadValue("payload"));
+            }
         }
     }
 

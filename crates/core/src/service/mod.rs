@@ -52,7 +52,8 @@
 pub mod journal;
 
 use crate::engine::{
-    BatchEngine, ControlId, EngineConfig, JobResult, PayloadId, SessionId, SessionPool,
+    check_payload_len, BatchEngine, ControlId, EngineConfig, JobResult, PayloadId, SessionId,
+    SessionPool,
 };
 use crate::resilience::{DegradedModeController, LinkMode, PacketObservation};
 use crate::session::SessionConfig;
@@ -453,7 +454,13 @@ impl ServiceCore {
 
     /// Registers payload bytes for submission by ID (interned once, like
     /// [`BatchEngine::add_payload`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics, before anything is journaled, if `bytes` is longer than
+    /// one frame carries ([`MAX_PAYLOAD_LEN`](cos_phy::frame::MAX_PAYLOAD_LEN)).
     pub fn add_payload(&mut self, bytes: &[u8]) -> PayloadId {
+        check_payload_len(bytes.len());
         self.record(JournalEvent::Payload(bytes.into()));
         self.payloads += 1;
         self.engine.add_payload(bytes)
@@ -1098,6 +1105,21 @@ mod tests {
         for (cfg, field) in zeroed {
             assert_eq!(cfg.validate(), Err(field));
         }
+    }
+
+    /// An oversize payload panics before it reaches the journal, so no
+    /// journal ever records one.
+    #[test]
+    fn add_payload_rejects_a_payload_longer_than_a_frame_before_journaling() {
+        use cos_phy::frame::MAX_PAYLOAD_LEN;
+        let mut core = ServiceCore::with_journal(ServiceConfig::default());
+        core.add_payload(&[0x22; MAX_PAYLOAD_LEN]);
+        let oversize = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            core.add_payload(&[0x22; MAX_PAYLOAD_LEN + 1]);
+        }));
+        let msg = *oversize.unwrap_err().downcast::<String>().unwrap();
+        assert_eq!(msg, "payload of 4092 B exceeds the 4091-B frame limit");
+        assert_eq!(core.seal_journal().unwrap().len(), 1, "only the fitting payload is journaled");
     }
 
     /// Without the rule this config never dispatches a job, so a drain

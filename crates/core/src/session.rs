@@ -65,6 +65,7 @@ use crate::resilience::{
 use crate::subcarrier_select::{select_control_subcarriers_into, SelectionPolicy};
 use crate::validation::{sanitize_selection, validate_silences_into};
 use cos_channel::{ChannelConfig, FaultEngine, FeedbackFate, Link};
+use cos_dsp::Complex;
 use cos_phy::error::PhyError;
 use cos_phy::evm::{per_subcarrier_evm, reconstruct_points_into};
 use cos_phy::rates::DataRate;
@@ -99,11 +100,10 @@ enum Tail {
 }
 
 /// The frame-sized planes of one frame in flight: the tx frame and
-/// waveform, the rx landing zone, front end and decoder scratch, the
-/// reference-frame reconstruction for the EVM feedback loop (kept apart
-/// from `phy.tx`, which still holds the sent frame), and the decoded
-/// control bits, whose worst-case size grows with the frame's control
-/// slots.
+/// waveform (whose mapped points double as the §III-D reference of the
+/// EVM feedback loop, see [`reference_points`]), the rx landing zone,
+/// front end and decoder scratch, and the decoded control bits, whose
+/// worst-case size grows with the frame's control slots.
 ///
 /// Workspaces carry no semantic state between frames (every step fully
 /// overwrites what it writes), so a `FrameScratch` is lent to a frame by
@@ -114,7 +114,6 @@ enum Tail {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FrameScratch {
     phy: PhyWorkspace,
-    ref_tx: TxWorkspace,
     control: Vec<u8>,
 }
 
@@ -125,14 +124,9 @@ impl FrameScratch {
     fn planes_capacity(&self) -> usize {
         let PhyWorkspace { tx, rx } = &self.phy;
         let fec = &rx.scratch.fec;
-        [tx, &self.ref_tx]
-            .iter()
-            .map(|t| {
-                t.samples.capacity()
-                    + t.frame.data_symbols.capacity()
-                    + t.frame.mapped_points.capacity()
-            })
-            .sum::<usize>()
+        tx.samples.capacity()
+            + tx.frame.data_symbols.capacity()
+            + tx.frame.mapped_points.capacity()
             + rx.samples.capacity()
             + rx.fe.raw_symbols.capacity()
             + rx.fe.equalized.capacity()
@@ -141,6 +135,27 @@ impl FrameScratch {
             + fec.decoded.capacity()
             + rx.out.data_bits.capacity()
             + self.control.capacity()
+    }
+}
+
+/// The §III-D reference points of a frame that passed its CRC, decoded
+/// as `(payload, scrambler seed)`, from `tx`, which holds the frame built
+/// from `sent`. When the two agree the sender's own mapped points are the
+/// reference: the receiver's reconstruction runs the same
+/// `encode_data_field` on the same PSDU, rate and seed, and embedding
+/// writes only the symbols and the silence mask, never the points. When
+/// they differ (a CRC false positive) the points are rebuilt from what was
+/// decoded, into `tx`, whose frame is spent once it has been rendered.
+fn reference_points<'a>(
+    tx: &'a mut TxWorkspace,
+    sent: (&[u8], u8),
+    decoded: (&[u8], u8),
+    rate: DataRate,
+) -> &'a [[Complex; NUM_DATA]] {
+    if decoded == sent {
+        &tx.frame.mapped_points
+    } else {
+        reconstruct_points_into(decoded.0, rate, decoded.1, tx)
     }
 }
 
@@ -876,7 +891,7 @@ impl CosSession {
             xs,
             ..
         } = &mut *self;
-        let FrameScratch { phy: ws, ref_tx, control } = fs;
+        let FrameScratch { phy: ws, control } = fs;
         phy_tx.build_frame_into(payload, rate, scrambler_seed, &mut ws.tx);
 
         // Embed; if the message outgrows the current selection (short
@@ -940,8 +955,9 @@ impl CosSession {
                 let next_rate = config.rate.unwrap_or_else(|| DataRate::select(measured));
                 let mut feedback = None;
                 if let (true, Some(seed)) = (ws.rx.out.crc_ok, ws.rx.out.scrambler_seed) {
+                    let sent = (payload, scrambler_seed);
                     let reference =
-                        reconstruct_points_into(&ws.rx.out.payload, rate, seed, ref_tx);
+                        reference_points(&mut ws.tx, sent, (&ws.rx.out.payload, seed), rate);
                     let mut false_alarms = 0;
                     let mut normal_positions = 0;
                     if embed_control {
@@ -1841,5 +1857,26 @@ mod tests {
         // No assertion on delivery — the point is surviving the bursts and
         // classifying failures instead of panicking.
         let _ = s.phy_errors();
+    }
+
+    /// The §III-D reference is the sender's own points when the decoded
+    /// payload and seed are the ones sent, and otherwise (a CRC false
+    /// positive) the points of what was decoded, rebuilt over the sent
+    /// frame: a wrong seed, a wrong payload of the same length and one of
+    /// another length.
+    #[test]
+    fn reference_points_reuse_the_sent_frame_only_when_it_was_decoded() {
+        use cos_phy::evm::reconstruct_points;
+        let sent: &[u8] = &[0x5A; 300];
+        let (other, short) = ([0xA5u8; 300], [0x5Au8; 40]);
+        let mut tx = TxWorkspace::new();
+        for rate in [DataRate::Mbps6, DataRate::Mbps24, DataRate::Mbps54] {
+            for decoded in [(sent, 17), (sent, 18), (&other[..], 17), (&short[..], 17)] {
+                Transmitter::new().build_frame_into(sent, rate, 17, &mut tx);
+                let got = reference_points(&mut tx, (sent, 17), decoded, rate);
+                let want = reconstruct_points(decoded.0, rate, decoded.1);
+                assert!(got == &want[..], "{rate:?}, {} B, seed {}", decoded.0.len(), decoded.1);
+            }
+        }
     }
 }

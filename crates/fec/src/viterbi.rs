@@ -27,7 +27,7 @@
 //! One production kernel, [`ViterbiDecoder::decode_i16`], decodes one
 //! frame at a time. Its add-compare-select holds all 64 path metrics as
 //! `i16` in two 512-bit registers; it has an `avx512bw` body and a
-//! portable body that performs the same wrapping operations. The build
+//! portable body that performs the same operations. The build
 //! picks the body: `avx512bw` builds run the intrinsics, every other
 //! build the portable body, which [`ViterbiDecoder::decode_i16_with`]
 //! under [`KernelMode::Scalar`] also runs for the differential tests.
@@ -389,9 +389,36 @@ fn acs_scalar(llrs: &[f64], prev_lsbs: &mut [u64]) -> [f64; STATES] {
 
 /// The `i16` kernel's initial metric for the states the encoder cannot be
 /// in yet: far enough below every reachable metric that a reachable
-/// predecessor always wins during the six warm-up steps, and close enough
-/// that every difference the kernel takes still fits in 15 bits.
+/// predecessor always wins during the six warm-up steps, and high enough
+/// that no candidate of the warm-up leaves the `i16` range.
 const UNREACHED: i16 = -16_384;
+
+/// Steps between two renormalisations of the `i16` kernel's metrics: at
+/// the start of every `RENORM`-th step both bodies subtract state 0's
+/// metric from all 64. A common shift changes no decision and no
+/// [`best_state`], and it keeps every metric inside the `i16` range, so
+/// the compares and the max take the true values (`docs/KERNELS.md`,
+/// "The i16 Viterbi").
+const RENORM: usize = 16;
+
+// The bounds behind `UNREACHED` and `RENORM`, from `SOFT_MAX`. A branch
+// metric is `±la ± lb`, at most `2·SOFT_MAX` in size; after the K − 1 = 6
+// warm-up steps every state reaches every other, so the metrics spread by
+// at most `2·6·2·SOFT_MAX` = 12 264. A renormalisation leaves them within
+// that spread of 0, and the next `RENORM` steps move them by at most
+// `RENORM·2·SOFT_MAX` more: 12 264 + 16·1022 = 28 616. (Before the first
+// renormalisation that does not subtract 0, at step `RENORM`, reachable
+// metrics lie within `RENORM·2·SOFT_MAX` of the start.)
+const _: () = {
+    let branch = 2 * SOFT_MAX as i32;
+    let warm_up = (crate::conv::CONSTRAINT - 1) as i32;
+    let spread = 2 * warm_up * branch;
+    assert!(spread + RENORM as i32 * branch <= i16::MAX as i32, "renormalise more often");
+    // During warm-up an unreachable candidate stays below every reachable
+    // one and inside the range.
+    assert!((UNREACHED as i32) + warm_up * branch < -warm_up * branch);
+    assert!((UNREACHED as i32) - (warm_up + 1) * branch > i16::MIN as i32);
+};
 
 /// Per butterfly `j`, the index of source `2j`'s input-0 branch metric in
 /// the step palette `[la+lb, la−lb, −(la+lb), −(la−lb)]`, the only values
@@ -439,38 +466,41 @@ const SIGNS: [[i16; STATES / 2]; 2] = {
     signs
 };
 
-/// The portable body of [`acs_i16`]: per butterfly, the candidates of
-/// both destinations in wrapping arithmetic; the odd source wins when
-/// the sign of `even − odd` is set (strict `>`: a tie keeps the even,
-/// lower-numbered predecessor), and the survivor is `even − min(even −
-/// odd, 0)`. The same operations as the `avx512bw` body, lane for lane,
-/// written as whole-row loops over fixed-size arrays, which LLVM
-/// vectorises.
+/// The portable body of [`acs_i16`]: every [`RENORM`] steps the metrics
+/// drop by state 0's; per butterfly, the candidates of both destinations
+/// in wrapping arithmetic, the survivor their `max` and the decision
+/// `odd > even` (strict: a tie keeps the even, lower-numbered
+/// predecessor). The same operations as the `avx512bw` body, lane for
+/// lane, so the two agree on every input; written as whole-row loops over
+/// fixed-size arrays, which LLVM vectorises.
 fn acs_portable(llrs: &[i16], prev_lsbs: &mut [u64]) -> [i16; STATES] {
     const HALF: usize = STATES / 2;
     let [sign_a, sign_b] = SIGNS;
     let mut lo = [UNREACHED; HALF];
     let mut hi = [UNREACHED; HALF];
     lo[0] = 0; // encoder starts from the zero state
-    for (pair, word) in llrs.chunks_exact(2).zip(prev_lsbs.iter_mut()) {
-        let (la, lb) = (pair[0], pair[1]);
-        let (mut e, mut o) = ([0i16; HALF], [0i16; HALF]);
-        for j in 0..HALF / 2 {
-            (e[j], o[j]) = (lo[2 * j], lo[2 * j + 1]);
-            (e[j + HALF / 2], o[j + HALF / 2]) = (hi[2 * j], hi[2 * j + 1]);
-        }
-        let (mut dl, mut dh) = ([0i16; HALF], [0i16; HALF]);
+    for (pairs, words) in llrs.chunks(2 * RENORM).zip(prev_lsbs.chunks_mut(RENORM)) {
+        let base = lo[0];
         for j in 0..HALF {
-            let t = sign_a[j].wrapping_mul(la).wrapping_add(sign_b[j].wrapping_mul(lb));
-            let (a0, a1) = (e[j].wrapping_add(t), o[j].wrapping_sub(t));
-            let (b0, b1) = (e[j].wrapping_sub(t), o[j].wrapping_add(t));
-            (dl[j], dh[j]) = (a0.wrapping_sub(a1), b0.wrapping_sub(b1));
-            lo[j] = a0.wrapping_sub(dl[j].min(0));
-            hi[j] = b0.wrapping_sub(dh[j].min(0));
+            (lo[j], hi[j]) = (lo[j].wrapping_sub(base), hi[j].wrapping_sub(base));
         }
-        *word = (0..HALF).fold(0, |w, j| {
-            w | u64::from(dl[j] < 0) << j | u64::from(dh[j] < 0) << (j + HALF)
-        });
+        for (pair, word) in pairs.chunks_exact(2).zip(words.iter_mut()) {
+            let (la, lb) = (pair[0], pair[1]);
+            let (mut e, mut o) = ([0i16; HALF], [0i16; HALF]);
+            for j in 0..HALF / 2 {
+                (e[j], o[j]) = (lo[2 * j], lo[2 * j + 1]);
+                (e[j + HALF / 2], o[j + HALF / 2]) = (hi[2 * j], hi[2 * j + 1]);
+            }
+            let (mut wl, mut wh) = ([false; HALF], [false; HALF]);
+            for j in 0..HALF {
+                let t = sign_a[j].wrapping_mul(la).wrapping_add(sign_b[j].wrapping_mul(lb));
+                let (a0, a1) = (e[j].wrapping_add(t), o[j].wrapping_sub(t));
+                let (b0, b1) = (e[j].wrapping_sub(t), o[j].wrapping_add(t));
+                (wl[j], wh[j]) = (a1 > a0, b1 > b0);
+                (lo[j], hi[j]) = (a0.max(a1), b0.max(b1));
+            }
+            *word = (0..HALF).fold(0, |w, j| w | u64::from(wl[j]) << j | u64::from(wh[j]) << (j + HALF));
+        }
     }
     let mut metric = [0i16; STATES];
     metric[..HALF].copy_from_slice(&lo);
@@ -479,16 +509,19 @@ fn acs_portable(llrs: &[i16], prev_lsbs: &mut [u64]) -> [i16; STATES] {
 }
 
 /// The `avx512bw` body of [`acs_i16`]. The metrics of states `0..32` and
-/// `32..64` sit in two registers in natural order, so the survivor masks
-/// — the sign bits of `even − odd` (`vpmovw2m`) — are already the step's
+/// `32..64` sit in two registers in natural order, so the decision masks
+/// (`vpcmpgtw`, odd candidate over even) are already the step's survivor
 /// word. Per step one `vpshufb` spreads the step palette over the
 /// butterflies; to gather the next step's even and odd sources, one
 /// `vpshufb` per register groups each 128-bit block's even words before
 /// its odd ones, and one `vpermt2q` per output picks the even (odd)
 /// quarter-blocks of both registers in order — 4 cycles of latency where
-/// a word-granular `vpermt2w` takes 7. The palettes of a block of steps
-/// are computed ahead of the recursion so each step reads its own with
-/// one broadcast load.
+/// a word-granular `vpermt2w` takes 7. The survivor is one `vpmaxsw`, so
+/// the recursion's chain is shuffle, permute, add and max; the compares
+/// hang off it. Every [`RENORM`] steps a broadcast of state 0's metric is
+/// subtracted. The palettes of a block of steps are computed with vector
+/// ops ahead of the recursion, so each step reads its own with one
+/// broadcast load.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512bw"))]
 fn acs_avx512(llrs: &[i16], prev_lsbs: &mut [u64]) -> [i16; STATES] {
     use std::arch::x86_64::*;
@@ -524,47 +557,79 @@ fn acs_avx512(llrs: &[i16], prev_lsbs: &mut [u64]) -> [i16; STATES] {
     // 0, 2, …, 14 of the pair, the odd ones 1, 3, …, 15.
     const EVEN_Q: [i64; 8] = [0, 2, 4, 6, 8, 10, 12, 14];
     const ODD_Q: [i64; 8] = [1, 3, 5, 7, 9, 11, 13, 15];
-    // One step's palette `[la+lb, la−lb, −(la+lb), −(la−lb)]`, wrapping.
-    fn palette(la: i16, lb: i16) -> [i16; 4] {
-        let (s, d) = (la.wrapping_add(lb), la.wrapping_sub(lb));
-        [s, d, s.wrapping_neg(), d.wrapping_neg()]
+    // The `unpack` outputs below hold the palettes of steps 0, 1, 4, 5, …
+    // and 2, 3, 6, 7, …; these put them back in step order.
+    const FIRST_Q: [i64; 8] = [0, 1, 8, 9, 2, 3, 10, 11];
+    const SECOND_Q: [i64; 8] = [4, 5, 12, 13, 6, 7, 14, 15];
+    /// The palettes `[la+lb, la−lb, −(la+lb), −(la−lb)]` (wrapping) of up
+    /// to `BLOCK` steps, one `u64` each, 16 steps per vector; a short
+    /// block is padded with erasures.
+    fn palettes(pairs: &[i16], out: &mut [u64; BLOCK]) {
+        let mut padded = [0i16; 2 * BLOCK];
+        let pairs = match pairs.len() {
+            n if n == 2 * BLOCK => pairs,
+            n => {
+                padded[..n].copy_from_slice(pairs);
+                &padded
+            }
+        };
+        // SAFETY: `avx512bw` is enabled for the whole build (the outer
+        // function's `cfg`); each load reads 64 bytes of the 256 in
+        // `pairs`, each store writes 64 of the 512 in `out`.
+        unsafe {
+            let (first, second) = (
+                _mm512_loadu_si512(FIRST_Q.as_ptr().cast()),
+                _mm512_loadu_si512(SECOND_Q.as_ptr().cast()),
+            );
+            for (src, dst) in pairs.chunks_exact(32).zip(out.chunks_exact_mut(16)) {
+                // Per 32-bit pair [la, lb]: [lb, la], then [s, s] and
+                // [lb − la, la − lb], blended to [s, d].
+                let x = _mm512_loadu_si512(src.as_ptr().cast());
+                let swapped = _mm512_rol_epi32(x, 16);
+                let sum = _mm512_add_epi16(x, swapped);
+                let diff = _mm512_sub_epi16(swapped, x);
+                let sd = _mm512_mask_blend_epi16(0xAAAA_AAAA, sum, diff);
+                let neg = _mm512_sub_epi16(_mm512_setzero_si512(), sd);
+                let (lo, hi) = (_mm512_unpacklo_epi32(sd, neg), _mm512_unpackhi_epi32(sd, neg));
+                _mm512_storeu_si512(dst.as_mut_ptr().cast(), _mm512_permutex2var_epi64(lo, first, hi));
+                _mm512_storeu_si512(dst[8..].as_mut_ptr().cast(), _mm512_permutex2var_epi64(lo, second, hi));
+            }
+        }
     }
-    let mut palettes = [[0i16; 4]; BLOCK];
+    let mut block = [0u64; BLOCK];
     let mut metric = [UNREACHED; STATES];
     metric[0] = 0;
     // SAFETY: `avx512bw` (which implies `avx512f`) is enabled for the
     // whole build, as this function's `cfg` requires. Every load and
     // store stays inside memory this function borrows or owns: the
-    // controls and each half of `metric` are exactly 64 bytes, each
-    // palette is 8 bytes, read unaligned, and each survivor word is one
-    // `u64` of `prev_lsbs`, written as its two 4-byte halves.
+    // controls and each half of `metric` are exactly 64 bytes, and each
+    // survivor word is one `u64` of `prev_lsbs`, written as its two
+    // 4-byte halves.
     unsafe {
         let palette_ctl = _mm512_loadu_si512(PALETTE.as_ptr().cast());
         let even_odd = _mm512_loadu_si512(EVEN_ODD.as_ptr().cast());
         let even_q = _mm512_loadu_si512(EVEN_Q.as_ptr().cast());
         let odd_q = _mm512_loadu_si512(ODD_Q.as_ptr().cast());
-        let zero = _mm512_setzero_si512();
         let mut lo = _mm512_loadu_si512(metric.as_ptr().cast());
         let mut hi = _mm512_loadu_si512(metric[HALF..].as_ptr().cast());
         for (pairs, words) in llrs.chunks(2 * BLOCK).zip(prev_lsbs.chunks_mut(BLOCK)) {
-            for (p, pair) in palettes.iter_mut().zip(pairs.chunks_exact(2)) {
-                *p = palette(pair[0], pair[1]);
-            }
-            for (p, word) in palettes.iter().zip(words.iter_mut()) {
-                let lo_g = _mm512_shuffle_epi8(lo, even_odd);
-                let hi_g = _mm512_shuffle_epi8(hi, even_odd);
-                let e = _mm512_permutex2var_epi64(lo_g, even_q, hi_g);
-                let o = _mm512_permutex2var_epi64(lo_g, odd_q, hi_g);
-                let p = _mm512_set1_epi64(p.as_ptr().cast::<i64>().read_unaligned());
-                let t = _mm512_shuffle_epi8(p, palette_ctl);
-                let (a0, a1) = (_mm512_add_epi16(e, t), _mm512_sub_epi16(o, t));
-                let (b0, b1) = (_mm512_sub_epi16(e, t), _mm512_add_epi16(o, t));
-                let (dl, dh) = (_mm512_sub_epi16(a0, a1), _mm512_sub_epi16(b0, b1));
-                lo = _mm512_sub_epi16(a0, _mm512_min_epi16(dl, zero));
-                hi = _mm512_sub_epi16(b0, _mm512_min_epi16(dh, zero));
-                let halves: *mut u32 = (word as *mut u64).cast();
-                _store_mask32(halves, _mm512_movepi16_mask(dl));
-                _store_mask32(halves.add(1), _mm512_movepi16_mask(dh));
+            palettes(pairs, &mut block);
+            for (run, words) in block.chunks_exact(RENORM).zip(words.chunks_mut(RENORM)) {
+                let base = _mm512_broadcastw_epi16(_mm512_castsi512_si128(lo));
+                (lo, hi) = (_mm512_sub_epi16(lo, base), _mm512_sub_epi16(hi, base));
+                for (&p, word) in run.iter().zip(words.iter_mut()) {
+                    let lo_g = _mm512_shuffle_epi8(lo, even_odd);
+                    let hi_g = _mm512_shuffle_epi8(hi, even_odd);
+                    let e = _mm512_permutex2var_epi64(lo_g, even_q, hi_g);
+                    let o = _mm512_permutex2var_epi64(lo_g, odd_q, hi_g);
+                    let t = _mm512_shuffle_epi8(_mm512_set1_epi64(p as i64), palette_ctl);
+                    let (a0, a1) = (_mm512_add_epi16(e, t), _mm512_sub_epi16(o, t));
+                    let (b0, b1) = (_mm512_sub_epi16(e, t), _mm512_add_epi16(o, t));
+                    (lo, hi) = (_mm512_max_epi16(a0, a1), _mm512_max_epi16(b0, b1));
+                    let halves: *mut u32 = (word as *mut u64).cast();
+                    _store_mask32(halves, _mm512_cmpgt_epi16_mask(a1, a0));
+                    _store_mask32(halves.add(1), _mm512_cmpgt_epi16_mask(b1, b0));
+                }
             }
         }
         _mm512_storeu_si512(metric.as_mut_ptr().cast(), lo);
@@ -575,8 +640,8 @@ fn acs_avx512(llrs: &[i16], prev_lsbs: &mut [u64]) -> [i16; STATES] {
 
 /// The best final state of the `i16` kernel, for an unterminated trellis:
 /// the last maximum on ties, like the reference's `Iterator::max_by`.
-/// The metrics wrap, so states are compared by their difference to state
-/// 0, which is exact: the metric spread stays below 2¹⁵.
+/// States are compared by their difference to state 0, which is exact:
+/// the metric spread stays below 2¹⁵.
 fn best_state(metric: &[i16; STATES]) -> usize {
     (0..STATES).max_by_key(|&s| metric[s].wrapping_sub(metric[0])).expect("STATES > 0")
 }

@@ -101,7 +101,9 @@ pub fn reconstruct_points(
 /// Reconstruction stops at the points: it overwrites `ws.psdu`,
 /// `ws.frame.data_field` and `ws.frame.mapped_points` only, and leaves the
 /// frame's symbols, SIGNAL and silence mask as the last build left them.
-/// Keep a separate workspace for reconstruction, as the sessions do.
+/// For a frame built from the same payload, rate and seed by
+/// [`Transmitter::build_frame_into`](crate::tx::Transmitter::build_frame_into)
+/// the result equals that frame's `mapped_points`.
 pub fn reconstruct_points_into<'a>(
     payload: &[u8],
     rate: DataRate,
@@ -226,6 +228,26 @@ mod tests {
         assert_eq!(rebuilt.len(), frame.mapped_points.len());
         for (a, b) in rebuilt.iter().zip(&frame.mapped_points) {
             assert_eq!(&a[..], &b[..]);
+        }
+    }
+
+    /// A built frame's mapped points are its reconstruction, at every
+    /// rate, and silencing positions leaves them alone: the sessions use
+    /// the sent frame's points as the §III-D reference on that basis.
+    #[test]
+    fn built_frame_points_equal_the_reconstruction_at_every_rate() {
+        use crate::tx::Transmitter;
+        let payload: Vec<u8> = (0..517u32).map(|i| (i * 37 + 11) as u8).collect();
+        let (mut built, mut rebuilt) = (TxWorkspace::new(), TxWorkspace::new());
+        for (k, rate) in DataRate::ALL.into_iter().enumerate() {
+            let seed = 1 + 15 * k as u8;
+            Transmitter::new().build_frame_into(&payload, rate, seed, &mut built);
+            for symbol in (0..built.frame.data_symbols.len()).step_by(3) {
+                built.frame.silence(symbol, (symbol * 7) % NUM_DATA);
+            }
+            built.render();
+            let want = reconstruct_points_into(&payload, rate, seed, &mut rebuilt);
+            assert!(built.frame.mapped_points == want, "{rate:?}");
         }
     }
 

@@ -861,6 +861,10 @@ pub fn extract_payload_into(
     }
 }
 
+/// The longest payload one frame carries: the 12-bit LENGTH field's 4095
+/// PSDU bytes less the 4-byte FCS.
+pub const MAX_PAYLOAD_LEN: usize = 0xFFF - 4;
+
 /// Wraps a payload into a PSDU by appending the CRC-32 FCS.
 pub fn payload_to_psdu(payload: &[u8]) -> Vec<u8> {
     let mut psdu = Vec::new();

@@ -21,6 +21,12 @@ cargo test -q
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "== every kernel differential in release on the native build (the intrinsic bodies this host compiles: the i16 Viterbi, the TX interleave and RX staging permutes, the soft demap and the lane FFT, each against its scalar reference or oracle, with the optimiser's codegen; the x86-64 leg below runs the portable bodies)"
+cargo test -q --release -p cos-dsp --test kernel_differential
+cargo test -q --release -p cos-channel --test kernel_differential
+cargo test -q --release -p cos-fec --test kernel_differential
+cargo test -q --release -p cos-phy --test tx_differential --test rx_staging_differential --test rx_tail_differential --test demap_differential
+
 echo "== cargo test --doc --workspace"
 cargo test -q --doc --workspace
 
