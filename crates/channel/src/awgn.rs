@@ -47,8 +47,9 @@ pub(crate) fn add_gaussian_lanes(samples: &mut [Complex], rng: &mut GaussianSour
 /// use cos_dsp::Complex;
 ///
 /// let mut awgn = Awgn::new(0.01, 7);
-/// let noisy = awgn.add_noise(&[Complex::ONE; 8]);
-/// assert_eq!(noisy.len(), 8);
+/// let mut samples = [Complex::ONE; 8];
+/// awgn.add_noise_in_place(&mut samples);
+/// assert!(samples.iter().any(|&x| x != Complex::ONE));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Awgn {
@@ -87,14 +88,6 @@ impl Awgn {
         self.noise_var = noise_var;
     }
 
-    /// Returns `samples + noise`.
-    pub fn add_noise(&mut self, samples: &[Complex]) -> Vec<Complex> {
-        samples
-            .iter()
-            .map(|&x| x + self.rng.complex_normal(self.noise_var))
-            .collect()
-    }
-
     /// Adds noise in place, on the lane kernel.
     pub fn add_noise_in_place(&mut self, samples: &mut [Complex]) {
         self.add_noise_in_place_with(samples, KernelMode::Lanes);
@@ -123,26 +116,19 @@ mod tests {
     fn zero_variance_is_transparent() {
         let mut awgn = Awgn::new(0.0, 1);
         let tx = vec![Complex::new(1.5, -0.5); 16];
-        assert_eq!(awgn.add_noise(&tx), tx);
+        let mut buf = tx.clone();
+        awgn.add_noise_in_place(&mut buf);
+        assert_eq!(buf, tx);
     }
 
     #[test]
     fn noise_energy_matches_variance() {
         let mut awgn = Awgn::new(0.25, 2);
-        let zeros = vec![Complex::ZERO; 100_000];
-        let noisy = awgn.add_noise(&zeros);
+        let mut noisy = vec![Complex::ZERO; 100_000];
+        awgn.add_noise_in_place(&mut noisy);
         let measured: f64 =
             noisy.iter().map(|n| n.norm_sqr()).sum::<f64>() / noisy.len() as f64;
         assert!((measured - 0.25).abs() / 0.25 < 0.03, "measured {measured}");
-    }
-
-    #[test]
-    fn in_place_matches_owned() {
-        let tx = vec![Complex::ONE; 64];
-        let owned = Awgn::new(0.1, 3).add_noise(&tx);
-        let mut buf = tx;
-        Awgn::new(0.1, 3).add_noise_in_place(&mut buf);
-        assert_eq!(buf, owned);
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl Calibration {
         Calibration { noise_power }
     }
 
-    /// The anchored linear noise power.
-    pub fn noise_power(&self) -> f64 {
-        self.noise_power
-    }
-
     /// Converts a linear power to dBm.
     pub fn to_dbm(&self, linear: f64) -> f64 {
         NOISE_FLOOR_DBM + mw_to_dbm(linear / self.noise_power)

@@ -119,11 +119,6 @@ impl Link {
         self.awgn.set_noise_var(NOMINAL_TX_POWER / db_to_linear(snr_db));
     }
 
-    /// The silent lead-in prepended to every received waveform.
-    pub fn lead_in(&self) -> usize {
-        self.lead_in
-    }
-
     /// The time-domain noise variance in use.
     pub fn noise_var(&self) -> f64 {
         self.awgn.noise_var()

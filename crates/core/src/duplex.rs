@@ -22,6 +22,10 @@
 //! The ACK is a normal 802.11a frame (sent at a robust low rate), so all
 //! the erasure machinery recovers its data bits exactly as for data
 //! frames.
+//!
+//! No session sends this ACK: `CosSession` takes the receiver's report
+//! directly, unless a `FeedbackFate` fault drops, ages or corrupts it.
+//! `tests/duplex_protocol.rs` runs one full data + ACK round.
 
 use crate::energy_detector::EnergyDetector;
 use crate::feedback::FeedbackVector;
@@ -144,7 +148,9 @@ pub fn encode_ack(
 }
 
 /// Decodes an ACK sample stream: recovers the frame (with erasures) and,
-/// if its CRC passes, the validated feedback report.
+/// if its CRC passes, the validated feedback report. A CRC-passing frame
+/// with fewer DATA symbols than the report layout reads decodes as
+/// `Ok((true, None))`: its data arrived, but no report fits.
 ///
 /// # Errors
 ///
@@ -166,6 +172,9 @@ pub fn decode_ack(
     let (Some(payload), Some(seed)) = (&rx.payload, rx.scrambler_seed) else {
         return Ok((false, None));
     };
+    if fe.raw_symbols.len() < cfg.feedback_symbol + cfg.v_repeats + cfg.snr_repeats {
+        return Ok((true, None));
+    }
 
     // CRC passed: soft-combined coherent decision per field bit — sum
     // the silence/normal residuals across repetitions, then decide.
@@ -318,6 +327,16 @@ mod tests {
         let (data_ok, got) = roundtrip(20.0, 3, &rep);
         assert!(data_ok);
         assert_eq!(got.expect("recovered").selection.count(), 0);
+    }
+
+    #[test]
+    fn short_frame_decodes_without_a_report() {
+        // 5 bytes + FCS at 6 Mbps is 4 DATA symbols; the default layout
+        // reads 6.
+        let frame = Transmitter::new().build_frame(&[0xAC; 5], DataRate::Mbps6, 0x5D);
+        assert_eq!(frame.n_data_symbols(), 4);
+        let got = decode_ack(&frame.to_time_samples(), &DuplexConfig::default());
+        assert_eq!(got, Ok((true, None)));
     }
 
     #[test]

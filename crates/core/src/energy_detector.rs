@@ -80,25 +80,13 @@ impl EnergyDetector {
         self.bias_db
     }
 
-    /// The per-subcarrier adaptive thresholds for a received frame:
+    /// The per-subcarrier adaptive thresholds for a received frame,
+    /// written into `out` (fully overwritten):
     /// `bias · sqrt(η · (E_min·|Ĥ_k|² + η))` with `η` the pilot-aided
     /// noise estimate and `E_min` the lowest constellation-point energy of
     /// `modulation` — the geometric midpoint between silence energy and
     /// the *weakest possible* transmitted symbol's energy, so inner QAM
     /// points are not mistaken for silences.
-    pub fn adaptive_thresholds(
-        &self,
-        fe: &FrontEnd,
-        selected: &[usize],
-        modulation: Modulation,
-    ) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.adaptive_thresholds_into(fe, selected, modulation, &mut out);
-        out
-    }
-
-    /// [`EnergyDetector::adaptive_thresholds`] writing into a caller-owned
-    /// buffer, which is fully overwritten.
     pub fn adaptive_thresholds_into(
         &self,
         fe: &FrontEnd,
@@ -436,7 +424,8 @@ mod tests {
         let rx = link.transmit(&frame.to_time_samples());
         let fe = Receiver::new().front_end(&rx).expect("front end");
         let selected: Vec<usize> = (0..NUM_DATA).collect();
-        let thr = EnergyDetector::default().adaptive_thresholds(&fe, &selected, Modulation::Qpsk);
+        let mut thr = Vec::new();
+        EnergyDetector::default().adaptive_thresholds_into(&fe, &selected, Modulation::Qpsk, &mut thr);
         // Thresholds must track |H|²: the strongest subcarrier gets a
         // higher threshold than the weakest.
         let snrs = fe.per_subcarrier_snr();

@@ -3,9 +3,8 @@
 //! The receiver tells the transmitter which data subcarriers it selected
 //! as control subcarriers with a 48-bit vector `V`, conveyed in **one OFDM
 //! symbol** riding on the ACK: a silence symbol on subcarrier `k` means
-//! "subcarrier `k` is selected". This module encodes/decodes that symbol
-//! in terms of silence sets so the same power controller and energy
-//! detector carry the feedback for free, as the paper intends.
+//! "subcarrier `k` is selected". [`crate::duplex`] puts the vector's
+//! indices on the ACK as silences and reads them back.
 
 use cos_phy::subcarriers::NUM_DATA;
 
@@ -36,47 +35,9 @@ impl FeedbackVector {
         (0..NUM_DATA).filter(|&sc| self.selected[sc]).collect()
     }
 
-    /// Whether subcarrier `sc` is selected.
-    pub fn contains(&self, sc: usize) -> bool {
-        sc < NUM_DATA && self.selected[sc]
-    }
-
     /// Number of selected subcarriers.
     pub fn count(&self) -> usize {
         self.selected.iter().filter(|&&s| s).count()
-    }
-
-    /// The silence pattern for the feedback OFDM symbol: positions (within
-    /// the single symbol, i.e. logical subcarrier indices) to silence.
-    /// A silence on subcarrier `k` signals "`k` is selected".
-    pub fn to_silence_set(&self) -> Vec<usize> {
-        self.indices()
-    }
-
-    /// Reconstructs the vector from the silence set detected on the
-    /// feedback symbol.
-    pub fn from_silence_set(silences: &[usize]) -> Self {
-        Self::from_indices(silences)
-    }
-
-    /// Packs into a u64 bitmask (bit `k` = subcarrier `k`), e.g. for
-    /// logging or compact storage.
-    pub fn to_bitmask(&self) -> u64 {
-        self.indices().iter().fold(0u64, |m, &sc| m | (1 << sc))
-    }
-
-    /// Unpacks from a u64 bitmask.
-    ///
-    /// # Panics
-    ///
-    /// Panics if bits above position 47 are set.
-    pub fn from_bitmask(mask: u64) -> Self {
-        assert!(mask >> NUM_DATA == 0, "bitmask has bits beyond subcarrier 47");
-        let mut selected = [false; NUM_DATA];
-        for (sc, slot) in selected.iter_mut().enumerate() {
-            *slot = (mask >> sc) & 1 == 1;
-        }
-        FeedbackVector { selected }
     }
 }
 
@@ -96,31 +57,12 @@ mod tests {
         let v = FeedbackVector::from_indices(&[0, 7, 33, 47]);
         assert_eq!(v.indices(), vec![0, 7, 33, 47]);
         assert_eq!(v.count(), 4);
-        assert!(v.contains(7));
-        assert!(!v.contains(8));
-        assert!(!v.contains(99));
-    }
-
-    #[test]
-    fn silence_set_roundtrip() {
-        let v = FeedbackVector::from_indices(&[3, 11, 19]);
-        let silences = v.to_silence_set();
-        assert_eq!(FeedbackVector::from_silence_set(&silences), v);
-    }
-
-    #[test]
-    fn bitmask_roundtrip() {
-        let v = FeedbackVector::from_indices(&[1, 2, 40]);
-        let mask = v.to_bitmask();
-        assert_eq!(mask, (1 << 1) | (1 << 2) | (1 << 40));
-        assert_eq!(FeedbackVector::from_bitmask(mask), v);
     }
 
     #[test]
     fn empty_vector() {
         let v = FeedbackVector::default();
         assert_eq!(v.count(), 0);
-        assert_eq!(v.to_bitmask(), 0);
         assert!(v.indices().is_empty());
     }
 
@@ -134,11 +76,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_index_panics() {
         FeedbackVector::from_indices(&[48]);
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond subcarrier 47")]
-    fn oversized_bitmask_panics() {
-        FeedbackVector::from_bitmask(1 << 48);
     }
 }

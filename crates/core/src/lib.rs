@@ -23,14 +23,14 @@
 //! * [`feedback`] — the one-OFDM-symbol bit-vector `V` that feeds the
 //!   selection back to the transmitter (§III-D),
 //! * [`duplex`] — the feedback path itself: `V` and the measured SNR
-//!   riding the ACK frame as CoS silences (§III-A),
+//!   riding the ACK frame as CoS silences (§III-A); a standalone
+//!   demonstration, since [`session`] takes the receiver's report
+//!   directly,
 //! * erasure Viterbi decoding (§III-E) lives in [`cos_fec::viterbi`] —
 //!   the detector's erasure mask becomes zero LLRs in the standard
 //!   decoder,
 //! * [`control_rate`] — adaptive rate selection of control messages from
 //!   an SNR → `Rm` lookup table (§III-F),
-//! * [`messages`] — typed, checksummed control messages (scheduling,
-//!   congestion, power save) for the applications the paper motivates,
 //! * [`session`] — an end-to-end CoS link tying all of the above to the
 //!   802.11a PHY and the indoor channel models,
 //! * [`baseline`] — an hJam/Flashback-style interference-margin side
@@ -85,7 +85,6 @@ pub mod engine;
 pub mod feedback;
 pub mod interval;
 pub mod mesh;
-pub mod messages;
 pub mod power_controller;
 pub mod resilience;
 pub mod service;

@@ -1339,17 +1339,6 @@ impl CosSession {
         };
         s
     }
-
-    /// Bounds the session's control-subcarrier selection to the 48 data
-    /// subcarriers, in place: out-of-range indices are dropped, duplicates
-    /// removed, and a selection that ends up empty (all indices out of
-    /// range — corrupted feedback) is replaced by the bootstrap fallback
-    /// block, so silence placement never sees an empty or out-of-range
-    /// set. Harness code that builds custom selections outside a session
-    /// should use [`crate::validation::sanitize_selection`] directly.
-    pub fn clamp_selection(&mut self) {
-        sanitize_selection(&mut self.selected, self.config.min_control_subcarriers);
-    }
 }
 
 #[cfg(test)]
@@ -1463,26 +1452,6 @@ mod tests {
             h.bytes(input);
             assert_eq!(h.value(), want, "{input:?}");
         }
-    }
-
-    #[test]
-    fn clamp_selection_sanitises() {
-        let mut s = CosSession::new(SessionConfig::default(), 1);
-        s.selected = vec![50, 3, 3, 12];
-        s.clamp_selection();
-        assert_eq!(s.selected_subcarriers(), &[3, 12]);
-    }
-
-    #[test]
-    fn clamp_selection_falls_back_when_emptied() {
-        // Everything out of range — the paper's loop would panic deep in
-        // silence placement; the fallback keeps the link alive.
-        let mut s = CosSession::new(SessionConfig::default(), 1);
-        s.selected = vec![48, 99, 1000];
-        s.clamp_selection();
-        assert!(!s.selected_subcarriers().is_empty());
-        assert!(s.selected_subcarriers().iter().all(|&sc| sc < NUM_DATA));
-        assert!(s.selected_subcarriers().len() >= s.config.min_control_subcarriers);
     }
 
     #[test]

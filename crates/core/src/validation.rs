@@ -42,29 +42,12 @@ pub fn sanitize_selection(selection: &mut Vec<usize>, min_len: usize) {
 }
 
 /// Coherently re-tests every control position against the reconstructed
-/// transmitted points, returning the validated silence positions
-/// (slot-major, same enumeration as the detector's).
+/// transmitted points: clears `positions` and writes the validated
+/// silence positions into it (ascending, slot-major, the same enumeration
+/// as the detector's), reusing its capacity.
 ///
 /// `reference` is the reconstructed constellation grid (one row of 48 per
 /// DATA symbol), valid only after a CRC pass.
-///
-/// # Panics
-///
-/// Panics if `selected` is empty/unsorted/out of range or `reference` has
-/// fewer rows than the frame has DATA symbols.
-pub fn validate_silences(
-    fe: &FrontEnd,
-    selected: &[usize],
-    reference: &[[Complex; NUM_DATA]],
-) -> Vec<usize> {
-    let mut positions = Vec::new();
-    validate_silences_into(fe, selected, reference, &mut positions);
-    positions
-}
-
-/// Workspace variant of [`validate_silences`]: clears `positions` and
-/// writes the validated silence positions (ascending) into it, reusing
-/// its capacity.
 ///
 /// # Panics
 ///
@@ -139,7 +122,8 @@ mod tests {
         let samples = link.transmit(&frame.to_time_samples());
         let fe = Receiver::new().front_end(&samples).expect("front end");
         let total = fe.raw_symbols.len() * selected.len();
-        let validated = validate_silences(&fe, &selected, &frame.mapped_points);
+        let mut validated = Vec::new();
+        validate_silences_into(&fe, &selected, &frame.mapped_points, &mut validated);
         (validated, truth, total, selected, fe)
     }
 
@@ -202,6 +186,6 @@ mod tests {
         let mut link = Link::new(ChannelConfig::default(), 20.0, 1);
         let samples = link.transmit(&frame.to_time_samples());
         let fe = Receiver::new().front_end(&samples).expect("fe");
-        validate_silences(&fe, &[0, 1], &frame.mapped_points[..1]);
+        validate_silences_into(&fe, &[0, 1], &frame.mapped_points[..1], &mut Vec::new());
     }
 }

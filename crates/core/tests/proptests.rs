@@ -1,7 +1,6 @@
 //! Property-based tests for the CoS core.
 
 use cos_core::interval::IntervalCodec;
-use cos_core::messages::ControlMessage;
 use cos_core::power_controller::PowerController;
 use cos_phy::rates::DataRate;
 use cos_phy::tx::Transmitter;
@@ -68,17 +67,5 @@ proptest! {
         let mut frame = frame;
         controller.embed(&mut frame, &selected, &bits).expect("guaranteed fit");
         prop_assert_eq!(frame.silence_count(), 1 + bits_len / 4);
-    }
-
-    #[test]
-    fn control_messages_never_roundtrip_wrong(station in any::<u8>(), duration in any::<u8>(), level in 0u8..16, backlog in any::<u8>(), windows in any::<u8>()) {
-        for msg in [
-            ControlMessage::ScheduleGrant { station, duration },
-            ControlMessage::CongestionReport { level, backlog },
-            ControlMessage::PowerSave { windows },
-            ControlMessage::FeedbackPoll,
-        ] {
-            prop_assert_eq!(ControlMessage::from_bits(&msg.to_bits()), Ok(msg));
-        }
     }
 }

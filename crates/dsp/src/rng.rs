@@ -222,16 +222,6 @@ impl GaussianSource {
     pub fn uniform(&mut self) -> f64 {
         self.rng.gen()
     }
-
-    /// Draws a uniform integer in `[0, n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn uniform_index(&mut self, n: usize) -> usize {
-        assert!(n > 0, "uniform_index needs a non-empty range");
-        self.rng.gen_range(0..n)
-    }
 }
 
 #[cfg(test)]
@@ -395,19 +385,5 @@ mod tests {
             cross += z.re * z.im;
         }
         assert!((cross / n as f64).abs() < 0.01);
-    }
-
-    #[test]
-    fn uniform_index_in_range() {
-        let mut g = GaussianSource::new(4);
-        for _ in 0..1000 {
-            assert!(g.uniform_index(10) < 10);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn uniform_index_zero_panics() {
-        GaussianSource::new(0).uniform_index(0);
     }
 }

@@ -77,22 +77,6 @@ impl Ecdf {
         count as f64 / self.sorted.len() as f64
     }
 
-    /// Evaluates the CDF on an evenly spaced grid of `points` values spanning
-    /// the sample range; returns `(x, F(x))` pairs for plotting.
-    pub fn curve(&self, points: usize) -> Vec<(f64, f64)> {
-        let lo = self.sorted[0];
-        let hi = *self.sorted.last().expect("non-empty by construction");
-        if points <= 1 || hi == lo {
-            return vec![(hi, 1.0)];
-        }
-        (0..points)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-                (x, self.eval(x))
-            })
-            .collect()
-    }
-
     /// Number of underlying samples.
     pub fn len(&self) -> usize {
         self.sorted.len()
@@ -153,18 +137,9 @@ mod tests {
     }
 
     #[test]
-    fn ecdf_curve_is_monotone() {
-        let cdf = Ecdf::new((0..100).map(|i| ((i * 37) % 100) as f64).collect());
-        let curve = cdf.curve(33);
-        for w in curve.windows(2) {
-            assert!(w[1].1 >= w[0].1);
-        }
-        assert_eq!(curve.last().expect("non-empty").1, 1.0);
-    }
-
-    #[test]
     fn ecdf_degenerate_sample_set() {
         let cdf = Ecdf::new(vec![2.0, 2.0, 2.0]);
-        assert_eq!(cdf.curve(10), vec![(2.0, 1.0)]);
+        assert_eq!(cdf.eval(1.9), 0.0);
+        assert_eq!(cdf.eval(2.0), 1.0);
     }
 }

@@ -114,28 +114,28 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     vec![a, b]
 }
 
-/// The autocorrelation of the error-frequency sequence at a given lag —
-/// used to verify the 48-position periodicity the paper reports.
-pub fn periodicity_score(freq: &[f64], lag: usize) -> f64 {
-    if freq.len() <= lag {
-        return 0.0;
-    }
-    let m = freq.iter().sum::<f64>() / freq.len() as f64;
-    let num: f64 = freq
-        .windows(lag + 1)
-        .map(|w| (w[0] - m) * (w[lag] - m))
-        .sum();
-    let den: f64 = freq.iter().map(|f| (f - m) * (f - m)).sum();
-    if den == 0.0 {
-        0.0
-    } else {
-        num / den
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The autocorrelation of the error-frequency sequence at a given lag —
+    /// used to verify the 48-position periodicity the paper reports.
+    fn periodicity_score(freq: &[f64], lag: usize) -> f64 {
+        if freq.len() <= lag {
+            return 0.0;
+        }
+        let m = freq.iter().sum::<f64>() / freq.len() as f64;
+        let num: f64 = freq
+            .windows(lag + 1)
+            .map(|w| (w[0] - m) * (w[lag] - m))
+            .sum();
+        let den: f64 = freq.iter().map(|f| (f - m) * (f - m)).sum();
+        if den == 0.0 {
+            0.0
+        } else {
+            num / den
+        }
+    }
 
     #[test]
     fn errors_cluster_on_weak_subcarriers() {

@@ -74,14 +74,6 @@ fn invalid_bit(chunk: &[u8]) -> ! {
     panic!("bit values must be 0 or 1, got {b}");
 }
 
-/// Writes the low `width` bits of `value` into a bit vector, LSB first.
-pub fn push_field(bits: &mut Vec<u8>, value: u32, width: usize) {
-    assert!(width <= 32, "field width {width} exceeds u32");
-    for i in 0..width {
-        bits.push(((value >> i) & 1) as u8);
-    }
-}
-
 /// Reads a `width`-bit LSB-first field starting at `offset`.
 ///
 /// # Panics
@@ -132,20 +124,11 @@ mod tests {
     }
 
     #[test]
-    fn field_roundtrip() {
-        let mut bits = Vec::new();
-        push_field(&mut bits, 0xABC, 12);
-        push_field(&mut bits, 0x3, 2);
-        assert_eq!(bits.len(), 14);
+    fn field_is_lsb_first() {
+        assert_eq!(read_field(&[0, 1, 1], 0, 3), 0b110);
+        let bits = [0, 0, 1, 1, 1, 1, 0, 1, 0, 1, 0, 1, 1, 1];
         assert_eq!(read_field(&bits, 0, 12), 0xABC);
         assert_eq!(read_field(&bits, 12, 2), 0x3);
-    }
-
-    #[test]
-    fn field_is_lsb_first() {
-        let mut bits = Vec::new();
-        push_field(&mut bits, 0b110, 3);
-        assert_eq!(bits, vec![0, 1, 1]);
     }
 
     #[test]

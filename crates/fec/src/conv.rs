@@ -98,16 +98,6 @@ impl ConvEncoder {
             state = next_state(state, bit);
         }
     }
-
-    /// Encodes and reports the final encoder state (useful in tests for
-    /// verifying tail-bit termination).
-    pub fn encode_with_final_state(&self, data: &[u8]) -> (Vec<u8>, u8) {
-        let coded = self.encode(data);
-        let state = data
-            .iter()
-            .fold(0u8, |s, &b| next_state(s, b));
-        (coded, state)
-    }
 }
 
 #[cfg(test)]
@@ -147,7 +137,7 @@ mod tests {
     fn tail_bits_return_to_zero_state() {
         let mut data: Vec<u8> = (0..64).map(|i| ((i * 11) % 4 == 1) as u8).collect();
         data.extend_from_slice(&[0; 6]);
-        let (_, state) = ConvEncoder::new().encode_with_final_state(&data);
+        let state = data.iter().fold(0u8, |s, &b| next_state(s, b));
         assert_eq!(state, 0);
     }
 

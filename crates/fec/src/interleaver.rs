@@ -96,20 +96,9 @@ impl Interleaver {
         self.apply(bits, &self.inv)
     }
 
-    /// De-interleaves soft values (LLRs); zero-LLR erasures travel with
-    /// their positions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `llrs.len()` is not a multiple of `Ncbps`.
-    pub fn deinterleave_soft<T: Copy + Default>(&self, llrs: &[T]) -> Vec<T> {
-        let mut out = Vec::new();
-        self.deinterleave_soft_into(llrs, &mut out);
-        out
-    }
-
-    /// [`Interleaver::deinterleave_soft`] writing into a caller-owned
-    /// buffer, which is fully overwritten.
+    /// De-interleaves soft values (LLRs) into a caller-owned buffer, which
+    /// is fully overwritten; zero-LLR erasures travel with their
+    /// positions.
     ///
     /// # Panics
     ///
@@ -120,7 +109,7 @@ impl Interleaver {
         self.deinterleave_soft_to_slice(llrs, out);
     }
 
-    /// [`Interleaver::deinterleave_soft`] writing into a caller-owned
+    /// [`Interleaver::deinterleave_soft_into`] writing into a caller-owned
     /// slice — the allocation-free core for fixed-size fields like
     /// SIGNAL.
     ///
@@ -220,7 +209,8 @@ mod tests {
         let bits: Vec<u8> = (0..96).map(|i| (i % 3 == 0) as u8).collect();
         let tx = il.interleave(&bits);
         let soft: Vec<f64> = tx.iter().map(|&b| if b == 0 { 1.0 } else { -1.0 }).collect();
-        let rx_soft = il.deinterleave_soft(&soft);
+        let mut rx_soft = Vec::new();
+        il.deinterleave_soft_into(&soft, &mut rx_soft);
         let rx_hard: Vec<u8> = rx_soft.iter().map(|&l| (l < 0.0) as u8).collect();
         assert_eq!(rx_hard, bits);
     }

@@ -48,11 +48,6 @@ impl CodeRate {
         }
     }
 
-    /// The rate as a float (data bits per coded bit).
-    pub fn as_f64(self) -> f64 {
-        self.numerator() as f64 / self.denominator() as f64
-    }
-
     /// Punctures mother-code output down to the transmitted bit stream.
     ///
     /// # Panics
@@ -131,18 +126,6 @@ impl CodeRate {
             }
         }
     }
-
-    /// Number of transmitted bits produced from `n_coded` mother-code bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_coded` is not a multiple of the puncturing period.
-    pub fn punctured_len(self, n_coded: usize) -> usize {
-        let mask = self.keep_mask();
-        assert!(n_coded.is_multiple_of(mask.len()), "length not period-aligned");
-        let survivors = mask.iter().filter(|&&k| k).count();
-        n_coded / mask.len() * survivors
-    }
 }
 
 impl std::fmt::Display for CodeRate {
@@ -214,24 +197,14 @@ mod tests {
 
     #[test]
     fn rate_fractions() {
-        assert_eq!(CodeRate::Half.as_f64(), 0.5);
+        assert_eq!(CodeRate::Half.to_string(), "1/2");
         assert_eq!(CodeRate::TwoThirds.to_string(), "2/3");
-        assert_eq!(CodeRate::ThreeQuarters.as_f64(), 0.75);
+        assert_eq!(CodeRate::ThreeQuarters.to_string(), "3/4");
     }
 
     #[test]
     #[should_panic(expected = "period")]
     fn misaligned_puncture_panics() {
         CodeRate::ThreeQuarters.puncture(&[0, 1, 0]);
-    }
-
-    #[test]
-    fn punctured_len_matches_actual() {
-        for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
-            let period = rate.keep_mask().len();
-            let n = period * 12;
-            let coded = vec![0u8; n];
-            assert_eq!(rate.punctured_len(n), rate.puncture(&coded).len());
-        }
     }
 }

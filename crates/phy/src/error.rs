@@ -39,16 +39,6 @@ pub enum PhyError {
         /// Bits required to recover the scrambler seed.
         need: usize,
     },
-    /// An MPDU handed to the aggregator exceeds the 12-bit delimiter
-    /// length field.
-    MpduTooLong {
-        /// Offending MPDU length in bytes.
-        len: usize,
-        /// Maximum encodable length.
-        max: usize,
-    },
-    /// The aggregator was handed an empty MPDU list.
-    EmptyAggregate,
 }
 
 impl PhyError {
@@ -64,8 +54,6 @@ impl PhyError {
             PhyError::ScramblerSeed => "scrambler_seed",
             PhyError::NoPreamble => "no_preamble",
             PhyError::DataFieldTooShort { .. } => "data_field_too_short",
-            PhyError::MpduTooLong { .. } => "mpdu_too_long",
-            PhyError::EmptyAggregate => "empty_aggregate",
         }
     }
 }
@@ -86,10 +74,6 @@ impl fmt::Display for PhyError {
             PhyError::DataFieldTooShort { got, need } => {
                 write!(f, "DATA field too short: got {got} bits, need {need}")
             }
-            PhyError::MpduTooLong { len, max } => {
-                write!(f, "MPDU of {len} bytes exceeds delimiter maximum {max}")
-            }
-            PhyError::EmptyAggregate => write!(f, "cannot aggregate an empty MPDU list"),
         }
     }
 }
@@ -129,8 +113,6 @@ mod tests {
             PhyError::ScramblerSeed,
             PhyError::NoPreamble,
             PhyError::DataFieldTooShort { got: 0, need: 7 },
-            PhyError::MpduTooLong { len: 5000, max: 4095 },
-            PhyError::EmptyAggregate,
         ];
         let mut kinds: Vec<_> = all.iter().map(|e| e.kind()).collect();
         kinds.sort_unstable();

@@ -25,9 +25,7 @@
 //!   change `∇EVM` (paper Eq. 2),
 //! * [`sync`] — packet detection, sample-accurate timing and CFO
 //!   estimation/correction, so frames can be received from raw streams
-//!   with unknown offsets,
-//! * [`aggregation`] — A-MPDU-style frame aggregation with per-subframe
-//!   FCS and delimiter resync.
+//!   with unknown offsets.
 //!
 //! # Examples
 //!
@@ -44,7 +42,6 @@
 //! assert_eq!(rx.payload.as_deref(), Some(payload.as_slice()));
 //! ```
 
-pub mod aggregation;
 pub mod constellation;
 pub mod error;
 pub mod evm;

@@ -91,11 +91,6 @@ pub fn encode_signal_points(rate: DataRate, length_bytes: usize) -> [Complex; SI
     points
 }
 
-/// [`encode_signal_points`] as an owned `Vec` (API compatibility).
-pub fn encode_signal_symbol(rate: DataRate, length_bytes: usize) -> Vec<Complex> {
-    encode_signal_points(rate, length_bytes).to_vec()
-}
-
 /// Decodes 48 equalised SIGNAL points back to `(rate, length)`.
 ///
 /// `weight` is the LLR reliability (uniform across the symbol is fine
@@ -144,9 +139,8 @@ mod tests {
     #[test]
     fn roundtrip_through_constellation() {
         for rate in DataRate::ALL {
-            let points = encode_signal_symbol(rate, 1500);
-            let arr: [Complex; 48] = points.try_into().expect("48 points");
-            let (r, l) = decode_signal_symbol(&arr, 1.0).expect("clean decode");
+            let points = encode_signal_points(rate, 1500);
+            let (r, l) = decode_signal_symbol(&points, 1.0).expect("clean decode");
             assert_eq!(r, rate);
             assert_eq!(l, 1500);
         }
@@ -175,8 +169,7 @@ mod tests {
 
     #[test]
     fn survives_moderate_noise() {
-        let points = encode_signal_symbol(DataRate::Mbps54, 2047);
-        let mut arr: [Complex; 48] = points.try_into().expect("48 points");
+        let mut arr = encode_signal_points(DataRate::Mbps54, 2047);
         // Attenuate and perturb a few points; rate-1/2 BPSK is robust.
         for (i, p) in arr.iter_mut().enumerate() {
             let jitter = if i % 7 == 0 { -0.6 } else { 0.2 };

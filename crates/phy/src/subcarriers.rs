@@ -22,10 +22,6 @@ pub const NUM_USED: usize = NUM_DATA + NUM_PILOTS;
 pub const CP_LEN: usize = 16;
 /// Samples per OFDM symbol including the cyclic prefix.
 pub const SYMBOL_LEN: usize = FFT_SIZE + CP_LEN;
-/// OFDM symbol duration in seconds (4 µs).
-pub const SYMBOL_DURATION: f64 = 4e-6;
-/// OFDM symbols per second.
-pub const SYMBOLS_PER_SECOND: f64 = 1.0 / SYMBOL_DURATION;
 
 /// Pilot subcarrier indices.
 pub const PILOT_INDICES: [i32; 4] = [-21, -7, 7, 21];
@@ -103,16 +99,6 @@ pub const USED_BINS: [usize; NUM_USED] = {
     out
 };
 
-/// Maps a logical data index (`0..48`) to its subcarrier index.
-///
-/// # Panics
-///
-/// Panics if `logical >= 48`.
-pub fn logical_to_index(logical: usize) -> i32 {
-    assert!(logical < NUM_DATA, "logical data index {logical} out of range");
-    DATA_INDICES[logical]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,16 +158,8 @@ mod tests {
     }
 
     #[test]
-    fn logical_round_trip() {
-        for (logical, &idx) in DATA_INDICES.iter().enumerate() {
-            assert_eq!(logical_to_index(logical), idx);
-        }
-    }
-
-    #[test]
     fn symbol_timing_constants() {
         assert_eq!(SYMBOL_LEN, 80);
-        assert_eq!(SYMBOLS_PER_SECOND, 250_000.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests for the zero-copy workspace pipeline: a dirty,
 //! previously-used workspace must produce results **bit-identical** to
 //! the freshly-allocating owned APIs, across rates, channels, fault
-//! scenarios and A-MPDU aggregation.
+//! scenarios and arbitrary-byte PSDUs built without the CRC framing.
 //!
 //! This is the determinism contract of `docs/ARCHITECTURE.md` made
 //! executable: every `*_into` stage fully overwrites its outputs, so
@@ -10,7 +10,6 @@
 use cos::channel::{BurstInterference, ChannelConfig, FaultEngine, Link};
 use cos::core::power_controller::PowerController;
 use cos::fec::bits::bits_to_bytes;
-use cos::phy::aggregation::{aggregate, deaggregate};
 use cos::phy::evm::reconstruct_points_into;
 use cos::phy::frame::SERVICE_BITS;
 use cos::phy::rates::DataRate;
@@ -267,14 +266,13 @@ proptest! {
     }
 
     #[test]
-    fn aggregated_psdu_roundtrips_through_dirty_workspace(
-        subframes in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 1..120), 1..4),
+    fn psdu_roundtrips_through_dirty_workspace(
+        psdu in proptest::collection::vec(any::<u8>(), 1..400),
         rate in arb_rate(),
     ) {
-        // A-MPDU aggregation rides the PSDU path: aggregate, transmit
-        // through a dirty workspace, receive into it, deaggregate.
-        let psdu = aggregate(&subframes).expect("aggregates");
+        // The PSDU path carries arbitrary bytes with no FCS appended:
+        // build through a dirty workspace, receive into it, read the
+        // DATA-field PSDU back.
         let tx = Transmitter::new();
         let rx = Receiver::new();
         let mut ws = PhyWorkspace::new();
@@ -288,12 +286,8 @@ proptest! {
 
         let samples = ws.tx.samples.clone();
         rx.receive_into(&samples, &RxConfig::ideal(), &mut ws.rx).expect("clean loopback");
-        // The DATA-field PSDU round-trips exactly: every subframe back out.
+        // The DATA-field PSDU round-trips exactly.
         let psdu_bits = &ws.rx.out.data_bits[SERVICE_BITS..][..psdu.len() * 8];
-        let rx_psdu = bits_to_bytes(psdu_bits);
-        prop_assert_eq!(&rx_psdu, &psdu);
-        let rebuilt: Vec<Option<Vec<u8>>> = deaggregate(&rx_psdu);
-        let got: Vec<Vec<u8>> = rebuilt.into_iter().flatten().collect();
-        prop_assert_eq!(got, subframes);
+        prop_assert_eq!(&bits_to_bytes(psdu_bits), &psdu);
     }
 }
