@@ -1,4 +1,4 @@
-//! The closed-loop link-adaptation experiment (`fig07_adaptation`): the
+//! The closed-loop link-adaptation experiment (`run_all fig07_adaptation`): the
 //! rate staircase + silence-budget probe search of
 //! [`cos_core::adaptation`] exercised under coherence-time SNR drift.
 //!
@@ -24,8 +24,8 @@
 //!
 //! Determinism: per-trial seeds derive from the trial index alone, the
 //! trace is strictly serial, and aggregation order is fixed, so both
-//! CSVs are byte-identical at any `--threads` / `COS_THREADS` setting
-//! (`docs/DETERMINISM.md`).
+//! CSVs are byte-identical at any `run_all --threads N` / `COS_THREADS`
+//! setting (`docs/DETERMINISM.md`).
 
 use crate::harness::{paper_payload, run_trials};
 use crate::table::{fmt, Table};
@@ -33,11 +33,26 @@ use cos_core::session::{CosSession, SessionConfig};
 use cos_core::IntervalCodec;
 use cos_phy::rates::DataRate;
 
+/// SNR at the triangle's crests (dB).
+const SNR_HI_DB: f64 = 26.0;
+/// Base seed; per-trial seeds derive from it and the trial index.
+const SEED: u64 = 0x0AD1;
+/// Bits per offered control message on the adaptive path.
+const MESSAGE_BITS: usize = 8;
+/// Offer a new control message every this many packets.
+const ENQUEUE_EVERY: usize = 4;
+/// Probe-search ceiling on the silence budget. The raw controller
+/// default (46) maximises control capacity; for a goodput duel a lower
+/// cap keeps the erasure load — and the all-bits-exact ACK rule — from
+/// eroding data PRR at the crests.
+const MAX_BUDGET: usize = 12;
+/// ARQ retries per control message on the adaptive path. Generous,
+/// because the trough intentionally starves feedback for stretches.
+const ARQ_MAX_RETRIES: u32 = 32;
+
 /// Experiment dimensions.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// SNR at the triangle's crests (dB).
-    pub snr_hi_db: f64,
     /// SNR at the triangle's trough (dB).
     pub snr_lo_db: f64,
     /// Packets per trial.
@@ -46,37 +61,21 @@ pub struct Config {
     pub period: usize,
     /// Channel realisations per contender (paired across contenders).
     pub trials: usize,
-    /// Base seed; per-trial seeds derive from it and the trial index.
-    pub seed: u64,
     /// Payload bytes per packet (≤ 1020, sliced from [`paper_payload`]).
     pub payload_len: usize,
     /// Fixed-rate contenders.
     pub fixed_rates: Vec<DataRate>,
     /// Fixed silence-budget contenders (crossed with `fixed_rates`).
     pub fixed_budgets: Vec<usize>,
-    /// Bits per offered control message on the adaptive path.
-    pub message_bits: usize,
-    /// Offer a new control message every this many packets.
-    pub enqueue_every: usize,
-    /// Probe-search ceiling on the silence budget. The raw controller
-    /// default (46) maximises control capacity; for a goodput duel a
-    /// lower cap keeps the erasure load — and the all-bits-exact ACK
-    /// rule — from eroding data PRR at the crests.
-    pub max_budget: usize,
-    /// ARQ retries per control message on the adaptive path. Generous,
-    /// because the trough intentionally starves feedback for stretches.
-    pub arq_max_retries: u32,
 }
 
 impl Default for Config {
     fn default() -> Self {
         Config {
-            snr_hi_db: 26.0,
             snr_lo_db: 9.0,
             packets: 480,
             period: 240,
             trials: 3,
-            seed: 0x0AD1,
             payload_len: 1020,
             fixed_rates: vec![
                 DataRate::Mbps6,
@@ -87,10 +86,6 @@ impl Default for Config {
                 DataRate::Mbps54,
             ],
             fixed_budgets: vec![2, 12],
-            message_bits: 8,
-            enqueue_every: 4,
-            max_budget: 12,
-            arq_max_retries: 32,
         }
     }
 }
@@ -109,13 +104,12 @@ impl Config {
             payload_len: 300,
             fixed_rates: vec![DataRate::Mbps12, DataRate::Mbps54],
             fixed_budgets: vec![2],
-            ..Default::default()
         }
     }
 }
 
 /// Nominal link SNR of the triangle drift at `packet`: starts at
-/// `snr_hi_db`, reaches `snr_lo_db` half a period later, and climbs back
+/// `SNR_HI_DB`, reaches `snr_lo_db` half a period later, and climbs back
 /// — repeating for as many periods as the trial runs.
 pub fn drift_snr_db(cfg: &Config, packet: usize) -> f64 {
     let period = cfg.period.max(2);
@@ -126,7 +120,7 @@ pub fn drift_snr_db(cfg: &Config, packet: usize) -> f64 {
     } else {
         (period - phase) as f64 / (period - half) as f64
     };
-    cfg.snr_hi_db + (cfg.snr_lo_db - cfg.snr_hi_db) * frac
+    SNR_HI_DB + (cfg.snr_lo_db - SNR_HI_DB) * frac
 }
 
 /// Deterministic control-message bits for one `(trial, packet)` slot.
@@ -140,8 +134,8 @@ fn message_bits(trial: usize, packet: usize, n: usize) -> Vec<u8> {
 
 /// Trial seed: a pure function of the trial index, shared by every
 /// contender so the duel is paired on identical channel realisations.
-fn trial_seed(cfg: &Config, trial: usize) -> u64 {
-    cfg.seed.wrapping_mul(104_729).wrapping_add(trial as u64 * 9_973)
+fn trial_seed(trial: usize) -> u64 {
+    SEED.wrapping_mul(104_729).wrapping_add(trial as u64 * 9_973)
 }
 
 fn payload(cfg: &Config) -> Vec<u8> {
@@ -210,19 +204,19 @@ pub struct TrialOutcome {
 }
 
 /// The adaptive contender's session config: the tuned controller plus a
-/// patient ARQ (`cfg.arq_max_retries`) on the session's control queue.
-fn adaptive_session_config(cfg: &Config) -> SessionConfig {
+/// patient ARQ (`ARQ_MAX_RETRIES`) on the session's control queue.
+fn adaptive_session_config() -> SessionConfig {
     SessionConfig {
-        snr_db: cfg.snr_hi_db,
-        max_budget: cfg.max_budget,
-        arq_max_retries: cfg.arq_max_retries,
+        snr_db: SNR_HI_DB,
+        max_budget: MAX_BUDGET,
+        arq_max_retries: ARQ_MAX_RETRIES,
         ..Default::default()
     }
 }
 
 /// Runs one adaptive trial over the drift trajectory.
 pub fn run_adaptive_trial(cfg: &Config, trial: usize) -> TrialOutcome {
-    let mut s = CosSession::new(adaptive_session_config(cfg), trial_seed(cfg, trial));
+    let mut s = CosSession::new(adaptive_session_config(), trial_seed(trial));
     let payload = payload(cfg);
     let stop = enqueue_until(cfg);
     let mut out = TrialOutcome::default();
@@ -230,8 +224,8 @@ pub fn run_adaptive_trial(cfg: &Config, trial: usize) -> TrialOutcome {
         s.set_snr_db(drift_snr_db(cfg, p));
         // One message in flight at a time: a fresh offer waits for the
         // ARQ to resolve the previous one.
-        if p < stop && p % cfg.enqueue_every == 0 && s.arq_backlog() == 0 {
-            s.queue_control(message_bits(trial, p, cfg.message_bits));
+        if p < stop && p % ENQUEUE_EVERY == 0 && s.arq_backlog() == 0 {
+            s.queue_control(message_bits(trial, p, MESSAGE_BITS));
         }
         let r = s.send_packet_adaptive_summary(&payload);
         out.packets += 1;
@@ -254,8 +248,8 @@ pub fn run_adaptive_trial(cfg: &Config, trial: usize) -> TrialOutcome {
 /// Runs one fixed `(rate, budget)` trial over the same drift trajectory.
 pub fn run_fixed_trial(cfg: &Config, rate: DataRate, budget: usize, trial: usize) -> TrialOutcome {
     let session_cfg =
-        SessionConfig { snr_db: cfg.snr_hi_db, rate: Some(rate), ..Default::default() };
-    let mut s = CosSession::new(session_cfg, trial_seed(cfg, trial));
+        SessionConfig { snr_db: SNR_HI_DB, rate: Some(rate), ..Default::default() };
+    let mut s = CosSession::new(session_cfg, trial_seed(trial));
     let payload = payload(cfg);
     let bits_per_msg = budget.saturating_sub(1) * IntervalCodec::default().bits_per_interval();
     let mut out = TrialOutcome::default();
@@ -355,14 +349,14 @@ pub fn run_compare(cfg: &Config) -> Vec<ContenderResult> {
 /// Runs the serial single-session trace of the controller riding the
 /// drift (trial seed 0) and renders it as `fig07_adaptation_trace`.
 pub fn run_trace(cfg: &Config) -> Table {
-    let mut s = CosSession::new(adaptive_session_config(cfg), trial_seed(cfg, 0));
+    let mut s = CosSession::new(adaptive_session_config(), trial_seed(0));
     let payload = payload(cfg);
     let stop = enqueue_until(cfg);
     let mut table = Table::new(
         "fig07_adaptation_trace",
         format!(
             "closed-loop controller under triangle SNR drift {} -> {} -> {} dB over {} packets",
-            cfg.snr_hi_db, cfg.snr_lo_db, cfg.snr_hi_db, cfg.period
+            SNR_HI_DB, cfg.snr_lo_db, SNR_HI_DB, cfg.period
         ),
         &[
             "packet",
@@ -380,8 +374,8 @@ pub fn run_trace(cfg: &Config) -> Table {
     );
     for p in 0..cfg.packets {
         s.set_snr_db(drift_snr_db(cfg, p));
-        if p < stop && p % cfg.enqueue_every == 0 && s.arq_backlog() == 0 {
-            s.queue_control(message_bits(0, p, cfg.message_bits));
+        if p < stop && p % ENQUEUE_EVERY == 0 && s.arq_backlog() == 0 {
+            s.queue_control(message_bits(0, p, MESSAGE_BITS));
         }
         let r = s.send_packet_adaptive_summary(&payload);
         table.push_row(vec![
@@ -407,7 +401,7 @@ pub fn compare_table(cfg: &Config, results: &[ContenderResult]) -> Table {
         "fig07_adaptation_compare",
         format!(
             "adaptive vs fixed (rate, budget) grid: {} paired trials x {} packets, drift {} <-> {} dB",
-            cfg.trials, cfg.packets, cfg.snr_hi_db, cfg.snr_lo_db
+            cfg.trials, cfg.packets, SNR_HI_DB, cfg.snr_lo_db
         ),
         &[
             "scheme",
@@ -458,10 +452,10 @@ mod tests {
     #[test]
     fn triangle_hits_its_endpoints() {
         let cfg = Config { period: 40, ..Config::quick() };
-        assert_eq!(drift_snr_db(&cfg, 0).to_bits(), cfg.snr_hi_db.to_bits());
+        assert_eq!(drift_snr_db(&cfg, 0).to_bits(), SNR_HI_DB.to_bits());
         assert_eq!(drift_snr_db(&cfg, 20).to_bits(), cfg.snr_lo_db.to_bits());
-        assert_eq!(drift_snr_db(&cfg, 40).to_bits(), cfg.snr_hi_db.to_bits());
-        assert!(drift_snr_db(&cfg, 10) < cfg.snr_hi_db);
+        assert_eq!(drift_snr_db(&cfg, 40).to_bits(), SNR_HI_DB.to_bits());
+        assert!(drift_snr_db(&cfg, 10) < SNR_HI_DB);
         assert!(drift_snr_db(&cfg, 10) > cfg.snr_lo_db);
     }
 

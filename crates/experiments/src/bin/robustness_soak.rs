@@ -1,29 +1,34 @@
 //! Runs the fault-injection soak matrix over the resilient CoS session
 //! and emits `results/robustness_soak.csv` + `BENCH_pr2.json`.
 //!
-//! Flags: `--quick` (reduced matrix for the check.sh smoke test),
-//! `--threads N` (worker count; output is byte-identical at any value).
-//! Exits non-zero if any scenario misses its acceptance criteria.
+//! Flags: `--quick` (reduced matrix for the check.sh smoke test; writes
+//! nothing), `--threads N` (worker count; output is byte-identical at
+//! any value). Exits non-zero if any scenario misses its acceptance
+//! criteria or an output cannot be written.
 
 use cos_experiments::robustness::{run_soak, to_bench_json, Config};
+use cos_experiments::table;
+use std::io;
 
 fn main() {
-    cos_experiments::harness::init_threads_from_args();
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = cos_experiments::harness::init_threads_from_args().iter().any(|a| a == "--quick");
     let cfg = if quick { Config::quick() } else { Config::default() };
     let (results, table) = run_soak(&cfg);
 
-    println!("{}", table.render());
-    if !quick {
-        match table.write_csv("results") {
-            Ok(path) => println!("[csv] {}", path.display()),
-            Err(e) => eprintln!("[csv] failed to write robustness_soak: {e}"),
-        }
+    if quick {
+        println!("{}", table.render());
+    } else {
         let json = to_bench_json(&results, &cfg);
-        match std::fs::write("BENCH_pr2.json", &json) {
-            Ok(()) => println!("[json] BENCH_pr2.json"),
-            Err(e) => eprintln!("[json] failed to write BENCH_pr2.json: {e}"),
+        let written = table::emit(&[table]).and_then(|()| {
+            std::fs::write("BENCH_pr2.json", json).map_err(|e| {
+                io::Error::new(e.kind(), format!("failed to write BENCH_pr2.json: {e}"))
+            })
+        });
+        if let Err(e) = written {
+            eprintln!("[write] {e}");
+            std::process::exit(1);
         }
+        println!("[json] BENCH_pr2.json");
     }
 
     let failures: Vec<&str> =

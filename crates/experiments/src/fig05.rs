@@ -10,27 +10,28 @@ use cos_phy::rx::Receiver;
 use cos_phy::subcarriers::NUM_DATA;
 use cos_phy::tx::Transmitter;
 
+/// Nominal link SNR (dB).
+const SNR_DB: f64 = 22.0;
+/// Seeds acting as the paper's positions A, B, C.
+const POSITION_SEEDS: [u64; 3] = [101, 202, 303];
+
 /// Experiment configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Nominal link SNR (dB).
-    pub snr_db: f64,
-    /// Seeds acting as the paper's positions A, B, C.
-    pub position_seeds: [u64; 3],
     /// Packets averaged per position.
     pub packets: usize,
 }
 
 impl Default for Config {
     fn default() -> Self {
-        Config { snr_db: 22.0, position_seeds: [101, 202, 303], packets: 30 }
+        Config { packets: 30 }
     }
 }
 
 impl Config {
     /// A fast version for integration tests.
     pub fn quick() -> Self {
-        Config { packets: 4, ..Config::default() }
+        Config { packets: 4 }
     }
 }
 
@@ -71,9 +72,8 @@ pub fn position_evm_on(link: &mut Link, packets: usize) -> [f64; NUM_DATA] {
 /// Runs the three-position measurement.
 pub fn run(cfg: &Config) -> Table {
     // The three positions are independent links — one parallel trial each.
-    let evms: Vec<[f64; NUM_DATA]> = run_trials(cfg.position_seeds.len(), |i| {
-        position_evm(cfg.snr_db, cfg.position_seeds[i], cfg.packets)
-    });
+    let evms: Vec<[f64; NUM_DATA]> =
+        run_trials(POSITION_SEEDS.len(), |i| position_evm(SNR_DB, POSITION_SEEDS[i], cfg.packets));
     let mut table = Table::new(
         "fig05_evm_positions",
         "per-subcarrier EVM (%) at positions A/B/C",

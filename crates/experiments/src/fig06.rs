@@ -11,38 +11,33 @@ use cos_phy::rx::Receiver;
 use cos_phy::subcarriers::NUM_DATA;
 use cos_phy::tx::Transmitter;
 
+/// Nominal link SNR (dB) — low enough that symbol errors are common.
+const SNR_DB: f64 = 14.0;
+/// The position-A seed.
+const SEED: u64 = 101;
+/// Rate under test (the paper's error maps are modulation-agnostic;
+/// 16QAM at mid-band SNR gives the clearest pattern).
+const RATE: DataRate = DataRate::Mbps24;
+
 /// Experiment configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Nominal link SNR (dB) — low enough that symbol errors are common.
-    pub snr_db: f64,
-    /// The position-A seed.
-    pub seed: u64,
     /// Packets accumulated.
     pub packets: usize,
-    /// Rate under test (the paper's error maps are modulation-agnostic;
-    /// 16QAM at mid-band SNR gives the clearest pattern).
-    pub rate: DataRate,
     /// Symbol positions reported in the frequency table.
     pub positions_reported: usize,
 }
 
 impl Default for Config {
     fn default() -> Self {
-        Config {
-            snr_db: 14.0,
-            seed: 101,
-            packets: 300,
-            rate: DataRate::Mbps24,
-            positions_reported: 1000,
-        }
+        Config { packets: 300, positions_reported: 1000 }
     }
 }
 
 impl Config {
     /// A fast version for integration tests.
     pub fn quick() -> Self {
-        Config { packets: 20, positions_reported: 200, ..Config::default() }
+        Config { packets: 20, positions_reported: 200 }
     }
 }
 
@@ -62,19 +57,19 @@ pub struct ErrorStats {
 /// before, so unlike the sweep figures it cannot be split across the
 /// parallel runner without changing its output.
 pub fn collect(cfg: &Config) -> ErrorStats {
-    let mut link = Link::new(paper_channel(), cfg.snr_db, cfg.seed);
+    let mut link = Link::new(paper_channel(), SNR_DB, SEED);
     let payload = paper_payload();
     let tx = Transmitter::new();
     let rx = Receiver::new();
-    let n_positions = cfg.rate.data_symbol_count(payload.len() + 4) * NUM_DATA;
+    let n_positions = RATE.data_symbol_count(payload.len() + 4) * NUM_DATA;
     let mut error_counts = vec![0usize; n_positions];
     let mut all_errors: Vec<bool> = Vec::new();
     let mut packets_seen = 0usize;
     for p in 0..cfg.packets {
-        let frame = tx.build_frame(&payload, cfg.rate, (p % 126 + 1) as u8);
+        let frame = tx.build_frame(&payload, RATE, (p % 126 + 1) as u8);
         let samples = link.transmit(&frame.to_time_samples());
-        if let Ok(fe) = rx.front_end_known(&samples, cfg.rate, frame.psdu_len) {
-            let map = symbol_error_map(&fe.equalized, &frame.mapped_points, cfg.rate.modulation());
+        if let Ok(fe) = rx.front_end_known(&samples, RATE, frame.psdu_len) {
+            let map = symbol_error_map(&fe.equalized, &frame.mapped_points, RATE.modulation());
             for (i, &e) in map.iter().enumerate() {
                 error_counts[i] += e as usize;
             }

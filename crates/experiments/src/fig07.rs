@@ -10,15 +10,16 @@ use cos_dsp::stats::Ecdf;
 use cos_phy::evm::evm_change;
 use cos_phy::subcarriers::NUM_DATA;
 
+/// Nominal link SNR (dB).
+const SNR_DB: f64 = 18.0;
+/// Channel seed (the mobile trace).
+const SEED: u64 = 404;
+/// Time gaps τ in milliseconds.
+const TAUS_MS: [f64; 4] = [10.0, 20.0, 30.0, 40.0];
+
 /// Experiment configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Nominal link SNR (dB).
-    pub snr_db: f64,
-    /// Channel seed (the mobile trace).
-    pub seed: u64,
-    /// Time gaps τ in milliseconds.
-    pub taus_ms: Vec<f64>,
     /// Trials for the ∇EVM CDF.
     pub trials: usize,
     /// Packets averaged per EVM snapshot.
@@ -27,20 +28,14 @@ pub struct Config {
 
 impl Default for Config {
     fn default() -> Self {
-        Config {
-            snr_db: 18.0,
-            seed: 404,
-            taus_ms: vec![10.0, 20.0, 30.0, 40.0],
-            trials: 150,
-            packets_per_snapshot: 8,
-        }
+        Config { trials: 150, packets_per_snapshot: 8 }
     }
 }
 
 impl Config {
     /// A fast version for integration tests.
     pub fn quick() -> Self {
-        Config { trials: 20, packets_per_snapshot: 3, ..Config::default() }
+        Config { trials: 20, packets_per_snapshot: 3 }
     }
 }
 
@@ -48,10 +43,10 @@ impl Config {
 /// (b) — the ∇EVM CDF per τ.
 pub fn run(cfg: &Config) -> Vec<Table> {
     // Panel (a): one trace, snapshots at cumulative gaps.
-    let mut link = Link::new(paper_channel(), cfg.snr_db, cfg.seed);
+    let mut link = Link::new(paper_channel(), SNR_DB, SEED);
     let mut snapshots = vec![position_evm_on(&mut link, cfg.packets_per_snapshot)];
     let mut elapsed = 0.0;
-    for &tau in &cfg.taus_ms {
+    for tau in TAUS_MS {
         let delta = tau - elapsed;
         link.channel_mut().advance(delta.max(0.0) * 1e-3);
         elapsed = tau;
@@ -68,11 +63,6 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         for snap in &snapshots {
             row.push(fmt(snap[sc] * 100.0, 2));
         }
-        // Pad/truncate to the fixed 5-gap header.
-        row.truncate(6);
-        while row.len() < 6 {
-            row.push(String::from(""));
-        }
         a.push_row(row);
     }
 
@@ -85,10 +75,10 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     // Every trial is an independent seeded time origin — run them on the
     // parallel runner, then regroup the per-τ samples in trial order.
     let per_trial: Vec<Vec<f64>> = run_trials(cfg.trials, |trial| {
-        let mut link = Link::new(paper_channel(), cfg.snr_db, cfg.seed + 1 + trial as u64);
+        let mut link = Link::new(paper_channel(), SNR_DB, SEED + 1 + trial as u64);
         let d0 = position_evm_on(&mut link, cfg.packets_per_snapshot);
         let mut elapsed = 0.0;
-        cfg.taus_ms
+        TAUS_MS
             .iter()
             .map(|&tau| {
                 link.channel_mut().advance((tau - elapsed).max(0.0) * 1e-3);
@@ -98,7 +88,7 @@ pub fn run(cfg: &Config) -> Vec<Table> {
             })
             .collect()
     });
-    let mut per_tau_samples: Vec<Vec<f64>> = vec![Vec::new(); cfg.taus_ms.len()];
+    let mut per_tau_samples: Vec<Vec<f64>> = vec![Vec::new(); TAUS_MS.len()];
     for trial in &per_trial {
         for (ti, &g) in trial.iter().enumerate() {
             per_tau_samples[ti].push(g);
@@ -118,10 +108,6 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         for cdf in &cdfs {
             row.push(fmt(cdf.eval(x), 3));
         }
-        row.truncate(5);
-        while row.len() < 5 {
-            row.push(String::from(""));
-        }
         b.push_row(row);
     }
 
@@ -136,7 +122,7 @@ mod tests {
     fn evm_is_stable_over_tens_of_milliseconds() {
         // ∇EVM between τ = 0 and τ = 40 ms stays small — the paper's
         // premise that subcarrier prediction holds across packets.
-        let mut link = Link::new(paper_channel(), 18.0, 404);
+        let mut link = Link::new(paper_channel(), SNR_DB, SEED);
         let d0 = position_evm_on(&mut link, 4);
         link.channel_mut().advance(0.040);
         let d40 = position_evm_on(&mut link, 4);

@@ -25,6 +25,9 @@ use rand::SeedableRng;
 /// 1-based 10..17).
 pub const CONTROL_BLOCK: [usize; 8] = [9, 10, 11, 12, 13, 14, 15, 16];
 
+/// Nominal SNR for panels (a)/(b).
+const SNAPSHOT_SNR_DB: f64 = 9.2;
+
 /// Experiment configuration shared by the four panels.
 #[derive(Debug, Clone)]
 pub struct Config {
@@ -34,8 +37,6 @@ pub struct Config {
     pub threshold_grid_dbm: Vec<f64>,
     /// SNR grid for panels (c)/(d).
     pub snr_grid: Vec<f64>,
-    /// Nominal SNR for panels (a)/(b).
-    pub snapshot_snr_db: f64,
     /// Seeds per SNR point.
     pub seeds_per_point: u64,
 }
@@ -46,7 +47,6 @@ impl Default for Config {
             packets: 120,
             threshold_grid_dbm: (0..=24).map(|i| -110.0 + 2.5 * i as f64).collect(),
             snr_grid: vec![3.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0],
-            snapshot_snr_db: 9.2,
             seeds_per_point: 4,
         }
     }
@@ -60,7 +60,6 @@ impl Config {
             threshold_grid_dbm: vec![-105.0, -90.0, -70.0],
             snr_grid: vec![4.0, 12.0, 20.0],
             seeds_per_point: 2,
-            ..Config::default()
         }
     }
 }
@@ -109,7 +108,7 @@ fn detection_batch(link: &mut Link, packets: usize, mode: Mode, seed: u64) -> De
 
 /// Panel (a): relative FFT magnitudes of the 52 used subcarriers for one
 /// OFDM symbol carrying silences on logical 9, 10 and 16.
-pub fn run_snapshot(cfg: &Config) -> Table {
+pub fn run_snapshot() -> Table {
     let mut frame =
         Transmitter::new().build_frame(&paper_payload(), DataRate::Mbps12, 0x5D);
     // Silences at 1-based data subcarriers 10, 11 and 17 of the block —
@@ -117,7 +116,7 @@ pub fn run_snapshot(cfg: &Config) -> Table {
     frame.silence(0, 9);
     frame.silence(0, 10);
     frame.silence(0, 16);
-    let mut link = Link::new(paper_channel(), cfg.snapshot_snr_db, 2024);
+    let mut link = Link::new(paper_channel(), SNAPSHOT_SNR_DB, 2024);
     let samples = link.transmit(&frame.to_time_samples());
     let fe = Receiver::new().front_end(&samples).expect("front end");
     let sym = &fe.raw_symbols[0];
@@ -151,7 +150,7 @@ pub fn run_threshold_sweep(cfg: &Config) -> Table {
         .collect();
     let batches = run_trials(cells.len(), |t| {
         let (thr_dbm, seed) = cells[t];
-        let mut link = Link::new(paper_channel(), cfg.snapshot_snr_db, 31 + seed);
+        let mut link = Link::new(paper_channel(), SNAPSHOT_SNR_DB, 31 + seed);
         let thr = link.calibration().to_linear(thr_dbm);
         detection_batch(&mut link, cfg.packets / cfg.seeds_per_point as usize, Mode::Global(thr), seed)
     });
@@ -264,7 +263,7 @@ mod tests {
 
     #[test]
     fn snapshot_shows_silent_subcarriers() {
-        let table = run_snapshot(&Config::quick());
+        let table = run_snapshot();
         assert_eq!(table.rows.len(), 52);
         // Used-subcarrier positions of logical data 9, 10, 16: data
         // indices -26..26 with pilots interleaved. Logical data sc 9 is

@@ -70,17 +70,51 @@ pub fn threads() -> usize {
     cos_core::engine::configured_threads(THREAD_OVERRIDE.load(Ordering::Relaxed))
 }
 
-/// Parses a `--threads N` (or `--threads=N`) command-line flag and applies
-/// it via [`set_threads`]. Every experiment binary calls this first thing
-/// in `main`.
-pub fn init_threads_from_args() {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, arg) in args.iter().enumerate() {
-        if let Some(v) = arg.strip_prefix("--threads=") {
-            set_threads(v.parse().expect("--threads=N takes a positive integer"));
+/// Splits the `--threads N` (or `--threads=N`) flag out of a command line
+/// (program name excluded): returns the worker count it names, if any
+/// (the last one wins), and the other arguments in order.
+///
+/// # Errors
+///
+/// A `--threads` with no value, or with a value that is not a positive
+/// integer.
+fn parse_threads(args: &[String]) -> Result<(Option<usize>, Vec<String>), String> {
+    let mut threads = None;
+    let mut rest = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let value = if let Some(v) = arg.strip_prefix("--threads=") {
+            v
         } else if arg == "--threads" {
-            let v = args.get(i + 1).expect("--threads requires a value");
-            set_threads(v.parse().expect("--threads N takes a positive integer"));
+            args.next().ok_or("--threads requires a value")?
+        } else {
+            rest.push(arg.clone());
+            continue;
+        };
+        match value.parse() {
+            Ok(n) if n > 0 => threads = Some(n),
+            _ => return Err(format!("--threads takes a positive integer, got `{value}`")),
+        }
+    }
+    Ok((threads, rest))
+}
+
+/// Applies the process's `--threads` flag (`parse_threads`) via
+/// [`set_threads`] and returns the other arguments. Every experiment
+/// binary calls this first thing in `main`; a bad flag exits with
+/// status 2.
+pub fn init_threads_from_args() -> Vec<String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse_threads(&args) {
+        Ok((threads, rest)) => {
+            if let Some(n) = threads {
+                set_threads(n);
+            }
+            rest
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
         }
     }
 }
@@ -523,6 +557,20 @@ mod tests {
         let parallel = run_trials(10, job);
         set_threads(0);
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn threads_flag_parses_both_spellings_and_rejects_zero_or_missing() {
+        let args = |xs: &[&str]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            parse_threads(&args(&["fig02_snr_gap", "--threads", "3", "fig05_evm_positions"])),
+            Ok((Some(3), args(&["fig02_snr_gap", "fig05_evm_positions"])))
+        );
+        assert_eq!(parse_threads(&args(&["--threads=5", "--quick"])), Ok((Some(5), args(&["--quick"]))));
+        assert_eq!(parse_threads(&args(&["--quick"])), Ok((None, args(&["--quick"]))));
+        for bad in [&["--threads", "0"][..], &["--threads=0"], &["--threads"], &["--threads=x"]] {
+            assert!(parse_threads(&args(bad)).is_err(), "{bad:?} accepted");
+        }
     }
 
     #[test]

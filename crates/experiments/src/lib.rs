@@ -2,10 +2,11 @@
 //! paper (ICDCS 2017).
 //!
 //! Each `figNN` module regenerates one figure of the paper's evaluation as
-//! a [`table::Table`]; the matching binary in `src/bin` prints it and
-//! writes a CSV under `results/`. Every module exposes a `Config` with a
-//! `Default` (full fidelity) and a `Config::quick()` used by integration
-//! tests to keep CI fast.
+//! a [`table::Table`]; the `run_all` binary runs each by name, prints it
+//! and writes a CSV under `results/` (`robustness_soak` does the same for
+//! [`robustness`]). Every module exposes a `Config` with a `Default`
+//! (full fidelity) and a `Config::quick()` used by its unit tests to
+//! keep CI fast; what no caller varies is a named `const` of the module.
 //!
 //! | Module | Paper figure | Content |
 //! |---|---|---|

@@ -1,5 +1,5 @@
-//! The multi-node mesh experiment (`fig08_mesh`): N stations + AP on a
-//! shared channel, CoS-coordinated vs uncoordinated.
+//! The multi-node mesh experiment (`run_all fig08_mesh`): N stations + AP
+//! on a shared channel, CoS-coordinated vs uncoordinated.
 //!
 //! The paper motivates CoS with AP-driven coordination — scheduling
 //! commands that cost *no* airtime because they ride data frames as
@@ -25,63 +25,56 @@
 //! Determinism: trials run serially here; each trial's [`MeshNet`] uses
 //! the harness-resolved worker count internally, and the mesh determinism
 //! contract (`docs/MESH.md`) makes both CSVs byte-identical at any
-//! `--threads` / `COS_THREADS` setting.
+//! `run_all --threads N` / `COS_THREADS` setting.
 
 use crate::harness::threads;
 use crate::table::{fmt, Table};
 use cos_core::engine::EngineConfig;
 use cos_core::mesh::{MeshConfig, MeshNet, MeshReport, MeshTopology};
 
+/// Hidden clusters per cell (2 = the textbook hidden-terminal split).
+const CLUSTERS: usize = 2;
+/// Uplink SNR of every station, dB.
+const SNR_DB: f64 = 20.0;
+/// Base seed; per-trial cell seeds derive from it, N and the trial.
+const SEED: u64 = 0x0F08;
+
 /// Experiment dimensions.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Cell sizes to sweep.
     pub ns: Vec<usize>,
-    /// Hidden clusters per cell (2 = the textbook hidden-terminal split).
-    pub clusters: usize,
-    /// Uplink SNR of every station, dB.
-    pub snr_db: f64,
     /// Medium ticks per trial.
     pub ticks: u64,
     /// Seeded cell realisations per (N, scheme) point; schemes are
     /// paired on identical seeds.
     pub trials: usize,
-    /// Base seed; per-trial cell seeds derive from it, N and the trial.
-    pub seed: u64,
 }
 
 impl Default for Config {
     fn default() -> Self {
-        Config {
-            ns: vec![2, 4, 8, 12],
-            clusters: 2,
-            snr_db: 20.0,
-            ticks: 160,
-            trials: 2,
-            seed: 0x0F08,
-        }
+        Config { ns: vec![2, 4, 8, 12], ticks: 160, trials: 2 }
     }
 }
 
 impl Config {
     /// A reduced run for module tests and smoke checks.
     pub fn quick() -> Self {
-        Config { ns: vec![2, 4], ticks: 90, trials: 1, ..Default::default() }
+        Config { ns: vec![2, 4], ticks: 90, trials: 1 }
     }
 }
 
 /// The cell seed for one `(n, trial)` point — shared by the coordinated
 /// and uncoordinated schemes so the duel is paired.
-fn cell_seed(cfg: &Config, n: usize, trial: usize) -> u64 {
-    cfg.seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+fn cell_seed(n: usize, trial: usize) -> u64 {
+    SEED.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add((n as u64) << 32 | trial as u64)
 }
 
 /// Runs one seeded cell to completion and returns its report.
 pub fn run_trial(cfg: &Config, n: usize, trial: usize, coordinated: bool) -> MeshReport {
-    let mesh = MeshConfig { seed: cell_seed(cfg, n, trial), coordinated, ..MeshConfig::default() };
-    let topo = MeshTopology::hidden_clusters(n, cfg.clusters.min(n).max(1), cfg.snr_db);
+    let mesh = MeshConfig { seed: cell_seed(n, trial), coordinated, ..MeshConfig::default() };
+    let topo = MeshTopology::hidden_clusters(n, CLUSTERS.min(n).max(1), SNR_DB);
     let mut net = MeshNet::new(EngineConfig { threads: threads() });
     net.add_cell(topo, mesh);
     net.run(cfg.ticks);
@@ -155,7 +148,7 @@ pub fn sweep_table(cfg: &Config, points: &[PointResult]) -> Table {
         "fig08_mesh",
         format!(
             "goodput + control delivery vs N: {} hidden clusters, {} ticks x {} paired trials, {} dB",
-            cfg.clusters, cfg.ticks, cfg.trials, cfg.snr_db
+            CLUSTERS, cfg.ticks, cfg.trials, SNR_DB
         ),
         &[
             "stations",

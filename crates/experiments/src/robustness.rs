@@ -35,6 +35,9 @@ use cos_core::resilience::{ArqHistograms, DegradeReason, LinkMode};
 use cos_core::session::{CosSession, SessionConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+/// Average link SNR in dB.
+const SNR_DB: f64 = 22.0;
+
 /// Soak dimensions.
 #[derive(Debug, Clone)]
 pub struct Config {
@@ -47,13 +50,11 @@ pub struct Config {
     pub enqueue_until: usize,
     /// Transient faults strike for packets in `[window.0, window.1)`.
     pub window: (u64, u64),
-    /// Average link SNR in dB.
-    pub snr_db: f64,
 }
 
 impl Default for Config {
     fn default() -> Self {
-        Config { trials: 6, packets: 80, enqueue_until: 60, window: (10, 30), snr_db: 22.0 }
+        Config { trials: 6, packets: 80, enqueue_until: 60, window: (10, 30) }
     }
 }
 
@@ -61,7 +62,7 @@ impl Config {
     /// A reduced matrix for the `scripts/check.sh` smoke test: every
     /// impairment and every degraded-mode transition still fires once.
     pub fn quick() -> Self {
-        Config { trials: 2, packets: 50, enqueue_until: 35, window: (8, 20), snr_db: 22.0 }
+        Config { trials: 2, packets: 50, enqueue_until: 35, window: (8, 20) }
     }
 }
 
@@ -230,7 +231,7 @@ fn message_bits(trial: usize, packet: usize) -> Vec<u8> {
 /// Runs one trial of one scenario; never propagates a panic.
 pub fn run_trial(scenario: &Scenario, cfg: &Config, trial: usize) -> TrialResult {
     let seed = 0xC0DE_0000 + trial as u64 * 131;
-    let session_cfg = SessionConfig { snr_db: cfg.snr_db, ..Default::default() };
+    let session_cfg = SessionConfig { snr_db: SNR_DB, ..Default::default() };
     let packets = cfg.packets;
     let enqueue_until = cfg.enqueue_until;
     let window = cfg.window;
@@ -422,7 +423,7 @@ pub fn run_soak(cfg: &Config) -> (Vec<ScenarioResult>, Table) {
         "robustness_soak",
         format!(
             "fault-injection soak: {} trials x {} packets, faults in packets [{}, {}), {} dB",
-            cfg.trials, cfg.packets, cfg.window.0, cfg.window.1, cfg.snr_db
+            cfg.trials, cfg.packets, cfg.window.0, cfg.window.1, SNR_DB
         ),
         &[
             "scenario",
@@ -484,7 +485,7 @@ pub fn to_bench_json(results: &[ScenarioResult], cfg: &Config) -> String {
          failed separately; bucket k = k attempts, last bucket 10+) and enqueue-to-confirmation \
          latency in packets (1,1,1,2,4,8,16,33+ bucket widths), merged across trials. \
          Deterministic at any --threads setting.\",\n",
-        cfg.trials, cfg.packets, cfg.snr_db, cfg.window.0, cfg.window.1
+        cfg.trials, cfg.packets, SNR_DB, cfg.window.0, cfg.window.1
     ));
     out.push_str("  \"scenarios\": {\n");
     let list = |xs: &[u64]| {

@@ -93,16 +93,23 @@ pub fn fmt(x: f64, decimals: usize) -> String {
     format!("{x:.decimals$}")
 }
 
-/// Prints tables to stdout and writes their CSVs under `results/`
-/// (relative to the workspace root when run via `cargo run`).
-pub fn emit(tables: &[Table]) {
+/// Prints tables to stdout and writes their CSVs under `results/`,
+/// relative to the process's working directory (`cargo run` keeps the
+/// caller's, so run the binaries from the repository root).
+///
+/// # Errors
+///
+/// The first CSV that cannot be written, named in the error; the tables
+/// after it are neither printed nor written.
+pub fn emit(tables: &[Table]) -> io::Result<()> {
     for t in tables {
         println!("{}", t.render());
-        match t.write_csv("results") {
-            Ok(path) => println!("[csv] {}\n", path.display()),
-            Err(e) => eprintln!("[csv] failed to write {}: {e}\n", t.name),
-        }
+        let path = t.write_csv("results").map_err(|e| {
+            io::Error::new(e.kind(), format!("failed to write {}: {e}", t.name))
+        })?;
+        println!("[csv] {}\n", path.display());
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -131,6 +138,15 @@ mod tests {
         let content = std::fs::read_to_string(&path).expect("read");
         assert_eq!(content, "x,value\n1,10.5\n2,11.25\n");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn csv_into_a_path_that_is_a_file_fails() {
+        let file = std::env::temp_dir().join(format!("cos_table_not_a_dir_{}", std::process::id()));
+        std::fs::write(&file, "").expect("create file");
+        let result = sample().write_csv(&file);
+        let _ = std::fs::remove_file(&file);
+        assert!(result.is_err(), "wrote a CSV under a plain file");
     }
 
     #[test]

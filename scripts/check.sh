@@ -82,15 +82,21 @@ done
 echo "== docs link check (relative links and backticked *.md references must resolve)"
 scripts/linkcheck.sh
 
-echo "== committed results byte-identity (run_all: fig02-fig10, adaptation, the EVD and placement ablations; ablation_baseline; robustness_soak and the BENCH_pr2.json it rewrites)"
+echo "== committed results byte-identity (run_all: every figure, adaptation, the mesh and the three ablations; robustness_soak and the BENCH_pr2.json it rewrites; every CSV under results/ must be rewritten by these two runs)"
+touch "$logs/results.stamp"
 cargo run -q --release -p cos-experiments --bin run_all > /dev/null
-cargo run -q --release -p cos-experiments --bin ablation_baseline > /dev/null
 cargo run -q --release -p cos-experiments --bin robustness_soak > /dev/null
 git diff --exit-code -- results/ BENCH_pr2.json
+stale=$(find results -name '*.csv' ! -newer "$logs/results.stamp")
+if [ -n "$stale" ]; then
+    echo "CSVs under results/ that run_all and robustness_soak did not rewrite:"
+    echo "$stale"
+    exit 1
+fi
 
 echo "== fig08_mesh CSV byte-identity at COS_THREADS=1/4/8 (the mesh determinism contract, end to end)"
 for t in 1 4 8; do
-    COS_THREADS=$t cargo run -q --release -p cos-experiments --bin fig08_mesh > /dev/null
+    COS_THREADS=$t cargo run -q --release -p cos-experiments --bin run_all -- fig08_mesh > /dev/null
     git diff --exit-code -- results/
 done
 
