@@ -1,11 +1,11 @@
-//! Adaptation storm: determinism and closed-loop quality gate for
+//! The `adaptation` entry: determinism and closed-loop quality gate for
 //! `cos_core::adaptation` driven through the batch engine.
 //!
 //! Two phases:
 //!
 //! 1. **Cross-thread determinism under drift** — builds the same fleet of
-//!    adaptive sessions three times, retargets every session's SNR along
-//!    a triangle drift between rounds (the paper's coherence-time /
+//!    adaptive sessions once per thread count, retargets every session's
+//!    SNR along a triangle drift between rounds (the paper's coherence-time /
 //!    mobility scenario), queues control messages into the ARQ queue,
 //!    pushes the identical `submit_adaptive` schedule through
 //!    [`BatchEngine`] at 1, 4 and 8 worker threads with create/release
@@ -19,12 +19,11 @@
 //!    pair's goodput while delivering 100 % of its control messages with
 //!    a drained ARQ backlog.
 //!
-//! Exits non-zero on any determinism or duel failure. `--smoke` runs a
-//! reduced fleet and the quick duel config with the same gates.
+//! `--smoke` runs a reduced fleet and the quick duel config with the
+//! same gates, and its digest must also equal the recorded
+//! `SMOKE_DIGEST`.
 
-use cos_bench::gate::{
-    digest_outcome, payload_bytes, smoke_pin_holds, Flags, PAYLOAD_LENS, THREAD_COUNTS,
-};
+use crate::gate::{digest_outcome, payload_bytes, thread_invariant, Verdict, PAYLOAD_LENS};
 use cos_core::engine::{BatchEngine, EngineConfig, SessionId, SessionPool};
 use cos_core::session::{Fnv, SessionConfig};
 use cos_experiments::adaptation::{self, ContenderResult, Scheme};
@@ -57,15 +56,11 @@ fn message_bits(session: usize, round: usize) -> Vec<u8> {
     (0..8).map(|b| ((x >> (b + 19)) & 1) as u8).collect()
 }
 
-struct StormResult {
-    digest: u64,
-    jobs: usize,
-}
-
 /// One full storm at a fixed worker-thread count: identical fleet
 /// construction, drift retargeting, ARQ offers, submit schedule, and
-/// create/release churn every round.
-fn run_storm(sessions: usize, rounds: usize, threads: usize) -> StormResult {
+/// create/release churn every round. Returns the outcome digest and the
+/// job count.
+fn run_storm(sessions: usize, rounds: usize, threads: usize) -> (u64, usize) {
     let mut pool = SessionPool::with_capacity(sessions);
     let mut ids: Vec<SessionId> =
         (0..sessions).map(|i| pool.create(storm_config(i), 0xADA7 + i as u64)).collect();
@@ -105,7 +100,7 @@ fn run_storm(sessions: usize, rounds: usize, threads: usize) -> StormResult {
         }
     }
 
-    StormResult { digest: digest.value(), jobs }
+    (digest.value(), jobs)
 }
 
 fn contender_name(r: &ContenderResult) -> String {
@@ -118,23 +113,14 @@ fn contender_name(r: &ContenderResult) -> String {
 /// The `--smoke` outcome digest (since the decode epoch).
 const SMOKE_DIGEST: u64 = 0x87bc_bba7_8259_bc2b;
 
-fn main() {
-    let smoke = Flags::parse(&["--smoke"]).smoke;
+/// The `adaptation` entry (see the module docs).
+pub fn run(v: &mut Verdict, smoke: bool) {
     let (sessions, rounds) = if smoke { (192, 3) } else { (512, 6) };
-
-    eprintln!("adaptation_storm: {sessions} sessions, {rounds} rounds, threads {THREAD_COUNTS:?}");
-
-    // One storm per thread count; the adaptive jobs must produce one
-    // digest across them.
-    let storms: Vec<StormResult> = THREAD_COUNTS
-        .into_iter()
-        .map(|t| {
-            let s = run_storm(sessions, rounds, t);
-            eprintln!("  threads={t}: digest {:016x}, {} jobs", s.digest, s.jobs);
-            s
-        })
-        .collect();
-    let deterministic = storms.iter().all(|s| s.digest == storms[0].digest);
+    eprintln!("adaptation: {sessions} sessions, {rounds} rounds");
+    thread_invariant(v, "outcome", smoke.then_some(SMOKE_DIGEST), |t| {
+        let (digest, jobs) = run_storm(sessions, rounds, t);
+        (digest, format!("{jobs} jobs"), ())
+    });
 
     let duel_cfg = if smoke { adaptation::Config::quick() } else { adaptation::Config::default() };
     let duel = adaptation::run_compare(&duel_cfg);
@@ -144,8 +130,6 @@ fn main() {
         .iter()
         .max_by(|a, b| a.throughput_mbps.total_cmp(&b.throughput_mbps))
         .expect("fixed grid is non-empty");
-    let beats = adaptive.throughput_mbps >= best_fixed.throughput_mbps;
-    let full_delivery = adaptive.control_delivery == 1.0 && adaptive.backlog == 0;
     eprintln!(
         "  duel: adaptive {:.3} Mbps (delivery {:.4}, backlog {}) vs best fixed {} at {:.3} Mbps",
         adaptive.throughput_mbps,
@@ -154,31 +138,18 @@ fn main() {
         contender_name(best_fixed),
         best_fixed.throughput_mbps
     );
-
-    let mut failed = false;
-    if !deterministic {
-        eprintln!("adaptation_storm FAILED: outcome digests differ across thread counts");
-        failed = true;
-    }
-    if smoke && !smoke_pin_holds("adaptation_storm", "outcome", storms[0].digest, SMOKE_DIGEST) {
-        failed = true;
-    }
-    if !beats {
-        eprintln!(
-            "adaptation_storm FAILED: adaptive {:.3} Mbps below best fixed {:.3} Mbps",
+    v.check(
+        adaptive.throughput_mbps >= best_fixed.throughput_mbps,
+        format_args!(
+            "adaptive {:.3} Mbps below best fixed {:.3} Mbps",
             adaptive.throughput_mbps, best_fixed.throughput_mbps
-        );
-        failed = true;
-    }
-    if !full_delivery {
-        eprintln!(
-            "adaptation_storm FAILED: control delivery {:.4} with backlog {} (want 1.0, 0)",
+        ),
+    );
+    v.check(
+        adaptive.control_delivery == 1.0 && adaptive.backlog == 0,
+        format_args!(
+            "control delivery {:.4} with backlog {} (want 1.0, 0)",
             adaptive.control_delivery, adaptive.backlog
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    eprintln!("adaptation_storm passed");
+        ),
+    );
 }

@@ -1,6 +1,7 @@
-//! The shared harness of the gate binaries: the counting allocator, the
-//! engine-outcome digest over `cos_core`'s FNV-1a, the storm fixtures and
-//! the flag parser.
+//! The shared harness of the `gate` entries: the counting allocator, the
+//! [`Verdict`] every check reports into, the [`thread_invariant`] runner
+//! with its smoke pins, the engine-outcome digest over `cos_core`'s
+//! FNV-1a and the storm fixtures.
 //!
 //! The gates assert determinism and allocation contracts; they measure
 //! no throughput (`cosbench` is the perf ledger). The digest byte stream
@@ -8,14 +9,15 @@
 //! `digest_outcome_is_pinned` fails on any change to it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::fmt::Display;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cos_core::engine::{JobOutcome, JobResult};
+use cos_core::engine::{BatchEngine, ControlId, JobOutcome, JobResult, PayloadId};
 use cos_core::session::Fnv;
 
 /// Forwards to the system allocator while counting every allocation
 /// (alloc + realloc) and the bytes requested. The counters are relaxed
-/// atomics, so a binary that never reads them pays two relaxed adds per
+/// atomics, so an entry that never reads them pays two relaxed adds per
 /// allocation.
 struct CountingAlloc;
 
@@ -48,11 +50,76 @@ pub fn counters() -> (u64, u64) {
     (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed))
 }
 
+/// The pass/fail ledger of one gate entry: each check reports into it,
+/// a failed one is printed as `<name> FAILED: <what>` when it happens,
+/// and [`finish`](Self::finish) prints the entry's one verdict line.
+pub struct Verdict {
+    name: &'static str,
+    failures: usize,
+}
+
+impl Verdict {
+    /// An empty ledger for the entry `name`.
+    pub fn new(name: &'static str) -> Self {
+        Verdict { name, failures: 0 }
+    }
+
+    /// Records one check; prints `msg` as a failure unless `ok`.
+    pub fn check(&mut self, ok: bool, msg: impl Display) {
+        if !ok {
+            eprintln!("{} FAILED: {msg}", self.name);
+            self.failures += 1;
+        }
+    }
+
+    /// Prints `<name> passed` or `<name> FAILED (n checks)`; whether every
+    /// check held.
+    pub fn finish(self) -> bool {
+        if self.failures == 0 {
+            eprintln!("{} passed", self.name);
+        } else {
+            eprintln!("{} FAILED ({} checks)", self.name, self.failures);
+        }
+        self.failures == 0
+    }
+}
+
+/// Runs one fleet at each of [`THREAD_COUNTS`] worker threads and checks
+/// that its digest does not depend on the count. `fleet(threads)` returns
+/// the run's digest, the rest of its `threads=N: digest …, <detail>`
+/// line, and whatever else the entry checks; the results come back in
+/// [`THREAD_COUNTS`] order. `what` names the digest (`outcome`, `mesh`,
+/// `scripted`). Under `--smoke`, `pin` holds the recorded smoke digest
+/// the 1-thread run must equal (`smoke_pin_holds`).
+pub fn thread_invariant<R>(
+    v: &mut Verdict,
+    what: &str,
+    pin: Option<u64>,
+    mut fleet: impl FnMut(usize) -> (u64, String, R),
+) -> Vec<R> {
+    let mut digests = Vec::new();
+    let mut runs = Vec::new();
+    for t in THREAD_COUNTS {
+        let (digest, detail, run) = fleet(t);
+        eprintln!("  threads={t}: digest {digest:016x}, {detail}");
+        digests.push(digest);
+        runs.push(run);
+    }
+    v.check(
+        digests.iter().all(|&d| d == digests[0]),
+        format_args!("{what} digests differ across thread counts"),
+    );
+    if let Some(pinned) = pin {
+        smoke_pin_holds(v, what, digests[0], pinned);
+    }
+    runs
+}
+
 /// Digests every field of one engine outcome.
 ///
 /// The variant tags are historical: `Plain` and `Adaptive` share tag 1
-/// because `session_storm` never sees adaptive jobs and
-/// `adaptation_storm` sees nothing else. Changing a tag changes every
+/// because the `session` fleet never sees adaptive jobs and the
+/// `adaptation` fleet sees nothing else. Changing a tag changes every
 /// recorded storm digest.
 pub fn digest_outcome(h: &mut Fnv, o: &JobOutcome) {
     h.usize(o.session.index());
@@ -77,21 +144,20 @@ pub fn digest_outcome(h: &mut Fnv, o: &JobOutcome) {
 }
 
 /// Checks a storm's behavioural digest against the value pinned for its
-/// `--smoke` run, printing the verdict; `false` on a mismatch. The
-/// cross-thread, cross-kernel and cross-build comparisons cannot see a
-/// change that moves a digest everywhere alike; the pins can. They move
+/// `--smoke` run, printing the match or reporting the mismatch to `v`.
+/// The cross-thread, cross-kernel and cross-build comparisons cannot see
+/// a change that moves a digest everywhere alike; the pins can. They move
 /// only with a declared epoch, which updates them on purpose.
-pub fn smoke_pin_holds(storm: &str, what: &str, digest: u64, pinned: u64) -> bool {
+fn smoke_pin_holds(v: &mut Verdict, what: &str, digest: u64, pinned: u64) {
     if digest == pinned {
         eprintln!("  pinned: {what} digest {digest:016x} equals the recorded smoke digest");
-        true
-    } else {
-        eprintln!(
-            "{storm} FAILED: {what} digest {digest:016x} differs from the recorded smoke \
-             digest {pinned:016x}"
-        );
-        false
     }
+    v.check(
+        digest == pinned,
+        format_args!(
+            "{what} digest {digest:016x} differs from the recorded smoke digest {pinned:016x}"
+        ),
+    );
 }
 
 /// Worker-thread counts every storm runs at; digests must agree across
@@ -114,43 +180,12 @@ pub fn control_bits(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 5 + len).is_multiple_of(3) as u8).collect()
 }
 
-/// The command line of a gate binary. The only flag is `--smoke`
-/// (reduced scale); each binary names whether it takes it.
-pub struct Flags {
-    /// `--smoke` was given.
-    pub smoke: bool,
-}
-
-impl Flags {
-    /// Parses the process arguments, exiting with status 2 on any
-    /// argument outside `allowed` (e.g. `&["--smoke"]`).
-    pub fn parse(allowed: &[&str]) -> Flags {
-        Self::parse_from(std::env::args().skip(1), allowed).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
-    }
-
-    /// Parses `args` (without the program name).
-    ///
-    /// # Errors
-    ///
-    /// Returns the usage message for an argument outside `allowed`.
-    pub fn parse_from(
-        args: impl IntoIterator<Item = String>,
-        allowed: &[&str],
-    ) -> Result<Flags, String> {
-        let mut flags = Flags { smoke: false };
-        for arg in args {
-            match arg.as_str() {
-                "--smoke" if allowed.contains(&"--smoke") => flags.smoke = true,
-                _ => {
-                    return Err(format!("unknown argument {arg:?}; accepted flags are {allowed:?}"))
-                }
-            }
-        }
-        Ok(flags)
-    }
+/// Registers one payload per [`PAYLOAD_LENS`] entry and one control
+/// message per [`CONTROL_LENS`] entry with `engine`.
+pub fn register_tables(engine: &mut BatchEngine) -> (Vec<PayloadId>, Vec<ControlId>) {
+    let payloads = PAYLOAD_LENS.iter().map(|&l| engine.add_payload(&payload_bytes(l))).collect();
+    let controls = CONTROL_LENS.iter().map(|&l| engine.add_control(&control_bits(l))).collect();
+    (payloads, controls)
 }
 
 #[cfg(test)]
@@ -227,19 +262,21 @@ mod tests {
         assert_eq!(h.value(), 0x4de0_d26e_b1ff_3b42);
     }
 
-    fn parse(args: &[&str], allowed: &[&str]) -> Result<Flags, String> {
-        Flags::parse_from(args.iter().map(|s| s.to_string()), allowed)
-    }
-
+    /// The runner fails an entry whose digest moves with the thread
+    /// count, or whose smoke digest left its pin, and passes it otherwise.
     #[test]
-    fn flags_take_only_smoke() {
-        let smoke = ["--smoke"];
-        assert!(!parse(&[], &smoke).unwrap().smoke);
-        assert!(parse(&["--smoke"], &smoke).unwrap().smoke);
-        let bad: [&[&str]; 3] = [&["--smoke=1"], &["--sessions", "8"], &["--smoke", "lanes"]];
-        for bad in bad {
-            assert!(parse(bad, &smoke).is_err(), "{bad:?}");
-        }
-        assert!(parse(&["--smoke"], &[]).is_err());
+    fn thread_invariant_fails_a_thread_dependent_digest_or_a_moved_pin() {
+        let failures = |pin, skewed_at: usize| {
+            let mut v = Verdict::new("fleet");
+            let runs = thread_invariant(&mut v, "outcome", pin, |t| {
+                (7 ^ u64::from(t == skewed_at), String::new(), t)
+            });
+            assert_eq!(runs, THREAD_COUNTS, "one run per thread count, in order");
+            v.failures
+        };
+        assert_eq!(failures(None, 0), 0);
+        assert_eq!(failures(Some(7), 0), 0);
+        assert_eq!(failures(None, 4), 1);
+        assert_eq!(failures(Some(8), 0), 1);
     }
 }

@@ -1,14 +1,14 @@
-//! Mesh storm: determinism and coordination quality gate for
+//! The `mesh` entry: determinism and coordination quality gate for
 //! `cos_core::mesh` at fleet scale.
 //!
 //! Two phases:
 //!
 //! 1. **Cross-thread determinism under churn** — builds the same fleet of
 //!    cells (≥1024 stations, two sessions each: adaptive data uplink +
-//!    resilient control subsession) three times and runs the identical
-//!    tick schedule through [`MeshNet`] at 1, 4 and 8 engine worker
-//!    threads, replacing a striped set of stations between rounds (churn:
-//!    released sessions recycle through the pool, joiners get the
+//!    resilient control subsession) once per thread count and runs the
+//!    identical tick schedule through [`MeshNet`] at 1, 4 and 8 engine
+//!    worker threads, replacing a striped set of stations between rounds
+//!    (churn: released sessions recycle through the pool, joiners get the
 //!    coordination policy's admission sequence). The net's running FNV
 //!    digest — every frame outcome, command issue/apply and churn event —
 //!    must be byte-identical across thread counts.
@@ -18,11 +18,11 @@
 //!    CSMA baseline on aggregate goodput while delivering ≥99 % of their
 //!    control plane (scheduling commands + uplink control messages).
 //!
-//! Exits non-zero on any determinism or duel failure. `--smoke` runs a
-//! reduced fleet (still ≥1024 stations) and the quick duel config with
-//! the same gates.
+//! `--smoke` runs a reduced fleet (still ≥1024 stations) and the quick
+//! duel config with the same gates, and its digest must also equal the
+//! recorded `SMOKE_DIGEST`.
 
-use cos_bench::gate::{smoke_pin_holds, Flags, THREAD_COUNTS};
+use crate::gate::{thread_invariant, Verdict};
 use cos_core::engine::EngineConfig;
 use cos_core::mesh::{MeshConfig, MeshNet, MeshTopology};
 use cos_experiments::mesh as mesh_exp;
@@ -48,15 +48,10 @@ fn storm_config(ci: usize) -> MeshConfig {
     }
 }
 
-struct StormResult {
-    digest: u64,
-    frames: u64,
-    churns: u64,
-}
-
 /// One full storm at a fixed worker-thread count: identical fleet,
-/// identical tick schedule, identical churn stripes.
-fn run_storm(cells: usize, rounds: usize, ticks_per_round: u64, threads: usize) -> StormResult {
+/// identical tick schedule, identical churn stripes. Returns the net's
+/// digest, its frames (beacons included) and its churns.
+fn run_storm(cells: usize, rounds: usize, ticks_per_round: u64, threads: usize) -> (u64, u64, u64) {
     let mut net = MeshNet::new(EngineConfig { threads });
     for ci in 0..cells {
         net.add_cell(storm_topology(ci), storm_config(ci));
@@ -79,34 +74,27 @@ fn run_storm(cells: usize, rounds: usize, ticks_per_round: u64, threads: usize) 
         frames += r.frames + r.beacons;
         churns += r.churns;
     }
-    StormResult { digest: net.digest(), frames, churns }
+    (net.digest(), frames, churns)
 }
 
 /// The `--smoke` mesh digest (since the decode epoch).
 const SMOKE_DIGEST: u64 = 0x3438_a6ff_e08e_db1a;
 
-fn main() {
-    let smoke = Flags::parse(&["--smoke"]).smoke;
+/// The `mesh` entry (see the module docs).
+pub fn run(v: &mut Verdict, smoke: bool) {
     // ≥1024 stations in both modes: the bar the mesh subsystem is held to.
     let (cells, rounds, ticks_per_round) = if smoke { (64, 2, 4) } else { (96, 4, 8) };
     let stations = cells * STATIONS_PER_CELL;
-    assert!(stations >= 1024, "mesh_storm must cover at least 1024 stations, got {stations}");
-
+    assert!(stations >= 1024, "the mesh fleet must cover at least 1024 stations, got {stations}");
     eprintln!(
-        "mesh_storm: {cells} cells x {STATIONS_PER_CELL} stations = {stations}, \
-         {rounds}+1 rounds x {ticks_per_round} ticks, threads {THREAD_COUNTS:?}"
+        "mesh: {cells} cells x {STATIONS_PER_CELL} stations = {stations}, \
+         {rounds}+1 rounds x {ticks_per_round} ticks"
     );
-
-    let storms: Vec<StormResult> =
-        THREAD_COUNTS.iter().map(|&t| run_storm(cells, rounds, ticks_per_round, t)).collect();
-    let deterministic = storms.iter().all(|s| s.digest == storms[0].digest);
-    for (t, s) in THREAD_COUNTS.iter().zip(&storms) {
-        eprintln!(
-            "  threads={t}: digest {:016x}, {} frames, {} churns",
-            s.digest, s.frames, s.churns
-        );
-    }
-    assert!(storms[0].churns > 0, "the storm must actually churn stations");
+    let churns = thread_invariant(v, "mesh", smoke.then_some(SMOKE_DIGEST), |t| {
+        let (digest, frames, churns) = run_storm(cells, rounds, ticks_per_round, t);
+        (digest, format!("{frames} frames, {churns} churns"), churns)
+    });
+    v.check(churns[0] > 0, "the storm churned no station");
 
     let duel_cfg = if smoke { mesh_exp::Config::quick() } else { mesh_exp::Config::default() };
     let points = mesh_exp::run_sweep(&duel_cfg);
@@ -114,36 +102,21 @@ fn main() {
         points.iter().filter(|p| p.coordinated == coord).map(|p| p.goodput_mbps).sum::<f64>()
     };
     let (coordinated, csma) = (total(true), total(false));
-    let beats = coordinated > csma;
     let min_delivery = points
         .iter()
         .filter(|p| p.coordinated)
         .map(|p| p.control_delivery)
         .fold(f64::INFINITY, f64::min);
-    let delivery_ok = min_delivery >= 0.99;
     eprintln!(
         "  duel: coordinated {coordinated:.4} Mbps vs csma {csma:.4} Mbps, \
          min control delivery {min_delivery:.4}"
     );
-
-    let mut failed = false;
-    if !deterministic {
-        eprintln!("mesh_storm FAILED: mesh digests differ across thread counts");
-        failed = true;
-    }
-    if smoke && !smoke_pin_holds("mesh_storm", "mesh", storms[0].digest, SMOKE_DIGEST) {
-        failed = true;
-    }
-    if !beats {
-        eprintln!("mesh_storm FAILED: coordinated {coordinated:.4} Mbps <= csma {csma:.4} Mbps");
-        failed = true;
-    }
-    if !delivery_ok {
-        eprintln!("mesh_storm FAILED: min control delivery {min_delivery:.4} < 0.99");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    eprintln!("mesh_storm passed");
+    v.check(
+        coordinated > csma,
+        format_args!("coordinated {coordinated:.4} Mbps <= csma {csma:.4} Mbps"),
+    );
+    v.check(
+        min_delivery >= 0.99,
+        format_args!("min control delivery {min_delivery:.4} < 0.99"),
+    );
 }

@@ -1,5 +1,4 @@
-//! Service-layer chaos storm: the injected-fault proof for
-//! `cos_core::service`.
+//! The `service` entry: the injected-fault proof for `cos_core::service`.
 //!
 //! Three phases:
 //!
@@ -19,18 +18,19 @@
 //! 3. **Live async chaos** — a journaled [`CosService`] with concurrent
 //!    producer threads racing admission against the worker's pumps
 //!    (a genuinely nondeterministic interleaving), plus injected faults.
-//!    Gates: every accepted ticket resolves exactly once, graceful drain
-//!    completes, and the journal replays the live run bit-exactly at
-//!    1/4/8 threads.
+//!    Gates: every accepted ticket resolves exactly once, the ledger
+//!    balances, graceful drain completes, and the journal replays the
+//!    live run bit-exactly at 1/4/8 threads.
 //!
-//! Exits non-zero on any gate failure. `--smoke` runs a reduced schedule
-//! with the same gates.
+//! `--smoke` runs a reduced schedule with the same gates, and its
+//! scripted digest must also equal the recorded `SMOKE_DIGEST`.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use cos_bench::gate::{
-    control_bits, payload_bytes, smoke_pin_holds, Flags, CONTROL_LENS, PAYLOAD_LENS, THREAD_COUNTS,
+use crate::gate::{
+    control_bits, payload_bytes, thread_invariant, Verdict, CONTROL_LENS, PAYLOAD_LENS,
+    THREAD_COUNTS,
 };
 use cos_core::engine::EngineConfig;
 use cos_core::service::journal::ReplayJournal;
@@ -170,70 +170,108 @@ fn run_scripted_storm(
     }
 }
 
-/// Gates shared by every scripted storm: exactly-once resolution, a
-/// balanced ledger, exercised rejection paths, bounded memory.
-fn check_storm(out: &StormOutput, label: &str) -> bool {
-    let mut ok = true;
-    let mut fail = |msg: String| {
-        eprintln!("service_storm FAILED [{label}]: {msg}");
-        ok = false;
-    };
-
-    let admitted: BTreeSet<u64> = out.admitted.iter().map(|t| t.value()).collect();
-    let resolved: Vec<u64> = out.resolved.iter().map(|t| t.value()).collect();
-    let resolved_set: BTreeSet<u64> = resolved.iter().copied().collect();
-    if resolved.len() != resolved_set.len() {
-        fail(format!("{} duplicated outcomes", resolved.len() - resolved_set.len()));
-    }
-    if resolved_set != admitted {
-        fail(format!(
-            "lost/phantom tickets: {} admitted vs {} resolved",
+/// Exactly-once resolution: every admitted ticket resolved once, none
+/// twice, none that was never admitted.
+fn check_exactly_once(v: &mut Verdict, label: &str, admitted: &[Ticket], resolved: &[Ticket]) {
+    let admitted: BTreeSet<u64> = admitted.iter().map(|t| t.value()).collect();
+    let resolved_set: BTreeSet<u64> = resolved.iter().map(|t| t.value()).collect();
+    v.check(
+        resolved.len() == resolved_set.len(),
+        format_args!("[{label}] {} duplicated outcomes", resolved.len() - resolved_set.len()),
+    );
+    v.check(
+        resolved_set == admitted,
+        format_args!(
+            "[{label}] lost/phantom tickets: {} admitted vs {} resolved",
             admitted.len(),
             resolved_set.len()
-        ));
-    }
+        ),
+    );
+}
 
+/// Every admitted job resolved one way or another.
+fn ledger_balances(s: &ServiceStats) -> bool {
+    s.admitted
+        == s.completed + s.expired + s.cancelled + s.quarantined_poison + s.quarantined_stall
+}
+
+/// Gates shared by every scripted storm: exactly-once resolution, a
+/// balanced ledger, exercised rejection paths, bounded memory.
+fn check_storm(v: &mut Verdict, out: &StormOutput, label: &str) {
+    check_exactly_once(v, label, &out.admitted, &out.resolved);
     let s = out.stats;
-    if s.admitted
-        != s.completed + s.expired + s.cancelled + s.quarantined_poison + s.quarantined_stall
-    {
-        fail("stats ledger does not balance".into());
-    }
-    if s.engine_jobs != s.completed {
-        fail(format!(
-            "engine capacity leak: {} engine jobs vs {} completed",
+    v.check(ledger_balances(&s), format_args!("[{label}] stats ledger does not balance"));
+    v.check(
+        s.engine_jobs == s.completed,
+        format_args!(
+            "[{label}] engine capacity leak: {} engine jobs vs {} completed",
             s.engine_jobs, s.completed
-        ));
-    }
-    if s.quarantined_poison == 0 || s.retries == 0 {
-        fail("poison path not exercised".into());
-    }
-    if s.stalls_injected == 0 || s.stall_recoveries == 0 || s.watchdog_trips == 0 {
-        fail("stall/watchdog paths not exercised".into());
-    }
-    if s.cancelled == 0 {
-        fail("cancel path not exercised".into());
-    }
-    if s.rejected_queue_full == 0 || s.rejected_session_quota == 0 || s.rejected_draining == 0 {
-        fail(format!(
-            "rejection paths not all exercised (queue_full {}, quota {}, draining {})",
+        ),
+    );
+    v.check(
+        s.quarantined_poison > 0 && s.retries > 0,
+        format_args!("[{label}] poison path not exercised"),
+    );
+    v.check(
+        s.stalls_injected > 0 && s.stall_recoveries > 0 && s.watchdog_trips > 0,
+        format_args!("[{label}] stall/watchdog paths not exercised"),
+    );
+    v.check(s.cancelled > 0, format_args!("[{label}] cancel path not exercised"));
+    v.check(
+        s.rejected_queue_full > 0 && s.rejected_session_quota > 0 && s.rejected_draining > 0,
+        format_args!(
+            "[{label}] rejection paths not all exercised (queue_full {}, quota {}, draining {})",
             s.rejected_queue_full, s.rejected_session_quota, s.rejected_draining
-        ));
+        ),
+    );
+    v.check(
+        s.max_queue_depth <= 64,
+        format_args!("[{label}] queue exceeded its bound: high-water {}", s.max_queue_depth),
+    );
+    v.check(
+        s.max_inflight <= 256,
+        format_args!("[{label}] in-flight exceeded its bound: high-water {}", s.max_inflight),
+    );
+    v.check(
+        out.dead_letters <= 32,
+        format_args!("[{label}] dead-letter queue exceeded its bound: {}", out.dead_letters),
+    );
+}
+
+/// Serializes `journal`, decodes the bytes and replays them at every
+/// thread count: the decode must be byte-exact and every replay must
+/// reproduce the sealed live digest.
+fn replay_everywhere(v: &mut Verdict, label: &str, journal: &ReplayJournal) {
+    let bytes = journal.serialize();
+    let decoded = match ReplayJournal::deserialize(&bytes) {
+        Ok(decoded) => decoded,
+        Err(e) => {
+            v.check(false, format_args!("{label} journal does not decode: {e}"));
+            return;
+        }
+    };
+    v.check(
+        decoded.serialize() == bytes,
+        format_args!("{label} journal serialize→deserialize not byte-exact"),
+    );
+    for t in THREAD_COUNTS {
+        match decoded.replay(t) {
+            Ok(report) => {
+                eprintln!(
+                    "  {label} journal replay threads={t}: {:016x} (live {:016x})",
+                    report.replay_digest,
+                    journal.final_digest().unwrap_or_default()
+                );
+                v.check(report.matches(), format_args!("{label} replay diverged at {t} threads"));
+            }
+            Err(e) => v.check(false, format_args!("{label} replay at {t} threads: {e}")),
+        }
     }
-    if s.max_queue_depth > 64 {
-        fail(format!("queue exceeded its bound: high-water {}", s.max_queue_depth));
-    }
-    if s.max_inflight > 256 {
-        fail(format!("in-flight exceeded its bound: high-water {}", s.max_inflight));
-    }
-    if out.dead_letters > 32 {
-        fail(format!("dead-letter queue exceeded its bound: {}", out.dead_letters));
-    }
-    ok
 }
 
 struct LiveOutput {
-    accepted: usize,
+    accepted: Vec<Ticket>,
+    resolved: Vec<Ticket>,
     rejected_after_retries: usize,
     digest: u64,
     stats: ServiceStats,
@@ -323,16 +361,10 @@ fn run_live_storm(producers: usize, per_producer: usize, threads: usize) -> Live
     let wall_trips = svc.watchdog_wall_trips();
     let mut core = svc.drain();
 
-    // Zero loss under a live interleaving: every accepted ticket resolved
-    // exactly once.
-    let accepted_set: BTreeSet<u64> = accepted.iter().map(|t| t.value()).collect();
-    let resolved: Vec<u64> = core.outcomes().iter().map(|o| o.ticket.value()).collect();
-    let resolved_set: BTreeSet<u64> = resolved.iter().copied().collect();
-    assert_eq!(resolved.len(), resolved_set.len(), "live run duplicated outcomes");
-    assert_eq!(resolved_set, accepted_set, "live run lost tickets");
-
+    let resolved = core.outcomes().iter().map(|o| o.ticket).collect();
     LiveOutput {
-        accepted: accepted.len(),
+        accepted,
+        resolved,
         rejected_after_retries: gave_up,
         digest: core.digest(),
         stats: core.stats(),
@@ -345,24 +377,18 @@ fn run_live_storm(producers: usize, per_producer: usize, threads: usize) -> Live
 /// storm's digest depends on pump timing and is not pinned.
 const SMOKE_DIGEST: u64 = 0x8f2d_a69e_6ff2_d246;
 
-fn main() {
-    let smoke = Flags::parse(&["--smoke"]).smoke;
+/// The `service` entry (see the module docs).
+pub fn run(v: &mut Verdict, smoke: bool) {
     let (sessions, rounds) = if smoke { (96, 3) } else { (192, 5) };
     let (producers, per_producer) = if smoke { (3, 40) } else { (4, 150) };
-    let mut failed = false;
-
-    eprintln!("service_storm: {sessions} sessions, {rounds} rounds, threads {THREAD_COUNTS:?}");
+    eprintln!("service: {sessions} sessions, {rounds} rounds");
 
     // Phase 1: deterministic chaos across thread counts.
-    let storms: Vec<StormOutput> = THREAD_COUNTS
-        .iter()
-        .map(|&t| run_scripted_storm(sessions, rounds, t, false))
-        .collect();
-    for (t, s) in THREAD_COUNTS.iter().zip(&storms) {
-        eprintln!(
-            "  threads={t}: digest {:016x}, {} admitted, {} completed, {} expired, {} cancelled, \
-             {} poison-quarantined, {} watchdog-quarantined",
-            s.digest,
+    let storms = thread_invariant(v, "scripted", smoke.then_some(SMOKE_DIGEST), |t| {
+        let s = run_scripted_storm(sessions, rounds, t, false);
+        let detail = format!(
+            "{} admitted, {} completed, {} expired, {} cancelled, {} poison-quarantined, \
+             {} watchdog-quarantined",
             s.stats.admitted,
             s.stats.completed,
             s.stats.expired,
@@ -370,81 +396,34 @@ fn main() {
             s.stats.quarantined_poison,
             s.stats.quarantined_stall
         );
-        if !check_storm(s, &format!("threads={t}")) {
-            failed = true;
-        }
-    }
-    let deterministic = storms.iter().all(|s| s.digest == storms[0].digest);
-    if !deterministic {
-        eprintln!("service_storm FAILED: outcome digests differ across thread counts");
-        failed = true;
-    }
-    if smoke && !smoke_pin_holds("service_storm", "scripted", storms[0].digest, SMOKE_DIGEST) {
-        failed = true;
+        (s.digest, detail, s)
+    });
+    for (t, s) in THREAD_COUNTS.iter().zip(&storms) {
+        check_storm(v, s, &format!("threads={t}"));
     }
 
     // Phase 2: journal replay byte-identity for the scripted storm.
     let journaled = run_scripted_storm(sessions, rounds, 2, true);
     let journal = journaled.journal.as_ref().expect("journaling was on");
-    let bytes = journal.serialize();
-    let decoded = ReplayJournal::deserialize(&bytes).expect("journal decodes");
-    if decoded.serialize() != bytes {
-        eprintln!("service_storm FAILED: journal serialize→deserialize not byte-exact");
-        failed = true;
-    }
-    for &t in &THREAD_COUNTS {
-        let report = decoded.replay(t);
-        eprintln!(
-            "  journal replay threads={t}: {:016x} (live {:016x}) — {}",
-            report.replay_digest,
-            journaled.digest,
-            if report.matches() { "match" } else { "MISMATCH" }
-        );
-        if !report.matches() {
-            eprintln!("service_storm FAILED: scripted replay diverged at {t} threads");
-            failed = true;
-        }
-    }
-    if journaled.digest != storms[1].digest {
-        // threads=2 journaled run vs threads=4 plain run: same script, so
-        // same digest — journaling itself must not perturb outcomes.
-        eprintln!("service_storm FAILED: journaled run digest differs from plain run");
-        failed = true;
-    }
+    replay_everywhere(v, "scripted", journal);
+    // threads=2 journaled run vs threads=4 plain run: same script, so
+    // same digest — journaling itself must not perturb outcomes.
+    v.check(
+        journaled.digest == storms[1].digest,
+        "journaled run digest differs from plain run",
+    );
 
     // Phase 3: live async chaos with replay.
     let live = run_live_storm(producers, per_producer, 2);
-    let live_bytes = live.journal.serialize();
-    let live_decoded = ReplayJournal::deserialize(&live_bytes).expect("live journal decodes");
-    let mut live_replays = Vec::new();
-    for &t in &THREAD_COUNTS {
-        let report = live_decoded.replay(t);
-        if !report.matches() {
-            eprintln!("service_storm FAILED: live replay diverged at {t} threads");
-            failed = true;
-        }
-        live_replays.push(report.matches());
-    }
+    check_exactly_once(v, "live", &live.accepted, &live.resolved);
+    v.check(ledger_balances(&live.stats), "live stats ledger does not balance");
     eprintln!(
-        "  live: {} accepted ({} gave up), digest {:016x}, {} pumps, {} wall trips, replay {:?}",
-        live.accepted,
+        "  live: {} accepted ({} gave up), digest {:016x}, {} pumps, {} wall trips",
+        live.accepted.len(),
         live.rejected_after_retries,
         live.digest,
         live.stats.pumps,
-        live.wall_trips,
-        live_replays
+        live.wall_trips
     );
-    if live.stats.completed + live.stats.expired + live.stats.cancelled
-        + live.stats.quarantined_poison
-        + live.stats.quarantined_stall
-        != live.stats.admitted
-    {
-        eprintln!("service_storm FAILED: live stats ledger does not balance");
-        failed = true;
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
-    eprintln!("service_storm passed");
+    replay_everywhere(v, "live", &live.journal);
 }

@@ -30,7 +30,7 @@
 //! RNG, no floats beyond the EWMA (whose update order is fixed by the
 //! packet sequence). Two sessions fed the same `(snr, ack)` sequence
 //! hold bit-identical state — the property the engine's differential
-//! tests and `adaptation_storm` pin (see `docs/ADAPTATION.md`).
+//! tests and `gate adaptation` pin (see `docs/ADAPTATION.md`).
 
 use cos_phy::rates::DataRate;
 

@@ -40,12 +40,12 @@
 //! and adaptive jobs is allocation-free on one thread;
 //! with more, the only per-drain cost is spawning the extra scoped worker
 //! threads (the calling thread is worker 0), which does not grow with the
-//! job count. `session_storm` measures both and `scripts/check.sh` gates
+//! job count. `gate alloc` measures both and `scripts/check.sh` gates
 //! them.
 
 use crate::session::{
     AdaptiveSummary, ControlSource, CosSession, FrameScratch, PacketSummary, ResilientSummary,
-    SessionConfig,
+    SessionConfig, BITS_PER_INTERVAL,
 };
 use cos_phy::frame::MAX_PAYLOAD_LEN;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -56,6 +56,27 @@ use std::sync::Mutex;
 /// fails where it enters, not in the middle of a drain.
 pub(crate) fn check_payload_len(len: usize) {
     assert!(len <= MAX_PAYLOAD_LEN, "payload of {len} B exceeds the {MAX_PAYLOAD_LEN}-B frame limit");
+}
+
+/// The rule a control message breaks, if any: the interval codec carries
+/// whole groups of [`BITS_PER_INTERVAL`] bits, each 0 or 1. Registration,
+/// queueing and the journal reader all hold a message to it, so a bad one
+/// fails where it enters, not in a later frame.
+pub(crate) fn control_bits_fault(bits: &[u8]) -> Option<String> {
+    if !bits.len().is_multiple_of(BITS_PER_INTERVAL) {
+        return Some(format!(
+            "control message length {} is not a multiple of k = {BITS_PER_INTERVAL}",
+            bits.len()
+        ));
+    }
+    bits.iter().find(|&&b| b > 1).map(|b| format!("control bits must be 0 or 1, got {b}"))
+}
+
+/// Panics, naming the rule, unless `bits` passes [`control_bits_fault`].
+pub(crate) fn check_control_bits(bits: &[u8]) {
+    if let Some(fault) = control_bits_fault(bits) {
+        panic!("{fault}");
+    }
 }
 
 /// Resolves a worker-thread count: an explicit non-zero `override_threads`
@@ -436,7 +457,13 @@ impl BatchEngine {
     }
 
     /// Registers a control message (bits, one per byte) once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is not a whole number of
+    /// [`BITS_PER_INTERVAL`]-bit groups or holds a value other than 0/1.
     pub fn add_control(&mut self, bits: &[u8]) -> ControlId {
+        check_control_bits(bits);
         self.controls.push(bits.into());
         ControlId((self.controls.len() - 1) as u32)
     }
@@ -636,6 +663,16 @@ mod tests {
         let mut engine = BatchEngine::new(EngineConfig { threads: 1 });
         engine.add_payload(&[0x11; MAX_PAYLOAD_LEN]);
         engine.add_payload(&[0x11; MAX_PAYLOAD_LEN + 1]);
+    }
+
+    /// A three-bit message used to register and then panic in the
+    /// interval encoder inside a worker, mid-drain.
+    #[test]
+    #[should_panic(expected = "control message length 3 is not a multiple of k = 4")]
+    fn add_control_rejects_a_message_the_codec_cannot_carry() {
+        let mut engine = BatchEngine::new(EngineConfig { threads: 1 });
+        engine.add_control(&[1, 0, 1, 1]);
+        engine.add_control(&[1, 0, 1]);
     }
 
     #[test]

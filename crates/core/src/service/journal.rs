@@ -35,7 +35,7 @@
 //! so round-tripping is exact.
 
 use super::{ServiceConfig, ServiceCore, ServiceOutcome, ServiceResult, Ticket};
-use crate::engine::{ControlId, JobKind, JobResult, PayloadId, SessionId};
+use crate::engine::{control_bits_fault, ControlId, JobKind, JobResult, PayloadId, SessionId};
 use crate::session::{Fnv, SessionConfig};
 use cos_channel::ChannelConfig;
 use cos_phy::frame::MAX_PAYLOAD_LEN;
@@ -170,6 +170,10 @@ pub enum JournalError {
     BadTag(u8),
     /// A field held an out-of-domain value.
     BadValue(&'static str),
+    /// A decoded journal that does not replay: an event names a session,
+    /// payload or control ordinal never recorded, or a recorded release,
+    /// admission or cancel fails on replay.
+    Diverged(&'static str),
 }
 
 impl std::fmt::Display for JournalError {
@@ -179,6 +183,7 @@ impl std::fmt::Display for JournalError {
             JournalError::BadMagic => write!(f, "journal magic mismatch"),
             JournalError::BadTag(t) => write!(f, "unknown journal event tag {t}"),
             JournalError::BadValue(what) => write!(f, "journal field out of domain: {what}"),
+            JournalError::Diverged(what) => write!(f, "journal replay diverged: {what}"),
         }
     }
 }
@@ -300,13 +305,14 @@ impl ReplayJournal {
     /// [`crate::engine::configured_threads`]) and compares outcome
     /// digests.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the journal is internally inconsistent (an event refers
-    /// to a session/payload ordinal that was never recorded, or a
-    /// recorded admission replays as a rejection) — both indicate a
-    /// corrupted or hand-edited log rather than a failed comparison.
-    pub fn replay(&self, threads: usize) -> ReplayReport {
+    /// [`JournalError::Diverged`] if the journal is internally
+    /// inconsistent: an event refers to a session, payload or control
+    /// ordinal that was never recorded, or a recorded release, admission
+    /// or cancel fails on replay. Either means a corrupted or hand-edited
+    /// log rather than a failed comparison.
+    pub fn replay(&self, threads: usize) -> Result<ReplayReport, JournalError> {
         let mut cfg = self.config.clone();
         cfg.engine.threads = threads;
         let mut core = ServiceCore::new(cfg);
@@ -321,22 +327,22 @@ impl ReplayJournal {
                     sessions.push(core.create_session(config.as_ref().clone(), *seed));
                 }
                 JournalEvent::ReleaseSession { ordinal } => {
-                    let id = sessions[*ordinal as usize];
-                    assert!(core.release_session(id), "replay divergence: release");
+                    let id = recorded(&sessions, *ordinal, "session ordinal")?;
+                    diverged_unless(core.release_session(id), "release")?;
                 }
                 JournalEvent::Admit { ordinal, payload, kind, control } => {
                     let k = match kind {
-                        0 => JobKind::Plain(controls[*control as usize]),
+                        0 => JobKind::Plain(recorded(&controls, *control, "control ordinal")?),
                         1 => JobKind::Resilient,
                         2 => JobKind::Adaptive,
                         _ => unreachable!("kind validated at decode"),
                     };
-                    let session = sessions[*ordinal as usize];
-                    let r = core.try_submit(session, payloads[*payload as usize], k);
-                    assert!(r.is_ok(), "replay divergence: admission rejected");
+                    let session = recorded(&sessions, *ordinal, "session ordinal")?;
+                    let payload = recorded(&payloads, *payload, "payload ordinal")?;
+                    diverged_unless(core.try_submit(session, payload, k).is_ok(), "admission")?;
                 }
                 JournalEvent::Cancel { ticket } => {
-                    assert!(core.cancel(Ticket(*ticket)), "replay divergence: cancel");
+                    diverged_unless(core.cancel(Ticket(*ticket)), "cancel")?;
                 }
                 JournalEvent::Pump => {
                     core.pump();
@@ -346,11 +352,24 @@ impl ReplayJournal {
                 JournalEvent::Stall { ticket, ticks } => core.inject_stall(*ticket, *ticks),
             }
         }
-        ReplayReport {
+        Ok(ReplayReport {
             live_digest: self.final_digest,
             replay_digest: core.digest(),
             outcomes: core.outcomes().len(),
-        }
+        })
+    }
+}
+
+/// The `ordinal`-th recorded ID, or [`JournalError::Diverged`]`(what)`.
+fn recorded<T: Copy>(ids: &[T], ordinal: u32, what: &'static str) -> Result<T, JournalError> {
+    ids.get(ordinal as usize).copied().ok_or(JournalError::Diverged(what))
+}
+
+fn diverged_unless(ok: bool, what: &'static str) -> Result<(), JournalError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(JournalError::Diverged(what))
     }
 }
 
@@ -553,7 +572,13 @@ fn read_event(r: &mut Reader<'_>) -> Result<JournalEvent, JournalError> {
             }
             JournalEvent::Payload(bytes)
         }
-        2 => JournalEvent::Control(r.bytes_()?),
+        2 => {
+            let bits = r.bytes_()?;
+            if control_bits_fault(&bits).is_some() {
+                return Err(JournalError::BadValue("control"));
+            }
+            JournalEvent::Control(bits)
+        }
         3 => {
             let config = Box::new(read_session_config(r)?);
             let seed = r.u64()?;
@@ -645,7 +670,7 @@ mod tests {
         let bytes = journal.serialize();
         let decoded = ReplayJournal::deserialize(&bytes).expect("valid journal");
         for threads in [1, 4, 8] {
-            let report = decoded.replay(threads);
+            let report = decoded.replay(threads).expect("consistent journal");
             assert!(report.matches(), "replay diverged at {threads} threads");
             assert_eq!(report.outcomes, core.outcomes().len());
         }
@@ -666,7 +691,7 @@ mod tests {
             unsealed.final_digest = None;
             unsealed
         };
-        let report = journal.replay(1);
+        let report = journal.replay(1).expect("consistent journal");
         assert!(!report.matches());
         assert_eq!(report.live_digest, None);
     }
@@ -743,6 +768,87 @@ mod tests {
             }
         }
     }
+
+    /// A control message the codec cannot carry is refused on read, as
+    /// [`ServiceCore::add_control`] would panic on it.
+    #[test]
+    fn deserialize_rejects_a_control_message_the_codec_cannot_carry() {
+        for (bits, fits) in [(&[1, 0, 0, 1][..], true), (&[1, 0, 1], false), (&[1, 0, 2, 1], false)] {
+            let mut journal = ReplayJournal::new(ServiceConfig::default());
+            journal.push(JournalEvent::Control(bits.into()));
+            let read = ReplayJournal::deserialize(&journal.serialize());
+            if fits {
+                assert_eq!(read.unwrap().len(), 1);
+            } else {
+                assert_eq!(read.unwrap_err(), JournalError::BadValue("control"), "{bits:?}");
+            }
+        }
+    }
+
+    /// Events that decode but do not fit the run they claim to record
+    /// are a typed divergence, not a panic.
+    #[test]
+    fn replay_reports_an_inconsistent_journal_as_diverged() {
+        let cases = [
+            (JournalEvent::ReleaseSession { ordinal: 0 }, "session ordinal"),
+            (JournalEvent::admit(0, 0, JobKind::Resilient), "session ordinal"),
+            (JournalEvent::Cancel { ticket: 3 }, "cancel"),
+        ];
+        for (event, what) in cases {
+            let mut journal = ReplayJournal::new(ServiceConfig::default());
+            journal.push(event);
+            assert_eq!(journal.replay(1).unwrap_err(), JournalError::Diverged(what));
+        }
+        let mut journal = ReplayJournal::new(ServiceConfig::default());
+        journal.push(JournalEvent::CreateSession { config: Box::default(), seed: 1 });
+        journal.push(JournalEvent::admit(0, 0, JobKind::Resilient));
+        assert_eq!(journal.replay(1).unwrap_err(), JournalError::Diverged("payload ordinal"));
+    }
+
+    /// Seeded bit flips, truncations and splices of a journaled run's
+    /// bytes either fail to decode or replay to a report: neither the
+    /// reader nor the replay panics on them.
+    #[test]
+    fn mutated_journals_never_panic_through_decode_and_replay() {
+        let bytes = journaled_run().1.serialize();
+        let other = distinctive_journal();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let (mut decoded, mut replayed) = (0, 0);
+        for i in 0..MUTATIONS {
+            let mutant = match i % 3 {
+                0 => {
+                    let mut m = bytes.clone();
+                    for _ in 0..1 + next(3) {
+                        let at = next(m.len());
+                        m[at] ^= 1 << next(8);
+                    }
+                    m
+                }
+                1 => bytes[..next(bytes.len())].to_vec(),
+                _ => {
+                    let (a, b) = if i % 2 == 0 { (&bytes, &other) } else { (&other, &bytes) };
+                    let mut m = a[..next(a.len())].to_vec();
+                    m.extend_from_slice(&b[next(b.len())..]);
+                    m
+                }
+            };
+            if let Ok(journal) = ReplayJournal::deserialize(&mutant) {
+                decoded += 1;
+                replayed += usize::from(journal.replay(1).is_ok());
+            }
+        }
+        // The loop must reach the replay, not only the reader's errors.
+        assert!(replayed > 0, "{decoded} decoded, none replayed");
+    }
+
+    /// Mutants the loop above tries.
+    const MUTATIONS: usize = 300;
 
     // Session-config values whose bit patterns occur once in the journal.
     const SNR_DB: f64 = 17.375;
@@ -833,7 +939,7 @@ mod tests {
             for word in accepted {
                 let journal = ReplayJournal::deserialize(&patched(&bytes, at, word))
                     .unwrap_or_else(|e| panic!("{field} = {word:#x}: {e}"));
-                assert_eq!(journal.replay(1).outcomes, 2, "{field} = {word:#x}");
+                assert_eq!(journal.replay(1).unwrap().outcomes, 2, "{field} = {word:#x}");
             }
         }
     }

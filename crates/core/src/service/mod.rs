@@ -5,7 +5,7 @@
 //! it submits jobs and drains them. This module is the layer that lets it
 //! *serve*: callers submit from anywhere, the service decides what gets
 //! in, when it runs, and what happens when it misbehaves. Four
-//! guarantees, each with an injected-fault proof (`service_storm` and
+//! guarantees, each with an injected-fault proof (`gate service` and
 //! `crates/core/tests/service_invariants.rs`):
 //!
 //! * **Admission control** — a bounded submit queue plus per-session and
@@ -52,8 +52,8 @@
 pub mod journal;
 
 use crate::engine::{
-    check_payload_len, BatchEngine, ControlId, EngineConfig, JobResult, PayloadId, SessionId,
-    SessionPool,
+    check_control_bits, check_payload_len, BatchEngine, ControlId, EngineConfig, JobResult,
+    PayloadId, SessionId, SessionPool,
 };
 use crate::resilience::{DegradedModeController, LinkMode, PacketObservation};
 use crate::session::SessionConfig;
@@ -124,7 +124,7 @@ impl QuarantineReason {
 
 /// How an admitted job resolved. Every accepted ticket resolves exactly
 /// once — the zero-loss/zero-duplication invariant the property tests and
-/// `service_storm` gate.
+/// the `gate service` entry check.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServiceResult {
     /// The job ran through the engine.
@@ -467,7 +467,13 @@ impl ServiceCore {
     }
 
     /// Registers a control message (bits, one per byte).
+    ///
+    /// # Panics
+    ///
+    /// Panics, before anything is journaled, if `bits` breaks the rule
+    /// [`BatchEngine::add_control`] holds it to.
     pub fn add_control(&mut self, bits: &[u8]) -> ControlId {
+        check_control_bits(bits);
         self.record(JournalEvent::Control(bits.into()));
         self.controls += 1;
         self.engine.add_control(bits)
@@ -1120,6 +1126,20 @@ mod tests {
         let msg = *oversize.unwrap_err().downcast::<String>().unwrap();
         assert_eq!(msg, "payload of 4092 B exceeds the 4091-B frame limit");
         assert_eq!(core.seal_journal().unwrap().len(), 1, "only the fitting payload is journaled");
+    }
+
+    /// A control message the codec cannot carry panics before it reaches
+    /// the journal, so no journal ever records one.
+    #[test]
+    fn add_control_rejects_a_bad_message_before_journaling() {
+        let mut core = ServiceCore::with_journal(ServiceConfig::default());
+        core.add_control(&[1, 0, 0, 1]);
+        let bad = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            core.add_control(&[1, 0, 3, 1]);
+        }));
+        let msg = *bad.unwrap_err().downcast::<String>().unwrap();
+        assert_eq!(msg, "control bits must be 0 or 1, got 3");
+        assert_eq!(core.seal_journal().unwrap().len(), 1, "only the good message is journaled");
     }
 
     /// Without the rule this config never dispatches a job, so a drain

@@ -787,16 +787,11 @@ impl CosSession {
     /// # Panics
     ///
     /// Panics if `bits.len()` is not a multiple of the codec's
-    /// [`BITS_PER_INTERVAL`] — here, not in whichever later send carries it. The
-    /// contract also keeps an adaptive frame's padded probe message
-    /// decodable.
+    /// [`BITS_PER_INTERVAL`] or a bit is not 0/1 — here, not in whichever
+    /// later send carries it. The length rule also keeps an adaptive
+    /// frame's padded probe message decodable.
     pub fn queue_control(&mut self, bits: Vec<u8>) {
-        let k = self.controller.codec().bits_per_interval();
-        assert!(
-            bits.len().is_multiple_of(k),
-            "control message length {} is not a multiple of k = {k}",
-            bits.len()
-        );
+        crate::engine::check_control_bits(&bits);
         self.plane.arq.enqueue(bits, self.seq);
     }
 
@@ -1732,6 +1727,13 @@ mod tests {
     #[should_panic(expected = "control message length 3 is not a multiple of k = 4")]
     fn queue_control_rejects_a_partial_interval() {
         CosSession::new(SessionConfig::default(), 1).queue_control(vec![1, 0, 1]);
+    }
+
+    /// A non-binary bit used to queue, then panic in a later send.
+    #[test]
+    #[should_panic(expected = "control bits must be 0 or 1, got 2")]
+    fn queue_control_rejects_a_bit_that_is_not_binary() {
+        CosSession::new(SessionConfig::default(), 1).queue_control(vec![2, 0, 0, 0]);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    cos_experiments::harness::init_threads_from_args();
+    cos_experiments::harness::init_threads_only();
     for rate in DataRate::ALL {
         print!("{rate}: ");
         let mut found = None;

@@ -8,18 +8,17 @@
 //! `COS_THREADS` value (`docs/DETERMINISM.md`). A CSV that cannot be
 //! written exits with status 1.
 
+use std::io;
+
+use cos_experiments::harness::{select, Entry};
 use cos_experiments::table::{self, Table};
 use cos_experiments::{ablation, adaptation, fig02, fig03, fig05, fig06, fig07, fig09, fig10, mesh};
 
-/// One named experiment and the tables it emits.
-struct Entry {
-    name: &'static str,
-    what: &'static str,
-    run: fn() -> Vec<Table>,
-}
+/// An entry's body: it runs one experiment and returns its tables.
+type Experiment = fn() -> Vec<Table>;
 
 /// Every figure experiment, in the order a bare `run_all` runs them.
-const REGISTRY: &[Entry] = &[
+const REGISTRY: &[Entry<Experiment>] = &[
     Entry {
         name: "fig02_snr_gap",
         what: "Fig. 2: SNR gap of the staircase rate choice",
@@ -97,33 +96,17 @@ const REGISTRY: &[Entry] = &[
     },
 ];
 
-/// The entries `names` pick, in the order given; every entry when
-/// `names` is empty.
-fn select(names: &[String]) -> Result<Vec<&'static Entry>, String> {
-    if names.is_empty() {
-        return Ok(REGISTRY.iter().collect());
-    }
-    names
-        .iter()
-        .map(|name| {
-            REGISTRY.iter().find(|e| e.name == name).ok_or_else(|| {
-                let valid: Vec<String> =
-                    REGISTRY.iter().map(|e| format!("  {:<22} {}", e.name, e.what)).collect();
-                format!("unknown experiment `{name}`; valid names:\n{}", valid.join("\n"))
-            })
-        })
-        .collect()
-}
-
 fn main() {
     let names = cos_experiments::harness::init_threads_from_args();
-    let entries = select(&names).unwrap_or_else(|e| {
+    let entries = select(REGISTRY, &names).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
     });
     for entry in entries {
-        println!("== {}: {} ==", entry.name, entry.what);
-        if let Err(e) = table::emit(&(entry.run)()) {
+        let header = format!("== {}: {} ==\n", entry.name, entry.what);
+        if let Err(e) = table::print(&mut io::stdout().lock(), &header)
+            .and_then(|()| table::emit(&(entry.run)()))
+        {
             eprintln!("[csv] {e}");
             std::process::exit(1);
         }
@@ -139,20 +122,5 @@ mod tests {
         for (i, e) in REGISTRY.iter().enumerate() {
             assert!(REGISTRY[..i].iter().all(|p| p.name != e.name), "{} listed twice", e.name);
         }
-    }
-
-    #[test]
-    fn an_unknown_name_is_rejected_with_the_valid_ones() {
-        let err = select(&["fig02_snr_gap".into(), "fig04".into()]).err().expect("rejected");
-        assert!(err.contains("`fig04`"), "{err}");
-        assert!(REGISTRY.iter().all(|e| err.contains(e.name)), "{err}");
-    }
-
-    #[test]
-    fn no_names_select_every_entry_in_order_and_names_select_those() {
-        let all: Vec<&str> = select(&[]).expect("all").iter().map(|e| e.name).collect();
-        assert_eq!(all, REGISTRY.iter().map(|e| e.name).collect::<Vec<_>>());
-        let two = select(&["fig08_mesh".into(), "fig02_snr_gap".into()]).expect("two");
-        assert_eq!(two.iter().map(|e| e.name).collect::<Vec<_>>(), ["fig08_mesh", "fig02_snr_gap"]);
     }
 }

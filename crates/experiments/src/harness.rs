@@ -119,6 +119,53 @@ pub fn init_threads_from_args() -> Vec<String> {
     }
 }
 
+/// [`init_threads_from_args`] for a binary whose only flag is
+/// `--threads N`: any other argument exits with status 2 before anything
+/// runs, so a mistyped flag cannot start a run that rewrites committed
+/// outputs.
+pub fn init_threads_only() {
+    if let Some(arg) = init_threads_from_args().first() {
+        eprintln!("unexpected argument `{arg}`; the only flag is --threads N");
+        std::process::exit(2);
+    }
+}
+
+/// One named entry of a binary's registry: `run_all`'s experiments and
+/// the `gate` binary's checks, picked from the command line by [`select`].
+pub struct Entry<R> {
+    /// The name the command line selects it by.
+    pub name: &'static str,
+    /// What it runs, in one line (listed when a name is unknown).
+    pub what: &'static str,
+    /// Its body.
+    pub run: R,
+}
+
+/// The entries of `registry` that `names` pick, in the order given;
+/// every entry, in registry order, when `names` is empty.
+///
+/// # Errors
+///
+/// The first name no entry has, with the list of valid names.
+pub fn select<'a, R>(
+    registry: &'a [Entry<R>],
+    names: &[String],
+) -> Result<Vec<&'a Entry<R>>, String> {
+    if names.is_empty() {
+        return Ok(registry.iter().collect());
+    }
+    names
+        .iter()
+        .map(|name| {
+            registry.iter().find(|e| e.name == name).ok_or_else(|| {
+                let valid: Vec<String> =
+                    registry.iter().map(|e| format!("  {:<22} {}", e.name, e.what)).collect();
+                format!("unknown name `{name}`; valid names:\n{}", valid.join("\n"))
+            })
+        })
+        .collect()
+}
+
 /// Runs `n` independent trials, `job(0) .. job(n-1)`, across [`threads`]
 /// scoped worker threads and returns the results **in index order**.
 ///
@@ -571,6 +618,30 @@ mod tests {
         for bad in [&["--threads", "0"][..], &["--threads=0"], &["--threads"], &["--threads=x"]] {
             assert!(parse_threads(&args(bad)).is_err(), "{bad:?} accepted");
         }
+    }
+
+    const REGISTRY: [Entry<()>; 3] = [
+        Entry { name: "a", what: "first", run: () },
+        Entry { name: "b", what: "second", run: () },
+        Entry { name: "c", what: "third", run: () },
+    ];
+
+    fn selected(names: &[&str]) -> Result<Vec<&'static str>, String> {
+        let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+        select(&REGISTRY, &names).map(|es| es.iter().map(|e| e.name).collect())
+    }
+
+    #[test]
+    fn no_names_select_every_entry_in_order_and_names_select_those() {
+        assert_eq!(selected(&[]).unwrap(), ["a", "b", "c"]);
+        assert_eq!(selected(&["c", "a"]).unwrap(), ["c", "a"]);
+    }
+
+    #[test]
+    fn an_unknown_name_is_rejected_with_the_valid_ones() {
+        let err = selected(&["a", "d"]).unwrap_err();
+        assert!(err.contains("`d`"), "{err}");
+        assert!(REGISTRY.iter().all(|e| err.contains(e.name) && err.contains(e.what)), "{err}");
     }
 
     #[test]

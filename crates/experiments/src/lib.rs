@@ -5,8 +5,10 @@
 //! a [`table::Table`]; the `run_all` binary runs each by name, prints it
 //! and writes a CSV under `results/` (`robustness_soak` does the same for
 //! [`robustness`]). Every module exposes a `Config` with a `Default`
-//! (full fidelity) and a `Config::quick()` used by its unit tests to
-//! keep CI fast; what no caller varies is a named `const` of the module.
+//! (full fidelity); the figure modules add a `Config::quick()` their unit
+//! tests (and the `gate` binary's smoke duels) use to keep CI fast, and
+//! the soak's tests build their own small one. What no caller varies is
+//! a named `const` of the module.
 //!
 //! | Module | Paper figure | Content |
 //! |---|---|---|

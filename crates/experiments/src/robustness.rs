@@ -58,14 +58,6 @@ impl Default for Config {
     }
 }
 
-impl Config {
-    /// A reduced matrix for the `scripts/check.sh` smoke test: every
-    /// impairment and every degraded-mode transition still fires once.
-    pub fn quick() -> Self {
-        Config { trials: 2, packets: 50, enqueue_until: 35, window: (8, 20) }
-    }
-}
-
 /// Packets after the fault window closes (`Config::window.1`) within
 /// which a [`Expectation::RecoverToCos`] trial must send a packet in CoS
 /// mode: twice the re-probe backoff's clamp
@@ -534,9 +526,15 @@ pub fn to_bench_json(results: &[ScenarioResult], cfg: &Config) -> String {
 mod tests {
     use super::*;
 
+    /// One 30-packet trial with faults over packets 8..20: the soak's
+    /// shape, small enough for a unit test.
+    fn cfg(enqueue_until: usize) -> Config {
+        Config { trials: 1, packets: 30, enqueue_until, window: (8, 20) }
+    }
+
     #[test]
-    fn clean_scenario_passes_quick() {
-        let cfg = Config { trials: 1, packets: 30, enqueue_until: 20, ..Config::quick() };
+    fn clean_scenario_passes() {
+        let cfg = cfg(20);
         let sc = &scenarios()[0];
         assert_eq!(sc.name, "clean");
         let r = run_scenario(sc, &cfg);
@@ -547,7 +545,7 @@ mod tests {
 
     #[test]
     fn blackout_parks_in_data_only() {
-        let cfg = Config { trials: 1, packets: 30, enqueue_until: 0, ..Config::quick() };
+        let cfg = cfg(0);
         let sc = scenarios().into_iter().find(|s| s.name == "feedback_blackout").expect("exists");
         let r = run_scenario(&sc, &cfg);
         assert_eq!(r.panics, 0);
@@ -558,7 +556,7 @@ mod tests {
     fn a_link_that_never_recovers_fails_a_recovering_scenario() {
         // The blackout parks the link for good; judged as a recovering
         // scenario, it must fail however the trial ends.
-        let cfg = Config { trials: 1, packets: 30, enqueue_until: 0, ..Config::quick() };
+        let cfg = cfg(0);
         let mut sc = scenarios().into_iter().find(|s| s.name == "feedback_blackout").expect("exists");
         sc.expect = Expectation::RecoverToCos;
         let r = run_scenario(&sc, &cfg);

@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// A named result table (one per figure panel).
@@ -93,21 +93,41 @@ pub fn fmt(x: f64, decimals: usize) -> String {
     format!("{x:.decimals$}")
 }
 
-/// Prints tables to stdout and writes their CSVs under `results/`,
-/// relative to the process's working directory (`cargo run` keeps the
-/// caller's, so run the binaries from the repository root).
+/// Writes `text` to `out`. A reader that has gone away (`BrokenPipe`,
+/// e.g. `run_all | head -1`) only ends the printing: it is not an error,
+/// so the caller still writes every file and exits 0.
+///
+/// # Errors
+///
+/// Any other write error.
+pub fn print(out: &mut impl Write, text: &str) -> io::Result<()> {
+    match out.write_all(text.as_bytes()) {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        result => result,
+    }
+}
+
+/// Writes the tables' CSVs under `results/`, relative to the process's
+/// working directory (`cargo run` keeps the caller's, so run the binaries
+/// from the repository root), printing each table to stdout after its
+/// CSV is written ([`print()`]).
 ///
 /// # Errors
 ///
 /// The first CSV that cannot be written, named in the error; the tables
-/// after it are neither printed nor written.
+/// after it are neither printed nor written. Or a stdout write error
+/// other than `BrokenPipe`.
 pub fn emit(tables: &[Table]) -> io::Result<()> {
+    emit_into("results", tables, &mut io::stdout().lock())
+}
+
+/// [`emit`] into `dir`, printing to `out`.
+fn emit_into(dir: impl AsRef<Path>, tables: &[Table], out: &mut impl Write) -> io::Result<()> {
     for t in tables {
-        println!("{}", t.render());
-        let path = t.write_csv("results").map_err(|e| {
+        let path = t.write_csv(&dir).map_err(|e| {
             io::Error::new(e.kind(), format!("failed to write {}: {e}", t.name))
         })?;
-        println!("[csv] {}\n", path.display());
+        print(out, &format!("{}\n[csv] {}\n\n", t.render(), path.display()))?;
     }
     Ok(())
 }
@@ -147,6 +167,40 @@ mod tests {
         let result = sample().write_csv(&file);
         let _ = std::fs::remove_file(&file);
         assert!(result.is_err(), "wrote a CSV under a plain file");
+    }
+
+    /// Stands for a stdout whose reader has gone: every write fails with
+    /// `BrokenPipe`, after checking that the CSV of the table it was
+    /// offered is already on disk.
+    struct ClosedPipe<'a> {
+        dir: &'a Path,
+        offered: Vec<String>,
+    }
+
+    impl Write for ClosedPipe<'_> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let text = std::str::from_utf8(buf).expect("utf-8");
+            let name = text.strip_prefix("# ").and_then(|t| t.split(' ').next()).expect("a table");
+            assert!(self.dir.join(format!("{name}.csv")).exists(), "{name} printed before its CSV");
+            self.offered.push(name.to_string());
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn emit_writes_each_csv_before_printing_and_outlives_a_closed_pipe() {
+        let dir = std::env::temp_dir().join(format!("cos_table_emit_{}", std::process::id()));
+        let mut second = sample();
+        second.name = "u".into();
+        let mut pipe = ClosedPipe { dir: &dir, offered: Vec::new() };
+        let result = emit_into(&dir, &[sample(), second], &mut pipe);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(result.is_ok(), "{result:?}");
+        assert_eq!(pipe.offered, ["t", "u"], "every table is written, then offered to stdout");
     }
 
     #[test]
