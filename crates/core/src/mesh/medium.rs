@@ -30,8 +30,8 @@
 //! streams: arbitration is a pure function of (seed, history), which is
 //! what lets the mesh replay byte-identically at any thread count.
 
-use super::splitmix64;
 use super::topology::MeshTopology;
+use cos_dsp::rng::splitmix64;
 
 /// One DCF mini-slot (the 802.11a slot time), in microseconds.
 pub const MINISLOT_US: f64 = 9.0;

@@ -40,12 +40,3 @@ pub use net::{
 };
 pub use policy::{CoordinationPolicy, MeshCommand, PolicyPhase, SlotResult};
 pub use topology::MeshTopology;
-
-/// SplitMix64 — the crate-internal seed mixer: deterministic, stateless,
-/// and good enough to decorrelate per-(cell, slot, station) draws.
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}

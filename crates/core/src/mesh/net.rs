@@ -37,7 +37,6 @@
 
 use super::medium::{MediumScheduler, SlotPlan, MINISLOT_US};
 use super::policy::{CoordinationPolicy, MeshCommand, SlotResult};
-use super::splitmix64;
 use super::topology::MeshTopology;
 use crate::engine::{
     BatchEngine, EngineConfig, JobOutcome, JobResult, PayloadId, SessionPool,
@@ -46,6 +45,7 @@ use crate::session::{
     AdaptiveSummary, Fnv, ResilientSummary, SessionConfig, SessionMetrics, BITS_PER_INTERVAL,
 };
 use cos_channel::{FaultEngine, Overlap, OverlapComposer};
+use cos_dsp::rng::splitmix64;
 use cos_phy::frame::MAX_PAYLOAD_LEN;
 use cos_phy::rates::DataRate;
 use std::collections::VecDeque;

@@ -908,13 +908,18 @@ mod tests {
     #[test]
     fn deserialize_rejects_out_of_range_session_config() {
         let bytes = distinctive_journal();
-        // n_taps is written just before tap_decay; min_control_subcarriers
-        // just before packet_interval, then arq_max_retries (4 bytes) and
-        // max_budget.
-        let n_taps = locate(&bytes, TAP_DECAY) - 8;
+        // n_taps is written just before tap_decay, k_factor just after it;
+        // min_control_subcarriers just before packet_interval, then
+        // arq_max_retries (4 bytes) and max_budget.
+        let tap_decay = locate(&bytes, TAP_DECAY);
         let interval = locate(&bytes, PACKET_INTERVAL);
-        let cases: [(&str, usize, [u64; 2], [u64; 2]); 4] = [
-            ("n_taps", n_taps, [0, 17], [1, 16]),
+        let negative = [(-0.5f64).to_bits(), (-1.0f64).to_bits()];
+        let zero = [0.0f64.to_bits(), (-0.0f64).to_bits()];
+        let cases: [(&str, usize, [u64; 2], [u64; 2]); 6] = [
+            ("n_taps", tap_decay - 8, [0, 17], [1, 16]),
+            // A negative decay or K-factor builds a NaN channel.
+            ("tap_decay", tap_decay, negative, zero),
+            ("k_factor", tap_decay + 8, negative, zero),
             // The bootstrap block 9..9+min must fit the 48 data subcarriers.
             ("min_control_subcarriers", interval - 8, [40, u64::MAX], [0, 39]),
             (

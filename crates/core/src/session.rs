@@ -219,8 +219,8 @@ impl SessionConfig {
         let c = &self.channel;
         let checks = [
             ((1..=16).contains(&c.n_taps), "n_taps"),
-            (c.tap_decay.is_finite(), "tap_decay"),
-            (c.k_factor.is_finite(), "k_factor"),
+            (c.tap_decay.is_finite() && c.tap_decay >= 0.0, "tap_decay"),
+            (c.k_factor.is_finite() && c.k_factor >= 0.0, "k_factor"),
             (c.doppler_hz.is_finite(), "doppler_hz"),
             (self.snr_db.is_finite(), "snr_db"),
             (self.min_control_subcarriers <= MAX_MIN_CONTROL_SUBCARRIERS, "min_control_subcarriers"),
@@ -1699,10 +1699,17 @@ mod tests {
     fn validate_names_the_first_bad_field() {
         assert_eq!(SessionConfig::default().validate(), Ok(()));
         type Patch = fn(&mut SessionConfig, bool);
-        let cases: [(&str, Patch); 8] = [
+        let cases: [(&str, Patch); 11] = [
             ("n_taps", |c, bad| c.channel.n_taps = if bad { 17 } else { 16 }),
             ("tap_decay", |c, bad| c.channel.tap_decay = if bad { f64::NAN } else { 0.0 }),
+            // A negative decay or K-factor builds a NaN channel.
+            ("tap_decay", |c, bad| c.channel.tap_decay = if bad { -0.5 } else { 0.0 }),
+            ("tap_decay", |c, bad| {
+                c.channel.n_taps = 2;
+                c.channel.tap_decay = if bad { -1.0 } else { 0.0 };
+            }),
             ("k_factor", |c, bad| c.channel.k_factor = if bad { f64::INFINITY } else { 0.0 }),
+            ("k_factor", |c, bad| c.channel.k_factor = if bad { -0.5 } else { 0.0 }),
             ("doppler_hz", |c, bad| c.channel.doppler_hz = if bad { -f64::INFINITY } else { 0.0 }),
             ("snr_db", |c, bad| c.snr_db = if bad { f64::NAN } else { -30.0 }),
             ("min_control_subcarriers", |c, bad| {

@@ -19,11 +19,9 @@
 //! Alternative policies are provided for the paper's Fig. 10(a)
 //! (contiguous blocks) and for the placement ablation (random selection).
 
+use cos_dsp::rng::Xoshiro256;
 use cos_phy::constellation::Modulation;
 use cos_phy::subcarriers::NUM_DATA;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 /// The default minimum per-subcarrier SNR (dB) for reliable energy
 /// detection of silences: at 15 dB the weakest constellation point sits
@@ -226,12 +224,11 @@ pub fn select_control_subcarriers_into(
         }
         SelectionPolicy::Random { n, seed } => {
             assert!(n <= NUM_DATA, "cannot select {n} of {NUM_DATA} subcarriers");
-            let mut rng = StdRng::seed_from_u64(seed);
             let mut all = [0usize; NUM_DATA];
             for (sc, slot) in all.iter_mut().enumerate() {
                 *slot = sc;
             }
-            all.shuffle(&mut rng);
+            Xoshiro256::new(seed).shuffle(&mut all);
             out.extend_from_slice(&all[..n]);
             out.sort_unstable();
         }

@@ -13,9 +13,11 @@
 //!   kernels' `_with` hooks take so differential tests can run the
 //!   scalar references,
 //! * [`db`] — dB/linear and dBm/milliwatt conversions,
-//! * [`rng`] — seeded Gaussian and circularly-symmetric complex Gaussian
-//!   sources (Box–Muller over [`rand`], on crate-owned `ln`/`sincos`
-//!   polynomials, with a laned batch draw) for AWGN and Rayleigh fading,
+//! * [`rng`] — the workspace's one seeded uniform generator
+//!   ([`rng::Xoshiro256`], xoshiro256\*\* seeded by SplitMix64) and the
+//!   Gaussian and circularly-symmetric complex Gaussian sources built on it
+//!   (Box–Muller on crate-owned `ln`/`sincos` polynomials, with a laned
+//!   batch draw) for AWGN and Rayleigh fading,
 //! * [`prbs`] — the 127-bit `x^7 + x^4 + 1` pseudo-random binary sequence of
 //!   IEEE 802.11a (scrambler sequence and pilot-polarity sequence),
 //! * [`stats`] — summary statistics and empirical CDFs used by the

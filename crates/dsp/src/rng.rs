@@ -1,12 +1,17 @@
-//! Seeded Gaussian noise sources.
+//! The workspace's seeded random numbers: one uniform generator and the
+//! Gaussian noise sources built on it.
 //!
-//! AWGN and Rayleigh fading both need standard-normal draws. The simulator
-//! keeps its dependency surface small by generating them with the Box–Muller
-//! transform over [`rand`]'s uniform source instead of pulling in
-//! `rand_distr`. Every source is explicitly seeded so experiments are
-//! reproducible.
+//! [`Xoshiro256`] is xoshiro256\*\* (Blackman & Vigna) with its state
+//! expanded from a 64-bit seed by [`splitmix64`]. Every stochastic draw in
+//! the simulator (channel noise and fading, random control bits,
+//! scrambler seeds, random subcarrier placement) is a pure function of
+//! such a seed, which is what the determinism contract rests on
+//! (`docs/DETERMINISM.md`).
 //!
-//! The transform's transcendentals are crate-owned, branch-free kernels
+//! AWGN and Rayleigh fading need standard-normal draws. [`GaussianSource`]
+//! generates them with the Box–Muller transform over the generator's
+//! uniforms instead of pulling in a distributions crate. The transform's
+//! transcendentals are crate-owned, branch-free kernels
 //! rather than host libm: `ln` is the fdlibm/musl `log` polynomial and
 //! `sin`/`cos` of `2π·u` are the fdlibm `__kernel_sin`/`__kernel_cos`
 //! polynomials after an exact quarter-turn reduction. The noise stream is
@@ -17,8 +22,107 @@
 
 use crate::complex::Complex;
 use crate::lanes::LANES;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+/// The SplitMix64 increment, `⌊2⁶⁴/φ⌋`.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64 (Steele, Lea & Flood): `x + γ` through the MurmurHash3-style
+/// finaliser. A stateless seed mixer; [`Xoshiro256::new`] expands its seed
+/// with it, and the mesh derives its per-(cell, station, slot) seeds with it.
+///
+/// # Examples
+///
+/// ```
+/// use cos_dsp::rng::splitmix64;
+///
+/// assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+/// ```
+#[inline]
+pub const fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The workspace's uniform generator: xoshiro256\*\* seeded through
+/// [`splitmix64`].
+///
+/// Every other draw derives from [`next_u64`](Self::next_u64): a uniform
+/// `f64` from its top 53 bits, a bounded integer by reduction modulo the
+/// bound (biased by at most `n/2⁶⁴`, invisible at the bounds used here), and
+/// a shuffle from bounded integers.
+///
+/// # Examples
+///
+/// ```
+/// use cos_dsp::rng::Xoshiro256;
+///
+/// let mut a = Xoshiro256::new(7);
+/// let mut b = a.clone();
+/// assert_eq!(a.next_u64(), b.next_u64());
+/// assert!((0.0..1.0).contains(&a.unit_f64()));
+/// assert!(a.below(10) < 10);
+/// let mut v = [1, 2, 3, 4];
+/// a.shuffle(&mut v);
+/// v.sort_unstable();
+/// assert_eq!(v, [1, 2, 3, 4]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Xoshiro256 {
+    s: [u64; 4],
+}
+
+impl Xoshiro256 {
+    /// The generator for `seed`: state word `k` is
+    /// `splitmix64(seed + k·γ)`, the first four outputs of a SplitMix64
+    /// stream started at `seed`. Equal seeds give equal streams.
+    pub fn new(seed: u64) -> Self {
+        let word = |k: u64| splitmix64(seed.wrapping_add(k.wrapping_mul(GOLDEN_GAMMA)));
+        Xoshiro256 { s: [word(0), word(1), word(2), word(3)] }
+    }
+
+    /// The next 64 random bits.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// A uniform `f64` in `[0, 1)`: the top 53 bits of one word, times
+    /// 2⁻⁵³.
+    #[inline]
+    pub fn unit_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// A uniform integer in `[0, n)`: one word modulo `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    #[inline]
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    /// Shuffles `v` in place (Fisher–Yates from the back: slot `i` swaps
+    /// with `below(i + 1)`).
+    pub fn shuffle<T>(&mut self, v: &mut [T]) {
+        for i in (1..v.len()).rev() {
+            let j = self.below(i + 1);
+            v.swap(i, j);
+        }
+    }
+}
 
 // fdlibm/musl `log`: ln 2 split so `k·LN2_HI` is exact, and the
 // Remez coefficients of `R(z) ≈ (ln((1+s)/(1−s)) − 2s)/s`, `z = s²`.
@@ -47,7 +151,7 @@ const C5: f64 = f64::from_bits(0x3e21_ee9e_bdb4_b1c4);
 const C6: f64 = f64::from_bits(0xbda8_fae9_be88_38d4);
 
 /// Natural log on Box–Muller's `u1` domain, the normal numbers of
-/// `(0, 1]` (the uniform source never yields less than 2⁻⁵³).
+/// `(0, 1]` (`1 − unit_f64()` is never less than 2⁻⁵³).
 ///
 /// fdlibm/musl `log` without its branches for zero, negative, subnormal
 /// and non-finite input — none can reach it. The exponent split moves the
@@ -115,7 +219,7 @@ fn box_muller(u1: f64, u2: f64) -> (f64, f64) {
 }
 
 /// A seeded source of Gaussian (and circularly-symmetric complex Gaussian)
-/// samples.
+/// samples, drawing its uniforms from one [`Xoshiro256`] stream.
 ///
 /// # Examples
 ///
@@ -136,7 +240,7 @@ fn box_muller(u1: f64, u2: f64) -> (f64, f64) {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GaussianSource {
-    rng: StdRng,
+    rng: Xoshiro256,
     /// Box–Muller produces samples in pairs; the spare is cached here.
     spare: Option<f64>,
 }
@@ -145,7 +249,7 @@ impl GaussianSource {
     /// Creates a source from a 64-bit seed.
     pub fn new(seed: u64) -> Self {
         GaussianSource {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Xoshiro256::new(seed),
             spare: None,
         }
     }
@@ -154,8 +258,8 @@ impl GaussianSource {
     /// `ln` never sees 0), then `u2`.
     #[inline(always)]
     fn uniform_pair(&mut self) -> (f64, f64) {
-        let u1 = 1.0 - self.rng.gen::<f64>();
-        (u1, self.rng.gen())
+        let u1 = 1.0 - self.rng.unit_f64();
+        (u1, self.rng.unit_f64())
     }
 
     /// Draws one standard-normal sample (mean 0, variance 1).
@@ -217,16 +321,109 @@ impl GaussianSource {
         Complex::new(self.standard_normal() * s, self.standard_normal() * s)
     }
 
-    /// Draws a uniform `f64` in `[0, 1)`. Exposed so channel models can share
-    /// one seeded stream for both Gaussian and uniform needs.
+    /// Draws a uniform `f64` in `[0, 1)`, [`Xoshiro256::unit_f64`] on the
+    /// same stream the Gaussian draws consume. Exposed so channel models can
+    /// share one seeded stream for both Gaussian and uniform needs.
     pub fn uniform(&mut self) -> f64 {
-        self.rng.gen()
+        self.rng.unit_f64()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The stream as the `rand` 0.8-API shim's `StdRng::seed_from_u64`
+    /// drew it, recorded before the generator moved here: the first four
+    /// words, then one `unit_f64` (its bits), one `1 + below(127)` (the
+    /// shim's `gen_range(1..0x80u8)`) and a shuffle of `0..48`, in that
+    /// order on one stream. Every digest, golden vector and committed CSV
+    /// rests on these bits.
+    #[test]
+    fn stream_is_pinned() {
+        // (seed, words, unit_f64 bits, 1 + below(127), shuffled 0..48)
+        type Pin = (u64, [u64; 4], u64, usize, [usize; 48]);
+        #[rustfmt::skip]
+        let pins: [Pin; 3] = [
+            (0, [0x99ec_5f36_cb75_f2b4, 0xbf6e_1f78_4956_452a, 0x1a5f_849d_4933_e6e0, 0x6aa5_94f1_262d_2d2c],
+             0x3fe7_74b5_a943_f085, 6,
+             [46, 24, 29, 13, 17, 0, 40, 19, 7, 14, 34, 27, 32, 23, 9, 6, 26, 18, 21, 2, 3, 11, 31, 15,
+              44, 5, 45, 28, 30, 38, 39, 4, 33, 10, 12, 43, 35, 36, 41, 42, 37, 16, 20, 47, 22, 25, 1, 8]),
+            (1, [0xb3f2_af6d_0fc7_10c5, 0x853b_5596_4736_4cea, 0x92f8_9756_082a_4514, 0x642e_1c7b_c266_a3a7],
+             0x3fe6_4f49_1c53_4466, 63,
+             [44, 3, 0, 20, 40, 34, 16, 47, 41, 39, 11, 28, 30, 10, 8, 27, 12, 22, 36, 29, 18, 15, 46, 26,
+              9, 17, 24, 7, 14, 32, 25, 1, 35, 5, 2, 4, 43, 42, 37, 31, 23, 33, 19, 21, 13, 45, 6, 38]),
+            (2017, [0x6615_bfc1_9374_eba8, 0x2d23_d49f_e7db_2de4, 0x5182_a18c_ef74_28c0, 0x46c1_229b_723f_f67a],
+             0x3fd0_d0e3_c906_baea, 5,
+             [42, 12, 45, 23, 46, 17, 10, 0, 21, 47, 29, 44, 34, 18, 19, 8, 36, 35, 32, 24, 7, 27, 15, 9,
+              14, 5, 26, 40, 22, 20, 3, 6, 2, 28, 1, 25, 43, 38, 30, 16, 13, 39, 37, 11, 33, 4, 41, 31]),
+        ];
+        for (seed, words, unit_bits, scrambler, shuffled) in pins {
+            let mut rng = Xoshiro256::new(seed);
+            assert_eq!([(); 4].map(|()| rng.next_u64()), words, "seed {seed}");
+            assert_eq!(rng.unit_f64().to_bits(), unit_bits, "seed {seed}");
+            assert_eq!(1 + rng.below(127), scrambler, "seed {seed}");
+            let mut v: [usize; 48] = std::array::from_fn(|i| i);
+            rng.shuffle(&mut v);
+            assert_eq!(v, shuffled, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn same_seed_same_stream() {
+        let mut a = Xoshiro256::new(42);
+        let mut b = Xoshiro256::new(42);
+        for _ in 0..64 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn different_seeds_give_different_streams() {
+        let mut a = Xoshiro256::new(1);
+        let mut b = Xoshiro256::new(2);
+        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
+        assert_eq!(same, 0);
+    }
+
+    #[test]
+    fn unit_f64_is_in_and_covers_the_unit_interval() {
+        let mut rng = Xoshiro256::new(3);
+        let mut lo = 1.0f64;
+        let mut hi = 0.0f64;
+        for _ in 0..10_000 {
+            let x = rng.unit_f64();
+            assert!((0.0..1.0).contains(&x));
+            lo = lo.min(x);
+            hi = hi.max(x);
+        }
+        assert!(lo < 0.01 && hi > 0.99, "poor coverage: [{lo}, {hi}]");
+    }
+
+    #[test]
+    fn below_hits_every_value_and_nothing_else() {
+        let mut rng = Xoshiro256::new(4);
+        let mut seen = [false; 10];
+        for _ in 0..1000 {
+            seen[rng.below(10)] = true;
+        }
+        assert!(seen.iter().all(|&s| s));
+        for _ in 0..1000 {
+            assert!((1..0x80).contains(&(1 + rng.below(127))));
+        }
+    }
+
+    #[test]
+    fn shuffle_permutes() {
+        let mut rng = Xoshiro256::new(5);
+        let orig: Vec<usize> = (0..48).collect();
+        let mut v = orig.clone();
+        rng.shuffle(&mut v);
+        let mut sorted = v.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, orig);
+        assert_ne!(v, orig, "48 elements should not shuffle to identity");
+    }
 
     #[test]
     fn is_deterministic_per_seed() {
@@ -287,9 +484,9 @@ mod tests {
         for i in 0..1 << 20 {
             check(i as f64 / (1 << 20) as f64);
         }
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Xoshiro256::new(11);
         for _ in 0..1 << 20 {
-            check(rng.gen());
+            check(rng.unit_f64());
         }
         assert!(worst <= 1e-15, "worst sincos error {worst:e}");
         for (u, sin, cos) in [(0.0, 0.0, 1.0), (0.25, 1.0, 0.0), (0.5, 0.0, -1.0), (0.75, -1.0, 0.0)] {

@@ -146,9 +146,8 @@ pub fn run_baseline_comparison(cfg: &Config) -> Table {
     use cos_channel::link::NOMINAL_TX_POWER;
     use cos_phy::rx::Receiver;
     use cos_phy::tx::Transmitter;
+    use cos_dsp::rng::Xoshiro256;
     use cos_dsp::GaussianSource;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     let mut table = Table::new(
         "ablation_baseline",
@@ -172,7 +171,7 @@ pub fn run_baseline_comparison(cfg: &Config) -> Table {
         let mut flash_ctrl = 0u32;
         let mut flash_data = 0u32;
         let mut energy_ratio_acc = 0.0f64;
-        let mut rng = StdRng::seed_from_u64(60_000 + snr as u64);
+        let mut rng = Xoshiro256::new(60_000 + snr as u64);
 
         let mut link = Link::new(paper_channel(), snr, 61_000 + snr as u64);
         let probe = probe_channel(&mut link);

@@ -4,10 +4,9 @@
 //! `cos_phy::rates::DataRate::min_snr_db` are these plus 0.5 dB headroom.
 
 use cos_channel::Link;
+use cos_dsp::rng::Xoshiro256;
 use cos_experiments::harness::{measure_prr, paper_channel, probe_channel, TrialConfig, TARGET_PRR};
 use cos_phy::rates::DataRate;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
     cos_experiments::harness::init_threads_only();
@@ -23,7 +22,7 @@ fn main() {
                 let probe = probe_channel(&mut link);
                 measured_acc += probe.measured_snr_db;
                 let cfg = TrialConfig::paper(rate, 0);
-                let mut rng = StdRng::seed_from_u64(seed);
+                let mut rng = Xoshiro256::new(seed);
                 prrs.push(measure_prr(&mut link, &cfg, &[0], 150, &mut rng));
             }
             prrs.sort_by(f64::total_cmp);

@@ -14,12 +14,11 @@ use cos_channel::{FaultEngine, Link, PulseInterferer};
 use cos_core::energy_detector::{DetectionAccuracy, EnergyDetector};
 use cos_core::interval::IntervalCodec;
 use cos_core::power_controller::PowerController;
+use cos_dsp::rng::Xoshiro256;
 use cos_phy::rates::DataRate;
 use cos_phy::rx::Receiver;
 use cos_phy::subcarriers::{USED_BINS, SYMBOL_LEN};
 use cos_phy::tx::Transmitter;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// The paper's Fig. 10(a) control subcarriers: logical 9..17 (its
 /// 1-based 10..17).
@@ -76,7 +75,7 @@ enum Mode {
 /// Runs `packets` frames with random control messages on the contiguous
 /// block and tallies detection accuracy.
 fn detection_batch(link: &mut Link, packets: usize, mode: Mode, seed: u64) -> DetectionAccuracy {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256::new(seed);
     let codec = IntervalCodec::default();
     let controller = PowerController::new(codec);
     let detector = EnergyDetector::default();

@@ -20,14 +20,13 @@ use cos_core::power_controller::{EmbedError, PowerController};
 use cos_core::subcarrier_select::{
     detect_floor_db, select_control_subcarriers, SelectionPolicy,
 };
+use cos_dsp::rng::Xoshiro256;
 use cos_phy::evm::per_subcarrier_evm;
 use cos_phy::rates::DataRate;
 use cos_phy::rx::Receiver;
 use cos_phy::subcarriers::NUM_DATA;
 use cos_phy::tx::Transmitter;
 use cos_phy::PhyWorkspace;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -197,8 +196,8 @@ where
 }
 
 /// Generates `n` random control bits.
-pub fn random_bits(n: usize, rng: &mut StdRng) -> Vec<u8> {
-    (0..n).map(|_| rng.gen_range(0..2u8)).collect()
+pub fn random_bits(n: usize, rng: &mut Xoshiro256) -> Vec<u8> {
+    (0..n).map(|_| rng.below(2) as u8).collect()
 }
 
 /// A canonical 1020-byte payload (1024-byte PSDU with the FCS), the
@@ -369,7 +368,7 @@ pub fn run_packet(
     link: &mut Link,
     cfg: &TrialConfig,
     selected: &[usize],
-    rng: &mut StdRng,
+    rng: &mut Xoshiro256,
 ) -> PacketOutcome {
     WORKSPACE.with(|cell| {
         let ws = &mut *cell.borrow_mut();
@@ -378,7 +377,7 @@ pub fn run_packet(
         let codec = IntervalCodec::default();
         let controller = PowerController::new(codec);
         let detector = EnergyDetector::default();
-        let scrambler_seed = rng.gen_range(1..0x80u8);
+        let scrambler_seed = 1 + rng.below(127) as u8;
         Transmitter::new().build_frame_into(&cfg.payload, cfg.rate, scrambler_seed, txws);
 
         let bits = if cfg.silences == 0 {
@@ -437,7 +436,7 @@ pub fn measure_prr(
     cfg: &TrialConfig,
     selected: &[usize],
     packets: usize,
-    rng: &mut StdRng,
+    rng: &mut Xoshiro256,
 ) -> f64 {
     let mut ok = 0usize;
     for _ in 0..packets {
@@ -472,12 +471,12 @@ pub fn max_silence_rate(
     packets: usize,
     seed: u64,
 ) -> CapacityPoint {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Xoshiro256::new(seed);
     let probe = probe_channel(link);
     let codec = IntervalCodec::default();
     let n_symbols = base.rate.data_symbol_count(base.payload.len() + 4);
 
-    let eval = |link: &mut Link, rng: &mut StdRng, silences: usize| -> f64 {
+    let eval = |link: &mut Link, rng: &mut Xoshiro256, silences: usize| -> f64 {
         let cfg = TrialConfig { silences, ..base.clone() };
         let selected = choose_subcarriers(&probe, &cfg, n_symbols, &codec, seed);
         measure_prr(link, &cfg, &selected, packets, rng)
@@ -553,7 +552,7 @@ mod tests {
     fn zero_silence_packets_pass_at_high_snr() {
         let mut link = Link::new(paper_channel(), 25.0, 5);
         let cfg = TrialConfig::paper(DataRate::Mbps12, 0);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Xoshiro256::new(1);
         let prr = measure_prr(&mut link, &cfg, &[0], 20, &mut rng);
         assert_eq!(prr, 1.0);
     }
@@ -566,7 +565,7 @@ mod tests {
         let codec = IntervalCodec::default();
         let n_sym = DataRate::Mbps12.data_symbol_count(1024);
         let selected = choose_subcarriers(&probe, &cfg, n_sym, &codec, 9);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Xoshiro256::new(2);
         let prr = measure_prr(&mut link, &cfg, &selected, 20, &mut rng);
         assert!(prr >= 0.9, "PRR {prr}");
     }
@@ -594,7 +593,7 @@ mod tests {
             let codec = IntervalCodec::default();
             let n_sym = DataRate::Mbps12.data_symbol_count(1024);
             let selected = choose_subcarriers(&probe, &cfg, n_sym, &codec, i as u64);
-            let mut rng = StdRng::seed_from_u64(77 ^ i as u64);
+            let mut rng = Xoshiro256::new(77 ^ i as u64);
             let out = run_packet(&mut link, &cfg, &selected, &mut rng);
             (out.data_ok, out.control_ok, selected)
         };

@@ -16,6 +16,7 @@
 //! Non-finite points follow the erasure rule (zero LLRs, hard group 0);
 //! the oracle applies the same rule, so every input is compared.
 
+use cos_dsp::rng::splitmix64;
 use cos_dsp::{Complex, KernelMode};
 use cos_fec::viterbi::quantise;
 use cos_phy::constellation::Modulation;
@@ -283,12 +284,10 @@ struct Values {
 
 impl Values {
     fn next_u64(&mut self) -> u64 {
-        // SplitMix64.
+        // A SplitMix64 stream.
+        let z = splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        z
     }
 
     fn unit(&mut self) -> f64 {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Line count for the crates under crates/: per crate, the non-blank lines
-# that are not `//` comments (doc comments included), split into library
-# code and test code. Test code is every `#[cfg(test)]` item in `src/`
+# Line count for the workspace's crates, those under crates/ and the
+# vendored shims under vendor/: per crate, the non-blank lines that are
+# not `//` comments (doc comments included), split into library code and
+# test code. Test code is every `#[cfg(test)]` item in `src/`
 # (found by brace depth) plus every file under the crate's `tests/`.
 # Binaries under `src/bin/` count as library code. Informational, not a
 # gate: run it before and after a change and compare.
@@ -40,19 +41,20 @@ count_all() {
          END { printf "%d\n", n }' "$@"
 }
 
-printf '%-14s %8s %8s %8s\n' crate library tests total
+printf '%-16s %8s %8s %8s\n' crate library tests total
 lib_sum=0
 test_sum=0
-for dir in crates/*/; do
-    name=$(basename "$dir")
+for dir in crates/*/ vendor/*/; do
+    name=${dir%/}
+    name=${name#crates/}
     mapfile -t src < <(find "$dir/src" -name '*.rs' | sort)
     read -r lib test < <(count_src "${src[@]}")
     if [ -d "$dir/tests" ]; then
         mapfile -t tst < <(find "$dir/tests" -name '*.rs' | sort)
         test=$((test + $(count_all "${tst[@]}")))
     fi
-    printf '%-14s %8d %8d %8d\n' "$name" "$lib" "$test" $((lib + test))
+    printf '%-16s %8d %8d %8d\n' "$name" "$lib" "$test" $((lib + test))
     lib_sum=$((lib_sum + lib))
     test_sum=$((test_sum + test))
 done
-printf '%-14s %8d %8d %8d\n' total "$lib_sum" "$test_sum" $((lib_sum + test_sum))
+printf '%-16s %8d %8d %8d\n' total "$lib_sum" "$test_sum" $((lib_sum + test_sum))

@@ -21,8 +21,9 @@ fn sustained_session_delivers_control_messages() {
     // experiments run in. (At the *bottom edge* of the 16/64QAM bands the
     // detectable-subcarrier budget shrinks and control accuracy degrades —
     // a reproduction finding recorded in EXPERIMENTS.md.)
-    // Seed retuned for the vendored deterministic RNG stream (see README
-    // "Offline builds"): the channel draws differ from upstream `rand`.
+    // Seed retuned for the workspace's deterministic RNG stream (see
+    // README "Offline builds"): the channel draws differ from upstream
+    // `rand`.
     let mut session = CosSession::new(
         SessionConfig { snr_db: 18.0, rate: Some(DataRate::Mbps12), ..Default::default() },
         4711,
@@ -65,8 +66,8 @@ fn rate_adapts_down_when_channel_degrades() {
 
 #[test]
 fn strong_interference_breaks_detection_but_not_quiet_links() {
-    // Seed retuned for the vendored deterministic RNG stream (see README
-    // "Offline builds").
+    // Seed retuned for the workspace's deterministic RNG stream (see
+    // README "Offline builds").
     let quiet_session =
         run_with_interference(None, 16.0, 7);
     let loud_session = run_with_interference(

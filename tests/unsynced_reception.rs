@@ -15,7 +15,7 @@ fn payload(n: usize) -> Vec<u8> {
 #[test]
 fn unsynced_frame_with_cfo_decodes() {
     // ±40 kHz CFO (≈ 8 ppm at 5.2 GHz) and a random-ish lead-in. Seeds
-    // retuned for the vendored deterministic RNG stream (see README
+    // retuned for the workspace's deterministic RNG stream (see README
     // "Offline builds").
     for (cfo, lead, seed) in [(37e3, 511usize, 50u64), (-80e3, 123, 51), (12e3, 999, 52)] {
         let mut link = Link::new(ChannelConfig::default(), 20.0, seed)
@@ -89,8 +89,8 @@ fn cos_control_survives_unsynced_reception() {
     use cos::core::power_controller::PowerController;
     use cos::phy::sync::correct_cfo;
 
-    // Seed retuned for the vendored deterministic RNG stream (see README
-    // "Offline builds").
+    // Seed retuned for the workspace's deterministic RNG stream (see
+    // README "Offline builds").
     let mut link = Link::new(ChannelConfig::default(), 21.0, 5)
         .with_cfo(-55e3)
         .with_lead_in(640);
