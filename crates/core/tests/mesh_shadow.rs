@@ -14,7 +14,7 @@ use cos_channel::{FaultEngine, OverlapComposer};
 use cos_core::engine::EngineConfig;
 use cos_core::mesh::{CtlEvent, DataEvent, MeshConfig, MeshNet, MeshTopology, StationTrace};
 use cos_core::session::CosSession;
-use proptest::prelude::*;
+use cos_dsp::rng::cases;
 
 /// Replays one station's recorded event streams on fresh stand-alone
 /// sessions and asserts every frame summary matches the live run.
@@ -63,23 +63,19 @@ fn replay_all(net: &MeshNet, n: usize) {
     }
 }
 
-proptest! {
-    // Each case simulates a full cell with real PHY frames — keep the
-    // case count low and the coverage per case high.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The core property: every station of a coordinated or
-    /// uncoordinated cell — contention, hidden terminals, beacons,
-    /// commands, churn and all — replays byte-identically stand-alone,
-    /// and nobody starves.
-    #[test]
-    fn mesh_stations_replay_byte_identically(
-        seed in any::<u64>(),
-        n in 3usize..6,
-        clusters in 1usize..3,
-        coordinated in any::<bool>(),
-        churn in any::<bool>(),
-    ) {
+/// The core property: every station of a coordinated or uncoordinated
+/// cell — contention, hidden terminals, beacons, commands, churn and all
+/// — replays byte-identically stand-alone, and nobody starves. Each case
+/// simulates a full cell with real PHY frames, so the case count is low
+/// and the coverage per case high.
+#[test]
+fn mesh_stations_replay_byte_identically() {
+    for mut rng in cases(6) {
+        let seed = rng.next_u64();
+        let n = 3 + rng.below(3);
+        let clusters = 1 + rng.below(2);
+        let coordinated = rng.next_u64() & 1 == 1;
+        let churn = rng.next_u64() & 1 == 1;
         let cfg = MeshConfig { seed, coordinated, ..MeshConfig::default() };
         let topo = MeshTopology::hidden_clusters(n, clusters, 20.0);
         let mut net = MeshNet::with_trace(EngineConfig { threads: 4 });
@@ -97,7 +93,7 @@ proptest! {
         // win the medium at least once, churned joiner included.
         let report = net.report(0);
         for st in &report.per_station {
-            prop_assert!(
+            assert!(
                 st.data.frames_tx > 0,
                 "station {} never transmitted in {} ticks",
                 st.station,
@@ -107,9 +103,8 @@ proptest! {
     }
 }
 
-/// Deterministic spot-check kept outside proptest so a plain `cargo
-/// test` exercises the replay path even with `PROPTEST_CASES=0`: the
-/// textbook two-cluster hidden cell under coordination, with churn.
+/// Deterministic spot-check of the textbook two-cluster hidden cell under
+/// coordination, with churn.
 #[test]
 fn hidden_cell_with_churn_replays_byte_identically() {
     let mut net = MeshNet::with_trace(EngineConfig { threads: 2 });

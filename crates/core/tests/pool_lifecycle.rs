@@ -8,8 +8,8 @@
 use cos_channel::{FaultEngine, FeedbackLoss};
 use cos_core::session::{CosSession, SessionConfig};
 use cos_core::{SessionId, SessionPool};
+use cos_dsp::rng::{cases, Xoshiro256};
 use cos_phy::rates::DataRate;
-use proptest::prelude::*;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -33,15 +33,16 @@ enum Op {
     Release(u8),
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u8..6).prop_map(Op::Create),
-        (0u8..8).prop_map(Op::Send),
-        (0u8..8).prop_map(Op::SendAdaptive),
-        (0u8..8).prop_map(Op::SendResilient),
-        (0u8..8).prop_map(Op::QueueControl),
-        (0u8..8).prop_map(Op::Release),
-    ]
+/// One op: the variant first, uniformly, then its operand.
+fn op(rng: &mut Xoshiro256) -> Op {
+    match rng.below(6) {
+        0 => Op::Create(rng.below(6) as u8),
+        1 => Op::Send(rng.below(8) as u8),
+        2 => Op::SendAdaptive(rng.below(8) as u8),
+        3 => Op::SendResilient(rng.below(8) as u8),
+        4 => Op::QueueControl(rng.below(8) as u8),
+        _ => Op::Release(rng.below(8) as u8),
+    }
 }
 
 fn config(variant: u8) -> SessionConfig {
@@ -63,13 +64,10 @@ struct LiveSession {
     packets: usize,
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn pooled_sessions_match_standalone_shadows(
-        ops in proptest::collection::vec(arb_op(), 1..14),
-    ) {
+#[test]
+fn pooled_sessions_match_standalone_shadows() {
+    for mut rng in cases(12) {
+        let ops: Vec<Op> = (0..1 + rng.below(13)).map(|_| op(&mut rng)).collect();
         let payload = [0x5A_u8; 180];
         let control = [1u8, 0, 0, 1, 1, 0, 1, 0];
         let mut pool = SessionPool::new();
@@ -97,7 +95,7 @@ proptest! {
                     let got = pooled.send_packet_summary(&payload, &control);
                     let want = s.shadow.send_packet_summary(&payload, &control);
                     s.packets += 1;
-                    prop_assert_eq!(got, want, "packet {} diverged", s.packets);
+                    assert_eq!(got, want, "packet {} diverged", s.packets);
                 }
                 Op::SendAdaptive(n) => {
                     if live.is_empty() {
@@ -109,7 +107,7 @@ proptest! {
                     let got = pooled.send_packet_adaptive_summary(&payload);
                     let want = s.shadow.send_packet_adaptive_summary(&payload);
                     s.packets += 1;
-                    prop_assert_eq!(got, want, "adaptive packet {} diverged", s.packets);
+                    assert_eq!(got, want, "adaptive packet {} diverged", s.packets);
                 }
                 Op::SendResilient(n) => {
                     if live.is_empty() {
@@ -121,8 +119,8 @@ proptest! {
                     let got = pooled.send_packet_resilient_summary(&payload);
                     let want = s.shadow.send_packet_resilient_summary(&payload);
                     s.packets += 1;
-                    prop_assert_eq!(got, want, "resilient packet {} diverged", s.packets);
-                    prop_assert_eq!(pooled.metrics(), s.shadow.metrics());
+                    assert_eq!(got, want, "resilient packet {} diverged", s.packets);
+                    assert_eq!(pooled.metrics(), s.shadow.metrics());
                 }
                 Op::QueueControl(n) => {
                     if live.is_empty() {
@@ -135,23 +133,23 @@ proptest! {
                     let pooled = pool.get_mut(s.id).expect("live handle resolves");
                     pooled.queue_control(bits.clone());
                     s.shadow.queue_control(bits);
-                    prop_assert_eq!(pooled.arq_backlog(), s.shadow.arq_backlog());
+                    assert_eq!(pooled.arq_backlog(), s.shadow.arq_backlog());
                 }
                 Op::Release(n) => {
                     if live.is_empty() {
                         continue;
                     }
                     let s = live.remove(n as usize % live.len());
-                    prop_assert!(pool.release(s.id), "live handle releases");
+                    assert!(pool.release(s.id), "live handle releases");
                     released.push(s.id);
                 }
             }
             // Stale handles stay dead whatever happened since.
             for id in &released {
-                prop_assert!(pool.get(*id).is_none(), "released handle resurrected");
-                prop_assert!(!pool.release(*id), "double release succeeded");
+                assert!(pool.get(*id).is_none(), "released handle resurrected");
+                assert!(!pool.release(*id), "double release succeeded");
             }
-            prop_assert_eq!(pool.len(), live.len(), "pool live count drifted");
+            assert_eq!(pool.len(), live.len(), "pool live count drifted");
         }
 
         // Every case ends by recycling what it dirtied: each live session
@@ -165,8 +163,8 @@ proptest! {
             for _ in 0..6 {
                 pooled.send_packet_resilient_summary(&payload);
             }
-            prop_assert!(!pooled.transitions().is_empty(), "the blackout never degraded the link");
-            prop_assert!(pool.release(s.id), "live handle releases");
+            assert!(!pooled.transitions().is_empty(), "the blackout never degraded the link");
+            assert!(pool.release(s.id), "live handle releases");
             let seed = 0xF00D + k as u64;
             let id = pool.create(config(k as u8), seed);
             let mut shadow = CosSession::new(config(k as u8), seed);
@@ -174,9 +172,9 @@ proptest! {
             assert_fresh(pooled, &shadow);
             for _ in 0..3 {
                 let got = pooled.send_packet_resilient_summary(&payload);
-                prop_assert_eq!(got, shadow.send_packet_resilient_summary(&payload));
+                assert_eq!(got, shadow.send_packet_resilient_summary(&payload));
                 let got = pooled.send_packet_adaptive_summary(&payload);
-                prop_assert_eq!(got, shadow.send_packet_adaptive_summary(&payload));
+                assert_eq!(got, shadow.send_packet_adaptive_summary(&payload));
             }
         }
     }

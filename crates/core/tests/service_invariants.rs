@@ -11,7 +11,7 @@ use cos_core::service::{
 };
 use cos_core::session::{CosSession, SessionConfig};
 use cos_core::{EngineConfig, JobResult};
-use proptest::prelude::*;
+use cos_dsp::rng::{cases, Xoshiro256};
 
 const PAYLOAD: [u8; 150] = [0x6B; 150];
 const CONTROL: [u8; 8] = [1, 0, 1, 1, 0, 1, 0, 0];
@@ -32,20 +32,20 @@ enum Op {
     BeginDrain,
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    // The vendored proptest has no weighted prop_oneof!; duplicate the
-    // submit/pump arms to bias the mix toward real work.
-    prop_oneof![
-        (0u8..4, 0u8..3).prop_map(|(s, k)| Op::Submit(s, k)),
-        (4u8..8, 0u8..3).prop_map(|(s, k)| Op::Submit(s, k)),
-        (0u8..8, 3u8..6).prop_map(|(s, k)| Op::Submit(s, k)),
-        (0u8..8).prop_map(Op::Cancel),
-        Just(Op::Pump),
-        Just(Op::Pump),
-        Just(Op::PoisonNext),
-        (0u8..4).prop_map(Op::StallNext),
-        Just(Op::BeginDrain),
-    ]
+/// One op: one of nine arms uniformly, then its operands. Submit has
+/// three arms and Pump two, which biases the mix toward real work.
+fn op(rng: &mut Xoshiro256) -> Op {
+    let mut below = |n: usize| rng.below(n) as u8;
+    match below(9) {
+        0 => Op::Submit(below(4), below(3)),
+        1 => Op::Submit(4 + below(4), below(3)),
+        2 => Op::Submit(below(8), 3 + below(3)),
+        3 => Op::Cancel(below(8)),
+        4 | 5 => Op::Pump,
+        6 => Op::PoisonNext,
+        7 => Op::StallNext(below(4)),
+        _ => Op::BeginDrain,
+    }
 }
 
 fn session_configs() -> [SessionConfig; 2] {
@@ -55,13 +55,10 @@ fn session_configs() -> [SessionConfig; 2] {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    #[test]
-    fn service_outcomes_match_shadow_sequential_run(
-        ops in proptest::collection::vec(arb_op(), 1..18),
-    ) {
+#[test]
+fn service_outcomes_match_shadow_sequential_run() {
+    for mut rng in cases(10) {
+        let ops: Vec<Op> = (0..1 + rng.below(17)).map(|_| op(&mut rng)).collect();
         let cfg = ServiceConfig {
             queue_capacity: 4,
             session_quota: 3,
@@ -127,24 +124,24 @@ proptest! {
         resolved.sort_unstable();
         let mut expected: Vec<u64> = admitted.iter().map(|(t, _, _)| t.value()).collect();
         expected.sort_unstable();
-        prop_assert_eq!(&resolved, &expected, "tickets lost or duplicated");
+        assert_eq!(&resolved, &expected, "tickets lost or duplicated");
 
         // --- The stats ledger balances. ---
         let s = core.stats();
-        prop_assert_eq!(s.admitted, admitted.len() as u64);
-        prop_assert_eq!(
+        assert_eq!(s.admitted, admitted.len() as u64);
+        assert_eq!(
             s.admitted,
             s.completed + s.expired + s.cancelled + s.quarantined_poison + s.quarantined_stall
         );
-        prop_assert_eq!(
+        assert_eq!(
             s.rejected_queue_full + s.rejected_session_quota + s.rejected_draining,
             rejections
         );
         // Rejected/cancelled/expired/quarantined jobs never consume engine
         // capacity.
-        prop_assert_eq!(s.engine_jobs, s.completed);
-        prop_assert_eq!(core.inflight(), 0);
-        prop_assert!(core.queue_depth() == 0);
+        assert_eq!(s.engine_jobs, s.completed);
+        assert_eq!(core.inflight(), 0);
+        assert!(core.queue_depth() == 0);
 
         // --- Per-session order: completed outcomes preserve admission
         // order, and match a shadow sequential run byte-for-byte. ---
@@ -157,7 +154,7 @@ proptest! {
                 .iter()
                 .find(|(t, _, _)| *t == o.ticket)
                 .expect("completed ticket was admitted");
-            prop_assert!(
+            assert!(
                 last_ticket[which].is_none_or(|prev| prev < o.ticket.value()),
                 "session {} completed out of admission order", which
             );
@@ -173,7 +170,7 @@ proptest! {
                     JobResult::Adaptive(shadows[which].send_packet_adaptive_summary(&PAYLOAD))
                 }
             };
-            prop_assert_eq!(got, want, "ticket {} diverged from shadow", o.ticket.value());
+            assert_eq!(got, want, "ticket {} diverged from shadow", o.ticket.value());
         }
     }
 }

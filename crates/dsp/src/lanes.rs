@@ -404,7 +404,7 @@ mod avx512 {
 /// or the plain scalar reference.
 ///
 /// Both produce the same bits (gated by the kernel differential
-/// proptests). Production always runs [`KernelMode::Lanes`]; each
+/// property tests). Production always runs [`KernelMode::Lanes`]; each
 /// kernel's `_with` hook takes a mode so the differential tests can run
 /// the scalar reference against it. Which lane body a build has —
 /// AVX-512 intrinsics or the portable lanes — is fixed at compile time

@@ -124,6 +124,26 @@ impl Xoshiro256 {
     }
 }
 
+/// The property tests' case source: `n` generators, case `k` seeded with
+/// `0xC05_5EED ^ (k << 1)`.
+///
+/// A property loops over `cases(n)` and draws its inputs from each
+/// generator. Every run explores the same cases, and nothing shrinks: a
+/// failing case panics at its assertion (`docs/DETERMINISM.md`).
+///
+/// # Examples
+///
+/// ```
+/// use cos_dsp::rng::cases;
+///
+/// let mut first = cases(64).next().unwrap();
+/// assert_eq!(first.next_u64(), 0x766d_ac28_bace_15e4);
+/// assert_eq!(cases(64).count(), 64);
+/// ```
+pub fn cases(n: u32) -> impl Iterator<Item = Xoshiro256> {
+    (0..n).map(|k| Xoshiro256::new(0xC05_5EED ^ (u64::from(k) << 1)))
+}
+
 // fdlibm/musl `log`: ln 2 split so `k·LN2_HI` is exact, and the
 // Remez coefficients of `R(z) ≈ (ln((1+s)/(1−s)) − 2s)/s`, `z = s²`.
 const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);

@@ -4,14 +4,20 @@
 //! every other plan length on the scalar path.
 
 use cos_dsp::fft::Fft;
+use cos_dsp::rng::{cases, Xoshiro256};
 use cos_dsp::{Complex, KernelMode};
-use proptest::prelude::*;
 
-fn arb_signal(len: usize) -> impl Strategy<Value = Vec<Complex>> {
-    proptest::collection::vec(
-        (-1e3f64..1e3, -1e3f64..1e3).prop_map(|(re, im)| Complex::new(re, im)),
-        len,
-    )
+/// `len` complex numbers with both parts uniform in `[-1e3, 1e3)`. The
+/// length is drawn first, a fixed one included, as every vector's is.
+fn signal(rng: &mut Xoshiro256, len: usize) -> Vec<Complex> {
+    let len = len + rng.below(1);
+    (0..len)
+        .map(|_| {
+            let re = -1e3 + rng.unit_f64() * 2e3;
+            let im = -1e3 + rng.unit_f64() * 2e3;
+            Complex::new(re, im)
+        })
+        .collect()
 }
 
 fn assert_bits_eq(a: &[Complex], b: &[Complex]) {
@@ -64,14 +70,12 @@ fn symbol(words: &[u64], shape: u64) -> Vec<Complex> {
     sym
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4096))]
-
-    #[test]
-    fn lane_kernel_is_bit_identical_to_scalar_radix2(
-        words in proptest::collection::vec(any::<u64>(), 128),
-        shape in any::<u64>(),
-    ) {
+#[test]
+fn lane_kernel_is_bit_identical_to_scalar_radix2() {
+    for mut rng in cases(4096) {
+        // The length is drawn first, a fixed one included.
+        let words: Vec<u64> = (0..128 + rng.below(1)).map(|_| rng.next_u64()).collect();
+        let shape = rng.next_u64();
         let plan = Fft::new(64);
         let input = symbol(&words, shape);
         let (mut scalar, mut lanes) = (input.clone(), input.clone());
@@ -86,13 +90,12 @@ proptest! {
     }
 }
 
-proptest! {
-    #[test]
-    fn lane_fft_is_bit_identical_to_scalar(
-        signal in arb_signal(128),
-        len_idx in 0usize..4,
-        inverse in 0usize..2,
-    ) {
+#[test]
+fn lane_fft_is_bit_identical_to_scalar() {
+    for mut rng in cases(64) {
+        let signal = signal(&mut rng, 128);
+        let len_idx = rng.below(4);
+        let inverse = rng.below(2);
         let n = [8, 16, 64, 128][len_idx];
         let plan = Fft::new(n);
         let mut scalar = signal[..n].to_vec();

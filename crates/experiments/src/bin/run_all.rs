@@ -6,9 +6,11 @@
 //! given. An unknown name exits with status 2 before anything runs and
 //! lists the valid names. Output is byte-identical at any `--threads` /
 //! `COS_THREADS` value (`docs/DETERMINISM.md`). A CSV that cannot be
-//! written exits with status 1.
+//! written exits with status 1. Each entry's wall time goes to stderr as
+//! `[time] <name>: <s> s`.
 
-use std::io;
+use std::io::{self, Write};
+use std::time::Instant;
 
 use cos_experiments::harness::{select, Entry};
 use cos_experiments::table::{self, Table};
@@ -103,6 +105,7 @@ fn main() {
         std::process::exit(2);
     });
     for entry in entries {
+        let start = Instant::now();
         let header = format!("== {}: {} ==\n", entry.name, entry.what);
         if let Err(e) = table::print(&mut io::stdout().lock(), &header)
             .and_then(|()| table::emit(&(entry.run)()))
@@ -110,6 +113,10 @@ fn main() {
             eprintln!("[csv] {e}");
             std::process::exit(1);
         }
+        // A closed stderr must not stop the run: the write's result is
+        // dropped.
+        let secs = start.elapsed().as_secs_f64();
+        let _ = writeln!(io::stderr(), "[time] {}: {secs:.1} s", entry.name);
     }
 }
 

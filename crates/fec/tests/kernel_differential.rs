@@ -16,10 +16,10 @@
 //! random full-magnitude signs), which drive the metric spread to its
 //! bound.
 
+use cos_dsp::rng::cases;
 use cos_dsp::KernelMode;
 use cos_fec::viterbi::SOFT_MAX;
 use cos_fec::{LaneFrame, SymbolBatch, ViterbiDecoder};
-use proptest::prelude::*;
 
 /// The survivor words before this step may differ from the reference's.
 const WARM_UP: usize = 6;
@@ -89,24 +89,27 @@ fn check(llrs: &[i16], terminated: bool) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn i16_kernel_equals_the_f64_reference(
-        steps in prop_oneof![1usize..64, 64usize..1024, 1024usize..8193],
-        shape in 0u8..4,
-        seed in any::<u64>(),
-        t in 0usize..2,
-    ) {
+#[test]
+fn i16_kernel_equals_the_f64_reference() {
+    for mut rng in cases(96) {
+        // Short, medium and long frames equally often.
+        let steps = match rng.below(3) {
+            0 => 1 + rng.below(63),
+            1 => 64 + rng.below(960),
+            _ => 1024 + rng.below(7169),
+        };
+        let shape = rng.below(4) as u8;
+        let seed = rng.next_u64();
+        let t = rng.below(2);
         check(&stream(steps, shape, seed), t == 1);
     }
+}
 
-    #[test]
-    fn lockstep_shim_decodes_each_frame_like_the_kernel(
-        lens in proptest::collection::vec(1usize..300, 1..9),
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn lockstep_shim_decodes_each_frame_like_the_kernel() {
+    for mut rng in cases(96) {
+        let lens: Vec<usize> = (0..1 + rng.below(8)).map(|_| 1 + rng.below(299)).collect();
+        let seed = rng.next_u64();
         let frames: Vec<Vec<i16>> =
             lens.iter().enumerate().map(|(k, &s)| stream(s, 0, seed ^ k as u64)).collect();
         let mut prevs: Vec<Vec<u64>> = lens.iter().map(|&s| vec![0; s]).collect();
@@ -120,8 +123,8 @@ proptest! {
         drop(lane_frames);
         for (k, llrs) in frames.iter().enumerate() {
             let (prev, out) = kernel(llrs, true, KernelMode::Lanes);
-            prop_assert_eq!(&outs[k], &out, "frame {}", k);
-            prop_assert_eq!(&prevs[k], &prev, "frame {}", k);
+            assert_eq!(&outs[k], &out, "frame {}", k);
+            assert_eq!(&prevs[k], &prev, "frame {}", k);
         }
     }
 }

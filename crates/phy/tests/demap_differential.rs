@@ -16,11 +16,10 @@
 //! Non-finite points follow the erasure rule (zero LLRs, hard group 0);
 //! the oracle applies the same rule, so every input is compared.
 
-use cos_dsp::rng::splitmix64;
+use cos_dsp::rng::{cases, splitmix64};
 use cos_dsp::{Complex, KernelMode};
 use cos_fec::viterbi::quantise;
 use cos_phy::constellation::Modulation;
-use proptest::prelude::*;
 
 /// The standard's per-axis Gray tables (Table 17-9..17-12), indexed by
 /// the axis bit group read MSB-first.
@@ -315,16 +314,13 @@ impl Values {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(1024))]
-
-    #[test]
-    fn random_rows_match_oracle(
-        seed in any::<u64>(),
-        m in proptest::sample::select(Modulation::ALL.to_vec()),
-        len in 1usize..=70,
-        masked in any::<bool>(),
-    ) {
+#[test]
+fn random_rows_match_oracle() {
+    for mut rng in cases(1024) {
+        let seed = rng.next_u64();
+        let m = Modulation::ALL[rng.below(Modulation::ALL.len())];
+        let len = 1 + rng.below(70);
+        let masked = rng.next_u64() & 1 == 1;
         let mut values = Values { state: seed, edges: edge_values(m) };
         let row: Vec<Complex> =
             (0..len).map(|_| Complex::new(values.value(), values.value())).collect();
@@ -332,12 +328,13 @@ proptest! {
         let mask: Vec<bool> = (0..len).map(|_| values.next_u64().is_multiple_of(3)).collect();
         assert_row_matches(m, &row, &weights, masked.then_some(&mask[..]));
     }
+}
 
-    #[test]
-    fn single_point_views_match_the_row_kernel(
-        seed in any::<u64>(),
-        m in proptest::sample::select(Modulation::ALL.to_vec()),
-    ) {
+#[test]
+fn single_point_views_match_the_row_kernel() {
+    for mut rng in cases(1024) {
+        let seed = rng.next_u64();
+        let m = Modulation::ALL[rng.below(Modulation::ALL.len())];
         let mut values = Values { state: seed, edges: edge_values(m) };
         let y = Complex::new(values.value(), values.value());
         let w = values.weight();
@@ -349,11 +346,11 @@ proptest! {
         let want: Vec<i16> = want_llrs[..n].iter().map(|&l| quantise(l)).collect();
         let mut llrs = vec![5];
         m.soft_demap(y, w, &mut llrs);
-        prop_assert_eq!(&llrs[1..], &want[..]);
+        assert_eq!(&llrs[1..], &want[..]);
         let mut slice = [9; 6];
         m.soft_demap_to_slice(y, w, &mut slice[..n]);
-        prop_assert_eq!(&slice[..n], &want[..]);
-        prop_assert_eq!(m.hard_demap(y), want_hard[..n].to_vec());
-        prop_assert_eq!(m.nearest_point(y), m.map(&want_hard[..n]));
+        assert_eq!(&slice[..n], &want[..]);
+        assert_eq!(m.hard_demap(y), want_hard[..n].to_vec());
+        assert_eq!(m.nearest_point(y), m.map(&want_hard[..n]));
     }
 }

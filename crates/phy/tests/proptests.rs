@@ -10,34 +10,40 @@ use cos_phy::rates::DataRate;
 use cos_phy::rx::{Receiver, RxConfig};
 use cos_phy::signal::parse_signal_slice;
 use cos_phy::tx::Transmitter;
+use cos_dsp::rng::{cases, Xoshiro256};
 use cos_dsp::Complex;
-use proptest::prelude::*;
 
-fn arb_modulation() -> impl Strategy<Value = Modulation> {
-    proptest::sample::select(Modulation::ALL.to_vec())
+/// `lens.start..lens.end` random bytes: the length is drawn first.
+fn bytes(rng: &mut Xoshiro256, lens: std::ops::Range<usize>) -> Vec<u8> {
+    (0..lens.start + rng.below(lens.len())).map(|_| rng.next_u64() as u8).collect()
 }
 
-fn arb_rate() -> impl Strategy<Value = DataRate> {
-    proptest::sample::select(DataRate::ALL.to_vec())
+fn modulation(rng: &mut Xoshiro256) -> Modulation {
+    Modulation::ALL[rng.below(Modulation::ALL.len())]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+fn rate(rng: &mut Xoshiro256) -> DataRate {
+    DataRate::ALL[rng.below(DataRate::ALL.len())]
+}
 
-    #[test]
-    fn map_demap_is_identity(m in arb_modulation(), idx in 0usize..64) {
+#[test]
+fn map_demap_is_identity() {
+    for mut rng in cases(32) {
+        let m = modulation(&mut rng);
+        let idx = rng.below(64);
         let n = m.bits_per_symbol();
         let idx = idx % m.points_count();
         let bits: Vec<u8> = (0..n).map(|i| ((idx >> (n - 1 - i)) & 1) as u8).collect();
-        prop_assert_eq!(m.hard_demap(m.map(&bits)), bits);
+        assert_eq!(m.hard_demap(m.map(&bits)), bits);
     }
+}
 
-    #[test]
-    fn soft_demap_sign_matches_hard_decision(
-        m in arb_modulation(),
-        re in -1.5f64..1.5,
-        im in -1.5f64..1.5,
-    ) {
+#[test]
+fn soft_demap_sign_matches_hard_decision() {
+    for mut rng in cases(32) {
+        let m = modulation(&mut rng);
+        let re = -1.5 + rng.unit_f64() * 3.0;
+        let im = -1.5 + rng.unit_f64() * 3.0;
         // For any received point, the per-bit LLR sign must agree with the
         // nearest-point hard decision (max-log consistency).
         let y = Complex::new(re, im);
@@ -46,13 +52,17 @@ proptest! {
         m.soft_demap(y, 1.0, &mut llrs);
         for (i, (&b, &l)) in hard.iter().zip(&llrs).enumerate() {
             if l != 0 {
-                prop_assert_eq!(b, (l < 0) as u8, "bit {} of {:?} at {}", i, m, y);
+                assert_eq!(b, (l < 0) as u8, "bit {} of {:?} at {}", i, m, y);
             }
         }
     }
+}
 
-    #[test]
-    fn ofdm_roundtrip_arbitrary_points(seed in any::<u64>(), polarity in prop_oneof![Just(1i8), Just(-1i8)]) {
+#[test]
+fn ofdm_roundtrip_arbitrary_points() {
+    for mut rng in cases(32) {
+        let seed = rng.next_u64();
+        let polarity = [1i8, -1][rng.below(2)];
         let mut x = seed | 1;
         let points: Vec<Complex> = (0..48).map(|_| {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -63,30 +73,32 @@ proptest! {
         let sym = FreqSymbol::assemble(&points, polarity);
         let rx = engine.demodulate(&engine.modulate(&sym));
         for (a, b) in sym.0.iter().zip(rx.0.iter()) {
-            prop_assert!((*a - *b).norm() < 1e-9);
+            assert!((*a - *b).norm() < 1e-9);
         }
     }
+}
 
-    #[test]
-    fn data_field_roundtrip_any_payload(
-        payload in proptest::collection::vec(any::<u8>(), 1..300),
-        rate in arb_rate(),
-        seed in 1u8..0x80,
-    ) {
+#[test]
+fn data_field_roundtrip_any_payload() {
+    for mut rng in cases(32) {
+        let payload = bytes(&mut rng, 1..300);
+        let rate = rate(&mut rng);
+        let seed = 1 + rng.below(0x7F) as u8;
         let psdu = payload_to_psdu(&payload);
         let df = build_data_field(&psdu, rate, seed);
         let llrs: Vec<i16> =
             df.interleaved.iter().map(|&b| if b == 0 { 100 } else { -100 }).collect();
         let decoded = decode_data_field(&llrs, rate, psdu.len()).expect("decodes");
-        prop_assert_eq!(decoded.scrambler_seed, seed);
-        prop_assert_eq!(extract_payload(&decoded.bits, psdu.len()), Some(payload));
+        assert_eq!(decoded.scrambler_seed, seed);
+        assert_eq!(extract_payload(&decoded.bits, psdu.len()), Some(payload));
     }
+}
 
-    #[test]
-    fn frame_survives_scattered_erasures(
-        payload in proptest::collection::vec(any::<u8>(), 50..200),
-        stride in 25usize..60,
-    ) {
+#[test]
+fn frame_survives_scattered_erasures() {
+    for mut rng in cases(32) {
+        let payload = bytes(&mut rng, 50..200);
+        let stride = 25 + rng.below(35);
         let rate = DataRate::Mbps24;
         let psdu = payload_to_psdu(&payload);
         let df = build_data_field(&psdu, rate, 0x5D);
@@ -96,37 +108,42 @@ proptest! {
             llrs[i] = 0;
         }
         let decoded = decode_data_field(&llrs, rate, psdu.len()).expect("decodes");
-        prop_assert_eq!(extract_payload(&decoded.bits, psdu.len()), Some(payload));
+        assert_eq!(extract_payload(&decoded.bits, psdu.len()), Some(payload));
     }
+}
 
-    #[test]
-    fn airtime_monotonically_decreases_with_rate(bytes in 1usize..2000) {
+#[test]
+fn airtime_monotonically_decreases_with_rate() {
+    for mut rng in cases(32) {
+        let bytes = 1 + rng.below(1999);
         let times: Vec<f64> = DataRate::ALL.iter().map(|r| r.frame_airtime_us(bytes)).collect();
         for w in times.windows(2) {
-            prop_assert!(w[1] <= w[0], "faster rate must not take longer: {:?}", times);
+            assert!(w[1] <= w[0], "faster rate must not take longer: {:?}", times);
         }
     }
+}
 
-    #[test]
-    fn signal_parser_never_panics_on_arbitrary_bits(
-        bits in proptest::collection::vec(0u8..2, 0..40),
-    ) {
+#[test]
+fn signal_parser_never_panics_on_arbitrary_bits() {
+    for mut rng in cases(32) {
+        let bits: Vec<u8> = (0..rng.below(40)).map(|_| rng.below(2) as u8).collect();
         // Any bit vector: a typed error, or a sane (rate, length) pair.
         match parse_signal_slice(&bits) {
             Ok((rate, len)) => {
-                prop_assert!(DataRate::ALL.contains(&rate));
-                prop_assert!(len <= 0xFFF);
+                assert!(DataRate::ALL.contains(&rate));
+                assert!(len <= 0xFFF);
             }
             Err(e) => {
                 let _ = e.kind(); // every error carries a stable label
             }
         }
     }
+}
 
-    #[test]
-    fn rx_chain_survives_arbitrary_sample_streams(
-        bytes in proptest::collection::vec(any::<u8>(), 0..800),
-    ) {
+#[test]
+fn rx_chain_survives_arbitrary_sample_streams() {
+    for mut rng in cases(32) {
+        let bytes = bytes(&mut rng, 0..800);
         // Raw garbage in: the full receive chain must return a typed error
         // or a frame that failed its CRC — never panic, never a false pass.
         let samples: Vec<Complex> = bytes
@@ -138,18 +155,19 @@ proptest! {
             })
             .collect();
         match Receiver::new().receive(&samples, &RxConfig::ideal()) {
-            Ok(frame) => prop_assert!(!frame.crc_ok(), "garbage must not pass CRC"),
+            Ok(frame) => assert!(!frame.crc_ok(), "garbage must not pass CRC"),
             Err(e) => {
                 let _ = e.kind();
             }
         }
     }
+}
 
-    #[test]
-    fn rx_chain_survives_truncated_frames(
-        payload in proptest::collection::vec(any::<u8>(), 10..120),
-        keep_permille in 0usize..1000,
-    ) {
+#[test]
+fn rx_chain_survives_truncated_frames() {
+    for mut rng in cases(32) {
+        let payload = bytes(&mut rng, 10..120);
+        let keep_permille = rng.below(1000);
         // A legitimate frame cut off mid-air at any point: typed error or
         // an honest CRC verdict.
         let frame = Transmitter::new().build_frame(&payload, DataRate::Mbps24, 0x5D);
@@ -161,7 +179,7 @@ proptest! {
                 if frame.crc_ok() {
                     // Only possible when enough samples survived to carry
                     // the whole frame.
-                    prop_assert_eq!(frame.payload.as_deref(), Some(&payload[..]));
+                    assert_eq!(frame.payload.as_deref(), Some(&payload[..]));
                 }
             }
             Err(e) => {
@@ -169,13 +187,14 @@ proptest! {
             }
         }
     }
+}
 
-    #[test]
-    fn rx_chain_survives_bit_flipped_frames(
-        payload in proptest::collection::vec(any::<u8>(), 10..120),
-        stride in 1usize..200,
-        phase in 0usize..50,
-    ) {
+#[test]
+fn rx_chain_survives_bit_flipped_frames() {
+    for mut rng in cases(32) {
+        let payload = bytes(&mut rng, 10..120);
+        let stride = 1 + rng.below(199);
+        let phase = rng.below(50);
         // Sample-level corruption (sign flips every `stride` samples): the
         // chain must not panic, and a CRC pass implies the exact payload.
         let frame = Transmitter::new().build_frame(&payload, DataRate::Mbps12, 0x31);
@@ -188,7 +207,7 @@ proptest! {
         match Receiver::new().receive(&samples, &RxConfig::ideal()) {
             Ok(frame) => {
                 if frame.crc_ok() {
-                    prop_assert_eq!(frame.payload.as_deref(), Some(&payload[..]));
+                    assert_eq!(frame.payload.as_deref(), Some(&payload[..]));
                 }
             }
             Err(e) => {
@@ -196,13 +215,14 @@ proptest! {
             }
         }
     }
+}
 
-    #[test]
-    fn truncated_llrs_never_panic_the_data_field_decoder(
-        payload in proptest::collection::vec(any::<u8>(), 1..100),
-        keep_permille in 0usize..1000,
-        rate in arb_rate(),
-    ) {
+#[test]
+fn truncated_llrs_never_panic_the_data_field_decoder() {
+    for mut rng in cases(32) {
+        let payload = bytes(&mut rng, 1..100);
+        let keep_permille = rng.below(1000);
+        let rate = rate(&mut rng);
         let psdu = payload_to_psdu(&payload);
         let df = build_data_field(&psdu, rate, 0x5D);
         let llrs: Vec<i16> =

@@ -16,6 +16,7 @@
 //! bits at the quantiser's extremes (±511) and erasures (0), and a
 //! workspace left dirty by a longer frame at another rate.
 
+use cos_dsp::rng::cases;
 use cos_dsp::KernelMode;
 use cos_fec::FecWorkspace;
 use cos_phy::error::PhyError;
@@ -24,7 +25,6 @@ use cos_phy::frame::{
     SERVICE_BITS, TAIL_BITS,
 };
 use cos_phy::rates::DataRate;
-use proptest::prelude::*;
 
 /// The retired two-pass staging: deinterleave whole symbols, depuncture,
 /// truncate at the tail.
@@ -104,32 +104,25 @@ fn both_staging_bodies_match_the_oracle_at_every_rate() {
     }
 }
 
-fn arb_rate() -> impl Strategy<Value = DataRate> {
-    proptest::sample::select(DataRate::ALL.to_vec())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn one_pass_staging_matches_the_two_pass_oracle(
-        rate in arb_rate(),
-        symbols in 0usize..14,
-        ragged in 0usize..288,
-        psdu_len in 0usize..360,
-        seed in any::<u64>(),
-        scalar in any::<bool>(),
-    ) {
+#[test]
+fn one_pass_staging_matches_the_two_pass_oracle() {
+    for mut rng in cases(96) {
+        let rate = DataRate::ALL[rng.below(DataRate::ALL.len())];
+        let symbols = rng.below(14);
+        let ragged = rng.below(288);
+        let psdu_len = rng.below(360);
+        let seed = rng.next_u64();
+        let scalar = rng.next_u64() & 1 == 1;
         let llrs = soft_bits(symbols * rate.ncbps() + ragged % rate.ncbps(), seed);
         let (want, want_prep) = oracle(&llrs, rate, psdu_len);
 
         let mut fec = dirty_workspace(rate, seed);
         let mode = if scalar { KernelMode::Scalar } else { KernelMode::Lanes };
         let got_prep = prepare_data_field_with(&llrs, rate, psdu_len, mode, &mut fec);
-        prop_assert_eq!(got_prep, want_prep);
-        prop_assert_eq!(fec.mother_llrs.len(), want.len());
+        assert_eq!(got_prep, want_prep);
+        assert_eq!(fec.mother_llrs.len(), want.len());
         for (i, (g, w)) in fec.mother_llrs.iter().zip(&want).enumerate() {
-            prop_assert_eq!(g, w, "{} mother bit {}", rate, i);
+            assert_eq!(g, w, "{} mother bit {}", rate, i);
         }
     }
 }

@@ -17,6 +17,7 @@
 //! Mbps, whose 36-bit symbols leave DATA fields that are not a whole
 //! number of bytes.
 
+use cos_dsp::rng::cases;
 use cos_dsp::{Complex, KernelMode, Prbs127};
 use cos_fec::bits::bytes_to_bits;
 use cos_fec::{ConvEncoder, Interleaver, Scrambler};
@@ -29,7 +30,6 @@ use cos_phy::rates::DataRate;
 use cos_phy::subcarriers::NUM_DATA;
 use cos_phy::tx::{Transmitter, TxFrame};
 use cos_phy::TxWorkspace;
-use proptest::prelude::*;
 
 /// The largest PSDU the 12-bit SIGNAL LENGTH field can carry.
 const MAX_PSDU: usize = 0xFFF;
@@ -228,16 +228,13 @@ fn both_interleave_bodies_match_the_per_bit_chain_in_a_dirty_workspace() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn random_frames_match_the_per_bit_chain(
-        r in 0usize..8,
-        len in 0usize..=MAX_PSDU,
-        seed in 1u8..=127,
-        salt in any::<u64>(),
-    ) {
+#[test]
+fn random_frames_match_the_per_bit_chain() {
+    for mut rng in cases(48) {
+        let r = rng.below(8);
+        let len = rng.below(MAX_PSDU + 1);
+        let seed = 1 + rng.below(127) as u8;
+        let salt = rng.next_u64();
         check(&psdu_of(len, salt), DataRate::ALL[r], seed, true);
     }
 }

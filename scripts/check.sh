@@ -12,6 +12,11 @@ trap 'rm -rf "$logs"' EXIT
 # the service entry's `live:` one, which depends on pump timing.
 storm_digests() { grep digest "$1" | grep -v '^  live:'; }
 
+echo "== Cargo.lock lists exactly the workspace members, the root package and crates/* (no vendored or external crate comes in undeclared)"
+diff <(grep '^name = ' Cargo.lock | cut -d'"' -f2 | sort) \
+    <(cargo metadata -q --no-deps --offline --format-version 1 | jq -r --arg root "$PWD/" \
+        '.packages[] | select(.manifest_path | ltrimstr($root) | test("^(crates/[^/]+/)?Cargo.toml$")) | .name' | sort)
+
 echo "== cargo build --release"
 cargo build --release
 

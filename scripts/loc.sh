@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Line count for the workspace's crates, those under crates/ and the
-# vendored shims under vendor/: per crate, the non-blank lines that are
-# not `//` comments (doc comments included), split into library code and
-# test code. Test code is every `#[cfg(test)]` item in `src/`
-# (found by brace depth) plus every file under the crate's `tests/`.
-# Binaries under `src/bin/` count as library code. Informational, not a
-# gate: run it before and after a change and compare.
+# root `cos` package: per crate, the non-blank lines that are not `//`
+# comments (doc comments included), split into library code and test
+# code. Test code is every `#[cfg(test)]` item in `src/` (found by brace
+# depth) plus every file under the crate's `tests/`. Binaries under
+# `src/bin/` count as library code. Informational, not a gate: run it
+# before and after a change and compare.
 #
 # Usage: scripts/loc.sh
 set -euo pipefail
@@ -44,9 +44,10 @@ count_all() {
 printf '%-16s %8s %8s %8s\n' crate library tests total
 lib_sum=0
 test_sum=0
-for dir in crates/*/ vendor/*/; do
+for dir in crates/*/ ./; do
     name=${dir%/}
     name=${name#crates/}
+    [ "$name" = . ] && name=cos
     mapfile -t src < <(find "$dir/src" -name '*.rs' | sort)
     read -r lib test < <(count_src "${src[@]}")
     if [ -d "$dir/tests" ]; then

@@ -9,6 +9,7 @@
 
 use cos::channel::{BurstInterference, ChannelConfig, FaultEngine, Link};
 use cos::core::power_controller::PowerController;
+use cos::dsp::rng::{cases, Xoshiro256};
 use cos::fec::bits::bits_to_bytes;
 use cos::phy::evm::reconstruct_points_into;
 use cos::phy::frame::SERVICE_BITS;
@@ -17,10 +18,14 @@ use cos::phy::rx::{FrontEnd, Receiver, RxConfig, RxDecodeOut, RxFrame, RxScratch
 use cos::phy::subcarriers::NUM_DATA;
 use cos::phy::tx::{Transmitter, TxFrame};
 use cos::phy::{PhyWorkspace, TxWorkspace};
-use proptest::prelude::*;
 
-fn arb_rate() -> impl Strategy<Value = DataRate> {
-    proptest::sample::select(DataRate::ALL.to_vec())
+fn rate(rng: &mut Xoshiro256) -> DataRate {
+    DataRate::ALL[rng.below(DataRate::ALL.len())]
+}
+
+/// `lens.start..lens.end` random bytes: the length is drawn first.
+fn bytes(rng: &mut Xoshiro256, lens: std::ops::Range<usize>) -> Vec<u8> {
+    (0..lens.start + rng.below(lens.len())).map(|_| rng.next_u64() as u8).collect()
 }
 
 /// Leaves unrelated garbage in every buffer of the workspace so reuse
@@ -35,10 +40,10 @@ fn dirty(tx: &Transmitter, rx: &Receiver, ws: &mut PhyWorkspace) {
 /// Field-by-field equality of the decode result (ignoring the front-end
 /// clone, which is compared separately where it matters).
 fn assert_same_decode(ws_frame: &RxFrame, owned: &RxFrame) {
-    prop_assert_eq!(&ws_frame.payload, &owned.payload);
-    prop_assert_eq!(&ws_frame.data_bits, &owned.data_bits);
-    prop_assert_eq!(ws_frame.scrambler_seed, owned.scrambler_seed);
-    prop_assert_eq!(ws_frame.decode_error, owned.decode_error);
+    assert_eq!(&ws_frame.payload, &owned.payload);
+    assert_eq!(&ws_frame.data_bits, &owned.data_bits);
+    assert_eq!(ws_frame.scrambler_seed, owned.scrambler_seed);
+    assert_eq!(ws_frame.decode_error, owned.decode_error);
 }
 
 fn point_bits(rows: &[[cos::dsp::Complex; NUM_DATA]]) -> Vec<(u64, u64)> {
@@ -85,17 +90,14 @@ fn packed_tx_scratch_shrinks_cleanly_across_rates_and_lengths() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn dirty_workspace_receive_matches_owned(
-        payload in proptest::collection::vec(any::<u8>(), 1..500),
-        rate in arb_rate(),
-        seed in 1u8..0x80,
-        channel_seed in 0u64..500,
-        snr_db in 8.0f64..30.0,
-    ) {
+#[test]
+fn dirty_workspace_receive_matches_owned() {
+    for mut rng in cases(24) {
+        let payload = bytes(&mut rng, 1..500);
+        let rate = rate(&mut rng);
+        let seed = 1 + rng.below(0x7F) as u8;
+        let channel_seed = rng.below(500) as u64;
+        let snr_db = 8.0 + rng.unit_f64() * 22.0;
         let tx = Transmitter::new();
         let rx = Receiver::new();
         let mut ws = PhyWorkspace::new();
@@ -106,33 +108,34 @@ proptest! {
         tx.build_frame_into(&payload, rate, seed, &mut ws.tx);
         ws.tx.render();
         let owned_samples = Transmitter::new().build_frame(&payload, rate, seed).to_time_samples();
-        prop_assert_eq!(&ws.tx.samples, &owned_samples);
+        assert_eq!(&ws.tx.samples, &owned_samples);
 
         let mut link_ws = Link::new(ChannelConfig::default(), snr_db, channel_seed);
         let mut link_owned = Link::new(ChannelConfig::default(), snr_db, channel_seed);
         link_ws.transmit_into(&ws.tx.samples, &mut ws.rx.samples);
         let rx_samples = link_owned.transmit(&owned_samples);
-        prop_assert_eq!(&ws.rx.samples, &rx_samples);
+        assert_eq!(&ws.rx.samples, &rx_samples);
 
         let ws_result = rx.receive_into(&rx_samples, &RxConfig::ideal(), &mut ws.rx);
         let owned_result = Receiver::new().receive(&rx_samples, &RxConfig::ideal());
         match (ws_result, owned_result) {
             (Ok(()), Ok(owned)) => {
                 assert_same_decode(&ws.rx.to_rx_frame(), &owned);
-                prop_assert_eq!(&ws.rx.fe.h_est[..], &owned.front_end.h_est[..]);
-                prop_assert_eq!(&ws.rx.fe.equalized, &owned.front_end.equalized);
+                assert_eq!(&ws.rx.fe.h_est[..], &owned.front_end.h_est[..]);
+                assert_eq!(&ws.rx.fe.equalized, &owned.front_end.equalized);
             }
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "paths diverged: workspace {:?} vs owned {:?}", a, b.map(|f| f.crc_ok())),
+            (Err(a), Err(b)) => assert_eq!(a, b),
+            (a, b) => panic!("paths diverged: workspace {:?} vs owned {:?}", a, b.map(|f| f.crc_ok())),
         }
     }
+}
 
-    #[test]
-    fn demap_into_dirty_scratch_matches_fresh_across_modulations(
-        channel_seed in 0u64..300,
-        mask_seed in any::<u64>(),
-        snr_db in 20.0f64..32.0,
-    ) {
+#[test]
+fn demap_into_dirty_scratch_matches_fresh_across_modulations() {
+    for mut rng in cases(24) {
+        let channel_seed = rng.below(300) as u64;
+        let mask_seed = rng.next_u64();
+        let snr_db = 20.0 + rng.unit_f64() * 12.0;
         // A long 64QAM frame leaves 6-bit groups in every buffer; a short
         // BPSK frame with erasures then demaps into the same buffers,
         // which must shrink and be overwritten exactly — in both orders.
@@ -164,32 +167,33 @@ proptest! {
         let fresh = |fe: &FrontEnd, erasures: Mask<'_>| demap(fe, erasures, &mut Buffers::default());
         let fresh_short = fresh(&short, Some(&mask));
         let fresh_long = fresh(&long, None);
-        prop_assert_eq!(fresh_short.0.len(), short.equalized.len() * short.rate.ncbps());
-        prop_assert_eq!(fresh_long.1.len(), long.equalized.len() * long.rate.ncbps());
+        assert_eq!(fresh_short.0.len(), short.equalized.len() * short.rate.ncbps());
+        assert_eq!(fresh_long.1.len(), long.equalized.len() * long.rate.ncbps());
 
         demap(&long, None, &mut buffers);
-        prop_assert_eq!(&demap(&short, Some(&mask), &mut buffers), &fresh_short);
-        prop_assert_eq!(&demap(&long, None, &mut buffers), &fresh_long);
+        assert_eq!(&demap(&short, Some(&mask), &mut buffers), &fresh_short);
+        assert_eq!(&demap(&long, None, &mut buffers), &fresh_long);
 
         // Erased points carry zero LLRs and hard group 0.
         for (n, row) in mask.iter().enumerate() {
             for (sc, &erased) in row.iter().enumerate() {
                 let i = n * NUM_DATA + sc;
                 if erased {
-                    prop_assert_eq!(fresh_short.0[i], 0);
-                    prop_assert_eq!(fresh_short.1[i], 0);
+                    assert_eq!(fresh_short.0[i], 0);
+                    assert_eq!(fresh_short.1[i], 0);
                 }
             }
         }
     }
+}
 
-    #[test]
-    fn erasure_decode_matches_owned_with_dirty_workspace(
-        channel_seed in 0u64..300,
-        groups in 1usize..8,
-        msg_seed in any::<u64>(),
-        snr_db in 14.0f64..26.0,
-    ) {
+#[test]
+fn erasure_decode_matches_owned_with_dirty_workspace() {
+    for mut rng in cases(24) {
+        let channel_seed = rng.below(300) as u64;
+        let groups = 1 + rng.below(7);
+        let msg_seed = rng.next_u64();
+        let snr_db = 14.0 + rng.unit_f64() * 12.0;
         // Embed a control message as silences and decode with the genie
         // erasure mask — the CoS receive path — on both pipelines.
         let mut x = msg_seed;
@@ -210,7 +214,7 @@ proptest! {
         controller.embed(&mut ws.tx.frame, &selected, &bits).expect("fits");
         controller.embed(&mut owned_frame, &selected, &bits).expect("fits");
         ws.tx.render();
-        prop_assert_eq!(&ws.tx.samples, &owned_frame.to_time_samples());
+        assert_eq!(&ws.tx.samples, &owned_frame.to_time_samples());
 
         let mut link_ws = Link::new(ChannelConfig::default(), snr_db, channel_seed);
         let mut link_owned = Link::new(ChannelConfig::default(), snr_db, channel_seed);
@@ -223,17 +227,18 @@ proptest! {
         let owned_result = Receiver::new().receive(&rx_samples, &config);
         match (ws_result, owned_result) {
             (Ok(()), Ok(owned)) => assert_same_decode(&ws.rx.to_rx_frame(), &owned),
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            _ => prop_assert!(false, "paths diverged"),
+            (Err(a), Err(b)) => assert_eq!(a, b),
+            _ => panic!("paths diverged"),
         }
     }
+}
 
-    #[test]
-    fn faulty_channel_decode_matches_owned(
-        payload in proptest::collection::vec(any::<u8>(), 1..300),
-        channel_seed in 0u64..200,
-        fault_seed in 0u64..50,
-    ) {
+#[test]
+fn faulty_channel_decode_matches_owned() {
+    for mut rng in cases(24) {
+        let payload = bytes(&mut rng, 1..300);
+        let channel_seed = rng.below(200) as u64;
+        let fault_seed = rng.below(50) as u64;
         // Burst interference corrupts frames mid-air; both paths must
         // fail (or survive) identically, bit for bit.
         let mk_link = |seed: u64| {
@@ -254,22 +259,23 @@ proptest! {
         let rx_samples = link_owned.transmit(
             &Transmitter::new().build_frame(&payload, DataRate::Mbps12, 0x47).to_time_samples(),
         );
-        prop_assert_eq!(&ws.rx.samples, &rx_samples);
+        assert_eq!(&ws.rx.samples, &rx_samples);
 
         let ws_result = rx.receive_into(&rx_samples, &RxConfig::ideal(), &mut ws.rx);
         let owned_result = Receiver::new().receive(&rx_samples, &RxConfig::ideal());
         match (ws_result, owned_result) {
             (Ok(()), Ok(owned)) => assert_same_decode(&ws.rx.to_rx_frame(), &owned),
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            _ => prop_assert!(false, "paths diverged"),
+            (Err(a), Err(b)) => assert_eq!(a, b),
+            _ => panic!("paths diverged"),
         }
     }
+}
 
-    #[test]
-    fn psdu_roundtrips_through_dirty_workspace(
-        psdu in proptest::collection::vec(any::<u8>(), 1..400),
-        rate in arb_rate(),
-    ) {
+#[test]
+fn psdu_roundtrips_through_dirty_workspace() {
+    for mut rng in cases(24) {
+        let psdu = bytes(&mut rng, 1..400);
+        let rate = rate(&mut rng);
         // The PSDU path carries arbitrary bytes with no FCS appended:
         // build through a dirty workspace, receive into it, read the
         // DATA-field PSDU back.
@@ -282,12 +288,12 @@ proptest! {
         ws.tx.render();
         let owned_samples =
             Transmitter::new().build_frame_from_psdu(&psdu, rate, 0x2B).to_time_samples();
-        prop_assert_eq!(&ws.tx.samples, &owned_samples);
+        assert_eq!(&ws.tx.samples, &owned_samples);
 
         let samples = ws.tx.samples.clone();
         rx.receive_into(&samples, &RxConfig::ideal(), &mut ws.rx).expect("clean loopback");
         // The DATA-field PSDU round-trips exactly.
         let psdu_bits = &ws.rx.out.data_bits[SERVICE_BITS..][..psdu.len() * 8];
-        prop_assert_eq!(&bits_to_bytes(psdu_bits), &psdu);
+        assert_eq!(&bits_to_bytes(psdu_bits), &psdu);
     }
 }
