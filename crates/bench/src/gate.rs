@@ -191,7 +191,8 @@ pub fn register_tables(engine: &mut BatchEngine) -> (Vec<PayloadId>, Vec<Control
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cos_core::adaptation::{ProbeEvent, ProbeState, StaircaseEvent};
+    use cos_core::adaptation::StaircaseEvent;
+    use cos_core::budget::{BudgetEvent, BudgetState};
     use cos_core::energy_detector::DetectionAccuracy;
     use cos_core::engine::SessionPool;
     use cos_core::session::{AdaptiveSummary, PacketSummary, ResilientSummary, SessionConfig};
@@ -246,9 +247,9 @@ mod tests {
                     budget: 3,
                     rate_after: DataRate::Mbps48,
                     budget_after: 5,
-                    search_state: ProbeState::SearchComplete,
+                    search_state: BudgetState::SearchComplete,
                     staircase_event: StaircaseEvent::Downgrade,
-                    probe_event: ProbeEvent::BackedOff,
+                    probe_event: BudgetEvent::BackedOff,
                     control_acked: true,
                     feedback_delivered: false,
                 }),

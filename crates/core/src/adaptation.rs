@@ -15,14 +15,16 @@
 //!    the *current* band's threshold. The asymmetric margins are what
 //!    keep the controller from flapping when the SNR sits on a band
 //!    edge.
-//! 2. [`SilenceProbeSearch`] — a probe loop shaped like RFC 8899's
-//!    PLPMTU search (Datagram Packetization-Layer Path MTU Discovery):
-//!    probe one silent-symbol step above the last confirmed budget,
-//!    treat a [`crate::resilience::ControlArq`] ACK of the probing
-//!    packet as confirmation, count consecutive unconfirmed probes
-//!    against `MAX_PROBES`, and converge to `SEARCH_COMPLETE` at the
-//!    largest confirmed budget. A rate-band change restarts the search
-//!    from its base — a new band means a new silence margin.
+//! 2. [`BudgetSearch`] — the silence-budget machine shaped like RFC
+//!    8899's PLPMTU search (Datagram Packetization-Layer Path MTU
+//!    Discovery): probe one silent-symbol step above the last confirmed
+//!    budget, treat a [`crate::resilience::ControlArq`] ACK of the
+//!    probing packet as confirmation, count consecutive unconfirmed
+//!    probes against `MAX_PROBES`, converge to `SEARCH_COMPLETE` at the
+//!    largest confirmed budget, and drop to `ERROR` when feedback goes
+//!    stale. A rate-band change restarts the search from its base — a new
+//!    band means a new silence margin — and `ERROR` entry drops the rate
+//!    to the slowest ([`RateStaircase::fallback`]).
 //!
 //! [`LinkAdaptationController`] composes the two behind a single
 //! [`observe`](LinkAdaptationController::observe) call per packet. The
@@ -32,11 +34,13 @@
 //! hold bit-identical state — the property the engine's differential
 //! tests and `gate adaptation` pin (see `docs/ADAPTATION.md`).
 
+use crate::budget::{BudgetEvent, BudgetSearch, LinkMode, PacketObservation};
 use cos_phy::rates::DataRate;
 
-// The policy's constants, calibrated against the simulated indoor
+// The staircase's constants, calibrated against the simulated indoor
 // channel (`docs/ADAPTATION.md` gives the reasoning behind each value).
-// The probe ceiling is per session: `SessionConfig::max_budget`.
+// The budget machine's are `crate::budget`'s; its ceiling is per
+// session: `SessionConfig::max_budget`.
 
 /// EWMA smoothing factor in `(0, 1]` for the SNR estimate; higher tracks
 /// faster, lower smooths harder.
@@ -50,21 +54,6 @@ pub const DOWN_MARGIN_DB: f64 = 0.5;
 /// Consecutive packets the upgrade condition must hold before the
 /// staircase steps up one band.
 pub const UP_DWELL: u32 = 2;
-/// Consecutive feedback misses before the controller falls back to the
-/// slowest rate and restarts the probe search.
-pub const MISS_FALLBACK: u32 = 4;
-/// The smallest silence budget (silent symbols per packet) — the probe
-/// search's floor and restart point. At least 2: one silence terminates
-/// the interval code, so budget `b` carries `(b − 1) · k` control bits.
-pub const BASE_BUDGET: usize = 2;
-/// Silent symbols added per upward probe step.
-pub const PROBE_STEP: usize = 4;
-/// Consecutive unconfirmed probes (RFC 8899 `MAX_PROBES`) before the
-/// search completes at the last confirmed budget.
-pub const MAX_PROBES: u32 = 3;
-/// Consecutive delivery failures tolerated at a *confirmed* budget (state
-/// `SEARCH_COMPLETE`) before backing the budget off one step.
-pub const COMPLETE_FAIL_BUDGET: u32 = 2;
 
 /// Exponentially weighted moving average over measured per-frame SNR.
 ///
@@ -204,206 +193,17 @@ impl RateStaircase {
     }
 }
 
-/// The probe search's state, mirroring RFC 8899's `SEARCHING` /
-/// `SEARCH_COMPLETE`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeState {
-    /// Probing upward: the target budget is one step above the last
-    /// confirmed budget.
-    Searching,
-    /// Converged: the target budget is the largest confirmed budget.
-    SearchComplete,
-}
-
-impl ProbeState {
-    /// A stable short label for CSV traces and digests.
-    pub fn label(self) -> &'static str {
-        match self {
-            ProbeState::Searching => "searching",
-            ProbeState::SearchComplete => "complete",
-        }
-    }
-}
-
-/// What the probe search did with one packet outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeEvent {
-    /// No state change (includes confirmed-budget successes in
-    /// `SEARCH_COMPLETE`).
-    Hold,
-    /// A probe was ACKed: the probed budget is now confirmed and the
-    /// next probe targets one step higher.
-    Confirmed,
-    /// A probe went unconfirmed (fewer than `MAX_PROBES` so far); the
-    /// same budget will be probed again.
-    Failed,
-    /// The search converged to `SEARCH_COMPLETE` — either the maximum
-    /// budget was confirmed or `MAX_PROBES` consecutive probes failed.
-    Completed,
-    /// Deliveries failed at a *confirmed* budget; the budget backed off
-    /// one step.
-    BackedOff,
-    /// The search restarted from the base budget (rate-band change or
-    /// fallback).
-    Restarted,
-}
-
-/// The silence-budget probe search (RFC 8899 PLPMTU loop, transplanted
-/// from bytes-per-datagram to silent-symbols-per-packet): from
-/// [`BASE_BUDGET`] upward in [`PROBE_STEP`]s to a ceiling.
-#[derive(Debug, Clone)]
-pub struct SilenceProbeSearch {
-    max: usize,
-    state: ProbeState,
-    confirmed: usize,
-    probed: usize,
-    probe_count: u32,
-    complete_fails: u32,
-}
-
-impl SilenceProbeSearch {
-    /// Starts searching with the base budget confirmed and the first
-    /// probe one step above it, below the ceiling `max_budget` (floored at
-    /// the base budget).
-    pub fn new(max_budget: usize) -> Self {
-        let mut s = SilenceProbeSearch {
-            max: max_budget.max(BASE_BUDGET),
-            state: ProbeState::Searching,
-            confirmed: 0,
-            probed: 0,
-            probe_count: 0,
-            complete_fails: 0,
-        };
-        s.reset();
-        s
-    }
-
-    fn reset(&mut self) {
-        self.state = ProbeState::Searching;
-        self.confirmed = BASE_BUDGET;
-        self.probed = (BASE_BUDGET + PROBE_STEP).min(self.max);
-        self.probe_count = 0;
-        self.complete_fails = 0;
-        if self.max == BASE_BUDGET {
-            // Nothing to probe: the search space is a single budget.
-            self.state = ProbeState::SearchComplete;
-        }
-    }
-
-    /// The budget the next packet should carry: the probe target while
-    /// searching, the confirmed budget once complete.
-    pub fn target_budget(&self) -> usize {
-        match self.state {
-            ProbeState::Searching => self.probed,
-            ProbeState::SearchComplete => self.confirmed,
-        }
-    }
-
-    /// The largest budget confirmed by an ACK so far.
-    pub fn confirmed_budget(&self) -> usize {
-        self.confirmed
-    }
-
-    /// The current search state.
-    pub fn state(&self) -> ProbeState {
-        self.state
-    }
-
-    /// Feeds the outcome of one packet that carried
-    /// [`target_budget`](Self::target_budget) silences: `acked` is true
-    /// when the `ControlArq` confirmed the control message it carried.
-    pub fn observe(&mut self, acked: bool) -> ProbeEvent {
-        match self.state {
-            ProbeState::Searching => {
-                if acked {
-                    self.confirmed = self.probed;
-                    self.probe_count = 0;
-                    if self.probed >= self.max {
-                        self.state = ProbeState::SearchComplete;
-                        ProbeEvent::Completed
-                    } else {
-                        self.probed = (self.probed + PROBE_STEP).min(self.max);
-                        ProbeEvent::Confirmed
-                    }
-                } else {
-                    self.probe_count += 1;
-                    if self.probe_count >= MAX_PROBES {
-                        self.state = ProbeState::SearchComplete;
-                        self.probe_count = 0;
-                        ProbeEvent::Completed
-                    } else {
-                        ProbeEvent::Failed
-                    }
-                }
-            }
-            ProbeState::SearchComplete => {
-                if acked {
-                    self.complete_fails = 0;
-                    ProbeEvent::Hold
-                } else {
-                    self.complete_fails += 1;
-                    if self.complete_fails > COMPLETE_FAIL_BUDGET {
-                        self.complete_fails = 0;
-                        self.confirmed = self.confirmed.saturating_sub(PROBE_STEP).max(BASE_BUDGET);
-                        ProbeEvent::BackedOff
-                    } else {
-                        ProbeEvent::Hold
-                    }
-                }
-            }
-        }
-    }
-
-    /// Restarts the search from the base budget — invoked on every
-    /// rate-band change, because a new band means a new silence margin.
-    pub fn restart(&mut self) -> ProbeEvent {
-        self.reset();
-        ProbeEvent::Restarted
-    }
-
-    /// The largest budget the search will currently probe.
-    pub fn max_budget(&self) -> usize {
-        self.max
-    }
-
-    /// Retargets the search ceiling mid-flight — how an externally
-    /// granted budget (e.g. an AP coordination command) takes effect.
-    ///
-    /// The ceiling is floored at the base budget. Lowering it clamps the
-    /// confirmed budget and completes the search at the new ceiling;
-    /// raising it above the confirmed budget resumes `SEARCHING` upward
-    /// from the confirmed budget. A no-op ceiling (same value) leaves the
-    /// search entirely untouched, so callers may re-assert a grant freely.
-    pub fn set_max(&mut self, ceiling: usize) {
-        let ceiling = ceiling.max(BASE_BUDGET);
-        if ceiling == self.max {
-            return;
-        }
-        self.max = ceiling;
-        self.probe_count = 0;
-        self.complete_fails = 0;
-        if self.confirmed >= self.max {
-            self.confirmed = self.max;
-            self.probed = self.max;
-            self.state = ProbeState::SearchComplete;
-        } else {
-            self.state = ProbeState::Searching;
-            self.probed = (self.confirmed + PROBE_STEP).min(self.max);
-        }
-    }
-}
-
 /// The transitions both state machines took for one packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptationEvents {
     /// The rate staircase's transition.
     pub staircase: StaircaseEvent,
-    /// The probe search's transition.
-    pub probe: ProbeEvent,
+    /// The budget machine's transition.
+    pub probe: BudgetEvent,
 }
 
 /// Per-session closed-loop controller: EWMA SNR estimator feeding the
-/// rate staircase, with the silence-budget probe search slaved to the
+/// rate staircase, with the silence-budget machine slaved to the
 /// selected band.
 ///
 /// Call order per packet: read [`rate`](Self::rate) and
@@ -415,8 +215,7 @@ pub struct AdaptationEvents {
 pub struct LinkAdaptationController {
     snr: SnrEstimator,
     staircase: RateStaircase,
-    search: SilenceProbeSearch,
-    misses: u32,
+    budget: BudgetSearch,
     /// Externally imposed rate ceiling (e.g. an AP coordination
     /// command); `None` leaves the staircase uncapped.
     rate_cap: Option<DataRate>,
@@ -424,14 +223,13 @@ pub struct LinkAdaptationController {
 
 impl LinkAdaptationController {
     /// Creates a controller in its reset state: slowest rate, base
-    /// silence budget, no SNR estimate; the probe search climbs to
-    /// `max_budget` (floored at [`BASE_BUDGET`]).
+    /// silence budget, no SNR estimate; the budget search climbs to
+    /// `max_budget` (floored at [`crate::budget::BASE_BUDGET`]).
     pub fn new(max_budget: usize) -> Self {
         LinkAdaptationController {
             snr: SnrEstimator::new(),
             staircase: RateStaircase::new(),
-            search: SilenceProbeSearch::new(max_budget),
-            misses: 0,
+            budget: BudgetSearch::new(max_budget),
             rate_cap: None,
         }
     }
@@ -461,30 +259,21 @@ impl LinkAdaptationController {
     }
 
     /// Retargets the silence-budget ceiling (see
-    /// [`SilenceProbeSearch::set_max`]) — how an AP budget grant widens
-    /// or narrows the search space mid-session.
+    /// [`BudgetSearch::set_ceiling`]) — how an AP budget grant widens or
+    /// narrows the search space mid-session.
     pub fn set_budget_ceiling(&mut self, ceiling: usize) {
-        self.search.set_max(ceiling);
-    }
-
-    /// The silence-budget ceiling the search currently probes within.
-    pub fn budget_ceiling(&self) -> usize {
-        self.search.max_budget()
+        self.budget.set_ceiling(ceiling);
     }
 
     /// The silence budget the next packet should carry.
     pub fn target_budget(&self) -> usize {
-        self.search.target_budget()
+        self.budget.target_budget()
     }
 
-    /// The probe search's current state.
-    pub fn search_state(&self) -> ProbeState {
-        self.search.state()
-    }
-
-    /// The probe search itself (read-only), for traces.
-    pub fn search(&self) -> &SilenceProbeSearch {
-        &self.search
+    /// The budget machine (read-only): its state, ceiling and
+    /// transitions.
+    pub fn budget(&self) -> &BudgetSearch {
+        &self.budget
     }
 
     /// The EWMA SNR estimate, or `None` before any feedback arrived.
@@ -492,7 +281,7 @@ impl LinkAdaptationController {
         self.snr.value()
     }
 
-    /// Feeds one packet outcome.
+    /// Feeds the outcome of the session's packet number `packet`.
     ///
     /// * `measured_snr_db` — the per-frame SNR carried by the EVM
     ///   feedback report, or `None` when the report was lost.
@@ -506,48 +295,45 @@ impl LinkAdaptationController {
     ///   ignores it.
     pub fn observe(
         &mut self,
+        packet: u64,
         measured_snr_db: Option<f64>,
         acked: bool,
         carried_full_budget: bool,
     ) -> AdaptationEvents {
-        let mut events = AdaptationEvents { staircase: StaircaseEvent::Hold, probe: ProbeEvent::Hold };
-        match measured_snr_db {
-            Some(snr_db) => {
-                self.misses = 0;
-                let ewma = self.snr.observe(snr_db);
-                let before = self.staircase.rate();
-                events.staircase = self.staircase.observe(ewma);
-                if self.staircase.rate() != before {
-                    // Band change: the silence margin moved, so the ack
-                    // (earned in the old band) confirms nothing — the
-                    // search restarts instead of absorbing it.
-                    events.probe = self.search.restart();
-                    return events;
-                }
-            }
-            None => {
-                self.misses += 1;
-                if self.misses >= MISS_FALLBACK {
-                    self.misses = 0;
-                    if self.staircase.acquired() || self.staircase.rate() != DataRate::Mbps6 {
-                        events.staircase = self.staircase.fallback();
-                        self.snr.reset();
-                        events.probe = self.search.restart();
-                        return events;
-                    }
-                }
-            }
+        let mut staircase = StaircaseEvent::Hold;
+        let mut band_changed = false;
+        if let Some(snr_db) = measured_snr_db {
+            let ewma = self.snr.observe(snr_db);
+            let before = self.staircase.rate();
+            staircase = self.staircase.observe(ewma);
+            band_changed = self.staircase.rate() != before;
         }
-        if carried_full_budget {
-            events.probe = self.search.observe(acked);
+        let probe = if band_changed && self.budget.mode() == LinkMode::Cos {
+            // The silence margin moved, so the ack (earned in the old
+            // band) confirms nothing: the search restarts instead of
+            // absorbing it.
+            self.budget.restart()
+        } else {
+            let obs = PacketObservation {
+                feedback_fresh: measured_snr_db.is_some(),
+                control_attempted: carried_full_budget,
+                control_ok: acked,
+            };
+            self.budget.observe(packet, obs)
+        };
+        // The one miss rule: ERROR entry drops to the slowest rate.
+        if probe.enters_error() && (self.staircase.acquired() || self.staircase.rate() != DataRate::Mbps6) {
+            staircase = self.staircase.fallback();
+            self.snr.reset();
         }
-        events
+        AdaptationEvents { staircase, probe }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::{BudgetEvent, BudgetState};
 
     /// The default session's probe ceiling.
     const MAX: usize = 46;
@@ -614,170 +400,84 @@ mod tests {
     }
 
     #[test]
-    fn probe_search_climbs_to_max_and_completes() {
-        let mut p = SilenceProbeSearch::new(MAX); // base 2, step 4, max 46
-        assert_eq!(p.state(), ProbeState::Searching);
-        assert_eq!(p.target_budget(), 6);
-        let mut budgets = vec![];
-        loop {
-            budgets.push(p.target_budget());
-            let ev = p.observe(true);
-            if ev == ProbeEvent::Completed {
-                break;
-            }
-            assert_eq!(ev, ProbeEvent::Confirmed);
-        }
-        assert_eq!(budgets, vec![6, 10, 14, 18, 22, 26, 30, 34, 38, 42, 46]);
-        assert_eq!(p.state(), ProbeState::SearchComplete);
-        assert_eq!(p.target_budget(), 46);
-        // Successes at the confirmed budget are Hold.
-        assert_eq!(p.observe(true), ProbeEvent::Hold);
-    }
-
-    #[test]
-    fn probe_search_max_probes_converges_at_confirmed() {
-        let mut p = SilenceProbeSearch::new(MAX); // MAX_PROBES 3
-        assert_eq!(p.observe(true), ProbeEvent::Confirmed); // 6 confirmed
-        assert_eq!(p.target_budget(), 10);
-        assert_eq!(p.observe(false), ProbeEvent::Failed);
-        assert_eq!(p.target_budget(), 10); // same budget retried
-        assert_eq!(p.observe(false), ProbeEvent::Failed);
-        assert_eq!(p.observe(false), ProbeEvent::Completed);
-        assert_eq!(p.state(), ProbeState::SearchComplete);
-        assert_eq!(p.target_budget(), 6); // converged at last confirmed
-    }
-
-    #[test]
-    fn probe_search_backs_off_after_confirmed_failures() {
-        let mut p = SilenceProbeSearch::new(MAX); // COMPLETE_FAIL_BUDGET 2
-        for _ in 0..3 {
-            p.observe(true); // confirm 6, 10, 14
-        }
-        // Target is now 18; MAX_PROBES failures complete the search at 14.
-        p.observe(false);
-        p.observe(false);
-        p.observe(false);
-        assert_eq!(p.state(), ProbeState::SearchComplete);
-        assert_eq!(p.target_budget(), 14);
-        // Three more failures at the confirmed budget exceed the fail
-        // budget of 2 → back off one step to 10.
-        assert_eq!(p.observe(false), ProbeEvent::Hold);
-        assert_eq!(p.observe(false), ProbeEvent::Hold);
-        assert_eq!(p.observe(false), ProbeEvent::BackedOff);
-        assert_eq!(p.target_budget(), 10);
-    }
-
-    #[test]
-    fn probe_search_restart_returns_to_base() {
-        let mut p = SilenceProbeSearch::new(MAX);
-        for _ in 0..4 {
-            p.observe(true);
-        }
-        assert_eq!(p.restart(), ProbeEvent::Restarted);
-        assert_eq!(p.state(), ProbeState::Searching);
-        assert_eq!(p.confirmed_budget(), 2);
-        assert_eq!(p.target_budget(), 6);
-    }
-
-    #[test]
     fn controller_band_change_restarts_search_and_ignores_ack() {
         let mut c = LinkAdaptationController::new(MAX);
-        c.observe(Some(17.0), true, true); // acquire 36 Mbps; ack ignored (band change)
+        c.observe(0, Some(17.0), true, true); // acquire 36 Mbps; ack ignored (band change)
         assert_eq!(c.rate(), DataRate::Mbps36);
         assert_eq!(c.target_budget(), 6); // still the first probe target
-        c.observe(Some(17.0), true, true); // no band change: ack confirms 6
+        c.observe(0, Some(17.0), true, true); // no band change: ack confirms 6
         assert_eq!(c.target_budget(), 10);
         // Collapse → downgrade → search restarts from base.
-        let ev = c.observe(Some(5.0), true, true);
+        let ev = c.observe(0, Some(5.0), true, true);
         assert_eq!(ev.staircase, StaircaseEvent::Downgrade);
-        assert_eq!(ev.probe, ProbeEvent::Restarted);
+        assert_eq!(ev.probe, BudgetEvent::Restarted);
         assert_eq!(c.target_budget(), 6);
-        assert_eq!(c.search().confirmed_budget(), 2);
+        assert_eq!(c.budget().state(), BudgetState::Searching);
     }
 
     #[test]
-    fn controller_falls_back_after_feedback_starvation() {
+    fn feedback_starvation_enters_error_at_the_slowest_rate() {
         let mut c = LinkAdaptationController::new(MAX);
-        c.observe(Some(23.0), true, true);
+        c.observe(0, Some(23.0), true, true);
         assert_eq!(c.rate(), DataRate::Mbps54);
-        let mut fell = false;
-        for _ in 0..4 {
-            let ev = c.observe(None, false, true);
-            fell |= ev.staircase == StaircaseEvent::Fallback;
-        }
-        assert!(fell, "MISS_FALLBACK misses must trigger fallback");
+        let events: Vec<_> = (1..=4).map(|p| c.observe(p, None, false, false)).collect();
+        let entry = AdaptationEvents {
+            staircase: StaircaseEvent::Fallback,
+            probe: BudgetEvent::StaleFeedback,
+        };
+        assert_eq!(events.last(), Some(&entry), "STALE_AFTER misses enter ERROR: {events:?}");
         assert_eq!(c.rate(), DataRate::Mbps6);
         assert_eq!(c.ewma_snr_db(), None);
-        assert_eq!(c.target_budget(), 6); // search restarted
+        assert_eq!(c.budget().state(), BudgetState::Error);
+        assert_eq!(c.target_budget(), 0);
+        // A report in ERROR re-acquires the rate but not the budget: that
+        // waits for the BASE probe.
+        let ev = c.observe(5, Some(23.0), false, true);
+        assert_eq!(ev.staircase, StaircaseEvent::Acquire);
+        assert_eq!(ev.probe, BudgetEvent::Hold);
+        assert_eq!(c.budget().state(), BudgetState::Error);
     }
 
     #[test]
     fn controller_clamped_packets_do_not_advance_the_search() {
         let mut c = LinkAdaptationController::new(MAX);
-        c.observe(Some(17.0), true, true); // acquire
+        c.observe(0, Some(17.0), true, true); // acquire
         let before = c.target_budget();
         // A clamped packet (carried_full_budget = false) says nothing
         // about the probe — confirmed and target are untouched.
-        c.observe(Some(17.0), true, false);
-        c.observe(Some(17.0), false, false);
+        c.observe(0, Some(17.0), true, false);
+        c.observe(0, Some(17.0), false, false);
         assert_eq!(c.target_budget(), before);
     }
 
     #[test]
     fn rate_cap_clamps_without_disturbing_the_staircase() {
         let mut c = LinkAdaptationController::new(MAX);
-        c.observe(Some(23.0), true, true);
+        c.observe(0, Some(23.0), true, true);
         assert_eq!(c.rate(), DataRate::Mbps54);
         c.set_rate_cap(Some(DataRate::Mbps12));
         assert_eq!(c.rate(), DataRate::Mbps12);
         // The staircase keeps tracking underneath: feeding more high-SNR
         // packets changes nothing visible while the cap holds…
-        c.observe(Some(23.0), true, true);
+        c.observe(0, Some(23.0), true, true);
         assert_eq!(c.rate(), DataRate::Mbps12);
         // …and lifting the cap restores the staircase's own selection.
         c.set_rate_cap(None);
         assert_eq!(c.rate(), DataRate::Mbps54);
         // A cap above the selection is inert.
         let mut low = LinkAdaptationController::new(MAX);
-        low.observe(Some(9.0), true, true); // 12 Mbps
+        low.observe(0, Some(9.0), true, true); // 12 Mbps
         low.set_rate_cap(Some(DataRate::Mbps54));
         assert_eq!(low.rate(), DataRate::Mbps12);
     }
 
     #[test]
-    fn budget_ceiling_lowers_and_resumes_search() {
-        let mut p = SilenceProbeSearch::new(MAX); // base 2, step 4, max 46
-        for _ in 0..3 {
-            p.observe(true); // confirm 6, 10, 14; target 18
-        }
-        assert_eq!(p.target_budget(), 18);
-        // Lowering below the confirmed budget clamps and completes.
-        p.set_max(10);
-        assert_eq!(p.state(), ProbeState::SearchComplete);
-        assert_eq!(p.confirmed_budget(), 10);
-        assert_eq!(p.target_budget(), 10);
-        // Re-asserting the same ceiling is a no-op.
-        p.set_max(10);
-        assert_eq!(p.state(), ProbeState::SearchComplete);
-        // Raising it resumes searching upward from the confirmed budget.
-        p.set_max(46);
-        assert_eq!(p.state(), ProbeState::Searching);
-        assert_eq!(p.target_budget(), 14);
-        assert_eq!(p.observe(true), ProbeEvent::Confirmed);
-        assert_eq!(p.confirmed_budget(), 14);
-        // The ceiling is floored at the base budget.
-        p.set_max(0);
-        assert_eq!(p.max_budget(), 2);
-        assert_eq!(p.target_budget(), 2);
-    }
-
-    #[test]
     fn controller_budget_ceiling_routes_to_the_search() {
         let mut c = LinkAdaptationController::new(MAX);
-        c.observe(Some(17.0), true, true); // acquire
-        c.observe(Some(17.0), true, true); // confirm 6
+        c.observe(0, Some(17.0), true, true); // acquire
+        c.observe(0, Some(17.0), true, true); // confirm 6
         c.set_budget_ceiling(8);
-        assert_eq!(c.budget_ceiling(), 8);
+        assert_eq!(c.budget().ceiling(), 8);
         assert_eq!(c.target_budget(), 8); // probe clamped to the grant
     }
 
@@ -791,10 +491,10 @@ mod tests {
             .collect();
         let run = || {
             let mut c = LinkAdaptationController::new(MAX);
-            for &(snr, ack) in &seq {
-                c.observe(snr, ack, true);
+            for (p, &(snr, ack)) in seq.iter().enumerate() {
+                c.observe(p as u64, snr, ack, true);
             }
-            (c.rate(), c.target_budget(), c.search_state(), c.ewma_snr_db().map(f64::to_bits))
+            (c.rate(), c.target_budget(), c.budget().state(), c.ewma_snr_db().map(f64::to_bits))
         };
         assert_eq!(run(), run());
     }

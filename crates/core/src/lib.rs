@@ -39,16 +39,20 @@
 //!   receiver-side extension that recovers near-exact control accuracy on
 //!   high-order QAM,
 //! * [`resilience`] — the fault-tolerance layer: control-message ARQ,
-//!   detector-threshold recalibration, and the degraded-mode state
-//!   machine that falls back to plain data transmission when the control
-//!   channel stops working (see `docs/ROBUSTNESS.md`),
+//!   detector-threshold recalibration and the PHY-error tally (see
+//!   `docs/ROBUSTNESS.md`),
+//! * [`budget`] — the one silence-budget state machine, shaped like RFC
+//!   8899: it searches for the largest budget the control channel
+//!   carries, and falls back to plain data transmission (ERROR) when the
+//!   control channel stops working; the resilience guard runs it with the
+//!   search off,
 //! * [`engine`] — the batched multi-session engine: a generational
 //!   [`SessionPool`] plus a
 //!   [`BatchEngine`] that shards frame jobs across
 //!   worker threads with byte-identical outcomes at any thread count,
 //! * [`adaptation`] — the closed control loop over everything above: an
-//!   EWMA-SNR **rate staircase** with hysteresis bands and an RFC
-//!   8899-style **silence-budget probe search**, so each session
+//!   EWMA-SNR **rate staircase** with hysteresis bands driving a
+//!   searching [`budget`] machine, so each session
 //!   converges to the rate and silence budget its channel actually
 //!   supports (§II-B, Fig. 2; see `docs/ADAPTATION.md`),
 //! * [`mesh`] — the multi-node cell on top of the engine: N stations and
@@ -78,6 +82,7 @@
 
 pub mod adaptation;
 pub mod baseline;
+pub mod budget;
 pub mod control_rate;
 pub mod duplex;
 pub mod energy_detector;
@@ -93,9 +98,9 @@ pub mod subcarrier_select;
 pub mod validation;
 
 pub use adaptation::{
-    AdaptationEvents, LinkAdaptationController, ProbeEvent, ProbeState,
-    RateStaircase, SilenceProbeSearch, SnrEstimator, StaircaseEvent,
+    AdaptationEvents, LinkAdaptationController, RateStaircase, SnrEstimator, StaircaseEvent,
 };
+pub use budget::{BudgetEvent, BudgetSearch, BudgetState, LinkMode, ModeTransition};
 pub use energy_detector::EnergyDetector;
 pub use engine::{
     configured_threads, run_indexed, BatchEngine, ControlId, EngineConfig, JobOutcome, JobResult,
@@ -107,10 +112,7 @@ pub use mesh::{
     MeshConfig, MeshNet, MeshReport, MeshTopology, StationReport,
 };
 pub use power_controller::PowerController;
-pub use resilience::{
-    ArqHistograms, ArqStats, ControlArq, DegradedModeController, LinkMode, ModeTransition,
-    PhyErrorTally, ThresholdRecalibrator,
-};
+pub use resilience::{ArqHistograms, ArqStats, ControlArq, PhyErrorTally, ThresholdRecalibrator};
 pub use service::journal::{JournalError, ReplayJournal, ReplayReport};
 pub use service::{
     CosService, DeadLetter, QuarantineReason, Rejected, ServiceConfig, ServiceCore, ServiceJobKind,

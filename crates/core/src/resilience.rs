@@ -20,27 +20,21 @@
 //!   after a CRC pass are false alarms by definition) and smoothed with an
 //!   EWMA; a spike raises the detection bias in steps, and a quiet spell
 //!   decays it back toward the configured base,
-//! * [`DegradedModeController`] — a three-state machine
-//!   (`Cos → DataOnly → Probing → Cos`) that stops embedding control
-//!   silences when feedback goes stale or control errors exceed budget,
+//! * the guard — a [`crate::budget::BudgetSearch`] whose ceiling is the
+//!   floor, so it never searches: it stops embedding control silences
+//!   when feedback goes stale or control errors exceed budget (ERROR),
 //!   keeps the data flowing unimpaired, and re-probes with exponentially
-//!   backed-off single-probe packets until the control channel proves
-//!   healthy again.
+//!   backed-off single-probe packets (BASE) until the control channel
+//!   proves healthy again.
 //!
-//! Thresholds and budgets are the constants below; they are what
-//! `docs/ROBUSTNESS.md` documents and the robustness soak exercises.
+//! Thresholds and budgets are the constants below and the budget
+//! machine's; they are what `docs/ROBUSTNESS.md` documents and the
+//! robustness soak exercises.
 
 use cos_phy::error::PhyError;
 use cos_phy::subcarriers::NUM_DATA;
 use std::collections::{BTreeMap, VecDeque};
 
-/// Consecutive packets without a delivered feedback report before the
-/// link degrades to data-only mode.
-pub const STALE_AFTER: u32 = 4;
-/// Length of the sliding window of control-attempt outcomes.
-pub const CTRL_WINDOW: usize = 8;
-/// Failures tolerated inside the window; one more degrades the link.
-pub const CTRL_FAIL_BUDGET: usize = 2;
 /// EWMA false-alarm rate above which the detector bias is raised.
 pub const FA_SPIKE: f64 = 0.05;
 /// EWMA smoothing factor for the false-alarm estimate.
@@ -49,173 +43,10 @@ pub const FA_ALPHA: f64 = 0.3;
 pub const RECALIB_STEP_DB: f64 = 0.75;
 /// Upper clamp on the recalibrated detector bias (dB).
 pub const MAX_BIAS_DB: f64 = 6.0;
-/// Packets to wait in data-only mode before the first re-probe.
-pub const REPROBE_BACKOFF: u32 = 2;
-/// Upper clamp on the re-probe backoff (doubles per failed probe).
-pub const REPROBE_BACKOFF_MAX: u32 = 16;
 /// Packets to wait before an ARQ message's first retransmission.
 pub const ARQ_BACKOFF: u32 = 1;
 /// Upper clamp on the ARQ backoff (doubles per retry).
 pub const ARQ_BACKOFF_MAX: u32 = 8;
-
-/// The link's operating mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkMode {
-    /// Normal operation: control messages ride as silence symbols.
-    Cos,
-    /// Degraded: plain data frames, no silences, feedback still consumed.
-    DataOnly,
-    /// One-packet health check: a probe control message is embedded; its
-    /// outcome decides between recovery and further backoff.
-    Probing,
-}
-
-impl LinkMode {
-    /// Stable label for CSV output.
-    pub fn label(&self) -> &'static str {
-        match self {
-            LinkMode::Cos => "cos",
-            LinkMode::DataOnly => "data_only",
-            LinkMode::Probing => "probing",
-        }
-    }
-}
-
-/// Why a mode transition happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradeReason {
-    /// Feedback age crossed [`STALE_AFTER`].
-    StaleFeedback,
-    /// Control failures exceeded [`CTRL_FAIL_BUDGET`] within the window.
-    ControlBerBudget,
-    /// The data-only backoff elapsed; time to probe.
-    ProbeDue,
-    /// The probe packet's control message did not come back confirmed.
-    ProbeFailed,
-    /// The probe succeeded; back to CoS.
-    ProbeRecovered,
-}
-
-/// One recorded mode transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ModeTransition {
-    /// Session sequence number (packet) at which the transition fired.
-    pub packet: u64,
-    /// Mode left behind.
-    pub from: LinkMode,
-    /// Mode entered.
-    pub to: LinkMode,
-    /// Trigger.
-    pub reason: DegradeReason,
-}
-
-/// What the session observed for one packet, as the controller sees it.
-#[derive(Debug, Clone, Copy)]
-pub struct PacketObservation {
-    /// A feedback report (fresh or stale-but-delivered) arrived.
-    pub feedback_fresh: bool,
-    /// A control message (possibly the empty marker probe) was embedded.
-    pub control_attempted: bool,
-    /// The embedded control message came back confirmed.
-    pub control_ok: bool,
-    /// The data frame passed its CRC.
-    pub crc_ok: bool,
-}
-
-/// The degraded-mode state machine.
-#[derive(Debug, Clone)]
-pub struct DegradedModeController {
-    mode: LinkMode,
-    feedback_age: u32,
-    window: VecDeque<bool>,
-    probe_wait: u32,
-    backoff: u32,
-    transitions: Vec<ModeTransition>,
-}
-
-impl Default for DegradedModeController {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DegradedModeController {
-    /// Starts in [`LinkMode::Cos`].
-    pub fn new() -> Self {
-        DegradedModeController {
-            mode: LinkMode::Cos,
-            feedback_age: 0,
-            window: VecDeque::new(),
-            probe_wait: 0,
-            backoff: REPROBE_BACKOFF,
-            transitions: Vec::new(),
-        }
-    }
-
-    /// The mode the *next* packet should be sent in.
-    pub fn mode(&self) -> LinkMode {
-        self.mode
-    }
-
-    /// Packets since the last delivered feedback report.
-    pub fn feedback_age(&self) -> u32 {
-        self.feedback_age
-    }
-
-    /// Every transition recorded so far, in order.
-    pub fn transitions(&self) -> &[ModeTransition] {
-        &self.transitions
-    }
-
-    fn transition(&mut self, packet: u64, to: LinkMode, reason: DegradeReason) {
-        self.transitions.push(ModeTransition { packet, from: self.mode, to, reason });
-        self.mode = to;
-    }
-
-    /// Feeds one packet's outcome; may change the mode for the next one.
-    pub fn observe(&mut self, packet: u64, obs: PacketObservation) {
-        self.feedback_age = if obs.feedback_fresh { 0 } else { self.feedback_age.saturating_add(1) };
-        match self.mode {
-            LinkMode::Cos => {
-                if obs.control_attempted {
-                    self.window.push_back(obs.control_ok);
-                    while self.window.len() > CTRL_WINDOW {
-                        self.window.pop_front();
-                    }
-                }
-                let failures = self.window.iter().filter(|&&ok| !ok).count();
-                let stale = self.feedback_age >= STALE_AFTER;
-                if stale || failures > CTRL_FAIL_BUDGET {
-                    let reason = if stale {
-                        DegradeReason::StaleFeedback
-                    } else {
-                        DegradeReason::ControlBerBudget
-                    };
-                    self.window.clear();
-                    self.probe_wait = self.backoff;
-                    self.transition(packet, LinkMode::DataOnly, reason);
-                }
-            }
-            LinkMode::DataOnly => {
-                if self.probe_wait == 0 {
-                    self.transition(packet, LinkMode::Probing, DegradeReason::ProbeDue);
-                } else {
-                    self.probe_wait -= 1;
-                }
-            }
-            LinkMode::Probing => {
-                if obs.control_ok && obs.feedback_fresh {
-                    self.backoff = REPROBE_BACKOFF;
-                    self.transition(packet, LinkMode::Cos, DegradeReason::ProbeRecovered);
-                } else {
-                    self.backoff = (self.backoff.saturating_mul(2)).min(REPROBE_BACKOFF_MAX);
-                    self.probe_wait = self.backoff;
-                    self.transition(packet, LinkMode::DataOnly, DegradeReason::ProbeFailed);
-                }
-            }
-        }
-    }
-}
 
 /// Attempt buckets of [`ArqHistograms`]: index `k < 9` counts messages
 /// resolved after exactly `k + 1` transmission attempts; the last bucket
@@ -544,84 +375,6 @@ pub fn corrupt_selection(selection: &mut Vec<usize>, xor_mask: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn obs(fresh: bool, attempted: bool, ok: bool) -> PacketObservation {
-        PacketObservation {
-            feedback_fresh: fresh,
-            control_attempted: attempted,
-            control_ok: ok,
-            crc_ok: true,
-        }
-    }
-
-    #[test]
-    fn stale_feedback_degrades_then_probe_recovers() {
-        let mut c = DegradedModeController::new();
-        let mut packet = 0u64;
-        // Feedback vanishes: after STALE_AFTER packets the link degrades.
-        while c.mode() == LinkMode::Cos {
-            c.observe(packet, obs(false, true, true));
-            packet += 1;
-            assert!(packet < 20, "never degraded");
-        }
-        assert_eq!(c.mode(), LinkMode::DataOnly);
-        assert_eq!(c.transitions().last().map(|t| t.reason), Some(DegradeReason::StaleFeedback));
-        // Feedback returns: wait out the backoff, probe, recover.
-        let mut steps = 0;
-        while c.mode() != LinkMode::Cos {
-            c.observe(packet, obs(true, c.mode() == LinkMode::Probing, true));
-            packet += 1;
-            steps += 1;
-            assert!(steps < 20, "never recovered");
-        }
-        assert_eq!(c.transitions().last().map(|t| t.reason), Some(DegradeReason::ProbeRecovered));
-    }
-
-    #[test]
-    fn control_failures_exceeding_budget_degrade() {
-        let budget = CTRL_FAIL_BUDGET;
-        let mut c = DegradedModeController::new();
-        for p in 0..budget as u64 {
-            c.observe(p, obs(true, true, false));
-            assert_eq!(c.mode(), LinkMode::Cos, "degraded within budget");
-        }
-        c.observe(budget as u64, obs(true, true, false));
-        assert_eq!(c.mode(), LinkMode::DataOnly);
-        assert_eq!(
-            c.transitions().last().map(|t| t.reason),
-            Some(DegradeReason::ControlBerBudget)
-        );
-    }
-
-    #[test]
-    fn failed_probes_back_off_exponentially() {
-        let mut c = DegradedModeController::new();
-        // Force a degrade.
-        for p in 0..10 {
-            c.observe(p, obs(false, true, true));
-        }
-        assert_eq!(c.mode(), LinkMode::DataOnly);
-        // Count DataOnly dwell lengths across failed probes: they double.
-        let mut dwells = Vec::new();
-        let mut dwell = 0u32;
-        for p in 10..120 {
-            match c.mode() {
-                LinkMode::DataOnly => dwell += 1,
-                LinkMode::Probing => {
-                    dwells.push(dwell);
-                    dwell = 0;
-                }
-                LinkMode::Cos => break,
-            }
-            c.observe(p, obs(false, c.mode() == LinkMode::Probing, false));
-        }
-        assert!(dwells.len() >= 3);
-        for pair in dwells.windows(2).take(3) {
-            assert!(pair[1] >= pair[0], "backoff shrank: {dwells:?}");
-        }
-        let cap = REPROBE_BACKOFF_MAX + 1;
-        assert!(dwells.iter().all(|&d| d <= cap), "dwell exceeded cap: {dwells:?}");
-    }
 
     #[test]
     fn arq_retries_then_fails_bounded() {

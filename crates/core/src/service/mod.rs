@@ -24,8 +24,9 @@
 //!   stalls past `stall_ticks` and poison jobs that exhaust their retry
 //!   budget into a bounded dead-letter queue; the owning session's later
 //!   jobs keep flowing (per-session order preserved, shard never
-//!   wedged). Sustained faults degrade the service through the PR 2
-//!   [`DegradedModeController`]: while degraded, admission capacity
+//!   wedged). Sustained faults degrade the service through a
+//!   [`BudgetSearch`] whose ceiling is the floor (the resilience guard's
+//!   machine, which never searches): while degraded, admission capacity
 //!   shrinks ([`SHED_DIVISOR`]) so load is shed at the door, and a healthy
 //!   probe tick restores full capacity.
 //! * **Deterministic replay** — with journaling enabled, every
@@ -55,7 +56,7 @@ use crate::engine::{
     check_control_bits, check_payload_len, BatchEngine, ControlId, EngineConfig, JobResult,
     PayloadId, SessionId, SessionPool,
 };
-use crate::resilience::{DegradedModeController, LinkMode, PacketObservation};
+use crate::budget::{BudgetSearch, LinkMode, PacketObservation, BASE_BUDGET};
 use crate::session::SessionConfig;
 use journal::{JournalEvent, OutcomeDigest, ReplayJournal};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -206,9 +207,9 @@ pub const WALL_PATIENCE_MS: u64 = 250;
 
 /// Service tuning. Defaults are the SLO table of
 /// `docs/ROBUSTNESS.md` ("Service-layer guarantees"). The service-level
-/// health controller is a [`DegradedModeController`] with the
-/// resilience layer's constants. [`ServiceConfig::validate`] holds the
-/// one rule set for its values.
+/// health controller is a [`BudgetSearch`] whose ceiling is the floor,
+/// with the budget machine's constants. [`ServiceConfig::validate`]
+/// holds the one rule set for its values.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Bounded submit-queue capacity; the hard memory bound of the
@@ -358,7 +359,7 @@ pub struct ServiceCore {
     tick: u64,
     draining: bool,
     dead_letters: VecDeque<DeadLetter>,
-    health: DegradedModeController,
+    health: BudgetSearch,
     faults: FaultPlan,
     journal: Option<ReplayJournal>,
     session_ordinals: BTreeMap<SessionId, u32>,
@@ -397,7 +398,7 @@ impl ServiceCore {
             panic!("ServiceConfig::{field} out of range in {cfg:?}");
         }
         let journal = journaled.then(|| ReplayJournal::new(cfg.clone()));
-        let health = DegradedModeController::new();
+        let health = BudgetSearch::new(BASE_BUDGET);
         let engine = BatchEngine::new(cfg.engine);
         ServiceCore {
             cfg,
@@ -736,7 +737,6 @@ impl ServiceCore {
             feedback_fresh: produced > 0 || !had_work,
             control_attempted: had_work,
             control_ok: !fault_this_tick,
-            crc_ok: true,
         };
         self.health.observe(self.tick, obs);
         produced
@@ -1349,7 +1349,7 @@ mod tests {
 
     #[test]
     fn sustained_faults_shed_load_then_recover() {
-        use crate::resilience::{CTRL_FAIL_BUDGET, REPROBE_BACKOFF};
+        use crate::budget::{CTRL_FAIL_BUDGET, REPROBE_BACKOFF};
         let cfg = ServiceConfig { queue_capacity: 8, retry_budget: 0, ..ServiceConfig::default() };
         let (mut core, ids, payload, control) = setup(cfg, 1);
         // One poisoned job per tick: each is a fault tick, and one more

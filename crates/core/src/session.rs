@@ -7,8 +7,8 @@
 //! channel (§III-A, §III-D): one ARQ queue
 //! ([`CosSession::queue_control`]) whose messages ride the silences of
 //! data frames and are confirmed by the feedback report, the
-//! [`crate::resilience`] guard (degraded-mode controller, detector
-//! recalibration, PHY-error tally, feedback history) and the
+//! [`crate::resilience`] guard (a [`BudgetSearch`] that never searches,
+//! detector recalibration, PHY-error tally, feedback history) and the
 //! [`crate::adaptation`] policy. Both resilient and adaptive frames draw
 //! from that one queue; the guard and the policy are built with the
 //! session and each is consulted only by frames of its own kind.
@@ -23,13 +23,14 @@
 //!   the resilience guard: the control message is the ARQ head, feedback
 //!   passes through the link's fault engine (loss, staleness,
 //!   corruption), the detector bias recalibrates on false-alarm spikes,
-//!   and a degraded-mode state machine drops to plain data transmission
-//!   when the control channel stops working.
+//!   and the guard's budget machine drops to plain data transmission
+//!   (ERROR) when the control channel stops working, and an unpinned rate
+//!   to the slowest with it.
 //! * [`CosSession::send_packet_adaptive_summary`] — the closed loop of
 //!   the adaptation policy: the rate staircase picks the rate from the
-//!   EWMA of measured SNR and the silence-budget probe search sizes the
+//!   EWMA of measured SNR and the policy's budget machine sizes the
 //!   control payload (the ARQ head plus filler), with ARQ-confirmed
-//!   probes (paper §II-B, Fig. 2).
+//!   probes (paper §II-B, Fig. 2), and sends none in ERROR.
 //!
 //! A control message that no frame can carry, even with all 48 data
 //! subcarriers selected, is not embedded: the frame goes out without
@@ -50,8 +51,10 @@
 //! `FrameScratch` lent by the caller: the session's own on the per-frame
 //! path, an engine worker's in a batch.
 
-use crate::adaptation::{
-    LinkAdaptationController, ProbeEvent, ProbeState, StaircaseEvent, BASE_BUDGET,
+use crate::adaptation::{LinkAdaptationController, StaircaseEvent};
+use crate::budget::{
+    BudgetEvent, BudgetSearch, BudgetState, LinkMode, ModeTransition, PacketObservation,
+    BASE_BUDGET,
 };
 use crate::control_rate;
 use crate::energy_detector::{Detection, DetectionAccuracy, EnergyDetector};
@@ -59,8 +62,7 @@ use crate::engine::JobResult;
 use crate::interval::IntervalCodec;
 use crate::power_controller::{EmbedError, PowerController};
 use crate::resilience::{
-    corrupt_selection, ArqHistograms, ArqStats, ControlArq, DegradedModeController, LinkMode,
-    ModeTransition, PacketObservation, PhyErrorTally, ThresholdRecalibrator,
+    corrupt_selection, ArqHistograms, ArqStats, ControlArq, PhyErrorTally, ThresholdRecalibrator,
 };
 use crate::subcarrier_select::{select_control_subcarriers_into, SelectionPolicy};
 use crate::validation::{sanitize_selection, validate_silences_into};
@@ -82,11 +84,11 @@ pub(crate) enum ControlSource<'a> {
     /// Embed these bits and trust every feedback report (the paper's
     /// loop).
     Fixed(&'a [u8]),
-    /// The ARQ head, embedded only in modes where the degraded-mode
-    /// controller allows it, with fault-gated feedback.
+    /// The ARQ head, embedded only outside the guard's ERROR, with
+    /// fault-gated feedback.
     Resilient,
-    /// The ARQ head padded to the adaptation policy's probe budget, at
-    /// the policy's rate.
+    /// The ARQ head padded to the adaptation policy's target budget
+    /// (none in ERROR), at the policy's rate.
     Adaptive,
 }
 
@@ -190,7 +192,7 @@ pub struct SessionConfig {
     /// ARQ queue, which resilient and adaptive frames both draw from,
     /// before the message is dropped as failed.
     pub arq_max_retries: u32,
-    /// The largest silence budget the adaptation policy's probe search
+    /// The largest silence budget the adaptation policy's budget search
     /// climbs to (at least [`BASE_BUDGET`]); only
     /// [`CosSession::send_packet_adaptive_summary`] consults the policy.
     pub max_budget: usize,
@@ -521,12 +523,12 @@ pub struct AdaptiveSummary {
     pub rate_after: DataRate,
     /// The silence budget the next packet will target.
     pub budget_after: usize,
-    /// The probe search's state after this packet.
-    pub search_state: ProbeState,
+    /// The budget machine's state after this packet.
+    pub search_state: BudgetState,
     /// The staircase transition this packet triggered.
     pub staircase_event: StaircaseEvent,
-    /// The probe-search transition this packet triggered.
-    pub probe_event: ProbeEvent,
+    /// The budget machine's transition this packet triggered.
+    pub probe_event: BudgetEvent,
     /// Whether the sender received confirmation of the control message.
     pub control_acked: bool,
     /// Whether a feedback report reached the sender this packet.
@@ -548,10 +550,12 @@ struct HistoryEntry {
 #[derive(Debug, Clone)]
 struct ControlPlane {
     arq: ControlArq,
-    /// The guard: degraded-mode controller, detector recalibration,
+    /// The guard: a budget machine whose ceiling is the floor (it never
+    /// searches, so its budget is one control message), detector
+    /// recalibration,
     /// PHY-error tally and the recent receiver reports, newest first
     /// (consulted for [`FeedbackFate::Stale`] deliveries).
-    guard: DegradedModeController,
+    guard: BudgetSearch,
     recal: ThresholdRecalibrator,
     tally: PhyErrorTally,
     history: VecDeque<HistoryEntry>,
@@ -562,7 +566,7 @@ impl ControlPlane {
     fn new(config: &SessionConfig) -> Self {
         ControlPlane {
             arq: ControlArq::new(config.arq_max_retries),
-            guard: DegradedModeController::new(),
+            guard: BudgetSearch::new(BASE_BUDGET),
             recal: ThresholdRecalibrator::new(DETECTOR_BIAS_DB),
             tally: PhyErrorTally::new(),
             history: VecDeque::new(),
@@ -756,7 +760,8 @@ impl CosSession {
         self.plane.guard.mode()
     }
 
-    /// Every degraded-mode transition recorded so far.
+    /// Every transition of the resilience guard into or out of ERROR
+    /// and BASE recorded so far.
     pub fn transitions(&self) -> &[ModeTransition] {
         self.plane.guard.transitions()
     }
@@ -1075,10 +1080,12 @@ impl CosSession {
                 let mode = plane.guard.mode();
                 (mode != LinkMode::DataOnly, Tail::Resilient { mode })
             }
-            // The staircase owns the rate unless the config pins one.
+            // The staircase owns the rate unless the config pins one; in
+            // ERROR the budget is 0 and nothing is embedded.
             ControlSource::Adaptive => {
                 *rate = config.rate.unwrap_or_else(|| plane.policy.rate());
-                (true, Tail::Adaptive { target: plane.policy.target_budget() })
+                let mode = plane.policy.budget().mode();
+                (mode != LinkMode::DataOnly, Tail::Adaptive { target: plane.policy.target_budget() })
             }
         };
         let from_queue =
@@ -1180,15 +1187,20 @@ impl CosSession {
             Tail::Plain => JobResult::Plain(packet),
             Tail::Resilient { mode } => {
                 let guard = &mut self.plane.guard;
-                guard.observe(
+                let event = guard.observe(
                     self.seq,
                     PacketObservation {
                         feedback_fresh: delivered,
                         control_attempted: embedded,
                         control_ok: acked,
-                        crc_ok: t.data_ok,
                     },
                 );
+                // The one miss rule: ERROR entry drops an unpinned rate to
+                // the slowest, so a link too weak for it can still pass a
+                // CRC and get a report.
+                if event.enters_error() && self.config.rate.is_none() {
+                    self.rate = DataRate::Mbps6;
+                }
                 JobResult::Resilient(ResilientSummary {
                     packet,
                     mode,
@@ -1205,16 +1217,17 @@ impl CosSession {
                 // budget.
                 let carried_full = t.silences_sent >= target;
                 let policy = &mut self.plane.policy;
-                let events = policy.observe(delivered.then_some(t.measured), acked, carried_full);
+                let events =
+                    policy.observe(self.seq, delivered.then_some(t.measured), acked, carried_full);
                 self.m.adaptation_events += (events.staircase != StaircaseEvent::Hold) as u64
-                    + (events.probe != ProbeEvent::Hold) as u64;
+                    + (events.probe != BudgetEvent::Hold) as u64;
                 JobResult::Adaptive(AdaptiveSummary {
                     packet,
                     ewma_snr_db: policy.ewma_snr_db().unwrap_or(f64::NEG_INFINITY),
                     budget: target,
                     rate_after: self.config.rate.unwrap_or_else(|| policy.rate()),
                     budget_after: policy.target_budget(),
-                    search_state: policy.search_state(),
+                    search_state: policy.budget().state(),
                     staircase_event: events.staircase,
                     probe_event: events.probe,
                     control_acked: acked,
@@ -1290,8 +1303,8 @@ impl CosSession {
     /// Sends one data packet under the resilience guard: control bits
     /// come from the ARQ queue (see [`CosSession::queue_control`]), the
     /// feedback report passes through the link's fault engine, and the
-    /// degraded-mode state machine decides whether silences are embedded
-    /// at all.
+    /// guard's budget machine decides whether silences are embedded at
+    /// all.
     pub fn send_packet_resilient_summary(&mut self, payload: &[u8]) -> ResilientSummary {
         let JobResult::Resilient(s) = self.send(payload, ControlSource::Resilient) else {
             unreachable!("a resilient frame finishes as a resilient frame")

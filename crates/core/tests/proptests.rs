@@ -17,16 +17,15 @@ fn bits(rng: &mut Xoshiro256, len: usize) -> Vec<u8> {
 
 #[test]
 fn interval_roundtrip_any_message() {
-    for mut rng in cases(48) {
-        // Unused, but drawn: the message's draws follow it.
-        let _groups = rng.below(24);
-        let bits: Vec<u8> = (0..rng.below(96)).map(|_| rng.below(2) as u8).collect();
+    for (k, mut rng) in cases(48).enumerate() {
+        // One 4-bit interval per group: every count from 0 to 23 groups,
+        // twice each, with random bits.
+        let groups = k % 24;
+        let msg: Vec<u8> = (0..4 * groups).map(|_| rng.below(2) as u8).collect();
         let codec = IntervalCodec::default();
-        let take = (bits.len() / 4) * 4;
-        let msg = &bits[..take];
-        let positions = codec.encode(msg);
+        let positions = codec.encode(&msg);
         let decoded = codec.decode(&positions);
-        assert_eq!(decoded.as_deref(), Some(msg));
+        assert_eq!(decoded, Some(msg));
     }
 }
 

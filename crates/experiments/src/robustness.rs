@@ -31,7 +31,8 @@ use cos_channel::{
     AgcTransient, BurstInterference, CfoDrift, CollisionOverlap, FaultEngine, FeedbackCorruption,
     FeedbackLoss, FeedbackStaleness, MidFrameTruncation,
 };
-use cos_core::resilience::{ArqHistograms, DegradeReason, LinkMode};
+use cos_core::budget::{BudgetEvent, LinkMode};
+use cos_core::resilience::ArqHistograms;
 use cos_core::session::{CosSession, SessionConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -61,10 +62,10 @@ impl Default for Config {
 /// Packets after the fault window closes (`Config::window.1`) within
 /// which a [`Expectation::RecoverToCos`] trial must send a packet in CoS
 /// mode: twice the re-probe backoff's clamp
-/// (`resilience::REPROBE_BACKOFF_MAX`, 16 packets). A
+/// (`budget::REPROBE_BACKOFF_MAX`, 16 packets). A
 /// parked link probes at least once per clamp, and one probe may fail on
-/// a healthy link: the committed soak's slowest trial (`agc_transient`)
-/// is back 22 packets after the close.
+/// a healthy link: the committed soak's slowest trial
+/// (`collision_overlap`) is back 15 packets after the close.
 pub const RECOVERY_BOUND_PKTS: u64 = 32;
 
 /// What a scenario's link is expected to do once its faults stop.
@@ -267,7 +268,7 @@ pub fn run_trial(scenario: &Scenario, cfg: &Config, trial: usize) -> TrialResult
             if t.from == LinkMode::Cos && t.to == LinkMode::DataOnly {
                 degrades += 1;
                 open.get_or_insert(t.packet);
-            } else if t.to == LinkMode::Cos && t.reason == DegradeReason::ProbeRecovered {
+            } else if t.to == LinkMode::Cos && t.reason == BudgetEvent::ProbeRecovered {
                 if let Some(start) = open.take() {
                     recoveries += 1;
                     recovery_sum += t.packet.saturating_sub(start);

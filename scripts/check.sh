@@ -12,6 +12,18 @@ trap 'rm -rf "$logs"' EXIT
 # the service entry's `live:` one, which depends on pump timing.
 storm_digests() { grep digest "$1" | grep -v '^  live:'; }
 
+# The tree as this run found it: `git status --porcelain` plus a hash of
+# `git diff HEAD`. The last step fails if any step rewrote a tracked file
+# or left an untracked one, not only under results/. cosbench/Cargo.lock
+# is left out: the cosbench self-test still rewrites it to drop a crate
+# the workspace no longer has, and committing the refreshed file waits
+# for the next benchmark change (ROADMAP direction 1).
+tree_state() {
+    git status --porcelain -- . ':!cosbench/Cargo.lock'
+    git diff HEAD -- . ':!cosbench/Cargo.lock' | sha256sum
+}
+tree_before=$(tree_state)
+
 echo "== Cargo.lock lists exactly the workspace members, the root package and crates/* (no vendored or external crate comes in undeclared)"
 diff <(grep '^name = ' Cargo.lock | cut -d'"' -f2 | sort) \
     <(cargo metadata -q --no-deps --offline --format-version 1 | jq -r --arg root "$PWD/" \
@@ -94,5 +106,11 @@ for t in 1 4 8; do
     COS_THREADS=$t cargo run -q --release -p cos-experiments --bin run_all -- fig08_mesh > /dev/null
     git diff --exit-code -- results/
 done
+
+echo "== the run left the tree as it found it (git status and git diff HEAD, cosbench/Cargo.lock aside)"
+if ! diff <(echo "$tree_before") <(tree_state); then
+    echo "this run changed the working tree (above: before <, after >)"
+    exit 1
+fi
 
 echo "ALL CHECKS PASSED"

@@ -142,6 +142,28 @@ fn feedback_failure_falls_back_to_lowest_control_rate() {
     assert_eq!(budget_after_failure, fresh.silence_budget(1024));
 }
 
+/// A resilient session without a pinned rate starts at 12 Mbps. On a
+/// link too weak for that rate no frame passes its CRC, so no report
+/// ever comes back; the one miss rule (ERROR entry drops an unpinned
+/// rate to the slowest) is what lets such a link carry data at all.
+#[test]
+fn unpinned_resilient_sessions_slow_down_on_a_weak_link() {
+    for snr_db in [2.0, 3.0] {
+        let config = SessionConfig { snr_db, arq_max_retries: 3, ..Default::default() };
+        let mut s = CosSession::new(config, 31);
+        let mut passes = 0;
+        for frame in 0..24 {
+            if frame % 4 == 0 {
+                s.queue_control(message(8 + 4 * (frame % 3)));
+            }
+            let r = s.send_packet_resilient_summary(&[frame as u8 ^ 0x5A; 300]);
+            passes += r.packet.data_ok as u32;
+        }
+        assert!(passes > 0, "{snr_db} dB: no resilient frame passed its CRC in 24");
+        assert_eq!(s.current_rate(), DataRate::Mbps6, "{snr_db} dB");
+    }
+}
+
 /// What a session sends: one send entry point throughout, or resilient
 /// and adaptive frames in turn on the one control plane.
 #[derive(Clone, Copy)]
@@ -234,9 +256,12 @@ fn send_kind_fault_digest() -> u64 {
 
 #[test]
 fn every_send_kind_under_every_feedback_fault() {
-    // Recorded before the three sender tails became one: what each kind
-    // applies, salvages or misses under each feedback fate is pinned
-    // here, not only the resilient kind that robustness_soak covers.
+    // What each kind applies, salvages or misses under each feedback
+    // fate is pinned here, not only the resilient kind that
+    // robustness_soak covers. Recorded before the three sender tails
+    // became one; moved once when the two budget machines became one
+    // (an unpinned resilient rate now falls back on ERROR entry, and
+    // adaptive frames gained ERROR).
     let digest = send_kind_fault_digest();
-    assert_eq!(digest, 0x0b7b_4313_8cbb_d53d, "digest {digest:#018x}");
+    assert_eq!(digest, 0x7a63_4f40_29bc_2443, "digest {digest:#018x}");
 }
