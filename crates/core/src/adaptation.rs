@@ -270,8 +270,7 @@ impl LinkAdaptationController {
         self.budget.target_budget()
     }
 
-    /// The budget machine (read-only): its state, ceiling and
-    /// transitions.
+    /// The budget machine (read-only): its state and ceiling.
     pub fn budget(&self) -> &BudgetSearch {
         &self.budget
     }
@@ -281,7 +280,7 @@ impl LinkAdaptationController {
         self.snr.value()
     }
 
-    /// Feeds the outcome of the session's packet number `packet`.
+    /// Feeds the outcome of one of the session's packets.
     ///
     /// * `measured_snr_db` — the per-frame SNR carried by the EVM
     ///   feedback report, or `None` when the report was lost.
@@ -295,7 +294,6 @@ impl LinkAdaptationController {
     ///   ignores it.
     pub fn observe(
         &mut self,
-        packet: u64,
         measured_snr_db: Option<f64>,
         acked: bool,
         carried_full_budget: bool,
@@ -319,7 +317,7 @@ impl LinkAdaptationController {
                 control_attempted: carried_full_budget,
                 control_ok: acked,
             };
-            self.budget.observe(packet, obs)
+            self.budget.observe(obs)
         };
         // The one miss rule: ERROR entry drops to the slowest rate.
         if probe.enters_error() && (self.staircase.acquired() || self.staircase.rate() != DataRate::Mbps6) {
@@ -402,13 +400,13 @@ mod tests {
     #[test]
     fn controller_band_change_restarts_search_and_ignores_ack() {
         let mut c = LinkAdaptationController::new(MAX);
-        c.observe(0, Some(17.0), true, true); // acquire 36 Mbps; ack ignored (band change)
+        c.observe(Some(17.0), true, true); // acquire 36 Mbps; ack ignored (band change)
         assert_eq!(c.rate(), DataRate::Mbps36);
         assert_eq!(c.target_budget(), 6); // still the first probe target
-        c.observe(0, Some(17.0), true, true); // no band change: ack confirms 6
+        c.observe(Some(17.0), true, true); // no band change: ack confirms 6
         assert_eq!(c.target_budget(), 10);
         // Collapse → downgrade → search restarts from base.
-        let ev = c.observe(0, Some(5.0), true, true);
+        let ev = c.observe(Some(5.0), true, true);
         assert_eq!(ev.staircase, StaircaseEvent::Downgrade);
         assert_eq!(ev.probe, BudgetEvent::Restarted);
         assert_eq!(c.target_budget(), 6);
@@ -418,9 +416,9 @@ mod tests {
     #[test]
     fn feedback_starvation_enters_error_at_the_slowest_rate() {
         let mut c = LinkAdaptationController::new(MAX);
-        c.observe(0, Some(23.0), true, true);
+        c.observe(Some(23.0), true, true);
         assert_eq!(c.rate(), DataRate::Mbps54);
-        let events: Vec<_> = (1..=4).map(|p| c.observe(p, None, false, false)).collect();
+        let events: Vec<_> = (1..=4).map(|_| c.observe(None, false, false)).collect();
         let entry = AdaptationEvents {
             staircase: StaircaseEvent::Fallback,
             probe: BudgetEvent::StaleFeedback,
@@ -432,7 +430,7 @@ mod tests {
         assert_eq!(c.target_budget(), 0);
         // A report in ERROR re-acquires the rate but not the budget: that
         // waits for the BASE probe.
-        let ev = c.observe(5, Some(23.0), false, true);
+        let ev = c.observe(Some(23.0), false, true);
         assert_eq!(ev.staircase, StaircaseEvent::Acquire);
         assert_eq!(ev.probe, BudgetEvent::Hold);
         assert_eq!(c.budget().state(), BudgetState::Error);
@@ -441,32 +439,32 @@ mod tests {
     #[test]
     fn controller_clamped_packets_do_not_advance_the_search() {
         let mut c = LinkAdaptationController::new(MAX);
-        c.observe(0, Some(17.0), true, true); // acquire
+        c.observe(Some(17.0), true, true); // acquire
         let before = c.target_budget();
         // A clamped packet (carried_full_budget = false) says nothing
         // about the probe — confirmed and target are untouched.
-        c.observe(0, Some(17.0), true, false);
-        c.observe(0, Some(17.0), false, false);
+        c.observe(Some(17.0), true, false);
+        c.observe(Some(17.0), false, false);
         assert_eq!(c.target_budget(), before);
     }
 
     #[test]
     fn rate_cap_clamps_without_disturbing_the_staircase() {
         let mut c = LinkAdaptationController::new(MAX);
-        c.observe(0, Some(23.0), true, true);
+        c.observe(Some(23.0), true, true);
         assert_eq!(c.rate(), DataRate::Mbps54);
         c.set_rate_cap(Some(DataRate::Mbps12));
         assert_eq!(c.rate(), DataRate::Mbps12);
         // The staircase keeps tracking underneath: feeding more high-SNR
         // packets changes nothing visible while the cap holds…
-        c.observe(0, Some(23.0), true, true);
+        c.observe(Some(23.0), true, true);
         assert_eq!(c.rate(), DataRate::Mbps12);
         // …and lifting the cap restores the staircase's own selection.
         c.set_rate_cap(None);
         assert_eq!(c.rate(), DataRate::Mbps54);
         // A cap above the selection is inert.
         let mut low = LinkAdaptationController::new(MAX);
-        low.observe(0, Some(9.0), true, true); // 12 Mbps
+        low.observe(Some(9.0), true, true); // 12 Mbps
         low.set_rate_cap(Some(DataRate::Mbps54));
         assert_eq!(low.rate(), DataRate::Mbps12);
     }
@@ -474,8 +472,8 @@ mod tests {
     #[test]
     fn controller_budget_ceiling_routes_to_the_search() {
         let mut c = LinkAdaptationController::new(MAX);
-        c.observe(0, Some(17.0), true, true); // acquire
-        c.observe(0, Some(17.0), true, true); // confirm 6
+        c.observe(Some(17.0), true, true); // acquire
+        c.observe(Some(17.0), true, true); // confirm 6
         c.set_budget_ceiling(8);
         assert_eq!(c.budget().ceiling(), 8);
         assert_eq!(c.target_budget(), 8); // probe clamped to the grant
@@ -491,8 +489,8 @@ mod tests {
             .collect();
         let run = || {
             let mut c = LinkAdaptationController::new(MAX);
-            for (p, &(snr, ack)) in seq.iter().enumerate() {
-                c.observe(p as u64, snr, ack, true);
+            for &(snr, ack) in &seq {
+                c.observe(snr, ack, true);
             }
             (c.rate(), c.target_budget(), c.budget().state(), c.ewma_snr_db().map(f64::to_bits))
         };

@@ -27,9 +27,10 @@
 //! resilience guard of a session's resilient frames and the service's
 //! health controller. An adaptive session's policy runs one that climbs
 //! to `SessionConfig::max_budget`. [`LinkMode`] is the machine's public
-//! label; every entry into or out of ERROR and BASE is recorded as a
-//! [`ModeTransition`]. `docs/ADAPTATION.md` and `docs/ROBUSTNESS.md`
-//! hold the mapping table and each constant's role.
+//! label; the machine keeps no log, and a caller that wants one records
+//! a [`ModeTransition`] whenever the label changes (every ERROR and BASE
+//! event changes it). `docs/ADAPTATION.md` and `docs/ROBUSTNESS.md` hold
+//! the mapping table and each constant's role.
 
 /// Consecutive packets without a delivered report that move a searching
 /// state to ERROR.
@@ -161,10 +162,10 @@ impl BudgetEvent {
     }
 }
 
-/// One recorded change of [`LinkMode`].
+/// One change of [`LinkMode`], as a caller's log records it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModeTransition {
-    /// Session sequence number (packet) at which the transition fired.
+    /// The packet at which the transition fired.
     pub packet: u64,
     /// Mode left behind.
     pub from: LinkMode,
@@ -201,7 +202,6 @@ pub struct BudgetSearch {
     feedback_age: u32,
     probe_wait: u32,
     backoff: u32,
-    transitions: Vec<ModeTransition>,
 }
 
 impl BudgetSearch {
@@ -219,7 +219,6 @@ impl BudgetSearch {
             feedback_age: 0,
             probe_wait: 0,
             backoff: REPROBE_BACKOFF,
-            transitions: Vec::new(),
         };
         s.state = s.search_from_floor();
         s
@@ -267,32 +266,21 @@ impl BudgetSearch {
         self.ceiling
     }
 
-    /// Every ERROR/BASE transition recorded so far, in order.
-    pub fn transitions(&self) -> &[ModeTransition] {
-        &self.transitions
-    }
-
-    fn enter(&mut self, packet: u64, to: BudgetState, reason: BudgetEvent) -> BudgetEvent {
-        let from = self.state.mode();
-        self.transitions.push(ModeTransition { packet, from, to: to.mode(), reason });
-        self.state = to;
-        reason
-    }
-
-    fn enter_error(&mut self, packet: u64, reason: BudgetEvent) -> BudgetEvent {
+    fn enter_error(&mut self, reason: BudgetEvent) -> BudgetEvent {
         self.probe_wait = self.backoff;
         self.confirmed = BASE_BUDGET;
-        self.enter(packet, BudgetState::Error, reason)
+        self.state = BudgetState::Error;
+        reason
     }
 
     /// Feeds one packet's outcome; may change the state and budget for
     /// the next one.
-    pub fn observe(&mut self, packet: u64, obs: PacketObservation) -> BudgetEvent {
+    pub fn observe(&mut self, obs: PacketObservation) -> BudgetEvent {
         self.feedback_age = if obs.feedback_fresh { 0 } else { self.feedback_age.saturating_add(1) };
         let stale = self.feedback_age >= STALE_AFTER;
         match self.state {
             BudgetState::Searching | BudgetState::SearchComplete if stale => {
-                self.enter_error(packet, BudgetEvent::StaleFeedback)
+                self.enter_error(BudgetEvent::StaleFeedback)
             }
             BudgetState::Searching if !obs.control_attempted => BudgetEvent::Hold,
             BudgetState::Searching if obs.control_ok => {
@@ -324,13 +312,14 @@ impl BudgetSearch {
                 }
                 self.fail_bits = 0;
                 if self.confirmed == BASE_BUDGET {
-                    return self.enter_error(packet, BudgetEvent::ControlBerBudget);
+                    return self.enter_error(BudgetEvent::ControlBerBudget);
                 }
-                self.confirmed = (self.confirmed - PROBE_STEP).max(BASE_BUDGET);
+                self.confirmed = self.confirmed.saturating_sub(PROBE_STEP).max(BASE_BUDGET);
                 BudgetEvent::BackedOff
             }
             BudgetState::Error if self.probe_wait == 0 => {
-                self.enter(packet, BudgetState::Base, BudgetEvent::ProbeDue)
+                self.state = BudgetState::Base;
+                BudgetEvent::ProbeDue
             }
             BudgetState::Error => {
                 self.probe_wait -= 1;
@@ -338,13 +327,14 @@ impl BudgetSearch {
             }
             BudgetState::Base if obs.control_ok && obs.feedback_fresh => {
                 self.backoff = REPROBE_BACKOFF;
-                let to = self.search_from_floor();
-                self.enter(packet, to, BudgetEvent::ProbeRecovered)
+                self.state = self.search_from_floor();
+                BudgetEvent::ProbeRecovered
             }
             BudgetState::Base => {
                 self.backoff = self.backoff.saturating_mul(2).min(REPROBE_BACKOFF_MAX);
                 self.probe_wait = self.backoff;
-                self.enter(packet, BudgetState::Error, BudgetEvent::ProbeFailed)
+                self.state = BudgetState::Error;
+                BudgetEvent::ProbeFailed
             }
         }
     }
@@ -409,10 +399,12 @@ mod tests {
     /// `g<c>` a ceiling grant (skipped when `grants` is false). Returns
     /// one `<state><target>` token per packet (`s`earching, `c`omplete,
     /// `e`rror, `b`ase), every non-`Hold` event as `<packet>:<event>`,
-    /// and the transitions as `<packet> <from>><to> <reason>`.
+    /// and each change of label as `<packet> <from>><to> <reason>`.
     fn run(m: &mut BudgetSearch, script: &str, grants: bool) -> (String, String, String) {
+        let mode = |l: LinkMode| &l.label()[..1];
         let mut states = Vec::new();
         let mut events = Vec::new();
+        let mut transitions = Vec::new();
         let mut packet = 0u64;
         for tok in script.split_whitespace() {
             if let Some(c) = tok.strip_prefix('g') {
@@ -430,20 +422,18 @@ mod tests {
                 _ => panic!("bad token {tok}"),
             };
             for _ in 0..n.parse::<usize>().unwrap() {
-                let ev = m.observe(packet, o);
+                let from = m.mode();
+                let ev = m.observe(o);
                 if ev != BudgetEvent::Hold {
                     events.push(format!("{packet}:{ev:?}"));
+                }
+                if m.mode() != from {
+                    transitions.push(format!("{packet} {}>{} {ev:?}", mode(from), mode(m.mode())));
                 }
                 states.push(format!("{}{}", &m.state().label()[..1], m.target_budget()));
                 packet += 1;
             }
         }
-        let mode = |l: LinkMode| &l.label()[..1];
-        let transitions: Vec<String> = m
-            .transitions()
-            .iter()
-            .map(|t| format!("{} {}>{} {:?}", t.packet, mode(t.from), mode(t.to), t.reason))
-            .collect();
         (states.join(" "), events.join(" "), transitions.join(", "))
     }
 
@@ -566,8 +556,8 @@ mod tests {
     #[test]
     fn restart_searches_from_the_floor() {
         let mut m = BudgetSearch::new(MAX);
-        for p in 0..4 {
-            m.observe(p, obs(true, true, true));
+        for _ in 0..4 {
+            m.observe(obs(true, true, true));
         }
         assert_eq!(m.target_budget(), 22);
         assert_eq!(m.restart(), BudgetEvent::Restarted);
@@ -577,21 +567,35 @@ mod tests {
     #[test]
     fn a_grant_in_error_takes_effect_after_recovery() {
         let mut m = BudgetSearch::new(MAX);
-        let mut p = 0;
         while m.state() != BudgetState::Error {
-            m.observe(p, obs(false, true, false));
-            p += 1;
+            m.observe(obs(false, true, false));
         }
         m.set_ceiling(0);
         assert_eq!((m.ceiling(), m.state(), m.target_budget()), (BASE_BUDGET, BudgetState::Error, 0));
         m.set_ceiling(10);
         while m.mode() != LinkMode::Cos {
-            m.observe(p, obs(true, true, true));
-            p += 1;
+            m.observe(obs(true, true, true));
         }
         assert_eq!((m.state(), m.target_budget()), (BudgetState::Searching, 6));
-        m.observe(p, obs(true, true, true));
-        m.observe(p + 1, obs(true, true, true));
+        m.observe(obs(true, true, true));
+        m.observe(obs(true, true, true));
         assert_eq!((m.state(), m.target_budget()), (BudgetState::SearchComplete, 10));
+    }
+
+    /// A ceiling that is not the floor plus whole steps (3 mod 4, as a
+    /// config's `max_budget` or a grant may set it) backs off to 3, then
+    /// to the floor, then into ERROR.
+    #[test]
+    fn back_off_from_an_odd_ceiling_reaches_error() {
+        let (states, events, _) = run(&mut BudgetSearch::new(7), "2a 3f 3f 3f", true);
+        assert_eq!(states, "s7 c7 c7 c7 c3 c3 c3 c2 c2 c2 e0");
+        assert_eq!(events, "0:Confirmed 1:Completed 4:BackedOff 7:BackedOff 10:ControlBerBudget");
+        let (states, events, _) = run(&mut BudgetSearch::new(MAX), "4a g7 9f", true);
+        assert_eq!(states, "s10 s14 s18 s22 c7 c7 c3 c3 c3 c2 c2 c2 e0");
+        assert_eq!(
+            events,
+            "0:Confirmed 1:Confirmed 2:Confirmed 3:Confirmed 6:BackedOff 9:BackedOff \
+             12:ControlBerBudget"
+        );
     }
 }

@@ -738,7 +738,7 @@ impl ServiceCore {
             control_attempted: had_work,
             control_ok: !fault_this_tick,
         };
-        self.health.observe(self.tick, obs);
+        self.health.observe(obs);
         produced
     }
 

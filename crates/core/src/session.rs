@@ -551,11 +551,12 @@ struct HistoryEntry {
 struct ControlPlane {
     arq: ControlArq,
     /// The guard: a budget machine whose ceiling is the floor (it never
-    /// searches, so its budget is one control message), detector
-    /// recalibration,
+    /// searches, so its budget is one control message), the log of its
+    /// mode changes, detector recalibration,
     /// PHY-error tally and the recent receiver reports, newest first
     /// (consulted for [`FeedbackFate::Stale`] deliveries).
     guard: BudgetSearch,
+    transitions: Vec<ModeTransition>,
     recal: ThresholdRecalibrator,
     tally: PhyErrorTally,
     history: VecDeque<HistoryEntry>,
@@ -567,6 +568,7 @@ impl ControlPlane {
         ControlPlane {
             arq: ControlArq::new(config.arq_max_retries),
             guard: BudgetSearch::new(BASE_BUDGET),
+            transitions: Vec::new(),
             recal: ThresholdRecalibrator::new(DETECTOR_BIAS_DB),
             tally: PhyErrorTally::new(),
             history: VecDeque::new(),
@@ -763,7 +765,7 @@ impl CosSession {
     /// Every transition of the resilience guard into or out of ERROR
     /// and BASE recorded so far.
     pub fn transitions(&self) -> &[ModeTransition] {
-        self.plane.guard.transitions()
+        &self.plane.transitions
     }
 
     /// Statistics of the session's one control-message ARQ queue.
@@ -1187,14 +1189,19 @@ impl CosSession {
             Tail::Plain => JobResult::Plain(packet),
             Tail::Resilient { mode } => {
                 let guard = &mut self.plane.guard;
-                let event = guard.observe(
-                    self.seq,
-                    PacketObservation {
-                        feedback_fresh: delivered,
-                        control_attempted: embedded,
-                        control_ok: acked,
-                    },
-                );
+                let event = guard.observe(PacketObservation {
+                    feedback_fresh: delivered,
+                    control_attempted: embedded,
+                    control_ok: acked,
+                });
+                if guard.mode() != mode {
+                    self.plane.transitions.push(ModeTransition {
+                        packet: self.seq,
+                        from: mode,
+                        to: guard.mode(),
+                        reason: event,
+                    });
+                }
                 // The one miss rule: ERROR entry drops an unpinned rate to
                 // the slowest, so a link too weak for it can still pass a
                 // CRC and get a report.
@@ -1218,7 +1225,7 @@ impl CosSession {
                 let carried_full = t.silences_sent >= target;
                 let policy = &mut self.plane.policy;
                 let events =
-                    policy.observe(self.seq, delivered.then_some(t.measured), acked, carried_full);
+                    policy.observe(delivered.then_some(t.measured), acked, carried_full);
                 self.m.adaptation_events += (events.staircase != StaircaseEvent::Hold) as u64
                     + (events.probe != BudgetEvent::Hold) as u64;
                 JobResult::Adaptive(AdaptiveSummary {
