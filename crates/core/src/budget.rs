@@ -27,9 +27,10 @@
 //! resilience guard of a session's resilient frames and the service's
 //! health controller. An adaptive session's policy runs one that climbs
 //! to `SessionConfig::max_budget`. [`LinkMode`] is the machine's public
-//! label; the machine keeps no log, and a caller that wants one records
-//! a [`ModeTransition`] whenever the label changes (every ERROR and BASE
-//! event changes it). `docs/ADAPTATION.md` and `docs/ROBUSTNESS.md` hold
+//! label; the machine keeps no log: a resilient frame's summary carries
+//! the label it was sent in and the one after, so a reader finds every
+//! change (every ERROR and BASE event makes one) in the summaries.
+//! `docs/ADAPTATION.md` and `docs/ROBUSTNESS.md` hold
 //! the mapping table and each constant's role.
 
 /// Consecutive packets without a delivered report that move a searching
@@ -160,19 +161,6 @@ impl BudgetEvent {
     pub fn enters_error(self) -> bool {
         matches!(self, BudgetEvent::StaleFeedback | BudgetEvent::ControlBerBudget)
     }
-}
-
-/// One change of [`LinkMode`], as a caller's log records it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ModeTransition {
-    /// The packet at which the transition fired.
-    pub packet: u64,
-    /// Mode left behind.
-    pub from: LinkMode,
-    /// Mode entered.
-    pub to: LinkMode,
-    /// Trigger: one of the five ERROR/BASE events.
-    pub reason: BudgetEvent,
 }
 
 /// One packet's outcome as the machine sees it.

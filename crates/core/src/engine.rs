@@ -3,9 +3,9 @@
 //! worker threads.
 //!
 //! A session holds only the state that persists between frames (link,
-//! controller, detector, selection, ARQ/adaptation, metrics). The
-//! frame-sized planes a frame runs through — waveforms, front end,
-//! decoder scratch — belong to the engine: each worker owns one
+//! selection, rate, ARQ/adaptation, metrics). Every buffer a frame runs
+//! through — waveforms, front end, decoder scratch, detection, message
+//! and selection copies — belongs to the engine: each worker owns one
 //! `FrameScratch`, persistent across drains, and lends it to every
 //! frame it runs. Workspaces carry no semantic state between frames, so
 //! which worker runs a frame never shows in its outcome, and a drain over

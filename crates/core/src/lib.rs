@@ -38,9 +38,8 @@
 //! * [`validation`] — decision-directed coherent silence validation, a
 //!   receiver-side extension that recovers near-exact control accuracy on
 //!   high-order QAM,
-//! * [`resilience`] — the fault-tolerance layer: control-message ARQ,
-//!   detector-threshold recalibration and the PHY-error tally (see
-//!   `docs/ROBUSTNESS.md`),
+//! * [`resilience`] — the fault-tolerance layer: control-message ARQ and
+//!   detector-threshold recalibration (see `docs/ROBUSTNESS.md`),
 //! * [`budget`] — the one silence-budget state machine, shaped like RFC
 //!   8899: it searches for the largest budget the control channel
 //!   carries, and falls back to plain data transmission (ERROR) when the
@@ -100,7 +99,7 @@ pub mod validation;
 pub use adaptation::{
     AdaptationEvents, LinkAdaptationController, RateStaircase, SnrEstimator, StaircaseEvent,
 };
-pub use budget::{BudgetEvent, BudgetSearch, BudgetState, LinkMode, ModeTransition};
+pub use budget::{BudgetEvent, BudgetSearch, BudgetState, LinkMode};
 pub use energy_detector::EnergyDetector;
 pub use engine::{
     configured_threads, run_indexed, BatchEngine, ControlId, EngineConfig, JobOutcome, JobResult,
@@ -112,7 +111,7 @@ pub use mesh::{
     MeshConfig, MeshNet, MeshReport, MeshTopology, StationReport,
 };
 pub use power_controller::PowerController;
-pub use resilience::{ArqHistograms, ArqStats, ControlArq, PhyErrorTally, ThresholdRecalibrator};
+pub use resilience::{ArqHistograms, ArqStats, ControlArq, ThresholdRecalibrator};
 pub use service::journal::{JournalError, ReplayJournal, ReplayReport};
 pub use service::{
     CosService, DeadLetter, QuarantineReason, Rejected, ServiceConfig, ServiceCore, ServiceJobKind,

@@ -31,9 +31,8 @@
 //! machine's; they are what `docs/ROBUSTNESS.md` documents and the
 //! robustness soak exercises.
 
-use cos_phy::error::PhyError;
 use cos_phy::subcarriers::NUM_DATA;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// EWMA false-alarm rate above which the detector bias is raised.
 pub const FA_SPIKE: f64 = 0.05;
@@ -329,34 +328,6 @@ impl ThresholdRecalibrator {
     }
 }
 
-/// Deterministic per-kind tally of receive-chain failures.
-#[derive(Debug, Clone, Default)]
-pub struct PhyErrorTally {
-    counts: BTreeMap<&'static str, u64>,
-}
-
-impl PhyErrorTally {
-    /// An empty tally.
-    pub fn new() -> Self {
-        PhyErrorTally::default()
-    }
-
-    /// Records one error.
-    pub fn record(&mut self, err: &PhyError) {
-        *self.counts.entry(err.kind()).or_insert(0) += 1;
-    }
-
-    /// Sum over all kinds.
-    pub fn total(&self) -> u64 {
-        self.counts.values().sum()
-    }
-
-    /// Per-kind counts, sorted by kind (deterministic iteration).
-    pub fn counts(&self) -> &BTreeMap<&'static str, u64> {
-        &self.counts
-    }
-}
-
 /// XORs a 48-bit corruption mask onto a subcarrier selection, in place:
 /// `selection` becomes the corrupted (still unsanitised) indices, in
 /// ascending order.
@@ -502,16 +473,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(high.observe(50, 100), None);
         }
-    }
-
-    #[test]
-    fn tally_is_deterministic_and_counts() {
-        let mut t = PhyErrorTally::new();
-        t.record(&PhyError::SignalParity);
-        t.record(&PhyError::SignalParity);
-        t.record(&PhyError::NoPreamble);
-        assert_eq!(t.total(), 3);
-        assert_eq!(t.counts().get("signal_parity"), Some(&2));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use cos_channel::{FaultEngine, FeedbackLoss};
 use cos_core::session::{CosSession, SessionConfig};
-use cos_core::{SessionId, SessionPool};
+use cos_core::{LinkMode, SessionId, SessionPool};
 use cos_dsp::rng::{cases, Xoshiro256};
 use cos_phy::rates::DataRate;
 
@@ -160,10 +160,12 @@ fn pooled_sessions_match_standalone_shadows() {
             let pooled = pool.get_mut(s.id).expect("live handle resolves");
             pooled.set_faults(FaultEngine::new().with(FeedbackLoss::new(1.0, 7)));
             pooled.queue_control(control.to_vec());
+            let mut degraded = false;
             for _ in 0..6 {
-                pooled.send_packet_resilient_summary(&payload);
+                let r = pooled.send_packet_resilient_summary(&payload);
+                degraded |= r.mode_after == LinkMode::DataOnly;
             }
-            assert!(!pooled.transitions().is_empty(), "the blackout never degraded the link");
+            assert!(degraded, "the blackout never degraded the link");
             assert!(pool.release(s.id), "live handle releases");
             let seed = 0xF00D + k as u64;
             let id = pool.create(config(k as u8), seed);
@@ -187,6 +189,5 @@ fn assert_fresh(pooled: &CosSession, shadow: &CosSession) {
     assert_eq!(pooled.arq_stats(), shadow.arq_stats());
     assert_eq!(pooled.arq_backlog(), shadow.arq_backlog());
     assert_eq!(pooled.mode(), shadow.mode());
-    assert_eq!(pooled.transitions(), shadow.transitions());
-    assert_eq!(pooled.phy_errors().total(), shadow.phy_errors().total());
+    assert_eq!(pooled.detector_bias_db(), shadow.detector_bias_db());
 }

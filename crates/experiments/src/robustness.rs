@@ -31,7 +31,7 @@ use cos_channel::{
     AgcTransient, BurstInterference, CfoDrift, CollisionOverlap, FaultEngine, FeedbackCorruption,
     FeedbackLoss, FeedbackStaleness, MidFrameTruncation,
 };
-use cos_core::budget::{BudgetEvent, LinkMode};
+use cos_core::budget::LinkMode;
 use cos_core::resilience::ArqHistograms;
 use cos_core::session::{CosSession, SessionConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -203,7 +203,7 @@ pub struct TrialResult {
     /// Packets from the fault window's close to the first packet at or
     /// after it sent in CoS mode (`None`: none before the trial ended).
     pub cos_after_close: Option<u64>,
-    /// Receive-chain failures tallied by the session.
+    /// Resilient frames whose summary reports a receive-chain failure.
     pub phy_errors: u64,
     /// Messages still queued when the trial ended.
     pub residual_backlog: u64,
@@ -241,8 +241,16 @@ pub fn run_trial(scenario: &Scenario, cfg: &Config, trial: usize) -> TrialResult
         }
         let payload = vec![0xA7u8; 600];
         let mut data_ok = 0u64;
+        let mut phy_errors = 0u64;
         let close = window.1;
         let mut cos_after_close = None;
+        // Recovery latency: each Cos→DataOnly degradation paired with the
+        // next BASE probe confirmed back to Cos (`ProbeRecovered`, the
+        // only way the guard re-enters Cos), read off the summaries.
+        let mut degrades = 0u64;
+        let mut recoveries = 0u64;
+        let mut recovery_sum = 0u64;
+        let mut open: Option<u64> = None;
         for p in 0..packets {
             let at = p as u64;
             if at >= close && cos_after_close.is_none() && s.mode() == LinkMode::Cos {
@@ -257,22 +265,19 @@ pub fn run_trial(scenario: &Scenario, cfg: &Config, trial: usize) -> TrialResult
             }
             let r = s.send_packet_resilient_summary(&payload);
             data_ok += r.packet.data_ok as u64;
-        }
-        // Recovery latency: pair each Cos→DataOnly degradation with the
-        // next ProbeRecovered transition back to Cos.
-        let mut degrades = 0u64;
-        let mut recoveries = 0u64;
-        let mut recovery_sum = 0u64;
-        let mut open: Option<u64> = None;
-        for t in s.transitions() {
-            if t.from == LinkMode::Cos && t.to == LinkMode::DataOnly {
-                degrades += 1;
-                open.get_or_insert(t.packet);
-            } else if t.to == LinkMode::Cos && t.reason == BudgetEvent::ProbeRecovered {
-                if let Some(start) = open.take() {
-                    recoveries += 1;
-                    recovery_sum += t.packet.saturating_sub(start);
+            phy_errors += r.phy_error.is_some() as u64;
+            match (r.mode, r.mode_after) {
+                (LinkMode::Cos, LinkMode::DataOnly) => {
+                    degrades += 1;
+                    open.get_or_insert(at);
                 }
+                (LinkMode::Probing, LinkMode::Cos) => {
+                    if let Some(start) = open.take() {
+                        recoveries += 1;
+                        recovery_sum += at - start;
+                    }
+                }
+                _ => {}
             }
         }
         let stats = s.arq_stats();
@@ -289,7 +294,7 @@ pub fn run_trial(scenario: &Scenario, cfg: &Config, trial: usize) -> TrialResult
             recovery_sum,
             final_mode: Some(s.mode()),
             cos_after_close,
-            phy_errors: s.phy_errors().total(),
+            phy_errors,
             residual_backlog: s.arq_backlog() as u64,
             histograms: s.arq_histograms(),
         }
