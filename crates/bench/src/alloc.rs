@@ -17,7 +17,9 @@
 //! engine's workers, so a session holds only its persistent state.
 //!
 //! A drain phase runs a fixed-rate pool of plain, resilient and adaptive
-//! jobs through [`BatchEngine`] at 1 and at 2 worker threads; after
+//! jobs through [`BatchEngine`] at 1 and at 2 worker threads, together
+//! with a faulted fleet: resilient sessions on a lossy reverse path
+//! (`FeedbackLoss`), whose guards cycle between ERROR and BASE. After
 //! warm-up drains every buffer has reached capacity.
 //!
 //! Fails unless every gate holds:
@@ -34,7 +36,9 @@
 //!   `FOOTPRINT_KIB` KiB, at 54 and at 6 Mbps;
 //! * a warmed drain allocates **zero** times on 1 thread, and at most
 //!   `SPAWN_ALLOCS` times on 2 — what spawning the one extra scoped
-//!   worker costs — however many jobs the drain holds.
+//!   worker costs — however many jobs the drain holds, and the faulted
+//!   fleet's guards change mode during the measured drains, so the gate
+//!   covers the ERROR/BASE cycle.
 //!
 //! `--smoke` shrinks only the drain phase (1024 sessions and one
 //! measured drain, against 1536 and three).
@@ -44,8 +48,8 @@ use std::hint::black_box;
 use crate::gate::{
     control_bits, counters, digest_outcome, payload_bytes, register_tables, Verdict, CONTROL_LENS,
 };
-use cos_channel::{ChannelConfig, Link};
-use cos_core::engine::{BatchEngine, EngineConfig, SessionId, SessionPool};
+use cos_channel::{ChannelConfig, FaultEngine, FeedbackLoss, Link};
+use cos_core::engine::{BatchEngine, EngineConfig, JobResult, SessionId, SessionPool};
 use cos_core::session::{CosSession, Fnv, SessionConfig};
 use cos_core::PowerController;
 use cos_dsp::Complex;
@@ -210,7 +214,19 @@ struct DrainAllocs {
     allocs_per_frame: f64,
     bytes_per_frame: f64,
     warm_rounds: usize,
+    /// Resilient frames of the measured drains sent in one mode and
+    /// leaving the guard in another.
+    mode_changes: usize,
 }
+
+/// Resilient sessions the drain phase adds on a lossy reverse path, at
+/// 14–23 dB with unpinned rates and [`FAULTED_PAYLOAD`]-byte frames.
+const FAULTED_SESSIONS: usize = 256;
+/// Report-loss probability of the faulted fleet's reverse path: four
+/// lost reports in a row enter ERROR, and a lost report fails the BASE
+/// probe, so the guards keep cycling.
+const FAULTED_LOSS: f64 = 0.6;
+const FAULTED_PAYLOAD: usize = 300;
 
 /// Allocations one `std::thread::scope` spawning one thread makes (the
 /// scope's shared state, the thread handle, its result packet and the
@@ -235,7 +251,8 @@ const MAX_WARM_ROUNDS: usize = 64;
 
 /// Steady-state allocation profile: fixed-rate sessions (frame geometry
 /// never changes, so buffers stop growing) sending plain, resilient and
-/// adaptive jobs in turn, drained at `threads` worker threads.
+/// adaptive jobs in turn, plus the [`FAULTED_SESSIONS`] faulted
+/// resilient sessions, drained at `threads` worker threads.
 ///
 /// Scratch buffers grow only on per-session records (a frame detecting
 /// more silences than any before on that session, say), so the tail of
@@ -244,7 +261,7 @@ const MAX_WARM_ROUNDS: usize = 64;
 /// two consecutive full drains stay within [`drain_alloc_budget`]
 /// (capped at [`MAX_WARM_ROUNDS`]), and only then does measurement start.
 fn run_drain_phase(sessions: usize, measured: usize, threads: usize) -> DrainAllocs {
-    let mut pool = SessionPool::with_capacity(sessions);
+    let mut pool = SessionPool::with_capacity(sessions + FAULTED_SESSIONS);
     let ids: Vec<SessionId> = (0..sessions)
         .map(|i| {
             // High enough SNR that every rate decodes from the first
@@ -259,12 +276,25 @@ fn run_drain_phase(sessions: usize, measured: usize, threads: usize) -> DrainAll
             pool.create(config, 0xA110C + i as u64)
         })
         .collect();
+    let faulted: Vec<SessionId> = (0..FAULTED_SESSIONS)
+        .map(|i| {
+            let config = SessionConfig { snr_db: 14.0 + (i % 10) as f64, ..Default::default() };
+            let seed = 0xFA17 + i as u64;
+            let id = pool.create(config, seed);
+            let loss = FaultEngine::new().with(FeedbackLoss::new(FAULTED_LOSS, seed));
+            pool.get_mut(id).expect("just created").set_faults(loss);
+            id
+        })
+        .collect();
 
     let mut engine = BatchEngine::new(EngineConfig { threads });
     let (payloads, controls) = register_tables(&mut engine);
+    let faulted_payload = engine.add_payload(&payload_bytes(FAULTED_PAYLOAD));
     let mut out = Vec::new();
     let mut digest = Fnv::new();
 
+    // One drain; returns the resilient frames that changed the guard's
+    // mode.
     let mut round = |pool: &mut SessionPool, digest: &mut Fnv| {
         for (k, &id) in ids.iter().enumerate() {
             let payload = payloads[k % payloads.len()];
@@ -274,10 +304,18 @@ fn run_drain_phase(sessions: usize, measured: usize, threads: usize) -> DrainAll
                 _ => engine.submit_adaptive(id, payload),
             }
         }
+        for &id in &faulted {
+            engine.submit_resilient(id, faulted_payload);
+        }
         engine.drain_into(pool, &mut out);
+        let mut mode_changes = 0;
         for o in &out {
             digest_outcome(digest, o);
+            if let JobResult::Resilient(r) = &o.result {
+                mode_changes += usize::from(r.mode != r.mode_after);
+            }
         }
+        mode_changes
     };
 
     let mut warm_rounds = 0;
@@ -290,18 +328,20 @@ fn run_drain_phase(sessions: usize, measured: usize, threads: usize) -> DrainAll
         quiet = if quiet_drain { quiet + 1 } else { 0 };
     }
     let (a0, b0) = counters();
+    let mut mode_changes = 0;
     for _ in 0..measured {
-        round(&mut pool, &mut digest);
+        mode_changes += round(&mut pool, &mut digest);
     }
     let (a1, b1) = counters();
     black_box(digest.value());
 
-    let frames = (sessions * measured) as f64;
+    let frames = ((sessions + FAULTED_SESSIONS) * measured) as f64;
     DrainAllocs {
         allocs_per_drain: (a1 - a0) as f64 / measured as f64,
         allocs_per_frame: (a1 - a0) as f64 / frames,
         bytes_per_frame: (b1 - b0) as f64 / frames,
         warm_rounds,
+        mode_changes,
     }
 }
 
@@ -357,12 +397,15 @@ pub fn run(v: &mut Verdict, smoke: bool) {
         let drain = run_drain_phase(sessions, measured, threads);
         let budget = drain_alloc_budget(threads);
         eprintln!(
-            "  steady state, {sessions} sessions, threads={threads}: {:.1} allocs/drain \
-             (budget {budget}), {:.3} allocs/frame, {:.1} bytes/frame ({} warm rounds)",
+            "  steady state, {sessions} sessions + {FAULTED_SESSIONS} faulted (resilient, \
+             FeedbackLoss {FAULTED_LOSS}), threads={threads}: {:.1} allocs/drain \
+             (budget {budget}), {:.3} allocs/frame, {:.1} bytes/frame ({} warm rounds, {} guard \
+             mode changes measured)",
             drain.allocs_per_drain,
             drain.allocs_per_frame,
             drain.bytes_per_frame,
-            drain.warm_rounds
+            drain.warm_rounds,
+            drain.mode_changes
         );
         v.check(
             drain.allocs_per_drain <= budget as f64,
@@ -370,6 +413,13 @@ pub fn run(v: &mut Verdict, smoke: bool) {
                 "{:.1} allocs/drain at steady state on {threads} thread(s) (want at most \
                  {budget})",
                 drain.allocs_per_drain
+            ),
+        );
+        v.check(
+            drain.mode_changes > 0,
+            format_args!(
+                "the faulted fleet's guards changed no mode in the measured drains on \
+                 {threads} thread(s)"
             ),
         );
     }
