@@ -11,7 +11,9 @@
 //!    [`BatchEngine`] at 1, 4 and 8 worker threads with create/release
 //!    churn between rounds (recycled slots must reset adaptation state),
 //!    and FNV-digests every `AdaptiveSummary` field (`f64`s via
-//!    `to_bits`). The digests must be byte-identical.
+//!    `to_bits`). The digests must be byte-identical, and some frame
+//!    must enter the budget machine's ERROR (one session in 24 runs on
+//!    a link too weak for any rate), so the digest covers it.
 //! 2. **Drift duel** — the `fig07_adaptation` comparison from
 //!    `cos_experiments::adaptation`: the closed-loop controller vs every
 //!    fixed (rate, budget) operating point on paired channel
@@ -19,21 +21,38 @@
 //!    pair's goodput while delivering 100 % of its control messages with
 //!    a drained ARQ backlog.
 //!
-//! `--smoke` runs a reduced fleet and the quick duel config with the
-//! same gates, and its digest must also equal the recorded
-//! `SMOKE_DIGEST`.
+//! `--smoke` runs a reduced fleet (192 sessions × 4 rounds, the fewest
+//! in which a weak link's fourth missed report enters ERROR) and the
+//! quick duel config with the same gates, and its digest must also equal
+//! the recorded `SMOKE_DIGEST`.
 
 use crate::gate::{digest_outcome, payload_bytes, thread_invariant, Verdict, PAYLOAD_LENS};
-use cos_core::engine::{BatchEngine, EngineConfig, SessionId, SessionPool};
+use cos_core::engine::{BatchEngine, EngineConfig, JobResult, SessionId, SessionPool};
 use cos_core::session::{Fnv, SessionConfig};
 use cos_experiments::adaptation::{self, ContenderResult, Scheme};
 use cos_phy::rates::DataRate;
+
+/// One session in every `WEAK_EVERY` (the last of each stripe) runs on
+/// a link too weak for any rate, at [`WEAK_SNR_DB`]: its reports stop,
+/// so its budget machine enters ERROR on its fourth frame and the digest
+/// covers ERROR entry.
+const WEAK_EVERY: usize = 24;
+const WEAK_SNR_DB: f64 = -4.0;
+
+/// A session's SNR before drift.
+fn base_snr_db(session: usize) -> f64 {
+    if session % WEAK_EVERY == WEAK_EVERY - 1 {
+        WEAK_SNR_DB
+    } else {
+        16.0 + (session % 10) as f64
+    }
+}
 
 /// Fleet mix: one third pin a rate (the staircase stays out of the way,
 /// the probe search still runs), the rest run the full closed loop.
 fn storm_config(i: usize) -> SessionConfig {
     SessionConfig {
-        snr_db: 16.0 + (i % 10) as f64,
+        snr_db: base_snr_db(i),
         rate: if i.is_multiple_of(3) { Some(DataRate::ALL[(i / 3 + i) % 8]) } else { None },
         ..Default::default()
     }
@@ -56,11 +75,18 @@ fn message_bits(session: usize, round: usize) -> Vec<u8> {
     (0..8).map(|b| ((x >> (b + 19)) & 1) as u8).collect()
 }
 
+/// What one storm did: its outcome digest, its job count and how many
+/// of its frames entered the budget machine's ERROR.
+struct Storm {
+    digest: u64,
+    jobs: usize,
+    error_entries: usize,
+}
+
 /// One full storm at a fixed worker-thread count: identical fleet
 /// construction, drift retargeting, ARQ offers, submit schedule, and
-/// create/release churn every round. Returns the outcome digest and the
-/// job count.
-fn run_storm(sessions: usize, rounds: usize, threads: usize) -> (u64, usize) {
+/// create/release churn every round.
+fn run_storm(sessions: usize, rounds: usize, threads: usize) -> Storm {
     let mut pool = SessionPool::with_capacity(sessions);
     let mut ids: Vec<SessionId> =
         (0..sessions).map(|i| pool.create(storm_config(i), 0xADA7 + i as u64)).collect();
@@ -71,6 +97,7 @@ fn run_storm(sessions: usize, rounds: usize, threads: usize) -> (u64, usize) {
     let mut out = Vec::new();
     let mut digest = Fnv::new();
     let mut jobs = 0usize;
+    let mut error_entries = 0usize;
 
     for r in 0..rounds {
         // Drift + control offers happen on the pool between drains: the
@@ -78,7 +105,7 @@ fn run_storm(sessions: usize, rounds: usize, threads: usize) -> (u64, usize) {
         // and must follow it through the engine unchanged.
         for (k, &id) in ids.iter().enumerate() {
             let s = pool.get_mut(id).expect("live session");
-            s.set_snr_db(16.0 + (k % 10) as f64 + drift_offset_db(k, r));
+            s.set_snr_db(base_snr_db(k) + drift_offset_db(k, r));
             if (k + r) % 3 == 0 && s.arq_backlog() == 0 {
                 s.queue_control(message_bits(k, r));
             }
@@ -90,6 +117,9 @@ fn run_storm(sessions: usize, rounds: usize, threads: usize) -> (u64, usize) {
         jobs += out.len();
         for o in &out {
             digest_outcome(&mut digest, o);
+            if let JobResult::Adaptive(a) = &o.result {
+                error_entries += usize::from(a.probe_event.enters_error());
+            }
         }
         // Churn a stripe of the fleet: recycled slots must come back with
         // factory-fresh adaptation state (reinit resets the controller
@@ -100,7 +130,7 @@ fn run_storm(sessions: usize, rounds: usize, threads: usize) -> (u64, usize) {
         }
     }
 
-    (digest.value(), jobs)
+    Storm { digest: digest.value(), jobs, error_entries }
 }
 
 fn contender_name(r: &ContenderResult) -> String {
@@ -110,17 +140,23 @@ fn contender_name(r: &ContenderResult) -> String {
     }
 }
 
-/// The `--smoke` outcome digest (since the decode epoch).
-const SMOKE_DIGEST: u64 = 0x87bc_bba7_8259_bc2b;
+/// The `--smoke` outcome digest (since the smoke fleet gained its weak
+/// links and a fourth round, so that it reaches ERROR).
+const SMOKE_DIGEST: u64 = 0x2392_53ea_7f71_4426;
 
 /// The `adaptation` entry (see the module docs).
 pub fn run(v: &mut Verdict, smoke: bool) {
-    let (sessions, rounds) = if smoke { (192, 3) } else { (512, 6) };
+    let (sessions, rounds) = if smoke { (192, 4) } else { (512, 6) };
     eprintln!("adaptation: {sessions} sessions, {rounds} rounds");
-    thread_invariant(v, "outcome", smoke.then_some(SMOKE_DIGEST), |t| {
-        let (digest, jobs) = run_storm(sessions, rounds, t);
-        (digest, format!("{jobs} jobs"), ())
+    let error_entries = thread_invariant(v, "outcome", smoke.then_some(SMOKE_DIGEST), |t| {
+        let storm = run_storm(sessions, rounds, t);
+        let detail = format!("{} jobs, {} ERROR entries", storm.jobs, storm.error_entries);
+        (storm.digest, detail, storm.error_entries)
     });
+    v.check(
+        error_entries[0] > 0,
+        "no adaptive frame entered ERROR, so the digest does not cover it",
+    );
 
     let duel_cfg = if smoke { adaptation::Config::quick() } else { adaptation::Config::default() };
     let duel = adaptation::run_compare(&duel_cfg);

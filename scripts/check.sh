@@ -64,7 +64,7 @@ cargo test --release -q --manifest-path cosbench/Cargo.toml
 echo "== golden vectors (frozen waveforms + decodes for all 8 rates; any bit/sample drift fails)"
 cargo test -q --release --test golden_vectors
 
-echo "== gate --smoke (alloc: workspace rx, streaming rx and tx+embed 0 allocs/frame with every measured frame through, resilient and adaptive session paths < 0.1 allocs/frame with the ARQ queue loaded and data delivered, a session added to a warmed engine ≤128 KiB at 54 and 6 Mbps, a warmed drain of plain, resilient and adaptive jobs plus a faulted fleet (256 resilient sessions on a FeedbackLoss 0.6 reverse path, whose guards must change mode in the measured drains, cycling between ERROR and BASE) 0 allocations on 1 thread and at most one scoped thread spawn's 4 on 2; session: 1000+ pooled sessions; adaptation: drifting adaptive sessions, and the drift duel (adaptive ≥ best fixed goodput with 100% control delivery and no backlog); service: async chaos with zero lost or duplicated tickets, a balanced ledger, every fault/rejection path exercised, bounded queues, scripted and live journals replaying byte-exactly; mesh: 1024+ churning stations, and the coordination duel (coordinated goodput > CSMA with ≥99% control delivery); every storm's digests identical at 1/4/8 threads AND equal to its pinned smoke digest)"
+echo "== gate --smoke (alloc: workspace rx, streaming rx and tx+embed 0 allocs/frame with every measured frame through, resilient and adaptive session paths < 0.1 allocs/frame with the ARQ queue loaded and data delivered, a session added to a warmed engine ≤128 KiB at 54 and 6 Mbps, a warmed drain of plain, resilient and adaptive jobs plus a faulted fleet (256 resilient sessions on a FeedbackLoss 0.6 reverse path, whose guards must change mode in the measured drains, cycling between ERROR and BASE) 0 allocations on 1 thread and at most one scoped thread spawn's 4 on 2; session: 1000+ pooled sessions; adaptation: drifting adaptive sessions, one in 24 on a link too weak for any rate, failing unless some frame enters ERROR, and the drift duel (adaptive ≥ best fixed goodput with 100% control delivery and no backlog); service: async chaos with zero lost or duplicated tickets, a balanced ledger, every fault/rejection path exercised, bounded queues, scripted and live journals replaying byte-exactly; mesh: 1024+ churning stations, and the coordination duel (coordinated goodput > CSMA with ≥99% control delivery); every storm's digests identical at 1/4/8 threads AND equal to its pinned smoke digest)"
 cargo run -q --release -p cos-bench --bin gate -- --smoke 2>&1 | tee "$logs/gate"
 
 echo "== golden vectors + channel digest + the session send-kind x feedback-fault pin + every kernel differential + storm digests on baseline x86-64 codegen (no host CPU features: bit identity, noise included, must not rest on -C target-cpu=native; the build compiles no AVX-512 body, so the lane FFT, the i16 Viterbi, the TX interleave and RX staging permutes and the soft demap run their portable bodies, each against its scalar reference or oracle; all of gate --smoke, so the alloc entry's gates, the warmed drain's 0 allocations on 1 thread with the faulted fleet included, hold with the portable bodies too, and every storm digest line (the service entry's scripted one, not its live one) equals the native build's and its pin; own target dir keeps the main cache)"
