@@ -30,8 +30,8 @@
 //! label; the machine keeps no log: a resilient frame's summary carries
 //! the label it was sent in and the one after, so a reader finds every
 //! change (every ERROR and BASE event makes one) in the summaries.
-//! `docs/ADAPTATION.md` and `docs/ROBUSTNESS.md` hold
-//! the mapping table and each constant's role.
+//! `docs/ADAPTATION.md` and `docs/ROBUSTNESS.md` hold the mapping table
+//! and each constant's role.
 
 /// Consecutive packets without a delivered report that move a searching
 /// state to ERROR.

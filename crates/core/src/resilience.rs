@@ -305,11 +305,10 @@ impl ThresholdRecalibrator {
         self.bias_db
     }
 
-    /// Feeds one frame's false-alarm evidence. Returns the new bias when
-    /// it changed.
-    pub fn observe(&mut self, false_alarms: usize, normal_positions: usize) -> Option<f64> {
+    /// Feeds one frame's false-alarm evidence; may move the bias.
+    pub fn observe(&mut self, false_alarms: usize, normal_positions: usize) {
         if normal_positions == 0 {
-            return None;
+            return;
         }
         let rate = false_alarms as f64 / normal_positions as f64;
         self.ewma = FA_ALPHA * rate + (1.0 - FA_ALPHA) * self.ewma;
@@ -318,12 +317,8 @@ impl ThresholdRecalibrator {
             // Partial reset so one spike does not trigger a staircase of
             // raises before new evidence arrives.
             self.ewma = FA_SPIKE * 0.5;
-            Some(self.bias_db)
         } else if self.ewma < FA_SPIKE * 0.25 && self.bias_db > self.base_bias_db {
             self.bias_db = (self.bias_db - RECALIB_STEP_DB).max(self.base_bias_db);
-            Some(self.bias_db)
-        } else {
-            None
         }
     }
 }
@@ -444,14 +439,10 @@ mod tests {
     fn recalibrator_raises_on_spike_and_decays_back() {
         let mut r = ThresholdRecalibrator::new(1.0);
         // Sustained 20% false alarms: bias must rise above base.
-        let mut raised = None;
         for _ in 0..10 {
-            if let Some(b) = r.observe(20, 100) {
-                raised = Some(b);
-            }
+            r.observe(20, 100);
         }
-        let high = raised.expect("bias never raised");
-        assert!(high > 1.0);
+        assert!(r.bias_db() > 1.0, "bias never raised");
         assert!(r.bias_db() <= MAX_BIAS_DB);
         // A long quiet spell decays it back to base.
         for _ in 0..100 {
@@ -471,7 +462,8 @@ mod tests {
         // A base above the cap is its own cap: the bias never rises.
         let mut high = ThresholdRecalibrator::new(MAX_BIAS_DB + 1.0);
         for _ in 0..10 {
-            assert_eq!(high.observe(50, 100), None);
+            high.observe(50, 100);
+            assert_eq!(high.bias_db(), MAX_BIAS_DB + 1.0);
         }
     }
 

@@ -599,12 +599,11 @@ const BOOTSTRAP_FIRST: usize = 9;
 /// fits the data subcarriers.
 pub(crate) const MAX_MIN_CONTROL_SUBCARRIERS: usize = NUM_DATA - BOOTSTRAP_FIRST;
 
-/// Writes into `sel` the bootstrap selection of a session keeping at
-/// least `min` control subcarriers (one when `min` is 0); `min` is at
-/// most [`MAX_MIN_CONTROL_SUBCARRIERS`] in a validated config.
-fn bootstrap_selection(min: usize, sel: &mut Vec<usize>) {
-    sel.clear();
-    sel.extend(BOOTSTRAP_FIRST..BOOTSTRAP_FIRST + min.max(1));
+/// The bootstrap selection of a session keeping at least `min` control
+/// subcarriers (one when `min` is 0); `min` is at most
+/// [`MAX_MIN_CONTROL_SUBCARRIERS`] in a validated config.
+fn bootstrap_selection(min: usize) -> std::ops::Range<usize> {
+    BOOTSTRAP_FIRST..BOOTSTRAP_FIRST + min.max(1)
 }
 
 /// How many past feedback reports are kept for stale delivery.
@@ -636,9 +635,7 @@ pub struct CosSession {
     /// The receiver's measured SNR of the last report that reached the
     /// sender; `None` after a miss (the §III-F budget falls back).
     fed_back_snr: Option<f64>,
-    /// Current control subcarriers (receiver feedback; bootstrap
-    /// default), with room for all [`NUM_DATA`], so a report never
-    /// reallocates it.
+    /// Current control subcarriers (receiver feedback; bootstrap default).
     selected: Vec<usize>,
     /// Rate for the next packet.
     rate: DataRate,
@@ -661,12 +658,10 @@ impl CosSession {
     /// [`SessionConfig::validate`] — here, not deep in the channel.
     pub fn new(config: SessionConfig, seed: u64) -> Self {
         config.assert_valid();
-        let mut selected = Vec::with_capacity(NUM_DATA);
-        bootstrap_selection(config.min_control_subcarriers, &mut selected);
         CosSession {
             link: Link::new(config.channel, config.snr_db, seed),
             fed_back_snr: None,
-            selected,
+            selected: bootstrap_selection(config.min_control_subcarriers).collect(),
             rate: config.rate.unwrap_or(DataRate::Mbps12),
             seq: 0,
             plane: ControlPlane::new(&config),
@@ -690,7 +685,8 @@ impl CosSession {
         config.assert_valid();
         self.plane = ControlPlane::new(&config);
         self.link = Link::new(config.channel, config.snr_db, seed);
-        bootstrap_selection(config.min_control_subcarriers, &mut self.selected);
+        self.selected.clear();
+        self.selected.extend(bootstrap_selection(config.min_control_subcarriers));
         self.rate = config.rate.unwrap_or(DataRate::Mbps12);
         self.fed_back_snr = None;
         self.seq = 0;
@@ -1130,11 +1126,11 @@ impl CosSession {
             _ => None,
         };
         // A report feeds the §III-F budget and its selection is copied in
-        // (into `selected`'s own room, so no buffer moves between the
-        // session and the frame's scratch); the rate follows it except on
-        // adaptive frames, whose rate the staircase owns. A miss drops the
-        // budget to the fallback; the plain loop alone then re-picks the
-        // rate from what its front end measured.
+        // (no buffer moves between the session and the frame's scratch);
+        // the rate follows it except on adaptive frames, whose rate the
+        // staircase owns. A miss drops the budget to the fallback; the
+        // plain loop alone then re-picks the rate from what its front end
+        // measured.
         let pick = |snr| config.rate.unwrap_or_else(|| DataRate::select(snr));
         *fed_back_snr = report.map(|(snr, _)| snr);
         match report {
