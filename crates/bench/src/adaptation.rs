@@ -9,7 +9,8 @@
 //!    mobility scenario), queues control messages into the ARQ queue,
 //!    pushes the identical `submit_adaptive` schedule through
 //!    [`BatchEngine`] at 1, 4 and 8 worker threads with create/release
-//!    churn between rounds (recycled slots must reset adaptation state),
+//!    churn between rounds (a session created into a released slot must
+//!    start with fresh adaptation state),
 //!    and FNV-digests every `AdaptiveSummary` field (`f64`s via
 //!    `to_bits`). The digests must be byte-identical, and some frame
 //!    must enter the budget machine's ERROR (one session in 24 runs on
@@ -121,9 +122,9 @@ fn run_storm(sessions: usize, rounds: usize, threads: usize) -> Storm {
                 error_entries += usize::from(a.probe_event.enters_error());
             }
         }
-        // Churn a stripe of the fleet: recycled slots must come back with
-        // factory-fresh adaptation state (reinit resets the controller
-        // and the ARQ queue), or the digests diverge.
+        // Churn a stripe of the fleet: a session created into a released
+        // slot must start with fresh adaptation state (controller and ARQ
+        // queue), or the digests diverge.
         for k in (r % 13..ids.len()).step_by(13) {
             assert!(pool.release(ids[k]), "live handle released cleanly");
             ids[k] = pool.create(storm_config(k + rounds), 0xF1EE7 + (k * rounds + r) as u64);

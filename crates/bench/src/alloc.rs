@@ -14,7 +14,8 @@
 //! A footprint phase adds sessions to a warmed single-thread
 //! [`BatchEngine`] and counts the bytes each new session (and its first
 //! drained frame) allocates: the frame-sized planes belong to the
-//! engine's workers, so a session holds only its persistent state.
+//! threads that run frames, never to a session, so a session costs its
+//! persistent state and its ~1 KB in the pool's slab.
 //!
 //! A drain phase runs a fixed-rate pool of plain, resilient and adaptive
 //! jobs through [`BatchEngine`] at 1 and at 2 worker threads, together
@@ -180,7 +181,7 @@ fn run_session(send: fn(&mut CosSession, &[u8]) -> bool) -> PerFrame {
 /// Sessions the footprint phase warms the engine with, then adds.
 const FOOTPRINT_SESSIONS: u64 = 64;
 /// Most KiB one session added to a warmed engine may allocate.
-const FOOTPRINT_KIB: f64 = 128.0;
+const FOOTPRINT_KIB: f64 = 4.0;
 
 /// KiB allocated per session added to a warmed single-thread engine at
 /// `rate`: one drain of one 1020-byte frame for each of

@@ -8,10 +8,11 @@
 //!    resilient control subsession) once per thread count and runs the
 //!    identical tick schedule through [`MeshNet`] at 1, 4 and 8 engine
 //!    worker threads, replacing a striped set of stations between rounds
-//!    (churn: released sessions recycle through the pool, joiners get the
-//!    coordination policy's admission sequence). The net's running FNV
-//!    digest — every frame outcome, command issue/apply and churn event —
-//!    must be byte-identical across thread counts.
+//!    (churn: released sessions leave the pool, joiners' sessions take
+//!    their slots and get the coordination policy's admission sequence).
+//!    The net's running FNV digest — every frame outcome, command
+//!    issue/apply and churn event — must be byte-identical across thread
+//!    counts.
 //! 2. **Coordination duel** — the `fig08_mesh` sweep from
 //!    `cos_experiments::mesh`: hidden-cluster cells run CoS-coordinated
 //!    vs uncoordinated on paired seeds. Coordinated cells must beat the

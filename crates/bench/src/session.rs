@@ -3,7 +3,8 @@
 //!
 //! Builds the same pool of ≥1000 sessions once per thread count, runs
 //! the identical mixed plain/resilient job schedule (with create/release
-//! churn between rounds) through [`BatchEngine`] at 1, 4 and 8 worker
+//! churn between rounds, each new session built into a released slot)
+//! through [`BatchEngine`] at 1, 4 and 8 worker
 //! threads, and FNV-digests every outcome field (`f64`s via `to_bits`).
 //! The engine runs every job through its session's one frame path
 //! (`CosSession::run_frame`), so the digests must agree across thread
@@ -54,9 +55,9 @@ fn run_storm(sessions: usize, rounds: usize, threads: usize) -> (u64, usize) {
         for o in &out {
             digest_outcome(&mut digest, o);
         }
-        // Churn a stripe of the pool: released sessions become spares and
-        // are immediately recycled into replacements, so later rounds run
-        // on a mix of fresh and recycled sessions.
+        // Churn a stripe of the pool: each released session is dropped
+        // and a replacement created into its slot, so later rounds run on
+        // a mix of old sessions and new ones in reused slots.
         for k in (r % 17..ids.len()).step_by(17) {
             assert!(pool.release(ids[k]), "live handle released cleanly");
             ids[k] = pool.create(storm_config(k + rounds), 0xFEED + (k * rounds + r) as u64);

@@ -3,18 +3,20 @@
 //! worker threads.
 //!
 //! A session holds only the state that persists between frames (link,
-//! selection, rate, ARQ/adaptation, metrics). Every buffer a frame runs
-//! through — waveforms, front end, decoder scratch, detection, message
-//! and selection copies — belongs to the engine: each worker owns one
-//! `FrameScratch`, persistent across drains, and lends it to every
-//! frame it runs. Workspaces carry no semantic state between frames, so
-//! which worker runs a frame never shows in its outcome, and a drain over
-//! many sessions touches one warm plane per worker instead of one cold
-//! set of buffers per session. That turns "run N frames for M sessions"
-//! into a pure orchestration problem: a drain checks each session with
-//! work out of the pool and each worker claims whole per-session job
-//! groups, so a session is only ever touched by one thread at a time and
-//! no transform needs to know it is being batched.
+//! selection, rate, ARQ/adaptation, metrics) and owns no frame plane.
+//! Every buffer a frame runs through — waveforms, front end, decoder
+//! scratch, detection, message and selection copies — belongs to the
+//! thread that runs it: each engine worker owns one `FrameScratch`,
+//! persistent across drains, and lends it to every frame it runs (the
+//! per-frame `send_*` path lends the calling thread's own). Workspaces
+//! carry no semantic state between frames, so which worker runs a frame
+//! never shows in its outcome, and a drain over many sessions touches
+//! one warm plane per worker instead of one cold set of buffers per
+//! session. That turns "run N frames for M sessions" into a pure
+//! orchestration problem: a drain checks each session with work out of
+//! the pool and each worker claims whole per-session job groups, so a
+//! session is only ever touched by one thread at a time and no
+//! transform needs to know it is being batched.
 //!
 //! # Determinism
 //!
@@ -179,7 +181,7 @@ impl SessionId {
 /// it checked out.
 ///
 /// Sessions sit inline rather than boxed: a drain's check-out then moves
-/// each session (~6 KB) out and back, but a pool stays one slab
+/// each session (~1 KB) out and back, but a pool stays one slab
 /// allocation. Boxed sessions were measured to pin freed pools' memory in
 /// the allocator's heap (a benchmark building 31 pools of 512 sessions
 /// and dropping 30 kept ~105 MB resident, against ~16 MB with one slab).
@@ -191,17 +193,14 @@ struct Slot {
 
 /// A slab of [`CosSession`]s with stable generational [`SessionId`]s.
 ///
-/// Released sessions are kept as **spares** and recycled into the next
-/// [`create`](SessionPool::create) via [`CosSession::reinit`], so a pool
-/// at steady state (create/release churn around a stable population)
-/// stops allocating session scratch entirely: a recycled session keeps
-/// every buffer's capacity, and the `*_into` full-overwrite convention
-/// makes it behaviourally indistinguishable from a fresh one.
+/// [`create`](SessionPool::create) always builds the session with
+/// [`CosSession::new`], into a released slot when there is one, and
+/// [`release`](SessionPool::release) drops it: a session owns no frame
+/// plane, so there is nothing worth keeping from one occupant to the next.
 #[derive(Debug, Default)]
 pub struct SessionPool {
     slots: Vec<Slot>,
     free: Vec<u32>,
-    spares: Vec<CosSession>,
 }
 
 impl SessionPool {
@@ -212,24 +211,17 @@ impl SessionPool {
 
     /// An empty pool with slab capacity for `n` sessions.
     pub fn with_capacity(n: usize) -> Self {
-        SessionPool {
-            slots: Vec::with_capacity(n),
-            free: Vec::with_capacity(n),
-            spares: Vec::new(),
-        }
+        SessionPool { slots: Vec::with_capacity(n), free: Vec::with_capacity(n) }
     }
 
-    /// Creates (or recycles) a session for `(config, seed)` and returns
-    /// its handle. Recycled sessions behave exactly like
-    /// `CosSession::new(config, seed)` — see [`CosSession::reinit`].
+    /// Creates `CosSession::new(config, seed)` in a free slot and returns
+    /// its handle.
+    ///
+    /// # Panics
+    ///
+    /// As [`CosSession::new`].
     pub fn create(&mut self, config: SessionConfig, seed: u64) -> SessionId {
-        let session = match self.spares.pop() {
-            Some(mut s) => {
-                s.reinit(config, seed);
-                s
-            }
-            None => CosSession::new(config, seed),
-        };
+        let session = CosSession::new(config, seed);
         let index = match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize].session = Some(session);
@@ -267,18 +259,16 @@ impl SessionPool {
         self.get(id).is_some()
     }
 
-    /// Releases the session behind `id` back to the spare list, bumping
-    /// the slot's generation so the handle (and any copy of it) goes
-    /// stale. Returns `false` if the handle was already stale.
+    /// Drops the session behind `id` and frees its slot, bumping the
+    /// slot's generation so the handle (and any copy of it) goes stale.
+    /// Returns `false` if the handle was already stale.
     pub fn release(&mut self, id: SessionId) -> bool {
         let Some(slot) = self.slots.get_mut(id.index as usize) else { return false };
-        if slot.generation != id.generation {
+        if slot.generation != id.generation || slot.session.take().is_none() {
             return false;
         }
-        let Some(session) = slot.session.take() else { return false };
         slot.generation = slot.generation.wrapping_add(1);
         self.free.push(id.index);
-        self.spares.push(session);
         true
     }
 
@@ -290,11 +280,6 @@ impl SessionPool {
     /// Whether the pool holds no live session.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Released sessions waiting to be recycled.
-    pub fn spares(&self) -> usize {
-        self.spares.len()
     }
 }
 
@@ -495,7 +480,8 @@ impl BatchEngine {
     /// session's link-adaptation controller picks the rate and silence
     /// budget, and its ARQ queue supplies the control bits. Adaptation
     /// state lives in the session, so it follows the session through the
-    /// pool and is reset by recycling like every other per-session state.
+    /// pool and goes with it on release like every other per-session
+    /// state.
     ///
     /// # Panics
     ///
@@ -685,7 +671,6 @@ mod tests {
         assert!(pool.get(b).is_some());
         assert!(pool.release(a));
         assert_eq!(pool.len(), 1);
-        assert_eq!(pool.spares(), 1);
         // The handle is stale now — and releasing it again is a no-op.
         assert!(!pool.contains(a));
         assert!(pool.get_mut(a).is_none());
@@ -694,26 +679,26 @@ mod tests {
         let c = pool.create(cfg(18.0), 3);
         assert_eq!(c.index(), a.index());
         assert_ne!(c, a);
-        assert_eq!(pool.spares(), 0);
         assert!(pool.contains(c));
         assert!(!pool.contains(a));
     }
 
     #[test]
-    fn recycled_session_matches_fresh_session() {
-        // A pool-recycled (dirty-buffer) session must be behaviourally
-        // identical to a newly constructed one.
+    fn session_in_a_released_slot_matches_fresh_session() {
+        // A session created into the slot a used one was released from
+        // must be behaviourally identical to a standalone one.
         let mut pool = SessionPool::new();
         let first = pool.create(cfg(21.0), 7);
         for i in 0..3 {
             pool.get_mut(first).unwrap().send_packet_summary(&[i as u8; 260], &[1, 0, 1, 0]);
         }
         pool.release(first);
-        let recycled = pool.create(cfg(19.0), 11);
+        let reused = pool.create(cfg(19.0), 11);
+        assert_eq!(reused.index(), first.index());
 
         let mut fresh = CosSession::new(cfg(19.0), 11);
         for i in 0..4 {
-            let a = pool.get_mut(recycled).unwrap().send_packet_summary(&[0x5A; 300], &[0, 1, 1, 0]);
+            let a = pool.get_mut(reused).unwrap().send_packet_summary(&[0x5A; 300], &[0, 1, 1, 0]);
             let b = fresh.send_packet_summary(&[0x5A; 300], &[0, 1, 1, 0]);
             assert_eq!(a, b, "packet {i}");
         }
@@ -851,8 +836,8 @@ mod tests {
             let mut larger = SessionPool::new();
             (0..16).map(|i| larger.create(cfg(20.0), i)).last().expect("16 sessions")
         };
-        let (live, spares) = (pool.len(), pool.spares());
-        assert_eq!((live, spares), (10, 1));
+        let live = pool.len();
+        assert_eq!(live, 10);
 
         // One schedule per drain: two rounds of every live session (plain
         // or resilient), plus the three stale handles.
@@ -918,7 +903,7 @@ mod tests {
                 let out = engine.drain(pool);
                 let got: Vec<JobResult> = out.iter().map(|o| o.result).collect();
                 assert_eq!(got, want, "drain {drain}, {} threads", engine.cfg.threads);
-                assert_eq!((pool.len(), pool.spares()), (live, spares));
+                assert_eq!(pool.len(), live);
                 assert!(ids.iter().all(|&id| pool.get(id).is_some()), "a live handle went dead");
             }
         }

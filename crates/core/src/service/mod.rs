@@ -432,7 +432,11 @@ impl ServiceCore {
         }
     }
 
-    /// Creates (or recycles) a pooled session owned by the service.
+    /// Creates a pooled session owned by the service.
+    ///
+    /// # Panics
+    ///
+    /// As [`CosSession::new`](crate::session::CosSession::new).
     pub fn create_session(&mut self, config: SessionConfig, seed: u64) -> SessionId {
         self.record(JournalEvent::CreateSession { config: Box::new(config.clone()), seed });
         let id = self.pool.create(config, seed);
@@ -441,7 +445,7 @@ impl ServiceCore {
         id
     }
 
-    /// Releases a session back to the pool's spare list. Jobs still
+    /// Releases a session, dropping it from the pool. Jobs still
     /// queued for it resolve as
     /// [`JobResult::StaleSession`] without running.
     pub fn release_session(&mut self, id: SessionId) -> bool {
@@ -1159,7 +1163,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "min_control_subcarriers = 48 exceeds MAX_MIN_CONTROL_SUBCARRIERS")]
-    fn recycled_session_rejects_an_oversized_bootstrap_block() {
+    fn session_in_a_released_slot_rejects_an_oversized_bootstrap_block() {
         let (mut core, ids, _, _) = setup(ServiceConfig::default(), 1);
         assert!(core.release_session(ids[0]));
         core.create_session(SessionConfig { min_control_subcarriers: 48, ..Default::default() }, 2);

@@ -48,18 +48,20 @@
 //! application, and the kind's observer (none for plain frames, the
 //! guard for resilient ones, the policy for adaptive ones), whose
 //! confirmation settles the ARQ head. Each frame runs on a
-//! `FrameScratch` lent by the caller: the session's own on the per-frame
-//! path, an engine worker's in a batch.
+//! `FrameScratch` lent by the thread that runs it: the calling thread's
+//! own plane on the per-frame path, an engine worker's in a batch.
 //!
 //! A session holds only what carries from one frame to the next: the
 //! link, the selection and rate in force, the last fed-back SNR, the
 //! sequence number, the control plane and the metrics. Everything one
 //! frame writes and the next overwrites (the PHY planes, the detection,
-//! the message, the selection copies) is in the `FrameScratch`, and the
-//! transmitter, receiver, embedder and detector are built where they are
-//! used: the detector from the recalibrator's bias, its one copy. What
-//! happened to a frame (its mode change, its PHY error) is in the
-//! summary it returns, not in a log the session keeps.
+//! the message, the selection copies) is in the `FrameScratch`, which a
+//! session never owns, and the transmitter, receiver, embedder and
+//! detector are built where they are used: the detector from the
+//! recalibrator's bias, its one copy. What happened to a frame (its mode
+//! change, its PHY error) is in the summary it returns, not in a log the
+//! session keeps. There is one way to make a session,
+//! [`CosSession::new`].
 
 use crate::adaptation::{LinkAdaptationController, StaircaseEvent};
 use crate::budget::{
@@ -84,6 +86,7 @@ use cos_phy::rx::Receiver;
 use cos_phy::subcarriers::NUM_DATA;
 use cos_phy::tx::Transmitter;
 use cos_phy::{PhyWorkspace, TxWorkspace};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 /// Where one frame's control message comes from — the only per-kind
@@ -118,11 +121,12 @@ enum Tail {
 ///
 /// No buffer carries semantic state between frames (every step fully
 /// overwrites what it writes, or a flag of the frame's `Transceived`
-/// gates it off), so a `FrameScratch` is lent to a frame by whoever runs
-/// it, never owned by the session the frame belongs to: the per-frame
-/// `send_*` path lends the session's own, an engine worker lends its
-/// own. A session driven only by the engine never grows its own.
-#[derive(Debug, Clone, Default)]
+/// gates it off), so a `FrameScratch` is lent to a frame by the thread
+/// that runs it, never owned by the session the frame belongs to: the
+/// per-frame `send_*` path lends the calling thread's `FRAME_PLANE`,
+/// an engine worker lends its own. Which plane a frame runs on, and
+/// which sessions ran on it before, never shows in its outcome.
+#[derive(Debug, Default)]
 pub(crate) struct FrameScratch {
     phy: PhyWorkspace,
     /// Energy detection and its per-subcarrier adaptive thresholds.
@@ -146,33 +150,11 @@ pub(crate) struct FrameScratch {
     fb_selection: Vec<usize>,
 }
 
-impl FrameScratch {
-    /// Heap capacity of every buffer, in elements — zero until a frame
-    /// has run through this scratch.
-    #[cfg(test)]
-    fn planes_capacity(&self) -> usize {
-        let PhyWorkspace { tx, rx } = &self.phy;
-        let fec = &rx.scratch.fec;
-        tx.samples.capacity()
-            + tx.frame.data_symbols.capacity()
-            + tx.frame.mapped_points.capacity()
-            + rx.samples.capacity()
-            + rx.fe.raw_symbols.capacity()
-            + rx.fe.equalized.capacity()
-            + rx.scratch.llrs.capacity()
-            + fec.mother_llrs.capacity()
-            + fec.decoded.capacity()
-            + rx.out.data_bits.capacity()
-            + self.det.positions.capacity()
-            + self.det.erasures.capacity()
-            + self.thresholds.capacity()
-            + self.sel.capacity()
-            + self.msg.capacity()
-            + self.truth.capacity()
-            + self.refined.capacity()
-            + self.control.capacity()
-            + self.fb_selection.capacity()
-    }
+thread_local! {
+    /// The frame plane the per-frame `send_*` path lends each frame run on
+    /// this thread, whichever session it belongs to. A frame never calls
+    /// a `send_*`, so the borrow is never re-entered.
+    static FRAME_PLANE: RefCell<FrameScratch> = RefCell::default();
 }
 
 /// The §III-D reference points of a frame that passed its CRC, decoded
@@ -249,9 +231,9 @@ impl Default for SessionConfig {
 
 impl SessionConfig {
     /// The one rule per field: `Err` names the first field outside its
-    /// domain. [`CosSession::new`] and [`CosSession::reinit`] panic on
-    /// it; the service journal's reader rejects it. Each rule keeps a
-    /// value from panicking deep in the channel or the session later.
+    /// domain. [`CosSession::new`] panics on it; the service journal's
+    /// reader rejects it. Each rule keeps a value from panicking deep in
+    /// the channel or the session later.
     pub fn validate(&self) -> Result<(), &'static str> {
         let c = &self.channel;
         let checks = [
@@ -323,8 +305,7 @@ struct FeedbackMeta {
 /// [`CosSession::metrics`] — the netpoke-style observability surface a
 /// fleet operator (or the mesh layer) scrapes per station. All counters
 /// are maintained identically across the plain, resilient and adaptive
-/// send paths and reset by [`CosSession::reinit`], so a recycled
-/// session reports like a fresh one.
+/// send paths and start at zero with the session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionMetrics {
     /// Frames transmitted (every frame, all send paths).
@@ -641,10 +622,6 @@ pub struct CosSession {
     rate: DataRate,
     seq: u64,
     plane: ControlPlane,
-    /// The frame planes the per-frame `send_*` path lends its frames.
-    /// Engine-driven frames use the worker lane's instead, so this stays
-    /// empty for a session the engine drives.
-    fs: FrameScratch,
     /// Monotonic observability counters (see [`SessionMetrics`]).
     m: SessionMetrics,
 }
@@ -665,33 +642,9 @@ impl CosSession {
             rate: config.rate.unwrap_or(DataRate::Mbps12),
             seq: 0,
             plane: ControlPlane::new(&config),
-            fs: FrameScratch::default(),
             m: SessionMetrics::default(),
             config,
         }
-    }
-
-    /// Resets the session to the state [`CosSession::new`]`(config, seed)`
-    /// would produce, while keeping the capacity of its selection and of
-    /// its own frame planes — the pool-recycling entry point. A recycled
-    /// session is behaviourally indistinguishable from a fresh one
-    /// because every `*_into` stage fully overwrites its outputs (see
-    /// `docs/ARCHITECTURE.md`).
-    ///
-    /// # Panics
-    ///
-    /// As [`CosSession::new`], before touching any state.
-    pub fn reinit(&mut self, config: SessionConfig, seed: u64) {
-        config.assert_valid();
-        self.plane = ControlPlane::new(&config);
-        self.link = Link::new(config.channel, config.snr_db, seed);
-        self.selected.clear();
-        self.selected.extend(bootstrap_selection(config.min_control_subcarriers));
-        self.rate = config.rate.unwrap_or(DataRate::Mbps12);
-        self.fed_back_snr = None;
-        self.seq = 0;
-        self.m = SessionMetrics::default();
-        self.config = config;
     }
 
     /// The session's configuration.
@@ -829,8 +782,8 @@ impl CosSession {
     /// metrics count the frame, the one sender tail
     /// ([`settle`](Self::settle)) applies the outcome and the ARQ settles
     /// the head the frame carried. The per-frame `send_*` methods lend
-    /// the session's own planes, the engine a worker's; both run this one
-    /// path.
+    /// the calling thread's plane, the engine a worker's; both run this
+    /// one path.
     pub(crate) fn run_frame(
         &mut self,
         fs: &mut FrameScratch,
@@ -1005,14 +958,10 @@ impl CosSession {
         result
     }
 
-    /// [`run_frame`](Self::run_frame) on the session's own planes; moving
-    /// the struct out and back copies a few KiB of headers, never the
-    /// buffers.
+    /// [`run_frame`](Self::run_frame) on the calling thread's
+    /// `FRAME_PLANE`.
     fn send(&mut self, payload: &[u8], src: ControlSource<'_>) -> JobResult {
-        let mut fs = std::mem::take(&mut self.fs);
-        let result = self.run_frame(&mut fs, payload, src);
-        self.fs = fs;
-        result
+        FRAME_PLANE.with_borrow_mut(|fs| self.run_frame(fs, payload, src))
     }
 
     /// The control source of a frame: writes its control message into
@@ -1536,26 +1485,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_reinit_equals_fresh_session() {
-        let cfg = SessionConfig { snr_db: 19.0, ..Default::default() };
-        let mut recycled = CosSession::new(
-            SessionConfig { snr_db: 9.0, rate: Some(DataRate::Mbps6), ..Default::default() },
-            999,
-        );
-        recycled.queue_control(bits(8));
-        for _ in 0..5 {
-            recycled.send_packet_adaptive_summary(&[0x11; 300]);
-        }
-        recycled.reinit(cfg.clone(), 4242);
-        let mut fresh = CosSession::new(cfg, 4242);
-        for _ in 0..8 {
-            let a = recycled.send_packet_adaptive_summary(&[0x22; 400]);
-            let b = fresh.send_packet_adaptive_summary(&[0x22; 400]);
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn set_snr_db_drift_downgrades_rate() {
         let mut s = CosSession::new(SessionConfig { snr_db: 26.0, ..Default::default() }, 61);
         for _ in 0..12 {
@@ -1572,9 +1501,9 @@ mod tests {
     }
 
     #[test]
-    fn metrics_count_across_paths_and_reset_on_reinit() {
+    fn metrics_count_across_paths() {
         let cfg = SessionConfig { snr_db: 24.0, ..Default::default() };
-        let mut s = CosSession::new(cfg.clone(), 42);
+        let mut s = CosSession::new(cfg, 42);
         let first_target = s.adaptation_controller().target_budget();
         assert_eq!(
             s.metrics(),
@@ -1597,10 +1526,6 @@ mod tests {
         assert!(m.feedback_delivered >= 7, "{m:?}");
         assert!(m.adaptation_events >= 2, "acquire + probe confirmations: {m:?}");
         assert!(m.silence_budget >= 2, "{m:?}");
-
-        // A recycled session reports like a fresh one.
-        s.reinit(cfg.clone(), 43);
-        assert_eq!(s.metrics(), CosSession::new(cfg, 43).metrics());
     }
 
     #[test]
@@ -1620,37 +1545,13 @@ mod tests {
         assert!(m.arq_retries >= 1, "blackout forced no retries: {m:?}");
     }
 
+    /// A session carries only cross-frame state: the frame plane, larger
+    /// than the whole session, stays with the thread that runs the frame.
     #[test]
-    fn engine_driven_session_keeps_empty_frame_planes() {
-        use crate::engine::{BatchEngine, EngineConfig, JobResult, SessionPool};
-        let mut pool = SessionPool::new();
-        let ids: Vec<_> = (0..9)
-            .map(|i| {
-                let rate = Some(if i % 2 == 0 { DataRate::Mbps54 } else { DataRate::Mbps6 });
-                pool.create(SessionConfig { snr_db: 22.0, rate, ..Default::default() }, i)
-            })
-            .collect();
-        for threads in [1, 2] {
-            let mut engine = BatchEngine::new(EngineConfig { threads });
-            let p = engine.add_payload(&[0x3C; 200]);
-            let c = engine.add_control(&[1, 0, 1, 1]);
-            for &id in &ids {
-                engine.submit(id, p, c);
-                engine.submit_resilient(id, p);
-                engine.submit_adaptive(id, p);
-            }
-            let out = engine.drain(&mut pool);
-            assert!(out.iter().all(|o| o.result != JobResult::StaleSession));
-        }
-        // Every frame buffer, the detection, message and selection copies
-        // included, stayed on the workers' planes.
-        for &id in &ids {
-            assert_eq!(pool.get(id).unwrap().fs.planes_capacity(), 0, "{id:?}");
-        }
-        // The per-frame path lends the session its own planes.
-        let s = pool.get_mut(ids[0]).unwrap();
-        s.send_packet_summary(&[0x3C; 200], &[1, 0, 1, 1]);
-        assert!(s.fs.planes_capacity() > 0);
+    fn a_session_holds_no_frame_plane() {
+        let session = std::mem::size_of::<CosSession>();
+        assert!(session <= 1024, "CosSession is {session} B");
+        assert!(session < std::mem::size_of::<FrameScratch>());
     }
 
     /// A NaN SNR used to reach the AWGN's noise-variance assert on the
@@ -1659,15 +1560,6 @@ mod tests {
     #[should_panic(expected = "SessionConfig::snr_db out of range")]
     fn new_rejects_a_non_finite_snr() {
         CosSession::new(SessionConfig { snr_db: f64::NAN, ..Default::default() }, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "SessionConfig::n_taps out of range")]
-    fn reinit_rejects_an_invalid_config() {
-        let mut s = CosSession::new(SessionConfig::default(), 1);
-        let mut bad = SessionConfig::default();
-        bad.channel.n_taps = 0;
-        s.reinit(bad, 2);
     }
 
     /// Each rule of `validate`, at the first value outside and the last

@@ -7,7 +7,8 @@
 //! with [`MeshNet::with_trace`]); these tests replay every station's two
 //! sessions from scratch, outside the engine and the scheduler, and
 //! demand summary-for-summary equality. Any divergence — a forgotten
-//! fault attach, an out-of-order command apply, pool-recycling residue —
+//! fault attach, an out-of-order command apply, residue in a reused pool
+//! slot —
 //! fails here long before it would corrupt a digest comparison.
 
 use cos_channel::{FaultEngine, OverlapComposer};

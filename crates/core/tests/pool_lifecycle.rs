@@ -2,8 +2,8 @@
 //! interleavings of create / send / release never panic, never resurrect
 //! a released handle, and — the load-bearing property — a pooled session
 //! behaves **exactly** like a standalone [`CosSession`] with the same
-//! config and seed, however the pool recycles slots and spare workspaces
-//! around it. Scratch reuse across recycled sessions must be invisible.
+//! config and seed, however the pool reuses slots around it. Nothing of a
+//! slot's last occupant may show in the session created into it.
 
 use cos_channel::{FaultEngine, FeedbackLoss};
 use cos_core::session::{CosSession, SessionConfig};
@@ -19,15 +19,15 @@ enum Op {
     Send(u8),
     /// Send an adaptive-path packet on the n-th live session (mod live
     /// count) — adaptation state must follow the session through the
-    /// pool and be reset by recycling exactly like the rest.
+    /// pool and start fresh in a reused slot exactly like the rest.
     SendAdaptive(u8),
     /// Send a resilient-path packet on the n-th live session (mod live
-    /// count) — the resilience guard must be reset by recycling too.
+    /// count) — the resilience guard must start fresh in a reused slot
+    /// too.
     SendResilient(u8),
     /// Queue a control message (`n` intervals long) on the n-th live
     /// session (mod live count) — the one ARQ queue that resilient and
-    /// adaptive packets both draw from must start empty on a recycled
-    /// session.
+    /// adaptive packets both draw from must start empty in a reused slot.
     QueueControl(u8),
     /// Release the n-th live session (mod live count).
     Release(u8),
@@ -152,10 +152,11 @@ fn pooled_sessions_match_standalone_shadows() {
             assert_eq!(pool.len(), live.len(), "pool live count drifted");
         }
 
-        // Every case ends by recycling what it dirtied: each live session
-        // queues a message and loses its reverse path for long enough
-        // that the resilience guard degrades, then is released, and the
-        // session recycled into its slot must match a fresh shadow.
+        // Every case ends by reusing the slots it dirtied: each live
+        // session queues a message and loses its reverse path for long
+        // enough that the resilience guard degrades, then is released,
+        // and the session created into its slot must match a fresh
+        // shadow.
         for (k, s) in live.into_iter().enumerate() {
             let pooled = pool.get_mut(s.id).expect("live handle resolves");
             pooled.set_faults(FaultEngine::new().with(FeedbackLoss::new(1.0, 7)));

@@ -8,7 +8,9 @@
 //! session boundary, per-session program order = submit order, no
 //! cross-session state bleeding through the pool or the workers, and the
 //! frames a worker runs on its own frame plane bit-identical to the
-//! per-frame send paths for every job kind.
+//! per-frame send paths for every job kind. The per-frame paths share
+//! their thread's frame plane across sessions, and that sharing must be
+//! invisible too.
 
 use cos_channel::{BurstInterference, FaultEngine, FeedbackLoss};
 use cos_core::session::{
@@ -230,7 +232,7 @@ const LANE_ROUNDS: usize = 3;
 const LANE_PAYLOADS: [usize; 2] = [96, 1020];
 /// The session released (and a new one created in its slot) after the
 /// first round.
-const RECYCLED: usize = 5;
+const REPLACED: usize = 5;
 
 /// Round `round`'s jobs as `(session, kind)`: two per session, all three
 /// kinds; most sessions share a payload length per job, the rest use the
@@ -261,7 +263,7 @@ fn queue_lane_controls(s: &mut CosSession) {
 }
 
 /// The per-session reference of the dirty-lane run: plain sessions in
-/// submit order; the recycled session restarts fresh after round 0, and
+/// submit order; the replaced session restarts fresh after round 0, and
 /// the stale handle's job (submitted first in every later round) never
 /// runs.
 fn lane_reference() -> Vec<JobResult> {
@@ -273,8 +275,8 @@ fn lane_reference() -> Vec<JobResult> {
     let mut results = Vec::new();
     for round in 0..LANE_ROUNDS {
         if round == 1 {
-            sessions[RECYCLED] = CosSession::new(lane_config(LANE_SESSIONS), seed(LANE_SESSIONS));
-            queue_lane_controls(&mut sessions[RECYCLED]);
+            sessions[REPLACED] = CosSession::new(lane_config(LANE_SESSIONS), seed(LANE_SESSIONS));
+            queue_lane_controls(&mut sessions[REPLACED]);
         }
         if round > 0 {
             results.push(JobResult::StaleSession);
@@ -308,14 +310,14 @@ fn lane_engine_run(threads: usize) -> Vec<JobResult> {
     let mut engine = BatchEngine::new(EngineConfig { threads });
     let pids: Vec<_> = payloads.iter().map(|p| engine.add_payload(p)).collect();
     let cids: Vec<_> = controls.iter().map(|c| engine.add_control(c)).collect();
-    let stale = ids[RECYCLED];
+    let stale = ids[REPLACED];
     let mut results = Vec::new();
     for round in 0..LANE_ROUNDS {
         if round == 1 {
             assert!(pool.release(stale));
-            ids[RECYCLED] = pool.create(lane_config(LANE_SESSIONS), seed(LANE_SESSIONS));
-            assert_eq!(pool.spares(), 0, "the released session is recycled");
-            queue_lane_controls(pool.get_mut(ids[RECYCLED]).expect("live session"));
+            ids[REPLACED] = pool.create(lane_config(LANE_SESSIONS), seed(LANE_SESSIONS));
+            assert_eq!(ids[REPLACED].index(), stale.index(), "the released slot is reused");
+            queue_lane_controls(pool.get_mut(ids[REPLACED]).expect("live session"));
         }
         if round > 0 {
             engine.submit(stale, pids[0], cids[0]);
@@ -338,11 +340,108 @@ fn lane_engine_run(threads: usize) -> Vec<JobResult> {
 fn dirty_worker_lanes_match_sequential_sessions() {
     // Worker lanes persist across drains and pass from session to session
     // (6 and 54 Mbps, 96- and 1020-byte payloads, every job kind, a
-    // recycled session): no frame may see what an earlier one left there.
+    // replaced session): no frame may see what an earlier one left there.
     let reference = lane_reference();
     assert!(reference.iter().any(|r| matches!(r, JobResult::Plain(p) if p.data_ok)));
     for threads in [1, 2] {
         let label = format!("dirty lanes, threads={threads}");
         assert_results_eq(&lane_engine_run(threads), &reference, &label);
     }
+}
+
+/// Sessions of the shared-plane runs, one shape each: 54 Mbps with a
+/// long payload, 6 Mbps with a short one, 6 Mbps with a long one (the
+/// largest plane), and an unpinned rate on a lossy reverse path.
+const SHARED_SESSIONS: usize = 4;
+const SHARED_FRAMES: usize = 9;
+/// The shared-plane session on a `FeedbackLoss` reverse path.
+const LOSSY: usize = 3;
+
+fn shared_session(i: usize) -> CosSession {
+    let (rate, snr_db) = match i {
+        0 => (Some(DataRate::Mbps54), 24.0),
+        1 | 2 => (Some(DataRate::Mbps6), 12.0),
+        _ => (None, 18.0),
+    };
+    let mut s = CosSession::new(SessionConfig { snr_db, rate, ..Default::default() }, seed(i));
+    if i == LOSSY {
+        s.set_faults(FaultEngine::new().with(FeedbackLoss::new(0.5, 17)));
+    }
+    queue_lane_controls(&mut s);
+    s
+}
+
+fn shared_payload(i: usize) -> Vec<u8> {
+    let n = [1500, 40, 1020, 400][i];
+    (0..n).map(|k| (k * 31 + i) as u8).collect()
+}
+
+/// Frame `frame` of shared-plane session `i`: every session cycles
+/// through all three kinds, each starting at a different one.
+fn shared_frame(s: &mut CosSession, i: usize, frame: usize) -> JobResult {
+    let payload = shared_payload(i);
+    match (i + frame) % 3 {
+        0 => JobResult::Plain(s.send_packet_summary(&payload, &controls()[frame % 2])),
+        1 => JobResult::Resilient(s.send_packet_resilient_summary(&payload)),
+        _ => JobResult::Adaptive(s.send_packet_adaptive_summary(&payload)),
+    }
+}
+
+/// Every frame of session `i`, run on one thread.
+fn shared_alone(i: usize) -> Vec<JobResult> {
+    let mut s = shared_session(i);
+    (0..SHARED_FRAMES).map(|f| shared_frame(&mut s, i, f)).collect()
+}
+
+#[test]
+fn a_shared_frame_plane_is_invisible() {
+    // Each session alone on its own scoped thread, so on a fresh plane.
+    let alone: Vec<Vec<JobResult>> = std::thread::scope(|scope| {
+        let runs: Vec<_> =
+            (0..SHARED_SESSIONS).map(|i| scope.spawn(move || shared_alone(i))).collect();
+        runs.into_iter().map(|r| r.join().expect("session thread")).collect()
+    });
+    assert!(alone.iter().flatten().any(|r| matches!(r, JobResult::Plain(p) if p.data_ok)));
+    // The same sessions interleaved frame by frame on this thread: every
+    // frame runs on the plane the previous session's frame left behind.
+    let mut sessions: Vec<CosSession> = (0..SHARED_SESSIONS).map(shared_session).collect();
+    let mut shared: Vec<Vec<JobResult>> = vec![Vec::new(); SHARED_SESSIONS];
+    for f in 0..SHARED_FRAMES {
+        for (i, s) in sessions.iter_mut().enumerate() {
+            shared[i].push(shared_frame(s, i, f));
+        }
+    }
+    for (i, (got, want)) in shared.iter().zip(&alone).enumerate() {
+        assert_results_eq(got, want, &format!("shared plane, session {i}"));
+    }
+}
+
+#[test]
+fn a_session_moving_between_threads_matches_one_thread() {
+    // The lossy session's odd frames run on a second thread, its even
+    // ones on this one: two planes, each a frame behind the session.
+    let moved = std::thread::scope(|scope| {
+        let (to_helper, jobs) = std::sync::mpsc::channel::<(CosSession, usize)>();
+        let (to_main, done) = std::sync::mpsc::channel();
+        scope.spawn(move || {
+            for (mut s, f) in jobs {
+                let r = shared_frame(&mut s, LOSSY, f);
+                to_main.send((s, r)).expect("main thread waits");
+            }
+        });
+        let mut s = shared_session(LOSSY);
+        let mut results = Vec::new();
+        for f in 0..SHARED_FRAMES {
+            if f % 2 == 0 {
+                results.push(shared_frame(&mut s, LOSSY, f));
+            } else {
+                to_helper.send((s, f)).expect("helper thread runs");
+                let (back, r) = done.recv().expect("helper thread returns the session");
+                s = back;
+                results.push(r);
+            }
+        }
+        results
+    });
+    assert_results_eq(&moved, &shared_alone(LOSSY), "two threads");
 }
