@@ -55,7 +55,7 @@ use cos_core::session::{CosSession, Fnv, SessionConfig};
 use cos_core::PowerController;
 use cos_dsp::Complex;
 use cos_phy::rates::DataRate;
-use cos_phy::rx::{Receiver, RxConfig};
+use cos_phy::rx::Receiver;
 use cos_phy::tx::Transmitter;
 use cos_phy::PhyWorkspace;
 
@@ -134,7 +134,7 @@ fn run_stream_workspace() -> PerFrame {
         stream.clear();
         stream.resize(STREAM_PAD, Complex::ZERO);
         stream.extend_from_slice(&ws.rx.samples);
-        match rx.receive_stream_into(&stream, &RxConfig::ideal(), &mut ws.rx) {
+        match rx.receive_stream_into(&stream, None, &mut ws.rx) {
             Ok(_) => ws.rx.out.crc_ok,
             Err(_) => false,
         }

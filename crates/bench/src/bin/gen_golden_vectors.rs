@@ -27,7 +27,7 @@ use std::io::Write as _;
 use cos_core::session::Fnv;
 use cos_phy::pipeline::TxWorkspace;
 use cos_phy::rates::DataRate;
-use cos_phy::rx::{Receiver, RxConfig};
+use cos_phy::rx::Receiver;
 use cos_phy::tx::Transmitter;
 
 const SCRAMBLER_SEED: u8 = 0x5D;
@@ -55,10 +55,10 @@ fn main() {
         let samples = ws.render();
 
         let receiver = Receiver::new();
-        let rx = receiver.receive(samples, &RxConfig::ideal()).expect("golden frame must decode");
-        assert_eq!(rx.payload.as_deref(), Some(&payload[..]), "golden frame must pass CRC");
+        let rx = receiver.receive(samples, None).expect("golden frame must decode");
+        assert!(rx.out.crc_ok && rx.out.payload == payload, "golden frame must pass CRC");
         let mut hard = Vec::new();
-        receiver.hard_decisions_into(&rx.front_end, None, &mut hard);
+        receiver.hard_decisions_into(&rx.fe, None, &mut hard);
 
         let mut buf = Vec::new();
         buf.extend_from_slice(b"COSV");
@@ -67,7 +67,7 @@ fn main() {
         buf.push(SCRAMBLER_SEED);
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         buf.extend_from_slice(&payload);
-        buf.extend_from_slice(&fnv(&rx.data_bits).to_le_bytes());
+        buf.extend_from_slice(&fnv(&rx.out.data_bits).to_le_bytes());
         buf.extend_from_slice(&fnv(&hard).to_le_bytes());
         buf.extend_from_slice(&(samples.len() as u32).to_le_bytes());
         for s in samples {

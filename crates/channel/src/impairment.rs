@@ -263,10 +263,21 @@ pub struct CfoDrift {
     max_hz: f64,
 }
 
-impl CfoDrift {
-    /// Sample rate the CFO rotation is computed against.
-    const SAMPLE_RATE: f64 = 20e6;
+/// Rotates `samples` by a carrier frequency offset of `cfo_hz` at the
+/// 20 MHz sample rate: sample `i` is multiplied by `e^{j·2π·cfo·i/20e6}`,
+/// the phasor advanced by one multiply per sample. The link's static
+/// offset and [`CfoDrift`] both run it.
+pub(crate) fn rotate_cfo(samples: &mut [Complex], cfo_hz: f64) {
+    let step = 2.0 * std::f64::consts::PI * cfo_hz / 20e6;
+    let rot_step = Complex::from_angle(step);
+    let mut rot = Complex::ONE;
+    for s in samples.iter_mut() {
+        *s *= rot;
+        rot *= rot_step;
+    }
+}
 
+impl CfoDrift {
     /// Creates the impairment.
     pub fn new(rate_hz_per_s: f64, max_hz: f64) -> Self {
         CfoDrift { rate_hz_per_s, max_hz }
@@ -288,13 +299,7 @@ impl Impairment for CfoDrift {
         if cfo == 0.0 {
             return;
         }
-        let step = 2.0 * std::f64::consts::PI * cfo / Self::SAMPLE_RATE;
-        let rot_step = Complex::from_angle(step);
-        let mut rot = Complex::ONE;
-        for s in samples.iter_mut() {
-            *s *= rot;
-            rot *= rot_step;
-        }
+        rotate_cfo(samples, cfo);
     }
 
     fn boxed_clone(&self) -> Box<dyn Impairment> {

@@ -10,7 +10,7 @@
 
 use crate::awgn::Awgn;
 use crate::calibration::Calibration;
-use crate::impairment::{FaultEngine, FeedbackFate, ImpairmentCtx};
+use crate::impairment::{rotate_cfo, FaultEngine, FeedbackFate, ImpairmentCtx};
 use crate::multipath::{ChannelConfig, IndoorChannel};
 use crate::sounder::ChannelSounder;
 use cos_dsp::{db_to_linear, Complex, KernelMode};
@@ -173,13 +173,7 @@ impl Link {
         self.channel.apply_append_with(tx, rx, KernelMode::Lanes);
         if self.cfo_hz != 0.0 {
             // The oscillator offset rotates everything the receiver sees.
-            let step = 2.0 * std::f64::consts::PI * self.cfo_hz / 20e6;
-            let rot_step = Complex::from_angle(step);
-            let mut rot = Complex::ONE;
-            for s in rx.iter_mut() {
-                *s *= rot;
-                rot *= rot_step;
-            }
+            rotate_cfo(rx, self.cfo_hz);
         }
         if let Some(engine) = &mut self.faults {
             let ctx = ImpairmentCtx {

@@ -195,7 +195,7 @@ mod tests {
         let control = flash.decode(&flagged);
         let mask = flash.erasure_mask(&flagged, fe.raw_symbols.len());
         let rx = receiver.decode(&fe, Some(&mask));
-        (control, rx.crc_ok())
+        (control, rx.crc_ok)
     }
 
     #[test]

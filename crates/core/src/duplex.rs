@@ -169,7 +169,7 @@ pub fn decode_ack(
     let detection = detector.detect(&fe, &all);
     let rx = receiver.decode(&fe, Some(&detection.erasures));
 
-    let (Some(payload), Some(seed)) = (&rx.payload, rx.scrambler_seed) else {
+    let (true, Some(seed)) = (rx.crc_ok, rx.scrambler_seed) else {
         return Ok((false, None));
     };
     if fe.raw_symbols.len() < cfg.feedback_symbol + cfg.v_repeats + cfg.snr_repeats {
@@ -178,7 +178,7 @@ pub fn decode_ack(
 
     // CRC passed: soft-combined coherent decision per field bit — sum
     // the silence/normal residuals across repetitions, then decide.
-    let reference = reconstruct_points(payload, fe.rate, seed);
+    let reference = reconstruct_points(&rx.payload, fe.rate, seed);
     let bins = cos_phy::subcarriers::DATA_BINS;
     let combined = |sc: usize, first_sym: usize, reps: usize| -> bool {
         let mut silence_residual = 0.0;

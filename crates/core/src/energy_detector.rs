@@ -229,33 +229,12 @@ pub struct DetectionAccuracy {
 
 impl DetectionAccuracy {
     /// Evaluates detected `positions` against the transmitted ground
-    /// truth over `total_positions` scanned control positions.
+    /// truth over `total_positions` scanned control positions: one merge
+    /// pass over the two ascending lists (detector output
+    /// ([`Detection::positions`]), codec output
+    /// ([`IntervalCodec::encode`]) and the coherent validator are all
+    /// ascending), with duplicates counted once.
     pub fn evaluate(detected: &[usize], truth: &[usize], total_positions: usize) -> Self {
-        let detected_set: std::collections::HashSet<usize> = detected.iter().copied().collect();
-        let truth_set: std::collections::HashSet<usize> = truth.iter().copied().collect();
-        let false_positives = detected_set.difference(&truth_set).count();
-        let false_negatives = truth_set.difference(&detected_set).count();
-        DetectionAccuracy {
-            false_positives,
-            false_negatives,
-            actual_silences: truth_set.len(),
-            actual_normals: total_positions - truth_set.len(),
-        }
-    }
-
-    /// Allocation-free variant of [`evaluate`](Self::evaluate) for inputs
-    /// that are already sorted ascending — which detector output
-    /// ([`Detection::positions`]), codec output ([`IntervalCodec::encode`])
-    /// and the coherent validator all guarantee. A single merge pass
-    /// replaces the two hash sets; duplicates are coalesced so the result
-    /// is identical to [`evaluate`](Self::evaluate) on the same inputs.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that both inputs are sorted ascending.
-    pub fn evaluate_sorted(detected: &[usize], truth: &[usize], total_positions: usize) -> Self {
-        debug_assert!(detected.windows(2).all(|w| w[0] <= w[1]), "detected must be sorted");
-        debug_assert!(truth.windows(2).all(|w| w[0] <= w[1]), "truth must be sorted");
         let (mut i, mut j) = (0usize, 0usize);
         let (mut fp, mut fn_, mut n_truth) = (0usize, 0usize, 0usize);
         let skip_dups = |s: &[usize], mut k: usize| {
@@ -486,7 +465,7 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_sorted_matches_hash_evaluation() {
+    fn evaluate_matches_a_brute_force_set_count() {
         let cases: &[(&[usize], &[usize], usize)] = &[
             (&[0, 5, 9], &[0, 5, 7], 100),
             (&[], &[], 10),
@@ -496,9 +475,17 @@ mod tests {
             (&[3], &[3], 4),
         ];
         for &(det, truth, total) in cases {
+            let mut want = DetectionAccuracy::default();
+            for p in 0..total {
+                let (d, t) = (det.contains(&p), truth.contains(&p));
+                want.false_positives += (d && !t) as usize;
+                want.false_negatives += (t && !d) as usize;
+                want.actual_silences += t as usize;
+                want.actual_normals += !t as usize;
+            }
             assert_eq!(
-                DetectionAccuracy::evaluate_sorted(det, truth, total),
                 DetectionAccuracy::evaluate(det, truth, total),
+                want,
                 "det={det:?} truth={truth:?}"
             );
         }

@@ -846,7 +846,7 @@ impl CosSession {
                 // frames with record silence counts.
                 control.reserve(total.saturating_sub(1) * codec.bits_per_interval());
                 let mut accuracy = if embed_control {
-                    DetectionAccuracy::evaluate_sorted(&det.positions, truth, total)
+                    DetectionAccuracy::evaluate(&det.positions, truth, total)
                 } else {
                     DetectionAccuracy::default()
                 };
@@ -869,7 +869,7 @@ impl CosSession {
                     let mut normal_positions = 0;
                     if embed_control {
                         validate_silences_into(&ws.rx.fe, sel, reference, refined);
-                        accuracy = DetectionAccuracy::evaluate_sorted(refined, truth, total);
+                        accuracy = DetectionAccuracy::evaluate(refined, truth, total);
                         control_present = codec.decode_into(refined, control);
                         false_alarms = det.positions.iter().filter(|p| !refined.contains(p)).count();
                         normal_positions = total - refined.len();

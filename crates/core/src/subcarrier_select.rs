@@ -110,26 +110,40 @@ pub fn select_control_subcarriers(
     out
 }
 
-/// Stable insertion sort over a small index slice: with `before(a, b)`
-/// mirroring a `sort_by` comparator's `Less`, the output permutation is
-/// identical to the standard library's stable sort — but on ≤ 48 elements
-/// it needs no allocation.
-fn stable_sort_indices(xs: &mut [usize], mut before: impl FnMut(usize, usize) -> bool) {
-    for i in 1..xs.len() {
+/// Appends to `out`, until it holds `target` indices, the subcarriers
+/// not yet in it for which `eligible` holds, in descending `key` order
+/// (ties keep ascending index: a stable insertion sort on the stack).
+fn fill_by_key(
+    out: &mut Vec<usize>,
+    target: usize,
+    key: &[f64; NUM_DATA],
+    eligible: impl Fn(usize) -> bool,
+) {
+    if out.len() >= target {
+        return;
+    }
+    let mut cand = [0usize; NUM_DATA];
+    let mut n_cand = 0usize;
+    for sc in (0..NUM_DATA).filter(|&sc| eligible(sc) && !out.contains(&sc)) {
+        cand[n_cand] = sc;
+        n_cand += 1;
+    }
+    let cand = &mut cand[..n_cand];
+    for i in 1..cand.len() {
         let mut j = i;
-        while j > 0 && before(xs[j], xs[j - 1]) {
-            xs.swap(j, j - 1);
+        while j > 0 && key[cand[j]].total_cmp(&key[cand[j - 1]]).is_gt() {
+            cand.swap(j, j - 1);
             j -= 1;
         }
     }
+    let take = (target - out.len()).min(n_cand);
+    out.extend_from_slice(&cand[..take]);
 }
 
 /// Workspace variant of [`select_control_subcarriers`]: clears `out` and
-/// writes the sorted selection into it, reusing its capacity. The
-/// `WeakByEvm`/`WeakestN`/`Random`/`Contiguous` candidate scratch lives on
-/// the stack (at most [`NUM_DATA`] indices), so steady-state calls do not
-/// allocate; results are identical to the owned API because the fill
-/// ordering uses a stable sort with the same comparators.
+/// writes the sorted selection into it, reusing its capacity. Candidate
+/// scratch lives on the stack (at most [`NUM_DATA`] indices), so
+/// steady-state calls do not allocate.
 ///
 /// # Panics
 ///
@@ -148,78 +162,17 @@ pub fn select_control_subcarriers_into(
             out.extend(
                 (0..NUM_DATA).filter(|&sc| evm[sc] > threshold && snr_db[sc] >= detect_floor_db),
             );
-            if out.len() < min {
-                // Fill with the weakest detectable subcarriers; if the
-                // whole channel is undetectable, fall back to the
-                // strongest subcarriers (best effort).
-                let mut cand = [0usize; NUM_DATA];
-                let mut n_cand = 0usize;
-                for (sc, &snr) in snr_db.iter().enumerate() {
-                    if snr >= detect_floor_db && !out.contains(&sc) {
-                        cand[n_cand] = sc;
-                        n_cand += 1;
-                    }
-                }
-                stable_sort_indices(&mut cand[..n_cand], |a, b| {
-                    evm[a].total_cmp(&evm[b]) == std::cmp::Ordering::Greater
-                });
-                for &sc in &cand[..n_cand] {
-                    if out.len() >= min {
-                        break;
-                    }
-                    out.push(sc);
-                }
-            }
-            if out.len() < min {
-                let mut cand = [0usize; NUM_DATA];
-                let mut n_cand = 0usize;
-                for sc in 0..NUM_DATA {
-                    if !out.contains(&sc) {
-                        cand[n_cand] = sc;
-                        n_cand += 1;
-                    }
-                }
-                stable_sort_indices(&mut cand[..n_cand], |a, b| {
-                    snr_db[a].total_cmp(&snr_db[b]) == std::cmp::Ordering::Greater
-                });
-                for &sc in &cand[..n_cand] {
-                    if out.len() >= min {
-                        break;
-                    }
-                    out.push(sc);
-                }
-            }
+            // Fill with the weakest detectable subcarriers; if the whole
+            // channel is undetectable, fall back to the strongest
+            // subcarriers (best effort).
+            fill_by_key(out, min, evm, |sc| snr_db[sc] >= detect_floor_db);
+            fill_by_key(out, min, snr_db, |_| true);
             out.sort_unstable();
         }
         SelectionPolicy::WeakestN { n, detect_floor_db } => {
             assert!(n <= NUM_DATA, "cannot select {n} of {NUM_DATA} subcarriers");
-            let mut cand = [0usize; NUM_DATA];
-            let mut n_cand = 0usize;
-            for (sc, &snr) in snr_db.iter().enumerate() {
-                if snr >= detect_floor_db {
-                    cand[n_cand] = sc;
-                    n_cand += 1;
-                }
-            }
-            stable_sort_indices(&mut cand[..n_cand], |a, b| {
-                evm[a].total_cmp(&evm[b]) == std::cmp::Ordering::Greater
-            });
-            out.extend_from_slice(&cand[..n_cand.min(n)]);
-            if out.len() < n {
-                let mut fill = [0usize; NUM_DATA];
-                let mut n_fill = 0usize;
-                for sc in 0..NUM_DATA {
-                    if !out.contains(&sc) {
-                        fill[n_fill] = sc;
-                        n_fill += 1;
-                    }
-                }
-                stable_sort_indices(&mut fill[..n_fill], |a, b| {
-                    snr_db[a].total_cmp(&snr_db[b]) == std::cmp::Ordering::Greater
-                });
-                let take = (n - out.len()).min(n_fill);
-                out.extend_from_slice(&fill[..take]);
-            }
+            fill_by_key(out, n, evm, |sc| snr_db[sc] >= detect_floor_db);
+            fill_by_key(out, n, snr_db, |_| true);
             out.sort_unstable();
         }
         SelectionPolicy::Random { n, seed } => {
@@ -398,6 +351,44 @@ mod tests {
             select_control_subcarriers_into(&evm, &snr, policy, &mut out);
             assert_eq!(out, select_control_subcarriers(&evm, &snr, policy), "{policy:?}");
         }
+    }
+
+    /// Every policy's selection over seeded EVM/SNR vectors, hashed into
+    /// one FNV-1a digest. EVM and SNR are drawn on coarse grids so ties
+    /// are common (the fill order's tie rule shows); some channels sit
+    /// entirely below every floor, and `min`/`n` range up to all 48, so
+    /// both fills of `WeakByEvm` and `WeakestN` run.
+    #[test]
+    fn selection_digest_is_pinned() {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |x: u64| {
+            digest ^= x;
+            digest = digest.wrapping_mul(0x100_0000_01b3);
+        };
+        let mut out = Vec::new();
+        for mut rng in cos_dsp::rng::cases(64) {
+            let evm: [f64; NUM_DATA] = std::array::from_fn(|_| rng.below(6) as f64 * 0.12);
+            let undetectable = rng.below(4) == 0;
+            let snr_db: [f64; NUM_DATA] = std::array::from_fn(|_| {
+                let db = 2.0 * rng.below(20) as f64;
+                if undetectable { db.min(10.0) } else { db }
+            });
+            let modulation = Modulation::ALL[rng.below(Modulation::ALL.len())];
+            let count = rng.below(NUM_DATA + 1);
+            let floor = 10.0 + rng.below(20) as f64;
+            for policy in [
+                SelectionPolicy::weak_by_evm(modulation, count),
+                SelectionPolicy::WeakByEvm { modulation, min: count, detect_floor_db: floor },
+                SelectionPolicy::WeakestN { n: count, detect_floor_db: floor },
+                SelectionPolicy::Random { n: count, seed: rng.next_u64() },
+                SelectionPolicy::Contiguous { start: (NUM_DATA - count) / 2, n: count },
+            ] {
+                select_control_subcarriers_into(&evm, &snr_db, policy, &mut out);
+                mix(out.len() as u64);
+                out.iter().for_each(|&sc| mix(sc as u64));
+            }
+        }
+        assert_eq!(digest, 0xd639_bd64_6d2e_9d62, "selection digest moved");
     }
 
     #[test]

@@ -202,7 +202,7 @@ pub fn run_baseline_comparison(cfg: &Config) -> Table {
                 let flagged = flash.detect(&fe);
                 flash_ctrl += (flash.decode(&flagged).as_deref() == Some(&bits[..])) as u32;
                 let mask = flash.erasure_mask(&flagged, fe.raw_symbols.len());
-                flash_data += receiver.decode(&fe, Some(&mask)).crc_ok() as u32;
+                flash_data += receiver.decode(&fe, Some(&mask)).crc_ok as u32;
             }
             link.channel_mut().advance(1e-3);
         }

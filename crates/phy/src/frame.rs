@@ -613,51 +613,15 @@ fn interleave_portable(
     }
 }
 
-/// The output of [`decode_data_field`].
-#[derive(Debug, Clone)]
-pub struct DecodedData {
-    /// Descrambled DATA-field bits (SERVICE + PSDU + tail/pad region).
-    pub bits: Vec<u8>,
-    /// The scrambler seed recovered from the SERVICE prefix — needed to
-    /// reconstruct the transmitted constellation points for EVM feedback.
-    pub scrambler_seed: u8,
-}
-
-/// Decodes received soft bits (in transmit/interleaved order) back to the
-/// descrambled DATA-field bits.
-///
-/// `psdu_len` (from the SIGNAL LENGTH field) locates the tail bits: the
-/// 802.11a pad bits come *after* the tail and are scrambled, so the
-/// trellis is only guaranteed to sit in state 0 at the tail position —
-/// the decoder truncates the mother-code stream there and decodes with
-/// proper termination, discarding the pad region entirely.
-///
-/// Fails with [`PhyError::DataFieldTooShort`] when the soft-bit stream is
-/// too truncated to even hold the 7-bit SERVICE scrambler prefix, and with
-/// [`PhyError::ScramblerSeed`] when the seed cannot be recovered from the
-/// SERVICE prefix (possible only under catastrophic corruption). Malformed
-/// input never panics.
-pub fn decode_data_field(
-    llrs: &[i16],
-    rate: DataRate,
-    psdu_len: usize,
-) -> Result<DecodedData, PhyError> {
-    let mut fec = FecWorkspace::new();
-    let prep = prepare_data_field_into(llrs, rate, psdu_len, &mut fec)?;
-    run_staged_viterbi(prep, &mut fec);
-    let mut bits = Vec::new();
-    let scrambler_seed = finish_data_field_into(&fec, &mut bits)?;
-    Ok(DecodedData { bits, scrambler_seed })
-}
-
 /// A DATA field staged for Viterbi decoding by
 /// [`prepare_data_field_into`]: the mother-code soft bits sit in
 /// `fec.mother_llrs[..coded_to_tail]`, truncated at the tail position so
 /// the trellis decodes with proper termination.
 ///
 /// A decode is three calls: stage, run [`run_staged_viterbi`], then
-/// finish with [`finish_data_field_into`]; the split lets each be timed
-/// on its own.
+/// finish with [`finish_data_field_into`] (the chain
+/// [`crate::rx::Receiver::decode_into`] runs after demapping); the split
+/// lets each be timed on its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PreparedDataField {
     /// Mother-code soft bits to feed the decoder (even, ≥ 14).
@@ -671,9 +635,16 @@ impl PreparedDataField {
     }
 }
 
-/// The front of [`decode_data_field`]: deinterleave,
-/// depuncture and truncate at the tail, staging the Viterbi input in
-/// `fec.mother_llrs` without running the decoder.
+/// The front of a DATA-field decode: deinterleaves, depunctures and
+/// truncates received soft bits (in transmit/interleaved order) at the
+/// tail, staging the Viterbi input in `fec.mother_llrs` without running
+/// the decoder.
+///
+/// `psdu_len` (from the SIGNAL LENGTH field) locates the tail bits: the
+/// 802.11a pad bits come *after* the tail and are scrambled, so the
+/// trellis is only guaranteed to sit in state 0 at the tail position —
+/// the stream is truncated there and decoded with proper termination,
+/// discarding the pad region entirely. Malformed input never panics.
 ///
 /// One pass (the RX bit plan, `docs/KERNELS.md`): each symbol's
 /// `2 × Ndbps` mother-code block is gathered straight from the symbol's
@@ -772,8 +743,9 @@ pub fn run_staged_viterbi(prep: PreparedDataField, fec: &mut FecWorkspace) {
     );
 }
 
-/// The back of [`decode_data_field`]: recovers the scrambler
-/// seed from the SERVICE prefix of `fec.decoded` and descrambles into
+/// The back of a DATA-field decode: recovers the scrambler seed (needed
+/// to reconstruct the transmitted constellation points for EVM feedback)
+/// from the SERVICE prefix of `fec.decoded` and descrambles into
 /// `bits`, eight bits per step against the seed's keystream table.
 ///
 /// # Errors
@@ -886,6 +858,16 @@ mod tests {
         bits.iter().map(|&b| if b == 0 { 100 } else { -100 }).collect()
     }
 
+    /// Decodes soft bits to descrambled DATA-field bits and the scrambler
+    /// seed through the staged calls `Receiver::decode_into` makes.
+    fn decode(llrs: &[i16], rate: DataRate, psdu_len: usize) -> Result<(Vec<u8>, u8), PhyError> {
+        let mut fec = FecWorkspace::new();
+        let prep = prepare_data_field_into(llrs, rate, psdu_len, &mut fec)?;
+        run_staged_viterbi(prep, &mut fec);
+        let mut bits = Vec::new();
+        let seed = finish_data_field_into(&fec, &mut bits)?;
+        Ok((bits, seed))
+    }
 
     #[test]
     fn lengths_are_symbol_aligned() {
@@ -941,15 +923,15 @@ mod tests {
             let payload: Vec<u8> = (0..=200).map(|i| (i * 7) as u8).collect();
             let psdu = payload_to_psdu(&payload);
             let df = build_data_field(&psdu, rate, 0x2B);
-            let decoded = decode_data_field(&ideal_llrs(&df.interleaved), rate, psdu.len())
-                .expect("seed recoverable");
-            assert_eq!(decoded.scrambler_seed, 0x2B, "{rate}");
+            let (bits, seed) =
+                decode(&ideal_llrs(&df.interleaved), rate, psdu.len()).expect("seed recoverable");
+            assert_eq!(seed, 0x2B, "{rate}");
             // The 6 tail bits are re-zeroed *after* scrambling, so they
             // descramble to keystream — compare only SERVICE + PSDU.
             let mut sent = vec![0u8; SERVICE_BITS];
             sent.extend(cos_fec::bits::bytes_to_bits(&psdu));
-            assert_eq!(&decoded.bits[..sent.len()], &sent[..], "{rate}");
-            let got = extract_payload(&decoded.bits, psdu.len()).expect("CRC passes");
+            assert_eq!(&bits[..sent.len()], &sent[..], "{rate}");
+            let got = extract_payload(&bits, psdu.len()).expect("CRC passes");
             assert_eq!(got, payload, "{rate}");
         }
     }
@@ -964,8 +946,8 @@ mod tests {
         for i in (0..llrs.len()).step_by(29) {
             llrs[i] = 0;
         }
-        let decoded = decode_data_field(&llrs, DataRate::Mbps24, psdu.len()).expect("decodes");
-        assert_eq!(extract_payload(&decoded.bits, psdu.len()), Some(payload));
+        let (bits, _) = decode(&llrs, DataRate::Mbps24, psdu.len()).expect("decodes");
+        assert_eq!(extract_payload(&bits, psdu.len()), Some(payload));
     }
 
     #[test]
@@ -978,8 +960,8 @@ mod tests {
         for l in llrs.iter_mut().skip(200).take(120) {
             *l = -*l;
         }
-        let decoded = decode_data_field(&llrs, DataRate::Mbps12, psdu.len()).expect("seed still recoverable");
-        assert_eq!(extract_payload(&decoded.bits, psdu.len()), None);
+        let (bits, _) = decode(&llrs, DataRate::Mbps12, psdu.len()).expect("seed still recoverable");
+        assert_eq!(extract_payload(&bits, psdu.len()), None);
     }
 
     #[test]
@@ -990,13 +972,13 @@ mod tests {
     #[test]
     fn truncated_llrs_yield_typed_error_not_panic() {
         assert!(matches!(
-            decode_data_field(&[], DataRate::Mbps6, 100),
+            decode(&[], DataRate::Mbps6, 100),
             Err(PhyError::DataFieldTooShort { .. })
         ));
         // Shorter than one OFDM symbol: the ragged tail is dropped and
         // nothing decodable remains.
         assert!(matches!(
-            decode_data_field(&[1; 30], DataRate::Mbps6, 100),
+            decode(&[1; 30], DataRate::Mbps6, 100),
             Err(PhyError::DataFieldTooShort { .. })
         ));
         // Mid-symbol truncation of a real frame degrades to an error or a
@@ -1005,7 +987,7 @@ mod tests {
         let df = build_data_field(&psdu, DataRate::Mbps12, 0x5D);
         let llrs = ideal_llrs(&df.interleaved);
         for keep in [1, 47, 96, 131, llrs.len() - 1] {
-            let _ = decode_data_field(&llrs[..keep], DataRate::Mbps12, psdu.len());
+            let _ = decode(&llrs[..keep], DataRate::Mbps12, psdu.len());
         }
     }
 
@@ -1017,9 +999,9 @@ mod tests {
         let b = build_data_field(&psdu, DataRate::Mbps12, 0x7F);
         assert_ne!(a.interleaved, b.interleaved);
         for df in [a, b] {
-            let decoded = decode_data_field(&ideal_llrs(&df.interleaved), DataRate::Mbps12, psdu.len())
-                .expect("decodes");
-            assert_eq!(extract_payload(&decoded.bits, psdu.len()), Some(payload.clone()));
+            let (bits, _) =
+                decode(&ideal_llrs(&df.interleaved), DataRate::Mbps12, psdu.len()).expect("decodes");
+            assert_eq!(extract_payload(&bits, psdu.len()), Some(payload.clone()));
         }
     }
 }

@@ -20,7 +20,8 @@
 //!   become zero-LLR bits (erasure Viterbi decoding),
 //! * [`pipeline`] — the zero-copy staged pipeline: caller-owned
 //!   [`TxWorkspace`]/[`RxWorkspace`] scratch threaded through `*_into`
-//!   variants of every stage, with the owned APIs as thin wrappers,
+//!   variants of every stage, each allocating form a thin wrapper that
+//!   returns exactly the type its `*_into` form fills,
 //! * [`evm`] — per-subcarrier EVM (paper Eq. 1) and the normalised EVM
 //!   change `∇EVM` (paper Eq. 2),
 //! * [`sync`] — packet detection, sample-accurate timing and CFO
@@ -32,14 +33,16 @@
 //! ```
 //! use cos_phy::rates::DataRate;
 //! use cos_phy::tx::Transmitter;
-//! use cos_phy::rx::{Receiver, RxConfig};
+//! use cos_phy::rx::Receiver;
 //!
 //! let payload = b"hello, free control messages".to_vec();
 //! let frame = Transmitter::new().build_frame(&payload, DataRate::Mbps24, 0x5D);
 //! let samples = frame.to_time_samples();
-//! // Loop back over an ideal channel.
-//! let rx = Receiver::new().receive(&samples, &RxConfig::ideal()).expect("decodable");
-//! assert_eq!(rx.payload.as_deref(), Some(payload.as_slice()));
+//! // Loop back over an ideal channel, with no erasure mask.
+//! let rx = Receiver::new().receive(&samples, None).expect("decodable");
+//! assert!(rx.out.crc_ok);
+//! assert_eq!(rx.out.payload, payload);
+//! assert_eq!(rx.fe.rate, DataRate::Mbps24);
 //! ```
 
 pub mod constellation;

@@ -1,21 +1,25 @@
 //! The zero-copy staged pipeline: caller-owned workspaces threaded
 //! through the transmit and receive chains.
 //!
-//! Every stage of the PHY has two entry points: an owned API that
-//! allocates its result (`build_frame`, `receive`, …) and a `*_into`
-//! variant that writes into buffers borrowed from a workspace defined
-//! here. The owned APIs are thin wrappers over the `*_into`
-//! implementations with fresh scratch, so there is exactly one
-//! implementation of every transform and the two paths are bit-identical
-//! by construction (see `docs/ARCHITECTURE.md` for the ownership and
-//! determinism rules).
+//! Every stage of the PHY has two entry points: an allocating form
+//! (`build_frame`, `decode`, `receive`, …) and a `*_into` form that
+//! writes into buffers borrowed from a workspace defined here. An
+//! allocating form returns exactly the type its `*_into` form fills
+//! ([`Receiver::receive`] an [`RxWorkspace`], [`Receiver::decode`] an
+//! [`RxDecodeOut`]) by running that form on fresh scratch, so there is
+//! exactly one implementation of every transform and the two paths are
+//! bit-identical by construction (see `docs/ARCHITECTURE.md` for the
+//! ownership and determinism rules). An erasure mask from the energy
+//! detector goes in one way: a borrowed `Option<&[[bool; NUM_DATA]]>`,
+//! one row per DATA symbol, never cloned per frame.
 //!
 //! A workspace belongs to exactly one session or one worker thread; the
 //! structs here are plain bags of buffers with no interior mutability.
 
 use crate::error::PhyError;
 use crate::frame::TxBits;
-use crate::rx::{FrontEnd, Receiver, RxConfig, RxDecodeOut, RxFrame, RxScratch};
+use crate::rx::{FrontEnd, Receiver, RxDecodeOut, RxScratch};
+use crate::subcarriers::NUM_DATA;
 use crate::sync::{correct_cfo, Acquisition, Synchronizer};
 use crate::tx::TxFrame;
 use cos_dsp::Complex;
@@ -96,11 +100,6 @@ impl RxWorkspace {
     pub fn new() -> Self {
         RxWorkspace::default()
     }
-
-    /// Materialises the last decode as an owned [`RxFrame`].
-    pub fn to_rx_frame(&self) -> RxFrame {
-        self.out.to_rx_frame(&self.fe)
-    }
 }
 
 /// One session's (or one worker thread's) complete PHY scratch.
@@ -120,7 +119,27 @@ impl PhyWorkspace {
 }
 
 impl Receiver {
-    /// Front end + decode writing entirely into a caller-owned
+    /// Front end + decode in one call, into a fresh [`RxWorkspace`]: the
+    /// front end in `fe`, the decode in `out`.
+    ///
+    /// # Errors
+    ///
+    /// Any [`PhyError`] from the front end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the erasure mask's length differs from the symbol count.
+    pub fn receive(
+        &self,
+        samples: &[Complex],
+        erasures: Option<&[[bool; NUM_DATA]]>,
+    ) -> Result<RxWorkspace, PhyError> {
+        let mut ws = RxWorkspace::new();
+        self.receive_into(samples, erasures, &mut ws)?;
+        Ok(ws)
+    }
+
+    /// [`Receiver::receive`] writing entirely into a caller-owned
     /// [`RxWorkspace`] (`ws.samples` is left untouched — pass the input
     /// separately so a link can fill `ws.samples` first and hand it in).
     ///
@@ -128,16 +147,43 @@ impl Receiver {
     ///
     /// Any [`PhyError`] from the front end; `ws` holds unspecified
     /// partial results on error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the erasure mask's length differs from the symbol count.
     pub fn receive_into(
         &self,
         samples: &[Complex],
-        config: &RxConfig<'_>,
+        erasures: Option<&[[bool; NUM_DATA]]>,
         ws: &mut RxWorkspace,
     ) -> Result<(), PhyError> {
         let RxWorkspace { fe, scratch, out, .. } = ws;
         self.front_end_into(samples, fe)?;
-        self.decode_into(fe, config.erasures, scratch, out);
+        self.decode_into(fe, erasures, scratch, out);
         Ok(())
+    }
+
+    /// Receives from a raw stream with unknown frame offset and carrier
+    /// frequency offset, into a fresh [`RxWorkspace`]: acquires the
+    /// preamble, corrects the CFO and decodes (see
+    /// [`Receiver::receive_stream_into`]).
+    ///
+    /// # Errors
+    ///
+    /// [`PhyError::NoPreamble`] if acquisition fails, else any front-end
+    /// error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the erasure mask's length differs from the symbol count.
+    pub fn receive_stream(
+        &self,
+        stream: &[Complex],
+        erasures: Option<&[[bool; NUM_DATA]]>,
+    ) -> Result<(Acquisition, RxWorkspace), PhyError> {
+        let mut ws = RxWorkspace::new();
+        let acq = self.receive_stream_into(stream, erasures, &mut ws)?;
+        Ok((acq, ws))
     }
 
     /// Stream variant of [`Receiver::receive_into`]: acquires the
@@ -149,10 +195,14 @@ impl Receiver {
     ///
     /// [`PhyError::NoPreamble`] if acquisition fails, else any front-end
     /// error; `ws` holds unspecified partial results on error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the erasure mask's length differs from the symbol count.
     pub fn receive_stream_into(
         &self,
         stream: &[Complex],
-        config: &RxConfig<'_>,
+        erasures: Option<&[[bool; NUM_DATA]]>,
         ws: &mut RxWorkspace,
     ) -> Result<Acquisition, PhyError> {
         let acq = Synchronizer::default().acquire(stream).ok_or(PhyError::NoPreamble)?;
@@ -161,7 +211,7 @@ impl Receiver {
         correct_cfo(&mut ws.aligned, acq.cfo_hz);
         let RxWorkspace { aligned, fe, scratch, out, .. } = ws;
         self.front_end_into(aligned, fe)?;
-        self.decode_into(fe, config.erasures, scratch, out);
+        self.decode_into(fe, erasures, scratch, out);
         Ok(acq)
     }
 }
@@ -184,14 +234,12 @@ mod tests {
             let owned_frame = Transmitter::new().build_frame(&payload, rate, 0x2B);
             assert_eq!(ws.tx.samples, owned_frame.to_time_samples(), "{rate}");
 
-            rx.receive_into(&ws.tx.samples, &RxConfig::ideal(), &mut ws.rx)
-                .expect("clean decode");
-            let owned = Receiver::new()
-                .receive(&ws.tx.samples, &RxConfig::ideal())
-                .expect("clean decode");
-            assert_eq!(ws.rx.out.crc_ok, owned.crc_ok(), "{rate}");
+            // `ws.rx` still holds the previous rate's decode.
+            rx.receive_into(&ws.tx.samples, None, &mut ws.rx).expect("clean decode");
+            let fresh = Receiver::new().receive(&ws.tx.samples, None).expect("clean decode");
+            assert!(ws.rx.out.crc_ok, "{rate}");
             assert_eq!(ws.rx.out.payload, payload, "{rate}");
-            assert_eq!(ws.rx.out.data_bits, owned.data_bits, "{rate}");
+            assert_eq!(ws.rx.out, fresh.out, "{rate}");
         }
     }
 
@@ -209,7 +257,6 @@ mod tests {
 
     #[test]
     fn stream_variant_matches_owned_on_dirty_workspace() {
-        use crate::rx::RxFrame;
         use crate::sync::apply_cfo;
 
         let payload: Vec<u8> = (0..200).map(|i| (i * 7) as u8).collect();
@@ -220,23 +267,22 @@ mod tests {
         apply_cfo(&mut stream, 1_500.0);
 
         let rx = Receiver::new();
-        let (acq_owned, frame_owned): (Acquisition, RxFrame) =
-            rx.receive_stream(&stream, &RxConfig::ideal()).expect("owned stream decode");
+        let (acq_fresh, fresh) = rx.receive_stream(&stream, None).expect("fresh stream decode");
 
         // Dirty the workspace with an unrelated frame first — the stream
         // variant must fully overwrite it.
         let mut ws = RxWorkspace::new();
         let other =
             Transmitter::new().build_frame(&[0x77; 90], DataRate::Mbps6, 0x11).to_time_samples();
-        rx.receive_into(&other, &RxConfig::ideal(), &mut ws).expect("warm-up decode");
-        let acq =
-            rx.receive_stream_into(&stream, &RxConfig::ideal(), &mut ws).expect("stream decode");
+        rx.receive_into(&other, None, &mut ws).expect("warm-up decode");
+        let acq = rx.receive_stream_into(&stream, None, &mut ws).expect("stream decode");
 
-        assert_eq!(acq.frame_start, acq_owned.frame_start);
-        assert_eq!(acq.cfo_hz.to_bits(), acq_owned.cfo_hz.to_bits());
-        assert_eq!(acq.confidence.to_bits(), acq_owned.confidence.to_bits());
+        assert_eq!(acq.frame_start, acq_fresh.frame_start);
+        assert_eq!(acq.cfo_hz.to_bits(), acq_fresh.cfo_hz.to_bits());
+        assert_eq!(acq.confidence.to_bits(), acq_fresh.confidence.to_bits());
+        assert_eq!(ws.aligned, fresh.aligned);
         assert!(ws.out.crc_ok);
-        assert_eq!(Some(&ws.out.payload), frame_owned.payload.as_ref());
-        assert_eq!(ws.out.data_bits, frame_owned.data_bits);
+        assert_eq!(ws.out.payload, payload);
+        assert_eq!(ws.out, fresh.out);
     }
 }

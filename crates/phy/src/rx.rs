@@ -16,7 +16,6 @@ use crate::ofdm::{FreqSymbol, OfdmEngine};
 use crate::preamble::{self, ltf_value, PREAMBLE_LEN};
 use crate::rates::DataRate;
 use crate::signal::decode_signal_symbol;
-use crate::sync::Acquisition;
 use crate::subcarriers::{bin_of, DATA_BINS, NUM_DATA, PILOT_BINS, PILOT_VALUES, SYMBOL_LEN};
 use cos_dsp::{linear_to_db, Complex, Prbs127};
 use cos_fec::FecWorkspace;
@@ -24,29 +23,6 @@ use cos_fec::FecWorkspace;
 /// Floor applied to noise-variance estimates so ideal (noise-free)
 /// channels produce finite LLR weights.
 const NOISE_FLOOR_EPS: f64 = 1e-15;
-
-/// Receiver configuration.
-///
-/// Borrows the erasure mask rather than owning it, so the energy
-/// detector's mask is never cloned per frame on its way into the decoder.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RxConfig<'a> {
-    /// Erasure mask from the energy detector: `erasures[symbol][logical_sc]`
-    /// marks a silence symbol whose bits get zero LLR.
-    pub erasures: Option<&'a [[bool; NUM_DATA]]>,
-}
-
-impl<'a> RxConfig<'a> {
-    /// No erasures — a plain 802.11a receiver.
-    pub fn ideal() -> Self {
-        RxConfig::default()
-    }
-
-    /// A receiver fed an erasure mask (one row per DATA symbol).
-    pub fn with_erasures(erasures: &'a [[bool; NUM_DATA]]) -> Self {
-        RxConfig { erasures: Some(erasures) }
-    }
-}
 
 /// Front-end output: everything measured before bit decisions.
 ///
@@ -124,29 +100,6 @@ impl FrontEnd {
     }
 }
 
-/// A fully decoded frame.
-#[derive(Debug, Clone)]
-pub struct RxFrame {
-    /// The front-end measurements the decode ran on.
-    pub front_end: FrontEnd,
-    /// The CRC-verified payload, if the frame decoded correctly.
-    pub payload: Option<Vec<u8>>,
-    /// Descrambled DATA-field bits (valid even when the CRC fails).
-    pub data_bits: Vec<u8>,
-    /// The recovered scrambler seed.
-    pub scrambler_seed: Option<u8>,
-    /// Why the DATA-field decode failed, when it did — lets the session
-    /// layer classify receive failures without re-running the decoder.
-    pub decode_error: Option<PhyError>,
-}
-
-impl RxFrame {
-    /// Convenience: did the frame pass its CRC?
-    pub fn crc_ok(&self) -> bool {
-        self.payload.is_some()
-    }
-}
-
 /// Decoder scratch: buffers the decode stage consumes but whose contents
 /// nobody reads after the frame. Frame-sized (one soft bit per coded
 /// bit, plus the mother-code plane), so it belongs to whoever runs the
@@ -163,10 +116,11 @@ pub struct RxScratch {
     pub psdu: Vec<u8>,
 }
 
-/// The decoder's output in workspace form — the same fields as
-/// [`RxFrame`] minus the cloned [`FrontEnd`], with the payload flattened
-/// to a reusable `Vec` plus a CRC flag.
-#[derive(Debug, Clone, Default)]
+/// The decoder's output: the one result a decode produces, whether into
+/// a workspace ([`Receiver::decode_into`]) or fresh ([`Receiver::decode`]).
+/// The [`FrontEnd`] it was decoded from sits next to it in
+/// [`crate::pipeline::RxWorkspace`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RxDecodeOut {
     /// Did the frame pass its CRC? [`RxDecodeOut::payload`] is only
     /// meaningful when `true`.
@@ -179,20 +133,6 @@ pub struct RxDecodeOut {
     pub scrambler_seed: Option<u8>,
     /// Why the DATA-field decode failed, when it did.
     pub decode_error: Option<PhyError>,
-}
-
-impl RxDecodeOut {
-    /// Materialises an owned [`RxFrame`] (cloning the front end), for
-    /// callers that want the owned-API result shape.
-    pub fn to_rx_frame(&self, fe: &FrontEnd) -> RxFrame {
-        RxFrame {
-            front_end: fe.clone(),
-            payload: self.crc_ok.then(|| self.payload.clone()),
-            data_bits: self.data_bits.clone(),
-            scrambler_seed: self.scrambler_seed,
-            decode_error: self.decode_error,
-        }
-    }
 }
 
 /// The 802.11a receiver.
@@ -396,11 +336,10 @@ impl Receiver {
     /// # Panics
     ///
     /// Panics if the erasure mask's length differs from the symbol count.
-    pub fn decode(&self, fe: &FrontEnd, erasures: Option<&[[bool; NUM_DATA]]>) -> RxFrame {
-        let mut scratch = RxScratch::default();
+    pub fn decode(&self, fe: &FrontEnd, erasures: Option<&[[bool; NUM_DATA]]>) -> RxDecodeOut {
         let mut out = RxDecodeOut::default();
-        self.decode_into(fe, erasures, &mut scratch, &mut out);
-        out.to_rx_frame(fe)
+        self.decode_into(fe, erasures, &mut RxScratch::default(), &mut out);
+        out
     }
 
     /// [`Receiver::decode`] writing into caller-owned scratch and output
@@ -515,36 +454,6 @@ impl Receiver {
             out.payload.clear();
         }
     }
-
-    /// Convenience: front end + decode in one call.
-    ///
-    /// # Errors
-    ///
-    /// Any [`PhyError`] from the front end.
-    pub fn receive(&self, samples: &[Complex], config: &RxConfig<'_>) -> Result<RxFrame, PhyError> {
-        let fe = self.front_end(samples)?;
-        Ok(self.decode(&fe, config.erasures))
-    }
-
-    /// Receives from a raw stream with unknown frame offset and carrier
-    /// frequency offset: acquires the preamble, corrects the CFO and
-    /// decodes. Thin wrapper over
-    /// [`receive_stream_into`](Self::receive_stream_into) with fresh
-    /// scratch.
-    ///
-    /// # Errors
-    ///
-    /// [`PhyError::NoPreamble`] if acquisition fails, else any front-end
-    /// error.
-    pub fn receive_stream(
-        &self,
-        stream: &[Complex],
-        config: &RxConfig<'_>,
-    ) -> Result<(Acquisition, RxFrame), PhyError> {
-        let mut ws = crate::pipeline::RxWorkspace::new();
-        let acq = self.receive_stream_into(stream, config, &mut ws)?;
-        Ok((acq, ws.to_rx_frame()))
-    }
 }
 
 /// Asserts that an erasure mask has one row per DATA symbol.
@@ -566,12 +475,13 @@ fn nonzero(h: Complex) -> Complex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::RxWorkspace;
     use crate::tx::Transmitter;
 
-    fn loopback(payload: &[u8], rate: DataRate) -> RxFrame {
+    fn loopback(payload: &[u8], rate: DataRate) -> RxWorkspace {
         let frame = Transmitter::new().build_frame(payload, rate, 0x5D);
         let samples = frame.to_time_samples();
-        Receiver::new().receive(&samples, &RxConfig::ideal()).expect("clean decode")
+        Receiver::new().receive(&samples, None).expect("clean decode")
     }
 
     #[test]
@@ -579,9 +489,10 @@ mod tests {
         for rate in DataRate::ALL {
             let payload: Vec<u8> = (0..100).map(|i| (i * 13) as u8).collect();
             let rx = loopback(&payload, rate);
-            assert_eq!(rx.payload.as_deref(), Some(payload.as_slice()), "{rate}");
-            assert_eq!(rx.front_end.rate, rate);
-            assert_eq!(rx.scrambler_seed, Some(0x5D));
+            assert!(rx.out.crc_ok, "{rate}");
+            assert_eq!(rx.out.payload, payload, "{rate}");
+            assert_eq!(rx.fe.rate, rate);
+            assert_eq!(rx.out.scrambler_seed, Some(0x5D));
         }
     }
 
@@ -589,10 +500,10 @@ mod tests {
     fn ideal_channel_estimate_is_unity() {
         let rx = loopback(b"channel", DataRate::Mbps12);
         for &bin in DATA_BINS.iter() {
-            let h = rx.front_end.h_est[bin];
+            let h = rx.fe.h_est[bin];
             assert!((h - Complex::ONE).norm() < 1e-9, "bin {bin}: {h}");
         }
-        assert!(rx.front_end.noise_var_ltf < 1e-18);
+        assert!(rx.fe.noise_var_ltf < 1e-18);
     }
 
     #[test]
@@ -608,7 +519,7 @@ mod tests {
 
     #[test]
     fn too_short_stream_is_rejected() {
-        let err = Receiver::new().receive(&[Complex::ZERO; 100], &RxConfig::ideal());
+        let err = Receiver::new().receive(&[Complex::ZERO; 100], None);
         assert!(matches!(err, Err(PhyError::FrameTooShort { .. })));
     }
 
@@ -617,7 +528,7 @@ mod tests {
         let frame = Transmitter::new().build_frame(&[0u8; 500], DataRate::Mbps6, 0x5D);
         let samples = frame.to_time_samples();
         let cut = samples.len() - 3 * SYMBOL_LEN;
-        let err = Receiver::new().receive(&samples[..cut], &RxConfig::ideal());
+        let err = Receiver::new().receive(&samples[..cut], None);
         assert!(matches!(err, Err(PhyError::LengthMismatch { .. })));
     }
 
@@ -634,10 +545,8 @@ mod tests {
             row[sc] = true;
         }
         let samples = frame.to_time_samples();
-        let rx = Receiver::new()
-            .receive(&samples, &RxConfig::with_erasures(&mask))
-            .expect("front end ok");
-        assert!(rx.crc_ok(), "EVD must bridge one silence per symbol");
+        let rx = Receiver::new().receive(&samples, Some(&mask)).expect("front end ok");
+        assert!(rx.out.crc_ok, "EVD must bridge one silence per symbol");
     }
 
     #[test]
@@ -649,14 +558,14 @@ mod tests {
             frame.silence(n, 5);
         }
         let samples = frame.to_time_samples();
-        let rx = Receiver::new().receive(&samples, &RxConfig::ideal()).expect("front end ok");
-        assert!(rx.crc_ok());
+        let rx = Receiver::new().receive(&samples, None).expect("front end ok");
+        assert!(rx.out.crc_ok);
     }
 
     #[test]
     fn measured_snr_is_high_on_clean_channel() {
         let rx = loopback(b"snr", DataRate::Mbps12);
-        assert!(rx.front_end.measured_snr_db() > 50.0);
+        assert!(rx.fe.measured_snr_db() > 50.0);
     }
 
     #[test]

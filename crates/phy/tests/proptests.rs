@@ -4,12 +4,17 @@
 //! correct frame — never a panic and never a false CRC pass.
 
 use cos_phy::constellation::Modulation;
-use cos_phy::frame::{build_data_field, decode_data_field, extract_payload, payload_to_psdu};
+use cos_fec::FecWorkspace;
+use cos_phy::frame::{
+    build_data_field, extract_payload, finish_data_field_into, payload_to_psdu,
+    prepare_data_field_into, run_staged_viterbi,
+};
 use cos_phy::ofdm::{FreqSymbol, OfdmEngine};
 use cos_phy::rates::DataRate;
-use cos_phy::rx::{Receiver, RxConfig};
+use cos_phy::rx::Receiver;
 use cos_phy::signal::parse_signal_slice;
 use cos_phy::tx::Transmitter;
+use cos_phy::PhyError;
 use cos_dsp::rng::{cases, Xoshiro256};
 use cos_dsp::Complex;
 
@@ -24,6 +29,17 @@ fn modulation(rng: &mut Xoshiro256) -> Modulation {
 
 fn rate(rng: &mut Xoshiro256) -> DataRate {
     DataRate::ALL[rng.below(DataRate::ALL.len())]
+}
+
+/// Decodes soft bits to descrambled DATA-field bits and the scrambler
+/// seed through the staged calls `Receiver::decode_into` makes.
+fn decode(llrs: &[i16], rate: DataRate, psdu_len: usize) -> Result<(Vec<u8>, u8), PhyError> {
+    let mut fec = FecWorkspace::new();
+    let prep = prepare_data_field_into(llrs, rate, psdu_len, &mut fec)?;
+    run_staged_viterbi(prep, &mut fec);
+    let mut bits = Vec::new();
+    let seed = finish_data_field_into(&fec, &mut bits)?;
+    Ok((bits, seed))
 }
 
 #[test]
@@ -88,9 +104,9 @@ fn data_field_roundtrip_any_payload() {
         let df = build_data_field(&psdu, rate, seed);
         let llrs: Vec<i16> =
             df.interleaved.iter().map(|&b| if b == 0 { 100 } else { -100 }).collect();
-        let decoded = decode_data_field(&llrs, rate, psdu.len()).expect("decodes");
-        assert_eq!(decoded.scrambler_seed, seed);
-        assert_eq!(extract_payload(&decoded.bits, psdu.len()), Some(payload));
+        let (bits, got_seed) = decode(&llrs, rate, psdu.len()).expect("decodes");
+        assert_eq!(got_seed, seed);
+        assert_eq!(extract_payload(&bits, psdu.len()), Some(payload));
     }
 }
 
@@ -107,8 +123,8 @@ fn frame_survives_scattered_erasures() {
         for i in (0..llrs.len()).step_by(stride) {
             llrs[i] = 0;
         }
-        let decoded = decode_data_field(&llrs, rate, psdu.len()).expect("decodes");
-        assert_eq!(extract_payload(&decoded.bits, psdu.len()), Some(payload));
+        let (bits, _) = decode(&llrs, rate, psdu.len()).expect("decodes");
+        assert_eq!(extract_payload(&bits, psdu.len()), Some(payload));
     }
 }
 
@@ -154,8 +170,8 @@ fn rx_chain_survives_arbitrary_sample_streams() {
                 Complex::new(re, im)
             })
             .collect();
-        match Receiver::new().receive(&samples, &RxConfig::ideal()) {
-            Ok(frame) => assert!(!frame.crc_ok(), "garbage must not pass CRC"),
+        match Receiver::new().receive(&samples, None) {
+            Ok(rx) => assert!(!rx.out.crc_ok, "garbage must not pass CRC"),
             Err(e) => {
                 let _ = e.kind();
             }
@@ -174,12 +190,12 @@ fn rx_chain_survives_truncated_frames() {
         let mut samples = frame.to_time_samples();
         let keep = samples.len() * keep_permille / 1000;
         samples.truncate(keep);
-        match Receiver::new().receive(&samples, &RxConfig::ideal()) {
-            Ok(frame) => {
-                if frame.crc_ok() {
+        match Receiver::new().receive(&samples, None) {
+            Ok(rx) => {
+                if rx.out.crc_ok {
                     // Only possible when enough samples survived to carry
                     // the whole frame.
-                    assert_eq!(frame.payload.as_deref(), Some(&payload[..]));
+                    assert_eq!(rx.out.payload, payload);
                 }
             }
             Err(e) => {
@@ -204,10 +220,10 @@ fn rx_chain_survives_bit_flipped_frames() {
             samples[i] = -samples[i];
             i += stride;
         }
-        match Receiver::new().receive(&samples, &RxConfig::ideal()) {
-            Ok(frame) => {
-                if frame.crc_ok() {
-                    assert_eq!(frame.payload.as_deref(), Some(&payload[..]));
+        match Receiver::new().receive(&samples, None) {
+            Ok(rx) => {
+                if rx.out.crc_ok {
+                    assert_eq!(rx.out.payload, payload);
                 }
             }
             Err(e) => {
@@ -229,7 +245,7 @@ fn truncated_llrs_never_panic_the_data_field_decoder() {
             df.interleaved.iter().map(|&b| if b == 0 { 100 } else { -100 }).collect();
         let keep = llrs.len() * keep_permille / 1000;
         // Any truncation: Ok with honest bits, or a typed error — no panic.
-        if let Err(e) = decode_data_field(&llrs[..keep], rate, psdu.len()) {
+        if let Err(e) = decode(&llrs[..keep], rate, psdu.len()) {
             let _ = e.kind();
         }
     }

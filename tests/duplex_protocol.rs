@@ -43,8 +43,8 @@ fn full_duplex_round_applies_feedback() {
     let fe = receiver.front_end(&rx_samples).expect("front end");
     let detection = detector.detect(&fe, &bootstrap);
     let rx = receiver.decode(&fe, Some(&detection.erasures));
-    assert!(rx.crc_ok(), "round 0 data must decode");
-    let rx_payload = rx.payload.clone().expect("payload");
+    assert!(rx.crc_ok, "round 0 data must decode");
+    let rx_payload = rx.payload;
     let seed_rec = rx.scrambler_seed.expect("seed");
 
     let reference = reconstruct_points(&rx_payload, rate, seed_rec);
@@ -99,7 +99,7 @@ fn full_duplex_round_applies_feedback() {
         "round 1 control message must arrive on the negotiated subcarriers"
     );
     let rx2 = receiver.decode(&fe2, Some(&detection2.erasures));
-    assert!(rx2.crc_ok(), "round 1 data must decode");
+    assert!(rx2.crc_ok, "round 1 data must decode");
 }
 
 /// Feedback loss falls back gracefully: a destroyed ACK yields no report

@@ -21,7 +21,7 @@
 
 use cos_phy::pipeline::TxWorkspace;
 use cos_phy::rates::DataRate;
-use cos_phy::rx::{Receiver, RxConfig};
+use cos_phy::rx::Receiver;
 use cos_phy::tx::Transmitter;
 
 fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -122,22 +122,18 @@ fn transmit_waveforms_match_golden_samples() {
 fn decoding_golden_samples_matches_golden_bits() {
     let rx = Receiver::new();
     for v in vectors() {
-        let frame = rx.receive(&v.samples, &RxConfig::ideal()).expect("golden frame decodes");
+        let frame = rx.receive(&v.samples, None).expect("golden frame decodes");
+        assert!(frame.out.crc_ok, "{:?}: golden frame failed its CRC", v.rate);
+        assert_eq!(frame.out.payload, v.payload, "{:?}: decoded payload drifted", v.rate);
+        assert_eq!(frame.out.scrambler_seed, Some(v.seed), "{:?}: scrambler seed drifted", v.rate);
         assert_eq!(
-            frame.payload.as_deref(),
-            Some(&v.payload[..]),
-            "{:?}: decoded payload drifted",
-            v.rate
-        );
-        assert_eq!(frame.scrambler_seed, Some(v.seed), "{:?}: scrambler seed drifted", v.rate);
-        assert_eq!(
-            fnv(frame.data_bits.iter().copied()),
+            fnv(frame.out.data_bits.iter().copied()),
             v.data_bits_digest,
             "{:?}: data-bit digest drifted",
             v.rate
         );
         let mut hard = Vec::new();
-        rx.hard_decisions_into(&frame.front_end, None, &mut hard);
+        rx.hard_decisions_into(&frame.fe, None, &mut hard);
         assert_eq!(
             fnv(hard.iter().copied()),
             v.hard_bits_digest,

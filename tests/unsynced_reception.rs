@@ -4,7 +4,7 @@
 
 use cos::channel::{ChannelConfig, Link};
 use cos::phy::rates::DataRate;
-use cos::phy::rx::{Receiver, RxConfig};
+use cos::phy::rx::Receiver;
 use cos::phy::sync::Synchronizer;
 use cos::phy::tx::Transmitter;
 
@@ -26,7 +26,7 @@ fn unsynced_frame_with_cfo_decodes() {
         let stream = link.transmit(&frame.to_time_samples());
 
         let (acq, rx) = Receiver::new()
-            .receive_stream(&stream, &RxConfig::ideal())
+            .receive_stream(&stream, None)
             .expect("acquire + decode");
         assert!(
             acq.frame_start.abs_diff(lead) <= 2,
@@ -38,7 +38,8 @@ fn unsynced_frame_with_cfo_decodes() {
             "cfo {cfo}: estimated {}",
             acq.cfo_hz
         );
-        assert_eq!(rx.payload.as_deref(), Some(data.as_slice()), "cfo {cfo}");
+        assert!(rx.out.crc_ok, "cfo {cfo}");
+        assert_eq!(rx.out.payload, data, "cfo {cfo}");
     }
 }
 
@@ -53,9 +54,10 @@ fn unsynced_reception_works_across_rates() {
         let frame = Transmitter::new().build_frame(&data, rate, 0x33);
         let stream = link.transmit(&frame.to_time_samples());
         let (_, rx) = Receiver::new()
-            .receive_stream(&stream, &RxConfig::ideal())
+            .receive_stream(&stream, None)
             .expect("acquire + decode");
-        assert_eq!(rx.payload.as_deref(), Some(data.as_slice()), "{rate}");
+        assert!(rx.out.crc_ok, "{rate}");
+        assert_eq!(rx.out.payload, data, "{rate}");
     }
 }
 
@@ -65,7 +67,7 @@ fn noise_only_stream_reports_no_preamble() {
     // Transmit nothing: just the lead-in noise (plus channel tail of an
     // empty waveform).
     let stream = link.transmit(&[]);
-    let err = Receiver::new().receive_stream(&stream, &RxConfig::ideal());
+    let err = Receiver::new().receive_stream(&stream, None);
     assert!(err.is_err());
 }
 
@@ -111,5 +113,5 @@ fn cos_control_survives_unsynced_reception() {
     let detection = EnergyDetector::default().detect(&fe, &selected);
     assert_eq!(detection.control_bits(&codec), Some(bits));
     let rx = receiver.decode(&fe, Some(&detection.erasures));
-    assert!(rx.crc_ok());
+    assert!(rx.crc_ok);
 }

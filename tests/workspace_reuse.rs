@@ -1,6 +1,6 @@
 //! Property tests for the zero-copy workspace pipeline: a dirty,
 //! previously-used workspace must produce results **bit-identical** to
-//! the freshly-allocating owned APIs, across rates, channels, fault
+//! the allocating forms' fresh ones, across rates, channels, fault
 //! scenarios and arbitrary-byte PSDUs built without the CRC framing.
 //!
 //! This is the determinism contract of `docs/ARCHITECTURE.md` made
@@ -14,7 +14,7 @@ use cos::fec::bits::bits_to_bytes;
 use cos::phy::evm::reconstruct_points_into;
 use cos::phy::frame::SERVICE_BITS;
 use cos::phy::rates::DataRate;
-use cos::phy::rx::{FrontEnd, Receiver, RxConfig, RxDecodeOut, RxFrame, RxScratch};
+use cos::phy::rx::{FrontEnd, Receiver, RxDecodeOut, RxScratch};
 use cos::phy::subcarriers::NUM_DATA;
 use cos::phy::tx::{Transmitter, TxFrame};
 use cos::phy::{PhyWorkspace, TxWorkspace};
@@ -34,16 +34,17 @@ fn dirty(tx: &Transmitter, rx: &Receiver, ws: &mut PhyWorkspace) {
     tx.build_frame_into(&[0x5A; 333], DataRate::Mbps54, 0x31, &mut ws.tx);
     ws.tx.render();
     let samples = ws.tx.samples.clone();
-    rx.receive_into(&samples, &RxConfig::ideal(), &mut ws.rx).expect("clean loopback");
+    rx.receive_into(&samples, None, &mut ws.rx).expect("clean loopback");
 }
 
-/// Field-by-field equality of the decode result (ignoring the front-end
-/// clone, which is compared separately where it matters).
-fn assert_same_decode(ws_frame: &RxFrame, owned: &RxFrame) {
-    assert_eq!(&ws_frame.payload, &owned.payload);
-    assert_eq!(&ws_frame.data_bits, &owned.data_bits);
-    assert_eq!(ws_frame.scrambler_seed, owned.scrambler_seed);
-    assert_eq!(ws_frame.decode_error, owned.decode_error);
+/// Field-by-field equality of two decodes (the front ends they ran on
+/// are compared separately where it matters).
+fn assert_same_decode(ws: &RxDecodeOut, fresh: &RxDecodeOut) {
+    assert_eq!(ws.crc_ok, fresh.crc_ok);
+    assert_eq!(&ws.payload, &fresh.payload);
+    assert_eq!(&ws.data_bits, &fresh.data_bits);
+    assert_eq!(ws.scrambler_seed, fresh.scrambler_seed);
+    assert_eq!(ws.decode_error, fresh.decode_error);
 }
 
 fn point_bits(rows: &[[cos::dsp::Complex; NUM_DATA]]) -> Vec<(u64, u64)> {
@@ -116,16 +117,16 @@ fn dirty_workspace_receive_matches_owned() {
         let rx_samples = link_owned.transmit(&owned_samples);
         assert_eq!(&ws.rx.samples, &rx_samples);
 
-        let ws_result = rx.receive_into(&rx_samples, &RxConfig::ideal(), &mut ws.rx);
-        let owned_result = Receiver::new().receive(&rx_samples, &RxConfig::ideal());
-        match (ws_result, owned_result) {
-            (Ok(()), Ok(owned)) => {
-                assert_same_decode(&ws.rx.to_rx_frame(), &owned);
-                assert_eq!(&ws.rx.fe.h_est[..], &owned.front_end.h_est[..]);
-                assert_eq!(&ws.rx.fe.equalized, &owned.front_end.equalized);
+        let ws_result = rx.receive_into(&rx_samples, None, &mut ws.rx);
+        let fresh_result = Receiver::new().receive(&rx_samples, None);
+        match (ws_result, fresh_result) {
+            (Ok(()), Ok(fresh)) => {
+                assert_same_decode(&ws.rx.out, &fresh.out);
+                assert_eq!(&ws.rx.fe.h_est[..], &fresh.fe.h_est[..]);
+                assert_eq!(&ws.rx.fe.equalized, &fresh.fe.equalized);
             }
             (Err(a), Err(b)) => assert_eq!(a, b),
-            (a, b) => panic!("paths diverged: workspace {:?} vs owned {:?}", a, b.map(|f| f.crc_ok())),
+            (a, b) => panic!("paths diverged: workspace {:?} vs fresh {:?}", a, b.map(|f| f.out.crc_ok)),
         }
     }
 }
@@ -222,11 +223,10 @@ fn erasure_decode_matches_owned_with_dirty_workspace() {
         let rx_samples = link_owned.transmit(&owned_frame.to_time_samples());
 
         let mask: Vec<[bool; NUM_DATA]> = owned_frame.silence_mask.clone();
-        let config = RxConfig::with_erasures(&mask);
-        let ws_result = rx.receive_into(&rx_samples, &config, &mut ws.rx);
-        let owned_result = Receiver::new().receive(&rx_samples, &config);
-        match (ws_result, owned_result) {
-            (Ok(()), Ok(owned)) => assert_same_decode(&ws.rx.to_rx_frame(), &owned),
+        let ws_result = rx.receive_into(&rx_samples, Some(&mask), &mut ws.rx);
+        let fresh_result = Receiver::new().receive(&rx_samples, Some(&mask));
+        match (ws_result, fresh_result) {
+            (Ok(()), Ok(fresh)) => assert_same_decode(&ws.rx.out, &fresh.out),
             (Err(a), Err(b)) => assert_eq!(a, b),
             _ => panic!("paths diverged"),
         }
@@ -261,10 +261,10 @@ fn faulty_channel_decode_matches_owned() {
         );
         assert_eq!(&ws.rx.samples, &rx_samples);
 
-        let ws_result = rx.receive_into(&rx_samples, &RxConfig::ideal(), &mut ws.rx);
-        let owned_result = Receiver::new().receive(&rx_samples, &RxConfig::ideal());
-        match (ws_result, owned_result) {
-            (Ok(()), Ok(owned)) => assert_same_decode(&ws.rx.to_rx_frame(), &owned),
+        let ws_result = rx.receive_into(&rx_samples, None, &mut ws.rx);
+        let fresh_result = Receiver::new().receive(&rx_samples, None);
+        match (ws_result, fresh_result) {
+            (Ok(()), Ok(fresh)) => assert_same_decode(&ws.rx.out, &fresh.out),
             (Err(a), Err(b)) => assert_eq!(a, b),
             _ => panic!("paths diverged"),
         }
@@ -291,7 +291,7 @@ fn psdu_roundtrips_through_dirty_workspace() {
         assert_eq!(&ws.tx.samples, &owned_samples);
 
         let samples = ws.tx.samples.clone();
-        rx.receive_into(&samples, &RxConfig::ideal(), &mut ws.rx).expect("clean loopback");
+        rx.receive_into(&samples, None, &mut ws.rx).expect("clean loopback");
         // The DATA-field PSDU round-trips exactly.
         let psdu_bits = &ws.rx.out.data_bits[SERVICE_BITS..][..psdu.len() * 8];
         assert_eq!(&bits_to_bytes(psdu_bits), &psdu);
